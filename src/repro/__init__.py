@@ -30,7 +30,6 @@ from repro.blockdev import (
     FaultPlan,
     InjectedReadError,
     InterposedDevice,
-    InterposeOptions,
     MetricsDevice,
     RegularDisk,
     TracingDevice,
@@ -84,7 +83,6 @@ __all__ = [
     "BlockDevice",
     "RegularDisk",
     "InterposedDevice",
-    "InterposeOptions",
     "TracingDevice",
     "MetricsDevice",
     "FaultDevice",

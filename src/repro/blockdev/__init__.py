@@ -15,7 +15,6 @@ from repro.blockdev.interpose import (
     FaultPlan,
     InjectedReadError,
     InterposedDevice,
-    InterposeOptions,
     MetricsDevice,
     TraceEvent,
     TracingDevice,
@@ -23,7 +22,6 @@ from repro.blockdev.interpose import (
     core_device,
     find_layer,
     layers,
-    wrap_device,
 )
 from repro.blockdev.regular import RegularDisk
 
@@ -31,7 +29,6 @@ __all__ = [
     "BlockDevice",
     "RegularDisk",
     "InterposedDevice",
-    "InterposeOptions",
     "TracingDevice",
     "TraceEvent",
     "MetricsDevice",
@@ -42,7 +39,6 @@ __all__ = [
     "DeviceCrashed",
     "InjectedReadError",
     "build_device_stack",
-    "wrap_device",
     "core_device",
     "find_layer",
     "layers",

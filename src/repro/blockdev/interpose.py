@@ -32,7 +32,7 @@ N-th physical write -- the crash-point methodology the recovery tests
 sweep.
 
 :func:`build_device_stack` is the single factory every consumer builds
-its stack through (the harness, the examples, the file systems).
+its stack through (the harness and the examples).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, Optional, Set, Tuple, Type
 
 from repro.blockdev.interface import BlockDevice
 from repro.blockdev.regular import RegularDisk
@@ -1089,80 +1089,37 @@ class DiskFaultInjector:
 # The stack factory
 # ======================================================================
 
-@dataclass(frozen=True)
-class InterposeOptions:
-    """Which interposers :func:`build_device_stack` should thread in."""
-
-    trace: bool = False
-    trace_capacity: int = 4096
-    trace_sink: Optional[object] = None
-    metrics: bool = False
-    faults: Optional[FaultPlan] = None
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.trace or self.metrics or self.faults is not None
-
-
-def wrap_device(
-    device: BlockDevice, options: Optional[InterposeOptions]
-) -> BlockDevice:
-    """Apply the requested interposers around an existing device.
-
-    Layer order, innermost out: faults (so observers see the faulty
-    behaviour the host sees), then metrics, then tracing.  With no
-    options enabled the device is returned untouched -- the disabled
-    stack costs nothing.
-    """
-    if options is None or not options.any_enabled:
-        return device
-    if options.faults is not None:
-        device = FaultDevice(device, options.faults)
-    if options.metrics:
-        device = MetricsDevice(device)
-    if options.trace:
-        device = TracingDevice(
-            device,
-            capacity=options.trace_capacity,
-            sink=options.trace_sink,
-        )
-    return device
-
-
 def build_device_stack(
     disk,
     device_type: str = "regular",
     block_size: int = 4096,
     *,
-    options: Optional[InterposeOptions] = None,
     trace: bool = False,
     trace_capacity: int = 4096,
     trace_sink: Optional[object] = None,
     metrics: bool = False,
     faults: Optional[FaultPlan] = None,
-    device_factory: Optional[Callable] = None,
     nvm=None,
     **device_kwargs,
 ) -> BlockDevice:
     """Build a core device over ``disk`` and wrap it with interposers.
 
     ``device_type`` selects the core: ``"regular"`` (update-in-place
-    identity mapping) or ``"vld"`` (the Virtual Log Disk); a custom
-    ``device_factory(disk, block_size=..., **device_kwargs)`` overrides
-    both.  ``nvm`` threads an NVM write-ahead tier between the core and
-    the interposers: pass ``True`` for the default NVDIMM spec, a part
-    name from :data:`~repro.blockdev.nvm.NVM_SPECS`, or an
-    :class:`~repro.blockdev.nvm.NVMSpec`.  Interposers come from
-    ``options`` or, when that is omitted, from the individual keyword
-    flags.  This is the single entry point the harness, the examples,
-    and the file systems build stacks through.
+    identity mapping) or ``"vld"`` (the Virtual Log Disk).  ``nvm``
+    threads an NVM write-ahead tier between the core and the
+    interposers: pass ``True`` for the default NVDIMM spec, a part name
+    from :data:`~repro.blockdev.nvm.NVM_SPECS`, or an
+    :class:`~repro.blockdev.nvm.NVMSpec`.  The keyword flags are the one
+    way to ask for interposers.  Layer order, innermost out: faults (so
+    observers see the faulty behaviour the host sees), then metrics,
+    then tracing.  With no flag set the core is returned untouched --
+    the disabled stack costs nothing.  This is the single entry point
+    the harness and the examples build stacks through.
     """
-    if device_factory is not None:
-        device: BlockDevice = device_factory(
+    if device_type == "regular":
+        device: BlockDevice = RegularDisk(
             disk, block_size=block_size, **device_kwargs
         )
-    elif device_type == "regular":
-        device = RegularDisk(disk, block_size=block_size, **device_kwargs)
     elif device_type == "vld":
         from repro.vlog.vld import VirtualLogDisk
 
@@ -1180,12 +1137,12 @@ def build_device_stack(
         else:
             spec = NVM_SPECS[nvm]
         device = NVWal(device, spec=spec)
-    if options is None:
-        options = InterposeOptions(
-            trace=trace,
-            trace_capacity=trace_capacity,
-            trace_sink=trace_sink,
-            metrics=metrics,
-            faults=faults,
+    if faults is not None:
+        device = FaultDevice(device, faults)
+    if metrics:
+        device = MetricsDevice(device)
+    if trace:
+        device = TracingDevice(
+            device, capacity=trace_capacity, sink=trace_sink
         )
-    return wrap_device(device, options)
+    return device

@@ -27,26 +27,11 @@ ulps of a rotation boundary read as slot 0, never as "a hair past it".
 
 from __future__ import annotations
 
-import os
 from math import ulp
 from typing import List, Optional, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.specs import DiskSpec
-
-try:  # Optional vector backend -- the pure loops stay the oracle.
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled by REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: True when the vectorized pricing backend is active.
-HAVE_NUMPY = _np is not None
-
-#: Candidate sets smaller than this are priced by the pure loops: the
-#: array round-trip costs more than it saves below a few dozen elements.
-NUMPY_MIN_BATCH = 32
 
 #: ``(x + _ROUND_MAGIC) - _ROUND_MAGIC`` is round-half-to-even for
 #: ``0 <= x < 2**51`` (the sum lands where doubles have ulp 1, and the
@@ -92,9 +77,6 @@ class BatchMechanics:
             geometry.skew_offset(idx // tpc, idx % tpc)
             for idx in range(geometry.num_cylinders * tpc)
         ]
-        if _np is not None:
-            self._np_seeks = _np.asarray(self.seek_by_distance)
-            self._np_skews = _np.asarray(self.skew_by_track, dtype=_np.int64)
 
     # ------------------------------------------------------------------
     # Scalar table-backed primitives (bit-equal to DiskMechanics)
@@ -172,93 +154,6 @@ class BatchMechanics:
         return positioning, self.rotational_slot(now + positioning)
 
     # ------------------------------------------------------------------
-    # Vectorized backend (bit-equal to the pure loops)
-    # ------------------------------------------------------------------
-
-    def _slots_np(self, t):
-        """Vectorized :meth:`rotational_slot` over an array of times.
-
-        Every elementwise op mirrors the scalar path exactly: ``np.mod``
-        is the same sign-adjusted ``fmod`` as ``float.__mod__`` for
-        positive operands, ``np.rint`` rounds half to even like
-        ``round``, and ``np.spacing`` is ``math.ulp`` for non-negative
-        floats -- so the results are bit-for-bit the scalar answers.
-        """
-        np = _np
-        rotation = self.rotation_time
-        n = self.sectors_per_track
-        sector_time = self.sector_time
-        rem = np.mod(t, rotation)
-        frac = rem / rotation
-        base = frac * n
-        nearest = np.rint(base)
-        snap = (nearest != base) & (
-            np.abs(rem - nearest * sector_time) <= t * 2e-14
-        )
-        slot = np.where(snap, np.where(nearest == n, 0.0, nearest), base)
-        slot = np.where(frac >= 1.0, 0.0, slot)
-        fast = (rem > 4.5e-308) & (rem > t * 1e-15)
-        tiny = (rem <= 0.0) | (rem <= 2.0 * np.spacing(t))
-        return np.where(~fast & tiny, 0.0, slot)
-
-    def _price_candidates_np(
-        self,
-        now: float,
-        head_cyl: int,
-        head_head: int,
-        candidates: Sequence[int],
-        extra_lead: Optional[Sequence[float]],
-        transfer_sectors: int,
-    ) -> List[float]:
-        np = _np
-        n = self.sectors_per_track
-        sector_time = self.sector_time
-        tpc = self.tracks_per_cylinder
-        switch = self.head_switch_time
-        sectors = np.asarray(candidates, dtype=np.int64)
-        track = sectors // n
-        sect = sectors - track * n
-        cylinder = track // tpc
-        head = track - cylinder * tpc
-        positioning = self._np_seeks[np.abs(cylinder - head_cyl)]
-        positioning = np.where(
-            (head != head_head) & (switch > positioning), switch, positioning
-        )
-        if extra_lead is None:
-            lead = positioning
-            t = now + positioning
-        else:
-            extra = np.asarray(extra_lead, dtype=np.float64)
-            lead = extra + positioning
-            t = (now + extra) + positioning
-        slot = self._slots_np(t)
-        angle = sect + self._np_skews[track]
-        angle = np.where(angle >= n, angle - n, angle)
-        cost = lead + np.mod(angle - slot, n) * sector_time
-        if transfer_sectors:
-            cost = cost + transfer_sectors * sector_time
-        return cost.tolist()
-
-    def _price_track_arrivals_np(
-        self,
-        now: float,
-        head_cyl: int,
-        head_head: int,
-        tracks: Sequence[Tuple[int, int]],
-    ) -> List[Tuple[float, float]]:
-        np = _np
-        switch = self.head_switch_time
-        pairs = np.asarray(tracks, dtype=np.int64)
-        cylinder = pairs[:, 0]
-        head = pairs[:, 1]
-        positioning = self._np_seeks[np.abs(cylinder - head_cyl)]
-        positioning = np.where(
-            (head != head_head) & (switch > positioning), switch, positioning
-        )
-        slot = self._slots_np(now + positioning)
-        return list(zip(positioning.tolist(), slot.tolist()))
-
-    # ------------------------------------------------------------------
     # Batch pricing
     # ------------------------------------------------------------------
 
@@ -292,11 +187,6 @@ class BatchMechanics:
             wait (+ transfer)`` for ``candidates[i]``, bit-for-bit equal
             to composing the scalar mechanics calls in service order.
         """
-        if _np is not None and len(candidates) >= NUMPY_MIN_BATCH:
-            return self._price_candidates_np(
-                now, head_cyl, head_head, candidates, extra_lead,
-                transfer_sectors,
-            )
         n = self.sectors_per_track
         rotation = self.rotation_time
         sector_time = self.sector_time
@@ -420,61 +310,3 @@ class BatchMechanics:
                 cost += transfer
             append(cost)
         return costs
-
-    def price_track_arrivals(
-        self,
-        now: float,
-        head_cyl: int,
-        head_head: int,
-        tracks: Sequence[Tuple[int, int]],
-    ) -> List[Tuple[float, float]]:
-        """``(positioning_time, arrival_slot)`` for each ``(cylinder,
-        head)`` in one pass -- the compactor's hole search and the
-        allocator's cylinder sweep price candidate *tracks* this way
-        before asking the free map for the nearest run on the winners."""
-        if _np is not None and len(tracks) >= NUMPY_MIN_BATCH:
-            return self._price_track_arrivals_np(now, head_cyl, head_head, tracks)
-        n = self.sectors_per_track
-        rotation = self.rotation_time
-        sector_time = self.sector_time
-        seeks = self.seek_by_distance
-        switch = self.head_switch_time
-        _ulp = ulp
-        coarse = self._snap_coarse
-        out: List[Tuple[float, float]] = []
-        append = out.append
-        for cylinder, head in tracks:
-            distance = cylinder - head_cyl
-            if distance < 0:
-                distance = -distance
-            positioning = seeks[distance]
-            if head != head_head and switch > positioning:
-                positioning = switch
-            t = now + positioning
-            rem = t % rotation
-            if rem > 4.5e-308 and rem > t * 1e-15:
-                frac = rem / rotation
-                if frac >= 1.0:
-                    slot = 0.0
-                else:
-                    slot = frac * n
-                    nearest = round(slot)
-                    if nearest != slot and abs(
-                        rem - nearest * sector_time
-                    ) <= t * 2e-14:
-                        slot = 0.0 if nearest == n else float(nearest)
-            elif rem <= 0.0 or rem <= 2.0 * _ulp(t):
-                slot = 0.0
-            else:
-                frac = rem / rotation
-                if frac >= 1.0:
-                    slot = 0.0
-                else:
-                    slot = frac * n
-                    nearest = round(slot)
-                    if nearest != slot and abs(
-                        rem - nearest * sector_time
-                    ) <= t * 2e-14:
-                        slot = 0.0 if nearest == n else float(nearest)
-            append((positioning, slot))
-        return out

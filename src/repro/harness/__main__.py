@@ -3,11 +3,28 @@
 Regenerates the requested tables/figures (default: the quick set) and
 prints the paper-style rows.  ``--full`` uses paper-scale workloads.
 
-Interposer flags thread observability through every device stack the
-experiments build: ``--trace PATH`` appends one JSONL record per device
-operation, ``--metrics`` prints a per-stack op/latency summary after each
-experiment, and ``--faults SPEC`` injects deterministic device faults
-(``SPEC`` like ``crash_after=40,torn=0.05,seed=7``).
+Stack flags describe the device stacks the experiments build.  Each one
+is folded into a :class:`~repro.harness.configs.StackConfig` field
+override and handed, as the ``stack=`` keyword, to the experiments that
+build stacks through ``build_stack`` (figure6/7/8, table2/figure9,
+figure10/11); the overridden config rides inside every sweep point, so
+these flags run parallel and cached like any other parameter:
+``--queue-depth N`` lets each core device keep ``N`` requests
+outstanding in its internal scheduler and ``--sched POLICY`` picks the
+service order (``fifo``, ``scan``, ``satf``; depth 1 + FIFO is the
+unscheduled baseline); ``--nvm [PART]`` threads an NVM write-ahead tier
+in front of every stack (``--nvm-lat``/``--nvm-cap`` adjust the part);
+``--faults SPEC`` injects deterministic device faults (``SPEC`` like
+``crash_after=40,torn=0.05,seed=7``; an injected crash aborts the run
+with exit status 3).  A stack flag given to an experiment that takes no
+stack overrides, or with ``--torture`` (every torture plan builds its
+own stack), is an error rather than a silent no-op.
+
+Two stack flags are observations of a run, not parameters of its result:
+``--trace PATH`` appends one JSONL record per device operation and
+``--metrics`` prints a per-stack op/latency summary after each
+experiment.  A cache hit or a worker process produces nothing to
+observe, so these two (and only these) run inline and uncached.
 
 Sweep flags control how each experiment's grid of independent points is
 executed: ``--jobs N`` fans the points out across ``N`` worker
@@ -16,13 +33,6 @@ point's result under a content-addressed key so re-running an unchanged
 figure is near-instant (any source edit invalidates transparently),
 ``--no-cache`` disables the cache, and ``--cache-stats`` prints
 hit/miss/submission counts after each experiment.
-
-Queue flags apply to every device stack the experiments build:
-``--queue-depth N`` lets each core device keep ``N`` requests
-outstanding in its internal scheduler, and ``--sched POLICY`` picks the
-service order (``fifo``, ``scan``, ``satf``).  The defaults (depth 1,
-FIFO) reproduce the unscheduled baseline byte-for-byte; anything else
-changes timings, so these flags force inline, uncached execution.
 
 Multi-host flags apply to ``figure_multihost`` (the event-engine
 scale-out sweep): ``--hosts N`` runs exactly ``N`` closed-loop host
@@ -55,6 +65,8 @@ Examples::
     python -m repro.harness --metrics table2
     python -m repro.harness --trace /tmp/ops.jsonl figure6
     python -m repro.harness --faults crash_after=500 figure6
+    python -m repro.harness --jobs 2 --queue-depth 4 --sched satf table2
+    python -m repro.harness --jobs 2 --nvm nvdimm table2
     python -m repro.harness --torture --jobs 2
     python -m repro.harness --scrub
     python -m repro.harness --list
@@ -63,10 +75,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
+from typing import Any, Dict
 
-from repro.blockdev.interpose import DeviceCrashed, FaultPlan, InterposeOptions
+from repro.blockdev.interpose import DeviceCrashed, FaultPlan
+from repro.blockdev.nvm import NVM_SPECS
 from repro.harness import configs, experiments, sweep
 from repro.harness.cache import ResultCache
 from repro.harness.report import format_table
@@ -370,67 +385,28 @@ def main(argv=None) -> int:
         parser.error("--nvm-lat/--nvm-cap require --nvm")
     if args.families is not None and not args.torture:
         parser.error("--families requires --torture")
-    if args.nvm is not None:
-        from repro.blockdev.nvm import NVM_SPECS
-
-        if args.nvm not in NVM_SPECS:
-            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
-                         + ", ".join(sorted(NVM_SPECS)))
-        spec = NVM_SPECS[args.nvm].with_overrides(
-            store_latency=args.nvm_lat, capacity_bytes=args.nvm_cap
-        )
-        configs.set_default_nvm(spec)
-        # The NVM default is process-global state the cache key and the
-        # worker processes do not see -- run inline and uncached.
-        if args.jobs > 1:
-            print("[sweep: --nvm forces --jobs 1]", file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: --nvm disables the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
-    if args.queue_depth is not None or args.sched is not None:
-        depth = args.queue_depth if args.queue_depth is not None else 1
-        if depth < 1:
-            parser.error("--queue-depth must be >= 1")
-        configs.set_default_queue((depth, args.sched or "fifo"))
-        # The queue default is process-global state the cache key and the
-        # worker processes do not see -- run inline and uncached.
-        if args.jobs > 1:
-            print("[sweep: --queue-depth/--sched force --jobs 1]",
-                  file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: queue flags disable the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
+    stack = _stack_overrides(parser, args)
     if args.torture:
+        if stack:
+            parser.error(
+                f"{_STACK_FLAGS[next(iter(stack))]} does not apply to --torture "
+                "(every torture plan builds its own stack)"
+            )
         cache = None if args.no_cache else ResultCache(args.cache)
         with sweep.configured(jobs=args.jobs, cache=cache):
             status = _run_torture(args)
         _report_sweep_stats(args, "torture")
         return status
-    if args.trace or args.metrics or args.faults:
-        try:
-            faults = FaultPlan.parse(args.faults) if args.faults else None
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
-        configs.set_default_interpose(InterposeOptions(
-            trace=bool(args.trace),
-            trace_sink=args.trace,
-            metrics=args.metrics,
-            faults=faults,
-        ))
-        # Per-process observability (trace files, the metrics registry)
-        # does not survive the worker boundary, and injected faults make
-        # results configuration-dependent in ways the cache key does not
-        # see -- fall back to inline, uncached execution.
+    if args.trace or args.metrics:
+        # A trace file and the metrics registry are observations of a
+        # run, not parameters of its result: a cache hit or a worker
+        # process produces nothing to observe.
         if args.jobs > 1:
-            print("[sweep: --trace/--metrics/--faults force --jobs 1]",
+            print("[sweep: --trace/--metrics force --jobs 1]",
                   file=sys.stderr)
             args.jobs = 1
         if not args.no_cache:
-            print("[sweep: interposer flags disable the result cache]",
+            print("[sweep: --trace/--metrics disable the result cache]",
                   file=sys.stderr)
             args.no_cache = True
     if args.hosts is not None and args.hosts < 1:
@@ -439,15 +415,27 @@ def main(argv=None) -> int:
         parser.error("--disks must be >= 1")
     cache = None if args.no_cache else ResultCache(args.cache)
     names = args.names or _ALL
+    for name in names:
+        if name not in _ALL:
+            print(f"unknown experiment {name!r}; try --list",
+                  file=sys.stderr)
+            return 2
+        for field in stack:
+            # figure_nvm reads --nvm (and its lat/cap) as its own part.
+            if not (_takes_stack(name)
+                    or (name == "figure_nvm" and field == "nvm")):
+                parser.error(
+                    f"{_STACK_FLAGS[field]} does not apply to {name}, "
+                    "which builds no stack through build_stack; name the "
+                    "experiments it should apply to"
+                )
     overrides = _FULL if args.full else _QUICK
     with sweep.configured(jobs=args.jobs, cache=cache):
         for name in names:
-            if name not in _ALL:
-                print(f"unknown experiment {name!r}; try --list",
-                      file=sys.stderr)
-                return 2
             fn = getattr(experiments, name)
             kwargs = dict(overrides.get(name, {}))
+            if stack and _takes_stack(name):
+                kwargs["stack"] = stack
             if name == "figure_nvm":
                 if args.nvm is not None:
                     kwargs["nvm_part"] = args.nvm
@@ -483,6 +471,52 @@ def main(argv=None) -> int:
             _report_sweep_stats(args, name)
             _report_metrics(args)
     return 0
+
+
+#: The command-line flag that sets each StackConfig field override.
+_STACK_FLAGS = {
+    "queue_depth": "--queue-depth",
+    "sched": "--sched",
+    "nvm": "--nvm",
+    "faults": "--faults",
+    "trace": "--trace",
+    "metrics": "--metrics",
+}
+
+
+def _stack_overrides(parser, args) -> Dict[str, Any]:
+    """Fold the stack flags into StackConfig field overrides (only the
+    flags actually given appear)."""
+    stack: Dict[str, Any] = {}
+    if args.queue_depth is not None:
+        if args.queue_depth < 1:
+            parser.error("--queue-depth must be >= 1")
+        stack["queue_depth"] = args.queue_depth
+    if args.sched is not None:
+        stack["sched"] = args.sched
+    if args.nvm is not None:
+        if args.nvm not in NVM_SPECS:
+            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
+                         + ", ".join(sorted(NVM_SPECS)))
+        stack["nvm"] = NVM_SPECS[args.nvm].with_overrides(
+            store_latency=args.nvm_lat, capacity_bytes=args.nvm_cap
+        )
+    if args.faults:
+        try:
+            stack["faults"] = FaultPlan.parse(args.faults)
+        except ValueError as exc:
+            parser.error(f"--faults: {exc}")
+    if args.trace:
+        stack["trace"] = args.trace
+    if args.metrics:
+        stack["metrics"] = True
+    return stack
+
+
+def _takes_stack(name: str) -> bool:
+    """Whether an experiment builds its stacks through ``build_stack``
+    and so accepts StackConfig overrides."""
+    return "stack" in inspect.signature(getattr(experiments, name)).parameters
 
 
 def _parse_shard_slow(spec: str) -> dict:

@@ -111,6 +111,10 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     def key_of(self, fn_name: str, params: Dict[str, Any], seed: int) -> str:
+        """The content address of one point.  A parameter JSON cannot
+        represent raises ``TypeError``: keying it by ``str()`` would
+        never hit for a default ``repr`` and would replay the wrong
+        result for two objects whose ``str()`` agree."""
         payload = json.dumps(
             {
                 "schema": SCHEMA,
@@ -120,7 +124,6 @@ class ResultCache:
                 "env": self.fingerprint,
             },
             sort_keys=True,
-            default=str,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 

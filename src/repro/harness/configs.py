@@ -1,27 +1,32 @@
 """Stack configurations: the four file system / disk combinations of
 Figure 5, on either drive and either host.
 
-Every stack is built through
-:func:`~repro.blockdev.interpose.build_device_stack`, so any
-configuration can carry interposers -- tracing, metrics, fault
-injection -- without the experiments knowing.  A process-wide default
-(:func:`set_default_interpose`) lets the command-line harness switch
-observability on for *every* stack an experiment builds.
+:class:`StackConfig` is the one description of a stack: file system,
+core device, platform, request queue, NVM tier, and interposers are all
+fields of it, and :func:`build_stack` is the one route from a config to
+a running stack (through
+:func:`~repro.blockdev.interpose.build_device_stack`).  Nothing here
+reads process-wide state: the command-line harness turns its stack flags
+into field overrides that the experiments apply with
+:func:`dataclasses.replace`, and the resulting config rides whole inside
+each sweep point's parameters (:meth:`StackConfig.to_params`), so the
+result-cache key covers every flag and any worker process rebuilds the
+same stack (:meth:`StackConfig.from_params`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.blockdev.interface import BlockDevice
 from repro.blockdev.interpose import (
     FaultPlan,
-    InterposeOptions,
     MetricsDevice,
     build_device_stack,
     find_layer,
 )
+from repro.blockdev.nvm import NVMSpec
 from repro.disk.cache import ReadAheadPolicy
 from repro.disk.disk import Disk
 from repro.disk.specs import DISKS, DiskSpec
@@ -43,22 +48,36 @@ class StackConfig:
     nvram: bool = False
     num_cylinders: int = 0  # 0 = the spec's simulated default
     # Request-queue settings for the core device's internal scheduler.
-    # Depth 1 + FIFO is the unscheduled baseline (byte-identical figures);
-    # the process-wide default (set_default_queue) overrides when a config
-    # keeps these at their baseline values.
+    # Depth 1 + FIFO is the unscheduled baseline (byte-identical figures).
     queue_depth: int = 1
     sched: str = "fifo"
     # NVM write-ahead tier in front of the core device: False (off),
-    # True (default NVDIMM part), or a part name from NVM_SPECS.  The
-    # process-wide default (set_default_nvm) overrides when left False.
+    # True (default NVDIMM part), a part name from NVM_SPECS, or an
+    # NVMSpec pinning one exactly.
     nvm: object = False
-    # Interposer flags (combined with the process-wide default).
-    trace: bool = False
+    # Interposers.  ``trace`` is False, True (in-memory ring buffer
+    # only), or the path of a JSONL sink to append every event to.
+    trace: object = False
     metrics: bool = False
     faults: Optional[FaultPlan] = None
 
     def with_platform(self, disk_name: str, host_name: str) -> "StackConfig":
         return replace(self, disk_name=disk_name, host_name=host_name)
+
+    def to_params(self) -> Dict[str, Any]:
+        """The JSON form that rides in a sweep point's parameters (and
+        so in its cache key): every field, nested specs as dicts."""
+        return asdict(self)
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "StackConfig":
+        """Inverse of :meth:`to_params`."""
+        fields = dict(params)
+        if isinstance(fields.get("nvm"), Mapping):
+            fields["nvm"] = NVMSpec(**fields["nvm"])
+        if fields.get("faults") is not None:
+            fields["faults"] = FaultPlan(**fields["faults"])
+        return cls(**fields)
 
 
 #: The paper's four standard stacks (Figure 5), on the default platform
@@ -70,96 +89,12 @@ STACKS = {
     "lfs-vld": StackConfig("lfs-vld", "lfs", "vld"),
 }
 
-#: Process-wide interposer default, OR-combined with each config's own
-#: flags (the harness CLI sets this for --trace/--metrics/--faults).
-_DEFAULT_INTERPOSE: Optional[InterposeOptions] = None
-
 #: Stacks built with metrics enabled, for post-run reporting by the CLI:
 #: (config name, MetricsDevice) pairs, appended by :func:`build_stack`.
 METRICS_STACKS: List[Tuple[str, MetricsDevice]] = []
 
 
-def set_default_interpose(options: Optional[InterposeOptions]) -> None:
-    """Set (or clear, with ``None``) the process-wide interposer default."""
-    global _DEFAULT_INTERPOSE
-    _DEFAULT_INTERPOSE = options
-
-
-def default_interpose() -> Optional[InterposeOptions]:
-    return _DEFAULT_INTERPOSE
-
-
-#: Process-wide request-queue default (queue_depth, sched), applied to any
-#: stack whose config keeps the baseline depth-1 FIFO (the harness CLI sets
-#: this for --queue-depth/--sched).
-_DEFAULT_QUEUE: Optional[Tuple[int, str]] = None
-
-
-def set_default_queue(queue: Optional[Tuple[int, str]]) -> None:
-    """Set (or clear, with ``None``) the process-wide queue default."""
-    global _DEFAULT_QUEUE
-    _DEFAULT_QUEUE = queue
-
-
-def default_queue() -> Optional[Tuple[int, str]]:
-    return _DEFAULT_QUEUE
-
-
-#: Process-wide NVM-tier default, applied to any stack whose config keeps
-#: the baseline ``nvm=False`` (the harness CLI sets this for --nvm).
-#: ``None``/``False`` = off; ``True`` = default part; a string names a
-#: part; an :class:`~repro.blockdev.nvm.NVMSpec` pins one exactly.
-_DEFAULT_NVM: object = None
-
-
-def set_default_nvm(nvm: object) -> None:
-    """Set (or clear, with ``None``) the process-wide NVM-tier default."""
-    global _DEFAULT_NVM
-    _DEFAULT_NVM = nvm
-
-
-def default_nvm() -> object:
-    return _DEFAULT_NVM
-
-
-def _effective_nvm(config: StackConfig) -> object:
-    if config.nvm:
-        return config.nvm
-    if _DEFAULT_NVM is not None:
-        return _DEFAULT_NVM
-    return False
-
-
-def _effective_queue(config: StackConfig) -> Tuple[int, str]:
-    if (config.queue_depth, config.sched) != (1, "fifo"):
-        return config.queue_depth, config.sched
-    if _DEFAULT_QUEUE is not None:
-        return _DEFAULT_QUEUE
-    return 1, "fifo"
-
-
-def _effective_interpose(
-    config: StackConfig, override: Optional[InterposeOptions]
-) -> Optional[InterposeOptions]:
-    base = override if override is not None else _DEFAULT_INTERPOSE
-    trace = config.trace or (base.trace if base else False)
-    metrics = config.metrics or (base.metrics if base else False)
-    faults = config.faults or (base.faults if base else None)
-    if not (trace or metrics or faults):
-        return None
-    return InterposeOptions(
-        trace=trace,
-        trace_capacity=base.trace_capacity if base else 4096,
-        trace_sink=base.trace_sink if base else None,
-        metrics=metrics,
-        faults=faults,
-    )
-
-
-def build_stack(
-    config: StackConfig,
-    interpose: Optional[InterposeOptions] = None,
-) -> Tuple[FileSystem, Disk, BlockDevice]:
+def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     """Instantiate (file system, disk, device) for a configuration.
 
     ``device`` is the *outermost* layer of the device stack; with
@@ -169,7 +104,6 @@ def build_stack(
     """
     spec: DiskSpec = DISKS[config.disk_name]
     host: HostSpec = HOSTS[config.host_name]
-    options = _effective_interpose(config, interpose)
     if config.device_type == "vld":
         # The paper's VLD read-ahead fix: prefetch whole tracks and retain.
         disk = Disk(
@@ -181,14 +115,16 @@ def build_stack(
         disk = Disk(spec, num_cylinders=config.num_cylinders)
     else:
         raise ValueError(f"unknown device type {config.device_type!r}")
-    queue_depth, sched = _effective_queue(config)
     device = build_device_stack(
         disk,
         config.device_type,
-        options=options,
-        nvm=_effective_nvm(config),
-        queue_depth=queue_depth,
-        sched=sched,
+        trace=bool(config.trace),
+        trace_sink=config.trace if isinstance(config.trace, str) else None,
+        metrics=config.metrics,
+        faults=config.faults,
+        nvm=config.nvm,
+        queue_depth=config.queue_depth,
+        sched=config.sched,
     )
     metrics_layer = find_layer(device, MetricsDevice)
     if metrics_layer is not None:

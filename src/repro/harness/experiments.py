@@ -14,12 +14,21 @@ points out across worker processes (``--jobs``) and memoizes each one in
 the content-addressed result cache (``--cache``).  Point functions derive
 all randomness from their explicit ``seed`` argument, so results are
 identical at any parallelism and on cache replay.
+
+The experiments that build stacks through
+:func:`~repro.harness.configs.build_stack` (figure6/7/8, table2/figure9,
+figure10/11) take ``stack``: :class:`~repro.harness.configs.StackConfig`
+field overrides (queue depth, scheduler, NVM tier, interposers) applied
+to every stack of the grid.  The resulting config rides whole in each
+point's parameters, so an override is just another cached, parallel
+parameter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.blockdev.interpose import MetricsDevice, find_layer
 from repro.disk.specs import DISKS, HP97560, ST19101
@@ -48,6 +57,14 @@ _HERE = "repro.harness.experiments"
 _UPDATE_SEED = 0xF168
 _BURST_SEED = 0xB025
 _LARGEFILE_SEED = 0x10C5
+
+#: ``stack=`` arguments: StackConfig field overrides, or None for none.
+StackOverrides = Optional[Mapping[str, Any]]
+
+
+def _config_params(config: StackConfig, stack: StackOverrides) -> Dict[str, Any]:
+    """``config`` with the overrides applied, as a point parameter."""
+    return replace(config, **(stack or {})).to_params()
 
 
 # ======================================================================
@@ -182,11 +199,10 @@ def figure2(
 # ======================================================================
 
 def _point_smallfile(
-    *, seed: int, stack: str, disk_name: str, host_name: str, num_files: int
+    *, seed: int, config: Dict[str, Any], num_files: int
 ) -> Dict[str, float]:
     del seed  # the small-file workload is deterministic
-    config = STACKS[stack].with_platform(disk_name, host_name)
-    fs, _disk, _device = build_stack(config)
+    fs, _disk, _device = build_stack(StackConfig.from_params(config))
     outcome = run_small_file(fs, num_files=num_files)
     return {
         "create": outcome.create_seconds,
@@ -199,6 +215,7 @@ def figure6(
     num_files: int = 1500,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-stack phase times, plus normalisation to UFS-on-regular."""
     stacks = list(STACKS)
@@ -206,9 +223,9 @@ def figure6(
         SweepPoint(
             f"{_HERE}:_point_smallfile",
             {
-                "stack": name,
-                "disk_name": disk_name,
-                "host_name": host_name,
+                "config": _config_params(
+                    STACKS[name].with_platform(disk_name, host_name), stack
+                ),
                 "num_files": num_files,
             },
         )
@@ -231,9 +248,9 @@ def figure6(
 # ======================================================================
 
 def _point_largefile(
-    *, seed: int, stack: str, disk_name: str, host_name: str, file_mb: float
+    *, seed: int, config: Dict[str, Any], file_mb: float
 ) -> Dict[str, float]:
-    config = STACKS[stack].with_platform(disk_name, host_name)
+    config = StackConfig.from_params(config)
     fs, _disk, _device = build_stack(config)
     outcome = run_large_file(
         fs,
@@ -248,6 +265,7 @@ def figure7(
     file_mb: float = 10.0,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-stack bandwidths for the six large-file phases (MB/s)."""
     stacks = list(STACKS)
@@ -255,9 +273,9 @@ def figure7(
         SweepPoint(
             f"{_HERE}:_point_largefile",
             {
-                "stack": name,
-                "disk_name": disk_name,
-                "host_name": host_name,
+                "config": _config_params(
+                    STACKS[name].with_platform(disk_name, host_name), stack
+                ),
                 "file_mb": file_mb,
             },
             _LARGEFILE_SEED,
@@ -274,12 +292,7 @@ def figure7(
 def _figure8_point(
     *,
     seed: int,
-    name: str,
-    fs_type: str,
-    device_type: str,
-    disk_name: str,
-    host_name: str,
-    nvram: bool,
+    config: Dict[str, Any],
     file_mb: float,
     updates: int,
     warmup: int,
@@ -288,10 +301,7 @@ def _figure8_point(
     ``None`` when the file does not fit (the caller warns and drops)."""
     from repro.fs.api import NoSpace
 
-    config = StackConfig(
-        name, fs_type, device_type, disk_name, host_name, nvram=nvram
-    )
-    fs, _disk, device = build_stack(config)
+    fs, _disk, device = build_stack(StackConfig.from_params(config))
     file_bytes = int(file_mb * _MB)
     try:
         prepare_file(fs, "/target", file_bytes)
@@ -311,6 +321,7 @@ def figure8(
     lfs_warmup: int = 2000,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, List[float]]]:
     """Latency-vs-utilization curves for the three Figure 8 systems.
 
@@ -339,12 +350,7 @@ def figure8(
             points.append(SweepPoint(
                 f"{_HERE}:_figure8_point",
                 {
-                    "name": name,
-                    "fs_type": config.fs_type,
-                    "device_type": config.device_type,
-                    "disk_name": disk_name,
-                    "host_name": host_name,
-                    "nvram": config.nvram,
+                    "config": _config_params(config, stack),
                     "file_mb": file_mb,
                     "updates": lfs_updates if lfs else updates,
                     "warmup": lfs_warmup if lfs else warmup,
@@ -387,18 +393,18 @@ PLATFORMS = (
 def _point_table2(
     *,
     seed: int,
-    disk_name: str,
-    host_name: str,
-    device_type: str,
+    config: Dict[str, Any],
     utilization: float,
     updates: int,
     warmup: int,
     compact_seconds: float,
-    from_metrics: bool,
 ) -> Dict[str, Any]:
     """One (platform, device) cell: mean latency plus the component
-    fractions backing Figure 9."""
-    spec = DISKS[disk_name]
+    fractions backing Figure 9 (from the stack's
+    :class:`MetricsDevice` when the config carries one, else from the
+    workload's own per-call accounting)."""
+    config = StackConfig.from_params(config)
+    spec = DISKS[config.disk_name]
     capacity = (
         spec.sim_cylinders
         * spec.tracks_per_cylinder
@@ -406,10 +412,6 @@ def _point_table2(
         * spec.sector_bytes
     )
     file_bytes = int(utilization * capacity)
-    config = StackConfig(
-        f"ufs-{device_type}", "ufs", device_type, disk_name,
-        host_name, metrics=from_metrics,
-    )
     fs, _disk, device = build_stack(config)
     metrics = find_layer(device, MetricsDevice)
     prepare_file(fs, "/target", file_bytes)
@@ -438,6 +440,7 @@ def table2(
     warmup: int = 100,
     compact_seconds: float = 20.0,
     from_metrics: bool = True,
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Update-in-place vs virtual-log gap across platforms (Table 2),
     with the Figure 9 component breakdowns of the same runs.
@@ -453,14 +456,17 @@ def table2(
         SweepPoint(
             f"{_HERE}:_point_table2",
             {
-                "disk_name": disk_name,
-                "host_name": host_name,
-                "device_type": device_type,
+                "config": _config_params(
+                    StackConfig(
+                        f"ufs-{device_type}", "ufs", device_type,
+                        disk_name, host_name, metrics=from_metrics,
+                    ),
+                    stack,
+                ),
                 "utilization": utilization,
                 "updates": updates,
                 "warmup": warmup,
                 "compact_seconds": compact_seconds,
-                "from_metrics": from_metrics,
             },
             _UPDATE_SEED,
         )
@@ -489,10 +495,13 @@ def table2(
 
 
 def figure9(
-    utilization: float = 0.8, updates: int = 300, warmup: int = 100
+    utilization: float = 0.8,
+    updates: int = 300,
+    warmup: int = 100,
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Latency breakdowns (same runs as Table 2, reshaped per Figure 9)."""
-    table = table2(utilization, updates, warmup)
+    table = table2(utilization, updates, warmup, stack=stack)
     result: Dict[str, Dict[str, float]] = {}
     for platform, entry in table.items():
         for device in ("regular", "vld"):
@@ -518,6 +527,7 @@ def figure10(
     bursts: int = 6,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, List[float]]]:
     """LFS (with NVRAM) latency vs idle-interval length (Figure 10)."""
     if burst_kbs is None:
@@ -529,7 +539,8 @@ def figure10(
         nvram=True,
     )
     return _idle_sweep(
-        config, burst_kbs, idle_seconds, utilization, bursts
+        _config_params(config, stack),
+        burst_kbs, idle_seconds, utilization, bursts,
     )
 
 
@@ -540,6 +551,7 @@ def figure11(
     bursts: int = 6,
     disk_name: str = "st19101",
     host_name: str = "sparc10",
+    stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, List[float]]]:
     """UFS on the VLD latency vs idle-interval length (Figure 11)."""
     if burst_kbs is None:
@@ -550,25 +562,22 @@ def figure11(
         "ufs-vld", "ufs", "vld", disk_name, host_name
     )
     return _idle_sweep(
-        config, burst_kbs, idle_seconds, utilization, bursts
+        _config_params(config, stack),
+        burst_kbs, idle_seconds, utilization, bursts,
     )
 
 
 def _point_idle_burst(
     *,
     seed: int,
-    name: str,
-    fs_type: str,
-    device_type: str,
-    disk_name: str,
-    host_name: str,
-    nvram: bool,
+    config: Dict[str, Any],
     utilization: float,
     burst_kb: int,
     idle: float,
     bursts: int,
 ) -> float:
-    spec = DISKS[disk_name]
+    config = StackConfig.from_params(config)
+    spec = DISKS[config.disk_name]
     capacity = (
         spec.sim_cylinders
         * spec.tracks_per_cylinder
@@ -576,9 +585,6 @@ def _point_idle_burst(
         * spec.sector_bytes
     )
     file_bytes = int(utilization * capacity)
-    config = StackConfig(
-        name, fs_type, device_type, disk_name, host_name, nvram=nvram
-    )
     fs, _disk, _device = build_stack(config)
     prepare_file(fs, "/target", file_bytes)
     recorder = run_bursts(
@@ -594,7 +600,7 @@ def _point_idle_burst(
 
 
 def _idle_sweep(
-    config: StackConfig,
+    config: Dict[str, Any],
     burst_kbs: Sequence[int],
     idle_seconds: Sequence[float],
     utilization: float,
@@ -604,12 +610,7 @@ def _idle_sweep(
         SweepPoint(
             f"{_HERE}:_point_idle_burst",
             {
-                "name": config.name,
-                "fs_type": config.fs_type,
-                "device_type": config.device_type,
-                "disk_name": config.disk_name,
-                "host_name": config.host_name,
-                "nvram": config.nvram,
+                "config": config,
                 "utilization": utilization,
                 "burst_kb": burst_kb,
                 "idle": idle,

@@ -30,10 +30,11 @@ state -- so that the same :class:`SweepPoint` yields the same value in
 any process.  The test suite pins this by comparing ``jobs=4`` against
 ``jobs=1`` for every experiment.
 
-The process-wide defaults (:func:`set_default_jobs`,
-:func:`set_default_cache`) mirror the interposer defaults in
-:mod:`repro.harness.configs`: the CLI sets them once and every
-experiment picks them up without new parameters.
+How a sweep executes (worker count, which cache) is not part of what it
+computes, so it is not a parameter of the experiments: the
+:func:`configured` context manager is the one execution context, entered
+by the CLI around a run and by tests around a comparison, and
+:func:`run_sweep` reads it when ``jobs``/``cache`` are not passed.
 """
 
 from __future__ import annotations
@@ -133,39 +134,23 @@ _DEFAULT_CACHE: Optional[ResultCache] = None
 _UNSET = object()
 
 
-def set_default_jobs(jobs: int) -> None:
-    global _DEFAULT_JOBS
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    _DEFAULT_JOBS = jobs
-
-
-def default_jobs() -> int:
-    return _DEFAULT_JOBS
-
-
-def set_default_cache(cache: Optional[ResultCache]) -> None:
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-
-
-def default_cache() -> Optional[ResultCache]:
-    return _DEFAULT_CACHE
-
-
 @contextmanager
 def configured(jobs: Optional[int] = None, cache: Any = _UNSET):
-    """Temporarily override the process-wide sweep defaults."""
+    """The execution context: inside the ``with`` block every
+    :func:`run_sweep` call that does not say otherwise uses these
+    ``jobs`` and this ``cache`` (``None`` = no cache)."""
+    global _DEFAULT_JOBS, _DEFAULT_CACHE
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
     saved = (_DEFAULT_JOBS, _DEFAULT_CACHE)
     try:
         if jobs is not None:
-            set_default_jobs(jobs)
+            _DEFAULT_JOBS = jobs
         if cache is not _UNSET:
-            set_default_cache(cache)
+            _DEFAULT_CACHE = cache
         yield
     finally:
-        set_default_jobs(saved[0])
-        set_default_cache(saved[1])
+        _DEFAULT_JOBS, _DEFAULT_CACHE = saved
 
 
 def reset_stats() -> SweepStats:
@@ -214,7 +199,8 @@ def run_sweep(
 ) -> List[SweepResult]:
     """Execute a grid of points; results come back in point order.
 
-    ``jobs``/``cache`` default to the process-wide settings.  Cache hits
+    ``jobs``/``cache`` default to the enclosing :func:`configured`
+    context (one inline worker, no cache outside any).  Cache hits
     are never submitted to the executor; if at most one point misses,
     the sweep runs inline (a pool would cost more than it saves).
     """

@@ -35,16 +35,15 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.blockdev.interpose import (
     DeviceCrashed,
     DiskFaultInjector,
-    FaultDevice,
     FaultPlan,
 )
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.harness.configs import build_sharded_volume
 from repro.harness.sweep import SweepPoint, run_sweep
-from repro.sim.clock import SimClock
 from repro.vlog.resilience import MediaError, vlfsck
 from repro.vlog.vld import VirtualLogDisk
-from repro.volume import ShardUnavailable, ShardedVolume, volume_fsck
+from repro.volume import ShardUnavailable, volume_fsck
 
 #: Logical span the workloads touch (blocks); small enough that every
 #: point runs in a couple of seconds, large enough to span many tracks.
@@ -489,23 +488,22 @@ def volume_torture_point(
         raise ValueError(f"unknown workload {workload!r}; "
                          f"try one of {sorted(WORKLOADS)}")
     rng = random.Random(seed)
-    clock = SimClock()
-    disks = [
-        Disk(ST19101, clock=clock, num_cylinders=6) for _ in range(shards)
-    ]
-    devices: List[Any] = []
-    for index, disk in enumerate(disks):
-        vld = VirtualLogDisk(disk, queue_depth=queue_depth, sched=sched)
-        if index == slow_shard and slow_factor > 1.0:
-            devices.append(FaultDevice(vld, FaultPlan(
-                seed=seed,
-                slow_factor=slow_factor,
-                slow_after_ops=slow_after,
-                slow_duration_ops=slow_ops,
-            )))
-        else:
-            devices.append(vld)
-    volume = ShardedVolume(devices, stripe_blocks=stripe_blocks)
+    fault_plans = {}
+    if slow_shard is not None and slow_factor > 1.0:
+        fault_plans[slow_shard] = FaultPlan(
+            seed=seed,
+            slow_factor=slow_factor,
+            slow_after_ops=slow_after,
+            slow_duration_ops=slow_ops,
+        )
+    volume, devices, disks = build_sharded_volume(
+        shards,
+        stripe_blocks=stripe_blocks,
+        num_cylinders=6,
+        queue_depth=queue_depth,
+        sched=sched,
+        fault_plans=fault_plans,
+    )
     oracle = _Oracle(volume.block_size, seed)
     failures: List[str] = []
 

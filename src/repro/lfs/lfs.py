@@ -15,12 +15,9 @@ tracked exactly (per-block for data, per-slot weights for inode blocks).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.blockdev.interpose import InterposeOptions
 from repro.fs.api import (
     DirectoryNotEmpty,
     FileExists,
@@ -91,12 +88,7 @@ class LFS(FileSystem):
         host_factor: float = 1.8,
         reserve_segments: int = 3,
         format_device: bool = True,
-        interpose: Optional["InterposeOptions"] = None,
     ) -> None:
-        if interpose is not None:
-            from repro.blockdev.interpose import wrap_device
-
-            device = wrap_device(device, interpose)
         self.device = device
         self.host = host
         self.host_factor = host_factor

@@ -13,14 +13,12 @@ from repro.blockdev.interpose import (
     FaultPlan,
     InjectedReadError,
     InterposedDevice,
-    InterposeOptions,
     MetricsDevice,
     TracingDevice,
     build_device_stack,
     core_device,
     find_layer,
     layers,
-    wrap_device,
 )
 from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
@@ -469,15 +467,11 @@ class TestWrapDeviceAndFactory:
     def test_no_options_returns_bare_device(self, disk):
         device = build_device_stack(disk, "regular")
         assert isinstance(device, RegularDisk)
-        assert wrap_device(device, None) is device
-        assert wrap_device(device, InterposeOptions()) is device
 
     def test_layer_order_fault_innermost_trace_outermost(self, disk):
         device = build_device_stack(
             disk, "regular",
-            options=InterposeOptions(
-                trace=True, metrics=True, faults=FaultPlan(seed=1)
-            ),
+            trace=True, metrics=True, faults=FaultPlan(seed=1),
         )
         kinds = [type(layer) for layer in layers(device)]
         assert kinds == [
@@ -489,19 +483,6 @@ class TestWrapDeviceAndFactory:
         assert isinstance(core_device(device), VirtualLogDisk)
         device.write_block(0, PAYLOAD)
         assert find_layer(device, MetricsDevice).total_ops == 1
-
-    def test_custom_device_factory(self, disk):
-        calls = {}
-
-        def factory(d, block_size):
-            calls["block_size"] = block_size
-            return RegularDisk(d, block_size=block_size)
-
-        device = build_device_stack(
-            disk, block_size=8192, device_factory=factory
-        )
-        assert calls["block_size"] == 8192
-        assert device.block_size == 8192
 
     def test_unknown_device_type_rejected(self, disk):
         with pytest.raises(ValueError):

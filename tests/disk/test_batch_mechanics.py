@@ -204,24 +204,6 @@ class TestTableBackedPrimitives:
                 assert positioning == expect
                 assert arrival == mechanics.rotational_slot(now + expect)
 
-    @given(rigs())
-    @_SETTINGS
-    def test_price_track_arrivals_matches_composition(self, rig):
-        _, geometry, mechanics, batch, head_cyl, head_head, now, _ = rig
-        tracks = [
-            (cylinder, head)
-            for cylinder in range(geometry.num_cylinders)
-            for head in range(geometry.tracks_per_cylinder)
-        ]
-        priced = batch.price_track_arrivals(now, head_cyl, head_head, tracks)
-        assert len(priced) == len(tracks)
-        for (cylinder, head), (positioning, arrival) in zip(tracks, priced):
-            expect = mechanics.positioning_time(
-                head_cyl, head_head, cylinder, head
-            )
-            assert positioning == expect
-            assert arrival == mechanics.rotational_slot(now + expect)
-
 
 class TestRealSpecs:
     """Directed spot checks on the two paper drives (the Hypothesis rigs

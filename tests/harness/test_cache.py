@@ -54,6 +54,20 @@ class TestKeying:
         hit, _ = cache.get(fn, params, seed)
         assert not hit
 
+    def test_non_json_param_is_an_error(self, cache):
+        """A parameter JSON cannot represent must not be keyed by its
+        ``str()``: a default repr would never hit, and two objects that
+        print alike would replay each other's results."""
+        class Opaque:
+            def __str__(self):
+                return "same"
+
+        for call in (cache.key_of, cache.get):
+            with pytest.raises(TypeError):
+                call(FN, {"a": Opaque()}, 7)
+        with pytest.raises(TypeError):
+            cache.put(FN, {"a": Opaque()}, 7, "value")
+
     def test_fingerprint_change_misses(self, tmp_path):
         directory = str(tmp_path / "cache")
         ResultCache(directory, fingerprint="f0").put(FN, {"a": 1}, 7, 42)

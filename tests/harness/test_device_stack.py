@@ -1,36 +1,37 @@
-"""build_stack's interposer threading: config flags, the process-wide
-default, the metrics registry, and metrics-vs-recorder agreement on the
-Figure 9 breakdown."""
+"""build_stack's interposer threading: config fields are the only
+route, a config survives the trip through sweep-point parameters, the
+metrics registry, and metrics-vs-recorder agreement on the Figure 9
+breakdown."""
+
+import json
 
 import pytest
 
 from repro.blockdev.interpose import (
     FaultDevice,
     FaultPlan,
-    InterposeOptions,
     MetricsDevice,
     TracingDevice,
     core_device,
     find_layer,
 )
+from repro.blockdev.nvm import NVM_SPECS
 from repro.blockdev.regular import RegularDisk
 from repro.harness.configs import (
     StackConfig,
     build_stack,
     drain_metrics_stacks,
-    set_default_interpose,
 )
+from repro.nvm import NVWal
 from repro.sim.stats import COMPONENTS
 from repro.vlog.vld import VirtualLogDisk
 from repro.workloads.random_update import prepare_file, run_random_updates
 
 
 @pytest.fixture(autouse=True)
-def _clean_global_state():
-    set_default_interpose(None)
+def _clean_metrics_registry():
     drain_metrics_stacks()
     yield
-    set_default_interpose(None)
     drain_metrics_stacks()
 
 
@@ -66,18 +67,42 @@ class TestConfigFlags:
         _fs, _disk, device = build_stack(config)
         assert isinstance(core_device(device), VirtualLogDisk)
 
-    def test_process_default_applies_to_every_stack(self):
-        set_default_interpose(InterposeOptions(metrics=True))
-        _fs, _disk, device = build_stack(_config())
-        assert isinstance(device, MetricsDevice)
-        assert len(drain_metrics_stacks()) == 1
+    def test_trace_path_is_the_sink(self, tmp_path):
+        sink = tmp_path / "ops.jsonl"
+        fs, _disk, device = build_stack(_config(trace=str(sink)))
+        assert isinstance(device, TracingDevice)
+        fs.create("/f")
+        fs.write("/f", 0, b"payload", sync=True)
+        device.close()
+        records = [json.loads(line) for line in sink.read_text().splitlines()]
+        assert len(records) == len(device.events) > 0
 
-    def test_explicit_override_beats_default(self):
-        set_default_interpose(InterposeOptions(metrics=True))
-        _fs, _disk, device = build_stack(
-            _config(), interpose=InterposeOptions()
+    def test_queue_and_nvm_fields_reach_the_core(self):
+        config = StackConfig(
+            "ufs-vld", "ufs", "vld", num_cylinders=2,
+            queue_depth=4, sched="satf", nvm="slow-pcm",
         )
-        assert isinstance(device, RegularDisk)
+        _fs, _disk, device = build_stack(config)
+        wal = find_layer(device, NVWal)
+        assert wal.nvm.spec is NVM_SPECS["slow-pcm"]
+        core = wal.inner
+        assert isinstance(core, VirtualLogDisk)
+        assert (core.scheduler.queue_depth, core.scheduler.policy.name) == (
+            4, "satf"
+        )
+
+    def test_config_survives_point_params(self):
+        """What a sweep point ships is JSON, and rebuilds the same config
+        (nested specs included) on the other side."""
+        config = _config(
+            queue_depth=4, sched="satf", metrics=True, trace="/tmp/t.jsonl",
+            nvm=NVM_SPECS["nvdimm"].with_overrides(store_latency=3e-6),
+            faults=FaultPlan(seed=7, slow_factor=4.0, slow_after_ops=10),
+        )
+        shipped = json.loads(json.dumps(config.to_params()))
+        assert StackConfig.from_params(shipped) == config
+        plain = _config()
+        assert StackConfig.from_params(plain.to_params()) == plain
 
     def test_fs_still_works_through_the_stack(self):
         fs, _disk, device = build_stack(_config(metrics=True, trace=True))

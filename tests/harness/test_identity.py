@@ -154,8 +154,6 @@ def test_nvm_disabled_builds_no_wal_layer():
     from repro.harness import configs
     from repro.nvm import NVWal
 
-    assert configs.default_nvm() is None  # no process-global override
-
     def layers(device):
         seen = []
         while device is not None and len(seen) < 12:
@@ -166,6 +164,8 @@ def test_nvm_disabled_builds_no_wal_layer():
     disk = Disk(DISKS["st19101"], num_cylinders=4)
     stack = build_device_stack(disk, "vld")
     assert not any(isinstance(layer, NVWal) for layer in layers(stack))
+    _fs, _disk, device = configs.build_stack(configs.STACKS["ufs-vld"])
+    assert not any(isinstance(layer, NVWal) for layer in layers(device))
 
     # ... and the assertion has teeth: asking for the tier produces it.
     disk2 = Disk(DISKS["st19101"], num_cylinders=4)

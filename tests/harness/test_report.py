@@ -1,3 +1,7 @@
+import functools
+
+import pytest
+
 from repro.harness.report import format_table, series_to_csv
 
 
@@ -61,3 +65,61 @@ class TestHarnessCli:
         out = capsys.readouterr().out
         assert "HP97560" in out
         assert "256" in out
+
+    @pytest.mark.parametrize(
+        "argv,flag,target",
+        [
+            (["--torture", "--nvm", "--jobs", "2"], "--nvm", "--torture"),
+            (["--queue-depth", "4", "figure1"], "--queue-depth", "figure1"),
+            (["--sched", "satf", "figure_nvm"], "--sched", "figure_nvm"),
+            (["--metrics"], "--metrics", "table1"),
+        ],
+    )
+    def test_stack_flag_that_would_do_nothing_is_an_error(
+        self, capsys, argv, flag, target
+    ):
+        """A stack flag is never silently ignored (and never silently
+        serialises the run): the error names the flag and what it was
+        aimed at."""
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert flag in message and target in message
+
+    def test_worker_crash_exits_3_with_context(self, capsys, monkeypatch):
+        """--faults is an ordinary parameter now, so the injected crash
+        happens inside a pool worker; it must come back across the
+        process boundary as the same DeviceCrashed -- structured context
+        included -- and take the CLI's exit-3 path."""
+        from repro.blockdev.interpose import DeviceCrashed, FaultPlan
+        from repro.harness import experiments, sweep
+        from repro.harness.__main__ import main
+
+        plan = FaultPlan(crash_after_ops=50)
+        with sweep.configured(jobs=1, cache=None):
+            with pytest.raises(DeviceCrashed) as inline:
+                experiments.figure6(num_files=400, stack={"faults": plan})
+        assert inline.value.context() and inline.value.__cause__ is None
+
+        crossed = []
+        real = experiments.figure6
+
+        @functools.wraps(real)
+        def spy(**kwargs):
+            try:
+                return real(**kwargs)
+            except DeviceCrashed as crash:
+                crossed.append((str(crash), crash.context()))
+                # concurrent.futures chains the worker's traceback on.
+                assert "RemoteTraceback" in type(crash.__cause__).__name__
+                raise
+
+        monkeypatch.setattr(experiments, "figure6", spy)
+        status = main(["--jobs", "2", "--no-cache",
+                       "--faults", "crash_after=50", "figure6"])
+        assert status == 3
+        assert crossed == [(str(inline.value), inline.value.context())]
+        assert str(inline.value) in capsys.readouterr().err

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.blockdev.interpose import FaultPlan
 from repro.harness import experiments, sweep
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import (
@@ -43,20 +44,44 @@ EXPERIMENTS = {
 }
 
 
+# The same contract with StackConfig overrides riding in the points:
+# a queue, an NVM tier, or a (non-fatal) fault plan is just another
+# parameter -- parallel, cached, and keyed apart from the plain run.
+STACK_CASES = {
+    "table2-q4satf": ("table2", dict(queue_depth=4, sched="satf")),
+    "table2-nvm": ("table2", dict(nvm="nvdimm")),
+    "figure6-slow": ("figure6", dict(
+        faults=FaultPlan(seed=5, slow_factor=3.0, slow_after_ops=20,
+                         slow_duration_ops=200),
+    )),
+}
+CASES = {name: (name, kwargs) for name, kwargs in EXPERIMENTS.items()}
+CASES.update(
+    (case, (name, dict(EXPERIMENTS[name], stack=stack)))
+    for case, (name, stack) in STACK_CASES.items()
+)
+
+
 def canon(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_parallel_and_cached_runs_match_serial(name, tmp_path):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_parallel_and_cached_runs_match_serial(case, tmp_path):
     """jobs=4 == jobs=1, and a warm-cache rerun hits without submitting."""
+    name, kwargs = CASES[case]
     fn = getattr(experiments, name)
-    kwargs = EXPERIMENTS[name]
 
     with sweep.configured(jobs=1, cache=None):
         serial = fn(**kwargs)
 
     cache = ResultCache(str(tmp_path / "cache"))
+    if "stack" in kwargs:
+        # Warm the cache with the plain run: the overridden run below
+        # must still miss on every point, and differ.
+        with sweep.configured(jobs=1, cache=cache):
+            plain = fn(**EXPERIMENTS[name])
+        assert canon(plain) != canon(serial)
     sweep.reset_stats()
     with sweep.configured(jobs=4, cache=cache):
         parallel = fn(**kwargs)
@@ -137,4 +162,5 @@ def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
         run_sweep([], jobs=0)
     with pytest.raises(ValueError):
-        sweep.set_default_jobs(0)
+        with sweep.configured(jobs=0):
+            pass

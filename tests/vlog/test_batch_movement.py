@@ -11,39 +11,22 @@ kept as the oracle) produces.  Same discipline as
 ``(op, sector, count, start, end)`` disk call sequence via a recording
 shim, every end-state structure, and every scalar the figure pipeline
 consumes.
-
-The numpy pricing backend carries the same obligation against the pure
-loops, and is pinned here over random geometries (it only engages at
-``NUMPY_MIN_BATCH`` candidates, above what the mechanics oracle suite
-generates).
 """
 
-import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.disk.batch_mechanics import (
-    BatchMechanics,
-    HAVE_NUMPY,
-    NUMPY_MIN_BATCH,
-)
 from repro.disk.disk import Disk
-from repro.disk.geometry import DiskGeometry
 from repro.disk.specs import ST19101
+from repro.harness.configs import STACKS
 from repro.vlog.vld import VirtualLogDisk
-from tests.disk.test_batch_mechanics import tiny_spec
 
 _SETTINGS = settings(
     max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-_NP_SETTINGS = settings(
-    max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -311,8 +294,7 @@ class TestFigureScalarsIdentical:
         from repro.harness.experiments import _point_smallfile
 
         kwargs = dict(
-            seed=3, stack="ufs-vld", disk_name="st19101",
-            host_name="sparc10", num_files=80,
+            seed=3, config=STACKS["ufs-vld"].to_params(), num_files=80,
         )
         batched = _point_smallfile(**kwargs)
         _force_scalar_movement(monkeypatch)
@@ -326,9 +308,9 @@ class TestFigureScalarsIdentical:
         from repro.harness.experiments import _point_table2
 
         kwargs = dict(
-            seed=11, disk_name="st19101", host_name="sparc10",
-            device_type="vld", utilization=0.4, updates=60, warmup=20,
-            compact_seconds=2.0, from_metrics=True,
+            seed=11,
+            config=replace(STACKS["ufs-vld"], metrics=True).to_params(),
+            utilization=0.4, updates=60, warmup=20, compact_seconds=2.0,
         )
         batched = _point_table2(**kwargs)
         _force_scalar_movement(monkeypatch)
@@ -372,110 +354,3 @@ class TestAllocateRunContract:
         for i in range(got):
             assert not vld.freemap.is_free((first + i) * spb)
         assert vld.freemap.free_sectors == free_before - got * spb
-
-
-# ======================================================================
-# numpy backend vs pure loops
-# ======================================================================
-
-
-@st.composite
-def pricing_rigs(draw):
-    """Large candidate sets (>= NUMPY_MIN_BATCH, so the vector backend
-    engages) over random skewed geometries and boundary-adversarial
-    times -- the same rig family as the mechanics oracle suite, sized up."""
-    n = draw(st.integers(min_value=4, max_value=48))
-    t = draw(st.integers(min_value=1, max_value=4))
-    cylinders = draw(st.integers(min_value=1, max_value=6))
-    switch_slots = draw(st.integers(min_value=0, max_value=5))
-    spec = tiny_spec(n, t, cylinders, switch_slots)
-    geometry = DiskGeometry(spec, cylinders)
-    batch = BatchMechanics(spec, geometry)
-    head_cyl = draw(st.integers(min_value=0, max_value=cylinders - 1))
-    head_head = draw(st.integers(min_value=0, max_value=t - 1))
-    rotation = spec.rotation_time
-    now = draw(
-        st.one_of(
-            st.floats(min_value=0.0, max_value=50.0,
-                      allow_nan=False, allow_infinity=False),
-            st.integers(min_value=0, max_value=100_000).map(
-                lambda k: k * rotation
-            ),
-            st.integers(min_value=1, max_value=100_000).map(
-                lambda k: math.nextafter(k * rotation, math.inf)
-            ),
-        )
-    )
-    # Candidate sets are large (the vector backend only engages at
-    # NUMPY_MIN_BATCH); drawing them element-wise trips Hypothesis's
-    # data-size health check, so draw a seed and expand it instead.
-    size = draw(st.integers(min_value=NUMPY_MIN_BATCH, max_value=3 * NUMPY_MIN_BATCH))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    rng = random.Random(seed)
-    candidates = [
-        rng.randrange(geometry.total_sectors) for _ in range(size)
-    ]
-    return spec, geometry, batch, head_cyl, head_head, now, candidates
-
-
-def pure_in_chunks(fn, items, chunk, *args, **kwargs):
-    """Evaluate through the pure loops by staying under the dispatch
-    threshold."""
-    out = []
-    for i in range(0, len(items), chunk):
-        out.extend(fn(items[i : i + chunk], *args, **kwargs))
-    return out
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not active")
-class TestNumpyBackendOracle:
-    @given(pricing_rigs(), st.booleans(), st.integers(min_value=0, max_value=16))
-    @_NP_SETTINGS
-    def test_price_candidates_bit_identical(self, rig, with_lead, transfer):
-        spec, geometry, batch, head_cyl, head_head, now, cands = rig
-        extras = (
-            [spec.scsi_overhead if i % 3 else 0.0 for i in range(len(cands))]
-            if with_lead
-            else None
-        )
-        vectored = batch.price_candidates(
-            now, head_cyl, head_head, cands,
-            extra_lead=extras, transfer_sectors=transfer,
-        )
-        chunk = NUMPY_MIN_BATCH - 1
-        pure = []
-        for i in range(0, len(cands), chunk):
-            pure.extend(
-                batch.price_candidates(
-                    now, head_cyl, head_head, cands[i : i + chunk],
-                    extra_lead=(
-                        extras[i : i + chunk] if extras is not None else None
-                    ),
-                    transfer_sectors=transfer,
-                )
-            )
-        assert vectored == pure
-
-    @given(pricing_rigs())
-    @_NP_SETTINGS
-    def test_price_track_arrivals_bit_identical(self, rig):
-        _, geometry, batch, head_cyl, head_head, now, cands = rig
-        tpc = geometry.tracks_per_cylinder
-        tracks = [
-            (c, h)
-            for c in range(geometry.num_cylinders)
-            for h in range(tpc)
-        ]
-        # Pad to the dispatch threshold by cycling (duplicates are legal).
-        while len(tracks) < NUMPY_MIN_BATCH:
-            tracks.extend(tracks)
-        vectored = batch.price_track_arrivals(now, head_cyl, head_head, tracks)
-        chunk = NUMPY_MIN_BATCH - 1
-        pure = []
-        for i in range(0, len(tracks), chunk):
-            pure.extend(
-                batch.price_track_arrivals(
-                    now, head_cyl, head_head, tracks[i : i + chunk]
-                )
-            )
-        assert vectored == pure
