@@ -144,7 +144,7 @@ class Disk:
         if self._data is None:
             raise RuntimeError("disk was created with store_data=False")
         lo = sector * self.sector_bytes
-        return bytes(self._data[lo : lo + count * self.sector_bytes])
+        return bytes(memoryview(self._data)[lo : lo + count * self.sector_bytes])
 
     def poke(self, sector: int, data: bytes) -> None:
         """Write sector contents without advancing time (test helper)."""
@@ -187,24 +187,29 @@ class Disk:
         if charge_scsi:
             breakdown.charge("scsi", self.spec.scsi_overhead)
             self.clock.advance(self.spec.scsi_overhead)
-        chunks = []
-        remaining = count
-        cursor = sector
-        while remaining > 0:
-            chunk = self._chunk_within_track(cursor, remaining)
-            chunks.append((cursor, chunk))
-            cursor += chunk
-            remaining -= chunk
-        if len(chunks) == 1:
+        per_track = self.geometry.sectors_per_track
+        if count <= per_track - sector % per_track:
+            # Single-chunk fast path, as in write(): the request fits on
+            # one track, so there is no chunk list to build.
             self._service_read_chunk(sector, count, breakdown)
         else:
+            chunks = []
+            remaining = count
+            cursor = sector
+            while remaining > 0:
+                chunk = self._chunk_within_track(cursor, remaining)
+                chunks.append((cursor, chunk))
+                cursor += chunk
+                remaining -= chunk
             self._service_read_span(chunks, breakdown)
         self.counters.note_read(count, self.clock.now - start)
         if self._data is None:
             data = b""
         else:
             lo = sector * self.sector_bytes
-            data = bytes(self._data[lo : lo + count * self.sector_bytes])
+            # One copy out of the image (slicing the bytearray first
+            # would make two).
+            data = bytes(memoryview(self._data)[lo : lo + count * self.sector_bytes])
         return data, breakdown
 
     def write(
@@ -435,8 +440,8 @@ class Disk:
     def _service_read_chunk(
         self, sector: int, count: int, breakdown: Breakdown
     ) -> None:
-        cylinder, head, _sect = self.geometry.decompose(sector)
-        track_lo = self.geometry.track_start(cylinder, head)
+        cylinder, head, sect = self.geometry.decompose(sector)
+        track_lo = sector - sect
         track_hi = track_lo + self.geometry.sectors_per_track
         hit = self.cache.note_read(
             (cylinder, head), track_lo, track_hi, sector, count

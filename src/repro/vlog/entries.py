@@ -59,11 +59,14 @@ _HEADER = struct.Struct("<8sIIqqqqI")
 #: Trailing CRC32.
 _TRAILER = struct.Struct("<I")
 
+#: Largest size that cannot hold a record: header, trailer and one entry.
+_MIN_BLOCK_BYTES = _HEADER.size + _TRAILER.size + 4
+
 
 def entries_per_chunk(block_size: int) -> int:
     """Map entries per record for a physical block size, rounded down to a
     multiple of 8 so chunk boundaries align with typical extent sizes."""
-    if block_size <= _HEADER.size + _TRAILER.size + 4:
+    if block_size <= _MIN_BLOCK_BYTES:
         raise ValueError(f"block size {block_size} too small for a map record")
     raw = (block_size - _HEADER.size - _TRAILER.size) // 4
     return max(8, (raw // 8) * 8)
@@ -117,38 +120,44 @@ class MapRecord:
         body = struct.pack(f"<{len(self.entries)}I", *self.entries)
         padding = bytes(block_size - len(header) - len(body) - _TRAILER.size)
         payload = header + body + padding
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        crc = zlib.crc32(payload)
         return payload + _TRAILER.pack(crc)
 
     @classmethod
-    def unpack(cls, raw: bytes) -> Optional["MapRecord"]:
+    def unpack(cls, raw) -> Optional["MapRecord"]:
         """Parse a block; returns ``None`` when it is not a valid record.
 
-        Validation (magic + CRC) is what lets recovery prune pointers into
-        recycled blocks and lets the scan fallback find records at all.
+        Validation (magic + CRC + entry-count bound) is what lets recovery
+        prune pointers into recycled blocks and lets the scan fallback
+        find records at all.  The three tests are a conjunction, so they
+        run cheapest first: nearly every block the scan offers is data,
+        and eight bytes of magic settle it without a CRC over the block.
+        ``raw`` is any buffer: the scan passes views of its track buffer,
+        and fields are read out of it where it lies.
         """
-        if len(raw) <= _HEADER.size + _TRAILER.size:
-            return None
-        payload, trailer = raw[: -_TRAILER.size], raw[-_TRAILER.size :]
-        (stored_crc,) = _TRAILER.unpack(trailer)
-        if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
+        size = len(raw)
+        if size <= _MIN_BLOCK_BYTES:
             return None
         magic, chunk_id, n_entries, seqno, prev, b1, b2, txn = (
-            _HEADER.unpack(payload[: _HEADER.size])
+            _HEADER.unpack_from(raw)
         )
         if magic != MAGIC:
             return None
-        capacity = entries_per_chunk(len(raw))
-        if not 0 <= n_entries <= capacity:
+        body_end = size - _TRAILER.size
+        (stored_crc,) = _TRAILER.unpack_from(raw, body_end)
+        if zlib.crc32(raw[:body_end]) != stored_crc:
             return None
-        body = payload[_HEADER.size : _HEADER.size + 4 * n_entries]
-        entries = list(struct.unpack(f"<{n_entries}I", body))
+        # ``entries_per_chunk(size)``, inlined (``size`` is known to be
+        # large enough), and never more entries than the body has room for.
+        room = (body_end - _HEADER.size) // 4
+        if n_entries > room or n_entries > max(8, (room // 8) * 8):
+            return None
         return cls(
-            chunk_id=chunk_id,
-            seqno=seqno,
-            entries=entries,
-            prev_root=None if prev < 0 else prev,
-            bypass1=None if b1 < 0 else b1,
-            bypass2=None if b2 < 0 else b2,
-            txn_id=txn,
+            chunk_id,
+            seqno,
+            list(struct.unpack_from(f"<{n_entries}I", raw, _HEADER.size)),
+            None if prev < 0 else prev,
+            None if b1 < 0 else b1,
+            None if b2 < 0 else b2,
+            txn,
         )

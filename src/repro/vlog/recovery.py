@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
-from repro.vlog.entries import MapRecord
+from repro.vlog.entries import MAGIC, MapRecord
 
 _MAGIC = b"VLOGPWDN"
 _RECORD = struct.Struct("<8sqqI")
@@ -57,7 +57,7 @@ class PowerDownStore:
     def write(self, tail_block: int, seqno: int, timed: bool = True) -> Breakdown:
         """Persist the log tail (part of the firmware power-down sequence)."""
         body = _RECORD.pack(_MAGIC, tail_block, seqno, 0)[: -4]
-        crc = zlib.crc32(body) & 0xFFFFFFFF
+        crc = zlib.crc32(body)
         payload = _RECORD.pack(_MAGIC, tail_block, seqno, crc)
         padded = payload + bytes(self.block_size - len(payload))
         if timed:
@@ -91,7 +91,7 @@ class PowerDownStore:
         if magic != _MAGIC:
             return None
         body = raw[: _RECORD.size - 4]
-        if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+        if zlib.crc32(body) != stored_crc:
             return None
         if tail < 0 or seqno < 0:
             return None
@@ -149,20 +149,26 @@ def scan_records(
     geometry = disk.geometry
     sectors_per_block = max(1, block_size // disk.sector_bytes)
     total_blocks = geometry.total_sectors // sectors_per_block
+    # Blocks that lie wholly inside the skipped sectors are never looked at.
+    first_block = skip_sectors // sectors_per_block
     found: Dict[int, MapRecord] = {}
     examined = 0
     # Record positions are absolute: record ``b`` occupies sectors
     # ``b*spb .. (b+1)*spb - 1``.  When the block size does not divide the
-    # track size, records straddle track boundaries, so track reads are
-    # stitched through a rolling buffer and every whole block on the disk
-    # is parsed from it.  (The seed implementation numbered blocks per
-    # track as ``track_start // spb + i`` -- only correct when track starts
-    # are block-aligned -- and silently never looked at each track's
-    # remainder sectors.)
+    # track size, records straddle track boundaries, so each track is
+    # stitched onto the unconsumed tail of the one before and every whole
+    # block on the disk is looked at exactly once.
+    #
+    # Looking at a block is a sieve, not a parse: one strided slice pulls
+    # the first byte of every slot in the buffer, ``find`` walks the ones
+    # that could start ``MAGIC``, and only slots that do start with it are
+    # handed to ``MapRecord.unpack`` (which checks magic, CRC and entry
+    # count as ever).  Host cost follows the records on the disk, not its
+    # slots; ``examined`` is the number of slots the sieve covered.
     track_bytes = geometry.sectors_per_track * disk.sector_bytes
-    pending = bytearray()
-    pending_base = 0  # byte offset of pending[0] from the start of the disk
-    next_block = 0
+    magic_head = MAGIC[:1]
+    pending = b""  # bytes read but not yet part of a whole block
+    next_block = 0  # pending[0] is the first byte of this block
     for cylinder in range(geometry.num_cylinders):
         for head in range(geometry.tracks_per_cylinder):
             start = geometry.track_start(cylinder, head)
@@ -177,26 +183,28 @@ def scan_records(
                 breakdown.add(cost)
             else:
                 raw = disk.peek(start, geometry.sectors_per_track)
-            pending += raw
-            while (
-                next_block < total_blocks
-                and (next_block + 1) * block_size - pending_base <= len(pending)
-            ):
-                block = next_block
-                next_block += 1
-                if block == skip_block:
-                    continue
-                if (block + 1) * sectors_per_block <= skip_sectors:
-                    continue
-                examined += 1
-                lo = block * block_size - pending_base
-                record = MapRecord.unpack(bytes(pending[lo : lo + block_size]))
-                if record is not None:
-                    found[block] = record
-            consumed = next_block * block_size - pending_base
-            if consumed > 0:
-                del pending[:consumed]
-                pending_base += consumed
+            buffer = pending + raw if pending else raw
+            base = next_block * block_size  # disk offset of buffer[0]
+            end_block = min(total_blocks, (base + len(buffer)) // block_size)
+            lo_block = max(next_block, first_block)
+            if lo_block < end_block:
+                examined += end_block - lo_block
+                if skip_block is not None and lo_block <= skip_block < end_block:
+                    examined -= 1
+                lo = lo_block * block_size - base
+                heads = buffer[lo : end_block * block_size - base : block_size]
+                view = memoryview(buffer)
+                slot = heads.find(magic_head)
+                while slot >= 0:
+                    block = lo_block + slot
+                    at = lo + slot * block_size
+                    if block != skip_block and buffer.startswith(MAGIC, at):
+                        record = MapRecord.unpack(view[at : at + block_size])
+                        if record is not None:
+                            found[block] = record
+                    slot = heads.find(magic_head, slot + 1)
+            pending = buffer[end_block * block_size - base :]
+            next_block = end_block
     return found, breakdown, examined
 
 

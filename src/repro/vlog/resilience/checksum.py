@@ -44,7 +44,7 @@ class ChecksumStore:
         self.sector_bytes = sector_bytes
         self._crcs: Dict[int, int] = {}
         #: CRC of one all-zero sector; every zero sector records this.
-        self._zero_crc = zlib.crc32(bytes(sector_bytes)) & 0xFFFFFFFF
+        self._zero_crc = zlib.crc32(bytes(sector_bytes))
 
     def __len__(self) -> int:
         return len(self._crcs)
@@ -72,11 +72,11 @@ class ChecksumStore:
             return
         crc32 = zlib.crc32
         if count == 1 and n == sb:
-            self._crcs[sector] = crc32(data) & 0xFFFFFFFF
+            self._crcs[sector] = crc32(data)
             return
         view = memoryview(data)
         self._crcs.update(
-            (sector + i, crc32(view[i * sb : (i + 1) * sb]) & 0xFFFFFFFF)
+            (sector + i, crc32(view[i * sb : (i + 1) * sb]))
             for i in range(count)
         )
 
@@ -101,29 +101,45 @@ class ChecksumStore:
             self._crcs.pop(s, None)
 
     def verify(self, sector: int, count: int, data: bytes) -> List[int]:
-        """Sectors of ``data`` whose contents contradict their checksum."""
+        """Sectors of ``data`` whose contents contradict their checksum.
+
+        Works a run at a time: the run's stored CRCs are fetched in one
+        pass, a run nothing was ever written to returns at once, an
+        all-zero payload is settled by counting stored zero-sector CRCs,
+        and otherwise only sectors that *have* a stored CRC are hashed.
+        Every recorded sector is compared against its stored value.
+        """
         sb = self.sector_bytes
-        if len(data) < count * sb:
-            raise ValueError("data shorter than the claimed sector run")
-        bad: List[int] = []
-        get = self._crcs.get
         span = count * sb
+        if len(data) < span:
+            raise ValueError("data shorter than the claimed sector run")
+        if count == 1:
+            # The recovery traversal reads one map sector at a time.
+            crc = self._crcs.get(sector)
+            if crc is None or zlib.crc32(data[:sb]) == crc:
+                return []
+            return [sector]
+        stored = list(map(self._crcs.get, range(sector, sector + count)))
+        unrecorded = stored.count(None)
+        if unrecorded == count:
+            return []
         if data[:span] == _zeros_of(span):
             # Every sector's computed CRC is the zero-sector constant.
             zero_crc = self._zero_crc
-            for i in range(count):
-                stored = get(sector + i)
-                if stored is not None and stored != zero_crc:
-                    bad.append(sector + i)
-            return bad
+            if stored.count(zero_crc) + unrecorded == count:
+                return []
+            return [
+                sector + i
+                for i, crc in enumerate(stored)
+                if crc is not None and crc != zero_crc
+            ]
         view = memoryview(data)
-        for i in range(count):
-            stored = get(sector + i)
-            if stored is None:
-                continue
-            if zlib.crc32(view[i * sb : (i + 1) * sb]) & 0xFFFFFFFF != stored:
-                bad.append(sector + i)
-        return bad
+        crc32 = zlib.crc32
+        return [
+            sector + i
+            for i, crc in enumerate(stored)
+            if crc is not None and crc32(view[i * sb : (i + 1) * sb]) != crc
+        ]
 
 
 def silently_corrupt(disk, sector: int, count: int = 1) -> None:

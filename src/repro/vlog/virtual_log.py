@@ -29,6 +29,7 @@ updated versions are younger and traversed earlier").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.disk.disk import Disk
@@ -441,44 +442,38 @@ class VirtualLog:
         :attr:`last_recovery_degraded` so the caller can escalate to a
         full-disk reconstruction.
         """
-        import heapq
-
         breakdown = Breakdown()
         self.last_recovery_degraded = False
-        visited: Set[int] = set()
-        records: Dict[int, MapRecord] = {}
-        heap: List[Tuple[int, int]] = []
+        disk = self.disk
+        spb = self.sectors_per_block
+        unpack = MapRecord.unpack
 
         def read_record(block: int) -> Optional[MapRecord]:
-            sector = block * self.sectors_per_block
             if reader is not None:
-                raw = reader(sector, self.sectors_per_block, breakdown)
+                raw = reader(block * spb, spb, breakdown)
                 if raw is None:
                     # Media failure (not normal pruning): remember it.
                     self.last_recovery_degraded = True
                     return None
             elif timed:
-                raw, cost = self.disk.read(
-                    sector, self.sectors_per_block, charge_scsi=False
-                )
+                raw, cost = disk.read(block * spb, spb, charge_scsi=False)
                 breakdown.add(cost)
             else:
-                raw = self.disk.peek(sector, self.sectors_per_block)
-            return MapRecord.unpack(raw)
+                raw = disk.peek(block * spb, spb)
+            return unpack(raw)
 
         first = read_record(tail_block)
         if first is None:
             raise ValueError(f"block {tail_block} does not hold a map record")
-        heapq.heappush(heap, (-first.seqno, tail_block))
-        records[tail_block] = first
+        # Youngest first.  A block enters ``records`` and the heap together
+        # and exactly once, so every record is expanded exactly once.
+        records: Dict[int, MapRecord] = {tail_block: first}
+        heap: List[Tuple[int, int]] = [(-first.seqno, tail_block)]
         while heap:
-            neg_seqno, block = heapq.heappop(heap)
-            if block in visited:
-                continue
-            visited.add(block)
+            _, block = heappop(heap)
             record = records[block]
             for pointer in record.pointers():
-                if pointer in visited or pointer in records:
+                if pointer in records:
                     continue
                 child = read_record(pointer)
                 if child is None:
@@ -487,10 +482,10 @@ class VirtualLog:
                     # A younger record reused this block; the edge is stale.
                     continue
                 records[pointer] = child
-                heapq.heappush(heap, (-child.seqno, pointer))
+                heappush(heap, (-child.seqno, pointer))
 
         map_chunks = self._install_recovered(records, repair=repair)
-        return map_chunks, breakdown, len(visited)
+        return map_chunks, breakdown, len(records)
 
     def recover_from_records(
         self, records: Dict[int, MapRecord], repair: bool = True

@@ -11,6 +11,7 @@ from repro.disk.freemap import FreeSpaceMap, ReferenceFreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import DiskFullError
+from repro.vlog.recovery import scan_records
 from repro.vlog.resilience import (
     ChecksumStore,
     MediaError,
@@ -84,6 +85,110 @@ class TestChecksumStore:
         silently_corrupt(disk, sector)
         raw = disk.peek(sector, 1)
         assert disk.checksums.verify(sector, 1, raw) == [sector]
+
+
+class TestWholeTrackVerify:
+    """``verify`` takes a run at a time and has a way out for each shape
+    of track the recovery scan reads (nothing recorded, all zeros,
+    mixed); one silently corrupted sector must be reported through every
+    one of them."""
+
+    @pytest.fixture
+    def track(self, vld, disk):
+        """A track the eager allocator has not been near: nothing on it
+        has a recorded checksum."""
+        per_track = disk.geometry.sectors_per_track
+        start = disk.geometry.track_start(1, 5)
+        assert not any(
+            disk.checksums.recorded(s) for s in range(start, start + per_track)
+        )
+        return start, per_track
+
+    @staticmethod
+    def _bad(disk, start, per_track):
+        return disk.checksums.verify(start, per_track, disk.peek(start, per_track))
+
+    def test_mostly_unrecorded_track(self, disk, track):
+        start, per_track = track
+        assert self._bad(disk, start, per_track) == []
+        disk.poke(start + 17, b"\x5a" * 512)
+        assert self._bad(disk, start, per_track) == []
+        silently_corrupt(disk, start + 17)
+        assert self._bad(disk, start, per_track) == [start + 17]
+
+    def test_all_zero_recorded_track(self, disk, track):
+        start, per_track = track
+        disk.write(start, per_track)  # data-less: zeros, every CRC recorded
+        assert len(disk.checksums) >= per_track
+        assert self._bad(disk, start, per_track) == []
+        silently_corrupt(disk, start + 200)
+        assert self._bad(disk, start, per_track) == [start + 200]
+
+    def test_recorded_data_that_reads_back_as_zeros(self, disk, track):
+        """The all-zero payload shortcut compares stored CRCs against the
+        zero-sector constant: a sector that held data and now reads zeros
+        (a lost write) is exactly what it must not wave through."""
+        start, per_track = track
+        disk.write(start, per_track)
+        disk.poke(start + 3, b"\x77" * 512)
+        disk.poke(start + 90, b"\x78" * 512)
+        for sector in (start + 3, start + 90):
+            disk._data[sector * 512 : (sector + 1) * 512] = bytes(512)
+        assert self._bad(disk, start, per_track) == [start + 3, start + 90]
+
+    def test_dense_track(self, disk, track):
+        start, per_track = track
+        rng = random.Random(4)
+        disk.poke(start, rng.randbytes(per_track * 512))
+        assert self._bad(disk, start, per_track) == []
+        silently_corrupt(disk, start + 255)
+        silently_corrupt(disk, start)
+        assert self._bad(disk, start, per_track) == [start, start + 255]
+
+    def test_single_sector_run(self, disk, track):
+        start, _ = track
+        disk.poke(start + 9, b"\x42" * 512)
+        assert disk.checksums.verify(start + 9, 1, disk.peek(start + 9)) == []
+        assert disk.checksums.verify(start + 8, 1, disk.peek(start + 8)) == []
+        silently_corrupt(disk, start + 9)
+        assert disk.checksums.verify(start + 9, 1, disk.peek(start + 9)) == [
+            start + 9
+        ]
+
+    def test_dead_sector_costs_one_record_not_the_track(self, vld, disk):
+        """Through ``_track_reader``: the whole-track read fails its
+        verify, the track is re-driven record by record, and only the
+        dead record is zero-filled -- the scan still finds its
+        neighbours."""
+        _fill(vld, 8)
+        per_track = disk.geometry.sectors_per_track
+        dead_sector = vld.vlog.tail * vld.vlog.sectors_per_block
+        start = dead_sector - dead_sector % per_track
+        before = disk.peek(start, per_track)
+        neighbours, _cost, _n = scan_records(
+            disk, vld.map_record_bytes, timed=False
+        )
+        on_track = {
+            block
+            for block in neighbours
+            if start <= block * vld.vlog.sectors_per_block < start + per_track
+        }
+        assert vld.vlog.tail in on_track and len(on_track) > 1
+        silently_corrupt(disk, dead_sector)
+        dead_runs = []
+        reader = vld._track_reader(True, dead_runs)
+        raw = reader(start, per_track, Breakdown())
+        assert dead_runs == [(dead_sector, 1)]
+        lo = (dead_sector - start) * 512
+        assert raw[:lo] == before[:lo]
+        assert raw[lo : lo + 512] == bytes(512)
+        assert raw[lo + 512 :] == before[lo + 512 :]
+        found, _cost, _n = scan_records(
+            disk,
+            vld.map_record_bytes,
+            reader=vld._track_reader(True, []),
+        )
+        assert set(found) & on_track == on_track - {vld.vlog.tail}
 
 
 # ======================================================================
