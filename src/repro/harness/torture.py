@@ -185,16 +185,21 @@ class _Oracle:
         return _payload(self.block_size, lba,
                         self.committed.get(lba, 0), self.seed)
 
-    def audit(self, read_block: Callable[[int], Optional[bytes]],
-              failures: List[str]) -> None:
+    def audit(self, device, failures: List[str],
+              extra_candidates: Optional[Dict[int, List[int]]] = None,
+              ) -> None:
         """Post-recovery: check every block ever touched, resolving the
-        crashed request's blocks to whichever side actually persisted."""
-        for lba in sorted(set(self.committed) | set(self.pending)):
-            actual = read_block(lba)
+        crashed request's blocks to whichever side actually persisted.
+        ``extra_candidates`` (lba -> versions) are further versions a
+        block may legally hold; they are consumed."""
+        extra = extra_candidates if extra_candidates is not None else {}
+        for lba in sorted(set(self.committed) | set(self.pending)
+                          | set(extra)):
+            actual = _read_retrying(device.read_block, lba)
             if actual is None:
                 failures.append(f"lba {lba}: unreadable after retries")
                 continue
-            versions = self.acceptable(lba)
+            versions = self.acceptable(lba) + extra.get(lba, [])
             for version in versions:
                 if actual == _payload(self.block_size, lba, version,
                                       self.seed):
@@ -206,6 +211,73 @@ class _Oracle:
                     f"versions {versions}"
                 )
         self.pending.clear()
+        extra.clear()
+
+
+# ======================================================================
+# The op driver and the verdict's recovery summary (both points)
+# ======================================================================
+
+def _read_retrying(read, *args) -> Optional[bytes]:
+    """``read(*args)``'s data, re-driven through transient media errors;
+    ``None`` when it stays dead (data loss)."""
+    for _ in range(HARNESS_READ_RETRIES):
+        try:
+            return read(*args)[0]
+        except MediaError:
+            continue
+    return None
+
+
+def _apply_op(device, oracle: _Oracle, failures: List[str],
+              index: int, op: Op) -> bool:
+    """Drive one workload op at ``device`` against the oracle; device
+    faults other than media errors propagate to the caller, whose fault
+    domain they belong to.  Returns False when a read stayed unreadable."""
+    kind, lba, arg = op
+    if kind == "write":
+        data = oracle.begin_write(lba, int(arg))
+        device.write_blocks(lba, int(arg), data)
+        oracle.ack()
+    elif kind == "trim":
+        oracle.begin_trim(lba, int(arg))
+        device.trim(lba, int(arg))
+        oracle.ack()
+    elif kind == "idle":
+        device.idle(float(arg))
+    else:  # read
+        count = int(arg)
+        actual = _read_retrying(device.read_blocks, lba, count)
+        if actual is None:
+            failures.append(
+                f"op {index}: read lba {lba} x{count} stayed "
+                f"unreadable through retries"
+            )
+            return False
+        size = oracle.block_size
+        for i in range(count):
+            if actual[i * size:(i + 1) * size] != oracle.expected(lba + i):
+                failures.append(
+                    f"op {index}: read lba {lba + i} returned "
+                    f"stale or corrupt contents"
+                )
+    return True
+
+
+def _recovery_summary(outcomes) -> Dict[str, Any]:
+    """The verdict's ``recovery`` fields over one or more outcomes."""
+    return {
+        "used_power_down_record": all(
+            o.used_power_down_record for o in outcomes
+        ),
+        "scanned": any(o.scanned for o in outcomes),
+        "degraded": any(o.degraded for o in outcomes),
+        "reconstructed": any(o.reconstructed for o in outcomes),
+        "media_errors": sum(o.media_errors for o in outcomes),
+        "quarantined_sectors": sum(
+            o.quarantined_sectors for o in outcomes
+        ),
+    }
 
 
 # ======================================================================
@@ -299,54 +371,12 @@ def torture_point(
         seed=seed,
     ).install(disk)
 
-    def read_block(lba: int) -> Optional[bytes]:
-        for _ in range(HARNESS_READ_RETRIES):
-            try:
-                data, _cost = device.read_block(lba)
-                return data
-            except MediaError:
-                continue
-        return None
-
     def run_ops(op_iter: Iterator[Op], budget: int) -> int:
         """Drive ``budget`` ops; returns the index of the op the crash
         interrupted, or -1 when all completed."""
         for index in range(budget):
-            op, lba, arg = next(op_iter)
             try:
-                if op == "write":
-                    data = oracle.begin_write(lba, int(arg))
-                    device.write_blocks(lba, int(arg), data)
-                    oracle.ack()
-                elif op == "trim":
-                    oracle.begin_trim(lba, int(arg))
-                    device.trim(lba, int(arg))
-                    oracle.ack()
-                elif op == "idle":
-                    device.idle(float(arg))
-                else:  # read
-                    count = int(arg)
-                    actual = None
-                    for _ in range(HARNESS_READ_RETRIES):
-                        try:
-                            actual, _cost = device.read_blocks(lba, count)
-                            break
-                        except MediaError:
-                            continue
-                    if actual is None:
-                        failures.append(
-                            f"op {index}: read lba {lba} x{count} stayed "
-                            f"unreadable through retries"
-                        )
-                        continue
-                    for i in range(count):
-                        piece = actual[i * vld.block_size:
-                                       (i + 1) * vld.block_size]
-                        if piece != oracle.expected(lba + i):
-                            failures.append(
-                                f"op {index}: read lba {lba + i} returned "
-                                f"stale or corrupt contents"
-                            )
+                _apply_op(device, oracle, failures, index, next(op_iter))
             except DeviceCrashed:
                 return index
         return -1
@@ -387,7 +417,7 @@ def torture_point(
     report = vlfsck(vld, deep=True)
     for violation in report.violations:
         failures.append(f"vlfsck: {violation.kind}: {violation.detail}")
-    oracle.audit(read_block, failures)
+    oracle.audit(device, failures)
 
     # ------------------------------------------------------------------
     # Keep going: the recovered device must be fully serviceable.
@@ -399,10 +429,9 @@ def torture_point(
     for violation in final.violations:
         failures.append(f"final vlfsck: {violation.kind}: "
                         f"{violation.detail}")
-    oracle.audit(read_block, failures)
+    oracle.audit(device, failures)
 
     resilience = vld.resilience
-    assert resilience is not None
     return {
         "ok": not failures,
         "failures": failures,
@@ -410,15 +439,9 @@ def torture_point(
         "ops": ops,
         "crashed_at": crashed_at if crashed_at >= 0 else None,
         "orderly": orderly,
-        "recovery": {
-            "used_power_down_record": outcome.used_power_down_record,
-            "scanned": outcome.scanned,
-            "degraded": outcome.degraded,
-            "reconstructed": outcome.reconstructed,
-            "records_read": outcome.records_read,
-            "media_errors": outcome.media_errors,
-            "quarantined_sectors": outcome.quarantined_sectors,
-        },
+        "recovery": dict(
+            _recovery_summary([outcome]), records_read=outcome.records_read
+        ),
         "fsck": {
             "checked_records": final.checked_records,
             "checked_blocks": final.checked_blocks,
@@ -518,15 +541,6 @@ def volume_torture_point(
         ).install(disks[crash_shard])
     flaky_injector: Optional[DiskFaultInjector] = None
 
-    def read_block(lba: int) -> Optional[bytes]:
-        for _ in range(HARNESS_READ_RETRIES):
-            try:
-                data, _cost = volume.read_block(lba)
-                return data
-            except MediaError:
-                continue
-        return None
-
     #: lba -> versions a failed request *may* have left on the down
     #: shard (old remains acceptable too).  Kept outside the oracle so a
     #: later successful op's ``ack()`` cannot commit them by mistake;
@@ -545,7 +559,7 @@ def volume_torture_point(
             if shard == down:
                 frozen.setdefault(lba, []).append(version)
                 continue
-            actual = read_block(lba)
+            actual = _read_retrying(volume.read_block, lba)
             if actual is None:
                 failures.append(
                     f"degraded resolve: lba {lba} unreadable on a "
@@ -563,35 +577,6 @@ def volume_torture_point(
                     f"acceptable versions"
                 )
 
-    def audit() -> None:
-        """Post-recovery differential audit over every touched block,
-        accepting old-or-any-frozen for blocks whose writes the down
-        shard interrupted."""
-        touched = (
-            set(oracle.committed) | set(oracle.pending) | set(frozen)
-        )
-        for lba in sorted(touched):
-            actual = read_block(lba)
-            if actual is None:
-                failures.append(f"lba {lba}: unreadable after retries")
-                continue
-            candidates = [oracle.committed.get(lba, 0)]
-            if lba in oracle.pending:
-                candidates.append(oracle.pending[lba])
-            candidates.extend(frozen.get(lba, ()))
-            for version in candidates:
-                if actual == _payload(volume.block_size, lba, version,
-                                      seed):
-                    oracle.committed[lba] = version
-                    break
-            else:
-                failures.append(
-                    f"lba {lba}: contents match none of the acceptable "
-                    f"versions {candidates}"
-                )
-        oracle.pending.clear()
-        frozen.clear()
-
     degraded_stats = {"ops": 0, "unavailable": 0, "healthy_ok": 0}
 
     def run_ops(op_iter: Iterator[Op], budget: int,
@@ -602,44 +587,13 @@ def volume_torture_point(
         is the expected bounded error; against any other shard it is a
         failure."""
         for index in range(budget):
-            op, lba, arg = next(op_iter)
             if down is not None:
                 degraded_stats["ops"] += 1
             try:
-                if op == "write":
-                    data = oracle.begin_write(lba, int(arg))
-                    volume.write_blocks(lba, int(arg), data)
-                    oracle.ack()
-                elif op == "trim":
-                    oracle.begin_trim(lba, int(arg))
-                    volume.trim(lba, int(arg))
-                    oracle.ack()
-                elif op == "idle":
-                    volume.idle(float(arg))
-                else:  # read
-                    count = int(arg)
-                    actual = None
-                    for _ in range(HARNESS_READ_RETRIES):
-                        try:
-                            actual, _cost = volume.read_blocks(lba, count)
-                            break
-                        except MediaError:
-                            continue
-                    if actual is None:
-                        failures.append(
-                            f"op {index}: read lba {lba} x{count} stayed "
-                            f"unreadable through retries"
-                        )
-                        continue
-                    for i in range(count):
-                        piece = actual[i * volume.block_size:
-                                       (i + 1) * volume.block_size]
-                        if piece != oracle.expected(lba + i):
-                            failures.append(
-                                f"op {index}: read lba {lba + i} returned "
-                                f"stale or corrupt contents"
-                            )
-                if down is not None:
+                served = _apply_op(
+                    volume, oracle, failures, index, next(op_iter)
+                )
+                if served and down is not None:
                     degraded_stats["healthy_ok"] += 1
             except ShardUnavailable as fault:
                 if down is None:
@@ -713,34 +667,13 @@ def volume_torture_point(
             seed=seed + 1,
             flaky_sectors=flaky_sectors,
         ).install(disks[flaky_shard])
-    if crashed and down_shard is not None:
-        outcome = volume.recover_shard(down_shard)
-        recovery = {
-            "shard": down_shard,
-            "used_power_down_record": outcome.used_power_down_record,
-            "scanned": outcome.scanned,
-            "degraded": outcome.degraded,
-            "reconstructed": outcome.reconstructed,
-            "media_errors": outcome.media_errors,
-            "quarantined_sectors": outcome.quarantined_sectors,
-        }
+    if down_shard is not None:
+        outcomes = [volume.recover_shard(down_shard)]
     else:
         volume.power_down()
         volume.crash()
         outcomes = volume.recover()
-        recovery = {
-            "shard": None,
-            "used_power_down_record": all(
-                o.used_power_down_record for o in outcomes
-            ),
-            "scanned": any(o.scanned for o in outcomes),
-            "degraded": any(o.degraded for o in outcomes),
-            "reconstructed": any(o.reconstructed for o in outcomes),
-            "media_errors": sum(o.media_errors for o in outcomes),
-            "quarantined_sectors": sum(
-                o.quarantined_sectors for o in outcomes
-            ),
-        }
+    recovery = dict(shard=down_shard, **_recovery_summary(outcomes))
 
     report = volume_fsck(volume, deep=True)
     if not report.ok:
@@ -748,7 +681,7 @@ def volume_torture_point(
             failures.append(
                 f"volume-fsck: {violation.kind}: {violation.detail}"
             )
-    audit()
+    oracle.audit(volume, failures, extra_candidates=frozen)
 
     # ------------------------------------------------------------------
     # Keep going: the recovered volume must be fully serviceable.
@@ -762,7 +695,7 @@ def volume_torture_point(
             failures.append(
                 f"final volume-fsck: {violation.kind}: {violation.detail}"
             )
-    audit()
+    oracle.audit(volume, failures, extra_candidates=frozen)
 
     return {
         "ok": not failures,

@@ -47,9 +47,9 @@ class IdleWorker:
         self.run = run
         self.gate = gate
         #: Workers that only make progress against a positive budget are
-        #: skipped once the deadline has passed; urgent bookkeeping (the
-        #: scrubber's disarm-and-sweep, which the seed ran even on a
-        #: zero-second grant) registers with ``needs_time=False``.
+        #: skipped once the deadline has passed; urgent bookkeeping (a
+        #: device draining its request queue on any idle signal)
+        #: registers with ``needs_time=False``.
         self.needs_time = needs_time
 
 

@@ -964,7 +964,7 @@ class UFS(FileSystem):
     def idle_manager(self) -> IdleManager:
         """Idle-budget dispatch: one worker, the device itself.  The
         device runs even on a zero-second grant (a VLD drains its queue
-        and disarms stale state on any idle signal)."""
+        on any idle signal)."""
         mgr = getattr(self, "_idle_manager", None)
         if mgr is None:
             mgr = IdleManager(self.clock)

@@ -39,7 +39,7 @@ from repro.lfs.segment import BlockKind
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
 from repro.vlog.entries import entries_per_chunk
-from repro.vlog.recovery import PowerDownStore, RecoveryOutcome, scan_for_tail
+from repro.vlog.recovery import PowerDownStore, RecoveryOutcome, recover_log
 from repro.vlog.virtual_log import VirtualLog
 
 
@@ -164,7 +164,13 @@ class VLFS(LFS):
             chunk_provider=self._imap_chunk_entries,
             block_size=map_record_bytes,
         )
-        self.power_store = PowerDownStore(disk, self.POWER_DOWN_BLOCK)
+        self.power_store = PowerDownStore(
+            disk,
+            self.POWER_DOWN_BLOCK,
+            self.block_size,
+            tail_block_sectors=map_record_bytes // disk.sector_bytes,
+        )
+        self.vlog.power_store = self.power_store
         self.writer = _EagerLogWriter(self.device, self.allocator)
         self.checkpoints = None  # the virtual log replaces checkpoints
         self.cleaner = Cleaner(self)  # interface only; never scheduled
@@ -334,40 +340,18 @@ class VLFS(LFS):
     def recover(self, timed: bool = True) -> RecoveryOutcome:
         """Rebuild the inode map from the virtual log, then walk the
         inodes to reconstruct free-space accounting."""
-        record, cost = self.power_store.read(timed)
-        breakdown = Breakdown().add(cost)
-        scanned = False
-        blocks_scanned = 0
-        if record is not None:
-            tail = record[0]
-        else:
-            scanned = True
-            tail, scan_cost, blocks_scanned = scan_for_tail(
-                self.disk,
-                self.map_record_bytes,
-                skip_sectors=(self.POWER_DOWN_BLOCK + 1)
-                * self.device.sectors_per_block,
-                timed=timed,
-            )
-            breakdown.add(scan_cost)
-        records_read = 0
-        if tail is not None:
-            chunks, traverse_cost, records_read = (
-                self.vlog.recover_from_tail(tail, timed=timed)
-            )
-            breakdown.add(traverse_cost)
-            for chunk_id, entries in chunks.items():
-                lo, _hi = self._imap_chunk_bounds(chunk_id)
-                self.imap.load_slice(lo, entries)
-            breakdown.add(self.power_store.clear(timed))
+        chunks, outcome = recover_log(self.vlog, self.power_store, timed)
+        breakdown = outcome.breakdown
+        for chunk_id, entries in (chunks or {}).items():
+            lo, _hi = self._imap_chunk_bounds(chunk_id)
+            self.imap.load_slice(lo, entries)
         self._rebuild_space_state(breakdown, timed)
-        return RecoveryOutcome(
-            used_power_down_record=record is not None,
-            scanned=scanned,
-            records_read=records_read,
-            blocks_scanned=blocks_scanned,
-            breakdown=breakdown,
-        )
+        if chunks is not None:
+            # Repair only now: its relocation appends allocate blocks,
+            # which is safe once the free map knows the recovered state.
+            breakdown.add(self.vlog.repair_reachability())
+            breakdown.add(self.power_store.clear(timed))
+        return outcome
 
     def _rebuild_space_state(
         self, breakdown: Breakdown, timed: bool

@@ -48,11 +48,6 @@ class FreeSpaceCompactor:
             target = self._pick_target()
             if target is None:
                 break
-            # Compaction rewrites the log: any stale power-down record
-            # must go first.
-            from repro.sim.stats import Breakdown
-
-            self.vld._disarm_power_record(Breakdown())
             if not self._compact_track(target, deadline):
                 break
         return clock.now - start

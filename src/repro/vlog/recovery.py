@@ -8,6 +8,9 @@ from the tail.  In the "extremely rare case" the power-down write failed,
 the checksum exposes it and recovery falls back to scanning the disk for
 (cryptographically signed, here CRC-tagged) map records, taking the one
 with the highest sequence number as the tail.
+
+:func:`recover_log` is that sequence, written once for both owners of a
+virtual log (the VLD and VLFS).
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
 from repro.vlog.entries import MAGIC, MapRecord
+
+if TYPE_CHECKING:
+    from repro.vlog.virtual_log import VirtualLog
 
 _MAGIC = b"VLOGPWDN"
 _RECORD = struct.Struct("<8sqqI")
@@ -53,9 +59,15 @@ class PowerDownStore:
         self.sectors_per_block = block_size // disk.sector_bytes
         self.tail_block_sectors = tail_block_sectors
         self._sector = block * self.sectors_per_block
+        #: True from :meth:`write` until the record is erased or a recovery
+        #: consumes it.  The log erases an armed record before its next
+        #: append (``VirtualLog._append_one``), or a later crash would
+        #: recover to the stale tail the record names.
+        self.armed = False
 
     def write(self, tail_block: int, seqno: int, timed: bool = True) -> Breakdown:
         """Persist the log tail (part of the firmware power-down sequence)."""
+        self.armed = True
         body = _RECORD.pack(_MAGIC, tail_block, seqno, 0)[: -4]
         crc = zlib.crc32(body)
         payload = _RECORD.pack(_MAGIC, tail_block, seqno, crc)
@@ -67,24 +79,34 @@ class PowerDownStore:
         self.disk.poke(self._sector, padded)
         return Breakdown()
 
-    def read(self, timed: bool = True) -> Tuple[Optional[Tuple[int, int]], Breakdown]:
-        """Read and validate the record; ``None`` when absent or corrupt."""
-        if timed:
-            raw, breakdown = self.disk.read(
+    def read_raw(
+        self, timed: bool = True, reader=None
+    ) -> Tuple[Optional[bytes], Breakdown]:
+        """The record's home block as it sits on the media, through the
+        owner's fault-tolerant ``reader(sector, count, breakdown) ->
+        Optional[bytes]`` when given: ``None`` when that could not read
+        it, which recovery reports differently from an absent record."""
+        breakdown = Breakdown()
+        if reader is not None:
+            raw = reader(self._sector, self.sectors_per_block, breakdown)
+        elif timed:
+            raw, cost = self.disk.read(
                 self._sector, self.sectors_per_block, charge_scsi=False
             )
+            breakdown.add(cost)
         else:
             raw = self.disk.peek(self._sector, self.sectors_per_block)
-            breakdown = Breakdown()
+        return raw, breakdown
+
+    def read(self, timed: bool = True) -> Tuple[Optional[Tuple[int, int]], Breakdown]:
+        """Read and validate the record; ``None`` when absent or corrupt."""
+        raw, breakdown = self.read_raw(timed)
         return self.parse(raw), breakdown
 
-    def parse(self, raw: bytes) -> Optional[Tuple[int, int]]:
-        """Validate raw record bytes; ``None`` when absent or corrupt.
-
-        Split from :meth:`read` so resilient callers can fetch the bytes
-        through their own retried/verified path and still share the
-        validation logic.
-        """
+    def parse(self, raw: Optional[bytes]) -> Optional[Tuple[int, int]]:
+        """Validate raw record bytes; ``None`` when absent or corrupt."""
+        if raw is None:
+            return None
         if len(raw) < _RECORD.size:
             return None
         magic, tail, seqno, stored_crc = _RECORD.unpack(raw[: _RECORD.size])
@@ -105,7 +127,9 @@ class PowerDownStore:
         return (tail, seqno)
 
     def clear(self, timed: bool = True) -> Breakdown:
-        """Erase the record (done after successful recovery, per the paper)."""
+        """Erase the record: before the first log append that follows a
+        power-down, and at the end of every recovery."""
+        self.armed = False
         blank = bytes(self.block_size)
         if timed:
             return self.disk.write(
@@ -123,7 +147,6 @@ class PowerDownStore:
 def scan_records(
     disk: Disk,
     block_size: int = 4096,
-    skip_block: Optional[int] = None,
     skip_sectors: int = 0,
     timed: bool = True,
     reader=None,
@@ -133,9 +156,8 @@ def scan_records(
     Reads the disk track by track (the cheapest sequential pattern) and
     parses every aligned record-sized unit for a valid map record.
     ``block_size`` is the *record* size (the VLD uses 512-byte map
-    sectors); ``skip_block`` excludes one record position and
-    ``skip_sectors`` excludes the first N sectors of the disk (the
-    power-down record's home).
+    sectors); ``skip_sectors`` excludes the first N sectors of the disk
+    (the power-down record's home).
 
     ``reader`` (optional) is a fault-tolerant callable
     ``reader(sector, count, breakdown) -> Optional[bytes]``; when it
@@ -189,19 +211,16 @@ def scan_records(
             lo_block = max(next_block, first_block)
             if lo_block < end_block:
                 examined += end_block - lo_block
-                if skip_block is not None and lo_block <= skip_block < end_block:
-                    examined -= 1
                 lo = lo_block * block_size - base
                 heads = buffer[lo : end_block * block_size - base : block_size]
                 view = memoryview(buffer)
                 slot = heads.find(magic_head)
                 while slot >= 0:
-                    block = lo_block + slot
                     at = lo + slot * block_size
-                    if block != skip_block and buffer.startswith(MAGIC, at):
+                    if buffer.startswith(MAGIC, at):
                         record = MapRecord.unpack(view[at : at + block_size])
                         if record is not None:
-                            found[block] = record
+                            found[lo_block + slot] = record
                     slot = heads.find(magic_head, slot + 1)
             pending = buffer[end_block * block_size - base :]
             next_block = end_block
@@ -211,7 +230,6 @@ def scan_records(
 def scan_for_tail(
     disk: Disk,
     block_size: int = 4096,
-    skip_block: Optional[int] = None,
     skip_sectors: int = 0,
     timed: bool = True,
     reader=None,
@@ -225,7 +243,6 @@ def scan_for_tail(
     found, breakdown, examined = scan_records(
         disk,
         block_size,
-        skip_block=skip_block,
         skip_sectors=skip_sectors,
         timed=timed,
         reader=reader,
@@ -241,7 +258,12 @@ def scan_for_tail(
 
 @dataclass
 class RecoveryOutcome:
-    """What happened during a :meth:`VirtualLogDisk.recover` call."""
+    """What happened during a ``recover()`` call.
+
+    :func:`recover_log` fills the locate/traverse fields (everything up to
+    and including ``reconstructed``); the owner adds its own costs to
+    ``breakdown`` and fills the media/quarantine counts below.
+    """
 
     used_power_down_record: bool
     scanned: bool
@@ -265,3 +287,85 @@ class RecoveryOutcome:
     @property
     def elapsed(self) -> float:
         return self.breakdown.total
+
+
+def recover_log(
+    vlog: "VirtualLog",
+    store: PowerDownStore,
+    timed: bool = True,
+    reader=None,
+    track_reader=None,
+) -> Tuple[Optional[Dict[int, List[int]]], RecoveryOutcome]:
+    """Locate the log tail and rebuild ``vlog`` from it (Section 3.2).
+
+    Traverses from the tail the power-down record names; without a valid
+    record -- or when that tail holds no readable map record -- from the
+    youngest checksummed record a full scan finds.  A traversal that met
+    an unreadable interior record is escalated to a youngest-wins
+    reconstruction over *every* valid record on the disk, so one dead map
+    sector costs one chunk's latest update at worst, never the tree
+    behind it.  ``reader``/``track_reader`` are the owner's fault-tolerant
+    single-run and whole-track readers.
+
+    Returns ``(chunks, outcome)``, ``chunks`` being ``None`` for a device
+    that was never written.  The owner still owes the log
+    ``repair_reachability()`` (once its free map reflects the recovered
+    state) and the record its closing ``clear()``.
+    """
+    raw, breakdown = store.read_raw(timed, reader)
+    record = store.parse(raw)
+    # Recovery consumes the record: the owner's own appends (quarantine
+    # table, reachability repair) do not erase it early; its closing
+    # clear() does, once.
+    store.armed = False
+    outcome = RecoveryOutcome(
+        used_power_down_record=record is not None,
+        scanned=False,
+        records_read=0,
+        breakdown=breakdown,
+        degraded=raw is None,
+    )
+    scan_args = dict(
+        # Sectors up to the end of the record's home block hold no log.
+        skip_sectors=store._sector + store.sectors_per_block,
+        timed=timed,
+        reader=track_reader,
+    )
+    tail = record[0] if record is not None else None
+    chunks = None
+    while chunks is None:
+        if tail is None:
+            outcome.scanned = True
+            tail, cost, outcome.blocks_scanned = scan_for_tail(
+                vlog.disk, vlog.block_size, **scan_args
+            )
+            breakdown.add(cost)
+            if tail is None:
+                return None, outcome  # nothing was ever written
+        try:
+            chunks, cost, outcome.records_read = vlog.recover_from_tail(
+                tail, timed=timed, repair=False, reader=reader
+            )
+        except ValueError:
+            # The recorded tail holds no readable map record (stale
+            # record, dead media): scan, once.  A tail the scan produced
+            # parsed moments ago; re-raise rather than loop.
+            if outcome.scanned:
+                raise
+            outcome.degraded = True
+            tail = None
+        else:
+            breakdown.add(cost)
+    if vlog.last_recovery_degraded:
+        # An interior record was unreadable: the pruned traversal may
+        # have lost whole subtrees.
+        outcome.degraded = outcome.reconstructed = True
+        records, cost, examined = scan_records(
+            vlog.disk, vlog.block_size, **scan_args
+        )
+        breakdown.add(cost)
+        chunks, outcome.records_read = vlog.recover_from_records(
+            records, repair=False
+        )
+        outcome.blocks_scanned = max(outcome.blocks_scanned, examined)
+    return chunks, outcome

@@ -40,9 +40,9 @@ __all__ = [
 class ResilienceController:
     """Ties checksums, retries, quarantine, and the scrubber to one VLD.
 
-    Created by :class:`~repro.vlog.vld.VirtualLogDisk` when resilience is
-    enabled; attaches the checksum sidecar to the disk and owns the
-    suspect queue the scrubber drains.
+    Created by every :class:`~repro.vlog.vld.VirtualLogDisk`; attaches the
+    checksum sidecar to the disk and owns the suspect queue the scrubber
+    drains.
     """
 
     def __init__(self, vld, policy: Optional[RetryPolicy] = None) -> None:

@@ -110,12 +110,6 @@ def _check_map_log_agreement(vld, report: FsckReport) -> None:
         if chunk_id >= COMMIT_CHUNK_BASE:
             continue
         if chunk_id >= QUARANTINE_CHUNK_BASE:
-            if vld.resilience is None:
-                report.add(
-                    "quarantine-chunk-orphaned",
-                    f"quarantine chunk {chunk_id} live without a "
-                    "resilience layer",
-                )
             continue
         if chunk_id >= imap.num_chunks:
             report.add(
@@ -185,8 +179,6 @@ def _check_freemap(vld, report: FsckReport) -> None:
 
 
 def _check_quarantine(vld, report: FsckReport) -> None:
-    if vld.resilience is None:
-        return
     in_map = set(vld.freemap.quarantined_sectors())
     in_table = set(vld.resilience.quarantine.sectors)
     if in_map != in_table:
@@ -203,20 +195,16 @@ def _check_on_disk(vld, report: FsckReport) -> None:
         report.add("deep-unavailable", "disk stores no data (timing-only)")
         return
     spb = vld.sectors_per_block
-    checksums = (
-        vld.resilience.checksums if vld.resilience is not None else None
-    )
+    checksums = vld.resilience.checksums
     for _lba, physical in vld.imap.items():
         raw = disk.peek(physical * spb, spb)
         report.checked_blocks += 1
-        if checksums is not None:
-            bad = checksums.verify(physical * spb, spb, raw)
-            if bad:
-                report.add(
-                    "data-checksum",
-                    f"physical block {physical} fails sector checksums "
-                    f"{bad}",
-                )
+        bad = checksums.verify(physical * spb, spb, raw)
+        if bad:
+            report.add(
+                "data-checksum",
+                f"physical block {physical} fails sector checksums {bad}",
+            )
     map_spb = vld.vlog.sectors_per_block
     for block in vld.vlog.live_blocks():
         raw = disk.peek(block * map_spb, map_spb)

@@ -107,7 +107,6 @@ class TransactionalVLD(VirtualLogDisk):
         breakdown = self._charge_scsi()
         if not writes:
             return breakdown
-        self._disarm_power_record(breakdown)
         txn_id = self.vlog.begin_txn()
         # Phase 1: eager-write the new data; keep the old copies.
         displaced: List[int] = []

@@ -83,6 +83,10 @@ class VirtualLog:
         self.sectors_per_block = block_size // disk.sector_bytes
         self.tail: Optional[int] = None
         self.next_seqno = 1
+        #: The owner's :class:`~repro.vlog.recovery.PowerDownStore`, when
+        #: it keeps one: a record still armed when the log next changes is
+        #: erased first (see :meth:`_append_one`).
+        self.power_store = None
         #: phys block -> live record shadow
         self._nodes: Dict[int, _Node] = {}
         #: chunk id -> phys block of its live record
@@ -204,6 +208,13 @@ class VirtualLog:
         the graph (marked superseded) so that recovery can fall back to it
         while the enclosing transaction is not yet committed.
         """
+        store = self.power_store
+        if store is not None and store.armed:
+            # The protocol's erase step: a power-down record names the
+            # tail as it was, so it goes before the log moves on -- or a
+            # later crash would recover to the stale tail.  Before
+            # ``allocate()``, because the clear moves the head.
+            breakdown.add(store.clear())
         old_block = self._chunk_location.get(chunk_id)
         # Collect orphans: targets of the overwritten record whose last live
         # in-edge is about to disappear.

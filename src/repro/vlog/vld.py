@@ -34,12 +34,7 @@ from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.entries import QUARANTINE_CHUNK_BASE
 from repro.vlog.imap import IndirectionMap
-from repro.vlog.recovery import (
-    PowerDownStore,
-    RecoveryOutcome,
-    scan_for_tail,
-    scan_records,
-)
+from repro.vlog.recovery import PowerDownStore, RecoveryOutcome, recover_log
 from repro.vlog.resilience import MediaError, ResilienceController, RetryPolicy
 from repro.vlog.virtual_log import VirtualLog
 
@@ -56,25 +51,17 @@ class VirtualLogDisk(BlockDevice):
         fill_threshold: Track fill target for ``TRACK_FILL`` (0.75).
         slack_fraction: Physical blocks withheld from the logical capacity
             so eager writing always finds somewhere to go.
-        resilience: Enable the media-fault resilience layer (per-sector
-            checksums verified on read, bounded retries, bad-sector
-            quarantine, idle-time scrubbing).  On by default; with no
-            faults injected its timing is identical to the layer being
-            absent (checksums are out-of-band, retries never fire, the
-            scrubber only runs when suspects exist).
-        retry_policy: Read-retry schedule for the resilience layer.
+        retry_policy: Read-retry schedule for the media-fault resilience
+            layer (per-sector checksums verified on read, bounded retries,
+            bad-sector quarantine, idle-time scrubbing).  With no faults
+            injected the layer costs no simulated time: checksums are
+            out-of-band, retries never fire, the scrubber only runs when
+            suspects exist.
         queue_depth: Outstanding-request bound for the internal request
             scheduler; depth 1 (default) services every data write at
             submit time, byte-identical to the unscheduled code.
         sched: Scheduling policy name (``fifo``/``scan``/``satf``) or
             instance for the internal queue.
-        batch_movement: Move data in run-granular batches: whole
-            physically-contiguous runs are allocated at once
-            (:meth:`EagerAllocator.allocate_run`), written through single
-            ``write_run`` requests, and their map updates applied in one
-            pass.  Placement, timing, and the per-block media access
-            sequence are bit-identical to the scalar per-block path
-            (``False``), which stays as the oracle.
     """
 
     #: Physical block housing the firmware power-down record; never
@@ -89,11 +76,9 @@ class VirtualLogDisk(BlockDevice):
         policy: AllocationPolicy = AllocationPolicy.TRACK_FILL,
         fill_threshold: float = 0.75,
         slack_fraction: float = 0.02,
-        resilience: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         queue_depth: int = 1,
         sched: Union[str, SchedulingPolicy] = "fifo",
-        batch_movement: bool = True,
     ) -> None:
         if block_size % disk.sector_bytes != 0:
             raise ValueError("block size must be a multiple of the sector size")
@@ -145,27 +130,21 @@ class VirtualLogDisk(BlockDevice):
             block_size=map_record_bytes,
         )
         #: Media-fault resilience layer (checksums, retries, quarantine,
-        #: scrubber), or ``None`` when disabled.
-        self.resilience: Optional[ResilienceController] = (
-            ResilienceController(self, retry_policy) if resilience else None
-        )
+        #: scrubber).
+        self.resilience = ResilienceController(self, retry_policy)
         self.power_store = PowerDownStore(
             disk,
             self.POWER_DOWN_BLOCK,
             block_size,
             tail_block_sectors=map_record_bytes // disk.sector_bytes,
         )
+        self.vlog.power_store = self.power_store
         #: physical block -> logical block, for the compactor.
         self.reverse: Dict[int, int] = {}
         self.logical_writes = 0
         self.logical_reads = 0
-        self.batch_movement = batch_movement
         self.compaction_enabled = True
         self._compactor = None
-        #: True while a valid power-down record sits on disk.  Any write
-        #: after an orderly power-down invalidates it first, or a later
-        #: crash would recover to the stale tail it names.
-        self._power_record_armed = False
         #: Request queue for eager data writes.  Log appends (the commit
         #: point), map-record traffic, and recovery I/O bypass it: their
         #: ordering *is* the crash-consistency argument, so they only run
@@ -173,12 +152,10 @@ class VirtualLogDisk(BlockDevice):
         self.scheduler = DiskScheduler(
             disk, policy=sched, queue_depth=queue_depth
         )
-        #: Idle-time dispatch: scrubbing suspects first (urgent, runs even
-        #: on a zero-second grant, as the seed did), then compaction.
+        #: Idle-time dispatch: scrubbing suspects first, then compaction.
         self.idle_manager = IdleManager(disk.clock)
         self.idle_manager.register(
-            "scrub", self._idle_scrub, gate=self._scrub_pending,
-            needs_time=False,
+            "scrub", self._idle_scrub, gate=self._scrub_pending
         )
         self.idle_manager.register(
             "compact", self._idle_compact,
@@ -201,10 +178,6 @@ class VirtualLogDisk(BlockDevice):
         relocations (compactor, reachability repair, scrubber) rewrite
         every chunk kind faithfully."""
         if chunk_id >= QUARANTINE_CHUNK_BASE:
-            if self.resilience is None:
-                raise ValueError(
-                    f"quarantine chunk {chunk_id} without a resilience layer"
-                )
             return self.resilience.quarantine.chunk_payload(chunk_id)
         return self.imap.chunk_entries(chunk_id)
 
@@ -215,8 +188,8 @@ class VirtualLogDisk(BlockDevice):
         breakdown: Optional[Breakdown],
         timed: bool = True,
     ) -> bytes:
-        """Read sectors through the resilience layer when present (checksum
-        verify + bounded retries), or straight from the disk otherwise."""
+        """Read sectors through the resilience layer (checksum verify +
+        bounded retries)."""
         if self.scheduler.outstanding:
             # Read barrier: queued eager writes must reach the media first
             # (they may cover the very sectors being read).  Their costs
@@ -224,25 +197,14 @@ class VirtualLogDisk(BlockDevice):
             flushed = self.scheduler.barrier()
             if breakdown is not None:
                 breakdown.add(flushed)
-        if self.resilience is not None:
-            return self.resilience.read_sectors(
-                sector, count, breakdown, timed=timed
-            )
-        if timed:
-            data, cost = self.disk.read(sector, count, charge_scsi=False)
-            if breakdown is not None:
-                breakdown.add(cost)
-            return data
-        return self.disk.peek(sector, count)
+        return self.resilience.read_sectors(
+            sector, count, breakdown, timed=timed
+        )
 
     def _scrub_pending(self) -> bool:
-        return self.resilience is not None and self.resilience.scrubber.pending
+        return self.resilience.scrubber.pending
 
     def _idle_scrub(self, remaining: float) -> None:
-        # Scrubbing rewrites the log: any stale power-down record must go
-        # first.
-        self._disarm_power_record(Breakdown())
-        assert self.resilience is not None
         self.resilience.scrubber.run_for(remaining)
 
     def _idle_compact(self, remaining: float) -> None:
@@ -316,7 +278,6 @@ class VirtualLogDisk(BlockDevice):
         self.check_lba(lba, count)
         data = self.check_data(data, count)
         breakdown = self._charge_scsi()
-        self._disarm_power_record(breakdown)
         # Process in runs that share a map chunk: write the data blocks of
         # the run, commit the chunk's map record once, then recycle the old
         # copies.  This both batches map updates (Section 3.2's transaction
@@ -344,15 +305,16 @@ class VirtualLogDisk(BlockDevice):
         displaced: List[int] = []
         spb = self.sectors_per_block
         block_size = self.block_size
-        if self.batch_movement and count > 1:
-            # Batched movement: allocate a whole physically-contiguous
+        imap_set = self.imap.set
+        reverse = self.reverse
+        if count > 1:
+            # Run-granular movement: allocate a whole physically-contiguous
             # run, issue it as one run request (serviced block by block
             # with identical timing), and apply the map updates in one
-            # pass.  Placement matches the scalar loop exactly: the run
-            # extension only accepts blocks the scalar query is forced
-            # to return, and a conservative stop merely splits the run.
-            imap_set = self.imap.set
-            reverse = self.reverse
+            # pass.  Placement matches a per-block allocate() loop exactly
+            # (the tests keep that loop as the reference): the run
+            # extension only accepts blocks the scalar query is forced to
+            # return, and a conservative stop merely splits the run.
             # Zero-copy payload slicing: the per-run pieces are views into
             # the caller's (immutable) buffer, not 4 KB copies.
             view = memoryview(data)
@@ -369,19 +331,14 @@ class VirtualLogDisk(BlockDevice):
                         view[lo : lo + block_size],
                         charge_scsi=False,
                     )
-                    old = imap_set(lba + i, first_block)
-                    reverse[first_block] = lba + i
-                    if old is not None:
-                        displaced.append(old)
-                    i += 1
-                    continue
-                self.scheduler.write_run(
-                    first_block * spb,
-                    run * spb,
-                    spb,
-                    view[lo : lo + run * block_size],
-                    charge_scsi=False,
-                )
+                else:
+                    self.scheduler.write_run(
+                        first_block * spb,
+                        run * spb,
+                        spb,
+                        view[lo : lo + run * block_size],
+                        charge_scsi=False,
+                    )
                 logical = lba + i
                 for k in range(run):
                     old = imap_set(logical + k, first_block + k)
@@ -390,19 +347,18 @@ class VirtualLogDisk(BlockDevice):
                         displaced.append(old)
                 i += run
         else:
-            for i in range(count):
-                new_block = self.allocator.allocate()
-                lo = (data_offset_blocks + i) * block_size
-                self.scheduler.write(
-                    new_block * spb,
-                    spb,
-                    data[lo : lo + block_size],
-                    charge_scsi=False,
-                )
-                old = self.imap.set(lba + i, new_block)
-                self.reverse[new_block] = lba + i
-                if old is not None:
-                    displaced.append(old)
+            new_block = self.allocator.allocate()
+            lo = data_offset_blocks * block_size
+            self.scheduler.write(
+                new_block * spb,
+                spb,
+                data[lo : lo + block_size],
+                charge_scsi=False,
+            )
+            old = imap_set(lba, new_block)
+            reverse[new_block] = lba
+            if old is not None:
+                displaced.append(old)
         # Write barrier, then the commit point: every queued data write
         # must reach the media before the map chunk's log record does, or
         # a crash between them would recover mappings to unwritten blocks.
@@ -443,7 +399,6 @@ class VirtualLogDisk(BlockDevice):
         if offset + len(data) > self.block_size:
             raise ValueError("partial write exceeds the block")
         breakdown = self._charge_scsi()
-        self._disarm_power_record(breakdown)
         physical = self.imap.get(lba)
         if physical is None:
             old = bytes(self.block_size)
@@ -465,7 +420,6 @@ class VirtualLogDisk(BlockDevice):
         missed without this)."""
         self.check_lba(lba, count)
         breakdown = self.scheduler.barrier()  # before the log commit
-        self._disarm_power_record(breakdown)
         touched: Dict[int, None] = {}
         displaced: List[int] = []
         for i in range(count):
@@ -488,12 +442,6 @@ class VirtualLogDisk(BlockDevice):
         self.disk.clock.advance(self.disk.spec.scsi_overhead)
         return breakdown
 
-    def _disarm_power_record(self, breakdown: Breakdown) -> None:
-        """Erase a now-stale power-down record before mutating the log."""
-        if self._power_record_armed:
-            self._power_record_armed = False
-            breakdown.add(self.power_store.clear(timed=True))
-
     # ------------------------------------------------------------------
     # Crash, power-down, recovery
     # ------------------------------------------------------------------
@@ -508,7 +456,6 @@ class VirtualLogDisk(BlockDevice):
         breakdown = self.scheduler.barrier()  # nothing may outlive the queue
         if self.vlog.tail is None:
             return breakdown
-        self._power_record_armed = True
         breakdown.add(
             self.power_store.write(
                 self.vlog.tail, self.vlog.next_seqno - 1, timed
@@ -516,13 +463,13 @@ class VirtualLogDisk(BlockDevice):
         )
         return breakdown
 
-    def _record_reader(self, timed: bool, dead_runs=None):
-        """Fault-tolerant record reader for the recovery traversal:
-        ``None`` for a run that stays unreadable after retries (the run
-        is noted in ``dead_runs`` when given, for post-rebuild
-        conservative quarantine)."""
+    def _record_reader(self, timed: bool, dead_runs: List[Tuple[int, int]]):
+        """Fault-tolerant single-run reader for recovery: ``None`` for a
+        run that stays unreadable after retries, which is noted in
+        ``dead_runs`` (unless it is the immovable power-down block) for
+        the post-rebuild conservative quarantine."""
         resilience = self.resilience
-        assert resilience is not None
+        power_block_end = (self.POWER_DOWN_BLOCK + 1) * self.sectors_per_block
 
         def reader(sector: int, count: int, breakdown: Breakdown):
             try:
@@ -530,19 +477,18 @@ class VirtualLogDisk(BlockDevice):
                     sector, count, breakdown, timed=timed
                 )
             except MediaError:
-                if dead_runs is not None:
+                if sector >= power_block_end:
                     dead_runs.append((sector, count))
                 return None
 
         return reader
 
-    def _track_reader(self, timed: bool, dead_runs=None):
+    def _track_reader(self, timed: bool, dead_runs: List[Tuple[int, int]]):
         """Fault-tolerant *track* reader for the scan paths: a failed
         track read is re-driven record by record, zero-filling only the
         runs that stay dead, so one bad sector costs one record, not a
         whole track of them."""
         resilience = self.resilience
-        assert resilience is not None
         record_sectors = self.map_record_bytes // self.disk.sector_bytes
         sector_bytes = self.disk.sector_bytes
 
@@ -565,211 +511,78 @@ class VirtualLogDisk(BlockDevice):
                             )
                         )
                     except MediaError:
-                        if dead_runs is not None:
-                            dead_runs.append((sector + offset, piece))
+                        dead_runs.append((sector + offset, piece))
                         pieces.append(bytes(piece * sector_bytes))
                 return b"".join(pieces)
 
         return reader
 
     def recover(self, timed: bool = True) -> RecoveryOutcome:
-        """Rebuild all volatile state from the disk (Section 3.2).
-
-        Reads the power-down record; when valid, traverses the virtual log
-        from the recorded tail.  Otherwise -- or when the named tail block
-        is unreadable or corrupt -- scans the disk for the youngest
-        checksummed map record and traverses from there.  With the
-        resilience layer, reads retry with backoff, and if any record
-        stays unreadable the traversal is escalated to a youngest-wins
-        reconstruction over *every* valid record on the disk, so one dead
-        map sector costs one chunk's latest update at worst, never the
-        tree behind it.
-        """
+        """Rebuild all volatile state from the disk (Section 3.2):
+        :func:`~repro.vlog.recovery.recover_log` rebuilds the log through
+        the resilience layer's retried reads; this installs the map, the
+        quarantine table and the free map it implies."""
         resilience = self.resilience
-        media_errors_before = (
-            resilience.media_errors if resilience is not None else 0
-        )
-        breakdown = self.scheduler.barrier()  # a live recover flushes first
-        degraded = False
-        skip_sectors = (self.POWER_DOWN_BLOCK + 1) * self.sectors_per_block
-        if resilience is not None:
-            try:
-                raw = resilience.read_sectors(
-                    self.power_store._sector,
-                    self.power_store.sectors_per_block,
-                    breakdown,
-                    timed=timed,
-                )
-                record = self.power_store.parse(raw)
-            except MediaError:
-                record = None
-                degraded = True
-        else:
-            record, read_cost = self.power_store.read(timed)
-            breakdown.add(read_cost)
-        #: Sector runs that stayed unreadable during this recovery; after
-        #: the space rebuild, dead runs that turn out *stale* (free) are
-        #: conservatively quarantined -- the case that matters is the
-        #: youngest QUARANTINE record dying on scan, whose own sectors
-        #: must not be silently returned to the allocator.
+        media_errors_before = resilience.media_errors
+        barrier_cost = self.scheduler.barrier()  # a live recover flushes first
+        #: Sector runs that stayed unreadable during this recovery.
         dead_runs: List[Tuple[int, int]] = []
-        record_reader = (
-            self._record_reader(timed, dead_runs)
-            if resilience is not None else None
+        chunks, outcome = recover_log(
+            self.vlog,
+            self.power_store,
+            timed=timed,
+            reader=self._record_reader(timed, dead_runs),
+            track_reader=self._track_reader(timed, dead_runs),
         )
-        track_reader = (
-            self._track_reader(timed, dead_runs)
-            if resilience is not None else None
-        )
-
-        def scan():
-            return scan_for_tail(
-                self.disk,
-                self.map_record_bytes,
-                skip_sectors=skip_sectors,
-                timed=timed,
-                reader=track_reader,
-            )
-
-        scanned = False
-        blocks_scanned = 0
-        if record is not None:
-            tail = record[0]
-        else:
-            scanned = True
-            tail, scan_cost, blocks_scanned = scan()
-            breakdown.add(scan_cost)
-        self._power_record_armed = False
-        chunks = None
-        records_read = 0
-        if tail is not None:
-            try:
-                chunks, traverse_cost, records_read = (
-                    self.vlog.recover_from_tail(
-                        tail,
-                        timed=timed,
-                        repair=False,
-                        reader=record_reader,
-                    )
-                )
-                breakdown.add(traverse_cost)
-            except ValueError:
-                # The named tail does not hold a readable map record
-                # (stale power-down record, or media failure on the tail
-                # block itself): fall back to the scan.  A tail the scan
-                # itself produced genuinely parsed moments ago; re-raise
-                # rather than loop.
-                if scanned:
-                    raise
-                degraded = True
-                scanned = True
-                tail, scan_cost, blocks_scanned = scan()
-                breakdown.add(scan_cost)
-                if tail is not None:
-                    chunks, traverse_cost, records_read = (
-                        self.vlog.recover_from_tail(
-                            tail,
-                            timed=timed,
-                            repair=False,
-                            reader=record_reader,
-                        )
-                    )
-                    breakdown.add(traverse_cost)
-        if tail is None:
+        breakdown = outcome.breakdown = barrier_cost.add(outcome.breakdown)
+        if chunks is None:
             # Nothing was ever written: a fresh device.
             self._reset_volatile_state()
-            return RecoveryOutcome(
-                used_power_down_record=False,
-                scanned=scanned,
-                records_read=0,
-                blocks_scanned=blocks_scanned,
-                breakdown=breakdown,
-                degraded=degraded,
-                media_errors=(
-                    resilience.media_errors - media_errors_before
-                    if resilience is not None
-                    else 0
-                ),
+        else:
+            self.imap.load_chunks(
+                {c: p for c, p in chunks.items() if c < QUARANTINE_CHUNK_BASE}
             )
-        reconstructed = False
-        if self.vlog.last_recovery_degraded:
-            # An interior record was unreadable: the pruned traversal may
-            # have lost whole subtrees.  Escalate to the youngest-wins
-            # reconstruction over every valid record on disk.
-            degraded = True
-            reconstructed = True
-            records, scan_cost, examined = scan_records(
-                self.disk,
-                self.map_record_bytes,
-                skip_sectors=skip_sectors,
-                timed=timed,
-                reader=track_reader,
-            )
-            breakdown.add(scan_cost)
-            chunks, records_read = self.vlog.recover_from_records(
-                records, repair=False
-            )
-            blocks_scanned = max(blocks_scanned, examined)
-        assert chunks is not None
-        quarantine_chunks = {
-            cid: payload
-            for cid, payload in chunks.items()
-            if cid >= QUARANTINE_CHUNK_BASE
-        }
-        map_chunks = {
-            cid: payload
-            for cid, payload in chunks.items()
-            if cid < QUARANTINE_CHUNK_BASE
-        }
-        self.imap.load_chunks(map_chunks)
-        if resilience is not None:
             # Install the quarantine *before* the space rebuild: the
-            # blanket mark_free below then skips retired sectors itself.
-            resilience.load_quarantine(quarantine_chunks)
-        self._rebuild_space_state()
-        # Conservative quarantine: a sector that stayed unreadable during
-        # recovery and is *free* in the rebuilt map holds only stale data
-        # (e.g. a superseded -- or the lost youngest -- quarantine
-        # record).  Nothing will ever re-read it, so no later access
-        # would re-discover the defect: retire it now, before the
-        # allocator can hand it out.  Dead sectors that are *live* keep
-        # their data reachable and are queued as suspects instead, for
-        # the scrubber's salvage-then-migrate path.
-        conservatively_quarantined = 0
-        if resilience is not None and dead_runs:
-            for run_start, run_count in dead_runs:
-                for s in range(run_start, run_start + run_count):
-                    if self.freemap.is_quarantined(s):
-                        continue
-                    if self.freemap.is_free(s):
-                        if resilience.quarantine_sector(s):
-                            conservatively_quarantined += 1
-                    else:
-                        resilience.note_suspect(s)
-            breakdown.add(resilience.persist_quarantine(timed))
-        # Reachability repair was deferred past the space rebuild: its
-        # relocation appends allocate blocks, which is only safe once the
-        # free map knows where the recovered live data sits.
-        breakdown.add(self.vlog.repair_reachability())
-        breakdown.add(self.power_store.clear(timed))
-        return RecoveryOutcome(
-            used_power_down_record=record is not None,
-            scanned=scanned,
-            records_read=records_read,
-            blocks_scanned=blocks_scanned,
-            breakdown=breakdown,
-            degraded=degraded,
-            reconstructed=reconstructed,
-            media_errors=(
-                resilience.media_errors - media_errors_before
-                if resilience is not None
-                else 0
-            ),
-            quarantined_sectors=(
-                len(resilience.quarantine) if resilience is not None else 0
-            ),
-            conservatively_quarantined=conservatively_quarantined,
-        )
+            # blanket mark_free there then skips retired sectors itself.
+            resilience.load_quarantine(
+                {c: p for c, p in chunks.items() if c >= QUARANTINE_CHUNK_BASE}
+            )
+            self._rebuild_space_state()
+            if dead_runs:
+                outcome.conservatively_quarantined = self._retire_dead_runs(
+                    dead_runs
+                )
+                breakdown.add(resilience.persist_quarantine(timed))
+            # Reachability repair was deferred past the space rebuild: its
+            # relocation appends allocate blocks, which is only safe once
+            # the free map knows where the recovered live data sits.
+            breakdown.add(self.vlog.repair_reachability())
+            breakdown.add(self.power_store.clear(timed))
+            outcome.quarantined_sectors = len(resilience.quarantine)
+        outcome.media_errors = resilience.media_errors - media_errors_before
+        return outcome
+
+    def _retire_dead_runs(self, dead_runs: List[Tuple[int, int]]) -> int:
+        """Conservative quarantine: a sector that stayed unreadable during
+        recovery and is *free* in the rebuilt map holds only stale data
+        (the case that matters: the youngest quarantine record dying on
+        scan).  Nothing will ever re-read it, so no later access would
+        re-discover the defect: retire it now, before the allocator can
+        hand it out.  Dead sectors that are *live* are queued as suspects
+        instead, for the scrubber's salvage-then-migrate path.  Returns
+        the number retired."""
+        resilience = self.resilience
+        retired = 0
+        for run_start, run_count in dead_runs:
+            for s in range(run_start, run_start + run_count):
+                if self.freemap.is_quarantined(s):
+                    continue
+                if self.freemap.is_free(s):
+                    if resilience.quarantine_sector(s):
+                        retired += 1
+                else:
+                    resilience.note_suspect(s)
+        return retired
 
     def crash(self) -> None:
         """Abrupt failure: volatile state is lost; the disk image remains.
@@ -789,16 +602,14 @@ class VirtualLogDisk(BlockDevice):
         self.imap.load_chunks({})
         self.reverse.clear()
         self.vlog.reset_volatile()
-        if self.resilience is not None:
-            # Drive RAM is gone: suspects and the in-memory quarantine
-            # copy with it.  The table is reloaded from the log during
-            # recovery; un-persisted additions are re-discovered by the
-            # reads that will hit those sectors again.  (The checksum
-            # store survives -- it models out-of-band ECC retained on the
-            # media itself.)
-            self.resilience.suspects.clear()
-            self.resilience.quarantine.load({})
-            self.freemap.set_quarantined(())
+        # Drive RAM is gone: suspects and the in-memory quarantine copy
+        # with it.  The table is reloaded from the log during recovery;
+        # un-persisted additions are re-discovered by the reads that will
+        # hit those sectors again.  (The checksum store survives -- it
+        # models out-of-band ECC retained on the media itself.)
+        self.resilience.suspects.clear()
+        self.resilience.quarantine.load({})
+        self.freemap.set_quarantined(())
         self._rebuild_space_state()
 
     def _rebuild_space_state(self) -> None:

@@ -159,6 +159,51 @@ class TestRecovery:
         data, _ = vlfs.read("/after", 0, 5)
         assert data == b"works"
 
+    def test_write_after_power_down_invalidates_the_record(self, vlfs):
+        """power_down() without recover(), then one more acknowledged
+        write: the record names a tail the log has moved past, so the log
+        erases it before appending.  (VLFS used to leave it: recovery
+        trusted the stale tail and the new file was gone.)"""
+        contents = self._populate(vlfs)
+        vlfs.power_down()
+        vlfs.create("/g")
+        vlfs.write("/g", 0, b"after the record", sync=True)
+        vlfs.sync()
+        vlfs.crash()
+        outcome = vlfs.recover()
+        assert outcome.scanned
+        assert not outcome.used_power_down_record
+        data, _ = vlfs.read("/g", 0, 16)
+        assert data == b"after the record"
+        for name, payload in contents.items():
+            data, _ = vlfs.read(name, 0, len(payload))
+            assert data == payload
+        vlfs.vlog.check_invariants()
+
+    def test_recovers_after_recorded_tail_block_is_recycled(self, vlfs):
+        """Enough writes after power_down() that the block the record
+        named holds no map record any more (recovery used to raise
+        ``ValueError: block N does not hold a map record``)."""
+        from repro.vlog.entries import MapRecord
+
+        self._populate(vlfs)
+        vlfs.power_down()
+        map_spb = vlfs.vlog.sectors_per_block
+        recorded_tail = vlfs.vlog.tail
+        version = 0
+        while MapRecord.unpack(
+            vlfs.disk.peek(recorded_tail * map_spb, map_spb)
+        ) is not None:
+            version += 1
+            assert version < 500, "recorded tail block never recycled"
+            vlfs.write("/file0", 0, bytes([version % 251]) * 4096, sync=True)
+        vlfs.crash()
+        outcome = vlfs.recover()
+        assert outcome.scanned
+        data, _ = vlfs.read("/file0", 0, 4096)
+        assert data == bytes([version % 251]) * 4096
+        vlfs.vlog.check_invariants()
+
     def test_unsynced_data_lost_without_nvram(self, vlfs):
         vlfs.create("/f")
         vlfs.write("/f", 0, b"committed", sync=True)

@@ -1,12 +1,12 @@
 """The batched data-movement identity pin: batched path == scalar path.
 
-The batched movement rework (``VirtualLogDisk(batch_movement=True)``,
-the default) is only allowed to *batch* work, not to change it: whole
-physically contiguous runs are allocated at once, written through single
-``Disk.write_run`` calls, and their map updates applied in one pass, but
-placement, timing, and the per-block media access sequence must be
-bit-for-bit what the scalar per-block path (``batch_movement=False``,
-kept as the oracle) produces.  Same discipline as
+The VLD's run-granular data movement is only allowed to *batch* work,
+not to change it: whole physically contiguous runs are allocated at
+once, written through single ``Disk.write_run`` calls, and their map
+updates applied in one pass, but placement, timing, and the per-block
+media access sequence must be bit-for-bit what the scalar per-block loop
+it replaced produces.  That loop lives here, as
+:class:`ScalarMovementVLD`, the reference.  Same discipline as
 ``tests/harness/test_identity.py`` for the event engine: diff the full
 ``(op, sector, count, start, end)`` disk call sequence via a recording
 shim, every end-state structure, and every scalar the figure pipeline
@@ -30,6 +30,45 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+# ======================================================================
+# The per-block reference
+# ======================================================================
+
+
+class ScalarMovementVLD(VirtualLogDisk):
+    """A VLD that moves data one block at a time: ``_write_run`` as it
+    stood before run-granular movement (one ``allocate()``, one queued
+    write and one map update per block), then the same barrier, commit
+    and recycle."""
+
+    def _write_run(
+        self, lba, data, data_offset_blocks, count, chunk_id, breakdown
+    ):
+        displaced = []
+        spb = self.sectors_per_block
+        block_size = self.block_size
+        for i in range(count):
+            new_block = self.allocator.allocate()
+            lo = (data_offset_blocks + i) * block_size
+            self.scheduler.write(
+                new_block * spb,
+                spb,
+                data[lo : lo + block_size],
+                charge_scsi=False,
+            )
+            old = self.imap.set(lba + i, new_block)
+            self.reverse[new_block] = lba + i
+            if old is not None:
+                displaced.append(old)
+        breakdown.add(self.scheduler.barrier())
+        breakdown.add(
+            self.vlog.append(chunk_id, self.imap.chunk_entries(chunk_id))
+        )
+        for old in displaced:
+            self.reverse.pop(old, None)
+        self.allocator.free_blocks(displaced)
 
 
 # ======================================================================
@@ -191,9 +230,9 @@ def end_state(vld):
     }
 
 
-def run_plan(num_cylinders, plan, batch_movement):
+def run_plan(num_cylinders, plan, vld_class):
     disk = Disk(ST19101, num_cylinders=num_cylinders)
-    vld = VirtualLogDisk(disk, batch_movement=batch_movement)
+    vld = vld_class(disk)
     apply_workload(vld, plan)
     return vld
 
@@ -212,9 +251,9 @@ class TestBatchedMovementIdentity:
         same run-boundary clock instants."""
         num_cylinders, plan = rig
         with TraceShim() as shim:
-            run_plan(num_cylinders, plan, batch_movement=False)
+            run_plan(num_cylinders, plan, ScalarMovementVLD)
             scalar = shim.take()
-            run_plan(num_cylinders, plan, batch_movement=True)
+            run_plan(num_cylinders, plan, VirtualLogDisk)
             batched = shim.take()
         assert len(batched) == len(scalar)
         assert batched == masked(scalar, batched)
@@ -225,8 +264,8 @@ class TestBatchedMovementIdentity:
         """Map, reverse map, free map, counters, clock, head position,
         and the full disk image agree bytewise."""
         num_cylinders, plan = rig
-        scalar = end_state(run_plan(num_cylinders, plan, batch_movement=False))
-        batched = end_state(run_plan(num_cylinders, plan, batch_movement=True))
+        scalar = end_state(run_plan(num_cylinders, plan, ScalarMovementVLD))
+        batched = end_state(run_plan(num_cylinders, plan, VirtualLogDisk))
         for key in scalar:
             assert batched[key] == scalar[key], key
 
@@ -239,12 +278,9 @@ class TestBatchedMovementIdentity:
         read back exactly what was last written to it, on both paths."""
         block = 4096
 
-        def run(batch_movement):
+        def run(vld_class):
             disk = Disk(ST19101, num_cylinders=4)
-            vld = VirtualLogDisk(
-                disk, batch_movement=batch_movement,
-                queue_depth=4, sched="satf",
-            )
+            vld = vld_class(disk, queue_depth=4, sched="satf")
             rng = random.Random(0xD4)
             span = 96
             shadow = {lba: bytes(block) for lba in range(span)}
@@ -265,10 +301,10 @@ class TestBatchedMovementIdentity:
             vld.idle(0.05)
             for lba in range(span):
                 got, _ = vld.read_blocks(lba, 1)
-                assert bytes(got) == shadow[lba], (batch_movement, lba)
+                assert bytes(got) == shadow[lba], (vld_class, lba)
 
-        run(True)
-        run(False)
+        run(VirtualLogDisk)
+        run(ScalarMovementVLD)
 
 
 # ======================================================================
@@ -277,14 +313,10 @@ class TestBatchedMovementIdentity:
 
 
 def _force_scalar_movement(monkeypatch):
-    """Make every VLD the harness builds take the scalar oracle path."""
-    real_init = VirtualLogDisk.__init__
-
-    def scalar_init(self, *args, **kwargs):
-        kwargs["batch_movement"] = False
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(VirtualLogDisk, "__init__", scalar_init)
+    """Make every VLD the harness builds move data per block."""
+    monkeypatch.setattr(
+        VirtualLogDisk, "_write_run", ScalarMovementVLD._write_run
+    )
 
 
 class TestFigureScalarsIdentical:
@@ -334,7 +366,7 @@ class TestAllocateRunContract:
     @staticmethod
     def _fresh(seed=None, writes=0):
         disk = Disk(ST19101, num_cylinders=3)
-        vld = VirtualLogDisk(disk, batch_movement=True)
+        vld = VirtualLogDisk(disk)
         if writes:
             rng = random.Random(seed)
             for _ in range(writes):

@@ -1,16 +1,24 @@
-"""Crash-point sweep: kill the VLD at *every* physical write of a
+"""Crash-point sweep: kill the device at *every* physical write of a
 workload and verify recovery (Section 3.2's atomicity/durability claims).
 
 The :class:`~repro.blockdev.interpose.DiskFaultInjector` sits below the
-logical layer, so the crash lands inside the VLD's internal data-write /
+logical layer, so the crash lands inside the internal data-write /
 map-append sequence -- between the eager data write and the commit, on
 the commit itself, or on a torn data write.  After every crash point:
 
 * every acknowledged logical write reads back its exact payload;
 * the interrupted write is atomic: its block reads entirely-old or
   entirely-new, never a mixture;
-* the rebuilt indirection map is stable -- a second crash + recovery
-  reproduces it identically.
+* the rebuilt map is stable -- a second crash + recovery reproduces it
+  identically.
+
+The same sweep runs against both owners of a virtual log -- a
+:class:`VirtualLogDisk` (random block overwrites) and a :class:`VLFS`
+(four files, sync overwrites) -- and takes an orderly ``power_down()`` in
+the middle of the workload as one more input: no ``recover()`` follows
+it, the workload simply continues, so the power-down record must be
+erased before the log it describes moves on (crash points land before
+the record, between record and erase, on the erase, and after it).
 """
 
 import random
@@ -20,87 +28,174 @@ import pytest
 from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.hosts.specs import SPARCSTATION_10
+from repro.vlfs.vlfs import VLFS
 from repro.vlog.vld import VirtualLogDisk
 
 _BLOCK = 4096
 _WRITES = 12
 _LBA_SPACE = 16  # small, to exercise rewrites (displacement + recycling)
+_FS_WRITES = 14
+_FS_FILES = 4
+#: Workload step an orderly power_down() precedes in the ``pd`` points.
+_POWER_DOWN_AT = 5
 
 
 def _payload(step: int, lba: int) -> bytes:
     return bytes([(37 * step + lba) % 251 + 1]) * _BLOCK
 
 
-def _run_workload(vld):
-    """Replay the deterministic workload to completion."""
+class _VLDUnderTest:
+    """Random single-block overwrites of a small LBA space."""
+
+    steps = _WRITES
+    slots = _LBA_SPACE
+
+    def __init__(self):
+        self.disk = Disk(ST19101, num_cylinders=2)
+        self.device = VirtualLogDisk(self.disk)
+
+    def unwritten(self, slot):
+        return bytes(_BLOCK)
+
+    def write(self, slot, payload):
+        self.device.write_block(slot, payload)
+
+    def read(self, slot):
+        return self.device.read_block(slot)[0]
+
+    def map_state(self):
+        return dict(self.device.imap.items())
+
+
+class _VLFSUnderTest:
+    """Sync overwrites of the first block of four files (created, filled
+    and flushed before the sweep starts counting writes)."""
+
+    steps = _FS_WRITES
+    slots = _FS_FILES
+
+    def __init__(self):
+        self.disk = Disk(ST19101, num_cylinders=2)
+        self.device = VLFS(self.disk, SPARCSTATION_10)
+        for slot in range(_FS_FILES):
+            self.device.create(f"/f{slot}")
+            self.device.write(f"/f{slot}", 0, self.unwritten(slot), sync=True)
+        self.device.sync()
+
+    def unwritten(self, slot):
+        return bytes([200 + slot]) * _BLOCK
+
+    def write(self, slot, payload):
+        self.device.write(f"/f{slot}", 0, payload, sync=True)
+
+    def read(self, slot):
+        return self.device.read(f"/f{slot}", 0, _BLOCK)[0]
+
+    def map_state(self):
+        imap = self.device.imap
+        return {inum: imap.get(inum) for inum in imap.live_inums()}
+
+
+def _run_workload(under_test, power_down_at, acked=None):
+    """Replay the deterministic workload; ``acked`` collects what was
+    acknowledged.  Returns the write a crash interrupted as ``(slot, new
+    payload, old payload)``, or ``None`` when the run completed."""
     rng = random.Random(0xC4A5)
-    for step in range(_WRITES):
-        lba = rng.randrange(_LBA_SPACE)
-        vld.write_block(lba, _payload(step, lba))
+    acked = {} if acked is None else acked
+    for step in range(under_test.steps):
+        if step == power_down_at:
+            try:
+                under_test.device.power_down()
+            except DeviceCrashed:
+                return ()
+        slot = rng.randrange(under_test.slots)
+        payload = _payload(step, slot)
+        try:
+            under_test.write(slot, payload)
+        except DeviceCrashed:
+            return (slot, payload, acked.get(slot, under_test.unwritten(slot)))
+        acked[slot] = payload
+    return None
 
 
-def _clean_run_write_count() -> int:
-    disk = Disk(ST19101, num_cylinders=2)
-    vld = VirtualLogDisk(disk)
-    before = disk.writes
-    _run_workload(vld)
-    return disk.writes - before
+def _clean_run_write_count(factory, power_down_at=None) -> int:
+    under_test = factory()
+    before = under_test.disk.writes
+    _run_workload(under_test, power_down_at)
+    return under_test.disk.writes - before
 
 
-def _sweep_points():
-    return range(1, _clean_run_write_count() + 1)
+def _sweep_params(factory):
+    """Every crash point of the plain workload under its bare number
+    (the ids this sweep has always had), then every crash point of the
+    workload with the mid-run power_down() as ``pd-N``."""
+    plain = [
+        pytest.param(crash_at, None, id=str(crash_at))
+        for crash_at in range(1, _clean_run_write_count(factory) + 1)
+    ]
+    with_power_down = [
+        pytest.param(crash_at, _POWER_DOWN_AT, id=f"pd-{crash_at}")
+        for crash_at in range(
+            1, _clean_run_write_count(factory, _POWER_DOWN_AT) + 1
+        )
+    ]
+    return plain + with_power_down
 
 
-@pytest.mark.parametrize("crash_at", list(_sweep_points()))
-def test_recovery_is_consistent_at_every_crash_point(crash_at):
-    disk = Disk(ST19101, num_cylinders=2)
-    vld = VirtualLogDisk(disk)
+def _check_crash_point(factory, crash_at, power_down_at):
+    under_test = factory()
+    disk, device = under_test.disk, under_test.device
     injector = DiskFaultInjector(
         crash_after_writes=crash_at, torn=True
     ).install(disk)
-
-    rng = random.Random(0xC4A5)
     acked = {}
-    in_flight = None
-    crashed = False
-    for step in range(_WRITES):
-        lba = rng.randrange(_LBA_SPACE)
-        payload = _payload(step, lba)
-        try:
-            vld.write_block(lba, payload)
-        except DeviceCrashed:
-            in_flight = (lba, payload, acked.get(lba))
-            crashed = True
-            break
-        acked[lba] = payload
+    in_flight = _run_workload(under_test, power_down_at, acked)
     injector.uninstall(disk)
-    assert crashed, "sweep point beyond the workload's write count"
+    assert in_flight is not None, "sweep point beyond the workload's writes"
 
-    vld.crash()
-    outcome = vld.recover()
-    assert outcome.scanned  # no power-down record was ever written
+    device.crash()
+    outcome = device.recover()
+    if power_down_at is None:
+        assert outcome.scanned  # no power-down record was ever written
 
     # Durability: everything acknowledged reads back exactly.
-    for lba, payload in acked.items():
-        data, _ = vld.read_block(lba)
-        assert data == payload, f"acked write to lba {lba} lost"
-
-    # Atomicity: the interrupted write is all-old or all-new.
-    lba, new, old = in_flight
-    if lba not in acked:
-        data, _ = vld.read_block(lba)
-        before = old if old is not None else bytes(_BLOCK)
-        assert data in (before, new), (
-            f"torn state visible at lba {lba} after recovery"
+    for slot, payload in acked.items():
+        assert under_test.read(slot) == payload, (
+            f"acked write to slot {slot} lost"
         )
 
-    vld.vlog.check_invariants()
+    # Atomicity: the interrupted write is all-old or all-new.  (A crash
+    # inside power_down() itself interrupts no write.)
+    if in_flight:
+        slot, new, old = in_flight
+        assert under_test.read(slot) in (old, new), (
+            f"torn state visible at slot {slot} after recovery"
+        )
+
+    device.vlog.check_invariants()
 
     # Stability: a second crash + recovery rebuilds the identical map.
-    first_map = dict(vld.imap.items())
-    vld.crash()
-    vld.recover()
-    assert dict(vld.imap.items()) == first_map
+    first_map = under_test.map_state()
+    device.crash()
+    device.recover()
+    assert under_test.map_state() == first_map
+
+
+@pytest.mark.parametrize(
+    "crash_at,power_down_at", _sweep_params(_VLDUnderTest)
+)
+def test_recovery_is_consistent_at_every_crash_point(crash_at, power_down_at):
+    _check_crash_point(_VLDUnderTest, crash_at, power_down_at)
+
+
+@pytest.mark.parametrize(
+    "crash_at,power_down_at", _sweep_params(_VLFSUnderTest)
+)
+def test_vlfs_recovery_is_consistent_at_every_crash_point(
+    crash_at, power_down_at
+):
+    _check_crash_point(_VLFSUnderTest, crash_at, power_down_at)
 
 
 def test_sweep_covers_multiple_writes_per_logical_write():
@@ -108,4 +203,16 @@ def test_sweep_covers_multiple_writes_per_logical_write():
     # write, so the sweep has strictly more crash points than the
     # workload has writes -- i.e. it really does land *inside* the
     # internal sequences.
-    assert _clean_run_write_count() > _WRITES
+    assert _clean_run_write_count(_VLDUnderTest) > _WRITES
+    assert _clean_run_write_count(_VLFSUnderTest) > _FS_WRITES
+
+
+def test_power_down_points_cover_the_record_and_its_erase():
+    # The mid-run power_down() adds exactly two physical writes to the
+    # workload -- the record and, before the next log append, its erase
+    # -- so the ``pd`` points include a crash on each.
+    for factory in (_VLDUnderTest, _VLFSUnderTest):
+        assert (
+            _clean_run_write_count(factory, _POWER_DOWN_AT)
+            == _clean_run_write_count(factory) + 2
+        )

@@ -83,11 +83,6 @@ class TestScanFallback:
         tail, _cost, _n = scan_for_tail(disk, timed=False)
         assert tail is None
 
-    def test_skip_block_excluded(self, disk):
-        self._plant(disk, 0, 0, 99)
-        tail, _, _ = scan_for_tail(disk, skip_block=0, timed=False)
-        assert tail is None
-
     def test_data_blocks_ignored(self, disk):
         disk.poke(80, b"Z" * 4096)
         self._plant(disk, 50, 0, 3)
@@ -168,12 +163,12 @@ class TestScanUnalignedGeometry:
         tail, _cost, _n = scan_for_tail(disk, timed=False)
         assert tail == 11
 
-    def test_skip_block_and_skip_sectors_still_honoured(self):
+    def test_skip_sectors_still_honoured(self):
         disk = Disk(_tiny_unaligned_spec())
         self._plant(disk, 0, seqno=99)
         self._plant(disk, 4, seqno=5)
         tail, _cost, examined = scan_for_tail(
-            disk, skip_block=0, skip_sectors=8, timed=False
+            disk, skip_sectors=8, timed=False
         )
         assert tail == 4
         assert examined == disk.total_sectors // 8 - 1
@@ -219,7 +214,7 @@ def _reference_unpack(raw: bytes):
     )
 
 
-def _reference_scan(disk, block_size, skip_block, skip_sectors, reader):
+def _reference_scan(disk, block_size, skip_sectors, reader):
     """Differential reference for ``scan_records``: read every track,
     lay the disk out flat, parse every slot one at a time."""
     geometry = disk.geometry
@@ -238,8 +233,6 @@ def _reference_scan(disk, block_size, skip_block, skip_sectors, reader):
     found = {}
     examined = 0
     for block in range(geometry.total_sectors // sectors_per_block):
-        if block == skip_block:
-            continue
         if (block + 1) * sectors_per_block <= skip_sectors:
             continue
         examined += 1
@@ -336,9 +329,6 @@ class TestSieveScanDifferential:
         )
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         _random_image(disk, block_size, kinds, rng)
-        skip_block = data.draw(
-            st.one_of(st.none(), st.integers(0, total_blocks - 1))
-        )
         skip_sectors = data.draw(st.integers(0, disk.total_sectors // 2))
         dead_tracks = data.draw(
             st.one_of(
@@ -359,13 +349,12 @@ class TestSieveScanDifferential:
         found, _cost, examined = scan_records(
             disk,
             block_size,
-            skip_block=skip_block,
             skip_sectors=skip_sectors,
             timed=False,
             reader=reader,
         )
         want_found, want_examined = _reference_scan(
-            disk, block_size, skip_block, skip_sectors, reader
+            disk, block_size, skip_sectors, reader
         )
         assert found == want_found
         assert examined == want_examined
@@ -385,7 +374,7 @@ class TestSieveScanDifferential:
             disk, vld.map_record_bytes, skip_sectors=8, timed=False
         )
         want_found, want_examined = _reference_scan(
-            disk, vld.map_record_bytes, None, 8, None
+            disk, vld.map_record_bytes, 8, None
         )
         assert len(found) > 20
         assert found == want_found
@@ -532,12 +521,14 @@ class TestUnreadableTailMediaError:
             assert len(data) == vld.block_size
 
     def test_nonresilient_vld_scan_fallback_still_works(self):
-        """Without the resilience layer the same situation (tail block
-        corrupt rather than erroring) routes through the scan too."""
+        """The same situation with the tail block *corrupt* rather than
+        erroring (no retry helps, the record simply does not parse)
+        routes through the scan too.  (Named for the VLD without a
+        resilience layer it first ran against; there is one VLD now.)"""
         from repro.vlog.vld import VirtualLogDisk
 
         disk = Disk(ST19101, num_cylinders=2)
-        vld = VirtualLogDisk(disk, resilience=False)
+        vld = VirtualLogDisk(disk)
         for lba in range(4):
             vld.write_block(lba, bytes([lba + 1]) * vld.block_size)
         vld.power_down()

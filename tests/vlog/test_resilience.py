@@ -573,14 +573,31 @@ class TestDegradedRecovery:
 
 
 # ======================================================================
-# Figure identity: resilience on == resilience off, absent faults
+# Figure identity: the resilience layer is free, absent faults
 # ======================================================================
+
+#: ``_drive(resilience=False)`` as recorded at the last commit that had a
+#: VLD without the layer (c06c75b): the simulated clock, the summed
+#: breakdowns, the fill byte of every block read, the final mapping.  The
+#: VLD with the layer matched it bit for bit there, which is what let the
+#: switch go; the one remaining path must keep matching.
+_GOLDEN_NO_LAYER_RUN = (
+    0.2521875,
+    0.04334843749999995,
+    [0, 0, 0, 0, 0, 0x1F, 0, 0, 0, 0, 0x08, 0, 0, 0, 0, 0],
+    [(0, 72), (6, 91), (7, 94), (8, 51), (9, 47), (11, 56), (12, 92),
+     (14, 64), (15, 58), (17, 42), (18, 44), (19, 66), (23, 70), (24, 49),
+     (27, 78), (28, 95), (29, 68), (30, 54), (31, 59), (38, 61), (39, 53),
+     (43, 93), (47, 74), (49, 62), (53, 90), (54, 55), (57, 83), (59, 88),
+     (62, 43), (63, 81)],
+)
+
 
 class TestFigureIdentity:
     @staticmethod
-    def _drive(resilience: bool):
+    def _drive():
         disk = Disk(ST19101, num_cylinders=2)
-        vld = VirtualLogDisk(disk, resilience=resilience)
+        vld = VirtualLogDisk(disk)
         rng = random.Random(7)
         total = 0.0
         reads = []
@@ -604,9 +621,9 @@ class TestFigureIdentity:
         return disk.clock.now, total, reads, list(vld.imap.items())
 
     def test_timing_and_state_identical_with_no_faults(self):
-        with_layer = self._drive(True)
-        without = self._drive(False)
-        assert with_layer[0] == without[0]  # simulated clock, bit-for-bit
-        assert with_layer[1] == without[1]  # summed breakdowns
-        assert with_layer[2] == without[2]  # every byte read
-        assert with_layer[3] == without[3]  # final mapping
+        clock, total, reads, mapping = self._drive()
+        want_clock, want_total, want_fill, want_mapping = _GOLDEN_NO_LAYER_RUN
+        assert clock == want_clock  # simulated clock, bit-for-bit
+        assert total == want_total  # summed breakdowns
+        assert reads == [bytes([fill]) * 4096 for fill in want_fill]
+        assert mapping == want_mapping  # final mapping
