@@ -10,7 +10,6 @@ Solaris kernel (Section 4.1), re-parameterisable for the Seagate ST19101.
 from repro.disk.specs import DiskSpec, HP97560, ST19101, DISKS
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
-from repro.disk.batch_mechanics import BatchMechanics
 from repro.disk.freemap import FreeSpaceMap
 from repro.disk.cache import TrackBuffer, ReadAheadPolicy
 from repro.disk.disk import Disk
@@ -22,7 +21,6 @@ __all__ = [
     "DISKS",
     "DiskGeometry",
     "DiskMechanics",
-    "BatchMechanics",
     "FreeSpaceMap",
     "TrackBuffer",
     "ReadAheadPolicy",

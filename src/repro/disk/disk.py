@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.disk.batch_mechanics import BatchMechanics
 from repro.disk.cache import ReadAheadPolicy, TrackBuffer
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
@@ -64,11 +63,9 @@ class Disk:
         self.spec = spec
         self.clock = clock if clock is not None else SimClock()
         self.geometry = DiskGeometry(spec, num_cylinders)
-        self.mechanics = DiskMechanics(spec)
-        #: Table-driven batch pricing over the same spec/geometry; the
-        #: eager allocator, SATF, and the compactor price candidate sets
-        #: through this, and the service path below shares its tables.
-        self.batch = BatchMechanics(spec, self.geometry)
+        #: The one timing model: the service path below, the eager
+        #: allocator, SATF and the compactor all price through it.
+        self.mechanics = DiskMechanics(self.geometry)
         self.cache = TrackBuffer(readahead)
         self.head_cylinder = 0
         self.head_head = 0
@@ -90,29 +87,6 @@ class Disk:
         #: non-resilient consumers are untouched.
         self.checksums = None
 
-    # Back-compatible views of the counters (these were plain attributes
-    # before the accounting moved into OpCounters).
-
-    @property
-    def reads(self) -> int:
-        return self.counters.reads
-
-    @property
-    def writes(self) -> int:
-        return self.counters.writes
-
-    @property
-    def sectors_read(self) -> int:
-        return self.counters.sectors_read
-
-    @property
-    def sectors_written(self) -> int:
-        return self.counters.sectors_written
-
-    @property
-    def busy_time(self) -> float:
-        return self.counters.busy_time
-
     # ------------------------------------------------------------------
     # Introspection used by the eager-writing machinery
     # ------------------------------------------------------------------
@@ -124,10 +98,6 @@ class Disk:
     @property
     def total_sectors(self) -> int:
         return self.geometry.total_sectors
-
-    def current_slot(self) -> float:
-        """The platter's angular position (sector slots) right now."""
-        return self.mechanics.rotational_slot(self.clock.now)
 
     def slot_after(self, seconds: float) -> float:
         """Angular position ``seconds`` from now."""
@@ -247,7 +217,7 @@ class Disk:
             cursor = sector
             while remaining > 0:
                 chunk = self._chunk_within_track(cursor, remaining)
-                self._service_write_chunk(cursor, chunk, breakdown)
+                self._position_and_transfer(cursor, chunk, breakdown)
                 cursor += chunk
                 remaining -= chunk
         if self._data is not None:
@@ -345,15 +315,15 @@ class Disk:
         # loop produces.
         clock = self.clock
         geometry = self.geometry
-        batch = self.batch
+        mechanics = self.mechanics
         counters = self.counters
         scsi = self.spec.scsi_overhead if charge_scsi else 0.0
         tpc = geometry.tracks_per_cylinder
-        seeks = batch.seek_by_distance
-        skews = batch.skew_by_track
-        switch = batch.head_switch_time
-        sector_time = batch.sector_time
-        rotational_slot = batch.rotational_slot
+        seeks = mechanics.seek_by_distance
+        skews = mechanics.skew_by_track
+        switch = mechanics.head_switch_time
+        sector_time = mechanics.sector_time
+        rotational_slot = mechanics.rotational_slot
         transfer = block_sectors * sector_time
         t = clock.now
         hc = self.head_cylinder
@@ -477,18 +447,13 @@ class Disk:
             else:
                 self._position_and_transfer(cursor, chunk, breakdown)
 
-    def _service_write_chunk(
-        self, sector: int, count: int, breakdown: Breakdown
-    ) -> None:
-        self._position_and_transfer(sector, count, breakdown)
-
     def _position_and_transfer(
         self, sector: int, count: int, breakdown: Breakdown
     ) -> None:
         """Move the arm, wait for rotation, and transfer ``count`` sectors."""
         cylinder, head, sect = self.geometry.decompose(sector)
-        batch = self.batch
-        positioning = batch.positioning_time(
+        mechanics = self.mechanics
+        positioning = mechanics.positioning_time(
             self.head_cylinder, self.head_head, cylinder, head
         )
         if positioning > 0.0:
@@ -496,12 +461,12 @@ class Disk:
             self.clock.advance(positioning)
         self.head_cylinder = cylinder
         self.head_head = head
-        target_slot = batch.angle_of(cylinder, head, sect)
-        rotational = self.mechanics.wait_for_slot(self.clock.now, target_slot)
+        target_slot = mechanics.angle_of(cylinder, head, sect)
+        rotational = mechanics.wait_for_slot(self.clock.now, target_slot)
         if rotational > 0.0:
             breakdown.charge("locate", rotational)
             self.clock.advance(rotational)
-        transfer = self.mechanics.transfer_time(count)
+        transfer = mechanics.transfer_time(count)
         breakdown.charge("transfer", transfer)
         self.clock.advance(transfer)
 

@@ -109,14 +109,11 @@ class FreeSpaceMap:
         #: allocator's empty-track scan answer "none" in O(1), which is
         #: the steady state at realistic utilizations.
         self._empty_tracks = n_tracks
-        # Geometry is immutable, so the per-track skew and first-sector
-        # tables can be burned in once; ``nearest_free_run`` is hot enough
-        # that recomputing them per query shows up in profiles.
-        tracks_per_cyl = geometry.tracks_per_cylinder
-        self._skews: List[int] = [
-            geometry.skew_offset(idx // tracks_per_cyl, idx % tracks_per_cyl)
-            for idx in range(n_tracks)
-        ]
+        # Geometry is immutable, so the per-track skew (the geometry's
+        # own table) and first-sector tables can be burned in once;
+        # ``nearest_free_run`` is hot enough that recomputing them per
+        # query shows up in profiles.
+        self._skews: List[int] = geometry.skew_by_track
         self._bases: List[int] = [idx * n for idx in range(n_tracks)]
         #: Lazily-built ``track index -> (cylinder, head)`` table (the
         #: compactor's ``partial_tracks`` sweep is hot enough that the

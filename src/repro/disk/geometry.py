@@ -40,13 +40,15 @@ class DiskGeometry:
         self.sectors_per_cylinder = self.sectors_per_track * self.tracks_per_cylinder
         self.total_sectors = self.sectors_per_cylinder * self.num_cylinders
         self.capacity_bytes = self.total_sectors * spec.sector_bytes
-        # Skew of every track, burned in once: the angular queries sit on
-        # the allocator/scheduler hot path and the per-call derivation
-        # (two multiplies and a modulo off spec attributes) dominated them.
+        #: Skew of every track (index ``cylinder * tracks_per_cylinder +
+        #: head``), burned in once: the angular queries sit on the
+        #: allocator/scheduler hot path and the per-call derivation (two
+        #: multiplies and a modulo off spec attributes) dominated them.
+        #: The mechanics and the free map hold this same list.
         track_skew = spec.track_skew_sectors
         cyl_skew = spec.cylinder_skew_sectors
         n = self.sectors_per_track
-        self._skews = [
+        self.skew_by_track = [
             (head * track_skew + cylinder * cyl_skew) % n
             for cylinder in range(self.num_cylinders)
             for head in range(self.tracks_per_cylinder)
@@ -97,7 +99,7 @@ class DiskGeometry:
     def skew_offset(self, cylinder: int, head: int) -> int:
         """Angular offset (in sector slots) of sector 0 on a given track."""
         self.check_track(cylinder, head)
-        return self._skews[cylinder * self.tracks_per_cylinder + head]
+        return self.skew_by_track[cylinder * self.tracks_per_cylinder + head]
 
     def angle_of(self, cylinder: int, head: int, sect: int) -> int:
         """Angular slot (0..n-1) at which a sector starts on the platter."""

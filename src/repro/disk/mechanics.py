@@ -3,30 +3,63 @@
 The rotational position of the platter is a pure function of simulated time
 (the spindle never stops or slips in this model), so the service-time engine
 can compute rotational waits closed-form instead of stepping an event queue.
+
+Eager writing's core move is pricing *every* free sector near the head and
+picking the cheapest, so the simulator's whole-run throughput is bounded by
+how fast ``positioning + rotational wait`` can be evaluated: the service
+path, the eager allocator's free-run sweep, SATF's pick-next over the
+pending queue and the compactor's hole search all ask the same question.
+:class:`DiskMechanics` therefore answers from flat tables burned in at
+construction -- the seek curve by cylinder distance, the angular skew of
+every track -- and :meth:`DiskMechanics.price_candidates` evaluates a whole
+candidate set in one pass of a tight loop over them.  The closed-form
+scalar composition (``spec.seek_time`` with its ``sqrt``, per-call skew
+derivation, always-``ulp()`` slot) is the reference
+``tests/disk/test_batch_mechanics.py`` pins every answer against, exactly.
 """
 
 from __future__ import annotations
 
-import math
+from math import ulp
+from typing import List, Optional, Sequence
 
-from repro.disk.specs import DiskSpec
+from repro.disk.geometry import DiskGeometry
+
+#: ``(x + _ROUND_MAGIC) - _ROUND_MAGIC`` is round-half-to-even for
+#: ``0 <= x < 2**51`` (the sum lands where doubles have ulp 1, and the
+#: magic constant is even, so IEEE ties-to-even resolves ties exactly
+#: like :func:`round`): two float adds in place of a builtin call, in
+#: loops where the call itself is the cost.  Slot values are bounded by
+#: sectors-per-track, nowhere near 2**51.
+_ROUND_MAGIC = 6755399441055744.0  # 2**52 + 2**51
 
 
 class DiskMechanics:
-    """Timing primitives derived from a :class:`DiskSpec`."""
+    """Timing primitives for one geometry (which carries its spec).
 
-    def __init__(self, spec: DiskSpec) -> None:
-        self.spec = spec
+    The tables are burned in at construction (geometry is immutable):
+
+    * ``seek_by_distance[d]`` -- ``spec.seek_time(d)`` for every cylinder
+      distance the geometry can produce;
+    * ``skew_by_track[cylinder * tracks_per_cylinder + head]`` -- the
+      angular offset of sector 0 on every track (the geometry's own list).
+
+    The hot loops in ``Disk.write_run``, ``EagerAllocator.allocate_run``
+    and ``Compactor._find_hole`` read the tables and the scalar attributes
+    directly.
+    """
+
+    def __init__(self, geometry: DiskGeometry) -> None:
+        spec = geometry.spec
         self.rotation_time = spec.rotation_time
         self.sector_time = spec.sector_time
-        self.sectors_per_track = spec.sectors_per_track
-        #: Clock magnitude beyond which the interior-boundary snap's
-        #: tolerance (``now * 2e-14`` seconds) could reach 0.125 slots,
-        #: i.e. where the cheap ``slot % 1.0`` proximity pre-gate would
-        #: no longer be a safe superset of the snap condition.  The exact
-        #: crossover is ``0.124 * sector_time / 2e-14`` (~6e12 sector
-        #: times); 1e12 leaves a 6x margin.
-        self._snap_coarse = spec.sector_time * 1e12
+        self.head_switch_time = spec.head_switch_time
+        self.sectors_per_track = geometry.sectors_per_track
+        self.tracks_per_cylinder = geometry.tracks_per_cylinder
+        self.seek_by_distance: List[float] = [
+            spec.seek_time(d) for d in range(geometry.num_cylinders)
+        ]
+        self.skew_by_track: List[int] = geometry.skew_by_track
 
     def rotational_slot(self, now: float) -> float:
         """Continuous angular position (in sector slots) at time ``now``.
@@ -61,32 +94,32 @@ class DiskMechanics:
         90 ulp of the clock, still nine orders of magnitude below a
         sector time at simulation scales) therefore snap to it.
 
-        The exact snap test (a ``round`` call plus an ulp-scale compare)
-        is gated behind a cheap proximity check: the snap can only fire
-        when ``slot`` is within ``now * 2e-14 / sector_time`` slots of an
-        integer, which for clocks below ``_snap_coarse`` is far inside
-        0.125 slots -- so ``slot % 1.0`` outside ``(0.125, 0.875)`` (or
-        an over-coarse clock) is the only case that needs the full test.
-        The gate is a strict superset of the snap condition, so results
-        are bit-identical with or without it.
+        The gate in front only decides whether the ``ulp()`` call is
+        needed: for normal ``now`` (guaranteed by ``rem > 4.5e-308``,
+        since ``now >= rem``) ``2 * ulp(now)`` never exceeds ``now *
+        2**-51 < now * 1e-15``, so a larger remainder is past the
+        zero-boundary snap without asking; subnormal times, where ulp
+        stops scaling, take the exact test.  This arithmetic is written
+        out three times -- here and in each of :meth:`price_candidates`'
+        two loops, where a call per candidate is the cost -- and
+        ``test_three_copies_agree`` fails if they drift.
         """
         if now < 0.0:
             raise ValueError("time must be non-negative")
         rotation = self.rotation_time
         rem = now % rotation
-        if rem <= 0.0 or rem <= 2.0 * math.ulp(now):
+        if (rem <= 4.5e-308 or rem <= now * 1e-15) and (
+            rem <= 0.0 or rem <= 2.0 * ulp(now)
+        ):
             return 0.0
         frac = rem / rotation
         if frac >= 1.0:
             return 0.0
-        slot = frac * self.sectors_per_track
-        m = slot % 1.0
-        if m < 0.125 or m > 0.875 or now > self._snap_coarse:
-            nearest = round(slot)
-            if nearest != slot and abs(rem - nearest * self.sector_time) <= now * 2e-14:
-                if nearest == self.sectors_per_track:
-                    return 0.0
-                return float(nearest)
+        n = self.sectors_per_track
+        slot = frac * n
+        nearest = (slot + _ROUND_MAGIC) - _ROUND_MAGIC
+        if nearest != slot and abs(rem - nearest * self.sector_time) <= now * 2e-14:
+            return 0.0 if nearest == n else nearest
         return slot
 
     def wait_for_slot(self, now: float, target_slot: int) -> float:
@@ -108,16 +141,6 @@ class DiskMechanics:
             raise ValueError("sector count must be non-negative")
         return sectors * self.sector_time
 
-    def seek_time(self, from_cylinder: int, to_cylinder: int) -> float:
-        """Seek between two cylinders (0.0 when they are equal)."""
-        return self.spec.seek_time(abs(to_cylinder - from_cylinder))
-
-    def head_switch_time(self, from_head: int, to_head: int) -> float:
-        """Electronic head-switch cost (0.0 when the head is unchanged)."""
-        if from_head == to_head:
-            return 0.0
-        return self.spec.head_switch_time
-
     def positioning_time(
         self,
         from_cylinder: int,
@@ -125,11 +148,132 @@ class DiskMechanics:
         to_cylinder: int,
         to_head: int,
     ) -> float:
-        """Combined arm positioning cost.
+        """Combined arm positioning cost, answered from the seek table.
 
         Seeking and head switching proceed concurrently in modern drives,
         so the cost is the maximum of the two, not the sum.
         """
-        seek = self.seek_time(from_cylinder, to_cylinder)
-        switch = self.head_switch_time(from_head, to_head)
-        return max(seek, switch)
+        distance = to_cylinder - from_cylinder
+        if distance < 0:
+            distance = -distance
+        seek = self.seek_by_distance[distance]
+        if from_head != to_head and self.head_switch_time > seek:
+            return self.head_switch_time
+        return seek
+
+    def angle_of(self, cylinder: int, head: int, sect: int) -> int:
+        """Angular slot of a sector, answered from the skew table."""
+        angle = sect + self.skew_by_track[
+            cylinder * self.tracks_per_cylinder + head
+        ]
+        n = self.sectors_per_track
+        return angle - n if angle >= n else angle
+
+    def price_candidates(
+        self,
+        now: float,
+        head_cyl: int,
+        head_head: int,
+        candidates: Sequence[int],
+        extra_lead: Optional[Sequence[float]] = None,
+    ) -> List[float]:
+        """Price every candidate in one pass.
+
+        Args:
+            now: Current simulated time (the platter position derives
+                from it).
+            head_cyl, head_head: Where the arm is.
+            candidates: Linear sector numbers; each is priced as the
+                start of an access.
+            extra_lead: Optional per-candidate lead time charged *before*
+                positioning (the SCSI overhead of a host-issued request).
+                The lead delays the platter exactly as the service path
+                does: the rotational wait is measured at
+                ``(now + extra) + positioning``.
+
+        Returns:
+            ``costs[i]`` = ``extra_lead[i] + positioning + rotational
+            wait`` for ``candidates[i]``, bit-for-bit what
+            ``Disk._position_and_transfer`` then charges as locate time.
+        """
+        n = self.sectors_per_track
+        rotation = self.rotation_time
+        sector_time = self.sector_time
+        tpc = self.tracks_per_cylinder
+        seeks = self.seek_by_distance
+        skews = self.skew_by_track
+        switch = self.head_switch_time
+        _ulp = ulp
+        costs: List[float] = []
+        append = costs.append
+        # Two copies of the loop so the no-lead case (SATF under a VLD,
+        # whose requests are drive-internal) pays no per-candidate branch
+        # or indexing; SATF over raw disks takes the lead loop.  Both
+        # inline rotational_slot -- see its docstring -- with the op order
+        # kept identical.
+        if extra_lead is None:
+            for sector in candidates:
+                track = sector // n
+                sect = sector - track * n
+                cylinder = track // tpc
+                distance = cylinder - head_cyl
+                if distance < 0:
+                    distance = -distance
+                positioning = seeks[distance]
+                if track - cylinder * tpc != head_head and switch > positioning:
+                    positioning = switch
+                t = now + positioning
+                rem = t % rotation
+                if (rem <= 4.5e-308 or rem <= t * 1e-15) and (
+                    rem <= 0.0 or rem <= 2.0 * _ulp(t)
+                ):
+                    slot = 0.0
+                else:
+                    slot = rem / rotation
+                    if slot >= 1.0:
+                        slot = 0.0
+                    else:
+                        slot *= n
+                        nearest = (slot + _ROUND_MAGIC) - _ROUND_MAGIC
+                        if nearest != slot and abs(
+                            rem - nearest * sector_time
+                        ) <= t * 2e-14:
+                            slot = 0.0 if nearest == n else nearest
+                angle = sect + skews[track]
+                if angle >= n:
+                    angle -= n
+                append(positioning + ((angle - slot) % n) * sector_time)
+            return costs
+        for i, sector in enumerate(candidates):
+            track = sector // n
+            sect = sector - track * n
+            cylinder = track // tpc
+            distance = cylinder - head_cyl
+            if distance < 0:
+                distance = -distance
+            positioning = seeks[distance]
+            if track - cylinder * tpc != head_head and switch > positioning:
+                positioning = switch
+            extra = extra_lead[i]
+            t = (now + extra) + positioning
+            rem = t % rotation
+            if (rem <= 4.5e-308 or rem <= t * 1e-15) and (
+                rem <= 0.0 or rem <= 2.0 * _ulp(t)
+            ):
+                slot = 0.0
+            else:
+                slot = rem / rotation
+                if slot >= 1.0:
+                    slot = 0.0
+                else:
+                    slot *= n
+                    nearest = (slot + _ROUND_MAGIC) - _ROUND_MAGIC
+                    if nearest != slot and abs(
+                        rem - nearest * sector_time
+                    ) <= t * 2e-14:
+                        slot = 0.0 if nearest == n else nearest
+            angle = sect + skews[track]
+            if angle >= n:
+                angle -= n
+            append((extra + positioning) + ((angle - slot) % n) * sector_time)
+        return costs

@@ -88,10 +88,9 @@ class SATFPolicy(SchedulingPolicy):
     several tracks are priced on their first track -- an estimate, but
     the error is the same for every candidate with the same first sector.
 
-    The queue is priced in one ``BatchMechanics.price_candidates`` pass;
-    :meth:`predicted_cost` keeps the one-request scalar composition as
-    the oracle the property tests pin the batch path (and the disk's
-    actual charges) against.
+    The queue is priced in one ``DiskMechanics.price_candidates`` pass;
+    ``tests/sched/test_satf_pricing.py`` pins each price against what the
+    disk then charges.
     """
 
     name = "satf"
@@ -108,7 +107,7 @@ class SATFPolicy(SchedulingPolicy):
                 if leads is None:
                     leads = [0.0] * len(pending)
                 leads[i] = scsi
-        costs = disk.batch.price_candidates(
+        costs = disk.mechanics.price_candidates(
             disk.clock.now,
             disk.head_cylinder,
             disk.head_head,
@@ -126,22 +125,6 @@ class SATFPolicy(SchedulingPolicy):
             if cost == cheapest and (best is None or req.seq < best.seq):
                 best = req
         return best
-
-    def predicted_cost(self, req, disk) -> float:
-        """Scalar oracle: the access time ``pick`` attributes to ``req``,
-        composed from the one-at-a-time mechanics calls in the exact
-        order ``Disk._position_and_transfer`` will charge them."""
-        mechanics = disk.mechanics
-        geometry = disk.geometry
-        now = disk.clock.now
-        extra = disk.spec.scsi_overhead if req.charge_scsi else 0.0
-        cylinder, head, sect = geometry.decompose(req.sector)
-        positioning = mechanics.positioning_time(
-            disk.head_cylinder, disk.head_head, cylinder, head
-        )
-        target = geometry.angle_of(cylinder, head, sect)
-        wait = mechanics.wait_for_slot((now + extra) + positioning, target)
-        return (extra + positioning) + wait
 
 
 POLICIES = {

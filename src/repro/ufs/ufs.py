@@ -633,6 +633,10 @@ class UFS(FileSystem):
                 self._set_file_block(
                     inode, tail_blk_new, 0, breakdown, sync=False
                 )
+            else:
+                # The tail block is a hole: zeroed fragments, as sparse
+                # growth to this size would have allocated.
+                self._alloc_tail(inum, inode, frags_new, breakdown)
         elif use_new:
             # Shrinking within the existing tail run.
             keep = min(frags_new, old_frag_count)

@@ -23,7 +23,7 @@ the head can reach soonest.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
@@ -168,14 +168,14 @@ class EagerAllocator:
             if fill_mode and (cylinder, head) != fill:
                 fill_mode = False
             if fill_mode or greedy_mode:
-                batch = disk.batch
+                mechanics = disk.mechanics
                 freemap = self.freemap
-                rotational_slot = batch.rotational_slot
-                seeks = batch.seek_by_distance
-                switch = batch.head_switch_time
-                sector_time = batch.sector_time
+                rotational_slot = mechanics.rotational_slot
+                seeks = mechanics.seek_by_distance
+                switch = mechanics.head_switch_time
+                sector_time = mechanics.sector_time
                 switch_slots = disk.spec.head_switch_time / sector_time
-                skew = batch.skew_by_track[track]
+                skew = mechanics.skew_by_track[track]
                 transfer = spb * sector_time
                 reserve = max(self.reserve_sectors + spb, spb)
                 free = freemap.track_free_count(cylinder, head)
@@ -302,10 +302,10 @@ class EagerAllocator:
     def _choose_nearest(self) -> Optional[int]:
         """Globally cheapest run: scan cylinders outward, pruning by seek."""
         disk = self.disk
-        batch = disk.batch
+        mechanics = disk.mechanics
         now = disk.clock.now
-        seeks = batch.seek_by_distance
-        sector_time = batch.sector_time
+        seeks = mechanics.seek_by_distance
+        sector_time = mechanics.sector_time
         switch_slots = disk.spec.head_switch_time / sector_time
         best_cost: Optional[float] = None
         best_sector: Optional[int] = None
@@ -319,7 +319,7 @@ class EagerAllocator:
                 # Batch pre-check on the bitmap: enough free sectors *and*
                 # at least one aligned run, without pricing every track.
                 continue
-            arrival_slot = batch.rotational_slot(now + seek)
+            arrival_slot = mechanics.rotational_slot(now + seek)
             found = self.freemap.nearest_free_in_cylinder(
                 cylinder,
                 disk.head_head,
@@ -343,11 +343,11 @@ class EagerAllocator:
         """Smallest seek over any distance ``>= distance``."""
         floor = self._seek_floor
         if floor is None:
-            spec = self.disk.spec
-            total = self.disk.geometry.num_cylinders
+            seeks = self.disk.mechanics.seek_by_distance
+            total = len(seeks)
             floor = [0.0] * total
             for d in range(total - 1, 0, -1):
-                here = spec.seek_time(d)
+                here = seeks[d]
                 floor[d] = here if d == total - 1 else min(here, floor[d + 1])
             self._seek_floor = floor
         return floor[distance]
@@ -373,14 +373,14 @@ class EagerAllocator:
     def _choose_greedy(self) -> Optional[int]:
         """Current cylinder first, then a one-direction cylinder sweep."""
         disk = self.disk
-        batch = disk.batch
+        mechanics = disk.mechanics
         now = disk.clock.now
-        sector_time = batch.sector_time
+        sector_time = mechanics.sector_time
         switch_slots = disk.spec.head_switch_time / sector_time
         found = self.freemap.nearest_free_in_cylinder(
             disk.head_cylinder,
             disk.head_head,
-            batch.rotational_slot(now + 0.0),
+            mechanics.rotational_slot(now + 0.0),
             self.block_sectors,
             align=self.block_sectors,
             head_switch_slots=switch_slots,
@@ -388,7 +388,7 @@ class EagerAllocator:
         if found is not None:
             return found[1]
         # Sweep in one direction, wrapping (Section 4.2's anti-trap rule).
-        seeks = batch.seek_by_distance
+        seeks = mechanics.seek_by_distance
         here = disk.head_cylinder
         total = disk.geometry.num_cylinders
         if self._sweep_cylinder == here:
@@ -400,7 +400,7 @@ class EagerAllocator:
             # ``cylinder_has_run`` probe here would just fold every track
             # twice.  Same cylinders succeed either way.
             seek = seeks[cursor - here if cursor >= here else here - cursor]
-            arrival = batch.rotational_slot(now + seek)
+            arrival = mechanics.rotational_slot(now + seek)
             found = self.freemap.nearest_free_in_cylinder(
                 cursor,
                 disk.head_head,
@@ -432,8 +432,12 @@ class EagerAllocator:
             return self._choose_greedy()
         cylinder, head = track
         disk = self.disk
-        _seek, arrival = disk.batch.position_and_arrival(
-            disk.clock.now, disk.head_cylinder, disk.head_head, cylinder, head
+        mechanics = disk.mechanics
+        arrival = mechanics.rotational_slot(
+            disk.clock.now
+            + mechanics.positioning_time(
+                disk.head_cylinder, disk.head_head, cylinder, head
+            )
         )
         found = self.freemap.nearest_free_run(
             cylinder, head, arrival, self.block_sectors, align=self.block_sectors

@@ -188,11 +188,11 @@ class FreeSpaceCompactor:
         disk = vld.disk
         spb = vld.sectors_per_block
         freemap = vld.freemap
-        batch = disk.batch
-        seeks = batch.seek_by_distance
-        switch = batch.head_switch_time
-        sector_time = batch.sector_time
-        rotational_slot = batch.rotational_slot
+        mechanics = disk.mechanics
+        seeks = mechanics.seek_by_distance
+        switch = mechanics.head_switch_time
+        sector_time = mechanics.sector_time
+        rotational_slot = mechanics.rotational_slot
         head_cyl = disk.head_cylinder
         head_head = disk.head_head
         now = disk.clock.now

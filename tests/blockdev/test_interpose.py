@@ -453,14 +453,14 @@ class TestDiskFaultInjector:
     def test_kills_vld_inside_internal_sequence(self, disk):
         vld = VirtualLogDisk(disk)
         vld.write_block(0, PAYLOAD)
-        clean_writes = disk.writes
+        clean_writes = disk.counters.writes
         injector = DiskFaultInjector(crash_after_writes=1).install(disk)
         with pytest.raises(DeviceCrashed):
             vld.write_block(1, PAYLOAD)
         injector.uninstall(disk)
         # The VLD issues several physical writes per logical write; the
         # injector fired inside that sequence.
-        assert disk.writes == clean_writes
+        assert disk.counters.writes == clean_writes
 
 
 class TestWrapDeviceAndFactory:

@@ -119,7 +119,7 @@ class TestServiceTiming:
     def test_busy_time_accumulates(self, disk):
         disk.read(0, 1)
         disk.write(100, 8)
-        assert disk.busy_time == pytest.approx(disk.clock.now)
+        assert disk.counters.busy_time == pytest.approx(disk.clock.now)
 
 
 class TestReadAheadPolicies:

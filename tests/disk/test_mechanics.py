@@ -2,15 +2,15 @@ import math
 
 import pytest
 
-from repro.disk.batch_mechanics import BatchMechanics
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.specs import HP97560, ST19101
+from tests.disk.scalar_mechanics import ScalarMechanics
 
 
 @pytest.fixture
 def mech():
-    return DiskMechanics(ST19101)
+    return DiskMechanics(DiskGeometry(ST19101))
 
 
 class TestRotation:
@@ -73,7 +73,7 @@ class TestRotationBoundaryNormalization:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_no_spurious_revolution_at_boundaries(self, spec):
-        mech = DiskMechanics(spec)
+        mech = DiskMechanics(DiskGeometry(spec))
         for now in self._adversarial_times(mech.rotation_time):
             wait = mech.wait_for_slot(now, 0)
             # At (or within one ulp of) a boundary, the correct wait for
@@ -92,24 +92,25 @@ class TestRotationBoundaryNormalization:
         # (``k * rotation_time`` itself may round *below* the boundary,
         # where a position just under ``n`` is the correct answer -- the
         # wait assertion above covers that side.)
-        mech = DiskMechanics(spec)
+        mech = DiskMechanics(DiskGeometry(spec))
         for k in self.MULTIPLES:
             above = math.nextafter(k * mech.rotation_time, math.inf)
             assert mech.rotational_slot(above) == 0.0
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_slot_stays_in_range(self, spec):
-        mech = DiskMechanics(spec)
+        mech = DiskMechanics(DiskGeometry(spec))
         n = mech.sectors_per_track
         for now in self._adversarial_times(mech.rotation_time):
             assert 0.0 <= mech.rotational_slot(now) < n
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_batch_path_reproduces_fix_bit_for_bit(self, spec):
-        mech = DiskMechanics(spec)
-        batch = BatchMechanics(spec, DiskGeometry(spec))
+        geometry = DiskGeometry(spec)
+        mech = DiskMechanics(geometry)
+        reference = ScalarMechanics(geometry)
         for now in self._adversarial_times(mech.rotation_time):
-            assert batch.rotational_slot(now) == mech.rotational_slot(now)
+            assert mech.rotational_slot(now) == reference.rotational_slot(now)
 
     def test_ordinary_times_unchanged(self, mech):
         # The normalization must not disturb positions away from
@@ -151,15 +152,16 @@ class TestTransferAndPositioning:
             mech.transfer_time(-1)
 
     def test_seek_symmetry(self, mech):
-        assert mech.seek_time(0, 5) == mech.seek_time(5, 0)
+        assert mech.positioning_time(0, 0, 5, 0) == ST19101.seek_time(5)
+        assert mech.positioning_time(5, 0, 0, 0) == ST19101.seek_time(5)
 
     def test_head_switch_only_when_heads_differ(self, mech):
-        assert mech.head_switch_time(3, 3) == 0.0
-        assert mech.head_switch_time(0, 1) == ST19101.head_switch_time
+        assert mech.positioning_time(0, 3, 0, 3) == 0.0
+        assert mech.positioning_time(0, 0, 0, 1) == ST19101.head_switch_time
 
     def test_positioning_overlaps_seek_and_switch(self, mech):
         # Concurrent: max, not sum.
-        seek = mech.seek_time(0, 5)
+        seek = ST19101.seek_time(5)
         switch = ST19101.head_switch_time
         combined = mech.positioning_time(0, 0, 5, 1)
         assert combined == pytest.approx(max(seek, switch))
@@ -168,6 +170,6 @@ class TestTransferAndPositioning:
         assert mech.positioning_time(2, 3, 2, 3) == 0.0
 
     def test_hp_rotation_slower(self):
-        hp = DiskMechanics(HP97560)
-        sg = DiskMechanics(ST19101)
+        hp = DiskMechanics(DiskGeometry(HP97560))
+        sg = DiskMechanics(DiskGeometry(ST19101))
         assert hp.rotation_time > 2 * sg.rotation_time

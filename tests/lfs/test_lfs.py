@@ -46,9 +46,9 @@ class TestNamespace:
 
     def test_create_is_memory_speed(self, lfs):
         """LFS metadata is asynchronous: no disk I/O on create."""
-        writes_before = lfs.device.disk.writes
+        writes_before = lfs.device.disk.counters.writes
         breakdown = lfs.create("/quick")
-        assert lfs.device.disk.writes == writes_before
+        assert lfs.device.disk.counters.writes == writes_before
         assert breakdown.locate == 0.0
 
     def test_unlink_frees_log_space(self, lfs):
@@ -129,15 +129,15 @@ class TestDataPath:
 class TestSyncSemantics:
     def test_sync_write_flushes_without_nvram(self, lfs):
         lfs.create("/f")
-        writes_before = lfs.device.disk.writes
+        writes_before = lfs.device.disk.counters.writes
         lfs.write("/f", 0, b"s" * 4096, sync=True)
-        assert lfs.device.disk.writes > writes_before
+        assert lfs.device.disk.counters.writes > writes_before
 
     def test_sync_write_absorbed_by_nvram(self, lfs_nvram):
         lfs_nvram.create("/f")
-        writes_before = lfs_nvram.device.disk.writes
+        writes_before = lfs_nvram.device.disk.counters.writes
         lfs_nvram.write("/f", 0, b"s" * 4096, sync=True)
-        assert lfs_nvram.device.disk.writes == writes_before
+        assert lfs_nvram.device.disk.counters.writes == writes_before
 
     def test_fsync_applies_partial_segment_threshold(self, lfs):
         lfs.create("/f")
@@ -148,11 +148,11 @@ class TestSyncSemantics:
     def test_nvram_flushes_when_full(self, lfs_nvram):
         capacity = lfs_nvram.cache.capacity_blocks
         lfs_nvram.create("/f")
-        writes_before = lfs_nvram.device.disk.writes
+        writes_before = lfs_nvram.device.disk.counters.writes
         blob = bytes(4096)
         for i in range(capacity + 50):
             lfs_nvram.write("/f", i * 4096, blob, sync=True)
-        assert lfs_nvram.device.disk.writes > writes_before
+        assert lfs_nvram.device.disk.counters.writes > writes_before
 
 
 class TestCleaner:

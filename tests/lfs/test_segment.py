@@ -101,18 +101,18 @@ class TestWriter:
         for i in range(10):
             writer.stage(BlockKind.DATA, 2, i, bytes(4096))
         writer.sync()
-        written = device.disk.sectors_written
+        written = device.disk.counters.sectors_written
         writer.stage(BlockKind.DATA, 2, 10, bytes(4096))
         writer.sync()
-        delta_sectors = device.disk.sectors_written - written
+        delta_sectors = device.disk.counters.sectors_written - written
         # summary (8 sectors) + one new block (8 sectors)
         assert delta_sectors == 16
 
     def test_sync_with_nothing_staged_is_noop(self, setup):
         device, _layout, writer = setup
-        before = device.disk.writes
+        before = device.disk.counters.writes
         writer.sync()
-        assert device.disk.writes == before
+        assert device.disk.counters.writes == before
 
     def test_partial_then_fill_writes_whole_segment_consistently(self, setup):
         device, layout, writer = setup

@@ -9,7 +9,7 @@ model.
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.disk.disk import Disk
@@ -346,6 +346,9 @@ def test_ufs_matches_bytearray_model(ops):
         max_size=30,
     )
 )
+# Shrinking onto a sparse tail block (once demoted to no fragments at all).
+@example(script=[("create", 0, 0), ("truncate", 0, 4096), ("truncate", 0, 1)])
+@example(script=[("create", 0, 0), ("truncate", 0, 8192), ("truncate", 0, 5000)])
 @settings(
     max_examples=15, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],

@@ -4,11 +4,13 @@ The drift this pins: SATF used to price the rotational wait at
 ``now + (scsi + positioning)`` while the service path advances the clock
 as ``(now + scsi) + positioning`` -- two float expressions that differ by
 an ulp often enough for the *predicted* access time to disagree with the
-*charged* one.  The policy (batch and scalar oracle alike) now prices in
-service order, so for single-track requests the prediction must equal
-the locate + transfer the disk actually charges when that request is
-serviced next -- exactly, not approximately.  Any scalar-vs-vectorized
-pricing divergence shows up here at the source.
+*charged* one.  The policy now prices in service order, so for
+single-track requests the prediction must equal the locate + transfer
+the disk actually charges when that request is serviced next -- exactly,
+not approximately.  ``predicted_cost`` below is the one-request scalar
+reference (it was ``SATFPolicy.predicted_cost`` while the policy kept an
+oracle of its own); any table-vs-scalar pricing divergence shows up here
+at the source.
 """
 
 import math
@@ -20,6 +22,7 @@ from repro.disk.disk import Disk
 from repro.disk.specs import HP97560, ST19101
 from repro.sched.policies import SATFPolicy
 from repro.sched.scheduler import DiskRequest
+from tests.disk.scalar_mechanics import ScalarMechanics
 
 _SETTINGS = settings(
     max_examples=40,
@@ -28,6 +31,19 @@ _SETTINGS = settings(
 )
 
 _SPECS = {"hp97560": HP97560, "st19101": ST19101}
+
+
+def predicted_cost(req, disk) -> float:
+    """The access time ``pick`` should attribute to ``req``: the scalar
+    reference composed in the exact order ``Disk._position_and_transfer``
+    will charge it."""
+    return ScalarMechanics(disk.geometry).price(
+        disk.clock.now,
+        disk.head_cylinder,
+        disk.head_head,
+        req.sector,
+        extra=disk.spec.scsi_overhead if req.charge_scsi else 0.0,
+    )
 
 
 def _request(disk, sector, count, charge_scsi, seq):
@@ -99,7 +115,7 @@ class TestPredictionEqualsCharge:
         ]
         policy = SATFPolicy()
         chosen = policy.pick(pending, disk)
-        predicted = policy.predicted_cost(chosen, disk)
+        predicted = predicted_cost(chosen, disk)
         transfer = disk.mechanics.transfer_time(chosen.count)
         breakdown = disk.write(
             chosen.sector, chosen.count, charge_scsi=False
@@ -111,7 +127,7 @@ class TestPredictionEqualsCharge:
     @given(pricing_cases())
     @_SETTINGS
     def test_batch_pricing_equals_scalar_oracle(self, case):
-        """The vectorized queue pricing must reproduce the scalar oracle
+        """The one-pass queue pricing must reproduce the scalar oracle
         bit-for-bit for every pending request, host-issued or internal."""
         spec_name, head_cyl, head_head, start, raw = case
         disk = Disk(_SPECS[spec_name], store_data=False)
@@ -123,9 +139,8 @@ class TestPredictionEqualsCharge:
             _request(disk, sector, count, seq % 2 == 0, seq)
             for seq, (sector, count) in enumerate(raw)
         ]
-        policy = SATFPolicy()
         scsi = disk.spec.scsi_overhead
-        costs = disk.batch.price_candidates(
+        costs = disk.mechanics.price_candidates(
             disk.clock.now,
             disk.head_cylinder,
             disk.head_head,
@@ -135,7 +150,7 @@ class TestPredictionEqualsCharge:
             ],
         )
         for req, cost in zip(pending, costs):
-            assert cost == policy.predicted_cost(req, disk)
+            assert cost == predicted_cost(req, disk)
 
     @given(pricing_cases())
     @_SETTINGS
@@ -153,9 +168,9 @@ class TestPredictionEqualsCharge:
         policy = SATFPolicy()
         chosen = policy.pick(pending, disk)
         best = min(
-            (policy.predicted_cost(req, disk), req.seq) for req in pending
+            (predicted_cost(req, disk), req.seq) for req in pending
         )
-        assert (policy.predicted_cost(chosen, disk), chosen.seq) == best
+        assert (predicted_cost(chosen, disk), chosen.seq) == best
 
 
 class TestServiceOrderPricing:
@@ -168,13 +183,12 @@ class TestServiceOrderPricing:
         disk = Disk(ST19101, store_data=False)
         geometry = disk.geometry
         mechanics = disk.mechanics
-        policy = SATFPolicy()
         scsi = disk.spec.scsi_overhead
         found = False
         for k in range(1, 40_000):
             now = k * 1e-4
             cylinder = k % geometry.num_cylinders
-            positioning = disk.batch.positioning_time(0, 0, cylinder, 0)
+            positioning = mechanics.positioning_time(0, 0, cylinder, 0)
             if now + (scsi + positioning) == (now + scsi) + positioning:
                 continue
             disk.clock.advance(now - disk.clock.now)
@@ -186,7 +200,7 @@ class TestServiceOrderPricing:
                 (disk.clock.now + scsi) + positioning, target
             )
             req = _request(disk, sector, 8, True, 0)
-            assert policy.predicted_cost(req, disk) == (
+            assert predicted_cost(req, disk) == (
                 (scsi + positioning) + wait
             )
             breakdown = disk.write(sector, 8, charge_scsi=True)

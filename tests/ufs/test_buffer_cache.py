@@ -68,9 +68,9 @@ class TestWritePath:
     def test_flush_coalesces_contiguous_runs(self, cache, device):
         for lba in (10, 11, 12, 20):
             cache.write(lba, bytes([lba]) * 4096, sync=False)
-        writes_before = device.disk.writes
+        writes_before = device.disk.counters.writes
         cache.flush()
-        assert device.disk.writes - writes_before == 2  # [10..12] + [20]
+        assert device.disk.counters.writes - writes_before == 2  # [10..12] + [20]
         assert cache.dirty_count == 0
 
     def test_wrong_size_rejected(self, cache):

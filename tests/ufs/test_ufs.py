@@ -11,6 +11,7 @@ from repro.fs.api import (
     IsADirectory,
     NotADirectory,
 )
+from repro.ufs.fsck import fsck
 from repro.ufs.ufs import UFS
 
 
@@ -195,6 +196,26 @@ class TestFragments:
         ufs.unlink("/s")
         assert ufs.alloc.free_space()[0] == frags_before
 
+    @pytest.mark.parametrize(
+        "grown,shrunk", [(4096, 1), (8192, 5000)], ids=["4096-1", "8192-5000"]
+    )
+    def test_sparse_tail_shrink_gets_zeroed_fragments(self, ufs, grown, shrunk):
+        # Regression: shrinking a file whose new tail block is a hole
+        # demoted it to *no* fragments -- fsck "missing tail fragments",
+        # and reads returned the bytes of fragment address 0.
+        ufs.create("/a")
+        ufs.truncate("/a", grown)
+        ufs.truncate("/a", shrunk)
+        ufs.sync()
+        report = fsck(ufs)
+        assert report.ok, report.errors
+        tail = shrunk - shrunk % 4096
+        data, _ = ufs.read("/a", tail, shrunk - tail)
+        assert data == bytes(shrunk - tail)
+        ufs.drop_caches()
+        data, _ = ufs.read("/a", shrunk - 1, 1)
+        assert data == b"\x00"
+
 
 class TestSyncSemantics:
     def test_sync_write_touches_device(self, ufs):
@@ -213,14 +234,14 @@ class TestSyncSemantics:
         writes -- the premise of the whole paper."""
         breakdown = ufs.create("/sync-create")
         assert breakdown.locate > 0
-        assert ufs.device.disk.writes >= 2
+        assert ufs.device.disk.counters.writes >= 2
 
     def test_fsync_flushes_dirty_data(self, ufs):
         ufs.create("/f")
         ufs.write("/f", 0, b"q" * 4096, sync=False)
-        writes_before = ufs.device.disk.writes
+        writes_before = ufs.device.disk.counters.writes
         ufs.fsync("/f")
-        assert ufs.device.disk.writes > writes_before
+        assert ufs.device.disk.counters.writes > writes_before
 
     def test_sync_flushes_everything(self, ufs):
         ufs.create("/f")
@@ -262,11 +283,11 @@ class TestPrefetch:
         ufs.drop_caches()
         for i in range(8):
             ufs.read("/seq", i * 4096, 4096)
-        reads_after_8 = ufs.device.disk.reads
+        reads_after_8 = ufs.device.disk.counters.reads
         for i in range(8, 32):
             ufs.read("/seq", i * 4096, 4096)
         # Prefetch clusters mean far fewer than 24 extra disk commands.
-        assert ufs.device.disk.reads - reads_after_8 < 16
+        assert ufs.device.disk.counters.reads - reads_after_8 < 16
 
     def test_random_reads_do_not_prefetch_wildly(self, ufs):
         blob = bytes(4096) * 64
@@ -275,11 +296,11 @@ class TestPrefetch:
         ufs.sync()
         ufs.drop_caches()
         rng = random.Random(1)
-        sectors_before = ufs.device.disk.sectors_read
+        sectors_before = ufs.device.disk.counters.sectors_read
         for _ in range(10):
             ufs.read("/rand", rng.randrange(64) * 4096, 4096)
         # At most ~1 block per read plus metadata.
-        assert ufs.device.disk.sectors_read - sectors_before < 10 * 8 * 3
+        assert ufs.device.disk.counters.sectors_read - sectors_before < 10 * 8 * 3
 
 
 class TestOnVld:

@@ -105,11 +105,11 @@ class TestEagerWriting:
 
     def test_sync_writes_hit_disk_async_do_not(self, vlfs):
         vlfs.create("/f")
-        writes = vlfs.disk.writes
+        writes = vlfs.disk.counters.writes
         vlfs.write("/f", 0, b"a" * 4096)
-        assert vlfs.disk.writes == writes
+        assert vlfs.disk.counters.writes == writes
         vlfs.write("/f", 4096, b"b" * 4096, sync=True)
-        assert vlfs.disk.writes > writes
+        assert vlfs.disk.counters.writes > writes
 
 
 class TestRecovery:

@@ -233,7 +233,7 @@ class TestSeekPruneRegression:
         # never reaches distance >= 100.  Gap >= 28 slots puts the decoy at
         # ~1.4-1.6 ms: above the far winner (< 1.3 ms) yet below seeks from
         # distance ~45 onwards.
-        seek5 = disk.mechanics.seek_time(0, 5)
+        seek5 = disk.spec.seek_time(5)
         arrival5 = disk.slot_after(seek5)
         decoy = free_run_with_gap_at_least(
             freemap, disk, 5, 0, arrival5, 28.0, self.BLOCK

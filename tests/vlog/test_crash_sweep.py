@@ -121,9 +121,9 @@ def _run_workload(under_test, power_down_at, acked=None):
 
 def _clean_run_write_count(factory, power_down_at=None) -> int:
     under_test = factory()
-    before = under_test.disk.writes
+    before = under_test.disk.counters.writes
     _run_workload(under_test, power_down_at)
-    return under_test.disk.writes - before
+    return under_test.disk.counters.writes - before
 
 
 def _sweep_params(factory):

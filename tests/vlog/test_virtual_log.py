@@ -61,9 +61,9 @@ class TestAppend:
         I/O to create the new log tail' (absent orphan overflow)."""
         h.write_chunk(0, [1])
         h.write_chunk(1, [1])
-        writes_before = h.disk.writes
+        writes_before = h.disk.counters.writes
         h.write_chunk(0, [2])
-        assert h.disk.writes == writes_before + 1
+        assert h.disk.counters.writes == writes_before + 1
 
     def test_relocate_moves_record(self, h):
         h.write_chunk(0, [5])
@@ -171,7 +171,7 @@ class TestRecovery:
         (plus pruned stale edges), not device size."""
         for step in range(100):
             h.write_chunk(step % 5, [step])
-        reads_before = h.disk.reads
+        reads_before = h.disk.counters.reads
         h.vlog.recover_from_tail(h.vlog.tail, timed=True)
-        reads = h.disk.reads - reads_before
+        reads = h.disk.counters.reads - reads_before
         assert reads < 40  # 5 live + pruned frontier, not ~1500 blocks
