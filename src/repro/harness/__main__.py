@@ -51,7 +51,9 @@ minimizing and writing a ``torture-repro/`` artifact for any failing
 plan; with ``--volume`` the matrix is the multi-shard one instead
 (shard crash / fail-slow / flaky-media fault domains composed over a
 sharded volume, checked by the volume-level fsck and the differential
-oracle); ``--scrub`` prints a short flaky-media story showing retries,
+oracle); ``--families`` restricts whichever matrix is selected to the
+named fault families (an unknown name is a usage error, exit 2);
+``--scrub`` prints a short flaky-media story showing retries,
 quarantine, and the idle-time scrubber migrating live data;
 ``--volume-demo`` prints a degraded-mode tour of the sharded volume
 (one shard crashes, healthy I/O keeps flowing, bounded retries, hedged
@@ -355,7 +357,8 @@ def main(argv=None) -> int:
                         metavar="FAMILY",
                         help="with --torture: restrict the matrix to these "
                              "fault families (e.g. nvm-crash "
-                             "nvm-crash+torn@depth4)")
+                             "nvm-crash+torn@depth4; with --volume, e.g. "
+                             "shard-crash shard-composed)")
     parser.add_argument("--volume", action="store_true",
                         help="with --torture: run the multi-shard volume "
                              "matrix (shard crash/slow/flaky fault domains)")
@@ -541,130 +544,104 @@ def _parse_shard_slow(spec: str) -> dict:
     return out
 
 
-def _run_torture(args) -> int:
-    """The composed-fault matrix; exit 1 (plus a minimized repro
-    artifact) if any plan fails."""
-    from repro.harness import torture
-
-    if args.volume:
-        return _run_volume_torture(args)
-    families = args.families
-    if families is not None:
-        unknown = [f for f in families if f not in torture.FAMILIES]
-        if unknown:
-            print(f"unknown torture families: {', '.join(unknown)}; "
-                  f"known: {', '.join(sorted(torture.FAMILIES))}",
-                  file=sys.stderr)
-            return 2
-    points = (
-        torture.long_set(families) if args.full
-        else torture.quick_set(families)
-    )
-    print(f"torture matrix: {len(points)} plans "
-          f"({'weekly' if args.full else 'quick'} set, "
-          f"jobs={args.jobs})")
-    verdicts = torture.run_matrix(points)
-    rows = []
-    failing = None
-    for verdict in verdicts:
-        params = verdict["params"]
-        fault = ",".join(
-            f"{k}={params[k]}" for k in
-            ("crash_after", "torn", "flaky", "read_error_rate",
-             "nvm_crash_after", "nvm_torn")
-            if params.get(k)
-        ) or "none"
-        counters = verdict["counters"]
-        rows.append([
-            params["workload"], fault, verdict["seed"],
-            "ok" if verdict["ok"] else "FAIL",
-            verdict["crashed_at"] if verdict["crashed_at"] is not None
-            else "-",
-            counters["retries"], counters["quarantined"],
-            counters["sectors_scrubbed"],
-        ])
-        if failing is None and not verdict["ok"]:
-            failing = verdict
-    print(format_table(
-        ["workload", "faults", "seed", "verdict", "crash op",
-         "retries", "quarantined", "scrubbed"],
-        rows, title="Torture matrix",
-    ))
-    if failing is None:
-        print(f"\nall {len(verdicts)} plans survived: recovery clean, "
-              f"vlfsck silent, oracle satisfied")
-        return 0
-    print(f"\nminimizing failing plan {failing['params']} "
-          f"seed={failing['seed']} ...", file=sys.stderr)
-    minimized = torture.minimize(failing["params"], failing["seed"])
-    path = torture.write_repro(failing, minimized)
-    print(f"failure minimized to {minimized['params']} "
-          f"({minimized['runs']} runs); repro written to {path}",
-          file=sys.stderr)
-    for line in failing["failures"][:10]:
-        print(f"  {line}", file=sys.stderr)
-    return 1
+def _torture_cells(verdict) -> list:
+    """The single-device table's own columns: faults, then counters."""
+    params, counters = verdict["params"], verdict["counters"]
+    fault = ",".join(
+        f"{k}={params[k]}" for k in
+        ("crash_after", "torn", "flaky", "read_error_rate",
+         "nvm_crash_after", "nvm_torn")
+        if params.get(k)
+    ) or "none"
+    return [[fault], [counters["retries"], counters["quarantined"],
+                      counters["sectors_scrubbed"]]]
 
 
-def _run_volume_torture(args) -> int:
-    """The multi-shard volume matrix; exit 1 (plus a minimized repro
-    artifact) if any plan fails."""
-    from repro.harness import torture
-
-    points = (
-        torture.volume_long_set() if args.full
-        else torture.volume_quick_set()
-    )
-    print(f"volume torture matrix: {len(points)} plans "
-          f"({'weekly' if args.full else 'quick'} set, "
-          f"jobs={args.jobs})")
-    verdicts = torture.run_matrix(points)
-    rows = []
-    failing = None
-    for verdict in verdicts:
-        params = verdict["params"]
-        faults = []
-        if params.get("crash_after"):
-            faults.append(f"crash@{params.get('crash_shard')}")
-        if params.get("slow_factor", 1.0) != 1.0:
-            faults.append(
-                f"slow@{params.get('slow_shard')}"
-                f"x{params.get('slow_factor'):g}"
-            )
-        if params.get("flaky"):
-            faults.append(f"flaky@{params.get('flaky_shard')}")
-        degraded = verdict["degraded_window"]
-        window = (
-            f"{degraded.get('healthy_ok', 0)}ok/"
-            f"{degraded.get('unavailable', 0)}unavail"
-            if degraded else "-"
+def _volume_torture_cells(verdict) -> list:
+    """The volume table's own columns: shards and faults, then the
+    degraded window and the quarantine count."""
+    params, degraded = verdict["params"], verdict["degraded_window"]
+    faults = []
+    if params.get("crash_after"):
+        faults.append(f"crash@{params.get('crash_shard')}")
+    if params.get("slow_factor", 1.0) != 1.0:
+        faults.append(
+            f"slow@{params.get('slow_shard')}"
+            f"x{params.get('slow_factor'):g}"
         )
+    if params.get("flaky"):
+        faults.append(f"flaky@{params.get('flaky_shard')}")
+    window = (
+        f"{degraded.get('healthy_ok', 0)}ok/"
+        f"{degraded.get('unavailable', 0)}unavail"
+        if degraded else "-"
+    )
+    return [[params["shards"], ",".join(faults) or "none"],
+            [window, verdict["recovery"]["quarantined_sectors"]]]
+
+
+#: What differs between the two torture tables, keyed by ``--volume``:
+#: the title, the column names either side of the shared ``seed | verdict
+#: | crash op`` with the function filling them, and what a clean run is
+#: said to prove.
+_TORTURE_TABLES = {
+    False: ("Torture matrix", ["faults"],
+            ["retries", "quarantined", "scrubbed"], _torture_cells,
+            "recovery clean, vlfsck silent"),
+    True: ("Volume torture matrix", ["shards", "faults"],
+           ["degraded", "quarantined"], _volume_torture_cells,
+           "fault domains held, volume-fsck clean"),
+}
+
+
+def _run_torture(args) -> int:
+    """The composed-fault matrix (``--volume``: the multi-shard one);
+    exit 1 (plus a minimized repro artifact) if any plan fails, 2 for a
+    family the selected table does not have."""
+    from repro.harness import torture
+
+    title, before, after, cells, proved = _TORTURE_TABLES[args.volume]
+    if args.volume:
+        fn, families = torture.volume_torture_point, torture.VOLUME_FAMILIES
+        grid = torture.volume_long_set if args.full else torture.volume_quick_set
+    else:
+        fn, families = torture.torture_point, torture.FAMILIES
+        grid = torture.long_set if args.full else torture.quick_set
+    unknown = [f for f in args.families or () if f not in families]
+    if unknown:
+        print(f"unknown torture families: {', '.join(unknown)}; "
+              f"known: {', '.join(sorted(families))}",
+              file=sys.stderr)
+        return 2
+    points = grid(args.families)
+    print(f"{title.lower()}: {len(points)} plans "
+          f"({'weekly' if args.full else 'quick'} set, "
+          f"jobs={args.jobs})")
+    verdicts = torture.run_matrix(points)
+    rows = []
+    failing = None
+    for verdict in verdicts:
+        head, tail = cells(verdict)
         rows.append([
-            params["workload"], params["shards"],
-            ",".join(faults) or "none", verdict["seed"],
+            verdict["params"]["workload"], *head, verdict["seed"],
             "ok" if verdict["ok"] else "FAIL",
             verdict["crashed_at"] if verdict["crashed_at"] is not None
             else "-",
-            window,
-            verdict["recovery"]["quarantined_sectors"],
+            *tail,
         ])
         if failing is None and not verdict["ok"]:
             failing = verdict
     print(format_table(
-        ["workload", "shards", "faults", "seed", "verdict", "crash op",
-         "degraded", "quarantined"],
-        rows, title="Volume torture matrix",
+        ["workload", *before, "seed", "verdict", "crash op", *after],
+        rows, title=title,
     ))
     if failing is None:
-        print(f"\nall {len(verdicts)} plans survived: fault domains held, "
-              f"volume-fsck clean, oracle satisfied")
+        print(f"\nall {len(verdicts)} plans survived: {proved}, "
+              f"oracle satisfied")
         return 0
     print(f"\nminimizing failing plan {failing['params']} "
           f"seed={failing['seed']} ...", file=sys.stderr)
-    minimized = torture.minimize(
-        failing["params"], failing["seed"],
-        fn=torture.volume_torture_point,
-    )
+    minimized = torture.minimize(failing["params"], failing["seed"], fn=fn)
     path = torture.write_repro(failing, minimized)
     print(f"failure minimized to {minimized['params']} "
           f"({minimized['runs']} runs); repro written to {path}",

@@ -1,46 +1,45 @@
 """Composed-fault torture harness for the virtual log disk.
 
-Each :func:`torture_point` is a *pure, seeded* sweep point (the same
-contract every figure uses, so the fault matrix rides the PR-3 sweep
-engine unchanged): build a small VLD, drive a seeded workload through a
-:class:`~repro.blockdev.interpose.DiskFaultInjector` composing
+:func:`torture_point` (one VLD stack) and :func:`volume_torture_point`
+(a sharded volume) are *pure, seeded* sweep points -- the contract every
+figure uses, so the fault matrix rides the sweep engine unchanged.  Each
+describes its device and hands it to the one plan runner,
+:func:`_run_plan`: drive a seeded workload under
+:class:`~repro.blockdev.interpose.DiskFaultInjector` plans composing
 crash-after-N physical writes, torn final writes, per-sector flaky media
-and an uncorrelated read-error floor; crash; recover; run the online
-:func:`~repro.vlog.resilience.vlfsck` checker; and differentially
+and a read-error floor; recover; run the deep fsck; and differentially
 compare every acknowledged block against an in-memory oracle.
 
-The oracle is strict about durability semantics: a block whose write was
-*acknowledged* must read back exactly; the blocks of the one request in
-flight at the crash may legally read old **or** new (the VLD's commit
-point is the map-chunk append, so either side of it is a consistent
-outcome); everything else must be what it was.  Transient (flaky) media
-errors must be recoverable by retry -- the harness re-drives a failed
-logical read a bounded number of times before declaring data loss.
+The oracle is strict about durability: an *acknowledged* write must read
+back exactly; the blocks of the one request in flight at the crash may
+read old **or** new (the VLD's commit point is the map-chunk append, so
+either side of it is consistent); everything else must be what it was.
+Transient media errors must be recoverable by retry -- a failed logical
+read is re-driven a bounded number of times before it counts as loss.
 
-A failing point is a JSON-serializable fault plan, and
-:func:`minimize` shrinks it -- first the op count, then the crash point
--- to the smallest plan that still fails, which :func:`write_repro`
-drops into ``torture-repro/`` as a self-contained reproduction recipe
-(this is what CI uploads on failure).
+A failing point is a JSON-serializable fault plan; :func:`minimize`
+shrinks it (op count, then crash point) and :func:`write_repro` drops
+the result into ``torture-repro/`` as a self-contained recipe (what CI
+uploads on failure).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import struct
 import zlib
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.blockdev.interpose import (
-    DeviceCrashed,
-    DiskFaultInjector,
-    FaultPlan,
-)
+from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector, FaultPlan
+from repro.blockdev.nvm import NVM_SPECS
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.configs import build_sharded_volume
 from repro.harness.sweep import SweepPoint, run_sweep
+from repro.nvm import NVWal, NVWalInjector
+from repro.vlog.recovery import RecoveryOutcome
 from repro.vlog.resilience import MediaError, vlfsck
 from repro.vlog.vld import VirtualLogDisk
 from repro.volume import ShardUnavailable, volume_fsck
@@ -144,10 +143,8 @@ class _Oracle:
     """Differential model of what every logical block must read as.
 
     ``committed`` maps lba -> version (0 == zeros).  While a request is
-    in flight, each of its blocks also carries a tentative new version
-    in ``pending``; a crash freezes those as *acceptable alternatives*
-    until the post-recovery audit resolves which side of the commit
-    point each block landed on.
+    in flight its blocks carry tentative versions in ``pending``: an ack
+    commits them, a fault leaves them to the plan runner's ``settle``.
     """
 
     def __init__(self, block_size: int, seed: int) -> None:
@@ -175,48 +172,37 @@ class _Oracle:
         self.committed.update(self.pending)
         self.pending.clear()
 
-    def acceptable(self, lba: int) -> List[int]:
-        versions = [self.committed.get(lba, 0)]
-        if lba in self.pending and self.pending[lba] not in versions:
-            versions.append(self.pending[lba])
-        return versions
-
     def expected(self, lba: int) -> bytes:
         return _payload(self.block_size, lba,
                         self.committed.get(lba, 0), self.seed)
 
+    def resolve(self, lba: int, actual: bytes, versions: List[int]) -> bool:
+        """Commit whichever of ``versions`` the block actually holds."""
+        for version in versions:
+            if actual == _payload(self.block_size, lba, version, self.seed):
+                self.committed[lba] = version
+                return True
+        return False
+
     def audit(self, device, failures: List[str],
-              extra_candidates: Optional[Dict[int, List[int]]] = None,
-              ) -> None:
-        """Post-recovery: check every block ever touched, resolving the
-        crashed request's blocks to whichever side actually persisted.
-        ``extra_candidates`` (lba -> versions) are further versions a
-        block may legally hold; they are consumed."""
-        extra = extra_candidates if extra_candidates is not None else {}
-        for lba in sorted(set(self.committed) | set(self.pending)
-                          | set(extra)):
+              candidates: Dict[int, List[int]]) -> None:
+        """Post-recovery: check every block ever touched.  ``candidates``
+        (lba -> versions) are what an interrupted request may legally
+        have left beside the committed version; each such block resolves
+        to whichever side actually persisted, and they are consumed."""
+        for lba in sorted(set(self.committed) | set(candidates)):
             actual = _read_retrying(device.read_block, lba)
             if actual is None:
                 failures.append(f"lba {lba}: unreadable after retries")
                 continue
-            versions = self.acceptable(lba) + extra.get(lba, [])
-            for version in versions:
-                if actual == _payload(self.block_size, lba, version,
-                                      self.seed):
-                    self.committed[lba] = version
-                    break
-            else:
+            versions = [self.committed.get(lba, 0)] + candidates.get(lba, [])
+            if not self.resolve(lba, actual, versions):
                 failures.append(
                     f"lba {lba}: contents match none of the acceptable "
                     f"versions {versions}"
                 )
-        self.pending.clear()
-        extra.clear()
+        candidates.clear()
 
-
-# ======================================================================
-# The op driver and the verdict's recovery summary (both points)
-# ======================================================================
 
 def _read_retrying(read, *args) -> Optional[bytes]:
     """``read(*args)``'s data, re-driven through transient media errors;
@@ -249,40 +235,16 @@ def _apply_op(device, oracle: _Oracle, failures: List[str],
         count = int(arg)
         actual = _read_retrying(device.read_blocks, lba, count)
         if actual is None:
-            failures.append(
-                f"op {index}: read lba {lba} x{count} stayed "
-                f"unreadable through retries"
-            )
+            failures.append(f"op {index}: read lba {lba} x{count} stayed "
+                            f"unreadable through retries")
             return False
         size = oracle.block_size
         for i in range(count):
             if actual[i * size:(i + 1) * size] != oracle.expected(lba + i):
-                failures.append(
-                    f"op {index}: read lba {lba + i} returned "
-                    f"stale or corrupt contents"
-                )
+                failures.append(f"op {index}: read lba {lba + i} returned "
+                                f"stale or corrupt contents")
     return True
 
-
-def _recovery_summary(outcomes) -> Dict[str, Any]:
-    """The verdict's ``recovery`` fields over one or more outcomes."""
-    return {
-        "used_power_down_record": all(
-            o.used_power_down_record for o in outcomes
-        ),
-        "scanned": any(o.scanned for o in outcomes),
-        "degraded": any(o.degraded for o in outcomes),
-        "reconstructed": any(o.reconstructed for o in outcomes),
-        "media_errors": sum(o.media_errors for o in outcomes),
-        "quarantined_sectors": sum(
-            o.quarantined_sectors for o in outcomes
-        ),
-    }
-
-
-# ======================================================================
-# One torture point
-# ======================================================================
 
 def _pick_flaky(rng, vld: VirtualLogDisk, count: int,
                 rate: float) -> Dict[int, float]:
@@ -306,78 +268,207 @@ def _pick_flaky(rng, vld: VirtualLogDisk, count: int,
     return flaky
 
 
-def torture_point(
-    workload: str = "small_writes",
-    ops: int = 120,
-    crash_after: Optional[int] = None,
-    torn: bool = True,
-    read_error_rate: float = 0.0,
-    flaky: int = 0,
-    flaky_rate: float = 0.0,
-    queue_depth: int = 1,
-    sched: str = "fifo",
-    nvm: bool = False,
-    nvm_crash_after: Optional[int] = None,
-    nvm_torn: bool = False,
-    nvm_cap_kb: Optional[int] = None,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Run one composed-fault scenario end to end; returns a
-    JSON-serializable verdict (``ok`` plus diagnostics).
+# ======================================================================
+# The plan runner, over a device under test
+# ======================================================================
 
-    ``queue_depth``/``sched`` configure the VLD's internal request
-    scheduler: depth > 1 runs the batched data-movement path with whole
-    runs queued as single requests, so a crash can land between the run
-    writes and the map commit -- the recovery audit still demands
-    old-or-new contents for every block.
+#: Ops driven at a multi-domain device while one domain is down, proving
+#: healthy domains keep serving and down-domain requests fail *boundedly*.
+DEGRADED_OPS = 24
 
-    ``nvm`` threads an :class:`~repro.nvm.NVWal` write-ahead tier
-    between the workload and the VLD; ``nvm_crash_after`` arms power
-    loss at the N-th NVM log append (``nvm_torn``: that append persists
-    only a prefix), so the crash lands exactly between NVM commit and
-    destage, and ``nvm_cap_kb`` bounds the log so pressure destages put
-    the run in a mixed destaged/NVM-only state first.  The oracle is
-    unchanged: every acked write must read back new, the interrupted op
-    old-or-new.
+#: The outcome fields every verdict's ``recovery`` reports.
+_RECOVERY_KEYS = ("used_power_down_record", "scanned", "degraded",
+                  "reconstructed", "media_errors", "quarantined_sectors")
+
+
+class _SingleDevice:
+    """Device under test: one VLD stack (optionally under an NVWal) --
+    a single fault domain, so a crash takes the whole device down.  See
+    :func:`_run_plan` for what each member is to the runner."""
+
+    crash_domain = flaky_domain = 0
+    crash_error = DeviceCrashed
+    degraded_ops = 0  # no sibling to serve a degraded window
+    fsck_name = "vlfsck"
+
+    def __init__(self, device, disk: Disk, vld: VirtualLogDisk,
+                 orderly_stop: bool) -> None:
+        self.device, self.disks, self.vlds = device, [disk], [vld]
+        self.wal = device if device is not vld else None
+        self.orderly_stop = orderly_stop
+
+    def domain_of(self, lba: int) -> int:
+        return 0
+
+    def down_domains(self) -> List[int]:
+        return [0]
+
+    def recover(self, down: Optional[int]) -> RecoveryOutcome:
+        if down is None and self.orderly_stop:
+            # No crash machinery at all: model an orderly shutdown so the
+            # power-record path recovers under the same flaky media.
+            self.device.power_down()
+        if self.wal is not None:
+            self.wal.injector = None
+        self.device.crash()
+        return self.device.recover()
+
+    def fsck(self):
+        return vlfsck(self.vlds[0], deep=True)
+
+    def describe(self, verdict, outcome, final, down, window) -> None:
+        resilience = self.vlds[0].resilience
+        verdict["orderly"] = down is None
+        verdict["recovery"]["records_read"] = outcome.records_read
+        verdict["fsck"] = {"checked_records": final.checked_records,
+                           "checked_blocks": final.checked_blocks}
+        verdict["counters"] = {
+            "media_errors": resilience.media_errors,
+            "retries": resilience.retries,
+            "checksum_failures": resilience.checksum_failures,
+            "quarantined": len(resilience.quarantine),
+            "sectors_scrubbed": resilience.scrubber.sectors_scrubbed,
+            "blocks_migrated": resilience.scrubber.blocks_migrated,
+        }
+        verdict["nvm"] = {
+            "replayed_records": outcome.replayed_records,
+            "replayed_blocks": outcome.replayed_blocks,
+            "torn_tail": outcome.torn_tail,
+            "absorbed_writes": self.wal.absorbed_writes,
+            "pressure_destages": self.wal.pressure_destages,
+        } if self.wal is not None else None
+
+
+class _VolumeDevice:
+    """Device under test: a sharded volume, one fault domain per shard:
+    a shard's crash surfaces as the bounded :class:`ShardUnavailable`,
+    siblings serve the degraded window, only the down shard recovers."""
+
+    crash_error = ShardUnavailable
+    degraded_ops = DEGRADED_OPS
+    fsck_name = "volume-fsck"
+
+    def __init__(self, volume, devices, disks, crash_domain: Optional[int],
+                 flaky_domain: Optional[int]) -> None:
+        self.device, self.vlds, self.disks = volume, devices, disks
+        self.crash_domain, self.flaky_domain = crash_domain, flaky_domain
+
+    def domain_of(self, lba: int) -> int:
+        return self.device.shard_of(lba)[0]
+
+    def down_domains(self) -> List[int]:
+        return [i for i, state in enumerate(self.device.states)
+                if state.value == "down"]
+
+    def recover(self, down: Optional[int]) -> RecoveryOutcome:
+        if down is not None:
+            return self.device.recover_shard(down)
+        self.device.power_down()
+        self.device.crash()
+        return self.device.recover()
+
+    def fsck(self):
+        return volume_fsck(self.device, deep=True)
+
+    def describe(self, verdict, outcome, final, down, window) -> None:
+        verdict["shards"] = self.device.num_shards
+        verdict["down_shard"] = verdict["recovery"]["shard"] = down
+        verdict["degraded_window"] = dict(window)
+        verdict["shard_stats"] = self.device.shard_stats()
+
+
+def _run_plan(target, workload: str, ops: int, seed: int,
+              crash_after: Optional[int], torn: bool, read_error_rate: float,
+              flaky: int, flaky_rate: float) -> Dict[str, Any]:
+    """Run one composed-fault plan end to end: warm up, seed flaky
+    sectors under live state, run faulted until the crash lands, drive
+    the degraded window, clear the crash machinery, recover, fsck +
+    differential audit, then continue, idle, and fsck + audit again.
+
+    Everything that differs between devices under test is on ``target``:
+
+    * ``device`` -- what the workload drives; ``disks[d]``/``vlds[d]`` --
+      the raw disk and the VLD of fault domain ``d``;
+    * ``crash_domain``/``flaky_domain`` -- whose disk carries the crash
+      plan (and the read-error floor) / the flaky sectors;
+    * ``crash_error`` -- the fault that means "the crash landed" (its
+      ``shard`` names the domain; unstamped: the only one); any other
+      :class:`DeviceCrashed` reaching the runner escaped its domain;
+    * ``domain_of(lba)`` -- settles the interrupted request: its blocks
+      on healthy domains read back at once, those on the down domain may
+      hold old *or* new after recovery;
+    * ``down_domains()`` -- what the device itself believes is down;
+      ``degraded_ops`` -- ops to drive meanwhile (0: no sibling serves);
+    * ``recover(down)`` -- bring back the down domain alone, or (no crash
+      landed) stop and restart the whole device; one
+      :class:`~repro.vlog.recovery.RecoveryOutcome` either way;
+    * ``fsck()``/``fsck_name`` -- the deep checker and its failure-line
+      prefix; ``describe(verdict, outcome, final, down, window)`` adds
+      the verdict keys only this device has.
     """
-    import random
-
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; "
                          f"try one of {sorted(WORKLOADS)}")
     rng = random.Random(seed)
-    disk = Disk(ST19101, num_cylinders=6)
-    vld = VirtualLogDisk(disk, queue_depth=queue_depth, sched=sched)
-    if nvm:
-        from repro.blockdev.nvm import NVM_SPECS
-        from repro.nvm import NVWal, NVWalInjector
-
-        spec = NVM_SPECS["nvdimm"]
-        if nvm_cap_kb is not None:
-            spec = spec.with_overrides(capacity_bytes=nvm_cap_kb << 10)
-        device = NVWal(vld, spec=spec)
-        if nvm_crash_after is not None:
-            device.injector = NVWalInjector(nvm_crash_after, torn=nvm_torn)
-    else:
-        device = vld
-    oracle = _Oracle(vld.block_size, seed)
+    device, disks = target.device, target.disks
+    oracle = _Oracle(device.block_size, seed)
     failures: List[str] = []
+    #: lba -> versions a failed request *may* have left on the down
+    #: domain; outside the oracle, so a later op's ``ack()`` cannot
+    #: commit them by mistake.  The post-recovery audit consumes them.
+    frozen: Dict[int, List[int]] = {}
+    window = {"ops": 0, "unavailable": 0, "healthy_ok": 0}
+    injectors: Dict[int, DiskFaultInjector] = {}
+    if target.crash_domain is not None:
+        injectors[target.crash_domain] = DiskFaultInjector(
+            crash_after_writes=crash_after, torn=torn,
+            read_error_rate=read_error_rate, seed=seed,
+        ).install(disks[target.crash_domain])
 
-    flaky_sectors: Dict[int, float] = {}
-    injector = DiskFaultInjector(
-        crash_after_writes=crash_after,
-        torn=torn,
-        read_error_rate=read_error_rate,
-        seed=seed,
-    ).install(disk)
+    def settle(down: int) -> None:
+        """The failed request's pending versions: a block on a healthy
+        domain reads back now (its sub-write either fully committed or
+        was never issued); one on the down domain freezes."""
+        for lba in sorted(oracle.pending):
+            version = oracle.pending.pop(lba)
+            if target.domain_of(lba) == down:
+                frozen.setdefault(lba, []).append(version)
+                continue
+            actual = _read_retrying(device.read_block, lba)
+            old = oracle.committed.get(lba, 0)
+            if actual is None:
+                failures.append(f"degraded resolve: lba {lba} unreadable "
+                                f"on a healthy shard")
+            elif not oracle.resolve(lba, actual, [old, version]):
+                failures.append(f"degraded resolve: lba {lba} matches "
+                                f"none of the acceptable versions")
 
-    def run_ops(op_iter: Iterator[Op], budget: int) -> int:
-        """Drive ``budget`` ops; returns the index of the op the crash
-        interrupted, or -1 when all completed."""
+    def run_ops(budget: int, down: Optional[int] = None) -> int:
+        """Drive ``budget`` ops; returns the index of the op a *new*
+        crash interrupted, or -1.  With ``down`` set (the degraded
+        window) the crash error is the expected bounded refusal -- from
+        that domain; from any other it is a failure."""
         for index in range(budget):
+            if down is not None:
+                window["ops"] += 1
             try:
-                _apply_op(device, oracle, failures, index, next(op_iter))
+                served = _apply_op(
+                    device, oracle, failures, index, next(op_iter)
+                )
+                if served and down is not None:
+                    window["healthy_ok"] += 1
+            except target.crash_error as fault:
+                domain = fault.shard or 0
+                if down is None:
+                    settle(domain)
+                    return index
+                window["unavailable"] += 1
+                if domain != down:
+                    failures.append(f"degraded op {index}: shard {domain} "
+                                    f"unavailable but only {down} is down")
+                settle(down)
             except DeviceCrashed:
+                failures.append(f"op {index}: raw DeviceCrashed escaped")
                 return index
         return -1
 
@@ -386,111 +477,110 @@ def torture_point(
     # recovery scan -- genuinely read degraded media.
     op_iter = WORKLOADS[workload](random.Random(seed ^ 0x5EED))
     warmup = min(8, ops // 4)
-    crashed_at = run_ops(op_iter, warmup)
+    crashed_at = run_ops(warmup)
     if crashed_at < 0:
-        if flaky:
-            flaky_sectors.update(_pick_flaky(rng, vld, flaky, flaky_rate))
-            injector.flaky_sectors.update(flaky_sectors)
-        rest = run_ops(op_iter, ops - warmup)
+        if flaky and target.flaky_domain is not None:
+            domain = target.flaky_domain
+            injector = injectors.setdefault(
+                domain, DiskFaultInjector(seed=seed)
+            ).install(disks[domain])
+            injector.flaky_sectors.update(
+                _pick_flaky(rng, target.vlds[domain], flaky, flaky_rate)
+            )
+        rest = run_ops(ops - warmup)
         crashed_at = -1 if rest < 0 else warmup + rest
-    orderly = crashed_at < 0
-    if orderly and crash_after is None:
-        # No crash machinery at all: model an orderly shutdown so the
-        # power-record path recovers under the same flaky media.
-        device.power_down()
 
-    # ------------------------------------------------------------------
-    # Crash, clear the crash machinery (media degradation persists),
-    # recover, audit.
-    # ------------------------------------------------------------------
-    injector.uninstall(disk)
-    injector = DiskFaultInjector(
-        read_error_rate=read_error_rate,
-        seed=seed + 1,
-        flaky_sectors=flaky_sectors,
-    ).install(disk)
-    if nvm:
-        device.injector = None  # crash machinery cleared before recovery
-    device.crash()
-    outcome = device.recover()
+    # Degraded window: one domain down, its siblings must keep serving.
+    down: Optional[int] = None
+    if crashed_at >= 0:
+        downs = target.down_domains()
+        if downs != [target.crash_domain]:
+            failures.append(f"fault containment broken: down shards "
+                            f"{downs}, expected [{target.crash_domain}]")
+        down = downs[0] if downs else target.crash_domain
+        run_ops(target.degraded_ops, down=down)
 
-    report = vlfsck(vld, deep=True)
-    for violation in report.violations:
-        failures.append(f"vlfsck: {violation.kind}: {violation.detail}")
-    oracle.audit(device, failures)
+    # Clear the crash machinery (media degradation persists), recover.
+    for domain, injector in injectors.items():
+        DiskFaultInjector(
+            read_error_rate=injector.read_error_rate, seed=seed + 1,
+            flaky_sectors=injector.flaky_sectors,
+        ).install(disks[domain])
+    outcome = target.recover(down)
 
-    # ------------------------------------------------------------------
+    def check(stage: str):
+        report = target.fsck()
+        for violation in report.violations:
+            failures.append(f"{stage}{target.fsck_name}: "
+                            f"{violation.kind}: {violation.detail}")
+        oracle.audit(device, failures, frozen)
+        return report
+
+    check("")
     # Keep going: the recovered device must be fully serviceable.
-    # ------------------------------------------------------------------
-    if run_ops(op_iter, CONTINUE_OPS) >= 0:
+    if run_ops(CONTINUE_OPS) >= 0:
         failures.append("continue phase crashed with no injector armed")
-    device.idle(0.2)  # let the scrubber drain any suspects
-    final = vlfsck(vld, deep=True)
-    for violation in final.violations:
-        failures.append(f"final vlfsck: {violation.kind}: "
-                        f"{violation.detail}")
-    oracle.audit(device, failures)
+    device.idle(0.2)  # let the scrubbers drain any suspects
+    final = check("final ")
 
-    resilience = vld.resilience
-    return {
+    verdict = {
         "ok": not failures,
         "failures": failures,
         "workload": workload,
         "ops": ops,
         "crashed_at": crashed_at if crashed_at >= 0 else None,
-        "orderly": orderly,
-        "recovery": dict(
-            _recovery_summary([outcome]), records_read=outcome.records_read
-        ),
-        "fsck": {
-            "checked_records": final.checked_records,
-            "checked_blocks": final.checked_blocks,
-        },
-        "counters": {
-            "media_errors": resilience.media_errors,
-            "retries": resilience.retries,
-            "checksum_failures": resilience.checksum_failures,
-            "quarantined": len(resilience.quarantine),
-            "sectors_scrubbed": resilience.scrubber.sectors_scrubbed,
-            "blocks_migrated": resilience.scrubber.blocks_migrated,
-        },
-        "nvm": {
-            "replayed_records": outcome.replayed_records,
-            "replayed_blocks": outcome.replayed_blocks,
-            "torn_tail": outcome.torn_tail,
-            "absorbed_writes": device.absorbed_writes,
-            "pressure_destages": device.pressure_destages,
-        } if nvm else None,
+        "recovery": {name: getattr(outcome, name) for name in _RECOVERY_KEYS},
     }
+    target.describe(verdict, outcome, final, down, window)
+    return verdict
 
 
-# ======================================================================
-# One *volume* torture point: multi-shard composed plans
-# ======================================================================
+def torture_point(
+    workload: str = "small_writes", ops: int = 120,
+    crash_after: Optional[int] = None, torn: bool = True,
+    read_error_rate: float = 0.0, flaky: int = 0, flaky_rate: float = 0.0,
+    queue_depth: int = 1, sched: str = "fifo",
+    nvm: bool = False, nvm_crash_after: Optional[int] = None,
+    nvm_torn: bool = False, nvm_cap_kb: Optional[int] = None,
+    seed: int = 0,
+) -> Dict[str, Any]:
+    """Run one composed-fault scenario against one VLD end to end;
+    returns a JSON-serializable verdict (``ok`` plus diagnostics).
 
-#: Ops driven at the volume while one shard is down, proving healthy
-#: shards keep serving and down-shard requests fail *boundedly*.
-DEGRADED_OPS = 24
+    ``queue_depth``/``sched`` configure the VLD's request scheduler
+    (depth > 1: whole runs queue as single requests, so a crash can land
+    between the run writes and the map commit).  ``nvm`` threads an
+    :class:`~repro.nvm.NVWal` between the workload and the VLD;
+    ``nvm_crash_after`` arms power loss at the N-th NVM log append
+    (``nvm_torn``: that append persists only a prefix) and ``nvm_cap_kb``
+    bounds the log so pressure destages mix destaged and NVM-only state
+    first.  The oracle is the same throughout: every acked write reads
+    back new, the interrupted op old-or-new.
+    """
+    disk = Disk(ST19101, num_cylinders=6)
+    device = vld = VirtualLogDisk(disk, queue_depth=queue_depth, sched=sched)
+    if nvm:
+        spec = NVM_SPECS["nvdimm"]
+        if nvm_cap_kb is not None:
+            spec = spec.with_overrides(capacity_bytes=nvm_cap_kb << 10)
+        device = NVWal(vld, spec=spec)
+        if nvm_crash_after is not None:
+            device.injector = NVWalInjector(nvm_crash_after, torn=nvm_torn)
+    target = _SingleDevice(device, disk, vld, orderly_stop=crash_after is None)
+    return _run_plan(target, workload, ops, seed, crash_after, torn,
+                     read_error_rate, flaky, flaky_rate)
 
 
 def volume_torture_point(
-    workload: str = "small_writes",
-    ops: int = 140,
-    shards: int = 3,
-    stripe_blocks: int = 8,
-    crash_shard: Optional[int] = None,
-    crash_after: Optional[int] = None,
+    workload: str = "small_writes", ops: int = 140,
+    shards: int = 3, stripe_blocks: int = 8,
+    crash_shard: Optional[int] = None, crash_after: Optional[int] = None,
     torn: bool = True,
-    slow_shard: Optional[int] = None,
-    slow_factor: float = 1.0,
-    slow_after: Optional[int] = None,
-    slow_ops: Optional[int] = None,
-    flaky_shard: Optional[int] = None,
-    flaky: int = 0,
-    flaky_rate: float = 0.0,
-    read_error_rate: float = 0.0,
-    queue_depth: int = 1,
-    sched: str = "fifo",
+    slow_shard: Optional[int] = None, slow_factor: float = 1.0,
+    slow_after: Optional[int] = None, slow_ops: Optional[int] = None,
+    flaky_shard: Optional[int] = None, flaky: int = 0,
+    flaky_rate: float = 0.0, read_error_rate: float = 0.0,
+    queue_depth: int = 1, sched: str = "fifo",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One multi-shard composed-fault scenario, end to end.
@@ -498,285 +588,33 @@ def volume_torture_point(
     Fault domains are per shard: the crash injector arms only
     ``crash_shard``'s raw disk, the fail-slow plan wraps only
     ``slow_shard``'s stack, flaky sectors degrade only ``flaky_shard``.
-    After the crash the harness keeps driving the volume through a
-    *degraded window* -- ops that touch only healthy shards must
-    succeed; ops needing the down shard must fail with the bounded
-    :class:`ShardUnavailable`, never hang -- then recovers **only** the
-    crashed shard, runs the volume-level fsck (deep), and audits every
-    block differentially, exactly like the single-device point.
+    After the crash the volume is driven through a *degraded window* --
+    ops on healthy shards must succeed, ops needing the down shard must
+    fail with the bounded :class:`ShardUnavailable`, never hang -- then
+    **only** the crashed shard recovers, and the volume-level fsck and
+    the differential audit run exactly as for the single-device point.
     """
-    import random
-
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r}; "
-                         f"try one of {sorted(WORKLOADS)}")
-    rng = random.Random(seed)
     fault_plans = {}
     if slow_shard is not None and slow_factor > 1.0:
         fault_plans[slow_shard] = FaultPlan(
-            seed=seed,
-            slow_factor=slow_factor,
-            slow_after_ops=slow_after,
-            slow_duration_ops=slow_ops,
+            seed=seed, slow_factor=slow_factor,
+            slow_after_ops=slow_after, slow_duration_ops=slow_ops,
         )
     volume, devices, disks = build_sharded_volume(
-        shards,
-        stripe_blocks=stripe_blocks,
-        num_cylinders=6,
-        queue_depth=queue_depth,
-        sched=sched,
-        fault_plans=fault_plans,
+        shards, stripe_blocks=stripe_blocks, num_cylinders=6,
+        queue_depth=queue_depth, sched=sched, fault_plans=fault_plans,
     )
-    oracle = _Oracle(volume.block_size, seed)
-    failures: List[str] = []
-
-    flaky_sectors: Dict[int, float] = {}
-    crash_injector: Optional[DiskFaultInjector] = None
-    if crash_shard is not None and crash_after is not None:
-        crash_injector = DiskFaultInjector(
-            crash_after_writes=crash_after,
-            torn=torn,
-            read_error_rate=read_error_rate,
-            seed=seed,
-        ).install(disks[crash_shard])
-    flaky_injector: Optional[DiskFaultInjector] = None
-
-    #: lba -> versions a failed request *may* have left on the down
-    #: shard (old remains acceptable too).  Kept outside the oracle so a
-    #: later successful op's ``ack()`` cannot commit them by mistake;
-    #: the post-recovery audit folds them back in as candidates.
-    frozen: Dict[int, List[int]] = {}
-
-    def resolve_pending(down: Optional[int]) -> None:
-        """After a mid-stripe-write failure, settle the oracle's pending
-        versions: blocks on *healthy* shards read back immediately (each
-        sub-write either fully committed or never issued); blocks on the
-        down shard freeze as acceptable candidates for the
-        post-recovery audit."""
-        for lba in sorted(oracle.pending):
-            version = oracle.pending.pop(lba)
-            shard, _ = volume.shard_of(lba)
-            if shard == down:
-                frozen.setdefault(lba, []).append(version)
-                continue
-            actual = _read_retrying(volume.read_block, lba)
-            if actual is None:
-                failures.append(
-                    f"degraded resolve: lba {lba} unreadable on a "
-                    f"healthy shard"
-                )
-                continue
-            for candidate in (oracle.committed.get(lba, 0), version):
-                if actual == _payload(volume.block_size, lba, candidate,
-                                      seed):
-                    oracle.committed[lba] = candidate
-                    break
-            else:
-                failures.append(
-                    f"degraded resolve: lba {lba} matches none of the "
-                    f"acceptable versions"
-                )
-
-    degraded_stats = {"ops": 0, "unavailable": 0, "healthy_ok": 0}
-
-    def run_ops(op_iter: Iterator[Op], budget: int,
-                down: Optional[int] = None) -> int:
-        """Drive ``budget`` volume ops; returns the index of the op a
-        *new* shard crash interrupted, or -1.  With ``down`` set (the
-        degraded window), :class:`ShardUnavailable` against that shard
-        is the expected bounded error; against any other shard it is a
-        failure."""
-        for index in range(budget):
-            if down is not None:
-                degraded_stats["ops"] += 1
-            try:
-                served = _apply_op(
-                    volume, oracle, failures, index, next(op_iter)
-                )
-                if served and down is not None:
-                    degraded_stats["healthy_ok"] += 1
-            except ShardUnavailable as fault:
-                if down is None:
-                    # The crash moment itself: the volume turned the
-                    # shard's DeviceCrashed into a bounded error.
-                    resolve_pending(fault.shard)
-                    return index
-                degraded_stats["unavailable"] += 1
-                if fault.shard != down:
-                    failures.append(
-                        f"degraded op {index}: shard {fault.shard} "
-                        f"unavailable but only shard {down} is down"
-                    )
-                resolve_pending(down)
-            except DeviceCrashed:
-                # Should not escape the volume -- it maps crashes to
-                # ShardUnavailable -- but never let the harness hang on
-                # the difference.
-                failures.append(
-                    f"op {index}: raw DeviceCrashed escaped the volume"
-                )
-                return index
-        return -1
-
-    # Warmup (fault-free on flaky terms), then seed flaky sectors under
-    # the flaky shard's live footprint, then the main faulted phase.
-    op_iter = WORKLOADS[workload](random.Random(seed ^ 0x5EED))
-    warmup = min(8, ops // 4)
-    crashed_at = run_ops(op_iter, warmup)
-    if crashed_at < 0:
-        if flaky_shard is not None and flaky:
-            flaky_sectors.update(_pick_flaky(
-                rng, devices[flaky_shard], flaky, flaky_rate
-            ))
-            flaky_injector = DiskFaultInjector(
-                seed=seed,
-                flaky_sectors=flaky_sectors,
-            ).install(disks[flaky_shard])
-        rest = run_ops(op_iter, ops - warmup)
-        crashed_at = -1 if rest < 0 else warmup + rest
-    crashed = crashed_at >= 0
-
-    # ------------------------------------------------------------------
-    # Degraded window: one shard down, siblings must keep serving.
-    # ------------------------------------------------------------------
-    down_shard: Optional[int] = None
-    if crashed:
-        down = [
-            i for i, state in enumerate(volume.states)
-            if state.value == "down"
-        ]
-        if len(down) != 1 or (
-            crash_shard is not None and down != [crash_shard]
-        ):
-            failures.append(
-                f"fault containment broken: down shards {down}, "
-                f"expected [{crash_shard}]"
-            )
-        down_shard = down[0] if down else crash_shard
-        run_ops(op_iter, DEGRADED_OPS, down=down_shard)
-
-    # ------------------------------------------------------------------
-    # Clear crash machinery (media degradation persists), recover ONLY
-    # the crashed shard -- or the whole volume after an orderly stop.
-    # ------------------------------------------------------------------
-    if crash_injector is not None:
-        crash_injector.uninstall(disks[crash_shard])
-    if flaky_injector is not None:
-        flaky_injector.uninstall(disks[flaky_shard])
-        flaky_injector = DiskFaultInjector(
-            seed=seed + 1,
-            flaky_sectors=flaky_sectors,
-        ).install(disks[flaky_shard])
-    if down_shard is not None:
-        outcomes = [volume.recover_shard(down_shard)]
-    else:
-        volume.power_down()
-        volume.crash()
-        outcomes = volume.recover()
-    recovery = dict(shard=down_shard, **_recovery_summary(outcomes))
-
-    report = volume_fsck(volume, deep=True)
-    if not report.ok:
-        for violation in report.violations:
-            failures.append(
-                f"volume-fsck: {violation.kind}: {violation.detail}"
-            )
-    oracle.audit(volume, failures, extra_candidates=frozen)
-
-    # ------------------------------------------------------------------
-    # Keep going: the recovered volume must be fully serviceable.
-    # ------------------------------------------------------------------
-    if run_ops(op_iter, CONTINUE_OPS) >= 0:
-        failures.append("continue phase crashed with no injector armed")
-    volume.idle(0.2)  # scrubber windows, per healthy shard
-    final = volume_fsck(volume, deep=True)
-    if not final.ok:
-        for violation in final.violations:
-            failures.append(
-                f"final volume-fsck: {violation.kind}: {violation.detail}"
-            )
-    oracle.audit(volume, failures, extra_candidates=frozen)
-
-    return {
-        "ok": not failures,
-        "failures": failures,
-        "workload": workload,
-        "ops": ops,
-        "shards": shards,
-        "crashed_at": crashed_at if crashed else None,
-        "down_shard": down_shard,
-        "degraded_window": dict(degraded_stats),
-        "recovery": recovery,
-        "shard_stats": volume.shard_stats(),
-    }
-
-
-#: Multi-shard fault families: one shard crashes mid-stripe-write,
-#: another limps through a fail-slow window, a third degrades its media
-#: -- each fault stays inside its domain.  ``@depth4`` runs every shard
-#: on a depth-4 SATF queue (the CI quick-set plan).
-VOLUME_FAMILIES: Dict[str, Dict[str, Any]] = {
-    "shard-crash": dict(
-        ops=140, shards=3, crash_shard=0, crash_after=40, torn=False,
-    ),
-    "shard-crash+torn": dict(
-        ops=140, shards=3, crash_shard=1, crash_after=35, torn=True,
-    ),
-    # The slow onset sits past the health monitor's 32-sample baseline,
-    # so "normal" is learned from genuinely normal latencies and the
-    # fail-slow window actually trips the detector (hedged reads engage).
-    "shard-crash+slow@depth4": dict(
-        ops=160, shards=3, crash_shard=0, crash_after=45, torn=True,
-        slow_shard=1, slow_factor=8.0, slow_after=60, slow_ops=400,
-        queue_depth=4, sched="satf",
-    ),
-    "shard-composed": dict(
-        ops=160, shards=4, crash_shard=0, crash_after=50, torn=True,
-        slow_shard=1, slow_factor=6.0, slow_after=60, slow_ops=400,
-        flaky_shard=2, flaky=4, flaky_rate=0.4,
-    ),
-}
-
-#: The volume quick set runs a workload subset (the full cross product
-#: is the weekly grid's job): sequential bait for mid-stripe tears,
-#: small writes for the common path, bursty idle for scrub/compact
-#: during the fault window.
-VOLUME_QUICK_WORKLOADS = ("small_writes", "sequential", "bursty_idle")
-
-
-def volume_matrix(
-    seeds: Tuple[int, ...] = (0,),
-    workloads: Optional[List[str]] = None,
-    families: Optional[List[str]] = None,
-) -> List[SweepPoint]:
-    """The (workload x shard-fault-family x seed) grid as sweep points."""
-    points: List[SweepPoint] = []
-    for name in workloads or sorted(WORKLOADS):
-        for family in families or sorted(VOLUME_FAMILIES):
-            for seed in seeds:
-                params = dict(VOLUME_FAMILIES[family], workload=name)
-                points.append(SweepPoint(
-                    fn_name="repro.harness.torture:volume_torture_point",
-                    params=params,
-                    seed=seed,
-                ))
-    return points
-
-
-def volume_quick_set() -> List[SweepPoint]:
-    """The CI quick matrix: bounded workload subset, every family."""
-    return volume_matrix(
-        seeds=(0,), workloads=list(VOLUME_QUICK_WORKLOADS)
+    target = _VolumeDevice(
+        volume, devices, disks,
+        crash_domain=crash_shard if crash_after is not None else None,
+        flaky_domain=flaky_shard,
     )
-
-
-def volume_long_set() -> List[SweepPoint]:
-    """The weekly matrix: every workload, more seeds."""
-    return volume_matrix(seeds=tuple(range(4)))
+    return _run_plan(target, workload, ops, seed, crash_after, torn,
+                     read_error_rate, flaky, flaky_rate)
 
 
 # ======================================================================
-# The matrix
+# The matrices
 # ======================================================================
 
 #: Fault families composed over every workload.  ``crash+torn`` is the
@@ -810,42 +648,89 @@ FAMILIES: Dict[str, Dict[str, Any]] = {
                                   queue_depth=4, sched="satf"),
 }
 
+#: Multi-shard fault families: one shard crashes mid-stripe-write,
+#: another limps through a fail-slow window, a third degrades its media
+#: -- each fault stays inside its domain.  ``@depth4`` runs every shard
+#: on a depth-4 SATF queue (the CI quick-set plan).
+VOLUME_FAMILIES: Dict[str, Dict[str, Any]] = {
+    "shard-crash": dict(ops=140, shards=3, crash_shard=0, crash_after=40,
+                        torn=False),
+    "shard-crash+torn": dict(ops=140, shards=3, crash_shard=1,
+                             crash_after=35, torn=True),
+    # The slow onset sits past the health monitor's 32-sample baseline,
+    # so "normal" is learned from genuinely normal latencies and the
+    # fail-slow window actually trips the detector (hedged reads engage).
+    "shard-crash+slow@depth4": dict(
+        ops=160, shards=3, crash_shard=0, crash_after=45, torn=True,
+        slow_shard=1, slow_factor=8.0, slow_after=60, slow_ops=400,
+        queue_depth=4, sched="satf",
+    ),
+    "shard-composed": dict(
+        ops=160, shards=4, crash_shard=0, crash_after=50, torn=True,
+        slow_shard=1, slow_factor=6.0, slow_after=60, slow_ops=400,
+        flaky_shard=2, flaky=4, flaky_rate=0.4,
+    ),
+}
 
-def matrix(
-    seeds: Tuple[int, ...] = (0,),
-    workloads: Optional[List[str]] = None,
-    families: Optional[List[str]] = None,
-) -> List[SweepPoint]:
-    """The (workload x fault-family x seed) grid as sweep points."""
-    points: List[SweepPoint] = []
-    for name in workloads or sorted(WORKLOADS):
-        for family in families or sorted(FAMILIES):
-            for seed in seeds:
-                params = dict(FAMILIES[family], workload=name)
-                points.append(SweepPoint(
-                    fn_name="repro.harness.torture:torture_point",
-                    params=params,
-                    seed=seed,
-                ))
-    return points
+#: The volume quick set runs a workload subset (the full cross product
+#: is the weekly grid's job): sequential bait for mid-stripe tears,
+#: small writes for the common path, bursty idle for scrub/compact
+#: during the fault window.
+VOLUME_QUICK_WORKLOADS = ("small_writes", "sequential", "bursty_idle")
+
+Names = Optional[List[str]]
 
 
-def quick_set(families: Optional[List[str]] = None) -> List[SweepPoint]:
+def _grid(fn: Callable, table: Dict[str, Dict[str, Any]], seeds,
+          workloads: Names, families: Names) -> List[SweepPoint]:
+    """The (workload x fault-family x seed) grid of one point function
+    over its family table, as sweep points."""
+    return [
+        SweepPoint(fn_name=f"{fn.__module__}:{fn.__name__}",
+                   params=dict(table[family], workload=name), seed=seed)
+        for name in workloads or sorted(WORKLOADS)
+        for family in families or sorted(table)
+        for seed in seeds
+    ]
+
+
+def matrix(seeds: Tuple[int, ...] = (0,), workloads: Names = None,
+           families: Names = None) -> List[SweepPoint]:
+    return _grid(torture_point, FAMILIES, seeds, workloads, families)
+
+
+def quick_set(families: Names = None) -> List[SweepPoint]:
     """The CI quick matrix: every workload x every family, one seed."""
-    return matrix(seeds=(0,), families=families)
+    return matrix(families=families)
 
 
-def long_set(families: Optional[List[str]] = None) -> List[SweepPoint]:
+def long_set(families: Names = None) -> List[SweepPoint]:
     """The weekly matrix: more seeds over the same grid."""
-    return matrix(seeds=tuple(range(8)), families=families)
+    return matrix(tuple(range(8)), families=families)
+
+
+def volume_matrix(seeds: Tuple[int, ...] = (0,), workloads: Names = None,
+                  families: Names = None) -> List[SweepPoint]:
+    return _grid(volume_torture_point, VOLUME_FAMILIES, seeds, workloads,
+                 families)
+
+
+def volume_quick_set(families: Names = None) -> List[SweepPoint]:
+    """The CI quick matrix: bounded workload subset, every family."""
+    return volume_matrix(workloads=list(VOLUME_QUICK_WORKLOADS),
+                         families=families)
+
+
+def volume_long_set(families: Names = None) -> List[SweepPoint]:
+    """The weekly matrix: every workload, more seeds."""
+    return volume_matrix(tuple(range(4)), families=families)
 
 
 def run_matrix(points: List[SweepPoint],
                jobs: Optional[int] = None) -> List[Dict[str, Any]]:
-    """Execute the grid through the sweep engine (process-wide jobs and
-    cache defaults apply, so ``--jobs``/``--cache`` just work); a
-    failing point's verdict is annotated with its (params, seed) for
-    the minimizer."""
+    """Execute the grid through the sweep engine (the enclosing jobs and
+    cache context applies); each verdict is annotated with its point's
+    (params, seed) for the minimizer."""
     verdicts = []
     for result in run_sweep(points, jobs=jobs):
         verdict = dict(result.value)
@@ -866,11 +751,11 @@ def minimize(params: Dict[str, Any], seed: int,
     """Shrink a failing fault plan to the smallest one that still fails.
 
     Greedy halving on ``ops`` first (fewer ops = less log to read in the
-    repro), then on ``crash_after``; failure need not be monotone in
-    either, so each halving step is *verified* by re-running the point
-    and abandoned when the smaller plan passes.  ``fn`` selects the
-    point function (:func:`torture_point` or
-    :func:`volume_torture_point`); the same shrink keys apply to both.
+    repro), then on whichever crash point the plan carries
+    (``crash_after``, ``nvm_crash_after``); failure need not be monotone
+    in either, so each halving step is *verified* by re-running the
+    point and abandoned when the smaller plan passes.  ``fn`` is the
+    point function the plan belongs to.
     """
     runs = 0
 
@@ -882,21 +767,17 @@ def minimize(params: Dict[str, Any], seed: int,
     if not fails(params):
         raise ValueError("minimize() needs a failing plan to start from")
     best = dict(params)
-    for key, floor in (("ops", 1), ("crash_after", 1)):
+    for key in ("ops", "crash_after", "nvm_crash_after"):
         value = best.get(key)
-        while value is not None and value > floor and runs < runs_budget:
-            candidate = dict(best, **{key: max(floor, value // 2)})
+        while value is not None and value > 1 and runs < runs_budget:
+            candidate = dict(best, **{key: value // 2})
             if fails(candidate):
                 best = candidate
                 value = best[key]
             else:
                 break
-    return {
-        "params": best,
-        "seed": seed,
-        "runs": runs,
-        "fn": f"{fn.__module__}:{fn.__name__}",
-    }
+    return {"params": best, "seed": seed, "runs": runs,
+            "fn": f"{fn.__module__}:{fn.__name__}"}
 
 
 def write_repro(verdict: Dict[str, Any], minimized: Dict[str, Any],
@@ -904,9 +785,7 @@ def write_repro(verdict: Dict[str, Any], minimized: Dict[str, Any],
     """Drop a self-contained reproduction recipe for one failure."""
     os.makedirs(directory, exist_ok=True)
     params, seed = minimized["params"], minimized["seed"]
-    fn_ref = minimized.get(
-        "fn", "repro.harness.torture:torture_point"
-    )
+    fn_ref = minimized.get("fn", "repro.harness.torture:torture_point")
     fn_name = fn_ref.rsplit(":", 1)[-1]
     call = ", ".join(
         [f"{k}={v!r}" for k, v in sorted(params.items())] + [f"seed={seed}"]
@@ -923,11 +802,15 @@ def write_repro(verdict: Dict[str, Any], minimized: Dict[str, Any],
             f"print(json.dumps({fn_name}({call}), indent=2))\""
         ),
     }
-    name = "-".join(
-        str(params.get(k, "")) for k in ("workload", "ops", "crash_after")
-    )
-    if "shards" in params:
-        name = f"volume-{name}"
+    # Named after the plan's shape: the tier the crash lands on is part
+    # of it, or the two NVM families would share one file name.
+    fields = ["volume" if "shards" in params else None,
+              params.get("workload"), params.get("ops"),
+              params.get("crash_after")]
+    if params.get("nvm_crash_after") is not None:
+        fields.append(f"nvm{params['nvm_crash_after']}"
+                      + ("torn" if params.get("nvm_torn") else ""))
+    name = "-".join(str(field) for field in fields if field is not None)
     path = os.path.join(directory, f"torture-{name}-seed{seed}.json")
     with open(path, "w", encoding="utf-8") as sink:
         json.dump(artifact, sink, indent=2, sort_keys=True)

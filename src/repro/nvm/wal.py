@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
@@ -51,6 +50,7 @@ from repro.sched.idle import IdleManager
 from repro.sim.clock import SimClock
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
+from repro.vlog.recovery import RecoveryOutcome, fold_outcomes
 
 _SB_MAGIC = b"NVWALSB1"
 _SB = struct.Struct("<8sII")  # magic, epoch, crc
@@ -88,65 +88,6 @@ class NVWalInjector:
         """Count one append; ``True`` when this is the fatal one."""
         self.appends_seen += 1
         return self.appends_seen == self.crash_after_appends
-
-
-@dataclass
-class NVRecoveryOutcome:
-    """What a two-tier :meth:`NVWal.recover` did.
-
-    ``inner`` carries the backing store's own
-    :class:`~repro.vlog.recovery.RecoveryOutcome` (``None`` for a
-    backing device with no recovery machinery, e.g. a regular disk); the
-    commonly-reported fields delegate to it so torture verdicts read the
-    same either way.
-    """
-
-    #: Valid records found in the NVM log (the tier-1 commit point).
-    replayed_records: int = 0
-    #: Blocks written back to the backing store during replay.
-    replayed_blocks: int = 0
-    #: Trimmed blocks forwarded to the backing store during replay.
-    replayed_trims: int = 0
-    #: True when the scan stopped at a record that failed validation
-    #: (a store torn by the crash) rather than at the clean tail.
-    torn_tail: bool = False
-    inner: Optional[object] = None
-    breakdown: Breakdown = field(default_factory=Breakdown)
-
-    @property
-    def elapsed(self) -> float:
-        return self.breakdown.total
-
-    def _inner_field(self, name: str, default):
-        return getattr(self.inner, name, default) if self.inner else default
-
-    @property
-    def used_power_down_record(self) -> bool:
-        return self._inner_field("used_power_down_record", False)
-
-    @property
-    def scanned(self) -> bool:
-        return self._inner_field("scanned", False)
-
-    @property
-    def degraded(self) -> bool:
-        return self._inner_field("degraded", False)
-
-    @property
-    def reconstructed(self) -> bool:
-        return self._inner_field("reconstructed", False)
-
-    @property
-    def records_read(self) -> int:
-        return self._inner_field("records_read", 0)
-
-    @property
-    def media_errors(self) -> int:
-        return self._inner_field("media_errors", 0)
-
-    @property
-    def quarantined_sectors(self) -> int:
-        return self._inner_field("quarantined_sectors", 0)
 
 
 class NVWal(BlockDevice):
@@ -587,18 +528,19 @@ class NVWal(BlockDevice):
         self._seq = expected_seq
         return records, torn, total
 
-    def recover(self, timed: bool = True) -> NVRecoveryOutcome:
+    def recover(self, timed: bool = True) -> RecoveryOutcome:
         """Two-tier recovery: establish the NVM commit point (scan the
         log's valid prefix), run the backing store's own recovery
-        pipeline, replay the surviving records onto it, reset the log."""
-        records, torn, total = self._scan_log(timed=timed)
+        pipeline, replay the surviving records onto it, reset the log.
+        Returns the backing store's outcome folded with this tier's scan
+        and replay cost and its four replay facts; ``inner`` is the
+        backing store's own (``None`` over a device with no recovery)."""
+        records, torn, scan_cost = self._scan_log(timed=timed)
         # Rebuild the tier's view of the surviving records in order; the
         # final state per block is what replays (later records win).
         self._dirty = {}
         self._trimmed = set()
         bs = self.block_size
-        replayed_blocks = 0
-        replayed_trims = 0
         for op, lba, count, payload in records:
             if op == _OP_WRITE:
                 for i in range(count):
@@ -609,23 +551,17 @@ class NVWal(BlockDevice):
                 for i in range(count):
                     self._dirty.pop(lba + i, None)
                     self._trimmed.add(lba + i)
-        inner_outcome = None
         inner_recover = getattr(self.inner, "recover", None)
-        if inner_recover is not None:
-            inner_outcome = inner_recover(timed)
-            if inner_outcome is not None:
-                total.add(inner_outcome.breakdown)
-        replayed_blocks = len(self._dirty)
-        replayed_trims = len(self._trimmed)
-        total.add(self.destage_all())
-        return NVRecoveryOutcome(
-            replayed_records=len(records),
-            replayed_blocks=replayed_blocks,
-            replayed_trims=replayed_trims,
-            torn_tail=torn,
-            inner=inner_outcome,
-            breakdown=total,
+        outcome = fold_outcomes(
+            [inner_recover(timed)] if inner_recover is not None else []
         )
+        outcome.breakdown.add(scan_cost)
+        outcome.replayed_records += len(records)
+        outcome.replayed_blocks += len(self._dirty)
+        outcome.replayed_trims += len(self._trimmed)
+        outcome.torn_tail = outcome.torn_tail or torn
+        outcome.breakdown.add(self.destage_all())
+        return outcome
 
     # -- reporting -----------------------------------------------------
 

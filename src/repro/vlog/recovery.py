@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
@@ -258,11 +258,14 @@ def scan_for_tail(
 
 @dataclass
 class RecoveryOutcome:
-    """What happened during a ``recover()`` call.
+    """What happened during a ``recover()`` call -- the one answer every
+    recoverable device gives (VLD, VLFS, NVWal, sharded volume).
 
     :func:`recover_log` fills the locate/traverse fields (everything up to
-    and including ``reconstructed``); the owner adds its own costs to
-    ``breakdown`` and fills the media/quarantine counts below.
+    and including ``reconstructed``); the log's owner adds its own costs
+    to ``breakdown`` and fills the media/quarantine counts; a device built
+    over other recoverable devices returns their :func:`fold_outcomes`,
+    plus -- for the NVM write-ahead tier -- the four replay facts.
     """
 
     used_power_down_record: bool
@@ -283,10 +286,60 @@ class RecoveryOutcome:
     #: unreadable during recovery -- the defence against silently losing
     #: the quarantine when its youngest on-disk record is itself dead.
     conservatively_quarantined: int = 0
+    #: Valid records found in an NVM log (that tier's commit point).
+    replayed_records: int = 0
+    #: Blocks written back to the backing store during NVM replay.
+    replayed_blocks: int = 0
+    #: Trimmed blocks forwarded to the backing store during NVM replay.
+    replayed_trims: int = 0
+    #: True when an NVM log scan stopped at a record that failed
+    #: validation (a store torn by the crash), not at the clean tail.
+    torn_tail: bool = False
+    #: The outcomes this one was folded from, in order: a volume's
+    #: shards, an NVWal's backing store.  Empty for a device's own.
+    parts: List["RecoveryOutcome"] = field(default_factory=list)
 
     @property
     def elapsed(self) -> float:
         return self.breakdown.total
+
+    @property
+    def inner(self) -> Optional["RecoveryOutcome"]:
+        """The one outcome beneath this one (an NVWal's backing store);
+        ``None`` when there is none, or several."""
+        return self.parts[0] if len(self.parts) == 1 else None
+
+
+_FOLD_ANY = ("scanned", "degraded", "reconstructed", "torn_tail")
+_FOLD_SUM = (
+    "records_read", "blocks_scanned", "media_errors", "quarantined_sectors",
+    "conservatively_quarantined", "replayed_records", "replayed_blocks",
+    "replayed_trims",
+)
+
+
+def fold_outcomes(outcomes: Sequence[RecoveryOutcome]) -> RecoveryOutcome:
+    """One outcome for a device recovered part by part: the power-down
+    record was used only if *every* part used it, a flag is set if *any*
+    part set it, counts and ``breakdown`` add up (the parts share one
+    :class:`~repro.sim.clock.SimClock`, so the sum is the elapsed time).
+    The folded outcomes stay reachable as ``parts``; folding none gives
+    the outcome of a device with nothing to recover."""
+    parts = list(outcomes)
+    folded = RecoveryOutcome(
+        used_power_down_record=bool(parts)
+        and all(part.used_power_down_record for part in parts),
+        scanned=False,
+        records_read=0,
+        parts=parts,
+    )
+    for part in parts:
+        folded.breakdown.add(part.breakdown)
+        for name in _FOLD_ANY:
+            setattr(folded, name, getattr(folded, name) or getattr(part, name))
+        for name in _FOLD_SUM:
+            setattr(folded, name, getattr(folded, name) + getattr(part, name))
+    return folded
 
 
 def recover_log(
@@ -344,7 +397,7 @@ def recover_log(
                 return None, outcome  # nothing was ever written
         try:
             chunks, cost, outcome.records_read = vlog.recover_from_tail(
-                tail, timed=timed, repair=False, reader=reader
+                tail, timed=timed, reader=reader
             )
         except ValueError:
             # The recorded tail holds no readable map record (stale
@@ -364,8 +417,6 @@ def recover_log(
             vlog.disk, vlog.block_size, **scan_args
         )
         breakdown.add(cost)
-        chunks, outcome.records_read = vlog.recover_from_records(
-            records, repair=False
-        )
+        chunks, outcome.records_read = vlog.recover_from_records(records)
         outcome.blocks_scanned = max(outcome.blocks_scanned, examined)
     return chunks, outcome

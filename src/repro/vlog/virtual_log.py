@@ -428,22 +428,20 @@ class VirtualLog:
         self,
         tail_block: int,
         timed: bool = True,
-        repair: bool = True,
         reader=None,
     ) -> Tuple[Dict[int, List[int]], Breakdown, int]:
         """Rebuild chunk contents by traversing the tree from ``tail_block``.
 
         Returns ``(chunks, breakdown, records_read)`` where ``chunks`` maps
         chunk id to its youngest entry list.  Also rebuilds this object's
-        in-memory state so normal operation can resume.
+        in-memory state; before normal operation resumes the owner owes
+        the log :meth:`repair_reachability` (relocating chunks the pruned
+        tree no longer reaches), once its free-space map reflects the
+        recovered state -- earlier, the relocation writes could land on
+        live data.
 
         ``timed=False`` reads via :meth:`Disk.peek` (no simulated time), for
         tests that only care about correctness.
-
-        ``repair=False`` defers the reachability repair (relocating chunks
-        the pruned tree no longer reaches): the owner must call
-        :meth:`repair_reachability` once its free-space map reflects the
-        recovered state, or the relocation writes could land on live data.
 
         ``reader`` (optional) is a fault-tolerant read callable
         ``reader(sector, count, breakdown) -> Optional[bytes]`` returning
@@ -495,11 +493,11 @@ class VirtualLog:
                 records[pointer] = child
                 heappush(heap, (-child.seqno, pointer))
 
-        map_chunks = self._install_recovered(records, repair=repair)
+        map_chunks = self._install_recovered(records)
         return map_chunks, breakdown, len(records)
 
     def recover_from_records(
-        self, records: Dict[int, MapRecord], repair: bool = True
+        self, records: Dict[int, MapRecord]
     ) -> Tuple[Dict[int, List[int]], int]:
         """Rebuild from *every* valid record found by a full-disk scan.
 
@@ -508,13 +506,14 @@ class VirtualLog:
         youngest valid version of each chunk wins, which is sound because
         sequence numbers are globally ordered and stale records are only
         recycled *after* their successor commits.  Returns
-        ``(map_chunks, records_considered)``.
+        ``(map_chunks, records_considered)``; the owner owes the same
+        :meth:`repair_reachability` as after :meth:`recover_from_tail`.
         """
-        map_chunks = self._install_recovered(dict(records), repair=repair)
+        map_chunks = self._install_recovered(dict(records))
         return map_chunks, len(records)
 
     def _install_recovered(
-        self, records: Dict[int, MapRecord], repair: bool
+        self, records: Dict[int, MapRecord]
     ) -> Dict[int, List[int]]:
         """Select effective chunk versions and rebuild in-memory state."""
         candidates: Dict[int, List[Tuple[int, int]]] = {}
@@ -539,7 +538,7 @@ class VirtualLog:
                 chunks[chunk_id] = list(record.entries)
                 break
 
-        self._rebuild_state(youngest, records, repair=repair)
+        self._rebuild_state(youngest, records)
         # Expose transaction outcomes to owners (for id reuse and space
         # reclamation of uncommitted data blocks).
         self.recovered_committed_txns = committed
@@ -558,7 +557,6 @@ class VirtualLog:
         self,
         youngest: Dict[int, Tuple[int, int]],
         records: Dict[int, MapRecord],
-        repair: bool = True,
     ) -> None:
         """Reconstitute the in-memory graph from recovered records."""
         self._nodes.clear()
@@ -612,14 +610,9 @@ class VirtualLog:
                 self._in_edges.setdefault(target, set()).add(block)
         self.tail = tail_block
         self.next_seqno = max_seqno + 1
-        # After recovery the tail may no longer dominate every live record
-        # (stale edges were pruned); rewriting any unreachable chunks
-        # restores the invariant.  Owners that must rebuild their free map
-        # first pass ``repair=False`` and call :meth:`repair_reachability`
-        # themselves -- relocating before the free map knows which blocks
-        # hold live data could allocate on top of them.
-        if repair:
-            self.repair_reachability()
+        # The tail may no longer dominate every live record (stale edges
+        # were pruned); the owner's :meth:`repair_reachability` restores
+        # that, after its free map knows which blocks hold live data.
 
     def repair_reachability(self) -> Breakdown:
         """Relocate any live records the tail no longer reaches, restoring

@@ -46,6 +46,7 @@ from repro.blockdev.interpose import (
     find_layer,
 )
 from repro.sim.stats import Breakdown
+from repro.vlog.recovery import RecoveryOutcome, fold_outcomes
 from repro.vlog.resilience.retry import RetryPolicy
 from repro.volume.health import ShardHealthMonitor, median_baseline
 
@@ -401,7 +402,9 @@ class ShardedVolume(BlockDevice):
         self.shards[index].crash()
         self.states[index] = ShardState.DOWN
 
-    def recover_shard(self, index: int, timed: bool = True):
+    def recover_shard(
+        self, index: int, timed: bool = True
+    ) -> RecoveryOutcome:
         """Bring one shard back: discard its volatile state, run the
         standard power-down/scan recovery, and re-arm its health
         monitor.  Siblings serve traffic throughout (nothing here
@@ -422,18 +425,19 @@ class ShardedVolume(BlockDevice):
         for index in range(self.num_shards):
             self.crash_shard(index)
 
-    def recover(self, timed: bool = True):
+    def recover(self, timed: bool = True) -> RecoveryOutcome:
         """Recover every shard (volume-wide restart); returns the
-        per-shard outcomes in shard order."""
+        per-shard outcomes folded into one, in shard order on its
+        ``parts``.  The volume has no commit point of its own."""
         if self._single:
             # Pass-through: identical call sequence to a plain VLD.
             outcome = self.shards[0].recover(timed)
             self.states[0] = ShardState.HEALTHY
             return outcome
-        return [
+        return fold_outcomes([
             self.recover_shard(index, timed)
             for index in range(self.num_shards)
-        ]
+        ])
 
     def power_down(self, timed: bool = True) -> Breakdown:
         """Orderly shutdown of every healthy shard (a DOWN shard cannot

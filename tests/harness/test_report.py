@@ -89,6 +89,29 @@ class TestHarnessCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert flag in message and target in message
 
+    def test_volume_families_restrict_the_volume_matrix(self, capsys):
+        """--families applies to whichever table --volume selects."""
+        from repro.harness.__main__ import main
+
+        argv = ["--torture", "--volume", "--no-cache",
+                "--families", "shard-crash"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "volume torture matrix: 3 plans" in out
+        assert "all 3 plans survived" in out
+
+    def test_single_device_family_is_unknown_to_the_volume_matrix(
+        self, capsys
+    ):
+        from repro.harness.__main__ import main
+
+        argv = ["--torture", "--volume", "--no-cache", "--families", "crash"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "plans" not in captured.out  # nothing ran
+        assert "unknown torture families: crash" in captured.err
+        assert "shard-crash" in captured.err  # names the known ones
+
     def test_worker_crash_exits_3_with_context(self, capsys, monkeypatch):
         """--faults is an ordinary parameter now, so the injected crash
         happens inside a pool worker; it must come back across the

@@ -6,6 +6,7 @@ and prove the torture point catches it, then prove the minimizer can
 shrink that failing plan while keeping it failing.
 """
 
+import hashlib
 import json
 import os
 
@@ -19,8 +20,11 @@ from repro.harness.torture import (
     minimize,
     quick_set,
     torture_point,
+    volume_quick_set,
     write_repro,
 )
+from repro.harness.sweep import run_sweep
+from repro.nvm import NVWal
 from repro.sim.stats import Breakdown
 from repro.vlog.virtual_log import VirtualLog
 
@@ -77,6 +81,27 @@ class TestMatrix:
         assert point.fn_name == "repro.harness.torture:torture_point"
 
 
+#: sha256 over the sorted-JSON verdicts of ``quick_set()`` then
+#: ``volume_quick_set()``, recorded at commit c6aec67 (before the two
+#: plan runners became one) under PYTHONHASHSEED 0, 1 and random.
+QUICK_SET_DIGEST = (
+    "ebb541058d5bc495611c167357392b438e8d738d97d74fc542ea2486fe3c5346"
+)
+
+
+def test_quick_set_verdicts_are_pinned():
+    """The identity golden of the harness itself: nothing either quick
+    set observes -- verdict keys, counters, recovery facts, failure
+    lines -- may move under a refactor of the runner."""
+    points = quick_set() + volume_quick_set()
+    verdicts = [r.value for r in run_sweep(points, jobs=1, cache=None)]
+    assert len(verdicts) == 35 + 12
+    digest = hashlib.sha256(
+        json.dumps(verdicts, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == QUICK_SET_DIGEST
+
+
 class TestCheckerMutation:
     """Plant a real durability bug and prove the torture point sees it."""
 
@@ -119,6 +144,36 @@ class TestCheckerMutation:
         assert artifact["fn"] == "repro.harness.torture:torture_point"
         assert "torture_point(" in artifact["reproduce"]
         assert artifact["failures"]
+
+    @pytest.fixture()
+    def lost_nvm_log(self, monkeypatch):
+        # Recovery finds the NVM log empty: every write acknowledged at
+        # the tier's commit point but not yet destaged is gone.
+        monkeypatch.setattr(
+            NVWal, "_scan_log",
+            lambda self, timed=True: ([], False, Breakdown()),
+        )
+
+    def test_nvm_plan_shrinks_its_own_crash_point(
+        self, lost_nvm_log, tmp_path
+    ):
+        paths = set()
+        for family in ("nvm-crash", "nvm-crash+torn@depth4"):
+            params = dict(FAMILIES[family], workload="small_writes")
+            verdict = torture_point(seed=0, **params)
+            assert not verdict["ok"], family
+            verdict["params"] = params
+            minimized = minimize(dict(params), seed=0)
+            shrunk = minimized["params"]
+            assert shrunk["nvm_crash_after"] < params["nvm_crash_after"]
+            assert "crash_after" not in shrunk
+            assert not torture_point(seed=0, **shrunk)["ok"]
+            path = write_repro(verdict, minimized, directory=str(tmp_path))
+            name = os.path.basename(path)
+            assert f"-nvm{shrunk['nvm_crash_after']}" in name
+            assert "--" not in name  # no empty crash_after field
+            paths.add(path)
+        assert len(paths) == 2  # one artifact per family, none overwritten
 
     def test_minimize_refuses_passing_plan(self):
         with pytest.raises(ValueError, match="failing plan"):

@@ -6,10 +6,13 @@ from repro.blockdev.interpose import DeviceCrashed
 from repro.blockdev.nvm import NVM_SPECS
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.harness.configs import build_sharded_volume
 from repro.nvm import NVWal, NVWalInjector
 from repro.sim.clock import SimClock
 from repro.vlog.vld import VirtualLogDisk
+from repro.vlog.recovery import RecoveryOutcome
 from repro.vlog.resilience import vlfsck
+from repro.volume import volume_fsck
 
 
 @pytest.fixture
@@ -237,3 +240,48 @@ class TestTwoTierPowerDownDepth4:
         for lba, data in payloads.items():
             assert wal.read_block(lba)[0] == data
         assert not vlfsck(vld).violations
+
+
+class TestOverShardedVolume:
+    def test_nvwal_over_three_shards_recovers(self):
+        """The full composed stack -- NVWal -> volume -> VLDs -- survives
+        a crash: the tier folds the volume's (already folded) outcome
+        into its own instead of assuming one scalar beneath it."""
+        volume, _, _ = build_sharded_volume(
+            3, stripe_blocks=8, num_cylinders=6
+        )
+        wal = NVWal(volume, spec=NVM_SPECS["nvdimm"])
+        expected = {}
+        for lba in range(40):  # five stripes: every shard holds data
+            expected[lba] = _blk(lba + 1)
+            wal.write_block(lba, expected[lba])
+        wal.idle(1.0)  # destaged: these now live on the shards
+        assert wal.dirty_blocks == 0
+        for lba in range(30, 60):  # overwrites and new blocks, NVM-only
+            expected[lba] = _blk(lba + 101)
+            wal.write_block(lba, expected[lba])
+        wal.trim(7, 1)
+        expected[7] = bytes(4096)
+        nvm_only = wal.dirty_blocks
+
+        wal.crash()
+        outcome = wal.recover()
+
+        for lba, data in expected.items():
+            assert wal.read_block(lba)[0] == data, lba
+            assert volume.read_block(lba)[0] == data, lba
+        assert volume_fsck(volume, deep=True).ok
+        assert isinstance(outcome, RecoveryOutcome)
+        assert outcome.replayed_records == 31
+        assert outcome.replayed_blocks == nvm_only == 30
+        assert outcome.replayed_trims == 1
+        # The locate/traverse facts are what the three shards' own
+        # outcomes fold to (any / sum), with the tier's cost on top.
+        shards = outcome.inner.parts
+        assert len(shards) == 3
+        assert outcome.scanned is True and all(s.scanned for s in shards)
+        assert outcome.records_read == sum(s.records_read for s in shards) > 0
+        assert outcome.blocks_scanned == sum(s.blocks_scanned for s in shards)
+        assert outcome.elapsed > outcome.inner.elapsed == pytest.approx(
+            sum(s.elapsed for s in shards)
+        )

@@ -207,6 +207,7 @@ def test_virtual_log_recovers_exactly_after_any_history(writes):
         vlog.append(chunk_id, chunks[chunk_id])
     vlog.check_invariants()
     recovered, _cost, _n = vlog.recover_from_tail(vlog.tail, timed=False)
+    vlog.repair_reachability()
     assert recovered == {c: list(v) for c, v in chunks.items()}
     vlog.check_invariants()
 

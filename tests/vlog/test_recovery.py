@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.nvm.wal import NVWal
-from repro.vlog.recovery import PowerDownStore, scan_for_tail, scan_records
+from repro.sim.stats import Breakdown
+from repro.vlog.recovery import (
+    PowerDownStore,
+    RecoveryOutcome,
+    fold_outcomes,
+    scan_for_tail,
+    scan_records,
+)
 from repro.vlog.entries import MAGIC, MapRecord, entries_per_chunk
 from repro.vlog.vld import VirtualLogDisk
 
@@ -453,6 +460,62 @@ class TestRecoverySimIdentity:
         rows = _recovery_cycles(5)
         assert [row[2] for row in rows] == [False, False, True, True] * 2
         assert rows == _GOLDEN_RECOVERY_CYCLES
+
+
+class TestFoldOutcomes:
+    """The one rule a device built of recoverable parts answers with:
+    record = all, flags = any, counts and cost = sum."""
+
+    def test_three_outcomes_fold_all_any_sum(self):
+        parts = [
+            RecoveryOutcome(
+                used_power_down_record=True, scanned=False, records_read=3,
+                breakdown=Breakdown(transfer=0.5, locate=0.25),
+                quarantined_sectors=2,
+            ),
+            RecoveryOutcome(
+                used_power_down_record=False, scanned=True, records_read=4,
+                blocks_scanned=100, breakdown=Breakdown(transfer=1.0),
+                degraded=True, media_errors=1, conservatively_quarantined=5,
+            ),
+            RecoveryOutcome(
+                used_power_down_record=True, scanned=False, records_read=5,
+                breakdown=Breakdown(other=0.125), replayed_records=7,
+                replayed_blocks=6, replayed_trims=1, torn_tail=True,
+            ),
+        ]
+        folded = fold_outcomes(parts)
+        assert folded == RecoveryOutcome(
+            used_power_down_record=False,  # all
+            scanned=True, degraded=True, torn_tail=True,  # any
+            reconstructed=False,
+            records_read=12, blocks_scanned=100, media_errors=1,  # sum
+            quarantined_sectors=2, conservatively_quarantined=5,
+            replayed_records=7, replayed_blocks=6, replayed_trims=1,
+            breakdown=Breakdown(transfer=1.5, locate=0.25, other=0.125),
+            parts=parts,
+        )
+        assert folded.elapsed == 1.875
+        assert folded.inner is None  # several parts: no single one beneath
+        assert fold_outcomes(parts[::2]).used_power_down_record
+
+    def test_one_outcome_folds_to_equal_fields(self):
+        only = RecoveryOutcome(
+            used_power_down_record=True, scanned=False, records_read=9,
+            breakdown=Breakdown(scsi=0.1, transfer=0.2), media_errors=2,
+        )
+        folded = fold_outcomes([only])
+        assert folded is not only and folded.inner is only
+        assert folded.breakdown is not only.breakdown
+        folded.parts = []
+        assert folded == only
+
+    def test_folding_nothing_is_a_device_with_no_recovery(self):
+        folded = fold_outcomes([])
+        assert folded == RecoveryOutcome(
+            used_power_down_record=False, scanned=False, records_read=0
+        )
+        assert folded.inner is None and folded.elapsed == 0.0
 
 
 class TestTailGeometryValidation:

@@ -34,6 +34,9 @@ class Harness:
         result, _cost, _n = self.vlog.recover_from_tail(
             self.vlog.tail, timed=False
         )
+        # The owner's step after recovery (this harness's free map never
+        # lost its state, so there is nothing to rebuild first).
+        self.vlog.repair_reachability()
         return result
 
 

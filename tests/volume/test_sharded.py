@@ -5,6 +5,7 @@ import pytest
 
 from repro.blockdev.interpose import DiskFaultInjector
 from repro.harness.configs import build_sharded_volume
+from repro.vlog.recovery import RecoveryOutcome
 from repro.vlog.resilience import MediaError
 from repro.volume import ShardUnavailable, ShardedVolume, volume_fsck
 
@@ -156,6 +157,33 @@ class TestFaultContainment:
         for lba in range(24):
             data, _ = volume.read_block(lba)
             assert data == payload(lba, size)
+
+    def test_whole_volume_recover_returns_one_outcome(self):
+        """Three shards answer recover() in the same type as one: the
+        fold of the per-shard outcomes, which stay reachable as parts."""
+        volume, _, _ = small_volume()
+        size = volume.block_size
+        for lba in range(24):
+            volume.write_block(lba, payload(lba, size))
+        volume.crash_shard(1)  # one shard dies, the rest stop orderly
+        volume.power_down()
+        volume.crash()
+        outcome = volume.recover()
+        assert isinstance(outcome, RecoveryOutcome)
+        assert not volume.degraded
+        assert len(outcome.parts) == 3 and outcome.inner is None
+        assert [part.scanned for part in outcome.parts] == [
+            False, True, False
+        ]
+        assert outcome.scanned and not outcome.used_power_down_record
+        assert outcome.records_read == sum(
+            part.records_read for part in outcome.parts
+        )
+        assert outcome.elapsed == pytest.approx(
+            sum(part.elapsed for part in outcome.parts)
+        )
+        for lba in range(24):
+            assert volume.read_block(lba)[0] == payload(lba, size)
 
     def test_idle_skips_down_shards(self):
         volume, _, _ = small_volume()
