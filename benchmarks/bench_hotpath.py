@@ -4,9 +4,7 @@ Measures the simulator's hottest paths -- the ones every eagerly-written
 block pays for (Section 4.2's per-write free-space query):
 
 * ``free_run_query``    -- ``FreeSpaceMap.nearest_free_run`` latency on a
-  fragmented drive, measured for both the bitmap map and the seed's
-  per-sector ``ReferenceFreeSpaceMap`` (their ratio is the PR's headline
-  speedup).
+  fragmented drive.
 * ``mark_roundtrip``    -- ``mark_used``/``mark_free`` accounting.
 * ``allocator_throughput`` -- end-to-end ``EagerAllocator`` allocate/free
   cycles under the paper's TRACK_FILL policy.
@@ -32,12 +30,13 @@ ratios; an adjacent one sees the same machine the metric saw).  The
 committed baseline
 (``benchmarks/BENCH_hotpath.json``) stores the normalized scores; CI
 re-runs the suite and fails when any normalized score regresses by more
-than the tolerance (25 %), when the bitmap-vs-reference speedup falls
-below its 3x floor, or when a metric drops below one of the *absolute*
-normalized floors that lock in the batch-mechanics speedups (>=2x
-``allocator_throughput`` and ``compactor_pass``, >=3x ``satf_pick_next``
-over the pre-batching schema-2 baseline; >=2x ``vld_write_blocks`` and
-``compactor_data_move`` over the pre-batched-movement scalar path).  ``--check`` also surfaces
+than the tolerance (25 %) or when a metric drops below one of the
+*absolute* normalized floors that lock in a past speedup (>=3x
+``free_run_query`` over the per-sector reference map, which now lives in
+``tests/disk/reference_freemap.py``; >=2x ``allocator_throughput`` and
+``compactor_pass``, >=2.5x ``satf_pick_next`` over the pre-batching
+schema-2 baseline; >=2x ``vld_write_blocks`` and ``compactor_data_move``
+over the pre-batched-movement scalar path).  ``--check`` also surfaces
 interpreter drift: the baseline records the CPython it was measured on,
 and a mismatch with the running interpreter is reported (normalization
 absorbs most of the skew, so it warns rather than fails).
@@ -50,7 +49,7 @@ Usage::
         --check benchmarks/BENCH_hotpath.json --tolerance 0.25
 
 Also collected by pytest (``pytest benchmarks/bench_hotpath.py``) as a
-smoke test asserting the speedup floor.
+smoke test asserting the ``free_run_query`` floor.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import time
 from typing import Callable, Dict
 
 from repro.disk.disk import Disk
-from repro.disk.freemap import FreeSpaceMap, ReferenceFreeSpaceMap
+from repro.disk.freemap import FreeSpaceMap
 from repro.disk.geometry import DiskGeometry
 from repro.disk.specs import ST19101
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
@@ -91,11 +90,7 @@ GATED_METRICS = (
     "compactor_data_move",
 )
 
-#: Minimum bitmap-vs-reference speedup on the free-run query (the PR's
-#: acceptance floor).
-SPEEDUP_FLOOR = 3.0
-
-#: Absolute normalized floors locking in the batch-mechanics speedups.
+#: Absolute normalized floors locking in past speedups.
 #: The pre-batching (schema-2) code, re-measured on the CI perf
 #: interpreter (CPython 3.12) under this file's per-metric
 #: normalization, scores allocator_throughput 0.00192, compactor_pass
@@ -107,6 +102,11 @@ SPEEDUP_FLOOR = 3.0
 #: calibration-loop-to-workload ratio differs enough to skew a
 #: cross-interpreter comparison -- the drift ``--check`` now warns on.
 ABSOLUTE_FLOORS = {
+    # The bitmap free map's >=3x over the per-sector reference map, as a
+    # plain floor: the reference scored 86 311 queries/s against a
+    # 10 373 185 loop-ops/s calibration (0.00832 normalized) when the
+    # schema-4 baseline was recorded on the CI perf interpreter.
+    "free_run_query": 3.0 * 0.00832,
     "allocator_throughput": 2.0 * 0.00192,
     "compactor_pass": 2.0 * 0.00034,
     # Was 3.0x before the interior-boundary snap landed: the snap adds
@@ -150,12 +150,12 @@ def calibration_ops_per_sec(loops: int = 300_000, repeats: int = 3) -> float:
     return _best_of(repeats, once)
 
 
-def _fragmented_map(map_cls, utilization: float = 0.75, seed: int = 0xF5EE):
+def _fragmented_map(utilization: float = 0.75, seed: int = 0xF5EE):
     """A freemap over the paper's simulated Cheetah slice with randomly
     scattered used 8-sector blocks -- the regime eager writing queries
     live in (occupancy is block-granular because the allocator is)."""
     geometry = DiskGeometry(ST19101)
-    freemap = map_cls(geometry)
+    freemap = FreeSpaceMap(geometry)
     rng = random.Random(seed)
     blocks = geometry.total_sectors // 8
     for block in rng.sample(range(blocks), int(blocks * utilization)):
@@ -163,12 +163,10 @@ def _fragmented_map(map_cls, utilization: float = 0.75, seed: int = 0xF5EE):
     return geometry, freemap
 
 
-def bench_free_run_query(
-    map_cls=FreeSpaceMap, queries: int = 4000, repeats: int = 5
-) -> float:
+def bench_free_run_query(queries: int = 4000, repeats: int = 5) -> float:
     """ops/sec of ``nearest_free_run`` (count=8, align=8 -- the VLD's
     4 KB-block query) over random tracks and fractional arrival slots."""
-    geometry, freemap = _fragmented_map(map_cls)
+    geometry, freemap = _fragmented_map()
     rng = random.Random(0xA110C)
     tracks = [
         (cylinder, head)
@@ -360,7 +358,7 @@ def run_suite() -> Dict:
     ``calibration_ops_per_sec`` records the fastest reading (the
     machine's clean speed)."""
     benches = (
-        ("free_run_query", lambda: bench_free_run_query(FreeSpaceMap)),
+        ("free_run_query", bench_free_run_query),
         ("mark_roundtrip", bench_mark_roundtrip),
         ("allocator_throughput", bench_allocator_throughput),
         ("compactor_pass", bench_compactor_pass),
@@ -376,18 +374,11 @@ def run_suite() -> Dict:
         calibrations.append(local)
         raw[name] = bench()
         normalized[name] = raw[name] / local
-    raw["free_run_query_reference"] = bench_free_run_query(
-        ReferenceFreeSpaceMap, queries=400
-    )
     return {
         "schema": SCHEMA,
         "calibration_ops_per_sec": max(calibrations),
         "raw_ops_per_sec": raw,
         "normalized": normalized,
-        "speedup": {
-            "free_run_query": raw["free_run_query"]
-            / raw["free_run_query_reference"]
-        },
         "environment": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
@@ -408,7 +399,7 @@ def run_suite_median(runs: int) -> Dict:
         return run_suite()
     results = [run_suite() for _ in range(runs)]
     merged = results[0]
-    for section in ("normalized", "raw_ops_per_sec", "speedup"):
+    for section in ("normalized", "raw_ops_per_sec"):
         for key in merged[section]:
             merged[section][key] = statistics.median(
                 r[section][key] for r in results
@@ -447,7 +438,11 @@ def environment_warnings(result: Dict, baseline: Dict) -> list:
 def compare_to_baseline(
     result: Dict, baseline: Dict, tolerance: float
 ) -> list:
-    """Return a list of human-readable failures (empty == gate passes)."""
+    """Return a list of human-readable failures (empty == gate passes).
+
+    Only the baseline's ``schema`` and ``normalized`` blocks are read (the
+    committed schema-4 file also carries a ``speedup`` block from when
+    the reference map was measured here; it is ignored)."""
     failures = []
     if baseline.get("schema") != result["schema"]:
         failures.append(
@@ -460,8 +455,7 @@ def compare_to_baseline(
         if current < floor:
             failures.append(
                 f"{name}: normalized {current:.4f} is below the "
-                f"absolute floor {floor:.4f} locking in the "
-                "batch-mechanics speedup"
+                f"absolute floor {floor:.4f} locking in a past speedup"
             )
     for name in GATED_METRICS:
         base = baseline["normalized"].get(name)
@@ -475,12 +469,6 @@ def compare_to_baseline(
                 f"{name}: normalized {current:.3f} is below "
                 f"{floor:.3f} (baseline {base:.3f} - {tolerance:.0%})"
             )
-    speedup = result["speedup"]["free_run_query"]
-    if speedup < SPEEDUP_FLOOR:
-        failures.append(
-            f"free_run_query speedup {speedup:.2f}x fell below the "
-            f"{SPEEDUP_FLOOR:.0f}x floor vs the reference free map"
-        )
     return failures
 
 
@@ -492,12 +480,6 @@ def _print_report(result: Dict) -> None:
             f"{name:<24} {result['raw_ops_per_sec'][name]:>14,.1f} "
             f"{result['normalized'][name]:>12.3f}"
         )
-    reference = result["raw_ops_per_sec"]["free_run_query_reference"]
-    print(f"{'free_run_query (ref)':<24} {reference:>14,.1f}")
-    print(
-        "free_run_query speedup vs reference map: "
-        f"{result['speedup']['free_run_query']:.1f}x"
-    )
 
 
 def main(argv=None) -> int:
@@ -558,17 +540,14 @@ def main(argv=None) -> int:
 
 
 def test_hotpath_speedup_floor(benchmark):
-    """The bitmap free map must hold its >=3x win over the per-sector map."""
+    """The bitmap free map must hold its normalized ``free_run_query``
+    floor (>=3x the per-sector map's recorded score)."""
     from .conftest import run_once
 
-    fast = run_once(
-        benchmark, lambda: bench_free_run_query(FreeSpaceMap, queries=1500)
-    )
-    reference = bench_free_run_query(ReferenceFreeSpaceMap, queries=200)
-    speedup = fast / reference
-    print(f"\nfree_run_query: {fast:,.0f} ops/s vs reference "
-          f"{reference:,.0f} ops/s -> {speedup:.1f}x")
-    assert speedup >= SPEEDUP_FLOOR
+    local = calibration_ops_per_sec()
+    fast = run_once(benchmark, lambda: bench_free_run_query(queries=1500))
+    print(f"\nfree_run_query: {fast:,.0f} ops/s, normalized {fast / local:.3f}")
+    assert fast / local >= ABSOLUTE_FLOORS["free_run_query"]
 
 
 if __name__ == "__main__":

@@ -10,7 +10,12 @@ paper stacks.
 Because every layer in the paper's experiments issues requests synchronously,
 no event queue is needed: service times are computed closed-form from the
 head position and the platter's rotational position (a pure function of the
-simulated time).
+simulated time).  The closed form itself -- move the arm, wait for the
+sector's angle, transfer -- is :meth:`DiskMechanics.access
+<repro.disk.mechanics.DiskMechanics.access>`; every media access here
+(``read``, ``write``, each block of ``write_run``) is one call to it, with
+the costs accumulated in the order a clock advanced once per phase would
+add them.
 """
 
 from __future__ import annotations
@@ -314,17 +319,9 @@ class Disk:
         # busy-time add), so totals are bit-for-bit what the per-block
         # loop produces.
         clock = self.clock
-        geometry = self.geometry
-        mechanics = self.mechanics
+        access = self.mechanics.access
         counters = self.counters
         scsi = self.spec.scsi_overhead if charge_scsi else 0.0
-        tpc = geometry.tracks_per_cylinder
-        seeks = mechanics.seek_by_distance
-        skews = mechanics.skew_by_track
-        switch = mechanics.head_switch_time
-        sector_time = mechanics.sector_time
-        rotational_slot = mechanics.rotational_slot
-        transfer = block_sectors * sector_time
         t = clock.now
         hc = self.head_cylinder
         hh = self.head_head
@@ -342,30 +339,10 @@ class Disk:
             if scsi:
                 scsi_total += scsi
                 t += scsi
-            track = cursor // per_track
-            sect = cursor - track * per_track
-            cylinder = track // tpc
-            head = track - cylinder * tpc
-            distance = cylinder - hc
-            if distance < 0:
-                distance = -distance
-            positioning = seeks[distance]
-            if head != hh and switch > positioning:
-                positioning = switch
-            locate = 0.0
-            if positioning > 0.0:
-                locate = positioning
-                t += positioning
-            hc = cylinder
-            hh = head
-            angle = sect + skews[track]
-            if angle >= per_track:
-                angle -= per_track
-            rotational = ((angle - rotational_slot(t)) % per_track) * sector_time
-            if rotational > 0.0:
-                locate += rotational
-                t += rotational
-            t += transfer
+            t, positioning, rotational, transfer, hc, hh = access(
+                t, hc, hh, cursor, block_sectors
+            )
+            locate = positioning + rotational
             locate_total += locate
             transfer_total += transfer
             if accumulate is not None:
@@ -450,25 +427,24 @@ class Disk:
     def _position_and_transfer(
         self, sector: int, count: int, breakdown: Breakdown
     ) -> None:
-        """Move the arm, wait for rotation, and transfer ``count`` sectors."""
-        cylinder, head, sect = self.geometry.decompose(sector)
-        mechanics = self.mechanics
-        positioning = mechanics.positioning_time(
-            self.head_cylinder, self.head_head, cylinder, head
+        """Move the arm, wait for rotation, and transfer ``count`` sectors
+        (one track's worth at most; the caller has validated the run)."""
+        clock = self.clock
+        (
+            finish,
+            positioning,
+            rotational,
+            transfer,
+            self.head_cylinder,
+            self.head_head,
+        ) = self.mechanics.access(
+            clock.now, self.head_cylinder, self.head_head, sector, count
         )
-        if positioning > 0.0:
-            breakdown.charge("locate", positioning)
-            self.clock.advance(positioning)
-        self.head_cylinder = cylinder
-        self.head_head = head
-        target_slot = mechanics.angle_of(cylinder, head, sect)
-        rotational = mechanics.wait_for_slot(self.clock.now, target_slot)
-        if rotational > 0.0:
-            breakdown.charge("locate", rotational)
-            self.clock.advance(rotational)
-        transfer = mechanics.transfer_time(count)
-        breakdown.charge("transfer", transfer)
-        self.clock.advance(transfer)
+        # The costs are non-negative by construction, so they accumulate
+        # directly, in the order one charge per phase would add them.
+        breakdown.locate = (breakdown.locate + positioning) + rotational
+        breakdown.transfer += transfer
+        clock.advance_to(finish)
 
     def __repr__(self) -> str:
         return (

@@ -16,29 +16,32 @@ cross the end of the track drop out automatically (runs never wrap a track
 boundary, matching the allocator's no-straddle rule).  Counters are kept
 incrementally with popcounts of the changed bits.
 
-:class:`ReferenceFreeSpaceMap` is the original straightforward per-sector
-implementation, preserved as the oracle for the property tests and as the
-"before" side of the ``bench_hotpath`` speedup measurement.  (The one
-deliberate behaviour change from the seed implementation: the old
-``gap < align`` early exit in ``nearest_free_run`` was *wrong* whenever
-``align`` does not divide ``sectors_per_track`` -- candidate gaps are then
-not all congruent modulo ``align``, so a sub-``align`` gap need not be the
-minimum.  Both classes now return the true angular minimum; the property
-tests pin them to a brute-force oracle.)
+The per-track masks answer the single-track queries.  The cylinder query
+-- "the nearest free run on *any* head of this cylinder", which every
+eager write asks at least once -- reads a second view kept beside them:
+one integer per cylinder in *angle-major* order, bit ``angle *
+tracks_per_cylinder + head`` set when the sector passing under ``head``
+at platter angle ``angle`` is free.  Skew is folded into the bit
+position, so the sectors the heads see at one instant are adjacent bits
+and "nearest in time, lowest head on a tie" is the lowest set bit at or
+after the arrival angle: one fold over the whole cylinder and one or two
+find-first-sets replace a loop over the heads.  ``_set`` keeps the view
+current (one XOR of a stride-``tracks_per_cylinder`` run pattern per
+flipped run); DESIGN.md section 8 has the layout and the argument.
+
+The per-sector brute-force map this class is pinned to lives in
+``tests/disk/reference_freemap.py`` (``ReferenceFreeSpaceMap``: same
+public API, same answers, a Python loop per query).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.disk.geometry import DiskGeometry
 
 try:  # int.bit_count is Python >= 3.10; keep the 3.9 floor working.
-    (0).bit_count
-
-    def _popcount(x: int) -> int:
-        return x.bit_count()
-
+    _popcount = int.bit_count
 except AttributeError:  # pragma: no cover - exercised only on 3.9
 
     def _popcount(x: int) -> int:
@@ -119,17 +122,45 @@ class FreeSpaceMap:
         #: compactor's ``partial_tracks`` sweep is hot enough that the
         #: per-track divmod shows up).
         self._coords: Optional[List[Tuple[int, int]]] = None
-        #: Per-track memo of the last angle-space run-starts mask:
-        #: ``(source_mask, count, align, rotated_starts)``.  An entry is
-        #: valid only while the track's occupancy mask still equals the
-        #: stored source (checked by value, so no invalidation hooks and
-        #: no way to go stale); allocator sweeps re-probe mostly
-        #: unchanged tracks with one (count, align) shape, so the
+        #: Per-track memo of the last angle-space run-starts mask
+        #: ``nearest_free_run`` computed: ``(source_mask, count, align,
+        #: rotated_starts)``.  An entry is valid only while the track's
+        #: occupancy mask still equals the stored source (checked by
+        #: value, so no invalidation hooks and no way to go stale).  Its
+        #: callers -- the fill track and the compactor's hole search --
+        #: re-probe a track with one (count, align) shape, so the
         #: fold/align/rotate pipeline usually short-circuits to a
-        #: big-int compare.
+        #: big-int compare.  (One slot per track cannot serve the
+        #: cylinder query, where the data and map allocators' shapes
+        #: alternate and evict each other; that query reads the
+        #: cylinder view below instead.)
         self._run_memo: List[Optional[Tuple[int, int, int, int]]] = (
             [None] * n_tracks
         )
+        tpc = geometry.tracks_per_cylinder
+        self._tpc = tpc
+        self._total_sectors = geometry.total_sectors
+        #: The cylinder view: one integer per cylinder, bit ``angle *
+        #: tpc + head`` set == the sector under ``head`` at ``angle`` is
+        #: free (the skew-rotated transpose of the cylinder's track
+        #: masks).  Cylinders share the all-free integer until touched.
+        self._cyl_bits = n * tpc
+        self._cyl_masks: List[int] = [
+            (1 << self._cyl_bits) - 1
+        ] * geometry.num_cylinders
+        #: ``_stride_runs[k]``: ``k`` bits ``tpc`` apart from bit 0 -- a
+        #: run of ``k`` consecutive angles on head 0 of the cylinder
+        #: view.  ``_stride_runs[n]`` is all of head 0's lane.
+        stride_runs = [0]
+        for k in range(n):
+            stride_runs.append(stride_runs[k] | (1 << (k * tpc)))
+        self._stride_runs: List[int] = stride_runs
+        #: ``(count, align, skew of the cylinder's head 0) -> `` cylinder
+        #: view bits where an aligned run of ``count`` sectors may start
+        #: without crossing its track's end.  The geometry's skew is
+        #: linear in head and cylinder, so head 0's skew fixes every
+        #: head's: at most ``n`` masks per shape however many cylinders.
+        self._valid_starts: Dict[Tuple[int, int, int], int] = {}
         self._cyl_free: List[int] = [
             geometry.sectors_per_cylinder
         ] * geometry.num_cylinders
@@ -175,59 +206,87 @@ class FreeSpaceMap:
     def _set(self, sector: int, count: int, free: bool) -> None:
         if count <= 0:
             raise ValueError("count must be positive")
-        self.geometry.check_sector(sector)
-        self.geometry.check_sector(sector + count - 1)
+        if sector < 0 or sector + count > self._total_sectors:
+            # Both ends in range, as one test; the failing end raises.
+            self.geometry.check_sector(sector)
+            self.geometry.check_sector(sector + count - 1)
         n = self._n
-        tracks_per_cyl = self.geometry.tracks_per_cylinder
-        quarantined = self._quarantined
-        track, offset = divmod(sector, n)
-        if offset + count <= n:
-            # Single-track fast path: the allocator's unit never straddles
-            # a track, so nearly every mark lands here.
-            segment = ((1 << count) - 1) << offset
-            if free and quarantined is not None:
-                segment &= ~quarantined[track]
-                if segment == 0:
-                    return
-            old = self._masks[track]
-            new = (old | segment) if free else (old & ~segment)
-            if new != old:
-                delta = _popcount(new ^ old)
-                if not free:
-                    delta = -delta
-                self._masks[track] = new
-                before = self._track_free[track]
-                self._track_free[track] = before + delta
-                if (before == n) != (before + delta == n):
-                    self._empty_tracks += 1 if before + delta == n else -1
-                self._cyl_free[track // tracks_per_cyl] += delta
-                self.free_sectors += delta
+        track = sector // n
+        offset = sector - track * n
+        if offset + count > n:
+            # One single-track mark per track touched (recovery's
+            # whole-disk rebuild; the allocator's unit never straddles).
+            while count > 0:
+                span = min(n - sector % n, count)
+                self._set(sector, span, free)
+                sector += span
+                count -= span
             return
-        while count > 0:
-            track, offset = divmod(sector, n)
-            span = min(n - offset, count)
-            segment = ((1 << span) - 1) << offset
-            if free and quarantined is not None:
-                segment &= ~quarantined[track]
-                if segment == 0:
-                    sector += span
-                    count -= span
-                    continue
-            old = self._masks[track]
-            new = (old | segment) if free else (old & ~segment)
-            if new != old:
-                delta = _popcount(new ^ old)
-                if not free:
-                    delta = -delta
-                self._masks[track] = new
-                before = self._track_free[track]
-                self._track_free[track] = before + delta
-                if (before == n) != (before + delta == n):
-                    self._empty_tracks += 1 if before + delta == n else -1
-                self._cyl_free[track // tracks_per_cyl] += delta
-                self.free_sectors += delta
-            sector += span
-            count -= span
+        run = segment = ((1 << count) - 1) << offset
+        if free and self._quarantined is not None:
+            segment &= ~self._quarantined[track]
+            if segment == 0:
+                return
+        old = self._masks[track]
+        flipped = (segment & ~old) if free else (segment & old)
+        if not flipped:
+            return
+        flips = count if flipped == run else _popcount(flipped)
+        delta = flips if free else -flips
+        self._masks[track] = old ^ flipped
+        before = self._track_free[track]
+        after = self._track_free[track] = before + delta
+        if before == n or after == n:
+            self._empty_tracks += 1 if after == n else -1
+        tpc = self._tpc
+        cylinder = track // tpc
+        self._cyl_free[cylinder] += delta
+        self.free_sectors += delta
+        if flipped != run:
+            # Quarantine holes or a partly-overlapping mark: the flipped
+            # sectors are not one run.
+            self._flip_in_cylinder(track, flipped)
+            return
+        # The whole run flipped (nearly every mark): its image in the
+        # cylinder view is ``count`` bits ``tpc`` apart starting at the
+        # run's angle, in two pieces when the angle wraps mid-run.
+        head = track - cylinder * tpc
+        angle = offset + self._skews[track]
+        if angle >= n:
+            angle -= n
+        lead = n - angle
+        runs = self._stride_runs
+        if count <= lead:
+            image = runs[count] << (angle * tpc + head)
+        else:
+            image = (runs[lead] << (angle * tpc + head)) | (
+                runs[count - lead] << head
+            )
+        self._cyl_masks[cylinder] ^= image
+
+    def _flip_in_cylinder(self, track: int, flipped: int) -> None:
+        """XOR the cylinder view with the image of ``flipped``, any set
+        of sectors of one track, one stride pattern per run of them."""
+        n = self._n
+        tpc = self._tpc
+        skew = self._skews[track]
+        if skew:
+            flipped = (
+                (flipped << skew) | (flipped >> (n - skew))
+            ) & self._track_full_mask
+        runs = self._stride_runs
+        image = 0
+        angle = 0
+        while flipped:
+            gap = (flipped & -flipped).bit_length() - 1
+            flipped >>= gap
+            angle += gap
+            count = (~flipped & (flipped + 1)).bit_length() - 1
+            image |= runs[count] << (angle * tpc)
+            flipped >>= count
+            angle += count
+        cylinder = track // tpc
+        self._cyl_masks[cylinder] ^= image << (track - cylinder * tpc)
 
     def mark_used(self, sector: int, count: int = 1) -> None:
         """Mark a run of sectors as occupied."""
@@ -430,15 +489,46 @@ class FreeSpaceMap:
         return self._run_starts(track_idx, count, align) != 0
 
     def cylinder_has_run(self, cylinder: int, count: int, align: int = 1) -> bool:
-        """True when any track of the cylinder holds an aligned free run --
-        the batch pre-check the allocator's cylinder sweep uses to skip
-        fragmented cylinders without pricing every track."""
-        if self.cylinder_free_count(cylinder) < count:
+        """True when any track of the cylinder holds an aligned free run:
+        would :meth:`nearest_free_in_cylinder` succeed?"""
+        if count <= 0 or align <= 0:
+            raise ValueError("count and align must be positive")
+        if self.cylinder_free_count(cylinder) < count or count > self._n:
             return False
-        return any(
-            self.has_aligned_run(cylinder, head, count, align)
-            for head in range(self.geometry.tracks_per_cylinder)
-        )
+        return self._cylinder_starts(cylinder, count, align) != 0
+
+    def _cylinder_starts(self, cylinder: int, count: int, align: int) -> int:
+        """Cylinder-view mask of where an aligned free run of ``count``
+        sectors starts, on any head (``1 <= count <= n``)."""
+        mask = self._cyl_masks[cylinder]
+        if count == 1 and align == 1:
+            return mask
+        tpc = self._tpc
+        if count > 1 and mask:
+            # Consecutive sectors are consecutive angles *cyclically*
+            # (only the track's end breaks a run, and the valid-starts
+            # mask below drops those starts), so extend the view by the
+            # ``count - 1`` angles a run starting near the top wraps
+            # onto; then the doubling fold needs no rotation.
+            mask |= (mask & ((1 << ((count - 1) * tpc)) - 1)) << self._cyl_bits
+            have = 1
+            while have < count:
+                step = have if have < count - have else count - have
+                mask &= mask >> (step * tpc)
+                have += step
+        key = (count, align, self._skews[cylinder * tpc])
+        valid = self._valid_starts.get(key)
+        if valid is None:
+            # Aligned starts whose run stays on the track, every head's
+            # rotated by its skew; also cuts the fold's extension off.
+            n = self._n
+            valid = 0
+            for head in range(tpc):
+                skew = self._skews[cylinder * tpc + head]
+                for sect in range(0, n - count + 1, align):
+                    valid |= 1 << ((sect + skew) % n * tpc + head)
+            self._valid_starts[key] = valid
+        return mask & valid
 
     def nearest_free_in_cylinder(
         self,
@@ -463,6 +553,15 @@ class FreeSpaceMap:
         inside the settle window is reachable only a revolution later, so
         the nearest run *after* the window -- which a query from
         ``start_slot`` would never surface -- is the one that competes.
+        The answer is the minimum by ``(cost, head)``.
+
+        Answered from the cylinder view: in angle-major order the lowest
+        set bit at or after an arrival angle is the soonest run, lowest
+        head first among runs at one angle (costs one angle apart differ
+        by a whole slot, far above rounding at any realistic penalty).
+        So one find-first-set on the current head's lane, and -- unless
+        that already costs less than the penalty every other head pays
+        -- one over all the other lanes, replace a loop over the heads.
         """
         if count <= 0 or align <= 0:
             raise ValueError("count and align must be positive")
@@ -470,88 +569,65 @@ class FreeSpaceMap:
         n = self._n
         if count > n:
             return None
-        tracks_per_cyl = self.geometry.tracks_per_cylinder
         if self._cyl_free[cylinder] < count:
-            # Track free counts never exceed the cylinder's, so no track
-            # can hold a run either -- skip the whole per-head sweep.
+            # No track can hold a run the whole cylinder cannot.
             return None
-        # Fused per-head sweep: one ``nearest_free_run`` equivalent per
-        # track with the validation, table lookups, and call overhead
-        # hoisted out of the loop.  This is the allocator's hottest call
-        # (every greedy/nearest allocation pays it per candidate
-        # cylinder), and the 16-19 inner calls dominated it.
-        base_idx = cylinder * tracks_per_cyl
-        track_free = self._track_free
-        masks = self._masks
-        skews = self._skews
-        bases = self._bases
-        memo = self._run_memo
-        full = self._track_full_mask
-        amask = _aligned_starts_mask(n, align) if align > 1 else 0
-        # Only two query slots exist across the sweep -- the current
-        # track's and the penalised one every other track shares -- so
-        # the slot -> phase reduction is hoisted out of the head loop.
-        penalised_slot = start_slot + head_switch_slots
-        phases = []
-        for query_slot in (start_slot, penalised_slot):
-            slot = query_slot % n
+        others = self._cylinder_starts(cylinder, count, align)
+        if not others:
+            return None
+        tpc = self._tpc
+        best: Optional[Tuple[float, int, int]] = None
+        if 0 <= current_head < tpc:
+            lane = others & (self._stride_runs[n] << current_head)
+            if lane:
+                slot = start_slot % n
+                phase = int(slot)
+                if phase != slot:
+                    phase += 1
+                    if phase == n:
+                        phase = 0
+                ahead = lane >> (phase * tpc)
+                if ahead:
+                    angle = phase + ((ahead & -ahead).bit_length() - 1) // tpc
+                else:
+                    angle = ((lane & -lane).bit_length() - 1) // tpc
+                cost = (angle - start_slot) % n
+                track = cylinder * tpc + current_head
+                sect = angle - self._skews[track]
+                if sect < 0:
+                    sect += n
+                best = (cost, self._bases[track] + sect, current_head)
+                if cost < head_switch_slots:
+                    # Every other head pays at least the penalty.  (At
+                    # equality a lower head with a zero gap ties and
+                    # wins, so the race below must run.)
+                    return best
+                others ^= lane
+        if others:
+            penalised_slot = start_slot + head_switch_slots
+            slot = penalised_slot % n
             phase = int(slot)
             if phase != slot:
                 phase += 1
                 if phase == n:
                     phase = 0
-            phases.append(phase)
-        current_phase, penalised_phase = phases
-        best: Optional[Tuple[float, int, int]] = None
-        best_cost = 0.0
-        for head in range(tracks_per_cyl):
-            track_idx = base_idx + head
-            if track_free[track_idx] < count:
-                continue
-            source = masks[track_idx]
-            skew = skews[track_idx]
-            entry = memo[track_idx]
-            if (
-                entry is not None
-                and entry[0] == source
-                and entry[1] == count
-                and entry[2] == align
-            ):
-                mask = entry[3]
-            else:
-                mask = source
-                have = 1
-                while have < count and mask:
-                    step = have if have < count - have else count - have
-                    mask &= mask >> step
-                    have += step
-                if align > 1 and mask:
-                    mask &= amask
-                if skew and mask:
-                    mask = ((mask << skew) | (mask >> (n - skew))) & full
-                memo[track_idx] = (source, count, align, mask)
-            if mask == 0:
-                continue
-            if head == current_head:
-                penalty = 0.0
-                query_slot = start_slot
-                phase = current_phase
-            else:
-                penalty = head_switch_slots
-                query_slot = penalised_slot
-                phase = penalised_phase
-            ahead = mask >> phase
+            ahead = others >> (phase * tpc)
             if ahead:
-                angle = phase + ((ahead & -ahead).bit_length() - 1)
+                angle, head = divmod((ahead & -ahead).bit_length() - 1, tpc)
+                angle += phase
             else:
-                angle = (mask & -mask).bit_length() - 1
-            cost = penalty + ((angle - query_slot) % n)
-            if best is None or cost < best_cost:
-                sect = angle - skew
+                angle, head = divmod((others & -others).bit_length() - 1, tpc)
+            cost = head_switch_slots + ((angle - penalised_slot) % n)
+            if (
+                best is None
+                or cost < best[0]
+                or (cost == best[0] and head < current_head)
+            ):
+                track = cylinder * tpc + head
+                sect = angle - self._skews[track]
                 if sect < 0:
                     sect += n
-                best = (cost, bases[track_idx] + sect, head)
-                best_cost = cost
+                best = (cost, self._bases[track] + sect, head)
         return best
 
     def partial_tracks(self, minimum_free: int) -> List[Tuple[int, int]]:
@@ -643,222 +719,3 @@ class FreeSpaceMap:
         ]
         ranked.sort(key=lambda item: (-item[0], item[1], item[2]))
         return ranked
-
-
-class ReferenceFreeSpaceMap:
-    """Per-sector brute-force free map: the seed implementation, kept as
-    the property-test oracle and the baseline :mod:`bench_hotpath` measures
-    the bitmap implementation against.
-
-    Identical public API and answers to :class:`FreeSpaceMap` (the buggy
-    ``gap < align`` early exit of the original was removed -- see the
-    module docstring), at the original O(sectors) cost per query.
-    """
-
-    def __init__(self, geometry: DiskGeometry) -> None:
-        self.geometry = geometry
-        self._free = bytearray(b"\x01" * geometry.total_sectors)
-        n_tracks = geometry.num_cylinders * geometry.tracks_per_cylinder
-        per_track = geometry.sectors_per_track
-        self._track_free: List[int] = [per_track] * n_tracks
-        self._cyl_free: List[int] = [
-            geometry.sectors_per_cylinder
-        ] * geometry.num_cylinders
-        self.free_sectors = geometry.total_sectors
-        self._quarantined_set: set = set()
-
-    def _track_index(self, cylinder: int, head: int) -> int:
-        return cylinder * self.geometry.tracks_per_cylinder + head
-
-    def is_free(self, sector: int) -> bool:
-        self.geometry.check_sector(sector)
-        return bool(self._free[sector])
-
-    def run_is_free(self, sector: int, count: int) -> bool:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self.geometry.check_sector(sector)
-        self.geometry.check_sector(sector + count - 1)
-        return all(self._free[sector : sector + count])
-
-    def _set(self, sector: int, count: int, free: bool) -> None:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self.geometry.check_sector(sector)
-        self.geometry.check_sector(sector + count - 1)
-        per_cyl = self.geometry.sectors_per_cylinder
-        per_track = self.geometry.sectors_per_track
-        value = 1 if free else 0
-        for s in range(sector, sector + count):
-            if free and s in self._quarantined_set:
-                continue
-            if self._free[s] == value:
-                continue
-            self._free[s] = value
-            delta = 1 if free else -1
-            self._track_free[s // per_track] += delta
-            self._cyl_free[s // per_cyl] += delta
-            self.free_sectors += delta
-
-    def mark_used(self, sector: int, count: int = 1) -> None:
-        self._set(sector, count, free=False)
-
-    def mark_free(self, sector: int, count: int = 1) -> None:
-        self._set(sector, count, free=True)
-
-    def quarantine(self, sector: int, count: int = 1) -> None:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self.geometry.check_sector(sector)
-        self.geometry.check_sector(sector + count - 1)
-        self._quarantined_set.update(range(sector, sector + count))
-        self._set(sector, count, free=False)
-
-    def set_quarantined(self, sectors) -> None:
-        self._quarantined_set = set()
-        for sector in sectors:
-            self.quarantine(sector)
-
-    def quarantined_sectors(self) -> List[int]:
-        return sorted(self._quarantined_set)
-
-    def is_quarantined(self, sector: int) -> bool:
-        self.geometry.check_sector(sector)
-        return sector in self._quarantined_set
-
-    def track_free_count(self, cylinder: int, head: int) -> int:
-        self.geometry.check_track(cylinder, head)
-        return self._track_free[self._track_index(cylinder, head)]
-
-    def cylinder_free_count(self, cylinder: int) -> int:
-        if not 0 <= cylinder < self.geometry.num_cylinders:
-            raise ValueError(f"cylinder {cylinder} out of range")
-        return self._cyl_free[cylinder]
-
-    @property
-    def utilization(self) -> float:
-        total = self.geometry.total_sectors
-        return (total - self.free_sectors) / total
-
-    def nearest_free_run(
-        self,
-        cylinder: int,
-        head: int,
-        start_slot: float,
-        count: int,
-        align: int = 1,
-    ) -> Optional[Tuple[float, int]]:
-        if count <= 0 or align <= 0:
-            raise ValueError("count and align must be positive")
-        geometry = self.geometry
-        n = geometry.sectors_per_track
-        if count > n:
-            return None
-        geometry.check_track(cylinder, head)
-        track_idx = self._track_index(cylinder, head)
-        if self._track_free[track_idx] < count:
-            return None
-        base = geometry.track_start(cylinder, head)
-        skew = geometry.skew_offset(cylinder, head)
-        best: Optional[Tuple[float, int]] = None
-        for sect in range(0, n - count + 1, align):
-            linear = base + sect
-            if not all(self._free[linear : linear + count]):
-                continue
-            angle = (sect + skew) % n
-            gap = (angle - start_slot) % n
-            if best is None or gap < best[0]:
-                best = (gap, linear)
-        return best
-
-    def has_aligned_run(
-        self, cylinder: int, head: int, count: int, align: int = 1
-    ) -> bool:
-        if count <= 0 or align <= 0:
-            raise ValueError("count and align must be positive")
-        return self.nearest_free_run(cylinder, head, 0.0, count, align) is not None
-
-    def cylinder_has_run(self, cylinder: int, count: int, align: int = 1) -> bool:
-        if self.cylinder_free_count(cylinder) < count:
-            return False
-        return any(
-            self.has_aligned_run(cylinder, head, count, align)
-            for head in range(self.geometry.tracks_per_cylinder)
-        )
-
-    def nearest_free_in_cylinder(
-        self,
-        cylinder: int,
-        current_head: int,
-        start_slot: float,
-        count: int,
-        align: int = 1,
-        head_switch_slots: float = 0.0,
-    ) -> Optional[Tuple[float, int, int]]:
-        best: Optional[Tuple[float, int, int]] = None
-        for head in range(self.geometry.tracks_per_cylinder):
-            penalty = 0.0 if head == current_head else head_switch_slots
-            found = self.nearest_free_run(
-                cylinder, head, start_slot + penalty, count, align
-            )
-            if found is None:
-                continue
-            gap, linear = found
-            cost = penalty + gap
-            if best is None or cost < best[0]:
-                best = (cost, linear, head)
-        return best
-
-    def free_sector_iter(self, cylinder: int, head: int) -> Iterator[int]:
-        base = self.geometry.track_start(cylinder, head)
-        for offset in range(self.geometry.sectors_per_track):
-            if self._free[base + offset]:
-                yield base + offset
-
-    def next_used_on_track(
-        self, cylinder: int, head: int, start_offset: int = 0
-    ) -> Optional[int]:
-        self.geometry.check_track(cylinder, head)
-        if not 0 <= start_offset <= self.geometry.sectors_per_track:
-            raise ValueError(f"start offset {start_offset} out of range")
-        base = self.geometry.track_start(cylinder, head)
-        for offset in range(start_offset, self.geometry.sectors_per_track):
-            if not self._free[base + offset]:
-                return base + offset
-        return None
-
-    def find_empty_track(self, start_cylinder: int = 0) -> Optional[Tuple[int, int]]:
-        geometry = self.geometry
-        per_track = geometry.sectors_per_track
-        total = geometry.num_cylinders
-        for offset in range(total):
-            cylinder = (start_cylinder + offset) % total
-            if self.cylinder_free_count(cylinder) < per_track:
-                continue
-            for head in range(geometry.tracks_per_cylinder):
-                if self.track_free_count(cylinder, head) == per_track:
-                    return cylinder, head
-        return None
-
-    def tracks_by_free_count(
-        self, minimum_free: int = 1
-    ) -> List[Tuple[int, int, int]]:
-        tracks_per_cyl = self.geometry.tracks_per_cylinder
-        ranked = [
-            (free, idx // tracks_per_cyl, idx % tracks_per_cyl)
-            for idx, free in enumerate(self._track_free)
-            if free >= minimum_free
-        ]
-        ranked.sort(key=lambda item: (-item[0], item[1], item[2]))
-        return ranked
-
-    def partial_tracks(self, minimum_free: int) -> List[Tuple[int, int]]:
-        if minimum_free <= 0:
-            raise ValueError("minimum_free must be positive")
-        n = self.geometry.sectors_per_track
-        tracks_per_cyl = self.geometry.tracks_per_cylinder
-        return [
-            divmod(idx, tracks_per_cyl)
-            for idx, free in enumerate(self._track_free)
-            if minimum_free <= free < n
-        ]

@@ -12,16 +12,21 @@ pending queue and the compactor's hole search all ask the same question.
 :class:`DiskMechanics` therefore answers from flat tables burned in at
 construction -- the seek curve by cylinder distance, the angular skew of
 every track -- and :meth:`DiskMechanics.price_candidates` evaluates a whole
-candidate set in one pass of a tight loop over them.  The closed-form
-scalar composition (``spec.seek_time`` with its ``sqrt``, per-call skew
-derivation, always-``ulp()`` slot) is the reference
-``tests/disk/test_batch_mechanics.py`` pins every answer against, exactly.
+candidate set in one pass of a tight loop over them.
+:meth:`DiskMechanics.access` is the other half: the position -> rotate ->
+transfer arithmetic of *servicing* one access, written once, which the
+disk's service path and the allocator's run projection both call
+(``tests/disk/test_access_kernel.py`` pins each caller to composing it by
+hand).  The closed-form scalar composition (``spec.seek_time`` with its
+``sqrt``, per-call skew derivation, always-``ulp()`` slot) is the
+reference ``tests/disk/test_batch_mechanics.py`` pins every answer
+against, exactly.
 """
 
 from __future__ import annotations
 
 from math import ulp
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.disk.geometry import DiskGeometry
 
@@ -44,8 +49,11 @@ class DiskMechanics:
     * ``skew_by_track[cylinder * tracks_per_cylinder + head]`` -- the
       angular offset of sector 0 on every track (the geometry's own list).
 
-    The hot loops in ``Disk.write_run``, ``EagerAllocator.allocate_run``
-    and ``Compactor._find_hole`` read the tables and the scalar attributes
+    :meth:`access` is the one position -> rotate -> transfer kernel the
+    service path (``Disk.read``/``write``/``write_run``) and
+    ``EagerAllocator.allocate_run``'s projection share; the sweeps that
+    price without servicing (``EagerAllocator``'s policies,
+    ``Compactor._find_hole``) read the tables and the scalar attributes
     directly.
     """
 
@@ -168,6 +176,56 @@ class DiskMechanics:
         ]
         n = self.sectors_per_track
         return angle - n if angle >= n else angle
+
+    def access(
+        self,
+        now: float,
+        head_cylinder: int,
+        head_head: int,
+        sector: int,
+        count: int,
+    ) -> Tuple[float, float, float, float, int, int]:
+        """Position, rotate, transfer: the service arithmetic of one
+        access that stays on one track, issued at ``now`` with the arm at
+        ``(head_cylinder, head_head)``.
+
+        Returns ``(finish, positioning, rotational, transfer, cylinder,
+        head)``: the three costs, the time the last sector has passed
+        (``((now + positioning) + rotational) + transfer``, the order a
+        clock advanced once per phase adds them in) and the track the
+        arm ends on.  This is :meth:`positioning_time`, :meth:`angle_of`,
+        :meth:`wait_for_slot` at the post-positioning time and
+        :meth:`transfer_time`, fused; the caller has validated the run
+        (``Disk._check_run``).  Every serviced access goes through here:
+        ``Disk.read``/``write``, each block of ``Disk.write_run`` and
+        each block ``EagerAllocator.allocate_run`` projects.
+        """
+        n = self.sectors_per_track
+        tpc = self.tracks_per_cylinder
+        track = sector // n
+        cylinder = track // tpc
+        head = track - cylinder * tpc
+        distance = cylinder - head_cylinder
+        if distance < 0:
+            distance = -distance
+        positioning = self.seek_by_distance[distance]
+        if head != head_head and self.head_switch_time > positioning:
+            positioning = self.head_switch_time
+        arrival = now + positioning
+        angle = sector - track * n + self.skew_by_track[track]
+        if angle >= n:
+            angle -= n
+        sector_time = self.sector_time
+        rotational = ((angle - self.rotational_slot(arrival)) % n) * sector_time
+        transfer = count * sector_time
+        return (
+            (arrival + rotational) + transfer,
+            positioning,
+            rotational,
+            transfer,
+            cylinder,
+            head,
+        )
 
     def price_candidates(
         self,

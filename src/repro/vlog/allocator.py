@@ -170,37 +170,23 @@ class EagerAllocator:
             if fill_mode or greedy_mode:
                 mechanics = disk.mechanics
                 freemap = self.freemap
+                access = mechanics.access
                 rotational_slot = mechanics.rotational_slot
-                seeks = mechanics.seek_by_distance
-                switch = mechanics.head_switch_time
-                sector_time = mechanics.sector_time
-                switch_slots = disk.spec.head_switch_time / sector_time
+                switch_slots = disk.spec.head_switch_time / mechanics.sector_time
                 skew = mechanics.skew_by_track[track]
-                transfer = spb * sector_time
+                seek_same = mechanics.seek_by_distance[0]
                 reserve = max(self.reserve_sectors + spb, spb)
                 free = freemap.track_free_count(cylinder, head)
                 base = track * n
-                # Project servicing the first block's write, starting
-                # from the true head position and clock.
+                # Project servicing each block's write with the kernel
+                # the disk will service it with, starting from the true
+                # head position and clock.
                 t = disk.clock.now
-                distance = cylinder - disk.head_cylinder
-                if distance < 0:
-                    distance = -distance
-                positioning = seeks[distance]
-                if head != disk.head_head and switch > positioning:
-                    positioning = switch
-                seek_same = seeks[0]
+                hc = disk.head_cylinder
+                hh = disk.head_head
                 cur = sect
                 while True:
-                    if positioning > 0.0:
-                        t += positioning
-                    angle = cur + skew
-                    if angle >= n:
-                        angle -= n
-                    rotational = ((angle - rotational_slot(t)) % n) * sector_time
-                    if rotational > 0.0:
-                        t += rotational
-                    t += transfer
+                    t, _, _, _, hc, hh = access(t, hc, hh, base + cur, spb)
                     free -= spb
                     if run >= max_blocks:
                         break
@@ -238,7 +224,6 @@ class EagerAllocator:
                     run += 1
                     if greedy_mode and policy is AllocationPolicy.TRACK_FILL:
                         fallback_blocks += 1
-                    positioning = seek_same
         self.freemap.mark_used(sector, run * spb)
         self.allocations += run
         self.fallbacks += fallback_blocks
@@ -313,12 +298,8 @@ class EagerAllocator:
             if best_cost is not None and self._seek_floor_at(distance) >= best_cost:
                 break  # no remaining distance can even out-seek the incumbent
             seek = seeks[distance]
-            if not self.freemap.cylinder_has_run(
-                cylinder, self.block_sectors, self.block_sectors
-            ):
-                # Batch pre-check on the bitmap: enough free sectors *and*
-                # at least one aligned run, without pricing every track.
-                continue
+            # No existence pre-check, as in ``_choose_greedy``'s sweep: a
+            # ``cylinder_has_run`` probe is the query's own fold, twice.
             arrival_slot = mechanics.rotational_slot(now + seek)
             found = self.freemap.nearest_free_in_cylinder(
                 cylinder,
@@ -395,10 +376,11 @@ class EagerAllocator:
             self._sweep_cylinder = (here + 1) % total
         cursor = self._sweep_cylinder
         for _ in range(total):
-            # No existence pre-check: ``nearest_free_in_cylinder`` skips
-            # a cylinder without a run from the counters alone, so a
-            # ``cylinder_has_run`` probe here would just fold every track
-            # twice.  Same cylinders succeed either way.
+            # No existence pre-check: ``nearest_free_in_cylinder`` returns
+            # ``None`` for a cylinder without a run from the counters and
+            # its one fold, so a ``cylinder_has_run`` probe here would
+            # just fold the cylinder twice.  Same cylinders succeed
+            # either way.
             seek = seeks[cursor - here if cursor >= here else here - cursor]
             arrival = mechanics.rotational_slot(now + seek)
             found = self.freemap.nearest_free_in_cylinder(

@@ -47,6 +47,14 @@ class TestBookkeeping:
             fm.mark_used(geo.total_sectors)
         with pytest.raises(ValueError):
             fm.mark_used(geo.total_sectors - 4, 8)
+        with pytest.raises(ValueError):
+            fm.mark_free(-1, 2)
+        with pytest.raises(ValueError):
+            fm.mark_free(0, 0)
+        # Whichever end is out of range is the one named.
+        with pytest.raises(ValueError, match=f"sector {geo.total_sectors + 3} "):
+            fm.mark_used(geo.total_sectors - 4, 8)
+        assert fm.free_sectors == geo.total_sectors
 
     def test_utilization_fraction(self, fm, geo):
         fm.mark_used(0, geo.total_sectors // 2)

@@ -21,9 +21,10 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.disk.freemap import FreeSpaceMap, ReferenceFreeSpaceMap
+from repro.disk.freemap import FreeSpaceMap
 from repro.disk.geometry import DiskGeometry
 from repro.disk.specs import DiskSpec
+from tests.disk.reference_freemap import ReferenceFreeSpaceMap
 
 _SETTINGS = settings(
     max_examples=60,

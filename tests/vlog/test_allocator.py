@@ -158,3 +158,58 @@ class TestEagerVsInPlaceLatency:
             sector = rng.randrange(total // 8) * 8
             in_place += disk.write(sector, 8, charge_scsi=False).locate
         assert eager < in_place / 3
+
+
+#: sha256 of the placement sequence below, recorded at the commit before
+#: the angle-major cylinder bitmap and the positioning kernel landed.
+_GOLDEN_PLACEMENT_SHA256 = (
+    "b7ef9f51021886b8cd2f527f9b5f3b8f208a0b474abc83b6fb508081cb89c956"
+)
+
+
+def test_placement_sequence_is_pinned():
+    """The write-path twin of ``TestRecoverySimIdentity``: a 70 %-full
+    VLD takes 2 000 seeded random overwrites with idle time every 256
+    (the ledger's ``vld_sync_update`` at a fifth of the scale), so the
+    fill track, the greedy fallback, the map allocator and the compactor
+    all place blocks -- and every physical block chosen, every clock
+    reading and every counter is bit-identical to the recorded run.  A
+    free-map or mechanics speed-up may change host time only."""
+    import hashlib
+    import random
+
+    from repro.vlog.vld import VirtualLogDisk
+
+    rng = random.Random(17)
+    disk = Disk(ST19101)
+    vld = VirtualLogDisk(disk)
+    live = rng.sample(range(vld.num_blocks), int(0.70 * vld.physical_blocks))
+    page = bytes(vld.block_size)
+    for lba in sorted(live):
+        vld.write_block(lba, page)
+    digest = hashlib.sha256()
+    for issued in range(1, 2001):
+        lba = rng.choice(live)
+        vld.write_block(lba, page)
+        digest.update(
+            f"{vld.imap.get(lba)} {disk.clock.now.hex()}\n".encode()
+        )
+        if issued % 256 == 0:
+            vld.idle(0.25)
+    allocator, vlog, compactor = vld.allocator, vld.vlog, vld.compactor
+    assert allocator.fallbacks > 0 and compactor.blocks_moved > 0
+    counters = disk.counters.as_dict()
+    counters["busy_time"] = counters["busy_time"].hex()
+    digest.update(
+        repr(
+            (
+                allocator.allocations,
+                allocator.fallbacks,
+                vlog.appends,
+                vlog.relocations,
+                compactor.blocks_moved,
+                sorted(counters.items()),
+            )
+        ).encode()
+    )
+    assert digest.hexdigest() == _GOLDEN_PLACEMENT_SHA256

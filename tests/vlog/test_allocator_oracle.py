@@ -32,9 +32,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.disk.disk import Disk
-from repro.disk.freemap import FreeSpaceMap, ReferenceFreeSpaceMap
+from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import DiskSpec
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
+from tests.disk.reference_freemap import ReferenceFreeSpaceMap
 
 _SETTINGS = settings(
     max_examples=60,

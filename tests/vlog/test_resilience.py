@@ -7,7 +7,7 @@ import pytest
 
 from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
 from repro.disk.disk import Disk
-from repro.disk.freemap import FreeSpaceMap, ReferenceFreeSpaceMap
+from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import DiskFullError
@@ -20,6 +20,7 @@ from repro.vlog.resilience import (
     vlfsck,
 )
 from repro.vlog.vld import VirtualLogDisk
+from tests.disk.reference_freemap import ReferenceFreeSpaceMap
 
 
 @pytest.fixture
