@@ -41,10 +41,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.disk.geometry import DiskGeometry
 
 try:  # int.bit_count is Python >= 3.10; keep the 3.9 floor working.
-    _popcount = int.bit_count
+    popcount = int.bit_count
 except AttributeError:  # pragma: no cover - exercised only on 3.9
 
-    def _popcount(x: int) -> int:
+    def popcount(x: int) -> int:
         return bin(x).count("1")
 
 
@@ -82,7 +82,8 @@ def nearest_set_bit(mask: int, n: int, phase: int) -> Optional[int]:
 _ALIGN_MASKS: dict = {}
 
 
-def _aligned_starts_mask(n: int, align: int) -> int:
+def aligned_starts_mask(n: int, align: int) -> int:
+    """The ``n``-bit mask with bits ``0, align, 2*align, ...`` set."""
     key = (n, align)
     mask = _ALIGN_MASKS.get(key)
     if mask is None:
@@ -231,7 +232,7 @@ class FreeSpaceMap:
         flipped = (segment & ~old) if free else (segment & old)
         if not flipped:
             return
-        flips = count if flipped == run else _popcount(flipped)
+        flips = count if flipped == run else popcount(flipped)
         delta = flips if free else -flips
         self._masks[track] = old ^ flipped
         before = self._track_free[track]
@@ -374,7 +375,7 @@ class FreeSpaceMap:
         ``count`` sectors starts (no wrap past the end of the track)."""
         starts = fold_free_runs(self._masks[track_idx], count)
         if align > 1 and starts:
-            starts &= _aligned_starts_mask(self._n, align)
+            starts &= aligned_starts_mask(self._n, align)
         return starts
 
     def nearest_free_run(
@@ -431,7 +432,7 @@ class FreeSpaceMap:
             if align > 1 and mask:
                 amask = _ALIGN_MASKS.get((n, align))
                 if amask is None:
-                    amask = _aligned_starts_mask(n, align)
+                    amask = aligned_starts_mask(n, align)
                 mask &= amask
             # Rotate the start set into angle space; the memo stores the
             # rotated form so a hit skips the whole pipeline.

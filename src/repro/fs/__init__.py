@@ -16,6 +16,7 @@ from repro.fs.api import (
     IsADirectory,
     DirectoryNotEmpty,
     NoSpace,
+    CorruptDirectory,
 )
 from repro.fs.path import split_path, validate_name
 from repro.fs.inode import Inode, FileType, INODE_SIZE
@@ -31,6 +32,7 @@ __all__ = [
     "IsADirectory",
     "DirectoryNotEmpty",
     "NoSpace",
+    "CorruptDirectory",
     "split_path",
     "validate_name",
     "Inode",

@@ -42,6 +42,10 @@ class NoSpace(FileSystemError):
     pass
 
 
+class CorruptDirectory(FileSystemError):
+    """A directory block's bytes do not parse as directory entries."""
+
+
 @dataclass
 class FileStat:
     """Subset of ``stat(2)`` the benchmarks need."""

@@ -12,7 +12,7 @@ Both tables are volatile during operation and persisted by checkpoints.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Container, List, Optional, Tuple
 
 #: Inodes per 4 KB inode block (matches the shared 128-byte inode).
 INODES_PER_BLOCK_SLOT_BITS = 5
@@ -27,6 +27,9 @@ class InodeMap:
             raise ValueError("need room for at least the root inode")
         self.max_inodes = max_inodes
         self._entries: List[int] = [0] * max_inodes  # 0 = free/unknown
+        #: No inum below this is unused (see :meth:`lowest_unused`):
+        #: raised by the searches, lowered by whatever frees an entry.
+        self._floor = 1
 
     def _check(self, inum: int) -> None:
         if not 0 < inum < self.max_inodes:
@@ -51,6 +54,7 @@ class InodeMap:
     def clear(self, inum: int) -> None:
         self._check(inum)
         self._entries[inum] = 0
+        self._floor = min(self._floor, inum)
 
     def allocated(self, inum: int) -> bool:
         self._check(inum)
@@ -58,9 +62,24 @@ class InodeMap:
 
     def alloc_inum(self) -> Optional[int]:
         """Lowest unused inode number (1 is conventionally the root)."""
-        for inum in range(1, self.max_inodes):
-            if self._entries[inum] == 0:
+        return self.lowest_unused(())
+
+    def lowest_unused(self, held: Container[int]) -> Optional[int]:
+        """Lowest inum that is free in the map and not in ``held`` (the
+        caller's in-memory inodes that have not reached the map yet).
+
+        The search resumes where the last one ended instead of walking
+        the live prefix again: nothing below the floor can be unused
+        until :meth:`clear` or a load lowers it, and every inum that
+        leaves ``held`` without having been set must be cleared (LFS
+        does: deleting an inode clears it, and a crash that empties the
+        in-memory inodes is followed by a load)."""
+        entries = self._entries
+        for inum in range(self._floor, self.max_inodes):
+            if entries[inum] == 0 and inum not in held:
+                self._floor = inum
                 return inum
+        self._floor = self.max_inodes
         return None
 
     def live_inums(self):
@@ -77,6 +96,7 @@ class InodeMap:
         if lo < 0 or lo + len(entries) > self.max_inodes:
             raise ValueError("slice out of range")
         self._entries[lo : lo + len(entries)] = entries
+        self._floor = min(self._floor, max(lo, 1))
 
     # -- serialisation (checkpoints) --------------------------------------
 
@@ -87,6 +107,7 @@ class InodeMap:
         self._entries = list(
             struct.unpack(f"<{self.max_inodes}I", raw[: self.max_inodes * 4])
         )
+        self._floor = 1
 
 
 class SegmentUsage:

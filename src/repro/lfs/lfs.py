@@ -15,7 +15,7 @@ tracked exactly (per-block for data, per-slot weights for inode blocks).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
 from repro.fs.api import (
@@ -274,10 +274,10 @@ class LFS(FileSystem):
     # ==================================================================
 
     def _alloc_inum(self) -> int:
-        for inum in range(1, self.imap.max_inodes):
-            if inum not in self._inodes and not self.imap.allocated(inum):
-                return inum
-        raise NoSpace("out of inodes")
+        inum = self.imap.lowest_unused(self._inodes)
+        if inum is None:
+            raise NoSpace("out of inodes")
+        return inum
 
     def _load_inode(self, inum: int, breakdown: Breakdown) -> Inode:
         inode = self._inodes.get(inum)
@@ -765,12 +765,24 @@ class LFS(FileSystem):
     def _dir_blocks(self, inode: Inode) -> int:
         return -(-inode.size // self.block_size)
 
+    def _parsed_dir_blocks(
+        self, inum: int, inode: Inode, breakdown: Breakdown
+    ) -> Iterator[Tuple[int, DirectoryBlock]]:
+        """Yield (file block index, parsed block) of a directory.
+
+        Every block comes through :meth:`_read_file_block`, so a pass
+        costs what file I/O costs; only the *parse* is reused, for as
+        long as the bytes read are the bytes it was made from (see
+        :meth:`DirectoryBlock.cached`)."""
+        for fblk in range(self._dir_blocks(inode)):
+            raw = self._read_file_block(inum, inode, fblk, breakdown)
+            yield fblk, DirectoryBlock.cached(self.cache, (inum, fblk), raw)
+
     def _dir_lookup(
         self, inum: int, inode: Inode, name: str, breakdown: Breakdown
     ) -> Optional[int]:
-        for fblk in range(self._dir_blocks(inode)):
-            raw = self._read_file_block(inum, inode, fblk, breakdown)
-            child = DirectoryBlock.unpack(raw).lookup(name)
+        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
+            child = block.lookup(name)
             if child is not None:
                 return child
         return None
@@ -783,9 +795,7 @@ class LFS(FileSystem):
         child: int,
         breakdown: Breakdown,
     ) -> None:
-        for fblk in range(self._dir_blocks(inode)):
-            raw = self._read_file_block(inum, inode, fblk, breakdown)
-            block = DirectoryBlock.unpack(raw)
+        for fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
             if block.space_for(name):
                 block.add(name, child)
                 self._write_file_block(inum, fblk, block.pack(), breakdown)
@@ -802,9 +812,7 @@ class LFS(FileSystem):
     def _dir_remove(
         self, inum: int, inode: Inode, name: str, breakdown: Breakdown
     ) -> int:
-        for fblk in range(self._dir_blocks(inode)):
-            raw = self._read_file_block(inum, inode, fblk, breakdown)
-            block = DirectoryBlock.unpack(raw)
+        for fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
             if block.lookup(name) is not None:
                 child = block.remove(name)
                 self._write_file_block(inum, fblk, block.pack(), breakdown)
@@ -878,9 +886,8 @@ class LFS(FileSystem):
         inode = self._load_inode(inum, breakdown)
         if not inode.is_dir:
             raise NotADirectory(path)
-        for fblk in range(self._dir_blocks(inode)):
-            raw = self._read_file_block(inum, inode, fblk, breakdown)
-            if len(DirectoryBlock.unpack(raw)):
+        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
+            if len(block):
                 raise DirectoryNotEmpty(path)
         self._dir_remove(dir_inum, dir_inode, name, breakdown)
         self._free_inode_storage(inum, inode, breakdown)
@@ -1162,9 +1169,8 @@ class LFS(FileSystem):
         if not inode.is_dir:
             raise NotADirectory(path)
         names: List[str] = []
-        for fblk in range(self._dir_blocks(inode)):
-            raw = self._read_file_block(inum, inode, fblk, breakdown)
-            names.extend(DirectoryBlock.unpack(raw).entries)
+        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
+            names.extend(block.entries)
         return sorted(names)
 
     def exists(self, path: str) -> bool:

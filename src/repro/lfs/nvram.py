@@ -10,23 +10,34 @@ The cache holds whole file system blocks keyed by (inode, file block index)
 -- note this is *above* the log, unlike the UFS buffer cache which sits on
 device addresses, because log addresses change on every write.  Dirty
 blocks are what the segment writer drains on flush.
+
+One ``OrderedDict`` is the LRU order of everything, clean and dirty, and
+stays the only order there is: an entry that :meth:`FileCache.mark_clean`
+cleans keeps its place, and the eviction victims are exactly the first
+clean entries in that order (which block goes decides a later disk read).
+Beside it the cache *counts* what it used to scan for: how many entries
+are dirty, and which keys of each inode are dirty, oldest first.  The
+scan-everything cache this replaced is ``tests/lfs/reference_filecache.py``,
+the differential oracle (DESIGN.md section 17).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Cache key: (inode number, file block index or indirect code).
 Key = Tuple[int, int]
 
 
 class _Entry:
-    __slots__ = ("data", "dirty")
+    __slots__ = ("data", "dirty", "parsed")
 
     def __init__(self, data: bytes, dirty: bool) -> None:
         self.data = data
         self.dirty = dirty
+        #: Whatever :meth:`FileCache.keep_parsed` left here.
+        self.parsed = None
 
 
 class FileCache:
@@ -48,6 +59,12 @@ class FileCache:
         self.capacity_blocks = capacity_bytes // block_size
         self.nvram = nvram
         self._entries: "OrderedDict[Key, _Entry]" = OrderedDict()
+        #: How many entries are dirty.
+        self._dirty = 0
+        #: inum -> that inode's dirty keys, in the order ``_entries``
+        #: holds them (every reordering there is a move-to-end, mirrored
+        #: here by :meth:`_touch`).
+        self._dirty_keys: Dict[int, "OrderedDict[Key, None]"] = {}
         self.hits = 0
         self.misses = 0
 
@@ -58,7 +75,7 @@ class FileCache:
 
     @property
     def dirty_blocks(self) -> int:
-        return sum(1 for e in self._entries.values() if e.dirty)
+        return self._dirty
 
     @property
     def total_blocks(self) -> int:
@@ -71,7 +88,29 @@ class FileCache:
     def would_overflow(self, new_blocks: int) -> bool:
         """Would inserting ``new_blocks`` dirty blocks exceed capacity even
         after evicting every clean block?"""
-        return self.dirty_blocks + new_blocks > self.capacity_blocks
+        return self._dirty + new_blocks > self.capacity_blocks
+
+    # -- the dirty count and index, kept in step with ``entry.dirty`` ----
+
+    def _touch(self, key: Key, entry: _Entry) -> None:
+        """``key`` was used: most recent in every order it is in."""
+        self._entries.move_to_end(key)
+        if entry.dirty:
+            self._dirty_keys[key[0]].move_to_end(key)
+
+    def _note_dirty(self, key: Key) -> None:
+        self._dirty += 1
+        keys = self._dirty_keys.get(key[0])
+        if keys is None:
+            keys = self._dirty_keys[key[0]] = OrderedDict()
+        keys[key] = None
+
+    def _note_not_dirty(self, key: Key) -> None:
+        self._dirty -= 1
+        keys = self._dirty_keys[key[0]]
+        del keys[key]
+        if not keys:
+            del self._dirty_keys[key[0]]
 
     # ------------------------------------------------------------------
 
@@ -81,7 +120,7 @@ class FileCache:
             self.misses += 1
             return None
         self.hits += 1
-        self._entries.move_to_end(key)
+        self._touch(key, entry)
         return entry.data
 
     def put_clean(self, key: Key, data: bytes) -> None:
@@ -90,7 +129,7 @@ class FileCache:
         if entry is not None:
             if not entry.dirty:
                 entry.data = data
-            self._entries.move_to_end(key)
+            self._touch(key, entry)
             return
         self._evict_clean_for(1)
         if len(self._entries) < self.capacity_blocks:
@@ -101,26 +140,33 @@ class FileCache:
         entry = self._entries.get(key)
         if entry is not None:
             entry.data = data
-            entry.dirty = True
-            self._entries.move_to_end(key)
+            if not entry.dirty:
+                entry.dirty = True
+                self._note_dirty(key)
+            self._touch(key, entry)
             return
         self._evict_clean_for(1)
         # Capacity is enforced by callers via would_overflow(); a dirty
         # insert is always honoured (transient overflow mirrors the real
         # cache's wired metadata pages).
         self._entries[key] = _Entry(data, dirty=True)
+        self._note_dirty(key)
 
     def mark_clean(self, key: Key) -> None:
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is not None and entry.dirty:
             entry.dirty = False
+            self._note_not_dirty(key)
 
     def forget(self, key: Key) -> None:
-        self._entries.pop(key, None)
+        entry = self._entries.pop(key, None)
+        if entry is not None and entry.dirty:
+            self._note_not_dirty(key)
 
     def forget_inode(self, inum: int) -> None:
         for key in [k for k in self._entries if k[0] == inum]:
             del self._entries[key]
+        self._dirty -= len(self._dirty_keys.pop(inum, ()))
 
     def dirty_items(self) -> List[Tuple[Key, bytes]]:
         """Dirty blocks, oldest first (stable flush order)."""
@@ -132,10 +178,23 @@ class FileCache:
 
     def dirty_items_for(self, inum: int) -> List[Tuple[Key, bytes]]:
         return [
-            (key, entry.data)
-            for key, entry in self._entries.items()
-            if entry.dirty and key[0] == inum
+            (key, self._entries[key].data)
+            for key in self._dirty_keys.get(inum, ())
         ]
+
+    def parsed(self, key: Key):
+        """What :meth:`keep_parsed` left on ``key``'s entry, else None."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry.parsed
+
+    def keep_parsed(self, key: Key, parsed) -> None:
+        """Let ``parsed`` (a caller's decoded view of the block) ride on
+        ``key``'s entry until the entry leaves the cache; the caller
+        checks it against the bytes it reads before trusting it.  A
+        block that is not resident keeps nothing."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry.parsed = parsed
 
     def drop_clean(self) -> None:
         for key in [k for k, e in self._entries.items() if not e.dirty]:
@@ -145,16 +204,32 @@ class FileCache:
         """Power loss: NVRAM keeps everything, DRAM keeps nothing."""
         if not self.nvram:
             self._entries.clear()
+            self._dirty_keys.clear()
+            self._dirty = 0
 
     def _evict_clean_for(self, needed: int) -> None:
         """Evict clean LRU entries until ``needed`` slots exist (best
-        effort; dirty entries are never evicted here)."""
-        if len(self._entries) + needed <= self.capacity_blocks:
+        effort; dirty entries are never evicted here).
+
+        The victims are the first clean entries in LRU order.  The walk
+        from the cold end stops at the last victim, and the dirty count
+        says when there is no (further) clean entry to walk to.
+        """
+        entries = self._entries
+        wanted = min(
+            len(entries) + needed - self.capacity_blocks,
+            len(entries) - self._dirty,
+        )
+        if wanted <= 0:
             return
-        for key in [k for k, e in self._entries.items() if not e.dirty]:
-            del self._entries[key]
-            if len(self._entries) + needed <= self.capacity_blocks:
-                return
+        victims: List[Key] = []
+        for key, entry in entries.items():
+            if not entry.dirty:
+                victims.append(key)
+                if len(victims) == wanted:
+                    break
+        for key in victims:
+            del entries[key]
 
     def __iter__(self) -> Iterator[Key]:
         return iter(self._entries)

@@ -50,11 +50,11 @@ class UFSAllocator:
 
     def initialise(self) -> None:
         """Fresh bitmaps: metadata blocks pre-marked used."""
+        meta_frags = (
+            self.layout.meta_blocks_per_group * self.layout.frags_per_block
+        )
         for group in self.groups:
-            for block_off in range(self.layout.meta_blocks_per_group):
-                base = block_off * self.layout.frags_per_block
-                for k in range(self.layout.frags_per_block):
-                    group.frags.set(base + k)
+            group.frags.set_run(0, meta_frags)
         # Inode 0 of group 0 is reserved (invalid inum).
         self.groups[0].inodes.set(0)
 
@@ -77,12 +77,8 @@ class UFSAllocator:
         group = self.groups[group_index]
         offsets = self.layout.bitmap_layout()
         raw = bytearray(self.layout.block_size)
-        raw[offsets[0] : offsets[0] + len(group.inodes.pack())] = (
-            group.inodes.pack()
-        )
-        raw[offsets[1] : offsets[1] + len(group.frags.pack())] = (
-            group.frags.pack()
-        )
+        raw[offsets[0] : offsets[1]] = group.inodes.pack()
+        raw[offsets[1] : offsets[2]] = group.frags.pack()
         return self.cache.write(
             self.layout.bitmap_block(group_index), bytes(raw), sync
         )
@@ -147,8 +143,7 @@ class UFSAllocator:
                 goal_bit = max(0, (goal_lba - start)) * fpb
             frag = group.frags.find_free_run(fpb, align=fpb, goal=goal_bit)
             if frag is not None:
-                for k in range(fpb):
-                    group.frags.set(frag + k)
+                group.frags.set_run(frag, fpb)
                 return self.layout.group_start(g) + frag // fpb
         raise NoSpace("out of data blocks")
 
@@ -157,8 +152,7 @@ class UFSAllocator:
         group = self.groups[group_index]
         fpb = self.layout.frags_per_block
         base = (lba - self.layout.group_start(group_index)) * fpb
-        for k in range(fpb):
-            group.frags.clear(base + k)
+        group.frags.clear_run(base, fpb)
 
     def alloc_frags(self, count: int, goal_lba: int) -> int:
         """Allocate ``count`` contiguous fragments inside one block;
@@ -177,8 +171,7 @@ class UFSAllocator:
             group = self.groups[g]
             frag = group.frags.find_frag_run(count, fpb)
             if frag is not None:
-                for k in range(count):
-                    group.frags.set(frag + k)
+                group.frags.set_run(frag, count)
                 return self.layout.group_start(g) * fpb + frag
         raise NoSpace("out of fragments")
 
@@ -188,8 +181,7 @@ class UFSAllocator:
         group_index = self.layout.group_of_block(lba)
         group = self.groups[group_index]
         base = frag - self.layout.group_start(group_index) * fpb
-        for k in range(count):
-            group.frags.clear(base + k)
+        group.frags.clear_run(base, count)
 
     # ------------------------------------------------------------------
 

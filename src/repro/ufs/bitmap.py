@@ -1,8 +1,26 @@
-"""Allocation bitmaps (inodes, fragments) for the UFS cylinder groups."""
+"""Allocation bitmaps (inodes, fragments) for the UFS cylinder groups.
+
+A :class:`Bitmap` is one Python integer (bit ``i`` set = item ``i`` in
+use), the representation :class:`~repro.disk.freemap.FreeSpaceMap` proved
+(DESIGN.md sections 8 and 17): "first free at or after the goal" is one
+find-first-set on the complement, and "first run of ``count`` free bits"
+is a doubling-shift fold (:func:`~repro.disk.freemap.fold_free_runs`)
+ANDed with a mask of permitted starts, then one find-first-set -- a
+handful of big-int operations where a loop would test every bit.  The
+per-bit loops these replaced live on in ``tests/ufs/reference_bitmap.py``
+as the differential oracle: same answer for every input.
+"""
 
 from __future__ import annotations
 
 from typing import Optional
+
+from repro.disk.freemap import (
+    aligned_starts_mask,
+    fold_free_runs,
+    nearest_set_bit,
+    popcount,
+)
 
 
 class Bitmap:
@@ -12,14 +30,16 @@ class Bitmap:
         if nbits <= 0:
             raise ValueError("bitmap must cover at least one bit")
         self.nbits = nbits
-        nbytes = (nbits + 7) // 8
-        if raw is None:
-            self._bits = bytearray(nbytes)
-        else:
-            if len(raw) < nbytes:
+        self._nbytes = (nbits + 7) // 8
+        self._mask = (1 << nbits) - 1
+        #: The on-disk image as a little-endian integer.  Bits past
+        #: ``nbits`` in the last byte are carried untouched for pack().
+        self._bits = 0
+        if raw is not None:
+            if len(raw) < self._nbytes:
                 raise ValueError("raw bitmap too short")
-            self._bits = bytearray(raw[:nbytes])
-        self._free = sum(1 for i in range(nbits) if not self.test(i))
+            self._bits = int.from_bytes(raw[: self._nbytes], "little")
+        self._free = nbits - popcount(self._bits & self._mask)
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.nbits:
@@ -27,34 +47,47 @@ class Bitmap:
 
     def test(self, index: int) -> bool:
         self._check(index)
-        return bool(self._bits[index >> 3] & (1 << (index & 7)))
+        return bool(self._bits >> index & 1)
 
     def set(self, index: int) -> None:
-        self._check(index)
-        if not self.test(index):
-            self._bits[index >> 3] |= 1 << (index & 7)
-            self._free -= 1
+        self.set_run(index, 1)
 
     def clear(self, index: int) -> None:
-        self._check(index)
-        if self.test(index):
-            self._bits[index >> 3] &= ~(1 << (index & 7)) & 0xFF
-            self._free += 1
+        self.clear_run(index, 1)
+
+    def set_run(self, start: int, count: int) -> None:
+        """Mark bits ``start .. start+count-1`` used (idempotent)."""
+        run = self._run(start, count)
+        self._free -= count - popcount(self._bits & run)
+        self._bits |= run
+
+    def clear_run(self, start: int, count: int) -> None:
+        """Mark bits ``start .. start+count-1`` free (idempotent)."""
+        run = self._run(start, count)
+        self._free += popcount(self._bits & run)
+        self._bits &= ~run
+
+    def _run(self, start: int, count: int) -> int:
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if start < 0 or start + count > self.nbits:
+            raise IndexError(
+                f"bits {start}..{start + count - 1} out of range"
+            )
+        return ((1 << count) - 1) << start
 
     @property
     def free_count(self) -> int:
         return self._free
 
+    def _free_mask(self) -> int:
+        return ~self._bits & self._mask
+
     def find_free(self, goal: int = 0) -> Optional[int]:
         """First free bit at/after ``goal``, wrapping; None when full."""
-        if self._free == 0:
-            return None
-        goal = goal % self.nbits
-        for offset in range(self.nbits):
-            index = (goal + offset) % self.nbits
-            if not self.test(index):
-                return index
-        return None
+        return nearest_set_bit(
+            self._free_mask(), self.nbits, goal % self.nbits
+        )
 
     def find_free_run(
         self, count: int, align: int = 1, goal: int = 0
@@ -62,15 +95,10 @@ class Bitmap:
         """First aligned run of ``count`` free bits at/after ``goal``."""
         if count <= 0 or align <= 0:
             raise ValueError("count and align must be positive")
-        if self._free < count:
-            return None
-        start = (goal // align) * align
-        positions = list(range(start, self.nbits - count + 1, align))
-        positions += list(range(0, min(start, self.nbits - count + 1), align))
-        for index in positions:
-            if all(not self.test(index + k) for k in range(count)):
-                return index
-        return None
+        starts = fold_free_runs(self._free_mask(), count)
+        if align > 1:
+            starts &= aligned_starts_mask(self.nbits, align)
+        return nearest_set_bit(starts, self.nbits, (goal // align) * align)
 
     def find_frag_run(
         self, count: int, frags_per_block: int, goal: int = 0
@@ -83,33 +111,27 @@ class Bitmap:
         """
         if not 0 < count <= frags_per_block:
             raise ValueError("fragment run must fit within one block")
-        if self._free < count:
-            return None
         nblocks = self.nbits // frags_per_block
-        start_block = (goal // frags_per_block) % max(nblocks, 1)
-        fresh: Optional[int] = None
-        for offset in range(nblocks):
-            block = (start_block + offset) % nblocks
-            base = block * frags_per_block
-            used = sum(
-                1 for k in range(frags_per_block) if self.test(base + k)
-            )
-            run = self._run_in_block(base, frags_per_block, count)
-            if run is None:
-                continue
-            if used > 0:
-                return run  # partially-used block: best choice
-            if fresh is None:
-                fresh = run
-        return fresh
-
-    def _run_in_block(
-        self, base: int, frags_per_block: int, count: int
-    ) -> Optional[int]:
-        for start in range(frags_per_block - count + 1):
-            if all(not self.test(base + start + k) for k in range(count)):
-                return base + start
-        return None
+        if nblocks == 0:
+            return None
+        free = self._free_mask()
+        bases = aligned_starts_mask(nblocks * frags_per_block, frags_per_block)
+        # Multiplying the block bases by a run of ones spreads each base
+        # over the following bits (runs are narrower than a block, so
+        # nothing carries): first over the starts that keep a run inside
+        # its block, then over the whole of every still-untouched block.
+        starts = fold_free_runs(free, count) & (
+            bases * ((1 << (frags_per_block - count + 1)) - 1)
+        )
+        untouched = (fold_free_runs(free, frags_per_block) & bases) * (
+            (1 << frags_per_block) - 1
+        )
+        start_block = (goal // frags_per_block) % nblocks
+        return nearest_set_bit(
+            starts & ~untouched or starts,
+            self.nbits,
+            start_block * frags_per_block,
+        )
 
     def pack(self) -> bytes:
-        return bytes(self._bits)
+        return self._bits.to_bytes(self._nbytes, "little")

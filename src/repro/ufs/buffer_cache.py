@@ -18,11 +18,13 @@ from repro.sim.stats import Breakdown
 
 
 class _Entry:
-    __slots__ = ("data", "dirty")
+    __slots__ = ("data", "dirty", "parsed")
 
     def __init__(self, data: bytearray, dirty: bool) -> None:
         self.data = data
         self.dirty = dirty
+        #: Whatever :meth:`BufferCache.keep_parsed` left here.
+        self.parsed = None
 
 
 class BufferCache:
@@ -35,6 +37,8 @@ class BufferCache:
         self.block_size = device.block_size
         self.capacity_blocks = capacity_bytes // device.block_size
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
+        #: How many entries are dirty (kept by :meth:`_set_dirty`).
+        self._dirty = 0
         self.hits = 0
         self.misses = 0
 
@@ -49,7 +53,26 @@ class BufferCache:
 
     @property
     def dirty_count(self) -> int:
-        return sum(1 for e in self._entries.values() if e.dirty)
+        return self._dirty
+
+    def _set_dirty(self, entry: _Entry, dirty: bool) -> None:
+        if entry.dirty != dirty:
+            entry.dirty = dirty
+            self._dirty += 1 if dirty else -1
+
+    def parsed(self, lba: int):
+        """What :meth:`keep_parsed` left on ``lba``'s entry, else None."""
+        entry = self._entries.get(lba)
+        return None if entry is None else entry.parsed
+
+    def keep_parsed(self, lba: int, parsed) -> None:
+        """Let ``parsed`` (a caller's decoded view of the block) ride on
+        ``lba``'s entry until the entry leaves the cache; the caller
+        checks it against the bytes it reads before trusting it.  A
+        block that is not resident keeps nothing."""
+        entry = self._entries.get(lba)
+        if entry is not None:
+            entry.parsed = parsed
 
     # ------------------------------------------------------------------
 
@@ -91,9 +114,7 @@ class BufferCache:
         entry = self._entries.get(lba)
         if entry is not None:
             entry.data[:] = data
-            entry.dirty = entry.dirty or not sync
-            if sync and entry.dirty:
-                entry.dirty = False
+            self._set_dirty(entry, not sync)
             self._entries.move_to_end(lba)
         else:
             self._insert(lba, bytearray(data), dirty=not sync,
@@ -132,7 +153,7 @@ class BufferCache:
         if sync:
             breakdown.add(self.device.write_partial(lba, offset, data))
         else:
-            entry.dirty = True
+            self._set_dirty(entry, True)
         return breakdown
 
     # ------------------------------------------------------------------
@@ -142,7 +163,7 @@ class BufferCache:
         entry = self._entries.get(lba)
         if entry is not None and entry.dirty:
             breakdown.add(self.device.write_block(lba, bytes(entry.data)))
-            entry.dirty = False
+            self._set_dirty(entry, False)
         return breakdown
 
     def flush(self) -> Breakdown:
@@ -164,7 +185,7 @@ class BufferCache:
                 self.device.write_blocks(run[0], len(run), payload)
             )
             for lba in run:
-                self._entries[lba].dirty = False
+                self._set_dirty(self._entries[lba], False)
             i = j + 1
         return breakdown
 
@@ -175,7 +196,9 @@ class BufferCache:
 
     def invalidate(self, lba: int) -> None:
         """Forget a block entirely (it was freed)."""
-        self._entries.pop(lba, None)
+        entry = self._entries.pop(lba, None)
+        if entry is not None and entry.dirty:
+            self._dirty -= 1
 
     # ------------------------------------------------------------------
 
@@ -185,9 +208,11 @@ class BufferCache:
         while len(self._entries) >= self.capacity_blocks:
             victim_lba, victim = self._entries.popitem(last=False)
             if victim.dirty:
+                self._dirty -= 1
                 breakdown.add(
                     self.device.write_block(victim_lba, bytes(victim.data))
                 )
         entry = _Entry(data, dirty)
+        self._dirty += dirty
         self._entries[lba] = entry
         return entry

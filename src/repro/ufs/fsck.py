@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from repro.disk.freemap import lowest_set_bit
+from repro.fs.api import CorruptDirectory
 from repro.fs.dirfile import DirectoryBlock
 from repro.fs.inode import FileType, NUM_DIRECT
 from repro.sim.stats import Breakdown
@@ -194,7 +196,14 @@ def _check_namespace(fs, allocated, report, breakdown) -> Set[int]:
         for _fblk, lba in fs._dir_blocks(inode, breakdown):
             raw, cost = fs.cache.read(lba)
             breakdown.add(cost)
-            for name, child in DirectoryBlock.unpack(raw).entries.items():
+            try:
+                entries = DirectoryBlock.cached(fs.cache, lba, raw).entries
+            except CorruptDirectory as exc:
+                report.complain(
+                    f"directory inode {inum}: block {lba} is corrupt ({exc})"
+                )
+                continue
+            for name, child in entries.items():
                 child_path = f"{path.rstrip('/')}/{name}"
                 if child not in allocated:
                     report.complain(
@@ -216,21 +225,34 @@ def _check_namespace(fs, allocated, report, breakdown) -> Set[int]:
 
 
 def _check_bitmaps(fs, claimed_frags, report) -> None:
+    """Each group's fragment bitmap against what phases 1-2 claimed, as
+    two integers: only the bits that differ are visited, in bit order."""
     layout = fs.layout
     fpb = layout.frags_per_block
+    group_bits = layout.sb.blocks_per_group * fpb
+    first_frag = layout.group_start(0) * fpb
+    # A group's metadata blocks are in use without any inode claiming them.
+    claimed = [(1 << layout.meta_blocks_per_group * fpb) - 1] * len(
+        fs.alloc.groups
+    )
+    for frag in claimed_frags:
+        group_index, bit = divmod(frag - first_frag, group_bits)
+        if 0 <= group_index < len(claimed):
+            claimed[group_index] |= 1 << bit
     for group_index, group in enumerate(fs.alloc.groups):
-        start = layout.group_start(group_index)
-        for bit in range(layout.sb.blocks_per_group * fpb):
-            frag = start * fpb + bit
-            lba = frag // fpb
-            in_metadata = lba < layout.data_start(group_index)
-            marked = group.frags.test(bit)
-            claimed = frag in claimed_frags or in_metadata
-            if claimed and not marked:
+        marked = int.from_bytes(group.frags.pack(), "little") & (
+            (1 << group_bits) - 1
+        )
+        base = first_frag + group_index * group_bits
+        differing = marked ^ claimed[group_index]
+        while differing:
+            bit = lowest_set_bit(differing)
+            differing &= differing - 1
+            if marked >> bit & 1:
                 report.complain(
-                    f"fragment {frag} in use but free in the bitmap"
+                    f"fragment {base + bit} marked used but unclaimed (leak)"
                 )
-            elif marked and not claimed:
+            else:
                 report.complain(
-                    f"fragment {frag} marked used but unclaimed (leak)"
+                    f"fragment {base + bit} in use but free in the bitmap"
                 )

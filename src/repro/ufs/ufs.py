@@ -187,13 +187,25 @@ class UFS(FileSystem):
             if lba:
                 yield fblk, lba
 
-    def _dir_lookup(
-        self, inode: Inode, name: str, breakdown: Breakdown
-    ) -> Optional[int]:
+    def _parsed_dir_blocks(
+        self, inode: Inode, breakdown: Breakdown
+    ) -> Iterable[Tuple[int, DirectoryBlock]]:
+        """Yield (lba, parsed block) of a directory's data blocks.
+
+        Every block is read through the cache, so a pass costs what
+        file I/O costs; only the *parse* is reused, for as long as the
+        bytes read are the bytes it was made from (see
+        :meth:`DirectoryBlock.cached`)."""
         for _fblk, lba in self._dir_blocks(inode, breakdown):
             raw, cost = self.cache.read(lba)
             breakdown.add(cost)
-            inum = DirectoryBlock.unpack(raw).lookup(name)
+            yield lba, DirectoryBlock.cached(self.cache, lba, raw)
+
+    def _dir_lookup(
+        self, inode: Inode, name: str, breakdown: Breakdown
+    ) -> Optional[int]:
+        for _lba, block in self._parsed_dir_blocks(inode, breakdown):
+            inum = block.lookup(name)
             if inum is not None:
                 return inum
         return None
@@ -207,10 +219,7 @@ class UFS(FileSystem):
         breakdown: Breakdown,
     ) -> None:
         """Insert an entry; the directory block write is synchronous."""
-        for _fblk, lba in self._dir_blocks(inode, breakdown):
-            raw, cost = self.cache.read(lba)
-            breakdown.add(cost)
-            block = DirectoryBlock.unpack(raw)
+        for lba, block in self._parsed_dir_blocks(inode, breakdown):
             if block.space_for(name):
                 block.add(name, child)
                 breakdown.add(self.cache.write(lba, block.pack(), sync=True))
@@ -232,10 +241,7 @@ class UFS(FileSystem):
         name: str,
         breakdown: Breakdown,
     ) -> int:
-        for _fblk, lba in self._dir_blocks(inode, breakdown):
-            raw, cost = self.cache.read(lba)
-            breakdown.add(cost)
-            block = DirectoryBlock.unpack(raw)
+        for lba, block in self._parsed_dir_blocks(inode, breakdown):
             if block.lookup(name) is not None:
                 child = block.remove(name)
                 breakdown.add(self.cache.write(lba, block.pack(), sync=True))
@@ -250,12 +256,10 @@ class UFS(FileSystem):
         self._write_inode(inum, inode, sync=False, breakdown=breakdown)
 
     def _dir_entry_count(self, inode: Inode, breakdown: Breakdown) -> int:
-        count = 0
-        for _fblk, lba in self._dir_blocks(inode, breakdown):
-            raw, cost = self.cache.read(lba)
-            breakdown.add(cost)
-            count += len(DirectoryBlock.unpack(raw))
-        return count
+        return sum(
+            len(block)
+            for _lba, block in self._parsed_dir_blocks(inode, breakdown)
+        )
 
     # ==================================================================
     # Block mapping (direct / indirect / double indirect)
@@ -1004,9 +1008,8 @@ class UFS(FileSystem):
         if not inode.is_dir:
             raise NotADirectory(path)
         names: List[str] = []
-        for _fblk, lba in self._dir_blocks(inode, breakdown):
-            raw, _ = self.cache.read(lba)
-            names.extend(DirectoryBlock.unpack(raw).entries)
+        for _lba, block in self._parsed_dir_blocks(inode, breakdown):
+            names.extend(block.entries)
         return sorted(names)
 
     def exists(self, path: str) -> bool:

@@ -1,9 +1,13 @@
 """fsck: clean file systems pass; injected corruption is caught."""
 
 import random
+import struct
 
+import pytest
+
+from repro.fs.api import CorruptDirectory
 from repro.sim.stats import Breakdown
-from repro.ufs.fsck import fsck
+from repro.ufs.fsck import FsckReport, _check_bitmaps, fsck
 
 
 def populate(fs, seed=1, files=30):
@@ -129,3 +133,125 @@ class TestCorruptionDetection:
         ufs._write_inode(inum, inode, sync=False, breakdown=Breakdown())
         report = fsck(ufs)
         assert any("tail has 3 frags" in e for e in report.errors)
+
+
+def _reference_check_bitmaps(fs, claimed_frags):
+    """Phase 3 as it was before the bitmaps became integers: one
+    ``test()`` per fragment of every group, two messages."""
+    errors = []
+    layout = fs.layout
+    fpb = layout.frags_per_block
+    for group_index, group in enumerate(fs.alloc.groups):
+        start = layout.group_start(group_index)
+        for bit in range(layout.sb.blocks_per_group * fpb):
+            frag = start * fpb + bit
+            in_metadata = frag // fpb < layout.data_start(group_index)
+            marked = group.frags.test(bit)
+            claimed = frag in claimed_frags or in_metadata
+            if claimed and not marked:
+                errors.append(f"fragment {frag} in use but free in the bitmap")
+            elif marked and not claimed:
+                errors.append(
+                    f"fragment {frag} marked used but unclaimed (leak)"
+                )
+    return errors
+
+
+class TestBitmapPhaseMatchesThePerBitLoop:
+    def _compare(self, fs, claimed):
+        report = FsckReport()
+        _check_bitmaps(fs, claimed, report)
+        assert report.errors == _reference_check_bitmaps(fs, claimed)
+        return report.errors
+
+    def _claims(self, fs):
+        """The claimed-fragment table of a clean image: every bit the
+        bitmaps mark outside the metadata areas."""
+        layout = fs.layout
+        fpb = layout.frags_per_block
+        claimed = {}
+        for g, group in enumerate(fs.alloc.groups):
+            base = layout.group_start(g) * fpb
+            for bit in range(layout.meta_blocks_per_group * fpb,
+                             layout.sb.blocks_per_group * fpb):
+                if group.frags.test(bit):
+                    claimed[base + bit] = 1
+        return claimed
+
+    def test_clean_image_has_nothing_to_say(self, ufs):
+        populate(ufs, files=12)
+        assert self._compare(ufs, self._claims(ufs)) == []
+
+    def test_leaks_and_lost_blocks_same_messages_same_order(self, ufs):
+        populate(ufs, files=12)
+        claimed = self._claims(ufs)
+        rng = random.Random(5)
+        last = len(ufs.alloc.groups) - 1
+        ufs.alloc.alloc_frags(3, goal_lba=0)  # a leak in group 0
+        ufs.alloc.groups[last].frags.set_run(  # and at the very end
+            ufs.alloc.groups[last].frags.nbits - 2, 2
+        )
+        for frag in rng.sample(sorted(claimed), 9):  # lost blocks
+            del claimed[frag]
+            lba = frag // ufs.layout.frags_per_block
+            group = ufs.layout.group_of_block(lba)
+            base = ufs.layout.group_start(group) * ufs.layout.frags_per_block
+            if rng.random() < 0.5:  # ... some of them freed as well
+                ufs.alloc.groups[group].frags.clear(frag - base)
+                claimed[frag] = 1
+        ufs.alloc.groups[1].frags.clear_run(0, 4)  # metadata marked free
+        # Claims no group covers (a corrupt tail-fragment address) are
+        # nobody's bit, as before.
+        claimed[0] = claimed[10**9] = 1
+        errors = self._compare(ufs, claimed)
+        assert any("leak" in e for e in errors)
+        assert any("free in the bitmap" in e for e in errors)
+
+
+class TestCorruptDirectoryBlocks:
+    """A directory block that does not parse is a finding: fsck names
+    the directory inode and the block and carries on; the file system's
+    own lookups hand the error to the caller."""
+
+    CORRUPT = {
+        "overrun": struct.pack("<IH", 7, 300) + b"abc",
+        "not-utf8": struct.pack("<IH", 7, 2) + b"\xff\xfe",
+        "slash": struct.pack("<IH", 7, 3) + b"a/b",
+    }
+
+    def _corrupt(self, ufs, path, payload):
+        inode = ufs._read_inode(ufs.stat(path).inum, Breakdown())
+        lba = inode.direct[0]
+        ufs.cache.write(lba, payload + bytes(4096 - len(payload)), sync=False)
+        return ufs.stat(path).inum, lba
+
+    def test_fsck_complains_and_carries_on(self, ufs):
+        for kind in self.CORRUPT:
+            ufs.mkdir(f"/d-{kind}")
+            ufs.create(f"/d-{kind}/victim")
+        ufs.mkdir("/healthy")
+        ufs.create("/healthy/file")
+        ufs.sync()
+        assert fsck(ufs).ok
+        where = {
+            kind: self._corrupt(ufs, f"/d-{kind}", payload)
+            for kind, payload in self.CORRUPT.items()
+        }
+        report = fsck(ufs)
+        for kind, (inum, lba) in where.items():
+            assert any(
+                f"directory inode {inum}" in e and f"block {lba}" in e
+                for e in report.errors
+            ), (kind, report.errors)
+        # It carried on: the healthy subtree was walked (its file is not
+        # an orphan), and each file only the corrupt blocks named is.
+        orphans = [e for e in report.errors if "orphan" in e]
+        assert len(orphans) == len(self.CORRUPT)
+        healthy = ufs.stat("/healthy/file").inum
+        assert not any(f"inode {healthy} " in e for e in orphans)
+        # The file system's own paths let the error through unchanged.
+        for kind in self.CORRUPT:
+            with pytest.raises(CorruptDirectory):
+                ufs.stat(f"/d-{kind}/victim")
+            with pytest.raises(CorruptDirectory):
+                ufs.create(f"/d-{kind}/new")
