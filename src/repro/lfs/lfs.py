@@ -10,6 +10,14 @@ about virtual-logging's effect on each file system rather than UFS vs LFS.
 Inodes are packed ~30 to a log block; the inode map records (block, slot).
 The cleaner copies live blocks out of victim segments; segment usage is
 tracked exactly (per-block for data, per-slot weights for inode blocks).
+
+Path resolution, directories and the namespace calls are
+:class:`~repro.fs.namespace.InodeNamespace`'s, shared with UFS; this
+module supplies its storage hooks and the data path.  Two things are
+written once here for the whole log family, VLFS and its compactor
+included: :meth:`LFS._owned_blocks` (every block an inode owns) and
+:meth:`LFS._set_pointer` (re-point a file block or, given a negative
+:class:`BlockKind` code, an indirect block's parent).
 """
 
 from __future__ import annotations
@@ -18,19 +26,11 @@ import struct
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
-from repro.fs.api import (
-    DirectoryNotEmpty,
-    FileExists,
-    FileNotFound,
-    FileStat,
-    FileSystem,
-    IsADirectory,
-    NoSpace,
-    NotADirectory,
-)
+from repro.fs.api import FileNotFound, NoSpace
 from repro.fs.dirfile import DirectoryBlock
 from repro.fs.inode import FileType, INODE_SIZE, Inode, NUM_DIRECT
-from repro.fs.path import dirname_basename, split_path
+from repro.fs.namespace import InodeNamespace
+from repro.fs.path import split_path
 from repro.hosts.specs import HostSpec
 from repro.lfs.checkpoint import CheckpointStore
 from repro.lfs.cleaner import Cleaner, CleanerPolicy
@@ -73,8 +73,10 @@ def _unpack_inode_block(raw: bytes) -> List[Tuple[int, Inode]]:
     return result
 
 
-class LFS(FileSystem):
+class LFS(InodeNamespace):
     """Log-structured file system over a block device."""
+
+    _root_inum = ROOT_INUM
 
     def __init__(
         self,
@@ -249,14 +251,10 @@ class LFS(FileSystem):
     ) -> bool:
         """Does ``inum``'s pointer for ``fblk`` (or indirect code) still
         reference ``address``?  Used by usage recomputation."""
-        if not self.imap.allocated(inum) and inum not in self._inodes:
-            return False
         inode = self._live_inode_for(inum, breakdown)
         if inode is None:
             return False
-        if fblk >= 0:
-            return self._get_pointer(inode, inum, fblk, breakdown) == address
-        return self._meta_address(inode, inum, fblk, breakdown) == address
+        return self._get_pointer(inode, inum, fblk, breakdown) == address
 
     # ==================================================================
     # Host accounting
@@ -273,13 +271,7 @@ class LFS(FileSystem):
     # Inode management
     # ==================================================================
 
-    def _alloc_inum(self) -> int:
-        inum = self.imap.lowest_unused(self._inodes)
-        if inum is None:
-            raise NoSpace("out of inodes")
-        return inum
-
-    def _load_inode(self, inum: int, breakdown: Breakdown) -> Inode:
+    def _read_inode(self, inum: int, breakdown: Breakdown) -> Inode:
         inode = self._inodes.get(inum)
         if inode is not None:
             return inode
@@ -297,6 +289,23 @@ class LFS(FileSystem):
 
     def _mark_inode_dirty(self, inum: int) -> None:
         self._dirty_inodes.add(inum)
+
+    def _write_inode(
+        self, inum: int, inode: Inode, sync: bool, breakdown: Breakdown
+    ) -> None:
+        """Inodes reach the log with the next flush, whatever ``sync``
+        says: an update only marks the in-memory inode dirty."""
+        self._dirty_inodes.add(inum)
+
+    def _new_inode(self, parent: int, inode: Inode, breakdown: Breakdown) -> int:
+        """A pure memory operation until a flush; the log has no use for
+        placement near ``parent``."""
+        inum = self.imap.lowest_unused(self._inodes)
+        if inum is None:
+            raise NoSpace("out of inodes")
+        self._inodes[inum] = inode
+        self._mark_inode_dirty(inum)
+        return inum
 
     @staticmethod
     def _block_weights(count: int) -> List[int]:
@@ -341,6 +350,20 @@ class LFS(FileSystem):
     def _get_pointer(
         self, inode: Inode, inum: int, fblk: int, breakdown: Breakdown
     ) -> int:
+        """The address ``fblk`` points at.  A negative ``fblk`` is a
+        :class:`BlockKind` indirect code, answered from that table's
+        parent: the inode, or the double root for a level-1 table."""
+        if fblk < 0:
+            if fblk == BlockKind.SINGLE_INDIRECT:
+                return inode.indirect
+            if fblk == BlockKind.DOUBLE_INDIRECT:
+                return inode.double_indirect
+            index = -(fblk + 3)
+            root = self._meta_block(
+                inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
+                breakdown,
+            )
+            return int.from_bytes(root[index * 4 : index * 4 + 4], "little")
         if fblk < NUM_DIRECT:
             return inode.direct[fblk]
         f = fblk - NUM_DIRECT
@@ -375,7 +398,27 @@ class LFS(FileSystem):
         address: int,
         breakdown: Breakdown,
     ) -> int:
-        """Point ``fblk`` at ``address``; returns the displaced address."""
+        """Point ``fblk`` (negative: an indirect block, through its
+        parent, as in :meth:`_get_pointer`) at ``address``; returns the
+        displaced address."""
+        if fblk < 0:
+            if fblk == BlockKind.SINGLE_INDIRECT:
+                old, inode.indirect = inode.indirect, address
+            elif fblk == BlockKind.DOUBLE_INDIRECT:
+                old, inode.double_indirect = inode.double_indirect, address
+            else:
+                index = -(fblk + 3)
+                root = self._meta_block(
+                    inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
+                    breakdown,
+                )
+                old = int.from_bytes(root[index * 4 : index * 4 + 4], "little")
+                root[index * 4 : index * 4 + 4] = address.to_bytes(4, "little")
+                self._put_meta_dirty(
+                    inum, BlockKind.DOUBLE_INDIRECT, root, breakdown
+                )
+            self._mark_inode_dirty(inum)
+            return old
         if fblk < NUM_DIRECT:
             old = inode.direct[fblk]
             inode.direct[fblk] = address
@@ -534,7 +577,9 @@ class LFS(FileSystem):
             current = self.cache.get(key)
             if current is None:
                 continue
-            self._stage_meta(inum, code, current, inode, breakdown)
+            self._stage_one(
+                BlockKind.INDIRECT, inum, code, current, inode, breakdown
+            )
             self.cache.mark_clean(key)
 
     def _stage_one(
@@ -549,39 +594,6 @@ class LFS(FileSystem):
         address, cost = self.writer.stage(kind, inum, fblk, data)
         breakdown.add(cost)
         old = self._set_pointer(inode, inum, fblk, address, breakdown)
-        if old:
-            self._note_dead_block(old)
-        self._note_live_block(address)
-        self._mark_inode_dirty(inum)
-
-    def _stage_meta(
-        self,
-        inum: int,
-        code: int,
-        data: bytes,
-        inode: Inode,
-        breakdown: Breakdown,
-    ) -> None:
-        address, cost = self.writer.stage(
-            BlockKind.INDIRECT, inum, code, data
-        )
-        breakdown.add(cost)
-        old = 0
-        if code == BlockKind.SINGLE_INDIRECT:
-            old, inode.indirect = inode.indirect, address
-        elif code == BlockKind.DOUBLE_INDIRECT:
-            old, inode.double_indirect = inode.double_indirect, address
-        else:
-            index = -(code + 3)
-            root = self._meta_block(
-                inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
-                breakdown,
-            )
-            old = int.from_bytes(root[index * 4 : index * 4 + 4], "little")
-            root[index * 4 : index * 4 + 4] = address.to_bytes(4, "little")
-            self._put_meta_dirty(
-                inum, BlockKind.DOUBLE_INDIRECT, root, breakdown
-            )
         if old:
             self._note_dead_block(old)
         self._note_live_block(address)
@@ -664,10 +676,10 @@ class LFS(FileSystem):
             if entry.kind == BlockKind.INODE_BLOCK:
                 for slot, (inum, _ino) in enumerate(_unpack_inode_block(block)):
                     if self.imap.get(inum) == (address, slot):
-                        self._load_inode(inum, breakdown)
+                        self._read_inode(inum, breakdown)
                         live_inodes.append(inum)
                 self._inode_block_weights.pop(address, None)
-            elif entry.kind == BlockKind.DATA:
+            else:  # DATA or INDIRECT: live while its owner points here
                 inode = self._live_inode_for(entry.inum, breakdown)
                 if inode is None:
                     continue
@@ -678,20 +690,8 @@ class LFS(FileSystem):
                 cached = self.cache.get((entry.inum, entry.fblk))
                 payload = cached if cached is not None else block
                 self._stage_one(
-                    BlockKind.DATA, entry.inum, entry.fblk, payload, inode,
+                    entry.kind, entry.inum, entry.fblk, payload, inode,
                     breakdown,
-                )
-                self.cleaner.blocks_copied += 1
-            else:  # INDIRECT
-                inode = self._live_inode_for(entry.inum, breakdown)
-                if inode is None:
-                    continue
-                if self._meta_address(inode, entry.inum, entry.fblk, breakdown) != address:
-                    continue
-                cached = self.cache.get((entry.inum, entry.fblk))
-                payload = cached if cached is not None else block
-                self._stage_meta(
-                    entry.inum, entry.fblk, payload, inode, breakdown
                 )
                 self.cleaner.blocks_copied += 1
         for inum in live_inodes:
@@ -707,20 +707,7 @@ class LFS(FileSystem):
             return self._inodes[inum]
         if not self.imap.allocated(inum):
             return None
-        return self._load_inode(inum, breakdown)
-
-    def _meta_address(
-        self, inode: Inode, inum: int, code: int, breakdown: Breakdown
-    ) -> int:
-        if code == BlockKind.SINGLE_INDIRECT:
-            return inode.indirect
-        if code == BlockKind.DOUBLE_INDIRECT:
-            return inode.double_indirect
-        index = -(code + 3)
-        root = self._meta_block(
-            inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect, breakdown
-        )
-        return int.from_bytes(root[index * 4 : index * 4 + 4], "little")
+        return self._read_inode(inum, breakdown)
 
     # ==================================================================
     # File data access
@@ -747,23 +734,8 @@ class LFS(FileSystem):
         self._mark_inode_dirty(inum)
 
     # ==================================================================
-    # Path resolution and directories
+    # Directory blocks (the namespace's storage hooks)
     # ==================================================================
-
-    def _namei(self, parts: List[str], breakdown: Breakdown) -> int:
-        inum = ROOT_INUM
-        for name in parts:
-            inode = self._load_inode(inum, breakdown)
-            if not inode.is_dir:
-                raise NotADirectory(name)
-            child = self._dir_lookup(inum, inode, name, breakdown)
-            if child is None:
-                raise FileNotFound(f"no such file or directory: {name!r}")
-            inum = child
-        return inum
-
-    def _dir_blocks(self, inode: Inode) -> int:
-        return -(-inode.size // self.block_size)
 
     def _parsed_dir_blocks(
         self, inum: int, inode: Inode, breakdown: Breakdown
@@ -774,155 +746,44 @@ class LFS(FileSystem):
         costs what file I/O costs; only the *parse* is reused, for as
         long as the bytes read are the bytes it was made from (see
         :meth:`DirectoryBlock.cached`)."""
-        for fblk in range(self._dir_blocks(inode)):
+        for fblk in range(-(-inode.size // self.block_size)):
             raw = self._read_file_block(inum, inode, fblk, breakdown)
             yield fblk, DirectoryBlock.cached(self.cache, (inum, fblk), raw)
 
-    def _dir_lookup(
-        self, inum: int, inode: Inode, name: str, breakdown: Breakdown
-    ) -> Optional[int]:
-        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
-            child = block.lookup(name)
-            if child is not None:
-                return child
-        return None
-
-    def _dir_add(
-        self,
-        inum: int,
-        inode: Inode,
-        name: str,
-        child: int,
+    def _dir_store(
+        self, inum: int, inode: Inode, fblk: int, block: DirectoryBlock,
         breakdown: Breakdown,
     ) -> None:
-        for fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
-            if block.space_for(name):
-                block.add(name, child)
-                self._write_file_block(inum, fblk, block.pack(), breakdown)
-                inode.mtime = self.clock.now
-                self._mark_inode_dirty(inum)
-                return
-        fblk = self._dir_blocks(inode)
-        block = DirectoryBlock(self.block_size, {name: child})
+        """A directory edit is a buffered file write like any other."""
+        self._write_file_block(inum, fblk, block.pack(), breakdown)
+        inode.mtime = self.clock.now
+        self._mark_inode_dirty(inum)
+
+    def _dir_append(
+        self, inum: int, inode: Inode, block: DirectoryBlock,
+        breakdown: Breakdown,
+    ) -> None:
+        fblk = -(-inode.size // self.block_size)
         self._write_file_block(inum, fblk, block.pack(), breakdown)
         inode.size = (fblk + 1) * self.block_size
         inode.mtime = self.clock.now
         self._mark_inode_dirty(inum)
 
-    def _dir_remove(
-        self, inum: int, inode: Inode, name: str, breakdown: Breakdown
-    ) -> int:
-        for fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
-            if block.lookup(name) is not None:
-                child = block.remove(name)
-                self._write_file_block(inum, fblk, block.pack(), breakdown)
-                inode.mtime = self.clock.now
-                self._mark_inode_dirty(inum)
-                return child
-        raise FileNotFound(f"no such entry: {name!r}")
-
     # ==================================================================
     # Public API
     # ==================================================================
 
-    def create(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._load_inode(dir_inum, breakdown)
-        if not dir_inode.is_dir:
-            raise NotADirectory(path)
-        if self._dir_lookup(dir_inum, dir_inode, name, breakdown) is not None:
-            raise FileExists(path)
-        inum = self._alloc_inum()
-        self._inodes[inum] = Inode(
-            itype=FileType.REGULAR, nlink=1, mtime=self.clock.now
-        )
-        self._mark_inode_dirty(inum)
-        self._dir_add(dir_inum, dir_inode, name, inum, breakdown)
-        return breakdown
-
-    def mkdir(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._load_inode(dir_inum, breakdown)
-        if not dir_inode.is_dir:
-            raise NotADirectory(path)
-        if self._dir_lookup(dir_inum, dir_inode, name, breakdown) is not None:
-            raise FileExists(path)
-        inum = self._alloc_inum()
-        self._inodes[inum] = Inode(
-            itype=FileType.DIRECTORY, nlink=2, mtime=self.clock.now
-        )
-        self._mark_inode_dirty(inum)
-        self._dir_add(dir_inum, dir_inode, name, inum, breakdown)
-        dir_inode.nlink += 1
-        return breakdown
-
-    def unlink(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._load_inode(dir_inum, breakdown)
-        inum = self._dir_lookup(dir_inum, dir_inode, name, breakdown)
-        if inum is None:
-            raise FileNotFound(path)
-        inode = self._load_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
-        self._dir_remove(dir_inum, dir_inode, name, breakdown)
-        self._free_inode_storage(inum, inode, breakdown)
-        return breakdown
-
-    def rmdir(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._load_inode(dir_inum, breakdown)
-        inum = self._dir_lookup(dir_inum, dir_inode, name, breakdown)
-        if inum is None:
-            raise FileNotFound(path)
-        inode = self._load_inode(inum, breakdown)
-        if not inode.is_dir:
-            raise NotADirectory(path)
-        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
-            if len(block):
-                raise DirectoryNotEmpty(path)
-        self._dir_remove(dir_inum, dir_inode, name, breakdown)
-        self._free_inode_storage(inum, inode, breakdown)
-        dir_inode.nlink = max(2, dir_inode.nlink - 1)
-        return breakdown
-
-    def rename(self, old_path: str, new_path: str) -> Breakdown:
-        breakdown = self._start_op()
-        old_parents, old_name = dirname_basename(old_path)
-        new_parents, new_name = dirname_basename(new_path)
-        old_dir = self._namei(old_parents, breakdown)
-        old_dir_inode = self._load_inode(old_dir, breakdown)
-        inum = self._dir_lookup(old_dir, old_dir_inode, old_name, breakdown)
-        if inum is None:
-            raise FileNotFound(old_path)
-        new_dir = self._namei(new_parents, breakdown)
-        new_dir_inode = self._load_inode(new_dir, breakdown)
-        if not new_dir_inode.is_dir:
-            raise NotADirectory(new_path)
-        if self._dir_lookup(
-            new_dir, new_dir_inode, new_name, breakdown
-        ) is not None:
-            raise FileExists(new_path)
-        self._dir_add(new_dir, new_dir_inode, new_name, inum, breakdown)
-        self._dir_remove(old_dir, old_dir_inode, old_name, breakdown)
-        return breakdown
+    # The namespace calls are InodeNamespace's.  The performance ledger
+    # patches its traced methods through ``cls.__dict__`` (benchmarks/
+    # ledger/spans.py), so the two it traces must be entries of this class.
+    create = InodeNamespace.create
+    unlink = InodeNamespace.unlink
 
     def truncate(self, path: str, size: int) -> Breakdown:
         if size < 0:
             raise ValueError("size must be non-negative")
         breakdown = self._start_op()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._load_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         if size < inode.size:
             first_dead = -(-size // self.block_size)
             old_blocks = -(-inode.size // self.block_size)
@@ -948,27 +809,36 @@ class LFS(FileSystem):
         self._mark_inode_dirty(inum)
         return breakdown
 
-    def _free_inode_storage(
+    def _owned_blocks(
         self, inum: int, inode: Inode, breakdown: Breakdown
-    ) -> None:
-        nblocks = -(-inode.size // self.block_size)
-        for fblk in range(nblocks):
+    ) -> Iterator[Tuple[int, int]]:
+        """Yield ``(key, address)`` for every log block the inode owns:
+        ``key >= 0`` is a file block index, ``key < 0`` the
+        :class:`BlockKind` code of an indirect block -- what
+        :meth:`_set_pointer` takes back.  Data blocks first, then the
+        single and double indirect, then the level-1 tables."""
+        for fblk in range(-(-inode.size // self.block_size)):
             address = self._get_pointer(inode, inum, fblk, breakdown)
             if address:
-                self._note_dead_block(address)
-        for code in (BlockKind.SINGLE_INDIRECT, BlockKind.DOUBLE_INDIRECT):
-            address = self._meta_address(inode, inum, code, breakdown)
-            if address:
-                self._note_dead_block(address)
+                yield fblk, address
+        if inode.indirect:
+            yield BlockKind.SINGLE_INDIRECT, inode.indirect
         if inode.double_indirect:
+            yield BlockKind.DOUBLE_INDIRECT, inode.double_indirect
             root = self._meta_block(
                 inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
                 breakdown,
             )
             for index in range(self._ppb):
-                addr = int.from_bytes(root[index * 4 : index * 4 + 4], "little")
-                if addr:
-                    self._note_dead_block(addr)
+                address = int.from_bytes(
+                    root[index * 4 : index * 4 + 4], "little"
+                )
+                if address:
+                    yield BlockKind.level1(index), address
+
+    def _drop_inode(self, inum: int, inode: Inode, breakdown: Breakdown) -> None:
+        for _key, address in self._owned_blocks(inum, inode, breakdown):
+            self._note_dead_block(address)
         self._note_dead_inode(inum)
         self.imap.clear(inum)
         self._inodes.pop(inum, None)
@@ -984,10 +854,7 @@ class LFS(FileSystem):
             raise ValueError("offset must be non-negative")
         nblocks = max(1, -(-len(data) // self.block_size))
         breakdown = self._start_op(nblocks)
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._load_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         position = offset
         end = offset + len(data)
         while position < end:
@@ -1017,10 +884,7 @@ class LFS(FileSystem):
             raise ValueError("offset and length must be non-negative")
         nblocks = max(1, -(-length // self.block_size))
         breakdown = self._start_op(nblocks)
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._load_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         length = max(0, min(length, inode.size - offset))
         pieces: List[bytes] = []
         position = offset
@@ -1147,38 +1011,6 @@ class LFS(FileSystem):
     def _idle_device(self, remaining: float) -> None:
         # Remaining idle time belongs to the device (VLD compaction).
         self.device.idle(remaining)
-
-    # ------------------------------------------------------------------
-
-    def stat(self, path: str) -> FileStat:
-        breakdown = Breakdown()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._load_inode(inum, breakdown)
-        return FileStat(
-            inum=inum,
-            size=inode.size,
-            is_dir=inode.is_dir,
-            nlink=inode.nlink,
-            blocks=-(-inode.size // self.block_size),
-        )
-
-    def listdir(self, path: str):
-        breakdown = Breakdown()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._load_inode(inum, breakdown)
-        if not inode.is_dir:
-            raise NotADirectory(path)
-        names: List[str] = []
-        for _fblk, block in self._parsed_dir_blocks(inum, inode, breakdown):
-            names.extend(block.entries)
-        return sorted(names)
-
-    def exists(self, path: str) -> bool:
-        try:
-            self._namei(split_path(path), Breakdown())
-            return True
-        except (FileNotFound, NotADirectory):
-            return False
 
     # ------------------------------------------------------------------
 

@@ -6,8 +6,11 @@ The classic phases, adapted to this FFS layout:
    size; every block/fragment it references is in range, inside a data
    area, and claimed exactly once.
 2. **Namespace** — every directory entry points to an allocated inode;
-   every allocated inode is reachable from the root; directory link
-   counts are consistent.
+   every allocated inode is reachable from the root, no directory twice.
+   (Link counts are *not* checked: no phase compares ``nlink`` with the
+   entries naming an inode.)  The walk parses directory blocks itself,
+   not through :mod:`repro.fs.namespace`: a checker must not reuse what
+   it checks.
 3. **Allocation bitmaps** — the fragment and inode bitmaps agree exactly
    with the claims discovered in phases 1-2.
 

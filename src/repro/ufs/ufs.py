@@ -15,26 +15,24 @@ Semantics matched to the paper's Section 4.3 configuration:
 The implementation is a real file system: every structure (superblock,
 bitmaps, inode tables, directories, indirect blocks) is serialised to the
 block device, and a file system can be remounted from the device image.
+
+Path resolution, directories and the namespace calls are
+:class:`~repro.fs.namespace.InodeNamespace`'s, shared with LFS and VLFS.
+This module supplies its storage hooks -- where "synchronous, in careful
+order" lives, the namespace's call order being the write order -- and the
+data path, which is UFS's own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
-from repro.fs.api import (
-    DirectoryNotEmpty,
-    FileExists,
-    FileNotFound,
-    FileStat,
-    FileSystem,
-    FileSystemError,
-    IsADirectory,
-    NotADirectory,
-)
+from repro.fs.api import FileSystemError
 from repro.fs.dirfile import DirectoryBlock
 from repro.fs.inode import FileType, INODE_SIZE, Inode, NUM_DIRECT
-from repro.fs.path import dirname_basename, split_path
+from repro.fs.namespace import InodeNamespace
+from repro.fs.path import split_path
 from repro.hosts.specs import HostSpec
 from repro.sched.idle import IdleManager
 from repro.sim.stats import Breakdown
@@ -45,7 +43,7 @@ from repro.ufs.layout import Superblock, UFSLayout
 _SECTOR = 512
 
 
-class UFS(FileSystem):
+class UFS(InodeNamespace):
     """An FFS-style update-in-place file system over a block device."""
 
     def __init__(
@@ -78,6 +76,7 @@ class UFS(FileSystem):
             self.layout = UFSLayout(Superblock.unpack(raw))
             self.alloc = UFSAllocator(self.layout, self.cache)
             self.alloc.load(Breakdown())
+        self._root_inum = self.layout.sb.root_inum
         #: per-inode dirty data blocks, for fsync.
         self._dirty_blocks: Dict[int, Set[int]] = {}
         #: per-inode sequential read detector: (next expected block, run).
@@ -161,21 +160,32 @@ class UFS(FileSystem):
         merged[offset : offset + INODE_SIZE] = inode.pack()
         breakdown.add(self.cache.write(block, bytes(merged), sync=sync))
 
-    # ==================================================================
-    # Path resolution
-    # ==================================================================
-
-    def _namei(self, parts: List[str], breakdown: Breakdown) -> int:
-        inum = self.layout.sb.root_inum
-        for name in parts:
-            inode = self._read_inode(inum, breakdown)
-            if not inode.is_dir:
-                raise NotADirectory(f"{name!r}: ancestor is not a directory")
-            child = self._dir_lookup(inode, name, breakdown)
-            if child is None:
-                raise FileNotFound(f"no such file or directory: {name!r}")
-            inum = child
+    def _new_inode(self, parent: int, inode: Inode, breakdown: Breakdown) -> int:
+        """FFS ordering: the inode reaches disk before the entry naming
+        it, so the write is synchronous."""
+        inum = self.alloc.alloc_inode(parent, is_dir=inode.is_dir)
+        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
         return inum
+
+    def _drop_inode(self, inum: int, inode: Inode, breakdown: Breakdown) -> None:
+        """Free the storage, then the (synchronously cleared) inode."""
+        self._free_file_storage(inode, breakdown)
+        inode.reset()
+        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
+        self.alloc.free_inode(inum)
+        self._dirty_blocks.pop(inum, None)
+        self._readahead.pop(inum, None)
+
+    def _stat_blocks(self, inode: Inode) -> int:
+        """Full blocks, plus one for a tail held in fragments."""
+        if not self._uses_tail_frags(inode.size):
+            return -(-inode.size // self.block_size)
+        _frag_addr, frag_count = inode.tail_frags()
+        return inode.size // self.block_size + (1 if frag_count else 0)
+
+    # ==================================================================
+    # Directory blocks (the namespace's storage hooks)
+    # ==================================================================
 
     def _dir_blocks(
         self, inode: Inode, breakdown: Breakdown
@@ -188,7 +198,7 @@ class UFS(FileSystem):
                 yield fblk, lba
 
     def _parsed_dir_blocks(
-        self, inode: Inode, breakdown: Breakdown
+        self, inum: int, inode: Inode, breakdown: Breakdown
     ) -> Iterable[Tuple[int, DirectoryBlock]]:
         """Yield (lba, parsed block) of a directory's data blocks.
 
@@ -201,65 +211,28 @@ class UFS(FileSystem):
             breakdown.add(cost)
             yield lba, DirectoryBlock.cached(self.cache, lba, raw)
 
-    def _dir_lookup(
-        self, inode: Inode, name: str, breakdown: Breakdown
-    ) -> Optional[int]:
-        for _lba, block in self._parsed_dir_blocks(inode, breakdown):
-            inum = block.lookup(name)
-            if inum is not None:
-                return inum
-        return None
-
-    def _dir_add(
-        self,
-        dir_inum: int,
-        inode: Inode,
-        name: str,
-        child: int,
+    def _dir_store(
+        self, inum: int, inode: Inode, lba: int, block: DirectoryBlock,
         breakdown: Breakdown,
     ) -> None:
-        """Insert an entry; the directory block write is synchronous."""
-        for lba, block in self._parsed_dir_blocks(inode, breakdown):
-            if block.space_for(name):
-                block.add(name, child)
-                breakdown.add(self.cache.write(lba, block.pack(), sync=True))
-                self._touch_inode_async(dir_inum, inode, breakdown)
-                return
-        # Grow the directory by one block.
-        fblk = -(-inode.size // self.block_size)
-        lba = self._alloc_near_inode(dir_inum, inode, breakdown)
-        self._set_file_block(inode, fblk, lba, breakdown, sync=True)
-        block = DirectoryBlock(self.block_size, {name: child})
+        """The directory block write is synchronous; the inode's new
+        mtime follows asynchronously."""
         breakdown.add(self.cache.write(lba, block.pack(), sync=True))
-        inode.size = (fblk + 1) * self.block_size
-        self._write_inode(dir_inum, inode, sync=True, breakdown=breakdown)
-
-    def _dir_remove(
-        self,
-        dir_inum: int,
-        inode: Inode,
-        name: str,
-        breakdown: Breakdown,
-    ) -> int:
-        for lba, block in self._parsed_dir_blocks(inode, breakdown):
-            if block.lookup(name) is not None:
-                child = block.remove(name)
-                breakdown.add(self.cache.write(lba, block.pack(), sync=True))
-                self._touch_inode_async(dir_inum, inode, breakdown)
-                return child
-        raise FileNotFound(f"no such entry: {name!r}")
-
-    def _touch_inode_async(
-        self, inum: int, inode: Inode, breakdown: Breakdown
-    ) -> None:
         inode.mtime = self.clock.now
         self._write_inode(inum, inode, sync=False, breakdown=breakdown)
 
-    def _dir_entry_count(self, inode: Inode, breakdown: Breakdown) -> int:
-        return sum(
-            len(block)
-            for _lba, block in self._parsed_dir_blocks(inode, breakdown)
-        )
+    def _dir_append(
+        self, inum: int, inode: Inode, block: DirectoryBlock,
+        breakdown: Breakdown,
+    ) -> None:
+        """Grow the directory by one block, all of it synchronously:
+        pointer, then block, then the inode with its new size."""
+        fblk = -(-inode.size // self.block_size)
+        lba = self._alloc_near_inode(inum, inode, breakdown)
+        self._set_file_block(inode, fblk, lba, breakdown, sync=True)
+        breakdown.add(self.cache.write(lba, block.pack(), sync=True))
+        inode.size = (fblk + 1) * self.block_size
+        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
 
     # ==================================================================
     # Block mapping (direct / indirect / double indirect)
@@ -463,115 +436,17 @@ class UFS(FileSystem):
     # Public API
     # ==================================================================
 
-    def create(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._read_inode(dir_inum, breakdown)
-        if not dir_inode.is_dir:
-            raise NotADirectory(path)
-        if self._dir_lookup(dir_inode, name, breakdown) is not None:
-            raise FileExists(path)
-        inum = self.alloc.alloc_inode(dir_inum, is_dir=False)
-        inode = Inode(itype=FileType.REGULAR, nlink=1, mtime=self.clock.now)
-        # FFS ordering: the inode reaches disk before the entry naming it.
-        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
-        self._dir_add(dir_inum, dir_inode, name, inum, breakdown)
-        return breakdown
-
-    def mkdir(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._read_inode(dir_inum, breakdown)
-        if not dir_inode.is_dir:
-            raise NotADirectory(path)
-        if self._dir_lookup(dir_inode, name, breakdown) is not None:
-            raise FileExists(path)
-        inum = self.alloc.alloc_inode(dir_inum, is_dir=True)
-        inode = Inode(itype=FileType.DIRECTORY, nlink=2, mtime=self.clock.now)
-        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
-        self._dir_add(dir_inum, dir_inode, name, inum, breakdown)
-        dir_inode.nlink += 1
-        self._write_inode(dir_inum, dir_inode, sync=False, breakdown=breakdown)
-        return breakdown
-
-    def unlink(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._read_inode(dir_inum, breakdown)
-        inum = self._dir_lookup(dir_inode, name, breakdown)
-        if inum is None:
-            raise FileNotFound(path)
-        inode = self._read_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
-        # FFS ordering: the entry disappears before the inode is freed.
-        self._dir_remove(dir_inum, dir_inode, name, breakdown)
-        self._free_file_storage(inode, breakdown)
-        inode.reset()
-        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
-        self.alloc.free_inode(inum)
-        self._dirty_blocks.pop(inum, None)
-        self._readahead.pop(inum, None)
-        return breakdown
-
-    def rmdir(self, path: str) -> Breakdown:
-        breakdown = self._start_op()
-        parents, name = dirname_basename(path)
-        dir_inum = self._namei(parents, breakdown)
-        dir_inode = self._read_inode(dir_inum, breakdown)
-        inum = self._dir_lookup(dir_inode, name, breakdown)
-        if inum is None:
-            raise FileNotFound(path)
-        inode = self._read_inode(inum, breakdown)
-        if not inode.is_dir:
-            raise NotADirectory(path)
-        if self._dir_entry_count(inode, breakdown):
-            raise DirectoryNotEmpty(path)
-        self._dir_remove(dir_inum, dir_inode, name, breakdown)
-        self._free_file_storage(inode, breakdown)
-        inode.reset()
-        self._write_inode(inum, inode, sync=True, breakdown=breakdown)
-        self.alloc.free_inode(inum)
-        dir_inode.nlink = max(2, dir_inode.nlink - 1)
-        self._write_inode(dir_inum, dir_inode, sync=False, breakdown=breakdown)
-        return breakdown
-
-    def rename(self, old_path: str, new_path: str) -> Breakdown:
-        """Move an entry between directories (both entry writes are
-        synchronous, in remove-last order so the file is never lost)."""
-        breakdown = self._start_op()
-        old_parents, old_name = dirname_basename(old_path)
-        new_parents, new_name = dirname_basename(new_path)
-        old_dir = self._namei(old_parents, breakdown)
-        old_dir_inode = self._read_inode(old_dir, breakdown)
-        inum = self._dir_lookup(old_dir_inode, old_name, breakdown)
-        if inum is None:
-            raise FileNotFound(old_path)
-        new_dir = self._namei(new_parents, breakdown)
-        new_dir_inode = self._read_inode(new_dir, breakdown)
-        if not new_dir_inode.is_dir:
-            raise NotADirectory(new_path)
-        if self._dir_lookup(new_dir_inode, new_name, breakdown) is not None:
-            raise FileExists(new_path)
-        # Add the new entry first, then remove the old one: a crash leaves
-        # at worst an extra (hard-link-like) entry, never a lost file.
-        self._dir_add(new_dir, new_dir_inode, new_name, inum, breakdown)
-        if old_dir == new_dir:
-            old_dir_inode = self._read_inode(old_dir, breakdown)
-        self._dir_remove(old_dir, old_dir_inode, old_name, breakdown)
-        return breakdown
+    # The namespace calls are InodeNamespace's.  The performance ledger
+    # patches its traced methods through ``cls.__dict__`` (benchmarks/
+    # ledger/spans.py), so the two it traces must be entries of this class.
+    create = InodeNamespace.create
+    unlink = InodeNamespace.unlink
 
     def truncate(self, path: str, size: int) -> Breakdown:
         if size < 0:
             raise ValueError("size must be non-negative")
         breakdown = self._start_op()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._read_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         if size > inode.size:
             # Sparse extension: restructure the tail, no data written.
             self._restructure(inum, inode, size, breakdown, sync=False)
@@ -707,19 +582,20 @@ class UFS(FileSystem):
             self._store_group_async(
                 frag_addr // self.layout.frags_per_block, breakdown
             )
-        for indirect in (inode.indirect, inode.double_indirect):
-            if indirect:
-                self.alloc.free_block(indirect)
-                self.cache.invalidate(indirect)
-                self._store_group_async(indirect, breakdown)
+        # Read the level-1 pointers while the double-indirect table is
+        # still cached: once invalidated, a table that was only dirty in
+        # the buffer cache reads back from the device as zeros.
+        tables = [inode.indirect, inode.double_indirect]
         if inode.double_indirect:
-            for i in range(self._ppb):
-                level1 = self._read_pointer(
-                    inode.double_indirect, i, breakdown
-                )
-                if level1:
-                    self.alloc.free_block(level1)
-                    self.cache.invalidate(level1)
+            tables.extend(
+                self._read_pointer(inode.double_indirect, i, breakdown)
+                for i in range(self._ppb)
+            )
+        for table in tables:
+            if table:
+                self.alloc.free_block(table)
+                self.cache.invalidate(table)
+                self._store_group_async(table, breakdown)
 
     # ------------------------------------------------------------------
 
@@ -730,11 +606,7 @@ class UFS(FileSystem):
             raise ValueError("offset must be non-negative")
         nblocks = max(1, -(-len(data) // self.block_size))
         breakdown = self._start_op(nblocks)
-        parents = split_path(path)
-        inum = self._namei(parents, breakdown)
-        inode = self._read_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         new_size = max(inode.size, offset + len(data))
         self._restructure(inum, inode, new_size, breakdown, sync)
         use_frags = self._uses_tail_frags(new_size)
@@ -858,11 +730,7 @@ class UFS(FileSystem):
             raise ValueError("offset and length must be non-negative")
         nblocks = max(1, -(-length // self.block_size))
         breakdown = self._start_op(nblocks)
-        parents = split_path(path)
-        inum = self._namei(parents, breakdown)
-        inode = self._read_inode(inum, breakdown)
-        if inode.is_dir:
-            raise IsADirectory(path)
+        inum, inode = self._file_at(path, breakdown)
         length = max(0, min(length, inode.size - offset))
         if length == 0:
             return b"", breakdown
@@ -982,39 +850,3 @@ class UFS(FileSystem):
 
     def _idle_device(self, remaining: float) -> None:
         self.device.idle(remaining)
-
-    # ------------------------------------------------------------------
-
-    def stat(self, path: str) -> FileStat:
-        breakdown = Breakdown()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._read_inode(inum, breakdown)
-        frag_addr, frag_count = inode.tail_frags()
-        blocks = inode.size // self.block_size + (1 if frag_count else 0)
-        if not self._uses_tail_frags(inode.size):
-            blocks = -(-inode.size // self.block_size)
-        return FileStat(
-            inum=inum,
-            size=inode.size,
-            is_dir=inode.is_dir,
-            nlink=inode.nlink,
-            blocks=blocks,
-        )
-
-    def listdir(self, path: str):
-        breakdown = Breakdown()
-        inum = self._namei(split_path(path), breakdown)
-        inode = self._read_inode(inum, breakdown)
-        if not inode.is_dir:
-            raise NotADirectory(path)
-        names: List[str] = []
-        for _lba, block in self._parsed_dir_blocks(inode, breakdown):
-            names.extend(block.entries)
-        return sorted(names)
-
-    def exists(self, path: str) -> bool:
-        try:
-            self._namei(split_path(path), Breakdown())
-            return True
-        except (FileNotFound, NotADirectory):
-            return False

@@ -1,7 +1,10 @@
 """The virtual log file system (Section 3.3, Figure 4).
 
-Structure shared with LFS (inodes, directories, the file cache, the flush
-discipline) is inherited; the storage engine differs:
+The namespace (paths, directories, create / unlink / rename ...) is
+:class:`~repro.fs.namespace.InodeNamespace`'s, the one copy UFS uses too;
+what is specific to the log family (in-memory inodes, the file cache, the
+flush discipline, the owned-blocks walk) is inherited from LFS; the
+storage engine differs:
 
 * every staged block is **eagerly written immediately** to a free 4 KB
   block near the disk head (no segments, no partial-segment threshold);
@@ -35,7 +38,6 @@ from repro.lfs.inode_map import InodeMap, SegmentUsage
 from repro.lfs.layout import LFSLayout
 from repro.lfs.lfs import LFS, ROOT_INUM
 from repro.lfs.nvram import FileCache
-from repro.lfs.segment import BlockKind
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
 from repro.vlog.entries import entries_per_chunk
@@ -262,8 +264,8 @@ class VLFS(LFS):
         if staged:
             self._append_imap_chunks(staged, breakdown)
 
-    def _free_inode_storage(self, inum, inode, breakdown) -> None:
-        super()._free_inode_storage(inum, inode, breakdown)
+    def _drop_inode(self, inum, inode, breakdown) -> None:
+        super()._drop_inode(inum, inode, breakdown)
         self._append_imap_chunks([inum], breakdown)
 
     # ==================================================================
@@ -376,31 +378,9 @@ class VLFS(LFS):
                 slot: weights[slot] for slot in slots
             }
         for inum in list(self.imap.live_inums()):
-            inode = self._load_inode(inum, breakdown)
-            self._mark_inode_blocks_used(inum, inode, breakdown)
-
-    def _mark_inode_blocks_used(
-        self, inum: int, inode: Inode, breakdown: Breakdown
-    ) -> None:
-        spb = self.device.sectors_per_block
-        nblocks = -(-inode.size // self.block_size)
-        for fblk in range(nblocks):
-            address = self._get_pointer(inode, inum, fblk, breakdown)
-            if address:
+            inode = self._read_inode(inum, breakdown)
+            for _key, address in self._owned_blocks(inum, inode, breakdown):
                 self.freemap.mark_used(address * spb, spb)
-        for code in (BlockKind.SINGLE_INDIRECT, BlockKind.DOUBLE_INDIRECT):
-            address = self._meta_address(inode, inum, code, breakdown)
-            if address:
-                self.freemap.mark_used(address * spb, spb)
-        if inode.double_indirect:
-            root = self._meta_block(
-                inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
-                breakdown,
-            )
-            for i in range(self._ppb):
-                address = int.from_bytes(root[i * 4 : i * 4 + 4], "little")
-                if address:
-                    self.freemap.mark_used(address * spb, spb)
 
 
 class VLFSCompactor:
@@ -439,8 +419,9 @@ class VLFSCompactor:
     # ------------------------------------------------------------------
 
     def _ownership(self) -> Dict[int, Tuple]:
-        """physical block -> ('data', inum, fblk) | ('meta', inum, code) |
-        ('inodes', None, None).  Map records are asked of the vlog."""
+        """physical block -> ``(inum, key)`` as ``LFS._owned_blocks``
+        keys them, or ``(None, None)`` for a block of packed inodes.  Map
+        records are asked of the vlog."""
         fs = self.fs
         breakdown = Breakdown()
         owners: Dict[int, Tuple] = {}
@@ -449,31 +430,11 @@ class VLFSCompactor:
             inode = fs._live_inode_for(inum, breakdown)
             if inode is None:
                 continue
-            nblocks = -(-inode.size // fs.block_size)
-            for fblk in range(nblocks):
-                address = fs._get_pointer(inode, inum, fblk, breakdown)
-                if address:
-                    owners[address] = ("data", inum, fblk)
-            for code in (
-                BlockKind.SINGLE_INDIRECT, BlockKind.DOUBLE_INDIRECT
-            ):
-                address = fs._meta_address(inode, inum, code, breakdown)
-                if address:
-                    owners[address] = ("meta", inum, code)
-            if inode.double_indirect:
-                root = fs._meta_block(
-                    inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
-                    breakdown,
-                )
-                for i in range(fs._ppb):
-                    address = int.from_bytes(
-                        root[i * 4 : i * 4 + 4], "little"
-                    )
-                    if address:
-                        owners[address] = ("meta", inum, BlockKind.level1(i))
+            for key, address in fs._owned_blocks(inum, inode, breakdown):
+                owners[address] = (inum, key)
             location = fs.imap.get(inum) if fs.imap.allocated(inum) else None
             if location is not None:
-                owners[location[0]] = ("inodes", None, None)
+                owners[location[0]] = (None, None)
         return owners
 
     def _pick_target(self, owners) -> Optional[Tuple[int, int]]:
@@ -543,14 +504,14 @@ class VLFSCompactor:
     def _move_block(self, block, owner, source_track, breakdown) -> bool:
         fs = self.fs
         spb = fs.device.sectors_per_block
-        kind, inum, key = owner
-        if kind == "inodes":
+        inum, key = owner
+        if inum is None:
             # Re-staging the resident inodes supersedes this inode block.
             moved = False
             for cand in list(fs.imap.live_inums()):
                 location = fs.imap.get(cand)
                 if location and location[0] == block:
-                    fs._load_inode(cand, breakdown)
+                    fs._read_inode(cand, breakdown)
                     fs._mark_inode_dirty(cand)
                     moved = True
             return moved
@@ -564,38 +525,11 @@ class VLFSCompactor:
         if inode is None:
             fs.freemap.mark_free(destination * spb, spb)
             return False
-        if kind == "data":
-            old = fs._set_pointer(inode, inum, key, destination, breakdown)
-        else:
-            old = self._repoint_meta(inode, inum, key, destination, breakdown)
+        old = fs._set_pointer(inode, inum, key, destination, breakdown)
         if old:
             fs._note_dead_block(old)
         self.blocks_moved += 1
         return True
-
-    def _repoint_meta(self, inode, inum, code, destination, breakdown):
-        fs = self.fs
-        if code == BlockKind.SINGLE_INDIRECT:
-            old, inode.indirect = inode.indirect, destination
-        elif code == BlockKind.DOUBLE_INDIRECT:
-            old, inode.double_indirect = (
-                inode.double_indirect, destination
-            )
-        else:
-            index = -(code + 3)
-            root = fs._meta_block(
-                inum, BlockKind.DOUBLE_INDIRECT, inode.double_indirect,
-                breakdown,
-            )
-            old = int.from_bytes(root[index * 4 : index * 4 + 4], "little")
-            root[index * 4 : index * 4 + 4] = destination.to_bytes(
-                4, "little"
-            )
-            fs._put_meta_dirty(
-                inum, BlockKind.DOUBLE_INDIRECT, root, breakdown
-            )
-        fs._mark_inode_dirty(inum)
-        return old
 
     def _find_hole(self, source_track) -> Optional[int]:
         fs = self.fs

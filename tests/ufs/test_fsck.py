@@ -255,3 +255,40 @@ class TestCorruptDirectoryBlocks:
                 ufs.stat(f"/d-{kind}/victim")
             with pytest.raises(CorruptDirectory):
                 ufs.create(f"/d-{kind}/new")
+
+
+class TestDoubleIndirectFilesAreFreedWhole:
+    """Freeing a file past 12 + 1 024 blocks gives back its level-1
+    indirect blocks too, even when the double-indirect table naming them
+    was never written out (``_free_file_storage`` used to invalidate that
+    table and *then* read the level-1 pointers through it: zeros from the
+    device, and the level-1 blocks stayed allocated for ever)."""
+
+    BLOCKS = 12 + 1024 + 40
+
+    def _big_file(self, ufs):
+        ufs.create("/big")
+        chunk = bytes(4096) * 64
+        for lo in range(0, self.BLOCKS * 4096, len(chunk)):
+            size = min(len(chunk), self.BLOCKS * 4096 - lo)
+            ufs.write("/big", lo, chunk[:size])  # asynchronous: no sync
+        assert ufs.stat("/big").blocks == self.BLOCKS
+        report = fsck(ufs)
+        assert report.ok, report.errors
+
+    @pytest.mark.parametrize("how", ["unlink", "truncate"])
+    def test_no_level1_block_leaks(self, ufs, how):
+        fpb = ufs.layout.frags_per_block
+        frags_before, inodes_before = ufs.alloc.free_space()
+        self._big_file(ufs)
+        if how == "unlink":
+            ufs.unlink("/big")
+        else:
+            ufs.truncate("/big", 0)
+            inodes_before -= 1
+        report = fsck(ufs)
+        assert report.ok, report.errors
+        # Only the root directory's one block is still in use.
+        assert ufs.alloc.free_space() == (frags_before - fpb, inodes_before)
+        ufs.sync()
+        assert fsck(ufs).ok
