@@ -199,7 +199,9 @@ class Disk:
         ``data`` must be ``count`` sectors long when given; when omitted,
         zeros are written (timing studies don't care about contents).
         """
-        self._check_run(sector, count)
+        geometry = self.geometry
+        if count <= 0 or not 0 <= sector <= geometry.total_sectors - count:
+            self._check_run(sector, count)  # names what is wrong, and raises
         if data is not None and len(data) != count * self.sector_bytes:
             raise ValueError(
                 f"data length {len(data)} != {count} sectors "
@@ -207,12 +209,18 @@ class Disk:
             )
         if self.fault_injector is not None:
             self.fault_injector.before_write(self, sector, count, data)
-        breakdown = Breakdown()
-        start = self.clock.now
+        clock = self.clock
+        start = clock.now
         if charge_scsi:
-            breakdown.charge("scsi", self.spec.scsi_overhead)
-            self.clock.advance(self.spec.scsi_overhead)
-        per_track = self.geometry.sectors_per_track
+            # The command overhead is a constant of the spec: it opens
+            # the breakdown directly (0.0 + x == x, so the figures match
+            # a validated charge("scsi", x) bit for bit).
+            overhead = self.spec.scsi_overhead
+            breakdown = Breakdown(overhead)
+            clock.advance(overhead)
+        else:
+            breakdown = Breakdown()
+        per_track = geometry.sectors_per_track
         if count <= per_track - sector % per_track:
             # Single-chunk fast path: the request fits on one track, so
             # the chunk loop degenerates to one positioning pass.
@@ -239,7 +247,7 @@ class Disk:
                 else:
                     self.checksums.record(sector, payload)
         self.cache.note_write(sector, count)
-        self.counters.note_write(count, self.clock.now - start)
+        self.counters.note_write(count, clock.now - start)
         return breakdown
 
     def write_run(

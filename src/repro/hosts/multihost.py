@@ -134,14 +134,16 @@ def run_multihost(
         rng = random.Random(seed + 1000003 * index)
         name = f"host{index}"
         think = thinks[index]
+        clock = engine.clock
+        note_interval = engine.intervals.note
         # Matches simulate_queued_workload: the cursor is drawn before
         # the loop for every workload (identity depends on stream shape).
         cursor = rng.randrange(stripe_units)
         for i in range(requests_per_host):
             if think > 0.0:
-                start = engine.now
+                start = clock.now
                 yield think
-                engine.intervals.note("think", name, start, engine.now)
+                note_interval("think", name, start, clock.now)
             if workload == "random-update":
                 target = rng.randrange(stripe_units)
             elif workload == "sequential":

@@ -230,9 +230,9 @@ class DiskScheduler:
         # Arrival is host-side time: engine time when attached (the disk's
         # local clock may sit ahead at its free-at frontier), disk clock
         # otherwise (synchronously the two are the same clock).
+        engine = self._engine
         arrival = (
-            self._engine.now if self._engine is not None
-            else self.disk.clock.now
+            engine.clock.now if engine is not None else self.disk.clock.now
         )
         req = DiskRequest(
             op, sector, count, data, charge_scsi, self._seq, arrival
@@ -341,7 +341,10 @@ class DiskScheduler:
             chosen.done = True
             raise
         chosen.breakdown = breakdown
-        if self._slow_active(self.serviced + 1):
+        # No window set (every run but the fail-slow ones): no call.
+        if self._slow_factor is not None and self._slow_active(
+            self.serviced + 1
+        ):
             extra = (clock.now - chosen.service_start) * (
                 self._slow_factor - 1.0
             )
@@ -353,15 +356,16 @@ class DiskScheduler:
                     self.slow_span = [chosen.service_start, clock.now]
                 else:
                     self.slow_span[1] = clock.now
-        chosen.completion = clock.now
+        chosen.completion = completion = clock.now
         chosen.done = True
         if chosen.op == "write" and chosen.block_sectors is None:
             self._unclaimed.add(breakdown)
         self.serviced += 1
-        self.completion_times.append(chosen.completion)
-        self.busy_seconds += chosen.completion - chosen.service_start
-        self.service_times.record(chosen.completion - chosen.service_start)
-        self.response_times.record(chosen.completion - chosen.arrival)
+        self.completion_times.append(completion)
+        service_seconds = completion - chosen.service_start
+        self.busy_seconds += service_seconds
+        self.service_times.record(service_seconds)
+        self.response_times.record(completion - chosen.arrival)
         return chosen
 
     def drain(self) -> Breakdown:
@@ -435,8 +439,8 @@ class DiskScheduler:
         if self._engine is None or self._submitted is None:
             raise RuntimeError("submit() requires attach_engine()")
         req = self._enqueue(op, sector, count, data, charge_scsi)
-        req.completed = self._engine.signal(
-            f"{self.name}.req{req.seq}.completed"
+        req.completed = Signal(
+            self._engine, f"{self.name}.req{req.seq}.completed"
         )
         self._submitted.fire()
         return req
@@ -459,6 +463,14 @@ class DiskScheduler:
         engine = self._engine
         assert engine is not None
         assert self._submitted is not None and self._drained is not None
+        # Bound once per process, not per request: the two clocks (the
+        # engine's view, and the disk's local frontier -- the same
+        # object when the disk was built on the engine's clock), the
+        # interval sink and this process's name.
+        engine_clock = engine.clock
+        disk_clock = self.disk.clock
+        note_interval = engine.intervals.note
+        name = self.name
         while True:
             if not self._pending:
                 self._drained.fire()
@@ -466,15 +478,15 @@ class DiskScheduler:
                     return
                 yield self._submitted
                 continue
-            start = engine.now
+            start = engine_clock.now
             # Catch the local frontier up to global time, service
             # closed-form (the disk clock runs ahead), then sleep the
             # service duration so engine time matches the completion.
-            self.disk.clock.advance_to(start)
+            disk_clock.advance_to(start)
             self._busy = True
             req = self.service_one()
-            end = self.disk.clock.now
-            engine.intervals.note("service", self.name, start, end)
+            end = disk_clock.now
+            note_interval("service", name, start, end)
             # Absolute, not a delay: `now + (end - now)` need not equal
             # `end` in floating point, and the depth-1 identity demands
             # engine time land bit-exactly on the closed-form completion.

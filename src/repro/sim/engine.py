@@ -9,10 +9,16 @@ compose to N hosts hammering M disks.
 
 :class:`EventEngine` replaces inference with an actual event loop:
 
-* a heap of ``(time, seq, event)`` with **deterministic tie-breaking**
-  (events scheduled for the same instant fire in scheduling order --
-  ``seq`` is a monotone counter, so a run is a pure function of the
-  schedule calls, never of heap internals or hash order);
+* a heap of ``(time, seq, name, action, value, handle)`` entries with
+  **deterministic tie-breaking** (events scheduled for the same instant
+  fire in scheduling order -- ``seq`` is a monotone counter and no two
+  entries share one, so a run is a pure function of the schedule calls,
+  never of heap internals or hash order, and the comparison never
+  reaches ``name``).  The entry carries everything the loop needs to
+  fire it; ``handle`` is the :class:`Event` that :meth:`EventEngine.at`
+  / :meth:`~EventEngine.after` returned (the caller may cancel it) and
+  ``None`` for the engine's own wake-ups, which call ``action(value)``
+  -- a bound ``Process._resume`` and the value it is woken with;
 * **named processes** -- plain Python generators adopted via
   :meth:`EventEngine.spawn`.  A process yields what it is waiting for:
   a delay (seconds or a :class:`Timer`), a :class:`Signal`, or a
@@ -38,14 +44,26 @@ process turn may still advance a *local* clock past the engine frontier
 timer for the difference, and the engine catches the global view up.
 That local-lookahead rule is what lets the closed-form mechanics engine
 (`repro.disk`) run unmodified under the event core.
+
+Host cost: firing an event is one dispatch.  :meth:`EventEngine.run` is
+the loop itself (pop, cancel test, advance the view, count, trace,
+call), the wake-up a process schedules when it yields is pushed from
+``Process._resume`` without an :class:`Event` or a closure, and inside
+this package the engine reads and writes its bound clock's ``_now``
+directly -- the engine owns the timeline; everyone else reads the
+``SimClock.now`` property.  ``tests/sim/reference_engine.py`` keeps the
+one-object-per-event engine this replaced as a differential oracle.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
+from math import inf
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Generator,
     Iterable,
@@ -58,10 +76,14 @@ from repro.sim.clock import SimClock
 
 
 class Event:
-    """One scheduled occurrence.
+    """The handle for one scheduled occurrence.
 
-    Fires ``action`` at ``time``; :meth:`cancel` makes it a no-op without
-    the cost of a heap delete (the heap entry stays and is skipped).
+    :meth:`EventEngine.at` / :meth:`~EventEngine.after` return one per
+    call: ``action`` fires at ``time`` unless :meth:`cancel` made it a
+    no-op first -- without the cost of a heap delete (the heap entry
+    stays and is skipped).  The engine's own wake-ups (timers, signals,
+    grants, spawns) are never cancelled by anyone, so they get a heap
+    entry but no ``Event``.
     """
 
     __slots__ = ("time", "seq", "name", "action", "cancelled")
@@ -90,7 +112,7 @@ class Timer:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0.0:
+        if not delay >= 0.0:  # negative, or NaN
             raise ValueError("timer delay must be non-negative")
         self.delay = delay
 
@@ -102,13 +124,20 @@ class Until:
     round-trip -- the local-lookahead catch-up (a disk pricing a whole
     service closed-form, then handing the timeline back) uses this so
     engine time lands *bit-exactly* on the closed-form end, which the
-    depth-1 identity tests rely on.
+    depth-1 identity tests rely on.  A NaN ``t`` is neither past nor
+    future and is rejected when the process yields it.
     """
 
     __slots__ = ("time",)
 
     def __init__(self, time: float) -> None:
         self.time = time
+
+
+def _bad_time(name: str, time: float, now: float) -> ValueError:
+    return ValueError(
+        f"cannot schedule {name!r} at {time!r}, before now ({now!r})"
+    )
 
 
 class Signal:
@@ -129,21 +158,27 @@ class Signal:
         self._waiters: List["Process"] = []
         self.fires = 0
 
-    def _add_waiter(self, process: "Process") -> None:
-        self._waiters.append(process)
-
     def fire(self, value: Any = None) -> int:
         """Wake every waiter (resumed via zero-delay events, so wake-ups
         interleave deterministically with everything else scheduled for
         this instant).  Returns the number of processes woken."""
         self.fires += 1
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
+        engine = self.engine
+        heap = engine._heap
+        now = engine.clock._now
+        seq = engine._seq
+        name = self.name
         for process in waiters:
-            self.engine.after(
-                0.0,
-                lambda p=process, v=value: p._resume(v),
-                name=f"{self.name}->{process.name}",
+            heappush(
+                heap,
+                (now, seq, f"{name}->{process.name}", process._resume, value, None),
             )
+            seq += 1
+        engine._seq = seq
         return len(waiters)
 
     def __repr__(self) -> str:
@@ -171,7 +206,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self.in_use = 0
-        self._queue: List[Signal] = []
+        self._queue: Deque[Signal] = deque()
 
     def request(self) -> Signal:
         grant = Signal(self.engine, f"{self.name}.grant")
@@ -180,7 +215,7 @@ class Resource:
             # Fire on the next engine step: the requester has not yielded
             # the grant yet (it is still mid-turn), and zero-delay events
             # preserve request order.
-            self.engine.after(0.0, grant.fire, name=f"{self.name}.acquire")
+            self.engine._wake(f"{self.name}.acquire", grant.fire)
         else:
             self._queue.append(grant)
         return grant
@@ -189,8 +224,8 @@ class Resource:
         if self.in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._queue:
-            grant = self._queue.pop(0)
-            self.engine.after(0.0, grant.fire, name=f"{self.name}.acquire")
+            grant = self._queue.popleft()
+            self.engine._wake(f"{self.name}.acquire", grant.fire)
         else:
             self.in_use -= 1
 
@@ -212,7 +247,16 @@ class Process:
     value (also stored in ``result``).
     """
 
-    __slots__ = ("engine", "name", "_gen", "done", "result", "terminated")
+    __slots__ = (
+        "engine",
+        "name",
+        "_gen",
+        "done",
+        "result",
+        "terminated",
+        "_timer_name",
+        "_until_name",
+    )
 
     def __init__(
         self,
@@ -226,8 +270,21 @@ class Process:
         self.done = False
         self.result: Any = None
         self.terminated = Signal(engine, f"{name}.terminated")
+        # The two wake-up names a long-lived process schedules once per
+        # request, built once here (".turn" is rare and built on use).
+        self._timer_name = f"{name}.timer"
+        self._until_name = f"{name}.until"
 
     def _resume(self, value: Any = None) -> None:
+        """One turn: send ``value`` in, then schedule the wake-up for
+        whatever the generator yields next.
+
+        The yield is dispatched by *exact* type first -- ``float``,
+        :class:`Signal`, :class:`Until`, what the hosts and the disk
+        process yield on every request -- and only a miss pays for
+        :meth:`_classify`'s ``isinstance`` chain, which maps everything
+        else a process may yield onto one of those three kinds.
+        """
         if self.done:
             return
         try:
@@ -237,32 +294,57 @@ class Process:
             self.result = stop.value
             self.terminated.fire(stop.value)
             return
-        self._interpret(waited)
+        engine = self.engine
+        now = engine.clock._now
+        kind = type(waited)
+        while True:
+            if kind is float:
+                if not waited >= 0.0:  # negative, or NaN
+                    raise ValueError("delay must be non-negative")
+                time = now + waited
+                name = self._timer_name
+            elif kind is Signal:
+                waited._waiters.append(self)
+                return
+            elif kind is Until:
+                time = waited.time
+                name = self._until_name
+                if not time >= now:
+                    if time < now:
+                        time = now  # already past: resume immediately
+                    else:
+                        raise _bad_time(name, time, now)
+            elif waited is None:
+                time = now
+                name = f"{self.name}.turn"
+            else:
+                # A rarer shape: go round once more as the kind it is.
+                kind, waited = self._classify(waited)
+                continue
+            break
+        heappush(
+            engine._heap, (time, engine._seq, name, self._resume, None, None)
+        )
+        engine._seq += 1
 
-    def _interpret(self, waited: Any) -> None:
-        if waited is None:
-            self.engine.after(0.0, self._resume, name=f"{self.name}.turn")
-        elif isinstance(waited, Timer):
-            self.engine.after(
-                waited.delay, self._resume, name=f"{self.name}.timer"
-            )
-        elif isinstance(waited, (int, float)):
-            self.engine.after(
-                float(waited), self._resume, name=f"{self.name}.timer"
-            )
-        elif isinstance(waited, Until):
-            self.engine.at(
-                max(waited.time, self.engine.now),
-                self._resume,
-                name=f"{self.name}.until",
-            )
-        elif isinstance(waited, Signal):
-            waited._add_waiter(self)
-        else:
-            raise TypeError(
-                f"process {self.name!r} yielded {waited!r}; expected a "
-                "delay, Timer, Until, Signal, or None"
-            )
+    def _classify(self, waited: Any) -> Tuple[type, Any]:
+        """The ``(kind, payload)`` :meth:`_resume` should treat
+        ``waited`` as: a :class:`Timer` or any other real number is a
+        ``float`` delay, instances of :class:`Until` / :class:`Signal`
+        subclasses are themselves; anything else is a bug in the
+        process."""
+        if isinstance(waited, Timer):
+            return float, waited.delay
+        if isinstance(waited, (int, float)):
+            return float, float(waited)
+        if isinstance(waited, Until):
+            return Until, waited
+        if isinstance(waited, Signal):
+            return Signal, waited
+        raise TypeError(
+            f"process {self.name!r} yielded {waited!r}; expected a "
+            "delay, Timer, Until, Signal, or None"
+        )
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -349,7 +431,12 @@ class IntervalRecorder:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
         if end == start:
             return
-        self._raw.setdefault(kind, {}).setdefault(key, []).append((start, end))
+        try:
+            self._raw[kind][key].append((start, end))
+        except KeyError:  # the first interval of this kind or key
+            self._raw.setdefault(kind, {}).setdefault(key, []).append(
+                (start, end)
+            )
 
     def keys(self, kind: str) -> List[str]:
         return sorted(self._raw.get(kind, {}))
@@ -443,8 +530,16 @@ class EventEngine:
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.clock.bind(self)
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``(time, seq, name, action, value, handle)``, ordered by the
+        #: first two.  ``handle`` is the caller's :class:`Event` and the
+        #: action takes no argument; with ``handle`` ``None`` (the
+        #: engine's own wake-ups) the loop calls ``action(value)``.
+        self._heap: List[
+            Tuple[float, int, str, Callable[..., Any], Any, Optional[Event]]
+        ] = []
         self._seq = 0
+        #: Events fired so far; current *during* a run (an action reads
+        #: a count that includes itself).
         self.events_fired = 0
         self.trace: Optional[EventTrace] = EventTrace() if trace else None
         self.processes: Dict[str, Process] = {}
@@ -464,23 +559,31 @@ class EventEngine:
         self, time: float, action: Callable[[], None], name: str = "event"
     ) -> Event:
         """Schedule ``action`` at absolute ``time`` (>= now)."""
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule {name!r} at {time!r}, "
-                f"before now ({self.clock.now!r})"
-            )
+        now = self.clock._now
+        if not time >= now:  # in the past, or NaN (which has no order)
+            raise _bad_time(name, time, now)
         event = Event(time, self._seq, name, action)
+        heappush(self._heap, (time, event.seq, name, action, None, event))
         self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
 
     def after(
         self, delay: float, action: Callable[[], None], name: str = "event"
     ) -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""
-        if delay < 0.0:
+        if not delay >= 0.0:  # negative, or NaN
             raise ValueError("delay must be non-negative")
-        return self.at(self.clock.now + delay, action, name)
+        return self.at(self.clock._now + delay, action, name)
+
+    def _wake(self, name: str, action: Callable[[Any], None]) -> None:
+        """A zero-delay wake-up of the engine's own (a spawn's first
+        turn, a resource grant): ``action(None)`` fires at this instant,
+        after everything already scheduled for it.  Nobody holds a
+        handle to it, so no :class:`Event` is made."""
+        heappush(
+            self._heap, (self.clock._now, self._seq, name, action, None, None)
+        )
+        self._seq += 1
 
     def timer(self, delay: float) -> Timer:
         return Timer(delay)
@@ -503,7 +606,7 @@ class EventEngine:
         order, deterministically)."""
         process = Process(self, gen, name)
         self.processes[name] = process
-        self.after(0.0, process._resume, name=f"{name}.start")
+        self._wake(f"{name}.start", process._resume)
         return process
 
     # ------------------------------------------------------------------
@@ -516,39 +619,71 @@ class EventEngine:
         return len(self._heap)
 
     def step(self) -> Optional[Event]:
-        """Fire the next non-cancelled event; ``None`` when idle."""
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
+        """Fire the next non-cancelled event; ``None`` when idle.
+
+        One turn of :meth:`run`'s loop for callers that single-step
+        (``test_engine_differential.py`` pins the two to the same
+        trace).  An engine wake-up has no handle, so one is made for the
+        return value.
+        """
+        heap = self._heap
+        clock = self.clock
+        while heap:
+            time, seq, name, action, value, handle = heappop(heap)
+            if handle is not None and handle.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            if time > clock._now:
+                clock._now = time
             self.events_fired += 1
             if self.trace is not None:
-                self.trace.note(event)
-            event.action()
-            return event
+                self.trace.records.append((time, seq, name))
+            if handle is None:
+                action(value)
+                return Event(time, seq, name, action)
+            action()
+            return handle
         return None
 
     def run(
         self, until: Optional[float] = None, max_events: int = 0
     ) -> int:
         """Fire events until the heap drains (or past ``until``, or
-        ``max_events`` -- a runaway-loop backstop when positive).
+        ``max_events`` -- a runaway-loop backstop when positive: firing
+        exactly that many is fine, a further one coming due raises).
         Returns the number of events fired."""
+        heap = self._heap
+        clock = self.clock
+        records = self.trace.records if self.trace is not None else None
+        horizon = inf if until is None else until
+        limit = max_events if max_events > 0 else -1
         fired = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        while heap:
+            entry = heappop(heap)
+            time, seq, name, action, value, handle = entry
+            if time > horizon:
+                heappush(heap, entry)  # not due in this slice
                 break
-            if self.step() is None:
-                break
-            fired += 1
-            if max_events and fired >= max_events:
+            if handle is not None and handle.cancelled:
+                continue
+            if fired == limit:
+                heappush(heap, entry)  # due, and stays so
                 raise RuntimeError(
                     f"engine exceeded {max_events} events "
-                    f"(t={self.clock.now:.6f}s) -- runaway process?"
+                    f"(t={clock._now:.6f}s) -- runaway process?"
                 )
+            # The dispatch: advance the view, count, trace, call.
+            if time > clock._now:
+                clock._now = time
+            fired += 1
+            self.events_fired += 1
+            if records is not None:
+                records.append((time, seq, name))
+            if handle is None:
+                action(value)
+            else:
+                action()
         if until is not None:
-            self.clock.advance_to(until)
+            clock.advance_to(until)
         return fired
 
     def __repr__(self) -> str:

@@ -84,9 +84,12 @@ class LatencyHistogram:
     def record(self, seconds: float) -> None:
         if seconds < 0.0:
             raise ValueError("latencies must be non-negative")
+        # frexp gives x = m * 2**e with 0.5 <= m < 1, so e - 1 is
+        # floor(log2(x)) exactly -- log2 itself rounds *up* to the next
+        # integer just below a power of two.
         index = (
             -1 if seconds < self.base
-            else int(math.floor(math.log2(seconds / self.base)))
+            else math.frexp(seconds / self.base)[1] - 1
         )
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1

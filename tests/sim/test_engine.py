@@ -96,6 +96,118 @@ class TestEventOrdering:
             engine.run(max_events=100)
 
 
+    def test_max_events_is_a_ceiling_not_a_quota(self):
+        """Firing exactly ``max_events`` and draining is not a runaway;
+        one more coming due is."""
+        engine = EventEngine()
+        fired = []
+        for i in range(5):
+            engine.at(0.1 * (i + 1), lambda i=i: fired.append(i))
+        assert engine.run(max_events=5) == 5
+        assert fired == [0, 1, 2, 3, 4] and engine.pending == 0
+
+        engine.at(1.0, lambda: fired.append("six"))
+        engine.at(1.0, lambda: fired.append("seven"))
+        with pytest.raises(RuntimeError, match="exceeded 1 events"):
+            engine.run(max_events=1)
+        # The event that tripped the backstop did not fire and is still
+        # scheduled; neither a cancelled placeholder nor an event beyond
+        # `until` counts as "coming due".
+        assert fired[-1] == "six" and engine.pending == 1
+        engine.at(1.0, lambda: None).cancel()
+        engine.at(9.0, lambda: None)
+        assert engine.run(until=2.0, max_events=1) == 1
+        assert fired[-1] == "seven" and engine.pending == 1
+
+    def test_nan_time_rejected_at_the_schedule_call(self):
+        """NaN compares false with everything: ``nan < now`` let it in,
+        and a NaN heap entry then breaks the ordering of its neighbours
+        (0.1 used to fire before 0.05 below)."""
+        nan = float("nan")
+        engine = EventEngine(trace=True)
+        engine.at(0.3, lambda: None, name="c")
+        with pytest.raises(ValueError, match="cannot schedule 'bad' at nan"):
+            engine.at(nan, lambda: None, name="bad")
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.after(nan, lambda: None)
+        with pytest.raises(ValueError, match="non-negative"):
+            Timer(nan)
+        for at, name in ((0.1, "a"), (0.2, "b"), (0.05, "z")):
+            engine.at(at, lambda: None, name=name)
+        engine.run()
+        assert [n for _, _, n in engine.trace.as_tuples()] == [
+            "z", "a", "b", "c",
+        ]
+
+    @pytest.mark.parametrize(
+        "waited, message",
+        [
+            (float("nan"), "non-negative"),
+            (-0.5, "non-negative"),
+            (-1, "non-negative"),
+            (Until(float("nan")), "cannot schedule 'q.until' at nan"),
+        ],
+    )
+    def test_process_yielding_a_bad_time_is_rejected(self, waited, message):
+        engine = EventEngine(trace=True)
+
+        def proc():
+            yield 0.25
+            yield waited
+
+        engine.spawn(proc(), name="q")
+        with pytest.raises(ValueError, match=message):
+            engine.run()
+        # Nothing was scheduled for it: no NaN row, nothing pending.
+        assert [n for _, _, n in engine.trace.as_tuples()] == [
+            "q.start", "q.timer",
+        ]
+        assert engine.pending == 0 and engine.now == 0.25
+
+    def test_run_until_does_not_overshoot_past_a_cancelled_event(self):
+        """The horizon is tested for every event, not only for the head
+        of the heap: a cancelled placeholder inside the slice used to
+        drag the next live event in with it, however late."""
+        engine = EventEngine()
+        fired = []
+        engine.at(0.1, lambda: fired.append("dropped")).cancel()
+        engine.at(5.0, lambda: fired.append("late"))
+        assert engine.run(until=1.0) == 0
+        assert fired == [] and engine.now == 1.0 and engine.pending == 1
+        assert engine.run() == 1 and fired == ["late"]
+
+    def test_cancelled_event_moves_nothing(self):
+        engine = EventEngine(trace=True)
+        engine.at(0.5, lambda: None).cancel()
+        assert engine.run() == 0
+        assert engine.now == 0.0 and engine.events_fired == 0
+        assert engine.trace.as_tuples() == []
+
+    def test_events_fired_is_current_inside_an_action(self):
+        engine = EventEngine()
+        seen = []
+        for _ in range(3):
+            engine.after(0.0, lambda: seen.append(engine.events_fired))
+        engine.run()
+        assert seen == [1, 2, 3]
+
+    def test_step_fires_one_event_and_returns_it(self):
+        engine = EventEngine(trace=True)
+        handle = engine.at(0.2, lambda: None, name="mine")
+        engine.at(0.1, lambda: None).cancel()
+
+        def proc():
+            yield 0.3
+
+        engine.spawn(proc(), name="p")
+        start = engine.step()  # the spawn's first turn: no handle exists
+        assert (start.time, start.seq, start.name) == (0.0, 2, "p.start")
+        assert engine.step() is handle and engine.now == 0.2
+        assert engine.step().name == "p.timer"
+        assert engine.step() is None
+        assert engine.events_fired == 3 == len(engine.trace)
+
+
 class TestClockView:
     def test_engine_adopts_and_binds_clock(self):
         clock = SimClock()
