@@ -202,30 +202,46 @@ class Disk:
         geometry = self.geometry
         if count <= 0 or not 0 <= sector <= geometry.total_sectors - count:
             self._check_run(sector, count)  # names what is wrong, and raises
-        if data is not None and len(data) != count * self.sector_bytes:
+        sector_bytes = self.spec.sector_bytes
+        if data is not None and len(data) != count * sector_bytes:
             raise ValueError(
                 f"data length {len(data)} != {count} sectors "
-                f"({count * self.sector_bytes} bytes)"
+                f"({count * sector_bytes} bytes)"
             )
         if self.fault_injector is not None:
             self.fault_injector.before_write(self, sector, count, data)
         clock = self.clock
-        start = clock.now
+        start = issued = clock.now
+        overhead = 0.0
         if charge_scsi:
             # The command overhead is a constant of the spec: it opens
             # the breakdown directly (0.0 + x == x, so the figures match
             # a validated charge("scsi", x) bit for bit).
             overhead = self.spec.scsi_overhead
-            breakdown = Breakdown(overhead)
-            clock.advance(overhead)
-        else:
-            breakdown = Breakdown()
+            issued = clock.advance(overhead)
         per_track = geometry.sectors_per_track
         if count <= per_track - sector % per_track:
-            # Single-chunk fast path: the request fits on one track, so
-            # the chunk loop degenerates to one positioning pass.
-            self._position_and_transfer(sector, count, breakdown)
+            # The request fits on one track (every block-granular write
+            # does): one positioning pass, so the three costs open the
+            # breakdown as they are -- ``(0.0 + positioning) + rotational``
+            # is ``positioning + rotational`` bit for bit, the costs being
+            # non-negative.
+            (
+                finish,
+                positioning,
+                rotational,
+                transfer,
+                self.head_cylinder,
+                self.head_head,
+            ) = self.mechanics.access(
+                issued, self.head_cylinder, self.head_head, sector, count
+            )
+            breakdown = Breakdown(
+                overhead, transfer, positioning + rotational
+            )
+            finish = clock.advance_to(finish)
         else:
+            breakdown = Breakdown(overhead)
             remaining = count
             cursor = sector
             while remaining > 0:
@@ -233,21 +249,28 @@ class Disk:
                 self._position_and_transfer(cursor, chunk, breakdown)
                 cursor += chunk
                 remaining -= chunk
-        if self._data is not None:
-            lo = sector * self.sector_bytes
-            payload = (
-                data if data is not None else _zeros(count * self.sector_bytes)
-            )
-            self._data[lo : lo + len(payload)] = payload
-            if self.checksums is not None:
-                if data is None:
-                    # The payload is the shared zero page: record the
-                    # constant zero-sector CRC without hashing anything.
+            finish = clock.now
+        image = self._data
+        if image is not None:
+            lo = sector * sector_bytes
+            if data is None:
+                # The payload is the shared zero page: record the
+                # constant zero-sector CRC without hashing anything.
+                nbytes = count * sector_bytes
+                image[lo : lo + nbytes] = _zeros(nbytes)
+                if self.checksums is not None:
                     self.checksums.record_zeros(sector, count)
-                else:
-                    self.checksums.record(sector, payload)
-        self.cache.note_write(sector, count)
-        self.counters.note_write(count, clock.now - start)
+            else:
+                image[lo : lo + len(data)] = data
+                if self.checksums is not None:
+                    self.checksums.record(sector, data)
+        cache = self.cache
+        if cache._segment is not None:
+            cache.note_write(sector, count)
+        counters = self.counters
+        counters.writes += 1
+        counters.sectors_written += count
+        counters.busy_time += finish - start
         return breakdown
 
     def write_run(

@@ -140,6 +140,7 @@ class FreeSpaceMap:
         )
         tpc = geometry.tracks_per_cylinder
         self._tpc = tpc
+        self._num_cylinders = geometry.num_cylinders
         self._total_sectors = geometry.total_sectors
         #: The cylinder view: one integer per cylinder, bit ``angle *
         #: tpc + head`` set == the sector under ``head`` at ``angle`` is
@@ -352,8 +353,10 @@ class FreeSpaceMap:
         return bool((self._quarantined[track] >> offset) & 1)
 
     def track_free_count(self, cylinder: int, head: int) -> int:
-        self.geometry.check_track(cylinder, head)
-        return self._track_free[self._track_index(cylinder, head)]
+        tpc = self._tpc
+        if not (0 <= cylinder < self._num_cylinders and 0 <= head < tpc):
+            self.geometry.check_track(cylinder, head)  # raises
+        return self._track_free[cylinder * tpc + head]
 
     def cylinder_free_count(self, cylinder: int) -> int:
         if not 0 <= cylinder < self.geometry.num_cylinders:
@@ -402,11 +405,13 @@ class FreeSpaceMap:
         """
         if count <= 0 or align <= 0:
             raise ValueError("count and align must be positive")
-        self.geometry.check_track(cylinder, head)
+        tpc = self._tpc
+        if not (0 <= cylinder < self._num_cylinders and 0 <= head < tpc):
+            self.geometry.check_track(cylinder, head)  # raises
         n = self._n
         if count > n:
             return None
-        track_idx = cylinder * self.geometry.tracks_per_cylinder + head
+        track_idx = cylinder * tpc + head
         if self._track_free[track_idx] < count:
             return None
         # Inlined fold / align-filter / rotate / nearest-bit sequence --
@@ -566,14 +571,20 @@ class FreeSpaceMap:
         """
         if count <= 0 or align <= 0:
             raise ValueError("count and align must be positive")
-        self.geometry.check_track(cylinder, 0)
+        if not 0 <= cylinder < self._num_cylinders:
+            self.geometry.check_track(cylinder, 0)  # raises
         n = self._n
         if count > n:
             return None
         if self._cyl_free[cylinder] < count:
             # No track can hold a run the whole cylinder cannot.
             return None
-        others = self._cylinder_starts(cylinder, count, align)
+        if count == 1 and align == 1:
+            # Any free sector will do (the map allocator's only shape):
+            # the view itself is the set of starts.
+            others = self._cyl_masks[cylinder]
+        else:
+            others = self._cylinder_starts(cylinder, count, align)
         if not others:
             return None
         tpc = self._tpc
@@ -631,6 +642,105 @@ class FreeSpaceMap:
                 best = (cost, self._bases[track] + sect, head)
         return best
 
+    def nearest_hole_in_cylinder(
+        self,
+        cylinder: int,
+        current_head: int,
+        own_slot: float,
+        other_slot: float,
+        count: int,
+        align: int = 1,
+        skip_head: Optional[int] = None,
+    ) -> Tuple[Optional[Tuple[float, int]], Optional[Tuple[float, int]]]:
+        """The nearest *hole* -- an aligned free run on a track that is
+        not completely free -- on the current head's track and on the
+        best other track of one cylinder: the compactor's question.
+
+        Every track of a cylinder other than the one under
+        ``current_head`` costs the arm the same positioning, so a search
+        that prices a whole cylinder needs two arrival angles, not one
+        per track: ``own_slot`` for the current head's track and
+        ``other_slot`` for all the rest.  Returns ``(own, other)``, each
+        ``(gap_slots, linear_sector)`` exactly as
+        :meth:`nearest_free_run` would report it from that angle, or
+        ``None``; ``other`` is the minimum by ``(gap, head)`` over the
+        other tracks.  Completely free tracks are left out (hole-plugging
+        never consumes one), and so is ``skip_head``'s track (the one
+        being emptied).
+
+        Answered from the cylinder view with the free tracks' lanes
+        (read off the per-track counters) and the skipped lane masked
+        off: one find-first-set on the current head's lane and one over
+        all the others, where bit order ``angle * tpc + head`` makes the
+        lowest set bit at or after the arrival angle the ``(gap, head)``
+        minimum.
+        """
+        if count <= 0 or align <= 0:
+            raise ValueError("count and align must be positive")
+        tpc = self._tpc
+        if not 0 <= cylinder < self._num_cylinders or not (
+            skip_head is None or 0 <= skip_head < tpc
+        ):
+            self.geometry.check_track(cylinder, skip_head or 0)  # raises
+        n = self._n
+        if count > n or self._cyl_free[cylinder] < count:
+            return None, None
+        others = self._cylinder_starts(cylinder, count, align)
+        head_lane = self._stride_runs[n]
+        # Bit ``head`` set == leave that track out: the skipped one and
+        # every completely free one (found by count-then-index, so a
+        # cylinder without one costs a slice and a C-level scan).
+        excluded = 0 if skip_head is None else 1 << skip_head
+        frees = self._track_free[cylinder * tpc : (cylinder + 1) * tpc]
+        head = -1
+        for _ in range(frees.count(n)):
+            head = frees.index(n, head + 1)
+            excluded |= 1 << head
+        if excluded and others:
+            # The lanes' bits sit ``tpc`` apart and ``excluded`` is under
+            # ``tpc`` bits wide, so the product is the union of the
+            # excluded heads' lanes (no two partial products overlap).
+            others &= ~(head_lane * excluded)
+        if not others:
+            return None, None
+        own: Optional[Tuple[float, int]] = None
+        if 0 <= current_head < tpc:
+            lane = others & (head_lane << current_head)
+            if lane:
+                own = self._soonest(cylinder, lane, own_slot)
+                others ^= lane
+                if not others:
+                    return own, None
+        return own, self._soonest(cylinder, others, other_slot)
+
+    def _soonest(
+        self, cylinder: int, bits: int, slot: float
+    ) -> Tuple[float, int]:
+        """``(gap_slots, linear_sector)`` of the first set bit of
+        ``bits`` -- a non-empty subset of ``cylinder``'s view -- at or
+        after arrival angle ``slot``, wrapping: the minimum by ``(gap,
+        head)``.  (``nearest_free_in_cylinder``, on the allocator's hot
+        path, keeps this sequence inline.)"""
+        n = self._n
+        tpc = self._tpc
+        reduced = slot % n
+        phase = int(reduced)
+        if phase != reduced:
+            phase += 1
+            if phase == n:
+                phase = 0
+        ahead = bits >> (phase * tpc)
+        if ahead:
+            angle, head = divmod((ahead & -ahead).bit_length() - 1, tpc)
+            angle += phase
+        else:
+            angle, head = divmod((bits & -bits).bit_length() - 1, tpc)
+        track = cylinder * tpc + head
+        sect = angle - self._skews[track]
+        if sect < 0:
+            sect += n
+        return (angle - slot) % n, self._bases[track] + sect
+
     def partial_tracks(self, minimum_free: int) -> List[Tuple[int, int]]:
         """``(cylinder, head)`` of every *partially used* track holding at
         least ``minimum_free`` free sectors (``minimum_free <= free <
@@ -673,17 +783,20 @@ class FreeSpaceMap:
         ``start_offset`` on the track, or ``None`` when the rest of the
         track is free.  Reads live state, so a scan that frees or fills
         sectors as it goes (the compactor) sees its own effects."""
-        self.geometry.check_track(cylinder, head)
+        tpc = self._tpc
+        if not (0 <= cylinder < self._num_cylinders and 0 <= head < tpc):
+            self.geometry.check_track(cylinder, head)  # raises
         if not 0 <= start_offset <= self._n:
             raise ValueError(f"start offset {start_offset} out of range")
-        track_idx = self._track_index(cylinder, head)
+        track_idx = cylinder * tpc + head
         used = (~self._masks[track_idx] & self._track_full_mask) >> start_offset
         if used == 0:
             return None
         return (
-            self.geometry.track_start(cylinder, head)
+            self._bases[track_idx]
             + start_offset
-            + lowest_set_bit(used)
+            + (used & -used).bit_length()
+            - 1
         )
 
     def find_empty_track(self, start_cylinder: int = 0) -> Optional[Tuple[int, int]]:

@@ -36,13 +36,20 @@ is bumped and the superblock rewritten, which invalidates every old
 record at once (their epoch tags no longer match).  There is no ring
 arithmetic to recover through; a full log destages synchronously (the
 backpressure a real bounded WAL applies).
+
+Destage costs what it destages: dirty blocks go down in ascending runs of
+neighbours, and the walk that finds the runs is lazy -- a run is found,
+and its payloads read and joined, only when the destage loop has decided
+to write it -- so an idle grant that admits three runs before its
+deadline pays host time for three, however many thousand blocks the tier
+holds.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blockdev.interface import BlockDevice
 from repro.blockdev.nvm import NVMDevice, NVMSpec, NVM_SPECS
@@ -59,6 +66,9 @@ _DATA_START = 64
 
 _REC_MAGIC = 0x4E564C47  # "NVLG"
 _REC = struct.Struct("<IIqqiBI")  # magic, epoch, seqno, lba, count, op, crc
+#: The header less its trailing CRC field, and that field.
+_REC_BODY = struct.Struct(_REC.format[:-1])
+_REC_CRC = struct.Struct("<I")
 
 _OP_WRITE = 0
 _OP_TRIM = 1
@@ -196,13 +206,14 @@ class NVWal(BlockDevice):
 
     def _record_bytes(self, op: int, lba: int, count: int,
                       payload: bytes) -> bytes:
-        body = _REC.pack(_REC_MAGIC, self._epoch, self._seq, lba, count,
-                         op, 0)[:-4]
-        crc = zlib.crc32(body + payload) & 0xFFFFFFFF
-        return (
-            _REC.pack(_REC_MAGIC, self._epoch, self._seq, lba, count, op, crc)
-            + payload
+        # The CRC covers the header (less its own field) and the payload,
+        # chained through ``crc32``'s running value: the two are joined
+        # once, into the record, not a second time to be checksummed.
+        body = _REC_BODY.pack(
+            _REC_MAGIC, self._epoch, self._seq, lba, count, op
         )
+        crc = zlib.crc32(payload, zlib.crc32(body)) & 0xFFFFFFFF
+        return b"".join((body, _REC_CRC.pack(crc), payload))
 
     def _reset_log(self, timed: bool = True) -> Breakdown:
         """Invalidate every record at once by bumping the epoch."""
@@ -388,20 +399,26 @@ class NVWal(BlockDevice):
                 runs.append((block, 1))
         return runs
 
-    def _dirty_runs(self, cap: Optional[int]) -> List[Tuple[int, bytes]]:
-        runs: List[Tuple[int, bytes]] = []
-        for block in sorted(self._dirty):
-            if (
-                runs
-                and cap is not None
-                and len(runs[-1][1]) >= cap * self.block_size
+    def _dirty_runs(self, cap: Optional[int]) -> Iterator[Tuple[int, int]]:
+        """``(first block, blocks)`` of each run of neighbouring dirty
+        blocks, ascending, no run longer than ``cap`` blocks -- found as
+        the consumer asks for them, so a destage that stops at its
+        deadline has walked only the runs it wrote.  The consumer may pop
+        the blocks of a run it has been handed while iterating."""
+        blocks = sorted(self._dirty)
+        total = len(blocks)
+        i = 0
+        while i < total:
+            first = blocks[i]
+            j = i + 1
+            while (
+                j < total
+                and blocks[j] == first + (j - i)
+                and (cap is None or j - i < cap)
             ):
-                runs.append((block, self._dirty[block]))
-            elif runs and block == runs[-1][0] + len(runs[-1][1]) // self.block_size:
-                runs[-1] = (runs[-1][0], runs[-1][1] + self._dirty[block])
-            else:
-                runs.append((block, self._dirty[block]))
-        return runs
+                j += 1
+            yield first, j - i
+            i = j
 
     def _destage(self, deadline: Optional[float]) -> Breakdown:
         """Write tier state back to the backing store; with a deadline,
@@ -418,14 +435,19 @@ class NVWal(BlockDevice):
             for i in range(count):
                 self._trimmed.discard(block + i)
         if not self._trimmed:
-            for block, data in self._dirty_runs(self.destage_run_blocks):
+            dirty = self._dirty
+            for block, count in self._dirty_runs(self.destage_run_blocks):
                 if deadline is not None and self.clock.now >= deadline:
                     break
-                count = len(data) // self.block_size
+                # A run's payloads are read and joined only once it is
+                # certain to go down: destage costs what it destages.
+                data = b"".join(
+                    [dirty[b] for b in range(block, block + count)]
+                )
                 total.add(self.inner.write_blocks(block, count, data))
                 self.destaged_blocks += count
                 for i in range(count):
-                    self._dirty.pop(block + i, None)
+                    dirty.pop(block + i, None)
         if not self._dirty and not self._trimmed and self._seq:
             total.add(self._reset_log())
         if self.clock.now > start:

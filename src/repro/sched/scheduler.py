@@ -302,7 +302,10 @@ class DiskScheduler:
             for req in self._pending:
                 if req is not chosen:
                     req.passes += 1
-        self._pending.remove(chosen)
+        if chosen is oldest:
+            del self._pending[0]
+        else:
+            self._pending.remove(chosen)
         clock = self.disk.clock
         chosen.service_start = clock.now
         try:
@@ -386,7 +389,13 @@ class DiskScheduler:
                 "synchronous barrier() on an engine-attached scheduler; "
                 "yield from wait_drained() instead"
             )
-        return self.drain()
+        # drain() and take_breakdown(), in this frame: every logical
+        # write of a VLD ends in one barrier.
+        while self._pending:
+            self.service_one()
+        out = self._unclaimed
+        self._unclaimed = Breakdown()
+        return out
 
     def take_breakdown(self) -> Breakdown:
         """Claim the breakdowns of writes serviced since the last claim."""

@@ -86,6 +86,11 @@ class EagerAllocator:
         self._seek_floor: Optional[list] = None
         #: One-direction sweep cursor (Section 4.2).
         self._sweep_cylinder = 0
+        #: The head-switch settle window in sector slots: what a run on
+        #: any other track of a cylinder is penalised by.
+        self._switch_slots = (
+            disk.spec.head_switch_time / disk.mechanics.sector_time
+        )
         self.allocations = 0
         self.fallbacks = 0
 
@@ -105,7 +110,7 @@ class EagerAllocator:
                 f"got request for {sectors}"
             )
         sector = self._choose_sector()
-        self.freemap.mark_used(sector, self.block_sectors)
+        self.freemap._set(sector, self.block_sectors, False)  # mark_used
         self.allocations += 1
         return sector // self.block_sectors
 
@@ -172,7 +177,7 @@ class EagerAllocator:
                 freemap = self.freemap
                 access = mechanics.access
                 rotational_slot = mechanics.rotational_slot
-                switch_slots = disk.spec.head_switch_time / mechanics.sector_time
+                switch_slots = self._switch_slots
                 skew = mechanics.skew_by_track[track]
                 seek_same = mechanics.seek_by_distance[0]
                 reserve = max(self.reserve_sectors + spb, spb)
@@ -224,7 +229,7 @@ class EagerAllocator:
                     run += 1
                     if greedy_mode and policy is AllocationPolicy.TRACK_FILL:
                         fallback_blocks += 1
-        self.freemap.mark_used(sector, run * spb)
+        self.freemap._set(sector, run * spb, False)  # mark_used
         self.allocations += run
         self.fallbacks += fallback_blocks
         return sector // spb, run
@@ -233,7 +238,8 @@ class EagerAllocator:
         """Return a block to the free pool."""
         if sectors is not None and sectors != self.block_sectors:
             raise ValueError("sector count mismatch")
-        self.freemap.mark_free(block * self.block_sectors, self.block_sectors)
+        spb = self.block_sectors
+        self.freemap._set(block * spb, spb, True)  # mark_free
 
     def free_blocks(self, blocks: List[int]) -> None:
         """Return many blocks to the free pool at once, coalescing
@@ -247,16 +253,16 @@ class EagerAllocator:
         if not blocks:
             return
         spb = self.block_sectors
-        mark_free = self.freemap.mark_free
+        set_run = self.freemap._set  # mark_free, less a frame per run
         ordered = sorted(blocks)
         start = prev = ordered[0]
         for block in ordered[1:]:
             if block == prev + 1:
                 prev = block
                 continue
-            mark_free(start * spb, (prev - start + 1) * spb)
+            set_run(start * spb, (prev - start + 1) * spb, True)
             start = prev = block
-        mark_free(start * spb, (prev - start + 1) * spb)
+        set_run(start * spb, (prev - start + 1) * spb, True)
 
     def reserve_block(self, block: int) -> None:
         """Permanently remove a block from the pool (e.g. the power-down
@@ -291,7 +297,7 @@ class EagerAllocator:
         now = disk.clock.now
         seeks = mechanics.seek_by_distance
         sector_time = mechanics.sector_time
-        switch_slots = disk.spec.head_switch_time / sector_time
+        switch_slots = self._switch_slots
         best_cost: Optional[float] = None
         best_sector: Optional[int] = None
         for cylinder, distance in self._cylinders_by_distance():
@@ -357,7 +363,7 @@ class EagerAllocator:
         mechanics = disk.mechanics
         now = disk.clock.now
         sector_time = mechanics.sector_time
-        switch_slots = disk.spec.head_switch_time / sector_time
+        switch_slots = self._switch_slots
         found = self.freemap.nearest_free_in_cylinder(
             disk.head_cylinder,
             disk.head_head,
@@ -407,8 +413,10 @@ class EagerAllocator:
         if track is not None and not self._track_usable(*track):
             track = None
         if track is None:
-            track = self._next_empty_track()
-            self._fill_track = track
+            # Nearest completely empty track, sweeping one direction.
+            track = self._fill_track = self.freemap.find_empty_track(
+                self.disk.head_cylinder
+            )
         if track is None:
             self.fallbacks += 1
             return self._choose_greedy()
@@ -436,7 +444,3 @@ class EagerAllocator:
         free = self.freemap.track_free_count(cylinder, head)
         return free >= max(self.reserve_sectors + self.block_sectors,
                            self.block_sectors)
-
-    def _next_empty_track(self) -> Optional[Tuple[int, int]]:
-        """Nearest completely empty track, sweeping one direction."""
-        return self.freemap.find_empty_track(self.disk.head_cylinder)

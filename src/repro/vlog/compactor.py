@@ -12,6 +12,16 @@ Moving a data block updates the indirection map (batched per chunk); moving
 a live map-record block relocates that chunk's record through the virtual
 log.  The power-down record's block is immovable, so its track is never a
 compaction target.
+
+The hole for each block is the cheapest one for the arm to reach, minimum
+by ``(cost, track index)``.  The search walks cylinders outward from the
+arm and asks the free map once per cylinder, not once per track: the track
+under the current head pays the seek alone and every other track of a
+cylinder pays ``max(seek, head switch)``, so a cylinder has two arrival
+angles and :meth:`FreeSpaceMap.nearest_hole_in_cylinder
+<repro.disk.freemap.FreeSpaceMap.nearest_hole_in_cylinder>` answers both
+from its angle-major view (DESIGN.md section 8).  The track-by-track
+search this replaced is ``tests/vlog/reference_find_hole.py``.
 """
 
 from __future__ import annotations
@@ -57,21 +67,13 @@ class FreeSpaceCompactor:
     def _pick_target(self) -> Optional[Tuple[int, int]]:
         """A random partially-filled track (never the power-down track, never
         the allocator's current fill track)."""
-        geometry = self.vld.disk.geometry
-        freemap = self.vld.freemap
-        per_track = geometry.sectors_per_track
         pinned_track = self._power_down_track()
         fill_track = self.vld.allocator._fill_track
-        candidates: List[Tuple[int, int]] = []
-        for cylinder in range(geometry.num_cylinders):
-            for head in range(geometry.tracks_per_cylinder):
-                if (cylinder, head) == pinned_track:
-                    continue
-                if (cylinder, head) == fill_track:
-                    continue
-                free = freemap.track_free_count(cylinder, head)
-                if 0 < free < per_track:
-                    candidates.append((cylinder, head))
+        candidates = [
+            track
+            for track in self.vld.freemap.partial_tracks(1)
+            if track != pinned_track and track != fill_track
+        ]
         if not candidates:
             return None
         return self.rng.choice(candidates)
@@ -175,14 +177,18 @@ class FreeSpaceCompactor:
         source (classic hole-plugging: never consume empty tracks).
 
         The winner is the minimum by ``(cost, track index)`` over the
-        partial tracks -- exactly what the old in-order scan over
-        ``partial_tracks`` (which iterates in row-major track order) with
-        its strict-improvement rule selected.  Rather than pricing every
-        partial track on the drive, the search walks cylinders outward
-        from the arm by seek distance and stops as soon as the seek alone
-        exceeds the incumbent's full cost (cost = positioning + a
-        non-negative rotational term), so the rotational pricing and the
-        per-track run query only run for the handful of nearest tracks.
+        partial tracks.  The search walks cylinders outward from the arm
+        by seek distance and stops as soon as the seek alone exceeds the
+        incumbent's full cost (cost = positioning + a non-negative
+        rotational term).  Each cylinder it reaches is asked once: the
+        track under the arm's current head pays the seek, every other
+        track of the cylinder pays ``max(seek, head switch)`` -- one
+        arrival angle for all of them -- so the free map answers the
+        whole cylinder from two angles
+        (:meth:`FreeSpaceMap.nearest_hole_in_cylinder`) and the two
+        answers are priced and ranked here, with the expressions and the
+        tie rule a track-by-track search would use
+        (``tests/vlog/reference_find_hole.py`` is that search).
         """
         vld = self.vld
         disk = vld.disk
@@ -197,11 +203,8 @@ class FreeSpaceCompactor:
         head_head = disk.head_head
         now = disk.clock.now
         geometry = disk.geometry
-        tpc = geometry.tracks_per_cylinder
         num_cylinders = geometry.num_cylinders
         per_track = geometry.sectors_per_track
-        track_free = freemap._track_free
-        nearest_free_run = freemap.nearest_free_run
         src_cyl, src_head = source_track
         if self._seeks_sorted is None:
             # The outward walk prunes whole distances on the premise that
@@ -213,11 +216,11 @@ class FreeSpaceCompactor:
         best_key = -1
         best_block: Optional[int] = None
         for distance in range(num_cylinders):
-            floor = seeks[distance]
+            seek = seeks[distance]
             if (
                 can_prune_distance
                 and best_block is not None
-                and floor > best_cost
+                and seek > best_cost
             ):
                 # Every remaining track sits at least this seek away, so
                 # its cost (>= its seek) cannot beat the incumbent.
@@ -226,38 +229,29 @@ class FreeSpaceCompactor:
             hi = head_cyl + distance
             if lo < 0 and hi >= num_cylinders:
                 break
-            cylinders = (lo,) if lo == hi else (lo, hi)
-            for cylinder in cylinders:
+            own_slot = other_slot = rotational_slot(now + seek)
+            switched = seek
+            if switch > seek:
+                switched = switch
+                other_slot = rotational_slot(now + switch)
+            for cylinder in (lo,) if lo == hi else (lo, hi):
                 if cylinder < 0 or cylinder >= num_cylinders:
                     continue
-                base = cylinder * tpc
-                for head in range(tpc):
-                    free = track_free[base + head]
-                    if free < spb or free >= per_track:
+                found = freemap.nearest_hole_in_cylinder(
+                    cylinder,
+                    head_head,
+                    own_slot,
+                    other_slot,
+                    spb,
+                    spb,
+                    src_head if cylinder == src_cyl else None,
+                )
+                for hole, positioning in zip(found, (seek, switched)):
+                    if hole is None:
                         continue
-                    if cylinder == src_cyl and head == src_head:
-                        continue
-                    positioning = floor
-                    if head != head_head and switch > positioning:
-                        positioning = switch
-                    key = base + head
-                    if best_block is not None and (
-                        positioning > best_cost
-                        or (positioning == best_cost and key > best_key)
-                    ):
-                        # cost >= positioning, so this track either costs
-                        # strictly more than the incumbent or at best ties
-                        # with a later track index; it cannot win.
-                        continue
-                    found = nearest_free_run(
-                        cylinder, head,
-                        rotational_slot(now + positioning), spb,
-                        align=spb,
-                    )
-                    if found is None:
-                        continue
-                    gap_slots, linear = found
+                    gap_slots, linear = hole
                     cost = positioning + gap_slots * sector_time
+                    key = linear // per_track
                     if (
                         best_block is None
                         or cost < best_cost

@@ -22,6 +22,15 @@ signed map entries": it lets the scan-based recovery path distinguish map
 records from data blocks (collisions with random data are possible for a
 checksum but not for the real signature; the simulation never manufactures
 colliding data).
+
+There is one serialiser, :func:`pack_record`, and one parser,
+:meth:`MapRecord.unpack`.  The log's append path -- one record per logical
+write -- calls ``pack_record`` with the fields it holds, so no
+:class:`MapRecord` is built only to be packed and dropped, and the entry
+count is validated before the log allocates the record a home;
+:class:`MapRecord` is what recovery parses blocks *into*, and its ``pack``
+is the same call.  The field-by-field serialiser this replaced is
+``tests/vlog/reference_record.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 #: Map-entry value meaning "logical block not mapped".
 UNMAPPED = 0xFFFFFFFF
@@ -72,6 +81,61 @@ def entries_per_chunk(block_size: int) -> int:
     return max(8, (raw // 8) * 8)
 
 
+#: ``block size -> entries_per_chunk(block size)`` and ``entry count ->
+#: Struct("<nI")``: lookup tables of constants (as ``_ALIGN_MASKS`` is in
+#: the free map), filled on first use, so the serialiser below neither
+#: re-derives a capacity nor parses a format string per record.
+_CAPACITIES: Dict[int, int] = {}
+_ENTRY_STRUCTS: Dict[int, struct.Struct] = {}
+
+
+def pack_record(
+    block_size: int,
+    chunk_id: int,
+    seqno: int,
+    entries: Sequence[int],
+    prev_root: Optional[int] = None,
+    bypass1: Optional[int] = None,
+    bypass2: Optional[int] = None,
+    txn_id: int = 0,
+) -> bytes:
+    """The one record serialiser: exactly ``block_size`` bytes -- header,
+    entries, zero padding, trailing CRC32 over all of it.
+
+    The log's append path calls this with the fields in hand (no
+    :class:`MapRecord` is built to be packed and dropped);
+    :meth:`MapRecord.pack` is the same call.  More entries than the block
+    holds raise ``ValueError`` before anything is built, which is what
+    lets the log validate a record *before* it allocates a home for it.
+    """
+    capacity = _CAPACITIES.get(block_size)
+    if capacity is None:
+        capacity = _CAPACITIES[block_size] = entries_per_chunk(block_size)
+    n = len(entries)
+    if n > capacity:
+        raise ValueError(f"{n} entries exceed capacity {capacity}")
+    body = _ENTRY_STRUCTS.get(n)
+    if body is None:
+        body = _ENTRY_STRUCTS[n] = struct.Struct(f"<{n}I")
+    payload = b"".join(
+        (
+            _HEADER.pack(
+                MAGIC,
+                chunk_id,
+                n,
+                seqno,
+                -1 if prev_root is None else prev_root,
+                -1 if bypass1 is None else bypass1,
+                -1 if bypass2 is None else bypass2,
+                txn_id,
+            ),
+            body.pack(*entries),
+            bytes(block_size - _HEADER.size - 4 * n - _TRAILER.size),
+        )
+    )
+    return payload + _TRAILER.pack(zlib.crc32(payload))
+
+
 @dataclass
 class MapRecord:
     """One virtual-log entry: a chunk of the indirection map plus pointers.
@@ -102,26 +166,16 @@ class MapRecord:
 
     def pack(self, block_size: int) -> bytes:
         """Serialise to exactly ``block_size`` bytes with a trailing CRC."""
-        capacity = entries_per_chunk(block_size)
-        if len(self.entries) > capacity:
-            raise ValueError(
-                f"{len(self.entries)} entries exceed capacity {capacity}"
-            )
-        header = _HEADER.pack(
-            MAGIC,
+        return pack_record(
+            block_size,
             self.chunk_id,
-            len(self.entries),
             self.seqno,
-            -1 if self.prev_root is None else self.prev_root,
-            -1 if self.bypass1 is None else self.bypass1,
-            -1 if self.bypass2 is None else self.bypass2,
+            self.entries,
+            self.prev_root,
+            self.bypass1,
+            self.bypass2,
             self.txn_id,
         )
-        body = struct.pack(f"<{len(self.entries)}I", *self.entries)
-        padding = bytes(block_size - len(header) - len(body) - _TRAILER.size)
-        payload = header + body + padding
-        crc = zlib.crc32(payload)
-        return payload + _TRAILER.pack(crc)
 
     @classmethod
     def unpack(cls, raw) -> Optional["MapRecord"]:

@@ -47,7 +47,8 @@ class IndirectionMap:
         overwrite" detection of Section 4.2: re-use of a logical address
         tells the VLD the old physical copy is dead.
         """
-        self._check(lba)
+        if not 0 <= lba < self.num_logical_blocks:
+            self._check(lba)  # raises
         if not 0 <= physical_block < UNMAPPED:
             raise ValueError(f"physical block {physical_block} unencodable")
         old = self._entries[lba]

@@ -17,6 +17,7 @@ is also what makes attaching the store to an already-used disk sound.
 from __future__ import annotations
 
 import itertools
+import struct
 import zlib
 from typing import Dict, List
 
@@ -45,6 +46,9 @@ class ChecksumStore:
         self._crcs: Dict[int, int] = {}
         #: CRC of one all-zero sector; every zero sector records this.
         self._zero_crc = zlib.crc32(bytes(sector_bytes))
+        #: ``count -> Struct`` cutting a ``count``-sector run into its
+        #: sectors (a handful of block-size multiples ever occur).
+        self._splits: Dict[int, struct.Struct] = {}
 
     def __len__(self) -> int:
         return len(self._crcs)
@@ -53,31 +57,38 @@ class ChecksumStore:
         """Recompute checksums for the sectors ``data`` just overwrote.
 
         Called from inside every ``Disk.write``, so the common shapes are
-        fast-pathed: a single sector skips the slicing machinery, an
-        all-zero payload stores the precomputed zero-sector CRC without
-        hashing anything, and multi-sector runs land in one batched dict
-        update instead of one store per sector.
+        fast-pathed: an all-zero payload stores the precomputed
+        zero-sector CRC without hashing anything, a single sector skips
+        the splitting, and a run is cut into sectors by one cached
+        ``Struct`` and hashed by ``map`` straight into one dict update --
+        the same per-sector CRC32s with no Python frame per sector.
         """
         sb = self.sector_bytes
         if type(data) is not bytes:
             # memoryview payloads (zero-copy callers): one bulk copy here
-            # is cheaper than per-sector sub-view hashing below, and the
+            # is cheaper than hashing sub-views sector by sector, and the
             # bytes/bytes compare against the zero cache is a plain memcmp
             # (memoryview comparisons unpack element by element).
             data = bytes(data)
         n = len(data)
+        zeros = _ZEROS_BY_LEN.get(n)
+        if zeros is None:
+            zeros = _zeros_of(n)
+        if data == zeros:
+            self.record_zeros(sector, n // sb)
+            return
+        if n == sb:
+            self._crcs[sector] = zlib.crc32(data)
+            return
         count = n // sb
-        if data == _zeros_of(n):
-            self.record_zeros(sector, count)
-            return
-        crc32 = zlib.crc32
-        if count == 1 and n == sb:
-            self._crcs[sector] = crc32(data)
-            return
-        view = memoryview(data)
+        split = self._splits.get(count)
+        if split is None:
+            split = self._splits[count] = struct.Struct(f"{sb}s" * count)
         self._crcs.update(
-            (sector + i, crc32(view[i * sb : (i + 1) * sb]))
-            for i in range(count)
+            zip(
+                range(sector, sector + count),
+                map(zlib.crc32, split.unpack_from(data)),
+            )
         )
 
     def record_zeros(self, sector: int, count: int) -> None:

@@ -28,29 +28,33 @@ updated versions are younger and traversed earlier").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import EagerAllocator
-from repro.vlog.entries import COMMIT_CHUNK_BASE, MapRecord
+from repro.vlog.entries import COMMIT_CHUNK_BASE, MapRecord, pack_record
 
 
-@dataclass
 class _Node:
     """In-memory shadow of one live on-disk record."""
 
-    chunk_id: int
-    seqno: int
-    targets: List[int] = field(default_factory=list)
-    #: transaction this record is a member of (0 = standalone).
-    txn_id: int = 0
-    #: True while a newer (uncommitted) version exists; the record stays
-    #: in the graph so recovery can fall back to it if the transaction
-    #: never commits.
-    superseded: bool = False
+    __slots__ = ("chunk_id", "seqno", "targets", "txn_id", "superseded")
+
+    def __init__(
+        self, chunk_id: int, seqno: int, targets: List[int], txn_id: int = 0
+    ) -> None:
+        self.chunk_id = chunk_id
+        self.seqno = seqno
+        #: Live records this one points at (its out-edges).
+        self.targets = targets
+        #: transaction this record is a member of (0 = standalone).
+        self.txn_id = txn_id
+        #: True while a newer (uncommitted) version exists; the record stays
+        #: in the graph so recovery can fall back to it if the transaction
+        #: never commits.
+        self.superseded = False
 
 
 class VirtualLog:
@@ -169,23 +173,28 @@ class VirtualLog:
         :meth:`append_txn_member` for the deferred-recycle variant.
         """
         breakdown = Breakdown()
-        worklist: List[Tuple[int, List[int], int]] = [
-            (chunk_id, entries, txn_id)
-        ]
         # Safety valve: relocation cascades must converge long before this.
-        budget = 4 * (len(self._chunk_location) + 2)
-        while worklist:
-            if budget <= 0:
-                raise RuntimeError("virtual-log relocation cascade diverged")
-            budget -= 1
-            cid, payload, txn = worklist.pop()
-            overflow = self._append_one(cid, payload, breakdown, txn_id=txn)
+        budget = 4 * (len(self._chunk_location) + 2) - 1
+        overflow = self._append_one(chunk_id, entries, breakdown, txn_id)
+        if not overflow:
+            return breakdown
+        # More orphans than pointer slots (rare): append the overflow
+        # chunks afresh, last named first, each with the contents it had
+        # when it was named; any of them may overflow in turn.
+        worklist: List[Tuple[int, List[int]]] = []
+        while True:
             for orphan_chunk in overflow:
                 self.relocations += 1
                 worklist.append(
-                    (orphan_chunk, self._chunk_payload(orphan_chunk), 0)
+                    (orphan_chunk, self._chunk_payload(orphan_chunk))
                 )
-        return breakdown
+            if not worklist:
+                return breakdown
+            if budget <= 0:
+                raise RuntimeError("virtual-log relocation cascade diverged")
+            budget -= 1
+            cid, payload = worklist.pop()
+            overflow = self._append_one(cid, payload, breakdown)
 
     def relocate(self, chunk_id: int) -> Breakdown:
         """Rewrite a chunk's record elsewhere (used by the compactor)."""
@@ -208,6 +217,44 @@ class VirtualLog:
         the graph (marked superseded) so that recovery can fall back to it
         while the enclosing transaction is not yet committed.
         """
+        nodes = self._nodes
+        in_edges = self._in_edges
+        old_block = self._chunk_location.get(chunk_id)
+        tail = self.tail
+        # Pointer slots: prev_root, then bypasses around the overwritten
+        # record -- its targets whose last live in-edge is about to
+        # disappear ("orphans").  Orphans beyond the slots overflow.
+        targets: List[int] = []
+        if tail is not None and (keep_old or tail != old_block):
+            targets.append(tail)
+        overflow_chunks: List[int] = []
+        if old_block is not None and not keep_old:
+            for target in nodes[old_block].targets:
+                parents = in_edges.get(target)
+                if (
+                    parents is not None
+                    and len(parents) == 1
+                    and old_block in parents
+                ):
+                    if len(targets) <= self._BYPASS_SLOTS:
+                        targets.append(target)
+                    else:
+                        overflow_chunks.append(nodes[target].chunk_id)
+        # The image is built (and its entry count validated) before
+        # anything moves: a rejected record must cost no sector, no
+        # sequence number and no allocation.
+        filled = len(targets)
+        seqno = self.next_seqno
+        image = pack_record(
+            self.block_size,
+            chunk_id,
+            seqno,
+            entries,
+            targets[0] if filled > 0 else None,
+            targets[1] if filled > 1 else None,
+            targets[2] if filled > 2 else None,
+            txn_id,
+        )
         store = self.power_store
         if store is not None and store.armed:
             # The protocol's erase step: a power-down record names the
@@ -215,55 +262,22 @@ class VirtualLog:
             # later crash would recover to the stale tail.  Before
             # ``allocate()``, because the clear moves the head.
             breakdown.add(store.clear())
-        old_block = self._chunk_location.get(chunk_id)
-        # Collect orphans: targets of the overwritten record whose last live
-        # in-edge is about to disappear.
-        orphans: List[int] = []
-        if old_block is not None and not keep_old:
-            for target in self._nodes[old_block].targets:
-                if self._in_edges.get(target) == {old_block}:
-                    orphans.append(target)
-        # Pointer slots: prev_root plus bypasses.
-        slots: List[Optional[int]] = []
-        if self.tail is not None and (keep_old or self.tail != old_block):
-            slots.append(self.tail)
-        slot_capacity = 1 + self._BYPASS_SLOTS
-        overflow_chunks: List[int] = []
-        for orphan in orphans:
-            if len(slots) < slot_capacity:
-                slots.append(orphan)
-            else:
-                overflow_chunks.append(self._nodes[orphan].chunk_id)
-        while len(slots) < slot_capacity:
-            slots.append(None)
-        record = MapRecord(
-            chunk_id=chunk_id,
-            seqno=self.next_seqno,
-            entries=list(entries),
-            prev_root=slots[0],
-            bypass1=slots[1],
-            bypass2=slots[2],
-            txn_id=txn_id,
-        )
-        self.next_seqno += 1
+        self.next_seqno = seqno + 1
         # Place and write the record near the head (no SCSI charge: this is
         # the drive's own processor at work).
-        new_block = self.allocator.allocate(self.sectors_per_block)
-        sector = new_block * self.sectors_per_block
+        spb = self.sectors_per_block
+        new_block = self.allocator.allocate(spb)
         breakdown.add(
-            self.disk.write(
-                sector,
-                self.sectors_per_block,
-                record.pack(self.block_size),
-                charge_scsi=False,
-            )
+            self.disk.write(new_block * spb, spb, image, charge_scsi=False)
         )
         # Update the in-memory graph: add the new node ...
-        node = _Node(chunk_id=chunk_id, seqno=record.seqno, txn_id=txn_id)
-        node.targets = [s for s in slots if s is not None]
-        self._nodes[new_block] = node
-        for target in node.targets:
-            self._in_edges.setdefault(target, set()).add(new_block)
+        nodes[new_block] = _Node(chunk_id, seqno, targets, txn_id)
+        for target in targets:
+            parents = in_edges.get(target)
+            if parents is None:
+                in_edges[target] = {new_block}
+            else:
+                parents.add(new_block)
         self._chunk_location[chunk_id] = new_block
         self.tail = new_block
         self.appends += 1
@@ -276,7 +290,7 @@ class VirtualLog:
         # unless a transaction needs it to remain recoverable.
         if old_block is not None:
             if keep_old:
-                self._nodes[old_block].superseded = True
+                nodes[old_block].superseded = True
             else:
                 self._delete_node(old_block)
         return overflow_chunks
@@ -352,9 +366,8 @@ class VirtualLog:
     def _allocate_commit_slot(self) -> int:
         # Prefer retired slots (their transactions have no live members,
         # so superseding their record loses nothing).
-        while self._free_commit_slots:
-            slot = self._free_commit_slots.pop()
-            return slot
+        if self._free_commit_slots:
+            return self._free_commit_slots.pop()
         slot = self._next_commit_slot
         self._next_commit_slot += 1
         return slot
@@ -570,13 +583,12 @@ class VirtualLog:
         self._slot_txn.clear()
         for chunk_id, (seqno, block) in youngest.items():
             record = records[block]
-            node = _Node(
-                chunk_id=chunk_id, seqno=seqno, txn_id=record.txn_id
+            self._nodes[block] = _Node(
+                chunk_id,
+                seqno,
+                [p for p in record.pointers() if p in live_blocks],
+                record.txn_id,
             )
-            node.targets = [
-                p for p in record.pointers() if p in live_blocks
-            ]
-            self._nodes[block] = node
             self._chunk_location[chunk_id] = block
             if record.txn_id:
                 self._txn_live_members[record.txn_id] = (

@@ -282,12 +282,12 @@ class VirtualLogDisk(BlockDevice):
         # the run, commit the chunk's map record once, then recycle the old
         # copies.  This both batches map updates (Section 3.2's transaction
         # note) and bounds transient space demand.
+        # (``check_lba`` has vouched for the range: chunk ids by arithmetic.)
+        capacity = self.imap.chunk_capacity
         i = 0
         while i < count:
-            chunk_id = self.imap.chunk_id_of(lba + i)
-            j = i
-            while j < count and self.imap.chunk_id_of(lba + j) == chunk_id:
-                j += 1
+            chunk_id = (lba + i) // capacity
+            j = min(count, (chunk_id + 1) * capacity - lba)
             self._write_run(lba + i, data, i, j - i, chunk_id, breakdown)
             i = j
         self.logical_writes += count
@@ -388,7 +388,7 @@ class VirtualLogDisk(BlockDevice):
         self.imap.set(lba, new_block)
         self.reverse[new_block] = lba
         self.reverse.pop(old_block, None)
-        return self.imap.chunk_id_of(lba)
+        return lba // self.imap.chunk_capacity  # ``set`` vouched for lba
 
     def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
         """Sub-block write: the VLD must read-modify-write a whole physical
@@ -437,10 +437,11 @@ class VirtualLogDisk(BlockDevice):
         return breakdown
 
     def _charge_scsi(self) -> Breakdown:
-        breakdown = Breakdown()
-        breakdown.charge("scsi", self.disk.spec.scsi_overhead)
-        self.disk.clock.advance(self.disk.spec.scsi_overhead)
-        return breakdown
+        # One command overhead per host request, a constant of the spec
+        # (0.0 + x == x: the same figure a charge("scsi", x) would leave).
+        overhead = self.disk.spec.scsi_overhead
+        self.disk.clock.advance(overhead)
+        return Breakdown(overhead)
 
     # ------------------------------------------------------------------
     # Crash, power-down, recovery

@@ -13,7 +13,11 @@ and one or two find-first-sets.  Three things are pinned here:
   for every ``current_head`` (out-of-range ones included), start slots
   and head-switch penalties of every kind, and the shapes the data and
   map allocators use;
-* the tie-breaks and the early return, case by case.
+* the tie-breaks and the early return, case by case;
+* the compactor's *hole* query (``nearest_hole_in_cylinder``: the same
+  view less the lanes of completely free tracks and of one skipped
+  track, asked from two arrival angles) agrees with a loop of
+  ``nearest_free_run`` over the tracks.
 """
 
 import random
@@ -262,3 +266,97 @@ class TestTieBreaks:
         # track's far run (gap 9) wins.
         pair = self.maps([(2, 9), (0, 1)])
         assert self.ask(pair, 2, 0.0, 2.0) == (9.0, 2)
+
+
+def holes_by_loop(reference, cylinder, current_head, own_slot, other_slot,
+                  count, align, skip_head):
+    """``nearest_hole_in_cylinder`` as a loop of ``nearest_free_run``
+    over the tracks of the cylinder, on the brute-force map."""
+    geometry = reference.geometry
+    n = geometry.sectors_per_track
+    own = other = None
+    best = None
+    for head in range(geometry.tracks_per_cylinder):
+        if head == skip_head:
+            continue
+        if reference.track_free_count(cylinder, head) == n:
+            continue  # hole-plugging never consumes an empty track
+        slot = own_slot if head == current_head else other_slot
+        found = reference.nearest_free_run(cylinder, head, slot, count, align)
+        if found is None:
+            continue
+        if head == current_head:
+            own = found
+        elif best is None or (found[0], head) < best:
+            best = (found[0], head)
+            other = found
+    return own, other
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@given(
+    seed=st.integers(0, 2**32),
+    utilization=st.sampled_from([0.3, 0.6, 0.9, 0.99]),
+    unit=st.sampled_from([1, 2, 8]),
+    own_fraction=st.sampled_from([0.0, 0.25, 0.999]),
+    other_fraction=st.sampled_from([0.0, 0.5, 0.999]),
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_hole_query_matches_the_loop_over_tracks(
+    name, seed, utilization, unit, own_fraction, other_fraction
+):
+    geometry = GEOMETRIES[name]
+    n = geometry.sectors_per_track
+    tpc = geometry.tracks_per_cylinder
+    fast, reference = fragmented_pair(geometry, seed, utilization, unit)
+    rng = random.Random(seed)
+    # Empty some tracks, fill some, and retire a sector or two: the lanes
+    # the query must leave out, and tracks that can never be empty again.
+    for _ in range(rng.randrange(1, 4)):
+        cylinder, head = rng.randrange(geometry.num_cylinders), rng.randrange(tpc)
+        free = rng.random() < 0.6
+        for freemap in (fast, reference):
+            (freemap.mark_free if free else freemap.mark_used)(
+                geometry.track_start(cylinder, head), n
+            )
+    if rng.random() < 0.5:
+        sector = rng.randrange(geometry.total_sectors)
+        for freemap in (fast, reference):
+            freemap.quarantine(sector)
+    own_slot = rng.randrange(2 * n) + own_fraction
+    other_slot = rng.randrange(n) + other_fraction
+    for cylinder in range(geometry.num_cylinders):
+        for count, align in SHAPES:
+            for current_head in range(-1, tpc + 1):
+                for skip_head in (None, *range(tpc)):
+                    query = (
+                        cylinder, current_head, own_slot, other_slot,
+                        count, align, skip_head,
+                    )
+                    assert fast.nearest_hole_in_cylinder(*query) == (
+                        holes_by_loop(reference, *query)
+                    ), query
+
+
+def test_hole_query_rejects_what_the_other_queries_reject():
+    freemap = FreeSpaceMap(GEOMETRIES["ten-sector"])
+    for count, align in ((0, 1), (-1, 1), (1, 0), (2, -3)):
+        with pytest.raises(ValueError, match="count and align must be positive"):
+            freemap.nearest_hole_in_cylinder(0, 0, 0.0, 0.0, count, align)
+    for cylinder in (-1, 3):
+        with pytest.raises(ValueError, match=f"cylinder {cylinder} out of range"):
+            freemap.nearest_hole_in_cylinder(cylinder, 0, 0.0, 0.0, 1)
+    for head in (-1, 3):
+        with pytest.raises(ValueError, match=f"head {head} out of range"):
+            freemap.nearest_hole_in_cylinder(0, 0, 0.0, 0.0, 1, 1, head)
+    # A run longer than a track, or than the cylinder has free: no hole.
+    assert freemap.nearest_hole_in_cylinder(0, 0, 0.0, 0.0, 11) == (None, None)
+    # An all-free cylinder has no *hole* either: every lane is left out.
+    assert freemap.nearest_hole_in_cylinder(0, 0, 0.0, 0.0, 1) == (None, None)
+    freemap.mark_used(12, 1)  # head 1, sector 2
+    own, other = freemap.nearest_hole_in_cylinder(0, 0, 0.0, 0.0, 1)
+    assert own is None and other is not None and 10 <= other[1] < 20

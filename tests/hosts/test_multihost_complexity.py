@@ -9,13 +9,12 @@ engine runs the ledger's shape at ~43 calls per request; the
 object-per-event engine it replaced took 84.6 (81.4 untraced).
 """
 
-import sys
-
 import pytest
 
 from repro.disk.specs import ST19101
 from repro.hosts.multihost import run_multihost
 from repro.sim import engine as engine_module
+from tests._counting import count_calls
 from tests.hosts.test_multihost_identity import (
     LEDGER_EVENTS_PER_REQUEST,
     SHAPES,
@@ -24,27 +23,9 @@ from tests.hosts.test_multihost_identity import (
 CALLS_PER_REQUEST_CEILING = 60
 
 
-def _count_calls(fn):
-    """``fn()`` under ``sys.setprofile``: (Python-level calls, result)."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(previous)
-    return calls, result
-
-
 @pytest.mark.parametrize("trace", [True, False])
 def test_python_calls_per_host_request(trace):
-    calls, report = _count_calls(
+    calls, report = count_calls(
         lambda: run_multihost(
             ST19101, trace=trace, **SHAPES["ledger-8x4-satf-mixed"]
         )

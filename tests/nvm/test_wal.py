@@ -1,5 +1,8 @@
 """The NVM write-ahead tier: absorption, reads, destage, backpressure."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.blockdev.nvm import NVM_SPECS, NVMSpec
@@ -196,3 +199,62 @@ class TestCapacityGuards:
         assert wal.bypassed_writes == 1
         data, _ = vld.read_blocks(0, 32)
         assert data == payload
+
+
+class TestDestageCostsWhatItDestages:
+    """DESIGN.md section 16, "the lazy destage walk"."""
+
+    def test_deadline_bound_destage_reads_only_the_runs_it_writes(self, wal):
+        class CountingDirty(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingDirty.reads += 1
+                return dict.__getitem__(self, key)
+
+        cap = wal.destage_run_blocks
+        # Twenty neighbours (one capped run, then the four left over),
+        # then 1 980 blocks no two of which touch.
+        for lba in [*range(20), *range(22, 22 + 2 * 1980, 2)]:
+            wal.write_block(lba, _blk(1 + lba % 255))
+        assert wal.dirty_blocks == 2000
+        wal._dirty = CountingDirty(wal._dirty)
+        # An idle budget of about one capped run's media time: the
+        # deadline is tested before each run, so one or two runs go down.
+        budget = 1.1 * wal.inner.write_blocks(4100, cap, _blk(7) * cap).total
+        CountingDirty.reads = 0
+        wal._idle_destage(budget)
+        destaged = wal.destaged_blocks
+        assert cap <= destaged <= 2 * cap
+        # The tier read the payloads it sent down and no others (every
+        # dirty run used to be joined before the first was written).
+        assert CountingDirty.reads == destaged
+        assert wal.dirty_blocks == 2000 - destaged
+        data, _ = wal.inner.read_blocks(0, cap)
+        assert data == b"".join(_blk(1 + lba) for lba in range(cap))
+
+    def test_log_image_bytes_are_pinned(self, wal):
+        """Fifty appends -- single blocks, runs, trims, a partial write --
+        leave the NVM image they left before ``_record_bytes`` stopped
+        concatenating header and payload to checksum them (sha256
+        recorded at the parent commit)."""
+        rng = random.Random(5)
+        for i in range(50):
+            roll = rng.random()
+            lba = rng.randrange(2000)
+            if roll < 0.6:
+                wal.write_block(lba, _blk(1 + i))
+            elif roll < 0.8:
+                count = rng.randint(2, 5)
+                wal.write_blocks(
+                    lba, count, b"".join(_blk(i + k) for k in range(count))
+                )
+            elif roll < 0.9:
+                wal.trim(lba, rng.randint(1, 3))
+            else:
+                wal.write_partial(lba, 512, b"\x5a" * 700)
+        assert wal._seq == 50
+        image = wal.nvm.persisted(0, wal._tail)
+        assert hashlib.sha256(image).hexdigest() == (
+            "aa477170f8293a17dd01180e8dfd5bd8e612370d9bff381afe0b740d05f6ef96"
+        )

@@ -9,6 +9,7 @@ from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.virtual_log import VirtualLog
+from repro.vlog.vld import VirtualLogDisk
 
 
 class Harness:
@@ -85,6 +86,49 @@ class TestAppend:
             None,
             *range(5),
         )
+
+    def test_rejected_append_costs_nothing(self):
+        """One entry over capacity is refused before the record is given
+        a home: it used to be refused after ``allocate()`` and the
+        sequence-number bump, leaving a used sector no record owned
+        (given back only by the next recovery's space rebuild)."""
+        vld = VirtualLogDisk(Disk(ST19101))
+        vld.write_block(0, b"\x11" * vld.block_size)
+        vld.power_down()  # armed: a refused append must not erase it either
+        capacity = vld.imap.chunk_capacity
+
+        def state():
+            return (
+                vld.freemap.free_sectors,
+                vld.vlog.next_seqno,
+                vld.map_allocator.allocations,
+                vld.vlog.appends,
+                vld.vlog.tail,
+                vld.power_store.armed,
+                vld.disk.clock.now,
+                vld.disk.counters.writes,
+            )
+
+        before = state()
+        with pytest.raises(
+            ValueError, match=f"{capacity + 1} entries exceed capacity {capacity}"
+        ):
+            vld.vlog.append(0, [1] * (capacity + 1))
+        assert state() == before
+        vld.vlog.check_invariants()
+        # The log is none the worse: the next valid append lands, takes
+        # the sequence number the refused one did not, and recovers.
+        seqno = vld.vlog.next_seqno
+        vld.write_block(1, b"\x22" * vld.block_size)
+        assert vld.vlog.next_seqno == seqno + 1
+        assert not vld.power_store.armed
+        free = vld.freemap.free_sectors
+        vld.crash()
+        vld.recover()
+        assert vld.freemap.free_sectors == free  # nothing was leaked
+        assert vld.read_block(0)[0] == b"\x11" * vld.block_size
+        assert vld.read_block(1)[0] == b"\x22" * vld.block_size
+        vld.vlog.check_invariants()
 
 
 class TestInvariants:
