@@ -5,14 +5,25 @@ Reads return data plus a latency :class:`~repro.sim.stats.Breakdown`; writes
 return the breakdown.  Multi-block variants exist so log-structured file
 systems can hand whole segments to the device in one command, as the MIT
 logical disk does.
+
+Beyond the five I/O calls and ``idle`` the contract covers what every layer of a stack
+relies on: the one :class:`~repro.sim.clock.SimClock` the stack runs on
+(``clock``), ``trim``, and the ``power_down`` / ``crash`` / ``recover``
+lifecycle.  Those four calls have concrete defaults -- the behaviour of
+a device with no mapping and no volatile state -- so any device stacks
+on any other without a probe for what the one beneath can do.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.sim.clock import SimClock
 from repro.sim.stats import Breakdown
+
+if TYPE_CHECKING:  # repro.vlog sits above this module in the layer order
+    from repro.vlog.recovery import RecoveryOutcome
 
 
 class BlockDevice(abc.ABC):
@@ -20,6 +31,8 @@ class BlockDevice(abc.ABC):
 
     block_size: int
     num_blocks: int
+    #: The simulated clock every layer of this device's stack runs on.
+    clock: SimClock
 
     @abc.abstractmethod
     def read_block(self, lba: int) -> Tuple[bytes, Breakdown]:
@@ -60,6 +73,34 @@ class BlockDevice(abc.ABC):
         Every device must implement this -- a concrete body that raised
         at call time let subclasses silently miss it.
         """
+
+    def trim(self, lba: int, count: int = 1) -> Breakdown:
+        """Tell the device the blocks no longer hold live data.
+
+        A device that keeps a mapping unmaps them (they read back as
+        zeros); one without a mapping has nothing to release, so the
+        default validates the range and costs nothing.
+        """
+        self.check_lba(lba, count)
+        return Breakdown()
+
+    def power_down(self, timed: bool = True) -> Breakdown:
+        """Orderly shutdown: make everything acknowledged durable.  The
+        default finishes queued work (an idle grant of no time)."""
+        self.idle(0.0)
+        return Breakdown()
+
+    def crash(self) -> None:
+        """Power loss: volatile state is gone and only :meth:`recover`
+        may run next.  The default device has no volatile state."""
+
+    def recover(self, timed: bool = True) -> RecoveryOutcome:
+        """Rebuild volatile state from the media after :meth:`crash`.
+        The default is the fold of no outcomes: a device with nothing
+        to recover."""
+        from repro.vlog.recovery import fold_outcomes
+
+        return fold_outcomes([])
 
     def check_lba(self, lba: int, count: int = 1) -> None:
         if count <= 0:

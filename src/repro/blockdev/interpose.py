@@ -9,9 +9,14 @@ inner device while exposing a hook per operation.  Wrappers compose::
 and are **transparent**: a wrapped device returns byte-identical data and
 identical latency breakdowns (the interposers consume zero simulated
 time), so they can be left in a stack without perturbing an experiment.
-Unknown attributes delegate to the inner device, so code that reaches for
-``device.disk``, ``device.vlog`` or ``device.trim`` keeps working through
-any number of layers.
+Every member of the :class:`BlockDevice` contract -- the five I/O calls,
+``trim``, ``idle``, the ``power_down`` / ``crash`` / ``recover``
+lifecycle and ``clock`` -- is forwarded explicitly, and the six
+operations cross a wrapper in one place
+(:meth:`InterposedDevice._call`), so an observer sees a ``trim`` exactly
+as it sees a write.  Only device-specific surface (``device.disk``,
+``device.vlog``, ``device.utilization``) is reached by attribute
+fall-through.
 
 Three concrete layers:
 
@@ -41,13 +46,16 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Type
 
 from repro.blockdev.interface import BlockDevice
 from repro.blockdev.regular import RegularDisk
-from repro.sim.engine import IntervalRecorder
+from repro.sim.clock import SimClock
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import COMPONENTS, Breakdown
+
+if TYPE_CHECKING:  # repro.vlog sits above this module in the layer order
+    from repro.vlog.recovery import RecoveryOutcome
 
 _UNSET = object()
 
@@ -116,20 +124,22 @@ class InjectedReadError(DeviceFault):
 # ======================================================================
 
 class InterposedDevice(BlockDevice):
-    """A block device that forwards every operation to an inner device.
+    """A block device that forwards the whole contract to an inner device.
 
-    Subclasses observe (or perturb) operations by overriding the
-    interface methods; the base class is a pure pass-through.  Attribute
-    access falls through to the inner device, which keeps device-specific
-    surface (``.disk``, ``.vlog``, ``.trim``, ``.utilization``, ...)
-    reachable through a stack of wrappers.
+    The five I/O calls and ``trim`` cross the wrapper through
+    :meth:`_call`, the one hook an observer overrides; ``idle``, the
+    lifecycle and ``clock`` forward explicitly.  The base class is a pure
+    pass-through.  Other attribute access falls through to the inner
+    device, which keeps device-specific surface (``.disk``, ``.vlog``,
+    ``.utilization``, ...) reachable through a stack of wrappers.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
         self.inner = inner
 
-    # ``block_size``/``num_blocks`` are declared (not set) on BlockDevice,
-    # so they must delegate explicitly rather than via ``__getattr__``.
+    # ``block_size``/``num_blocks``/``clock`` are declared (not set) on
+    # BlockDevice, so they must delegate explicitly rather than via
+    # ``__getattr__``.
     @property
     def block_size(self) -> int:  # type: ignore[override]
         return self.inner.block_size
@@ -138,6 +148,10 @@ class InterposedDevice(BlockDevice):
     def num_blocks(self) -> int:  # type: ignore[override]
         return self.inner.num_blocks
 
+    @property
+    def clock(self) -> SimClock:  # type: ignore[override]
+        return self.inner.clock
+
     def __getattr__(self, name: str):
         if name == "inner":  # guard: __init__ not yet run
             raise AttributeError(name)
@@ -145,25 +159,50 @@ class InterposedDevice(BlockDevice):
 
     # -- the BlockDevice interface, delegated --------------------------
 
+    def _call(self, op: str, lba: int, count: int, call, *args):
+        """The one place an operation crosses this wrapper: ``call`` is
+        the inner device's bound method, ``op``/``lba``/``count`` what an
+        observer records about it."""
+        return call(*args)
+
     def read_block(self, lba: int) -> Tuple[bytes, Breakdown]:
-        return self.inner.read_block(lba)
+        return self._call("read", lba, 1, self.inner.read_block, lba)
 
     def write_block(self, lba: int, data: Optional[bytes] = None) -> Breakdown:
-        return self.inner.write_block(lba, data)
+        return self._call("write", lba, 1, self.inner.write_block, lba, data)
 
     def read_blocks(self, lba: int, count: int) -> Tuple[bytes, Breakdown]:
-        return self.inner.read_blocks(lba, count)
+        return self._call(
+            "read", lba, count, self.inner.read_blocks, lba, count
+        )
 
     def write_blocks(
         self, lba: int, count: int, data: Optional[bytes] = None
     ) -> Breakdown:
-        return self.inner.write_blocks(lba, count, data)
+        return self._call(
+            "write", lba, count, self.inner.write_blocks, lba, count, data
+        )
 
     def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
-        return self.inner.write_partial(lba, offset, data)
+        return self._call(
+            "write_partial", lba, 1,
+            self.inner.write_partial, lba, offset, data,
+        )
+
+    def trim(self, lba: int, count: int = 1) -> Breakdown:
+        return self._call("trim", lba, count, self.inner.trim, lba, count)
 
     def idle(self, seconds: float) -> None:
         self.inner.idle(seconds)
+
+    def power_down(self, timed: bool = True) -> Breakdown:
+        return self.inner.power_down(timed)
+
+    def crash(self) -> None:
+        self.inner.crash()
+
+    def recover(self, timed: bool = True) -> RecoveryOutcome:
+        return self.inner.recover(timed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.inner!r})"
@@ -209,10 +248,6 @@ class ObservingDevice(InterposedDevice):
         super().__init__(inner)
         self.enabled = True
 
-    def _clock_now(self) -> float:
-        clock = getattr(getattr(self.inner, "disk", None), "clock", None)
-        return clock.now if clock is not None else 0.0
-
     def _take_slow_delta(self) -> Tuple[int, float]:
         """(ops, seconds) of fail-slow surplus since the last call.
 
@@ -254,67 +289,19 @@ class ObservingDevice(InterposedDevice):
     ) -> None:
         pass
 
-    def read_block(self, lba: int) -> Tuple[bytes, Breakdown]:
+    def _call(self, op: str, lba: int, count: int, call, *args):
         if not self.enabled:
-            return self.inner.read_block(lba)
-        start = self._clock_now()
+            return call(*args)
+        start = self.clock.now
         try:
-            data, breakdown = self.inner.read_block(lba)
+            result = call(*args)
         except DeviceFault as fault:
-            self._note_fault("read", lba, 1, fault, start)
+            self._note_fault(op, lba, count, fault, start)
             raise
-        self._note("read", lba, 1, breakdown, start)
-        return data, breakdown
-
-    def write_block(self, lba: int, data: Optional[bytes] = None) -> Breakdown:
-        if not self.enabled:
-            return self.inner.write_block(lba, data)
-        start = self._clock_now()
-        try:
-            breakdown = self.inner.write_block(lba, data)
-        except DeviceFault as fault:
-            self._note_fault("write", lba, 1, fault, start)
-            raise
-        self._note("write", lba, 1, breakdown, start)
-        return breakdown
-
-    def read_blocks(self, lba: int, count: int) -> Tuple[bytes, Breakdown]:
-        if not self.enabled:
-            return self.inner.read_blocks(lba, count)
-        start = self._clock_now()
-        try:
-            data, breakdown = self.inner.read_blocks(lba, count)
-        except DeviceFault as fault:
-            self._note_fault("read", lba, count, fault, start)
-            raise
-        self._note("read", lba, count, breakdown, start)
-        return data, breakdown
-
-    def write_blocks(
-        self, lba: int, count: int, data: Optional[bytes] = None
-    ) -> Breakdown:
-        if not self.enabled:
-            return self.inner.write_blocks(lba, count, data)
-        start = self._clock_now()
-        try:
-            breakdown = self.inner.write_blocks(lba, count, data)
-        except DeviceFault as fault:
-            self._note_fault("write", lba, count, fault, start)
-            raise
-        self._note("write", lba, count, breakdown, start)
-        return breakdown
-
-    def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
-        if not self.enabled:
-            return self.inner.write_partial(lba, offset, data)
-        start = self._clock_now()
-        try:
-            breakdown = self.inner.write_partial(lba, offset, data)
-        except DeviceFault as fault:
-            self._note_fault("write_partial", lba, 1, fault, start)
-            raise
-        self._note("write_partial", lba, 1, breakdown, start)
-        return breakdown
+        # A read answers (data, breakdown); every other op its breakdown.
+        breakdown = result[1] if op == "read" else result
+        self._note(op, lba, count, breakdown, start)
+        return result
 
     def idle(self, seconds: float) -> None:
         self.inner.idle(seconds)
@@ -477,13 +464,6 @@ class MetricsDevice(ObservingDevice):
     The depth observed after each operation also feeds a queue-depth
     sample histogram, and per-op service-time percentiles
     (p50/p95/p99/p999) are available from the latency histograms.
-
-    When the stack runs under an :class:`~repro.sim.engine.EventEngine`
-    (the stack clock is engine-bound), :meth:`report` stops inferring:
-    host, device, and overlap time come from the *real* think/service
-    intervals the engine processes recorded, computed by exact interval
-    intersection.  Each completed op's own real span is always noted in
-    :attr:`intervals` (kind ``"op"``, keyed by op name), engine or not.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
@@ -493,8 +473,6 @@ class MetricsDevice(ObservingDevice):
     def reset(self) -> None:
         self.ops: Dict[str, int] = {}
         self.blocks: Dict[str, int] = {}
-        #: Real [start, end) spans of completed ops, by op name.
-        self.intervals = IntervalRecorder()
         self.op_latency: Dict[str, LatencyHistogram] = {}
         self.component_hist: Dict[str, LatencyHistogram] = {
             name: LatencyHistogram() for name in COMPONENTS
@@ -521,7 +499,7 @@ class MetricsDevice(ObservingDevice):
         #: Queue depth observed after each operation -> sample count.
         self.queue_depth_samples: Dict[int, int] = {}
         self.max_outstanding = 0
-        self._last_end: Optional[float] = self._clock_now()
+        self._last_end = self.clock.now
         self._last_outstanding = self._outstanding_now()
 
     def _outstanding_now(self) -> int:
@@ -536,7 +514,7 @@ class MetricsDevice(ObservingDevice):
         return int(getattr(scheduler, "outstanding", 0))
 
     def _attribute_gap(self, start: float) -> None:
-        if self._last_end is not None and start > self._last_end:
+        if start > self._last_end:
             gap = start - self._last_end
             if self._last_outstanding > 0:
                 self.overlapped_seconds += gap
@@ -565,8 +543,7 @@ class MetricsDevice(ObservingDevice):
             self.slowed[op] = self.slowed.get(op, 0) + slowed
             self.slow_seconds += slow_extra
         self._attribute_gap(start)
-        self._last_end = self._clock_now()
-        self.intervals.note("op", op, start, self._last_end)
+        self._last_end = self.clock.now
         self._sample_queue()
 
     def _note_fault(self, op, lba, count, fault, start) -> None:
@@ -579,7 +556,7 @@ class MetricsDevice(ObservingDevice):
         # consumed.
         self.faulted[op] = self.faulted.get(op, 0) + 1
         self._attribute_gap(start)
-        end = self._clock_now()
+        end = self.clock.now
         if end > start:
             self.faulted_seconds += end - start
         self._last_end = end
@@ -589,7 +566,7 @@ class MetricsDevice(ObservingDevice):
         # Idle time is neither device nor host work; advance the gap
         # origin past it so it is not misread as host processing.
         self.idle_seconds += seconds
-        self._last_end = self._clock_now()
+        self._last_end = self.clock.now
         self._last_outstanding = self._outstanding_now()
 
     # -- reporting -----------------------------------------------------
@@ -641,43 +618,16 @@ class MetricsDevice(ObservingDevice):
             merged.merge(hist)
         return merged.percentiles()
 
-    def _engine_intervals(self) -> Optional[IntervalRecorder]:
-        """The engine's interval recorder when the stack clock is bound
-        to an event engine, else ``None`` (gap attribution applies)."""
-        clock = getattr(getattr(self.inner, "disk", None), "clock", None)
-        engine = getattr(clock, "engine", None)
-        return engine.intervals if engine is not None else None
-
     def report(self) -> Dict[str, object]:
-        """Structured metrics report.
-
-        Time attribution is exact under an event engine -- host time is
-        the measure of the recorded think intervals, device time the
-        measure of this disk's service intervals, and overlap their
-        per-host intersection -- and falls back to the clock-gap
-        heuristic on the synchronous path (``attribution`` says which).
-        Percentiles include the p99/p999 tail.
-        """
-        recorder = self._engine_intervals()
-        if recorder is not None:
-            scheduler = getattr(self.inner, "scheduler", None)
-            key = getattr(scheduler, "name", None)
-            device = recorder.total("service", key)
-            host = recorder.total("think")
-            overlap = recorder.per_key_overlap("think", "service")
-            attribution = "intervals"
-        else:
-            device = self.device_seconds()
-            host = self.host_seconds
-            overlap = self.overlapped_seconds
-            attribution = "clock-gap"
+        """Structured metrics report: device time from the component
+        histograms, host and overlap time from the clock gaps between
+        operations.  Percentiles include the p99/p999 tail."""
         return {
-            "attribution": attribution,
             "ops": dict(self.ops),
             "blocks": dict(self.blocks),
-            "device_seconds": device,
-            "host_seconds": host,
-            "overlapped_seconds": overlap,
+            "device_seconds": self.device_seconds(),
+            "host_seconds": self.host_seconds,
+            "overlapped_seconds": self.overlapped_seconds,
             "idle_seconds": self.idle_seconds,
             "component_totals": self.component_totals(),
             "service_percentiles": self.service_percentiles(),
@@ -737,7 +687,7 @@ class FaultPlan:
     Rates are per-operation probabilities drawn from a private
     ``random.Random(seed)`` stream, so a plan misbehaves identically on
     every run.  ``crash_after_ops`` counts host-visible operations
-    (reads and writes, not idle); the N-th operation raises
+    (reads, writes and trims, not idle); the N-th operation raises
     :class:`DeviceCrashed` without reaching the inner device.
 
     The *fail-slow* family models a degraded-but-working device: every
@@ -889,9 +839,7 @@ class FaultDevice(InterposedDevice):
         if extra <= 0.0:
             return breakdown
         breakdown.charge("locate", extra)
-        clock = getattr(getattr(self.inner, "disk", None), "clock", None)
-        if clock is not None:
-            clock.advance(extra)
+        self.clock.advance(extra)
         self.ops_slowed += 1
         self.slow_extra_seconds += extra
         return breakdown
@@ -971,6 +919,16 @@ class FaultDevice(InterposedDevice):
             self.writes_torn += 1
             return Breakdown()
         return self._maybe_slow(self.inner.write_partial(lba, offset, data))
+
+    def trim(self, lba: int, count: int = 1) -> Breakdown:
+        self._tick("trim", lba, count)
+        return self._maybe_slow(self.inner.trim(lba, count))
+
+    def recover(self, timed: bool = True) -> RecoveryOutcome:
+        """The restart after a crash: the injected power loss is over,
+        so the layer serves again once the device beneath has recovered."""
+        self.crashed = False
+        return self.inner.recover(timed)
 
 
 class DiskFaultInjector:
@@ -1095,7 +1053,6 @@ def build_device_stack(
     block_size: int = 4096,
     *,
     trace: bool = False,
-    trace_capacity: int = 4096,
     trace_sink: Optional[object] = None,
     metrics: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -1142,7 +1099,5 @@ def build_device_stack(
     if metrics:
         device = MetricsDevice(device)
     if trace:
-        device = TracingDevice(
-            device, capacity=trace_capacity, sink=trace_sink
-        )
+        device = TracingDevice(device, sink=trace_sink)
     return device

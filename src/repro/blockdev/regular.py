@@ -44,6 +44,7 @@ class RegularDisk(BlockDevice):
         if block_size % disk.sector_bytes != 0:
             raise ValueError("block size must be a multiple of the sector size")
         self.disk = disk
+        self.clock = disk.clock
         self.block_size = block_size
         self.sectors_per_block = block_size // disk.sector_bytes
         if disk.geometry.sectors_per_track % self.sectors_per_block != 0:
@@ -91,7 +92,12 @@ class RegularDisk(BlockDevice):
         # Queue-emptiness is the idle signal: the queue drains first, and
         # only then does idle wall-clock time pass.
         self.scheduler.barrier()
-        self.disk.clock.advance(seconds)
+        self.clock.advance(seconds)
+
+    def crash(self) -> None:
+        """Power loss: queued writes never reached the media.  There is
+        no other volatile state -- the mapping is arithmetic."""
+        self.scheduler.discard_pending()
 
     def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
         self.check_lba(lba, 1)

@@ -152,18 +152,18 @@ def build_sharded_volume(
     """Instantiate a :class:`~repro.volume.ShardedVolume` over ``shards``
     complete VLD stacks.
 
-    Encodes the construction discipline the volume requires: every
-    shard's disk shares ONE :class:`~repro.sim.clock.SimClock`, so
-    degraded-mode backoff, fail-slow surplus, and hedged reads all spend
-    the same simulated time (per-disk clocks would let a limping shard
-    fall out of sync with its siblings).  ``fault_plans`` maps shard
+    Every shard's disk shares ONE :class:`~repro.sim.clock.SimClock`
+    (the volume refuses anything else), so degraded-mode backoff,
+    fail-slow surplus, and hedged reads all spend the same simulated
+    time (per-disk clocks would let a limping shard fall out of sync
+    with its siblings).  ``fault_plans`` maps shard
     index to a :class:`FaultPlan`; those shards get a
     :class:`~repro.blockdev.interpose.FaultDevice` wrapper (the layer
     ``crash()``/fail-slow windows act on).
 
     Returns ``(volume, devices, disks)`` -- ``devices[i]`` is shard
     ``i``'s outermost layer, ``disks[i]`` its raw disk (the place to
-    hang a :class:`~repro.disk.faults.DiskFaultInjector`).
+    hang a :class:`~repro.blockdev.interpose.DiskFaultInjector`).
     """
     # Imported lazily: repro.volume sits above this module in the layer
     # order, and only volume experiments should pay for it.

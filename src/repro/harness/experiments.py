@@ -30,7 +30,11 @@ import math
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.blockdev.interpose import MetricsDevice, find_layer
+from repro.blockdev.interpose import (
+    MetricsDevice,
+    build_device_stack,
+    find_layer,
+)
 from repro.disk.specs import DISKS, HP97560, ST19101
 from repro.harness.configs import STACKS, StackConfig, build_stack, utilization_of
 from repro.harness.runner import (
@@ -400,9 +404,8 @@ def _point_table2(
     compact_seconds: float,
 ) -> Dict[str, Any]:
     """One (platform, device) cell: mean latency plus the component
-    fractions backing Figure 9 (from the stack's
-    :class:`MetricsDevice` when the config carries one, else from the
-    workload's own per-call accounting)."""
+    fractions backing Figure 9, from the stack's
+    :class:`MetricsDevice`."""
     config = StackConfig.from_params(config)
     spec = DISKS[config.disk_name]
     capacity = (
@@ -422,16 +425,12 @@ def _point_table2(
     device.idle(compact_seconds)
     recorder = run_random_updates(
         fs, "/target", file_bytes, updates, warmup=warmup, seed=seed,
-        on_measure_start=(
-            metrics.reset if metrics is not None else None
-        ),
+        on_measure_start=metrics.reset,
     )
-    fractions = (
-        metrics.component_fractions()
-        if metrics is not None
-        else recorder.component_fractions()
-    )
-    return {"latency": recorder.mean(), "fractions": dict(fractions)}
+    return {
+        "latency": recorder.mean(),
+        "fractions": dict(metrics.component_fractions()),
+    }
 
 
 def table2(
@@ -439,13 +438,12 @@ def table2(
     updates: int = 300,
     warmup: int = 100,
     compact_seconds: float = 20.0,
-    from_metrics: bool = True,
     stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Update-in-place vs virtual-log gap across platforms (Table 2),
     with the Figure 9 component breakdowns of the same runs.
 
-    With ``from_metrics`` (the default) each stack carries a
+    Each stack carries a
     :class:`~repro.blockdev.interpose.MetricsDevice` and the component
     breakdown comes from its per-component latency histograms -- the
     device-visible parts measured at the device boundary, host time
@@ -459,7 +457,7 @@ def table2(
                 "config": _config_params(
                     StackConfig(
                         f"ufs-{device_type}", "ufs", device_type,
-                        disk_name, host_name, metrics=from_metrics,
+                        disk_name, host_name, metrics=True,
                     ),
                     stack,
                 ),
@@ -851,26 +849,21 @@ def _point_nvm(
     import random
 
     from repro.blockdev.nvm import NVM_SPECS
-    from repro.blockdev.regular import RegularDisk
     from repro.disk.disk import Disk
     from repro.nvm import NVWal
-    from repro.vlog.vld import VirtualLogDisk
 
+    if mode not in ("eager", "nvm-wal", "nvm+vld"):
+        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     disk = Disk(DISKS[disk_name], num_cylinders=6)
-    if mode == "eager":
-        device = VirtualLogDisk(disk)
-    elif mode in ("nvm-wal", "nvm+vld"):
-        core = (
-            VirtualLogDisk(disk) if mode == "nvm+vld"
-            else RegularDisk(disk)
-        )
-        spec = NVM_SPECS[nvm_part].with_overrides(
-            store_latency=nvm_store_latency, capacity_bytes=nvm_capacity
-        )
-        device = NVWal(core, spec=spec)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    spec = NVM_SPECS[nvm_part].with_overrides(
+        store_latency=nvm_store_latency, capacity_bytes=nvm_capacity
+    )
+    device = build_device_stack(
+        disk,
+        "regular" if mode == "nvm-wal" else "vld",
+        nvm=spec if mode != "eager" else None,
+    )
 
     span = 192
     clock = disk.clock
@@ -896,7 +889,7 @@ def _point_nvm(
         # latencies below measure only the update stream).
         for lba in range(span):
             device.write_block(lba, bytes([lba % 251]) * block_size)
-        if hasattr(device, "destage_all"):
+        if isinstance(device, NVWal):
             device.destage_all()
 
     write_latencies: List[float] = []

@@ -197,6 +197,3 @@ class SegmentUsage:
             offset += self._ENTRY.size
         for s in range(self.num_segments):
             self._clean[s] = raw[offset + s] == 1
-
-    def packed_size(self) -> int:
-        return self._ENTRY.size * self.num_segments + self.num_segments

@@ -111,7 +111,8 @@ class NVWal(BlockDevice):
             synchronous writes, not streaming transfers.
         destage_run_blocks: Largest contiguous run one destage write
             sends down (the budget-check granularity during idle).
-        clock: Shared simulation clock; defaults to the backing disk's.
+        clock: The backing store's clock, for callers that name it;
+            the tier always runs on ``inner.clock`` and refuses another.
     """
 
     def __init__(
@@ -125,10 +126,12 @@ class NVWal(BlockDevice):
         if absorb_max_blocks <= 0 or destage_run_blocks <= 0:
             raise ValueError("block limits must be positive")
         self.inner = inner
-        if clock is None:
-            disk = getattr(inner, "disk", None)
-            clock = getattr(disk, "clock", None) or SimClock()
-        self.clock = clock
+        self.clock = inner.clock
+        if clock is not None and clock is not self.clock:
+            raise ValueError(
+                "the tier runs on its backing store's clock; "
+                "clock= names a different one"
+            )
         self.spec = spec if spec is not None else NVM_SPECS["nvdimm"]
         min_capacity = _DATA_START + _REC.size + self.block_size
         if self.spec.capacity_bytes < min_capacity:
@@ -136,7 +139,7 @@ class NVWal(BlockDevice):
                 f"NVM capacity {self.spec.capacity_bytes} cannot hold even "
                 f"one block record ({min_capacity} bytes)"
             )
-        self.nvm = NVMDevice(self.spec, clock)
+        self.nvm = NVMDevice(self.spec, self.clock)
         self.absorb_max_blocks = absorb_max_blocks
         self.destage_run_blocks = destage_run_blocks
         self.injector: Optional[NVWalInjector] = None
@@ -159,7 +162,7 @@ class NVWal(BlockDevice):
         # The idle chain: destage first (free tier capacity, and give the
         # backing store real data to compact), then hand whatever budget
         # remains to the backing device's own idle machinery.
-        self.idle_manager = IdleManager(clock)
+        self.idle_manager = IdleManager(self.clock)
         self.idle_manager.register(
             "nvm-destage",
             self._idle_destage,
@@ -426,12 +429,10 @@ class NVWal(BlockDevice):
         tier resets the log (wholesale truncation)."""
         total = Breakdown()
         start = self.clock.now
-        inner_trim = getattr(self.inner, "trim", None)
         for block, count in self._trim_runs():
             if deadline is not None and self.clock.now >= deadline:
                 break
-            if inner_trim is not None:
-                total.add(inner_trim(block, count))
+            total.add(self.inner.trim(block, count))
             for i in range(count):
                 self._trimmed.discard(block + i)
         if not self._trimmed:
@@ -476,11 +477,7 @@ class NVWal(BlockDevice):
         """Orderly shutdown: drain the tier, then the backing store's own
         power-down sequence.  A clean stop leaves an empty log."""
         total = self.destage_all()
-        inner_down = getattr(self.inner, "power_down", None)
-        if inner_down is not None:
-            total.add(inner_down(timed))
-        else:
-            self.inner.idle(0.0)
+        total.add(self.inner.power_down(timed))
         return total
 
     def crash(self) -> None:
@@ -490,9 +487,7 @@ class NVWal(BlockDevice):
         self.nvm.crash()
         self._dirty = {}
         self._trimmed = set()
-        inner_crash = getattr(self.inner, "crash", None)
-        if inner_crash is not None:
-            inner_crash()
+        self.inner.crash()
 
     def _scan_log(self, timed: bool = True) -> Tuple[
         List[Tuple[int, int, int, bytes]], bool, Breakdown
@@ -556,7 +551,7 @@ class NVWal(BlockDevice):
         pipeline, replay the surviving records onto it, reset the log.
         Returns the backing store's outcome folded with this tier's scan
         and replay cost and its four replay facts; ``inner`` is the
-        backing store's own (``None`` over a device with no recovery)."""
+        backing store's own."""
         records, torn, scan_cost = self._scan_log(timed=timed)
         # Rebuild the tier's view of the surviving records in order; the
         # final state per block is what replays (later records win).
@@ -573,10 +568,7 @@ class NVWal(BlockDevice):
                 for i in range(count):
                     self._dirty.pop(lba + i, None)
                     self._trimmed.add(lba + i)
-        inner_recover = getattr(self.inner, "recover", None)
-        outcome = fold_outcomes(
-            [inner_recover(timed)] if inner_recover is not None else []
-        )
+        outcome = fold_outcomes([self.inner.recover(timed)])
         outcome.breakdown.add(scan_cost)
         outcome.replayed_records += len(records)
         outcome.replayed_blocks += len(self._dirty)

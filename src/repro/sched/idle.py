@@ -14,20 +14,13 @@ so background work never competes with outstanding foreground requests.
 clock only moves inside explicit operations, so a drive cannot discover
 wall-clock idleness on its own -- a deliberate deviation noted in
 DESIGN.md.)
-
-Under the event engine that deviation finally closes: queue-drained is a
-real *event*, so :meth:`IdleManager.process` turns the manager into an
-engine process that wakes on each drained signal and runs its workers
-during genuinely idle engine time, the grant's media cost becoming a
-real timer instead of a host-donated budget.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import EventEngine, Signal, Until
 from repro.sim.stats import Breakdown
 
 
@@ -101,31 +94,3 @@ class IdleManager:
                 total.add(result)
         clock.advance_to(deadline)
         return total
-
-    def process(
-        self,
-        engine: EventEngine,
-        trigger: Signal,
-        budget: float,
-        name: str = "idle",
-    ) -> Generator:
-        """The manager as an engine process: each time ``trigger`` fires
-        (typically a scheduler's drained signal), grant ``budget``
-        seconds of idle work and sleep the real elapsed time so engine
-        time covers the grant.  Idle spans are recorded as ``"idle"``
-        intervals keyed by ``name``."""
-        if budget < 0.0:
-            raise ValueError("idle budget must be non-negative")
-        while True:
-            yield trigger
-            # The manager's clock is the stack's local frontier: catch it
-            # up to the event's time, grant closed-form, then let the
-            # engine catch up to the frontier.
-            start = engine.now
-            self.clock.advance_to(start)
-            self.grant(budget)
-            engine.intervals.note("idle", name, start, self.clock.now)
-            # Absolute catch-up (bit-exact; immediate when the manager's
-            # clock is the engine clock and the grant already advanced
-            # engine time).
-            yield Until(self.clock.now)

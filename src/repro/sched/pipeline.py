@@ -19,23 +19,18 @@ completion.  At ``queue_depth=1`` every submit services synchronously and
 the seed's serialized timing is reproduced exactly.  The approximation
 overstates overlap when think intervals exceed service times
 (``think_hidden_seconds`` reports how much think time was hidden, so a
-caller can bound the error).
-
-Engine mode (:meth:`HostPipeline.process`) removes the approximation
-entirely: the pipeline becomes an event-engine process whose think time
-is a real timer and whose waits are real completion events, so overlap
-*emerges* from the event loop -- and is measured exactly from the
-recorded think/service intervals -- instead of being inferred.  The
-multi-host driver (:mod:`repro.hosts.multihost`) runs N of these
-processes against M scheduler processes.
+caller can bound the error).  The multi-host driver
+(:mod:`repro.hosts.multihost`) removes the approximation: its hosts are
+event-engine processes whose think time is a real timer and whose waits
+are real completion events, so overlap is measured from the recorded
+think/service intervals instead of inferred.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional, Tuple
+from typing import Optional
 
 from repro.sched.scheduler import DiskRequest, DiskScheduler
-from repro.sim.engine import EventEngine
 from repro.sim.stats import Breakdown
 
 
@@ -81,41 +76,6 @@ class HostPipeline:
         self.submitted += 1
         return self.scheduler.write(sector, count, data, charge_scsi)
 
-    def read(
-        self, sector: int, count: int = 1, charge_scsi: bool = True
-    ) -> Tuple[bytes, Breakdown]:
-        self._think()
-        self.submitted += 1
-        return self.scheduler.read(sector, count, charge_scsi)
-
     def finish(self) -> Breakdown:
         """Drain the queue (end of the run: the host stops submitting)."""
         return self.scheduler.drain()
-
-    def process(
-        self,
-        engine: EventEngine,
-        ops: Iterable[Tuple[str, int, int, Optional[bytes]]],
-        name: str = "host",
-    ) -> Generator:
-        """The pipeline as an engine process (closed loop).
-
-        For each ``(op, sector, count, data)``: think for
-        ``think_seconds`` of real engine time (recorded as a ``"think"``
-        interval keyed by ``name``), submit to the scheduler's disk
-        process, and wait for the completion event.  Requires the
-        scheduler to be engine-attached.  ``think_hidden_seconds`` is not
-        accumulated here -- hidden think time is computed exactly from
-        the recorded intervals (``engine.intervals.per_key_overlap``)
-        rather than approximated.
-        """
-        for op, sector, count, data in ops:
-            if self.think_seconds > 0.0:
-                start = engine.now
-                yield self.think_seconds
-                engine.intervals.note("think", name, start, engine.now)
-            self.submitted += 1
-            req = self.scheduler.submit(op, sector, count, data)
-            if not req.done:
-                assert req.completed is not None
-                yield req.completed

@@ -19,10 +19,10 @@ scheduler is a *process* (:meth:`attach_engine`).  Hosts enqueue with
 :meth:`submit` and wait on the request's ``completed`` signal; the disk
 process services work-conservingly whenever requests are pending, each
 service occupying a real span of engine time, and completion is an
-*event* -- not a lazy drain somebody has to remember to call.  A write
-barrier is then just :meth:`wait_drained`.  The synchronous path above
-is untouched (and :meth:`barrier` falls back to :meth:`drain` there), so
-depth-1 figure identity holds by construction.
+*event* -- not a lazy drain somebody has to remember to call.  The
+synchronous path above is untouched (:meth:`barrier` is a drain there,
+and refuses an engine-attached scheduler, whose queue the disk process
+owns), so depth-1 figure identity holds by construction.
 
 Starvation: greedy policies (SATF especially) can pass over a distant
 request indefinitely under a hostile arrival stream.  The scheduler
@@ -158,8 +158,6 @@ class DiskScheduler:
         self._engine: Optional[EventEngine] = None
         self.name = "disk"
         self._submitted: Optional[Signal] = None
-        self._drained: Optional[Signal] = None
-        self._busy = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -381,13 +379,11 @@ class DiskScheduler:
     def barrier(self) -> Breakdown:
         """Wait until no request is outstanding (the write-ahead barrier
         the virtual-log layers rely on).  Synchronously that *is* a
-        drain; under the engine the disk process is already servicing, so
-        a process instead waits on the drained event via
-        :meth:`wait_drained` and claims breakdowns afterwards."""
+        drain; under the engine the disk process owns the queue, and
+        servicing it from a caller's frame would bypass engine time."""
         if self._engine is not None:
             raise RuntimeError(
-                "synchronous barrier() on an engine-attached scheduler; "
-                "yield from wait_drained() instead"
+                "synchronous barrier() on an engine-attached scheduler"
             )
         # drain() and take_breakdown(), in this frame: every logical
         # write of a VLD ends in one barrier.
@@ -431,7 +427,6 @@ class DiskScheduler:
         self._engine = engine
         self.name = name
         self._submitted = engine.signal(f"{name}.submitted")
-        self._drained = engine.signal(f"{name}.drained")
         return engine.spawn(self._run(), name=name)
 
     def submit(
@@ -454,14 +449,6 @@ class DiskScheduler:
         self._submitted.fire()
         return req
 
-    def wait_drained(self) -> Generator:
-        """Engine-mode barrier: a generator to ``yield from`` that
-        returns once nothing is queued or in service."""
-        if self._drained is None:
-            raise RuntimeError("wait_drained() requires attach_engine()")
-        while self._pending or self._busy:
-            yield self._drained
-
     def close(self) -> None:
         """End the disk process once its queue drains (run teardown)."""
         self._closed = True
@@ -471,7 +458,7 @@ class DiskScheduler:
     def _run(self) -> Generator:
         engine = self._engine
         assert engine is not None
-        assert self._submitted is not None and self._drained is not None
+        assert self._submitted is not None
         # Bound once per process, not per request: the two clocks (the
         # engine's view, and the disk's local frontier -- the same
         # object when the disk was built on the engine's clock), the
@@ -482,7 +469,6 @@ class DiskScheduler:
         name = self.name
         while True:
             if not self._pending:
-                self._drained.fire()
                 if self._closed:
                     return
                 yield self._submitted
@@ -492,7 +478,6 @@ class DiskScheduler:
             # closed-form (the disk clock runs ahead), then sleep the
             # service duration so engine time matches the completion.
             disk_clock.advance_to(start)
-            self._busy = True
             req = self.service_one()
             end = disk_clock.now
             note_interval("service", name, start, end)
@@ -502,6 +487,5 @@ class DiskScheduler:
             # (When the disk clock *is* the engine clock, `end` is
             # already now and this resumes immediately.)
             yield Until(end)
-            self._busy = False
             if req.completed is not None:
                 req.completed.fire(req)

@@ -190,6 +190,3 @@ class UFSAllocator:
         frags = sum(g.frags.free_count for g in self.groups)
         inodes = sum(g.inodes.free_count for g in self.groups)
         return frags, inodes
-
-    def touched_group_of_block(self, lba: int) -> int:
-        return self.layout.group_of_block(lba)

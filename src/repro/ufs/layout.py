@@ -155,10 +155,6 @@ class UFSLayout:
         offset = (index % self.inodes_per_block) * INODE_SIZE
         return block, offset
 
-    def data_block_range(self, group: int):
-        """Half-open [start, end) of a group's data blocks."""
-        return self.data_start(group), self.group_end(group)
-
     def frag_to_block(self, frag: int):
         """Absolute fragment -> (device block, byte offset)."""
         return frag // self.frags_per_block, (

@@ -57,7 +57,7 @@ class UFS(InodeNamespace):
     ) -> None:
         self.device = device
         self.host = host
-        self.clock = device.disk.clock  # both device types carry .disk
+        self.clock = device.clock
         self.block_size = device.block_size
         if blocks_per_group <= 0:
             blocks_per_group = self._default_group_size(device)

@@ -112,6 +112,8 @@ class VLFS(LFS):
     """LFS semantics over eager writing and a virtual log (Section 3.3)."""
 
     POWER_DOWN_BLOCK = 0
+    #: No user-level port in the path: the plain host cost per request.
+    host_factor = 1.0
 
     def __init__(
         self,
@@ -121,7 +123,6 @@ class VLFS(LFS):
         nvram: bool = False,
         map_record_bytes: int = 512,
         fill_threshold: float = 0.75,
-        host_factor: float = 1.0,
     ) -> None:
         # NOTE: deliberately does not call LFS.__init__ -- the segment
         # machinery it builds is replaced wholesale.  Every attribute the
@@ -129,7 +130,6 @@ class VLFS(LFS):
         self.disk = disk
         self.device = _InternalDevice(disk)
         self.host = host
-        self.host_factor = host_factor
         self.clock = disk.clock
         self.block_size = self.device.block_size
         self.map_record_bytes = map_record_bytes

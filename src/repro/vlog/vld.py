@@ -49,8 +49,6 @@ class VirtualLogDisk(BlockDevice):
         policy: Eager allocation policy; ``TRACK_FILL`` is the paper's
             compactor-assisted configuration.
         fill_threshold: Track fill target for ``TRACK_FILL`` (0.75).
-        slack_fraction: Physical blocks withheld from the logical capacity
-            so eager writing always finds somewhere to go.
         retry_policy: Read-retry schedule for the media-fault resilience
             layer (per-sector checksums verified on read, bounded retries,
             bad-sector quarantine, idle-time scrubbing).  With no faults
@@ -75,7 +73,6 @@ class VirtualLogDisk(BlockDevice):
         map_record_bytes: int = 512,
         policy: AllocationPolicy = AllocationPolicy.TRACK_FILL,
         fill_threshold: float = 0.75,
-        slack_fraction: float = 0.02,
         retry_policy: Optional[RetryPolicy] = None,
         queue_depth: int = 1,
         sched: Union[str, SchedulingPolicy] = "fifo",
@@ -85,11 +82,13 @@ class VirtualLogDisk(BlockDevice):
         if map_record_bytes % disk.sector_bytes != 0:
             raise ValueError("map records must be whole sectors")
         self.disk = disk
+        self.clock = disk.clock
         self.block_size = block_size
         self.map_record_bytes = map_record_bytes
         self.sectors_per_block = block_size // disk.sector_bytes
         self.physical_blocks = disk.total_sectors // self.sectors_per_block
-        slack = max(8, int(self.physical_blocks * slack_fraction))
+        # 2 % slack, so eager writing always finds somewhere to go.
+        slack = max(8, int(self.physical_blocks * 0.02))
         # Map overhead: one live record per chunk (Section 4.2: 4 bytes per
         # physical block, ~24 KB of map sectors for the 24 MB disk).
         from repro.vlog.entries import entries_per_chunk

@@ -71,8 +71,9 @@ class ShardedVolume(BlockDevice):
 
     Args:
         shards: The shard devices (plain VLDs or interposer-wrapped
-            stacks).  All must share one block size, and -- for the
-            simulated timeline to make sense -- one :class:`SimClock`.
+            stacks).  All must share one block size and one
+            :class:`~repro.sim.clock.SimClock` -- backoff, fail-slow
+            surplus and hedged reads all spend the same simulated time.
         stripe_blocks: Stripe width in blocks.
         retry_policy: Backoff schedule for requests that hit a down
             shard (each such request pays the full budget, then raises
@@ -80,9 +81,6 @@ class ShardedVolume(BlockDevice):
         hedge_reads: Cap the fail-slow surplus of reads against a shard
             whose health monitor has tripped (no-op for shards without a
             :class:`FaultDevice` layer -- there is nothing to cap).
-        monitor_factory: Builds the per-shard
-            :class:`ShardHealthMonitor` (default configuration when
-            omitted).
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class ShardedVolume(BlockDevice):
         stripe_blocks: int = 8,
         retry_policy: Optional[RetryPolicy] = None,
         hedge_reads: bool = True,
-        monitor_factory=ShardHealthMonitor,
     ) -> None:
         shards = list(shards)
         if not shards:
@@ -101,6 +98,9 @@ class ShardedVolume(BlockDevice):
         sizes = {shard.block_size for shard in shards}
         if len(sizes) != 1:
             raise ValueError("shards must share one block size")
+        if any(shard.clock is not shards[0].clock for shard in shards):
+            raise ValueError("shards must share one clock")
+        self.clock = shards[0].clock
         self.shards: List[BlockDevice] = shards
         self.num_shards = len(shards)
         self.stripe_blocks = stripe_blocks
@@ -125,7 +125,7 @@ class ShardedVolume(BlockDevice):
             [ShardState.HEALTHY] * self.num_shards
         )
         self.monitors: List[ShardHealthMonitor] = [
-            monitor_factory() for _ in range(self.num_shards)
+            ShardHealthMonitor() for _ in range(self.num_shards)
         ]
         self._fault_layers: List[Optional[FaultDevice]] = [
             find_layer(shard, FaultDevice) for shard in shards
@@ -193,18 +193,13 @@ class ShardedVolume(BlockDevice):
     # Degraded-mode shard dispatch
     # ------------------------------------------------------------------
 
-    def _clock(self):
-        return getattr(getattr(self.shards[0], "disk", None), "clock", None)
-
     def _pay_backoff(self, index: int) -> float:
         """Advance simulated time by the full (bounded) retry budget a
         request spends probing a down shard before giving up."""
-        clock = self._clock()
         total = 0.0
         for attempt in range(1, self.retry_policy.max_attempts):
             total += self.retry_policy.backoff(attempt)
-        if clock is not None and total > 0.0:
-            clock.advance(total)
+        self.clock.advance(total)
         self.backoff_seconds[index] += total
         return total
 
@@ -411,9 +406,6 @@ class ShardedVolume(BlockDevice):
         touches them).  Returns the shard's
         :class:`~repro.vlog.recovery.RecoveryOutcome`."""
         shard = self.shards[index]
-        layer = self._fault_layers[index]
-        if layer is not None:
-            layer.crashed = False
         shard.crash()
         outcome = shard.recover(timed)
         self.monitors[index].reset()

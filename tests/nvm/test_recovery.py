@@ -251,6 +251,7 @@ class TestOverShardedVolume:
             3, stripe_blocks=8, num_cylinders=6
         )
         wal = NVWal(volume, spec=NVM_SPECS["nvdimm"])
+        assert wal.clock is volume.clock
         expected = {}
         for lba in range(40):  # five stripes: every shard holds data
             expected[lba] = _blk(lba + 1)

@@ -177,11 +177,11 @@ class TestDestage:
         wal.idle(1.0)
         data, _ = device.read_block(5)
         assert data == _blk(0x55)
-        # power_down/recover degrade gracefully on a recovery-less device.
+        # A device with no volatile state recovers to the empty outcome.
         wal.write_block(6, _blk(0x66))
         wal.power_down()
         outcome = wal.recover()
-        assert outcome.inner is None
+        assert outcome.inner.elapsed == 0.0 and not outcome.inner.parts
         assert not outcome.used_power_down_record
 
 
