@@ -6,12 +6,13 @@ return the breakdown.  Multi-block variants exist so log-structured file
 systems can hand whole segments to the device in one command, as the MIT
 logical disk does.
 
-Beyond the five I/O calls and ``idle`` the contract covers what every layer of a stack
-relies on: the one :class:`~repro.sim.clock.SimClock` the stack runs on
-(``clock``), ``trim``, and the ``power_down`` / ``crash`` / ``recover``
-lifecycle.  Those four calls have concrete defaults -- the behaviour of
-a device with no mapping and no volatile state -- so any device stacks
-on any other without a probe for what the one beneath can do.
+Beyond the five I/O calls and ``idle`` the contract covers what every
+layer of a stack relies on: the one :class:`~repro.sim.clock.SimClock`
+the stack runs on (``clock``), ``trim``, ``flush`` and the
+``power_down`` / ``crash`` / ``recover`` lifecycle.  Those five calls
+have concrete defaults -- the behaviour of a device with no mapping and
+no volatile state -- so any device stacks on any other without a probe
+for what the one beneath can do.
 """
 
 from __future__ import annotations
@@ -84,7 +85,12 @@ class BlockDevice(abc.ABC):
         self.check_lba(lba, count)
         return Breakdown()
 
-    def power_down(self, timed: bool = True) -> Breakdown:
+    def flush(self) -> Breakdown:
+        """Make every acknowledged write durable.  The default device
+        acknowledges a write once it is on the media: nothing to do."""
+        return Breakdown()
+
+    def power_down(self) -> Breakdown:
         """Orderly shutdown: make everything acknowledged durable.  The
         default finishes queued work (an idle grant of no time)."""
         self.idle(0.0)
@@ -94,7 +100,7 @@ class BlockDevice(abc.ABC):
         """Power loss: volatile state is gone and only :meth:`recover`
         may run next.  The default device has no volatile state."""
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """Rebuild volatile state from the media after :meth:`crash`.
         The default is the fold of no outcomes: a device with nothing
         to recover."""

@@ -195,14 +195,17 @@ class InterposedDevice(BlockDevice):
     def idle(self, seconds: float) -> None:
         self.inner.idle(seconds)
 
-    def power_down(self, timed: bool = True) -> Breakdown:
-        return self.inner.power_down(timed)
+    def flush(self) -> Breakdown:
+        return self.inner.flush()
+
+    def power_down(self) -> Breakdown:
+        return self.inner.power_down()
 
     def crash(self) -> None:
         self.inner.crash()
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
-        return self.inner.recover(timed)
+    def recover(self) -> RecoveryOutcome:
+        return self.inner.recover()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.inner!r})"
@@ -924,11 +927,11 @@ class FaultDevice(InterposedDevice):
         self._tick("trim", lba, count)
         return self._maybe_slow(self.inner.trim(lba, count))
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """The restart after a crash: the injected power loss is over,
         so the layer serves again once the device beneath has recovered."""
         self.crashed = False
-        return self.inner.recover(timed)
+        return self.inner.recover()
 
 
 class DiskFaultInjector:

@@ -126,30 +126,35 @@ class NVMDevice:
             )
 
     def _charge(
-        self, latency: float, nbytes: int, bandwidth: float, timed: bool
+        self, latency: float, nbytes: int, bandwidth: float
     ) -> Breakdown:
         breakdown = Breakdown()
-        if not timed:
-            return breakdown
         breakdown.charge("other", latency)
         if nbytes:
             breakdown.charge("transfer", nbytes / bandwidth)
         self.clock.advance(breakdown.total)
         return breakdown
 
-    def store(self, offset: int, data: bytes, timed: bool = True) -> Breakdown:
+    def store(self, offset: int, data: bytes) -> Breakdown:
         """Buffer a store; *not* persistent until :meth:`flush`."""
         self._check(offset, len(data))
         self._pending.append((offset, bytes(data)))
         self.stores += 1
         self.bytes_stored += len(data)
         return self._charge(
-            self.spec.store_latency, len(data), self.spec.store_bandwidth, timed
+            self.spec.store_latency, len(data), self.spec.store_bandwidth
         )
 
-    def load(
-        self, offset: int, nbytes: int, timed: bool = True
-    ) -> Tuple[bytes, Breakdown]:
+    def format(self, offset: int, data: bytes) -> None:
+        """The factory state: ``data`` in the persistence domain at no
+        simulated cost, counted as the store and flush it stands for."""
+        self._check(offset, len(data))
+        self._image[offset : offset + len(data)] = data
+        self.stores += 1
+        self.bytes_stored += len(data)
+        self.flushes += 1
+
+    def load(self, offset: int, nbytes: int) -> Tuple[bytes, Breakdown]:
         """Read bytes as the CPU sees them (buffered stores included)."""
         self._check(offset, nbytes)
         view = bytearray(self._image[offset : offset + nbytes])
@@ -161,17 +166,17 @@ class NVMDevice:
         self.loads += 1
         self.bytes_loaded += nbytes
         cost = self._charge(
-            self.spec.load_latency, nbytes, self.spec.load_bandwidth, timed
+            self.spec.load_latency, nbytes, self.spec.load_bandwidth
         )
         return bytes(view), cost
 
-    def flush(self, timed: bool = True) -> Breakdown:
+    def flush(self) -> Breakdown:
         """Drain buffered stores into the persistence domain."""
         for offset, data in self._pending:
             self._image[offset : offset + len(data)] = data
         self._pending = []
         self.flushes += 1
-        return self._charge(self.spec.flush_latency, 0, 1.0, timed)
+        return self._charge(self.spec.flush_latency, 0, 1.0)
 
     def crash(self) -> None:
         """Power loss: everything outside the persistence domain is gone."""

@@ -94,6 +94,10 @@ class RegularDisk(BlockDevice):
         self.scheduler.barrier()
         self.clock.advance(seconds)
 
+    def flush(self) -> Breakdown:
+        # Beyond depth 1 a write is acknowledged once it is queued.
+        return self.scheduler.barrier()
+
     def crash(self) -> None:
         """Power loss: queued writes never reached the media.  There is
         no other volatile state -- the mapping is arithmetic."""

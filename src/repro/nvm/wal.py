@@ -158,7 +158,7 @@ class NVWal(BlockDevice):
         self.log_resets = 0
         self.ack_times = LatencyHistogram()
         self.destage_times = LatencyHistogram()
-        self._write_superblock(timed=False)
+        self.nvm.format(0, self._superblock())
         # The idle chain: destage first (free tier capacity, and give the
         # backing store real data to compact), then hand whatever budget
         # remains to the backing device's own idle machinery.
@@ -189,17 +189,13 @@ class NVWal(BlockDevice):
 
     # -- the log -------------------------------------------------------
 
-    def _write_superblock(self, timed: bool = True) -> Breakdown:
+    def _superblock(self) -> bytes:
         body = _SB.pack(_SB_MAGIC, self._epoch, 0)[:-4]
         crc = zlib.crc32(body) & 0xFFFFFFFF
-        cost = self.nvm.store(0, _SB.pack(_SB_MAGIC, self._epoch, crc),
-                              timed=timed)
-        cost.add(self.nvm.flush(timed=timed))
-        return cost
+        return _SB.pack(_SB_MAGIC, self._epoch, crc)
 
-    def _read_superblock(self, timed: bool = True) -> Tuple[Optional[int],
-                                                            Breakdown]:
-        raw, cost = self.nvm.load(0, _SB.size, timed=timed)
+    def _read_superblock(self) -> Tuple[Optional[int], Breakdown]:
+        raw, cost = self.nvm.load(0, _SB.size)
         magic, epoch, stored = _SB.unpack(raw)
         if magic != _SB_MAGIC:
             return None, cost
@@ -218,13 +214,15 @@ class NVWal(BlockDevice):
         crc = zlib.crc32(payload, zlib.crc32(body)) & 0xFFFFFFFF
         return b"".join((body, _REC_CRC.pack(crc), payload))
 
-    def _reset_log(self, timed: bool = True) -> Breakdown:
+    def _reset_log(self) -> Breakdown:
         """Invalidate every record at once by bumping the epoch."""
         self._epoch += 1
         self._seq = 0
         self._tail = _DATA_START
         self.log_resets += 1
-        return self._write_superblock(timed=timed)
+        cost = self.nvm.store(0, self._superblock())
+        cost.add(self.nvm.flush())
+        return cost
 
     def _append(self, op: int, lba: int, count: int,
                 payload: bytes) -> Breakdown:
@@ -450,6 +448,9 @@ class NVWal(BlockDevice):
                 for i in range(count):
                     dirty.pop(block + i, None)
         if not self._dirty and not self._trimmed and self._seq:
+            # Truncate only what the backing store holds durably: a
+            # write-back store acknowledges a destage write once queued.
+            total.add(self.inner.flush())
             total.add(self._reset_log())
         if self.clock.now > start:
             self.destage_times.record(self.clock.now - start)
@@ -473,11 +474,15 @@ class NVWal(BlockDevice):
 
     # -- shutdown, crash, recovery -------------------------------------
 
-    def power_down(self, timed: bool = True) -> Breakdown:
+    def flush(self) -> Breakdown:
+        # Absorbed writes are durable already; bypassed ones only below.
+        return self.inner.flush()
+
+    def power_down(self) -> Breakdown:
         """Orderly shutdown: drain the tier, then the backing store's own
         power-down sequence.  A clean stop leaves an empty log."""
         total = self.destage_all()
-        total.add(self.inner.power_down(timed))
+        total.add(self.inner.power_down())
         return total
 
     def crash(self) -> None:
@@ -489,7 +494,7 @@ class NVWal(BlockDevice):
         self._trimmed = set()
         self.inner.crash()
 
-    def _scan_log(self, timed: bool = True) -> Tuple[
+    def _scan_log(self) -> Tuple[
         List[Tuple[int, int, int, bytes]], bool, Breakdown
     ]:
         """Walk the NVM log: superblock epoch, then records while the
@@ -497,7 +502,7 @@ class NVWal(BlockDevice):
         ``(records, torn_tail, cost)`` with records as ``(op, lba,
         count, payload)`` in append order."""
         total = Breakdown()
-        epoch, cost = self._read_superblock(timed=timed)
+        epoch, cost = self._read_superblock()
         total.add(cost)
         records: List[Tuple[int, int, int, bytes]] = []
         torn = False
@@ -512,7 +517,7 @@ class NVWal(BlockDevice):
         capacity = self.nvm.capacity_bytes
         bs = self.block_size
         while offset + _REC.size <= capacity:
-            raw, cost = self.nvm.load(offset, _REC.size, timed=timed)
+            raw, cost = self.nvm.load(offset, _REC.size)
             total.add(cost)
             magic, epoch_tag, seqno, lba, count, op, stored = _REC.unpack(raw)
             if magic != _REC_MAGIC or epoch_tag != self._epoch:
@@ -530,9 +535,7 @@ class NVWal(BlockDevice):
             ):
                 torn = True
                 break
-            payload, cost = self.nvm.load(
-                offset + _REC.size, payload_len, timed=timed
-            )
+            payload, cost = self.nvm.load(offset + _REC.size, payload_len)
             total.add(cost)
             body = _REC.pack(magic, epoch_tag, seqno, lba, count, op, 0)[:-4]
             if zlib.crc32(body + payload) & 0xFFFFFFFF != stored:
@@ -545,14 +548,14 @@ class NVWal(BlockDevice):
         self._seq = expected_seq
         return records, torn, total
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """Two-tier recovery: establish the NVM commit point (scan the
         log's valid prefix), run the backing store's own recovery
         pipeline, replay the surviving records onto it, reset the log.
         Returns the backing store's outcome folded with this tier's scan
         and replay cost and its four replay facts; ``inner`` is the
         backing store's own."""
-        records, torn, scan_cost = self._scan_log(timed=timed)
+        records, torn, scan_cost = self._scan_log()
         # Rebuild the tier's view of the surviving records in order; the
         # final state per block is what replays (later records win).
         self._dirty = {}
@@ -568,7 +571,7 @@ class NVWal(BlockDevice):
                 for i in range(count):
                     self._dirty.pop(lba + i, None)
                     self._trimmed.add(lba + i)
-        outcome = fold_outcomes([self.inner.recover(timed)])
+        outcome = fold_outcomes([self.inner.recover()])
         outcome.breakdown.add(scan_cost)
         outcome.replayed_records += len(records)
         outcome.replayed_blocks += len(self._dirty)

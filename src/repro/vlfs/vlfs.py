@@ -41,7 +41,12 @@ from repro.lfs.nvram import FileCache
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
 from repro.vlog.entries import entries_per_chunk
-from repro.vlog.recovery import PowerDownStore, RecoveryOutcome, recover_log
+from repro.vlog.recovery import (
+    PowerDownStore,
+    RecoveryOutcome,
+    disk_reader,
+    recover_log,
+)
 from repro.vlog.virtual_log import VirtualLog
 
 
@@ -318,13 +323,13 @@ class VLFS(LFS):
     # Crash and recovery (virtual-log based)
     # ==================================================================
 
-    def power_down(self, timed: bool = True) -> Breakdown:
+    def power_down(self) -> Breakdown:
         breakdown = Breakdown()
         self._flush_all(breakdown)
         if self.vlog.tail is not None:
             breakdown.add(
                 self.power_store.write(
-                    self.vlog.tail, self.vlog.next_seqno - 1, timed
+                    self.vlog.tail, self.vlog.next_seqno - 1
                 )
             )
         return breakdown
@@ -339,25 +344,26 @@ class VLFS(LFS):
         outcome = self.recover()
         return outcome.breakdown
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """Rebuild the inode map from the virtual log, then walk the
         inodes to reconstruct free-space accounting."""
-        chunks, outcome = recover_log(self.vlog, self.power_store, timed)
+        reader = disk_reader(self.disk)
+        chunks, outcome = recover_log(
+            self.vlog, self.power_store, reader, reader
+        )
         breakdown = outcome.breakdown
         for chunk_id, entries in (chunks or {}).items():
             lo, _hi = self._imap_chunk_bounds(chunk_id)
             self.imap.load_slice(lo, entries)
-        self._rebuild_space_state(breakdown, timed)
+        self._rebuild_space_state(breakdown)
         if chunks is not None:
             # Repair only now: its relocation appends allocate blocks,
             # which is safe once the free map knows the recovered state.
             breakdown.add(self.vlog.repair_reachability())
-            breakdown.add(self.power_store.clear(timed))
+            breakdown.add(self.power_store.clear())
         return outcome
 
-    def _rebuild_space_state(
-        self, breakdown: Breakdown, timed: bool
-    ) -> None:
+    def _rebuild_space_state(self, breakdown: Breakdown) -> None:
         """Mark used: the power-down home, live map records, inode blocks,
         and every block reachable from a live inode."""
         self.freemap.mark_free(0, self.disk.total_sectors)

@@ -65,42 +65,29 @@ class PowerDownStore:
         #: recover to the stale tail the record names.
         self.armed = False
 
-    def write(self, tail_block: int, seqno: int, timed: bool = True) -> Breakdown:
+    def write(self, tail_block: int, seqno: int) -> Breakdown:
         """Persist the log tail (part of the firmware power-down sequence)."""
         self.armed = True
         body = _RECORD.pack(_MAGIC, tail_block, seqno, 0)[: -4]
         crc = zlib.crc32(body)
         payload = _RECORD.pack(_MAGIC, tail_block, seqno, crc)
         padded = payload + bytes(self.block_size - len(payload))
-        if timed:
-            return self.disk.write(
-                self._sector, self.sectors_per_block, padded, charge_scsi=False
-            )
-        self.disk.poke(self._sector, padded)
-        return Breakdown()
+        return self.disk.write(
+            self._sector, self.sectors_per_block, padded, charge_scsi=False
+        )
 
-    def read_raw(
-        self, timed: bool = True, reader=None
-    ) -> Tuple[Optional[bytes], Breakdown]:
+    def read_raw(self, reader) -> Tuple[Optional[bytes], Breakdown]:
         """The record's home block as it sits on the media, through the
-        owner's fault-tolerant ``reader(sector, count, breakdown) ->
-        Optional[bytes]`` when given: ``None`` when that could not read
-        it, which recovery reports differently from an absent record."""
+        owner's ``reader(sector, count, breakdown) -> Optional[bytes]``:
+        ``None`` when that could not read it, which recovery reports
+        differently from an absent record."""
         breakdown = Breakdown()
-        if reader is not None:
-            raw = reader(self._sector, self.sectors_per_block, breakdown)
-        elif timed:
-            raw, cost = self.disk.read(
-                self._sector, self.sectors_per_block, charge_scsi=False
-            )
-            breakdown.add(cost)
-        else:
-            raw = self.disk.peek(self._sector, self.sectors_per_block)
+        raw = reader(self._sector, self.sectors_per_block, breakdown)
         return raw, breakdown
 
-    def read(self, timed: bool = True) -> Tuple[Optional[Tuple[int, int]], Breakdown]:
+    def read(self, reader) -> Tuple[Optional[Tuple[int, int]], Breakdown]:
         """Read and validate the record; ``None`` when absent or corrupt."""
-        raw, breakdown = self.read_raw(timed)
+        raw, breakdown = self.read_raw(reader)
         return self.parse(raw), breakdown
 
     def parse(self, raw: Optional[bytes]) -> Optional[Tuple[int, int]]:
@@ -126,17 +113,14 @@ class PowerDownStore:
             return None
         return (tail, seqno)
 
-    def clear(self, timed: bool = True) -> Breakdown:
+    def clear(self) -> Breakdown:
         """Erase the record: before the first log append that follows a
         power-down, and at the end of every recovery."""
         self.armed = False
         blank = bytes(self.block_size)
-        if timed:
-            return self.disk.write(
-                self._sector, self.sectors_per_block, blank, charge_scsi=False
-            )
-        self.disk.poke(self._sector, blank)
-        return Breakdown()
+        return self.disk.write(
+            self._sector, self.sectors_per_block, blank, charge_scsi=False
+        )
 
     def corrupt(self) -> None:
         """Fault injection: damage the record as a failed power-down would."""
@@ -148,8 +132,8 @@ def scan_records(
     disk: Disk,
     block_size: int = 4096,
     skip_sectors: int = 0,
-    timed: bool = True,
-    reader=None,
+    *,
+    reader,
 ) -> Tuple[Dict[int, MapRecord], Breakdown, int]:
     """Full-disk scan for *every* valid map record.
 
@@ -159,11 +143,10 @@ def scan_records(
     sectors); ``skip_sectors`` excludes the first N sectors of the disk
     (the power-down record's home).
 
-    ``reader`` (optional) is a fault-tolerant callable
-    ``reader(sector, count, breakdown) -> Optional[bytes]``; when it
-    returns ``None`` the track is treated as unreadable and its records
-    are skipped (a resilient reader typically retries per record first and
-    zero-fills only what stays dead).
+    Every track is read with ``reader(sector, count, breakdown) ->
+    Optional[bytes]``; when it returns ``None`` the track is treated as
+    unreadable and its records are skipped (a resilient reader typically
+    retries per record first and zero-fills only what stays dead).
 
     Returns ``(records_by_block, breakdown, records_examined)``.
     """
@@ -194,17 +177,9 @@ def scan_records(
     for cylinder in range(geometry.num_cylinders):
         for head in range(geometry.tracks_per_cylinder):
             start = geometry.track_start(cylinder, head)
-            if reader is not None:
-                raw = reader(start, geometry.sectors_per_track, breakdown)
-                if raw is None:
-                    raw = bytes(track_bytes)
-            elif timed:
-                raw, cost = disk.read(
-                    start, geometry.sectors_per_track, charge_scsi=False
-                )
-                breakdown.add(cost)
-            else:
-                raw = disk.peek(start, geometry.sectors_per_track)
+            raw = reader(start, geometry.sectors_per_track, breakdown)
+            if raw is None:
+                raw = bytes(track_bytes)
             buffer = pending + raw if pending else raw
             base = next_block * block_size  # disk offset of buffer[0]
             end_block = min(total_blocks, (base + len(buffer)) // block_size)
@@ -231,8 +206,8 @@ def scan_for_tail(
     disk: Disk,
     block_size: int = 4096,
     skip_sectors: int = 0,
-    timed: bool = True,
-    reader=None,
+    *,
+    reader,
 ) -> Tuple[Optional[int], Breakdown, int]:
     """Full-disk scan for the youngest map record (the slow path).
 
@@ -241,11 +216,7 @@ def scan_for_tail(
     ``(tail_block, breakdown, records_examined)``.
     """
     found, breakdown, examined = scan_records(
-        disk,
-        block_size,
-        skip_sectors=skip_sectors,
-        timed=timed,
-        reader=reader,
+        disk, block_size, skip_sectors, reader=reader
     )
     best_block: Optional[int] = None
     best_seqno = -1
@@ -342,12 +313,24 @@ def fold_outcomes(outcomes: Sequence[RecoveryOutcome]) -> RecoveryOutcome:
     return folded
 
 
+def disk_reader(disk: Disk):
+    """The plain recovery reader, for an owner with no fault tolerance of
+    its own: one ``disk.read`` per call, on the drive's clock and with no
+    command overhead, its cost added to the caller's ``breakdown``."""
+
+    def reader(sector: int, count: int, breakdown: Breakdown) -> bytes:
+        raw, cost = disk.read(sector, count, charge_scsi=False)
+        breakdown.add(cost)
+        return raw
+
+    return reader
+
+
 def recover_log(
     vlog: "VirtualLog",
     store: PowerDownStore,
-    timed: bool = True,
-    reader=None,
-    track_reader=None,
+    reader,
+    track_reader,
 ) -> Tuple[Optional[Dict[int, List[int]]], RecoveryOutcome]:
     """Locate the log tail and rebuild ``vlog`` from it (Section 3.2).
 
@@ -357,15 +340,17 @@ def recover_log(
     an unreadable interior record is escalated to a youngest-wins
     reconstruction over *every* valid record on the disk, so one dead map
     sector costs one chunk's latest update at worst, never the tree
-    behind it.  ``reader``/``track_reader`` are the owner's fault-tolerant
-    single-run and whole-track readers.
+    behind it.  Every media read goes through the owner's single-run
+    ``reader`` or whole-track ``track_reader``, each
+    ``(sector, count, breakdown) -> Optional[bytes]`` (the VLD's
+    resilient pair, or :func:`disk_reader` twice).
 
     Returns ``(chunks, outcome)``, ``chunks`` being ``None`` for a device
     that was never written.  The owner still owes the log
     ``repair_reachability()`` (once its free map reflects the recovered
     state) and the record its closing ``clear()``.
     """
-    raw, breakdown = store.read_raw(timed, reader)
+    raw, breakdown = store.read_raw(reader)
     record = store.parse(raw)
     # Recovery consumes the record: the owner's own appends (quarantine
     # table, reachability repair) do not erase it early; its closing
@@ -381,7 +366,6 @@ def recover_log(
     scan_args = dict(
         # Sectors up to the end of the record's home block hold no log.
         skip_sectors=store._sector + store.sectors_per_block,
-        timed=timed,
         reader=track_reader,
     )
     tail = record[0] if record is not None else None
@@ -397,7 +381,7 @@ def recover_log(
                 return None, outcome  # nothing was ever written
         try:
             chunks, cost, outcome.records_read = vlog.recover_from_tail(
-                tail, timed=timed, reader=reader
+                tail, reader
             )
         except ValueError:
             # The recorded tail holds no readable map record (stale

@@ -78,7 +78,6 @@ class ResilienceController:
         sector: int,
         count: int,
         breakdown: Optional[Breakdown] = None,
-        timed: bool = True,
     ) -> bytes:
         """Read a sector run with checksum verification and retries.
 
@@ -94,12 +93,9 @@ class ResilienceController:
             failed_sector: Optional[int] = None
             data: Optional[bytes] = None
             try:
-                if timed:
-                    data, cost = disk.read(sector, count, charge_scsi=False)
-                    if breakdown is not None:
-                        breakdown.add(cost)
-                else:
-                    data = disk.peek(sector, count)
+                data, cost = disk.read(sector, count, charge_scsi=False)
+                if breakdown is not None:
+                    breakdown.add(cost)
             except DeviceCrashed:
                 raise
             except DeviceFault as fault:
@@ -130,12 +126,11 @@ class ResilienceController:
                     raise error from last_fault
                 raise error
             self.retries += 1
-            if timed:
-                pause = self.policy.backoff(attempt)
-                if pause > 0.0:
-                    if breakdown is not None:
-                        breakdown.charge("locate", pause)
-                    disk.clock.advance(pause)
+            pause = self.policy.backoff(attempt)
+            if pause > 0.0:
+                if breakdown is not None:
+                    breakdown.charge("locate", pause)
+                disk.clock.advance(pause)
             attempt += 1
 
     # ------------------------------------------------------------------
@@ -156,13 +151,12 @@ class ResilienceController:
             self.checksums.forget(sector)
         return fresh
 
-    def persist_quarantine(self, timed: bool = True) -> Breakdown:
+    def persist_quarantine(self) -> Breakdown:
         """Write the quarantine table through the virtual log (no-op when
         the on-disk copy is current)."""
         breakdown = Breakdown()
         if not self.quarantine.dirty:
             return breakdown
-        del timed  # appends always run on the drive's clock
         for chunk_id in self.quarantine.chunk_ids():
             breakdown.add(
                 self.vld.vlog.append(

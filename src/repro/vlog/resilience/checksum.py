@@ -81,15 +81,18 @@ class ChecksumStore:
             self._crcs[sector] = zlib.crc32(data)
             return
         count = n // sb
-        split = self._splits.get(count)
-        if split is None:
-            split = self._splits[count] = struct.Struct(f"{sb}s" * count)
+        split = self._splits.get(count) or self._split(count)
         self._crcs.update(
             zip(
                 range(sector, sector + count),
                 map(zlib.crc32, split.unpack_from(data)),
             )
         )
+
+    def _split(self, count: int) -> struct.Struct:
+        """Cut a ``count``-sector run into its sectors (cached per count)."""
+        split = self._splits[count] = struct.Struct(f"{self.sector_bytes}s" * count)
+        return split
 
     def record_zeros(self, sector: int, count: int) -> None:
         """Record ``count`` sectors of zeros without touching any data:
@@ -117,8 +120,9 @@ class ChecksumStore:
         Works a run at a time: the run's stored CRCs are fetched in one
         pass, a run nothing was ever written to returns at once, an
         all-zero payload is settled by counting stored zero-sector CRCs,
-        and otherwise only sectors that *have* a stored CRC are hashed.
-        Every recorded sector is compared against its stored value.
+        a fully recorded run is cut by :meth:`record`'s split and its CRCs
+        compared as one list, and only a mismatch or a partly recorded run
+        walks the sectors that have a stored CRC, one at a time.
         """
         sb = self.sector_bytes
         span = count * sb
@@ -144,6 +148,10 @@ class ChecksumStore:
                 for i, crc in enumerate(stored)
                 if crc is not None and crc != zero_crc
             ]
+        if not unrecorded:
+            split = self._splits.get(count) or self._split(count)
+            if list(map(zlib.crc32, split.unpack_from(data))) == stored:
+                return []
         view = memoryview(data)
         crc32 = zlib.crc32
         return [

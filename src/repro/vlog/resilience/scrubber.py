@@ -67,7 +67,7 @@ class MediaScrubber:
             self._scrub_sector(sector)
             progressed = True
         if progressed:
-            controller.persist_quarantine(timed=True)
+            controller.persist_quarantine()
         return clock.now - start
 
     # ------------------------------------------------------------------

@@ -440,8 +440,7 @@ class VirtualLog:
     def recover_from_tail(
         self,
         tail_block: int,
-        timed: bool = True,
-        reader=None,
+        reader,
     ) -> Tuple[Dict[int, List[int]], Breakdown, int]:
         """Rebuild chunk contents by traversing the tree from ``tail_block``.
 
@@ -453,11 +452,8 @@ class VirtualLog:
         recovered state -- earlier, the relocation writes could land on
         live data.
 
-        ``timed=False`` reads via :meth:`Disk.peek` (no simulated time), for
-        tests that only care about correctness.
-
-        ``reader`` (optional) is a fault-tolerant read callable
-        ``reader(sector, count, breakdown) -> Optional[bytes]`` returning
+        Every record is read with ``reader(sector, count, breakdown) ->
+        Optional[bytes]`` (the owner's recovery reader), which returns
         ``None`` for an unreadable run.  An unreadable *tail* raises
         ``ValueError`` (the caller falls back to scanning); an unreadable
         interior record merely prunes that edge and sets
@@ -466,22 +462,15 @@ class VirtualLog:
         """
         breakdown = Breakdown()
         self.last_recovery_degraded = False
-        disk = self.disk
         spb = self.sectors_per_block
         unpack = MapRecord.unpack
 
         def read_record(block: int) -> Optional[MapRecord]:
-            if reader is not None:
-                raw = reader(block * spb, spb, breakdown)
-                if raw is None:
-                    # Media failure (not normal pruning): remember it.
-                    self.last_recovery_degraded = True
-                    return None
-            elif timed:
-                raw, cost = disk.read(block * spb, spb, charge_scsi=False)
-                breakdown.add(cost)
-            else:
-                raw = disk.peek(block * spb, spb)
+            raw = reader(block * spb, spb, breakdown)
+            if raw is None:
+                # Media failure (not normal pruning): remember it.
+                self.last_recovery_degraded = True
+                return None
             return unpack(raw)
 
         first = read_record(tail_block)

@@ -185,7 +185,6 @@ class VirtualLogDisk(BlockDevice):
         sector: int,
         count: int,
         breakdown: Optional[Breakdown],
-        timed: bool = True,
     ) -> bytes:
         """Read sectors through the resilience layer (checksum verify +
         bounded retries)."""
@@ -196,9 +195,7 @@ class VirtualLogDisk(BlockDevice):
             flushed = self.scheduler.barrier()
             if breakdown is not None:
                 breakdown.add(flushed)
-        return self.resilience.read_sectors(
-            sector, count, breakdown, timed=timed
-        )
+        return self.resilience.read_sectors(sector, count, breakdown)
 
     def _scrub_pending(self) -> bool:
         return self.resilience.scrubber.pending
@@ -451,19 +448,17 @@ class VirtualLogDisk(BlockDevice):
         """Physical space utilization in [0, 1]."""
         return self.freemap.utilization
 
-    def power_down(self, timed: bool = True) -> Breakdown:
+    def power_down(self) -> Breakdown:
         """Orderly shutdown: persist the log tail at the fixed location."""
         breakdown = self.scheduler.barrier()  # nothing may outlive the queue
         if self.vlog.tail is None:
             return breakdown
         breakdown.add(
-            self.power_store.write(
-                self.vlog.tail, self.vlog.next_seqno - 1, timed
-            )
+            self.power_store.write(self.vlog.tail, self.vlog.next_seqno - 1)
         )
         return breakdown
 
-    def _record_reader(self, timed: bool, dead_runs: List[Tuple[int, int]]):
+    def _record_reader(self, dead_runs: List[Tuple[int, int]]):
         """Fault-tolerant single-run reader for recovery: ``None`` for a
         run that stays unreadable after retries, which is noted in
         ``dead_runs`` (unless it is the immovable power-down block) for
@@ -473,9 +468,7 @@ class VirtualLogDisk(BlockDevice):
 
         def reader(sector: int, count: int, breakdown: Breakdown):
             try:
-                return resilience.read_sectors(
-                    sector, count, breakdown, timed=timed
-                )
+                return resilience.read_sectors(sector, count, breakdown)
             except MediaError:
                 if sector >= power_block_end:
                     dead_runs.append((sector, count))
@@ -483,7 +476,7 @@ class VirtualLogDisk(BlockDevice):
 
         return reader
 
-    def _track_reader(self, timed: bool, dead_runs: List[Tuple[int, int]]):
+    def _track_reader(self, dead_runs: List[Tuple[int, int]]):
         """Fault-tolerant *track* reader for the scan paths: a failed
         track read is re-driven record by record, zero-filling only the
         runs that stay dead, so one bad sector costs one record, not a
@@ -494,9 +487,7 @@ class VirtualLogDisk(BlockDevice):
 
         def reader(sector: int, count: int, breakdown: Breakdown):
             try:
-                return resilience.read_sectors(
-                    sector, count, breakdown, timed=timed
-                )
+                return resilience.read_sectors(sector, count, breakdown)
             except MediaError:
                 pieces: List[bytes] = []
                 for offset in range(0, count, record_sectors):
@@ -504,10 +495,7 @@ class VirtualLogDisk(BlockDevice):
                     try:
                         pieces.append(
                             resilience.read_sectors(
-                                sector + offset,
-                                piece,
-                                breakdown,
-                                timed=timed,
+                                sector + offset, piece, breakdown
                             )
                         )
                     except MediaError:
@@ -517,7 +505,7 @@ class VirtualLogDisk(BlockDevice):
 
         return reader
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """Rebuild all volatile state from the disk (Section 3.2):
         :func:`~repro.vlog.recovery.recover_log` rebuilds the log through
         the resilience layer's retried reads; this installs the map, the
@@ -530,9 +518,8 @@ class VirtualLogDisk(BlockDevice):
         chunks, outcome = recover_log(
             self.vlog,
             self.power_store,
-            timed=timed,
-            reader=self._record_reader(timed, dead_runs),
-            track_reader=self._track_reader(timed, dead_runs),
+            self._record_reader(dead_runs),
+            self._track_reader(dead_runs),
         )
         breakdown = outcome.breakdown = barrier_cost.add(outcome.breakdown)
         if chunks is None:
@@ -552,12 +539,12 @@ class VirtualLogDisk(BlockDevice):
                 outcome.conservatively_quarantined = self._retire_dead_runs(
                     dead_runs
                 )
-                breakdown.add(resilience.persist_quarantine(timed))
+                breakdown.add(resilience.persist_quarantine())
             # Reachability repair was deferred past the space rebuild: its
             # relocation appends allocate blocks, which is only safe once
             # the free map knows where the recovered live data sits.
             breakdown.add(self.vlog.repair_reachability())
-            breakdown.add(self.power_store.clear(timed))
+            breakdown.add(self.power_store.clear())
             outcome.quarantined_sectors = len(resilience.quarantine)
         outcome.media_errors = resilience.media_errors - media_errors_before
         return outcome

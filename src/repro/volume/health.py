@@ -15,14 +15,15 @@ request would have been served by a healthy sibling.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Collection, Deque, Dict, List, Optional
 
 
-def _percentile(samples: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of a non-empty sample list."""
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[rank]
+def _percentile(samples: Collection[float], fraction: float) -> float:
+    """Nearest-rank percentile of a non-empty sample collection; the last
+    rank (a p99's over at most 100 samples) is the maximum, unsorted."""
+    count = len(samples)
+    rank = min(count - 1, int(fraction * count))
+    return max(samples) if rank == count - 1 else sorted(samples)[rank]
 
 
 def median_baseline(monitors) -> Optional[float]:
@@ -105,7 +106,7 @@ class ShardHealthMonitor:
         self._recent.append(seconds)
         if len(self._recent) < self.min_samples:
             return
-        p99 = _percentile(list(self._recent), 0.99)
+        p99 = _percentile(self._recent, 0.99)
         if not self._tripped:
             if p99 >= self.trip_factor * self._baseline_p99:
                 self._tripped = True
@@ -161,7 +162,7 @@ class ShardHealthMonitor:
         samples have arrived since the baseline froze."""
         if len(self._recent) < self.min_samples:
             return None
-        return _percentile(list(self._recent), 0.99)
+        return _percentile(self._recent, 0.99)
 
     def hedge_delay(self) -> Optional[float]:
         """Seconds of fail-slow surplus a hedged read tolerates before

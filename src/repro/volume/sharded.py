@@ -397,9 +397,7 @@ class ShardedVolume(BlockDevice):
         self.shards[index].crash()
         self.states[index] = ShardState.DOWN
 
-    def recover_shard(
-        self, index: int, timed: bool = True
-    ) -> RecoveryOutcome:
+    def recover_shard(self, index: int) -> RecoveryOutcome:
         """Bring one shard back: discard its volatile state, run the
         standard power-down/scan recovery, and re-arm its health
         monitor.  Siblings serve traffic throughout (nothing here
@@ -407,7 +405,7 @@ class ShardedVolume(BlockDevice):
         :class:`~repro.vlog.recovery.RecoveryOutcome`."""
         shard = self.shards[index]
         shard.crash()
-        outcome = shard.recover(timed)
+        outcome = shard.recover()
         self.monitors[index].reset()
         self.states[index] = ShardState.HEALTHY
         return outcome
@@ -417,30 +415,38 @@ class ShardedVolume(BlockDevice):
         for index in range(self.num_shards):
             self.crash_shard(index)
 
-    def recover(self, timed: bool = True) -> RecoveryOutcome:
+    def recover(self) -> RecoveryOutcome:
         """Recover every shard (volume-wide restart); returns the
         per-shard outcomes folded into one, in shard order on its
         ``parts``.  The volume has no commit point of its own."""
         if self._single:
             # Pass-through: identical call sequence to a plain VLD.
-            outcome = self.shards[0].recover(timed)
+            outcome = self.shards[0].recover()
             self.states[0] = ShardState.HEALTHY
             return outcome
         return fold_outcomes([
-            self.recover_shard(index, timed)
+            self.recover_shard(index)
             for index in range(self.num_shards)
         ])
 
-    def power_down(self, timed: bool = True) -> Breakdown:
+    def flush(self) -> Breakdown:
+        """Make every healthy shard's acknowledged writes durable."""
+        breakdown = Breakdown()
+        for index, shard in enumerate(self.shards):
+            if self.states[index] is not ShardState.DOWN:
+                breakdown.add(shard.flush())
+        return breakdown
+
+    def power_down(self) -> Breakdown:
         """Orderly shutdown of every healthy shard (a DOWN shard cannot
         persist its tail -- it recovers by scan, as a real drive would)."""
         if self._single:
-            return self.shards[0].power_down(timed)
+            return self.shards[0].power_down()
         breakdown = Breakdown()
         for index, shard in enumerate(self.shards):
             if self.states[index] is ShardState.DOWN:
                 continue
-            breakdown.add(shard.power_down(timed))
+            breakdown.add(shard.power_down())
         return breakdown
 
     # ------------------------------------------------------------------

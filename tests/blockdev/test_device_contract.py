@@ -1,11 +1,11 @@
 """The device contract, checked once for every device and every stack.
 
-``BlockDevice`` declares eleven members: the five I/O calls, ``idle``,
-``trim``, the ``power_down`` / ``crash`` / ``recover`` lifecycle and
-``clock``.  The conformance classes run the same checks over each core
-device, each stacking of them, and each of those again under the full
-interposer stack; the regression class pins the six defects the
-undeclared (duck-typed) contract used to hide.
+``BlockDevice`` declares twelve members: the five I/O calls, ``idle``,
+``trim``, ``flush``, the ``power_down`` / ``crash`` / ``recover``
+lifecycle and ``clock``.  The conformance classes run the same checks
+over each core device, each stacking of them, and each of those again
+under the full interposer stack; the regression class pins the six
+defects the undeclared (duck-typed) contract used to hide.
 """
 
 import pytest
@@ -123,7 +123,7 @@ class TestConformance:
 
 
 def _script(device):
-    """One pass over all eleven members; returns everything observable."""
+    """One pass over all twelve members; returns everything observable."""
     seen = []
     seen.append(device.write_block(3, _blk(3)))
     seen.append(device.write_blocks(10, 4, b"".join(_blk(i) for i in range(4))))
@@ -133,6 +133,8 @@ def _script(device):
     seen.append(device.trim(12, 2))
     device.idle(0.1)
     seen.append(device.read_blocks(10, 4))
+    seen.append(device.write_block(20, _blk(20)))
+    seen.append(device.flush())
     seen.append(device.power_down())
     device.crash()
     outcome = device.recover()
@@ -260,8 +262,7 @@ class TestRegressions:
         device = RegularDisk(_disk(), queue_depth=4)
         wal = NVWal(device)
         for lba in (3, 40, 90):
-            wal.write_block(lba, _blk(lba))
-        wal.destage_all()
+            device.write_block(lba, _blk(lba))
         assert device.scheduler.outstanding == 3
         wal.crash()
         assert device.scheduler.outstanding == 0

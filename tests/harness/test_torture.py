@@ -151,7 +151,7 @@ class TestCheckerMutation:
         # the tier's commit point but not yet destaged is gone.
         monkeypatch.setattr(
             NVWal, "_scan_log",
-            lambda self, timed=True: ([], False, Breakdown()),
+            lambda self: ([], False, Breakdown()),
         )
 
     def test_nvm_plan_shrinks_its_own_crash_point(

@@ -64,11 +64,13 @@ class TestBoundsAndCost:
         assert cost.total == pytest.approx(1e-6 + 1000 / 1e6)
         assert clock.now == pytest.approx(cost.total)
 
-    def test_untimed_ops_do_not_advance_clock(self, nvm, clock):
-        nvm.store(0, b"abcd", timed=False)
-        nvm.flush(timed=False)
-        nvm.load(0, 4, timed=False)
+    def test_format_is_persistent_free_and_counted(self, nvm, clock):
+        """The factory format: in the persistence domain at once, no
+        simulated time, booked as the store and flush it stands for."""
+        nvm.format(8, b"abcd")
+        assert nvm.persisted(8, 4) == b"abcd"
         assert clock.now == 0.0
+        assert (nvm.stores, nvm.flushes, nvm.bytes_stored) == (1, 1, 4)
 
     def test_flush_charges_flush_latency(self, clock):
         spec = NVMSpec(flush_latency=2e-6)

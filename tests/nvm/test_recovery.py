@@ -4,6 +4,7 @@ import pytest
 
 from repro.blockdev.interpose import DeviceCrashed
 from repro.blockdev.nvm import NVM_SPECS
+from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.configs import build_sharded_volume
@@ -240,6 +241,31 @@ class TestTwoTierPowerDownDepth4:
         for lba, data in payloads.items():
             assert wal.read_block(lba)[0] == data
         assert not vlfsck(vld).violations
+
+
+class TestOverWriteBackQueue:
+    def test_destaged_writes_are_durable_before_the_log_is_truncated(self):
+        """A depth-4 ``RegularDisk`` acknowledges a write when it is
+        queued.  The tier may truncate its log only once the destaged
+        blocks are on the media, or a crash drops the queue and the log
+        that could have replayed it."""
+        device = RegularDisk(Disk(ST19101), queue_depth=4, sched="satf")
+        wal = NVWal(device)
+        payloads = {
+            lba: _blk(0x60 + i)
+            for i, lba in enumerate((3, 11, 40, 41, 90, 300))
+        }
+        for lba, data in payloads.items():
+            wal.write_block(lba, data)
+        wal.destage_all()
+        assert wal.log_resets == 1
+        wal.crash()
+        wal.recover()
+        lost = [
+            lba for lba, data in payloads.items()
+            if wal.read_block(lba)[0] != data
+        ]
+        assert lost == []
 
 
 class TestOverShardedVolume:

@@ -28,6 +28,7 @@ from repro.models.single_track import (
 from repro.ufs.bitmap import Bitmap
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.entries import MapRecord
+from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 
 _SETTINGS = settings(
@@ -206,7 +207,9 @@ def test_virtual_log_recovers_exactly_after_any_history(writes):
         chunks[chunk_id] = [value, value + 1]
         vlog.append(chunk_id, chunks[chunk_id])
     vlog.check_invariants()
-    recovered, _cost, _n = vlog.recover_from_tail(vlog.tail, timed=False)
+    recovered, _cost, _n = vlog.recover_from_tail(
+        vlog.tail, disk_reader(vlog.disk)
+    )
     vlog.repair_reachability()
     assert recovered == {c: list(v) for c, v in chunks.items()}
     vlog.check_invariants()
@@ -243,7 +246,9 @@ def test_virtual_log_recovery_survives_recycled_block_reuse(
     for block in range(disk.total_sectors // 8):
         if freemap.run_is_free(block * 8, 8) and rng.random() < 0.5:
             disk.poke(block * 8, bytes([rng.randrange(256)]) * 4096)
-    recovered, _cost, _n = vlog.recover_from_tail(vlog.tail, timed=False)
+    recovered, _cost, _n = vlog.recover_from_tail(
+        vlog.tail, disk_reader(vlog.disk)
+    )
     assert recovered == {c: list(v) for c, v in chunks.items()}
 
 
@@ -281,7 +286,7 @@ def test_vld_equivalent_to_dict_model(ops):
         else:
             vld.power_down()
             vld.crash()
-            vld.recover(timed=False)
+            vld.recover()
     for lba in range(41):
         data, _ = vld.read_block(lba)
         assert data == model.get(lba, bytes(4096))

@@ -28,7 +28,7 @@ class TestEveryDrive:
             expected[lba] = payload
         vld.power_down()
         vld.crash()
-        vld.recover(timed=False)
+        vld.recover()
         for lba, payload in expected.items():
             assert vld.read_block(lba)[0] == payload
         vld.vlog.check_invariants()

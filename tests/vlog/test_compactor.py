@@ -7,6 +7,7 @@ import pytest
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.compactor import FreeSpaceCompactor
+from repro.vlog.recovery import disk_reader
 from repro.vlog.vld import VirtualLogDisk
 
 
@@ -82,12 +83,12 @@ class TestCompaction:
 
     def test_never_allocates_power_down_block(self, vld):
         fragment(vld)
-        vld.power_down(timed=False)
+        vld.power_down()
         FreeSpaceCompactor(vld).run_for(2.0)
         # The record may be *cleared* (compaction invalidates a stale
         # power-down record), but its home block is never reallocated.
         raw = vld.disk.peek(0, 8)
-        record, _ = vld.power_store.read(timed=False)
+        record, _ = vld.power_store.read(disk_reader(vld.disk))
         assert record is not None or raw == bytes(4096)
         assert not vld.freemap.run_is_free(0, 8)
         assert 0 not in vld.reverse
@@ -104,7 +105,7 @@ class TestCompaction:
         FreeSpaceCompactor(vld).run_for(2.0)
         vld.power_down()
         vld.crash()
-        vld.recover(timed=False)
+        vld.recover()
         for lba, payload in contents.items():
             data, _ = vld.read_block(lba)
             assert data == payload

@@ -16,6 +16,7 @@ from repro.vlog.recovery import (
     PowerDownStore,
     RecoveryOutcome,
     fold_outcomes,
+    disk_reader,
     scan_for_tail,
     scan_records,
 )
@@ -36,40 +37,33 @@ def store(disk):
 class TestPowerDownStore:
     def test_write_read_roundtrip(self, store):
         store.write(tail_block=123, seqno=77)
-        record, _cost = store.read()
+        record, _cost = store.read(disk_reader(store.disk))
         assert record == (123, 77)
 
-    def test_untimed_mode_does_not_advance_clock(self, store, disk):
-        before = disk.clock.now
-        store.write(5, 1, timed=False)
-        record, _ = store.read(timed=False)
-        assert record == (5, 1)
-        assert disk.clock.now == before
-
     def test_blank_disk_reads_none(self, store):
-        record, _ = store.read(timed=False)
+        record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
     def test_clear_erases(self, store):
-        store.write(9, 2, timed=False)
-        store.clear(timed=False)
-        record, _ = store.read(timed=False)
+        store.write(9, 2)
+        store.clear()
+        record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
     def test_corrupt_record_detected_by_checksum(self, store):
         """The 'extremely rare case when this power down sequence fails'
         must be detected, not trusted."""
-        store.write(9, 2, timed=False)
+        store.write(9, 2)
         store.corrupt()
-        record, _ = store.read(timed=False)
+        record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
     def test_bitflip_detected(self, store, disk):
-        store.write(1000, 50, timed=False)
+        store.write(1000, 50)
         raw = bytearray(disk.peek(store._sector, store.sectors_per_block))
         raw[9] ^= 0x40  # flip a bit inside the tail field
         disk.poke(store._sector, bytes(raw))
-        record, _ = store.read(timed=False)
+        record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
 
@@ -82,25 +76,25 @@ class TestScanFallback:
         self._plant(disk, 10, 0, 5)
         self._plant(disk, 200, 1, 9)
         self._plant(disk, 400, 0, 7)
-        tail, _cost, examined = scan_for_tail(disk, timed=False)
+        tail, _cost, examined = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail == 200
         assert examined == disk.total_sectors // 8
 
     def test_empty_disk_finds_nothing(self, disk):
-        tail, _cost, _n = scan_for_tail(disk, timed=False)
+        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail is None
 
     def test_data_blocks_ignored(self, disk):
         disk.poke(80, b"Z" * 4096)
         self._plant(disk, 50, 0, 3)
-        tail, _, _ = scan_for_tail(disk, timed=False)
+        tail, _, _ = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail == 50
 
     def test_timed_scan_costs_whole_disk_reads(self, disk):
         """The scan is the slow path: it must cost on the order of reading
         every track once (why the power-down record matters)."""
         self._plant(disk, 3, 0, 1)
-        _tail, cost, _n = scan_for_tail(disk, timed=True)
+        _tail, cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
         tracks = disk.geometry.num_cylinders * disk.geometry.tracks_per_cylinder
         min_transfer = tracks * disk.geometry.sectors_per_track * (
             disk.mechanics.sector_time
@@ -150,7 +144,7 @@ class TestScanUnalignedGeometry:
     def test_examines_every_whole_block(self):
         disk = Disk(_tiny_unaligned_spec())
         assert disk.total_sectors == 96
-        _tail, _cost, examined = scan_for_tail(disk, timed=False)
+        _tail, _cost, examined = scan_for_tail(disk, reader=disk_reader(disk))
         assert examined == disk.total_sectors // 8  # 12, not the seed's 8
 
     def test_finds_record_straddling_a_track_boundary(self):
@@ -158,7 +152,7 @@ class TestScanUnalignedGeometry:
         # Block 4 = sectors 32..39; tracks are 12 sectors, so it straddles
         # the boundary at sector 36.
         self._plant(disk, 4, seqno=10)
-        tail, _cost, _n = scan_for_tail(disk, timed=False)
+        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail == 4
 
     def test_finds_youngest_across_remainder_regions(self):
@@ -167,7 +161,7 @@ class TestScanUnalignedGeometry:
         # Block 11 = sectors 88..95, inside the last track (84..95) but
         # past the last old per-track parse window (84..91).
         self._plant(disk, 11, seqno=20)
-        tail, _cost, _n = scan_for_tail(disk, timed=False)
+        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail == 11
 
     def test_skip_sectors_still_honoured(self):
@@ -175,7 +169,7 @@ class TestScanUnalignedGeometry:
         self._plant(disk, 0, seqno=99)
         self._plant(disk, 4, seqno=5)
         tail, _cost, examined = scan_for_tail(
-            disk, skip_sectors=8, timed=False
+            disk, skip_sectors=8, reader=disk_reader(disk)
         )
         assert tail == 4
         assert examined == disk.total_sectors // 8 - 1
@@ -184,7 +178,7 @@ class TestScanUnalignedGeometry:
         disk = Disk(_tiny_unaligned_spec())
         self._plant(disk, 4, seqno=10)
         self._plant(disk, 11, seqno=20)
-        tail, cost, _n = scan_for_tail(disk, timed=True)
+        tail, cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
         assert tail == 11
         assert cost.total > 0.0
 
@@ -357,8 +351,7 @@ class TestSieveScanDifferential:
             disk,
             block_size,
             skip_sectors=skip_sectors,
-            timed=False,
-            reader=reader,
+            reader=reader or disk_reader(disk),
         )
         want_found, want_examined = _reference_scan(
             disk, block_size, skip_sectors, reader
@@ -378,7 +371,7 @@ class TestSieveScanDifferential:
                 MAGIC * (vld.block_size // len(MAGIC)),
             )
         found, _cost, examined = scan_records(
-            disk, vld.map_record_bytes, skip_sectors=8, timed=False
+            disk, vld.map_record_bytes, 8, reader=disk_reader(disk)
         )
         want_found, want_examined = _reference_scan(
             disk, vld.map_record_bytes, 8, None
@@ -523,17 +516,17 @@ class TestTailGeometryValidation:
 
     def test_tail_beyond_disk_rejected(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=1)
-        store.write(disk.total_sectors, 3, timed=False)
-        record, _ = store.read(timed=False)
+        store.write(disk.total_sectors, 3)
+        record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
     def test_boundary_tail_blocks(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=8)
         last_valid = disk.total_sectors // 8 - 1
-        store.write(last_valid, 3, timed=False)
-        assert store.read(timed=False)[0] == (last_valid, 3)
-        store.write(last_valid + 1, 3, timed=False)
-        assert store.read(timed=False)[0] is None
+        store.write(last_valid, 3)
+        assert store.read(disk_reader(store.disk))[0] == (last_valid, 3)
+        store.write(last_valid + 1, 3)
+        assert store.read(disk_reader(store.disk))[0] is None
 
     def test_vld_falls_back_to_scan_on_bogus_tail(self):
         """End to end: a planted out-of-range (but checksummed) record must
@@ -546,9 +539,9 @@ class TestTailGeometryValidation:
         vld.write_block(0, payload)
         vld.write_block(1, b"\xa5" * vld.block_size)
         # Firmware scribble: CRC-valid record pointing far past the disk.
-        vld.power_store.write(10**9, 999, timed=False)
+        vld.power_store.write(10**9, 999)
         vld.crash()
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.scanned
         assert not outcome.used_power_down_record
         assert vld.read_block(0)[0] == payload
@@ -647,7 +640,7 @@ class TestPowerDownWithPendingQueue:
         # The barrier drained the queue before the power record went out.
         assert vld.scheduler.outstanding == 0
         vld.crash()
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.used_power_down_record
         assert not outcome.scanned
         # The in-place overwrites reached the media under the existing
@@ -670,6 +663,6 @@ class TestPowerDownWithPendingQueue:
         )
         assert vld.scheduler.outstanding == 1
         vld.crash()  # discards the pending overwrite
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.scanned
         assert vld.read_block(3)[0] == bytes([0x13]) * vld.block_size

@@ -1,0 +1,284 @@
+"""Recovery pinned end to end, for every packaging of the pipeline.
+
+``test_write_path_is_pinned`` covers one recovery: a VLD by power-down
+record.  This pin covers each way ``recover()`` can run: a VLD recovered
+by record, by scan and by degraded reconstruction (one interior map
+record on a dead sector); a VLFS by record and by scan; an ``NVWal`` over
+a VLD, clean and with a torn final append; an ``NVWal`` over a 3-shard
+volume; and one ``ShardedVolume.recover_shard``.  Each case hashes every
+``RecoveryOutcome`` field (its parts' too, and every ``Breakdown``
+component bit for bit), the clock, and the rebuilt map and free map after
+``crash()`` + ``recover()``, then reads every acknowledged block back.
+
+The goldens were recorded under ``PYTHONHASHSEED`` 0, 1 and random.  A
+change to how recovery reads the media may change host time only.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
+from repro.disk.disk import Disk
+from repro.disk.specs import ST19101
+from repro.harness.configs import build_sharded_volume
+from repro.hosts.specs import SPARCSTATION_10
+from repro.nvm import NVWal, NVWalInjector
+from repro.vlfs.vlfs import VLFS
+from repro.vlog.vld import VirtualLogDisk
+
+BS = 4096
+
+#: sha256 per case, recorded before recovery lost its untimed mode.
+_GOLDEN_RECOVERY_SHA256 = {
+    "vld-record": (
+        "0c647b7518eb431364d3cdff483af606b0cb13a2885afb581d152cdb3a473311"
+    ),
+    "vld-scan": (
+        "2f6b375c58888a31fdb6db736d00229f48f0f81db8e1e9b668e1c305cd6f6918"
+    ),
+    "vld-reconstruct": (
+        "eb810c0be5d4be6463c36a1213bc1f639afb73932659961d6df9500da04e5197"
+    ),
+    "vlfs-record": (
+        "e58036aa813ca8ea8f2d93fc933bd35036d232a9302cccb8dd2688783b743460"
+    ),
+    "vlfs-scan": (
+        "1fac16730cf278825519230f51423162c1b61816139598ae6c47bab5d1bec55c"
+    ),
+    "nvwal-vld-clean": (
+        "24335a173908181645a78da011f700239089062e02acb56bd631579dc776381a"
+    ),
+    "nvwal-vld-torn": (
+        "1bd2adbcc0b914df9dc0677d61de1e480aedfcbfa1c711456123cef5445607f4"
+    ),
+    "nvwal-volume-x3": (
+        "15b7fd5ad5523c901267ee99a3e97c0f37c858935d2595e635ed7bce8562e01d"
+    ),
+    "volume-recover-shard": (
+        "0f115c8df8ee1cac4a75419bc86be2906211ba1d9131277fd8c662c159750374"
+    ),
+}
+
+
+def _blk(tag: int) -> bytes:
+    return bytes([tag % 251 + 1]) * BS
+
+
+def _breakdown(breakdown) -> str:
+    return " ".join(
+        value.hex()
+        for value in (
+            breakdown.scsi, breakdown.transfer, breakdown.locate, breakdown.other
+        )
+    )
+
+
+def _outcome(outcome) -> tuple:
+    """Every field, the breakdown bit for bit, the parts recursively."""
+    fields = []
+    for field in dataclasses.fields(outcome):
+        value = getattr(outcome, field.name)
+        if field.name == "breakdown":
+            value = _breakdown(value)
+        elif field.name == "parts":
+            value = [_outcome(part) for part in value]
+        fields.append((field.name, value))
+    return tuple(fields)
+
+
+def _freemap(freemap) -> tuple:
+    return (
+        freemap.free_sectors,
+        hashlib.sha256(repr(freemap._masks).encode()).hexdigest(),
+        freemap.quarantined_sectors(),
+    )
+
+
+def _vld_state(vld) -> tuple:
+    return (
+        sorted(vld.imap.items()),
+        _freemap(vld.freemap),
+        vld.vlog.tail,
+        vld.vlog.next_seqno,
+        sorted(vld.resilience.quarantine.sectors),
+    )
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _fill_vld(vld, blocks) -> dict:
+    expected = {}
+    for i, lba in enumerate(blocks):
+        expected[lba] = _blk(lba + i)
+        vld.write_block(lba, expected[lba])
+    return expected
+
+
+def _read_back(device, expected) -> None:
+    for lba, data in expected.items():
+        assert device.read_block(lba)[0] == data, lba
+
+
+_VLD_BLOCKS = [0, 1, 2, 7, 40, 41, 90, 113, 120, 130, 500, 2, 0, 41]
+
+
+def _vld(power_down: bool) -> str:
+    vld = VirtualLogDisk(Disk(ST19101, num_cylinders=12))
+    expected = _fill_vld(vld, _VLD_BLOCKS)
+    vld.write_blocks(200, 3, _blk(200) + _blk(201) + _blk(202))
+    expected.update({200: _blk(200), 201: _blk(201), 202: _blk(202)})
+    vld.trim(7)
+    expected[7] = bytes(BS)
+    if power_down:
+        vld.power_down()
+    vld.crash()
+    outcome = vld.recover()
+    assert outcome.used_power_down_record is power_down
+    assert outcome.scanned is not power_down
+    _read_back(vld, expected)
+    return _digest(_outcome(outcome), vld.clock.now.hex(), _vld_state(vld))
+
+
+def _vld_reconstruct() -> str:
+    disk = Disk(ST19101, num_cylinders=12)
+    vld = VirtualLogDisk(disk)
+    vld.write_block(120, _blk(120))  # chunk 1's only record ...
+    interior = vld.vlog.tail
+    expected = _fill_vld(vld, range(9))  # ... stays interior
+    vld.crash()
+    DiskFaultInjector(
+        bad_sectors={interior * vld.vlog.sectors_per_block}
+    ).install(disk)
+    outcome = vld.recover()
+    assert outcome.degraded and outcome.reconstructed
+    _read_back(vld, expected)
+    assert vld.read_block(120)[0] == bytes(BS)
+    return _digest(_outcome(outcome), vld.clock.now.hex(), _vld_state(vld))
+
+
+def _vlfs(power_down: bool) -> str:
+    fs = VLFS(Disk(ST19101, num_cylinders=30), SPARCSTATION_10)
+    files = {}
+    for i in range(6):
+        path = f"/f{i}"
+        files[path] = bytes([i + 1]) * (3000 + 2500 * i)
+        fs.create(path)
+        fs.write(path, 0, files[path], sync=True)
+    fs.mkdir("/d")
+    fs.rename("/f1", "/d/g")
+    files["/d/g"] = files.pop("/f1")
+    fs.unlink("/f2")
+    del files["/f2"]
+    fs.sync()
+    if power_down:
+        fs.power_down()
+    fs.crash()
+    outcome = fs.recover()
+    assert outcome.used_power_down_record is power_down
+    for path, data in files.items():
+        assert fs.read(path, 0, len(data))[0] == data, path
+    imap = sorted((inum, fs.imap.get(inum)) for inum in fs.imap.live_inums())
+    return _digest(
+        _outcome(outcome),
+        fs.clock.now.hex(),
+        imap,
+        _freemap(fs.freemap),
+        fs.vlog.tail,
+        fs.vlog.next_seqno,
+    )
+
+
+def _nvwal_vld(torn: bool) -> str:
+    vld = VirtualLogDisk(Disk(ST19101, num_cylinders=12))
+    wal = NVWal(vld)
+    expected = {}
+    for i, lba in enumerate((3, 4, 5, 60, 3, 200)):
+        expected[lba] = _blk(lba * 7 + i)
+        wal.write_block(lba, expected[lba])
+    wal.destage_all()
+    for i, lba in enumerate((4, 90, 91)):
+        expected[lba] = _blk(lba * 3 + i)
+        wal.write_block(lba, expected[lba])
+    wal.trim(5)
+    expected[5] = bytes(BS)
+    if torn:
+        wal.injector = NVWalInjector(crash_after_appends=2, torn=True)
+        wal.write_block(6, _blk(6))
+        with pytest.raises(DeviceCrashed):
+            wal.write_block(60, _blk(61))
+        expected[6] = _blk(6)
+        wal.injector = None
+    wal.crash()
+    outcome = wal.recover()
+    assert outcome.torn_tail is torn
+    _read_back(wal, expected)
+    return _digest(
+        _outcome(outcome),
+        wal.clock.now.hex(),
+        wal.nvm.stats(),
+        _vld_state(vld),
+    )
+
+
+def _nvwal_volume() -> str:
+    volume, _devices, _disks = build_sharded_volume(3, num_cylinders=4)
+    wal = NVWal(volume)
+    expected = {}
+    for i, lba in enumerate(range(0, 60, 5)):
+        expected[lba] = _blk(lba + i)
+        wal.write_block(lba, expected[lba])
+    wal.idle(0.05)
+    for i, lba in enumerate((2, 17, 33, 0)):
+        expected[lba] = _blk(lba * 5 + i)
+        wal.write_block(lba, expected[lba])
+    wal.power_down()
+    wal.crash()
+    outcome = wal.recover()
+    assert len(outcome.inner.parts) == 3
+    _read_back(wal, expected)
+    return _digest(
+        _outcome(outcome),
+        wal.clock.now.hex(),
+        wal.nvm.stats(),
+        [_vld_state(shard) for shard in volume.shards],
+    )
+
+
+def _recover_shard() -> str:
+    volume, _devices, _disks = build_sharded_volume(3, num_cylinders=4)
+    expected = {}
+    for i, lba in enumerate(range(0, 48, 3)):
+        expected[lba] = _blk(lba + i)
+        volume.write_block(lba, expected[lba])
+    volume.crash_shard(1)
+    outcome = volume.recover_shard(1)
+    _read_back(volume, expected)
+    return _digest(
+        _outcome(outcome),
+        volume.clock.now.hex(),
+        [_vld_state(shard) for shard in volume.shards],
+    )
+
+
+_CASES = {
+    "vld-record": lambda: _vld(power_down=True),
+    "vld-scan": lambda: _vld(power_down=False),
+    "vld-reconstruct": _vld_reconstruct,
+    "vlfs-record": lambda: _vlfs(power_down=True),
+    "vlfs-scan": lambda: _vlfs(power_down=False),
+    "nvwal-vld-clean": lambda: _nvwal_vld(torn=False),
+    "nvwal-vld-torn": lambda: _nvwal_vld(torn=True),
+    "nvwal-volume-x3": _nvwal_volume,
+    "volume-recover-shard": _recover_shard,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_RECOVERY_SHA256))
+def test_recovery_is_pinned(case):
+    assert _CASES[case]() == _GOLDEN_RECOVERY_SHA256[case]

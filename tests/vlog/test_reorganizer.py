@@ -97,7 +97,7 @@ class TestReorganizer:
         vld.vlog.check_invariants()
         vld.power_down()
         vld.crash()
-        vld.recover(timed=False)
+        vld.recover()
         for lba, payload in contents.items():
             data, _ = vld.read_block(lba)
             assert data == payload

@@ -11,7 +11,7 @@ from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import DiskFullError
-from repro.vlog.recovery import scan_records
+from repro.vlog.recovery import disk_reader, scan_records
 from repro.vlog.resilience import (
     ChecksumStore,
     MediaError,
@@ -167,7 +167,7 @@ class TestWholeTrackVerify:
         start = dead_sector - dead_sector % per_track
         before = disk.peek(start, per_track)
         neighbours, _cost, _n = scan_records(
-            disk, vld.map_record_bytes, timed=False
+            disk, vld.map_record_bytes, reader=disk_reader(disk)
         )
         on_track = {
             block
@@ -177,7 +177,7 @@ class TestWholeTrackVerify:
         assert vld.vlog.tail in on_track and len(on_track) > 1
         silently_corrupt(disk, dead_sector)
         dead_runs = []
-        reader = vld._track_reader(True, dead_runs)
+        reader = vld._track_reader(dead_runs)
         raw = reader(start, per_track, Breakdown())
         assert dead_runs == [(dead_sector, 1)]
         lo = (dead_sector - start) * 512
@@ -187,7 +187,7 @@ class TestWholeTrackVerify:
         found, _cost, _n = scan_records(
             disk,
             vld.map_record_bytes,
-            reader=vld._track_reader(True, []),
+            reader=vld._track_reader([]),
         )
         assert set(found) & on_track == on_track - {vld.vlog.tail}
 
@@ -275,16 +275,6 @@ class TestRetriedReads:
         with pytest.raises(DeviceCrashed):
             vld.read_block(0)
         assert vld.resilience.retries == 0
-
-    def test_untimed_reads_cost_no_simulated_time(self, vld, disk):
-        _fill(vld, 2)
-        sector = vld.imap.get(0) * vld.sectors_per_block
-        before = disk.clock.now
-        data = vld.resilience.read_sectors(
-            sector, vld.sectors_per_block, timed=False
-        )
-        assert data == _payload(0)
-        assert disk.clock.now == before
 
 
 # ======================================================================

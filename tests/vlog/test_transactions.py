@@ -103,7 +103,7 @@ class TestCrashInjection:
         with pytest.raises(CrashInjected):
             txn.commit(crash_point=point)
         tvld.crash()
-        tvld.recover(timed=False)
+        tvld.recover()
         # All-or-nothing: neither new value may be visible.
         assert tvld.read_block(10)[0] == block(100)
         assert tvld.read_block(11)[0] == block(101)
@@ -113,7 +113,7 @@ class TestCrashInjection:
         self._seed(tvld)
         tvld.write_atomic([(10, block(200)), (11, block(201))])
         tvld.crash()  # power-down record is stale; scan path
-        tvld.recover(timed=False)
+        tvld.recover()
         assert tvld.read_block(10)[0] == block(200)
         assert tvld.read_block(11)[0] == block(201)
 
@@ -123,7 +123,7 @@ class TestCrashInjection:
         with pytest.raises(CrashInjected):
             txn.commit(crash_point="after_members")
         tvld.crash()
-        tvld.recover(timed=False)
+        tvld.recover()
         assert tvld.read_block(42)[0] == bytes(4096)
 
     def test_space_not_leaked_by_aborted_txn(self, tvld):
@@ -133,7 +133,7 @@ class TestCrashInjection:
         with pytest.raises(CrashInjected):
             txn.commit(crash_point="after_members")
         tvld.crash()
-        tvld.recover(timed=False)
+        tvld.recover()
         # The orphaned new data block and member record were reclaimed.
         for lba, physical in tvld.imap.items():
             assert not tvld.freemap.run_is_free(physical * 8, 8)
@@ -150,7 +150,7 @@ class TestCrashInjection:
         with pytest.raises(CrashInjected):
             txn.commit(crash_point="after_data")
         tvld.crash()
-        tvld.recover(timed=False)
+        tvld.recover()
         tvld.write_atomic([(10, block(250)), (12, block(251))])
         assert tvld.read_block(10)[0] == block(250)
         tvld.vlog.check_invariants()
@@ -185,7 +185,7 @@ class TestRandomizedHistories:
                 with pytest.raises(CrashInjected):
                     txn.commit(crash_point=point)
                 tvld.crash()
-                tvld.recover(timed=False)
+                tvld.recover()
                 # model unchanged: the transaction never happened
         for lba in range(200):
             data, _ = tvld.read_block(lba)

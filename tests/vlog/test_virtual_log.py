@@ -8,8 +8,13 @@ from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
+from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 from repro.vlog.vld import VirtualLogDisk
+
+
+def _recover(vlog, tail):
+    return vlog.recover_from_tail(tail, disk_reader(vlog.disk))
 
 
 class Harness:
@@ -157,27 +162,27 @@ class TestRecovery:
             h.write_chunk(step % 4, [step, step + 1])
         expected = {c: list(h.chunks[c]) for c in range(4)}
         tail = h.vlog.tail
-        chunks, _cost, _n = h.vlog.recover_from_tail(tail, timed=False)
+        chunks, _cost, _n = _recover(h.vlog, tail)
         assert chunks == expected
 
     def test_recovery_rebuilds_operational_state(self, h):
         for step in range(30):
             h.write_chunk(step % 3, [step])
         tail = h.vlog.tail
-        h.vlog.recover_from_tail(tail, timed=False)
+        _recover(h.vlog, tail)
         h.vlog.repair_reachability()  # the owner's step after recovery
         h.vlog.check_invariants()
         # The log keeps working after recovery.
         h.write_chunk(1, [999])
         h.vlog.check_invariants()
-        chunks, _, _ = h.vlog.recover_from_tail(h.vlog.tail, timed=False)
+        chunks, _, _ = _recover(h.vlog, h.vlog.tail)
         assert chunks[1] == [999]
 
     def test_recovery_ignores_stale_versions(self, h):
         h.write_chunk(0, [1])
         h.write_chunk(1, [2])
         h.write_chunk(0, [3])  # supersedes [1]
-        chunks, _, _ = h.vlog.recover_from_tail(h.vlog.tail, timed=False)
+        chunks, _, _ = _recover(h.vlog, h.vlog.tail)
         assert chunks[0] == [3]
 
     def test_recovery_prunes_recycled_blocks(self, h):
@@ -189,7 +194,7 @@ class TestRecovery:
         for block in range(h.disk.total_sectors // 8):
             if h.freemap.run_is_free(block * 8, 8):
                 h.disk.poke(block * 8, b"\xcd" * 4096)
-        chunks, _, _ = h.vlog.recover_from_tail(h.vlog.tail, timed=False)
+        chunks, _, _ = _recover(h.vlog, h.vlog.tail)
         assert chunks == {c: list(h.chunks[c]) for c in range(4)}
 
     def test_recovery_from_non_record_block_fails(self, h):
@@ -200,13 +205,13 @@ class TestRecovery:
             if h.freemap.run_is_free(b * 8, 8)
         )
         with pytest.raises(ValueError):
-            h.vlog.recover_from_tail(free_block, timed=False)
+            _recover(h.vlog, free_block)
 
     def test_timed_recovery_charges_disk_time(self, h):
         for step in range(20):
             h.write_chunk(step % 2, [step])
         before = h.disk.clock.now
-        _, cost, records = h.vlog.recover_from_tail(h.vlog.tail, timed=True)
+        _, cost, records = _recover(h.vlog, h.vlog.tail)
         assert records >= 2
         assert cost.total > 0.0
         assert h.disk.clock.now > before
@@ -217,6 +222,6 @@ class TestRecovery:
         for step in range(100):
             h.write_chunk(step % 5, [step])
         reads_before = h.disk.counters.reads
-        h.vlog.recover_from_tail(h.vlog.tail, timed=True)
+        _recover(h.vlog, h.vlog.tail)
         reads = h.disk.counters.reads - reads_before
         assert reads < 40  # 5 live + pruned frontier, not ~1500 blocks

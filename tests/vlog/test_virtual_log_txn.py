@@ -7,6 +7,7 @@ from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.entries import COMMIT_CHUNK_BASE
+from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 
 
@@ -32,7 +33,7 @@ class Harness:
 
     def recover(self):
         result, _cost, _n = self.vlog.recover_from_tail(
-            self.vlog.tail, timed=False
+            self.vlog.tail, disk_reader(self.vlog.disk)
         )
         # The owner's step after recovery (this harness's free map never
         # lost its state, so there is nothing to rebuild first).

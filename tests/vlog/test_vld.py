@@ -6,6 +6,7 @@ import pytest
 
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.vlog.recovery import disk_reader
 from repro.vlog.vld import VirtualLogDisk
 
 
@@ -136,7 +137,7 @@ class TestCrashRecovery:
         expected = self._fill(vld)
         vld.power_down()
         vld.crash()
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.used_power_down_record
         assert not outcome.scanned
         for lba, payload in expected.items():
@@ -146,7 +147,7 @@ class TestCrashRecovery:
     def test_crash_without_record_falls_back_to_scan(self, vld):
         expected = self._fill(vld)
         vld.crash()
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.scanned
         assert outcome.blocks_scanned > 0
         for lba, payload in expected.items():
@@ -158,15 +159,15 @@ class TestCrashRecovery:
         vld.power_down()
         vld.power_store.corrupt()
         vld.crash()
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.scanned
 
     def test_record_cleared_after_recovery(self, vld):
         self._fill(vld, n=20)
         vld.power_down()
         vld.crash()
-        vld.recover(timed=False)
-        record, _ = vld.power_store.read(timed=False)
+        vld.recover()
+        record, _ = vld.power_store.read(disk_reader(vld.disk))
         assert record is None  # Section 3.2: "clear it after recovery"
 
     def test_fast_recovery_vs_scan_recovery_cost(self, vld):
@@ -175,10 +176,10 @@ class TestCrashRecovery:
         self._fill(vld, n=100)
         vld.power_down()
         vld.crash()
-        fast = vld.recover(timed=True)
+        fast = vld.recover()
         self._fill(vld, n=5)
         vld.crash()
-        slow = vld.recover(timed=True)
+        slow = vld.recover()
         assert slow.scanned and not fast.scanned
         # Tail-record recovery reads only live map records (scattered, so
         # each costs a positioning); the scan reads the whole disk.  On
@@ -191,7 +192,7 @@ class TestCrashRecovery:
         expected = self._fill(vld, n=150)
         vld.power_down()
         vld.crash()
-        vld.recover(timed=False)
+        vld.recover()
         vld.vlog.check_invariants()
         # Space accounting must be consistent: every mapped block used.
         for lba, physical in vld.imap.items():
@@ -202,7 +203,7 @@ class TestCrashRecovery:
         assert data.startswith(b"new!")
 
     def test_fresh_device_recovery_is_noop(self, vld):
-        outcome = vld.recover(timed=False)
+        outcome = vld.recover()
         assert outcome.records_read == 0
         data, _ = vld.read_block(0)
         assert data == bytes(4096)
@@ -215,6 +216,6 @@ class TestCrashRecovery:
         # Simulate: new data written but map never committed -- the disk
         # image after power_down simply lacks the new version.
         vld.crash()
-        vld.recover(timed=False)
+        vld.recover()
         data, _ = vld.read_block(4)
         assert data.startswith(b"old")
