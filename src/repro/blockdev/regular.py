@@ -14,6 +14,7 @@ call the seed made directly.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple, Union
 
 from repro.blockdev.interface import BlockDevice
@@ -87,8 +88,8 @@ class RegularDisk(BlockDevice):
         return self.scheduler.take_breakdown()
 
     def idle(self, seconds: float) -> None:
-        if seconds < 0.0:
-            raise ValueError("idle time must be non-negative")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"idle time must be finite and non-negative: {seconds!r}")
         # Queue-emptiness is the idle signal: the queue drains first, and
         # only then does idle wall-clock time pass.
         self.scheduler.barrier()

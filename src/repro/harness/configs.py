@@ -34,6 +34,7 @@ from repro.fs.api import FileSystem
 from repro.hosts.specs import HOSTS, HostSpec
 from repro.lfs.lfs import LFS
 from repro.ufs.ufs import UFS
+from repro.vlfs.vlfs import VLFS
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,9 @@ def utilization_of(fs: FileSystem, device: BlockDevice) -> float:
             * fs.layout.frags_per_block
         )
         return (total - free_frags) / total
+    if isinstance(fs, VLFS):
+        # Eager writing keeps no segment usage: space is the free map's.
+        return fs.utilization
     if isinstance(fs, LFS):
         # Count NVRAM-resident dirty data as used space too -- it is live
         # file content that simply has not reached the log yet.

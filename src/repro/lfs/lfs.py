@@ -115,7 +115,6 @@ class LFS(InodeNamespace):
             self.layout,
             self._pick_free_segment,
             partial_threshold,
-            now=lambda: self.clock.now,
         )
         self.checkpoints = CheckpointStore(device, self.layout)
         self.cleaner = Cleaner(self, cleaner_policy)
@@ -127,6 +126,11 @@ class LFS(InodeNamespace):
         self._inode_block_weights: Dict[int, Dict[int, int]] = {}
         self._cleaning = False
         self._flushing = False
+        #: Idle-budget dispatch: flush, then clean, then the device.
+        self.idle_manager = IdleManager(self.clock)
+        self.idle_manager.register("flush", self._idle_flush)
+        self.idle_manager.register("clean", self._idle_clean)
+        self.idle_manager.register("device", self._idle_device)
         if format_device:
             self._mkfs()
         else:
@@ -966,28 +970,15 @@ class LFS(InodeNamespace):
         """
         return self.idle_manager.grant(seconds)
 
-    @property
-    def idle_manager(self) -> IdleManager:
-        """Idle-budget dispatch (workers registered on first use)."""
-        mgr = getattr(self, "_idle_manager", None)
-        if mgr is None:
-            mgr = IdleManager(self.clock)
-            self._register_idle_workers(mgr)
-            self._idle_manager = mgr
-        return mgr
-
-    def _register_idle_workers(self, mgr: IdleManager) -> None:
-        mgr.register("flush", self._idle_flush, gate=self._has_dirty)
-        mgr.register("clean", self._idle_clean)
-        mgr.register("device", self._idle_device)
-
     def _has_dirty(self) -> bool:
         return bool(self.cache.dirty_blocks or self._dirty_inodes)
 
     def _idle_flush_batch(self) -> int:
         return self.layout.data_blocks_per_segment
 
-    def _idle_flush(self, remaining: float) -> Breakdown:
+    def _idle_flush(self, remaining: float) -> Optional[Breakdown]:
+        if not self._has_dirty():
+            return None
         breakdown = Breakdown()
         deadline = self.clock.now + remaining
         while self.clock.now < deadline and self._has_dirty():

@@ -97,7 +97,8 @@ class SegmentWriter:
     """Accumulates dirty blocks into the current segment and writes them.
 
     ``pick_free_segment`` is supplied by the owner (it consults the segment
-    usage table, possibly running the cleaner first).
+    usage table, possibly running the cleaner first).  Summaries are
+    stamped with the device clock's reading.
     """
 
     def __init__(
@@ -106,7 +107,6 @@ class SegmentWriter:
         layout: LFSLayout,
         pick_free_segment: Callable[[], int],
         partial_threshold: float = 0.75,
-        now: Callable[[], float] = lambda: 0.0,
     ) -> None:
         if not 0.0 < partial_threshold <= 1.0:
             raise ValueError("partial threshold must lie in (0, 1]")
@@ -114,7 +114,6 @@ class SegmentWriter:
         self.layout = layout
         self.pick_free_segment = pick_free_segment
         self.partial_threshold = partial_threshold
-        self.now = now
         self.current_segment: Optional[int] = None
         self._staged: List[Tuple[SummaryEntry, bytes]] = []
         self._written_prefix = 0  # staged blocks already on disk
@@ -183,7 +182,7 @@ class SegmentWriter:
     def _summary(self) -> SegmentSummary:
         return SegmentSummary(
             seqno=self.flush_seqno,
-            timestamp=self.now(),
+            timestamp=self.device.clock.now,
             entries=[entry for entry, _data in self._staged],
         )
 

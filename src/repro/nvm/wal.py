@@ -163,11 +163,7 @@ class NVWal(BlockDevice):
         # backing store real data to compact), then hand whatever budget
         # remains to the backing device's own idle machinery.
         self.idle_manager = IdleManager(self.clock)
-        self.idle_manager.register(
-            "nvm-destage",
-            self._idle_destage,
-            gate=lambda: bool(self._dirty or self._trimmed),
-        )
+        self.idle_manager.register("nvm-destage", self._idle_destage)
         self.idle_manager.register(
             "backing", self._idle_inner, needs_time=False
         )
@@ -462,7 +458,9 @@ class NVWal(BlockDevice):
 
     # -- idle ----------------------------------------------------------
 
-    def _idle_destage(self, budget: float) -> Breakdown:
+    def _idle_destage(self, budget: float) -> Optional[Breakdown]:
+        if not (self._dirty or self._trimmed):
+            return None
         return self._destage(self.clock.now + budget)
 
     def _idle_inner(self, budget: float) -> Optional[Breakdown]:

@@ -4,8 +4,10 @@ The seed plumbed idle time through per-filesystem ``idle()`` methods,
 each hand-ordering its background work (VLD: scrubber then compactor;
 LFS: cleaner then device; VLFS: compactor).  :class:`IdleManager`
 factors that shared shape out: background *workers* register once, in
-priority order, and every idle grant walks them -- gated, budgeted, and
-accounted -- then advances the clock to the deadline.
+priority order, and every idle grant walks them -- budgeted and
+accounted -- then advances the clock to the deadline.  A worker with
+nothing to do says so itself: it checks its own condition first and
+returns ``None``.
 
 With the request scheduler in front of the disk, queue-emptiness is the
 natural trigger: a device grants idle time only after draining its queue,
@@ -18,6 +20,7 @@ DESIGN.md.)
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional
 
 from repro.sim.clock import SimClock
@@ -27,18 +30,16 @@ from repro.sim.stats import Breakdown
 class IdleWorker:
     """One registered consumer of idle time."""
 
-    __slots__ = ("name", "run", "gate", "needs_time")
+    __slots__ = ("name", "run", "needs_time")
 
     def __init__(
         self,
         name: str,
         run: Callable[[float], Optional[Breakdown]],
-        gate: Optional[Callable[[], bool]] = None,
         needs_time: bool = True,
     ) -> None:
         self.name = name
         self.run = run
-        self.gate = gate
         #: Workers that only make progress against a positive budget are
         #: skipped once the deadline has passed; urgent bookkeeping (a
         #: device draining its request queue on any idle signal)
@@ -59,16 +60,15 @@ class IdleManager:
         self,
         name: str,
         run: Callable[[float], Optional[Breakdown]],
-        gate: Optional[Callable[[], bool]] = None,
         needs_time: bool = True,
     ) -> IdleWorker:
         """Append a worker; earlier registrations run first.
 
         ``run`` receives the remaining budget in seconds and may return a
-        :class:`Breakdown` to surface its media costs; ``gate`` (when
-        given) is consulted at each grant and must be cheap.
+        :class:`Breakdown` to surface its media costs, or ``None`` when it
+        had nothing to do.
         """
-        worker = IdleWorker(name, run, gate, needs_time)
+        worker = IdleWorker(name, run, needs_time)
         self.workers.append(worker)
         return worker
 
@@ -76,8 +76,8 @@ class IdleManager:
         """Hand ``seconds`` of idle time down the worker list, then
         advance the clock to the deadline regardless of how much of the
         budget the workers consumed."""
-        if seconds < 0.0:
-            raise ValueError("idle time must be non-negative")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"idle time must be finite and non-negative: {seconds!r}")
         clock = self.clock
         deadline = clock.now + seconds
         self.grants += 1
@@ -86,8 +86,6 @@ class IdleManager:
         for worker in self.workers:
             remaining = deadline - clock.now
             if worker.needs_time and remaining <= 0.0:
-                continue
-            if worker.gate is not None and not worker.gate():
                 continue
             result = worker.run(remaining)
             if result is not None:

@@ -46,7 +46,7 @@ class HostPipeline:
     def __init__(
         self, scheduler: DiskScheduler, think_seconds: float = 0.0
     ) -> None:
-        if think_seconds < 0.0:
+        if not think_seconds >= 0.0:
             raise ValueError("think time must be non-negative")
         self.scheduler = scheduler
         self.think_seconds = think_seconds

@@ -56,7 +56,7 @@ class SimClock:
 
         Negative advances are rejected: simulated time never flows backwards.
         """
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
         self._now += seconds
         return self._now

@@ -82,7 +82,7 @@ class LatencyHistogram:
         self.sum = 0.0
 
     def record(self, seconds: float) -> None:
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("latencies must be non-negative")
         # frexp gives x = m * 2**e with 0.5 <= m < 1, so e - 1 is
         # floor(log2(x)) exactly -- log2 itself rounds *up* to the next

@@ -54,7 +54,7 @@ class Breakdown:
         """Add ``seconds`` to one named component."""
         if component not in COMPONENTS:
             raise KeyError(f"unknown latency component {component!r}")
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("latency charges must be non-negative")
         setattr(self, component, getattr(self, component) + seconds)
 

@@ -83,6 +83,13 @@ class UFS(InodeNamespace):
         self._readahead: Dict[int, Tuple[int, int]] = {}
         #: prefetch cluster size in blocks.
         self.prefetch_blocks = 8
+        #: Idle-budget dispatch: one worker, the device itself.  The
+        #: device runs even on a zero-second grant (a VLD drains its
+        #: queue on any idle signal).
+        self.idle_manager = IdleManager(self.clock)
+        self.idle_manager.register(
+            "device", self._idle_device, needs_time=False
+        )
 
     @staticmethod
     def _default_group_size(device: BlockDevice) -> int:
@@ -835,18 +842,6 @@ class UFS(InodeNamespace):
         """UFS has no background machinery; the device gets the idle time
         (on a VLD, the compactor uses it)."""
         return self.idle_manager.grant(seconds)
-
-    @property
-    def idle_manager(self) -> IdleManager:
-        """Idle-budget dispatch: one worker, the device itself.  The
-        device runs even on a zero-second grant (a VLD drains its queue
-        on any idle signal)."""
-        mgr = getattr(self, "_idle_manager", None)
-        if mgr is None:
-            mgr = IdleManager(self.clock)
-            mgr.register("device", self._idle_device, needs_time=False)
-            self._idle_manager = mgr
-        return mgr
 
     def _idle_device(self, remaining: float) -> None:
         self.device.idle(remaining)

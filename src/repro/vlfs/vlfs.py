@@ -33,11 +33,11 @@ from repro.disk.freemap import FreeSpaceMap
 from repro.fs.api import NoSpace
 from repro.fs.inode import FileType, Inode
 from repro.hosts.specs import HostSpec
-from repro.lfs.cleaner import Cleaner
-from repro.lfs.inode_map import InodeMap, SegmentUsage
+from repro.lfs.inode_map import InodeMap
 from repro.lfs.layout import LFSLayout
 from repro.lfs.lfs import LFS, ROOT_INUM
 from repro.lfs.nvram import FileCache
+from repro.sched.idle import IdleManager
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
 from repro.vlog.entries import entries_per_chunk
@@ -144,11 +144,7 @@ class VLFS(LFS):
         sb = self.layout.sb
         self.imap = InodeMap(sb.max_inodes)
         self._chunk_capacity = entries_per_chunk(map_record_bytes)
-        # Segment usage exists only for interface compatibility (the
-        # inherited cleaner is never invoked); space lives in the freemap.
-        self.segusage = SegmentUsage(
-            sb.num_segments, self.layout.segment_bytes
-        )
+        # Space lives in the free map: no segment usage and no cleaner.
         self.cache = FileCache(cache_bytes, self.block_size, nvram=nvram)
         self.freemap = FreeSpaceMap(disk.geometry)
         self.allocator = EagerAllocator(
@@ -179,14 +175,20 @@ class VLFS(LFS):
         )
         self.vlog.power_store = self.power_store
         self.writer = _EagerLogWriter(self.device, self.allocator)
-        self.checkpoints = None  # the virtual log replaces checkpoints
-        self.cleaner = Cleaner(self)  # interface only; never scheduled
         self.reserve_segments = 0
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
         self._inode_block_weights: Dict[int, Dict[int, int]] = {}
         self._cleaning = False
         self._flushing = False
+        self.compactor = VLFSCompactor(self)
+        # Idle time flushes buffered writes block-by-block, then compacts.
+        # Eager writing needs no cleaner; the compactor ("only an
+        # optimization for VLFS", Section 3.4) consolidates free space
+        # into empty tracks for the track-fill allocator.
+        self.idle_manager = IdleManager(self.clock)
+        self.idle_manager.register("flush", self._idle_flush)
+        self.idle_manager.register("compact", self._idle_compact)
         self._mkfs()
 
     # ==================================================================
@@ -258,9 +260,6 @@ class VLFS(LFS):
     def _ensure_free_segments(self, target: int, breakdown: Breakdown) -> None:
         pass  # no segments: free space is managed by the freemap
 
-    def _pick_free_segment(self) -> int:  # pragma: no cover - unused
-        raise NoSpace("VLFS has no segments")
-
     def _stage_dirty_inodes(self, breakdown: Breakdown) -> None:
         staged = sorted(i for i in self._dirty_inodes if i in self._inodes)
         super()._stage_dirty_inodes(breakdown)
@@ -294,30 +293,11 @@ class VLFS(LFS):
         self._flush_all(breakdown)
         return breakdown
 
-    def idle(self, seconds: float) -> Breakdown:
-        """Idle time flushes buffered writes block-by-block, then compacts.
-
-        Eager writing needs no cleaner; the compactor ("only an
-        optimization for VLFS", Section 3.4) consolidates free space into
-        empty tracks for the track-fill allocator.
-        """
-        return self.idle_manager.grant(seconds)
-
-    def _register_idle_workers(self, mgr) -> None:
-        mgr.register("flush", self._idle_flush, gate=self._has_dirty)
-        mgr.register("compact", self._idle_compact)
-
     def _idle_flush_batch(self) -> int:
         return 64
 
     def _idle_compact(self, remaining: float) -> None:
         self.compactor.run_for(remaining)
-
-    @property
-    def compactor(self) -> "VLFSCompactor":
-        if getattr(self, "_compactor", None) is None:
-            self._compactor = VLFSCompactor(self)
-        return self._compactor
 
     # ==================================================================
     # Crash and recovery (virtual-log based)
@@ -407,7 +387,7 @@ class VLFSCompactor:
     # ------------------------------------------------------------------
 
     def run_for(self, seconds: float) -> float:
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("idle budget must be non-negative")
         fs = self.fs
         clock = fs.clock

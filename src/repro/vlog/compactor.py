@@ -49,7 +49,7 @@ class FreeSpaceCompactor:
     def run_for(self, seconds: float) -> float:
         """Compact until ``seconds`` of idle time are consumed or no work
         remains; returns the simulated time actually used."""
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("idle budget must be non-negative")
         clock = self.vld.disk.clock
         start = clock.now

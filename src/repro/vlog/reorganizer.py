@@ -45,7 +45,7 @@ class ReadReorganizer:
 
     def run_for(self, seconds: float) -> float:
         """Reorganize fragmented windows until the budget is spent."""
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("idle budget must be non-negative")
         clock = self.vld.disk.clock
         start = clock.now

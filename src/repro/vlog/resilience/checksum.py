@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import struct
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 #: Shared all-zero ``bytes`` objects by length, for content comparisons.
 #: The simulator's traffic is overwhelmingly zero-filled -- timing studies
@@ -36,6 +36,21 @@ def _zeros_of(n: int) -> bytes:
     return zeros
 
 
+#: ``(sector_bytes, count) -> Struct`` cutting a ``count``-sector run into
+#: its sectors: a lookup table of constants (as ``entries._ENTRY_STRUCTS``
+#: is), filled on first use; a handful of block-size multiples ever occur.
+_SPLITS: Dict[Tuple[int, int], struct.Struct] = {}
+
+
+def _split(sector_bytes: int, count: int) -> struct.Struct:
+    split = _SPLITS.get((sector_bytes, count))
+    if split is None:
+        split = _SPLITS[sector_bytes, count] = struct.Struct(
+            f"{sector_bytes}s" * count
+        )
+    return split
+
+
 class ChecksumStore:
     """CRC32 per physical sector, maintained out-of-band."""
 
@@ -46,9 +61,6 @@ class ChecksumStore:
         self._crcs: Dict[int, int] = {}
         #: CRC of one all-zero sector; every zero sector records this.
         self._zero_crc = zlib.crc32(bytes(sector_bytes))
-        #: ``count -> Struct`` cutting a ``count``-sector run into its
-        #: sectors (a handful of block-size multiples ever occur).
-        self._splits: Dict[int, struct.Struct] = {}
 
     def __len__(self) -> int:
         return len(self._crcs)
@@ -59,7 +71,7 @@ class ChecksumStore:
         Called from inside every ``Disk.write``, so the common shapes are
         fast-pathed: an all-zero payload stores the precomputed
         zero-sector CRC without hashing anything, a single sector skips
-        the splitting, and a run is cut into sectors by one cached
+        the splitting, and a run is cut into sectors by one shared
         ``Struct`` and hashed by ``map`` straight into one dict update --
         the same per-sector CRC32s with no Python frame per sector.
         """
@@ -81,18 +93,12 @@ class ChecksumStore:
             self._crcs[sector] = zlib.crc32(data)
             return
         count = n // sb
-        split = self._splits.get(count) or self._split(count)
         self._crcs.update(
             zip(
                 range(sector, sector + count),
-                map(zlib.crc32, split.unpack_from(data)),
+                map(zlib.crc32, _split(sb, count).unpack_from(data)),
             )
         )
-
-    def _split(self, count: int) -> struct.Struct:
-        """Cut a ``count``-sector run into its sectors (cached per count)."""
-        split = self._splits[count] = struct.Struct(f"{self.sector_bytes}s" * count)
-        return split
 
     def record_zeros(self, sector: int, count: int) -> None:
         """Record ``count`` sectors of zeros without touching any data:
@@ -120,7 +126,7 @@ class ChecksumStore:
         Works a run at a time: the run's stored CRCs are fetched in one
         pass, a run nothing was ever written to returns at once, an
         all-zero payload is settled by counting stored zero-sector CRCs,
-        a fully recorded run is cut by :meth:`record`'s split and its CRCs
+        a fully recorded run is cut by :meth:`record`'s ``Struct`` and its CRCs
         compared as one list, and only a mismatch or a partly recorded run
         walks the sectors that have a stored CRC, one at a time.
         """
@@ -149,8 +155,7 @@ class ChecksumStore:
                 if crc is not None and crc != zero_crc
             ]
         if not unrecorded:
-            split = self._splits.get(count) or self._split(count)
-            if list(map(zlib.crc32, split.unpack_from(data))) == stored:
+            if list(map(zlib.crc32, _split(sb, count).unpack_from(data))) == stored:
                 return []
         view = memoryview(data)
         crc32 = zlib.crc32

@@ -48,14 +48,15 @@ class MediaScrubber:
 
     @property
     def pending(self) -> bool:
-        """True when suspects are queued (the idle loop's gate: a VLD with
-        no observed degradation never pays a cycle of scrubbing)."""
+        """True when suspects are queued (the VLD's scrub worker asks
+        first: a VLD with no observed degradation never pays a cycle of
+        scrubbing)."""
         return bool(self.controller.suspects)
 
     def run_for(self, seconds: float) -> float:
         """Scrub until the suspect queue drains or the idle budget is
         spent; returns the simulated time actually used."""
-        if seconds < 0.0:
+        if not seconds >= 0.0:
             raise ValueError("idle budget must be non-negative")
         clock = self.vld.disk.clock
         start = clock.now

@@ -22,6 +22,7 @@ from the tail record, or by scanning when that record is missing/corrupt.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.blockdev.interface import BlockDevice
@@ -153,13 +154,8 @@ class VirtualLogDisk(BlockDevice):
         )
         #: Idle-time dispatch: scrubbing suspects first, then compaction.
         self.idle_manager = IdleManager(disk.clock)
-        self.idle_manager.register(
-            "scrub", self._idle_scrub, gate=self._scrub_pending
-        )
-        self.idle_manager.register(
-            "compact", self._idle_compact,
-            gate=lambda: self.compaction_enabled,
-        )
+        self.idle_manager.register("scrub", self._idle_scrub)
+        self.idle_manager.register("compact", self._idle_compact)
 
     @property
     def compactor(self):
@@ -197,23 +193,22 @@ class VirtualLogDisk(BlockDevice):
                 breakdown.add(flushed)
         return self.resilience.read_sectors(sector, count, breakdown)
 
-    def _scrub_pending(self) -> bool:
-        return self.resilience.scrubber.pending
-
     def _idle_scrub(self, remaining: float) -> None:
-        self.resilience.scrubber.run_for(remaining)
+        if self.resilience.scrubber.pending:
+            self.resilience.scrubber.run_for(remaining)
 
     def _idle_compact(self, remaining: float) -> None:
-        self.compactor.run_for(remaining)
+        if self.compaction_enabled:
+            self.compactor.run_for(remaining)
 
     def idle(self, seconds: float) -> None:
         """Idle time goes to scrubbing suspects, then compaction; any
         remainder simply passes.  Queue-emptiness is the idle signal: the
         request queue drains before any background work starts.  The
-        scrubber gate is cheap and almost always closed: a VLD that never
-        observed a fault spends every idle cycle exactly as before."""
-        if seconds < 0.0:
-            raise ValueError("idle time must be non-negative")
+        scrubber's check is cheap and almost always false: a VLD that
+        never observed a fault spends every idle cycle exactly as before."""
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"idle time must be finite and non-negative: {seconds!r}")
         self.scheduler.barrier()
         self.idle_manager.grant(seconds)
 

@@ -201,9 +201,11 @@ def _run(stack: str) -> str:
     counters = disk.counters.as_dict()
     counters["busy_time"] = counters["busy_time"].hex()
     tail = [sorted(counters.items()), fs.listdir("/"), fs.listdir("/sub")]
-    if isinstance(fs, LFS):
-        if not isinstance(fs, VLFS):
-            assert fs.cleaner.segments_cleaned > 0
+    if isinstance(fs, VLFS):
+        tail.append((0, 0))  # eager writing: no cleaner to count
+        tail.append((fs.cache.hits, fs.cache.misses))
+    elif isinstance(fs, LFS):
+        assert fs.cleaner.segments_cleaned > 0
         tail.append((fs.cleaner.segments_cleaned, fs.cleaner.blocks_copied))
         tail.append((fs.cache.hits, fs.cache.misses))
     else:

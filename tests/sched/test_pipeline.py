@@ -4,14 +4,20 @@ reorder)."""
 
 import pytest
 
+from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.runner import simulate_queued_workload
+from repro.hosts.specs import SPARCSTATION_10
+from repro.lfs.lfs import LFS
+from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
 from repro.sched.pipeline import HostPipeline
 from repro.sched.scheduler import DiskScheduler
 from repro.sim.clock import SimClock
 from repro.sim.stats import Breakdown
+from repro.ufs.ufs import UFS
+from repro.vlfs.vlfs import VLFS
 from repro.vlog.vld import VirtualLogDisk
 
 
@@ -72,11 +78,25 @@ class TestIdleManager:
         assert clock.now == pytest.approx(1.5)
 
     def test_gate_skips_worker(self):
-        mgr = IdleManager(SimClock())
+        # A worker with nothing to do returns None: it adds nothing to the
+        # grant's total and leaves the next worker the whole budget.
+        clock = SimClock()
+        mgr = IdleManager(clock)
         ran = []
-        mgr.register("gated", lambda r: ran.append(r), gate=lambda: False)
-        mgr.grant(1.0)
-        assert ran == []
+
+        def busy(remaining):
+            ran.append(("busy", remaining))
+            clock.advance(0.25)
+            cost = Breakdown()
+            cost.charge("other", 0.25)
+            return cost
+
+        mgr.register("nothing-to-do", lambda r: ran.append(("idle", r)))
+        mgr.register("busy", busy)
+        total = mgr.grant(1.0)
+        assert ran == [("idle", 1.0), ("busy", 1.0)]
+        assert total.as_dict() == {**Breakdown().as_dict(), "other": 0.25}
+        assert clock.now == 1.0
 
     def test_needs_time_false_runs_on_zero_budget(self):
         mgr = IdleManager(SimClock())
@@ -111,6 +131,74 @@ class TestIdleManager:
     def test_negative_grant_rejected(self):
         with pytest.raises(ValueError):
             IdleManager(SimClock()).grant(-0.1)
+
+
+def _worker(owner, name):
+    return next(w for w in owner.idle_manager.workers if w.name == name)
+
+
+def _small_disk():
+    return Disk(ST19101, num_cylinders=4)
+
+
+#: Every idle-manager owner, as a fresh build.
+_OWNERS = {
+    "ufs": (lambda: UFS(RegularDisk(_small_disk()), SPARCSTATION_10), ["device"]),
+    "lfs": (
+        lambda: LFS(RegularDisk(Disk(ST19101)), SPARCSTATION_10),
+        ["flush", "clean", "device"],
+    ),
+    "vlfs": (lambda: VLFS(Disk(ST19101), SPARCSTATION_10), ["flush", "compact"]),
+    "vld": (lambda: VirtualLogDisk(_small_disk()), ["scrub", "compact"]),
+    "nvwal": (
+        lambda: NVWal(VirtualLogDisk(_small_disk())), ["nvm-destage", "backing"]
+    ),
+}
+
+
+class TestIdleWorkers:
+    """Each owner builds and registers its workers in its constructor,
+    and each worker checks its own condition: with nothing to do it
+    returns ``None`` and touches no media.  The VLD's two are covered
+    where the machinery lives, in ``tests/vlog/test_compactor.py``
+    (``TestDeviceIdleHook::test_idle_with_compaction_disabled``) and
+    ``tests/vlog/test_resilience.py``
+    (``TestScrubber::test_idle_without_suspects_never_pays_for_scrubbing``).
+    """
+
+    @pytest.mark.parametrize("owner", sorted(_OWNERS))
+    def test_workers_are_registered_at_construction(self, owner):
+        build, names = _OWNERS[owner]
+        built = vars(build())  # instance state, not a builder run on access
+        assert [w.name for w in built["idle_manager"].workers] == names
+        if owner == "vlfs":
+            assert built["compactor"].blocks_moved == 0
+
+    @pytest.mark.parametrize("owner", ["lfs", "vlfs"])
+    def test_flush_with_nothing_dirty_does_no_media_work(self, owner):
+        fs = _OWNERS[owner][0]()
+        fs.create("/f")
+        fs.write("/f", 0, b"x" * 4096)
+        fs.sync()
+        disk = fs.device.disk
+        before = (disk.counters.as_dict(), fs.clock.now)
+        assert _worker(fs, "flush").run(1.0) is None
+        assert (disk.counters.as_dict(), fs.clock.now) == before
+        # The same worker does flush once something is dirty.
+        fs.write("/f", 0, b"y" * 4096)
+        assert _worker(fs, "flush").run(1.0) is not None
+        assert disk.counters.writes > before[0]["writes"]
+
+    def test_destage_with_nothing_dirty_does_no_media_work(self):
+        wal = _OWNERS["nvwal"][0]()
+        disk = wal.inner.disk
+        before = (disk.counters.as_dict(), wal.nvm.stores, wal.nvm.flushes)
+        assert _worker(wal, "nvm-destage").run(1.0) is None
+        assert (disk.counters.as_dict(), wal.nvm.stores, wal.nvm.flushes) == before
+        assert wal.log_resets == 0
+        wal.write_block(5, b"z" * 4096)
+        assert _worker(wal, "nvm-destage").run(1.0) is not None
+        assert wal.dirty_blocks == 0
 
 
 class TestQueueDepthAcceptance:

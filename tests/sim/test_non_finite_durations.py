@@ -1,0 +1,112 @@
+"""A duration must be a non-negative number, and an idle grant a finite one.
+
+NaN compares false with everything, so a guard written ``seconds < 0.0``
+lets it through: ``RegularDisk.idle(nan)`` used to leave the clock at NaN
+for every later write.  Every duration guard is ``not seconds >= 0.0``,
+which refuses NaN too.  The idle entry points -- ``IdleManager.grant``,
+``RegularDisk.idle`` and ``VirtualLogDisk.idle`` -- also refuse infinity,
+before any queue drains: ``VirtualLogDisk.idle(inf)`` used to move the
+clock to infinity.
+"""
+
+import functools
+
+import pytest
+
+from repro.blockdev.regular import RegularDisk
+from repro.disk.disk import Disk
+from repro.disk.specs import ST19101
+from repro.hosts.specs import SPARCSTATION_10
+from repro.nvm import NVWal
+from repro.sched.idle import IdleManager
+from repro.sched.pipeline import HostPipeline
+from repro.sched.scheduler import DiskScheduler
+from repro.sim.clock import SimClock
+from repro.sim.metrics import LatencyHistogram
+from repro.sim.stats import Breakdown
+from repro.vlfs.vlfs import VLFS
+from repro.vlog.reorganizer import ReadReorganizer
+from repro.vlog.vld import VirtualLogDisk
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _disk():
+    return Disk(ST19101, num_cylinders=4)
+
+
+def _vld():
+    return VirtualLogDisk(_disk())
+
+
+#: Every duration guard in ``src/`` other than the idle entry points
+#: (tested below), as a one-argument callable.
+GUARDS = {
+    "SimClock.advance": lambda: SimClock().advance,
+    "Breakdown.charge": lambda: functools.partial(Breakdown().charge, "other"),
+    "LatencyHistogram.record": lambda: LatencyHistogram().record,
+    "HostPipeline(think_seconds=)": lambda: functools.partial(
+        HostPipeline, DiskScheduler(_disk())
+    ),
+    "FreeSpaceCompactor.run_for": lambda: _vld().compactor.run_for,
+    "Scrubber.run_for": lambda: _vld().resilience.scrubber.run_for,
+    "ReadReorganizer.run_for": lambda: ReadReorganizer(_vld()).run_for,
+    "VLFSCompactor.run_for": lambda: VLFS(
+        Disk(ST19101), SPARCSTATION_10
+    ).compactor.run_for,
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_nan_is_refused(guard):
+    with pytest.raises(ValueError):
+        GUARDS[guard]()(NAN)
+
+
+@pytest.mark.parametrize("seconds", [NAN, INF, -1.0])
+def test_grant_refuses_before_any_worker_runs(seconds):
+    clock = SimClock()
+    mgr = IdleManager(clock)
+    ran = []
+    mgr.register("urgent", ran.append, needs_time=False)
+    with pytest.raises(ValueError):
+        mgr.grant(seconds)
+    assert ran == [] and clock.now == 0.0 and mgr.grants == 0
+
+
+@pytest.mark.parametrize("seconds", [NAN, INF, -1.0])
+def test_regular_disk_refuses_before_draining_its_queue(seconds):
+    device = RegularDisk(_disk(), queue_depth=4)
+    device.write_block(3, b"q" * 4096)
+    assert device.scheduler.outstanding == 1
+    before = device.clock.now
+    with pytest.raises(ValueError):
+        device.idle(seconds)
+    assert device.scheduler.outstanding == 1
+    assert device.clock.now == before
+    device.idle(0.01)
+    assert device.scheduler.outstanding == 0
+
+
+@pytest.mark.parametrize("seconds", [NAN, INF, -1.0])
+def test_vld_refuses_and_its_clock_stays_finite(seconds):
+    vld = _vld()
+    vld.write_block(3, b"v" * 4096)
+    before = vld.clock.now
+    with pytest.raises(ValueError):
+        vld.idle(seconds)
+    assert vld.clock.now == before
+    assert vld.write_block(4, b"w" * 4096).total > 0.0
+    assert before < vld.clock.now < INF
+
+
+@pytest.mark.parametrize("seconds", [NAN, INF])
+def test_nvwal_refuses_before_destaging(seconds):
+    wal = NVWal(_vld())
+    wal.write_block(3, b"n" * 4096)
+    before = wal.clock.now
+    with pytest.raises(ValueError):
+        wal.idle(seconds)
+    assert wal.dirty_blocks == 1
+    assert wal.clock.now == before

@@ -91,7 +91,10 @@ class TestEagerWriting:
             vlfs.write(
                 "/churn", rng.randrange(2560) * 4096, b"u" * 4096, sync=True
             )
-        assert vlfs.cleaner.segments_cleaned == 0
+        # Eager writing has no cleaner to run, and no segment usage
+        # table for one to read.
+        assert not hasattr(vlfs, "cleaner")
+        assert not hasattr(vlfs, "segusage")
 
     def test_overwrites_relocate_blocks(self, vlfs):
         vlfs.create("/f")
