@@ -57,8 +57,6 @@ from repro.sim.stats import COMPONENTS, Breakdown
 if TYPE_CHECKING:  # repro.vlog sits above this module in the layer order
     from repro.vlog.recovery import RecoveryOutcome
 
-_UNSET = object()
-
 
 class DeviceFault(Exception):
     """Base class for injected device failures.
@@ -250,6 +248,10 @@ class ObservingDevice(InterposedDevice):
     def __init__(self, inner: BlockDevice) -> None:
         super().__init__(inner)
         self.enabled = True
+        #: The fault layer whose slow counters :meth:`_take_slow_delta`
+        #: diffs (``None`` without one), and their last reading.
+        self._slow_source: Optional[FaultDevice] = find_layer(inner, FaultDevice)
+        self._slow_cursor: Tuple[int, float] = (0, 0.0)
 
     def _take_slow_delta(self) -> Tuple[int, float]:
         """(ops, seconds) of fail-slow surplus since the last call.
@@ -257,19 +259,14 @@ class ObservingDevice(InterposedDevice):
         Observers sit *above* the fault layer, so a slowed op reaches
         them as an ordinary completion with a stretched breakdown; the
         only way to attribute the stretch is to diff the fault layer's
-        cumulative slow counters across each op.  Uses ``__dict__``
-        directly: a missing attribute here must not fall through
-        ``__getattr__`` to an inner observer's cache.
+        cumulative slow counters across each op.
         """
-        cache = self.__dict__.get("_slow_source", _UNSET)
-        if cache is _UNSET:
-            cache = find_layer(self.inner, FaultDevice)
-            self.__dict__["_slow_source"] = cache
-        if cache is None:
+        source = self._slow_source
+        if source is None:
             return 0, 0.0
-        cursor = self.__dict__.get("_slow_cursor", (0, 0.0))
-        now = (cache.ops_slowed, cache.slow_extra_seconds)
-        self.__dict__["_slow_cursor"] = now
+        cursor = self._slow_cursor
+        now = (source.ops_slowed, source.slow_extra_seconds)
+        self._slow_cursor = now
         return now[0] - cursor[0], now[1] - cursor[1]
 
     def _note(
@@ -1053,7 +1050,6 @@ class DiskFaultInjector:
 def build_device_stack(
     disk,
     device_type: str = "regular",
-    block_size: int = 4096,
     *,
     trace: bool = False,
     trace_sink: Optional[object] = None,
@@ -1077,13 +1073,11 @@ def build_device_stack(
     the harness and the examples build stacks through.
     """
     if device_type == "regular":
-        device: BlockDevice = RegularDisk(
-            disk, block_size=block_size, **device_kwargs
-        )
+        device: BlockDevice = RegularDisk(disk, **device_kwargs)
     elif device_type == "vld":
         from repro.vlog.vld import VirtualLogDisk
 
-        device = VirtualLogDisk(disk, block_size=block_size, **device_kwargs)
+        device = VirtualLogDisk(disk, **device_kwargs)
     else:
         raise ValueError(f"unknown device type {device_type!r}")
     if nvm:

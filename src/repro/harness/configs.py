@@ -29,7 +29,7 @@ from repro.blockdev.interpose import (
 from repro.blockdev.nvm import NVMSpec
 from repro.disk.cache import ReadAheadPolicy
 from repro.disk.disk import Disk
-from repro.disk.specs import DISKS, DiskSpec
+from repro.disk.specs import DISKS, ST19101, DiskSpec
 from repro.fs.api import FileSystem
 from repro.hosts.specs import HOSTS, HostSpec
 from repro.lfs.lfs import LFS
@@ -141,7 +141,6 @@ def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
 
 def build_sharded_volume(
     shards: int = 3,
-    disk_name: str = "st19101",
     stripe_blocks: int = 8,
     num_cylinders: int = 6,
     queue_depth: int = 1,
@@ -151,7 +150,7 @@ def build_sharded_volume(
     hedge_reads: bool = True,
 ):
     """Instantiate a :class:`~repro.volume.ShardedVolume` over ``shards``
-    complete VLD stacks.
+    complete VLD stacks, each on its own Seagate ST19101.
 
     Every shard's disk shares ONE :class:`~repro.sim.clock.SimClock`
     (the volume refuses anything else), so degraded-mode backoff,
@@ -175,10 +174,9 @@ def build_sharded_volume(
 
     if shards <= 0:
         raise ValueError("shard count must be positive")
-    spec: DiskSpec = DISKS[disk_name]
     clock = SimClock()
     disks = [
-        Disk(spec, clock=clock, num_cylinders=num_cylinders)
+        Disk(ST19101, clock=clock, num_cylinders=num_cylinders)
         for _ in range(shards)
     ]
     devices: List[BlockDevice] = []

@@ -19,7 +19,6 @@ def simulate_locate_free(
     free_fraction: float,
     trials: int = 300,
     seed: int = 1,
-    num_cylinders: int = 0,
 ) -> float:
     """Mean time (seconds) to locate the nearest free sector (Figure 1).
 
@@ -32,7 +31,7 @@ def simulate_locate_free(
     if not 0.0 < free_fraction <= 1.0:
         raise ValueError("free fraction must lie in (0, 1]")
     rng = random.Random(seed)
-    disk = Disk(spec, num_cylinders=num_cylinders, store_data=False)
+    disk = Disk(spec, store_data=False)
     freemap = FreeSpaceMap(disk.geometry)
     total = disk.geometry.total_sectors
     occupied = int(round((1.0 - free_fraction) * total))
@@ -108,6 +107,9 @@ def simulate_track_fill(
 
 QUEUE_WORKLOADS = ("random-update", "sequential", "mixed")
 
+#: Sectors per queued write: one aligned 4 KB block.
+REQUEST_SECTORS = 8
+
 
 def simulate_queued_workload(
     spec: DiskSpec,
@@ -115,14 +117,12 @@ def simulate_queued_workload(
     policy: str = "fifo",
     workload: str = "random-update",
     requests: int = 400,
-    request_sectors: int = 8,
     think_seconds: float = 0.0002,
     seed: int = 3,
-    num_cylinders: int = 0,
 ) -> Dict[str, float]:
     """Drive a queued open-loop write workload through the host pipeline.
 
-    The host submits ``requests`` writes of ``request_sectors`` each,
+    The host submits ``requests`` writes of :data:`REQUEST_SECTORS` each,
     thinking ``think_seconds`` between submissions; up to ``queue_depth``
     requests stay outstanding, serviced in ``policy`` order.  Workloads:
 
@@ -142,10 +142,10 @@ def simulate_queued_workload(
     if requests <= 0:
         raise ValueError("request count must be positive")
     rng = random.Random(seed)
-    disk = Disk(spec, num_cylinders=num_cylinders, store_data=False)
+    disk = Disk(spec, store_data=False)
     scheduler = DiskScheduler(disk, policy=policy, queue_depth=queue_depth)
     pipeline = HostPipeline(scheduler, think_seconds=think_seconds)
-    aligned = disk.geometry.total_sectors // request_sectors
+    aligned = disk.geometry.total_sectors // REQUEST_SECTORS
     cursor = rng.randrange(aligned)
     start = disk.clock.now
     for i in range(requests):
@@ -159,7 +159,7 @@ def simulate_queued_workload(
             else:
                 cursor = (cursor + 1) % aligned
                 lba = cursor
-        pipeline.write(lba * request_sectors, request_sectors)
+        pipeline.write(lba * REQUEST_SECTORS, REQUEST_SECTORS)
     pipeline.finish()
     elapsed = disk.clock.now - start
     service = scheduler.service_times.percentiles()

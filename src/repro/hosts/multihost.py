@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.disk.disk import Disk
 from repro.disk.specs import DiskSpec
-from repro.harness.runner import QUEUE_WORKLOADS
+from repro.harness.runner import QUEUE_WORKLOADS, REQUEST_SECTORS
 from repro.sched.scheduler import DiskScheduler
 from repro.sim.engine import EventEngine
 from repro.sim.metrics import LatencyHistogram
@@ -42,12 +42,11 @@ def run_multihost(
     hosts: int = 4,
     disks: int = 1,
     requests_per_host: int = 200,
-    request_sectors: int = 8,
+    request_sectors: int = REQUEST_SECTORS,
     think_seconds: Union[float, Sequence[float]] = 0.0002,
     workload: str = "random-update",
     policy: str = "fifo",
     seed: int = 3,
-    num_cylinders: int = 0,
     trace: bool = False,
     shards: Optional[int] = None,
     shard_slow: Optional[Dict[str, object]] = None,
@@ -101,10 +100,7 @@ def run_multihost(
     thinks = _per_host_thinks(think_seconds, hosts)
 
     engine = EventEngine(trace=trace)
-    stacks = [
-        Disk(spec, num_cylinders=num_cylinders, store_data=False)
-        for _ in range(disks)
-    ]
+    stacks = [Disk(spec, store_data=False) for _ in range(disks)]
     schedulers = [
         DiskScheduler(disk, policy=policy, queue_depth=1) for disk in stacks
     ]

@@ -35,7 +35,7 @@ from repro.hosts.specs import HostSpec
 from repro.lfs.checkpoint import CheckpointStore
 from repro.lfs.cleaner import Cleaner, CleanerPolicy
 from repro.lfs.inode_map import InodeMap, SegmentUsage
-from repro.lfs.layout import LFSLayout, LFSSuperblock
+from repro.lfs.layout import LFSLayout
 from repro.lfs.nvram import FileCache
 from repro.lfs.segment import BlockKind, SegmentSummary, SegmentWriter
 from repro.sched.idle import IdleManager
@@ -80,45 +80,32 @@ class LFS(InodeNamespace):
     #: Host CPU cost of a request relative to the in-kernel UFS: the
     #: MinixUFS + LLD stack the paper measured runs at user level.
     host_factor = 1.8
+    #: Free segments the cleaner keeps in reserve for its own copies.
+    reserve_segments = 3
 
     def __init__(
         self,
         device: BlockDevice,
         host: HostSpec,
-        cache_bytes: int = int(6.1 * 2**20),
         nvram: bool = False,
-        segment_bytes: int = 512 << 10,
-        partial_threshold: float = 0.75,
         cleaner_policy: CleanerPolicy = CleanerPolicy.COST_BENEFIT,
-        reserve_segments: int = 3,
-        format_device: bool = True,
     ) -> None:
         self.device = device
         self.host = host
         self.clock = device.clock
         self.block_size = device.block_size
-        if format_device:
-            self.layout = LFSLayout.design(
-                device.num_blocks, device.block_size, segment_bytes
-            )
-        else:
-            raw, _ = device.read_block(0)
-            self.layout = LFSLayout(LFSSuperblock.unpack(raw))
+        self.layout = LFSLayout.design(device.num_blocks, device.block_size)
         sb = self.layout.sb
         self.imap = InodeMap(sb.max_inodes)
         self.segusage = SegmentUsage(
             sb.num_segments, self.layout.segment_bytes
         )
-        self.cache = FileCache(cache_bytes, self.block_size, nvram=nvram)
+        self.cache = FileCache(block_size=self.block_size, nvram=nvram)
         self.writer = SegmentWriter(
-            device,
-            self.layout,
-            self._pick_free_segment,
-            partial_threshold,
+            device, self.layout, self._pick_free_segment
         )
         self.checkpoints = CheckpointStore(device, self.layout)
         self.cleaner = Cleaner(self, cleaner_policy)
-        self.reserve_segments = max(1, reserve_segments)
         #: in-memory (active) inodes; authoritative between flushes
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
@@ -131,10 +118,7 @@ class LFS(InodeNamespace):
         self.idle_manager.register("flush", self._idle_flush)
         self.idle_manager.register("clean", self._idle_clean)
         self.idle_manager.register("device", self._idle_device)
-        if format_device:
-            self._mkfs()
-        else:
-            self.mount()
+        self._mkfs()
 
     # ==================================================================
     # Setup and recovery

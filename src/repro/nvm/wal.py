@@ -106,25 +106,24 @@ class NVWal(BlockDevice):
     Args:
         inner: The backing store (VLD, regular disk, anything).
         spec: The stable-memory part (:data:`~repro.blockdev.nvm.NVM_SPECS`).
-        absorb_max_blocks: Writes longer than this bypass the tier
-            straight to the backing store -- the WAL accelerates small
-            synchronous writes, not streaming transfers.
-        destage_run_blocks: Largest contiguous run one destage write
-            sends down (the budget-check granularity during idle).
         clock: The backing store's clock, for callers that name it;
             the tier always runs on ``inner.clock`` and refuses another.
     """
+
+    #: Writes longer than this bypass the tier straight to the backing
+    #: store -- the WAL accelerates small synchronous writes, not
+    #: streaming transfers.
+    absorb_max_blocks = 64
+    #: Largest contiguous run one destage write sends down (the
+    #: budget-check granularity during idle).
+    destage_run_blocks = 16
 
     def __init__(
         self,
         inner: BlockDevice,
         spec: Optional[NVMSpec] = None,
-        absorb_max_blocks: int = 64,
-        destage_run_blocks: int = 16,
         clock: Optional[SimClock] = None,
     ) -> None:
-        if absorb_max_blocks <= 0 or destage_run_blocks <= 0:
-            raise ValueError("block limits must be positive")
         self.inner = inner
         self.clock = inner.clock
         if clock is not None and clock is not self.clock:
@@ -140,8 +139,6 @@ class NVWal(BlockDevice):
                 f"one block record ({min_capacity} bytes)"
             )
         self.nvm = NVMDevice(self.spec, self.clock)
-        self.absorb_max_blocks = absorb_max_blocks
-        self.destage_run_blocks = destage_run_blocks
         self.injector: Optional[NVWalInjector] = None
         # Volatile tier state, rebuilt from the log by recover().
         self._dirty: Dict[int, bytes] = {}

@@ -50,24 +50,18 @@ class UFS(InodeNamespace):
         self,
         device: BlockDevice,
         host: HostSpec,
-        cache_bytes: int = 8 << 20,
-        blocks_per_group: int = 0,
-        inodes_per_group: int = 0,
         format_device: bool = True,
     ) -> None:
         self.device = device
         self.host = host
         self.clock = device.clock
         self.block_size = device.block_size
-        if blocks_per_group <= 0:
-            blocks_per_group = self._default_group_size(device)
-        self.cache = BufferCache(device, cache_bytes)
+        self.cache = BufferCache(device, 8 << 20)
         if format_device:
             self.layout = UFSLayout.design(
                 device.num_blocks,
                 device.block_size,
-                blocks_per_group,
-                inodes_per_group,
+                self._default_group_size(device),
             )
             self.alloc = UFSAllocator(self.layout, self.cache)
             self._mkfs()

@@ -40,7 +40,7 @@ from repro.lfs.nvram import FileCache
 from repro.sched.idle import IdleManager
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, DiskFullError, EagerAllocator
-from repro.vlog.entries import entries_per_chunk
+from repro.vlog.entries import MAP_RECORD_BYTES, entries_per_chunk
 from repro.vlog.recovery import (
     PowerDownStore,
     RecoveryOutcome,
@@ -119,16 +119,10 @@ class VLFS(LFS):
     POWER_DOWN_BLOCK = 0
     #: No user-level port in the path: the plain host cost per request.
     host_factor = 1.0
+    #: No segments, so no cleaning reserve.
+    reserve_segments = 0
 
-    def __init__(
-        self,
-        disk: Disk,
-        host: HostSpec,
-        cache_bytes: int = int(6.1 * 2**20),
-        nvram: bool = False,
-        map_record_bytes: int = 512,
-        fill_threshold: float = 0.75,
-    ) -> None:
+    def __init__(self, disk: Disk, host: HostSpec, nvram: bool = False) -> None:
         # NOTE: deliberately does not call LFS.__init__ -- the segment
         # machinery it builds is replaced wholesale.  Every attribute the
         # inherited methods use is established here.
@@ -137,45 +131,43 @@ class VLFS(LFS):
         self.host = host
         self.clock = disk.clock
         self.block_size = self.device.block_size
-        self.map_record_bytes = map_record_bytes
         self.layout = LFSLayout.design(
             self.device.num_blocks, self.block_size
         )
         sb = self.layout.sb
         self.imap = InodeMap(sb.max_inodes)
-        self._chunk_capacity = entries_per_chunk(map_record_bytes)
+        self._chunk_capacity = entries_per_chunk(MAP_RECORD_BYTES)
         # Space lives in the free map: no segment usage and no cleaner.
-        self.cache = FileCache(cache_bytes, self.block_size, nvram=nvram)
+        self.cache = FileCache(block_size=self.block_size, nvram=nvram)
         self.freemap = FreeSpaceMap(disk.geometry)
         self.allocator = EagerAllocator(
             disk,
             self.freemap,
             block_sectors=self.device.sectors_per_block,
             policy=AllocationPolicy.TRACK_FILL,
-            fill_threshold=fill_threshold,
         )
         self.allocator.reserve_block(self.POWER_DOWN_BLOCK)
+        record_sectors = MAP_RECORD_BYTES // disk.sector_bytes
         self.map_allocator = EagerAllocator(
             disk,
             self.freemap,
-            block_sectors=map_record_bytes // disk.sector_bytes,
+            block_sectors=record_sectors,
             policy=AllocationPolicy.GREEDY_CYLINDER,
         )
         self.vlog = VirtualLog(
             disk,
             self.map_allocator,
             chunk_provider=self._imap_chunk_entries,
-            block_size=map_record_bytes,
+            block_size=MAP_RECORD_BYTES,
         )
         self.power_store = PowerDownStore(
             disk,
             self.POWER_DOWN_BLOCK,
             self.block_size,
-            tail_block_sectors=map_record_bytes // disk.sector_bytes,
+            tail_block_sectors=record_sectors,
         )
         self.vlog.power_store = self.power_store
         self.writer = _EagerLogWriter(self.device, self.allocator)
-        self.reserve_segments = 0
         self._inodes: Dict[int, Inode] = {}
         self._dirty_inodes: Set[int] = set()
         self._inode_block_weights: Dict[int, Dict[int, int]] = {}
@@ -393,13 +385,22 @@ class VLFSCompactor:
         clock = fs.clock
         start = clock.now
         deadline = start + seconds
+        # Tracks a pass left no emptier: a track whose only live content
+        # is a map record gets that record back on every relocation, so
+        # picking it again would spend the whole budget going nowhere.
+        stuck: Set[Tuple[int, int]] = set()
         while clock.now < deadline:
             owners = self._ownership()
-            target = self._pick_target(owners)
+            target = self._pick_target(stuck)
             if target is None:
                 break
+            free = fs.freemap.track_free_count(*target)
             if not self._compact_track(target, owners, deadline):
                 break
+            if fs.freemap.track_free_count(*target) > free:
+                self.tracks_compacted += 1
+            else:
+                stuck.add(target)
         return clock.now - start
 
     # ------------------------------------------------------------------
@@ -423,9 +424,9 @@ class VLFSCompactor:
                 owners[location[0]] = (None, None)
         return owners
 
-    def _pick_target(self, owners) -> Optional[Tuple[int, int]]:
+    def _pick_target(self, stuck) -> Optional[Tuple[int, int]]:
         """The partially-filled track with the least live data (cheapest
-        to empty), excluding the allocator's fill track."""
+        to empty), excluding the allocator's fill track and ``stuck``."""
         fs = self.fs
         geometry = fs.disk.geometry
         per_track = geometry.sectors_per_track
@@ -436,13 +437,14 @@ class VLFSCompactor:
         best = None
         for cylinder in range(geometry.num_cylinders):
             for head in range(geometry.tracks_per_cylinder):
-                if (cylinder, head) in (fill_track, power_track):
+                track = (cylinder, head)
+                if track in (fill_track, power_track) or track in stuck:
                     continue
                 free = fs.freemap.track_free_count(cylinder, head)
                 if 0 < free < per_track:
                     used = per_track - free
                     if best is None or used < best[0]:
-                        best = (used, (cylinder, head))
+                        best = (used, track)
         return None if best is None else best[1]
 
     def _compact_track(self, track, owners, deadline) -> bool:
@@ -483,8 +485,6 @@ class VLFSCompactor:
             sector += 1
         if dirty_inodes_to_flush:
             fs._stage_dirty_inodes(breakdown)
-        if progressed:
-            self.tracks_compacted += 1
         return progressed
 
     def _move_block(self, block, owner, source_track, breakdown) -> bool:

@@ -27,22 +27,27 @@ search this replaced is ``tests/vlog/reference_find_hole.py``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.vlog.resilience import MediaError
-from repro.vlog.vld import VirtualLogDisk
+
+if TYPE_CHECKING:  # the VLD builds its compactor
+    from repro.vlog.vld import VirtualLogDisk
 
 
 class FreeSpaceCompactor:
     """Track-granularity hole-plugging compactor for a VLD."""
 
-    def __init__(self, vld: VirtualLogDisk, rng: Optional[random.Random] = None):
+    def __init__(self, vld: VirtualLogDisk) -> None:
         self.vld = vld
-        self.rng = rng if rng is not None else random.Random(0x5EED)
+        self.rng = random.Random(0x5EED)
         self.tracks_compacted = 0
         self.blocks_moved = 0
-        #: Lazily checked once: is the seek curve monotone in distance?
-        self._seeks_sorted: Optional[bool] = None
+        # The outward hole search prunes whole distances on the premise
+        # that the seek curve never decreases with distance (physically
+        # always true, but cheap insurance).
+        seeks = vld.disk.mechanics.seek_by_distance
+        self._seeks_sorted = all(a <= b for a, b in zip(seeks, seeks[1:]))
 
     # ------------------------------------------------------------------
 
@@ -206,11 +211,6 @@ class FreeSpaceCompactor:
         num_cylinders = geometry.num_cylinders
         per_track = geometry.sectors_per_track
         src_cyl, src_head = source_track
-        if self._seeks_sorted is None:
-            # The outward walk prunes whole distances on the premise that
-            # the seek curve never decreases with distance; verify once
-            # (physically always true, but cheap insurance).
-            self._seeks_sorted = all(a <= b for a, b in zip(seeks, seeks[1:]))
         can_prune_distance = self._seeks_sorted
         best_cost = 0.0
         best_key = -1

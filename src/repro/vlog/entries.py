@@ -43,6 +43,9 @@ from typing import Dict, List, Optional, Sequence
 #: Map-entry value meaning "logical block not mapped".
 UNMAPPED = 0xFFFFFFFF
 
+#: The paper's map-record size: one 512-byte sector (Section 4.2).
+MAP_RECORD_BYTES = 512
+
 #: Record magic ("virtual log map, version 1").
 MAGIC = b"VLOGMAP1"
 

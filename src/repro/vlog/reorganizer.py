@@ -15,7 +15,6 @@ exactly where contiguous extents fit.
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional
 
 from repro.vlog.vld import VirtualLogDisk
@@ -24,20 +23,11 @@ from repro.vlog.vld import VirtualLogDisk
 class ReadReorganizer:
     """Restores logical-to-physical contiguity during idle periods."""
 
-    def __init__(
-        self,
-        vld: VirtualLogDisk,
-        window_blocks: int = 16,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if window_blocks < 2:
-            raise ValueError("windows must span at least two blocks")
+    def __init__(self, vld: VirtualLogDisk) -> None:
         self.vld = vld
         per_track = vld.disk.geometry.sectors_per_track
-        self.window_blocks = min(
-            window_blocks, per_track // vld.sectors_per_block
-        )
-        self.rng = rng if rng is not None else random.Random(0x5E0)
+        #: Logical blocks per window: 16, or one track's worth if less.
+        self.window_blocks = min(16, per_track // vld.sectors_per_block)
         self.windows_reorganized = 0
         self.blocks_moved = 0
 

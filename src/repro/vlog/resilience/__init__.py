@@ -45,10 +45,10 @@ class ResilienceController:
     drains.
     """
 
-    def __init__(self, vld, policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, vld) -> None:
         self.vld = vld
         self.disk = vld.disk
-        self.policy = policy if policy is not None else RetryPolicy()
+        self.policy = RetryPolicy()
         self.checksums = ChecksumStore(self.disk.sector_bytes)
         self.disk.checksums = self.checksums
         self.quarantine = QuarantineTable(
@@ -60,14 +60,8 @@ class ResilienceController:
         self.media_errors = 0
         self.retries = 0
         self.checksum_failures = 0
-        self._scrubber: Optional[MediaScrubber] = None
-
-    @property
-    def scrubber(self) -> MediaScrubber:
-        """The idle-time scrubber (created on first use)."""
-        if self._scrubber is None:
-            self._scrubber = MediaScrubber(self)
-        return self._scrubber
+        #: The idle-time scrubber.
+        self.scrubber = MediaScrubber(self)
 
     # ------------------------------------------------------------------
     # The verified, retried read path

@@ -33,10 +33,15 @@ from repro.sched.policies import SchedulingPolicy
 from repro.sched.scheduler import DiskScheduler
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
-from repro.vlog.entries import QUARANTINE_CHUNK_BASE
+from repro.vlog.compactor import FreeSpaceCompactor
+from repro.vlog.entries import (
+    MAP_RECORD_BYTES,
+    QUARANTINE_CHUNK_BASE,
+    entries_per_chunk,
+)
 from repro.vlog.imap import IndirectionMap
 from repro.vlog.recovery import PowerDownStore, RecoveryOutcome, recover_log
-from repro.vlog.resilience import MediaError, ResilienceController, RetryPolicy
+from repro.vlog.resilience import MediaError, ResilienceController
 from repro.vlog.virtual_log import VirtualLog
 
 
@@ -50,12 +55,6 @@ class VirtualLogDisk(BlockDevice):
         policy: Eager allocation policy; ``TRACK_FILL`` is the paper's
             compactor-assisted configuration.
         fill_threshold: Track fill target for ``TRACK_FILL`` (0.75).
-        retry_policy: Read-retry schedule for the media-fault resilience
-            layer (per-sector checksums verified on read, bounded retries,
-            bad-sector quarantine, idle-time scrubbing).  With no faults
-            injected the layer costs no simulated time: checksums are
-            out-of-band, retries never fire, the scrubber only runs when
-            suspects exist.
         queue_depth: Outstanding-request bound for the internal request
             scheduler; depth 1 (default) services every data write at
             submit time, byte-identical to the unscheduled code.
@@ -71,10 +70,9 @@ class VirtualLogDisk(BlockDevice):
         self,
         disk: Disk,
         block_size: int = 4096,
-        map_record_bytes: int = 512,
+        map_record_bytes: int = MAP_RECORD_BYTES,
         policy: AllocationPolicy = AllocationPolicy.TRACK_FILL,
         fill_threshold: float = 0.75,
-        retry_policy: Optional[RetryPolicy] = None,
         queue_depth: int = 1,
         sched: Union[str, SchedulingPolicy] = "fifo",
     ) -> None:
@@ -92,8 +90,6 @@ class VirtualLogDisk(BlockDevice):
         slack = max(8, int(self.physical_blocks * 0.02))
         # Map overhead: one live record per chunk (Section 4.2: 4 bytes per
         # physical block, ~24 KB of map sectors for the 24 MB disk).
-        from repro.vlog.entries import entries_per_chunk
-
         chunk_capacity = entries_per_chunk(map_record_bytes)
         logical = self.physical_blocks - 1 - slack  # -1: power-down block
         map_sectors = -(-logical // chunk_capacity) * (
@@ -130,8 +126,8 @@ class VirtualLogDisk(BlockDevice):
             block_size=map_record_bytes,
         )
         #: Media-fault resilience layer (checksums, retries, quarantine,
-        #: scrubber).
-        self.resilience = ResilienceController(self, retry_policy)
+        #: scrubber); with no faults injected it costs no simulated time.
+        self.resilience = ResilienceController(self)
         self.power_store = PowerDownStore(
             disk,
             self.POWER_DOWN_BLOCK,
@@ -144,7 +140,6 @@ class VirtualLogDisk(BlockDevice):
         self.logical_writes = 0
         self.logical_reads = 0
         self.compaction_enabled = True
-        self._compactor = None
         #: Request queue for eager data writes.  Log appends (the commit
         #: point), map-record traffic, and recovery I/O bypass it: their
         #: ordering *is* the crash-consistency argument, so they only run
@@ -156,15 +151,8 @@ class VirtualLogDisk(BlockDevice):
         self.idle_manager = IdleManager(disk.clock)
         self.idle_manager.register("scrub", self._idle_scrub)
         self.idle_manager.register("compact", self._idle_compact)
-
-    @property
-    def compactor(self):
-        """The idle-time free-space compactor (created on first use)."""
-        if self._compactor is None:
-            from repro.vlog.compactor import FreeSpaceCompactor
-
-            self._compactor = FreeSpaceCompactor(self)
-        return self._compactor
+        #: The idle-time free-space compactor.
+        self.compactor = FreeSpaceCompactor(self)
 
     def _chunk_contents(self, chunk_id: int) -> List[int]:
         """Current contents of any non-commit log chunk: the indirection

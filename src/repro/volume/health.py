@@ -49,36 +49,29 @@ class ShardHealthMonitor:
         baseline_samples: Operations observed before the baseline p99 is
             frozen.  Until then the monitor never trips (it is still
             learning what "normal" looks like for this shard).
-        trip_factor: Rolling p99 >= ``trip_factor`` x baseline p99 trips
-            the monitor.
-        clear_factor: Once tripped, the rolling p99 must fall back below
-            ``clear_factor`` x baseline p99 to clear (hysteresis;
-            must be < ``trip_factor``).
-        hedge_factor: :meth:`hedge_delay` returns ``hedge_factor`` x
-            baseline p99 -- the surplus a hedged read tolerates before
-            the duplicate wins.
         min_samples: Rolling-window samples required before the trip
             comparison is meaningful.
     """
+
+    #: Rolling p99 >= ``trip_factor`` x baseline p99 trips the monitor.
+    trip_factor = 4.0
+    #: Once tripped, the rolling p99 must fall back below
+    #: ``clear_factor`` x baseline p99 to clear (hysteresis).
+    clear_factor = 2.0
+    #: :meth:`hedge_delay` returns ``hedge_factor`` x baseline p99 -- the
+    #: surplus a hedged read tolerates before the duplicate wins.
+    hedge_factor = 2.0
 
     def __init__(
         self,
         window: int = 64,
         baseline_samples: int = 32,
-        trip_factor: float = 4.0,
-        clear_factor: float = 2.0,
-        hedge_factor: float = 2.0,
         min_samples: int = 8,
     ) -> None:
         if window <= 0 or baseline_samples <= 0 or min_samples <= 0:
             raise ValueError("window sizes must be positive")
-        if clear_factor >= trip_factor:
-            raise ValueError("clear_factor must be below trip_factor")
         self.window = window
         self.baseline_samples = baseline_samples
-        self.trip_factor = trip_factor
-        self.clear_factor = clear_factor
-        self.hedge_factor = hedge_factor
         self.min_samples = min_samples
         self.reset()
 

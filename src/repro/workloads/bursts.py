@@ -12,6 +12,7 @@ import random
 
 from repro.fs.api import FileSystem
 from repro.sim.stats import LatencyRecorder
+from repro.workloads.random_update import IO_BYTES
 
 
 def run_bursts(
@@ -21,21 +22,20 @@ def run_bursts(
     burst_bytes: int,
     idle_seconds: float,
     bursts: int,
-    io_bytes: int = 4096,
-    sync: bool = True,
     warmup_bursts: int = 1,
     seed: int = 0xB025,
 ) -> LatencyRecorder:
-    """Run ``bursts`` bursts of ``burst_bytes`` random updates each."""
+    """Run ``bursts`` bursts of ``burst_bytes`` random synchronous updates
+    each."""
     rng = random.Random(seed)
-    nblocks = file_bytes // io_bytes
-    writes_per_burst = max(1, burst_bytes // io_bytes)
-    payload = b"\x5A" * io_bytes
+    nblocks = file_bytes // IO_BYTES
+    writes_per_burst = max(1, burst_bytes // IO_BYTES)
+    payload = b"\x5A" * IO_BYTES
     recorder = LatencyRecorder()
     for burst in range(warmup_bursts + bursts):
         for _ in range(writes_per_burst):
             block = rng.randrange(nblocks)
-            breakdown = fs.write(path, block * io_bytes, payload, sync=sync)
+            breakdown = fs.write(path, block * IO_BYTES, payload, sync=True)
             if burst >= warmup_bursts:
                 recorder.record(breakdown)
         fs.idle(idle_seconds)

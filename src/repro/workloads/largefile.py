@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.fs.api import FileSystem
+from repro.workloads.random_update import IO_BYTES
 
 _MB = 1 << 20
 
@@ -35,7 +36,6 @@ class LargeFileResult:
 def run_large_file(
     fs: FileSystem,
     file_bytes: int = 10 * _MB,
-    io_bytes: int = 4096,
     include_sync_phase: bool = True,
     seed: int = 0x10C5,
     verify: bool = False,
@@ -44,7 +44,7 @@ def run_large_file(
     clock = fs.clock
     rng = random.Random(seed)
     result = LargeFileResult()
-    nblocks = file_bytes // io_bytes
+    nblocks = file_bytes // IO_BYTES
     path = "/large"
     fs.create(path)
 
@@ -55,7 +55,7 @@ def run_large_file(
     # reflects actual disk bandwidth rather than buffer absorption.
     start = clock.now
     for i in range(nblocks):
-        fs.write(path, i * io_bytes, _pattern(i, io_bytes))
+        fs.write(path, i * IO_BYTES, _pattern(i, IO_BYTES))
     fs.sync()
     result.bandwidths["seq_write"] = bandwidth(clock.now - start)
 
@@ -63,8 +63,8 @@ def run_large_file(
     fs.drop_caches()
     start = clock.now
     for i in range(nblocks):
-        data, _ = fs.read(path, i * io_bytes, io_bytes)
-        if verify and data != _pattern(i, io_bytes):
+        data, _ = fs.read(path, i * IO_BYTES, IO_BYTES)
+        if verify and data != _pattern(i, IO_BYTES):
             raise AssertionError(f"sequential read mismatch at block {i}")
     result.bandwidths["seq_read"] = bandwidth(clock.now - start)
 
@@ -72,7 +72,7 @@ def run_large_file(
     start = clock.now
     for _ in range(nblocks):
         block = rng.randrange(nblocks)
-        fs.write(path, block * io_bytes, _pattern(block + 1, io_bytes))
+        fs.write(path, block * IO_BYTES, _pattern(block + 1, IO_BYTES))
     fs.sync()
     result.bandwidths["rand_write_async"] = bandwidth(clock.now - start)
 
@@ -82,7 +82,7 @@ def run_large_file(
         for _ in range(nblocks):
             block = rng.randrange(nblocks)
             fs.write(
-                path, block * io_bytes, _pattern(block + 2, io_bytes),
+                path, block * IO_BYTES, _pattern(block + 2, IO_BYTES),
                 sync=True,
             )
         result.bandwidths["rand_write_sync"] = bandwidth(clock.now - start)
@@ -92,14 +92,14 @@ def run_large_file(
     fs.drop_caches()
     start = clock.now
     for i in range(nblocks):
-        fs.read(path, i * io_bytes, io_bytes)
+        fs.read(path, i * IO_BYTES, IO_BYTES)
     result.bandwidths["seq_read_again"] = bandwidth(clock.now - start)
 
     # Phase 5: random read.
     fs.drop_caches()
     start = clock.now
     for _ in range(nblocks):
-        fs.read(path, rng.randrange(nblocks) * io_bytes, io_bytes)
+        fs.read(path, rng.randrange(nblocks) * IO_BYTES, IO_BYTES)
     result.bandwidths["rand_read"] = bandwidth(clock.now - start)
 
     return result

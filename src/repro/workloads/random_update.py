@@ -16,17 +16,16 @@ from typing import Callable, Optional
 from repro.fs.api import FileSystem
 from repro.sim.stats import LatencyRecorder
 
+#: 4 KB: one update here and in the bursts of Section 5.5, and one I/O
+#: of the large-file benchmark (Figure 7).
+IO_BYTES = 4096
 
-def prepare_file(
-    fs: FileSystem,
-    path: str,
-    file_bytes: int,
-    io_bytes: int = 4096,
-    chunk_blocks: int = 64,
-) -> None:
-    """Create and fully populate the update target file."""
+
+def prepare_file(fs: FileSystem, path: str, file_bytes: int) -> None:
+    """Create and fully populate the update target file, 64 blocks per
+    write."""
     fs.create(path)
-    chunk = bytes(io_bytes) * chunk_blocks
+    chunk = bytes(IO_BYTES) * 64
     offset = 0
     while offset < file_bytes:
         piece = min(len(chunk), file_bytes - offset)
@@ -41,13 +40,12 @@ def run_random_updates(
     path: str,
     file_bytes: int,
     updates: int,
-    io_bytes: int = 4096,
-    sync: bool = True,
     warmup: int = 0,
     seed: int = 0xF168,
     on_measure_start: Optional[Callable[[], None]] = None,
 ) -> LatencyRecorder:
-    """Steady-state random block updates; returns per-write latencies.
+    """Steady-state random synchronous block updates; returns per-write
+    latencies.
 
     ``on_measure_start`` fires once, after the warmup updates and before
     the first measured one -- the hook observability layers use to reset
@@ -55,14 +53,14 @@ def run_random_updates(
     :class:`~repro.blockdev.interpose.MetricsDevice` feeding Figure 9).
     """
     rng = random.Random(seed)
-    nblocks = file_bytes // io_bytes
-    payload = b"\xA5" * io_bytes
+    nblocks = file_bytes // IO_BYTES
+    payload = b"\xA5" * IO_BYTES
     recorder = LatencyRecorder()
     for i in range(warmup + updates):
         if i == warmup and on_measure_start is not None:
             on_measure_start()
         block = rng.randrange(nblocks)
-        breakdown = fs.write(path, block * io_bytes, payload, sync=sync)
+        breakdown = fs.write(path, block * IO_BYTES, payload, sync=True)
         if i >= warmup:
             recorder.record(breakdown)
     return recorder

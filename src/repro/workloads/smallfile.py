@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from repro.fs.api import FileSystem
 
+#: Each file's size: 1 KB.
+FILE_BYTES = 1024
+
 
 @dataclass
 class SmallFileResult:
@@ -33,13 +36,11 @@ class SmallFileResult:
 def run_small_file(
     fs: FileSystem,
     num_files: int = 1500,
-    file_bytes: int = 1024,
-    payload: bytes = b"",
     verify: bool = False,
 ) -> SmallFileResult:
     """Create / read / delete ``num_files`` small files in the root."""
     clock = fs.clock  # every implementation exposes its clock
-    data = payload or bytes(file_bytes)
+    data = bytes(FILE_BYTES)
     names = [f"/small{i:05d}" for i in range(num_files)]
 
     start = clock.now
@@ -53,7 +54,7 @@ def run_small_file(
 
     start = clock.now
     for name in names:
-        content, _ = fs.read(name, 0, file_bytes)
+        content, _ = fs.read(name, 0, FILE_BYTES)
         if verify and content != data:
             raise AssertionError(f"read-back mismatch for {name}")
     read_seconds = clock.now - start

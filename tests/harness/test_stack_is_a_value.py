@@ -30,8 +30,11 @@ import pytest
 from repro.blockdev.interpose import (
     DeviceCrashed,
     DiskFaultInjector,
+    FaultDevice,
     FaultPlan,
     InjectedReadError,
+    MetricsDevice,
+    TracingDevice,
 )
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
@@ -40,7 +43,8 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.nvm.wal import NVWalInjector
 from repro.vlfs.vlfs import VLFS
-from repro.vlog.resilience import MediaError
+from repro.vlog.compactor import FreeSpaceCompactor
+from repro.vlog.resilience import MediaError, MediaScrubber
 from repro.vlog.transactions import TransactionalVLD
 from repro.vlog.vld import VirtualLogDisk
 from repro.workloads.random_update import prepare_file
@@ -279,3 +283,22 @@ def test_the_armed_injector_fires_in_the_forked_workload():
     prefix(stack)
     assert stack["top"].injector.appends_seen < 45
     assert any(entry[0] == "crash" for entry in follow(stack))
+
+
+def test_first_use_state_is_built_by_the_constructor():
+    # A fork taken before a first use would build that state afresh from
+    # whatever the fork holds then; built in __init__, it is copied with
+    # everything else.
+    vld = VirtualLogDisk(Disk(ST19101, num_cylinders=4))
+    assert isinstance(vars(vld)["compactor"], FreeSpaceCompactor)
+    assert vars(vld.compactor)["_seeks_sorted"] is True
+    assert isinstance(vars(vld.resilience)["scrubber"], MediaScrubber)
+    fault = FaultDevice(vld, FaultPlan(seed=5, slow_factor=3.0))
+    for observer, source in (
+        (TracingDevice(vld), None),
+        (MetricsDevice(fault), fault),
+        (TracingDevice(MetricsDevice(fault)), fault),
+    ):
+        state = vars(observer)
+        assert state["_slow_source"] is source
+        assert state["_slow_cursor"] == (0, 0.0)

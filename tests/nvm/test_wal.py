@@ -193,7 +193,7 @@ class TestCapacityGuards:
     def test_oversized_record_bypasses(self, vld):
         # absorb_max_blocks would allow it, but the log cannot hold it.
         spec = NVM_SPECS["nvdimm"].with_overrides(capacity_bytes=96 << 10)
-        wal = NVWal(vld, spec=spec, absorb_max_blocks=64)
+        wal = NVWal(vld, spec=spec)
         payload = _blk(0xDD) * 32  # 128 KiB > 96 KiB log
         wal.write_blocks(0, 32, payload)
         assert wal.bypassed_writes == 1

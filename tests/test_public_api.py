@@ -1,6 +1,83 @@
 """The README's front-door code paths, kept honest."""
 
+import importlib
+import inspect
+
 import repro
+
+#: The configuration surface: every parameter of the stack's
+#: constructors and workload drivers, in order.  A value that no caller
+#: sets to anything but its default is a constant at the place that uses
+#: it, not a parameter (DESIGN.md section 7), so adding an option here
+#: is a reviewed edit of this table.
+CONFIGURATION_SURFACE = {
+    "repro.ufs.ufs:UFS": ("device", "host", "format_device"),
+    "repro.lfs.lfs:LFS": ("device", "host", "nvram", "cleaner_policy"),
+    "repro.vlfs.vlfs:VLFS": ("disk", "host", "nvram"),
+    "repro.nvm.wal:NVWal": ("inner", "spec", "clock"),
+    "repro.volume.health:ShardHealthMonitor": (
+        "window", "baseline_samples", "min_samples",
+    ),
+    "repro.vlog.vld:VirtualLogDisk": (
+        "disk", "block_size", "map_record_bytes", "policy",
+        "fill_threshold", "queue_depth", "sched",
+    ),
+    "repro.vlog.resilience:ResilienceController": ("vld",),
+    "repro.vlog.compactor:FreeSpaceCompactor": ("vld",),
+    "repro.vlog.reorganizer:ReadReorganizer": ("vld",),
+    "repro.blockdev.interpose:build_device_stack": (
+        "disk", "device_type", "trace", "trace_sink", "metrics", "faults",
+        "nvm", "device_kwargs",
+    ),
+    "repro.harness.configs:build_sharded_volume": (
+        "shards", "stripe_blocks", "num_cylinders", "queue_depth", "sched",
+        "fault_plans", "retry_policy", "hedge_reads",
+    ),
+    "repro.workloads.random_update:prepare_file": ("fs", "path", "file_bytes"),
+    "repro.workloads.random_update:run_random_updates": (
+        "fs", "path", "file_bytes", "updates", "warmup", "seed",
+        "on_measure_start",
+    ),
+    "repro.workloads.bursts:run_bursts": (
+        "fs", "path", "file_bytes", "burst_bytes", "idle_seconds", "bursts",
+        "warmup_bursts", "seed",
+    ),
+    "repro.workloads.largefile:run_large_file": (
+        "fs", "file_bytes", "include_sync_phase", "seed", "verify",
+    ),
+    "repro.workloads.smallfile:run_small_file": ("fs", "num_files", "verify"),
+    "repro.harness.runner:simulate_locate_free": (
+        "spec", "free_fraction", "trials", "seed",
+    ),
+    "repro.harness.runner:simulate_queued_workload": (
+        "spec", "queue_depth", "policy", "workload", "requests",
+        "think_seconds", "seed",
+    ),
+    "repro.hosts.multihost:run_multihost": (
+        "spec", "hosts", "disks", "requests_per_host", "request_sectors",
+        "think_seconds", "workload", "policy", "seed", "trace", "shards",
+        "shard_slow",
+    ),
+}
+
+
+def _signature(path):
+    module, name = path.split(":")
+    return inspect.signature(getattr(importlib.import_module(module), name))
+
+
+class TestConfigurationSurface:
+    def test_parameter_names_are_pinned(self):
+        for path, names in CONFIGURATION_SURFACE.items():
+            assert tuple(_signature(path).parameters) == names, path
+
+    def test_optional_parameter_count_is_pinned(self):
+        optional = sum(
+            parameter.default is not inspect.Parameter.empty
+            for path in CONFIGURATION_SURFACE
+            for parameter in _signature(path).parameters.values()
+        )
+        assert optional == 59
 
 
 class TestReadmeSnippets:

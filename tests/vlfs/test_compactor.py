@@ -1,6 +1,7 @@
 """The VLFS idle-time compactor ("only an optimization", Section 3.4)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,24 +34,45 @@ def churn(fs, file_mb=10, updates=700, seed=3):
     return contents
 
 
+def empty_tracks(fs):
+    geometry = fs.disk.geometry
+    return sum(
+        1
+        for cylinder in range(geometry.num_cylinders)
+        for head in range(geometry.tracks_per_cylinder)
+        if fs.freemap.track_free_count(cylinder, head)
+        == geometry.sectors_per_track
+    )
+
+
 class TestVlfsCompactor:
     def test_creates_empty_tracks(self, fs):
         churn(fs)
-        geometry = fs.disk.geometry
-        per_track = geometry.sectors_per_track
-
-        def empty_tracks():
-            return sum(
-                1
-                for cylinder in range(geometry.num_cylinders)
-                for head in range(geometry.tracks_per_cylinder)
-                if fs.freemap.track_free_count(cylinder, head) == per_track
-            )
-
-        before = empty_tracks()
+        before = empty_tracks(fs)
         fs.compactor.run_for(3.0)
         assert fs.compactor.blocks_moved > 0
-        assert empty_tracks() >= before
+        assert empty_tracks(fs) >= before
+
+    def test_a_track_it_cannot_empty_is_not_picked_again(self, fs, monkeypatch):
+        """At seed 3 one track's only live content is the record of map
+        chunk 0, and relocating a record puts it back on the same track:
+        that pass frees nothing.  The compactor must leave the track for
+        the rest of the call, not spend the whole budget on it, and must
+        not count the pass as a compacted track."""
+        churn(fs, updates=400)
+        before = empty_tracks(fs)
+        targets = []
+        compact_track = fs.compactor._compact_track
+
+        def recording(track, owners, deadline):
+            targets.append(track)
+            return compact_track(track, owners, deadline)
+
+        monkeypatch.setattr(fs.compactor, "_compact_track", recording)
+        fs.compactor.run_for(3.0)
+        assert max(Counter(targets).values()) <= 2
+        assert fs.compactor.tracks_compacted < len(targets)
+        assert empty_tracks(fs) - before >= 20
 
     def test_preserves_contents(self, fs):
         contents = churn(fs, updates=500)

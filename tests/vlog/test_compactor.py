@@ -147,4 +147,4 @@ class TestDeviceIdleHook:
         start = vld.disk.clock.now
         vld.idle(0.5)
         assert vld.disk.clock.now == pytest.approx(start + 0.5)
-        assert vld._compactor is None or vld.compactor.blocks_moved == 0
+        assert vld.compactor.blocks_moved == 0
