@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.sim.clock import SimClock
+from repro.sim.media import MediaImage
 from repro.sim.stats import Breakdown
 
 
@@ -102,7 +103,8 @@ class NVMDevice:
             raise ValueError("NVM capacity must be positive")
         self.spec = spec
         self.clock = clock
-        self._image = bytearray(spec.capacity_bytes)
+        #: The persistence domain; pages are resident once written.
+        self._image = MediaImage(spec.capacity_bytes)
         #: Stores not yet in the persistence domain, in program order.
         self._pending: List[Tuple[int, bytes]] = []
         self.loads = 0
@@ -188,7 +190,7 @@ class NVMDevice:
         assertions -- a real restart reads through :meth:`load`, whose
         buffer is empty after a crash anyway)."""
         self._check(offset, nbytes)
-        return bytes(self._image[offset : offset + nbytes])
+        return self._image[offset : offset + nbytes]
 
     def stats(self) -> dict:
         return {

@@ -27,6 +27,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.specs import DiskSpec
 from repro.sim.clock import SimClock
+from repro.sim.media import MediaImage
 from repro.sim.metrics import OpCounters
 from repro.sim.stats import Breakdown
 
@@ -53,8 +54,10 @@ class Disk:
         num_cylinders: Cylinders to expose (defaults to the paper's
             simulated slice, ``spec.sim_cylinders``).
         readahead: Track-buffer policy.
-        store_data: Keep actual sector contents in memory.  Disable for
-            timing-only studies (e.g. the analytical-model validations).
+        store_data: Keep actual sector contents in memory, in a
+            :class:`~repro.sim.media.MediaImage` that holds only the
+            pages written so far.  Disable for timing-only studies (e.g.
+            the analytical-model validations).
     """
 
     def __init__(
@@ -74,8 +77,8 @@ class Disk:
         self.cache = TrackBuffer(readahead)
         self.head_cylinder = 0
         self.head_head = 0
-        self._data: Optional[bytearray] = (
-            bytearray(self.geometry.capacity_bytes) if store_data else None
+        self._data: Optional[MediaImage] = (
+            MediaImage(self.geometry.capacity_bytes) if store_data else None
         )
         # Statistics (request counts, sectors moved, busy time).
         self.counters = OpCounters()
@@ -119,7 +122,7 @@ class Disk:
         if self._data is None:
             raise RuntimeError("disk was created with store_data=False")
         lo = sector * self.sector_bytes
-        return bytes(memoryview(self._data)[lo : lo + count * self.sector_bytes])
+        return self._data[lo : lo + count * self.sector_bytes]
 
     def poke(self, sector: int, data: bytes) -> None:
         """Write sector contents without advancing time (test helper)."""
@@ -154,20 +157,51 @@ class Disk:
         processor* (the virtual log machinery), which pays mechanics but not
         host-visible command overhead.
         """
-        self._check_run(sector, count)
+        geometry = self.geometry
+        if count <= 0 or not 0 <= sector <= geometry.total_sectors - count:
+            self._check_run(sector, count)  # names what is wrong, and raises
         if self.fault_injector is not None:
             self.fault_injector.before_read(self, sector, count)
-        breakdown = Breakdown()
-        start = self.clock.now
+        clock = self.clock
+        start = issued = clock.now
+        overhead = 0.0
         if charge_scsi:
-            breakdown.charge("scsi", self.spec.scsi_overhead)
-            self.clock.advance(self.spec.scsi_overhead)
-        per_track = self.geometry.sectors_per_track
-        if count <= per_track - sector % per_track:
-            # Single-chunk fast path, as in write(): the request fits on
-            # one track, so there is no chunk list to build.
-            self._service_read_chunk(sector, count, breakdown)
+            # Opens the breakdown directly, as in write().
+            overhead = self.spec.scsi_overhead
+            issued = clock.advance(overhead)
+        per_track = geometry.sectors_per_track
+        sect = sector % per_track
+        if count <= per_track - sect:
+            # The request fits on one track (every block-granular read
+            # does): the track buffer judges it, and the costs open the
+            # breakdown as write()'s do.
+            track_lo = sector - sect
+            track_key = divmod(sector // per_track, geometry.tracks_per_cylinder)
+            if self.cache.note_read(
+                track_key, track_lo, track_lo + per_track, sector, count
+            ):
+                # Served from the track buffer at (approximately) media
+                # rate; no arm or rotational involvement.
+                transfer = self.mechanics.transfer_time(count)
+                breakdown = Breakdown(overhead, transfer)
+                finish = clock.advance(transfer)
+            else:
+                (
+                    finish,
+                    positioning,
+                    rotational,
+                    transfer,
+                    self.head_cylinder,
+                    self.head_head,
+                ) = self.mechanics.access(
+                    issued, self.head_cylinder, self.head_head, sector, count
+                )
+                breakdown = Breakdown(
+                    overhead, transfer, positioning + rotational
+                )
+                finish = clock.advance_to(finish)
         else:
+            breakdown = Breakdown(overhead)
             chunks = []
             remaining = count
             cursor = sector
@@ -177,15 +211,16 @@ class Disk:
                 cursor += chunk
                 remaining -= chunk
             self._service_read_span(chunks, breakdown)
-        self.counters.note_read(count, self.clock.now - start)
-        if self._data is None:
-            data = b""
-        else:
-            lo = sector * self.sector_bytes
-            # One copy out of the image (slicing the bytearray first
-            # would make two).
-            data = bytes(memoryview(self._data)[lo : lo + count * self.sector_bytes])
-        return data, breakdown
+            finish = clock.now
+        counters = self.counters
+        counters.reads += 1
+        counters.sectors_read += count
+        counters.busy_time += finish - start
+        image = self._data
+        if image is None:
+            return b"", breakdown
+        lo = sector * self.spec.sector_bytes
+        return image[lo : lo + count * self.spec.sector_bytes], breakdown
 
     def write(
         self,
@@ -414,24 +449,6 @@ class Disk:
         per_track = self.geometry.sectors_per_track
         room = per_track - (sector % per_track)
         return min(remaining, room)
-
-    def _service_read_chunk(
-        self, sector: int, count: int, breakdown: Breakdown
-    ) -> None:
-        cylinder, head, sect = self.geometry.decompose(sector)
-        track_lo = sector - sect
-        track_hi = track_lo + self.geometry.sectors_per_track
-        hit = self.cache.note_read(
-            (cylinder, head), track_lo, track_hi, sector, count
-        )
-        if hit:
-            # Served from the track buffer at (approximately) media rate;
-            # no arm or rotational involvement.
-            transfer = self.mechanics.transfer_time(count)
-            breakdown.charge("transfer", transfer)
-            self.clock.advance(transfer)
-            return
-        self._position_and_transfer(sector, count, breakdown)
 
     def _service_read_span(self, chunks, breakdown: Breakdown) -> None:
         """Service a read that crosses track boundaries: the buffer judges

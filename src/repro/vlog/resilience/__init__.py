@@ -49,7 +49,9 @@ class ResilienceController:
         self.vld = vld
         self.disk = vld.disk
         self.policy = RetryPolicy()
-        self.checksums = ChecksumStore(self.disk.sector_bytes)
+        self.checksums = ChecksumStore(
+            self.disk.sector_bytes, self.disk.total_sectors
+        )
         self.disk.checksums = self.checksums
         self.quarantine = QuarantineTable(
             entries_per_chunk(vld.map_record_bytes)

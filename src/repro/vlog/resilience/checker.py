@@ -191,9 +191,6 @@ def _check_quarantine(vld, report: FsckReport) -> None:
 
 def _check_on_disk(vld, report: FsckReport) -> None:
     disk = vld.disk
-    if disk._data is None:
-        report.add("deep-unavailable", "disk stores no data (timing-only)")
-        return
     spb = vld.sectors_per_block
     checksums = vld.resilience.checksums
     for _lba, physical in vld.imap.items():

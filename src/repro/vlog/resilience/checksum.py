@@ -16,10 +16,10 @@ is also what makes attaching the store to an already-used disk sound.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, Iterator, List, Tuple
 
 #: Shared all-zero ``bytes`` objects by length, for content comparisons.
 #: The simulator's traffic is overwhelmingly zero-filled -- timing studies
@@ -35,6 +35,10 @@ def _zeros_of(n: int) -> bytes:
         zeros = _ZEROS_BY_LEN[n] = bytes(n)
     return zeros
 
+
+#: The slot value of a sector with no recorded checksum (a CRC32 is
+#: never negative).
+_UNRECORDED = -1
 
 #: ``(sector_bytes, count) -> Struct`` cutting a ``count``-sector run into
 #: its sectors: a lookup table of constants (as ``entries._ENTRY_STRUCTS``
@@ -52,18 +56,34 @@ def _split(sector_bytes: int, count: int) -> struct.Struct:
 
 
 class ChecksumStore:
-    """CRC32 per physical sector, maintained out-of-band."""
+    """CRC32 per physical sector, maintained out-of-band.
 
-    def __init__(self, sector_bytes: int) -> None:
+    One ``array('q')`` slot per sector of the image the store guards --
+    8 bytes per sector, allocated once -- holding the sector's CRC, or
+    ``-1`` for a sector nothing was ever recorded on.  Every store is a
+    slice assignment of exactly the run's length, so no write resizes the
+    array; a run outside it raises ``IndexError``.
+    """
+
+    def __init__(self, sector_bytes: int, sectors: int) -> None:
         if sector_bytes <= 0:
             raise ValueError("sector_bytes must be positive")
+        if sectors <= 0:
+            raise ValueError("sectors must be positive")
         self.sector_bytes = sector_bytes
-        self._crcs: Dict[int, int] = {}
+        self._crcs = array("q", (_UNRECORDED,)) * sectors
         #: CRC of one all-zero sector; every zero sector records this.
         self._zero_crc = zlib.crc32(bytes(sector_bytes))
 
     def __len__(self) -> int:
-        return len(self._crcs)
+        """Sectors with a recorded checksum."""
+        return len(self._crcs) - self._crcs.count(_UNRECORDED)
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """``(sector, crc)`` for every recorded sector, ascending."""
+        for sector, crc in enumerate(self._crcs):
+            if crc != _UNRECORDED:
+                yield sector, crc
 
     def record(self, sector: int, data: bytes) -> None:
         """Recompute checksums for the sectors ``data`` just overwrote.
@@ -72,8 +92,9 @@ class ChecksumStore:
         fast-pathed: an all-zero payload stores the precomputed
         zero-sector CRC without hashing anything, a single sector skips
         the splitting, and a run is cut into sectors by one shared
-        ``Struct`` and hashed by ``map`` straight into one dict update --
-        the same per-sector CRC32s with no Python frame per sector.
+        ``Struct`` and hashed by ``map`` straight into one slice
+        assignment -- the same per-sector CRC32s with no Python frame per
+        sector.
         """
         sb = self.sector_bytes
         if type(data) is not bytes:
@@ -89,15 +110,15 @@ class ChecksumStore:
         if data == zeros:
             self.record_zeros(sector, n // sb)
             return
-        if n == sb:
-            self._crcs[sector] = zlib.crc32(data)
-            return
+        crcs = self._crcs
         count = n // sb
-        self._crcs.update(
-            zip(
-                range(sector, sector + count),
-                map(zlib.crc32, _split(sb, count).unpack_from(data)),
-            )
+        if not 0 <= sector <= len(crcs) - count:
+            raise IndexError(_outside(sector, count, len(crcs)))
+        if count == 1:
+            crcs[sector] = zlib.crc32(data)
+            return
+        crcs[sector : sector + count] = array(
+            "q", map(zlib.crc32, _split(sb, count).unpack_from(data))
         )
 
     def record_zeros(self, sector: int, count: int) -> None:
@@ -105,43 +126,51 @@ class ChecksumStore:
         the data-less write path (``Disk.write`` with ``data=None``) knows
         its payload is the shared zero page, so every sector stores the
         precomputed zero-sector CRC."""
+        crcs = self._crcs
+        if not 0 <= sector <= len(crcs) - count:
+            raise IndexError(_outside(sector, count, len(crcs)))
         if count == 1:
-            self._crcs[sector] = self._zero_crc
+            crcs[sector] = self._zero_crc
             return
-        self._crcs.update(
-            zip(range(sector, sector + count), itertools.repeat(self._zero_crc))
-        )
+        crcs[sector : sector + count] = array("q", (self._zero_crc,)) * count
 
     def recorded(self, sector: int) -> bool:
-        return sector in self._crcs
+        crcs = self._crcs
+        return 0 <= sector < len(crcs) and crcs[sector] != _UNRECORDED
 
     def forget(self, sector: int, count: int = 1) -> None:
         """Drop checksums (e.g. when a sector is quarantined for good)."""
-        for s in range(sector, sector + count):
-            self._crcs.pop(s, None)
+        crcs = self._crcs
+        if not 0 <= sector <= len(crcs) - count:
+            raise IndexError(_outside(sector, count, len(crcs)))
+        crcs[sector : sector + count] = array("q", (_UNRECORDED,)) * count
 
     def verify(self, sector: int, count: int, data: bytes) -> List[int]:
         """Sectors of ``data`` whose contents contradict their checksum.
 
-        Works a run at a time: the run's stored CRCs are fetched in one
-        pass, a run nothing was ever written to returns at once, an
-        all-zero payload is settled by counting stored zero-sector CRCs,
-        a fully recorded run is cut by :meth:`record`'s ``Struct`` and its CRCs
-        compared as one list, and only a mismatch or a partly recorded run
-        walks the sectors that have a stored CRC, one at a time.
+        Works a run at a time: the run's stored CRCs are fetched by one
+        slice of the array, a run nothing was ever written to returns at
+        once, an all-zero payload is settled by counting stored
+        zero-sector CRCs, a fully recorded run is cut by :meth:`record`'s
+        ``Struct`` and its CRCs compared as one array, and only a mismatch
+        or a partly recorded run walks the sectors that have a stored
+        CRC, one at a time.
         """
         sb = self.sector_bytes
         span = count * sb
         if len(data) < span:
             raise ValueError("data shorter than the claimed sector run")
+        crcs = self._crcs
+        if not 0 <= sector <= len(crcs) - count:
+            raise IndexError(_outside(sector, count, len(crcs)))
         if count == 1:
             # The recovery traversal reads one map sector at a time.
-            crc = self._crcs.get(sector)
-            if crc is None or zlib.crc32(data[:sb]) == crc:
+            crc = crcs[sector]
+            if crc == _UNRECORDED or zlib.crc32(data[:sb]) == crc:
                 return []
             return [sector]
-        stored = list(map(self._crcs.get, range(sector, sector + count)))
-        unrecorded = stored.count(None)
+        stored = crcs[sector : sector + count]
+        unrecorded = stored.count(_UNRECORDED)
         if unrecorded == count:
             return []
         if data[:span] == _zeros_of(span):
@@ -152,18 +181,27 @@ class ChecksumStore:
             return [
                 sector + i
                 for i, crc in enumerate(stored)
-                if crc is not None and crc != zero_crc
+                if crc != _UNRECORDED and crc != zero_crc
             ]
         if not unrecorded:
-            if list(map(zlib.crc32, _split(sb, count).unpack_from(data))) == stored:
+            computed = array("q", map(zlib.crc32, _split(sb, count).unpack_from(data)))
+            if computed == stored:
                 return []
         view = memoryview(data)
         crc32 = zlib.crc32
         return [
             sector + i
             for i, crc in enumerate(stored)
-            if crc is not None and crc32(view[i * sb : (i + 1) * sb]) != crc
+            if crc != _UNRECORDED and crc32(view[i * sb : (i + 1) * sb]) != crc
         ]
+
+
+def _outside(sector: int, count: int, sectors: int) -> str:
+    return f"sectors [{sector}, {sector + count}) outside a store of {sectors}"
+
+
+#: Byte ``b`` -> ``b ^ 0xFF``, for :meth:`bytes.translate`.
+_INVERT = bytes(range(255, -1, -1))
 
 
 def silently_corrupt(disk, sector: int, count: int = 1) -> None:
@@ -176,4 +214,4 @@ def silently_corrupt(disk, sector: int, count: int = 1) -> None:
     sb = disk.sector_bytes
     lo = sector * sb
     hi = lo + count * sb
-    disk._data[lo:hi] = bytes(b ^ 0xFF for b in disk._data[lo:hi])
+    disk._data[lo:hi] = disk._data[lo:hi].translate(_INVERT)

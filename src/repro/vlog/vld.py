@@ -76,6 +76,13 @@ class VirtualLogDisk(BlockDevice):
         queue_depth: int = 1,
         sched: Union[str, SchedulingPolicy] = "fifo",
     ) -> None:
+        if disk._data is None:
+            # The map, its log and the power-down record live on the
+            # media, and the checksum store guards the image.
+            raise ValueError(
+                "a virtual log disk needs a disk that stores its sectors, "
+                "not Disk(..., store_data=False)"
+            )
         if block_size % disk.sector_bytes != 0:
             raise ValueError("block size must be a multiple of the sector size")
         if map_record_bytes % disk.sector_bytes != 0:

@@ -9,8 +9,10 @@ workload ends: the same media bytes, the same clock reading, the same
 disk counters, the same per-operation ``Breakdown`` totals and, where
 there is a VLD, the same map and CRC table.
 
-Nothing in ``src/`` helps: there is no copy hook, no ``__getstate__`` and
-no fork API.  What makes a stack copyable is what it does not hold -- no
+Nothing in ``src/`` helps but the media: there is no ``__getstate__``
+and no fork API, and the one copy hook is ``MediaImage.__reduce__``,
+which rebuilds a disk or NVM image from its written pages (the image
+tests below).  What makes a stack copyable is what it does not hold -- no
 closure over ``self`` (a copied closure still points at the original), no
 per-instance ``struct.Struct`` and no attribute that only appears on
 first use.  The copies run after the original has moved on, so a copy
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import mmap
 import pickle
 import random
 from dataclasses import replace
@@ -246,7 +249,7 @@ def _state(stack, log):
         "counters": [disk.counters.as_dict() for disk in disks],
         "maps": [list(vld.imap.items()) for vld in stack["vlds"]],
         "crcs": [
-            sorted(vld.resilience.checksums._crcs.items())
+            list(vld.resilience.checksums.items())
             for vld in stack["vlds"]
         ],
     }
@@ -272,6 +275,62 @@ def test_fork_runs_as_a_fresh_build_would(shape):
     assert _state(original, follow(original)) == expected
     for how, fork in forks.items():
         assert _state(fork, follow(fork)) == expected, how
+
+
+def _pickle_fork(value):
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+_FORKS = {"deepcopy": copy.deepcopy, "pickle": _pickle_fork}
+
+
+def _sha(image) -> str:
+    return hashlib.sha256(image).hexdigest()
+
+
+@pytest.mark.parametrize("how", sorted(_FORKS))
+def test_a_written_disk_image_forks_byte_for_byte(how):
+    disk = Disk(ST19101, num_cylinders=4)
+    rng = random.Random(3)
+    for _ in range(64):
+        sector = rng.randrange(disk.total_sectors - 8)
+        disk.write(sector, 8, rng.randbytes(8 * disk.sector_bytes))
+    before = _sha(disk._data)
+    fork = _FORKS[how](disk)
+    assert type(fork._data) is type(disk._data)
+    assert _sha(fork._data) == before
+    fork.write(0, 8, b"\x5a" * (8 * disk.sector_bytes))
+    assert _sha(fork._data) != before
+    assert _sha(disk._data) == before
+
+
+@pytest.mark.parametrize("how", sorted(_FORKS))
+def test_an_nvwal_image_forks_byte_for_byte(how):
+    wal = NVWal(VirtualLogDisk(Disk(ST19101, num_cylinders=4)))
+    for lba in range(12):
+        wal.write_block(lba, bytes([lba + 1]) * BLOCK)
+    nvm = wal.nvm
+    before = _sha(nvm._image)
+    fork = _FORKS[how](nvm)
+    assert _sha(fork._image) == before
+    fork.store(0, b"\xa5" * 64)
+    fork.flush()
+    assert _sha(fork._image) != before
+    assert _sha(nvm._image) == before
+
+
+def test_a_fork_carries_only_the_written_pages():
+    disk = Disk(ST19101)
+    assert disk._data._written_runs() == ()
+    assert len(pickle.dumps(disk._data)) < mmap.PAGESIZE
+    lo = 1000 * disk.sector_bytes
+    disk.write(1000, 8, b"\x01" * (8 * disk.sector_bytes))
+    # Bytes [512000, 516096) lie within one page for any page size from
+    # 4 KiB to 64 KiB, so one page-sized run is written.
+    ((offset, data),) = disk._data._written_runs()
+    assert offset == lo - lo % mmap.PAGESIZE
+    assert len(data) == mmap.PAGESIZE
+    assert len(pickle.dumps(disk._data)) < 2 * mmap.PAGESIZE
 
 
 def test_the_armed_injector_fires_in_the_forked_workload():

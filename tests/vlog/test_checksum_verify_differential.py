@@ -1,7 +1,7 @@
 """``ChecksumStore.verify`` against the per-sector walk it short-cuts.
 
 A fully recorded, non-zero run is verified by cutting it with the same
-cached ``Struct`` ``record`` uses and comparing the CRC list in one go;
+cached ``Struct`` ``record`` uses and comparing the CRC array in one go;
 the per-sector listcomp only names the bad sectors.  The reference below
 is the verify that hashed every recorded sector through its own
 memoryview slice; both must name the same sectors on every run: 1-, 8-
@@ -18,25 +18,29 @@ import pytest
 from repro.vlog.resilience.checksum import ChecksumStore, _zeros_of
 
 SB = 512
+#: Room for the highest run a case writes: base < 1000, 256 sectors.
+SECTORS = 2048
 
 
 def _reference_verify(store, sector, count, data):
-    """The per-sector verify, as it stood before the split compare."""
+    """The per-sector verify, as it stood before the split compare, over
+    the store's recorded ``(sector, crc)`` pairs."""
     sb = store.sector_bytes
+    crcs = dict(store.items())
     span = count * sb
     if len(data) < span:
         raise ValueError("data shorter than the claimed sector run")
     if count == 1:
-        crc = store._crcs.get(sector)
+        crc = crcs.get(sector)
         if crc is None or zlib.crc32(data[:sb]) == crc:
             return []
         return [sector]
-    stored = list(map(store._crcs.get, range(sector, sector + count)))
+    stored = list(map(crcs.get, range(sector, sector + count)))
     unrecorded = stored.count(None)
     if unrecorded == count:
         return []
     if data[:span] == _zeros_of(span):
-        zero_crc = store._zero_crc
+        zero_crc = zlib.crc32(bytes(sb))
         if stored.count(zero_crc) + unrecorded == count:
             return []
         return [
@@ -62,7 +66,7 @@ def _case(rng, count, written, corrupt, gaps):
     """A store holding ``written`` (zero or not), then the read: the same
     bytes with ``gaps`` sectors never recorded and ``corrupt`` of the
     recorded ones flipped."""
-    store = ChecksumStore(SB)
+    store = ChecksumStore(SB, SECTORS)
     base = rng.randrange(1000)
     data = bytearray(_payload(rng, count, written == "zero"))
     store.record(base, bytes(data))

@@ -48,25 +48,25 @@ def _fill(vld, n=12):
 
 class TestChecksumStore:
     def test_record_verify_roundtrip(self):
-        store = ChecksumStore(512)
+        store = ChecksumStore(512, 64)
         data = bytes(range(256)) * 4  # two sectors
         store.record(40, data)
         assert len(store) == 2
         assert store.verify(40, 2, data) == []
 
     def test_mismatch_names_the_bad_sector(self):
-        store = ChecksumStore(512)
+        store = ChecksumStore(512, 64)
         data = b"\x11" * 1024
         store.record(40, data)
         tampered = data[:512] + b"\x22" * 512
         assert store.verify(40, 2, tampered) == [41]
 
     def test_unrecorded_sectors_verify_clean(self):
-        store = ChecksumStore(512)
+        store = ChecksumStore(512, 64)
         assert store.verify(0, 4, bytes(2048)) == []
 
     def test_forget(self):
-        store = ChecksumStore(512)
+        store = ChecksumStore(512, 64)
         store.record(7, b"\x33" * 512)
         store.forget(7)
         assert not store.recorded(7)

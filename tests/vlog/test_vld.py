@@ -62,6 +62,13 @@ class TestBlockDeviceSemantics:
         with pytest.raises(ValueError):
             vld.read_block(vld.num_blocks)
 
+    def test_a_timing_only_disk_is_refused(self):
+        # The map, its log and the power-down record live on the media:
+        # over a disk that keeps no sectors a write was acknowledged and
+        # then neither read_block nor crash() + recover() could run.
+        with pytest.raises(ValueError, match="store_data=False"):
+            VirtualLogDisk(Disk(ST19101, num_cylinders=2, store_data=False))
+
 
 class TestEagerWritingBehaviour:
     def test_overwrite_relocates_physically(self, vld):

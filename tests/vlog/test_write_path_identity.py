@@ -91,7 +91,7 @@ def _note_state(digest, vld) -> None:
                 disk.head_head,
                 disk.clock.now.hex(),
                 hashlib.sha256(disk.peek(0, disk.total_sectors)).hexdigest(),
-                sorted(vld.resilience.checksums._crcs.items()),
+                list(vld.resilience.checksums.items()),
                 sorted(vld.imap.items()),
             )
         ).encode()
