@@ -110,7 +110,7 @@ def lfs_story(nvram: bool) -> None:
     fs.write("/mail/inbox", 8192, b"message three (buffered)\n")
 
     fs.crash()
-    cost = fs.mount()
+    cost = fs.recover().breakdown
     one, _ = fs.read("/mail/inbox", 0, 12)
     two, _ = fs.read("/mail/inbox", 4096, 12)
     three, _ = fs.read("/mail/inbox", 8192, 25)

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.sim.stats import Breakdown
+
+if TYPE_CHECKING:  # an annotation only
+    from repro.vlog.recovery import RecoveryOutcome
 
 
 class FileSystemError(Exception):
@@ -123,6 +127,27 @@ class FileSystem(abc.ABC):
     @abc.abstractmethod
     def sync(self) -> Breakdown:
         """Flush all dirty state."""
+
+    # -- lifecycle: the device contract's, one layer up ------------------
+    # Crash goes down, recover comes up: ``crash()`` takes the device
+    # beneath down with the file system; ``recover()`` brings the device
+    # back first, then mounts from what it holds.
+
+    @abc.abstractmethod
+    def power_down(self) -> Breakdown:
+        """Orderly shutdown: everything acknowledged reaches the device,
+        then the device's own power-down runs."""
+
+    @abc.abstractmethod
+    def crash(self) -> None:
+        """Power loss: volatile state is gone without write-back, the
+        device crashes too, and only :meth:`recover` may run next."""
+
+    @abc.abstractmethod
+    def recover(self) -> RecoveryOutcome:
+        """Recover the device, then mount from its contents.  The
+        device's outcome is folded into the one returned (``parts``);
+        the mount's own cost is added to its ``breakdown``."""
 
     # -- cache control (benchmark hooks) ---------------------------------
 

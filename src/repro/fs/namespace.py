@@ -227,7 +227,9 @@ class InodeNamespace(FileSystem):
     def rename(self, old_path: str, new_path: str) -> Breakdown:
         """Move an entry between directories: the new name is added
         before the old one is removed, so a crash leaves at worst an extra
-        (hard-link-like) entry, never a lost file."""
+        (hard-link-like) entry, never a lost file.  A directory that
+        changes parent takes its ``..`` along: one link moves from the
+        old parent's count to the new one's."""
         breakdown = self._start_op()
         old_parents, old_name = dirname_basename(old_path)
         new_parents, new_name = dirname_basename(new_path)
@@ -251,12 +253,21 @@ class InodeNamespace(FileSystem):
             new_dir, new_dir_inode, new_name, breakdown
         ) is not None:
             raise FileExists(new_path)
+        moves_a_directory = (
+            old_dir != new_dir and self._read_inode(inum, breakdown).is_dir
+        )
         self._dir_add(new_dir, new_dir_inode, new_name, inum, breakdown)
+        if moves_a_directory:
+            new_dir_inode.nlink += 1
+            self._write_inode(new_dir, new_dir_inode, False, breakdown)
         if old_dir == new_dir:
             # One directory: removal must start from the inode the add
             # just wrote, not the copy read before it.
             old_dir_inode = self._read_inode(old_dir, breakdown)
         self._dir_remove(old_dir, old_dir_inode, old_name, breakdown)
+        if moves_a_directory:
+            old_dir_inode.nlink = max(2, old_dir_inode.nlink - 1)
+            self._write_inode(old_dir, old_dir_inode, False, breakdown)
         return breakdown
 
     # -- free of charge: benchmarks only --------------------------------

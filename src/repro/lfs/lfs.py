@@ -40,6 +40,7 @@ from repro.lfs.nvram import FileCache
 from repro.lfs.segment import BlockKind, SegmentSummary, SegmentWriter
 from repro.sched.idle import IdleManager
 from repro.sim.stats import Breakdown
+from repro.vlog.recovery import RecoveryOutcome, fold_outcomes
 
 _IB_HEADER = struct.Struct("<II")
 
@@ -156,17 +157,28 @@ class LFS(InodeNamespace):
         the paper's NVRAM assumption is that the buffer cache (which in
         MinixUFS holds metadata too) gives "a similar reliability
         guarantee as that of the synchronous systems".  Without NVRAM
-        everything volatile is lost.  Call :meth:`mount` to recover.
+        everything volatile is lost.  The device crashes beneath; only
+        :meth:`recover` may run next.
         """
         self.cache.crash()
         if not self.cache.nvram:
             self._inodes.clear()
             self._dirty_inodes.clear()
         self._inode_block_weights.clear()
+        self.device.crash()
 
-    def mount(self) -> Breakdown:
-        """Recover: checkpoint load + roll-forward over segment summaries."""
-        breakdown = Breakdown()
+    def power_down(self) -> Breakdown:
+        """Orderly shutdown: a checkpoint, then the device's own."""
+        breakdown = self.checkpoint()
+        breakdown.add(self.device.power_down())
+        return breakdown
+
+    def recover(self) -> RecoveryOutcome:
+        """Recover the device, then mount: load the newest checkpoint and
+        roll forward over the segment summaries younger than it.  The
+        device's outcome comes back folded, this mount's cost added."""
+        outcome = fold_outcomes([self.device.recover()])
+        breakdown = outcome.breakdown
         header, cost = self.checkpoints.read_latest(self.imap, self.segusage)
         breakdown.add(cost)
         cp_flush_seqno = header.flush_seqno if header else 0
@@ -185,7 +197,7 @@ class LFS(InodeNamespace):
             self.writer.flush_seqno = max(self.writer.flush_seqno, seqno)
         if newer:
             self._recompute_usage(breakdown)
-        return breakdown
+        return outcome
 
     def _roll_forward_segment(
         self, segment: int, summary: SegmentSummary, breakdown: Breakdown

@@ -7,11 +7,13 @@ The classic phases, adapted to this FFS layout:
    area, and claimed exactly once.
 2. **Namespace** — every directory entry points to an allocated inode;
    every allocated inode is reachable from the root, no directory twice.
-   (Link counts are *not* checked: no phase compares ``nlink`` with the
-   entries naming an inode.)  The walk parses directory blocks itself,
-   not through :mod:`repro.fs.namespace`: a checker must not reuse what
-   it checks.
-3. **Allocation bitmaps** — the fragment and inode bitmaps agree exactly
+   The walk parses directory blocks itself, not through
+   :mod:`repro.fs.namespace`: a checker must not reuse what it checks.
+3. **Link counts** — every reachable inode's ``nlink`` equals the
+   entries naming it, counted by the namespace's rule: a regular file
+   has one link per entry, a directory two (``.`` and its entry in the
+   parent, the root's own ``..``) plus one ``..`` per subdirectory.
+4. **Allocation bitmaps** — the fragment and inode bitmaps agree exactly
    with the claims discovered in phases 1-2.
 
 Returns a report instead of raising so callers (and tests injecting
@@ -65,6 +67,8 @@ def fsck(fs: UFS) -> FsckReport:
     layout = fs.layout
     claimed_frags: Dict[int, int] = {}  # absolute frag -> claiming inum
     allocated_inums: Set[int] = set()
+    links: Dict[int, Tuple[bool, int]] = {}  # inum -> (is_dir, nlink)
+    named: List[Tuple[int, int]] = []  # (directory, child) per entry
 
     def claim_block(lba: int, inum: int, what: str) -> None:
         if not 1 <= lba < layout.sb.total_blocks:
@@ -113,15 +117,21 @@ def fsck(fs: UFS) -> FsckReport:
                 report.directories += 1
             else:
                 report.files += 1
+            links[inum] = (inode.is_dir, inode.nlink)
             _check_inode_claims(fs, inum, inode, claim_block, _claim_frag,
                                 report, breakdown)
 
     # ---- phase 2: namespace -------------------------------------------
-    reachable = _check_namespace(fs, allocated_inums, report, breakdown)
+    reachable = _check_namespace(
+        fs, allocated_inums, named, report, breakdown
+    )
     for inum in sorted(allocated_inums - reachable):
         report.complain(f"inode {inum} allocated but unreachable (orphan)")
 
-    # ---- phase 3: bitmaps ----------------------------------------------
+    # ---- phase 3: link counts -------------------------------------------
+    _check_link_counts(links, named, reachable, report)
+
+    # ---- phase 4: bitmaps ----------------------------------------------
     _check_bitmaps(fs, claimed_frags, report)
     return report
 
@@ -182,7 +192,10 @@ def _claim_indirect(fs, inum, table_lba, claim_block, report, breakdown,
             claim_block(lba, inum, f"{label}[{i}]")
 
 
-def _check_namespace(fs, allocated, report, breakdown) -> Set[int]:
+def _check_namespace(fs, allocated, named, report, breakdown) -> Set[int]:
+    """Walk the tree from the root; every entry naming an allocated inode
+    is appended to ``named`` as ``(directory, child)``.  Returns the
+    reachable inodes."""
     layout = fs.layout
     root = layout.sb.root_inum
     reachable: Set[int] = set()
@@ -214,6 +227,7 @@ def _check_namespace(fs, allocated, report, breakdown) -> Set[int]:
                         f"inode {child}"
                     )
                     continue
+                named.append((inum, child))
                 if child in reachable:
                     child_inode = fs._read_inode(child, breakdown)
                     if child_inode.is_dir:
@@ -225,6 +239,26 @@ def _check_namespace(fs, allocated, report, breakdown) -> Set[int]:
                 reachable.add(child)
                 stack.append((child, child_path))
     return reachable
+
+
+def _check_link_counts(links, named, reachable, report) -> None:
+    """Each reachable inode's ``nlink`` against the entries naming it
+    (phase 3's rule).  An unreachable inode is phase 2's orphan: nothing
+    walked names it, so it is not counted again here."""
+    expected = {inum: 2 if is_dir else 0 for inum, (is_dir, _) in links.items()}
+    for directory, child in named:
+        if child not in links:
+            continue  # phase 1 already rejected it
+        if links[child][0]:
+            expected[directory] += 1  # the subdirectory's ".."
+        else:
+            expected[child] += 1
+    for inum in sorted(reachable & links.keys()):
+        nlink = links[inum][1]
+        if nlink != expected[inum]:
+            report.complain(
+                f"inode {inum}: link count {nlink}, {expected[inum]} expected"
+            )
 
 
 def _check_bitmaps(fs, claimed_frags, report) -> None:

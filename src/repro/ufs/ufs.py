@@ -14,7 +14,8 @@ Semantics matched to the paper's Section 4.3 configuration:
 
 The implementation is a real file system: every structure (superblock,
 bitmaps, inode tables, directories, indirect blocks) is serialised to the
-block device, and a file system can be remounted from the device image.
+block device, and :meth:`UFS.recover` mounts the file system from the
+device image after a crash.
 
 Path resolution, directories and the namespace calls are
 :class:`~repro.fs.namespace.InodeNamespace`'s, shared with LFS and VLFS.
@@ -39,37 +40,28 @@ from repro.sim.stats import Breakdown
 from repro.ufs.alloc import UFSAllocator
 from repro.ufs.buffer_cache import BufferCache
 from repro.ufs.layout import Superblock, UFSLayout
+from repro.vlog.recovery import RecoveryOutcome, fold_outcomes
 
 _SECTOR = 512
+_CACHE_BYTES = 8 << 20
 
 
 class UFS(InodeNamespace):
     """An FFS-style update-in-place file system over a block device."""
 
-    def __init__(
-        self,
-        device: BlockDevice,
-        host: HostSpec,
-        format_device: bool = True,
-    ) -> None:
+    def __init__(self, device: BlockDevice, host: HostSpec) -> None:
         self.device = device
         self.host = host
         self.clock = device.clock
         self.block_size = device.block_size
-        self.cache = BufferCache(device, 8 << 20)
-        if format_device:
-            self.layout = UFSLayout.design(
-                device.num_blocks,
-                device.block_size,
-                self._default_group_size(device),
-            )
-            self.alloc = UFSAllocator(self.layout, self.cache)
-            self._mkfs()
-        else:
-            raw, _ = device.read_block(0)
-            self.layout = UFSLayout(Superblock.unpack(raw))
-            self.alloc = UFSAllocator(self.layout, self.cache)
-            self.alloc.load(Breakdown())
+        self.cache = BufferCache(device, _CACHE_BYTES)
+        self.layout = UFSLayout.design(
+            device.num_blocks,
+            device.block_size,
+            self._default_group_size(device),
+        )
+        self.alloc = UFSAllocator(self.layout, self.cache)
+        self._mkfs()
         self._root_inum = self.layout.sb.root_inum
         #: per-inode dirty data blocks, for fsync.
         self._dirty_blocks: Dict[int, Set[int]] = {}
@@ -586,17 +578,21 @@ class UFS(InodeNamespace):
         # Read the level-1 pointers while the double-indirect table is
         # still cached: once invalidated, a table that was only dirty in
         # the buffer cache reads back from the device as zeros.
+        for table in self._pointer_tables(inode, breakdown):
+            self.alloc.free_block(table)
+            self.cache.invalidate(table)
+            self._store_group_async(table, breakdown)
+
+    def _pointer_tables(self, inode: Inode, breakdown: Breakdown) -> List[int]:
+        """The inode's indirect blocks: single, double, then the level-1
+        tables the double one names."""
         tables = [inode.indirect, inode.double_indirect]
         if inode.double_indirect:
             tables.extend(
                 self._read_pointer(inode.double_indirect, i, breakdown)
                 for i in range(self._ppb)
             )
-        for table in tables:
-            if table:
-                self.alloc.free_block(table)
-                self.cache.invalidate(table)
-                self._store_group_async(table, breakdown)
+        return [table for table in tables if table]
 
     # ------------------------------------------------------------------
 
@@ -812,12 +808,21 @@ class UFS(InodeNamespace):
     # ------------------------------------------------------------------
 
     def fsync(self, path: str) -> Breakdown:
+        """Write back every block an asynchronous write of this file may
+        have dirtied -- its data blocks, its tail's fragment block and its
+        indirect blocks -- then the inode, synchronously."""
         breakdown = self._start_op()
         parents = split_path(path)
         inum = self._namei(parents, breakdown)
-        for lba in sorted(self._dirty_blocks.pop(inum, ())):
-            breakdown.add(self.cache.flush_block(lba))
         inode = self._read_inode(inum, breakdown)
+        dirty = self._dirty_blocks.pop(inum, set())
+        dirty.update(lba for lba in inode.direct if lba)
+        frag_addr, frag_count = inode.tail_frags()
+        if frag_count:
+            dirty.add(self.layout.frag_to_block(frag_addr)[0])
+        dirty.update(self._pointer_tables(inode, breakdown))
+        for lba in sorted(dirty):
+            breakdown.add(self.cache.flush_block(lba))
         self._write_inode(inum, inode, sync=True, breakdown=breakdown)
         return breakdown
 
@@ -831,6 +836,40 @@ class UFS(InodeNamespace):
     def drop_caches(self) -> None:
         self.cache.drop_clean()
         self._readahead.clear()
+
+    # ------------------------------------------------------------------
+
+    def power_down(self) -> Breakdown:
+        """Orderly shutdown: :meth:`sync`, then the device's own."""
+        breakdown = self.sync()
+        breakdown.add(self.device.power_down())
+        return breakdown
+
+    def crash(self) -> None:
+        """Power loss: the buffer cache (dirty blocks and all), the
+        dirty-block and read-ahead maps and the in-memory bitmaps are
+        gone without write-back, and the device crashes beneath.  Only
+        :meth:`recover` may run next: it builds the cache and the
+        allocator afresh."""
+        del self.cache, self.alloc
+        self._dirty_blocks.clear()
+        self._readahead.clear()
+        self.device.crash()
+
+    def recover(self) -> RecoveryOutcome:
+        """Recover the device, then mount from what it holds: a fresh
+        buffer cache, the superblock, every group's bitmaps.  Nothing is
+        repaired -- :func:`repro.ufs.fsck.fsck` reports what an unclean
+        stop left.  The device's outcome comes back folded, this mount's
+        cost added."""
+        outcome = fold_outcomes([self.device.recover()])
+        self.cache = BufferCache(self.device, _CACHE_BYTES)
+        raw, cost = self.device.read_block(0)
+        outcome.breakdown.add(cost)
+        self.layout = UFSLayout(Superblock.unpack(raw))
+        self.alloc = UFSAllocator(self.layout, self.cache)
+        self.alloc.load(outcome.breakdown)
+        return outcome
 
     def idle(self, seconds: float) -> Breakdown:
         """UFS has no background machinery; the device gets the idle time

@@ -312,10 +312,6 @@ class VLFS(LFS):
             self._inodes.clear()
             self._dirty_inodes.clear()
 
-    def mount(self) -> Breakdown:
-        outcome = self.recover()
-        return outcome.breakdown
-
     def recover(self) -> RecoveryOutcome:
         """Rebuild the inode map from the virtual log, then walk the
         inodes to reconstruct free-space accounting."""

@@ -95,7 +95,7 @@ def test_lfs_creates_do_not_rescan_the_live_inode_prefix(monkeypatch):
         lfs.create(f"/old{i:03d}")
     lfs.sync()
     lfs.crash()
-    lfs.mount()  # ... the in-memory inodes are gone
+    lfs.recover()  # ... the in-memory inodes are gone
     probes = {"allocated": 0, "held": 0}
     allocated = InodeMap.allocated
 
@@ -137,7 +137,7 @@ def test_inode_cursor_still_finds_the_lowest_after_frees_and_loads():
     for i in range(5):
         lfs.create(f"/lost{i}")
     lfs.crash()
-    lfs.mount()
+    lfs.recover()
     lfs.create("/after")
     assert lfs.stat("/after").inum == 43
 

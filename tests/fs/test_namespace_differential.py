@@ -5,17 +5,14 @@ system and on a small model of what a hierarchical namespace *is*.
 After every call the two must agree on the exception type (or on there
 being none) and, for every live path, on ``listdir``, ``exists`` and
 ``stat().is_dir`` / ``nlink``; then the file system is synced and brought
-back from its on-disk state alone (UFS: a fresh mount of the device
-image; LFS: ``crash()`` + ``mount()``; VLFS: ``crash()`` + ``recover()``)
-and the whole tree is compared again.
+back from its on-disk state alone (``crash()`` + ``recover()``) and the
+whole tree is compared again.
 
 ``repro.fs.namespace`` makes the three agree by construction; this test
 is what says the one implementation is *right*, error paths included.
 
-The script moves regular files between directories but renames
-directories only in place: moving a directory to another parent leaves
-the link counts behind, a known defect with its own strict xfail
-(``test_rename_truncate.py::test_moving_a_directory_moves_its_parent_link``).
+The script moves regular files and directories between directories; a
+directory that changes parent must carry its ``..`` link with it.
 """
 
 from __future__ import annotations
@@ -34,10 +31,8 @@ from repro.fs.api import (
     NotADirectory,
 )
 from repro.fs.path import dirname_basename, split_path
-from repro.lfs.lfs import LFS
 from repro.ufs.fsck import fsck
 from repro.ufs.ufs import UFS
-from repro.vlfs.vlfs import VLFS
 from tests.fs.test_rename_truncate import build
 
 
@@ -185,8 +180,8 @@ def script(seed=19):
     yield "rename", f"/big/{LONG[3]}", "/big/short"
     yield "rename", f"/big/{LONG[22]}", "/d1/d2/d3/moved-out"
     # ... random churn over three levels while it is large ...  File and
-    # directory names are disjoint, so a rename between directories can
-    # only ever move a file.
+    # directory names are disjoint: a file moves among files, a directory
+    # among directories, anywhere in the tree.
     dirs = ["", "/d1", "/d1/d2", "/d1/d2/d3", "/e", "/e/f"]
     files = ["a", "ü", "файл"]
     subdirs = ["sub", "renamed"]
@@ -219,7 +214,7 @@ def script(seed=19):
             old = rng.choice(
                 dirs[1:] + [f"{rng.choice(dirs)}/{rng.choice(subdirs)}"]
             )
-            yield op, old, f"{old.rsplit('/', 1)[0]}/{rng.choice(subdirs)}"
+            yield op, old, f"{rng.choice(dirs)}/{rng.choice(subdirs)}"
     # ... and emptied again.
     for name in rng.sample(LONG, len(LONG)):
         yield "unlink", f"/big/{name}"
@@ -253,15 +248,8 @@ def assert_same_tree(fs, model, context):
 def remount(fs):
     """Bring the file system back from what is on its disk."""
     fs.sync()
-    if isinstance(fs, VLFS):
-        fs.crash()
-        fs.recover()
-    elif isinstance(fs, LFS):
-        fs.crash()
-        fs.mount()
-    else:
-        fs = UFS(fs.device, fs.host, format_device=False)
-    return fs
+    fs.crash()
+    fs.recover()
 
 
 @pytest.mark.parametrize("kind", ["ufs", "lfs", "vlfs"])
@@ -294,7 +282,7 @@ def test_namespace_agrees_with_the_model_call_for_call(kind):
         for error in (None,) + errors:
             assert (op, error) in seen, (op, error)
     assert len(model.tree) > 12  # a tree worth remounting
-    fs = remount(fs)
+    remount(fs)
     assert_same_tree(fs, model, "after remount")
     if isinstance(fs, UFS):
         report = fsck(fs)

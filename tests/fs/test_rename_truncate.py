@@ -101,20 +101,16 @@ class TestRename:
             report = fsck(fs)
             assert report.ok, report.errors
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="rename leaves the link counts behind when a directory "
-        "changes parent (3, 2 here).  The fix needs the moved inode's "
-        "type, one more _read_inode per rename, which moves the UFS "
-        "buffer-cache hit count the ufs-* goldens of test_fs_identity.py "
-        "hash: it waits for a PR that re-records that pin on purpose.",
-    )
     def test_moving_a_directory_moves_its_parent_link(self, fs):
         fs.mkdir("/a")
         fs.mkdir("/b")
         fs.mkdir("/a/d")
         fs.rename("/a/d", "/b/d")
         assert (fs.stat("/a").nlink, fs.stat("/b").nlink) == (2, 3)
+        if isinstance(fs, UFS):
+            fs.sync()
+            report = fsck(fs)
+            assert report.ok, report.errors
 
 
 class TestParentMustBeADirectory:

@@ -209,7 +209,7 @@ class TestCrashRecovery:
         lfs.write("/d/f", 0, b"durable" + bytes(4089))
         lfs.checkpoint()
         lfs.crash()
-        lfs.mount()
+        lfs.recover()
         data, _ = lfs.read("/d/f", 0, 7)
         assert data == b"durable"
 
@@ -221,7 +221,7 @@ class TestCrashRecovery:
         lfs.write("/f", 4096, b"more" + bytes(4092))
         lfs.sync()  # hits the log but no checkpoint
         lfs.crash()
-        lfs.mount()
+        lfs.recover()
         data, _ = lfs.read("/f", 0, 3)
         assert data == b"new"
         data, _ = lfs.read("/f", 4096, 4)
@@ -233,7 +233,7 @@ class TestCrashRecovery:
         lfs.checkpoint()
         lfs.write("/f", 0, b"volatile!" + bytes(4087))
         lfs.crash()  # no sync: DRAM contents vanish
-        lfs.mount()
+        lfs.recover()
         data, _ = lfs.read("/f", 0, 9)
         assert data == b"committed"
 
@@ -243,14 +243,14 @@ class TestCrashRecovery:
         lfs_nvram.checkpoint()
         lfs_nvram.write("/f", 0, b"nv-safe!!" + bytes(4087))
         lfs_nvram.crash()
-        lfs_nvram.mount()
+        lfs_nvram.recover()
         data, _ = lfs_nvram.read("/f", 0, 9)
         assert data == b"nv-safe!!"
 
     def test_fresh_device_mounts(self, regular_device, host):
         fs = LFS(regular_device, host)
         fs.crash()
-        fs.mount()
+        fs.recover()
         fs.create("/works")
         assert fs.exists("/works")
 
@@ -262,7 +262,7 @@ class TestCrashRecovery:
         lfs.sync()
         live_before = sum(lfs.segusage.live_bytes)
         lfs.crash()
-        lfs.mount()
+        lfs.recover()
         assert sum(lfs.segusage.live_bytes) == pytest.approx(
             live_before, abs=3 * 4096
         )

@@ -50,7 +50,7 @@ class TestEveryDrive:
         fs.write("/f", 0, b"log" * 5000)
         fs.checkpoint()
         fs.crash()
-        fs.mount()
+        fs.recover()
         data, _ = fs.read("/f", 0, 15000)
         assert data == b"log" * 5000
 

@@ -11,7 +11,7 @@ import repro
 #: it, not a parameter (DESIGN.md section 7), so adding an option here
 #: is a reviewed edit of this table.
 CONFIGURATION_SURFACE = {
-    "repro.ufs.ufs:UFS": ("device", "host", "format_device"),
+    "repro.ufs.ufs:UFS": ("device", "host"),
     "repro.lfs.lfs:LFS": ("device", "host", "nvram", "cleaner_policy"),
     "repro.vlfs.vlfs:VLFS": ("disk", "host", "nvram"),
     "repro.nvm.wal:NVWal": ("inner", "spec", "clock"),
@@ -77,7 +77,7 @@ class TestConfigurationSurface:
             for path in CONFIGURATION_SURFACE
             for parameter in _signature(path).parameters.values()
         )
-        assert optional == 59
+        assert optional == 58
 
 
 class TestReadmeSnippets:
@@ -103,6 +103,11 @@ class TestReadmeSnippets:
         data, latency = fs.read("/mail/inbox", 0, 5)
         assert data == b"hello"
         assert latency.total > 0
+        fs.crash()
+        outcome = fs.recover()
+        assert outcome.inner.scanned  # no power-down record: a scan
+        data, _ = fs.read("/mail/inbox", 0, 5)
+        assert data == b"hello"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

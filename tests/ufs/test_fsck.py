@@ -122,6 +122,16 @@ class TestCorruptionDetection:
         report = fsck(ufs)
         assert any("marked free" in e for e in report.errors)
 
+    def test_wrong_link_count(self, ufs):
+        populate(ufs, files=5)
+        inum = ufs.stat("/dir").inum
+        inode = ufs._read_inode(inum, Breakdown())
+        assert inode.nlink == 3  # ".", its entry in "/", "/dir/sub"'s ".."
+        inode.nlink = 2
+        ufs._write_inode(inum, inode, sync=False, breakdown=Breakdown())
+        report = fsck(ufs)
+        assert report.errors == [f"inode {inum}: link count 2, 3 expected"]
+
     def test_bad_tail_fragment_count(self, ufs):
         ufs.create("/small")
         ufs.write("/small", 0, b"x" * 1024)

@@ -12,7 +12,6 @@ from repro.fs.api import (
     NotADirectory,
 )
 from repro.ufs.fsck import fsck
-from repro.ufs.ufs import UFS
 
 
 class TestNamespace:
@@ -258,20 +257,22 @@ class TestRemount:
         ufs.create("/dir/nested")
         ufs.write("/dir/nested", 0, b"n" * 5000)
         ufs.sync()
-        remounted = UFS(ufs.device, ufs.host, format_device=False)
-        data, _ = remounted.read("/keep", 0, 12)
+        ufs.crash()
+        ufs.recover()
+        data, _ = ufs.read("/keep", 0, 12)
         assert data == b"durable data"
-        data, _ = remounted.read("/dir/nested", 0, 5000)
+        data, _ = ufs.read("/dir/nested", 0, 5000)
         assert data == b"n" * 5000
-        assert remounted.listdir("/") == ["dir", "keep"]
+        assert ufs.listdir("/") == ["dir", "keep"]
 
     def test_remount_preserves_free_space(self, ufs):
         ufs.create("/f")
         ufs.write("/f", 0, b"x" * 40960)
         ufs.sync()
         before = ufs.alloc.free_space()
-        remounted = UFS(ufs.device, ufs.host, format_device=False)
-        assert remounted.alloc.free_space() == before
+        ufs.crash()
+        ufs.recover()
+        assert ufs.alloc.free_space() == before
 
 
 class TestPrefetch:
