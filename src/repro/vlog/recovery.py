@@ -403,4 +403,8 @@ def recover_log(
         breakdown.add(cost)
         chunks, outcome.records_read = vlog.recover_from_records(records)
         outcome.blocks_scanned = max(outcome.blocks_scanned, examined)
+    if record is not None:
+        # The record names the sequence number the log had reached, which
+        # may lie past every record reachable from the tail it names.
+        vlog.next_seqno = max(vlog.next_seqno, record[1] + 1)
     return chunks, outcome

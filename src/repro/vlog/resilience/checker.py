@@ -21,6 +21,7 @@ record must parse and carry its chunk's current contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from typing import List
 
 from repro.vlog.entries import (
@@ -162,13 +163,26 @@ def _expected_used_sectors(vld) -> set:
 
 
 def _check_freemap(vld, report: FsckReport) -> None:
+    # Whole sets, not one query a sector: the used set the free map
+    # holds (a track at a time, free tracks skipped) against the used
+    # set the live state implies.  Same report: the first eight sectors
+    # that disagree, ascending.
     expected = _expected_used_sectors(vld)
-    mismatched: List[int] = []
-    for sector in range(vld.disk.total_sectors):
-        if vld.freemap.is_free(sector) == (sector in expected):
-            mismatched.append(sector)
-            if len(mismatched) > 8:
-                break
+    freemap = vld.freemap
+    geometry = vld.disk.geometry
+    per_track = geometry.sectors_per_track
+    used = set()
+    for cylinder in range(geometry.num_cylinders):
+        for head in range(geometry.tracks_per_cylinder):
+            if freemap.track_free_count(cylinder, head) == per_track:
+                continue
+            base = geometry.track_start(cylinder, head)
+            used.update(range(base, base + per_track))
+            used.difference_update(freemap.free_sector_iter(cylinder, head))
+    total = vld.disk.total_sectors
+    mismatched = nsmallest(
+        9, (s for s in used.symmetric_difference(expected) if s < total)
+    )
     if mismatched:
         report.add(
             "freemap",

@@ -23,7 +23,9 @@ relocated (appended afresh), which restores their reachability trivially.
 The recovery traversal is youngest-first by sequence number, pruning
 pointers that land on recycled or stale blocks, exactly as Section 3.2
 describes ("obsolete log entries can be recognized as such because their
-updated versions are younger and traversed earlier").
+updated versions are younger and traversed earlier") -- and it does not
+expand an obsolete entry, so it reads about the live map, not the
+history behind it.
 """
 
 from __future__ import annotations
@@ -349,7 +351,19 @@ class VirtualLog:
             if node.txn_id == txn_id and not node.superseded
         ]
         for chunk_id in members:
+            # The fresh record outranks the kept pre-transaction version,
+            # so recovery stops expanding that version once it is written:
+            # what only the kept version reaches is re-homed first.
+            kept = [
+                block
+                for block, node in self._nodes.items()
+                if node.superseded and node.chunk_id == chunk_id
+            ]
+            for block in kept:
+                breakdown.add(self._rehome_orphans(block))
             breakdown.add(self.append(chunk_id, restore(chunk_id)))
+            for block in kept:
+                breakdown.add(self._delete_with_repair(block))
         # The superseded pre-transaction records are now stale duplicates
         # of their chunks; recycle them.
         stale = [
@@ -382,6 +396,25 @@ class VirtualLog:
         if slot is not None:
             self._slot_txn.pop(slot, None)
             self._free_commit_slots.append(slot)
+
+    def _rehome_orphans(self, block: int) -> Breakdown:
+        """Relocate the chunks of the live records only ``block`` points
+        at, while it still stands."""
+        breakdown = Breakdown()
+        for target in list(self._nodes[block].targets):
+            target_node = self._nodes.get(target)
+            if (
+                target_node is not None
+                and self._in_edges.get(target) == {block}
+                and self._chunk_location.get(target_node.chunk_id) == target
+            ):
+                breakdown.add(
+                    self.append(
+                        target_node.chunk_id,
+                        self._chunk_payload(target_node.chunk_id),
+                    )
+                )
+        return breakdown
 
     def _delete_with_repair(self, block: int) -> Breakdown:
         """Delete a node outside the append path, re-homing any records it
@@ -477,13 +510,36 @@ class VirtualLog:
         if first is None:
             raise ValueError(f"block {tail_block} does not hold a map record")
         # Youngest first.  A block enters ``records`` and the heap together
-        # and exactly once, so every record is expanded exactly once.
+        # and exactly once, so every record is popped exactly once -- and,
+        # because children are older than their parents, in falling
+        # sequence-number order.  A record whose chunk a younger record
+        # already resolved is superseded: it is read but not expanded.
+        # Nothing live is lost by that: at every write boundary each live
+        # record has a chain of live parents back to the tail, popped
+        # before any superseded version of its chunk.  Only a record sure
+        # to have re-homed every orphan of the version it replaced
+        # resolves its chunk: a standalone map or quarantine record with a
+        # pointer slot to spare (a full one may have left an orphan to the
+        # relocation written after it).  Transaction members and commit records
+        # resolve nothing, so the version behind an uncommitted member is
+        # still expanded.
         records: Dict[int, MapRecord] = {tail_block: first}
         heap: List[Tuple[int, int]] = [(-first.seqno, tail_block)]
+        resolved: Set[int] = set()
         while heap:
             _, block = heappop(heap)
             record = records[block]
-            for pointer in record.pointers():
+            chunk_id = record.chunk_id
+            if chunk_id in resolved:
+                continue
+            pointers = record.pointers()
+            if (
+                not record.txn_id
+                and chunk_id < COMMIT_CHUNK_BASE
+                and len(pointers) <= self._BYPASS_SLOTS
+            ):
+                resolved.add(chunk_id)
+            for pointer in pointers:
                 if pointer in records:
                     continue
                 child = read_record(pointer)
@@ -575,7 +631,15 @@ class VirtualLog:
             self._nodes[block] = _Node(
                 chunk_id,
                 seqno,
-                [p for p in record.pointers() if p in live_blocks],
+                # A pointer at a younger record is stale (its block was
+                # reused after this record was written): the traversal
+                # prunes it, and so must the graph, or a record the media
+                # no longer reaches looks reachable to the repair.
+                [
+                    p
+                    for p in record.pointers()
+                    if p in live_blocks and records[p].seqno < seqno
+                ],
                 record.txn_id,
             )
             self._chunk_location[chunk_id] = block
@@ -610,7 +674,12 @@ class VirtualLog:
             for target in node.targets:
                 self._in_edges.setdefault(target, set()).add(block)
         self.tail = tail_block
-        self.next_seqno = max_seqno + 1
+        # Past every record read, not just the effective ones: an
+        # uncommitted member younger than the tail stays on the media, and
+        # a reused sequence number would let a scan take it for the tail.
+        self.next_seqno = 1 + max(
+            (record.seqno for record in records.values()), default=0
+        )
         # The tail may no longer dominate every live record (stale edges
         # were pruned); the owner's :meth:`repair_reachability` restores
         # that, after its free map knows which blocks hold live data.
@@ -619,7 +688,14 @@ class VirtualLog:
         """Relocate any live records the tail no longer reaches, restoring
         the reachability invariant; returns the latency paid."""
         breakdown = Breakdown()
-        for block in self._unreachable_live_blocks():
+        # Oldest first.  A relocation stops the expansion of its chunk's
+        # older versions, and what only those reach is older still: it is
+        # relocated before them, so a crash inside the repair finds it.
+        unreachable = sorted(
+            self._unreachable_live_blocks(),
+            key=lambda block: self._nodes[block].seqno,
+        )
+        for block in unreachable:
             node = self._nodes.get(block)
             if node is not None:
                 breakdown.add(self.relocate(node.chunk_id))

@@ -38,22 +38,24 @@ UPDATES = 200
 #: were re-recorded on purpose: ``ufs-regular`` and ``ufs-vld`` when a
 #: directory moved to another parent began to carry its link (``rename``
 #: reads the moved inode), ``ufs-vld`` and ``lfs-vld`` when the remount
-#: became ``crash()`` + ``recover()`` with the VLD's own recovery beneath.
+#: became ``crash()`` + ``recover()`` with the VLD's own recovery beneath;
+#: ``ufs-vld``, ``lfs-vld`` and ``vlfs`` again when recovery stopped
+#: expanding superseded map records.
 _GOLDEN_FS_SHA256 = {
     "ufs-regular": (
         "66eeb5006e307015abc225112d39bdb7e26d751c67a8c8b38949fef3160db365"
     ),
     "ufs-vld": (
-        "c34fbdd9b4513934510de19c0df02e107d31138cb51e8f7276149298ab39265c"
+        "75a023c7a6f029e8e6f519d0f04120dccf82443938cfca286bb0b06f54e877d9"
     ),
     "lfs-regular": (
         "3b1bc0b71f7dac1526273e9952e12ef4a32a95cb3193ae62f5f2c57b852a243f"
     ),
     "lfs-vld": (
-        "0344713d700d290372123bd16b63f9b1eb84f30be9c523529f488120ca42ddb7"
+        "9ca75291ab5778d8ba6307d50bb8e9c1cba9351c792b4229fbf13a47d713083e"
     ),
     "vlfs": (
-        "608fd0b8fbd3c67db9c02bf411899bb142041721b1fc4bb88636e35bdb24a333"
+        "b318356b8bf082ba658f209e13a6149e1e6f93bdf6bb4078f51d9e063c6dafc4"
     ),
 }
 

@@ -488,6 +488,27 @@ class TestVlfsck:
         report = vlfsck(vld)
         assert any(v.kind == "freemap" for v in report.violations)
 
+    @pytest.mark.parametrize("stray", [3, 1])
+    def test_freemap_report_names_the_first_eight_disagreeing_sectors(
+        self, vld, stray
+    ):
+        # Both directions at once: a mapped block marked free, and stray
+        # sectors at the end of the disk marked used.
+        _fill(vld, 6)
+        spb = vld.sectors_per_block
+        mapped = vld.imap.get(2) * spb
+        vld.freemap.mark_free(mapped, 4)
+        end = vld.disk.total_sectors
+        assert vld.freemap.run_is_free(end - stray, stray)
+        vld.freemap.mark_used(end - stray, stray)
+        disagree = [*range(mapped, mapped + 4), *range(end - stray, end)]
+        report = vlfsck(vld)
+        details = [v.detail for v in report.violations if v.kind == "freemap"]
+        assert details == [
+            f"free map disagrees with live state at sectors {disagree[:8]}"
+            + ("..." if len(disagree) > 8 else "")
+        ]
+
     def test_detects_aliased_mapping(self, vld):
         _fill(vld, 6)
         vld.imap.set(0, vld.imap.get(1))

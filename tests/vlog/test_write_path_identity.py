@@ -35,13 +35,17 @@ IDLE_EVERY = 256
 IDLE_SECONDS = 0.25
 UTILIZATION = 0.70
 
-#: sha256 per queue configuration, recorded at the parent commit.
+#: sha256 per queue configuration, recorded at the parent commit and
+#: re-recorded on purpose, under PYTHONHASHSEED 0, 1 and random, when
+#: recovery stopped expanding superseded map records (it reads fewer) and
+#: ``abort_txn`` began re-homing what the kept version alone reaches
+#: before writing the record that outranks it.
 _GOLDEN_WRITE_PATH_SHA256 = {
     (1, "fifo"): (
-        "659414e4d88b7e8a4ea71b330c1f144fef15656fd802883c3eb16527c3f75b97"
+        "c671ed5377aea6b0edbd50f1406389d720c30e81aee78a4c5afbecde43dea0cf"
     ),
     (4, "satf"): (
-        "47c544c22fba5074e06927bcb5f64c81dd449864948d301581dc59f4406c5c23"
+        "1b394c28e2deb96eae60df75429ecc623708fa7eacbd70eefc91a2a5960aef94"
     ),
 }
 
