@@ -19,9 +19,11 @@ append) only matters for blocks already destaged.  On recovery the NVM
 log is scanned *first* -- epoch tag, per-record CRC, and a strictly
 sequential seqno chain identify the valid prefix, so a store torn by the
 crash (or anything after it) is discarded exactly like the virtual log's
-own torn tail.  The backing store then runs its normal
-``power_down``-record / ``scan_for_tail`` pipeline, and finally the
-surviving NVM records are replayed onto it and the log is reset.
+own torn tail.  The backing store then runs its own ``recover()`` (a
+VLD's is :func:`~repro.vlog.recovery.recover_log`: the tree walk from the
+power-down record's tail, else from the youngest record one scan finds),
+and finally the surviving NVM records are replayed onto it and the log
+is reset.
 Replayed writes are idempotent: a record that was already destaged
 before the crash rewrites the same bytes.
 

@@ -137,6 +137,24 @@ def scan_records(
 ) -> Tuple[Dict[int, MapRecord], Breakdown, int]:
     """Full-disk scan for *every* valid map record.
 
+    Returns ``(records_by_block, breakdown, records_examined)``: what
+    :func:`_scan` finds, without the bytes it found them in.
+    """
+    found, _held, breakdown, examined = _scan(
+        disk, block_size, skip_sectors, reader
+    )
+    return found, breakdown, examined
+
+
+def _scan(
+    disk: Disk,
+    block_size: int,
+    skip_sectors: int,
+    reader,
+) -> Tuple[Dict[int, MapRecord], Dict[int, bytes], Breakdown, int]:
+    """The one full-disk scan behind :func:`scan_records` and
+    :func:`recover_log`.
+
     Reads the disk track by track (the cheapest sequential pattern) and
     parses every aligned record-sized unit for a valid map record.
     ``block_size`` is the *record* size (the VLD uses 512-byte map
@@ -148,7 +166,9 @@ def scan_records(
     unreadable and its records are skipped (a resilient reader typically
     retries per record first and zero-fills only what stays dead).
 
-    Returns ``(records_by_block, breakdown, records_examined)``.
+    Returns ``(records_by_block, bytes_by_block, breakdown,
+    records_examined)``: each record found, and the block it was parsed
+    from, so that recovery's tree walk need not read it again.
     """
     breakdown = Breakdown()
     geometry = disk.geometry
@@ -157,6 +177,7 @@ def scan_records(
     # Blocks that lie wholly inside the skipped sectors are never looked at.
     first_block = skip_sectors // sectors_per_block
     found: Dict[int, MapRecord] = {}
+    held: Dict[int, bytes] = {}
     examined = 0
     # Record positions are absolute: record ``b`` occupies sectors
     # ``b*spb .. (b+1)*spb - 1``.  When the block size does not divide the
@@ -196,10 +217,18 @@ def scan_records(
                         record = MapRecord.unpack(view[at : at + block_size])
                         if record is not None:
                             found[lo_block + slot] = record
+                            held[lo_block + slot] = buffer[at : at + block_size]
                     slot = heads.find(magic_head, slot + 1)
             pending = buffer[end_block * block_size - base :]
             next_block = end_block
-    return found, breakdown, examined
+    return found, held, breakdown, examined
+
+
+def _youngest(found: Dict[int, MapRecord]) -> Optional[int]:
+    """The log tail among scanned records: the block of the one with the
+    highest sequence number (the lowest such block, should two tie);
+    ``None`` when there is none."""
+    return max(found, key=lambda block: found[block].seqno, default=None)
 
 
 def scan_for_tail(
@@ -218,13 +247,7 @@ def scan_for_tail(
     found, breakdown, examined = scan_records(
         disk, block_size, skip_sectors, reader=reader
     )
-    best_block: Optional[int] = None
-    best_seqno = -1
-    for block, record in found.items():
-        if record.seqno > best_seqno:
-            best_seqno = record.seqno
-            best_block = block
-    return best_block, breakdown, examined
+    return _youngest(found), breakdown, examined
 
 
 @dataclass
@@ -345,6 +368,13 @@ def recover_log(
     ``(sector, count, breakdown) -> Optional[bytes]`` (the VLD's
     resilient pair, or :func:`disk_reader` twice).
 
+    The disk is scanned at most once.  The scan keeps the bytes of every
+    record it found, and the traversal takes those from it at no media
+    cost; every other block it reads through ``reader``, so a slot that
+    stays dead still returns ``None`` and still degrades the traversal.
+    The reconstruction takes the scan's records, plus any the traversal
+    read that the scan did not find, and scans only when nothing has yet.
+
     Returns ``(chunks, outcome)``, ``chunks`` being ``None`` for a device
     that was never written.  The owner still owes the log
     ``repair_reachability()`` (once its free map reflects the recovered
@@ -363,46 +393,69 @@ def recover_log(
         breakdown=breakdown,
         degraded=raw is None,
     )
-    scan_args = dict(
-        # Sectors up to the end of the record's home block hold no log.
-        skip_sectors=store._sector + store.sectors_per_block,
-        reader=track_reader,
-    )
-    tail = record[0] if record is not None else None
+    spb = vlog.sectors_per_block
+    #: The scan's records and the bytes it parsed them from, by block;
+    #: ``None`` until the disk has been scanned.
+    found: Optional[Dict[int, MapRecord]] = None
+    held: Dict[int, bytes] = {}
+    #: What the traversal read from the media, by block.
+    fetched: Dict[int, bytes] = {}
+
+    def walk_reader(sector: int, count: int, cost: Breakdown):
+        block = sector // spb
+        raw = held.get(block)
+        if raw is None:
+            raw = reader(sector, count, cost)
+            if raw is not None:
+                fetched[block] = raw
+        return raw
+
+    def scan() -> Dict[int, MapRecord]:
+        nonlocal held
+        records, held, cost, outcome.blocks_scanned = _scan(
+            vlog.disk,
+            vlog.block_size,
+            # Sectors up to the end of the record's home block hold no log.
+            store._sector + store.sectors_per_block,
+            track_reader,
+        )
+        breakdown.add(cost)
+        return records
+
     chunks = None
-    while chunks is None:
-        if tail is None:
-            outcome.scanned = True
-            tail, cost, outcome.blocks_scanned = scan_for_tail(
-                vlog.disk, vlog.block_size, **scan_args
-            )
-            breakdown.add(cost)
-            if tail is None:
-                return None, outcome  # nothing was ever written
+    if record is not None:
         try:
             chunks, cost, outcome.records_read = vlog.recover_from_tail(
-                tail, reader
+                record[0], walk_reader
             )
         except ValueError:
             # The recorded tail holds no readable map record (stale
-            # record, dead media): scan, once.  A tail the scan produced
-            # parsed moments ago; re-raise rather than loop.
-            if outcome.scanned:
-                raise
+            # record, dead media): scan.
             outcome.degraded = True
-            tail = None
         else:
             breakdown.add(cost)
+    if chunks is None:
+        outcome.scanned = True
+        found = scan()
+        tail = _youngest(found)
+        if tail is None:
+            return None, outcome  # nothing was ever written
+        # The tail comes out of the scan's bytes, so this cannot raise.
+        chunks, cost, outcome.records_read = vlog.recover_from_tail(
+            tail, walk_reader
+        )
+        breakdown.add(cost)
     if vlog.last_recovery_degraded:
         # An interior record was unreadable: the pruned traversal may
         # have lost whole subtrees.
         outcome.degraded = outcome.reconstructed = True
-        records, cost, examined = scan_records(
-            vlog.disk, vlog.block_size, **scan_args
-        )
-        breakdown.add(cost)
+        records = scan() if found is None else found
+        for block, raw in fetched.items():
+            if block not in records:
+                read = MapRecord.unpack(raw)
+                if read is not None:
+                    records[block] = read
         chunks, outcome.records_read = vlog.recover_from_records(records)
-        outcome.blocks_scanned = max(outcome.blocks_scanned, examined)
     if record is not None:
         # The record names the sequence number the log had reached, which
         # may lie past every record reachable from the tail it names.

@@ -492,11 +492,19 @@ class VirtualLog:
         interior record merely prunes that edge and sets
         :attr:`last_recovery_degraded` so the caller can escalate to a
         full-disk reconstruction.
+
+        A popped record's unread children are read cheapest first: they
+        are priced from where the head is now, the cheapest is read, and
+        the rest are priced again from there (pointer order breaks a
+        tie).  Which records are read, and the order they are popped in,
+        do not depend on it.
         """
         breakdown = Breakdown()
         self.last_recovery_degraded = False
         spb = self.sectors_per_block
         unpack = MapRecord.unpack
+        disk = self.disk
+        price = disk.mechanics.price_candidates
 
         def read_record(block: int) -> Optional[MapRecord]:
             raw = reader(block * spb, spb, breakdown)
@@ -539,9 +547,20 @@ class VirtualLog:
                 and len(pointers) <= self._BYPASS_SLOTS
             ):
                 resolved.add(chunk_id)
-            for pointer in pointers:
+            unread = [pointer for pointer in pointers if pointer not in records]
+            while unread:
+                if len(unread) > 1:
+                    costs = price(
+                        disk.clock.now,
+                        disk.head_cylinder,
+                        disk.head_head,
+                        [pointer * spb for pointer in unread],
+                    )
+                    pointer = unread.pop(costs.index(min(costs)))
+                else:
+                    pointer = unread.pop()
                 if pointer in records:
-                    continue
+                    continue  # a duplicate pointer, read a moment ago
                 child = read_record(pointer)
                 if child is None:
                     continue  # recycled block: prune this edge

@@ -512,6 +512,9 @@ class VirtualLogDisk(BlockDevice):
             self._track_reader(dead_runs),
         )
         breakdown = outcome.breakdown = barrier_cost.add(outcome.breakdown)
+        # A run that stayed dead was a pruned edge or a zero-filled scan
+        # slot: either may have held the record the recovery needed.
+        outcome.degraded = outcome.degraded or bool(dead_runs)
         if chunks is None:
             # Nothing was ever written: a fresh device.
             self._reset_volatile_state()

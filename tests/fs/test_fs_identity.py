@@ -40,22 +40,23 @@ UPDATES = 200
 #: reads the moved inode), ``ufs-vld`` and ``lfs-vld`` when the remount
 #: became ``crash()`` + ``recover()`` with the VLD's own recovery beneath;
 #: ``ufs-vld``, ``lfs-vld`` and ``vlfs`` again when recovery stopped
-#: expanding superseded map records.
+#: expanding superseded map records, and again when its tree walk began
+#: taking the scan's records and reading children in access-time order.
 _GOLDEN_FS_SHA256 = {
     "ufs-regular": (
         "66eeb5006e307015abc225112d39bdb7e26d751c67a8c8b38949fef3160db365"
     ),
     "ufs-vld": (
-        "75a023c7a6f029e8e6f519d0f04120dccf82443938cfca286bb0b06f54e877d9"
+        "a2d9528b44530e4e41d7cdd4ee6fea19991015abba3300d97c83a1e6d7ecc4e0"
     ),
     "lfs-regular": (
         "3b1bc0b71f7dac1526273e9952e12ef4a32a95cb3193ae62f5f2c57b852a243f"
     ),
     "lfs-vld": (
-        "9ca75291ab5778d8ba6307d50bb8e9c1cba9351c792b4229fbf13a47d713083e"
+        "d5317ec84093e148e44529ff1d92cb5f8b0be01492993fe7c04280ac32184359"
     ),
     "vlfs": (
-        "b318356b8bf082ba658f209e13a6149e1e6f93bdf6bb4078f51d9e063c6dafc4"
+        "ee36b87f945a4e1f21135715bceda79a61a8ef6eb52468ca9908b92677543802"
     ),
 }
 

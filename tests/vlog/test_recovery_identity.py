@@ -36,34 +36,38 @@ BS = 4096
 #: sha256 per case, recorded before recovery lost its untimed mode;
 #: ``vld-record`` and ``vld-scan`` re-recorded on purpose, under
 #: PYTHONHASHSEED 0, 1 and random, when the traversal stopped expanding
-#: superseded map records.
+#: superseded map records; the six cases a scan or a multi-child pop
+#: reaches (``vld-scan``, ``vld-reconstruct``, ``vlfs-scan``, both
+#: ``nvwal-vld`` and ``volume-recover-shard``) the same way when the
+#: walk began taking the scan's records and reading children in
+#: access-time order.
 _GOLDEN_RECOVERY_SHA256 = {
     "vld-record": (
         "8610c08f45f50d19e9914957cc4b5d89b7a2058686841bef3118f9265e58f528"
     ),
     "vld-scan": (
-        "88e16d8ea814d0cb4fb9e30d0e0555e341deeb5241da79d80fe10ac0d97395f2"
+        "a39d9ea35725be6d2a94d644391b3f9f8a3c2008d84b5cc7d4eceb122c24958e"
     ),
     "vld-reconstruct": (
-        "eb810c0be5d4be6463c36a1213bc1f639afb73932659961d6df9500da04e5197"
+        "26da2e4f3d3c71ae0edb91f1b11188006c332e99df51b2cfc64946a5d07c139b"
     ),
     "vlfs-record": (
         "e58036aa813ca8ea8f2d93fc933bd35036d232a9302cccb8dd2688783b743460"
     ),
     "vlfs-scan": (
-        "1fac16730cf278825519230f51423162c1b61816139598ae6c47bab5d1bec55c"
+        "7f5d1f3cc8e137c13ee5dae0da6459a0fb4f112fc4e10013bddb218a93cf0845"
     ),
     "nvwal-vld-clean": (
-        "24335a173908181645a78da011f700239089062e02acb56bd631579dc776381a"
+        "4d5181e2a9d1bd40564bfeec6ade6216802e90c243358ac04581cb649d03f1e8"
     ),
     "nvwal-vld-torn": (
-        "1bd2adbcc0b914df9dc0677d61de1e480aedfcbfa1c711456123cef5445607f4"
+        "c1f4f5f36e2e31ee5ef0b1ca7996a85a92153cf2bea2dc50dd3542ee14cc8d10"
     ),
     "nvwal-volume-x3": (
         "15b7fd5ad5523c901267ee99a3e97c0f37c858935d2595e635ed7bce8562e01d"
     ),
     "volume-recover-shard": (
-        "0f115c8df8ee1cac4a75419bc86be2906211ba1d9131277fd8c662c159750374"
+        "09dc016790b2fc8ff7034c083e466c9cef3df5f29ce6aaf67384c1d0e026aa80"
     ),
 }
 

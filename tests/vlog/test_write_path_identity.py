@@ -39,13 +39,14 @@ UTILIZATION = 0.70
 #: re-recorded on purpose, under PYTHONHASHSEED 0, 1 and random, when
 #: recovery stopped expanding superseded map records (it reads fewer) and
 #: ``abort_txn`` began re-homing what the kept version alone reaches
-#: before writing the record that outranks it.
+#: before writing the record that outranks it; again when the recovery
+#: walk began reading a record's children in access-time order.
 _GOLDEN_WRITE_PATH_SHA256 = {
     (1, "fifo"): (
-        "c671ed5377aea6b0edbd50f1406389d720c30e81aee78a4c5afbecde43dea0cf"
+        "1b1a6f4c4590c6559965bac9fd3af5263bf9b4912d6e64e3e3ef72d05f6d62e6"
     ),
     (4, "satf"): (
-        "1b394c28e2deb96eae60df75429ecc623708fa7eacbd70eefc91a2a5960aef94"
+        "28dce8109723b53ca44873052299b04243bf90575ddcd473f5dc15d68721a119"
     ),
 }
 
