@@ -146,8 +146,6 @@ def build_sharded_volume(
     queue_depth: int = 1,
     sched: str = "fifo",
     fault_plans: Optional[dict] = None,
-    retry_policy: Optional[object] = None,
-    hedge_reads: bool = True,
 ):
     """Instantiate a :class:`~repro.volume.ShardedVolume` over ``shards``
     complete VLD stacks, each on its own Seagate ST19101.
@@ -188,12 +186,7 @@ def build_sharded_volume(
         if plan is not None:
             vld = FaultDevice(vld, plan)
         devices.append(vld)
-    volume = ShardedVolume(
-        devices,
-        stripe_blocks=stripe_blocks,
-        retry_policy=retry_policy,
-        hedge_reads=hedge_reads,
-    )
+    volume = ShardedVolume(devices, stripe_blocks=stripe_blocks)
     return volume, devices, disks
 
 

@@ -9,7 +9,6 @@ from typing import Dict
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap, nearest_set_bit
 from repro.disk.specs import DiskSpec
-from repro.sched.pipeline import HostPipeline
 from repro.sched.scheduler import DiskScheduler
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 
@@ -120,11 +119,21 @@ def simulate_queued_workload(
     think_seconds: float = 0.0002,
     seed: int = 3,
 ) -> Dict[str, float]:
-    """Drive a queued open-loop write workload through the host pipeline.
+    """Drive a queued open-loop write workload, host think time
+    overlapped with disk service.
 
     The host submits ``requests`` writes of :data:`REQUEST_SECTORS` each,
-    thinking ``think_seconds`` between submissions; up to ``queue_depth``
-    requests stay outstanding, serviced in ``policy`` order.  Workloads:
+    thinking ``think_seconds`` before each submission; up to
+    ``queue_depth`` requests stay outstanding, serviced in ``policy``
+    order.  The overlap is the pipeline approximation ``max(think,
+    service)`` on the simulator's one clock: with the queue empty the
+    disk is idle and the think advances the clock; with requests
+    outstanding it happens during service already on the clock and is
+    hidden.  At ``queue_depth=1`` every submit services synchronously, so
+    every think is on the clock.  The approximation overstates overlap
+    when think intervals exceed service times;
+    :func:`repro.hosts.multihost.run_multihost` measures it instead.
+    Workloads:
 
     * ``random-update`` -- uniformly random aligned targets (the
       seek-dominated case queue reordering helps most);
@@ -144,7 +153,8 @@ def simulate_queued_workload(
     rng = random.Random(seed)
     disk = Disk(spec, store_data=False)
     scheduler = DiskScheduler(disk, policy=policy, queue_depth=queue_depth)
-    pipeline = HostPipeline(scheduler, think_seconds=think_seconds)
+    if not think_seconds >= 0.0:
+        raise ValueError("think time must be non-negative")
     aligned = disk.geometry.total_sectors // REQUEST_SECTORS
     cursor = rng.randrange(aligned)
     start = disk.clock.now
@@ -159,8 +169,10 @@ def simulate_queued_workload(
             else:
                 cursor = (cursor + 1) % aligned
                 lba = cursor
-        pipeline.write(lba * REQUEST_SECTORS, REQUEST_SECTORS)
-    pipeline.finish()
+        if think_seconds > 0.0 and not scheduler.outstanding:
+            disk.clock.advance(think_seconds)
+        scheduler.write(lba * REQUEST_SECTORS, REQUEST_SECTORS)
+    scheduler.drain()
     elapsed = disk.clock.now - start
     service = scheduler.service_times.percentiles()
     response = scheduler.response_times

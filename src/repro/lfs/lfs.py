@@ -157,11 +157,14 @@ class LFS(InodeNamespace):
         the paper's NVRAM assumption is that the buffer cache (which in
         MinixUFS holds metadata too) gives "a similar reliability
         guarantee as that of the synchronous systems".  Without NVRAM
-        everything volatile is lost.  The device crashes beneath; only
+        everything volatile is lost, the segment the writer was filling
+        included; with NVRAM that staging survives with the cache, whose
+        entries it left clean.  The device crashes beneath; only
         :meth:`recover` may run next.
         """
         self.cache.crash()
         if not self.cache.nvram:
+            self.writer.crash()
             self._inodes.clear()
             self._dirty_inodes.clear()
         self._inode_block_weights.clear()

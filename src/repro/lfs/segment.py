@@ -177,6 +177,14 @@ class SegmentWriter:
             return self._staged[index][1]
         return None
 
+    def crash(self) -> None:
+        """Power loss: the staged blocks, the part of them already written
+        and the segment they filled were volatile, and are gone.  The
+        segment is not retired, so the next sync must not finish it."""
+        self._staged.clear()
+        self._written_prefix = 0
+        self.current_segment = None
+
     # ------------------------------------------------------------------
 
     def _summary(self) -> SegmentSummary:

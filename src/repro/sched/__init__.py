@@ -3,10 +3,10 @@
 The paper's eager-writing drive has its own processor; this package gives
 the simulator the matching concurrency story: a request queue with
 pluggable scheduling policies (FIFO, elevator/SCAN, and SATF priced by the
-closed-form :class:`~repro.disk.mechanics.DiskMechanics` model), an
-overlapped host/disk pipeline that keeps up to ``queue_depth`` requests
-outstanding, and queue-emptiness as the idle signal that triggers
-background work (scrubbing, compaction, cleaning).
+closed-form :class:`~repro.disk.mechanics.DiskMechanics` model) that keeps
+up to ``queue_depth`` requests outstanding, and queue-emptiness as the
+idle signal that triggers background work (scrubbing, compaction,
+cleaning).
 
 At ``queue_depth=1`` every request is serviced at submit time, so the
 disk sees literally the same call sequence as the unscheduled code path
@@ -14,7 +14,6 @@ disk sees literally the same call sequence as the unscheduled code path
 """
 
 from repro.sched.idle import IdleManager
-from repro.sched.pipeline import HostPipeline
 from repro.sched.policies import (
     POLICIES,
     ElevatorPolicy,
@@ -30,7 +29,6 @@ __all__ = [
     "DiskScheduler",
     "ElevatorPolicy",
     "FIFOPolicy",
-    "HostPipeline",
     "IdleManager",
     "POLICIES",
     "SATFPolicy",

@@ -315,9 +315,8 @@ class VLFS(LFS):
     def recover(self) -> RecoveryOutcome:
         """Rebuild the inode map from the virtual log, then walk the
         inodes to reconstruct free-space accounting."""
-        reader = disk_reader(self.disk)
-        chunks, outcome = recover_log(
-            self.vlog, self.power_store, reader, reader
+        chunks, outcome, _dead_runs = recover_log(
+            self.vlog, self.power_store, disk_reader(self.disk)
         )
         breakdown = outcome.breakdown
         for chunk_id, entries in (chunks or {}).items():

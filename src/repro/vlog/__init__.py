@@ -28,7 +28,6 @@ from repro.vlog.compactor import FreeSpaceCompactor
 from repro.vlog.recovery import (
     PowerDownStore,
     RecoveryOutcome,
-    scan_for_tail,
     scan_records,
 )
 from repro.vlog.resilience import (
@@ -62,7 +61,6 @@ __all__ = [
     "FreeSpaceCompactor",
     "PowerDownStore",
     "RecoveryOutcome",
-    "scan_for_tail",
     "scan_records",
     "ChecksumStore",
     "FsckReport",

@@ -128,32 +128,18 @@ class PowerDownStore:
         self.disk.poke(self._sector, garbage)
 
 
+#: A run of sectors, ``(first_sector, count)``.
+Run = Tuple[int, int]
+
+
 def scan_records(
     disk: Disk,
     block_size: int = 4096,
     skip_sectors: int = 0,
     *,
     reader,
-) -> Tuple[Dict[int, MapRecord], Breakdown, int]:
-    """Full-disk scan for *every* valid map record.
-
-    Returns ``(records_by_block, breakdown, records_examined)``: what
-    :func:`_scan` finds, without the bytes it found them in.
-    """
-    found, _held, breakdown, examined = _scan(
-        disk, block_size, skip_sectors, reader
-    )
-    return found, breakdown, examined
-
-
-def _scan(
-    disk: Disk,
-    block_size: int,
-    skip_sectors: int,
-    reader,
-) -> Tuple[Dict[int, MapRecord], Dict[int, bytes], Breakdown, int]:
-    """The one full-disk scan behind :func:`scan_records` and
-    :func:`recover_log`.
+) -> Tuple[Dict[int, MapRecord], Dict[int, bytes], List[Run], Breakdown, int]:
+    """Full-disk scan for *every* valid map record (the slow path).
 
     Reads the disk track by track (the cheapest sequential pattern) and
     parses every aligned record-sized unit for a valid map record.
@@ -161,14 +147,15 @@ def _scan(
     sectors); ``skip_sectors`` excludes the first N sectors of the disk
     (the power-down record's home).
 
-    Every track is read with ``reader(sector, count, breakdown) ->
-    Optional[bytes]``; when it returns ``None`` the track is treated as
-    unreadable and its records are skipped (a resilient reader typically
-    retries per record first and zero-fills only what stays dead).
+    Every read goes through ``reader(sector, count, breakdown) ->
+    Optional[bytes]``.  A track it cannot read is read again record by
+    record, and only the records that stay unreadable are zero-filled, so
+    one bad sector costs one record, not a whole track of them.
 
-    Returns ``(records_by_block, bytes_by_block, breakdown,
-    records_examined)``: each record found, and the block it was parsed
-    from, so that recovery's tree walk need not read it again.
+    Returns ``(records_by_block, bytes_by_block, zero_filled, breakdown,
+    records_examined)``: each record found, the block it was parsed from
+    (so that recovery's tree walk need not read it again), and the runs
+    the scan zero-filled, in the order it met them.
     """
     breakdown = Breakdown()
     geometry = disk.geometry
@@ -178,6 +165,7 @@ def _scan(
     first_block = skip_sectors // sectors_per_block
     found: Dict[int, MapRecord] = {}
     held: Dict[int, bytes] = {}
+    zero_filled: List[Run] = []
     examined = 0
     # Record positions are absolute: record ``b`` occupies sectors
     # ``b*spb .. (b+1)*spb - 1``.  When the block size does not divide the
@@ -191,16 +179,27 @@ def _scan(
     # handed to ``MapRecord.unpack`` (which checks magic, CRC and entry
     # count as ever).  Host cost follows the records on the disk, not its
     # slots; ``examined`` is the number of slots the sieve covered.
-    track_bytes = geometry.sectors_per_track * disk.sector_bytes
+    per_track = geometry.sectors_per_track
     magic_head = MAGIC[:1]
     pending = b""  # bytes read but not yet part of a whole block
     next_block = 0  # pending[0] is the first byte of this block
     for cylinder in range(geometry.num_cylinders):
         for head in range(geometry.tracks_per_cylinder):
             start = geometry.track_start(cylinder, head)
-            raw = reader(start, geometry.sectors_per_track, breakdown)
+            raw = reader(start, per_track, breakdown)
             if raw is None:
-                raw = bytes(track_bytes)
+                # Re-drive the track record by record (piece boundaries
+                # count from the track's start).
+                pieces: List[bytes] = []
+                for offset in range(0, per_track, sectors_per_block):
+                    sector = start + offset
+                    count = min(sectors_per_block, per_track - offset)
+                    piece = reader(sector, count, breakdown)
+                    if piece is None:
+                        zero_filled.append((sector, count))
+                        piece = bytes(count * disk.sector_bytes)
+                    pieces.append(piece)
+                raw = b"".join(pieces)
             buffer = pending + raw if pending else raw
             base = next_block * block_size  # disk offset of buffer[0]
             end_block = min(total_blocks, (base + len(buffer)) // block_size)
@@ -221,7 +220,7 @@ def _scan(
                     slot = heads.find(magic_head, slot + 1)
             pending = buffer[end_block * block_size - base :]
             next_block = end_block
-    return found, held, breakdown, examined
+    return found, held, zero_filled, breakdown, examined
 
 
 def _youngest(found: Dict[int, MapRecord]) -> Optional[int]:
@@ -229,25 +228,6 @@ def _youngest(found: Dict[int, MapRecord]) -> Optional[int]:
     highest sequence number (the lowest such block, should two tie);
     ``None`` when there is none."""
     return max(found, key=lambda block: found[block].seqno, default=None)
-
-
-def scan_for_tail(
-    disk: Disk,
-    block_size: int = 4096,
-    skip_sectors: int = 0,
-    *,
-    reader,
-) -> Tuple[Optional[int], Breakdown, int]:
-    """Full-disk scan for the youngest map record (the slow path).
-
-    A thin selection over :func:`scan_records`: the record with the
-    highest sequence number is the log tail.  Returns
-    ``(tail_block, breakdown, records_examined)``.
-    """
-    found, breakdown, examined = scan_records(
-        disk, block_size, skip_sectors, reader=reader
-    )
-    return _youngest(found), breakdown, examined
 
 
 @dataclass
@@ -353,8 +333,7 @@ def recover_log(
     vlog: "VirtualLog",
     store: PowerDownStore,
     reader,
-    track_reader,
-) -> Tuple[Optional[Dict[int, List[int]]], RecoveryOutcome]:
+) -> Tuple[Optional[Dict[int, List[int]]], RecoveryOutcome, List[Run]]:
     """Locate the log tail and rebuild ``vlog`` from it (Section 3.2).
 
     Traverses from the tail the power-down record names; without a valid
@@ -363,10 +342,10 @@ def recover_log(
     an unreadable interior record is escalated to a youngest-wins
     reconstruction over *every* valid record on the disk, so one dead map
     sector costs one chunk's latest update at worst, never the tree
-    behind it.  Every media read goes through the owner's single-run
-    ``reader`` or whole-track ``track_reader``, each
-    ``(sector, count, breakdown) -> Optional[bytes]`` (the VLD's
-    resilient pair, or :func:`disk_reader` twice).
+    behind it.  Every media read goes through the owner's one ``reader``,
+    ``(sector, count, breakdown) -> Optional[bytes]`` (the VLD's retried
+    read, or :func:`disk_reader`), ``None`` meaning the run stayed
+    unreadable.
 
     The disk is scanned at most once.  The scan keeps the bytes of every
     record it found, and the traversal takes those from it at no media
@@ -375,10 +354,13 @@ def recover_log(
     The reconstruction takes the scan's records, plus any the traversal
     read that the scan did not find, and scans only when nothing has yet.
 
-    Returns ``(chunks, outcome)``, ``chunks`` being ``None`` for a device
-    that was never written.  The owner still owes the log
-    ``repair_reachability()`` (once its free map reflects the recovered
-    state) and the record its closing ``clear()``.
+    Returns ``(chunks, outcome, dead_runs)``: ``chunks`` is ``None`` for a
+    device that was never written; ``dead_runs`` are the runs that stayed
+    unreadable in the traversal and the slots the scan zero-filled, in
+    the order recovery met them (either may have held the record it
+    needed, so any of them marks the outcome ``degraded``).  The owner
+    still owes the log ``repair_reachability()`` (once its free map
+    reflects the recovered state) and the record its closing ``clear()``.
     """
     raw, breakdown = store.read_raw(reader)
     record = store.parse(raw)
@@ -394,6 +376,9 @@ def recover_log(
         degraded=raw is None,
     )
     spb = vlog.sectors_per_block
+    # Sectors up to the end of the record's home block hold no log.
+    log_start = store._sector + store.sectors_per_block
+    dead_runs: List[Run] = []
     #: The scan's records and the bytes it parsed them from, by block;
     #: ``None`` until the disk has been scanned.
     found: Optional[Dict[int, MapRecord]] = None
@@ -408,18 +393,20 @@ def recover_log(
             raw = reader(sector, count, cost)
             if raw is not None:
                 fetched[block] = raw
+            elif sector >= log_start:
+                dead_runs.append((sector, count))
+                outcome.degraded = True
         return raw
 
     def scan() -> Dict[int, MapRecord]:
         nonlocal held
-        records, held, cost, outcome.blocks_scanned = _scan(
-            vlog.disk,
-            vlog.block_size,
-            # Sectors up to the end of the record's home block hold no log.
-            store._sector + store.sectors_per_block,
-            track_reader,
+        records, held, zero_filled, cost, outcome.blocks_scanned = (
+            scan_records(vlog.disk, vlog.block_size, log_start, reader=reader)
         )
         breakdown.add(cost)
+        if zero_filled:
+            dead_runs.extend(zero_filled)
+            outcome.degraded = True
         return records
 
     chunks = None
@@ -439,7 +426,7 @@ def recover_log(
         found = scan()
         tail = _youngest(found)
         if tail is None:
-            return None, outcome  # nothing was ever written
+            return None, outcome, dead_runs  # nothing was ever written
         # The tail comes out of the scan's bytes, so this cannot raise.
         chunks, cost, outcome.records_read = vlog.recover_from_tail(
             tail, walk_reader
@@ -460,4 +447,4 @@ def recover_log(
         # The record names the sequence number the log had reached, which
         # may lie past every record reachable from the tail it names.
         vlog.next_seqno = max(vlog.next_seqno, record[1] + 1)
-    return chunks, outcome
+    return chunks, outcome, dead_runs

@@ -50,8 +50,6 @@ class VirtualLogDisk(BlockDevice):
 
     Args:
         disk: The underlying simulated disk.
-        block_size: Physical (and logical) block size; the paper uses 4 KB
-            (Section 4.2, justified by formula (9)).
         policy: Eager allocation policy; ``TRACK_FILL`` is the paper's
             compactor-assisted configuration.
         fill_threshold: Track fill target for ``TRACK_FILL`` (0.75).
@@ -69,7 +67,6 @@ class VirtualLogDisk(BlockDevice):
     def __init__(
         self,
         disk: Disk,
-        block_size: int = 4096,
         map_record_bytes: int = MAP_RECORD_BYTES,
         policy: AllocationPolicy = AllocationPolicy.TRACK_FILL,
         fill_threshold: float = 0.75,
@@ -83,15 +80,17 @@ class VirtualLogDisk(BlockDevice):
                 "a virtual log disk needs a disk that stores its sectors, "
                 "not Disk(..., store_data=False)"
             )
-        if block_size % disk.sector_bytes != 0:
+        #: Physical (and logical) block size; the paper uses 4 KB
+        #: (Section 4.2, justified by formula (9)).
+        self.block_size = 4096
+        if self.block_size % disk.sector_bytes != 0:
             raise ValueError("block size must be a multiple of the sector size")
         if map_record_bytes % disk.sector_bytes != 0:
             raise ValueError("map records must be whole sectors")
         self.disk = disk
         self.clock = disk.clock
-        self.block_size = block_size
         self.map_record_bytes = map_record_bytes
-        self.sectors_per_block = block_size // disk.sector_bytes
+        self.sectors_per_block = self.block_size // disk.sector_bytes
         self.physical_blocks = disk.total_sectors // self.sectors_per_block
         # 2 % slack, so eager writing always finds somewhere to go.
         slack = max(8, int(self.physical_blocks * 0.02))
@@ -138,7 +137,7 @@ class VirtualLogDisk(BlockDevice):
         self.power_store = PowerDownStore(
             disk,
             self.POWER_DOWN_BLOCK,
-            block_size,
+            self.block_size,
             tail_block_sectors=map_record_bytes // disk.sector_bytes,
         )
         self.vlog.power_store = self.power_store
@@ -448,52 +447,15 @@ class VirtualLogDisk(BlockDevice):
         )
         return breakdown
 
-    def _record_reader(self, dead_runs: List[Tuple[int, int]]):
-        """Fault-tolerant single-run reader for recovery: ``None`` for a
-        run that stays unreadable after retries, which is noted in
-        ``dead_runs`` (unless it is the immovable power-down block) for
-        the post-rebuild conservative quarantine."""
-        resilience = self.resilience
-        power_block_end = (self.POWER_DOWN_BLOCK + 1) * self.sectors_per_block
-
-        def reader(sector: int, count: int, breakdown: Breakdown):
-            try:
-                return resilience.read_sectors(sector, count, breakdown)
-            except MediaError:
-                if sector >= power_block_end:
-                    dead_runs.append((sector, count))
-                return None
-
-        return reader
-
-    def _track_reader(self, dead_runs: List[Tuple[int, int]]):
-        """Fault-tolerant *track* reader for the scan paths: a failed
-        track read is re-driven record by record, zero-filling only the
-        runs that stay dead, so one bad sector costs one record, not a
-        whole track of them."""
-        resilience = self.resilience
-        record_sectors = self.map_record_bytes // self.disk.sector_bytes
-        sector_bytes = self.disk.sector_bytes
-
-        def reader(sector: int, count: int, breakdown: Breakdown):
-            try:
-                return resilience.read_sectors(sector, count, breakdown)
-            except MediaError:
-                pieces: List[bytes] = []
-                for offset in range(0, count, record_sectors):
-                    piece = min(record_sectors, count - offset)
-                    try:
-                        pieces.append(
-                            resilience.read_sectors(
-                                sector + offset, piece, breakdown
-                            )
-                        )
-                    except MediaError:
-                        dead_runs.append((sector + offset, piece))
-                        pieces.append(bytes(piece * sector_bytes))
-                return b"".join(pieces)
-
-        return reader
+    def _recovery_read(
+        self, sector: int, count: int, breakdown: Breakdown
+    ) -> Optional[bytes]:
+        """Recovery's reader: the resilience layer's retried read, ``None``
+        for a run that stays unreadable after retries."""
+        try:
+            return self.resilience.read_sectors(sector, count, breakdown)
+        except MediaError:
+            return None
 
     def recover(self) -> RecoveryOutcome:
         """Rebuild all volatile state from the disk (Section 3.2):
@@ -503,18 +465,10 @@ class VirtualLogDisk(BlockDevice):
         resilience = self.resilience
         media_errors_before = resilience.media_errors
         barrier_cost = self.scheduler.barrier()  # a live recover flushes first
-        #: Sector runs that stayed unreadable during this recovery.
-        dead_runs: List[Tuple[int, int]] = []
-        chunks, outcome = recover_log(
-            self.vlog,
-            self.power_store,
-            self._record_reader(dead_runs),
-            self._track_reader(dead_runs),
+        chunks, outcome, dead_runs = recover_log(
+            self.vlog, self.power_store, self._recovery_read
         )
         breakdown = outcome.breakdown = barrier_cost.add(outcome.breakdown)
-        # A run that stayed dead was a pruned edge or a zero-filled scan
-        # slot: either may have held the record the recovery needed.
-        outcome.degraded = outcome.degraded or bool(dead_runs)
         if chunks is None:
             # Nothing was ever written: a fresh device.
             self._reset_volatile_state()

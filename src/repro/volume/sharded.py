@@ -75,20 +75,12 @@ class ShardedVolume(BlockDevice):
             :class:`~repro.sim.clock.SimClock` -- backoff, fail-slow
             surplus and hedged reads all spend the same simulated time.
         stripe_blocks: Stripe width in blocks.
-        retry_policy: Backoff schedule for requests that hit a down
-            shard (each such request pays the full budget, then raises
-            :class:`ShardUnavailable`).
-        hedge_reads: Cap the fail-slow surplus of reads against a shard
-            whose health monitor has tripped (no-op for shards without a
-            :class:`FaultDevice` layer -- there is nothing to cap).
     """
 
     def __init__(
         self,
         shards: Sequence[BlockDevice],
         stripe_blocks: int = 8,
-        retry_policy: Optional[RetryPolicy] = None,
-        hedge_reads: bool = True,
     ) -> None:
         shards = list(shards)
         if not shards:
@@ -105,10 +97,14 @@ class ShardedVolume(BlockDevice):
         self.num_shards = len(shards)
         self.stripe_blocks = stripe_blocks
         self.block_size = shards[0].block_size
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        self.hedge_reads = hedge_reads
+        #: Backoff schedule for requests that hit a down shard (each such
+        #: request pays the full budget, then raises
+        #: :class:`ShardUnavailable`).
+        self.retry_policy = RetryPolicy()
+        #: Cap the fail-slow surplus of reads against a shard whose health
+        #: monitor has tripped (no-op for shards without a
+        #: :class:`FaultDevice` layer -- there is nothing to cap).
+        self.hedge_reads = True
         self._single = self.num_shards == 1
         if self._single:
             # Identity contract: one shard, zero translation.

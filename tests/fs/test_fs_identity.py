@@ -41,7 +41,9 @@ UPDATES = 200
 #: became ``crash()`` + ``recover()`` with the VLD's own recovery beneath;
 #: ``ufs-vld``, ``lfs-vld`` and ``vlfs`` again when recovery stopped
 #: expanding superseded map records, and again when its tree walk began
-#: taking the scan's records and reading children in access-time order.
+#: taking the scan's records and reading children in access-time order;
+#: ``lfs-vld`` when an LFS crash began dropping the segment writer's
+#: staged blocks.
 _GOLDEN_FS_SHA256 = {
     "ufs-regular": (
         "66eeb5006e307015abc225112d39bdb7e26d751c67a8c8b38949fef3160db365"
@@ -53,7 +55,7 @@ _GOLDEN_FS_SHA256 = {
         "3b1bc0b71f7dac1526273e9952e12ef4a32a95cb3193ae62f5f2c57b852a243f"
     ),
     "lfs-vld": (
-        "d5317ec84093e148e44529ff1d92cb5f8b0be01492993fe7c04280ac32184359"
+        "a82d72cfe3df70342b1986b65cba585439ae40df60307bd0983473424ce63941"
     ),
     "vlfs": (
         "ee36b87f945a4e1f21135715bceda79a61a8ef6eb52468ca9908b92677543802"

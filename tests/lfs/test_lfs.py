@@ -10,7 +10,11 @@ from repro.fs.api import (
     FileNotFound,
     NoSpace,
 )
+from repro.blockdev.regular import RegularDisk
+from repro.disk.disk import Disk
+from repro.disk.specs import ST19101
 from repro.lfs.lfs import LFS
+from repro.sim.stats import Breakdown
 
 
 class TestNamespace:
@@ -266,3 +270,44 @@ class TestCrashRecovery:
         assert sum(lfs.segusage.live_bytes) == pytest.approx(
             live_before, abs=3 * 4096
         )
+
+    def test_a_lost_write_stays_lost_after_a_second_crash(self, host):
+        # An asynchronous overwrite is staged in the segment writer and
+        # only partly written when the power fails.  The crash must drop
+        # the staging too: a writer that kept it would finish the
+        # segment on the next sync and bring the lost write back.
+        fs = LFS(RegularDisk(Disk(ST19101, num_cylinders=6)), host)
+        for path, tag in (("/a", 1), ("/b", 2)):
+            fs.create(path)
+            fs.write(path, 0, bytes([tag]) * 4096)
+        fs.sync()
+        fs.write("/a", 0, b"\x09" * 4096)
+        fs._flush_all(Breakdown())
+        assert fs.writer.staged_blocks > 0
+        fs.crash()
+        fs.recover()
+        assert fs.read("/a", 0, 4096)[0] == b"\x01" * 4096
+        fs.write("/b", 0, b"\x03" * 4096, sync=True)
+        fs.crash()
+        fs.recover()
+        assert fs.read("/a", 0, 4096)[0] == b"\x01" * 4096
+        assert fs.read("/b", 0, 4096)[0] == b"\x03" * 4096
+
+    def test_nvram_keeps_the_staged_segment_across_a_crash(self, lfs_nvram):
+        # Staging without a sync (the cleaner's copy does, and so does a
+        # bare flush) marks the NVRAM cache entries clean and points the
+        # surviving inodes at the staged addresses.  The staging must
+        # survive with the cache, or those inodes point into a segment
+        # that was never written.
+        fs = lfs_nvram
+        fs.create("/f")
+        for i in range(8):
+            fs.write("/f", i * 4096, bytes([i + 1]) * 4096)
+        fs._flush_all(Breakdown())
+        assert fs.writer.staged_blocks > 1
+        fs.crash()
+        fs.recover()
+        fs.drop_caches()
+        for i in range(8):
+            data, _ = fs.read("/f", i * 4096, 4096)
+            assert data == bytes([i + 1]) * 4096, i

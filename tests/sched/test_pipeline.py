@@ -1,6 +1,6 @@
-"""The host/disk pipeline, the idle-time dispatcher, and the headline
-queue-depth acceptance property (SATF beats FIFO once the disk can
-reorder)."""
+"""The queued-workload driver's host/disk overlap, the idle-time
+dispatcher, and the headline queue-depth acceptance property (SATF beats
+FIFO once the disk can reorder)."""
 
 import pytest
 
@@ -12,8 +12,6 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.lfs.lfs import LFS
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
-from repro.sched.pipeline import HostPipeline
-from repro.sched.scheduler import DiskScheduler
 from repro.sim.clock import SimClock
 from repro.sim.stats import Breakdown
 from repro.ufs.ufs import UFS
@@ -25,44 +23,44 @@ def _payload(tag: int, size: int = 4096) -> bytes:
     return bytes([tag % 251]) * size
 
 
+def _queued(**kwargs):
+    """``simulate_queued_workload`` on the Seagate, with the busy seconds
+    its mean service time implies."""
+    kwargs.setdefault("requests", 20)
+    result = simulate_queued_workload(ST19101, **kwargs)
+    busy = result["mean_service_ms"] * kwargs["requests"] / 1e3
+    return result, busy
+
+
 class TestHostPipeline:
+    """The queued-workload driver's think step: the host thinks before
+    each submission, on the clock while the queue is empty, hidden
+    behind queued service while it is not."""
+
     def test_think_advances_clock_when_queue_empty(self):
-        disk = Disk(ST19101, num_cylinders=2, store_data=False)
-        pipeline = HostPipeline(
-            DiskScheduler(disk, queue_depth=4), think_seconds=0.002
-        )
-        before = disk.clock.now
-        pipeline.write(0, 8)
-        assert disk.clock.now >= before + 0.002
-        assert pipeline.think_hidden_seconds == 0.0
+        # Depth 1 services every submit synchronously: the queue is empty
+        # at every think, so each one is on the clock.
+        result, busy = _queued(queue_depth=1, think_seconds=0.002)
+        assert result["elapsed_seconds"] - busy == pytest.approx(20 * 0.002)
 
     def test_think_hidden_while_requests_outstanding(self):
-        disk = Disk(ST19101, num_cylinders=2, store_data=False)
-        pipeline = HostPipeline(
-            DiskScheduler(disk, queue_depth=4), think_seconds=0.002
-        )
-        pipeline.write(0, 8)
-        assert pipeline.scheduler.outstanding == 1
-        now = disk.clock.now
-        pipeline.write(64, 8)  # queue non-empty: think overlaps service
-        assert disk.clock.now == now
-        assert pipeline.think_hidden_seconds == pytest.approx(0.002)
+        # Depth 4: after the first submission the queue never empties
+        # until the drain, so only the first think is on the clock.
+        result, busy = _queued(queue_depth=4, think_seconds=0.002)
+        assert result["max_outstanding"] == 4.0
+        assert result["elapsed_seconds"] - busy == pytest.approx(0.002)
 
     def test_negative_think_rejected(self):
-        disk = Disk(ST19101, num_cylinders=1, store_data=False)
         with pytest.raises(ValueError):
-            HostPipeline(DiskScheduler(disk), think_seconds=-1.0)
+            simulate_queued_workload(ST19101, think_seconds=-1.0)
 
     def test_finish_drains_everything(self):
-        disk = Disk(ST19101, num_cylinders=2, store_data=False)
-        pipeline = HostPipeline(DiskScheduler(disk, queue_depth=8))
-        for i in range(5):
-            pipeline.write(i * 16, 8)
-        assert pipeline.scheduler.outstanding == 5
-        breakdown = pipeline.finish()
-        assert pipeline.scheduler.outstanding == 0
-        assert breakdown.total > 0.0
-        assert pipeline.submitted == 5
+        # Five requests never fill a depth-8 queue: all five wait for the
+        # drain at the end of the run, which services every one of them.
+        result, busy = _queued(queue_depth=8, requests=5, think_seconds=0.0)
+        assert result["max_outstanding"] == 5.0
+        assert result["elapsed_seconds"] == pytest.approx(busy)
+        assert busy > 0.0
 
 
 class TestIdleManager:

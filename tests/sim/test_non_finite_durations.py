@@ -16,11 +16,10 @@ import pytest
 from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
+from repro.harness.runner import simulate_queued_workload
 from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
-from repro.sched.pipeline import HostPipeline
-from repro.sched.scheduler import DiskScheduler
 from repro.sim.clock import SimClock
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
@@ -40,15 +39,19 @@ def _vld():
     return VirtualLogDisk(_disk())
 
 
+def _queued_workload(think_seconds):
+    return simulate_queued_workload(
+        ST19101, requests=1, think_seconds=think_seconds
+    )
+
+
 #: Every duration guard in ``src/`` other than the idle entry points
 #: (tested below), as a one-argument callable.
 GUARDS = {
     "SimClock.advance": lambda: SimClock().advance,
     "Breakdown.charge": lambda: functools.partial(Breakdown().charge, "other"),
     "LatencyHistogram.record": lambda: LatencyHistogram().record,
-    "HostPipeline(think_seconds=)": lambda: functools.partial(
-        HostPipeline, DiskScheduler(_disk())
-    ),
+    "simulate_queued_workload(think_seconds=)": lambda: _queued_workload,
     "FreeSpaceCompactor.run_for": lambda: _vld().compactor.run_for,
     "Scrubber.run_for": lambda: _vld().resilience.scrubber.run_for,
     "ReadReorganizer.run_for": lambda: ReadReorganizer(_vld()).run_for,

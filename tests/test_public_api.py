@@ -19,7 +19,7 @@ CONFIGURATION_SURFACE = {
         "window", "baseline_samples", "min_samples",
     ),
     "repro.vlog.vld:VirtualLogDisk": (
-        "disk", "block_size", "map_record_bytes", "policy",
+        "disk", "map_record_bytes", "policy",
         "fill_threshold", "queue_depth", "sched",
     ),
     "repro.vlog.resilience:ResilienceController": ("vld",),
@@ -31,7 +31,7 @@ CONFIGURATION_SURFACE = {
     ),
     "repro.harness.configs:build_sharded_volume": (
         "shards", "stripe_blocks", "num_cylinders", "queue_depth", "sched",
-        "fault_plans", "retry_policy", "hedge_reads",
+        "fault_plans",
     ),
     "repro.workloads.random_update:prepare_file": ("fs", "path", "file_bytes"),
     "repro.workloads.random_update:run_random_updates": (
@@ -77,7 +77,7 @@ class TestConfigurationSurface:
             for path in CONFIGURATION_SURFACE
             for parameter in _signature(path).parameters.values()
         )
-        assert optional == 58
+        assert optional == 55
 
 
 class TestReadmeSnippets:

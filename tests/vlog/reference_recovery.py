@@ -283,7 +283,7 @@ def _records_on_media(owner) -> Set[int]:
     def peek(sector, count, _breakdown):
         return disk.peek(sector, count)
 
-    found, _cost, _examined = scan_records(
+    found, _held, _zero_filled, _cost, _examined = scan_records(
         disk,
         vlog.block_size,
         store._sector + store.sectors_per_block,

@@ -12,16 +12,21 @@ from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.nvm.wal import NVWal
 from repro.sim.stats import Breakdown
+from repro.vlog import recovery
 from repro.vlog.recovery import (
     PowerDownStore,
     RecoveryOutcome,
     fold_outcomes,
+    _youngest,
     disk_reader,
-    scan_for_tail,
     scan_records,
 )
 from repro.vlog.entries import MAGIC, MapRecord, entries_per_chunk
 from repro.vlog.vld import VirtualLogDisk
+from tests.vlog.test_recovery_scan_reuse import (
+    SCAN_LOST_THE_TAIL,
+    _flaky_tail_recovery,
+)
 
 
 @pytest.fixture
@@ -67,6 +72,15 @@ class TestPowerDownStore:
         assert record is None
 
 
+def _scan_for_tail(disk, skip_sectors=0):
+    """The scan fallback's answer: the youngest record a full scan finds,
+    the scan's cost and the slots it examined."""
+    found, _held, _zero_filled, cost, examined = scan_records(
+        disk, 4096, skip_sectors, reader=disk_reader(disk)
+    )
+    return _youngest(found), cost, examined
+
+
 class TestScanFallback:
     def _plant(self, disk, block, chunk_id, seqno):
         record = MapRecord(chunk_id=chunk_id, seqno=seqno, entries=[seqno])
@@ -76,25 +90,25 @@ class TestScanFallback:
         self._plant(disk, 10, 0, 5)
         self._plant(disk, 200, 1, 9)
         self._plant(disk, 400, 0, 7)
-        tail, _cost, examined = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, _cost, examined = _scan_for_tail(disk)
         assert tail == 200
         assert examined == disk.total_sectors // 8
 
     def test_empty_disk_finds_nothing(self, disk):
-        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, _cost, _n = _scan_for_tail(disk)
         assert tail is None
 
     def test_data_blocks_ignored(self, disk):
         disk.poke(80, b"Z" * 4096)
         self._plant(disk, 50, 0, 3)
-        tail, _, _ = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, _, _ = _scan_for_tail(disk)
         assert tail == 50
 
     def test_timed_scan_costs_whole_disk_reads(self, disk):
         """The scan is the slow path: it must cost on the order of reading
         every track once (why the power-down record matters)."""
         self._plant(disk, 3, 0, 1)
-        _tail, cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
+        _tail, cost, _n = _scan_for_tail(disk)
         tracks = disk.geometry.num_cylinders * disk.geometry.tracks_per_cylinder
         min_transfer = tracks * disk.geometry.sectors_per_track * (
             disk.mechanics.sector_time
@@ -129,7 +143,7 @@ def _tiny_unaligned_spec():
 
 
 class TestScanUnalignedGeometry:
-    """scan_for_tail when sectors_per_track % sectors_per_block != 0.
+    """The scan fallback when sectors_per_track % sectors_per_block != 0.
 
     The seed implementation numbered blocks per track as
     ``track_start // spb + i`` (only valid for block-aligned track starts)
@@ -144,7 +158,7 @@ class TestScanUnalignedGeometry:
     def test_examines_every_whole_block(self):
         disk = Disk(_tiny_unaligned_spec())
         assert disk.total_sectors == 96
-        _tail, _cost, examined = scan_for_tail(disk, reader=disk_reader(disk))
+        _tail, _cost, examined = _scan_for_tail(disk)
         assert examined == disk.total_sectors // 8  # 12, not the seed's 8
 
     def test_finds_record_straddling_a_track_boundary(self):
@@ -152,7 +166,7 @@ class TestScanUnalignedGeometry:
         # Block 4 = sectors 32..39; tracks are 12 sectors, so it straddles
         # the boundary at sector 36.
         self._plant(disk, 4, seqno=10)
-        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, _cost, _n = _scan_for_tail(disk)
         assert tail == 4
 
     def test_finds_youngest_across_remainder_regions(self):
@@ -161,16 +175,14 @@ class TestScanUnalignedGeometry:
         # Block 11 = sectors 88..95, inside the last track (84..95) but
         # past the last old per-track parse window (84..91).
         self._plant(disk, 11, seqno=20)
-        tail, _cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, _cost, _n = _scan_for_tail(disk)
         assert tail == 11
 
     def test_skip_sectors_still_honoured(self):
         disk = Disk(_tiny_unaligned_spec())
         self._plant(disk, 0, seqno=99)
         self._plant(disk, 4, seqno=5)
-        tail, _cost, examined = scan_for_tail(
-            disk, skip_sectors=8, reader=disk_reader(disk)
-        )
+        tail, _cost, examined = _scan_for_tail(disk, skip_sectors=8)
         assert tail == 4
         assert examined == disk.total_sectors // 8 - 1
 
@@ -178,7 +190,7 @@ class TestScanUnalignedGeometry:
         disk = Disk(_tiny_unaligned_spec())
         self._plant(disk, 4, seqno=10)
         self._plant(disk, 11, seqno=20)
-        tail, cost, _n = scan_for_tail(disk, reader=disk_reader(disk))
+        tail, cost, _n = _scan_for_tail(disk)
         assert tail == 11
         assert cost.total > 0.0
 
@@ -217,10 +229,14 @@ def _reference_unpack(raw: bytes):
 
 def _reference_scan(disk, block_size, skip_sectors, reader):
     """Differential reference for ``scan_records``: read every track,
-    lay the disk out flat, parse every slot one at a time."""
+    lay the disk out flat, parse every slot one at a time.  ``reader``
+    fails whole tracks, which zero-fills every slot-sized piece of them
+    (counted from the track's start)."""
     geometry = disk.geometry
     per_track = geometry.sectors_per_track
+    sectors_per_block = block_size // disk.sector_bytes
     image = bytearray()
+    zero_filled = []
     for cylinder in range(geometry.num_cylinders):
         for head in range(geometry.tracks_per_cylinder):
             start = geometry.track_start(cylinder, head)
@@ -229,8 +245,11 @@ def _reference_scan(disk, block_size, skip_sectors, reader):
                 raw = reader(start, per_track, None)
                 if raw is None:
                     raw = bytes(per_track * disk.sector_bytes)
+                    zero_filled += [
+                        (start + offset, min(sectors_per_block, per_track - offset))
+                        for offset in range(0, per_track, sectors_per_block)
+                    ]
             image += raw
-    sectors_per_block = block_size // disk.sector_bytes
     found = {}
     examined = 0
     for block in range(geometry.total_sectors // sectors_per_block):
@@ -241,7 +260,7 @@ def _reference_scan(disk, block_size, skip_sectors, reader):
         record = _reference_unpack(bytes(image[lo : lo + block_size]))
         if record is not None:
             found[block] = record
-    return found, examined
+    return found, examined, zero_filled
 
 
 #: What a slot of the random image holds ("record" twice: drawn twice as
@@ -343,21 +362,28 @@ class TestSieveScanDifferential:
             )
         )
 
+        per_track = disk.geometry.sectors_per_track
+
         def some_tracks_dead(sector, count, breakdown):
-            return None if sector in dead_tracks else disk.peek(sector, count)
+            if sector - sector % per_track in dead_tracks:
+                return None
+            return disk.peek(sector, count)
 
         reader = None if dead_tracks is None else some_tracks_dead
-        found, _cost, examined = scan_records(
+        found, held, zero_filled, _cost, examined = scan_records(
             disk,
             block_size,
             skip_sectors=skip_sectors,
             reader=reader or disk_reader(disk),
         )
-        want_found, want_examined = _reference_scan(
+        want_found, want_examined, want_zero_filled = _reference_scan(
             disk, block_size, skip_sectors, reader
         )
         assert found == want_found
         assert examined == want_examined
+        assert zero_filled == want_zero_filled
+        for block, raw in held.items():
+            assert raw == disk.peek(block * sectors_per_block, sectors_per_block)
 
     def test_reference_and_sieve_agree_on_a_real_log(self):
         """The same comparison on an image a VLD actually wrote (512-byte
@@ -370,13 +396,13 @@ class TestSieveScanDifferential:
                 rng.randrange(vld.num_blocks // 2),
                 MAGIC * (vld.block_size // len(MAGIC)),
             )
-        found, _cost, examined = scan_records(
+        found, _held, zero_filled, _cost, examined = scan_records(
             disk, vld.map_record_bytes, 8, reader=disk_reader(disk)
         )
-        want_found, want_examined = _reference_scan(
+        want_found, want_examined, _zero_filled = _reference_scan(
             disk, vld.map_record_bytes, 8, None
         )
-        assert len(found) > 20
+        assert len(found) > 20 and zero_filled == []
         assert found == want_found
         assert examined == want_examined == disk.total_sectors - 8
 
@@ -604,6 +630,33 @@ class TestUnreadableTailMediaError:
         for lba in range(4):
             data, _ = vld.read_block(lba)
             assert len(data) == vld.block_size
+
+
+@pytest.mark.parametrize("seed", SCAN_LOST_THE_TAIL)
+def test_the_scan_names_the_tail_slot_it_zero_filled(seed, monkeypatch):
+    """The flaky-tail histories whose scan could not read the tail's slot
+    through its retries: the scan settles for an older tail, and names
+    that slot -- the one sector the history made flaky -- as the only one
+    it zero-filled."""
+    # The history without the fault, to learn where its tail sits.
+    vld = VirtualLogDisk(Disk(ST19101, num_cylinders=3))
+    rng = random.Random(seed)
+    for _ in range(60):
+        lba, tag = rng.randrange(200), rng.randrange(1, 256)
+        vld.write_block(lba, bytes([tag]) * vld.block_size)
+    tail_slot = (vld.vlog.tail * vld.vlog.sectors_per_block, 1)
+
+    zero_filled = []
+
+    def spy(*args, **kwargs):
+        result = scan_records(*args, **kwargs)
+        zero_filled.extend(result[2])
+        return result
+
+    monkeypatch.setattr(recovery, "scan_records", spy)
+    vld, outcome, _acked = _flaky_tail_recovery(seed, power_down=False)
+    assert outcome.scanned and outcome.degraded
+    assert zero_filled == [tail_slot]
 
 
 class TestPowerDownWithPendingQueue:

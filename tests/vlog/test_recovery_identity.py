@@ -18,6 +18,7 @@ that reads fewer records re-records the cases it moves, on purpose.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -29,7 +30,16 @@ from repro.harness.configs import build_sharded_volume
 from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal, NVWalInjector
 from repro.vlfs.vlfs import VLFS
+from repro.vlog.entries import QUARANTINE_CHUNK_BASE
+from repro.vlog.resilience import silently_corrupt
 from repro.vlog.vld import VirtualLogDisk
+from tests.vlog.test_recovery_scan_reuse import (
+    RAISED_AFTER_POWER_DOWN,
+    RAISED_AFTER_SCAN,
+    SCAN_LOST_THE_TAIL,
+    _flaky_tail_recovery,
+    _lost,
+)
 
 BS = 4096
 
@@ -290,3 +300,133 @@ _CASES = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN_RECOVERY_SHA256))
 def test_recovery_is_pinned(case):
     assert _CASES[case]() == _GOLDEN_RECOVERY_SHA256[case]
+
+
+# ----------------------------------------------------------------------
+# Recoveries through unreadable media
+# ----------------------------------------------------------------------
+#
+# Which runs stay dead during a recovery, and in which order, decides
+# the conservative quarantine, the suspects queue and the quarantine
+# record the recovery persists.  Each case hashes every outcome field
+# (``conservatively_quarantined`` among them), the clock, the rebuilt
+# map, the free-map masks, the quarantine table and the suspects in
+# order.  The flaky-tail cases also hash which acknowledged blocks read
+# back wrong afterwards.
+
+#: sha256 per case, recorded under PYTHONHASHSEED 0, 1 and random.
+_GOLDEN_MEDIA_FAULT_SHA256 = {
+    "dead-quarantine-record": (
+        "446cfe2fb1aef44df2aefaf6535211e16546d148cc547768d4344b130bb73295"
+    ),
+    "dead-sector-scan": (
+        "b118c11e169ec3a038db3f63a0450eb054511d87110d4a70163cd4ef801ee036"
+    ),
+    "flaky-tail-power-down-s30": (
+        "ef89bca52d37e48222a9b902d4b3eebda428c6d81e5f42912ee0604c4602ca15"
+    ),
+    "flaky-tail-power-down-s31": (
+        "9054fbf6dffbc1f2ea0215e41e37609a80141dbfc92b22fe5822bfa6cee3c497"
+    ),
+    "flaky-tail-power-down-s39": (
+        "27a2ec5e1d55dbe50e487dbb311fff0f30cb7adfe6a9daa2848e840760a478ab"
+    ),
+    "flaky-tail-power-down-s49": (
+        "5e9d6b84b199f4af65796ff5b8d8212739d1cc6bef9187c690e1ea2f764c8d35"
+    ),
+    "flaky-tail-power-down-s79": (
+        "0378ee3dfe9387a2f0189195cd01c132fb0cc87c87a846cd41acfe15001678df"
+    ),
+    "flaky-tail-scan-s11": (
+        "e52218498e5cf1587f249c9b98d1ff8a1aba2e3c8970774abd7b7b07984d6746"
+    ),
+    "flaky-tail-scan-s18": (
+        "1feb488861e6951f30f8be620aaaff7e5c082c613db12cfc356e0c6d85a7c863"
+    ),
+    "flaky-tail-scan-s28": (
+        "e60232dc012d44ba1c3472b61a63941bfbf9eece255595d40e1ad1f019d34290"
+    ),
+    "flaky-tail-scan-s29": (
+        "eeb98b8b8b58bd9915936145e762dedefbbdac53bf19ffaaf8beb14785484e38"
+    ),
+    "flaky-tail-scan-s30": (
+        "c9f6a59aa7182031ebac0813e0d8d954f71dbf74e74c10916827e4dda5a0cd81"
+    ),
+    "flaky-tail-scan-s4": (
+        "4d5e81d79180ec9d1c56122989764d36e8f4527ca6366b91e3d4511280ec021c"
+    ),
+    "flaky-tail-scan-s45": (
+        "928bc95f9a63c22d3a69645e61d76ff7c598aa5b1d91e96d7b6a30854cdd2c7f"
+    ),
+    "flaky-tail-scan-s7": (
+        "82e594851bf27b80ec52250c917be252872031effd8578d57dfce0ceb6eecb65"
+    ),
+}
+
+
+def _faulted_state(vld, outcome) -> tuple:
+    return (
+        _outcome(outcome),
+        vld.clock.now.hex(),
+        _vld_state(vld),
+        list(vld.resilience.suspects),
+    )
+
+
+def _flaky_tail(seed: int, power_down: bool) -> str:
+    vld, outcome, acked = _flaky_tail_recovery(seed, power_down)
+    state = _faulted_state(vld, outcome)
+    return _digest(state, _lost(vld, acked))
+
+
+def _dead_quarantine_record() -> str:
+    # TestDeadQuarantineRecord's history: the sector holding the
+    # quarantine table's record dies before the crash.
+    disk = Disk(ST19101, num_cylinders=2)
+    vld = VirtualLogDisk(disk)
+    for lba in range(10):
+        vld.write_block(lba, bytes([lba % 251]) * BS)
+    vld.resilience.quarantine_sector(disk.total_sectors - 5)
+    vld.resilience.persist_quarantine()
+    block = vld.vlog.location_of(QUARANTINE_CHUNK_BASE)
+    record_sector = block * vld.vlog.sectors_per_block
+    DiskFaultInjector(bad_sectors={record_sector}, seed=3).install(disk)
+    vld.crash()
+    outcome = vld.recover()
+    assert outcome.scanned and outcome.conservatively_quarantined >= 1
+    return _digest(_faulted_state(vld, outcome))
+
+
+def _dead_sector_scan() -> str:
+    # The tail's map sector fails its checksum: the scan's read of its
+    # track fails and is re-driven record by record.
+    disk = Disk(ST19101, num_cylinders=2)
+    vld = VirtualLogDisk(disk)
+    for lba in range(8):
+        vld.write_block(lba, bytes([lba % 251]) * BS)
+    silently_corrupt(disk, vld.vlog.tail * vld.vlog.sectors_per_block)
+    vld.crash()
+    outcome = vld.recover()
+    assert outcome.scanned and outcome.degraded
+    return _digest(_faulted_state(vld, outcome))
+
+
+_MEDIA_FAULT_CASES = {
+    **{
+        f"flaky-tail-scan-s{seed}": functools.partial(_flaky_tail, seed, False)
+        for seed in sorted(RAISED_AFTER_SCAN + SCAN_LOST_THE_TAIL)
+    },
+    **{
+        f"flaky-tail-power-down-s{seed}": functools.partial(
+            _flaky_tail, seed, True
+        )
+        for seed in RAISED_AFTER_POWER_DOWN
+    },
+    "dead-quarantine-record": _dead_quarantine_record,
+    "dead-sector-scan": _dead_sector_scan,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEDIA_FAULT_CASES))
+def test_media_fault_recovery_is_pinned(case):
+    assert _MEDIA_FAULT_CASES[case]() == _GOLDEN_MEDIA_FAULT_SHA256[case]

@@ -157,16 +157,16 @@ class TestWholeTrackVerify:
         ]
 
     def test_dead_sector_costs_one_record_not_the_track(self, vld, disk):
-        """Through ``_track_reader``: the whole-track read fails its
-        verify, the track is re-driven record by record, and only the
-        dead record is zero-filled -- the scan still finds its
-        neighbours."""
+        """Through the VLD's recovery reader: the scan's whole-track read
+        fails its verify, the scan re-drives the track record by record,
+        and only the dead record is zero-filled -- the scan still finds
+        its neighbours, and names the one slot it lost."""
         _fill(vld, 8)
         per_track = disk.geometry.sectors_per_track
         dead_sector = vld.vlog.tail * vld.vlog.sectors_per_block
         start = dead_sector - dead_sector % per_track
         before = disk.peek(start, per_track)
-        neighbours, _cost, _n = scan_records(
+        neighbours, _held, _zero_filled, _cost, _n = scan_records(
             disk, vld.map_record_bytes, reader=disk_reader(disk)
         )
         on_track = {
@@ -176,20 +176,14 @@ class TestWholeTrackVerify:
         }
         assert vld.vlog.tail in on_track and len(on_track) > 1
         silently_corrupt(disk, dead_sector)
-        dead_runs = []
-        reader = vld._track_reader(dead_runs)
-        raw = reader(start, per_track, Breakdown())
-        assert dead_runs == [(dead_sector, 1)]
-        lo = (dead_sector - start) * 512
-        assert raw[:lo] == before[:lo]
-        assert raw[lo : lo + 512] == bytes(512)
-        assert raw[lo + 512 :] == before[lo + 512 :]
-        found, _cost, _n = scan_records(
-            disk,
-            vld.map_record_bytes,
-            reader=vld._track_reader([]),
+        found, held, zero_filled, _cost, _n = scan_records(
+            disk, vld.map_record_bytes, reader=vld._recovery_read
         )
+        assert zero_filled == [(dead_sector, 1)]
         assert set(found) & on_track == on_track - {vld.vlog.tail}
+        for block in on_track - {vld.vlog.tail}:
+            lo = (block * vld.vlog.sectors_per_block - start) * 512
+            assert held[block] == before[lo : lo + vld.map_record_bytes]
 
 
 # ======================================================================

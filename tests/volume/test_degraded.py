@@ -23,9 +23,8 @@ class TestBoundedUnavailability:
         policy = RetryPolicy(
             max_attempts=3, initial_backoff=0.002, backoff_factor=2.0
         )
-        volume, _, disks = build_sharded_volume(
-            shards=3, num_cylinders=2, retry_policy=policy
-        )
+        volume, _, disks = build_sharded_volume(shards=3, num_cylinders=2)
+        volume.retry_policy = policy
         fill(volume)
         volume.crash_shard(1)
         budget = policy.backoff(1) + policy.backoff(2)
@@ -134,8 +133,8 @@ class TestHedgedReads:
                 seed=5, slow_factor=64.0, slow_after_ops=64,
                 slow_duration_ops=4000,
             )},
-            hedge_reads=False,
         )
+        plain_vol.hedge_reads = False
         fill(plain_vol)
         self.read_until_tripped(plain_vol)  # same op sequence, no trip use
         _, raw_cost = plain_vol.read_block(lba)
