@@ -27,13 +27,20 @@ host.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.disk.disk import Disk
 from repro.disk.specs import DiskSpec
 from repro.harness.runner import QUEUE_WORKLOADS, REQUEST_SECTORS
 from repro.sched.scheduler import DiskScheduler
-from repro.sim.engine import EventEngine
+from repro.sim.engine import (
+    EventEngine,
+    intersection_seconds,
+    measure,
+    measure_within,
+    merge_intervals,
+)
 from repro.sim.metrics import LatencyHistogram
 
 
@@ -128,10 +135,12 @@ def run_multihost(
 
     def host(index: int):
         rng = random.Random(seed + 1000003 * index)
-        name = f"host{index}"
         think = thinks[index]
         clock = engine.clock
-        note_interval = engine.intervals.note
+        # The clock is monotone, so a think interval is well-formed and
+        # its note is an append (a zero-length one is dropped, as note()
+        # drops it).
+        think_spans = engine.intervals.series("think", f"host{index}")
         # Matches simulate_queued_workload: the cursor is drawn before
         # the loop for every workload (identity depends on stream shape).
         cursor = rng.randrange(stripe_units)
@@ -139,7 +148,9 @@ def run_multihost(
             if think > 0.0:
                 start = clock.now
                 yield think
-                note_interval("think", name, start, clock.now)
+                end = clock.now
+                if end > start:
+                    think_spans.append((start, end))
             if workload == "random-update":
                 target = rng.randrange(stripe_units)
             elif workload == "sequential":
@@ -197,14 +208,16 @@ def _report(
 ) -> Dict[str, object]:
     service = LatencyHistogram()
     response = LatencyHistogram()
-    busy = 0.0
     serviced = 0
     for scheduler in schedulers:
         service.merge(scheduler.service_times)
         response.merge(scheduler.response_times)
-        busy += scheduler.busy_seconds
         serviced += scheduler.serviced
-    intervals = engine.intervals
+    # Each interval family merged once, per key; the union of disk busy
+    # time is the merge of the per-disk unions.
+    thinking = engine.intervals.merged_by_key("think")
+    busy_by_disk = engine.intervals.merged_by_key("service")
+    busy = merge_intervals(chain.from_iterable(busy_by_disk.values()))
     elapsed = engine.now
     requests = hosts * requests_per_host
     assert serviced == requests
@@ -221,13 +234,12 @@ def _report(
         "mean_response_ms": response.mean() * 1e3,
         # Aggregate host think time that fell inside disk busy time:
         # the overlap the event loop makes real (and measurable).
-        "hidden_think_seconds": intervals.per_key_overlap("think", "service"),
-        "think_seconds": sum(
-            intervals.total("think", key) for key in intervals.keys("think")
+        "hidden_think_seconds": sum(
+            intersection_seconds(spans, busy) for spans in thinking.values()
         ),
+        "think_seconds": sum(measure(spans) for spans in thinking.values()),
         "disk_busy_seconds": {
-            key: intervals.total("service", key)
-            for key in intervals.keys("service")
+            key: measure(spans) for key, spans in busy_by_disk.items()
         },
         "max_outstanding": max(s.max_outstanding for s in schedulers),
         "events": engine.events_fired,
@@ -238,14 +250,15 @@ def _report(
         report[f"{name}_response_ms"] = value * 1e3
     if shards is not None:
         report["shards"] = shards
-        report["per_shard"] = _per_shard_report(engine, schedulers)
+        report["per_shard"] = _per_shard_report(schedulers, busy_by_disk)
     if trace and engine.trace is not None:
         report["trace"] = engine.trace.as_tuples()
     return report
 
 
 def _per_shard_report(
-    engine: EventEngine, schedulers: List[DiskScheduler]
+    schedulers: List[DiskScheduler],
+    busy_by_disk: Dict[str, List[Tuple[float, float]]],
 ) -> Dict[str, object]:
     """Per-shard tails, plus degraded-window accounting when one shard
     ran fail-slow (its slow span is the window; healthy shards' busy
@@ -269,8 +282,8 @@ def _per_shard_report(
         for name, value in pct.items():
             row[f"{name}_response_ms"] = value * 1e3
         if window is not None:
-            row["busy_in_window_seconds"] = engine.intervals.total_within(
-                "service", window, scheduler.name
+            row["busy_in_window_seconds"] = measure_within(
+                busy_by_disk.get(scheduler.name, []), window
             )
             row["completed_in_window"] = sum(
                 1

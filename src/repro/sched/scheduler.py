@@ -30,16 +30,20 @@ counts how often each pending request is passed over by a *policy*
 choice; once the oldest request has been passed ``starvation_bound``
 times it is serviced next, policy notwithstanding, and counts freeze
 while the aged backlog drains oldest-first -- so no request's pass-over
-count ever exceeds the bound.
+count ever exceeds the bound.  Every policy pick passes over every
+pending request but the one it takes, so a request's count is the
+number of policy picks made since it was enqueued: one counter of
+picks, and each request's ``mark`` of that counter at enqueue.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple, Union
+from heapq import heappush
+from typing import List, Optional, Tuple, Union
 
 from repro.disk.disk import Disk
 from repro.sched.policies import SchedulingPolicy, make_policy
-from repro.sim.engine import EventEngine, Process, Signal, Until
+from repro.sim.engine import EventEngine, Process, Signal
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
 
@@ -55,6 +59,7 @@ class DiskRequest:
         "charge_scsi",
         "seq",
         "arrival",
+        "mark",
         "passes",
         "done",
         "failed",
@@ -86,6 +91,11 @@ class DiskRequest:
         self.block_sectors: Optional[int] = None
         self.seq = seq
         self.arrival = arrival
+        #: The scheduler's policy-pick count when this request was
+        #: enqueued; ``passes`` is settled from it at service.
+        self.mark = 0
+        #: Times a policy pick passed this request over, final once it
+        #: leaves the queue (serviced or discarded).
         self.passes = 0
         self.done = False
         self.failed = False
@@ -135,6 +145,9 @@ class DiskScheduler:
         #: Pending requests in arrival order (oldest first).
         self._pending: List[DiskRequest] = []
         self._seq = 0
+        #: Policy picks so far: a pending request has been passed over
+        #: ``_picks - request.mark`` times.
+        self._picks = 0
         #: Breakdowns of serviced writes not yet claimed by a caller.
         self._unclaimed = Breakdown()
         self.serviced = 0
@@ -157,7 +170,7 @@ class DiskScheduler:
         # Engine mode (attach_engine): the scheduler as an event process.
         self._engine: Optional[EventEngine] = None
         self.name = "disk"
-        self._submitted: Optional[Signal] = None
+        self._process: Optional[_DiskProcess] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -235,6 +248,7 @@ class DiskScheduler:
         req = DiskRequest(
             op, sector, count, data, charge_scsi, self._seq, arrival
         )
+        req.mark = self._picks
         self._seq += 1
         self._pending.append(req)
         if len(self._pending) > self.max_outstanding:
@@ -286,29 +300,32 @@ class DiskScheduler:
     def service_one(self) -> DiskRequest:
         """Service one pending request, chosen by policy (or by the
         starvation override)."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             raise RuntimeError("no pending requests to service")
-        oldest = self._pending[0]
-        if oldest.passes >= self.starvation_bound or len(self._pending) == 1:
+        chosen = pending[0]
+        picks = self._picks
+        if len(pending) == 1 or picks - chosen.mark >= self.starvation_bound:
             # Aging override: the backlog drains oldest-first and pass
             # counts freeze, so no request's count ever exceeds the bound
             # (a younger request's count never exceeds an older one's,
             # and counts only grow while the oldest is still under it).
-            chosen = oldest
+            del pending[0]
         else:
-            chosen = self.policy.pick(self._pending, self.disk)
-            for req in self._pending:
-                if req is not chosen:
-                    req.passes += 1
-        if chosen is oldest:
-            del self._pending[0]
-        else:
-            self._pending.remove(chosen)
-        clock = self.disk.clock
-        chosen.service_start = clock.now
+            # A policy pick passes over every other pending request.
+            self._picks = picks + 1
+            chosen = self.policy.pick(pending, self.disk)
+            if chosen is pending[0]:
+                del pending[0]
+            else:
+                pending.remove(chosen)
+        chosen.passes = picks - chosen.mark
+        disk = self.disk
+        clock = disk.clock
+        chosen.service_start = start = clock.now
         try:
             if chosen.op == "read":
-                data, breakdown = self.disk.read(
+                data, breakdown = disk.read(
                     chosen.sector, chosen.count, charge_scsi=chosen.charge_scsi
                 )
                 chosen.result = data
@@ -318,7 +335,7 @@ class DiskScheduler:
                 # run across several requests, and only a single shared
                 # accumulation keeps the folded totals bit-identical to
                 # the per-block scalar path (float adds don't reassociate).
-                breakdown = self.disk.write_run(
+                breakdown = disk.write_run(
                     chosen.sector,
                     chosen.count,
                     chosen.block_sectors,
@@ -327,12 +344,13 @@ class DiskScheduler:
                     accumulate=self._unclaimed,
                 )
             else:
-                breakdown = self.disk.write(
+                breakdown = disk.write(
                     chosen.sector,
                     chosen.count,
                     chosen.data,
                     charge_scsi=chosen.charge_scsi,
                 )
+                self._unclaimed.add(breakdown)
         except BaseException:
             # A fault surfaced mid-service (injected error, crash): the
             # request leaves the queue and the exception propagates to
@@ -346,24 +364,20 @@ class DiskScheduler:
         if self._slow_factor is not None and self._slow_active(
             self.serviced + 1
         ):
-            extra = (clock.now - chosen.service_start) * (
-                self._slow_factor - 1.0
-            )
+            extra = (clock.now - start) * (self._slow_factor - 1.0)
             if extra > 0.0:
                 clock.advance(extra)
                 self.ops_slowed += 1
                 self.slow_extra_seconds += extra
                 if self.slow_span is None:
-                    self.slow_span = [chosen.service_start, clock.now]
+                    self.slow_span = [start, clock.now]
                 else:
                     self.slow_span[1] = clock.now
         chosen.completion = completion = clock.now
         chosen.done = True
-        if chosen.op == "write" and chosen.block_sectors is None:
-            self._unclaimed.add(breakdown)
         self.serviced += 1
         self.completion_times.append(completion)
-        service_seconds = completion - chosen.service_start
+        service_seconds = completion - start
         self.busy_seconds += service_seconds
         self.service_times.record(service_seconds)
         self.response_times.record(completion - chosen.arrival)
@@ -404,6 +418,8 @@ class DiskScheduler:
         queued writes never reached the media)."""
         dropped = self._pending
         self._pending = []
+        for req in dropped:
+            req.passes = self._picks - req.mark
         return dropped
 
     # ------------------------------------------------------------------
@@ -411,7 +427,7 @@ class DiskScheduler:
     # ------------------------------------------------------------------
 
     def attach_engine(self, engine: EventEngine, name: str = "disk") -> Process:
-        """Spawn this scheduler as a named process of ``engine``.
+        """Start this scheduler's disk process on ``engine``, named ``name``.
 
         From then on hosts enqueue with :meth:`submit` and wait on each
         request's ``completed`` signal; the process services pending
@@ -420,14 +436,14 @@ class DiskScheduler:
         accounting).  The disk's own clock becomes a local free-at
         frontier: advanced to engine time before each service, then ahead
         of it while the closed-form mechanics price the operation, with
-        the engine catching up via a timer.
+        the engine catching up at the closed-form completion.
         """
         if self._engine is not None:
             raise RuntimeError(f"scheduler {self.name!r} already attached")
         self._engine = engine
         self.name = name
-        self._submitted = engine.signal(f"{name}.submitted")
-        return engine.spawn(self._run(), name=name)
+        self._process = _DiskProcess(engine, self, name)
+        return engine.start(self._process)
 
     def submit(
         self,
@@ -439,53 +455,134 @@ class DiskScheduler:
     ) -> DiskRequest:
         """Enqueue without servicing (engine mode).  Returns the request;
         its ``completed`` signal fires -- with the request as value -- at
-        the service's real completion time."""
-        if self._engine is None or self._submitted is None:
+        the service's real completion time.  Refused after :meth:`close`:
+        the disk process ends once the queue drains, so nothing would
+        service the request."""
+        process = self._process
+        if process is None:
             raise RuntimeError("submit() requires attach_engine()")
-        req = self._enqueue(op, sector, count, data, charge_scsi)
-        req.completed = Signal(
-            self._engine, f"{self.name}.req{req.seq}.completed"
+        if self._closed:
+            raise RuntimeError(f"submit() to {self.name!r} after close()")
+        # _enqueue's work in this frame: one call per host request.
+        engine = self._engine
+        seq = self._seq
+        self._seq = seq + 1
+        req = DiskRequest(
+            op, sector, count, data, charge_scsi, seq, engine.clock.now
         )
-        self._submitted.fire()
+        req.mark = self._picks
+        req.completed = Signal(engine, f"{self.name}.req{seq}.completed")
+        pending = self._pending
+        pending.append(req)
+        if len(pending) > self.max_outstanding:
+            self.max_outstanding = len(pending)
+        if process.idle:
+            process.wake()
         return req
 
     def close(self) -> None:
         """End the disk process once its queue drains (run teardown)."""
         self._closed = True
-        if self._submitted is not None:
-            self._submitted.fire()
+        process = self._process
+        if process is not None and process.idle:
+            process.wake()
 
-    def _run(self) -> Generator:
-        engine = self._engine
-        assert engine is not None
-        assert self._submitted is not None
-        # Bound once per process, not per request: the two clocks (the
-        # engine's view, and the disk's local frontier -- the same
-        # object when the disk was built on the engine's clock), the
-        # interval sink and this process's name.
-        engine_clock = engine.clock
-        disk_clock = self.disk.clock
-        note_interval = engine.intervals.note
-        name = self.name
-        while True:
-            if not self._pending:
-                if self._closed:
-                    return
-                yield self._submitted
-                continue
-            start = engine_clock.now
-            # Catch the local frontier up to global time, service
-            # closed-form (the disk clock runs ahead), then sleep the
-            # service duration so engine time matches the completion.
-            disk_clock.advance_to(start)
-            req = self.service_one()
-            end = disk_clock.now
-            note_interval("service", name, start, end)
-            # Absolute, not a delay: `now + (end - now)` need not equal
-            # `end` in floating point, and the depth-1 identity demands
-            # engine time land bit-exactly on the closed-form completion.
-            # (When the disk clock *is* the engine clock, `end` is
-            # already now and this resumes immediately.)
-            yield Until(end)
+
+class _DiskProcess(Process):
+    """A scheduler's disk process, as a callback state machine.
+
+    One turn (:meth:`_resume`) per service: fire the completion of the
+    request whose service just ended, then service the next pending
+    request closed-form and wake again at its completion -- or, with
+    nothing pending, go idle until :meth:`DiskScheduler.submit` (or
+    :meth:`~DiskScheduler.close`) wakes it, and end once closed and
+    drained.  It schedules exactly the wake-ups the generator it
+    replaced yielded -- ``"<name>.start"``, ``"<name>.submitted-><name>"``
+    and ``"<name>.until"``, at the same times and in the same order
+    (``tests/sched/reference_disk_process.py`` keeps that generator as
+    the oracle) -- without allocating an ``Until`` or dispatching a
+    yield per service.
+    """
+
+    __slots__ = (
+        "_scheduler",
+        "_engine_clock",
+        "_disk_clock",
+        "_spans",
+        "_serving",
+        "_submitted_name",
+        "idle",
+    )
+
+    def __init__(
+        self, engine: EventEngine, scheduler: DiskScheduler, name: str
+    ) -> None:
+        super().__init__(engine, None, name)
+        self._scheduler = scheduler
+        # The two clocks: the engine's view, and the disk's local
+        # frontier (the same object when the disk was built on the
+        # engine's clock).
+        self._engine_clock = engine.clock
+        self._disk_clock = scheduler.disk.clock
+        self._spans = engine.intervals.series("service", name)
+        #: The request in service, completed at the next turn.
+        self._serving: Optional[DiskRequest] = None
+        self._submitted_name = f"{name}.submitted->{name}"
+        #: Waiting for a submission: the next one wakes the process.
+        self.idle = False
+
+    def wake(self) -> None:
+        """Schedule a turn at this instant, after everything already
+        scheduled for it (a submission's, or close()'s, wake-up)."""
+        self.idle = False
+        engine = self.engine
+        heappush(
+            engine._heap,
+            (
+                self._engine_clock.now,
+                engine._seq,
+                self._submitted_name,
+                self._resume,
+                None,
+                None,
+            ),
+        )
+        engine._seq += 1
+
+    def _resume(self, value: object = None) -> None:
+        if self.done:
+            return
+        req = self._serving
+        if req is not None:
+            self._serving = None
             if req.completed is not None:
                 req.completed.fire(req)
+        scheduler = self._scheduler
+        if not scheduler._pending:
+            if scheduler._closed:
+                self.done = True
+                self.terminated.fire(None)
+            else:
+                self.idle = True
+            return
+        # Catch the local frontier up to global time, service
+        # closed-form (the disk clock runs ahead), then wake at the
+        # completion so engine time matches it.
+        start = self._engine_clock.now
+        disk_clock = self._disk_clock
+        if disk_clock.now < start:
+            disk_clock.advance_to(start)
+        self._serving = scheduler.service_one()
+        end = disk_clock.now
+        if end > start:
+            self._spans.append((start, end))
+        # At the absolute completion, not after a delay: `now + (end -
+        # now)` need not equal `end` in floating point, and the depth-1
+        # identity demands engine time land bit-exactly on it.  (When
+        # the disk clock *is* the engine clock, `end` is already now.)
+        engine = self.engine
+        heappush(
+            engine._heap,
+            (end, engine._seq, self._until_name, self._resume, None, None),
+        )
+        engine._seq += 1

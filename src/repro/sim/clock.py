@@ -18,6 +18,11 @@ Since the event-core refactor a clock can play two roles:
   lookahead"); the owning process then yields a timer for the difference
   so the engine catches up.  Either way the mechanics code is unchanged:
   rotational position stays a pure function of ``clock.now``.
+
+``now`` is a plain attribute, read several times per simulated request.
+Its writers are :meth:`SimClock.advance`, :meth:`SimClock.advance_to`
+and the engine that owns the clock -- that is what keeps it monotone,
+and CI fails on an assignment to ``.now`` anywhere else in ``src/``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ class SimClock:
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError("clock cannot start before time zero")
-        self._now = float(start)
+        #: Current simulated time in seconds.  Read it freely; only
+        #: :meth:`advance`, :meth:`advance_to` and the owning engine
+        #: write it.
+        self.now = float(start)
         self._engine: Optional[Any] = None
 
     def bind(self, engine: Any) -> None:
@@ -46,11 +54,6 @@ class SimClock:
         or ``None`` for a standalone/local-frontier clock."""
         return self._engine
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def advance(self, seconds: float) -> float:
         """Move time forward by ``seconds`` and return the new time.
 
@@ -58,14 +61,14 @@ class SimClock:
         """
         if not seconds >= 0.0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        self._now += seconds
-        return self._now
+        self.now += seconds
+        return self.now
 
     def advance_to(self, deadline: float) -> float:
         """Advance to an absolute ``deadline`` (no-op if already past it)."""
-        if deadline > self._now:
-            self._now = deadline
-        return self._now
+        if deadline > self.now:
+            self.now = deadline
+        return self.now
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.9f})"
+        return f"SimClock(now={self.now:.9f})"

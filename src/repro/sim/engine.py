@@ -48,11 +48,13 @@ That local-lookahead rule is what lets the closed-form mechanics engine
 Host cost: firing an event is one dispatch.  :meth:`EventEngine.run` is
 the loop itself (pop, cancel test, advance the view, count, trace,
 call), the wake-up a process schedules when it yields is pushed from
-``Process._resume`` without an :class:`Event` or a closure, and inside
-this package the engine reads and writes its bound clock's ``_now``
-directly -- the engine owns the timeline; everyone else reads the
-``SimClock.now`` property.  ``tests/sim/reference_engine.py`` keeps the
-one-object-per-event engine this replaced as a differential oracle.
+``Process._resume`` without an :class:`Event` or a closure, and the
+engine writes its bound clock's ``now`` attribute directly -- the
+engine owns the timeline; everyone else only reads it.  A process that
+runs once per request may be a callback state machine instead of a
+generator (see :class:`Process`).  ``tests/sim/reference_engine.py``
+keeps the one-object-per-event engine this replaced as a differential
+oracle.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class Signal:
         self._waiters = []
         engine = self.engine
         heap = engine._heap
-        now = engine.clock._now
+        now = engine.clock.now
         seq = engine._seq
         name = self.name
         for process in waiters:
@@ -245,6 +247,16 @@ class Process:
     instant after pending same-time events).  When it
     returns, ``done`` flips and ``terminated`` fires with the return
     value (also stored in ``result``).
+
+    A subclass may be a *callback state machine* instead, built with
+    ``gen=None`` and started with :meth:`EventEngine.start`: it
+    overrides :meth:`_resume` with its whole turn and schedules its next
+    one by pushing the entry a yield would have pushed, ``(time,
+    engine._seq, name, action, value, None)`` onto ``engine._heap``
+    (then ``engine._seq += 1``), or by waiting to be woken.  That is the
+    request path's disk process
+    (:class:`repro.sched.scheduler.DiskScheduler`): no generator frame,
+    no yielded object and no type dispatch per turn.
     """
 
     __slots__ = (
@@ -261,7 +273,7 @@ class Process:
     def __init__(
         self,
         engine: "EventEngine",
-        gen: Generator[Any, Any, Any],
+        gen: Optional[Generator[Any, Any, Any]],
         name: str,
     ) -> None:
         self.engine = engine
@@ -295,7 +307,7 @@ class Process:
             self.terminated.fire(stop.value)
             return
         engine = self.engine
-        now = engine.clock._now
+        now = engine.clock.now
         kind = type(waited)
         while True:
             if kind is float:
@@ -373,8 +385,13 @@ class EventTrace:
         return len(self.records)
 
 
-def _merge(intervals: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Union of intervals as a sorted, disjoint list."""
+def merge_intervals(
+    intervals: Iterable[Tuple[float, float]]
+) -> List[Tuple[float, float]]:
+    """Union of intervals as a sorted, disjoint list.  Overlapping or
+    touching intervals coalesce, so the result depends only on the union
+    -- merging already-merged lists gives the same list as merging their
+    raw intervals."""
     merged: List[Tuple[float, float]] = []
     for start, end in sorted(intervals):
         if merged and start <= merged[-1][1]:
@@ -385,7 +402,7 @@ def _merge(intervals: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]
     return merged
 
 
-def _intersection_seconds(
+def intersection_seconds(
     a: List[Tuple[float, float]], b: List[Tuple[float, float]]
 ) -> float:
     """Total length of the intersection of two disjoint sorted lists."""
@@ -403,6 +420,29 @@ def _intersection_seconds(
     return total
 
 
+def measure(spans: Iterable[Tuple[float, float]]) -> float:
+    """Total length of disjoint ``spans``, summed in their order."""
+    return sum([end - start for start, end in spans])
+
+
+def measure_within(
+    spans: Iterable[Tuple[float, float]], window: Tuple[float, float]
+) -> float:
+    """Total length of disjoint ``spans`` clipped to the half-open
+    ``window`` (:meth:`IntervalRecorder.total_within` has the boundary
+    rules)."""
+    lo, hi = window
+    if hi <= lo:
+        return 0.0
+    return sum(
+        [
+            min(end, hi) - max(start, lo)
+            for start, end in spans
+            if min(end, hi) > max(start, lo)
+        ]
+    )
+
+
 class IntervalRecorder:
     """Real event intervals, by kind and key.
 
@@ -415,7 +455,9 @@ class IntervalRecorder:
     """
 
     def __init__(self) -> None:
-        #: kind -> key -> [(start, end), ...] in note order.
+        #: kind -> key -> [(start, end), ...] in note order.  A key's
+        #: list may be empty (:meth:`series` hands it out before the
+        #: first interval); :meth:`keys` lists only keys with intervals.
         self._raw: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
 
     def note(self, kind: str, key: str, start: float, end: float) -> None:
@@ -425,21 +467,33 @@ class IntervalRecorder:
         design: an instantaneous event has measure zero, so keeping it
         could never change a total but *would* force every consumer of
         :meth:`merged` to handle degenerate spans.  ``end < start`` is a
-        caller bug and raises.
+        caller bug and raises, and so is a NaN endpoint (the guard is
+        ``not end >= start``, which NaN fails).
         """
-        if end < start:
+        if not end >= start:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
         if end == start:
             return
+        self.series(kind, key).append((start, end))
+
+    def series(self, kind: str, key: str) -> List[Tuple[float, float]]:
+        """The list :meth:`note` appends ``kind``/``key`` intervals to.
+
+        A process that notes once per request takes it once and appends
+        ``(start, end)`` itself -- a note for the price of an append.
+        Such a caller reads both ends off a monotone clock, so ``end >=
+        start`` holds by construction, and it keeps :meth:`note`'s rule
+        by appending only when ``end > start``.
+        """
         try:
-            self._raw[kind][key].append((start, end))
+            return self._raw[kind][key]
         except KeyError:  # the first interval of this kind or key
-            self._raw.setdefault(kind, {}).setdefault(key, []).append(
-                (start, end)
-            )
+            return self._raw.setdefault(kind, {}).setdefault(key, [])
 
     def keys(self, kind: str) -> List[str]:
-        return sorted(self._raw.get(kind, {}))
+        return sorted(
+            key for key, spans in self._raw.get(kind, {}).items() if spans
+        )
 
     def merged(
         self, kind: str, key: Optional[str] = None
@@ -447,14 +501,22 @@ class IntervalRecorder:
         """Union of intervals for one key, or across every key of a kind."""
         per_key = self._raw.get(kind, {})
         if key is not None:
-            return _merge(per_key.get(key, []))
+            return merge_intervals(per_key.get(key, []))
         spans: List[Tuple[float, float]] = []
         for intervals in per_key.values():
             spans.extend(intervals)
-        return _merge(spans)
+        return merge_intervals(spans)
+
+    def merged_by_key(self, kind: str) -> Dict[str, List[Tuple[float, float]]]:
+        """``{key: merged(kind, key)}`` in key order: each key's union,
+        merged once, for a report that asks several questions of one
+        family (the union of the whole family is
+        ``merge_intervals`` over the values)."""
+        per_key = self._raw.get(kind, {})
+        return {key: merge_intervals(per_key[key]) for key in self.keys(kind)}
 
     def total(self, kind: str, key: Optional[str] = None) -> float:
-        return sum(end - start for start, end in self.merged(kind, key))
+        return measure(self.merged(kind, key))
 
     def total_within(
         self,
@@ -470,23 +532,16 @@ class IntervalRecorder:
         **half-open** ``[lo, hi)``.  An interval that merely *abuts* a
         window edge -- ending exactly at ``lo``, or starting exactly at
         ``hi`` -- shares a single point with it, has measure zero inside
-        it, and contributes ``0.0``; the strict ``>`` clip below is what
-        enforces that (``>=`` would admit those degenerate touches as
-        zero-length terms, harmless for the sum but wrong as a "was it
-        active in the window" predicate).  Consequently two windows that
-        tile a span, ``(a, m)`` and ``(m, b)``, partition every
-        interval's measure exactly: nothing at ``m`` is double-counted
-        and nothing is dropped.  An empty or inverted window has measure
-        zero and returns ``0.0``.
+        it, and contributes ``0.0``; the strict ``>`` clip in
+        :func:`measure_within` is what enforces that (``>=`` would admit
+        those degenerate touches as zero-length terms, harmless for the
+        sum but wrong as a "was it active in the window" predicate).
+        Consequently two windows that tile a span, ``(a, m)`` and ``(m,
+        b)``, partition every interval's measure exactly: nothing at
+        ``m`` is double-counted and nothing is dropped.  An empty or
+        inverted window has measure zero and returns ``0.0``.
         """
-        lo, hi = window
-        if hi <= lo:
-            return 0.0
-        return sum(
-            min(end, hi) - max(start, lo)
-            for start, end in self.merged(kind, key)
-            if min(end, hi) > max(start, lo)
-        )
+        return measure_within(self.merged(kind, key), window)
 
     def overlap(
         self,
@@ -497,7 +552,7 @@ class IntervalRecorder:
     ) -> float:
         """Seconds during which both kinds were in progress (union-level:
         concurrent intervals of the same kind count once)."""
-        return _intersection_seconds(
+        return intersection_seconds(
             self.merged(kind_a, key_a), self.merged(kind_b, key_b)
         )
 
@@ -508,8 +563,8 @@ class IntervalRecorder:
         through the same busy second both hid a second of work."""
         busy = self.merged(kind_b)
         return sum(
-            _intersection_seconds(self.merged(kind_a, key), busy)
-            for key in self.keys(kind_a)
+            intersection_seconds(spans, busy)
+            for spans in self.merged_by_key(kind_a).values()
         )
 
 
@@ -559,7 +614,7 @@ class EventEngine:
         self, time: float, action: Callable[[], None], name: str = "event"
     ) -> Event:
         """Schedule ``action`` at absolute ``time`` (>= now)."""
-        now = self.clock._now
+        now = self.clock.now
         if not time >= now:  # in the past, or NaN (which has no order)
             raise _bad_time(name, time, now)
         event = Event(time, self._seq, name, action)
@@ -573,7 +628,7 @@ class EventEngine:
         """Schedule ``action`` ``delay`` seconds from now."""
         if not delay >= 0.0:  # negative, or NaN
             raise ValueError("delay must be non-negative")
-        return self.at(self.clock._now + delay, action, name)
+        return self.at(self.clock.now + delay, action, name)
 
     def _wake(self, name: str, action: Callable[[Any], None]) -> None:
         """A zero-delay wake-up of the engine's own (a spawn's first
@@ -581,7 +636,7 @@ class EventEngine:
         after everything already scheduled for it.  Nobody holds a
         handle to it, so no :class:`Event` is made."""
         heappush(
-            self._heap, (self.clock._now, self._seq, name, action, None, None)
+            self._heap, (self.clock.now, self._seq, name, action, None, None)
         )
         self._seq += 1
 
@@ -604,9 +659,14 @@ class EventEngine:
         """Adopt a generator as a named process and give it its first
         turn via a zero-delay event (so spawn order *is* first-turn
         order, deterministically)."""
-        process = Process(self, gen, name)
-        self.processes[name] = process
-        self._wake(f"{name}.start", process._resume)
+        return self.start(Process(self, gen, name))
+
+    def start(self, process: Process) -> Process:
+        """Adopt a built process -- a generator's, or a callback state
+        machine (see :class:`Process`) -- and give it its first turn
+        via a zero-delay ``"<name>.start"`` event."""
+        self.processes[process.name] = process
+        self._wake(f"{process.name}.start", process._resume)
         return process
 
     # ------------------------------------------------------------------
@@ -632,8 +692,8 @@ class EventEngine:
             time, seq, name, action, value, handle = heappop(heap)
             if handle is not None and handle.cancelled:
                 continue
-            if time > clock._now:
-                clock._now = time
+            if time > clock.now:
+                clock.now = time
             self.events_fired += 1
             if self.trace is not None:
                 self.trace.records.append((time, seq, name))
@@ -669,11 +729,11 @@ class EventEngine:
                 heappush(heap, entry)  # due, and stays so
                 raise RuntimeError(
                     f"engine exceeded {max_events} events "
-                    f"(t={clock._now:.6f}s) -- runaway process?"
+                    f"(t={clock.now:.6f}s) -- runaway process?"
                 )
             # The dispatch: advance the view, count, trace, call.
-            if time > clock._now:
-                clock._now = time
+            if time > clock.now:
+                clock.now = time
             fired += 1
             self.events_fired += 1
             if records is not None:

@@ -15,6 +15,7 @@ from repro.sched.policies import (
     make_policy,
 )
 from repro.sched.scheduler import DiskScheduler
+from repro.sim.engine import EventEngine, Process
 from repro.vlog.vld import VirtualLogDisk
 
 
@@ -323,3 +324,51 @@ class TestSlowWindow:
         assert scheduler.ops_slowed == 0
         assert scheduler.slow_extra_seconds == 0.0
         assert scheduler.slow_span is None
+
+
+class TestEngineMode:
+    def _attached(self):
+        engine = EventEngine()
+        disk = Disk(ST19101, num_cylinders=2, store_data=False)
+        scheduler = DiskScheduler(disk)
+        process = scheduler.attach_engine(engine, name="disk0")
+        return engine, scheduler, process
+
+    def test_attach_returns_a_process_that_ends_when_closed(self):
+        engine, scheduler, process = self._attached()
+        assert isinstance(process, Process)
+
+        def host():
+            req = scheduler.submit("write", 0, 8)
+            yield req.completed
+            scheduler.close()
+
+        engine.spawn(host(), name="host")
+        engine.run()
+        assert process.done and scheduler.serviced == 1
+        assert scheduler.outstanding == 0
+
+    def test_submit_after_close_is_refused(self):
+        """A closed scheduler's disk process ends once its queue drains,
+        so a later submission would wait forever: the host used to stay
+        blocked with the request queued and nothing raised."""
+        engine, scheduler, process = self._attached()
+        seen = []
+
+        def host():
+            seen.append(scheduler.submit("write", 0, 8))
+            scheduler.close()
+            yield 0.001
+            seen.append(scheduler.submit("write", 64, 8))
+
+        engine.spawn(host(), name="host")
+        with pytest.raises(RuntimeError, match="after close"):
+            engine.run()
+        assert len(seen) == 1 and scheduler.outstanding == 0
+        engine.run()  # the first request's service completes
+        assert seen[0].done and process.done
+
+    def test_submit_requires_an_engine(self):
+        disk = Disk(ST19101, num_cylinders=2, store_data=False)
+        with pytest.raises(RuntimeError, match="attach_engine"):
+            DiskScheduler(disk).submit("write", 0, 8)

@@ -3,10 +3,10 @@
 NaN compares false with everything, so a guard written ``seconds < 0.0``
 lets it through: ``RegularDisk.idle(nan)`` used to leave the clock at NaN
 for every later write.  Every duration guard is ``not seconds >= 0.0``,
-which refuses NaN too.  The idle entry points -- ``IdleManager.grant``,
-``RegularDisk.idle`` and ``VirtualLogDisk.idle`` -- also refuse infinity,
-before any queue drains: ``VirtualLogDisk.idle(inf)`` used to move the
-clock to infinity.
+which refuses NaN too; an interval's is ``not end >= start``.  The idle
+entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
+``VirtualLogDisk.idle`` -- also refuse infinity, before any queue
+drains: ``VirtualLogDisk.idle(inf)`` used to move the clock to infinity.
 """
 
 import functools
@@ -21,6 +21,7 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
 from repro.sim.clock import SimClock
+from repro.sim.engine import IntervalRecorder
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
 from repro.vlfs.vlfs import VLFS
@@ -51,6 +52,9 @@ GUARDS = {
     "SimClock.advance": lambda: SimClock().advance,
     "Breakdown.charge": lambda: functools.partial(Breakdown().charge, "other"),
     "LatencyHistogram.record": lambda: LatencyHistogram().record,
+    "IntervalRecorder.note(end=)": lambda: functools.partial(
+        IntervalRecorder().note, "service", "d", 0.0
+    ),
     "simulate_queued_workload(think_seconds=)": lambda: _queued_workload,
     "FreeSpaceCompactor.run_for": lambda: _vld().compactor.run_for,
     "Scrubber.run_for": lambda: _vld().resilience.scrubber.run_for,
@@ -113,3 +117,15 @@ def test_nvwal_refuses_before_destaging(seconds):
         wal.idle(seconds)
     assert wal.dirty_blocks == 1
     assert wal.clock.now == before
+
+
+def test_a_refused_interval_leaves_the_totals_finite():
+    """The interval guard is ``not end >= start``: ``end < start`` let a
+    NaN end through, and the family's total became NaN."""
+    intervals = IntervalRecorder()
+    intervals.note("service", "d", 0.0, 1.0)
+    with pytest.raises(ValueError):
+        intervals.note("service", "d", 0.0, NAN)
+    with pytest.raises(ValueError):
+        intervals.note("service", "d", NAN, 2.0)
+    assert intervals.total("service") == 1.0

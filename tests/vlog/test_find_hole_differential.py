@@ -157,7 +157,7 @@ def _scramble(compactor: FreeSpaceCompactor, seed: int):
         tick = rng.randrange(0, 5 * n) * sector_time
     else:
         tick = rng.random() * 5 * n * sector_time
-    disk.clock._now = 0.25 + tick  # a reading, not an advance: any value
+    disk.clock.now = 0.25 + tick  # a reading, not an advance: any value
     if rng.random() < 0.7:
         # Usually a partial track, as the compactor picks them.
         partial = freemap.partial_tracks(1)
