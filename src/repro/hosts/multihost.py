@@ -252,7 +252,7 @@ def _report(
         report["shards"] = shards
         report["per_shard"] = _per_shard_report(schedulers, busy_by_disk)
     if trace and engine.trace is not None:
-        report["trace"] = engine.trace.as_tuples()
+        report["trace"] = engine.trace
     return report
 
 

@@ -11,12 +11,9 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import (
     Event,
     EventEngine,
-    EventTrace,
     IntervalRecorder,
     Process,
-    Resource,
     Signal,
-    Timer,
     Until,
 )
 from repro.sim.metrics import LatencyHistogram, OpCounters
@@ -35,11 +32,8 @@ __all__ = [
     "OpCounters",
     "Event",
     "EventEngine",
-    "EventTrace",
     "IntervalRecorder",
     "Process",
-    "Resource",
     "Signal",
-    "Timer",
     "Until",
 ]

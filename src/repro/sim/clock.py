@@ -5,18 +5,18 @@ host CPU overheads all advance it; experiment harnesses read elapsed simulated
 time to report latencies and bandwidths exactly the way the paper's modified
 Solaris kernel reported wall-clock time.
 
-Since the event-core refactor a clock can play two roles:
+A clock plays one of two roles:
 
-* **View over engine time.**  When an :class:`~repro.sim.engine.EventEngine`
-  adopts (or creates) a clock, the engine owns the timeline and the clock
-  is how the rest of the codebase reads it: firing an event advances the
-  bound clock to the event's time.  :meth:`bind` records the association.
-* **Local frontier.**  A clock not bound to an engine -- e.g. a
+* **View over engine time.**  The clock an
+  :class:`~repro.sim.engine.EventEngine` is given (or creates) is how
+  the rest of the codebase reads the engine's timeline: firing an event
+  advances it to the event's time.
+* **Local frontier.**  Any other clock -- e.g. a
   :class:`~repro.disk.disk.Disk`'s own clock under the multi-host driver
   -- marks when that component is next free.  Synchronous mechanics code
   advances it closed-form past the engine's global view ("local
-  lookahead"); the owning process then yields a timer for the difference
-  so the engine catches up.  Either way the mechanics code is unchanged:
+  lookahead"); the owning process then wakes at that absolute time so
+  the engine catches up.  Either way the mechanics code is unchanged:
   rotational position stays a pure function of ``clock.now``.
 
 ``now`` is a plain attribute, read several times per simulated request.
@@ -26,8 +26,6 @@ and CI fails on an assignment to ``.now`` anywhere else in ``src/``.
 """
 
 from __future__ import annotations
-
-from typing import Any, Optional
 
 
 class SimClock:
@@ -40,19 +38,6 @@ class SimClock:
         #: :meth:`advance`, :meth:`advance_to` and the owning engine
         #: write it.
         self.now = float(start)
-        self._engine: Optional[Any] = None
-
-    def bind(self, engine: Any) -> None:
-        """Mark this clock as the time view of ``engine`` (informational:
-        the engine advances the clock; consumers may check :attr:`engine`
-        to find the event loop that drives them)."""
-        self._engine = engine
-
-    @property
-    def engine(self) -> Optional[Any]:
-        """The :class:`~repro.sim.engine.EventEngine` this clock views,
-        or ``None`` for a standalone/local-frontier clock."""
-        return self._engine
 
     def advance(self, seconds: float) -> float:
         """Move time forward by ``seconds`` and return the new time.

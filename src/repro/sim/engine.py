@@ -1,13 +1,8 @@
 """The discrete-event simulation core.
 
-PR 5 modelled overlap by *inference*: time accumulated inside synchronous
-``Disk`` calls, host think time advanced the clock only when the queue
-happened to be empty, and the metrics layer attributed clock *gaps* to
-host or device after the fact.  That worked for one host over one disk at
-modest depth, but drain barriers, lazy service, and gap heuristics do not
-compose to N hosts hammering M disks.
-
-:class:`EventEngine` replaces inference with an actual event loop:
+:class:`EventEngine` overlaps N closed-loop hosts' think time with M
+disks' service (:func:`repro.hosts.multihost.run_multihost`).  It is
+what that driver runs, and no more:
 
 * a heap of ``(time, seq, name, action, value, handle)`` entries with
   **deterministic tie-breaking** (events scheduled for the same instant
@@ -19,53 +14,45 @@ compose to N hosts hammering M disks.
   / :meth:`~EventEngine.after` returned (the caller may cancel it) and
   ``None`` for the engine's own wake-ups, which call ``action(value)``
   -- a bound ``Process._resume`` and the value it is woken with;
-* **named processes** -- plain Python generators adopted via
-  :meth:`EventEngine.spawn`.  A process yields what it is waiting for:
-  a delay (seconds or a :class:`Timer`), a :class:`Signal`, or a
-  resource grant -- and is resumed by the engine when that occurs;
-* **timers** and **wait/signal primitives** (:class:`Signal`,
-  :class:`Resource`) so service completion is an *event* other
-  processes block on, not a lazy drain somebody has to remember to
-  call;
-* an optional **event trace** -- the exact ``(time, seq, name)``
-  sequence of fired events -- which is what the determinism tests diff
-  across runs and across ``--jobs 1`` vs ``--jobs N``;
-* an :class:`IntervalRecorder` collecting the *real* busy/think/idle
-  intervals of every process, from which host/disk/overlap time is
-  computed exactly (interval intersection) instead of by clock-gap
-  attribution.
+* **named processes** (:class:`Process`) -- a generator adopted via
+  :meth:`EventEngine.spawn` that yields what it waits for: a delay in
+  seconds, an absolute time (:class:`Until`) or a :class:`Signal`; or a
+  callback state machine started with :meth:`EventEngine.start` (the
+  request path's disk process);
+* an optional **event trace** -- the ``(time, seq, name)`` list of fired
+  events -- which is what the determinism tests diff across runs and
+  across ``--jobs 1`` vs ``--jobs N``;
+* an :class:`IntervalRecorder` collecting the *real* think and service
+  intervals of every process, which :func:`measure`,
+  :func:`measure_within`, :func:`merge_intervals` and
+  :func:`intersection_seconds` turn into host/disk/overlap time exactly.
 
 Time relationship: the engine owns the timeline; its
 :class:`~repro.sim.clock.SimClock` is the *view* of engine time that the
 rest of the codebase reads (``clock.now``) -- firing an event advances
 the view to the event's time.  Synchronous device code running inside a
 process turn may still advance a *local* clock past the engine frontier
-(a disk pricing a whole service closed-form); the process then yields a
-timer for the difference, and the engine catches the global view up.
-That local-lookahead rule is what lets the closed-form mechanics engine
+(a disk pricing a whole service closed-form); the process then wakes at
+that absolute end, and the engine catches the global view up.  That
+local-lookahead rule is what lets the closed-form mechanics engine
 (`repro.disk`) run unmodified under the event core.
 
 Host cost: firing an event is one dispatch.  :meth:`EventEngine.run` is
 the loop itself (pop, cancel test, advance the view, count, trace,
 call), the wake-up a process schedules when it yields is pushed from
 ``Process._resume`` without an :class:`Event` or a closure, and the
-engine writes its bound clock's ``now`` attribute directly -- the
-engine owns the timeline; everyone else only reads it.  A process that
-runs once per request may be a callback state machine instead of a
-generator (see :class:`Process`).  ``tests/sim/reference_engine.py``
-keeps the one-object-per-event engine this replaced as a differential
-oracle.
+engine writes its clock's ``now`` attribute directly -- the engine owns
+the timeline; everyone else only reads it.  ``tests/sim/reference_engine.py``
+keeps a one-object-per-event engine as a differential oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
-from math import inf
+from math import inf, isfinite
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Generator,
     Iterable,
@@ -83,9 +70,9 @@ class Event:
     :meth:`EventEngine.at` / :meth:`~EventEngine.after` return one per
     call: ``action`` fires at ``time`` unless :meth:`cancel` made it a
     no-op first -- without the cost of a heap delete (the heap entry
-    stays and is skipped).  The engine's own wake-ups (timers, signals,
-    grants, spawns) are never cancelled by anyone, so they get a heap
-    entry but no ``Event``.
+    stays and is skipped).  The engine's own wake-ups (delays, signals,
+    spawns) are never cancelled by anyone, so they get a heap entry but
+    no ``Event``.
     """
 
     __slots__ = ("time", "seq", "name", "action", "cancelled")
@@ -105,18 +92,6 @@ class Event:
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event({self.name!r} @ {self.time:.9f}s #{self.seq}{state})"
-
-
-class Timer:
-    """A yieldable delay: ``yield Timer(dt)`` resumes the process after
-    ``dt`` seconds of engine time (bare non-negative numbers work too)."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        if not delay >= 0.0:  # negative, or NaN
-            raise ValueError("timer delay must be non-negative")
-        self.delay = delay
 
 
 class Until:
@@ -143,7 +118,7 @@ def _bad_time(name: str, time: float, now: float) -> ValueError:
 
 
 class Signal:
-    """A wait/signal primitive.
+    """A wait/signal primitive, built as ``Signal(engine, name)``.
 
     Processes wait by yielding the signal; :meth:`fire` resumes every
     current waiter (in the order they started waiting -- deterministic)
@@ -152,19 +127,17 @@ class Signal:
     req.completed``) when the occurrence may precede the wait.
     """
 
-    __slots__ = ("engine", "name", "_waiters", "fires")
+    __slots__ = ("engine", "name", "_waiters")
 
     def __init__(self, engine: "EventEngine", name: str) -> None:
         self.engine = engine
         self.name = name
         self._waiters: List["Process"] = []
-        self.fires = 0
 
     def fire(self, value: Any = None) -> int:
         """Wake every waiter (resumed via zero-delay events, so wake-ups
         interleave deterministically with everything else scheduled for
         this instant).  Returns the number of processes woken."""
-        self.fires += 1
         waiters = self._waiters
         if not waiters:
             return 0
@@ -187,66 +160,15 @@ class Signal:
         return f"Signal({self.name!r}, waiters={len(self._waiters)})"
 
 
-class Resource:
-    """A FIFO resource with ``capacity`` concurrent holders.
-
-    ``grant = resource.request(); yield grant`` acquires (the grant
-    signal fires when a slot frees up -- immediately, via a zero-delay
-    event, if one is free now); :meth:`release` hands the slot to the
-    oldest queued request.  Grant order is strictly first-come-first-
-    served, so contention resolves deterministically.
-    """
-
-    __slots__ = ("engine", "name", "capacity", "in_use", "_queue")
-
-    def __init__(
-        self, engine: "EventEngine", capacity: int = 1, name: str = "resource"
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("resource capacity must be positive")
-        self.engine = engine
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        self._queue: Deque[Signal] = deque()
-
-    def request(self) -> Signal:
-        grant = Signal(self.engine, f"{self.name}.grant")
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            # Fire on the next engine step: the requester has not yielded
-            # the grant yet (it is still mid-turn), and zero-delay events
-            # preserve request order.
-            self.engine._wake(f"{self.name}.acquire", grant.fire)
-        else:
-            self._queue.append(grant)
-        return grant
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise RuntimeError(f"release of idle resource {self.name!r}")
-        if self._queue:
-            grant = self._queue.popleft()
-            self.engine._wake(f"{self.name}.acquire", grant.fire)
-        else:
-            self.in_use -= 1
-
-    def __repr__(self) -> str:
-        return (
-            f"Resource({self.name!r}, {self.in_use}/{self.capacity} used, "
-            f"{len(self._queue)} queued)"
-        )
-
-
 class Process:
     """A named generator adopted by the engine.
 
-    The generator yields what it waits for -- a delay (number or
-    :class:`Timer`), an absolute time (:class:`Until`), a
-    :class:`Signal`, or ``None`` (yield the turn, resume at the same
-    instant after pending same-time events).  When it
-    returns, ``done`` flips and ``terminated`` fires with the return
-    value (also stored in ``result``).
+    The generator yields what it waits for -- a non-negative delay in
+    seconds (any real number: ``float``, ``int``, ``bool`` or a subclass
+    of one), an absolute time (:class:`Until`) or a :class:`Signal`;
+    anything else raises :class:`TypeError`.  When it returns, ``done``
+    flips and ``terminated`` fires with the return value (also stored in
+    ``result``).
 
     A subclass may be a *callback state machine* instead, built with
     ``gen=None`` and started with :meth:`EventEngine.start`: it
@@ -283,7 +205,7 @@ class Process:
         self.result: Any = None
         self.terminated = Signal(engine, f"{name}.terminated")
         # The two wake-up names a long-lived process schedules once per
-        # request, built once here (".turn" is rare and built on use).
+        # request, built once here.
         self._timer_name = f"{name}.timer"
         self._until_name = f"{name}.until"
 
@@ -291,11 +213,10 @@ class Process:
         """One turn: send ``value`` in, then schedule the wake-up for
         whatever the generator yields next.
 
-        The yield is dispatched by *exact* type first -- ``float``,
-        :class:`Signal`, :class:`Until`, what the hosts and the disk
-        process yield on every request -- and only a miss pays for
-        :meth:`_classify`'s ``isinstance`` chain, which maps everything
-        else a process may yield onto one of those three kinds.
+        The yield is dispatched by *exact* type -- ``float``,
+        :class:`Signal`, :class:`Until`, what the hosts yield on every
+        request -- and only a miss pays for one ``isinstance``, which
+        takes any other real number as the ``float`` it is.
         """
         if self.done:
             return
@@ -326,63 +247,25 @@ class Process:
                         time = now  # already past: resume immediately
                     else:
                         raise _bad_time(name, time, now)
-            elif waited is None:
-                time = now
-                name = f"{self.name}.turn"
-            else:
-                # A rarer shape: go round once more as the kind it is.
-                kind, waited = self._classify(waited)
+            elif isinstance(waited, (int, float)):
+                # An int, a bool or a float subclass: once more as a float.
+                kind = float
+                waited = float(waited)
                 continue
+            else:
+                raise TypeError(
+                    f"process {self.name!r} yielded {waited!r}; expected a "
+                    "delay, Until or Signal"
+                )
             break
         heappush(
             engine._heap, (time, engine._seq, name, self._resume, None, None)
         )
         engine._seq += 1
 
-    def _classify(self, waited: Any) -> Tuple[type, Any]:
-        """The ``(kind, payload)`` :meth:`_resume` should treat
-        ``waited`` as: a :class:`Timer` or any other real number is a
-        ``float`` delay, instances of :class:`Until` / :class:`Signal`
-        subclasses are themselves; anything else is a bug in the
-        process."""
-        if isinstance(waited, Timer):
-            return float, waited.delay
-        if isinstance(waited, (int, float)):
-            return float, float(waited)
-        if isinstance(waited, Until):
-            return Until, waited
-        if isinstance(waited, Signal):
-            return Signal, waited
-        raise TypeError(
-            f"process {self.name!r} yielded {waited!r}; expected a "
-            "delay, Timer, Until, Signal, or None"
-        )
-
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
         return f"Process({self.name!r}, {state})"
-
-
-class EventTrace:
-    """The fired-event record the determinism tests diff.
-
-    Each entry is ``(time, seq, name)`` -- seq included so that even
-    same-instant reorderings (the hostile case) are visible.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: List[Tuple[float, int, str]] = []
-
-    def note(self, event: Event) -> None:
-        self.records.append((event.time, event.seq, event.name))
-
-    def as_tuples(self) -> List[Tuple[float, int, str]]:
-        return list(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def merge_intervals(
@@ -428,9 +311,22 @@ def measure(spans: Iterable[Tuple[float, float]]) -> float:
 def measure_within(
     spans: Iterable[Tuple[float, float]], window: Tuple[float, float]
 ) -> float:
-    """Total length of disjoint ``spans`` clipped to the half-open
-    ``window`` (:meth:`IntervalRecorder.total_within` has the boundary
-    rules)."""
+    """Total length of disjoint ``spans`` clipped to ``window`` -- the
+    "how busy was this shard during its slow window" question, answered
+    by exact interval arithmetic.
+
+    Boundary convention (pinned): spans and the window are both
+    **half-open** ``[lo, hi)``.  A span that merely *abuts* a window
+    edge -- ending exactly at ``lo``, or starting exactly at ``hi`` --
+    shares a single point with it, has measure zero inside it, and
+    contributes ``0.0``; the strict ``>`` clip below is what enforces
+    that (``>=`` would admit those degenerate touches as zero-length
+    terms, harmless for the sum but wrong as a "was it active in the
+    window" predicate).  Consequently two windows that tile a span,
+    ``(a, m)`` and ``(m, b)``, partition every span's measure exactly:
+    nothing at ``m`` is double-counted and nothing is dropped.  An empty
+    or inverted window has measure zero and returns ``0.0``.
+    """
     lo, hi = window
     if hi <= lo:
         return 0.0
@@ -448,10 +344,10 @@ class IntervalRecorder:
 
     Processes note what they actually did and when -- ``("service",
     "disk0", start, end)``, ``("think", "host2", ...)`` -- and reports
-    are computed by exact interval arithmetic: total busy time is the
-    measure of the union, overlap is the measure of an intersection.
-    This replaces the PR 5 clock-gap attribution heuristics with ground
-    truth.
+    take each family's per-key unions (:meth:`merged_by_key`) and
+    measure them with the module functions: total busy time is the
+    :func:`measure` of a union, overlap the :func:`intersection_seconds`
+    of two, a window's share :func:`measure_within`.
     """
 
     def __init__(self) -> None:
@@ -466,9 +362,9 @@ class IntervalRecorder:
         Zero-length intervals (``end == start``) are dropped here, by
         design: an instantaneous event has measure zero, so keeping it
         could never change a total but *would* force every consumer of
-        :meth:`merged` to handle degenerate spans.  ``end < start`` is a
-        caller bug and raises, and so is a NaN endpoint (the guard is
-        ``not end >= start``, which NaN fails).
+        :meth:`merged_by_key` to handle degenerate spans.  ``end <
+        start`` is a caller bug and raises, and so is a NaN endpoint
+        (the guard is ``not end >= start``, which NaN fails).
         """
         if not end >= start:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
@@ -495,77 +391,13 @@ class IntervalRecorder:
             key for key, spans in self._raw.get(kind, {}).items() if spans
         )
 
-    def merged(
-        self, kind: str, key: Optional[str] = None
-    ) -> List[Tuple[float, float]]:
-        """Union of intervals for one key, or across every key of a kind."""
-        per_key = self._raw.get(kind, {})
-        if key is not None:
-            return merge_intervals(per_key.get(key, []))
-        spans: List[Tuple[float, float]] = []
-        for intervals in per_key.values():
-            spans.extend(intervals)
-        return merge_intervals(spans)
-
     def merged_by_key(self, kind: str) -> Dict[str, List[Tuple[float, float]]]:
-        """``{key: merged(kind, key)}`` in key order: each key's union,
-        merged once, for a report that asks several questions of one
-        family (the union of the whole family is
-        ``merge_intervals`` over the values)."""
+        """``{key: union of key's intervals}`` in key order: each key's
+        union, merged once, for a report that asks several questions of
+        one family (the union of the whole family is
+        :func:`merge_intervals` over the values)."""
         per_key = self._raw.get(kind, {})
         return {key: merge_intervals(per_key[key]) for key in self.keys(kind)}
-
-    def total(self, kind: str, key: Optional[str] = None) -> float:
-        return measure(self.merged(kind, key))
-
-    def total_within(
-        self,
-        kind: str,
-        window: Tuple[float, float],
-        key: Optional[str] = None,
-    ) -> float:
-        """Seconds of ``kind`` activity clipped to ``window`` -- the
-        "how busy was this disk during the degraded window" question,
-        answered by exact interval arithmetic.
-
-        Boundary convention (pinned): intervals and the window are both
-        **half-open** ``[lo, hi)``.  An interval that merely *abuts* a
-        window edge -- ending exactly at ``lo``, or starting exactly at
-        ``hi`` -- shares a single point with it, has measure zero inside
-        it, and contributes ``0.0``; the strict ``>`` clip in
-        :func:`measure_within` is what enforces that (``>=`` would admit
-        those degenerate touches as zero-length terms, harmless for the
-        sum but wrong as a "was it active in the window" predicate).
-        Consequently two windows that tile a span, ``(a, m)`` and ``(m,
-        b)``, partition every interval's measure exactly: nothing at
-        ``m`` is double-counted and nothing is dropped.  An empty or
-        inverted window has measure zero and returns ``0.0``.
-        """
-        return measure_within(self.merged(kind, key), window)
-
-    def overlap(
-        self,
-        kind_a: str,
-        kind_b: str,
-        key_a: Optional[str] = None,
-        key_b: Optional[str] = None,
-    ) -> float:
-        """Seconds during which both kinds were in progress (union-level:
-        concurrent intervals of the same kind count once)."""
-        return intersection_seconds(
-            self.merged(kind_a, key_a), self.merged(kind_b, key_b)
-        )
-
-    def per_key_overlap(self, kind_a: str, kind_b: str) -> float:
-        """Aggregate overlap: each key of ``kind_a`` intersected with the
-        union of ``kind_b``, then summed.  This is the "aggregate host
-        think time hidden behind disk service" metric: two hosts thinking
-        through the same busy second both hid a second of work."""
-        busy = self.merged(kind_b)
-        return sum(
-            intersection_seconds(spans, busy)
-            for spans in self.merged_by_key(kind_a).values()
-        )
 
 
 class EventEngine:
@@ -575,16 +407,15 @@ class EventEngine:
         clock: The :class:`SimClock` serving as the view of engine time
             (a fresh one is created when omitted).  Firing an event
             advances it to the event's time; it never runs backwards.
-        trace: Record every fired event into :attr:`trace` (the
-            determinism-diff artifact).  Off by default -- tracing a
-            long run costs memory.
+        trace: Record every fired event's ``(time, seq, name)`` into the
+            :attr:`trace` list (the determinism-diff artifact).  Off by
+            default -- tracing a long run costs memory.
     """
 
     def __init__(
         self, clock: Optional[SimClock] = None, trace: bool = False
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.clock.bind(self)
         #: ``(time, seq, name, action, value, handle)``, ordered by the
         #: first two.  ``handle`` is the caller's :class:`Event` and the
         #: action takes no argument; with ``handle`` ``None`` (the
@@ -596,9 +427,13 @@ class EventEngine:
         #: Events fired so far; current *during* a run (an action reads
         #: a count that includes itself).
         self.events_fired = 0
-        self.trace: Optional[EventTrace] = EventTrace() if trace else None
-        self.processes: Dict[str, Process] = {}
-        #: Real busy/think/idle intervals, for exact overlap accounting.
+        #: ``(time, seq, name)`` of every fired event, in firing order --
+        #: seq included so that even same-instant reorderings (the
+        #: hostile case) are visible -- or ``None`` when not tracing.
+        self.trace: Optional[List[Tuple[float, int, str]]] = (
+            [] if trace else None
+        )
+        #: Real think/service intervals, for exact overlap accounting.
         self.intervals = IntervalRecorder()
 
     # ------------------------------------------------------------------
@@ -630,25 +465,6 @@ class EventEngine:
             raise ValueError("delay must be non-negative")
         return self.at(self.clock.now + delay, action, name)
 
-    def _wake(self, name: str, action: Callable[[Any], None]) -> None:
-        """A zero-delay wake-up of the engine's own (a spawn's first
-        turn, a resource grant): ``action(None)`` fires at this instant,
-        after everything already scheduled for it.  Nobody holds a
-        handle to it, so no :class:`Event` is made."""
-        heappush(
-            self._heap, (self.clock.now, self._seq, name, action, None, None)
-        )
-        self._seq += 1
-
-    def timer(self, delay: float) -> Timer:
-        return Timer(delay)
-
-    def signal(self, name: str = "signal") -> Signal:
-        return Signal(self, name)
-
-    def resource(self, capacity: int = 1, name: str = "resource") -> Resource:
-        return Resource(self, capacity, name)
-
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
@@ -664,9 +480,20 @@ class EventEngine:
     def start(self, process: Process) -> Process:
         """Adopt a built process -- a generator's, or a callback state
         machine (see :class:`Process`) -- and give it its first turn
-        via a zero-delay ``"<name>.start"`` event."""
-        self.processes[process.name] = process
-        self._wake(f"{process.name}.start", process._resume)
+        via a zero-delay ``"<name>.start"`` event, after everything
+        already scheduled for this instant."""
+        heappush(
+            self._heap,
+            (
+                self.clock.now,
+                self._seq,
+                f"{process.name}.start",
+                process._resume,
+                None,
+                None,
+            ),
+        )
+        self._seq += 1
         return process
 
     # ------------------------------------------------------------------
@@ -696,7 +523,7 @@ class EventEngine:
                 clock.now = time
             self.events_fired += 1
             if self.trace is not None:
-                self.trace.records.append((time, seq, name))
+                self.trace.append((time, seq, name))
             if handle is None:
                 action(value)
                 return Event(time, seq, name, action)
@@ -710,10 +537,16 @@ class EventEngine:
         """Fire events until the heap drains (or past ``until``, or
         ``max_events`` -- a runaway-loop backstop when positive: firing
         exactly that many is fine, a further one coming due raises).
-        Returns the number of events fired."""
+        Returns the number of events fired.
+
+        ``until`` is ``None`` or a finite time; an infinite or NaN
+        horizon raises :class:`ValueError` before anything fires (it
+        would park the clock at infinity, or be ignored)."""
+        if until is not None and not isfinite(until):
+            raise ValueError(f"run horizon must be finite, got {until!r}")
         heap = self._heap
         clock = self.clock
-        records = self.trace.records if self.trace is not None else None
+        records = self.trace
         horizon = inf if until is None else until
         limit = max_events if max_events > 0 else -1
         fired = 0

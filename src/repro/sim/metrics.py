@@ -82,8 +82,10 @@ class LatencyHistogram:
         self.sum = 0.0
 
     def record(self, seconds: float) -> None:
-        if not seconds >= 0.0:
-            raise ValueError("latencies must be non-negative")
+        # NaN fails both comparisons; infinity has no bucket (frexp
+        # gives it exponent 0, which would file it as sub-base).
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError("latencies must be non-negative and finite")
         # frexp gives x = m * 2**e with 0.5 <= m < 1, so e - 1 is
         # floor(log2(x)) exactly -- log2 itself rounds *up* to the next
         # integer just below a power of two.

@@ -66,6 +66,55 @@ class TestHarnessCli:
         assert "HP97560" in out
         assert "256" in out
 
+    def test_quick_figure9_is_the_quick_table2s_runs(self, capsys, tmp_path):
+        """Figure 9 reshapes Table 2's runs: at quick scale it asks for
+        the points Table 2 just ran, so every one is a cache hit."""
+        from repro.harness.__main__ import main
+
+        argv = ["--cache", str(tmp_path), "--cache-stats", "table2", "figure9"]
+        assert main(argv) == 0
+        stats = {
+            line.split("]")[0].split()[-1]: line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  [sweep ")
+        }
+        assert "6 points: 0 cached" in stats["table2"]
+        assert "6 points: 6 cached" in stats["figure9"]
+        assert "0 parallel (in 0 tasks), 0 inline" in stats["figure9"]
+
+    def test_scrub_demo_ends_with_the_data_intact(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["--scrub"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "LOST" not in "\n".join(lines)
+        assert lines[-1].startswith("re-read lba 5: 0 new retries")
+        assert lines[-1].endswith("data intact")
+
+    def test_scrub_demo_fails_when_it_prints_lost(self, capsys, monkeypatch):
+        from repro.harness.__main__ import main
+        from repro.vlog.vld import VirtualLogDisk
+
+        read_block = VirtualLogDisk.read_block
+
+        def corrupted(self, lba):
+            data, breakdown = read_block(self, lba)
+            return bytes(len(data)), breakdown
+
+        monkeypatch.setattr(VirtualLogDisk, "read_block", corrupted)
+        assert main(["--scrub"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith("data LOST")
+
+    def test_volume_demo_ends_with_every_block_intact(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["--volume-demo"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "16 failed fast with ShardUnavailable" in lines[1]
+        assert "tripped=True" in lines[2]
+        assert "volume-fsck clean" in lines[-1]
+        assert lines[-1].endswith("48/48 blocks intact")
+
     @pytest.mark.parametrize(
         "argv,flag,target",
         [

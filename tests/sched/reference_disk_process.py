@@ -157,7 +157,7 @@ def _attach_engine(self, engine: EventEngine, name: str = "disk") -> Process:
         raise RuntimeError(f"scheduler {self.name!r} already attached")
     self._engine = engine
     self.name = name
-    self._submitted = engine.signal(f"{name}.submitted")
+    self._submitted = Signal(engine, f"{name}.submitted")
     return engine.spawn(self._run(), name=name)
 
 

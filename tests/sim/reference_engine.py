@@ -6,9 +6,12 @@ below are the parent commit's classes, moved here verbatim: one
 ``run()`` that calls ``step()`` once per event.  They are the oracle
 ``test_engine_differential.py`` holds ``repro.sim.engine`` to -- same
 ``(time, seq, name)`` trace, same clock, same counts -- so do not
-optimise or tidy them.  ``Timer``, ``Until``, ``EventTrace`` and
-``IntervalRecorder`` carry no dispatch logic and are shared with the
-engine under test, which lets one program text run on both.
+optimise or tidy them.  ``Until`` and ``IntervalRecorder`` carry no
+dispatch logic and are shared with the engine under test, which lets
+one program text run on both.  ``Timer`` and ``EventTrace``, which the
+engine under test no longer has, are kept here as they were; the
+``SimClock.bind()`` call, which recorded an association nothing read,
+is gone with the method.
 
 Two behaviours here are *bugs the rewrite fixed* and the differential
 programs avoid: a NaN time is accepted (and scrambles the heap order),
@@ -22,7 +25,19 @@ import heapq
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import EventTrace, IntervalRecorder, Timer, Until
+from repro.sim.engine import IntervalRecorder, Until
+
+
+class Timer:
+    """A yieldable delay: ``yield Timer(dt)`` resumes the process after
+    ``dt`` seconds of engine time (bare non-negative numbers work too)."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: float) -> None:
+        if not delay >= 0.0:  # negative, or NaN
+            raise ValueError("timer delay must be non-negative")
+        self.delay = delay
 
 
 class Event:
@@ -209,6 +224,28 @@ class Process:
         return f"Process({self.name!r}, {state})"
 
 
+class EventTrace:
+    """The fired-event record the determinism tests diff.
+
+    Each entry is ``(time, seq, name)`` -- seq included so that even
+    same-instant reorderings (the hostile case) are visible.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: List[Tuple[float, int, str]] = []
+
+    def note(self, event: Event) -> None:
+        self.records.append((event.time, event.seq, event.name))
+
+    def as_tuples(self) -> List[Tuple[float, int, str]]:
+        return list(self.records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
 class EventEngine:
     """The heap-of-events core.
 
@@ -225,7 +262,6 @@ class EventEngine:
         self, clock: Optional[SimClock] = None, trace: bool = False
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.clock.bind(self)
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self.events_fired = 0

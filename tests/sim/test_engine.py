@@ -5,10 +5,12 @@ The load-bearing guarantees:
 * deterministic tie-breaking -- events at the same instant fire in
   scheduling order, so a run's event trace is a pure function of the
   schedule calls (the hostile same-timestamp test);
-* processes, timers, and wait/signal compose without consuming time
+* processes, delays, and wait/signal compose without consuming time
   they should not;
 * interval arithmetic (union, intersection, per-key overlap) is exact.
 """
+
+from itertools import chain
 
 import pytest
 
@@ -16,9 +18,23 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import (
     EventEngine,
     IntervalRecorder,
-    Timer,
+    Signal,
     Until,
+    intersection_seconds,
+    measure,
+    measure_within,
+    merge_intervals,
 )
+
+
+def _union(rec, kind):
+    """The union of every key's intervals of ``kind``."""
+    return merge_intervals(chain.from_iterable(rec.merged_by_key(kind).values()))
+
+
+def _within(rec, kind, window):
+    """Seconds of ``kind`` activity inside ``window``."""
+    return measure_within(_union(rec, kind), window)
 
 
 class TestEventOrdering:
@@ -43,8 +59,8 @@ class TestEventOrdering:
             engine.at(0.5, lambda n=name: fired.append(n), name=name)
         engine.run()
         assert fired == names  # schedule order, not sorted order
-        assert [n for _, _, n in engine.trace.as_tuples()] == names
-        seqs = [s for _, s, _ in engine.trace.as_tuples()]
+        assert [n for _, _, n in engine.trace] == names
+        seqs = [s for _, s, _ in engine.trace]
         assert seqs == sorted(seqs)
 
     def test_event_scheduled_during_fire_at_same_instant_runs_last(self):
@@ -130,12 +146,10 @@ class TestEventOrdering:
             engine.at(nan, lambda: None, name="bad")
         with pytest.raises(ValueError, match="non-negative"):
             engine.after(nan, lambda: None)
-        with pytest.raises(ValueError, match="non-negative"):
-            Timer(nan)
         for at, name in ((0.1, "a"), (0.2, "b"), (0.05, "z")):
             engine.at(at, lambda: None, name=name)
         engine.run()
-        assert [n for _, _, n in engine.trace.as_tuples()] == [
+        assert [n for _, _, n in engine.trace] == [
             "z", "a", "b", "c",
         ]
 
@@ -159,7 +173,7 @@ class TestEventOrdering:
         with pytest.raises(ValueError, match=message):
             engine.run()
         # Nothing was scheduled for it: no NaN row, nothing pending.
-        assert [n for _, _, n in engine.trace.as_tuples()] == [
+        assert [n for _, _, n in engine.trace] == [
             "q.start", "q.timer",
         ]
         assert engine.pending == 0 and engine.now == 0.25
@@ -181,7 +195,7 @@ class TestEventOrdering:
         engine.at(0.5, lambda: None).cancel()
         assert engine.run() == 0
         assert engine.now == 0.0 and engine.events_fired == 0
-        assert engine.trace.as_tuples() == []
+        assert engine.trace == []
 
     def test_events_fired_is_current_inside_an_action(self):
         engine = EventEngine()
@@ -210,18 +224,23 @@ class TestEventOrdering:
 
 class TestClockView:
     def test_engine_adopts_and_binds_clock(self):
-        clock = SimClock()
+        """The engine advances the clock it was given, and only that."""
+        clock = SimClock(0.125)
+        bystander = SimClock()
         engine = EventEngine(clock=clock)
-        assert engine.clock is clock
-        assert clock.engine is engine
+        assert engine.clock is clock and engine.now == 0.125
         engine.at(0.25, lambda: None)
         engine.run()
-        assert clock.now == 0.25
+        assert clock.now == 0.25 and bystander.now == 0.0
 
     def test_fresh_engine_creates_bound_clock(self):
         engine = EventEngine()
-        assert engine.clock.engine is engine
-        assert SimClock().engine is None
+        other = EventEngine()
+        assert isinstance(engine.clock, SimClock)
+        assert engine.clock is not other.clock
+        engine.at(0.5, lambda: None)
+        engine.run()
+        assert engine.clock.now == 0.5 and other.clock.now == 0.0
 
 
 class TestProcesses:
@@ -233,7 +252,7 @@ class TestProcesses:
             log.append(("start", engine.now))
             yield 0.5
             log.append(("mid", engine.now))
-            yield Timer(0.25)
+            yield 0.25
             log.append(("end", engine.now))
 
         process = engine.spawn(proc(), name="p")
@@ -261,7 +280,7 @@ class TestProcesses:
 
     def test_signal_wakes_waiters_in_wait_order(self):
         engine = EventEngine()
-        signal = engine.signal("go")
+        signal = Signal(engine, "go")
         woken = []
 
         def waiter(tag):
@@ -276,36 +295,10 @@ class TestProcesses:
 
     def test_signal_fire_without_waiters_is_noop(self):
         engine = EventEngine()
-        signal = engine.signal("lonely")
+        signal = Signal(engine, "lonely")
         assert signal.fire("lost") == 0
-        engine.run()
-        assert signal.fires == 1
-
-    def test_resource_serializes_fifo(self):
-        engine = EventEngine()
-        resource = engine.resource(capacity=1, name="stack")
-        order = []
-
-        def user(tag, hold):
-            grant = resource.request()
-            yield grant
-            order.append((tag, engine.now))
-            yield hold
-            resource.release()
-
-        engine.spawn(user("a", 0.3), name="a")
-        engine.spawn(user("b", 0.1), name="b")
-        engine.spawn(user("c", 0.1), name="c")
-        engine.run()
-        tags = [t for t, _ in order]
-        starts = [s for _, s in order]
-        assert tags == ["a", "b", "c"]  # strictly first-come-first-served
-        assert starts == [0.0, 0.3, 0.4]
-
-    def test_release_of_idle_resource_rejected(self):
-        engine = EventEngine()
-        with pytest.raises(RuntimeError, match="idle resource"):
-            engine.resource(name="r").release()
+        assert engine.pending == 0
+        assert engine.run() == 0 and engine.events_fired == 0
 
     def test_bad_yield_type_rejected(self):
         engine = EventEngine()
@@ -317,9 +310,31 @@ class TestProcesses:
         with pytest.raises(TypeError, match="yielded"):
             engine.run()
 
+    @pytest.mark.parametrize("waited", [None, 1j])
+    def test_only_a_number_until_or_signal_may_be_yielded(self, waited):
+        """``None`` is not a turn and a complex number is not a delay:
+        nothing is scheduled for the process."""
+        engine = EventEngine(trace=True)
+
+        def proc():
+            yield 0.5
+            yield waited
+
+        engine.spawn(proc(), name="p")
+        with pytest.raises(TypeError, match="yielded"):
+            engine.run()
+        assert engine.pending == 0 and engine.now == 0.5
+
     def test_negative_timer_rejected(self):
-        with pytest.raises(ValueError):
-            Timer(-1.0)
+        engine = EventEngine()
+
+        def proc():
+            yield -1.0
+
+        engine.spawn(proc(), name="p")
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.run()
+        assert engine.pending == 0
 
     def test_until_is_bit_exact(self):
         """The local-lookahead catch-up: ``now + (t - now)`` need not
@@ -358,7 +373,7 @@ class TestDeterminism:
     def _chaotic_run(seed_order):
         """Many processes racing timers and signals at coinciding times."""
         engine = EventEngine(trace=True)
-        signal = engine.signal("shared")
+        signal = Signal(engine, "shared")
         log = []
 
         def ticker(tag, period):
@@ -377,7 +392,7 @@ class TestDeterminism:
         engine.spawn(listener("L1"), name="L1")
         engine.spawn(listener("L2"), name="L2")
         engine.run()
-        return log, engine.trace.as_tuples()
+        return log, list(engine.trace)
 
     def test_identical_trace_across_runs(self):
         order = [("x", 0.25), ("y", 0.5), ("z", 0.25)]
@@ -397,22 +412,24 @@ class TestIntervalRecorder:
         rec.note("busy", "d0", 0.0, 1.0)
         rec.note("busy", "d0", 0.5, 2.0)
         rec.note("busy", "d0", 3.0, 4.0)
-        assert rec.merged("busy", "d0") == [(0.0, 2.0), (3.0, 4.0)]
-        assert rec.total("busy", "d0") == pytest.approx(3.0)
+        spans = rec.merged_by_key("busy")["d0"]
+        assert spans == [(0.0, 2.0), (3.0, 4.0)]
+        assert measure(spans) == pytest.approx(3.0)
 
     def test_union_across_keys(self):
         rec = IntervalRecorder()
         rec.note("busy", "d0", 0.0, 1.0)
         rec.note("busy", "d1", 0.5, 1.5)
-        assert rec.merged("busy") == [(0.0, 1.5)]
+        assert _union(rec, "busy") == [(0.0, 1.5)]
         assert rec.keys("busy") == ["d0", "d1"]
 
     def test_overlap_is_intersection_measure(self):
         rec = IntervalRecorder()
         rec.note("think", "h0", 0.0, 1.0)
         rec.note("service", "d0", 0.5, 2.0)
-        assert rec.overlap("think", "service") == pytest.approx(0.5)
-        assert rec.overlap("service", "think") == pytest.approx(0.5)
+        think, service = _union(rec, "think"), _union(rec, "service")
+        assert intersection_seconds(think, service) == pytest.approx(0.5)
+        assert intersection_seconds(service, think) == pytest.approx(0.5)
 
     def test_per_key_overlap_counts_each_host(self):
         rec = IntervalRecorder()
@@ -420,21 +437,29 @@ class TestIntervalRecorder:
         rec.note("think", "h0", 0.0, 1.0)
         rec.note("think", "h1", 0.0, 1.0)
         rec.note("service", "d0", 0.0, 1.0)
-        assert rec.overlap("think", "service") == pytest.approx(1.0)
-        assert rec.per_key_overlap("think", "service") == pytest.approx(2.0)
+        busy = _union(rec, "service")
+        assert intersection_seconds(
+            _union(rec, "think"), busy
+        ) == pytest.approx(1.0)
+        per_key = sum(
+            intersection_seconds(spans, busy)
+            for spans in rec.merged_by_key("think").values()
+        )
+        assert per_key == pytest.approx(2.0)
 
     def test_zero_length_skipped_and_backwards_rejected(self):
         rec = IntervalRecorder()
         rec.note("busy", "d0", 1.0, 1.0)
-        assert rec.merged("busy", "d0") == []
+        assert rec.merged_by_key("busy") == {} and rec.keys("busy") == []
         with pytest.raises(ValueError, match="ends before"):
             rec.note("busy", "d0", 2.0, 1.0)
 
 
 class TestTotalWithinBoundaries:
-    """The pinned half-open convention for window clipping: intervals
-    exactly abutting a window edge contribute zero, tiling windows
-    partition measure exactly, degenerate windows are zero."""
+    """The pinned half-open convention for window clipping
+    (:func:`measure_within` over a recorded union): intervals exactly
+    abutting a window edge contribute zero, tiling windows partition
+    measure exactly, degenerate windows are zero."""
 
     def recorder(self):
         rec = IntervalRecorder()
@@ -444,43 +469,43 @@ class TestTotalWithinBoundaries:
 
     def test_interior_clip(self):
         rec = self.recorder()
-        assert rec.total_within("busy", (1.5, 4.0)) == pytest.approx(1.5)
+        assert _within(rec, "busy", (1.5, 4.0)) == pytest.approx(1.5)
 
     def test_interval_ending_at_window_start_contributes_zero(self):
         rec = self.recorder()
         # [1, 2) abuts the window [2, 3): one shared point, measure zero.
-        assert rec.total_within("busy", (2.0, 3.0)) == pytest.approx(0.0)
+        assert _within(rec, "busy", (2.0, 3.0)) == pytest.approx(0.0)
 
     def test_interval_starting_at_window_end_contributes_zero(self):
         rec = self.recorder()
         # [3, 5) starts exactly where the window [2.5, 3) ends.
-        assert rec.total_within("busy", (2.5, 3.0)) == pytest.approx(0.0)
+        assert _within(rec, "busy", (2.5, 3.0)) == pytest.approx(0.0)
 
     def test_exactly_coincident_window(self):
         rec = self.recorder()
-        assert rec.total_within("busy", (1.0, 2.0)) == pytest.approx(1.0)
+        assert _within(rec, "busy", (1.0, 2.0)) == pytest.approx(1.0)
 
     def test_tiling_windows_partition_measure(self):
         # Split at a point interior to an interval: the two halves must
         # sum to the untiled total -- no double count, no drop at the cut.
         rec = self.recorder()
-        whole = rec.total_within("busy", (0.0, 6.0))
+        whole = _within(rec, "busy", (0.0, 6.0))
         for cut in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
-            left = rec.total_within("busy", (0.0, cut))
-            right = rec.total_within("busy", (cut, 6.0))
+            left = _within(rec, "busy", (0.0, cut))
+            right = _within(rec, "busy", (cut, 6.0))
             assert left + right == pytest.approx(whole), cut
-        assert whole == pytest.approx(rec.total("busy"))
+        assert whole == pytest.approx(measure(_union(rec, "busy")))
 
     def test_empty_and_inverted_windows_are_zero(self):
         rec = self.recorder()
-        assert rec.total_within("busy", (1.5, 1.5)) == 0.0
-        assert rec.total_within("busy", (4.0, 1.0)) == 0.0
+        assert _within(rec, "busy", (1.5, 1.5)) == 0.0
+        assert _within(rec, "busy", (4.0, 1.0)) == 0.0
 
     def test_window_entirely_outside_activity(self):
         rec = self.recorder()
-        assert rec.total_within("busy", (6.0, 9.0)) == 0.0
-        assert rec.total_within("busy", (2.0, 3.0)) == 0.0  # the gap
+        assert _within(rec, "busy", (6.0, 9.0)) == 0.0
+        assert _within(rec, "busy", (2.0, 3.0)) == 0.0  # the gap
 
     def test_unknown_kind_is_zero(self):
         rec = self.recorder()
-        assert rec.total_within("nope", (0.0, 10.0)) == 0.0
+        assert _within(rec, "nope", (0.0, 10.0)) == 0.0

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.sim import engine as new_engine
-from repro.sim.engine import Timer, Until
+from repro.sim.engine import Until
 from tests.sim import reference_engine
 
 SEEDS = range(240)
@@ -48,8 +48,8 @@ def _script(rng, depth=0):
     for _ in range(rng.randrange(3, 9)):
         kind = rng.choice(
             [
-                "float", "float", "int", "real", "timer", "until", "none",
-                "wait", "fire", "fire", "hold", "after", "cancel", "spawn",
+                "float", "float", "int", "real", "until",
+                "wait", "fire", "fire", "after", "cancel", "spawn",
             ]
         )
         if kind == "float":
@@ -58,13 +58,9 @@ def _script(rng, depth=0):
             steps.append(("int", rng.choice([0, 0, 1, True])))
         elif kind == "real":
             steps.append(("real", _delay(rng)))
-        elif kind == "timer":
-            steps.append(("timer", rng.choice([_delay(rng), 0, 1])))
         elif kind == "until":
             # Absolute: past as often as future.
             steps.append(("until", rng.random() * HORIZON))
-        elif kind == "none":
-            steps.append(("none",))
         elif kind == "wait":
             steps.append(("wait", rng.randrange(3)))
         elif kind == "fire":
@@ -72,8 +68,6 @@ def _script(rng, depth=0):
             steps.append(
                 ("fire", rng.choice([0, 0, 1, 2]), rng.randrange(1000))
             )
-        elif kind == "hold":
-            steps.append(("hold", rng.randrange(2), _delay(rng)))
         elif kind == "after":
             # A callback that schedules `more` further ones at its own
             # instant.
@@ -94,7 +88,6 @@ def _program(seed):
         scripts.append([("wait", 0)] * rng.randrange(1, 4))
     rng.shuffle(scripts)
     return {
-        "capacities": [rng.choice([1, 1, 2]), rng.choice([1, 2])],
         "scripts": scripts,
         "slices": sorted(rng.random() * HORIZON for _ in range(3)),
         "result_salt": rng.randrange(1000),
@@ -107,11 +100,7 @@ class _Run:
     def __init__(self, module, program):
         self.engine = engine = module.EventEngine(trace=True)
         self.log = []
-        self.signals = [engine.signal(f"s{i}") for i in range(3)]
-        self.resources = [
-            engine.resource(capacity=capacity, name=f"r{i}")
-            for i, capacity in enumerate(program["capacities"])
-        ]
+        self.signals = [module.Signal(engine, f"s{i}") for i in range(3)]
         self.salt = program["result_salt"]
         self.processes = []
         self.handles = []
@@ -146,12 +135,8 @@ class _Run:
                 yield step[1]
             elif kind == "real":
                 yield _Real(step[1])
-            elif kind == "timer":
-                yield Timer(step[1])
             elif kind == "until":
                 yield Until(step[1])
-            elif kind == "none":
-                yield None
             elif kind == "wait":
                 value = yield self.signals[step[1]]
                 log.append(("woke", name, step[1], value, engine.now))
@@ -159,13 +144,6 @@ class _Run:
                 value = (name, index, step[2])
                 woken = self.signals[step[1]].fire(value)
                 log.append(("fired", name, step[1], value, woken, engine.now))
-            elif kind == "hold":
-                resource = self.resources[step[1]]
-                grant = resource.request()
-                yield grant
-                log.append(("held", name, step[1], resource.in_use, engine.now))
-                yield step[2]
-                resource.release()
             elif kind == "after":
                 tag = f"{name}.cb{index}"
                 self.handles.append(
@@ -194,7 +172,7 @@ class _Run:
     def state(self):
         engine = self.engine
         return {
-            "trace": engine.trace.as_tuples(),
+            "trace": _trace(engine),
             "now": engine.now,
             "events_fired": engine.events_fired,
             "pending": engine.pending,
@@ -203,9 +181,13 @@ class _Run:
             "handles": [
                 (h.time, h.seq, h.name, h.cancelled) for h in self.handles
             ],
-            "signals": [(s.name, s.fires) for s in self.signals],
-            "resources": [(r.name, r.in_use) for r in self.resources],
         }
+
+
+def _trace(engine):
+    """The ``(time, seq, name)`` rows fired so far: the engine's trace
+    is that list, the reference's an ``EventTrace`` holding it."""
+    return list(getattr(engine.trace, "records", engine.trace))
 
 
 def _reference_run_until(engine, until):
@@ -285,7 +267,7 @@ def test_single_stepping_is_the_same_loop(seed):
         returned.append((event.time, event.seq, event.name))
     assert stepped.state() == ran.state()
     # What step() hands back is the event it fired, handle or not.
-    assert returned == stepped.engine.trace.as_tuples()
+    assert returned == list(stepped.engine.trace)
 
 
 def test_the_programs_cover_what_they_claim():
@@ -307,9 +289,8 @@ def test_the_programs_cover_what_they_claim():
         times = [t for t, _, _ in state["trace"]]
         ties += len(times) - len(set(times))
         names = {name.rpartition(".")[2] for _, _, name in state["trace"]}
-        kinds |= names & {"timer", "until", "turn", "acquire", "start"}
+        kinds |= names & {"timer", "until", "start"}
     assert kinds >= {
-        "woke", "fired", "held", "joined", "cb", "step",
-        "timer", "until", "turn", "acquire", "start",
+        "woke", "fired", "joined", "cb", "step", "timer", "until", "start",
     }
     assert min(cancelled, contended, unheard, ties) > 50

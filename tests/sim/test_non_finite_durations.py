@@ -7,6 +7,9 @@ which refuses NaN too; an interval's is ``not end >= start``.  The idle
 entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
 ``VirtualLogDisk.idle`` -- also refuse infinity, before any queue
 drains: ``VirtualLogDisk.idle(inf)`` used to move the clock to infinity.
+A latency histogram refuses infinity (it has no bucket for it), and the
+event engine refuses an infinite or NaN ``run(until=)`` horizon before
+any event fires.
 """
 
 import functools
@@ -21,7 +24,7 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
 from repro.sim.clock import SimClock
-from repro.sim.engine import IntervalRecorder
+from repro.sim.engine import EventEngine, IntervalRecorder, measure
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
 from repro.vlfs.vlfs import VLFS
@@ -128,4 +131,32 @@ def test_a_refused_interval_leaves_the_totals_finite():
         intervals.note("service", "d", 0.0, NAN)
     with pytest.raises(ValueError):
         intervals.note("service", "d", NAN, 2.0)
-    assert intervals.total("service") == 1.0
+    assert measure(intervals.merged_by_key("service")["d"]) == 1.0
+
+
+@pytest.mark.parametrize("seconds", [INF, NAN, -1.0])
+def test_histogram_refuses_a_latency_it_has_no_bucket_for(seconds):
+    """``frexp(inf)`` has exponent 0, so infinity used to land in the
+    sub-microsecond bucket and read as a 1 us p50..p999."""
+    histogram = LatencyHistogram()
+    histogram.record(0.004)
+    with pytest.raises(ValueError):
+        histogram.record(seconds)
+    assert histogram.buckets == {11: 1}
+    assert histogram.count == 1 and histogram.sum == 0.004
+
+
+@pytest.mark.parametrize("until", [INF, NAN, -INF])
+def test_engine_refuses_a_non_finite_horizon_before_firing(until):
+    """``run(until=inf)`` drained the heap and left the clock at
+    infinity; ``run(until=nan)`` ignored its horizon (``time > nan`` is
+    never true) and fired everything."""
+    engine = EventEngine()
+    fired = []
+    engine.at(0.5, lambda: fired.append(0.5))
+    engine.at(2.0, lambda: fired.append(2.0))
+    with pytest.raises(ValueError, match="finite"):
+        engine.run(until=until)
+    assert fired == [] and engine.pending == 2 and engine.now == 0.0
+    assert engine.run(until=1.0) == 1 and engine.now == 1.0
+    assert engine.run() == 1 and fired == [0.5, 2.0]
