@@ -4,7 +4,7 @@
 Exercises the four recovery stories the paper tells:
 
 * the Virtual Log Disk's tail-record recovery and its scan fallback
-  (Section 3.2), with fault injection on the power-down record;
+  (Section 3.2), with power lost before the power-down record's write;
 * a power loss injected *mid-write*, below the VLD, in the middle of its
   internal data-write / map-append sequence -- the atomicity claim;
 * LFS checkpoint + roll-forward recovery;
@@ -15,7 +15,7 @@ Run:  python examples/crash_recovery.py
 
 import random
 
-from repro.blockdev import DeviceCrashed, DiskFaultInjector, build_device_stack
+from repro.blockdev import DeviceCrashed, FaultPlane, build_device_stack
 from repro.disk import Disk, ST19101
 from repro.hosts import SPARCSTATION_10
 from repro.lfs import LFS
@@ -43,14 +43,18 @@ def vld_story() -> None:
         f"(intact: {ok})"
     )
 
-    # The rare failure: the power-down write was corrupted.
-    vld.power_down()
-    vld.power_store.corrupt()
+    # The rare failure: the power is gone before the power-down record's
+    # own write reaches the media.
+    FaultPlane(("sector-run", 1), "before").install(vld.disk)
+    try:
+        vld.power_down()
+    except DeviceCrashed:
+        vld.disk.faults = None  # the restart finds the media as it was left
     vld.crash()
     outcome = vld.recover()
     ok = all(vld.read_block(l)[0] == p for l, p in expected.items())
     print(
-        f"  corrupt record -> scan of {outcome.blocks_scanned} positions "
+        f"  lost record -> scan of {outcome.blocks_scanned} positions "
         f"in {outcome.elapsed * 1e3:.0f} ms simulated (intact: {ok})"
     )
     print()
@@ -71,8 +75,7 @@ def midwrite_story() -> None:
     # Kill the drive on its 3rd physical write from now: inside the next
     # logical write's internal data-write / map-append sequence, with the
     # fatal write itself torn at sector granularity.
-    injector = DiskFaultInjector(crash_after_writes=3, torn=True)
-    injector.install(disk)
+    FaultPlane(("sector-run", 3), "torn").install(disk)
     try:
         while True:
             lba = rng.randrange(vld.num_blocks)
@@ -81,7 +84,7 @@ def midwrite_story() -> None:
             acknowledged[lba] = payload  # only reached if acknowledged
     except DeviceCrashed as crash:
         print(f"  {crash}")
-    injector.uninstall(disk)
+    disk.faults = None  # the restart finds the media as the crash left it
 
     vld.crash()
     outcome = vld.recover()

@@ -16,10 +16,10 @@ Four short stories:
 Run:  python examples/nvm_wal_demo.py
 """
 
-from repro.blockdev.interpose import DeviceCrashed
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.blockdev.nvm import NVM_SPECS
 from repro.disk import Disk, ST19101
-from repro.nvm import NVWal, NVWalInjector
+from repro.nvm import NVWal
 from repro.vlog.resilience import vlfsck
 from repro.vlog.vld import VirtualLogDisk
 
@@ -87,7 +87,7 @@ def torn_tail_story() -> None:
     print("== Torn final record ==")
     vld = VirtualLogDisk(Disk(ST19101))
     wal = NVWal(vld)
-    wal.injector = NVWalInjector(crash_after_appends=4, torn=True)
+    FaultPlane(("nvm-record", 4), "torn").install(wal.nvm)
     survived = {}
     try:
         for lba in range(8):
@@ -97,7 +97,7 @@ def torn_tail_story() -> None:
     except DeviceCrashed:
         print(f"  power failed mid-append of record {len(survived) + 1}; "
               f"{len(survived)} writes were acked before it")
-    wal.injector = None
+    wal.nvm.faults = None  # the restart finds the NVM as the crash left it
     wal.crash()
     outcome = wal.recover()
     ok = all(wal.read_block(l)[0] == p for l, p in survived.items())

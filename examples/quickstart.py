@@ -7,7 +7,7 @@ demonstrates the paper's three headline properties:
 1. synchronous random writes at a fraction of update-in-place latency,
 2. atomicity: a crash loses nothing that was acknowledged,
 3. fast recovery from the firmware's power-down record -- with a scan
-   fallback when that record is damaged.
+   fallback when power fails before that record is written.
 
 Devices are built through :func:`repro.build_device_stack`, which can
 thread observability layers into any stack; step 1 uses its metrics
@@ -18,7 +18,7 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro import MetricsDevice, build_device_stack
+from repro import DeviceCrashed, FaultPlane, MetricsDevice, build_device_stack
 from repro.blockdev import find_layer
 from repro.disk import Disk, ST19101
 from repro.vlog import VirtualLogDisk
@@ -80,12 +80,17 @@ def main() -> None:
         f"  with power-down record: {fast.elapsed * 1e3:7.1f} ms "
         f"({fast.records_read} map records read)"
     )
-    vld.power_down()
-    vld.power_store.corrupt()  # inject the rare power-down failure
+    # The rare power-down failure: the power is gone before the record's
+    # own write reaches the media.
+    FaultPlane(("sector-run", 1), "before").install(disk)
+    try:
+        vld.power_down()
+    except DeviceCrashed:
+        disk.faults = None  # the restart finds the media as the crash left it
     vld.crash()
     slow = vld.recover()
     print(
-        f"  checksum fails -> scan: {slow.elapsed * 1e3:7.1f} ms "
+        f"  no valid record -> scan: {slow.elapsed * 1e3:7.1f} ms "
         f"({slow.blocks_scanned} records examined)"
     )
     data, _ = vld.read_block(123)

@@ -25,9 +25,9 @@ from repro.blockdev import (
     BlockDevice,
     DeviceCrashed,
     DeviceFault,
-    DiskFaultInjector,
     FaultDevice,
     FaultPlan,
+    FaultPlane,
     InjectedReadError,
     InterposedDevice,
     MetricsDevice,
@@ -87,7 +87,7 @@ __all__ = [
     "MetricsDevice",
     "FaultDevice",
     "FaultPlan",
-    "DiskFaultInjector",
+    "FaultPlane",
     "DeviceFault",
     "DeviceCrashed",
     "InjectedReadError",

@@ -10,9 +10,9 @@ from repro.blockdev.interface import BlockDevice
 from repro.blockdev.interpose import (
     DeviceCrashed,
     DeviceFault,
-    DiskFaultInjector,
     FaultDevice,
     FaultPlan,
+    FaultPlane,
     InjectedReadError,
     InterposedDevice,
     MetricsDevice,
@@ -34,7 +34,7 @@ __all__ = [
     "MetricsDevice",
     "FaultDevice",
     "FaultPlan",
-    "DiskFaultInjector",
+    "FaultPlane",
     "DeviceFault",
     "DeviceCrashed",
     "InjectedReadError",

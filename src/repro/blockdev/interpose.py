@@ -31,10 +31,14 @@ Three concrete layers:
   dropped writes, read errors, and crash-after-N-operations.
 
 For faults *below* the logical layer (killing a Virtual Log Disk in the
-middle of its internal write sequence), :class:`DiskFaultInjector`
-installs on the raw :class:`~repro.disk.disk.Disk` and crashes on the
-N-th physical write -- the crash-point methodology the recovery tests
-sweep.
+middle of its internal write sequence, a recovery in the middle of its
+repair, an NVWal between commit and destage), one :class:`FaultPlane`
+installs on the media -- the raw :class:`~repro.disk.disk.Disk` and an
+:class:`~repro.blockdev.nvm.NVMDevice` -- and drops the power at the
+N-th persistence event of a kind (a sector run, an NVM record, the NVM
+superblock), before, torn inside or after it: the crash-point
+methodology the recovery tests sweep.  It also holds the per-sector
+media faults the disk's reads meet.
 
 :func:`build_device_stack` is the single factory every consumer builds
 its stack through (the harness and the examples).
@@ -931,15 +935,33 @@ class FaultDevice(InterposedDevice):
         return self.inner.recover()
 
 
-class DiskFaultInjector:
-    """Crashes the raw :class:`~repro.disk.disk.Disk` on the N-th
-    physical write -- *below* the logical layer, so a Virtual Log Disk is
-    killed in the middle of its internal data-write / map-append
-    sequence (the crash points Section 4's recovery must survive).
+#: The persistence events a :class:`FaultPlane` counts, each reported at
+#: its one site: ``Disk.write``, ``NVWal._append``, ``NVWal._reset_log``.
+EVENT_KINDS = ("sector-run", "nvm-record", "nvm-superblock")
 
-    ``torn=True`` applies the first half of the fatal write's sectors
-    before crashing (a sector-granular tear); a one-sector write tears to
-    nothing, i.e. it is dropped entirely.
+#: What of the event the crash lands on persists: nothing, the first
+#: half of its units, or all of it (then power drops before the ack).
+CRASH_VARIANTS = ("before", "torn", "after")
+
+_EVENT_NAMES = dict(zip(EVENT_KINDS, (
+    "physical write", "NVM record", "NVM superblock write")))
+
+
+class FaultPlane:
+    """One fault model under a whole stack: power loss at a named
+    persistence event, and per-sector media faults on the disk's reads.
+
+    ``plane.install(disk, nvm)`` sets each medium's ``faults``, so a
+    crash lands below every logical layer: inside a Virtual Log Disk's
+    data-write / map-append sequence, inside a recovery, or between an
+    NVWal commit and its destage.  Events are counted per kind
+    (``counts``); ``crash_at = (kind, n)`` drops the power at the
+    ``n``-th, and ``variant`` says what of it persists: nothing, half
+    its units (sectors of a run, bytes of an NVM record), or all.  The
+    site lays that prefix down through its own store path and raises
+    :meth:`power_lost`.  The crash latches: every later persistence
+    event and disk read raises :class:`DeviceCrashed` until another
+    plane is installed.
 
     Media degradation is modelled at sector granularity:
 
@@ -950,65 +972,70 @@ class DiskFaultInjector:
       defects a resilience layer must quarantine and remap around;
     * ``read_error_rate`` remains the uncorrelated transient noise floor.
 
-    Writes never fault (grown defects here are discovered on read, the
-    common ECC story); only the crash machinery interrupts writes.
+    Writes never fault on degraded media (grown defects here are
+    discovered on read, the common ECC story).
     """
 
     def __init__(
         self,
-        crash_after_writes: Optional[int] = None,
-        torn: bool = True,
+        crash_at: Optional[Tuple[str, int]] = None,
+        variant: str = "torn",
         read_error_rate: float = 0.0,
         seed: int = 0,
         bad_sectors: Optional[Set[int]] = None,
         flaky_sectors: Optional[Dict[int, float]] = None,
     ) -> None:
-        self.crash_after_writes = crash_after_writes
-        self.torn = torn
+        if crash_at is not None and (
+            crash_at[0] not in EVENT_KINDS or crash_at[1] <= 0
+        ):
+            raise ValueError(f"no such crash point {crash_at!r}")
+        if variant not in CRASH_VARIANTS:
+            raise ValueError(f"unknown crash variant {variant!r}")
+        self.crash_at = crash_at
+        self.variant = variant
         self.read_error_rate = read_error_rate
         self.rng = random.Random(seed)
         self.bad_sectors: Set[int] = set(bad_sectors or ())
         self.flaky_sectors: Dict[int, float] = dict(flaky_sectors or {})
-        self.writes_seen = 0
-        self.reads_seen = 0
+        self.counts: Dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
         self.read_errors_raised = 0
         self.crashed = False
 
-    def install(self, disk) -> "DiskFaultInjector":
-        disk.fault_injector = self
+    def install(self, *media) -> "FaultPlane":
+        """Hang the plane on each medium (a ``Disk``, an ``NVMDevice``)."""
+        for medium in media:
+            medium.faults = self
         return self
 
-    def uninstall(self, disk) -> None:
-        if disk.fault_injector is self:
-            disk.fault_injector = None
+    def persists(self, kind: str, units: int) -> Optional[int]:
+        """Count one persistence event of ``kind`` spanning ``units``.
+        ``None``: it proceeds.  Otherwise the power drops here, and the
+        number is how many leading units persist first."""
+        if self.crashed:
+            raise DeviceCrashed(f"power already lost: {kind} refused")
+        count = self.counts[kind] + 1
+        self.counts[kind] = count
+        if self.crash_at != (kind, count):
+            return None
+        self.crashed = True
+        if self.variant == "before":
+            return 0
+        return units // 2 if self.variant == "torn" else units
 
-    def before_write(self, disk, sector: int, count: int, data) -> None:
+    def power_lost(self, kind: str, where: str, **context) -> DeviceCrashed:
+        """The fault the site raises once the surviving prefix is down."""
+        return DeviceCrashed(
+            f"injected power loss at {_EVENT_NAMES[kind]} "
+            f"{self.counts[kind]} ({where}, {self.variant})",
+            **context,
+        )
+
+    def before_read(self, sector: int, count: int) -> None:
         if self.crashed:
             raise DeviceCrashed(
-                "disk already crashed", op="write", sector=sector, count=count
+                "power already lost: read refused",
+                op="read", sector=sector, count=count,
             )
-        self.writes_seen += 1
-        at = self.crash_after_writes
-        if at is not None and self.writes_seen >= at:
-            self.crashed = True
-            if self.torn and data is not None and count > 1:
-                keep = count // 2
-                if getattr(disk, "_data", None) is not None:
-                    disk.poke(sector, data[: keep * disk.sector_bytes])
-            raise DeviceCrashed(
-                f"injected power loss at physical write {self.writes_seen} "
-                f"(sector {sector}, {count} sectors)",
-                op="write",
-                sector=sector,
-                count=count,
-            )
-
-    def before_read(self, disk, sector: int, count: int) -> None:
-        if self.crashed:
-            raise DeviceCrashed(
-                "disk already crashed", op="read", sector=sector, count=count
-            )
-        self.reads_seen += 1
         run = range(sector, sector + count)
         if self.bad_sectors:
             for s in run:

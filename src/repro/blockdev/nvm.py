@@ -113,6 +113,10 @@ class NVMDevice:
         self.bytes_loaded = 0
         self.bytes_stored = 0
         self.stores_lost_on_crash = 0
+        #: The :class:`~repro.blockdev.interpose.FaultPlane` under this
+        #: medium, if any; the NVWal reports its record appends and
+        #: superblock resets to it as persistence events.
+        self.faults = None
 
     @property
     def capacity_bytes(self) -> int:

@@ -82,10 +82,10 @@ class Disk:
         )
         # Statistics (request counts, sectors moved, busy time).
         self.counters = OpCounters()
-        #: Optional duck-typed fault hook with ``before_read(disk, sector,
-        #: count)`` / ``before_write(disk, sector, count, data)`` methods
-        #: that may raise -- see ``repro.blockdev.interpose``.
-        self.fault_injector = None
+        #: The :class:`~repro.blockdev.interpose.FaultPlane` under this
+        #: medium, if any: every write is one ``"sector-run"`` event it
+        #: counts (and may crash), every read meets its media faults.
+        self.faults = None
         #: Optional sidecar checksum store with a ``record(sector, data)``
         #: method, modelling the per-sector out-of-band ECC bytes real
         #: drives write alongside every sector.  Attached by the VLD's
@@ -124,19 +124,27 @@ class Disk:
         lo = sector * self.sector_bytes
         return self._data[lo : lo + count * self.sector_bytes]
 
-    def poke(self, sector: int, data: bytes) -> None:
-        """Write sector contents without advancing time (test helper)."""
-        if len(data) % self.sector_bytes != 0:
-            raise ValueError("data must be a whole number of sectors")
-        count = len(data) // self.sector_bytes
-        self._check_run(sector, count)
-        if self._data is None:
-            raise RuntimeError("disk was created with store_data=False")
-        lo = sector * self.sector_bytes
-        self._data[lo : lo + len(data)] = data
-        if self.checksums is not None:
-            self.checksums.record(sector, data)
-        self.cache.note_write(sector, count)
+    def _store(self, sector: int, count: int, data) -> None:
+        """Lay ``count`` sectors of ``data`` (zeros when ``None``) on the
+        media with their checksums, and tell the track buffer: the one
+        way bytes reach the image.  Untimed; the callers charge."""
+        image = self._data
+        if image is not None:
+            nbytes = count * self.spec.sector_bytes
+            lo = sector * self.spec.sector_bytes
+            if data is None:
+                # The payload is the shared zero page: record the
+                # constant zero-sector CRC without hashing anything.
+                image[lo : lo + nbytes] = _zeros(nbytes)
+                if self.checksums is not None:
+                    self.checksums.record_zeros(sector, count)
+            else:
+                image[lo : lo + nbytes] = data
+                if self.checksums is not None:
+                    self.checksums.record(sector, data)
+        cache = self.cache
+        if cache._segment is not None:
+            cache.note_write(sector, count)
 
     def _check_run(self, sector: int, count: int) -> None:
         if count <= 0:
@@ -160,8 +168,8 @@ class Disk:
         geometry = self.geometry
         if count <= 0 or not 0 <= sector <= geometry.total_sectors - count:
             self._check_run(sector, count)  # names what is wrong, and raises
-        if self.fault_injector is not None:
-            self.fault_injector.before_read(self, sector, count)
+        if self.faults is not None:
+            self.faults.before_read(sector, count)
         clock = self.clock
         start = issued = clock.now
         overhead = 0.0
@@ -243,8 +251,18 @@ class Disk:
                 f"data length {len(data)} != {count} sectors "
                 f"({count * sector_bytes} bytes)"
             )
-        if self.fault_injector is not None:
-            self.fault_injector.before_write(self, sector, count, data)
+        faults = self.faults
+        if faults is not None:
+            # If the power drops here, the surviving prefix lands untimed.
+            keep = faults.persists("sector-run", count)
+            if keep is not None:
+                if keep:
+                    self._store(sector, keep, None if data is None
+                                else data[: keep * sector_bytes])
+                raise faults.power_lost(
+                    "sector-run", f"sector {sector}, {count} sectors",
+                    op="write", sector=sector, count=count,
+                )
         clock = self.clock
         start = issued = clock.now
         overhead = 0.0
@@ -285,23 +303,7 @@ class Disk:
                 cursor += chunk
                 remaining -= chunk
             finish = clock.now
-        image = self._data
-        if image is not None:
-            lo = sector * sector_bytes
-            if data is None:
-                # The payload is the shared zero page: record the
-                # constant zero-sector CRC without hashing anything.
-                nbytes = count * sector_bytes
-                image[lo : lo + nbytes] = _zeros(nbytes)
-                if self.checksums is not None:
-                    self.checksums.record_zeros(sector, count)
-            else:
-                image[lo : lo + len(data)] = data
-                if self.checksums is not None:
-                    self.checksums.record(sector, data)
-        cache = self.cache
-        if cache._segment is not None:
-            cache.note_write(sector, count)
+        self._store(sector, count, data)
         counters = self.counters
         counters.writes += 1
         counters.sectors_written += count
@@ -336,10 +338,10 @@ class Disk:
         folded totals bit-identical to the scalar path; the returned
         breakdown holds this run's own totals.
 
-        With a fault injector installed the per-block oracle path runs
-        instead: hooks must observe every block write at its exact issue
-        time (and may crash between blocks), which is incompatible with
-        deferring the clock/state writes.
+        With a fault plane installed the per-block oracle path runs
+        instead: each block write is one persistence event, counted at
+        its exact issue time (and the power may drop between blocks),
+        which is incompatible with deferring the clock/state writes.
         """
         if block_sectors <= 0:
             raise ValueError("block_sectors must be positive")
@@ -356,12 +358,12 @@ class Disk:
         per_track = self.geometry.sectors_per_track
         if (
             blocks == 1
-            or self.fault_injector is not None
+            or self.faults is not None
             or per_track % block_sectors != 0
             or sector % block_sectors != 0
         ):
             # Oracle path: one ordinary write per block (exact scalar
-            # behaviour, including per-block fault hooks and writes that
+            # behaviour, including per-block persistence events and writes that
             # straddle track boundaries).
             breakdown = Breakdown()
             block_bytes = block_sectors * sector_bytes
@@ -432,16 +434,7 @@ class Disk:
         breakdown = Breakdown(
             scsi=scsi_total, transfer=transfer_total, locate=locate_total
         )
-        if self._data is not None:
-            lo = sector * sector_bytes
-            payload = data if data is not None else _zeros(count * sector_bytes)
-            self._data[lo : lo + count * sector_bytes] = payload
-            if self.checksums is not None:
-                if data is None:
-                    self.checksums.record_zeros(sector, count)
-                else:
-                    self.checksums.record(sector, payload)
-        self.cache.note_write(sector, count)
+        self._store(sector, count, data)
         return breakdown
 
     def _chunk_within_track(self, sector: int, remaining: int) -> int:

@@ -661,7 +661,7 @@ def _run_scrub_demo() -> int:
     live data, retries, quarantine, and idle-time migration."""
     from repro.disk.disk import Disk
     from repro.disk.specs import ST19101
-    from repro.blockdev.interpose import DiskFaultInjector
+    from repro.blockdev.interpose import FaultPlane
     from repro.vlog.vld import VirtualLogDisk
 
     disk = Disk(ST19101, num_cylinders=4)
@@ -672,9 +672,7 @@ def _run_scrub_demo() -> int:
 
     victim = vld.imap.get(5)
     sector = victim * vld.sectors_per_block
-    DiskFaultInjector(
-        flaky_sectors={sector: 0.75}, seed=42
-    ).install(disk)
+    FaultPlane(flaky_sectors={sector: 0.75}, seed=42).install(disk)
     print(f"32 blocks written; lba 5 lives on physical block {victim}; "
           f"sector {sector} now fails ~75% of read attempts")
 

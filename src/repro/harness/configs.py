@@ -161,7 +161,7 @@ def build_sharded_volume(
 
     Returns ``(volume, devices, disks)`` -- ``devices[i]`` is shard
     ``i``'s outermost layer, ``disks[i]`` its raw disk (the place to
-    hang a :class:`~repro.blockdev.interpose.DiskFaultInjector`).
+    install a :class:`~repro.blockdev.interpose.FaultPlane`).
     """
     # Imported lazily: repro.volume sits above this module in the layer
     # order, and only volume experiments should pay for it.

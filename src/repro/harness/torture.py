@@ -4,11 +4,12 @@
 (a sharded volume) are *pure, seeded* sweep points -- the contract every
 figure uses, so the fault matrix rides the sweep engine unchanged.  Each
 describes its device and hands it to the one plan runner,
-:func:`_run_plan`: drive a seeded workload under
-:class:`~repro.blockdev.interpose.DiskFaultInjector` plans composing
-crash-after-N physical writes, torn final writes, per-sector flaky media
-and a read-error floor; recover; run the deep fsck; and differentially
-compare every acknowledged block against an in-memory oracle.
+:func:`_run_plan`: drive a seeded workload under one
+:class:`~repro.blockdev.interpose.FaultPlane` per fault domain composing
+power loss at the N-th physical write or NVM append (whole or torn),
+per-sector flaky media and a read-error floor; recover; run the deep
+fsck; and differentially compare every acknowledged block against an
+in-memory oracle.
 
 The oracle is strict about durability: an *acknowledged* write must read
 back exactly; the blocks of the one request in flight at the crash may
@@ -32,13 +33,13 @@ import struct
 import zlib
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector, FaultPlan
+from repro.blockdev.interpose import DeviceCrashed, FaultPlan, FaultPlane
 from repro.blockdev.nvm import NVM_SPECS
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.configs import build_sharded_volume
 from repro.harness.sweep import SweepPoint, run_sweep
-from repro.nvm import NVWal, NVWalInjector
+from repro.nvm import NVWal
 from repro.vlog.recovery import RecoveryOutcome
 from repro.vlog.resilience import MediaError, vlfsck
 from repro.vlog.vld import VirtualLogDisk
@@ -303,13 +304,14 @@ class _SingleDevice:
     def down_domains(self) -> List[int]:
         return [0]
 
+    def media(self, domain: int) -> list:
+        return self.disks + ([self.wal.nvm] if self.wal is not None else [])
+
     def recover(self, down: Optional[int]) -> RecoveryOutcome:
         if down is None and self.orderly_stop:
             # No crash machinery at all: model an orderly shutdown so the
             # power-record path recovers under the same flaky media.
             self.device.power_down()
-        if self.wal is not None:
-            self.wal.injector = None
         self.device.crash()
         return self.device.recover()
 
@@ -360,6 +362,9 @@ class _VolumeDevice:
         return [i for i, state in enumerate(self.device.states)
                 if state.value == "down"]
 
+    def media(self, domain: int) -> list:
+        return [self.disks[domain]]
+
     def recover(self, down: Optional[int]) -> RecoveryOutcome:
         if down is not None:
             return self.device.recover_shard(down)
@@ -378,8 +383,9 @@ class _VolumeDevice:
 
 
 def _run_plan(target, workload: str, ops: int, seed: int,
-              crash_after: Optional[int], torn: bool, read_error_rate: float,
-              flaky: int, flaky_rate: float) -> Dict[str, Any]:
+              crash_at: Optional[Tuple[str, int]], variant: str,
+              read_error_rate: float, flaky: int,
+              flaky_rate: float) -> Dict[str, Any]:
     """Run one composed-fault plan end to end: warm up, seed flaky
     sectors under live state, run faulted until the crash lands, drive
     the degraded window, clear the crash machinery, recover, fsck +
@@ -387,10 +393,12 @@ def _run_plan(target, workload: str, ops: int, seed: int,
 
     Everything that differs between devices under test is on ``target``:
 
-    * ``device`` -- what the workload drives; ``disks[d]``/``vlds[d]`` --
-      the raw disk and the VLD of fault domain ``d``;
-    * ``crash_domain``/``flaky_domain`` -- whose disk carries the crash
-      plan (and the read-error floor) / the flaky sectors;
+    * ``device`` -- what the workload drives; ``vlds[d]`` -- the VLD of
+      fault domain ``d``; ``media(d)`` -- what its fault plane installs
+      on (the raw disk and, under an NVWal, the NVM);
+    * ``crash_domain``/``flaky_domain`` -- whose plane carries the crash
+      point ``(crash_at, variant)`` (and the read-error floor) / the
+      flaky sectors;
     * ``crash_error`` -- the fault that means "the crash landed" (its
       ``shard`` names the domain; unstamped: the only one); any other
       :class:`DeviceCrashed` reaching the runner escaped its domain;
@@ -410,7 +418,7 @@ def _run_plan(target, workload: str, ops: int, seed: int,
         raise ValueError(f"unknown workload {workload!r}; "
                          f"try one of {sorted(WORKLOADS)}")
     rng = random.Random(seed)
-    device, disks = target.device, target.disks
+    device = target.device
     oracle = _Oracle(device.block_size, seed)
     failures: List[str] = []
     #: lba -> versions a failed request *may* have left on the down
@@ -418,12 +426,11 @@ def _run_plan(target, workload: str, ops: int, seed: int,
     #: commit them by mistake.  The post-recovery audit consumes them.
     frozen: Dict[int, List[int]] = {}
     window = {"ops": 0, "unavailable": 0, "healthy_ok": 0}
-    injectors: Dict[int, DiskFaultInjector] = {}
+    planes: Dict[int, FaultPlane] = {}
     if target.crash_domain is not None:
-        injectors[target.crash_domain] = DiskFaultInjector(
-            crash_after_writes=crash_after, torn=torn,
-            read_error_rate=read_error_rate, seed=seed,
-        ).install(disks[target.crash_domain])
+        planes[target.crash_domain] = FaultPlane(
+            crash_at, variant, read_error_rate=read_error_rate, seed=seed,
+        ).install(*target.media(target.crash_domain))
 
     def settle(down: int) -> None:
         """The failed request's pending versions: a block on a healthy
@@ -481,10 +488,10 @@ def _run_plan(target, workload: str, ops: int, seed: int,
     if crashed_at < 0:
         if flaky and target.flaky_domain is not None:
             domain = target.flaky_domain
-            injector = injectors.setdefault(
-                domain, DiskFaultInjector(seed=seed)
-            ).install(disks[domain])
-            injector.flaky_sectors.update(
+            plane = planes.setdefault(
+                domain, FaultPlane(seed=seed)
+            ).install(*target.media(domain))
+            plane.flaky_sectors.update(
                 _pick_flaky(rng, target.vlds[domain], flaky, flaky_rate)
             )
         rest = run_ops(ops - warmup)
@@ -501,11 +508,11 @@ def _run_plan(target, workload: str, ops: int, seed: int,
         run_ops(target.degraded_ops, down=down)
 
     # Clear the crash machinery (media degradation persists), recover.
-    for domain, injector in injectors.items():
-        DiskFaultInjector(
-            read_error_rate=injector.read_error_rate, seed=seed + 1,
-            flaky_sectors=injector.flaky_sectors,
-        ).install(disks[domain])
+    for domain, plane in planes.items():
+        FaultPlane(
+            read_error_rate=plane.read_error_rate, seed=seed + 1,
+            flaky_sectors=plane.flaky_sectors,
+        ).install(*target.media(domain))
     outcome = target.recover(down)
 
     def check(stage: str):
@@ -551,8 +558,9 @@ def torture_point(
     (depth > 1: whole runs queue as single requests, so a crash can land
     between the run writes and the map commit).  ``nvm`` threads an
     :class:`~repro.nvm.NVWal` between the workload and the VLD;
-    ``nvm_crash_after`` arms power loss at the N-th NVM log append
-    (``nvm_torn``: that append persists only a prefix) and ``nvm_cap_kb``
+    ``nvm_crash_after`` drops the power at the N-th NVM record append
+    instead (``crash_after`` wins if both are set; ``nvm_torn``: only a
+    prefix of that append persists, else all of it) and ``nvm_cap_kb``
     bounds the log so pressure destages mix destaged and NVM-only state
     first.  The oracle is the same throughout: every acked write reads
     back new, the interrupted op old-or-new.
@@ -564,10 +572,16 @@ def torture_point(
         if nvm_cap_kb is not None:
             spec = spec.with_overrides(capacity_bytes=nvm_cap_kb << 10)
         device = NVWal(vld, spec=spec)
-        if nvm_crash_after is not None:
-            device.injector = NVWalInjector(nvm_crash_after, torn=nvm_torn)
+    # A physical write's crash loses it whole (or tears it); an NVM
+    # record's lands after the record persisted (or tears it).
+    crash_at, variant = None, "torn" if torn else "before"
+    if crash_after is not None:
+        crash_at = ("sector-run", crash_after)
+    elif nvm_crash_after is not None:
+        crash_at = ("nvm-record", nvm_crash_after)
+        variant = "torn" if nvm_torn else "after"
     target = _SingleDevice(device, disk, vld, orderly_stop=crash_after is None)
-    return _run_plan(target, workload, ops, seed, crash_after, torn,
+    return _run_plan(target, workload, ops, seed, crash_at, variant,
                      read_error_rate, flaky, flaky_rate)
 
 
@@ -585,7 +599,7 @@ def volume_torture_point(
 ) -> Dict[str, Any]:
     """One multi-shard composed-fault scenario, end to end.
 
-    Fault domains are per shard: the crash injector arms only
+    Fault domains are per shard: the crash point arms only
     ``crash_shard``'s raw disk, the fail-slow plan wraps only
     ``slow_shard``'s stack, flaky sectors degrade only ``flaky_shard``.
     After the crash the volume is driven through a *degraded window* --
@@ -609,7 +623,9 @@ def volume_torture_point(
         crash_domain=crash_shard if crash_after is not None else None,
         flaky_domain=flaky_shard,
     )
-    return _run_plan(target, workload, ops, seed, crash_after, torn,
+    crash_at = None if crash_after is None else ("sector-run", crash_after)
+    return _run_plan(target, workload, ops, seed, crash_at,
+                     "torn" if torn else "before",
                      read_error_rate, flaky, flaky_rate)
 
 
@@ -802,15 +818,19 @@ def write_repro(verdict: Dict[str, Any], minimized: Dict[str, Any],
             f"print(json.dumps({fn_name}({call}), indent=2))\""
         ),
     }
-    # Named after the plan's shape: the tier the crash lands on is part
-    # of it, or the two NVM families would share one file name.
+    # Named after the whole crash point (ordinal, tear, queue depth), or
+    # two families sharing workload, ops and ordinal share one file.
     fields = ["volume" if "shards" in params else None,
-              params.get("workload"), params.get("ops"),
-              params.get("crash_after")]
+              params.get("workload"), params.get("ops")]
+    if params.get("crash_after") is not None:
+        fields.append(f"{params['crash_after']}"
+                      + ("torn" if params.get("torn", True) else ""))
     if params.get("nvm_crash_after") is not None:
         fields.append(f"nvm{params['nvm_crash_after']}"
                       + ("torn" if params.get("nvm_torn") else ""))
     name = "-".join(str(field) for field in fields if field is not None)
+    if params.get("queue_depth", 1) > 1:
+        name += f"@depth{params['queue_depth']}"
     path = os.path.join(directory, f"torture-{name}-seed{seed}.json")
     with open(path, "w", encoding="utf-8") as sink:
         json.dump(artifact, sink, indent=2, sort_keys=True)

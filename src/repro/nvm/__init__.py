@@ -7,6 +7,6 @@ destages to the backing store during idle time.  See
 :mod:`repro.nvm.wal` for the log format and the two-tier commit point.
 """
 
-from repro.nvm.wal import NVWal, NVWalInjector
+from repro.nvm.wal import NVWal
 
-__all__ = ["NVWal", "NVWalInjector"]
+__all__ = ["NVWal"]

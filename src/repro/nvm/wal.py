@@ -27,6 +27,11 @@ is reset.
 Replayed writes are idempotent: a record that was already destaged
 before the crash rewrites the same bytes.
 
+The record append and the superblock's epoch bump both go through
+:meth:`NVWal._persist`: each is one persistence event (``"nvm-record"``,
+``"nvm-superblock"``) for a :class:`~repro.blockdev.interpose.FaultPlane`
+on the NVM, which may drop the power before, inside or after it.
+
 Log format (offsets in NVM bytes)::
 
     [0, 64)   superblock: magic, epoch, crc
@@ -76,32 +81,6 @@ _OP_WRITE = 0
 _OP_TRIM = 1
 
 
-class NVWalInjector:
-    """Crash injection at the tier's own commit point.
-
-    Arms a :class:`~repro.blockdev.interpose.DeviceCrashed` on the
-    ``crash_after_appends``-th record append.  With ``torn`` the fatal
-    record persists only a prefix of its bytes (a store cut mid-flight by
-    the power loss -- the CRC exposes it on replay); without, the record
-    reaches the persistence domain and *then* the power drops, so the
-    in-flight request legally reads back new.  Every earlier append was
-    acknowledged and must survive -- the crash lands squarely between
-    NVM commit and destage.
-    """
-
-    def __init__(self, crash_after_appends: int, torn: bool = False) -> None:
-        if crash_after_appends <= 0:
-            raise ValueError("crash_after_appends must be positive")
-        self.crash_after_appends = crash_after_appends
-        self.torn = torn
-        self.appends_seen = 0
-
-    def fatal(self) -> bool:
-        """Count one append; ``True`` when this is the fatal one."""
-        self.appends_seen += 1
-        return self.appends_seen == self.crash_after_appends
-
-
 class NVWal(BlockDevice):
     """A transparent write-ahead tier in front of a block device.
 
@@ -141,7 +120,6 @@ class NVWal(BlockDevice):
                 f"one block record ({min_capacity} bytes)"
             )
         self.nvm = NVMDevice(self.spec, self.clock)
-        self.injector: Optional[NVWalInjector] = None
         # Volatile tier state, rebuilt from the log by recover().
         self._dirty: Dict[int, bytes] = {}
         self._trimmed: Set[int] = set()
@@ -209,22 +187,37 @@ class NVWal(BlockDevice):
         crc = zlib.crc32(payload, zlib.crc32(body)) & 0xFFFFFFFF
         return b"".join((body, _REC_CRC.pack(crc), payload))
 
+    def _persist(self, kind: str, offset: int, data: bytes,
+                 total: Breakdown, **context) -> None:
+        """Store and flush ``data`` at ``offset``, charging ``total``: one
+        ``kind`` event.  If the power drops at it, the prefix the NVM's
+        fault plane names persists and the power-loss fault rises."""
+        faults = self.nvm.faults
+        keep = None if faults is None else faults.persists(kind, len(data))
+        if keep is not None:
+            if keep:
+                self.nvm.store(offset, data[:keep])
+                self.nvm.flush()
+            raise faults.power_lost(
+                kind, f"offset {offset}, {len(data)} bytes", **context
+            )
+        total.add(self.nvm.store(offset, data))
+        total.add(self.nvm.flush())
+
     def _reset_log(self) -> Breakdown:
         """Invalidate every record at once by bumping the epoch."""
         self._epoch += 1
         self._seq = 0
         self._tail = _DATA_START
         self.log_resets += 1
-        cost = self.nvm.store(0, self._superblock())
-        cost.add(self.nvm.flush())
+        cost = Breakdown()
+        self._persist("nvm-superblock", 0, self._superblock(), cost)
         return cost
 
     def _append(self, op: int, lba: int, count: int,
                 payload: bytes) -> Breakdown:
         """Append one record and flush it into the persistence domain --
-        the tier's commit point.  Raises the armed injector's crash
-        *after* counting the append, modelling power loss at (torn) or
-        just after (not torn) the store."""
+        the tier's commit point, the ``"nvm-record"`` event."""
         total = Breakdown()
         record_len = _REC.size + len(payload)
         if self._tail + record_len > self.nvm.capacity_bytes:
@@ -234,30 +227,12 @@ class NVWal(BlockDevice):
             total.add(self._destage(None))
         # Built after any reset: the record must carry the live epoch/seqno.
         record = self._record_bytes(op, lba, count, payload)
-        fatal = self.injector is not None and self.injector.fatal()
-        if fatal and self.injector.torn:
-            torn = record[: max(1, len(record) // 2)]
-            self.nvm.store(self._tail, torn)
-            self.nvm.flush()
-            from repro.blockdev.interpose import DeviceCrashed
-
-            raise DeviceCrashed(
-                "power loss tore the NVM append",
-                op="write" if op == _OP_WRITE else "trim",
-                lba=lba, count=count,
-            )
-        total.add(self.nvm.store(self._tail, record))
-        total.add(self.nvm.flush())
+        self._persist(
+            "nvm-record", self._tail, record, total,
+            op="write" if op == _OP_WRITE else "trim", lba=lba, count=count,
+        )
         self._tail += len(record)
         self._seq += 1
-        if fatal:
-            from repro.blockdev.interpose import DeviceCrashed
-
-            raise DeviceCrashed(
-                "power loss after the NVM append",
-                op="write" if op == _OP_WRITE else "trim",
-                lba=lba, count=count,
-            )
         return total
 
     # -- writes --------------------------------------------------------

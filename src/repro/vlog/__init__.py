@@ -38,7 +38,6 @@ from repro.vlog.resilience import (
     QuarantineTable,
     ResilienceController,
     RetryPolicy,
-    silently_corrupt,
     vlfsck,
 )
 from repro.vlog.vld import VirtualLogDisk
@@ -69,7 +68,6 @@ __all__ = [
     "QuarantineTable",
     "ResilienceController",
     "RetryPolicy",
-    "silently_corrupt",
     "vlfsck",
     "VirtualLogDisk",
     "Transaction",

@@ -122,11 +122,6 @@ class PowerDownStore:
             self._sector, self.sectors_per_block, blank, charge_scsi=False
         )
 
-    def corrupt(self) -> None:
-        """Fault injection: damage the record as a failed power-down would."""
-        garbage = b"\xde\xad\xbe\xef" * (self.block_size // 4)
-        self.disk.poke(self._sector, garbage)
-
 
 #: A run of sectors, ``(first_sector, count)``.
 Run = Tuple[int, int]

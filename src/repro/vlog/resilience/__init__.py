@@ -18,7 +18,7 @@ from repro.blockdev.interpose import DeviceCrashed, DeviceFault
 from repro.sim.stats import Breakdown
 from repro.vlog.entries import entries_per_chunk
 from repro.vlog.resilience.checker import FsckReport, Violation, vlfsck
-from repro.vlog.resilience.checksum import ChecksumStore, silently_corrupt
+from repro.vlog.resilience.checksum import ChecksumStore
 from repro.vlog.resilience.quarantine import QuarantineTable
 from repro.vlog.resilience.retry import MediaError, RetryPolicy
 from repro.vlog.resilience.scrubber import MediaScrubber
@@ -32,7 +32,6 @@ __all__ = [
     "ResilienceController",
     "RetryPolicy",
     "Violation",
-    "silently_corrupt",
     "vlfsck",
 ]
 

@@ -199,19 +199,3 @@ class ChecksumStore:
 def _outside(sector: int, count: int, sectors: int) -> str:
     return f"sectors [{sector}, {sector + count}) outside a store of {sectors}"
 
-
-#: Byte ``b`` -> ``b ^ 0xFF``, for :meth:`bytes.translate`.
-_INVERT = bytes(range(255, -1, -1))
-
-
-def silently_corrupt(disk, sector: int, count: int = 1) -> None:
-    """Fault injection: flip every bit of a sector run *behind the drive's
-    back* -- the raw image changes but the recorded checksums do not, so the
-    next verified read must notice.  (Writing via :meth:`Disk.poke` would
-    dutifully update the checksums, hiding the damage.)"""
-    if disk._data is None:
-        raise RuntimeError("disk was created with store_data=False")
-    sb = disk.sector_bytes
-    lo = sector * sb
-    hi = lo + count * sb
-    disk._data[lo:hi] = disk._data[lo:hi].translate(_INVERT)

@@ -8,9 +8,9 @@ import pytest
 
 from repro.blockdev.interpose import (
     DeviceCrashed,
-    DiskFaultInjector,
     FaultDevice,
     FaultPlan,
+    FaultPlane,
     InjectedReadError,
     InterposedDevice,
     MetricsDevice,
@@ -430,22 +430,27 @@ class TestFaultDevice:
 class TestDiskFaultInjector:
     def test_crashes_on_nth_physical_write(self, disk):
         device = RegularDisk(disk)
-        injector = DiskFaultInjector(crash_after_writes=2).install(disk)
+        plane = FaultPlane(("sector-run", 2)).install(disk)
         device.write_block(0, PAYLOAD)
-        with pytest.raises(DeviceCrashed):
+        with pytest.raises(DeviceCrashed, match="physical write 2"):
             device.write_block(1, PAYLOAD)
-        injector.uninstall(disk)
-        assert disk.fault_injector is None
-        # After uninstall the disk works again.
+        assert disk.faults is plane and plane.crashed
+        # The crash latches: nothing reaches the media until the power
+        # is back (a new plane, or none).
+        with pytest.raises(DeviceCrashed):
+            device.write_block(2, PAYLOAD)
+        with pytest.raises(DeviceCrashed):
+            device.read_block(0)
+        FaultPlane().install(disk)
         device.write_block(1, PAYLOAD)
 
     def test_fatal_write_is_torn_at_sector_granularity(self, disk):
         device = RegularDisk(disk)
         device.write_block(5, bytes([1]) * 4096)
-        DiskFaultInjector(crash_after_writes=1, torn=True).install(disk)
+        FaultPlane(("sector-run", 1), "torn").install(disk)
         with pytest.raises(DeviceCrashed):
             device.write_block(5, bytes([2]) * 4096)
-        disk.fault_injector = None
+        disk.faults = None
         sector = 5 * device.sectors_per_block
         assert disk.peek(sector, 4) == bytes([2]) * (4 * 512)  # first half
         assert disk.peek(sector + 4, 4) == bytes([1]) * (4 * 512)
@@ -454,13 +459,39 @@ class TestDiskFaultInjector:
         vld = VirtualLogDisk(disk)
         vld.write_block(0, PAYLOAD)
         clean_writes = disk.counters.writes
-        injector = DiskFaultInjector(crash_after_writes=1).install(disk)
+        FaultPlane(("sector-run", 1), "before").install(disk)
         with pytest.raises(DeviceCrashed):
             vld.write_block(1, PAYLOAD)
-        injector.uninstall(disk)
+        disk.faults = None
         # The VLD issues several physical writes per logical write; the
-        # injector fired inside that sequence.
+        # crash landed inside that sequence.
         assert disk.counters.writes == clean_writes
+
+    @pytest.mark.parametrize(
+        "variant,count,persisted",
+        [("before", 8, 0), ("torn", 8, 4), ("after", 8, 8), ("torn", 1, 0)],
+    )
+    def test_each_variant_persists_what_it_says(
+        self, disk, variant, count, persisted
+    ):
+        old, new = b"\x01" * 512 * count, b"\x02" * 512 * count
+        disk.write(40, count, old)
+        clock, writes = disk.clock.now, disk.counters.writes
+        FaultPlane(("sector-run", 1), variant).install(disk)
+        with pytest.raises(DeviceCrashed, match=variant):
+            disk.write(40, count, new)
+        landed = 512 * persisted
+        assert disk.peek(40, count) == new[:landed] + old[landed:]
+        # The power loss costs no simulated time and counts no write.
+        assert (disk.clock.now, disk.counters.writes) == (clock, writes)
+
+    def test_rejects_an_unknown_crash_point(self):
+        with pytest.raises(ValueError):
+            FaultPlane(("nvm-flush", 1))
+        with pytest.raises(ValueError):
+            FaultPlane(("sector-run", 0))
+        with pytest.raises(ValueError):
+            FaultPlane(("sector-run", 1), "halfway")
 
 
 class TestWrapDeviceAndFactory:
@@ -516,7 +547,7 @@ class TestDeviceFaultContext:
         assert fault.context() == {"op": "write", "count": 4}
 
     def test_injectors_fill_fields(self, disk):
-        DiskFaultInjector(bad_sectors={80}).install(disk)
+        FaultPlane(bad_sectors={80}).install(disk)
         with pytest.raises(InjectedReadError) as excinfo:
             disk.read(80, 1)
         assert excinfo.value.sector == 80
@@ -570,7 +601,7 @@ class TestMetricsFaultedBucket:
         vld.write_block(0, PAYLOAD)
         sector = vld.imap.get(0) * vld.sectors_per_block
         metrics = MetricsDevice(vld)
-        DiskFaultInjector(bad_sectors={sector}).install(disk)
+        FaultPlane(bad_sectors={sector}).install(disk)
         with pytest.raises(MediaError):
             metrics.read_block(0)
         assert metrics.faulted == {"read": 1}
@@ -583,7 +614,7 @@ class TestMetricsFaultedBucket:
 
 class TestSectorGranularInjection:
     def test_bad_sectors_fail_every_touching_read(self, disk):
-        DiskFaultInjector(bad_sectors={100}).install(disk)
+        FaultPlane(bad_sectors={100}).install(disk)
         for _ in range(3):
             with pytest.raises(InjectedReadError):
                 disk.read(96, 8)
@@ -591,18 +622,14 @@ class TestSectorGranularInjection:
         assert len(data) == 8 * disk.sector_bytes
 
     def test_flaky_sectors_reroll_per_attempt(self, disk):
-        injector = DiskFaultInjector(
-            flaky_sectors={100: 1.0}, seed=0
-        ).install(disk)
+        plane = FaultPlane(flaky_sectors={100: 1.0}, seed=0).install(disk)
         with pytest.raises(InjectedReadError):
             disk.read(100, 1)
-        injector.flaky_sectors[100] = 0.0  # transient: next attempt clean
+        plane.flaky_sectors[100] = 0.0  # transient: next attempt clean
         data, _ = disk.read(100, 1)
         assert len(data) == disk.sector_bytes
-        assert injector.read_errors_raised == 1
+        assert plane.read_errors_raised == 1
 
     def test_writes_never_fault_on_degraded_sectors(self, disk):
-        DiskFaultInjector(
-            bad_sectors={100}, flaky_sectors={101: 1.0}
-        ).install(disk)
+        FaultPlane(bad_sectors={100}, flaky_sectors={101: 1.0}).install(disk)
         disk.write(100, 2, b"\x77" * 2 * disk.sector_bytes)  # no raise

@@ -33,8 +33,8 @@ def reference_read(
     disk, sector: int, count: int = 1, charge_scsi: bool = True
 ) -> Tuple[bytes, Breakdown]:
     disk._check_run(sector, count)
-    if disk.fault_injector is not None:
-        disk.fault_injector.before_read(disk, sector, count)
+    if disk.faults is not None:
+        disk.faults.before_read(sector, count)
     breakdown = Breakdown()
     start = disk.clock.now
     if charge_scsi:

@@ -4,6 +4,7 @@ from repro.disk.cache import ReadAheadPolicy
 from repro.disk.disk import Disk
 from repro.disk.specs import HP97560, ST19101
 from repro.sim.clock import SimClock
+from tests._media import poke
 
 
 @pytest.fixture
@@ -23,7 +24,7 @@ class TestDataPath:
         assert data == bytes(4 * 512)
 
     def test_write_without_data_writes_zeros(self, disk):
-        disk.poke(50, b"\xff" * 512)
+        poke(disk, 50, b"\xff" * 512)
         disk.write(50, 1)
         assert disk.peek(50) == bytes(512)
 
@@ -39,7 +40,7 @@ class TestDataPath:
 
     def test_peek_poke_do_not_advance_time(self, disk):
         before = disk.clock.now
-        disk.poke(0, b"a" * 512)
+        poke(disk, 0, b"a" * 512)
         disk.peek(0)
         assert disk.clock.now == before
 

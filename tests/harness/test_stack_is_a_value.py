@@ -32,9 +32,9 @@ import pytest
 
 from repro.blockdev.interpose import (
     DeviceCrashed,
-    DiskFaultInjector,
     FaultDevice,
     FaultPlan,
+    FaultPlane,
     InjectedReadError,
     MetricsDevice,
     TracingDevice,
@@ -44,7 +44,6 @@ from repro.disk.specs import ST19101
 from repro.harness.configs import STACKS, build_sharded_volume, build_stack
 from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
-from repro.nvm.wal import NVWalInjector
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.compactor import FreeSpaceCompactor
 from repro.vlog.resilience import MediaError, MediaScrubber
@@ -132,7 +131,7 @@ def _bare_vld(cls=VirtualLogDisk):
 
 def _vld_under_disk_faults():
     stack = _bare_vld()
-    DiskFaultInjector(
+    FaultPlane(
         read_error_rate=0.05,
         seed=9,
         flaky_sectors={s: 0.5 for s in range(0, 4096, 7)},
@@ -145,7 +144,7 @@ def _nvwal_vld():
     wal = NVWal(stack["top"])
     # Armed to fire inside the next workload: the prefix makes 35
     # appends, one per write or trim.
-    wal.injector = NVWalInjector(crash_after_appends=45, torn=True)
+    FaultPlane(("nvm-record", 45), "torn").install(wal.nvm)
     return {**stack, "top": wal}
 
 
@@ -196,6 +195,7 @@ def _device_ops(stack, seed: int, ops: int):
                 payload = bytes([rng.randrange(1, 256)]) * (count * BLOCK)
                 entry = ("write", device.write_blocks(lba, count, payload).total.hex())
         except DeviceCrashed:
+            _restore_power(stack)
             device.crash()
             outcome = device.recover()
             entry = ("crash", outcome.breakdown.total.hex())
@@ -203,6 +203,16 @@ def _device_ops(stack, seed: int, ops: int):
             entry = ("fault", type(fault).__name__)
         log.append(entry)
     return log
+
+
+def _restore_power(stack) -> None:
+    """The restart after a crash: the latched fault plane comes off the
+    media it was installed on."""
+    media = [*stack["disks"], getattr(stack["top"], "nvm", None)]
+    for medium in media:
+        if medium is not None and medium.faults is not None:
+            if medium.faults.crashed:
+                medium.faults = None
 
 
 def _device_prefix(stack) -> None:
@@ -335,12 +345,12 @@ def test_a_fork_carries_only_the_written_pages():
 
 def test_the_armed_injector_fires_in_the_forked_workload():
     # The NVWal shape is only a crash-point fork if the crash lands after
-    # the fork: the prefix must leave the injector armed, the next
+    # the fork: the prefix must leave the plane armed, the next
     # workload must trip it.
     _build, prefix, follow = SHAPES["nvwal-vld/armed"]
     stack = _build()
     prefix(stack)
-    assert stack["top"].injector.appends_seen < 45
+    assert stack["top"].nvm.faults.counts["nvm-record"] < 45
     assert any(entry[0] == "crash" for entry in follow(stack))
 
 

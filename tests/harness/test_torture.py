@@ -182,6 +182,23 @@ class TestCheckerMutation:
             paths.add(path)
         assert len(paths) == 2  # one artifact per family, none overwritten
 
+    def test_plans_differing_in_the_crash_point_write_two_files(
+        self, tmp_path
+    ):
+        # A repro file names the whole crash point -- the ordinal, the
+        # tear, the queue depth -- or one family's artifact overwrites
+        # another's.
+        paths = set()
+        for family in ("crash+torn", "crash+torn@depth4"):
+            params = dict(FAMILIES[family], workload="small_writes")
+            verdict = {"failures": ["planted"], "params": params}
+            minimized = {"params": params, "seed": 0, "runs": 1}
+            paths.add(write_repro(verdict, minimized, directory=str(tmp_path)))
+        assert sorted(os.path.basename(path) for path in paths) == [
+            "torture-small_writes-120-35torn-seed0.json",
+            "torture-small_writes-120-35torn@depth4-seed0.json",
+        ]
+
     def test_minimize_refuses_passing_plan(self):
         with pytest.raises(ValueError, match="failing plan"):
             minimize(

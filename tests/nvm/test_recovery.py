@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.blockdev.interpose import DeviceCrashed
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.blockdev.nvm import NVM_SPECS
 from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.configs import build_sharded_volume
-from repro.nvm import NVWal, NVWalInjector
+from repro.nvm import NVWal
 from repro.sim.clock import SimClock
 from repro.vlog.vld import VirtualLogDisk
 from repro.vlog.recovery import RecoveryOutcome
@@ -111,20 +111,25 @@ class TestCrashBetweenCommitAndDestage:
         assert outcome.used_power_down_record
 
 
+def _crash_at(wal, n, variant):
+    """Drop the NVM's power at the ``n``-th record append."""
+    return FaultPlane(("nvm-record", n), variant).install(wal.nvm)
+
+
 class TestInjectedCrashes:
     def test_injector_crashes_on_nth_append(self, wal):
-        wal.injector = NVWalInjector(crash_after_appends=3)
+        _crash_at(wal, 3, "after")
         wal.write_block(0, _blk(0x01))
         wal.write_block(1, _blk(0x02))
-        with pytest.raises(DeviceCrashed):
+        with pytest.raises(DeviceCrashed, match="NVM record 3"):
             wal.write_block(2, _blk(0x03))
 
     def test_untorn_crash_keeps_fatal_record(self, wal, vld):
-        wal.injector = NVWalInjector(crash_after_appends=2)
+        _crash_at(wal, 2, "after")
         wal.write_block(0, _blk(0x01))
         with pytest.raises(DeviceCrashed):
             wal.write_block(1, _blk(0x02))
-        wal.injector = None
+        wal.nvm.faults = None
         wal.crash()
         outcome = wal.recover()
         # The record persisted before power dropped: both writes replay.
@@ -134,11 +139,11 @@ class TestInjectedCrashes:
         assert data == _blk(0x02)
 
     def test_torn_crash_discards_fatal_record_only(self, wal, vld):
-        wal.injector = NVWalInjector(crash_after_appends=2, torn=True)
+        _crash_at(wal, 2, "torn")
         wal.write_block(0, _blk(0x01))
         with pytest.raises(DeviceCrashed):
             wal.write_block(1, _blk(0x02))
-        wal.injector = None
+        wal.nvm.faults = None
         wal.crash()
         outcome = wal.recover()
         # The torn append never committed; the earlier acked write did.
@@ -151,16 +156,65 @@ class TestInjectedCrashes:
         assert data == bytes(4096)
 
     def test_write_after_torn_recovery_works(self, wal, vld):
-        wal.injector = NVWalInjector(crash_after_appends=1, torn=True)
+        _crash_at(wal, 1, "torn")
         with pytest.raises(DeviceCrashed):
             wal.write_block(0, _blk(0x01))
-        wal.injector = None
+        wal.nvm.faults = None
         wal.crash()
         wal.recover()
         wal.write_block(0, _blk(0x02))
         wal.destage_all()
         data, _ = vld.read_block(0)
         assert data == _blk(0x02)
+        assert not vlfsck(vld).violations
+
+    def test_a_crashed_tier_acknowledges_nothing(self, wal):
+        # Once the power is gone no later write may be acknowledged: an
+        # append at the same tail, over the torn bytes and with the same
+        # seqno, would survive recovery although the device was dead.
+        _crash_at(wal, 2, "torn")
+        wal.write_block(1, _blk(0x01))
+        with pytest.raises(DeviceCrashed):
+            wal.write_block(2, _blk(0x02))
+        stores = wal.nvm.stats()["stores"]
+        with pytest.raises(DeviceCrashed):
+            wal.write_block(3, _blk(0x03))
+        with pytest.raises(DeviceCrashed):
+            wal.trim(1)
+        assert wal.nvm.stats()["stores"] == stores
+
+    @pytest.mark.parametrize("variant", ["before", "torn", "after"])
+    def test_each_variant_persists_what_it_says(self, wal, variant):
+        wal.write_block(0, _blk(0x01))
+        tail = wal._tail
+        _crash_at(wal, 1, variant)  # counted from here: the next append
+        with pytest.raises(DeviceCrashed, match=variant):
+            wal.write_block(1, _blk(0x02))
+        # The record the append was storing (the crash left the tier's
+        # epoch and seqno where they were).
+        record = wal._record_bytes(0, 1, 1, _blk(0x02))
+        landed = {"before": 0, "torn": len(record) // 2,
+                  "after": len(record)}[variant]
+        assert wal.nvm.persisted(tail, len(record)) == (
+            record[:landed] + bytes(len(record) - landed)
+        )
+
+    @pytest.mark.parametrize("variant", ["before", "torn", "after"])
+    def test_a_crash_at_the_superblock_reset(self, wal, vld, variant):
+        # The reset is its own persistence event: before or torn leaves
+        # the old epoch (whose records all destaged, so replaying them
+        # is idempotent), after leaves the new one.
+        for i in range(4):
+            wal.write_block(i, _blk(0x40 + i))
+        FaultPlane(("nvm-superblock", 1), variant).install(wal.nvm)
+        with pytest.raises(DeviceCrashed, match="NVM superblock write 1"):
+            wal.destage_all()
+        wal.nvm.faults = None
+        wal.crash()
+        outcome = wal.recover()
+        assert outcome.replayed_records == (0 if variant == "after" else 4)
+        for i in range(4):
+            assert wal.read_block(i)[0] == _blk(0x40 + i)
         assert not vlfsck(vld).violations
 
     def test_double_crash_during_recovery_epoch(self, wal, vld):
@@ -175,6 +229,34 @@ class TestInjectedCrashes:
         assert outcome.replayed_records == 1
         data, _ = vld.read_block(0)
         assert data == _blk(0x02)
+
+
+class TestOneOrdinal:
+    def test_the_plane_counts_every_append_and_reset(self, disk):
+        # Each record append and each superblock reset is one event, and
+        # each physical write below the tier is one more.
+        vld = VirtualLogDisk(disk)
+        spec = NVM_SPECS["nvdimm"].with_overrides(capacity_bytes=96 << 10)
+        wal = NVWal(vld, spec=spec)
+        writes, stores = disk.counters.writes, wal.nvm.stats()["stores"]
+        plane = FaultPlane().install(disk, wal.nvm)
+        trims = 0
+        for i in range(60):
+            if i % 7 == 3:
+                wal.trim(i % 16)
+                trims += 1
+            else:
+                wal.write_block(i % 16, _blk(i))
+        wal.destage_all()
+        assert wal.pressure_destages > 0
+        assert plane.counts == {
+            "sector-run": disk.counters.writes - writes,
+            "nvm-record": wal.absorbed_writes + trims,
+            "nvm-superblock": wal.log_resets,
+        }
+        assert wal.nvm.stats()["stores"] - stores == (
+            plane.counts["nvm-record"] + plane.counts["nvm-superblock"]
+        )
 
 
 class TestBackpressureCrash:

@@ -30,6 +30,7 @@ from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.entries import MapRecord
 from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
+from tests._media import poke
 
 _SETTINGS = settings(
     max_examples=40,
@@ -245,7 +246,7 @@ def test_virtual_log_recovery_survives_recycled_block_reuse(
     rng = _random.Random(garbage_seed)
     for block in range(disk.total_sectors // 8):
         if freemap.run_is_free(block * 8, 8) and rng.random() < 0.5:
-            disk.poke(block * 8, bytes([rng.randrange(256)]) * 4096)
+            poke(disk, block * 8, bytes([rng.randrange(256)]) * 4096)
     recovered, _cost, _n = vlog.recover_from_tail(
         vlog.tail, disk_reader(vlog.disk)
     )

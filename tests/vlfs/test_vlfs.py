@@ -15,6 +15,7 @@ from repro.lfs.lfs import LFS
 from repro.ufs.ufs import UFS
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.vld import VirtualLogDisk
+from tests._media import corrupt_power_down_record
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestRecovery:
     def test_scan_fallback_recovery(self, vlfs):
         contents = self._populate(vlfs)
         vlfs.power_down()
-        vlfs.power_store.corrupt()
+        corrupt_power_down_record(vlfs.power_store)
         vlfs.crash()
         outcome = vlfs.recover()
         assert outcome.scanned

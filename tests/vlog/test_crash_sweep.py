@@ -1,8 +1,9 @@
 """Crash-point sweep: kill the device at *every* physical write of a
 workload and verify recovery (Section 3.2's atomicity/durability claims).
 
-The :class:`~repro.blockdev.interpose.DiskFaultInjector` sits below the
-logical layer, so the crash lands inside the internal data-write /
+The :class:`~repro.blockdev.interpose.FaultPlane` sits below the
+logical layer and counts every physical write as one ``"sector-run"``
+persistence event, so the crash lands inside the internal data-write /
 map-append sequence -- between the eager data write and the commit, on
 the commit itself, or on a torn data write.  After every crash point:
 
@@ -25,13 +26,18 @@ the middle of the workload as one more input: no ``recover()`` follows
 it, the workload simply continues, so the power-down record must be
 erased before the log it describes moves on (crash points land before
 the record, between record and erase, on the erase, and after it).
+
+Recovery is restartable: the nested sweep forks each crashed stack once
+per physical write its recovery issues, crashes the fork there (torn),
+recovers again, and holds the result to the same three checks.
 """
 
+import copy
 import random
 
 import pytest
 
-from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.hosts.specs import SPARCSTATION_10
@@ -176,21 +182,29 @@ def _sweep_params(factory):
     return plain + with_power_down
 
 
-def _check_crash_point(factory, crash_at, power_down_at):
+def _crashed(factory, crash_at, power_down_at):
+    """The workload, crashed at its ``crash_at``-th physical write (torn)
+    and not yet recovered: ``(under_test, acked, in_flight)``."""
     under_test = factory()
-    injector = DiskFaultInjector(
-        crash_after_writes=crash_at, torn=True
-    ).install(under_test.disk)
+    FaultPlane(("sector-run", crash_at), "torn").install(under_test.disk)
     acked = {}
     in_flight = _run_workload(under_test, power_down_at, acked)
-    injector.uninstall(under_test.disk)
+    under_test.disk.faults = None
     assert in_flight is not None, "sweep point beyond the workload's writes"
-
     under_test.crash()
+    return under_test, acked, in_flight
+
+
+def _check_crash_point(factory, crash_at, power_down_at):
+    under_test, acked, in_flight = _crashed(factory, crash_at, power_down_at)
     outcome = under_test.recover()
     if power_down_at is None:
         assert outcome.scanned  # no power-down record was ever written
+    _check_recovered(under_test, acked, in_flight)
 
+
+def _check_recovered(under_test, acked, in_flight):
+    """Durability, atomicity and stability of a recovered stack."""
     # Durability: everything acknowledged reads back exactly.
     for slot, payload in acked.items():
         assert under_test.read(slot) == payload, (
@@ -227,6 +241,68 @@ def test_vlfs_recovery_is_consistent_at_every_crash_point(
     crash_at, power_down_at
 ):
     _check_crash_point(_VLFSUnderTest, crash_at, power_down_at)
+
+
+def _recovery_writes(crashed) -> int:
+    """The physical writes a recovery of ``crashed`` issues, counted on
+    a fork."""
+    fork = copy.deepcopy(crashed)
+    plane = FaultPlane().install(fork.disk)
+    fork.recover()
+    return plane.counts["sector-run"]
+
+
+def _check_nested_crash_points(factory, crash_at, power_down_at):
+    """Crash every recovery of the point at each of its writes, torn;
+    the next recovery must lose nothing the first crash had acked."""
+    crashed, acked, in_flight = _crashed(factory, crash_at, power_down_at)
+    for nested in range(1, _recovery_writes(crashed) + 1):
+        under_test = copy.deepcopy(crashed)
+        FaultPlane(("sector-run", nested), "torn").install(under_test.disk)
+        with pytest.raises(DeviceCrashed):
+            under_test.recover()
+        under_test.disk.faults = None
+        under_test.crash()
+        under_test.recover()
+        _check_recovered(under_test, acked, in_flight)
+
+
+@pytest.mark.parametrize(
+    "crash_at,power_down_at", _sweep_params(_VLDUnderTest)
+)
+def test_a_crash_inside_recovery_loses_nothing(crash_at, power_down_at):
+    _check_nested_crash_points(_VLDUnderTest, crash_at, power_down_at)
+
+
+@pytest.mark.parametrize(
+    "crash_at,power_down_at", _sweep_params(_VLFSUnderTest)
+)
+def test_vlfs_a_crash_inside_recovery_loses_nothing(crash_at, power_down_at):
+    _check_nested_crash_points(_VLFSUnderTest, crash_at, power_down_at)
+
+
+@pytest.mark.parametrize("factory", [_VLDUnderTest, _VLFSUnderTest])
+@pytest.mark.parametrize("power_down_at", [None, _POWER_DOWN_AT])
+def test_the_plane_counts_what_the_sweep_counts(factory, power_down_at):
+    # The sweep's ids are physical writes counted by the disk; the
+    # plane's ``"sector-run"`` ordinal is the same number.
+    under_test = factory()
+    plane = FaultPlane().install(under_test.disk)
+    _run_workload(under_test, power_down_at)
+    assert plane.counts == {
+        "sector-run": _clean_run_write_count(factory, power_down_at),
+        "nvm-record": 0,
+        "nvm-superblock": 0,
+    }
+
+
+def test_the_nested_sweep_reaches_recoveries_that_write():
+    # A recovery of a log with records in it erases the power-down
+    # record's block at least: the nested sweep has points to crash.
+    for factory in (_VLDUnderTest, _VLFSUnderTest):
+        last = _clean_run_write_count(factory)
+        crashed, _acked, _in_flight = _crashed(factory, last, None)
+        assert _recovery_writes(crashed) >= 1
 
 
 def test_sweep_covers_multiple_writes_per_logical_write():

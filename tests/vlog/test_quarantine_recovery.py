@@ -9,7 +9,7 @@ nothing handed back to the allocator), never a silently emptied one.
 
 import pytest
 
-from repro.blockdev.interpose import DiskFaultInjector
+from repro.blockdev.interpose import FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.entries import QUARANTINE_CHUNK_BASE
@@ -52,7 +52,7 @@ class TestDeadQuarantineRecord:
         record_sector = _quarantine_record_sector(vld)
 
         # The record's home sector dies; every read of it now fails.
-        DiskFaultInjector(bad_sectors={record_sector}, seed=3).install(disk)
+        FaultPlane(bad_sectors={record_sector}, seed=3).install(disk)
         vld.crash()
         outcome = vld.recover()
 
@@ -70,7 +70,7 @@ class TestDeadQuarantineRecord:
         vld.resilience.quarantine_sector(victim)
         vld.resilience.persist_quarantine()
         record_sector = _quarantine_record_sector(vld)
-        DiskFaultInjector(bad_sectors={record_sector}, seed=3).install(disk)
+        FaultPlane(bad_sectors={record_sector}, seed=3).install(disk)
         vld.crash()
         outcome = vld.recover()
 
@@ -88,7 +88,7 @@ class TestDeadQuarantineRecord:
         vld.resilience.quarantine_sector(disk.total_sectors - 5)
         vld.resilience.persist_quarantine()
         record_sector = _quarantine_record_sector(vld)
-        DiskFaultInjector(bad_sectors={record_sector}, seed=3).install(disk)
+        FaultPlane(bad_sectors={record_sector}, seed=3).install(disk)
         vld.crash()
         vld.recover()
         for lba in range(10):
@@ -105,7 +105,7 @@ class TestDeadQuarantineRecord:
         the scrubber's salvage path instead."""
         _fill(vld)
         live_sector = vld.imap.get(3) * vld.sectors_per_block
-        DiskFaultInjector(bad_sectors={live_sector}, seed=3).install(disk)
+        FaultPlane(bad_sectors={live_sector}, seed=3).install(disk)
         vld.crash()
         outcome = vld.recover()
         assert live_sector not in vld.resilience.quarantine

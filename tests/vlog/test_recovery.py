@@ -27,6 +27,7 @@ from tests.vlog.test_recovery_scan_reuse import (
     SCAN_LOST_THE_TAIL,
     _flaky_tail_recovery,
 )
+from tests._media import corrupt_power_down_record, poke
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ class TestPowerDownStore:
         """The 'extremely rare case when this power down sequence fails'
         must be detected, not trusted."""
         store.write(9, 2)
-        store.corrupt()
+        corrupt_power_down_record(store)
         record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
@@ -67,7 +68,7 @@ class TestPowerDownStore:
         store.write(1000, 50)
         raw = bytearray(disk.peek(store._sector, store.sectors_per_block))
         raw[9] ^= 0x40  # flip a bit inside the tail field
-        disk.poke(store._sector, bytes(raw))
+        poke(disk, store._sector, bytes(raw))
         record, _ = store.read(disk_reader(store.disk))
         assert record is None
 
@@ -84,7 +85,7 @@ def _scan_for_tail(disk, skip_sectors=0):
 class TestScanFallback:
     def _plant(self, disk, block, chunk_id, seqno):
         record = MapRecord(chunk_id=chunk_id, seqno=seqno, entries=[seqno])
-        disk.poke(block * 8, record.pack(4096))
+        poke(disk, block * 8, record.pack(4096))
 
     def test_finds_youngest_record(self, disk):
         self._plant(disk, 10, 0, 5)
@@ -99,7 +100,7 @@ class TestScanFallback:
         assert tail is None
 
     def test_data_blocks_ignored(self, disk):
-        disk.poke(80, b"Z" * 4096)
+        poke(disk, 80, b"Z" * 4096)
         self._plant(disk, 50, 0, 3)
         tail, _, _ = _scan_for_tail(disk)
         assert tail == 50
@@ -153,7 +154,7 @@ class TestScanUnalignedGeometry:
 
     def _plant(self, disk, block, seqno):
         record = MapRecord(chunk_id=0, seqno=seqno, entries=[seqno])
-        disk.poke(block * 8, record.pack(4096))
+        poke(disk, block * 8, record.pack(4096))
 
     def test_examines_every_whole_block(self):
         disk = Disk(_tiny_unaligned_spec())
@@ -319,7 +320,7 @@ def _random_image(disk, block_size, kinds, rng):
                 continue
             sector += 1
             payload = record
-        disk.poke(sector, payload)
+        poke(disk, sector, payload)
 
 
 class TestSieveScanDifferential:
@@ -583,7 +584,7 @@ class TestUnreadableTailMediaError:
     a media error (not CRC corruption) must fall back to the scan."""
 
     def test_valid_record_dead_tail_block_recovers_by_scan(self):
-        from repro.blockdev.interpose import DiskFaultInjector
+        from repro.blockdev.interpose import FaultPlane
         from repro.vlog.vld import VirtualLogDisk
 
         disk = Disk(ST19101, num_cylinders=2)
@@ -594,7 +595,7 @@ class TestUnreadableTailMediaError:
         tail_sector = vld.vlog.tail * vld.vlog.sectors_per_block
         vld.crash()
         # The record is intact; only the tail block's media has died.
-        DiskFaultInjector(bad_sectors={tail_sector}).install(disk)
+        FaultPlane(bad_sectors={tail_sector}).install(disk)
         outcome = vld.recover()
         assert outcome.used_power_down_record  # the record itself parsed
         assert outcome.scanned  # ... but the traversal had to re-seed
@@ -623,7 +624,7 @@ class TestUnreadableTailMediaError:
         vld.crash()
         raw = bytearray(disk.peek(tail_sector, 1))
         raw[20] ^= 0xFF  # corrupt the record body: CRC now fails
-        disk.poke(tail_sector, bytes(raw))
+        poke(disk, tail_sector, bytes(raw))
         outcome = vld.recover()
         assert outcome.used_power_down_record
         assert outcome.scanned

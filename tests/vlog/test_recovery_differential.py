@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.entries import entries_per_chunk
@@ -44,11 +44,9 @@ BS = 4096
 
 def _check_crash_point(factory, state, crash_at, power_down_at):
     under_test = factory()
-    injector = DiskFaultInjector(
-        crash_after_writes=crash_at, torn=True
-    ).install(under_test.disk)
+    FaultPlane(("sector-run", crash_at), "torn").install(under_test.disk)
     _run_workload(under_test, power_down_at)
-    injector.uninstall(under_test.disk)
+    under_test.disk.faults = None
     device = under_test.device
     device.crash()
     recover_both(device, state)
@@ -126,13 +124,11 @@ def test_the_spread_workload_overflows_a_records_bypass_slots():
 
 def _crashed_spread(crash_at):
     disk, device = _spread_device()
-    injector = DiskFaultInjector(
-        crash_after_writes=crash_at, torn=True
-    ).install(disk)
+    FaultPlane(("sector-run", crash_at), "torn").install(disk)
     acked, in_flight = {}, {}
     with pytest.raises(DeviceCrashed):
         run_spread(device, acked, in_flight)
-    injector.uninstall(disk)
+    disk.faults = None
     device.crash()
     return disk, device, acked, in_flight
 
@@ -180,12 +176,10 @@ def test_a_crash_inside_the_repair_loses_nothing(crash_at):
     assert device.vlog.relocations - relocations >= 2
     for repair_crash_at in range(1, disk.counters.writes - writes + 1):
         disk, device, acked, in_flight = _crashed_spread(crash_at)
-        injector = DiskFaultInjector(
-            crash_after_writes=repair_crash_at, torn=True
-        ).install(disk)
+        FaultPlane(("sector-run", repair_crash_at), "torn").install(disk)
         with pytest.raises(DeviceCrashed):
             device.recover()
-        injector.uninstall(disk)
+        disk.faults = None
         device.crash()
         recover_both(device)
         for lba, tag in acked.items():
@@ -234,12 +228,10 @@ def test_abort_crash_points(crash_at):
     # stops expanding the kept one once it is written: chunk 1's record
     # must be re-homed before that, not after.
     disk, vld, abort = _aborting_vld()
-    injector = DiskFaultInjector(
-        crash_after_writes=crash_at, torn=True
-    ).install(disk)
+    FaultPlane(("sector-run", crash_at), "torn").install(disk)
     with pytest.raises(DeviceCrashed):
         abort()
-    injector.uninstall(disk)
+    disk.faults = None
     vld.crash()
     recover_both(vld)
     per_chunk = entries_per_chunk(vld.map_record_bytes)

@@ -23,16 +23,16 @@ import hashlib
 
 import pytest
 
-from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.configs import build_sharded_volume
 from repro.hosts.specs import SPARCSTATION_10
-from repro.nvm import NVWal, NVWalInjector
+from repro.nvm import NVWal
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.entries import QUARANTINE_CHUNK_BASE
-from repro.vlog.resilience import silently_corrupt
 from repro.vlog.vld import VirtualLogDisk
+from tests._media import silently_corrupt
 from tests.vlog.test_recovery_scan_reuse import (
     RAISED_AFTER_POWER_DOWN,
     RAISED_AFTER_SCAN,
@@ -170,7 +170,7 @@ def _vld_reconstruct() -> str:
     interior = vld.vlog.tail
     expected = _fill_vld(vld, range(9))  # ... stays interior
     vld.crash()
-    DiskFaultInjector(
+    FaultPlane(
         bad_sectors={interior * vld.vlog.sectors_per_block}
     ).install(disk)
     outcome = vld.recover()
@@ -226,12 +226,12 @@ def _nvwal_vld(torn: bool) -> str:
     wal.trim(5)
     expected[5] = bytes(BS)
     if torn:
-        wal.injector = NVWalInjector(crash_after_appends=2, torn=True)
+        FaultPlane(("nvm-record", 2), "torn").install(wal.nvm)
         wal.write_block(6, _blk(6))
         with pytest.raises(DeviceCrashed):
             wal.write_block(60, _blk(61))
         expected[6] = _blk(6)
-        wal.injector = None
+        wal.nvm.faults = None
     wal.crash()
     outcome = wal.recover()
     assert outcome.torn_tail is torn
@@ -390,7 +390,7 @@ def _dead_quarantine_record() -> str:
     vld.resilience.persist_quarantine()
     block = vld.vlog.location_of(QUARANTINE_CHUNK_BASE)
     record_sector = block * vld.vlog.sectors_per_block
-    DiskFaultInjector(bad_sectors={record_sector}, seed=3).install(disk)
+    FaultPlane(bad_sectors={record_sector}, seed=3).install(disk)
     vld.crash()
     outcome = vld.recover()
     assert outcome.scanned and outcome.conservatively_quarantined >= 1

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from repro.blockdev.interpose import DiskFaultInjector
+from repro.blockdev.interpose import FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.vld import VirtualLogDisk
@@ -50,11 +50,9 @@ def _flaky_tail_recovery(seed, power_down):
     if power_down:
         vld.power_down()
     vld.crash()
-    injector = DiskFaultInjector(
-        seed=seed, flaky_sectors={tail_sector: 0.6}
-    ).install(disk)
+    FaultPlane(seed=seed, flaky_sectors={tail_sector: 0.6}).install(disk)
     outcome = vld.recover()
-    injector.uninstall(disk)
+    disk.faults = None
     return vld, outcome, acked
 
 
@@ -99,17 +97,17 @@ def test_a_tail_the_scan_could_not_read_is_not_lost(seed):
     assert _lost(vld, acked) == []
 
 
-class _ReadLog(DiskFaultInjector):
-    """A fault injector that also notes the start and length of every
-    read the disk services."""
+class _ReadLog(FaultPlane):
+    """A fault plane that also notes the start and length of every read
+    the disk services."""
 
     def __init__(self, **faults) -> None:
         super().__init__(**faults)
         self.reads = []
 
-    def before_read(self, disk, sector, count) -> None:
+    def before_read(self, sector, count) -> None:
         self.reads.append((sector, count))
-        super().before_read(disk, sector, count)
+        super().before_read(sector, count)
 
 
 def test_a_degraded_walk_after_a_scan_reads_each_track_once():

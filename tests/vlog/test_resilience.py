@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.blockdev.interpose import DeviceCrashed, DiskFaultInjector
+from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
@@ -16,11 +16,11 @@ from repro.vlog.resilience import (
     ChecksumStore,
     MediaError,
     RetryPolicy,
-    silently_corrupt,
     vlfsck,
 )
 from repro.vlog.vld import VirtualLogDisk
 from tests.disk.reference_freemap import ReferenceFreeSpaceMap
+from tests._media import poke, silently_corrupt
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ class TestWholeTrackVerify:
     def test_mostly_unrecorded_track(self, disk, track):
         start, per_track = track
         assert self._bad(disk, start, per_track) == []
-        disk.poke(start + 17, b"\x5a" * 512)
+        poke(disk, start + 17, b"\x5a" * 512)
         assert self._bad(disk, start, per_track) == []
         silently_corrupt(disk, start + 17)
         assert self._bad(disk, start, per_track) == [start + 17]
@@ -131,8 +131,8 @@ class TestWholeTrackVerify:
         (a lost write) is exactly what it must not wave through."""
         start, per_track = track
         disk.write(start, per_track)
-        disk.poke(start + 3, b"\x77" * 512)
-        disk.poke(start + 90, b"\x78" * 512)
+        poke(disk, start + 3, b"\x77" * 512)
+        poke(disk, start + 90, b"\x78" * 512)
         for sector in (start + 3, start + 90):
             disk._data[sector * 512 : (sector + 1) * 512] = bytes(512)
         assert self._bad(disk, start, per_track) == [start + 3, start + 90]
@@ -140,7 +140,7 @@ class TestWholeTrackVerify:
     def test_dense_track(self, disk, track):
         start, per_track = track
         rng = random.Random(4)
-        disk.poke(start, rng.randbytes(per_track * 512))
+        poke(disk, start, rng.randbytes(per_track * 512))
         assert self._bad(disk, start, per_track) == []
         silently_corrupt(disk, start + 255)
         silently_corrupt(disk, start)
@@ -148,7 +148,7 @@ class TestWholeTrackVerify:
 
     def test_single_sector_run(self, disk, track):
         start, _ = track
-        disk.poke(start + 9, b"\x42" * 512)
+        poke(disk, start + 9, b"\x42" * 512)
         assert disk.checksums.verify(start + 9, 1, disk.peek(start + 9)) == []
         assert disk.checksums.verify(start + 8, 1, disk.peek(start + 8)) == []
         silently_corrupt(disk, start + 9)
@@ -211,7 +211,7 @@ class TestRetriedReads:
     def test_transient_error_is_retried_to_success(self, vld, disk):
         _fill(vld, 4)
         sector = vld.imap.get(2) * vld.sectors_per_block
-        injector = DiskFaultInjector(
+        plane = FaultPlane(
             flaky_sectors={sector: 1.0}, seed=3
         ).install(disk)
         with pytest.raises(MediaError):
@@ -221,14 +221,14 @@ class TestRetriedReads:
         assert res.media_errors == 1
         assert res.suspects == [sector]
         # The fault clears (it was transient): the next read succeeds.
-        injector.flaky_sectors[sector] = 0.0
+        plane.flaky_sectors[sector] = 0.0
         data, _ = vld.read_block(2)
         assert data == _payload(2)
 
     def test_media_error_carries_structured_fields(self, vld, disk):
         _fill(vld, 4)
         sector = vld.imap.get(1) * vld.sectors_per_block
-        DiskFaultInjector(bad_sectors={sector}).install(disk)
+        FaultPlane(bad_sectors={sector}).install(disk)
         with pytest.raises(MediaError) as excinfo:
             vld.read_block(1)
         error = excinfo.value
@@ -240,7 +240,7 @@ class TestRetriedReads:
     def test_backoff_charged_as_locate_time(self, vld, disk):
         _fill(vld, 4)
         sector = vld.imap.get(0) * vld.sectors_per_block
-        DiskFaultInjector(bad_sectors={sector}).install(disk)
+        FaultPlane(bad_sectors={sector}).install(disk)
         breakdown = Breakdown()
         before = disk.clock.now
         policy = vld.resilience.policy
@@ -264,8 +264,9 @@ class TestRetriedReads:
 
     def test_device_crash_is_never_retried(self, vld, disk):
         _fill(vld, 2)
-        DiskFaultInjector(crash_after_writes=1).install(disk)
-        disk.fault_injector.crashed = True
+        FaultPlane(("sector-run", 1)).install(disk)
+        with pytest.raises(DeviceCrashed):
+            disk.write(0)  # the power drops: the plane latches
         with pytest.raises(DeviceCrashed):
             vld.read_block(0)
         assert vld.resilience.retries == 0
@@ -386,12 +387,12 @@ class TestScrubber:
         _fill(vld, 10)
         old_block = vld.imap.get(3)
         sector = old_block * vld.sectors_per_block
-        injector = DiskFaultInjector(
+        plane = FaultPlane(
             flaky_sectors={sector: 1.0}, seed=5
         ).install(disk)
         with pytest.raises(MediaError):
             vld.read_block(3)
-        injector.flaky_sectors[sector] = 0.0  # transient fault clears
+        plane.flaky_sectors[sector] = 0.0  # transient fault clears
         vld.idle(0.5)
         scrubber = vld.resilience.scrubber
         assert scrubber.blocks_migrated == 1
@@ -407,7 +408,7 @@ class TestScrubber:
         _fill(vld, 10)
         old_block = vld.imap.get(5)
         sector = old_block * vld.sectors_per_block
-        DiskFaultInjector(flaky_sectors={sector: 0.8}, seed=9).install(disk)
+        FaultPlane(flaky_sectors={sector: 0.8}, seed=9).install(disk)
         vld.resilience.note_suspect(sector)
         vld.idle(1.0)
         assert vld.resilience.scrubber.blocks_migrated == 1
@@ -419,7 +420,7 @@ class TestScrubber:
         _fill(vld, 10)
         old_block = vld.imap.get(4)
         sector = old_block * vld.sectors_per_block
-        DiskFaultInjector(bad_sectors={sector}).install(disk)
+        FaultPlane(bad_sectors={sector}).install(disk)
         with pytest.raises(MediaError):
             vld.read_block(4)
         vld.idle(1.0)
@@ -548,7 +549,7 @@ class TestDegradedRecovery:
         _fill(vld, 8)
         bad = interior * vld.vlog.sectors_per_block
         vld.crash()
-        DiskFaultInjector(bad_sectors={bad}).install(disk)
+        FaultPlane(bad_sectors={bad}).install(disk)
         outcome = vld.recover()
         assert outcome.degraded
         assert outcome.reconstructed
@@ -570,7 +571,7 @@ class TestDegradedRecovery:
         flaky = {
             rng.randrange(disk.total_sectors): 0.4 for _ in range(20)
         }
-        DiskFaultInjector(flaky_sectors=flaky, seed=2).install(disk)
+        FaultPlane(flaky_sectors=flaky, seed=2).install(disk)
         outcome = vld.recover()
         assert outcome.scanned
         for lba in range(8):

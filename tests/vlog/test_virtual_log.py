@@ -11,6 +11,7 @@ from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 from repro.vlog.vld import VirtualLogDisk
+from tests._media import poke
 
 
 def _recover(vlog, tail):
@@ -193,7 +194,7 @@ class TestRecovery:
         # Smash every free block with garbage, as reuse for data would.
         for block in range(h.disk.total_sectors // 8):
             if h.freemap.run_is_free(block * 8, 8):
-                h.disk.poke(block * 8, b"\xcd" * 4096)
+                poke(h.disk, block * 8, b"\xcd" * 4096)
         chunks, _, _ = _recover(h.vlog, h.vlog.tail)
         assert chunks == {c: list(h.chunks[c]) for c in range(4)}
 

@@ -8,6 +8,7 @@ from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.recovery import disk_reader
 from repro.vlog.vld import VirtualLogDisk
+from tests._media import corrupt_power_down_record
 
 
 @pytest.fixture
@@ -164,7 +165,7 @@ class TestCrashRecovery:
     def test_corrupt_power_down_record_forces_scan(self, vld):
         self._fill(vld, n=50)
         vld.power_down()
-        vld.power_store.corrupt()
+        corrupt_power_down_record(vld.power_store)
         vld.crash()
         outcome = vld.recover()
         assert outcome.scanned

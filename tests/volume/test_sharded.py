@@ -3,7 +3,7 @@ containment, and the volume-level fsck."""
 
 import pytest
 
-from repro.blockdev.interpose import DiskFaultInjector
+from repro.blockdev.interpose import FaultPlane
 from repro.harness.configs import build_sharded_volume
 from repro.vlog.recovery import RecoveryOutcome
 from repro.vlog.resilience import MediaError
@@ -134,7 +134,7 @@ class TestFaultContainment:
         )
         _, s_lba = volume.shard_of(victim)
         sector = devices[2].imap.get(s_lba) * devices[2].sectors_per_block
-        DiskFaultInjector(bad_sectors={sector}, seed=1).install(disks[2])
+        FaultPlane(bad_sectors={sector}, seed=1).install(disks[2])
         with pytest.raises(MediaError) as err:
             volume.read_block(victim)
         assert err.value.shard == 2
