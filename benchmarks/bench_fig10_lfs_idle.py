@@ -1,48 +1,11 @@
 """Figure 10: LFS (with NVRAM) latency as a function of idle-interval
 length, one curve per burst size."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure10(benchmark):
-    if full_scale():
-        burst_kbs = [128, 256, 504, 1008, 2016, 4032]
-        idle_seconds = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        bursts = 6
-    else:
-        burst_kbs = [128, 504, 2016]
-        idle_seconds = [0.0, 0.25, 1.0, 4.0, 7.0]
-        bursts = 4
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure10(
-            burst_kbs=burst_kbs,
-            idle_seconds=idle_seconds,
-            utilization=0.8,
-            bursts=bursts,
-        ),
-    )
-
-    print()
-    for burst, series in result.items():
-        rows = [
-            [f"{idle:.1f}s", latency]
-            for idle, latency in zip(
-                series["idle_seconds"], series["latency_ms"]
-            )
-        ]
-        print(
-            format_table(
-                ["idle interval", "latency (ms/4KB)"],
-                rows,
-                title=f"Figure 10 (LFS + NVRAM): burst {burst}",
-            )
-        )
-        print()
+    result = run_experiment(benchmark, "figure10")
 
     # Idle time helps: with long intervals every burst is absorbed and
     # flushed/cleaned in the background.
@@ -50,5 +13,5 @@ def test_figure10(benchmark):
         latencies = series["latency_ms"]
         assert latencies[-1] <= latencies[0] * 1.05
     # Small bursts reach memory speed with enough idle time (point D).
-    smallest = result[f"{burst_kbs[0]}K"]["latency_ms"]
+    smallest = result["128K"]["latency_ms"]
     assert smallest[-1] < 1.0

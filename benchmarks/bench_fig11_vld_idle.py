@@ -5,48 +5,11 @@ granularity, so the VLD profits from a continuum of *short* idle intervals
 and behaves predictably, where LFS needs segment-sized idle time.
 """
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure11(benchmark):
-    if full_scale():
-        burst_kbs = [128, 256, 512, 1024, 2048, 4096]
-        idle_seconds = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-        bursts = 6
-    else:
-        burst_kbs = [128, 512, 2048]
-        idle_seconds = [0.0, 0.1, 0.3, 0.6]
-        bursts = 4
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure11(
-            burst_kbs=burst_kbs,
-            idle_seconds=idle_seconds,
-            utilization=0.8,
-            bursts=bursts,
-        ),
-    )
-
-    print()
-    for burst, series in result.items():
-        rows = [
-            [f"{idle * 1e3:.0f}ms", latency]
-            for idle, latency in zip(
-                series["idle_seconds"], series["latency_ms"]
-            )
-        ]
-        print(
-            format_table(
-                ["idle interval", "latency (ms/4KB)"],
-                rows,
-                title=f"Figure 11 (UFS on VLD): burst {burst}",
-            )
-        )
-        print()
+    result = run_experiment(benchmark, "figure11")
 
     for burst, series in result.items():
         latencies = series["latency_ms"]

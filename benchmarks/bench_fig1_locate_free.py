@@ -1,44 +1,11 @@
 """Figure 1: time to locate the first free sector vs disk utilization,
 analytical model vs eager-writing simulation, for both drives."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure1(benchmark):
-    trials = 500 if full_scale() else 200
-    fractions = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure1(fractions=fractions, trials=trials),
-    )
-
-    print()
-    for disk in ("HP97560", "ST19101"):
-        series = result[disk]
-        rows = [
-            [
-                f"{1 - p:.0%}",
-                model * 1e3,
-                sim * 1e3,
-            ]
-            for p, model, sim in zip(
-                series["free_fraction"],
-                series["model_seconds"],
-                series["simulated_seconds"],
-            )
-        ]
-        print(
-            format_table(
-                ["utilization", "model (ms)", "simulated (ms)"],
-                rows,
-                title=f"Figure 1 ({disk}): locate-free-sector latency",
-            )
-        )
-        print()
+    result = run_experiment(benchmark, "figure1")
 
     # Shape assertions: model tracks simulation; latency monotone in
     # utilization; Seagate ~an order of magnitude below HP.
@@ -48,7 +15,7 @@ def test_figure1(benchmark):
         assert sims[0] > sims[-1]
         for model, sim in zip(models, sims):
             assert sim < 4 * model + 5e-4
-    mid = len(fractions) // 2
+    mid = len(result["HP97560"]["free_fraction"]) // 2
     assert (
         result["HP97560"]["model_seconds"][mid]
         > 5 * result["ST19101"]["model_seconds"][mid]

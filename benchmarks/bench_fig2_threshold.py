@@ -1,40 +1,11 @@
 """Figure 2: average latency to locate free sectors while filling empty
 tracks, as a function of the track-switch threshold; model vs simulation."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure2(benchmark):
-    trials = 80 if full_scale() else 25
-    thresholds = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure2(thresholds=thresholds, trials=trials),
-    )
-
-    print()
-    for disk in ("HP97560", "ST19101"):
-        series = result[disk]
-        rows = [
-            [f"{t:.0%}", model * 1e3, sim * 1e3]
-            for t, model, sim in zip(
-                series["threshold"],
-                series["model_seconds"],
-                series["simulated_seconds"],
-            )
-        ]
-        print(
-            format_table(
-                ["reserved free", "model (ms)", "simulated (ms)"],
-                rows,
-                title=f"Figure 2 ({disk}): track-fill latency vs threshold",
-            )
-        )
-        print()
+    result = run_experiment(benchmark, "figure2")
 
     # U-shape: the middle beats both extremes, in model and simulation.
     for disk in ("HP97560", "ST19101"):

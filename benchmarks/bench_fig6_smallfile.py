@@ -1,39 +1,11 @@
 """Figure 6: small-file create/read/delete on the four stacks,
 normalized to UFS on the regular disk."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure6(benchmark):
-    num_files = 1500 if full_scale() else 500
-
-    result = run_once(
-        benchmark, lambda: experiments.figure6(num_files=num_files)
-    )
-
-    print()
-    rows = [
-        [
-            stack,
-            result["normalized"][stack]["create"],
-            result["normalized"][stack]["read"],
-            result["normalized"][stack]["delete"],
-        ]
-        for stack in ("ufs-regular", "ufs-vld", "lfs-regular", "lfs-vld")
-    ]
-    print(
-        format_table(
-            ["stack", "create", "read", "delete"],
-            rows,
-            title=(
-                f"Figure 6: small-file performance, {num_files} x 1 KB "
-                "(normalized to ufs-regular; higher is better)"
-            ),
-        )
-    )
+    result = run_experiment(benchmark, "figure6")
 
     normalized = result["normalized"]
     # VLD accelerates UFS's synchronous create/delete substantially.

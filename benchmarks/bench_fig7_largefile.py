@@ -1,33 +1,10 @@
 """Figure 7: large-file bandwidths per phase on the four stacks."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-from repro.workloads.largefile import LargeFileResult
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure7(benchmark):
-    file_mb = 10 if full_scale() else 4
-
-    result = run_once(
-        benchmark, lambda: experiments.figure7(file_mb=file_mb)
-    )
-
-    print()
-    rows = []
-    for stack in ("ufs-regular", "ufs-vld", "lfs-regular", "lfs-vld"):
-        row = [stack]
-        for phase in LargeFileResult.PHASES:
-            row.append(result[stack].get(phase, float("nan")))
-        rows.append(row)
-    print(
-        format_table(
-            ["stack", *LargeFileResult.PHASES],
-            rows,
-            title=f"Figure 7: large-file bandwidth, {file_mb} MB (MB/s)",
-        )
-    )
+    result = run_experiment(benchmark, "figure7")
 
     # Synchronous random writes: VLD far ahead of update-in-place.
     assert (

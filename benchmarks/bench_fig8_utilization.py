@@ -1,49 +1,11 @@
 """Figure 8: random 4 KB synchronous updates vs disk utilization, for
 UFS/regular, UFS/VLD, and LFS-with-NVRAM/regular."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure8(benchmark):
-    if full_scale():
-        file_mbs = [1, 2, 4, 6, 8, 10, 12, 14, 16, 17, 18, 19]
-        updates, warmup = 400, 150
-        lfs_updates, lfs_warmup = 4000, 2500
-    else:
-        file_mbs = [2, 6, 10, 14, 17, 19]
-        updates, warmup = 150, 50
-        lfs_updates, lfs_warmup = 2500, 1500
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure8(
-            file_mbs=file_mbs,
-            updates=updates,
-            warmup=warmup,
-            lfs_updates=lfs_updates,
-            lfs_warmup=lfs_warmup,
-        ),
-    )
-
-    print()
-    for system, series in result.items():
-        rows = [
-            [f"{u:.0%}", latency]
-            for u, latency in zip(
-                series["utilization"], series["latency_ms"]
-            )
-        ]
-        print(
-            format_table(
-                ["utilization", "latency (ms/4KB)"],
-                rows,
-                title=f"Figure 8: {system}",
-            )
-        )
-        print()
+    result = run_experiment(benchmark, "figure8")
 
     ufs_regular = result["ufs-regular"]["latency_ms"]
     ufs_vld = result["ufs-vld"]["latency_ms"]

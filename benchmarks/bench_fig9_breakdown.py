@@ -1,40 +1,13 @@
 """Figure 9: latency breakdown (SCSI / transfer / locate / other) for
 update-in-place vs virtual logging across the three platforms."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
 from repro.sim.stats import COMPONENTS
 
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_figure9(benchmark):
-    updates, warmup = (400, 150) if full_scale() else (150, 50)
-
-    result = run_once(
-        benchmark,
-        lambda: experiments.figure9(
-            utilization=0.8, updates=updates, warmup=warmup
-        ),
-    )
-
-    print()
-    rows = []
-    for key, entry in result.items():
-        rows.append(
-            [
-                key,
-                *(f"{entry[c] * 100:.0f}%" for c in COMPONENTS),
-                entry["total_ms"],
-            ]
-        )
-    print(
-        format_table(
-            ["platform/system", *COMPONENTS, "total (ms)"],
-            rows,
-            title="Figure 9: latency breakdown",
-        )
-    )
+    result = run_experiment(benchmark, "figure9")
 
     # Update-in-place becomes increasingly dominated by mechanical delay.
     assert result["st19101+sparc10/regular"]["locate"] > 0.5

@@ -1,29 +1,10 @@
 """Table 1: parameters of the HP97560 and Seagate ST19101 disks."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import run_once
+from .conftest import run_experiment
 
 
 def test_table1(benchmark):
-    table = run_once(benchmark, experiments.table1)
-
-    rows = []
-    for param in (
-        "sectors_per_track",
-        "tracks_per_cylinder",
-        "head_switch_ms",
-        "min_seek_ms",
-        "rpm",
-        "scsi_overhead_ms",
-    ):
-        rows.append(
-            [param, table["HP97560"][param], table["ST19101"][param]]
-        )
-    print()
-    print(format_table(["parameter", "HP97560", "ST19101"], rows,
-                       title="Table 1: disk parameters"))
+    table = run_experiment(benchmark, "table1")
 
     assert table["HP97560"]["sectors_per_track"] == 72
     assert table["ST19101"]["sectors_per_track"] == 256

@@ -1,40 +1,11 @@
 """Table 2: the update-in-place vs virtual-log gap across technology
 generations (HP+SPARC -> Seagate+SPARC -> Seagate+UltraSPARC)."""
 
-from repro.harness import experiments
-from repro.harness.report import format_table
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_table2(benchmark):
-    updates, warmup = (400, 150) if full_scale() else (150, 50)
-
-    table = run_once(
-        benchmark,
-        lambda: experiments.table2(
-            utilization=0.8, updates=updates, warmup=warmup
-        ),
-    )
-
-    print()
-    rows = [
-        [
-            platform,
-            entry["update_in_place_ms"],
-            entry["virtual_log_ms"],
-            f"{entry['speedup']:.1f}x",
-        ]
-        for platform, entry in table.items()
-    ]
-    print(
-        format_table(
-            ["platform", "in-place (ms)", "virtual log (ms)", "speedup"],
-            rows,
-            title="Table 2: speedup across platforms (random sync 4 KB "
-            "updates @ 80% utilization)",
-        )
-    )
+    table = run_experiment(benchmark, "table2")
 
     hp_sparc = table["hp97560+sparc10"]["speedup"]
     sg_sparc = table["st19101+sparc10"]["speedup"]

@@ -5,8 +5,11 @@ rows/series the paper reports (simulated time), and asserts the figure's
 qualitative shape.  ``pytest-benchmark`` wraps the run so wall-clock cost of
 the reproduction itself is also tracked.
 
-Set ``REPRO_BENCH_FULL=1`` for paper-scale workloads (slower); the default
-scale preserves every shape at a fraction of the runtime.
+The table/figure benches run the experiment registry's record
+(:mod:`repro.harness.registry`) at the CLI's quick scale and print its
+tables as ``python -m repro.harness`` does; ``REPRO_BENCH_FULL=1`` runs
+``--full``'s scale instead (slower).  The ablation and extension benches
+keep their own experiment code and read the same switch.
 
 The experiment sweeps honour the harness's parallel/caching engine here
 too: ``--sweep-jobs N`` fans each figure's grid points across ``N``
@@ -16,26 +19,35 @@ DIR`` memoizes point results content-addressed on code+params,
 prints hit/miss totals at the end of the session.
 """
 
+import functools
 import os
 
 import pytest
 
 from repro.harness import sweep
 from repro.harness.cache import ResultCache
+from repro.harness.registry import EXPERIMENTS
 
 
 def full_scale() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
-@pytest.fixture(scope="session")
-def scale():
-    return 1.0 if full_scale() else 0.25
-
-
 def run_once(benchmark, fn):
     """Run a heavy experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def run_experiment(benchmark, name):
+    """Run the registry's experiment ``name`` once at the bench scale,
+    print its tables, and return its result."""
+    experiment = EXPERIMENTS[name]
+    result = run_once(
+        benchmark, functools.partial(experiment.fn, **experiment.kwargs(full_scale()))
+    )
+    print()
+    experiment.render(result)
+    return result
 
 
 def pytest_addoption(parser):

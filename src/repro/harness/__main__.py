@@ -1,24 +1,24 @@
 """Command-line experiment runner: ``python -m repro.harness [names...]``.
 
-Regenerates the requested tables/figures (default: the quick set) and
-prints the paper-style rows.  ``--full`` uses paper-scale workloads.
+Regenerates the requested tables/figures (default: all of them) and
+prints the paper-style rows; ``--full`` uses paper-scale workloads.  The
+two scales, the renderer and the flags of each experiment are its record
+in :mod:`repro.harness.registry`.  A flag aimed at an experiment whose
+record does not read it, or given with ``--torture`` (every torture plan
+builds its own stack and workload), is a usage error, not a no-op.
 
-Stack flags describe the device stacks the experiments build.  Each one
-is folded into a :class:`~repro.harness.configs.StackConfig` field
-override and handed, as the ``stack=`` keyword, to the experiments that
-build stacks through ``build_stack`` (figure6/7/8, table2/figure9,
-figure10/11); the overridden config rides inside every sweep point, so
-these flags run parallel and cached like any other parameter:
-``--queue-depth N`` lets each core device keep ``N`` requests
-outstanding in its internal scheduler and ``--sched POLICY`` picks the
-service order (``fifo``, ``scan``, ``satf``; depth 1 + FIFO is the
-unscheduled baseline); ``--nvm [PART]`` threads an NVM write-ahead tier
-in front of every stack (``--nvm-lat``/``--nvm-cap`` adjust the part);
-``--faults SPEC`` injects deterministic device faults (``SPEC`` like
+Stack flags are folded into :class:`~repro.harness.configs.StackConfig`
+field overrides, handed over as the ``stack=`` keyword; the overridden
+config rides inside every sweep point, so these flags run parallel and
+cached like any other parameter: ``--queue-depth N`` lets each core
+device keep ``N`` requests outstanding in its internal scheduler and
+``--sched POLICY`` picks the service order (``fifo``, ``scan``,
+``satf``; depth 1 + FIFO is the unscheduled baseline); ``--nvm [PART]``
+threads an NVM write-ahead tier in front of every stack
+(``--nvm-lat``/``--nvm-cap`` adjust the part); ``--faults SPEC`` injects
+deterministic device faults (``SPEC`` like
 ``crash_after=40,torn=0.05,seed=7``; an injected crash aborts the run
-with exit status 3).  A stack flag given to an experiment that takes no
-stack overrides, or with ``--torture`` (every torture plan builds its
-own stack), is an error rather than a silent no-op.
+with exit status 3).
 
 Two stack flags are observations of a run, not parameters of its result:
 ``--trace PATH`` appends one JSONL record per device operation and
@@ -77,220 +77,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 from typing import Any, Dict
 
 from repro.blockdev.interpose import DeviceCrashed, FaultPlan
 from repro.blockdev.nvm import NVM_SPECS
-from repro.harness import configs, experiments, sweep
+from repro.harness import configs, sweep
 from repro.harness.cache import ResultCache
+from repro.harness.registry import EXPERIMENTS
 from repro.harness.report import format_table
-from repro.sim.stats import COMPONENTS
-
-_QUICK = {
-    "figure1": dict(trials=150),
-    "figure2": dict(trials=20),
-    "figure6": dict(num_files=400),
-    "figure7": dict(file_mb=4),
-    "figure8": dict(
-        file_mbs=[2, 6, 10, 14, 17], updates=150, warmup=50,
-        lfs_updates=2500, lfs_warmup=1500,
-    ),
-    "table2": dict(updates=150, warmup=50),
-    "figure10": dict(
-        burst_kbs=[128, 504, 2016], idle_seconds=[0.0, 0.25, 1.0, 4.0],
-        bursts=4,
-    ),
-    "figure11": dict(
-        burst_kbs=[128, 512, 2048], idle_seconds=[0.0, 0.1, 0.3, 0.6],
-        bursts=4,
-    ),
-    "figure_qdepth": dict(depths=[1, 2, 4], requests=150),
-    "figure_multihost": dict(host_counts=[1, 2, 4], requests_per_host=80),
-    "figure_nvm": dict(requests=80),
-}
-
-_FULL = {
-    "figure1": dict(trials=500),
-    "figure2": dict(trials=80),
-    "figure6": dict(num_files=1500),
-    "figure7": dict(file_mb=10),
-    "figure8": dict(),
-    "table2": dict(),
-    "figure10": dict(),
-    "figure11": dict(),
-    "figure_qdepth": dict(),
-    "figure_multihost": dict(),
-    "figure_nvm": dict(),
-}
-
-# Figure 9 reshapes Table 2's runs, so at either scale it asks for Table
-# 2's points (and finds them in the cache when Table 2 ran first).
-for _scale in (_QUICK, _FULL):
-    _scale["figure9"] = _scale["table2"]
-
-_ALL = ["table1", "figure1", "figure2", "figure6", "figure7", "figure8",
-        "table2", "figure9", "figure10", "figure11", "figure_qdepth",
-        "figure_multihost", "figure_nvm"]
-
-
-def _print_result(name: str, result) -> None:
-    if name == "table1":
-        rows = [
-            [param, result["HP97560"][param], result["ST19101"][param]]
-            for param in result["HP97560"]
-        ]
-        print(format_table(["parameter", "HP97560", "ST19101"], rows,
-                           title="Table 1"))
-    elif name in ("figure1", "figure2"):
-        x_key = "free_fraction" if name == "figure1" else "threshold"
-        for disk, series in result.items():
-            rows = [
-                [x, m * 1e3, s * 1e3]
-                for x, m, s in zip(
-                    series[x_key],
-                    series["model_seconds"],
-                    series["simulated_seconds"],
-                )
-            ]
-            print(format_table(
-                [x_key, "model (ms)", "simulated (ms)"], rows,
-                title=f"{name} ({disk})",
-            ))
-            print()
-    elif name == "figure6":
-        rows = [
-            [stack, p["create"], p["read"], p["delete"]]
-            for stack, p in result["normalized"].items()
-        ]
-        print(format_table(
-            ["stack", "create", "read", "delete"], rows,
-            title="Figure 6 (normalized to ufs-regular)",
-        ))
-    elif name == "figure7":
-        phases = sorted({p for d in result.values() for p in d})
-        rows = [
-            [stack] + [bw.get(p, float("nan")) for p in phases]
-            for stack, bw in result.items()
-        ]
-        print(format_table(["stack", *phases], rows,
-                           title="Figure 7 (MB/s)"))
-    elif name == "figure8":
-        for system, series in result.items():
-            rows = list(zip(series["utilization"], series["latency_ms"]))
-            print(format_table(
-                ["utilization", "latency (ms)"], rows,
-                title=f"Figure 8: {system}",
-            ))
-            print()
-    elif name == "table2":
-        rows = [
-            [platform, e["update_in_place_ms"], e["virtual_log_ms"],
-             e["speedup"]]
-            for platform, e in result.items()
-        ]
-        print(format_table(
-            ["platform", "in-place (ms)", "vlog (ms)", "speedup"], rows,
-            title="Table 2",
-        ))
-    elif name == "figure9":
-        rows = [
-            [key, *(f"{e[c] * 100:.0f}%" for c in COMPONENTS),
-             e["total_ms"]]
-            for key, e in result.items()
-        ]
-        print(format_table(
-            ["platform/system", *COMPONENTS, "total (ms)"], rows,
-            title="Figure 9",
-        ))
-    elif name in ("figure10", "figure11"):
-        for burst, series in result.items():
-            rows = list(zip(series["idle_seconds"], series["latency_ms"]))
-            print(format_table(
-                ["idle (s)", "latency (ms)"], rows,
-                title=f"{name}: burst {burst}",
-            ))
-            print()
-    elif name == "figure_qdepth":
-        for workload, per_policy in result.items():
-            depths = next(iter(per_policy.values()))["queue_depth"]
-            rows = [
-                [int(d)] + [
-                    per_policy[p]["mean_service_ms"][i] for p in per_policy
-                ]
-                for i, d in enumerate(depths)
-            ]
-            print(format_table(
-                ["depth", *(f"{p} (ms)" for p in per_policy)], rows,
-                title=f"figure_qdepth: {workload} (mean service)",
-            ))
-            print()
-    elif name == "figure_multihost":
-        for workload, series in result.items():
-            rows = [
-                [
-                    int(series["hosts"][i]),
-                    series["requests_per_second"][i],
-                    series["mean_response_ms"][i],
-                    series["p99_response_ms"][i],
-                    series["p999_response_ms"][i],
-                    series["hidden_think_seconds"][i],
-                ]
-                for i in range(len(series["hosts"]))
-            ]
-            print(format_table(
-                ["hosts", "req/s", "mean resp (ms)", "p99 (ms)",
-                 "p999 (ms)", "hidden think (s)"],
-                rows, title=f"figure_multihost: {workload}",
-            ))
-            for i, per in enumerate(series.get("per_shard", [])):
-                hosts_n = int(series["hosts"][i])
-                for row in per["shards"]:
-                    line = (
-                        f"  [{hosts_n} host(s)] {row['shard']}: "
-                        f"{row['requests']} reqs, response "
-                        f"p50={row['p50_response_ms']:.3f} "
-                        f"p99={row['p99_response_ms']:.3f} "
-                        f"p999={row['p999_response_ms']:.3f}ms"
-                    )
-                    if row["ops_slowed"]:
-                        line += (
-                            f", slowed={row['ops_slowed']} "
-                            f"(+{row['slow_extra_seconds']:.4f}s)"
-                        )
-                    print(line)
-                window = per.get("degraded_window")
-                if window is not None:
-                    print(
-                        f"  [{hosts_n} host(s)] degraded window: "
-                        f"{window['seconds']:.4f}s, "
-                        f"{window['completed']} completed "
-                        f"({window['requests_per_second']:.0f} req/s)"
-                    )
-            print()
-    elif name == "figure_nvm":
-        for workload, per_mode in result.items():
-            rows = [
-                [
-                    mode,
-                    m["mean_write_ms"],
-                    m["p99_write_ms"],
-                    m["max_write_ms"],
-                    int(m.get("destaged_blocks", 0)),
-                    int(m.get("pressure_destages", 0)),
-                ]
-                for mode, m in per_mode.items()
-            ]
-            print(format_table(
-                ["mode", "mean write (ms)", "p99 (ms)", "max (ms)",
-                 "destaged", "pressure"],
-                rows, title=f"figure_nvm: {workload}",
-            ))
-            print()
-    else:  # pragma: no cover - defensive
-        print(result)
 
 
 def main(argv=None) -> int:
@@ -374,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        print("\n".join(_ALL))
+        print("\n".join(EXPERIMENTS))
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -384,8 +180,6 @@ def main(argv=None) -> int:
         return _run_volume_demo()
     if args.volume and not args.torture:
         parser.error("--volume requires --torture")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.shard_slow is not None and args.shards is None:
         parser.error("--shard-slow requires --shards")
     if (args.nvm_lat is not None or args.nvm_cap is not None) \
@@ -393,12 +187,13 @@ def main(argv=None) -> int:
         parser.error("--nvm-lat/--nvm-cap require --nvm")
     if args.families is not None and not args.torture:
         parser.error("--families requires --torture")
-    stack = _stack_overrides(parser, args)
+    given = _given_flags(parser, args)
+    stack = _stack_overrides(given)
     if args.torture:
-        if stack:
+        if given:
             parser.error(
-                f"{_STACK_FLAGS[next(iter(stack))]} does not apply to --torture "
-                "(every torture plan builds its own stack)"
+                f"{next(iter(given))} does not apply to --torture "
+                "(every torture plan builds its own stack and workload)"
             )
         cache = None if args.no_cache else ResultCache(args.cache)
         with sweep.configured(jobs=args.jobs, cache=cache):
@@ -417,63 +212,35 @@ def main(argv=None) -> int:
             print("[sweep: --trace/--metrics disable the result cache]",
                   file=sys.stderr)
             args.no_cache = True
-    if args.hosts is not None and args.hosts < 1:
-        parser.error("--hosts must be >= 1")
-    if args.disks is not None and args.disks < 1:
-        parser.error("--disks must be >= 1")
     cache = None if args.no_cache else ResultCache(args.cache)
-    names = args.names or _ALL
+    names = args.names or list(EXPERIMENTS)
     for name in names:
-        if name not in _ALL:
+        if name not in EXPERIMENTS:
             print(f"unknown experiment {name!r}; try --list",
                   file=sys.stderr)
             return 2
-        for field in stack:
-            # figure_nvm reads --nvm (and its lat/cap) as its own part.
-            if not (_takes_stack(name)
-                    or (name == "figure_nvm" and field == "nvm")):
-                parser.error(
-                    f"{_STACK_FLAGS[field]} does not apply to {name}, "
-                    "which builds no stack through build_stack; name the "
-                    "experiments it should apply to"
-                )
-    overrides = _FULL if args.full else _QUICK
+        for flag in given:
+            if flag not in EXPERIMENTS[name].flags:
+                readers = [e.name for e in EXPERIMENTS.values() if flag in e.flags]
+                parser.error(f"{flag} does not apply to {name}; it applies "
+                             f"to {', '.join(readers)}")
+    results: Dict[str, Any] = {}
     with sweep.configured(jobs=args.jobs, cache=cache):
         for name in names:
-            fn = getattr(experiments, name)
-            kwargs = dict(overrides.get(name, {}))
-            if stack and _takes_stack(name):
-                kwargs["stack"] = stack
-            if name == "figure_nvm":
-                if args.nvm is not None:
-                    kwargs["nvm_part"] = args.nvm
-                if args.nvm_lat is not None:
-                    kwargs["nvm_store_latency"] = args.nvm_lat
-                if args.nvm_cap is not None:
-                    kwargs["nvm_capacity"] = args.nvm_cap
-            if name == "figure_multihost":
-                if args.hosts is not None:
-                    kwargs["host_counts"] = [args.hosts]
-                if args.disks is not None:
-                    kwargs["disks"] = args.disks
-                if args.shards is not None:
-                    kwargs["shards"] = args.shards
-                    if args.shard_slow is not None:
-                        try:
-                            kwargs["shard_slow"] = _parse_shard_slow(
-                                args.shard_slow
-                            )
-                        except ValueError as exc:
-                            parser.error(f"--shard-slow: {exc}")
+            experiment = EXPERIMENTS[name]
+            kwargs = experiment.kwargs(args.full)
+            for flag, value in given.items():
+                keyword = experiment.flags[flag]
+                kwargs[keyword] = stack if keyword == "stack" else value
             start = time.time()
             try:
-                result = fn(**kwargs)
+                results[name] = experiment.run(kwargs, results)
             except DeviceCrashed as crash:
                 print(f"[{name} aborted: injected device crash: {crash}]\n",
                       file=sys.stderr)
                 _report_metrics(args)
                 return 3
-            _print_result(name, result)
+            experiment.render(results[name])
             print(f"[{name} regenerated in "
                   f"{time.time() - start:.1f}s wall]\n")
             _report_sweep_stats(args, name)
@@ -481,50 +248,51 @@ def main(argv=None) -> int:
     return 0
 
 
-#: The command-line flag that sets each StackConfig field override.
-_STACK_FLAGS = {
-    "queue_depth": "--queue-depth",
-    "sched": "--sched",
-    "nvm": "--nvm",
-    "faults": "--faults",
-    "trace": "--trace",
-    "metrics": "--metrics",
-}
+def _given_flags(parser, args) -> Dict[str, Any]:
+    """The experiment flags on the command line, each with the value it
+    gives its keyword (an experiment that reads it as part of ``stack``
+    gets the folded :func:`_stack_overrides` instead)."""
+    for flag, value in (("--queue-depth", args.queue_depth), ("--hosts", args.hosts),
+                        ("--disks", args.disks), ("--shards", args.shards)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1")
+    if args.nvm is not None and args.nvm not in NVM_SPECS:
+        parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
+                     + ", ".join(sorted(NVM_SPECS)))
+    try:
+        faults = FaultPlan.parse(args.faults) if args.faults else None
+    except ValueError as exc:
+        parser.error(f"--faults: {exc}")
+    try:
+        shard_slow = None if args.shard_slow is None else _parse_shard_slow(args.shard_slow)
+    except ValueError as exc:
+        parser.error(f"--shard-slow: {exc}")
+    given = {
+        "--queue-depth": args.queue_depth, "--sched": args.sched,
+        "--nvm": args.nvm, "--nvm-lat": args.nvm_lat, "--nvm-cap": args.nvm_cap,
+        "--faults": faults, "--trace": args.trace or None,
+        "--metrics": args.metrics or None,
+        "--hosts": None if args.hosts is None else [args.hosts],
+        "--disks": args.disks, "--shards": args.shards,
+        "--shard-slow": shard_slow,
+    }
+    return {flag: value for flag, value in given.items() if value is not None}
 
 
-def _stack_overrides(parser, args) -> Dict[str, Any]:
-    """Fold the stack flags into StackConfig field overrides (only the
-    flags actually given appear)."""
-    stack: Dict[str, Any] = {}
-    if args.queue_depth is not None:
-        if args.queue_depth < 1:
-            parser.error("--queue-depth must be >= 1")
-        stack["queue_depth"] = args.queue_depth
-    if args.sched is not None:
-        stack["sched"] = args.sched
-    if args.nvm is not None:
-        if args.nvm not in NVM_SPECS:
-            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
-                         + ", ".join(sorted(NVM_SPECS)))
-        stack["nvm"] = NVM_SPECS[args.nvm].with_overrides(
-            store_latency=args.nvm_lat, capacity_bytes=args.nvm_cap
+def _stack_overrides(given: Dict[str, Any]) -> Dict[str, Any]:
+    """Fold the stack flags given into StackConfig field overrides."""
+    stack = {
+        field: given[flag]
+        for flag, field in (("--queue-depth", "queue_depth"), ("--sched", "sched"),
+                            ("--faults", "faults"), ("--trace", "trace"),
+                            ("--metrics", "metrics"))
+        if flag in given
+    }
+    if "--nvm" in given:
+        stack["nvm"] = NVM_SPECS[given["--nvm"]].with_overrides(
+            store_latency=given.get("--nvm-lat"), capacity_bytes=given.get("--nvm-cap")
         )
-    if args.faults:
-        try:
-            stack["faults"] = FaultPlan.parse(args.faults)
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
-    if args.trace:
-        stack["trace"] = args.trace
-    if args.metrics:
-        stack["metrics"] = True
     return stack
-
-
-def _takes_stack(name: str) -> bool:
-    """Whether an experiment builds its stacks through ``build_stack``
-    and so accepts StackConfig overrides."""
-    return "stack" in inspect.signature(getattr(experiments, name)).parameters
 
 
 def _parse_shard_slow(spec: str) -> dict:

@@ -2,9 +2,9 @@
 
 Every function returns a plain dict so benchmarks and tests can assert on
 the *shape* of the results (who wins, by what factor, where crossovers
-fall) without depending on formatting.  ``scale`` trades fidelity for
-runtime: 1.0 reproduces the paper's workload sizes; smaller values shrink
-file counts / update counts proportionally (used by the test suite).
+fall) without depending on formatting.  The defaults are paper scale;
+:mod:`repro.harness.registry` names each experiment's quick and full
+keyword arguments and its renderer.
 
 Each experiment's grid is declared as a list of
 :class:`~repro.harness.sweep.SweepPoint` -- a pure, picklable spec naming
@@ -499,7 +499,12 @@ def figure9(
     stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Latency breakdowns (same runs as Table 2, reshaped per Figure 9)."""
-    table = table2(utilization, updates, warmup, stack=stack)
+    return breakdown(table2(utilization, updates, warmup, stack=stack))
+
+
+def breakdown(table: Mapping[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
+    """Table 2's result reshaped per Figure 9: one row per platform and
+    device, its component fractions and its total latency."""
     result: Dict[str, Dict[str, float]] = {}
     for platform, entry in table.items():
         for device in ("regular", "vld"):

@@ -45,6 +45,19 @@ class TestSeriesToCsv:
         assert series_to_csv({}) == ""
 
 
+def _sweep_lines(out):
+    """Each ``[sweep NAME]`` line of a ``--cache-stats`` run, by NAME."""
+    return {
+        line.split("]")[0].split()[-1]: line
+        for line in out.splitlines()
+        if line.startswith("  [sweep ")
+    }
+
+
+def _figure9_table(out):
+    return out[out.index("Figure 9\n"):out.index("[figure9 regenerated")]
+
+
 class TestHarnessCli:
     def test_list(self, capsys):
         from repro.harness.__main__ import main
@@ -67,20 +80,31 @@ class TestHarnessCli:
         assert "256" in out
 
     def test_quick_figure9_is_the_quick_table2s_runs(self, capsys, tmp_path):
-        """Figure 9 reshapes Table 2's runs: at quick scale it asks for
-        the points Table 2 just ran, so every one is a cache hit."""
+        """Figure 9 reshapes Table 2's runs: after Table 2 in the same
+        invocation it asks for no points at all; run alone it asks for
+        the quick Table 2's points (every one a cache hit) and prints the
+        same table."""
         from repro.harness.__main__ import main
 
-        argv = ["--cache", str(tmp_path), "--cache-stats", "table2", "figure9"]
-        assert main(argv) == 0
-        stats = {
-            line.split("]")[0].split()[-1]: line
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("  [sweep ")
-        }
+        argv = ["--cache", str(tmp_path), "--cache-stats"]
+        assert main(argv + ["table2", "figure9"]) == 0
+        both = capsys.readouterr().out
+        stats = _sweep_lines(both)
         assert "6 points: 0 cached" in stats["table2"]
-        assert "6 points: 6 cached" in stats["figure9"]
-        assert "0 parallel (in 0 tasks), 0 inline" in stats["figure9"]
+        assert "figure9" not in stats
+        assert main(argv + ["figure9"]) == 0
+        alone = capsys.readouterr().out
+        assert "6 points: 6 cached" in _sweep_lines(alone)["figure9"]
+        assert _figure9_table(alone) == _figure9_table(both)
+
+    def test_cold_figure9_after_table2_runs_no_points(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["--no-cache", "--cache-stats", "table2", "figure9"]) == 0
+        out = capsys.readouterr().out
+        assert list(_sweep_lines(out)) == ["table2"]
+        assert "6 points: 0 cached, 0 parallel (in 0 tasks), 6 inline" in out
+        assert "Figure 9" in _figure9_table(out)
 
     def test_scrub_demo_ends_with_the_data_intact(self, capsys):
         from repro.harness.__main__ import main
@@ -122,14 +146,19 @@ class TestHarnessCli:
             (["--queue-depth", "4", "figure1"], "--queue-depth", "figure1"),
             (["--sched", "satf", "figure_nvm"], "--sched", "figure_nvm"),
             (["--metrics"], "--metrics", "table1"),
+            (["--hosts", "4", "table1"], "--hosts", "table1"),
+            (["--disks", "2", "figure6"], "--disks", "figure6"),
+            (["--shards", "3", "--shard-slow", "shard=1,factor=8", "table1"],
+             "--shards", "table1"),
+            (["--torture", "--hosts", "4"], "--hosts", "--torture"),
         ],
     )
     def test_stack_flag_that_would_do_nothing_is_an_error(
         self, capsys, argv, flag, target
     ):
-        """A stack flag is never silently ignored (and never silently
-        serialises the run): the error names the flag and what it was
-        aimed at."""
+        """An experiment flag is never silently ignored (and a stack flag
+        never silently serialises the run): the error names the flag and
+        what it was aimed at."""
         from repro.harness.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:
