@@ -38,7 +38,8 @@ installs on the media -- the raw :class:`~repro.disk.disk.Disk` and an
 N-th persistence event of a kind (a sector run, an NVM record, the NVM
 superblock), before, torn inside or after it: the crash-point
 methodology the recovery tests sweep.  It also holds the per-sector
-media faults the disk's reads meet.
+media faults the disk's reads meet, and a fail-slow window over the
+disk's services.
 
 :func:`build_device_stack` is the single factory every consumer builds
 its stack through (the harness and the examples).
@@ -47,6 +48,7 @@ its stack through (the harness and the examples).
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -722,8 +724,8 @@ class FaultPlan:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.crash_after_ops is not None and self.crash_after_ops <= 0:
             raise ValueError("crash_after_ops must be positive")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be at least 1")
+        if not 1.0 <= self.slow_factor < math.inf:
+            raise ValueError("slow_factor must be a finite number at least 1")
         if self.slow_after_ops is not None and self.slow_after_ops <= 0:
             raise ValueError("slow_after_ops must be positive")
         if self.slow_duration_ops is not None and self.slow_duration_ops <= 0:
@@ -974,6 +976,12 @@ class FaultPlane:
 
     Writes never fault on degraded media (grown defects here are
     discovered on read, the common ECC story).
+
+    A limping disk is a fail-slow window over its services, reads
+    included: services ``slow_after_ops + 1`` to ``slow_after_ops +
+    slow_duration_ops`` (open-ended when ``None``) take ``slow_factor``
+    times as long, the surplus on the clock but not in the breakdown or
+    the busy time (:meth:`service_ended`).
     """
 
     def __init__(
@@ -984,6 +992,9 @@ class FaultPlane:
         seed: int = 0,
         bad_sectors: Optional[Set[int]] = None,
         flaky_sectors: Optional[Dict[int, float]] = None,
+        slow_factor: float = 1.0,
+        slow_after_ops: int = 0,
+        slow_duration_ops: Optional[int] = None,
     ) -> None:
         if crash_at is not None and (
             crash_at[0] not in EVENT_KINDS or crash_at[1] <= 0
@@ -991,6 +1002,13 @@ class FaultPlane:
             raise ValueError(f"no such crash point {crash_at!r}")
         if variant not in CRASH_VARIANTS:
             raise ValueError(f"unknown crash variant {variant!r}")
+        # A chained comparison, so NaN (which fails both) is refused too.
+        if not 1.0 <= slow_factor < math.inf:
+            raise ValueError("slow factor must be a finite number >= 1.0")
+        if slow_after_ops < 0:
+            raise ValueError("after_ops must be non-negative")
+        if slow_duration_ops is not None and slow_duration_ops <= 0:
+            raise ValueError("duration_ops must be positive")
         self.crash_at = crash_at
         self.variant = variant
         self.read_error_rate = read_error_rate
@@ -1000,6 +1018,13 @@ class FaultPlane:
         self.counts: Dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
         self.read_errors_raised = 0
         self.crashed = False
+        self.slow_factor = slow_factor
+        self.slow_after_ops = slow_after_ops
+        self.slow_duration_ops = slow_duration_ops
+        self.services = self.ops_slowed = 0  # services ended; slowed ones
+        self.slow_extra_seconds = 0.0
+        #: ``(first_service_start, last_completion)`` of slowed services.
+        self.slow_span: Optional[Tuple[float, float]] = None
 
     def install(self, *media) -> "FaultPlane":
         """Hang the plane on each medium (a ``Disk``, an ``NVMDevice``)."""
@@ -1029,6 +1054,21 @@ class FaultPlane:
             f"{self.counts[kind]} ({where}, {self.variant})",
             **context,
         )
+
+    def service_ended(self, clock: SimClock, start: float) -> None:
+        """A disk service begun at ``start`` just ended on ``clock``:
+        inside the fail-slow window, stretch it by advancing the clock."""
+        self.services = ordinal = self.services + 1
+        after, duration = self.slow_after_ops, self.slow_duration_ops
+        if ordinal <= after or (duration is not None and ordinal > after + duration):
+            return
+        extra = (clock.now - start) * (self.slow_factor - 1.0)
+        if extra > 0.0:
+            clock.advance(extra)
+            self.ops_slowed += 1
+            self.slow_extra_seconds += extra
+            first = start if self.slow_span is None else self.slow_span[0]
+            self.slow_span = (first, clock.now)
 
     def before_read(self, sector: int, count: int) -> None:
         if self.crashed:

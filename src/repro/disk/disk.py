@@ -84,7 +84,8 @@ class Disk:
         self.counters = OpCounters()
         #: The :class:`~repro.blockdev.interpose.FaultPlane` under this
         #: medium, if any: every write is one ``"sector-run"`` event it
-        #: counts (and may crash), every read meets its media faults.
+        #: counts (and may crash), every read meets its media faults, and
+        #: every service ends through its fail-slow window.
         self.faults = None
         #: Optional sidecar checksum store with a ``record(sector, data)``
         #: method, modelling the per-sector out-of-band ECC bytes real
@@ -168,8 +169,9 @@ class Disk:
         geometry = self.geometry
         if count <= 0 or not 0 <= sector <= geometry.total_sectors - count:
             self._check_run(sector, count)  # names what is wrong, and raises
-        if self.faults is not None:
-            self.faults.before_read(sector, count)
+        faults = self.faults
+        if faults is not None:
+            faults.before_read(sector, count)
         clock = self.clock
         start = issued = clock.now
         overhead = 0.0
@@ -224,6 +226,8 @@ class Disk:
         counters.reads += 1
         counters.sectors_read += count
         counters.busy_time += finish - start
+        if faults is not None:
+            faults.service_ended(clock, start)
         image = self._data
         if image is None:
             return b"", breakdown
@@ -308,6 +312,8 @@ class Disk:
         counters.writes += 1
         counters.sectors_written += count
         counters.busy_time += finish - start
+        if faults is not None:
+            faults.service_ended(clock, start)
         return breakdown
 
     def write_run(
@@ -339,9 +345,9 @@ class Disk:
         breakdown holds this run's own totals.
 
         With a fault plane installed the per-block oracle path runs
-        instead: each block write is one persistence event, counted at
-        its exact issue time (and the power may drop between blocks),
-        which is incompatible with deferring the clock/state writes.
+        instead: each block write is one persistence event and one
+        service, met at its exact time (the power may drop between
+        blocks), which is incompatible with deferring the clock/state writes.
         """
         if block_sectors <= 0:
             raise ValueError("block_sectors must be positive")

@@ -81,7 +81,7 @@ import sys
 import time
 from typing import Any, Dict
 
-from repro.blockdev.interpose import DeviceCrashed, FaultPlan
+from repro.blockdev.interpose import DeviceCrashed, FaultPlan, FaultPlane
 from repro.blockdev.nvm import NVM_SPECS
 from repro.harness import configs, sweep
 from repro.harness.cache import ResultCache
@@ -264,7 +264,8 @@ def _given_flags(parser, args) -> Dict[str, Any]:
     except ValueError as exc:
         parser.error(f"--faults: {exc}")
     try:
-        shard_slow = None if args.shard_slow is None else _parse_shard_slow(args.shard_slow)
+        shard_slow = (None if args.shard_slow is None
+                      else _parse_shard_slow(args.shard_slow, args.shards))
     except ValueError as exc:
         parser.error(f"--shard-slow: {exc}")
     given = {
@@ -295,9 +296,10 @@ def _stack_overrides(given: Dict[str, Any]) -> Dict[str, Any]:
     return stack
 
 
-def _parse_shard_slow(spec: str) -> dict:
+def _parse_shard_slow(spec: str, shards: int) -> dict:
     """Parse ``shard=1,factor=8,after=20,ops=60`` into the multihost
-    ``shard_slow`` dict (``after``/``ops`` optional)."""
+    ``shard_slow`` dict (``after``/``ops`` optional), refusing a shard
+    outside ``--shards`` and a window the fault plane would refuse."""
     known = {"shard": int, "factor": float, "after": int, "ops": int}
     out: dict = {}
     for item in spec.split(","):
@@ -314,6 +316,10 @@ def _parse_shard_slow(spec: str) -> dict:
     for required in ("shard", "factor"):
         if required not in out:
             raise ValueError(f"missing required key {required!r}")
+    if not 0 <= out["shard"] < shards:
+        raise ValueError(f"shard {out['shard']} out of range for --shards {shards}")
+    FaultPlane(slow_factor=out["factor"], slow_after_ops=out.get("after", 0),
+               slow_duration_ops=out.get("ops"))
     return out
 
 
@@ -429,7 +435,6 @@ def _run_scrub_demo() -> int:
     live data, retries, quarantine, and idle-time migration."""
     from repro.disk.disk import Disk
     from repro.disk.specs import ST19101
-    from repro.blockdev.interpose import FaultPlane
     from repro.vlog.vld import VirtualLogDisk
 
     disk = Disk(ST19101, num_cylinders=4)

@@ -43,6 +43,7 @@ from repro.harness.runner import (
     simulate_track_fill,
 )
 from repro.harness.sweep import SweepPoint, sweep_values, warn_dropped
+from repro.hosts import run_multihost
 from repro.models.compactor import average_latency_closed_form
 from repro.models.cylinder import cylinder_expected_latency
 from repro.sim.stats import COMPONENTS
@@ -733,10 +734,6 @@ def _point_multihost(
     shards: Optional[int] = None,
     shard_slow: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    # Imported lazily: repro.hosts initializes before the harness, and
-    # the fork workers only pay for the driver when they run this point.
-    from repro.hosts.multihost import run_multihost
-
     report = run_multihost(
         DISKS[disk_name],
         hosts=hosts,

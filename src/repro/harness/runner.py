@@ -1,5 +1,6 @@
 """Low-level simulation routines for the analytical-model validations
-(Figures 1 and 2) and the queued-workload driver (the queue-depth sweep)."""
+(Figures 1 and 2) and the queued-workload driver (the queue-depth sweep),
+whose requests are :func:`repro.hosts.request_targets`, as a host's are."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from typing import Dict
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap, nearest_set_bit
 from repro.disk.specs import DiskSpec
+from repro.hosts import QUEUE_WORKLOADS as QUEUE_WORKLOADS, REQUEST_SECTORS, request_targets
 from repro.sched.scheduler import DiskScheduler
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
 
@@ -104,12 +106,6 @@ def simulate_track_fill(
     return total / writes
 
 
-QUEUE_WORKLOADS = ("random-update", "sequential", "mixed")
-
-#: Sectors per queued write: one aligned 4 KB block.
-REQUEST_SECTORS = 8
-
-
 def simulate_queued_workload(
     spec: DiskSpec,
     queue_depth: int = 1,
@@ -133,21 +129,12 @@ def simulate_queued_workload(
     every think is on the clock.  The approximation overstates overlap
     when think intervals exceed service times;
     :func:`repro.hosts.multihost.run_multihost` measures it instead.
-    Workloads:
-
-    * ``random-update`` -- uniformly random aligned targets (the
-      seek-dominated case queue reordering helps most);
-    * ``sequential`` -- ascending aligned targets (little to reorder);
-    * ``mixed`` -- alternating sequential and random targets.
+    ``workload`` names a :func:`~repro.hosts.request_targets` stream
+    (one of :data:`~repro.hosts.QUEUE_WORKLOADS`).
 
     Returns per-run scalars: elapsed seconds, mean/percentile service
     times, mean response time (arrival to completion), and throughput.
     """
-    if workload not in QUEUE_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; known: "
-            + ", ".join(QUEUE_WORKLOADS)
-        )
     if requests <= 0:
         raise ValueError("request count must be positive")
     rng = random.Random(seed)
@@ -156,19 +143,8 @@ def simulate_queued_workload(
     if not think_seconds >= 0.0:
         raise ValueError("think time must be non-negative")
     aligned = disk.geometry.total_sectors // REQUEST_SECTORS
-    cursor = rng.randrange(aligned)
     start = disk.clock.now
-    for i in range(requests):
-        if workload == "random-update":
-            lba = rng.randrange(aligned)
-        elif workload == "sequential":
-            lba = (cursor + i) % aligned
-        else:  # mixed
-            if i % 2:
-                lba = rng.randrange(aligned)
-            else:
-                cursor = (cursor + 1) % aligned
-                lba = cursor
+    for lba in request_targets(rng, workload, aligned, requests):
         if think_seconds > 0.0 and not scheduler.outstanding:
             disk.clock.advance(think_seconds)
         scheduler.write(lba * REQUEST_SECTORS, REQUEST_SECTORS)

@@ -1,6 +1,14 @@
 """Host machine models (Section 4 / Figure 9's ``other`` component) and
-the multi-host event-engine driver (:mod:`repro.hosts.multihost`)."""
+the multi-host event-engine driver (:mod:`repro.hosts.multihost`), with
+the queued request stream it shares with the synchronous queued driver."""
 
+from repro.hosts.multihost import (
+    QUEUE_WORKLOADS,
+    REQUEST_SECTORS,
+    format_report,
+    request_targets,
+    run_multihost,
+)
 from repro.hosts.specs import (
     HostSpec,
     SPARCSTATION_10,
@@ -13,19 +21,9 @@ __all__ = [
     "SPARCSTATION_10",
     "ULTRASPARC_170",
     "HOSTS",
+    "QUEUE_WORKLOADS",
+    "REQUEST_SECTORS",
+    "request_targets",
     "run_multihost",
     "format_report",
 ]
-
-_MULTIHOST_EXPORTS = ("run_multihost", "format_report")
-
-
-def __getattr__(name):
-    # Lazy so that importing repro.hosts (which repro.harness.configs does
-    # for the specs) never drags in the driver's harness imports -- the
-    # packages would otherwise initialize each other mid-import.
-    if name in _MULTIHOST_EXPORTS:
-        from repro.hosts import multihost
-
-        return getattr(multihost, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,10 +12,9 @@ than inferring it from clock gaps.
 Determinism: every host draws from its own ``random.Random`` stream and
 the engine breaks event ties by schedule order, so a run is a pure
 function of its arguments -- byte-identical across repeats and across
-process boundaries (the ``--jobs N`` sweep).  With ``hosts=1`` host 0's
-stream is seeded exactly like
-:func:`repro.harness.runner.simulate_queued_workload`'s, so the
-single-host fifo configuration replays the synchronous depth-1 path
+process boundaries (the ``--jobs N`` sweep).  The harness's queued
+driver draws from :func:`request_targets` too, seeded like host 0, so
+the single-host fifo configuration replays the synchronous depth-1 path
 call-for-call (the identity test pins this).
 
 Tail latency: service and response distributions are reported at
@@ -30,9 +29,9 @@ import random
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.blockdev.interpose import FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.specs import DiskSpec
-from repro.harness.runner import QUEUE_WORKLOADS, REQUEST_SECTORS
 from repro.sched.scheduler import DiskScheduler
 from repro.sim.engine import (
     EventEngine,
@@ -42,6 +41,33 @@ from repro.sim.engine import (
     merge_intervals,
 )
 from repro.sim.metrics import LatencyHistogram
+
+QUEUE_WORKLOADS = ("random-update", "sequential", "mixed")
+
+#: Sectors per queued write: one aligned 4 KB block.
+REQUEST_SECTORS = 8
+
+
+def request_targets(
+    rng: random.Random, workload: str, units: int, count: int
+) -> List[int]:
+    """``count`` aligned write targets in ``[0, units)`` from ``rng``:
+    uniformly random (``random-update``, the seek-dominated case queue
+    reordering helps most), ascending (``sequential``) or alternating the
+    two (``mixed``).  The start is drawn first for every workload."""
+    if workload not in QUEUE_WORKLOADS:
+        raise ValueError(
+            f"unknown workload {workload!r}; known: "
+            + ", ".join(QUEUE_WORKLOADS)
+        )
+    start = rng.randrange(units)
+    if workload == "random-update":
+        return [rng.randrange(units) for _ in range(count)]
+    if workload == "sequential":
+        return [(start + i) % units for i in range(count)]
+    # mixed: odd requests random, even ones stepping on from the start.
+    return [rng.randrange(units) if i % 2 else (start + 1 + i // 2) % units
+            for i in range(count)]
 
 
 def run_multihost(
@@ -65,8 +91,8 @@ def run_multihost(
     the classic closed loop, so each host keeps at most one request in
     flight and concurrency comes from the host count.  ``think_seconds``
     may be a scalar or one value per host (per-client think times).
-    Workloads match :data:`~repro.harness.runner.QUEUE_WORKLOADS`, drawn
-    per host from ``random.Random(seed + 1000003 * host)``.
+    Each host's targets are :func:`request_targets` of ``workload``,
+    drawn from ``random.Random(seed + 1000003 * host)``.
 
     Returns a report with mean/p50/p95/p99/p999 service and response
     times (milliseconds), throughput, per-disk busy time, and the
@@ -81,17 +107,12 @@ def run_multihost(
     gains a ``per_shard`` section (per-shard request counts and
     response-time tails) and, when ``shard_slow`` marks one shard
     fail-slow (``{"shard": i, "factor": f, "after": a, "ops": n}`` --
-    a window of serviced-request ordinals, mirroring the block-layer
-    ``slow`` fault family), a ``degraded_window`` section measuring
+    a :class:`~repro.blockdev.interpose.FaultPlane` window of that
+    shard's disk services), a ``degraded_window`` section measuring
     completed requests, throughput, and per-shard busy time *inside*
     the limping window.  ``shards`` replaces ``disks``; the non-sharded
     report keys are unchanged (the identity tests stay pinned).
     """
-    if workload not in QUEUE_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; known: "
-            + ", ".join(QUEUE_WORKLOADS)
-        )
     if shards is not None:
         if disks != 1:
             raise ValueError("pass shards= or disks=, not both")
@@ -104,6 +125,8 @@ def run_multihost(
         raise ValueError("host and disk counts must be positive")
     if requests_per_host <= 0:
         raise ValueError("request count must be positive")
+    if request_sectors <= 0:
+        raise ValueError("request_sectors must be positive")
     thinks = _per_host_thinks(think_seconds, hosts)
 
     engine = EventEngine(trace=trace)
@@ -118,49 +141,40 @@ def run_multihost(
         slow_shard = int(shard_slow["shard"])  # type: ignore[arg-type]
         if not 0 <= slow_shard < disks:
             raise ValueError(f"shard_slow shard {slow_shard} out of range")
-        schedulers[slow_shard].set_slow_window(
-            float(shard_slow["factor"]),  # type: ignore[arg-type]
-            after_ops=int(shard_slow.get("after", 0)),  # type: ignore[arg-type]
-            duration_ops=(
+        FaultPlane(
+            slow_factor=float(shard_slow["factor"]),  # type: ignore[arg-type]
+            slow_after_ops=int(shard_slow.get("after", 0)),  # type: ignore[arg-type]
+            slow_duration_ops=(
                 int(shard_slow["ops"])  # type: ignore[arg-type]
                 if shard_slow.get("ops") is not None
                 else None
             ),
-        )
+        ).install(stacks[slow_shard])
 
     # One addressable stripe unit per aligned run, across all disks:
     # target t lives on disk t % disks at aligned run t // disks.
     aligned_per_disk = stacks[0].geometry.total_sectors // request_sectors
     stripe_units = aligned_per_disk * disks
+    streams = [
+        request_targets(random.Random(seed + 1000003 * index), workload,
+                        stripe_units, requests_per_host)
+        for index in range(hosts)
+    ]
 
     def host(index: int):
-        rng = random.Random(seed + 1000003 * index)
         think = thinks[index]
         clock = engine.clock
         # The clock is monotone, so a think interval is well-formed and
         # its note is an append (a zero-length one is dropped, as note()
         # drops it).
         think_spans = engine.intervals.series("think", f"host{index}")
-        # Matches simulate_queued_workload: the cursor is drawn before
-        # the loop for every workload (identity depends on stream shape).
-        cursor = rng.randrange(stripe_units)
-        for i in range(requests_per_host):
+        for target in streams[index]:
             if think > 0.0:
                 start = clock.now
                 yield think
                 end = clock.now
                 if end > start:
                     think_spans.append((start, end))
-            if workload == "random-update":
-                target = rng.randrange(stripe_units)
-            elif workload == "sequential":
-                target = (cursor + i) % stripe_units
-            else:  # mixed
-                if i % 2:
-                    target = rng.randrange(stripe_units)
-                else:
-                    cursor = (cursor + 1) % stripe_units
-                    target = cursor
             scheduler = schedulers[target % disks]
             sector = (target // disks) * request_sectors
             req = scheduler.submit("write", sector, request_sectors)
@@ -250,33 +264,33 @@ def _report(
         report[f"{name}_response_ms"] = value * 1e3
     if shards is not None:
         report["shards"] = shards
-        report["per_shard"] = _per_shard_report(schedulers, busy_by_disk)
+        report["per_shard"] = _per_shard_report(
+            engine, schedulers, busy_by_disk
+        )
     if trace and engine.trace is not None:
         report["trace"] = engine.trace
     return report
 
 
 def _per_shard_report(
+    engine: EventEngine,
     schedulers: List[DiskScheduler],
     busy_by_disk: Dict[str, List[Tuple[float, float]]],
 ) -> Dict[str, object]:
     """Per-shard tails, plus degraded-window accounting when one shard
-    ran fail-slow (its slow span is the window; healthy shards' busy
-    time and completions are clipped to it)."""
-    window: Optional[Tuple[float, float]] = None
-    for scheduler in schedulers:
-        if scheduler.slow_span is not None:
-            window = (scheduler.slow_span[0], scheduler.slow_span[1])
-            break
+    ran fail-slow (its plane's slow span is the window; every shard's
+    busy time and completions are clipped to it)."""
+    planes: List[Optional[FaultPlane]] = [s.disk.faults for s in schedulers]
+    window = next((p.slow_span for p in planes if p and p.slow_span), None)
     rows: List[Dict[str, object]] = []
-    for scheduler in schedulers:
+    for scheduler, plane in zip(schedulers, planes):
         pct = scheduler.response_times.percentiles()
         row: Dict[str, object] = {
             "shard": scheduler.name,
             "requests": scheduler.serviced,
             "busy_seconds": scheduler.busy_seconds,
-            "ops_slowed": scheduler.ops_slowed,
-            "slow_extra_seconds": scheduler.slow_extra_seconds,
+            "ops_slowed": plane.ops_slowed if plane else 0,
+            "slow_extra_seconds": plane.slow_extra_seconds if plane else 0.0,
             "mean_response_ms": scheduler.response_times.mean() * 1e3,
         }
         for name, value in pct.items():
@@ -285,9 +299,10 @@ def _per_shard_report(
             row["busy_in_window_seconds"] = measure_within(
                 busy_by_disk.get(scheduler.name, []), window
             )
+            # Raw intervals, one per service: unions fuse adjacent ones.
             row["completed_in_window"] = sum(
                 1
-                for at in scheduler.completion_times
+                for _, at in engine.intervals.series("service", scheduler.name)
                 if window[0] <= at <= window[1]
             )
         rows.append(row)

@@ -7,6 +7,10 @@ services them -- in policy order -- whenever the queue reaches
 synchronous read works its way to completion.  Completion times therefore
 come from the scheduler, not from serialized ``Disk.write`` calls.
 
+The queue only schedules: a limping disk is a fault on the medium
+(a :class:`~repro.blockdev.interpose.FaultPlane` fail-slow window), and
+when services ran is the engine's ``"service"`` intervals.
+
 Timing model: the simulator's single clock advances only inside disk
 operations, so a "service" is atomic -- positioning, rotation, and
 transfer happen back to back.  ``queue_depth=1`` degenerates to servicing
@@ -155,18 +159,6 @@ class DiskScheduler:
         self.max_outstanding = 0
         self.service_times = LatencyHistogram()
         self.response_times = LatencyHistogram()
-        # Fail-slow window (set_slow_window): services whose 1-based
-        # ordinal falls inside it take `factor` times as long.
-        self._slow_factor: Optional[float] = None
-        self._slow_after_ops = 0
-        self._slow_duration_ops: Optional[int] = None
-        self.ops_slowed = 0
-        self.slow_extra_seconds = 0.0
-        #: ``[first_service_start, last_completion]`` of slowed services.
-        self.slow_span: Optional[List[float]] = None
-        #: Completion timestamps in service order (degraded-window
-        #: throughput accounting for the multi-host report).
-        self.completion_times: List[float] = []
         # Engine mode (attach_engine): the scheduler as an event process.
         self._engine: Optional[EventEngine] = None
         self.name = "disk"
@@ -256,44 +248,6 @@ class DiskScheduler:
         return req
 
     # ------------------------------------------------------------------
-    # Fail-slow injection
-    # ------------------------------------------------------------------
-
-    def set_slow_window(
-        self,
-        factor: float,
-        after_ops: int = 0,
-        duration_ops: Optional[int] = None,
-    ) -> None:
-        """Make this device fail-slow for a window of serviced requests.
-
-        Services whose 1-based ordinal lies in ``(after_ops, after_ops +
-        duration_ops]`` (open-ended when ``duration_ops`` is ``None``)
-        take ``factor`` times their mechanical service time: the surplus
-        is real simulated time, so queueing behind the limping device --
-        and the response-time tail it grows -- is priced exactly, not
-        modelled.  Mirrors the block-layer ``slow`` fault family
-        (:class:`~repro.blockdev.interpose.FaultPlan`) one level down,
-        for raw-scheduler drivers like the multi-host grid.
-        """
-        if factor < 1.0:
-            raise ValueError("slow factor must be >= 1.0")
-        if after_ops < 0:
-            raise ValueError("after_ops must be non-negative")
-        if duration_ops is not None and duration_ops <= 0:
-            raise ValueError("duration_ops must be positive")
-        self._slow_factor = factor
-        self._slow_after_ops = after_ops
-        self._slow_duration_ops = duration_ops
-
-    def _slow_active(self, ordinal: int) -> bool:
-        if self._slow_factor is None or ordinal <= self._slow_after_ops:
-            return False
-        if self._slow_duration_ops is None:
-            return True
-        return ordinal <= self._slow_after_ops + self._slow_duration_ops
-
-    # ------------------------------------------------------------------
     # Service
     # ------------------------------------------------------------------
 
@@ -360,23 +314,9 @@ class DiskScheduler:
             chosen.done = True
             raise
         chosen.breakdown = breakdown
-        # No window set (every run but the fail-slow ones): no call.
-        if self._slow_factor is not None and self._slow_active(
-            self.serviced + 1
-        ):
-            extra = (clock.now - start) * (self._slow_factor - 1.0)
-            if extra > 0.0:
-                clock.advance(extra)
-                self.ops_slowed += 1
-                self.slow_extra_seconds += extra
-                if self.slow_span is None:
-                    self.slow_span = [start, clock.now]
-                else:
-                    self.slow_span[1] = clock.now
         chosen.completion = completion = clock.now
         chosen.done = True
         self.serviced += 1
-        self.completion_times.append(completion)
         service_seconds = completion - start
         self.busy_seconds += service_seconds
         self.service_times.record(service_seconds)

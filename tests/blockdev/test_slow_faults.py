@@ -27,8 +27,9 @@ def slow_stack(plan, clock=None):
 
 class TestPlanValidation:
     def test_slow_factor_below_one_rejected(self):
-        with pytest.raises(ValueError, match="slow_factor"):
-            FaultPlan(slow_factor=0.5)
+        for factor in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slow_factor"):
+                FaultPlan(slow_factor=factor)
 
     def test_nonpositive_bounds_rejected(self):
         with pytest.raises(ValueError, match="slow_after_ops"):

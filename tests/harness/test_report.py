@@ -167,6 +167,28 @@ class TestHarnessCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert flag in message and target in message
 
+    @pytest.mark.parametrize(
+        "spec,names",
+        [
+            ("shard=1,factor=nan", "factor"),
+            ("shard=1,factor=inf", "factor"),
+            ("shard=1,factor=0.5", "factor"),
+            ("shard=7,factor=8", "shard 7"),
+        ],
+    )
+    def test_bad_shard_slow_is_a_usage_error(self, capsys, spec, names):
+        """A fail-slow factor that is not a finite number >= 1, or a
+        shard outside --shards, is refused before any point runs."""
+        from repro.harness.__main__ import main
+
+        argv = ["--no-cache", "--shards", "3", "--shard-slow", spec,
+                "figure_multihost"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--shard-slow" in message and names in message
+
     def test_volume_families_restrict_the_volume_matrix(self, capsys):
         """--families applies to whichever table --volume selects."""
         from repro.harness.__main__ import main

@@ -84,6 +84,9 @@ class TestOverlapSemantics:
             quick(hosts=3, think_seconds=[0.1, 0.2])
         with pytest.raises(ValueError, match="non-negative"):
             quick(hosts=1, think_seconds=-0.1)
+        for sectors in (0, -8):
+            with pytest.raises(ValueError, match="request_sectors"):
+                quick(request_sectors=sectors)
 
 
 class TestDeterminism:

@@ -12,6 +12,9 @@ parent commit's code moved here verbatim, so do not optimise or tidy
 them: ``test_disk_process_differential.py`` holds
 :class:`repro.sched.scheduler.DiskScheduler` to them -- same report,
 same ``(time, seq, name)`` trace, same final ``passes`` per request.
+The one later edit: :func:`_service_one` lost the fail-slow check and
+the completion log with the live scheduler, since a limping shard is a
+fault plane on its disk, which both versions meet inside ``disk.write``.
 
 :func:`reference_disk_process` swaps them onto ``DiskScheduler`` for
 the duration of a ``with`` block; everything else (the disk, the
@@ -113,27 +116,11 @@ def _service_one(self) -> DiskRequest:
         chosen.done = True
         raise
     chosen.breakdown = breakdown
-    # No window set (every run but the fail-slow ones): no call.
-    if self._slow_factor is not None and self._slow_active(
-        self.serviced + 1
-    ):
-        extra = (clock.now - chosen.service_start) * (
-            self._slow_factor - 1.0
-        )
-        if extra > 0.0:
-            clock.advance(extra)
-            self.ops_slowed += 1
-            self.slow_extra_seconds += extra
-            if self.slow_span is None:
-                self.slow_span = [chosen.service_start, clock.now]
-            else:
-                self.slow_span[1] = clock.now
     chosen.completion = completion = clock.now
     chosen.done = True
     if chosen.op == "write" and chosen.block_sectors is None:
         self._unclaimed.add(breakdown)
     self.serviced += 1
-    self.completion_times.append(completion)
     service_seconds = completion - chosen.service_start
     self.busy_seconds += service_seconds
     self.service_times.record(service_seconds)

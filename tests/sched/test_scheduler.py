@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.blockdev.interpose import FaultPlane
 from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
@@ -263,67 +264,83 @@ class TestRegularDiskQueue:
 
 
 class TestSlowWindow:
-    """The scheduler-level fail-slow hook (multihost's shard_slow)."""
+    """A limping disk under a raw scheduler: a fault plane's fail-slow
+    window on the medium (multihost's shard_slow)."""
 
-    def build(self):
+    def build(self, **window):
         disk = Disk(ST19101, num_cylinders=2, store_data=False)
-        return disk, DiskScheduler(disk, "fifo")
+        plane = FaultPlane(**window).install(disk)
+        return disk, plane, DiskScheduler(disk, "fifo")
 
     def test_validation(self):
-        _, scheduler = self.build()
-        with pytest.raises(ValueError, match="factor"):
-            scheduler.set_slow_window(0.5)
+        for factor in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="factor"):
+                FaultPlane(slow_factor=factor)
         with pytest.raises(ValueError, match="after_ops"):
-            scheduler.set_slow_window(2.0, after_ops=-1)
+            FaultPlane(slow_factor=2.0, slow_after_ops=-1)
         with pytest.raises(ValueError, match="duration"):
-            scheduler.set_slow_window(2.0, duration_ops=0)
+            FaultPlane(slow_factor=2.0, slow_duration_ops=0)
 
     def test_only_window_services_are_stretched(self):
-        _, scheduler = self.build()
-        scheduler.set_slow_window(4.0, after_ops=2, duration_ops=3)
-        for i in range(8):
-            scheduler.write(i * 16)
-        scheduler.drain()
-        # Services 3, 4, 5 fall in the window.
-        assert scheduler.ops_slowed == 3
-        assert scheduler.slow_extra_seconds > 0.0
-        assert scheduler.slow_span is not None
-        start, end = scheduler.slow_span
+        disk, plane, scheduler = self.build(
+            slow_factor=4.0, slow_after_ops=2, slow_duration_ops=3
+        )
+        # Writes and reads alternate; services 3, 4, 5 fall in the
+        # window, so read 4 is stretched and reads 2 and 6 are not.
+        stretched = []
+        for i in range(4):
+            req = scheduler.write(i * 16)
+            stretched.append(
+                req.completion - req.service_start
+                > req.breakdown.total * 1.5
+            )
+            start = disk.clock.now
+            _, breakdown = scheduler.read(i * 16 + 4000)
+            stretched.append(disk.clock.now - start > breakdown.total * 1.5)
+        assert stretched == [False, False, True, True, True, False, False, False]
+        assert plane.services == 8
+        assert plane.ops_slowed == 3
+        assert plane.slow_extra_seconds > 0.0
+        assert plane.slow_span is not None
+        start, end = plane.slow_span
         assert start < end
 
     def test_surplus_lands_on_the_disk_clock(self):
-        disk_a, plain = self.build()
-        disk_b, slowed = self.build()
-        slowed.set_slow_window(5.0)
+        disk_a, _, plain = self.build()
+        disk_b, plane, slowed = self.build(slow_factor=5.0)
         for i in range(4):
             plain.write(i * 16)
-            slowed.write(i * 16)
+            last = slowed.write(i * 16)
         plain.drain()
         slowed.drain()
-        # The slowed bank genuinely ran longer, and every completion
-        # stamp includes its surplus (the last one IS the final clock).
+        # The slowed disk genuinely ran longer, and every completion
+        # stamp includes its surplus (the last one IS the final clock),
+        # while the disk's own busy time keeps the mechanics alone.
         assert disk_b.clock.now > disk_a.clock.now
-        assert slowed.slow_extra_seconds > 0.0
-        assert slowed.completion_times[-1] == disk_b.clock.now
-
-    def test_completion_times_cover_every_service(self):
-        _, scheduler = self.build()
-        for i in range(5):
-            scheduler.write(i * 16)
-        scheduler.drain()
-        assert len(scheduler.completion_times) == 5
-        assert scheduler.completion_times == sorted(
-            scheduler.completion_times
+        assert plane.slow_extra_seconds > 0.0
+        assert last.completion == disk_b.clock.now
+        assert disk_b.counters.busy_time + plane.slow_extra_seconds == (
+            pytest.approx(disk_b.clock.now)
         )
 
+    def test_completion_times_cover_every_service(self):
+        _, _, scheduler = self.build()
+        requests = [scheduler.write(i * 16) for i in range(5)]
+        scheduler.drain()
+        completions = [req.completion for req in requests]
+        assert all(req.done for req in requests)
+        assert completions == sorted(completions)
+        assert scheduler.serviced == 5
+
     def test_no_window_means_no_slow_state(self):
-        _, scheduler = self.build()
+        _, plane, scheduler = self.build()
         for i in range(4):
             scheduler.write(i * 16)
         scheduler.drain()
-        assert scheduler.ops_slowed == 0
-        assert scheduler.slow_extra_seconds == 0.0
-        assert scheduler.slow_span is None
+        assert plane.services == 4
+        assert plane.ops_slowed == 0
+        assert plane.slow_extra_seconds == 0.0
+        assert plane.slow_span is None
 
 
 class TestEngineMode:
