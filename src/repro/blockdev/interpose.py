@@ -2,7 +2,7 @@
 
 Any :class:`~repro.blockdev.interface.BlockDevice` can be wrapped by an
 :class:`InterposedDevice`, which forwards the whole device interface to an
-inner device while exposing a hook per operation.  Wrappers compose::
+inner device.  Wrappers compose::
 
     TracingDevice(MetricsDevice(FaultDevice(RegularDisk(disk), plan)))
 
@@ -12,9 +12,10 @@ time), so they can be left in a stack without perturbing an experiment.
 Every member of the :class:`BlockDevice` contract -- the five I/O calls,
 ``trim``, ``idle``, the ``power_down`` / ``crash`` / ``recover``
 lifecycle and ``clock`` -- is forwarded explicitly, and the six
-operations cross a wrapper in one place
-(:meth:`InterposedDevice._call`), so an observer sees a ``trim`` exactly
-as it sees a write.  Only device-specific surface (``device.disk``,
+operations cross a wrapper in one place, :meth:`InterposedDevice._call`:
+it is the one hook each interposer overrides, so an observer sees a
+``trim`` exactly as it sees a write, and the fault layer perturbs every
+operation in one body.  Only device-specific surface (``device.disk``,
 ``device.vlog``, ``device.utilization``) is reached by attribute
 fall-through.
 
@@ -22,18 +23,21 @@ Three concrete layers:
 
 * :class:`TracingDevice` -- structured per-operation event records (op,
   lba, count, latency breakdown, simulated timestamp) into a bounded ring
-  buffer, optionally mirrored to a JSONL sink;
+  buffer, optionally mirrored line by line to a JSONL sink;
 * :class:`MetricsDevice` -- op/block counters and per-component latency
-  histograms from which the Figure 9 breakdown report can be regenerated,
+  totals from which the Figure 9 breakdown report can be regenerated,
   including host time inferred from the simulated-clock gaps between
   device operations;
 * :class:`FaultDevice` -- deterministic, seeded injection of torn writes,
-  dropped writes, read errors, and crash-after-N-operations.
+  dropped writes, read errors, crash-after-N-operations and a fail-slow
+  window; each op's fail-slow surplus is its ``last_slow_extra``, which
+  the observers above read after the op.
 
 For faults *below* the logical layer (killing a Virtual Log Disk in the
-middle of its internal write sequence, a recovery in the middle of its
-repair, an NVWal between commit and destage), one :class:`FaultPlane`
-installs on the media -- the raw :class:`~repro.disk.disk.Disk` and an
+middle of its internal write sequence, a transaction before its commit
+record, a recovery in the middle of its repair, an NVWal between commit
+and destage), one :class:`FaultPlane` installs on the media -- the raw
+:class:`~repro.disk.disk.Disk` and an
 :class:`~repro.blockdev.nvm.NVMDevice` -- and drops the power at the
 N-th persistence event of a kind (a sector run, an NVM record, the NVM
 superblock), before, torn inside or after it: the crash-point
@@ -131,11 +135,12 @@ class InterposedDevice(BlockDevice):
     """A block device that forwards the whole contract to an inner device.
 
     The five I/O calls and ``trim`` cross the wrapper through
-    :meth:`_call`, the one hook an observer overrides; ``idle``, the
-    lifecycle and ``clock`` forward explicitly.  The base class is a pure
-    pass-through.  Other attribute access falls through to the inner
-    device, which keeps device-specific surface (``.disk``, ``.vlog``,
-    ``.utilization``, ...) reachable through a stack of wrappers.
+    :meth:`_call`, the one hook an observer or the fault layer
+    overrides; ``idle``, the lifecycle and ``clock`` forward explicitly.
+    The base class is a pure pass-through.  Other attribute access falls
+    through to the inner device, which keeps device-specific surface
+    (``.disk``, ``.vlog``, ``.utilization``, ...) reachable through a
+    stack of wrappers.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
@@ -241,39 +246,25 @@ def find_layer(device: BlockDevice, cls: Type) -> Optional[BlockDevice]:
 
 class ObservingDevice(InterposedDevice):
     """An interposer that observes completed operations without changing
-    them.  Subclasses implement :meth:`_note`; when ``enabled`` is False
-    every operation short-circuits to plain delegation (the zero-cost-
-    when-disabled contract).
+    them.  Subclasses implement :meth:`_note`; an observer that is not
+    wanted is not in the stack (:func:`build_device_stack` with no flag
+    returns the bare core).
 
     Operations that *fail* (the wrapped device raises a
     :class:`DeviceFault` mid-operation) are routed to :meth:`_note_fault`
     before the exception propagates, so observers never lose the event or
     leave a half-recorded operation behind.
+
+    A slowed op reaches an observer as an ordinary completion with a
+    stretched breakdown; the fault layer below (if any) names the stretch
+    in its ``last_slow_extra``, which :meth:`_call` hands to :meth:`_note`.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
         super().__init__(inner)
-        self.enabled = True
-        #: The fault layer whose slow counters :meth:`_take_slow_delta`
-        #: diffs (``None`` without one), and their last reading.
-        self._slow_source: Optional[FaultDevice] = find_layer(inner, FaultDevice)
-        self._slow_cursor: Tuple[int, float] = (0, 0.0)
-
-    def _take_slow_delta(self) -> Tuple[int, float]:
-        """(ops, seconds) of fail-slow surplus since the last call.
-
-        Observers sit *above* the fault layer, so a slowed op reaches
-        them as an ordinary completion with a stretched breakdown; the
-        only way to attribute the stretch is to diff the fault layer's
-        cumulative slow counters across each op.
-        """
-        source = self._slow_source
-        if source is None:
-            return 0, 0.0
-        cursor = self._slow_cursor
-        now = (source.ops_slowed, source.slow_extra_seconds)
-        self._slow_cursor = now
-        return now[0] - cursor[0], now[1] - cursor[1]
+        #: The fault layer whose per-op surplus :meth:`_note` receives
+        #: (``None`` without one).
+        self._fault: Optional[FaultDevice] = find_layer(inner, FaultDevice)
 
     def _note(
         self,
@@ -282,6 +273,7 @@ class ObservingDevice(InterposedDevice):
         count: int,
         breakdown: Breakdown,
         start: float,
+        slow_extra: float,
     ) -> None:
         raise NotImplementedError  # pragma: no cover - abstract hook
 
@@ -296,8 +288,6 @@ class ObservingDevice(InterposedDevice):
         pass
 
     def _call(self, op: str, lba: int, count: int, call, *args):
-        if not self.enabled:
-            return call(*args)
         start = self.clock.now
         try:
             result = call(*args)
@@ -306,13 +296,14 @@ class ObservingDevice(InterposedDevice):
             raise
         # A read answers (data, breakdown); every other op its breakdown.
         breakdown = result[1] if op == "read" else result
-        self._note(op, lba, count, breakdown, start)
+        fault_layer = self._fault
+        slow_extra = 0.0 if fault_layer is None else fault_layer.last_slow_extra
+        self._note(op, lba, count, breakdown, start, slow_extra)
         return result
 
     def idle(self, seconds: float) -> None:
         self.inner.idle(seconds)
-        if self.enabled:
-            self._note_idle(seconds)
+        self._note_idle(seconds)
 
     def _note_idle(self, seconds: float) -> None:
         pass
@@ -329,9 +320,9 @@ class TraceEvent:
     ``fault`` names the :class:`DeviceFault` subclass when the operation
     failed instead of completing (``fault_context`` carries its structured
     fields); the breakdown is then empty, since the device never reported
-    a latency for an operation it aborted.  ``slow_extra`` is the seconds
-    of fail-slow surplus a fault layer injected into this op (already
-    inside the breakdown; recorded so slow ops are identifiable).
+    a latency for an operation it aborted.  ``slow_extra`` is the exact
+    fail-slow surplus the fault layer injected into this op, in seconds
+    (already inside the breakdown; recorded so slow ops are identifiable).
     """
 
     seq: int
@@ -372,8 +363,10 @@ class TracingDevice(ObservingDevice):
     Args:
         inner: The wrapped device.
         capacity: Ring-buffer depth (oldest events are evicted).
-        sink: Optional JSONL destination -- a path (opened lazily,
-            append mode) or any object with a ``write`` method.
+        sink: Optional JSONL destination -- a path (opened lazily in
+            append mode, line-buffered so each record lands whole and in
+            order even beside another tracer on the same path) or any
+            object with a ``write`` method.
     """
 
     def __init__(
@@ -391,8 +384,7 @@ class TracingDevice(ObservingDevice):
         self._sink = sink if sink is None or hasattr(sink, "write") else None
         self._owns_sink = False
 
-    def _note(self, op, lba, count, breakdown, start) -> None:
-        slowed, slow_extra = self._take_slow_delta()
+    def _note(self, op, lba, count, breakdown, start, slow_extra) -> None:
         self._emit(TraceEvent(
             seq=self.total_events,
             op=op,
@@ -400,7 +392,7 @@ class TracingDevice(ObservingDevice):
             count=count,
             start=start,
             breakdown=breakdown.copy(),
-            slow_extra=slow_extra if slowed else 0.0,
+            slow_extra=slow_extra,
         ))
 
     def _note_fault(self, op, lba, count, fault, start) -> None:
@@ -428,7 +420,7 @@ class TracingDevice(ObservingDevice):
 
     def _open_sink(self):
         if self._sink is None and self._sink_spec is not None:
-            self._sink = open(str(self._sink_spec), "a")
+            self._sink = open(str(self._sink_spec), "a", buffering=1)
             self._owns_sink = True
         return self._sink
 
@@ -452,7 +444,7 @@ class TracingDevice(ObservingDevice):
 # ======================================================================
 
 class MetricsDevice(ObservingDevice):
-    """Counts operations and histograms latencies per component.
+    """Counts operations and sums latencies per component.
 
     Beyond the device-visible components (``scsi``, ``transfer``,
     ``locate``), host processing time is inferred from the simulated
@@ -469,7 +461,7 @@ class MetricsDevice(ObservingDevice):
     (``overlapped_seconds``) instead of being double-counted as host time.
     The depth observed after each operation also feeds a queue-depth
     sample histogram, and per-op service-time percentiles
-    (p50/p95/p99/p999) are available from the latency histograms.
+    (p50/p95/p99/p999) are available from the per-op latency histograms.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
@@ -480,9 +472,8 @@ class MetricsDevice(ObservingDevice):
         self.ops: Dict[str, int] = {}
         self.blocks: Dict[str, int] = {}
         self.op_latency: Dict[str, LatencyHistogram] = {}
-        self.component_hist: Dict[str, LatencyHistogram] = {
-            name: LatencyHistogram() for name in COMPONENTS
-        }
+        #: Device seconds per component, summed over completed ops.
+        self.device_time = Breakdown()
         #: Operations the wrapped device aborted with a DeviceFault, per
         #: op name, and the simulated time those aborted operations
         #: consumed before failing.  Kept apart from the completed-op
@@ -496,7 +487,6 @@ class MetricsDevice(ObservingDevice):
         #: host_seconds is never inflated by them.
         self.slowed: Dict[str, int] = {}
         self.slow_seconds = 0.0
-        self._take_slow_delta()  # re-anchor the cursor past old surplus
         self.host_seconds = 0.0
         self.idle_seconds = 0.0
         #: Clock gaps that opened while the device still had queued
@@ -536,17 +526,15 @@ class MetricsDevice(ObservingDevice):
         if depth > self.max_outstanding:
             self.max_outstanding = depth
 
-    def _note(self, op, lba, count, breakdown, start) -> None:
+    def _note(self, op, lba, count, breakdown, start, slow_extra) -> None:
         self.ops[op] = self.ops.get(op, 0) + 1
         self.blocks[op] = self.blocks.get(op, 0) + count
         self.op_latency.setdefault(op, LatencyHistogram()).record(
             breakdown.total
         )
-        for name in COMPONENTS:
-            self.component_hist[name].record(getattr(breakdown, name))
-        slowed, slow_extra = self._take_slow_delta()
-        if slowed:
-            self.slowed[op] = self.slowed.get(op, 0) + slowed
+        self.device_time.add(breakdown)
+        if slow_extra:
+            self.slowed[op] = self.slowed.get(op, 0) + 1
             self.slow_seconds += slow_extra
         self._attribute_gap(start)
         self._last_end = self.clock.now
@@ -583,9 +571,7 @@ class MetricsDevice(ObservingDevice):
 
     def component_totals(self, include_host: bool = True) -> Dict[str, float]:
         """Seconds per component, ``other`` inferred from clock gaps."""
-        totals = {
-            name: self.component_hist[name].sum for name in COMPONENTS
-        }
+        totals = self.device_time.as_dict()
         if include_host:
             totals["other"] += self.host_seconds
         return totals
@@ -599,7 +585,7 @@ class MetricsDevice(ObservingDevice):
         return {name: totals[name] / whole for name in COMPONENTS}
 
     def device_seconds(self) -> float:
-        return sum(self.component_hist[name].sum for name in COMPONENTS)
+        return self.device_time.total
 
     def queue_stats(self) -> Dict[str, float]:
         """Queue-depth accounting: mean/max observed depth and the time
@@ -626,7 +612,7 @@ class MetricsDevice(ObservingDevice):
 
     def report(self) -> Dict[str, object]:
         """Structured metrics report: device time from the component
-        histograms, host and overlap time from the clock gaps between
+        totals, host and overlap time from the clock gaps between
         operations.  Percentiles include the p99/p999 tail."""
         return {
             "ops": dict(self.ops),
@@ -797,6 +783,11 @@ class FaultDevice(InterposedDevice):
       surplus is charged to the breakdown's ``locate`` component and the
       simulated clock advances by it, so the host genuinely waits.
 
+    Every operation meets these in one place, :meth:`_call`.  A request
+    the device would refuse (blocks outside it, a data buffer of the
+    wrong size, a partial write leaving its block) is refused there
+    first: it is neither counted nor faulted.
+
     A hedging layer above (the sharded volume) can bound the surplus a
     single operation may suffer by setting :attr:`hedge_cap` -- the model
     of a duplicate request racing the slow one: past the cap, the hedge
@@ -815,6 +806,8 @@ class FaultDevice(InterposedDevice):
         self._slow_window = plan.slow_window()
         self.ops_slowed = 0
         self.slow_extra_seconds = 0.0
+        #: The fail-slow surplus (seconds) the last operation suffered.
+        self.last_slow_extra = 0.0
         #: Upper bound (seconds) on the per-op slow surplus; ``None``
         #: means uncapped.  Set transiently by hedged readers.
         self.hedge_cap: Optional[float] = None
@@ -848,9 +841,11 @@ class FaultDevice(InterposedDevice):
         self.clock.advance(extra)
         self.ops_slowed += 1
         self.slow_extra_seconds += extra
+        self.last_slow_extra = extra
         return breakdown
 
     def _tick(self, op: str, lba: int, count: int) -> None:
+        self.last_slow_extra = 0.0
         if self.crashed:
             raise DeviceCrashed(
                 "device already crashed", op=op, lba=lba, count=count
@@ -869,66 +864,44 @@ class FaultDevice(InterposedDevice):
     def _fire(self, rate: float) -> bool:
         return rate > 0.0 and self.rng.random() < rate
 
-    def _check_read(self, lba: int, count: int) -> None:
-        self._tick("read", lba, count)
-        if self._fire(self.plan.read_error_rate):
-            self.reads_failed += 1
-            raise InjectedReadError(
-                f"injected media error reading blocks [{lba}, {lba + count})",
-                op="read",
-                lba=lba,
-                count=count,
-            )
-
-    def read_block(self, lba: int) -> Tuple[bytes, Breakdown]:
-        self._check_read(lba, 1)
-        data, breakdown = self.inner.read_block(lba)
-        return data, self._maybe_slow(breakdown)
-
-    def read_blocks(self, lba: int, count: int) -> Tuple[bytes, Breakdown]:
-        self._check_read(lba, count)
-        data, breakdown = self.inner.read_blocks(lba, count)
-        return data, self._maybe_slow(breakdown)
-
-    def write_block(self, lba: int, data: Optional[bytes] = None) -> Breakdown:
-        return self.write_blocks(lba, 1, data)
-
-    def write_blocks(
-        self, lba: int, count: int, data: Optional[bytes] = None
-    ) -> Breakdown:
-        self._tick("write", lba, count)
-        if self._fire(self.plan.dropped_write_rate):
-            self.writes_dropped += 1
-            self.check_lba(lba, count)
-            self.check_data(data, count)
-            return Breakdown()
-        if self._fire(self.plan.torn_write_rate):
-            self.writes_torn += 1
-            self.check_lba(lba, count)
-            data = self.check_data(data, count)
-            keep = self.rng.randrange(count)  # 0..count-1 blocks survive
-            if keep == 0:
+    def _call(self, op: str, lba: int, count: int, call, *args):
+        self.check_lba(lba, count)
+        if op == "write":
+            payload = self.check_data(args[-1], count)
+        elif op == "write_partial":
+            offset, payload = args[1:]
+            if offset < 0 or offset + len(payload) > self.block_size:
+                raise ValueError("partial write outside the block")
+        self._tick(op, lba, count)
+        plan = self.plan
+        if op == "read":
+            if self._fire(plan.read_error_rate):
+                self.reads_failed += 1
+                raise InjectedReadError(
+                    f"injected media error reading blocks [{lba}, {lba + count})",
+                    op=op,
+                    lba=lba,
+                    count=count,
+                )
+            data, breakdown = call(*args)
+            return data, self._maybe_slow(breakdown)
+        if op != "trim":
+            if self._fire(plan.dropped_write_rate):
+                self.writes_dropped += 1
                 return Breakdown()
-            return self._maybe_slow(self.inner.write_blocks(
-                lba, keep, data[: keep * self.block_size]
-            ))
-        return self._maybe_slow(self.inner.write_blocks(lba, count, data))
-
-    def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
-        self._tick("write_partial", lba, 1)
-        if self._fire(self.plan.dropped_write_rate):
-            self.writes_dropped += 1
-            return Breakdown()
-        # A sub-block write is a single sector run; tearing it degenerates
-        # to dropping it.
-        if self._fire(self.plan.torn_write_rate):
-            self.writes_torn += 1
-            return Breakdown()
-        return self._maybe_slow(self.inner.write_partial(lba, offset, data))
-
-    def trim(self, lba: int, count: int = 1) -> Breakdown:
-        self._tick("trim", lba, count)
-        return self._maybe_slow(self.inner.trim(lba, count))
+            if self._fire(plan.torn_write_rate):
+                self.writes_torn += 1
+                # A sub-block write is a single sector run; tearing it
+                # degenerates to dropping it.
+                if op == "write_partial":
+                    return Breakdown()
+                keep = self.rng.randrange(count)  # 0..count-1 blocks survive
+                if keep == 0:
+                    return Breakdown()
+                return self._maybe_slow(self.inner.write_blocks(
+                    lba, keep, payload[: keep * self.block_size]
+                ))
+        return self._maybe_slow(call(*args))
 
     def recover(self) -> RecoveryOutcome:
         """The restart after a crash: the injected power loss is over,
@@ -1118,8 +1091,7 @@ def build_device_stack(
     disk,
     device_type: str = "regular",
     *,
-    trace: bool = False,
-    trace_sink: Optional[object] = None,
+    trace: object = False,
     metrics: bool = False,
     faults: Optional[FaultPlan] = None,
     nvm=None,
@@ -1133,7 +1105,9 @@ def build_device_stack(
     interposers: pass ``True`` for the default NVDIMM spec, a part name
     from :data:`~repro.blockdev.nvm.NVM_SPECS`, or an
     :class:`~repro.blockdev.nvm.NVMSpec`.  The keyword flags are the one
-    way to ask for interposers.  Layer order, innermost out: faults (so
+    way to ask for interposers; ``trace`` is ``False``, ``True`` (the
+    in-memory ring only) or a JSONL sink for :class:`TracingDevice` (a
+    path or a writer).  Layer order, innermost out: faults (so
     observers see the faulty behaviour the host sees), then metrics,
     then tracing.  With no flag set the core is returned untouched --
     the disabled stack costs nothing.  This is the single entry point
@@ -1163,5 +1137,5 @@ def build_device_stack(
     if metrics:
         device = MetricsDevice(device)
     if trace:
-        device = TracingDevice(device, sink=trace_sink)
+        device = TracingDevice(device, sink=None if trace is True else trace)
     return device

@@ -119,8 +119,7 @@ def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     device = build_device_stack(
         disk,
         config.device_type,
-        trace=bool(config.trace),
-        trace_sink=config.trace if isinstance(config.trace, str) else None,
+        trace=config.trace,
         metrics=config.metrics,
         faults=config.faults,
         nvm=config.nvm,

@@ -41,11 +41,7 @@ from repro.vlog.resilience import (
     vlfsck,
 )
 from repro.vlog.vld import VirtualLogDisk
-from repro.vlog.transactions import (
-    CrashInjected,
-    Transaction,
-    TransactionalVLD,
-)
+from repro.vlog.transactions import Transaction, TransactionalVLD
 from repro.vlog.reorganizer import ReadReorganizer
 
 __all__ = [
@@ -72,6 +68,5 @@ __all__ = [
     "VirtualLogDisk",
     "Transaction",
     "TransactionalVLD",
-    "CrashInjected",
     "ReadReorganizer",
 ]

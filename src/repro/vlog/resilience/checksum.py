@@ -3,8 +3,9 @@
 Real drives lay down out-of-band ECC bytes alongside each sector in the
 same head pass; the host never sees them, pays nothing for them, and the
 firmware verifies them on every read.  :class:`ChecksumStore` models that:
-:meth:`record` is invoked from inside :meth:`Disk.write`/:meth:`Disk.poke`
-(zero simulated time -- the ECC rides the data transfer) and
+:meth:`record` is invoked from inside the disk's one media path,
+``Disk._store``, under every write (zero simulated time -- the ECC rides
+the data transfer) and
 :meth:`verify` is called only by the resilience layer's read path, so a
 VLD without the layer behaves bit-for-bit as before.
 

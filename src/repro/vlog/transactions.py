@@ -19,6 +19,11 @@ semantics across any number of blocks with no write-ahead log, no
 update-in-place, and no NVRAM.  Commit records are recycled by slot reuse
 once every member of their transaction has been superseded.
 
+Every phase is a run of physical writes, so a power loss inside a commit
+is an ordinary :class:`~repro.blockdev.interpose.FaultPlane` crash point
+(a ``sector-run`` event): the tests drop the power before the first
+member record or before the commit record, and recover.
+
 One transaction may be open at a time (the simulation is synchronous,
 matching a single drive processor).
 """
@@ -29,10 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.stats import Breakdown
 from repro.vlog.vld import VirtualLogDisk
-
-
-class CrashInjected(Exception):
-    """Raised by test-only crash points inside :meth:`Transaction.commit`."""
 
 
 class Transaction:
@@ -51,19 +52,11 @@ class Transaction:
         self._vld.check_lba(lba, 1)
         self._writes[lba] = self._vld.check_data(data, 1)
 
-    def commit(self, crash_point: Optional[str] = None) -> Breakdown:
-        """Apply every buffered write atomically.
-
-        ``crash_point`` ('after_data' | 'after_members') aborts the commit
-        mid-flight by raising :class:`CrashInjected` -- a fault-injection
-        hook for recovery tests; callers then simulate power loss with
-        ``vld.crash()`` and ``vld.recover()``.
-        """
+    def commit(self) -> Breakdown:
+        """Apply every buffered write atomically."""
         if self.committed or self.aborted:
             raise RuntimeError("transaction already finished")
-        breakdown = self._vld._commit_transaction(
-            self._writes, crash_point
-        )
+        breakdown = self._vld._commit_transaction(self._writes)
         self.committed = True
         return breakdown
 
@@ -101,9 +94,7 @@ class TransactionalVLD(VirtualLogDisk):
 
     # ------------------------------------------------------------------
 
-    def _commit_transaction(
-        self, writes: Dict[int, bytes], crash_point: Optional[str]
-    ) -> Breakdown:
+    def _commit_transaction(self, writes: Dict[int, bytes]) -> Breakdown:
         breakdown = self._charge_scsi()
         if not writes:
             return breakdown
@@ -126,8 +117,6 @@ class TransactionalVLD(VirtualLogDisk):
             if old is not None:
                 displaced.append(old)
             touched_chunks[self.imap.chunk_id_of(lba)] = None
-        if crash_point == "after_data":
-            raise CrashInjected("crash injected after data writes")
         # Phase 2: the member map records (predecessors retained).
         superseded: List[int] = []
         for chunk_id in touched_chunks:
@@ -137,8 +126,6 @@ class TransactionalVLD(VirtualLogDisk):
             breakdown.add(cost)
             if old_record is not None:
                 superseded.append(old_record)
-        if crash_point == "after_members":
-            raise CrashInjected("crash injected before the commit record")
         # Phase 3: the commit record -- the transaction's durability point.
         breakdown.add(self.vlog.commit_txn(txn_id, superseded))
         # Phase 4: recycle the displaced data blocks.

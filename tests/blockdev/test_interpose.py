@@ -3,6 +3,7 @@ and the build_device_stack factory."""
 
 import io
 import json
+import random
 
 import pytest
 
@@ -132,15 +133,31 @@ class TestTracingDevice:
         traced.close()
         assert len(path.read_text().splitlines()) == 1
 
-    def test_disabled_records_nothing(self, device):
-        traced = TracingDevice(device)
-        traced.enabled = False
-        traced.write_block(1, PAYLOAD)
-        assert traced.total_events == 0
+    def test_disabled_records_nothing(self, disk):
+        # Off is not being in the stack: no flag, no tracer to record.
+        device = build_device_stack(disk, "regular", trace=False)
+        device.write_block(1, PAYLOAD)
+        assert find_layer(device, TracingDevice) is None
+        assert isinstance(device, RegularDisk)
 
     def test_rejects_nonpositive_capacity(self, device):
         with pytest.raises(ValueError):
             TracingDevice(device, capacity=0)
+
+    def test_two_tracers_on_one_path_keep_every_record(self, device, tmp_path):
+        # Each stack of a figure appends to the same --trace file; the
+        # first tracer is never closed, so its records must be down as
+        # soon as they are written, ahead of the next stack's.
+        path = str(tmp_path / "ops.jsonl")
+        first = TracingDevice(device, sink=path)
+        first.write_block(0, PAYLOAD)
+        second = TracingDevice(
+            RegularDisk(Disk(ST19101, num_cylinders=2)), sink=path
+        )
+        second.write_block(1, PAYLOAD)
+        second.close()
+        with open(path) as lines:
+            assert [json.loads(line)["lba"] for line in lines] == [0, 1]
 
 
 class TestMetricsDevice:
@@ -425,6 +442,68 @@ class TestFaultDevice:
         faulty = FaultDevice(device, FaultPlan(torn_write_rate=1.0))
         faulty.write_block(1, b"\x55" * 4096)
         assert device.read_block(1)[0] == PAYLOAD
+
+    @pytest.mark.parametrize("plan, method, args", [
+        (FaultPlan(read_error_rate=1.0), "read_block", (-1,)),
+        (FaultPlan(read_error_rate=1.0), "read_blocks", (1023, 4)),
+        (FaultPlan(dropped_write_rate=1.0), "write_partial",
+         (1029, 0, bytes(512))),
+        (FaultPlan(dropped_write_rate=1.0), "write_partial",
+         (-1, 0, bytes(512))),
+        (FaultPlan(dropped_write_rate=1.0), "write_partial",
+         (0, 4096, bytes(512))),
+        (FaultPlan(torn_write_rate=1.0), "write_partial",
+         (1029, 0, bytes(512))),
+        (FaultPlan(torn_write_rate=1.0), "write_partial",
+         (-1, 0, bytes(512))),
+        (FaultPlan(torn_write_rate=1.0), "write_blocks", (0, 2, bytes(10))),
+        (FaultPlan(crash_after_ops=2), "trim", (-5,)),
+    ])
+    def test_a_refused_request_is_neither_faulted_nor_counted(
+        self, device, plan, method, args
+    ):
+        assert device.num_blocks == 1024
+        faulty = FaultDevice(device, plan)
+        with pytest.raises(ValueError):
+            getattr(faulty, method)(*args)
+        assert faulty.ops_seen == 0
+        assert faulty.reads_failed == faulty.writes_dropped == 0
+        assert faulty.writes_torn == 0
+        # The next valid request is the plan's first operation.
+        faulty.write_block(0, PAYLOAD)
+        assert faulty.ops_seen == 1
+
+
+class _CoreTotals(InterposedDevice):
+    """Records the latency of every write the core below completes."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.totals = []
+
+    def _call(self, op, lba, count, call, *args):
+        breakdown = call(*args)
+        self.totals.append(breakdown.total)
+        return breakdown
+
+
+def test_the_trace_reports_each_ops_injected_surplus():
+    plan = FaultPlan(
+        seed=3, slow_factor=4, slow_after_ops=5, slow_duration_ops=400
+    )
+    core = _CoreTotals(VirtualLogDisk(Disk(ST19101, num_cylinders=4)))
+    fault = FaultDevice(core, plan)
+    traced = TracingDevice(fault)
+    rng = random.Random(3)
+    surplus = []
+    for _ in range(300):
+        traced.write_block(rng.randrange(traced.num_blocks), PAYLOAD)
+        surplus.append(fault.last_slow_extra)
+    # Ops 5..300 fall in the window: each pays 3x its own latency again.
+    expected = [0.0] * 4 + [total * 3.0 for total in core.totals[4:]]
+    assert surplus == expected
+    assert [event.slow_extra for event in traced.events] == expected
+    assert fault.ops_slowed == 296
 
 
 class TestDiskFaultInjector:

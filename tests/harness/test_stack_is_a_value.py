@@ -363,11 +363,10 @@ def test_first_use_state_is_built_by_the_constructor():
     assert vars(vld.compactor)["_seeks_sorted"] is True
     assert isinstance(vars(vld.resilience)["scrubber"], MediaScrubber)
     fault = FaultDevice(vld, FaultPlan(seed=5, slow_factor=3.0))
+    assert vars(fault)["last_slow_extra"] == 0.0
     for observer, source in (
         (TracingDevice(vld), None),
         (MetricsDevice(fault), fault),
         (TracingDevice(MetricsDevice(fault)), fault),
     ):
-        state = vars(observer)
-        assert state["_slow_source"] is source
-        assert state["_slow_cursor"] == (0, 0.0)
+        assert vars(observer)["_fault"] is source

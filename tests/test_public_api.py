@@ -26,8 +26,8 @@ CONFIGURATION_SURFACE = {
     "repro.vlog.compactor:FreeSpaceCompactor": ("vld",),
     "repro.vlog.reorganizer:ReadReorganizer": ("vld",),
     "repro.blockdev.interpose:build_device_stack": (
-        "disk", "device_type", "trace", "trace_sink", "metrics", "faults",
-        "nvm", "device_kwargs",
+        "disk", "device_type", "trace", "metrics", "faults", "nvm",
+        "device_kwargs",
     ),
     "repro.harness.configs:build_sharded_volume": (
         "shards", "stripe_blocks", "num_cylinders", "queue_depth", "sched",
@@ -77,7 +77,7 @@ class TestConfigurationSurface:
             for path in CONFIGURATION_SURFACE
             for parameter in _signature(path).parameters.values()
         )
-        assert optional == 55
+        assert optional == 54
 
 
 class TestReadmeSnippets:

@@ -8,8 +8,8 @@ quarter of the steps (the compactor relocates records) and a crash on
 ``recover()`` each acknowledged block is read back.  Each recovery also
 runs on a fork with the exhaustive reference traversal, and the two must
 agree (``reference_recovery.recover_both``).  The transactional
-shape adds atomic multi-block writes, a third of them cut short after
-their data or after their member records.
+shape adds atomic multi-block writes, a third of them cut short by a
+fault-plane power loss after their data or after their member records.
 
 Two defects, one per shape (DESIGN.md section 10):
 
@@ -29,8 +29,9 @@ import pytest
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.entries import entries_per_chunk
-from repro.vlog.transactions import CrashInjected, TransactionalVLD
+from repro.vlog.transactions import TransactionalVLD
 from repro.vlog.vld import VirtualLogDisk
+from tests._commit_crash import crash_commit
 from tests.vlog.reference_recovery import recover_both
 
 BS = 4096
@@ -79,12 +80,12 @@ def run_history(seed, transactions=False, recover=None) -> int:
             txn = vld.begin()
             for lba, tag in writes.items():
                 txn.write(lba, _blk(tag))
-            try:
-                txn.commit(crash_point=crash_point)
-            except CrashInjected:
-                cycle()
-            else:
+            if crash_point is None:
+                txn.commit()
                 acked.update(writes)
+            else:
+                crash_commit(txn, crash_point)
+                cycle()
         else:
             lba = rng.randrange(vld.num_blocks)
             tag = rng.randrange(1, 256)
@@ -119,8 +120,7 @@ def test_a_write_after_an_uncommitted_transaction_survives_a_scan():
     txn = vld.begin()
     txn.write(lbas[0], _blk(2))
     txn.write(lbas[1], _blk(2))
-    with pytest.raises(CrashInjected):
-        txn.commit(crash_point="after_members")
+    crash_commit(txn, "after_members")
     members = [n.seqno for n in vld.vlog._nodes.values() if n.txn_id]
     assert len(members) == 2
     vld.power_down()

@@ -1,8 +1,8 @@
 """Atomic multi-block transactions on the virtual log.
 
-The all-or-nothing guarantee is exercised with crash injection at every
-phase of the commit protocol, plus a randomized multi-transaction history
-check.
+The all-or-nothing guarantee is exercised with a fault-plane power loss
+at every phase of the commit protocol, plus a randomized
+multi-transaction history check.
 """
 
 import random
@@ -11,7 +11,8 @@ import pytest
 
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
-from repro.vlog.transactions import CrashInjected, TransactionalVLD
+from repro.vlog.transactions import TransactionalVLD
+from tests._commit_crash import PHASES, crash_commit
 
 
 @pytest.fixture
@@ -94,14 +95,13 @@ class TestCrashInjection:
         tvld.write_block(11, block(101))
         tvld.power_down()
 
-    @pytest.mark.parametrize("point", ["after_data", "after_members"])
+    @pytest.mark.parametrize("point", PHASES)
     def test_crash_before_commit_record_rolls_back(self, tvld, point):
         self._seed(tvld)
         txn = tvld.begin()
         txn.write(10, block(200))
         txn.write(11, block(201))
-        with pytest.raises(CrashInjected):
-            txn.commit(crash_point=point)
+        crash_commit(txn, point)
         tvld.crash()
         tvld.recover()
         # All-or-nothing: neither new value may be visible.
@@ -120,8 +120,7 @@ class TestCrashInjection:
     def test_first_write_of_block_rolls_back_to_unmapped(self, tvld):
         txn = tvld.begin()
         txn.write(42, block(9))
-        with pytest.raises(CrashInjected):
-            txn.commit(crash_point="after_members")
+        crash_commit(txn, "after_members")
         tvld.crash()
         tvld.recover()
         assert tvld.read_block(42)[0] == bytes(4096)
@@ -130,8 +129,7 @@ class TestCrashInjection:
         self._seed(tvld)
         txn = tvld.begin()
         txn.write(10, block(200))
-        with pytest.raises(CrashInjected):
-            txn.commit(crash_point="after_members")
+        crash_commit(txn, "after_members")
         tvld.crash()
         tvld.recover()
         # The orphaned new data block and member record were reclaimed.
@@ -147,8 +145,7 @@ class TestCrashInjection:
         self._seed(tvld)
         txn = tvld.begin()
         txn.write(10, block(200))
-        with pytest.raises(CrashInjected):
-            txn.commit(crash_point="after_data")
+        crash_commit(txn, "after_data")
         tvld.crash()
         tvld.recover()
         tvld.write_atomic([(10, block(250)), (12, block(251))])
@@ -181,9 +178,7 @@ class TestRandomizedHistories:
                 txn = tvld.begin()
                 for lba in lbas:
                     txn.write(lba, block(tag))
-                point = rng.choice(["after_data", "after_members"])
-                with pytest.raises(CrashInjected):
-                    txn.commit(crash_point=point)
+                crash_commit(txn, rng.choice(PHASES))
                 tvld.crash()
                 tvld.recover()
                 # model unchanged: the transaction never happened
