@@ -24,10 +24,10 @@ Three concrete layers:
 * :class:`TracingDevice` -- structured per-operation event records (op,
   lba, count, latency breakdown, simulated timestamp) into a bounded ring
   buffer, optionally mirrored line by line to a JSONL sink;
-* :class:`MetricsDevice` -- op/block counters and per-component latency
-  totals from which the Figure 9 breakdown report can be regenerated,
-  including host time inferred from the simulated-clock gaps between
-  device operations;
+* :class:`MetricsDevice` -- op/block counters and per-component device
+  time, plus host time inferred from the simulated-clock gaps between
+  device operations: what the ``--metrics`` summary line prints (the
+  figures take their breakdowns from the operations themselves);
 * :class:`FaultDevice` -- deterministic, seeded injection of torn writes,
   dropped writes, read errors, crash-after-N-operations and a fail-slow
   window; each op's fail-slow surplus is its ``last_slow_extra``, which
@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Type
 from repro.blockdev.interface import BlockDevice
 from repro.blockdev.regular import RegularDisk
 from repro.sim.clock import SimClock
-from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import COMPONENTS, Breakdown
 
 if TYPE_CHECKING:  # repro.vlog sits above this module in the layer order
@@ -303,9 +302,9 @@ class ObservingDevice(InterposedDevice):
 
     def idle(self, seconds: float) -> None:
         self.inner.idle(seconds)
-        self._note_idle(seconds)
+        self._note_idle()
 
-    def _note_idle(self, seconds: float) -> None:
+    def _note_idle(self) -> None:
         pass
 
 
@@ -451,17 +450,20 @@ class MetricsDevice(ObservingDevice):
     clock: any time that passes *between* two device operations (and is
     not declared idle via :meth:`idle`) must have been spent above the
     device -- system call, file system code, driver.  That inferred time
-    is reported as the ``other`` component, which is how the Figure 9
-    breakdown is regenerated from this layer's data alone.
+    is the ``other`` component of the ``--metrics`` summary.
 
     The inference is queue-aware: once the wrapped device runs a request
     scheduler with outstanding requests, the time between two completions
     is the *device* draining its queue, not host compute.  Gaps that open
     while requests were outstanding are therefore accumulated separately
-    (``overlapped_seconds``) instead of being double-counted as host time.
-    The depth observed after each operation also feeds a queue-depth
-    sample histogram, and per-op service-time percentiles
-    (p50/p95/p99/p999) are available from the per-op latency histograms.
+    (``overlapped_seconds``) instead of being double-counted as host time,
+    and the deepest queue observed after an operation is
+    ``max_outstanding``.
+
+    The layer keeps what :meth:`summary` prints and nothing else.
+    Per-request service distributions live where requests are serviced
+    (:class:`~repro.sched.scheduler.DiskScheduler`), and the figures
+    take their breakdowns from the operations that paid them.
     """
 
     def __init__(self, inner: BlockDevice) -> None:
@@ -471,13 +473,12 @@ class MetricsDevice(ObservingDevice):
     def reset(self) -> None:
         self.ops: Dict[str, int] = {}
         self.blocks: Dict[str, int] = {}
-        self.op_latency: Dict[str, LatencyHistogram] = {}
         #: Device seconds per component, summed over completed ops.
         self.device_time = Breakdown()
         #: Operations the wrapped device aborted with a DeviceFault, per
         #: op name, and the simulated time those aborted operations
         #: consumed before failing.  Kept apart from the completed-op
-        #: counters and histograms so injected faults cannot skew them.
+        #: counters so injected faults cannot skew them.
         self.faulted: Dict[str, int] = {}
         self.faulted_seconds = 0.0
         #: Completed ops a fault layer stretched with a fail-slow window,
@@ -488,12 +489,10 @@ class MetricsDevice(ObservingDevice):
         self.slowed: Dict[str, int] = {}
         self.slow_seconds = 0.0
         self.host_seconds = 0.0
-        self.idle_seconds = 0.0
         #: Clock gaps that opened while the device still had queued
         #: requests outstanding: device overlap, not host compute.
         self.overlapped_seconds = 0.0
-        #: Queue depth observed after each operation -> sample count.
-        self.queue_depth_samples: Dict[int, int] = {}
+        #: The deepest queue observed after an operation.
         self.max_outstanding = 0
         self._last_end = self.clock.now
         self._last_outstanding = self._outstanding_now()
@@ -520,18 +519,12 @@ class MetricsDevice(ObservingDevice):
     def _sample_queue(self) -> None:
         depth = self._outstanding_now()
         self._last_outstanding = depth
-        self.queue_depth_samples[depth] = (
-            self.queue_depth_samples.get(depth, 0) + 1
-        )
         if depth > self.max_outstanding:
             self.max_outstanding = depth
 
     def _note(self, op, lba, count, breakdown, start, slow_extra) -> None:
         self.ops[op] = self.ops.get(op, 0) + 1
         self.blocks[op] = self.blocks.get(op, 0) + count
-        self.op_latency.setdefault(op, LatencyHistogram()).record(
-            breakdown.total
-        )
         self.device_time.add(breakdown)
         if slow_extra:
             self.slowed[op] = self.slowed.get(op, 0) + 1
@@ -542,10 +535,9 @@ class MetricsDevice(ObservingDevice):
 
     def _note_fault(self, op, lba, count, fault, start) -> None:
         # Without this hook a mid-operation fault left the op half
-        # recorded: no counter, no histogram sample, and -- worse -- a
-        # stale ``_last_end``, so the *next* operation's clock gap
-        # silently absorbed the faulted op's device time into
-        # ``host_seconds``.  Record the event in its own bucket and
+        # recorded: no counter, and -- worse -- a stale ``_last_end``, so
+        # the *next* operation's clock gap silently absorbed the faulted
+        # op's device time into ``host_seconds``.  Record the event in its own bucket and
         # advance the gap origin past whatever time the aborted operation
         # consumed.
         self.faulted[op] = self.faulted.get(op, 0) + 1
@@ -556,18 +548,13 @@ class MetricsDevice(ObservingDevice):
         self._last_end = end
         self._last_outstanding = self._outstanding_now()
 
-    def _note_idle(self, seconds: float) -> None:
+    def _note_idle(self) -> None:
         # Idle time is neither device nor host work; advance the gap
         # origin past it so it is not misread as host processing.
-        self.idle_seconds += seconds
         self._last_end = self.clock.now
         self._last_outstanding = self._outstanding_now()
 
     # -- reporting -----------------------------------------------------
-
-    @property
-    def total_ops(self) -> int:
-        return sum(self.ops.values())
 
     def component_totals(self, include_host: bool = True) -> Dict[str, float]:
         """Seconds per component, ``other`` inferred from clock gaps."""
@@ -577,7 +564,8 @@ class MetricsDevice(ObservingDevice):
         return totals
 
     def component_fractions(self, include_host: bool = True) -> Dict[str, float]:
-        """Each component as a fraction of total time (Figure 9 bars)."""
+        """Each component as a fraction of total time (the summary's
+        bracketed percentages)."""
         totals = self.component_totals(include_host)
         whole = sum(totals.values())
         if whole <= 0.0:
@@ -586,49 +574,6 @@ class MetricsDevice(ObservingDevice):
 
     def device_seconds(self) -> float:
         return self.device_time.total
-
-    def queue_stats(self) -> Dict[str, float]:
-        """Queue-depth accounting: mean/max observed depth and the time
-        that passed under outstanding requests."""
-        samples = sum(self.queue_depth_samples.values())
-        weighted = sum(
-            depth * n for depth, n in self.queue_depth_samples.items()
-        )
-        return {
-            "mean_depth": weighted / samples if samples else 0.0,
-            "max_depth": float(self.max_outstanding),
-            "overlapped_seconds": self.overlapped_seconds,
-        }
-
-    def service_percentiles(self, op: Optional[str] = None) -> Dict[str, float]:
-        """p50/p95/p99/p999 of per-op service time, one op or all merged."""
-        if op is not None:
-            hist = self.op_latency.get(op)
-            return hist.percentiles() if hist else LatencyHistogram().percentiles()
-        merged = LatencyHistogram()
-        for hist in self.op_latency.values():
-            merged.merge(hist)
-        return merged.percentiles()
-
-    def report(self) -> Dict[str, object]:
-        """Structured metrics report: device time from the component
-        totals, host and overlap time from the clock gaps between
-        operations.  Percentiles include the p99/p999 tail."""
-        return {
-            "ops": dict(self.ops),
-            "blocks": dict(self.blocks),
-            "device_seconds": self.device_seconds(),
-            "host_seconds": self.host_seconds,
-            "overlapped_seconds": self.overlapped_seconds,
-            "idle_seconds": self.idle_seconds,
-            "component_totals": self.component_totals(),
-            "service_percentiles": self.service_percentiles(),
-            "queue": self.queue_stats(),
-            "faulted": dict(self.faulted),
-            "faulted_seconds": self.faulted_seconds,
-            "slowed": dict(self.slowed),
-            "slow_seconds": self.slow_seconds,
-        }
 
     def summary(self) -> str:
         """One-line human-readable summary (latencies in milliseconds)."""

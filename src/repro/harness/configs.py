@@ -101,7 +101,7 @@ def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     ``device`` is the *outermost* layer of the device stack; with
     interposers enabled that is a wrapper, and
     :func:`~repro.blockdev.interpose.find_layer` fishes out a specific
-    layer (e.g. the :class:`MetricsDevice` feeding the Figure 9 report).
+    layer (e.g. the :class:`MetricsDevice` behind the ``--metrics`` report).
     """
     spec: DiskSpec = DISKS[config.disk_name]
     host: HostSpec = HOSTS[config.host_name]

@@ -26,15 +26,13 @@ parameter.
 
 from __future__ import annotations
 
-import math
+import random
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.blockdev.interpose import (
-    MetricsDevice,
-    build_device_stack,
-    find_layer,
-)
+from repro.blockdev.interpose import build_device_stack
+from repro.blockdev.nvm import NVM_SPECS
+from repro.disk.disk import Disk
 from repro.disk.specs import DISKS, HP97560, ST19101
 from repro.harness.configs import STACKS, StackConfig, build_stack, utilization_of
 from repro.harness.runner import (
@@ -46,7 +44,8 @@ from repro.harness.sweep import SweepPoint, sweep_values, warn_dropped
 from repro.hosts import run_multihost
 from repro.models.compactor import average_latency_closed_form
 from repro.models.cylinder import cylinder_expected_latency
-from repro.sim.stats import COMPONENTS
+from repro.nvm import NVWal
+from repro.sim.stats import COMPONENTS, nearest_rank
 from repro.workloads.bursts import run_bursts
 from repro.workloads.largefile import run_large_file
 from repro.workloads.random_update import prepare_file, run_random_updates
@@ -404,20 +403,11 @@ def _point_table2(
     warmup: int,
     compact_seconds: float,
 ) -> Dict[str, Any]:
-    """One (platform, device) cell: mean latency plus the component
-    fractions backing Figure 9, from the stack's
-    :class:`MetricsDevice`."""
-    config = StackConfig.from_params(config)
-    spec = DISKS[config.disk_name]
-    capacity = (
-        spec.sim_cylinders
-        * spec.tracks_per_cylinder
-        * spec.sectors_per_track
-        * spec.sector_bytes
-    )
-    file_bytes = int(utilization * capacity)
-    fs, _disk, device = build_stack(config)
-    metrics = find_layer(device, MetricsDevice)
+    """One (platform, device) cell: the mean latency of the measured
+    writes and, from the same writes' breakdowns, the component fractions
+    backing Figure 9."""
+    fs, disk, device = build_stack(StackConfig.from_params(config))
+    file_bytes = int(utilization * disk.geometry.capacity_bytes)
     prepare_file(fs, "/target", file_bytes)
     # Footnote 1 of the paper: "The VLD latency in this case is
     # measured immediately after running a compactor."  Idle time
@@ -425,12 +415,11 @@ def _point_table2(
     # (a no-op on the regular disk).
     device.idle(compact_seconds)
     recorder = run_random_updates(
-        fs, "/target", file_bytes, updates, warmup=warmup, seed=seed,
-        on_measure_start=metrics.reset,
+        fs, "/target", file_bytes, updates, warmup=warmup, seed=seed
     )
     return {
         "latency": recorder.mean(),
-        "fractions": dict(metrics.component_fractions()),
+        "fractions": recorder.component_fractions(),
     }
 
 
@@ -444,12 +433,11 @@ def table2(
     """Update-in-place vs virtual-log gap across platforms (Table 2),
     with the Figure 9 component breakdowns of the same runs.
 
-    Each stack carries a
-    :class:`~repro.blockdev.interpose.MetricsDevice` and the component
-    breakdown comes from its per-component latency histograms -- the
-    device-visible parts measured at the device boundary, host time
-    inferred from the clock gaps between device operations -- rather
-    than from the per-call breakdowns the workload accumulates.
+    A cell's latency and its breakdown are one set of writes: each
+    synchronous update returns its own breakdown (SCSI, transfer and
+    locate as the device charged them, host time as the file system
+    charged it), and the mean and the fractions are both taken over the
+    measured writes' breakdowns.
     """
     points = [
         SweepPoint(
@@ -458,7 +446,7 @@ def table2(
                 "config": _config_params(
                     StackConfig(
                         f"ufs-{device_type}", "ufs", device_type,
-                        disk_name, host_name, metrics=True,
+                        disk_name, host_name,
                     ),
                     stack,
                 ),
@@ -580,16 +568,8 @@ def _point_idle_burst(
     idle: float,
     bursts: int,
 ) -> float:
-    config = StackConfig.from_params(config)
-    spec = DISKS[config.disk_name]
-    capacity = (
-        spec.sim_cylinders
-        * spec.tracks_per_cylinder
-        * spec.sectors_per_track
-        * spec.sector_bytes
-    )
-    file_bytes = int(utilization * capacity)
-    fs, _disk, _device = build_stack(config)
+    fs, disk, _device = build_stack(StackConfig.from_params(config))
+    file_bytes = int(utilization * disk.geometry.capacity_bytes)
     prepare_file(fs, "/target", file_bytes)
     recorder = run_bursts(
         fs,
@@ -848,12 +828,6 @@ def _point_nvm(
     delta; every ``idle_every`` requests the device gets
     ``idle_seconds`` of idle time, which is where the tier destages.
     """
-    import random
-
-    from repro.blockdev.nvm import NVM_SPECS
-    from repro.disk.disk import Disk
-    from repro.nvm import NVWal
-
     if mode not in ("eager", "nvm-wal", "nvm+vld"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
@@ -871,9 +845,7 @@ def _point_nvm(
     clock = disk.clock
 
     def next_op() -> tuple:
-        if workload == "small-sync":
-            return ("write", rng.randrange(span), 1)
-        if workload == "random-update":
+        if workload in ("small-sync", "random-update"):
             return ("write", rng.randrange(span), 1)
         if workload == "mixed":
             roll = rng.random()
@@ -908,26 +880,18 @@ def _point_nvm(
             device.idle(idle_seconds)
 
     ordered = sorted(write_latencies)
-
-    def _pct(fraction: float) -> float:
-        if not ordered:
-            return float("nan")
-        rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
-        return ordered[rank - 1]
-
     result: Dict[str, float] = {
         "mean_write_ms": sum(ordered) / len(ordered) * 1e3,
-        "p99_write_ms": _pct(0.99) * 1e3,
+        "p99_write_ms": nearest_rank(ordered, 0.99) * 1e3,
         "max_write_ms": ordered[-1] * 1e3,
         "writes": float(len(ordered)),
         "elapsed_seconds": clock.now,
     }
     if isinstance(device, NVWal):
-        stats = device.stats()
-        result["absorbed_writes"] = float(stats["absorbed_writes"])
-        result["bypassed_writes"] = float(stats["bypassed_writes"])
-        result["destaged_blocks"] = float(stats["destaged_blocks"])
-        result["pressure_destages"] = float(stats["pressure_destages"])
+        result["absorbed_writes"] = float(device.absorbed_writes)
+        result["bypassed_writes"] = float(device.bypassed_writes)
+        result["destaged_blocks"] = float(device.destaged_blocks)
+        result["pressure_destages"] = float(device.pressure_destages)
     return result
 
 

@@ -126,15 +126,13 @@ class NVWal(BlockDevice):
         self._epoch = 1
         self._seq = 0
         self._tail = _DATA_START
-        # Counters and the destage/ack histograms.
+        # Counters and the ack histogram.
         self.absorbed_writes = 0
-        self.absorbed_blocks = 0
         self.bypassed_writes = 0
         self.destaged_blocks = 0
         self.pressure_destages = 0
         self.log_resets = 0
         self.ack_times = LatencyHistogram()
-        self.destage_times = LatencyHistogram()
         self.nvm.format(0, self._superblock())
         # The idle chain: destage first (free tier capacity, and give the
         # backing store real data to compact), then hand whatever budget
@@ -258,7 +256,6 @@ class NVWal(BlockDevice):
             self._dirty[block] = data[i * bs : (i + 1) * bs]
             self._trimmed.discard(block)
         self.absorbed_writes += 1
-        self.absorbed_blocks += count
         self.ack_times.record(cost.total)
         return cost
 
@@ -396,7 +393,6 @@ class NVWal(BlockDevice):
         stop between runs once the clock passes it.  A fully drained
         tier resets the log (wholesale truncation)."""
         total = Breakdown()
-        start = self.clock.now
         for block, count in self._trim_runs():
             if deadline is not None and self.clock.now >= deadline:
                 break
@@ -422,8 +418,6 @@ class NVWal(BlockDevice):
             # write-back store acknowledges a destage write once queued.
             total.add(self.inner.flush())
             total.add(self._reset_log())
-        if self.clock.now > start:
-            self.destage_times.record(self.clock.now - start)
         return total
 
     def destage_all(self) -> Breakdown:
@@ -557,20 +551,6 @@ class NVWal(BlockDevice):
     @property
     def dirty_blocks(self) -> int:
         return len(self._dirty)
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "absorbed_writes": self.absorbed_writes,
-            "absorbed_blocks": self.absorbed_blocks,
-            "bypassed_writes": self.bypassed_writes,
-            "destaged_blocks": self.destaged_blocks,
-            "pressure_destages": self.pressure_destages,
-            "log_resets": self.log_resets,
-            "dirty_blocks": len(self._dirty),
-            "trimmed_blocks": len(self._trimmed),
-            "mean_ack_s": self.ack_times.mean(),
-            "nvm": self.nvm.stats(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return (

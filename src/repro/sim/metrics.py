@@ -1,13 +1,11 @@
 """Reusable operation accounting: counters and latency histograms.
 
-Two consumers share these structures:
-
 * :class:`~repro.disk.disk.Disk` keeps its physical-request statistics in
-  an :class:`OpCounters` (previously five ad-hoc attributes);
-* :class:`~repro.blockdev.interpose.MetricsDevice` keeps per-component
-  :class:`LatencyHistogram` objects at the logical-block layer, from which
-  the Figure 9 breakdown report can be regenerated without any bespoke
-  accounting in the workloads.
+  an :class:`OpCounters`;
+* a :class:`LatencyHistogram` holds a latency stream whose length is not
+  bounded in advance: the scheduler's per-request service and response
+  times, the NVM tier's acknowledgements.  The figures' exact component
+  sums are :class:`~repro.sim.stats.LatencyRecorder`'s.
 
 Histograms use power-of-two buckets (microsecond base), the usual shape
 for storage latency distributions: exact counts and exact sums are kept,
@@ -106,8 +104,7 @@ class LatencyHistogram:
         An *empty* histogram has no quantiles: the result is ``NaN``,
         which survives formatting as the honest "no data" marker --
         returning ``0.0`` here read as "instantaneous", which is
-        actively misleading for near-empty quick-run histograms (the NVM
-        destage histograms often record nothing at quick scale).  With
+        actively misleading for near-empty quick-run histograms.  With
         1-2 samples every fraction resolves to a real recorded bucket:
         nearest-rank over ``max(1, ceil(fraction * count))`` -- p50 of
         two samples is the first, p99 of anything non-empty is the last

@@ -15,10 +15,18 @@ aggregates many operations and can reproduce both the average-latency numbers
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Component names, in the order the paper stacks them in Figure 9.
 COMPONENTS = ("scsi", "transfer", "locate", "other")
+
+
+def nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """The nearest-rank ``fraction`` quantile of a non-empty ascending
+    sequence: the ``ceil(fraction * n)``-th smallest value, the smallest
+    for a fraction of 0."""
+    rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
+    return ordered[rank - 1]
 
 
 class Breakdown:
@@ -128,9 +136,7 @@ class LatencyRecorder:
             raise ValueError("percentile fraction must lie in [0, 1]")
         if not self._totals:
             return 0.0
-        ordered = sorted(self._totals)
-        rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(self._totals), fraction)
 
     def component_totals(self) -> Dict[str, float]:
         """Total seconds spent in each component."""

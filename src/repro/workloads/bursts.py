@@ -14,6 +14,9 @@ from repro.fs.api import FileSystem
 from repro.sim.stats import LatencyRecorder
 from repro.workloads.random_update import IO_BYTES
 
+#: Bursts run before the measured ones, to reach steady state.
+WARMUP_BURSTS = 1
+
 
 def run_bursts(
     fs: FileSystem,
@@ -22,21 +25,20 @@ def run_bursts(
     burst_bytes: int,
     idle_seconds: float,
     bursts: int,
-    warmup_bursts: int = 1,
     seed: int = 0xB025,
 ) -> LatencyRecorder:
-    """Run ``bursts`` bursts of ``burst_bytes`` random synchronous updates
-    each."""
+    """Run ``bursts`` measured bursts of ``burst_bytes`` random synchronous
+    updates each, after :data:`WARMUP_BURSTS` unmeasured ones."""
     rng = random.Random(seed)
     nblocks = file_bytes // IO_BYTES
     writes_per_burst = max(1, burst_bytes // IO_BYTES)
     payload = b"\x5A" * IO_BYTES
     recorder = LatencyRecorder()
-    for burst in range(warmup_bursts + bursts):
+    for burst in range(WARMUP_BURSTS + bursts):
         for _ in range(writes_per_burst):
             block = rng.randrange(nblocks)
             breakdown = fs.write(path, block * IO_BYTES, payload, sync=True)
-            if burst >= warmup_bursts:
+            if burst >= WARMUP_BURSTS:
                 recorder.record(breakdown)
         fs.idle(idle_seconds)
     return recorder

@@ -11,7 +11,6 @@ made of NVRAM and we do not flush to disk until the buffer cache is full."
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
 
 from repro.fs.api import FileSystem
 from repro.sim.stats import LatencyRecorder
@@ -42,23 +41,14 @@ def run_random_updates(
     updates: int,
     warmup: int = 0,
     seed: int = 0xF168,
-    on_measure_start: Optional[Callable[[], None]] = None,
 ) -> LatencyRecorder:
-    """Steady-state random synchronous block updates; returns per-write
-    latencies.
-
-    ``on_measure_start`` fires once, after the warmup updates and before
-    the first measured one -- the hook observability layers use to reset
-    their accumulators to the measured window (e.g. a
-    :class:`~repro.blockdev.interpose.MetricsDevice` feeding Figure 9).
-    """
+    """Steady-state random synchronous block updates; returns the
+    breakdowns of the ``updates`` writes after the ``warmup`` ones."""
     rng = random.Random(seed)
     nblocks = file_bytes // IO_BYTES
     payload = b"\xA5" * IO_BYTES
     recorder = LatencyRecorder()
     for i in range(warmup + updates):
-        if i == warmup and on_measure_start is not None:
-            on_measure_start()
         block = rng.randrange(nblocks)
         breakdown = fs.write(path, block * IO_BYTES, payload, sync=True)
         if i >= warmup:

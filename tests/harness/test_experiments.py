@@ -8,6 +8,8 @@ curves move) using workload sizes small enough for the test suite.
 import pytest
 
 from repro.harness import experiments
+from repro.harness.configs import StackConfig
+from repro.sim.stats import COMPONENTS
 
 
 class TestTable1:
@@ -162,6 +164,41 @@ class TestTable2AndFigure9:
             entry[c] for c in ("scsi", "transfer", "locate", "other")
         ]
         assert sum(fractions) == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [None, dict(queue_depth=4, sched="satf")],
+        ids=["depth1", "depth4-satf"],
+    )
+    def test_figure9_decomposes_the_latency_it_prints(self, stack):
+        """Each row's fractions split the total it prints: host time is
+        part of every synchronous update, at any queue depth."""
+        shaped = experiments.figure9(
+            utilization=0.7, updates=40, warmup=10, stack=stack
+        )
+        for key, entry in shaped.items():
+            assert entry["other"] > 0.0, key
+            assert sum(entry[c] for c in COMPONENTS) == pytest.approx(
+                1.0, abs=1e-9
+            ), key
+
+
+def test_update_file_is_sized_from_the_built_disk():
+    """Table 2's and the idle sweeps' points size their update file from
+    the disk the stack was built on, not the spec's default slice."""
+    config = StackConfig(
+        "ufs-vld", "ufs", "vld", num_cylinders=4
+    ).to_params()
+    cell = experiments._point_table2(
+        seed=1, config=config, utilization=0.5, updates=5, warmup=0,
+        compact_seconds=0.0,
+    )
+    assert cell["latency"] > 0.0
+    latency = experiments._point_idle_burst(
+        seed=1, config=config, utilization=0.5, burst_kb=16, idle=0.0,
+        bursts=1,
+    )
+    assert latency > 0.0
 
 
 class TestFigures10And11:

@@ -119,7 +119,7 @@ class TestDestage:
         wal.write_block(5, _blk(0x55))
         wal.idle(1.0)
         assert wal.log_resets == 1
-        assert wal.stats()["dirty_blocks"] == 0
+        assert wal.dirty_blocks == 0
 
     def test_idle_budget_reaches_backing_compactor(self, wal, vld):
         # The idle chain must hand leftover time to the backing store:

@@ -36,11 +36,10 @@ CONFIGURATION_SURFACE = {
     "repro.workloads.random_update:prepare_file": ("fs", "path", "file_bytes"),
     "repro.workloads.random_update:run_random_updates": (
         "fs", "path", "file_bytes", "updates", "warmup", "seed",
-        "on_measure_start",
     ),
     "repro.workloads.bursts:run_bursts": (
         "fs", "path", "file_bytes", "burst_bytes", "idle_seconds", "bursts",
-        "warmup_bursts", "seed",
+        "seed",
     ),
     "repro.workloads.largefile:run_large_file": (
         "fs", "file_bytes", "include_sync_phase", "seed", "verify",
@@ -77,7 +76,7 @@ class TestConfigurationSurface:
             for path in CONFIGURATION_SURFACE
             for parameter in _signature(path).parameters.values()
         )
-        assert optional == 54
+        assert optional == 52
 
 
 class TestReadmeSnippets:

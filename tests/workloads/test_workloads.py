@@ -107,7 +107,6 @@ class TestBursts:
             burst_bytes=64 << 10,
             idle_seconds=0.2,
             bursts=3,
-            warmup_bursts=0,
         )
         assert clock.now - start >= 3 * 0.2
 
@@ -120,6 +119,5 @@ class TestBursts:
             burst_bytes=32 << 10,
             idle_seconds=0.0,
             bursts=2,
-            warmup_bursts=1,
         )
         assert recorder.count == 2 * (32 << 10) // 4096
