@@ -21,45 +21,50 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.blockdev import (
-    BlockDevice,
-    DeviceCrashed,
-    DeviceFault,
-    FaultDevice,
-    FaultPlan,
-    FaultPlane,
-    InjectedReadError,
-    InterposedDevice,
-    MetricsDevice,
-    RegularDisk,
-    TracingDevice,
-    build_device_stack,
-)
-from repro.disk import (
-    Disk,
-    DiskGeometry,
-    DiskMechanics,
-    DiskSpec,
-    FreeSpaceMap,
-    HP97560,
-    ReadAheadPolicy,
-    ST19101,
-    TrackBuffer,
-)
-from repro.fs import FileStat, FileSystem
-from repro.hosts import HOSTS, HostSpec, SPARCSTATION_10, ULTRASPARC_170
-from repro.lfs import LFS
-from repro.sim import Breakdown, LatencyRecorder, SimClock
-from repro.ufs import UFS
-from repro.vlfs import VLFS
-from repro.vlog import (
-    AllocationPolicy,
-    EagerAllocator,
-    FreeSpaceCompactor,
-    IndirectionMap,
-    VirtualLog,
-    VirtualLogDisk,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.blockdev import (
+        BlockDevice,
+        DeviceCrashed,
+        DeviceFault,
+        FaultDevice,
+        FaultPlan,
+        FaultPlane,
+        InjectedReadError,
+        InterposedDevice,
+        MetricsDevice,
+        RegularDisk,
+        TracingDevice,
+        build_device_stack,
+    )
+    from repro.disk import (
+        Disk,
+        DiskGeometry,
+        DiskMechanics,
+        DiskSpec,
+        FreeSpaceMap,
+        HP97560,
+        ReadAheadPolicy,
+        ST19101,
+        TrackBuffer,
+    )
+    from repro.fs import FileStat, FileSystem
+    from repro.hosts import HOSTS, HostSpec, SPARCSTATION_10, ULTRASPARC_170
+    from repro.lfs import LFS
+    from repro.sim import Breakdown, LatencyRecorder, SimClock
+    from repro.ufs import UFS
+    from repro.vlfs import VLFS
+    from repro.vlog import (
+        AllocationPolicy,
+        EagerAllocator,
+        FreeSpaceCompactor,
+        IndirectionMap,
+        VirtualLog,
+        VirtualLogDisk,
+    )
 
 __version__ = "1.0.0"
 
@@ -105,3 +110,5 @@ __all__ = [
     "VLFS",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

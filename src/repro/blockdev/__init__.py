@@ -6,24 +6,29 @@ same interface, which is how the paper runs an *unmodified* UFS on either
 device driver interface...").
 """
 
-from repro.blockdev.interface import BlockDevice
-from repro.blockdev.interpose import (
-    DeviceCrashed,
-    DeviceFault,
-    FaultDevice,
-    FaultPlan,
-    FaultPlane,
-    InjectedReadError,
-    InterposedDevice,
-    MetricsDevice,
-    TraceEvent,
-    TracingDevice,
-    build_device_stack,
-    core_device,
-    find_layer,
-    layers,
-)
-from repro.blockdev.regular import RegularDisk
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.blockdev.interface import BlockDevice
+    from repro.blockdev.interpose import (
+        DeviceCrashed,
+        DeviceFault,
+        FaultDevice,
+        FaultPlan,
+        FaultPlane,
+        InjectedReadError,
+        InterposedDevice,
+        MetricsDevice,
+        TraceEvent,
+        TracingDevice,
+        build_device_stack,
+        core_device,
+        find_layer,
+        layers,
+    )
+    from repro.blockdev.regular import RegularDisk
 
 __all__ = [
     "BlockDevice",
@@ -43,3 +48,5 @@ __all__ = [
     "find_layer",
     "layers",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

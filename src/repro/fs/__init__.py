@@ -8,22 +8,27 @@ directories and the create / unlink / rename family, written once over
 per-file-system storage hooks (:mod:`repro.fs.namespace`).
 """
 
-from repro.fs.api import (
-    FileSystem,
-    FileStat,
-    FileSystemError,
-    FileNotFound,
-    FileExists,
-    NotADirectory,
-    IsADirectory,
-    DirectoryNotEmpty,
-    NoSpace,
-    CorruptDirectory,
-)
-from repro.fs.path import split_path, validate_name
-from repro.fs.inode import Inode, FileType, INODE_SIZE
-from repro.fs.dirfile import DirectoryBlock
-from repro.fs.namespace import InodeNamespace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.fs.api import (
+        FileSystem,
+        FileStat,
+        FileSystemError,
+        FileNotFound,
+        FileExists,
+        NotADirectory,
+        IsADirectory,
+        DirectoryNotEmpty,
+        NoSpace,
+        CorruptDirectory,
+    )
+    from repro.fs.path import split_path, validate_name
+    from repro.fs.inode import Inode, FileType, INODE_SIZE
+    from repro.fs.dirfile import DirectoryBlock
+    from repro.fs.namespace import InodeNamespace
 
 __all__ = [
     "FileSystem",
@@ -44,3 +49,5 @@ __all__ = [
     "DirectoryBlock",
     "InodeNamespace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

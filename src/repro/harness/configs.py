@@ -32,9 +32,6 @@ from repro.disk.disk import Disk
 from repro.disk.specs import DISKS, ST19101, DiskSpec
 from repro.fs.api import FileSystem
 from repro.hosts.specs import HOSTS, HostSpec
-from repro.lfs.lfs import LFS
-from repro.ufs.ufs import UFS
-from repro.vlfs.vlfs import VLFS
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,15 @@ def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     metrics_layer = find_layer(device, MetricsDevice)
     if metrics_layer is not None:
         METRICS_STACKS.append((config.name, metrics_layer))
+    # Each file system is imported where it is built, so a stack loads
+    # only its own and a device-only caller none (DESIGN.md section 3).
     if config.fs_type == "ufs":
+        from repro.ufs.ufs import UFS
+
         fs: FileSystem = UFS(device, host)
     elif config.fs_type == "lfs":
+        from repro.lfs.lfs import LFS
+
         fs = LFS(device, host, nvram=config.nvram)
     else:
         raise ValueError(f"unknown fs type {config.fs_type!r}")
@@ -198,6 +201,10 @@ def drain_metrics_stacks() -> List[Tuple[str, MetricsDevice]]:
 
 def utilization_of(fs: FileSystem, device: BlockDevice) -> float:
     """Space utilization as the paper's ``df`` reading would report it."""
+    from repro.lfs.lfs import LFS
+    from repro.ufs.ufs import UFS
+    from repro.vlfs.vlfs import VLFS
+
     if isinstance(fs, UFS):
         free_frags, _ = fs.alloc.free_space()
         total = (

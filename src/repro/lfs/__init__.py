@@ -7,12 +7,17 @@ run both on demand (out of free segments) and during idle periods, and no
 read-ahead.  Checkpoints plus roll-forward provide recovery.
 """
 
-from repro.lfs.layout import LFSLayout, LFSSuperblock
-from repro.lfs.segment import SegmentSummary, SegmentWriter, BlockKind
-from repro.lfs.inode_map import InodeMap, SegmentUsage
-from repro.lfs.nvram import FileCache
-from repro.lfs.cleaner import Cleaner, CleanerPolicy
-from repro.lfs.lfs import LFS
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lfs.layout import LFSLayout, LFSSuperblock
+    from repro.lfs.segment import SegmentSummary, SegmentWriter, BlockKind
+    from repro.lfs.inode_map import InodeMap, SegmentUsage
+    from repro.lfs.nvram import FileCache
+    from repro.lfs.cleaner import Cleaner, CleanerPolicy
+    from repro.lfs.lfs import LFS
 
 __all__ = [
     "LFSLayout",
@@ -27,3 +32,5 @@ __all__ = [
     "CleanerPolicy",
     "LFS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

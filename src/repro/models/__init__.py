@@ -12,23 +12,28 @@ Three models, in increasing sophistication:
   and let idle-time compaction regenerate empty tracks.
 """
 
-from repro.models.single_track import (
-    expected_skip_sectors,
-    expected_skip_recurrence,
-    expected_block_locate_sectors,
-)
-from repro.models.cylinder import (
-    cylinder_expected_skip_sectors,
-    cylinder_expected_latency,
-    single_track_latency,
-)
-from repro.models.compactor import (
-    total_skip_exact,
-    nonrandomness_correction,
-    average_latency_exact,
-    average_latency_closed_form,
-    optimal_threshold,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.models.single_track import (
+        expected_skip_sectors,
+        expected_skip_recurrence,
+        expected_block_locate_sectors,
+    )
+    from repro.models.cylinder import (
+        cylinder_expected_skip_sectors,
+        cylinder_expected_latency,
+        single_track_latency,
+    )
+    from repro.models.compactor import (
+        total_skip_exact,
+        nonrandomness_correction,
+        average_latency_exact,
+        average_latency_closed_form,
+        optimal_threshold,
+    )
 
 __all__ = [
     "expected_skip_sectors",
@@ -43,3 +48,5 @@ __all__ = [
     "average_latency_closed_form",
     "optimal_threshold",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

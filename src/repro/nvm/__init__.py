@@ -7,6 +7,13 @@ destages to the backing store during idle time.  See
 :mod:`repro.nvm.wal` for the log format and the two-tier commit point.
 """
 
-from repro.nvm.wal import NVWal
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.nvm.wal import NVWal
 
 __all__ = ["NVWal"]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -13,16 +13,21 @@ disk sees literally the same call sequence as the unscheduled code path
 -- all existing figures are byte-identical by construction.
 """
 
-from repro.sched.idle import IdleManager
-from repro.sched.policies import (
-    POLICIES,
-    ElevatorPolicy,
-    FIFOPolicy,
-    SATFPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
-from repro.sched.scheduler import DiskRequest, DiskScheduler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sched.idle import IdleManager
+    from repro.sched.policies import (
+        POLICIES,
+        ElevatorPolicy,
+        FIFOPolicy,
+        SATFPolicy,
+        SchedulingPolicy,
+        make_policy,
+    )
+    from repro.sched.scheduler import DiskRequest, DiskScheduler
 
 __all__ = [
     "DiskRequest",
@@ -35,3 +40,5 @@ __all__ = [
     "SchedulingPolicy",
     "make_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

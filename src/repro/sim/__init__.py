@@ -7,21 +7,26 @@ the same information content (service times, broken down by component) while
 running deterministically and fast.
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.engine import (
-    Event,
-    EventEngine,
-    IntervalRecorder,
-    Process,
-    Signal,
-    Until,
-)
-from repro.sim.metrics import LatencyHistogram, OpCounters
-from repro.sim.stats import (
-    COMPONENTS,
-    Breakdown,
-    LatencyRecorder,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.clock import SimClock
+    from repro.sim.engine import (
+        Event,
+        EventEngine,
+        IntervalRecorder,
+        Process,
+        Signal,
+        Until,
+    )
+    from repro.sim.metrics import LatencyHistogram, OpCounters
+    from repro.sim.stats import (
+        COMPONENTS,
+        Breakdown,
+        LatencyRecorder,
+    )
 
 __all__ = [
     "SimClock",
@@ -37,3 +42,5 @@ __all__ = [
     "Signal",
     "Until",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

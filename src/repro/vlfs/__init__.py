@@ -12,6 +12,13 @@ cleaner is replaced by (optional) free-space compaction.
 This package builds that design.
 """
 
-from repro.vlfs.vlfs import VLFS
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.vlfs.vlfs import VLFS
 
 __all__ = ["VLFS"]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -15,34 +15,39 @@ map, the eager-writing allocator, and the idle-time free-space compactor
 behind the standard block-device interface.
 """
 
-from repro.vlog.entries import (
-    MapRecord,
-    entries_per_chunk,
-    QUARANTINE_CHUNK_BASE,
-    UNMAPPED,
-)
-from repro.vlog.virtual_log import VirtualLog
-from repro.vlog.imap import IndirectionMap
-from repro.vlog.allocator import EagerAllocator, AllocationPolicy
-from repro.vlog.compactor import FreeSpaceCompactor
-from repro.vlog.recovery import (
-    PowerDownStore,
-    RecoveryOutcome,
-    scan_records,
-)
-from repro.vlog.resilience import (
-    ChecksumStore,
-    FsckReport,
-    MediaError,
-    MediaScrubber,
-    QuarantineTable,
-    ResilienceController,
-    RetryPolicy,
-    vlfsck,
-)
-from repro.vlog.vld import VirtualLogDisk
-from repro.vlog.transactions import Transaction, TransactionalVLD
-from repro.vlog.reorganizer import ReadReorganizer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.vlog.entries import (
+        MapRecord,
+        entries_per_chunk,
+        QUARANTINE_CHUNK_BASE,
+        UNMAPPED,
+    )
+    from repro.vlog.virtual_log import VirtualLog
+    from repro.vlog.imap import IndirectionMap
+    from repro.vlog.allocator import EagerAllocator, AllocationPolicy
+    from repro.vlog.compactor import FreeSpaceCompactor
+    from repro.vlog.recovery import (
+        PowerDownStore,
+        RecoveryOutcome,
+        scan_records,
+    )
+    from repro.vlog.resilience import (
+        ChecksumStore,
+        FsckReport,
+        MediaError,
+        MediaScrubber,
+        QuarantineTable,
+        ResilienceController,
+        RetryPolicy,
+        vlfsck,
+    )
+    from repro.vlog.vld import VirtualLogDisk
+    from repro.vlog.transactions import Transaction, TransactionalVLD
+    from repro.vlog.reorganizer import ReadReorganizer
 
 __all__ = [
     "MapRecord",
@@ -70,3 +75,5 @@ __all__ = [
     "TransactionalVLD",
     "ReadReorganizer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -12,16 +12,20 @@ bit-for-bit identical to the layer being absent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from repro._lazy import lazy_exports
 from repro.blockdev.interpose import DeviceCrashed, DeviceFault
 from repro.sim.stats import Breakdown
 from repro.vlog.entries import entries_per_chunk
-from repro.vlog.resilience.checker import FsckReport, Violation, vlfsck
 from repro.vlog.resilience.checksum import ChecksumStore
 from repro.vlog.resilience.quarantine import QuarantineTable
 from repro.vlog.resilience.retry import MediaError, RetryPolicy
 from repro.vlog.resilience.scrubber import MediaScrubber
+
+if TYPE_CHECKING:
+    # The offline checker: loaded by its first user, not by every VLD.
+    from repro.vlog.resilience.checker import FsckReport, Violation, vlfsck
 
 __all__ = [
     "ChecksumStore",
@@ -167,3 +171,6 @@ class ResilienceController:
         retired sectors automatically."""
         self.quarantine.load(chunks)
         self.vld.freemap.set_quarantined(self.quarantine.sectors)
+
+
+__getattr__, __dir__ = lazy_exports(__name__)

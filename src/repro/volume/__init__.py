@@ -7,9 +7,14 @@ independently while the volume keeps serving the healthy majority.  See
 (a single-shard volume is a transparent pass-through).
 """
 
-from repro.volume.checker import VolumeFsckReport, volume_fsck
-from repro.volume.health import ShardHealthMonitor
-from repro.volume.sharded import ShardState, ShardUnavailable, ShardedVolume
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.volume.checker import VolumeFsckReport, volume_fsck
+    from repro.volume.health import ShardHealthMonitor
+    from repro.volume.sharded import ShardState, ShardUnavailable, ShardedVolume
 
 __all__ = [
     "ShardHealthMonitor",
@@ -19,3 +24,5 @@ __all__ = [
     "VolumeFsckReport",
     "volume_fsck",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)
