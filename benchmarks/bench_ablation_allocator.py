@@ -5,58 +5,13 @@ sweep), and TRACK_FILL (the paper's compactor-assisted configuration) on
 random synchronous updates at moderate utilization.
 """
 
-import random
-
-from repro.disk.cache import ReadAheadPolicy
-from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.ufs.ufs import UFS
-from repro.vlog.allocator import AllocationPolicy
-from repro.vlog.vld import VirtualLogDisk
-from repro.workloads.random_update import prepare_file, run_random_updates
 
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _run(policy):
-    disk = Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK)
-    vld = VirtualLogDisk(disk, policy=policy)
-    fs = UFS(vld, SPARCSTATION_10)
-    file_bytes = 12 * _MB
-    prepare_file(fs, "/t", file_bytes)
-    updates = 300 if full_scale() else 120
-    recorder = run_random_updates(
-        fs, "/t", file_bytes, updates, warmup=updates // 3
-    )
-    return recorder.mean() * 1e3
+from .conftest import run_experiment
 
 
 def test_ablation_allocator_policy(benchmark):
-    def sweep():
-        return {
-            policy.value: _run(policy)
-            for policy in (
-                AllocationPolicy.NEAREST,
-                AllocationPolicy.GREEDY_CYLINDER,
-                AllocationPolicy.TRACK_FILL,
-            )
-        }
-
-    results = run_once(benchmark, sweep)
-
-    print()
-    print(
-        format_table(
-            ["policy", "latency (ms/4KB)"],
-            [[name, value] for name, value in results.items()],
-            title="Ablation: eager allocation policy (UFS on VLD, "
-            "random sync updates @ ~55% utilization)",
-        )
-    )
+    results = run_experiment(benchmark, "ablation_allocator")
 
     # All eager policies must beat the update-in-place half-rotation floor.
     half_rotation_ms = ST19101.rotation_time / 2 * 1e3

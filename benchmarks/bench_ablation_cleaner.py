@@ -1,68 +1,10 @@
 """Ablation: LFS cleaner policy (greedy vs cost-benefit) under churn."""
 
-import random
-
-from repro.blockdev.regular import RegularDisk
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.lfs.cleaner import CleanerPolicy
-from repro.lfs.lfs import LFS
-from repro.workloads.random_update import prepare_file, run_random_updates
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _run(policy):
-    fs = LFS(
-        RegularDisk(Disk(ST19101)),
-        SPARCSTATION_10,
-        nvram=True,
-        cleaner_policy=policy,
-    )
-    file_bytes = 17 * _MB
-    prepare_file(fs, "/t", file_bytes)
-    updates = 4000 if full_scale() else 2500
-    recorder = run_random_updates(
-        fs, "/t", file_bytes, updates, warmup=1500
-    )
-    return {
-        "latency_ms": recorder.mean() * 1e3,
-        "segments_cleaned": fs.cleaner.segments_cleaned,
-        "blocks_copied": fs.cleaner.blocks_copied,
-    }
+from .conftest import run_experiment
 
 
 def test_ablation_cleaner_policy(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {
-            policy.value: _run(policy)
-            for policy in (CleanerPolicy.GREEDY, CleanerPolicy.COST_BENEFIT)
-        },
-    )
-
-    print()
-    rows = [
-        [
-            name,
-            entry["latency_ms"],
-            entry["segments_cleaned"],
-            entry["blocks_copied"],
-        ]
-        for name, entry in results.items()
-    ]
-    print(
-        format_table(
-            ["policy", "latency (ms/4KB)", "segs cleaned", "blocks copied"],
-            rows,
-            title="Ablation: LFS cleaner policy (random sync updates, "
-            "17 MB file, NVRAM)",
-        )
-    )
+    results = run_experiment(benchmark, "ablation_cleaner")
 
     for entry in results.values():
         assert entry["segments_cleaned"] > 0

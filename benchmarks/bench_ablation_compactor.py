@@ -4,58 +4,11 @@ Sweeps the VLD's fill threshold and cross-checks against the Section 2.3
 analytical model's preferred operating region.
 """
 
-import random
-
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.models.compactor import average_latency_closed_form
-from repro.ufs.ufs import UFS
-from repro.vlog.vld import VirtualLogDisk
-from repro.workloads.random_update import prepare_file, run_random_updates
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _run(fill_threshold):
-    vld = VirtualLogDisk(Disk(ST19101), fill_threshold=fill_threshold)
-    fs = UFS(vld, SPARCSTATION_10)
-    file_bytes = 10 * _MB
-    prepare_file(fs, "/t", file_bytes)
-    vld.idle(5.0)  # let the compactor establish the regime
-    updates = 250 if full_scale() else 100
-    recorder = run_random_updates(
-        fs, "/t", file_bytes, updates, warmup=updates // 3
-    )
-    return recorder.mean() * 1e3
+from .conftest import run_experiment
 
 
 def test_ablation_fill_threshold(benchmark):
-    thresholds = [0.5, 0.75, 0.9]
-
-    results = run_once(
-        benchmark, lambda: {t: _run(t) for t in thresholds}
-    )
-
-    n = ST19101.sectors_per_track
-    print()
-    rows = []
-    for threshold, latency in results.items():
-        m = int(round((1 - threshold) * n))
-        model = average_latency_closed_form(
-            n, m, ST19101.head_switch_time, ST19101.sector_time
-        )
-        rows.append([f"{threshold:.0%}", latency, model * 1e3])
-    print(
-        format_table(
-            ["fill threshold", "measured (ms/4KB)", "model locate (ms)"],
-            rows,
-            title="Ablation: VLD track-fill threshold (paper uses 75%)",
-        )
-    )
+    results = run_experiment(benchmark, "ablation_compactor")
 
     # The measured spread at moderate utilization is modest -- consistent
     # with the model's shallow optimum region (Figure 2).

@@ -8,47 +8,11 @@ are scarce, so sector-sized records keep the per-write map overhead low
 at high utilization.
 """
 
-from repro.disk.cache import ReadAheadPolicy
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.ufs.ufs import UFS
-from repro.vlog.vld import VirtualLogDisk
-from repro.workloads.random_update import prepare_file, run_random_updates
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _run(map_record_bytes):
-    disk = Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK)
-    vld = VirtualLogDisk(disk, map_record_bytes=map_record_bytes)
-    fs = UFS(vld, SPARCSTATION_10)
-    file_bytes = 16 * _MB  # high utilization: where the choice bites
-    prepare_file(fs, "/t", file_bytes)
-    updates = 300 if full_scale() else 120
-    recorder = run_random_updates(
-        fs, "/t", file_bytes, updates, warmup=updates // 3
-    )
-    return recorder.mean() * 1e3
+from .conftest import run_experiment
 
 
 def test_ablation_map_record_size(benchmark):
-    results = run_once(
-        benchmark, lambda: {size: _run(size) for size in (512, 4096)}
-    )
-
-    print()
-    print(
-        format_table(
-            ["map record size", "latency (ms/4KB)"],
-            [[f"{size} B", latency] for size, latency in results.items()],
-            title="Ablation: virtual-log map record size "
-            "(UFS on VLD @ ~73% utilization)",
-        )
-    )
+    results = run_experiment(benchmark, "ablation_mapsector")
 
     # Sector-sized records must not be slower than block-sized ones; at
     # high utilization they are strictly better.

@@ -7,59 +7,11 @@ quantifies that fix: sequential reads through a VLD with the stock
 Dartmouth policy versus the full-track policy.
 """
 
-from repro.disk.cache import ReadAheadPolicy
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.ufs.ufs import UFS
-from repro.vlog.vld import VirtualLogDisk
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _run(policy):
-    disk = Disk(ST19101, readahead=policy)
-    fs = UFS(VirtualLogDisk(disk), SPARCSTATION_10)
-    size = (6 if full_scale() else 3) * _MB
-    fs.create("/seq")
-    chunk = bytes(64 * 4096)
-    for offset in range(0, size, len(chunk)):
-        fs.write("/seq", offset, chunk)
-    fs.sync()
-    fs.drop_caches()
-    clock = fs.clock
-    start = clock.now
-    for offset in range(0, size, 4096):
-        fs.read("/seq", offset, 4096)
-    elapsed = clock.now - start
-    return (size / _MB) / elapsed  # MB/s
+from .conftest import run_experiment
 
 
 def test_ablation_trackbuffer_policy(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {
-            policy.value: _run(policy)
-            for policy in (
-                ReadAheadPolicy.DARTMOUTH,
-                ReadAheadPolicy.FULL_TRACK,
-                ReadAheadPolicy.DISABLED,
-            )
-        },
-    )
-
-    print()
-    print(
-        format_table(
-            ["read-ahead policy", "seq read (MB/s)"],
-            [[name, bw] for name, bw in results.items()],
-            title="Ablation: track-buffer policy under a VLD "
-            "(sequential read of an eagerly-written file)",
-        )
-    )
+    results = run_experiment(benchmark, "ablation_trackbuffer")
 
     # The paper's fix: full-track retention beats the stock policy under
     # a VLD, and any read-ahead beats none.

@@ -7,62 +7,11 @@ important."  This bench extends Table 2 with a projected ~2004 drive
 update-in-place vs virtual-log gap keeps widening.
 """
 
-from repro.disk.specs import DISKS
-from repro.harness.configs import StackConfig, build_stack
-from repro.harness.report import format_table
-from repro.workloads.random_update import prepare_file, run_random_updates
-
-from .conftest import full_scale, run_once
+from .conftest import run_experiment
 
 
 def test_future_disk_widens_the_gap(benchmark):
-    updates, warmup = (300, 100) if full_scale() else (120, 40)
-
-    def sweep():
-        rows = {}
-        for disk_name in ("hp97560", "st19101", "future2004"):
-            spec = DISKS[disk_name]
-            capacity = (
-                spec.sim_cylinders
-                * spec.tracks_per_cylinder
-                * spec.sectors_per_track
-                * spec.sector_bytes
-            )
-            file_bytes = int(0.8 * capacity)
-            latencies = {}
-            for device_type in ("regular", "vld"):
-                config = StackConfig(
-                    f"ufs-{device_type}", "ufs", device_type, disk_name,
-                    "ultra170",
-                )
-                fs, _disk, device = build_stack(config)
-                prepare_file(fs, "/t", file_bytes)
-                device.idle(20.0)
-                recorder = run_random_updates(
-                    fs, "/t", file_bytes, updates, warmup=warmup
-                )
-                latencies[device_type] = recorder.mean()
-            rows[disk_name] = (
-                latencies["regular"] * 1e3,
-                latencies["vld"] * 1e3,
-                latencies["regular"] / latencies["vld"],
-            )
-        return rows
-
-    results = run_once(benchmark, sweep)
-
-    print()
-    print(
-        format_table(
-            ["disk", "in-place (ms)", "virtual log (ms)", "speedup"],
-            [
-                [disk, in_place, vlog, f"{speedup:.1f}x"]
-                for disk, (in_place, vlog, speedup) in results.items()
-            ],
-            title="Extension: Table 2 extrapolated to a projected 2004 "
-            "drive (UltraSPARC host)",
-        )
-    )
+    results = run_experiment(benchmark, "future_trends")
 
     speedups = [results[d][2] for d in ("hp97560", "st19101", "future2004")]
     # The gap keeps widening disk generation over disk generation.

@@ -6,67 +6,11 @@ building it; this bench measures how much of the lost bandwidth the
 :class:`ReadReorganizer` recovers.
 """
 
-import random
-
-from repro.disk.cache import ReadAheadPolicy
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.vlog.reorganizer import ReadReorganizer
-from repro.vlog.vld import VirtualLogDisk
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _measure():
-    nblocks = (8 if full_scale() else 4) * _MB // 4096
-    vld = VirtualLogDisk(
-        Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK)
-    )
-    rng = random.Random(5)
-
-    def seq_read_bw():
-        vld.disk.cache.invalidate()
-        start = vld.disk.clock.now
-        vld.read_blocks(0, nblocks)
-        return (nblocks * 4096 / _MB) / (vld.disk.clock.now - start)
-
-    for lba in range(nblocks):
-        vld.write_block(lba, bytes([lba % 251]) * 4096)
-    fresh_bw = seq_read_bw()
-    for _ in range(2 * nblocks):
-        vld.write_block(rng.randrange(nblocks), b"r" * 4096)
-    scattered_bw = seq_read_bw()
-    reorganizer = ReadReorganizer(vld)
-    reorganizer.run_for(30.0)
-    reorganized_bw = seq_read_bw()
-    return {
-        "freshly written": fresh_bw,
-        "after random writes": scattered_bw,
-        "after reorganization": reorganized_bw,
-        "_windows": reorganizer.windows_reorganized,
-    }
+from .conftest import run_experiment
 
 
 def test_reorganizer_recovers_sequential_bandwidth(benchmark):
-    results = run_once(benchmark, _measure)
-
-    print()
-    rows = [
-        [state, bw]
-        for state, bw in results.items()
-        if not state.startswith("_")
-    ]
-    print(
-        format_table(
-            ["layout state", "seq read (MB/s)"],
-            rows,
-            title="Extension: read-locality reorganization on a VLD "
-            f"({results['_windows']} windows rewritten)",
-        )
-    )
+    results = run_experiment(benchmark, "reorganizer")
 
     assert results["after random writes"] < results["freshly written"]
     # The reorganizer recovers a large share of the lost bandwidth.

@@ -7,77 +7,11 @@ could only deduce this (VLFS was unimplemented); this reproduction built
 VLFS, so the bench measures it.
 """
 
-import random
-
-from repro.blockdev.regular import RegularDisk
-from repro.disk.cache import ReadAheadPolicy
-from repro.disk.disk import Disk
-from repro.disk.specs import ST19101
-from repro.harness.report import format_table
-from repro.hosts.specs import SPARCSTATION_10
-from repro.lfs.lfs import LFS
-from repro.ufs.ufs import UFS
-from repro.vlfs.vlfs import VLFS
-from repro.vlog.vld import VirtualLogDisk
-
-from .conftest import full_scale, run_once
-
-_MB = 1 << 20
-
-
-def _stacks():
-    vld_disk = Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK)
-    return {
-        "ufs-regular": UFS(RegularDisk(Disk(ST19101)), SPARCSTATION_10),
-        "ufs-vld": UFS(VirtualLogDisk(vld_disk), SPARCSTATION_10),
-        "lfs-regular": LFS(RegularDisk(Disk(ST19101)), SPARCSTATION_10),
-        "vlfs": VLFS(Disk(ST19101), SPARCSTATION_10),
-    }
-
-
-def _measure(fs, updates):
-    rng = random.Random(8)
-    file_bytes = 8 * _MB
-    fs.create("/t")
-    chunk = bytes(4096) * 128
-    for offset in range(0, file_bytes, len(chunk)):
-        fs.write("/t", offset, chunk)
-    fs.sync()
-    nblocks = file_bytes // 4096
-    sync_total = 0.0
-    for _ in range(updates):
-        offset = rng.randrange(nblocks) * 4096
-        sync_total += fs.write("/t", offset, b"u" * 4096, sync=True).total
-    async_total = 0.0
-    for _ in range(updates):
-        offset = rng.randrange(nblocks) * 4096
-        async_total += fs.write("/t", offset, b"v" * 4096).total
-    return sync_total / updates * 1e3, async_total / updates * 1e3
+from .conftest import run_experiment
 
 
 def test_vlfs_deduction(benchmark):
-    updates = 400 if full_scale() else 150
-
-    def sweep():
-        return {
-            name: _measure(fs, updates) for name, fs in _stacks().items()
-        }
-
-    results = run_once(benchmark, sweep)
-
-    print()
-    rows = [
-        [name, sync_ms, async_ms]
-        for name, (sync_ms, async_ms) in results.items()
-    ]
-    print(
-        format_table(
-            ["stack", "sync write (ms)", "async write (ms)"],
-            rows,
-            title="VLFS deduction (Section 5.1): random 4 KB updates, "
-            "8 MB file",
-        )
-    )
+    results = run_experiment(benchmark, "vlfs_deduction")
 
     vlfs_sync, vlfs_async = results["vlfs"]
     vld_sync, _ = results["ufs-vld"]

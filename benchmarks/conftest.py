@@ -5,11 +5,12 @@ rows/series the paper reports (simulated time), and asserts the figure's
 qualitative shape.  ``pytest-benchmark`` wraps the run so wall-clock cost of
 the reproduction itself is also tracked.
 
-The table/figure benches run the experiment registry's record
-(:mod:`repro.harness.registry`) at the CLI's quick scale and print its
-tables as ``python -m repro.harness`` does; ``REPRO_BENCH_FULL=1`` runs
-``--full``'s scale instead (slower).  The ablation and extension benches
-keep their own experiment code and read the same switch.
+Every table, figure, ablation and extension bench runs its experiment
+registry record (:mod:`repro.harness.registry`) through
+:func:`run_experiment`, at the CLI's quick scale, and prints its tables
+as ``python -m repro.harness <name>`` does; ``REPRO_BENCH_FULL=1`` runs
+``--full``'s scale instead (slower).  A bench builds no stack and formats
+no table: it holds only its shape assertions.
 
 The experiment sweeps honour the harness's parallel/caching engine here
 too: ``--sweep-jobs N`` fans each figure's grid points across ``N``
@@ -29,22 +30,18 @@ from repro.harness.cache import ResultCache
 from repro.harness.registry import EXPERIMENTS
 
 
-def full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "") == "1"
-
-
 def run_once(benchmark, fn):
     """Run a heavy experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
 def run_experiment(benchmark, name):
-    """Run the registry's experiment ``name`` once at the bench scale,
-    print its tables, and return its result."""
+    """Run the registry's experiment ``name`` once at the bench scale
+    (``REPRO_BENCH_FULL=1``: ``--full``'s), print its tables, and return
+    its result."""
     experiment = EXPERIMENTS[name]
-    result = run_once(
-        benchmark, functools.partial(experiment.fn, **experiment.kwargs(full_scale()))
-    )
+    full = os.environ.get("REPRO_BENCH_FULL", "") == "1"
+    result = run_once(benchmark, functools.partial(experiment.fn, **experiment.kwargs(full)))
     print()
     experiment.render(result)
     return result

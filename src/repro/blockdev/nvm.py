@@ -18,6 +18,7 @@ write-ahead tier (:class:`~repro.nvm.NVWal`) is built on top of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -44,6 +45,16 @@ class NVMSpec:
     load_bandwidth: float = 6.0e9
     store_bandwidth: float = 2.0e9
     flush_latency: float = 500e-9
+
+    def __post_init__(self) -> None:
+        # Each latency is charged to a Breakdown and recorded in the
+        # tier's ack histogram, which take only finite, non-negative time.
+        for name in ("load_latency", "store_latency", "flush_latency"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number of seconds >= 0, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     def with_overrides(
         self,

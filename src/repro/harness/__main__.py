@@ -81,9 +81,7 @@ import sys
 import time
 from typing import Any, Dict
 
-from repro.blockdev.interpose import DeviceCrashed, FaultPlan, FaultPlane
-from repro.blockdev.nvm import NVM_SPECS
-from repro.harness import configs, sweep
+from repro.harness import sweep
 from repro.harness.cache import ResultCache
 from repro.harness.registry import EXPERIMENTS
 from repro.harness.report import format_table
@@ -189,6 +187,10 @@ def main(argv=None) -> int:
         parser.error("--families requires --torture")
     given = _given_flags(parser, args)
     stack = _stack_overrides(given)
+    # The simulator loads once a run needs it: --help and --list load
+    # none of it (DESIGN.md section 3).
+    from repro.blockdev.interpose import DeviceCrashed
+
     if args.torture:
         if given:
             parser.error(
@@ -252,13 +254,18 @@ def _given_flags(parser, args) -> Dict[str, Any]:
     """The experiment flags on the command line, each with the value it
     gives its keyword (an experiment that reads it as part of ``stack``
     gets the folded :func:`_stack_overrides` instead)."""
+    from repro.blockdev.interpose import FaultPlan
+    from repro.blockdev.nvm import NVM_SPECS
+
     for flag, value in (("--queue-depth", args.queue_depth), ("--hosts", args.hosts),
                         ("--disks", args.disks), ("--shards", args.shards)):
         if value is not None and value < 1:
             parser.error(f"{flag} must be >= 1")
-    if args.nvm is not None and args.nvm not in NVM_SPECS:
-        parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
-                     + ", ".join(sorted(NVM_SPECS)))
+    if args.nvm is not None:
+        if args.nvm not in NVM_SPECS:
+            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
+                         + ", ".join(sorted(NVM_SPECS)))
+        _check_nvm_overrides(parser, NVM_SPECS[args.nvm], args)
     try:
         faults = FaultPlan.parse(args.faults) if args.faults else None
     except ValueError as exc:
@@ -280,8 +287,32 @@ def _given_flags(parser, args) -> Dict[str, Any]:
     return {flag: value for flag, value in given.items() if value is not None}
 
 
+def _check_nvm_overrides(parser, spec, args) -> None:
+    """Refuse a ``--nvm-lat`` the part would refuse, and a ``--nvm-cap``
+    the write-ahead tier would."""
+    try:
+        spec = spec.with_overrides(store_latency=args.nvm_lat)
+    except ValueError as exc:
+        parser.error(f"--nvm-lat: {exc}")
+    if args.nvm_cap is None:
+        return
+    from repro.blockdev.regular import RegularDisk
+    from repro.disk.disk import Disk
+    from repro.disk.specs import ST19101
+    from repro.nvm.wal import NVWal
+
+    try:
+        # The tier's constructor owns the floor of one block record.
+        NVWal(RegularDisk(Disk(ST19101, num_cylinders=1)),
+              spec.with_overrides(capacity_bytes=args.nvm_cap))
+    except ValueError as exc:
+        parser.error(f"--nvm-cap: {exc}")
+
+
 def _stack_overrides(given: Dict[str, Any]) -> Dict[str, Any]:
     """Fold the stack flags given into StackConfig field overrides."""
+    from repro.blockdev.nvm import NVM_SPECS
+
     stack = {
         field: given[flag]
         for flag, field in (("--queue-depth", "queue_depth"), ("--sched", "sched"),
@@ -300,6 +331,8 @@ def _parse_shard_slow(spec: str, shards: int) -> dict:
     """Parse ``shard=1,factor=8,after=20,ops=60`` into the multihost
     ``shard_slow`` dict (``after``/``ops`` optional), refusing a shard
     outside ``--shards`` and a window the fault plane would refuse."""
+    from repro.blockdev.interpose import FaultPlane
+
     known = {"shard": int, "factor": float, "after": int, "ops": int}
     out: dict = {}
     for item in spec.split(","):
@@ -433,6 +466,7 @@ def _run_torture(args) -> int:
 def _run_scrub_demo() -> int:
     """A watchable tour of the resilience layer: flaky sectors under
     live data, retries, quarantine, and idle-time migration."""
+    from repro.blockdev.interpose import FaultPlane
     from repro.disk.disk import Disk
     from repro.disk.specs import ST19101
     from repro.vlog.vld import VirtualLogDisk
@@ -553,6 +587,8 @@ def _report_sweep_stats(args, name: str) -> None:
 
 def _report_metrics(args) -> None:
     """Print and clear the metrics of every stack built so far."""
+    from repro.harness import configs
+
     stacks = configs.drain_metrics_stacks()
     if not args.metrics:
         return

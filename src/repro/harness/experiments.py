@@ -1,8 +1,10 @@
-"""One entry point per table/figure of the paper's evaluation.
+"""One entry point per table/figure of the paper's evaluation, per
+design choice it ablates, and per extension it points at.
 
 Every function returns a plain dict so benchmarks and tests can assert on
 the *shape* of the results (who wins, by what factor, where crossovers
-fall) without depending on formatting.  The defaults are paper scale;
+fall) without depending on formatting.  The defaults are paper scale
+(for an ablation or extension, its larger scale);
 :mod:`repro.harness.registry` names each experiment's quick and full
 keyword arguments and its renderer.
 
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blockdev.interpose import build_device_stack
 from repro.blockdev.nvm import NVM_SPECS
+from repro.disk.cache import ReadAheadPolicy
 from repro.disk.disk import Disk
 from repro.disk.specs import DISKS, HP97560, ST19101
 from repro.harness.configs import STACKS, StackConfig, build_stack, utilization_of
@@ -42,6 +45,7 @@ from repro.harness.runner import (
 )
 from repro.harness.sweep import SweepPoint, sweep_values, warn_dropped
 from repro.hosts import run_multihost
+from repro.hosts.specs import SPARCSTATION_10
 from repro.models.compactor import average_latency_closed_form
 from repro.models.cylinder import cylinder_expected_latency
 from repro.nvm import NVWal
@@ -423,22 +427,18 @@ def _point_table2(
     }
 
 
-def table2(
-    utilization: float = 0.8,
-    updates: int = 300,
-    warmup: int = 100,
-    compact_seconds: float = 20.0,
-    stack: StackOverrides = None,
-) -> Dict[str, Dict[str, float]]:
-    """Update-in-place vs virtual-log gap across platforms (Table 2),
-    with the Figure 9 component breakdowns of the same runs.
-
-    A cell's latency and its breakdown are one set of writes: each
-    synchronous update returns its own breakdown (SCSI, transfer and
-    locate as the device charged them, host time as the file system
-    charged it), and the mean and the fractions are both taken over the
-    measured writes' breakdowns.
-    """
+def _update_gap_cells(
+    platforms: Sequence[Tuple[str, str]],
+    utilization: float,
+    updates: int,
+    warmup: int,
+    compact_seconds: float,
+    stack: StackOverrides,
+) -> List[Dict[str, Dict[str, Any]]]:
+    """Table 2's cells, per ``(disk, host)`` platform: the
+    :func:`_point_table2` result of update-in-place (``regular``) and of
+    the virtual log (``vld``)."""
+    devices = ("regular", "vld")
     points = [
         SweepPoint(
             f"{_HERE}:_point_table2",
@@ -457,21 +457,47 @@ def table2(
             },
             _UPDATE_SEED,
         )
-        for disk_name, host_name in PLATFORMS
-        for device_type in ("regular", "vld")
+        for disk_name, host_name in platforms
+        for device_type in devices
     ]
     values = iter(sweep_values(points))
+    return [
+        {device_type: next(values) for device_type in devices}
+        for _ in platforms
+    ]
+
+
+def _gap(cells: Mapping[str, Dict[str, Any]]) -> Tuple[float, float, float]:
+    """One platform's in-place and virtual-log latency (ms), and the
+    speedup between them."""
+    regular, vld = cells["regular"]["latency"], cells["vld"]["latency"]
+    return regular * 1e3, vld * 1e3, regular / vld
+
+
+def table2(
+    utilization: float = 0.8,
+    updates: int = 300,
+    warmup: int = 100,
+    compact_seconds: float = 20.0,
+    stack: StackOverrides = None,
+) -> Dict[str, Dict[str, float]]:
+    """Update-in-place vs virtual-log gap across platforms (Table 2),
+    with the Figure 9 component breakdowns of the same runs.
+
+    A cell's latency and its breakdown are one set of writes: each
+    synchronous update returns its own breakdown (SCSI, transfer and
+    locate as the device charged them, host time as the file system
+    charged it), and the mean and the fractions are both taken over the
+    measured writes' breakdowns.
+    """
+    cells_per_platform = _update_gap_cells(
+        PLATFORMS, utilization, updates, warmup, compact_seconds, stack
+    )
     result: Dict[str, Dict[str, float]] = {}
-    for disk_name, host_name in PLATFORMS:
-        cells = {
-            device_type: next(values)
-            for device_type in ("regular", "vld")
-        }
-        entry: Dict[str, float] = {
-            "update_in_place_ms": cells["regular"]["latency"] * 1e3,
-            "virtual_log_ms": cells["vld"]["latency"] * 1e3,
-            "speedup": cells["regular"]["latency"] / cells["vld"]["latency"],
-        }
+    for (disk_name, host_name), cells in zip(PLATFORMS, cells_per_platform):
+        entry: Dict[str, float] = dict(
+            zip(("update_in_place_ms", "virtual_log_ms", "speedup"), _gap(cells))
+        )
         for component in COMPONENTS:
             for device_type in ("regular", "vld"):
                 entry[f"{device_type}_{component}"] = (
@@ -938,3 +964,237 @@ def figure_nvm(
     for workload in workloads:
         result[workload] = {mode: next(values) for mode in modes}
     return result
+
+
+# ======================================================================
+# Ablations: the design choices the paper defends one at a time
+# ======================================================================
+
+def _sweep_over(
+    point: str, key: str, values: Sequence[Any], seed: int = 0, **params: Any
+) -> Dict[Any, Any]:
+    """The point function ``point`` at each of ``values`` of its
+    parameter ``key`` (the others fixed at ``params``), keyed by value."""
+    points = [
+        SweepPoint(f"{_HERE}:{point}", {key: value, **params}, seed)
+        for value in values
+    ]
+    return dict(zip(values, sweep_values(points)))
+
+
+def _point_vld_update(
+    *, seed: int, knob: str, value: Any, readahead: str, file_mb: float,
+    idle: float, updates: int, warmup: int,
+) -> float:
+    """UFS on a VLD built with ``knob=value`` (an allocation policy by
+    its name), its disk with the named read-ahead: the mean latency (ms)
+    of random synchronous 4 KB updates, after ``idle`` seconds for the
+    compactor when that is not 0."""
+    from repro.ufs.ufs import UFS
+    from repro.vlog.allocator import AllocationPolicy
+    from repro.vlog.vld import VirtualLogDisk
+
+    if knob == "policy":
+        value = AllocationPolicy(value)
+    disk = Disk(ST19101, readahead=ReadAheadPolicy(readahead))
+    device = VirtualLogDisk(disk, **{knob: value})
+    fs = UFS(device, SPARCSTATION_10)
+    file_bytes = int(file_mb * _MB)
+    prepare_file(fs, "/t", file_bytes)
+    if idle:
+        device.idle(idle)
+    recorder = run_random_updates(
+        fs, "/t", file_bytes, updates, warmup=warmup, seed=seed
+    )
+    return recorder.mean() * 1e3
+
+
+def ablation_allocator(updates: int = 300, warmup: int = 100) -> Dict[str, float]:
+    """The eager-allocation policy (Section 4.2): NEAREST (Figure 1's
+    idealised search), GREEDY_CYLINDER (one-way sweep) and TRACK_FILL
+    (the compactor-assisted one), ms per update at ~55 % utilization."""
+    return _sweep_over(
+        "_point_vld_update", "value", ("nearest", "greedy_cylinder", "track_fill"),
+        _UPDATE_SEED, knob="policy", readahead="full_track", file_mb=12, idle=0.0,
+        updates=updates, warmup=warmup,
+    )
+
+
+def ablation_compactor(updates: int = 250, warmup: int = 83) -> Dict[float, float]:
+    """The VLD's track-fill threshold (Sections 2.3 and 4.2), ms per
+    update after 5 s of compaction."""
+    return _sweep_over(
+        "_point_vld_update", "value", (0.5, 0.75, 0.9), _UPDATE_SEED,
+        knob="fill_threshold", readahead="dartmouth", file_mb=10, idle=5.0,
+        updates=updates, warmup=warmup,
+    )
+
+
+def ablation_mapsector(updates: int = 300, warmup: int = 100) -> Dict[int, float]:
+    """The map-record size (Section 3.2): 512-byte sectors against 4 KB
+    blocks, ms per update at ~73 % utilization."""
+    return _sweep_over(
+        "_point_vld_update", "value", (512, 4096), _UPDATE_SEED,
+        knob="map_record_bytes", readahead="full_track", file_mb=16, idle=0.0,
+        updates=updates, warmup=warmup,
+    )
+
+
+def _point_lfs_cleaner(
+    *, seed: int, policy: str, file_mb: float, updates: int, warmup: int
+) -> Dict[str, float]:
+    """LFS with NVRAM on a regular disk, cleaning by the named policy,
+    under random synchronous updates."""
+    from repro.blockdev.regular import RegularDisk
+    from repro.lfs.cleaner import CleanerPolicy
+    from repro.lfs.lfs import LFS
+
+    fs = LFS(
+        RegularDisk(Disk(ST19101)), SPARCSTATION_10, nvram=True,
+        cleaner_policy=CleanerPolicy(policy),
+    )
+    file_bytes = int(file_mb * _MB)
+    prepare_file(fs, "/t", file_bytes)
+    recorder = run_random_updates(
+        fs, "/t", file_bytes, updates, warmup=warmup, seed=seed
+    )
+    return {
+        "latency_ms": recorder.mean() * 1e3,
+        "segments_cleaned": fs.cleaner.segments_cleaned,
+        "blocks_copied": fs.cleaner.blocks_copied,
+    }
+
+
+def ablation_cleaner(
+    updates: int = 4000, warmup: int = 1500
+) -> Dict[str, Dict[str, float]]:
+    """The LFS cleaner policy (Section 4.4): greedy against cost-benefit
+    under churn of a 17 MB file."""
+    return _sweep_over(
+        "_point_lfs_cleaner", "policy", ("greedy", "cost_benefit"), _UPDATE_SEED,
+        file_mb=17, updates=updates, warmup=warmup,
+    )
+
+
+def _point_seq_read(*, seed: int, readahead: str, file_mb: float) -> float:
+    """Sequential 4 KB reads (MB/s) of a file written eagerly, through
+    UFS on a VLD whose disk has the named read-ahead policy."""
+    del seed  # the workload is deterministic
+    from repro.ufs.ufs import UFS
+    from repro.vlog.vld import VirtualLogDisk
+
+    disk = Disk(ST19101, readahead=ReadAheadPolicy(readahead))
+    fs = UFS(VirtualLogDisk(disk), SPARCSTATION_10)
+    size = int(file_mb * _MB)
+    fs.create("/seq")
+    chunk = bytes(64 * 4096)
+    for offset in range(0, size, len(chunk)):
+        fs.write("/seq", offset, chunk)
+    fs.sync()
+    fs.drop_caches()
+    start = disk.clock.now
+    for offset in range(0, size, 4096):
+        fs.read("/seq", offset, 4096)
+    return (size / _MB) / (disk.clock.now - start)
+
+
+def ablation_trackbuffer(file_mb: float = 6) -> Dict[str, float]:
+    """The track-buffer fix of Section 4.2: the stock Dartmouth
+    read-ahead, the full-track policy, and none, under a VLD."""
+    return _sweep_over(
+        "_point_seq_read", "readahead", ("dartmouth", "full_track", "disabled"),
+        file_mb=file_mb,
+    )
+
+
+# ======================================================================
+# Extensions: what the paper predicted, deferred or deduced
+# ======================================================================
+
+def future_trends(
+    updates: int = 300, warmup: int = 100
+) -> Dict[str, Tuple[float, float, float]]:
+    """The closing prediction, one drive generation on: Table 2's cell
+    on the UltraSPARC host for each drive, the projected ~2004 one
+    included -- in-place ms, virtual-log ms and the speedup."""
+    disks = ("hp97560", "st19101", "future2004")
+    cells = _update_gap_cells(
+        [(disk, "ultra170") for disk in disks], 0.8, updates, warmup, 20.0, None
+    )
+    return {disk: _gap(cell) for disk, cell in zip(disks, cells)}
+
+
+def _point_reorganizer(*, seed: int, file_mb: float) -> Dict[str, float]:
+    """Sequential read bandwidth (MB/s) of a VLD freshly written, after
+    random rewrites, and after 30 s of read-locality reorganization
+    (``_windows``: the windows it rewrote)."""
+    from repro.vlog.reorganizer import ReadReorganizer
+    from repro.vlog.vld import VirtualLogDisk
+
+    nblocks = int(file_mb * _MB) // 4096
+    vld = VirtualLogDisk(Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK))
+    clock = vld.disk.clock
+    rng = random.Random(seed)
+
+    def seq_read_bw() -> float:
+        vld.disk.cache.invalidate()
+        start = clock.now
+        vld.read_blocks(0, nblocks)
+        return (nblocks * 4096 / _MB) / (clock.now - start)
+
+    for lba in range(nblocks):
+        vld.write_block(lba, bytes([lba % 251]) * 4096)
+    fresh_bw = seq_read_bw()
+    for _ in range(2 * nblocks):
+        vld.write_block(rng.randrange(nblocks), b"r" * 4096)
+    scattered_bw = seq_read_bw()
+    reorganizer = ReadReorganizer(vld)
+    reorganizer.run_for(30.0)
+    return {
+        "freshly written": fresh_bw,
+        "after random writes": scattered_bw,
+        "after reorganization": seq_read_bw(),
+        "_windows": reorganizer.windows_reorganized,
+    }
+
+
+def reorganizer(file_mb: float = 8) -> Dict[str, float]:
+    """Idle-time read-locality reorganization (Section 3.4's deferred
+    cure for Figure 7's sequential-read penalty)."""
+    return _sweep_over("_point_reorganizer", "file_mb", (file_mb,), 5)[file_mb]
+
+
+def _point_vlfs_deduction(*, seed: int, stack: str, updates: int) -> List[float]:
+    """Mean synchronous, then buffered, random 4 KB update latency (ms)
+    on an 8 MB file: ``vlfs``, or one of :data:`STACKS`."""
+    if stack == "vlfs":
+        from repro.vlfs.vlfs import VLFS
+
+        fs = VLFS(Disk(ST19101), SPARCSTATION_10)
+    else:
+        fs, _disk, _device = build_stack(STACKS[stack])
+    rng = random.Random(seed)
+    file_bytes = 8 * _MB
+    fs.create("/t")
+    chunk = bytes(4096) * 128
+    for offset in range(0, file_bytes, len(chunk)):
+        fs.write("/t", offset, chunk)
+    fs.sync()
+    nblocks = file_bytes // 4096
+    means = []
+    for payload, sync in ((b"u" * 4096, True), (b"v" * 4096, False)):
+        total = 0.0
+        for _ in range(updates):
+            offset = rng.randrange(nblocks) * 4096
+            total += fs.write("/t", offset, payload, sync=sync).total
+        means.append(total / updates * 1e3)
+    return means
+
+
+def vlfs_deduction(updates: int = 400) -> Dict[str, List[float]]:
+    """Section 5.1's deduction, measured: VLFS against UFS on either
+    device and LFS, synchronously and buffered."""
+    return _sweep_over(
+        "_point_vlfs_deduction", "stack", ("ufs-regular", "ufs-vld", "lfs-regular", "vlfs"),
+        8, updates=updates,
+    )

@@ -1,4 +1,5 @@
-"""The experiment registry: one record per table/figure the CLI regenerates.
+"""The experiment registry: one record per table, figure, ablation and
+extension the CLI regenerates.
 
 A record names the experiment function in :mod:`repro.harness.experiments`,
 its two scales (``quick``, the default, and ``full``, paper scale), the
@@ -6,6 +7,10 @@ renderer that prints its result, and the CLI flags it reads, each mapped
 to the keyword it sets.  ``python -m repro.harness`` and the shape
 benchmarks under ``benchmarks/`` both run experiments through these
 records, so a scale or a table layout is stated once.
+
+The records name their functions, and :mod:`repro.harness.experiments`
+(which imports the whole simulator) loads on the first run, so listing
+the records loads no experiment.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.harness import experiments
 from repro.harness.report import format_table
 from repro.sim.stats import COMPONENTS
 
@@ -25,21 +29,22 @@ class Experiment:
     keyword the flag sets (``"stack"``: folded into the
     :class:`~repro.harness.configs.StackConfig` overrides).  ``reshapes``
     is ``(source, reshape)`` when the result is ``reshape`` of
-    ``source``'s: if ``source`` already ran in the same invocation, no
-    point runs."""
+    ``source``'s, ``reshape`` naming a function of the experiments
+    module: if ``source`` already ran in the same invocation, no point
+    runs."""
 
     name: str
     render: Callable[[Any], None]
     quick: Mapping[str, Any] = field(default_factory=dict)
     full: Mapping[str, Any] = field(default_factory=dict)
     flags: Mapping[str, str] = field(default_factory=dict)
-    reshapes: Optional[Tuple[str, Callable[[Any], Any]]] = None
+    reshapes: Optional[Tuple[str, str]] = None
 
     @property
     def fn(self) -> Callable[..., Any]:
         """The experiment function, looked up on each access (so a
         patched module attribute is the one that runs)."""
-        return getattr(experiments, self.name)
+        return _experiment(self.name)
 
     def kwargs(self, full: bool) -> Dict[str, Any]:
         """The keyword arguments of the chosen scale."""
@@ -50,8 +55,14 @@ class Experiment:
         already run in this invocation to their results."""
         if self.reshapes is not None and self.reshapes[0] in earlier:
             source, reshape = self.reshapes
-            return reshape(earlier[source])
+            return _experiment(reshape)(earlier[source])
         return self.fn(**kwargs)
+
+
+def _experiment(name: str) -> Callable[..., Any]:
+    from repro.harness import experiments
+
+    return getattr(experiments, name)
 
 
 def _render_table1(result) -> None:
@@ -151,6 +162,60 @@ def _render_nvm(result) -> None:
         print()
 
 
+def _render_column(headers, label: str, title: str, result) -> None:
+    """One ``label``-formatted key and its value per row (the allocator,
+    map-record and track-buffer ablations)."""
+    rows = [[label.format(key), value] for key, value in result.items()]
+    print(format_table(headers, rows, title=title))
+
+
+def _render_cleaner(result) -> None:
+    rows = [[policy, e["latency_ms"], e["segments_cleaned"], e["blocks_copied"]]
+            for policy, e in result.items()]
+    print(format_table(["policy", "latency (ms/4KB)", "segs cleaned", "blocks copied"],
+                       rows, title="Ablation: LFS cleaner policy (random sync updates, "
+                                   "17 MB file, NVRAM)"))
+
+
+def _render_fill_threshold(result) -> None:
+    """The measured latency beside Section 2.3's model of the locate
+    time at the same threshold."""
+    from repro.disk.specs import ST19101
+    from repro.models.compactor import average_latency_closed_form
+
+    n = ST19101.sectors_per_track
+    rows = []
+    for threshold, latency in result.items():
+        m = int(round((1 - threshold) * n))
+        model = average_latency_closed_form(
+            n, m, ST19101.head_switch_time, ST19101.sector_time
+        )
+        rows.append([f"{threshold:.0%}", latency, model * 1e3])
+    print(format_table(["fill threshold", "measured (ms/4KB)", "model locate (ms)"], rows,
+                       title="Ablation: VLD track-fill threshold (paper uses 75%)"))
+
+
+def _render_future_trends(result) -> None:
+    rows = [[disk, in_place, vlog, f"{speedup:.1f}x"]
+            for disk, (in_place, vlog, speedup) in result.items()]
+    print(format_table(["disk", "in-place (ms)", "virtual log (ms)", "speedup"], rows,
+                       title="Extension: Table 2 extrapolated to a projected 2004 "
+                             "drive (UltraSPARC host)"))
+
+
+def _render_reorganizer(result) -> None:
+    rows = [[state, bw] for state, bw in result.items() if not state.startswith("_")]
+    print(format_table(["layout state", "seq read (MB/s)"], rows,
+                       title="Extension: read-locality reorganization on a VLD "
+                             f"({result['_windows']} windows rewritten)"))
+
+
+def _render_vlfs_deduction(result) -> None:
+    rows = [[stack, sync_ms, async_ms] for stack, (sync_ms, async_ms) in result.items()]
+    print(format_table(["stack", "sync write (ms)", "async write (ms)"], rows,
+                       title="VLFS deduction (Section 5.1): random 4 KB updates, 8 MB file"))
+
+
 #: The stack flags: each is folded into the ``stack=`` overrides of an
 #: experiment that builds its stacks through ``build_stack``.
 _STACK = dict.fromkeys(
@@ -180,7 +245,7 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
                flags=_STACK),
     Experiment("table2", _render_table2, quick=_TABLE2_QUICK, flags=_STACK),
     Experiment("figure9", _render_figure9, quick=_TABLE2_QUICK, flags=_STACK,
-               reshapes=("table2", experiments.breakdown)),
+               reshapes=("table2", "breakdown")),
     Experiment("figure10", partial(_render_latency, "idle_seconds", "idle (s)",
                                    "figure10: burst {}"),
                quick=dict(burst_kbs=[128, 504, 2016], idle_seconds=[0.0, 0.25, 1.0, 4.0],
@@ -199,4 +264,25 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in (
     Experiment("figure_nvm", _render_nvm, quick=dict(requests=80),
                flags={"--nvm": "nvm_part", "--nvm-lat": "nvm_store_latency",
                       "--nvm-cap": "nvm_capacity"}),
+    Experiment("ablation_allocator",
+               partial(_render_column, ["policy", "latency (ms/4KB)"], "{}",
+                       "Ablation: eager allocation policy (UFS on VLD, "
+                       "random sync updates @ ~55% utilization)"),
+               quick=dict(updates=120, warmup=40)),
+    Experiment("ablation_cleaner", _render_cleaner, quick=dict(updates=2500)),
+    Experiment("ablation_compactor", _render_fill_threshold,
+               quick=dict(updates=100, warmup=33)),
+    Experiment("ablation_mapsector",
+               partial(_render_column, ["map record size", "latency (ms/4KB)"], "{} B",
+                       "Ablation: virtual-log map record size "
+                       "(UFS on VLD @ ~73% utilization)"),
+               quick=dict(updates=120, warmup=40)),
+    Experiment("ablation_trackbuffer",
+               partial(_render_column, ["read-ahead policy", "seq read (MB/s)"], "{}",
+                       "Ablation: track-buffer policy under a VLD "
+                       "(sequential read of an eagerly-written file)"),
+               quick=dict(file_mb=3)),
+    Experiment("future_trends", _render_future_trends, quick=dict(updates=120, warmup=40)),
+    Experiment("reorganizer", _render_reorganizer, quick=dict(file_mb=4)),
+    Experiment("vlfs_deduction", _render_vlfs_deduction, quick=dict(updates=150)),
 )}

@@ -189,6 +189,29 @@ class TestHarnessCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert "--shard-slow" in message and names in message
 
+    @pytest.mark.parametrize(
+        "value,name",
+        [
+            ("--nvm-lat=nan", "figure_nvm"),
+            ("--nvm-lat=-1e-3", "figure_nvm"),
+            ("--nvm-lat=inf", "figure_nvm"),
+            ("--nvm-cap=0", "figure_nvm"),
+            ("--nvm-cap=-5", "figure_nvm"),
+            ("--nvm-cap=4000", "figure_nvm"),
+            ("--nvm-cap=4000", "table2"),
+        ],
+    )
+    def test_bad_nvm_override_is_a_usage_error(self, capsys, value, name):
+        """A store latency the part refuses, or a capacity the
+        write-ahead tier refuses, is refused before any point runs."""
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "--nvm", "nvdimm", value, name])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert value.partition("=")[0] in message
+
     def test_volume_families_restrict_the_volume_matrix(self, capsys):
         """--families applies to whichever table --volume selects."""
         from repro.harness.__main__ import main

@@ -41,6 +41,10 @@ EXPERIMENTS = {
         burst_kbs=[512], idle_seconds=[0.0, 0.1], bursts=2,
         utilization=0.4,
     ),
+    # The UFS-on-VLD update point the allocator, fill-threshold and
+    # map-record ablations share, and Table 2's cells on a third drive.
+    "ablation_compactor": dict(updates=10, warmup=2),
+    "future_trends": dict(updates=10, warmup=2),
 }
 
 

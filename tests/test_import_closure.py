@@ -72,3 +72,17 @@ def test_the_stack_builder_loads_no_file_system_and_no_experiment():
             "repro.harness.experiments", "repro.harness.sweep",
         ))
     } == set()
+
+
+def test_the_registry_loads_no_experiment():
+    """Listing the records (``--list``, ``--help``) runs no experiment,
+    so it loads none of their code."""
+    loaded = loaded_by("repro.harness.registry")
+    assert "repro.harness.registry" in loaded
+    assert {
+        name for name in loaded
+        if within(name, (
+            "repro.harness.experiments", "repro.models", "repro.workloads",
+            "repro.hosts.multihost", "repro.nvm",
+        ))
+    } == set()

@@ -2,8 +2,9 @@
 
 CI lints with ruff (``pyproject.toml``: ``line-length = 100``, rules E,
 F and W, F401 off for ``__init__.py``).  These tests repeat three of its
-checks with ``ast`` and ``tokenize`` over ``src/`` and ``tests/``, so a
-machine without ruff still catches them before CI does:
+checks with ``ast`` and ``tokenize`` over ``src/``, ``tests/`` and
+``benchmarks/``, so a machine without ruff still catches them before CI
+does:
 
 * E501 -- a line over 100 columns;
 * W291/W293 -- trailing whitespace, on a code or a blank line;
@@ -27,7 +28,7 @@ LINE_LENGTH = 100
 
 FILES = sorted(
     path
-    for top in ("src", "tests")
+    for top in ("src", "tests", "benchmarks")
     for path in (ROOT / top).rglob("*.py")
 )
 
@@ -107,6 +108,7 @@ def test_the_floor_sees_both_trees():
     names = {_relative(path) for path in FILES}
     assert "src/repro/vlog/vld.py" in names
     assert "tests/test_lint_floor.py" in names
+    assert "benchmarks/conftest.py" in names
 
 
 @pytest.mark.parametrize("path", FILES, ids=_relative)
