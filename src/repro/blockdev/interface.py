@@ -117,6 +117,13 @@ class BlockDevice(abc.ABC):
                 f"{self.num_blocks} blocks"
             )
 
+    def check_partial(self, lba: int, offset: int, data: bytes) -> None:
+        """Validate a :meth:`write_partial`: one block, and a byte range
+        that starts and ends inside it."""
+        self.check_lba(lba, 1)
+        if offset < 0 or offset + len(data) > self.block_size:
+            raise ValueError("partial write outside the block")
+
     def check_data(self, data: Optional[bytes], count: int) -> bytes:
         """Validate/normalise a data buffer for ``count`` blocks."""
         expected = count * self.block_size

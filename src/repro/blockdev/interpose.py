@@ -814,9 +814,7 @@ class FaultDevice(InterposedDevice):
         if op == "write":
             payload = self.check_data(args[-1], count)
         elif op == "write_partial":
-            offset, payload = args[1:]
-            if offset < 0 or offset + len(payload) > self.block_size:
-                raise ValueError("partial write outside the block")
+            self.check_partial(lba, *args[1:])
         self._tick(op, lba, count)
         plan = self.plan
         if op == "read":

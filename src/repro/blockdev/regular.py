@@ -105,12 +105,10 @@ class RegularDisk(BlockDevice):
         self.scheduler.discard_pending()
 
     def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
-        self.check_lba(lba, 1)
+        self.check_partial(lba, offset, data)
         sector_bytes = self.disk.sector_bytes
         if offset % sector_bytes != 0 or len(data) % sector_bytes != 0:
             raise ValueError("partial writes must be sector aligned")
-        if offset + len(data) > self.block_size:
-            raise ValueError("partial write exceeds the block")
         start = self._sector_of(lba) + offset // sector_bytes
         self.scheduler.write(start, len(data) // sector_bytes, data)
         return self.scheduler.take_breakdown()

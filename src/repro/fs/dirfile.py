@@ -101,7 +101,7 @@ class DirectoryBlock:
 
         ``raw`` is what the data path just returned for the block cached
         under ``key``.  The parse rides on that cache entry (``cache``
-        is a ``BufferCache`` or ``FileCache``: ``parsed`` /
+        is a :class:`~repro.fs.block_cache.BlockCache`: ``parsed`` /
         ``keep_parsed``), so it is bounded by the cache and leaves with
         the entry; it is reused only if its image equals ``raw``.  The
         caller may edit the returned block: the edit moves its image

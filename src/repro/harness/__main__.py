@@ -266,6 +266,12 @@ def _given_flags(parser, args) -> Dict[str, Any]:
             parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
                          + ", ".join(sorted(NVM_SPECS)))
         _check_nvm_overrides(parser, NVM_SPECS[args.nvm], args)
+    if args.trace:
+        try:
+            with open(args.trace, "a"):
+                pass
+        except OSError as exc:
+            parser.error(f"--trace: cannot append to {args.trace}: {exc.strerror}")
     try:
         faults = FaultPlan.parse(args.faults) if args.faults else None
     except ValueError as exc:

@@ -11,10 +11,11 @@ The cache holds whole file system blocks keyed by (inode, file block index)
 device addresses, because log addresses change on every write.  Dirty
 blocks are what the segment writer drains on flush.
 
-One ``OrderedDict`` is the LRU order of everything, clean and dirty, and
-stays the only order there is: an entry that :meth:`FileCache.mark_clean`
-cleans keeps its place, and the eviction victims are exactly the first
-clean entries in that order (which block goes decides a later disk read).
+The shared core's LRU order (:class:`repro.fs.block_cache.BlockCache`)
+holds everything, clean and dirty, and stays the only order there is:
+an entry that :meth:`FileCache.mark_clean` cleans keeps its place, and
+the eviction victims are exactly the first clean entries in that order
+(which block goes decides a later disk read).
 Beside it the cache *counts* what it used to scan for: how many entries
 are dirty, and which keys of each inode are dirty, oldest first.  The
 scan-everything cache this replaced is ``tests/lfs/reference_filecache.py``,
@@ -24,23 +25,15 @@ the differential oracle (DESIGN.md section 17).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.fs.block_cache import BlockCache, _Entry
 
 #: Cache key: (inode number, file block index or indirect code).
 Key = Tuple[int, int]
 
 
-class _Entry:
-    __slots__ = ("data", "dirty", "parsed")
-
-    def __init__(self, data: bytes, dirty: bool) -> None:
-        self.data = data
-        self.dirty = dirty
-        #: Whatever :meth:`FileCache.keep_parsed` left here.
-        self.parsed = None
-
-
-class FileCache:
+class FileCache(BlockCache):
     """LRU cache of file blocks with dirty tracking.
 
     When ``nvram=True`` the cache contents survive a :meth:`crash` (the
@@ -53,44 +46,19 @@ class FileCache:
         block_size: int = 4096,
         nvram: bool = False,
     ) -> None:
-        if capacity_bytes < block_size:
-            raise ValueError("cache must hold at least one block")
-        self.block_size = block_size
-        self.capacity_blocks = capacity_bytes // block_size
+        super().__init__(capacity_bytes, block_size)
         self.nvram = nvram
-        self._entries: "OrderedDict[Key, _Entry]" = OrderedDict()
-        #: How many entries are dirty.
-        self._dirty = 0
         #: inum -> that inode's dirty keys, in the order ``_entries``
         #: holds them (every reordering there is a move-to-end, mirrored
         #: here by :meth:`_touch`).
         self._dirty_keys: Dict[int, "OrderedDict[Key, None]"] = {}
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._entries
-
-    @property
-    def dirty_blocks(self) -> int:
-        return self._dirty
-
-    @property
-    def total_blocks(self) -> int:
-        return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity_blocks
 
     def would_overflow(self, new_blocks: int) -> bool:
         """Would inserting ``new_blocks`` dirty blocks exceed capacity even
         after evicting every clean block?"""
         return self._dirty + new_blocks > self.capacity_blocks
 
-    # -- the dirty count and index, kept in step with ``entry.dirty`` ----
+    # -- the per-inode dirty index, kept in step with ``entry.dirty`` ----
 
     def _touch(self, key: Key, entry: _Entry) -> None:
         """``key`` was used: most recent in every order it is in."""
@@ -133,35 +101,26 @@ class FileCache:
             return
         self._evict_clean_for(1)
         if len(self._entries) < self.capacity_blocks:
-            self._entries[key] = _Entry(data, dirty=False)
+            self._add(key, data, dirty=False)
 
     def put_dirty(self, key: Key, data: bytes) -> None:
         """Install a written block; caller must have ensured capacity."""
         entry = self._entries.get(key)
         if entry is not None:
             entry.data = data
-            if not entry.dirty:
-                entry.dirty = True
-                self._note_dirty(key)
+            self._set_dirty(key, entry, True)
             self._touch(key, entry)
             return
         self._evict_clean_for(1)
         # Capacity is enforced by callers via would_overflow(); a dirty
         # insert is always honoured (transient overflow mirrors the real
         # cache's wired metadata pages).
-        self._entries[key] = _Entry(data, dirty=True)
-        self._note_dirty(key)
+        self._add(key, data, dirty=True)
 
     def mark_clean(self, key: Key) -> None:
         entry = self._entries.get(key)
-        if entry is not None and entry.dirty:
-            entry.dirty = False
-            self._note_not_dirty(key)
-
-    def forget(self, key: Key) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None and entry.dirty:
-            self._note_not_dirty(key)
+        if entry is not None:
+            self._set_dirty(key, entry, False)
 
     def forget_inode(self, inum: int) -> None:
         for key in [k for k in self._entries if k[0] == inum]:
@@ -181,24 +140,6 @@ class FileCache:
             (key, self._entries[key].data)
             for key in self._dirty_keys.get(inum, ())
         ]
-
-    def parsed(self, key: Key):
-        """What :meth:`keep_parsed` left on ``key``'s entry, else None."""
-        entry = self._entries.get(key)
-        return None if entry is None else entry.parsed
-
-    def keep_parsed(self, key: Key, parsed) -> None:
-        """Let ``parsed`` (a caller's decoded view of the block) ride on
-        ``key``'s entry until the entry leaves the cache; the caller
-        checks it against the bytes it reads before trusting it.  A
-        block that is not resident keeps nothing."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.parsed = parsed
-
-    def drop_clean(self) -> None:
-        for key in [k for k, e in self._entries.items() if not e.dirty]:
-            del self._entries[key]
 
     def crash(self) -> None:
         """Power loss: NVRAM keeps everything, DRAM keeps nothing."""
@@ -230,6 +171,3 @@ class FileCache:
                     break
         for key in victims:
             del entries[key]
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self._entries)

@@ -277,9 +277,7 @@ class NVWal(BlockDevice):
         """Read-modify-write through the tier: the WAL absorbs whole
         blocks, so a fragment write costs one block read (tier or
         backing) plus one absorbed block."""
-        self.check_lba(lba)
-        if offset < 0 or offset + len(data) > self.block_size:
-            raise ValueError("partial write outside the block")
+        self.check_partial(lba, offset, data)
         total = Breakdown()
         if lba in self._dirty:
             current = self._dirty[lba]

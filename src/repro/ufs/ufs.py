@@ -475,7 +475,7 @@ class UFS(InodeNamespace):
             lba = self._get_file_block(inode, fblk, breakdown)
             if lba:
                 self.alloc.free_block(lba)
-                self.cache.invalidate(lba)
+                self.cache.forget(lba)
                 self._store_group_async(lba, breakdown)
                 self._set_file_block(inode, fblk, 0, breakdown, sync=False)
         if use_new and (
@@ -500,7 +500,7 @@ class UFS(InodeNamespace):
                 inode.set_tail_frags(addr, frags_new)
                 self._write_frag_content(addr, content, breakdown, sync=False)
                 self.alloc.free_block(tail_lba)
-                self.cache.invalidate(tail_lba)
+                self.cache.forget(tail_lba)
                 self._store_group_async(tail_lba, breakdown)
                 self._set_file_block(
                     inode, tail_blk_new, 0, breakdown, sync=False
@@ -567,7 +567,7 @@ class UFS(InodeNamespace):
             lba = self._get_file_block(inode, fblk, breakdown)
             if lba:
                 self.alloc.free_block(lba)
-                self.cache.invalidate(lba)
+                self.cache.forget(lba)
                 self._store_group_async(lba, breakdown)
         frag_addr, frag_count = inode.tail_frags()
         if frag_count:
@@ -576,11 +576,11 @@ class UFS(InodeNamespace):
                 frag_addr // self.layout.frags_per_block, breakdown
             )
         # Read the level-1 pointers while the double-indirect table is
-        # still cached: once invalidated, a table that was only dirty in
+        # still cached: once forgotten, a table that was only dirty in
         # the buffer cache reads back from the device as zeros.
         for table in self._pointer_tables(inode, breakdown):
             self.alloc.free_block(table)
-            self.cache.invalidate(table)
+            self.cache.forget(table)
             self._store_group_async(table, breakdown)
 
     def _pointer_tables(self, inode: Inode, breakdown: Breakdown) -> List[int]:

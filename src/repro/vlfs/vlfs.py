@@ -70,7 +70,7 @@ class _InternalDevice(RegularDisk):
         )
 
     def write_partial(self, lba: int, offset: int, data: bytes):
-        self.check_lba(lba, 1)
+        self.check_partial(lba, offset, data)
         sector_bytes = self.disk.sector_bytes
         start = self._sector_of(lba) + offset // sector_bytes
         return self.disk.write(

@@ -378,11 +378,9 @@ class VirtualLogDisk(BlockDevice):
     def write_partial(self, lba: int, offset: int, data: bytes) -> Breakdown:
         """Sub-block write: the VLD must read-modify-write a whole physical
         block (Section 4.2's internal-fragmentation bias against UFS)."""
-        self.check_lba(lba, 1)
+        self.check_partial(lba, offset, data)
         if offset % self.disk.sector_bytes != 0:
             raise ValueError("partial writes must be sector aligned")
-        if offset + len(data) > self.block_size:
-            raise ValueError("partial write exceeds the block")
         breakdown = self._charge_scsi()
         physical = self.imap.get(lba)
         if physical is None:

@@ -121,6 +121,17 @@ class TestConformance:
         for lba, data in expected.items():
             assert device.read_block(lba)[0] == data, lba
 
+    @pytest.mark.parametrize("offset", [-512, -BS, BS - 512, BS])
+    def test_partial_write_outside_the_block_is_refused(self, device, offset):
+        """A byte range that starts before block 5 or ends past it is a
+        ``ValueError``; neither block 5 nor a neighbour is written."""
+        for lba in (4, 5, 6):
+            device.write_block(lba, _blk(lba))
+        with pytest.raises(ValueError):
+            device.write_partial(5, offset, b"\x7f" * 1024)
+        device.idle(0.05)
+        assert device.read_blocks(4, 3)[0] == _blk(4) + _blk(5) + _blk(6)
+
 
 def _script(device):
     """One pass over all twelve members; returns everything observable."""

@@ -212,6 +212,19 @@ class TestHarnessCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert value.partition("=")[0] in message
 
+    def test_unopenable_trace_path_is_a_usage_error(self, capsys, tmp_path):
+        """A --trace file that cannot be opened for append is refused
+        before any point runs, naming the flag."""
+        from repro.harness.__main__ import main
+
+        path = tmp_path / "missing" / "ops.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "--trace", str(path), "figure6"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trace" in captured.err.splitlines()[-1]
+        assert "Figure 6" not in captured.out  # nothing ran
+
     def test_volume_families_restrict_the_volume_matrix(self, capsys):
         """--families applies to whichever table --volume selects."""
         from repro.harness.__main__ import main

@@ -49,8 +49,8 @@ def _assert_same(fast, ref):
     assert list(fast) == list(ref)  # LRU order: victims so far were the same
     assert fast.dirty_items() == ref.dirty_items()
     assert fast.dirty_blocks == ref.dirty_blocks
-    assert fast.total_blocks == ref.total_blocks
-    assert fast.full == ref.full
+    assert len(list(fast)) == ref.total_blocks
+    assert (len(list(fast)) >= fast.capacity_blocks) == ref.full
     assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
     for inum in range(1, 5):
         assert fast.dirty_items_for(inum) == ref.dirty_items_for(inum)
@@ -151,7 +151,7 @@ def test_eviction_visits_the_dirty_prefix_and_the_victims_only():
         cache.put_dirty((1, fblk), bytes(BLOCK))
     for fblk in range(capacity - prefix):
         cache.put_clean((2, fblk), bytes(BLOCK))
-    assert cache.full and cache.dirty_blocks == prefix
+    assert len(counting) == capacity and cache.dirty_blocks == prefix
     inserts = 50
     _CountingOrder.visited = 0
     for fblk in range(inserts):

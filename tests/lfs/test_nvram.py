@@ -58,7 +58,7 @@ class TestCapacity:
     def test_clean_evicted_under_pressure(self, cache):
         for i in range(20):
             cache.put_clean((1, i), bytes(4096))
-        assert cache.total_blocks <= cache.capacity_blocks
+        assert len(list(cache)) <= cache.capacity_blocks
 
     def test_would_overflow_counts_dirty_only(self, cache):
         for i in range(10):
@@ -80,7 +80,7 @@ class TestCrashSemantics:
         cache = FileCache(nvram=False)
         cache.put_dirty((1, 0), bytes(4096))
         cache.crash()
-        assert cache.total_blocks == 0
+        assert list(cache) == []
 
     def test_nvram_survives(self):
         cache = FileCache(nvram=True)

@@ -47,21 +47,21 @@ class TestWritePath:
     def test_sync_write_reaches_device(self, cache, device):
         cost = cache.write(7, b"\x07" * 4096, sync=True)
         assert cost.total > 0
-        assert not cache.is_dirty(7)
+        assert 7 in cache and cache.dirty_blocks == 0
         data, _ = device.read_block(7)
         assert data == b"\x07" * 4096
 
     def test_async_write_stays_in_cache(self, cache, device):
         cost = cache.write(7, b"\x07" * 4096, sync=False)
         assert cost.total == 0.0
-        assert cache.is_dirty(7)
+        assert 7 in cache and cache.dirty_blocks == 1
         data, _ = device.read_block(7)
         assert data == bytes(4096)  # not flushed yet
 
     def test_flush_block(self, cache, device):
         cache.write(7, b"\x07" * 4096, sync=False)
         cache.flush_block(7)
-        assert not cache.is_dirty(7)
+        assert 7 in cache and cache.dirty_blocks == 0
         data, _ = device.read_block(7)
         assert data == b"\x07" * 4096
 
@@ -71,7 +71,7 @@ class TestWritePath:
         writes_before = device.disk.counters.writes
         cache.flush()
         assert device.disk.counters.writes - writes_before == 2  # [10..12] + [20]
-        assert cache.dirty_count == 0
+        assert cache.dirty_blocks == 0
 
     def test_wrong_size_rejected(self, cache):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestPartialWrites:
         data, _ = cache.read(4)
         assert data[:1024] == b"\xcc" * 1024
         assert data[1024:] == b"\xaa" * 3072
-        assert cache.is_dirty(4)
+        assert 4 in cache and cache.dirty_blocks == 1
 
     def test_fresh_partial_skips_read(self, cache, device):
         cost = cache.write_partial(4, 0, b"\xdd" * 1024, sync=False,
@@ -109,6 +109,17 @@ class TestPartialWrites:
     def test_overflow_rejected(self, cache):
         with pytest.raises(ValueError):
             cache.write_partial(0, 4000, b"\x00" * 1024, sync=False)
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_negative_offset_rejected(self, cache, device, sync):
+        """A range that starts before the block is refused before the
+        cache or the device is touched."""
+        device.write_block(4, b"\xaa" * 4096)
+        with pytest.raises(ValueError):
+            cache.write_partial(5, -512, b"\xbb" * 1024, sync=sync)
+        assert 5 not in cache and cache.dirty_blocks == 0
+        assert device.read_block(4)[0] == b"\xaa" * 4096
+        assert device.read_block(5)[0] == bytes(4096)
 
 
 class TestEviction:
@@ -129,8 +140,8 @@ class TestEviction:
 
     def test_invalidate(self, cache):
         cache.write(9, b"\x09" * 4096, sync=False)
-        cache.invalidate(9)
-        assert 9 not in cache
+        cache.forget(9)
+        assert 9 not in cache and cache.dirty_blocks == 0
 
     def test_capacity_must_hold_one_block(self, device):
         with pytest.raises(ValueError):

@@ -246,7 +246,7 @@ class TestSyncSemantics:
         ufs.create("/f")
         ufs.write("/f", 0, b"q" * 40960, sync=False)
         ufs.sync()
-        assert ufs.cache.dirty_count == 0
+        assert ufs.cache.dirty_blocks == 0
 
 
 class TestRemount:

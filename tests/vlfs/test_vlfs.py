@@ -115,6 +115,17 @@ class TestEagerWriting:
         vlfs.write("/f", 4096, b"b" * 4096, sync=True)
         assert vlfs.disk.counters.writes > writes
 
+    @pytest.mark.parametrize("offset", [-512, 3584])
+    def test_internal_partial_write_outside_the_block_is_refused(
+        self, vlfs, offset
+    ):
+        """The drive's internal device refuses a range outside its block
+        the way every other device does, before the media is touched."""
+        writes = vlfs.disk.counters.writes
+        with pytest.raises(ValueError):
+            vlfs.device.write_partial(5, offset, b"\x7f" * 1024)
+        assert vlfs.disk.counters.writes == writes
+
 
 class TestRecovery:
     def _populate(self, vlfs, seed=4, files=8):
