@@ -4,8 +4,12 @@ Regenerates the requested tables/figures (default: all of them) and
 prints the paper-style rows; ``--full`` uses paper-scale workloads.  The
 two scales, the renderer and the flags of each experiment are its record
 in :mod:`repro.harness.registry`.  A flag aimed at an experiment whose
-record does not read it, or given with ``--torture`` (every torture plan
-builds its own stack and workload), is a usage error, not a no-op.
+record does not read it is a usage error, not a no-op.  So is a mode
+flag (``--list``, ``--scrub``, ``--volume-demo``, ``--torture``) given
+with experiment names, an experiment flag or another mode flag: a mode
+runs instead of the experiments (every torture plan builds its own
+stack and workload), so ``--torture`` takes only its own flags and the
+sweep flags.
 
 Stack flags are folded into :class:`~repro.harness.configs.StackConfig`
 field overrides, handed over as the ``stack=`` keyword; the overridden
@@ -167,24 +171,28 @@ def main(argv=None) -> int:
                         help="print a sharded-volume degraded-mode demo")
     args = parser.parse_args(argv)
 
+    _check_mode_runs_alone(parser, args)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.volume and not args.torture:
+        parser.error("--volume requires --torture")
+    if args.families is not None and not args.torture:
+        parser.error("--families requires --torture")
     if args.list:
         print("\n".join(EXPERIMENTS))
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.scrub:
         return _run_scrub_demo()
     if args.volume_demo:
         return _run_volume_demo()
-    if args.volume and not args.torture:
-        parser.error("--volume requires --torture")
     if args.shard_slow is not None and args.shards is None:
         parser.error("--shard-slow requires --shards")
+    if args.disks is not None and args.shards is not None:
+        parser.error("--disks does not apply with --shards "
+                     "(--shards M runs M shards in place of the disks)")
     if (args.nvm_lat is not None or args.nvm_cap is not None) \
             and args.nvm is None:
         parser.error("--nvm-lat/--nvm-cap require --nvm")
-    if args.families is not None and not args.torture:
-        parser.error("--families requires --torture")
     given = _given_flags(parser, args)
     stack = _stack_overrides(given)
     # The simulator loads once a run needs it: --help and --list load
@@ -192,11 +200,6 @@ def main(argv=None) -> int:
     from repro.blockdev.interpose import DeviceCrashed
 
     if args.torture:
-        if given:
-            parser.error(
-                f"{next(iter(given))} does not apply to --torture "
-                "(every torture plan builds its own stack and workload)"
-            )
         cache = None if args.no_cache else ResultCache(args.cache)
         with sweep.configured(jobs=args.jobs, cache=cache):
             status = _run_torture(args)
@@ -240,14 +243,39 @@ def main(argv=None) -> int:
             except DeviceCrashed as crash:
                 print(f"[{name} aborted: injected device crash: {crash}]\n",
                       file=sys.stderr)
-                _report_metrics(args)
+                _close_observers(args)
                 return 3
             experiment.render(results[name])
             print(f"[{name} regenerated in "
                   f"{time.time() - start:.1f}s wall]\n")
             _report_sweep_stats(args, name)
-            _report_metrics(args)
+            _close_observers(args)
     return 0
+
+
+def _check_mode_runs_alone(parser, args) -> None:
+    """A mode flag runs alone (sweep flags aside): experiment names, an
+    experiment flag or a second mode flag beside it would do nothing."""
+    modes = [flag for flag in ("--list", "--scrub", "--volume-demo", "--torture")
+             if getattr(args, _dest(flag))]
+    if not modes:
+        return
+    mode = modes[0]
+    if len(modes) > 1:
+        parser.error(f"{modes[1]} does not apply to {mode} (a mode flag runs alone)")
+    if args.names:
+        parser.error(f"{mode} takes no experiment names, got {' '.join(args.names)}")
+    reason = (" (every torture plan builds its own stack and workload)"
+              if mode == "--torture" else "")
+    for flag in dict.fromkeys(f for e in EXPERIMENTS.values() for f in e.flags):
+        value = getattr(args, _dest(flag))
+        if value is not None and value is not False:
+            parser.error(f"{flag} does not apply to {mode}{reason}")
+
+
+def _dest(flag: str) -> str:
+    """The ``args`` attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
 
 
 def _given_flags(parser, args) -> Dict[str, Any]:
@@ -591,10 +619,12 @@ def _report_sweep_stats(args, name: str) -> None:
         print(f"  [sweep {name}] {stats.summary()}\n")
 
 
-def _report_metrics(args) -> None:
-    """Print and clear the metrics of every stack built so far."""
+def _close_observers(args) -> None:
+    """Close the trace files, and print and clear the metrics, of every
+    stack built so far."""
     from repro.harness import configs
 
+    configs.close_trace_sinks()
     stacks = configs.drain_metrics_stacks()
     if not args.metrics:
         return

@@ -23,6 +23,7 @@ from repro.blockdev.interface import BlockDevice
 from repro.blockdev.interpose import (
     FaultPlan,
     MetricsDevice,
+    TracingDevice,
     build_device_stack,
     find_layer,
 )
@@ -91,6 +92,10 @@ STACKS = {
 #: (config name, MetricsDevice) pairs, appended by :func:`build_stack`.
 METRICS_STACKS: List[Tuple[str, MetricsDevice]] = []
 
+#: Tracing layers that append to a file, appended by :func:`build_stack`
+#: and closed by :func:`close_trace_sinks` when the CLI ends an experiment.
+TRACE_SINKS: List[TracingDevice] = []
+
 
 def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     """Instantiate (file system, disk, device) for a configuration.
@@ -126,6 +131,8 @@ def build_stack(config: StackConfig) -> Tuple[FileSystem, Disk, BlockDevice]:
     metrics_layer = find_layer(device, MetricsDevice)
     if metrics_layer is not None:
         METRICS_STACKS.append((config.name, metrics_layer))
+    if config.trace and config.trace is not True:
+        TRACE_SINKS.append(find_layer(device, TracingDevice))
     # Each file system is imported where it is built, so a stack loads
     # only its own and a device-only caller none (DESIGN.md section 3).
     if config.fs_type == "ufs":
@@ -197,6 +204,12 @@ def drain_metrics_stacks() -> List[Tuple[str, MetricsDevice]]:
     drained = list(METRICS_STACKS)
     METRICS_STACKS.clear()
     return drained
+
+
+def close_trace_sinks() -> None:
+    """Close, and forget, the file sink of every tracing stack built."""
+    while TRACE_SINKS:
+        TRACE_SINKS.pop().close()
 
 
 def utilization_of(fs: FileSystem, device: BlockDevice) -> float:

@@ -5,6 +5,7 @@ whose requests are :func:`repro.hosts.request_targets`, as a host's are."""
 from __future__ import annotations
 
 import random
+from math import isfinite
 from typing import Dict
 
 from repro.disk.disk import Disk
@@ -137,11 +138,13 @@ def simulate_queued_workload(
     """
     if requests <= 0:
         raise ValueError("request count must be positive")
+    if not (think_seconds >= 0.0 and isfinite(think_seconds)):  # NaN too
+        raise ValueError(
+            f"think_seconds must be finite and non-negative, got {think_seconds!r}"
+        )
     rng = random.Random(seed)
     disk = Disk(spec, store_data=False)
     scheduler = DiskScheduler(disk, policy=policy, queue_depth=queue_depth)
-    if not think_seconds >= 0.0:
-        raise ValueError("think time must be non-negative")
     aligned = disk.geometry.total_sectors // REQUEST_SECTORS
     start = disk.clock.now
     for lba in request_targets(rng, workload, aligned, requests):

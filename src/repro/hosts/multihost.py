@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.blockdev.interpose import FaultPlane
@@ -129,8 +130,16 @@ def run_multihost(
         raise ValueError("request_sectors must be positive")
     thinks = _per_host_thinks(think_seconds, hosts)
 
-    engine = EventEngine(trace=trace)
     stacks = [Disk(spec, store_data=False) for _ in range(disks)]
+    # One addressable stripe unit per aligned run, across all disks:
+    # target t lives on disk t % disks at aligned run t // disks.
+    disk_sectors = stacks[0].geometry.total_sectors
+    if request_sectors > disk_sectors:
+        raise ValueError(
+            f"request_sectors={request_sectors} exceeds a disk's {disk_sectors} sectors"
+        )
+    aligned_per_disk = disk_sectors // request_sectors
+    engine = EventEngine(trace=trace)
     schedulers = [
         DiskScheduler(disk, policy=policy, queue_depth=1) for disk in stacks
     ]
@@ -151,9 +160,6 @@ def run_multihost(
             ),
         ).install(stacks[slow_shard])
 
-    # One addressable stripe unit per aligned run, across all disks:
-    # target t lives on disk t % disks at aligned run t // disks.
-    aligned_per_disk = stacks[0].geometry.total_sectors // request_sectors
     stripe_units = aligned_per_disk * disks
     streams = [
         request_targets(random.Random(seed + 1000003 * index), workload,
@@ -206,8 +212,11 @@ def _per_host_thinks(
             raise ValueError(
                 f"got {len(thinks)} think times for {hosts} hosts"
             )
-    if any(value < 0.0 for value in thinks):
-        raise ValueError("think time must be non-negative")
+    for value in thinks:
+        if not (value >= 0.0 and isfinite(value)):  # negative, NaN or infinite
+            raise ValueError(
+                f"think_seconds must be finite and non-negative, got {value!r}"
+            )
     return thinks
 
 

@@ -441,7 +441,8 @@ class _DiskProcess(Process):
     and ``"<name>.until"``, at the same times and in the same order
     (``tests/sched/reference_disk_process.py`` keeps that generator as
     the oracle) -- without allocating an ``Until`` or dispatching a
-    yield per service.
+    yield per service.  Each wake-up is the engine's one entry shape,
+    ``(time, seq, name, self._resume, None)``, pushed here.
     """
 
     __slots__ = (
@@ -478,14 +479,7 @@ class _DiskProcess(Process):
         engine = self.engine
         heappush(
             engine._heap,
-            (
-                self._engine_clock.now,
-                engine._seq,
-                self._submitted_name,
-                self._resume,
-                None,
-                None,
-            ),
+            (self._engine_clock.now, engine._seq, self._submitted_name, self._resume, None),
         )
         engine._seq += 1
 
@@ -521,8 +515,5 @@ class _DiskProcess(Process):
         # identity demands engine time land bit-exactly on it.  (When
         # the disk clock *is* the engine clock, `end` is already now.)
         engine = self.engine
-        heappush(
-            engine._heap,
-            (end, engine._seq, self._until_name, self._resume, None, None),
-        )
+        heappush(engine._heap, (end, engine._seq, self._until_name, self._resume, None))
         engine._seq += 1

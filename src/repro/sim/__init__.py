@@ -14,7 +14,6 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.sim.clock import SimClock
     from repro.sim.engine import (
-        Event,
         EventEngine,
         IntervalRecorder,
         Process,
@@ -35,7 +34,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencyHistogram",
     "OpCounters",
-    "Event",
     "EventEngine",
     "IntervalRecorder",
     "Process",

@@ -4,16 +4,14 @@
 disks' service (:func:`repro.hosts.multihost.run_multihost`).  It is
 what that driver runs, and no more:
 
-* a heap of ``(time, seq, name, action, value, handle)`` entries with
+* a heap of ``(time, seq, name, action, value)`` entries with
   **deterministic tie-breaking** (events scheduled for the same instant
   fire in scheduling order -- ``seq`` is a monotone counter and no two
   entries share one, so a run is a pure function of the schedule calls,
   never of heap internals or hash order, and the comparison never
   reaches ``name``).  The entry carries everything the loop needs to
-  fire it; ``handle`` is the :class:`Event` that :meth:`EventEngine.at`
-  / :meth:`~EventEngine.after` returned (the caller may cancel it) and
-  ``None`` for the engine's own wake-ups, which call ``action(value)``
-  -- a bound ``Process._resume`` and the value it is woken with;
+  fire it: the loop calls ``action(value)`` -- a bound
+  ``Process._resume`` and the value it is woken with;
 * **named processes** (:class:`Process`) -- a generator adopted via
   :meth:`EventEngine.spawn` that yields what it waits for: a delay in
   seconds, an absolute time (:class:`Until`) or a :class:`Signal`; or a
@@ -38,9 +36,9 @@ local-lookahead rule is what lets the closed-form mechanics engine
 (`repro.disk`) run unmodified under the event core.
 
 Host cost: firing an event is one dispatch.  :meth:`EventEngine.run` is
-the loop itself (pop, cancel test, advance the view, count, trace,
-call), the wake-up a process schedules when it yields is pushed from
-``Process._resume`` without an :class:`Event` or a closure, and the
+the loop itself (pop, advance the view, count, trace, call), the
+wake-up a process schedules when it yields is one entry pushed from
+``Process._resume`` with no object or closure of its own, and the
 engine writes its clock's ``now`` attribute directly -- the engine owns
 the timeline; everyone else only reads it.  ``tests/sim/reference_engine.py``
 keeps a one-object-per-event engine as a differential oracle.
@@ -62,36 +60,6 @@ from typing import (
 )
 
 from repro.sim.clock import SimClock
-
-
-class Event:
-    """The handle for one scheduled occurrence.
-
-    :meth:`EventEngine.at` / :meth:`~EventEngine.after` return one per
-    call: ``action`` fires at ``time`` unless :meth:`cancel` made it a
-    no-op first -- without the cost of a heap delete (the heap entry
-    stays and is skipped).  The engine's own wake-ups (delays, signals,
-    spawns) are never cancelled by anyone, so they get a heap entry but
-    no ``Event``.
-    """
-
-    __slots__ = ("time", "seq", "name", "action", "cancelled")
-
-    def __init__(
-        self, time: float, seq: int, name: str, action: Callable[[], None]
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.name = name
-        self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return f"Event({self.name!r} @ {self.time:.9f}s #{self.seq}{state})"
 
 
 class Until:
@@ -148,10 +116,7 @@ class Signal:
         seq = engine._seq
         name = self.name
         for process in waiters:
-            heappush(
-                heap,
-                (now, seq, f"{name}->{process.name}", process._resume, value, None),
-            )
+            heappush(heap, (now, seq, f"{name}->{process.name}", process._resume, value))
             seq += 1
         engine._seq = seq
         return len(waiters)
@@ -174,7 +139,7 @@ class Process:
     ``gen=None`` and started with :meth:`EventEngine.start`: it
     overrides :meth:`_resume` with its whole turn and schedules its next
     one by pushing the entry a yield would have pushed, ``(time,
-    engine._seq, name, action, value, None)`` onto ``engine._heap``
+    engine._seq, name, action, value)`` onto ``engine._heap``
     (then ``engine._seq += 1``), or by waiting to be woken.  That is the
     request path's disk process
     (:class:`repro.sched.scheduler.DiskScheduler`): no generator frame,
@@ -258,9 +223,7 @@ class Process:
                     "delay, Until or Signal"
                 )
             break
-        heappush(
-            engine._heap, (time, engine._seq, name, self._resume, None, None)
-        )
+        heappush(engine._heap, (time, engine._seq, name, self._resume, None))
         engine._seq += 1
 
     def __repr__(self) -> str:
@@ -416,13 +379,9 @@ class EventEngine:
         self, clock: Optional[SimClock] = None, trace: bool = False
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        #: ``(time, seq, name, action, value, handle)``, ordered by the
-        #: first two.  ``handle`` is the caller's :class:`Event` and the
-        #: action takes no argument; with ``handle`` ``None`` (the
-        #: engine's own wake-ups) the loop calls ``action(value)``.
-        self._heap: List[
-            Tuple[float, int, str, Callable[..., Any], Any, Optional[Event]]
-        ] = []
+        #: ``(time, seq, name, action, value)``, ordered by the first
+        #: two; the loop calls ``action(value)``.
+        self._heap: List[Tuple[float, int, str, Callable[[Any], Any], Any]] = []
         self._seq = 0
         #: Events fired so far; current *during* a run (an action reads
         #: a count that includes itself).
@@ -437,33 +396,13 @@ class EventEngine:
         self.intervals = IntervalRecorder()
 
     # ------------------------------------------------------------------
-    # Time and scheduling
+    # Time
     # ------------------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Current engine time (the clock is the view of this)."""
         return self.clock.now
-
-    def at(
-        self, time: float, action: Callable[[], None], name: str = "event"
-    ) -> Event:
-        """Schedule ``action`` at absolute ``time`` (>= now)."""
-        now = self.clock.now
-        if not time >= now:  # in the past, or NaN (which has no order)
-            raise _bad_time(name, time, now)
-        event = Event(time, self._seq, name, action)
-        heappush(self._heap, (time, event.seq, name, action, None, event))
-        self._seq += 1
-        return event
-
-    def after(
-        self, delay: float, action: Callable[[], None], name: str = "event"
-    ) -> Event:
-        """Schedule ``action`` ``delay`` seconds from now."""
-        if not delay >= 0.0:  # negative, or NaN
-            raise ValueError("delay must be non-negative")
-        return self.at(self.clock.now + delay, action, name)
 
     # ------------------------------------------------------------------
     # Processes
@@ -484,14 +423,7 @@ class EventEngine:
         already scheduled for this instant."""
         heappush(
             self._heap,
-            (
-                self.clock.now,
-                self._seq,
-                f"{process.name}.start",
-                process._resume,
-                None,
-                None,
-            ),
+            (self.clock.now, self._seq, f"{process.name}.start", process._resume, None),
         )
         self._seq += 1
         return process
@@ -499,37 +431,6 @@ class EventEngine:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Events still scheduled (including cancelled placeholders)."""
-        return len(self._heap)
-
-    def step(self) -> Optional[Event]:
-        """Fire the next non-cancelled event; ``None`` when idle.
-
-        One turn of :meth:`run`'s loop for callers that single-step
-        (``test_engine_differential.py`` pins the two to the same
-        trace).  An engine wake-up has no handle, so one is made for the
-        return value.
-        """
-        heap = self._heap
-        clock = self.clock
-        while heap:
-            time, seq, name, action, value, handle = heappop(heap)
-            if handle is not None and handle.cancelled:
-                continue
-            if time > clock.now:
-                clock.now = time
-            self.events_fired += 1
-            if self.trace is not None:
-                self.trace.append((time, seq, name))
-            if handle is None:
-                action(value)
-                return Event(time, seq, name, action)
-            action()
-            return handle
-        return None
 
     def run(
         self, until: Optional[float] = None, max_events: int = 0
@@ -552,12 +453,10 @@ class EventEngine:
         fired = 0
         while heap:
             entry = heappop(heap)
-            time, seq, name, action, value, handle = entry
+            time, seq, name, action, value = entry
             if time > horizon:
                 heappush(heap, entry)  # not due in this slice
                 break
-            if handle is not None and handle.cancelled:
-                continue
             if fired == limit:
                 heappush(heap, entry)  # due, and stays so
                 raise RuntimeError(
@@ -571,16 +470,13 @@ class EventEngine:
             self.events_fired += 1
             if records is not None:
                 records.append((time, seq, name))
-            if handle is None:
-                action(value)
-            else:
-                action()
+            action(value)
         if until is not None:
             clock.advance_to(until)
         return fired
 
     def __repr__(self) -> str:
         return (
-            f"EventEngine(t={self.clock.now:.9f}s, pending={self.pending}, "
+            f"EventEngine(t={self.clock.now:.9f}s, pending={len(self._heap)}, "
             f"fired={self.events_fired})"
         )

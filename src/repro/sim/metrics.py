@@ -19,7 +19,8 @@ from typing import Dict
 
 
 class OpCounters:
-    """Read/write operation and sector counters plus busy time."""
+    """Read/write operation and sector counters plus busy time, which
+    :class:`~repro.disk.disk.Disk` updates in place per request."""
 
     __slots__ = (
         "reads",
@@ -38,19 +39,6 @@ class OpCounters:
         self.sectors_read = 0
         self.sectors_written = 0
         self.busy_time = 0.0
-
-    def note_read(self, sectors: int, seconds: float) -> None:
-        self.reads += 1
-        self.sectors_read += sectors
-        self.busy_time += seconds
-
-    def note_write(self, sectors: int, seconds: float) -> None:
-        self.writes += 1
-        self.sectors_written += sectors
-        self.busy_time += seconds
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,8 @@ moving -- the state a crash or firmware scribble would leave.  The
 bytes land through the disk's one media path, so the checksum sidecar
 records them and the track buffer forgets the run, as after any write;
 :func:`silently_corrupt` alone goes around it, to leave damage the
-checksums must catch.
+checksums must catch.  :func:`op_counts` reads back what the disk's
+requests counted, for the before/after and identity checks.
 """
 
 #: What a failed power-down leaves in the record's block, repeated.
@@ -14,6 +15,12 @@ GARBAGE = b"\xde\xad\xbe\xef"
 
 #: Byte ``b`` -> ``b ^ 0xFF``, for :meth:`bytes.translate`.
 _INVERT = bytes(range(255, -1, -1))
+
+
+def op_counts(disk) -> dict:
+    """``disk.counters`` as a dict, fields in declaration order."""
+    counters = disk.counters
+    return {name: getattr(counters, name) for name in type(counters).__slots__}
 
 
 def poke(disk, sector: int, data: bytes) -> None:

@@ -53,7 +53,10 @@ def reference_read(
             cursor += chunk
             remaining -= chunk
         disk._service_read_span(chunks, breakdown)
-    disk.counters.note_read(count, disk.clock.now - start)
+    counters = disk.counters
+    counters.reads += 1
+    counters.sectors_read += count
+    counters.busy_time += disk.clock.now - start
     if disk._data is None:
         return b"", breakdown
     lo = sector * disk.sector_bytes

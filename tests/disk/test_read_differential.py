@@ -20,6 +20,7 @@ import pytest
 from repro.disk.cache import ReadAheadPolicy
 from repro.disk.disk import Disk
 from repro.disk.specs import HP97560, ST19101
+from tests._media import op_counts
 from tests.disk.reference_read import reference_read
 
 OPS = 600
@@ -33,7 +34,7 @@ def _state(disk):
         disk.cache._segment,
         disk.cache.hits,
         disk.cache.misses,
-        {k: v.hex() if isinstance(v, float) else v for k, v in disk.counters.as_dict().items()},
+        {k: v.hex() if isinstance(v, float) else v for k, v in op_counts(disk).items()},
     )
 
 

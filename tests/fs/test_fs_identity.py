@@ -25,6 +25,7 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.lfs.lfs import LFS
 from repro.ufs.ufs import UFS
 from repro.vlfs.vlfs import VLFS
+from tests._media import op_counts
 
 BLOCK = 4096
 FILES = 620
@@ -201,7 +202,7 @@ def _run(stack: str) -> str:
     assert call("read", "/grow", 0, len(grown)) == grown
 
     # -- what the run leaves behind --------------------------------------
-    counters = disk.counters.as_dict()
+    counters = op_counts(disk)
     counters["busy_time"] = counters["busy_time"].hex()
     tail = [sorted(counters.items()), fs.listdir("/"), fs.listdir("/sub")]
     if isinstance(fs, VLFS):

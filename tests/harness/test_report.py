@@ -168,6 +168,40 @@ class TestHarnessCli:
         assert flag in message and target in message
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--scrub", "--queue-depth", "4", "--jobs", "3", "figure6"],
+             "--scrub takes no experiment names"),
+            (["--scrub", "--queue-depth", "4"], "--queue-depth does not apply to --scrub"),
+            (["--volume-demo", "--faults", "crash_after=3", "table2"],
+             "--volume-demo takes no experiment names"),
+            (["--volume-demo", "--faults", "crash_after=3"],
+             "--faults does not apply to --volume-demo"),
+            (["--scrub", "--torture"], "--torture does not apply to --scrub"),
+            (["--list", "--torture", "--queue-depth", "0", "nosuch"],
+             "--torture does not apply to --list"),
+            (["--list", "--queue-depth", "0"], "--queue-depth does not apply to --list"),
+            (["--torture", "figure6"], "--torture takes no experiment names"),
+            (["--scrub", "--volume"], "--volume requires --torture"),
+            (["--disks", "2", "--shards", "2", "figure_multihost"],
+             "--disks does not apply with --shards"),
+        ],
+    )
+    def test_a_mode_flag_runs_alone(self, capsys, argv, message):
+        """--list, --scrub, --volume-demo and --torture run instead of
+        the experiments: names, an experiment flag or a second mode beside
+        one would be ignored, so each is refused before anything runs
+        (--disks beside --shards too, which the driver would refuse late)."""
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err.splitlines()[-1]
+        assert captured.out == ""  # nothing ran
+
+    @pytest.mark.parametrize(
         "spec,names",
         [
             ("shard=1,factor=nan", "factor"),
@@ -224,6 +258,24 @@ class TestHarnessCli:
         captured = capsys.readouterr()
         assert "--trace" in captured.err.splitlines()[-1]
         assert "Figure 6" not in captured.out  # nothing ran
+
+    def test_trace_closes_the_files_it_opens(self, capsys, tmp_path):
+        """Each tracing stack opens the --trace path lazily; the run
+        closes them when the experiment ends, so none is left for the
+        garbage collector to find open."""
+        import gc
+        import warnings
+
+        from repro.harness.__main__ import main
+
+        path = tmp_path / "ops.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["--no-cache", "--trace", str(path), "figure6"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert path.read_text().count("\n") > 0
+        capsys.readouterr()
 
     def test_volume_families_restrict_the_volume_matrix(self, capsys):
         """--families applies to whichever table --volume selects."""

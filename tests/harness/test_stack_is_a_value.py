@@ -50,6 +50,7 @@ from repro.vlog.resilience import MediaError, MediaScrubber
 from repro.vlog.transactions import TransactionalVLD
 from repro.vlog.vld import VirtualLogDisk
 from repro.workloads.random_update import prepare_file
+from tests._media import op_counts
 
 FILE_BYTES = 1 << 20
 PREFIX_UPDATES = 50
@@ -256,7 +257,7 @@ def _state(stack, log):
         "ops": log,
         "media": [hashlib.sha256(disk._data).hexdigest() for disk in disks],
         "clock": [disk.clock.now.hex() for disk in disks],
-        "counters": [disk.counters.as_dict() for disk in disks],
+        "counters": [op_counts(disk) for disk in disks],
         "maps": [list(vld.imap.items()) for vld in stack["vlds"]],
         "crcs": [
             list(vld.resilience.checksums.items())

@@ -15,6 +15,7 @@ import pytest
 
 from repro.disk.specs import ST19101
 from repro.hosts.multihost import run_multihost
+from repro.sched import scheduler as scheduler_module
 from repro.sim import engine as engine_module
 from tests._counting import count_calls
 from tests.hosts.test_multihost_identity import (
@@ -54,23 +55,22 @@ def test_disk_process_allocates_no_until(monkeypatch):
 
 
 def test_engine_wake_ups_allocate_no_event(monkeypatch):
-    """Timers, ``Until``s, signal wake-ups and spawns carry their action
-    in the heap entry; only ``at()`` / ``after()`` callers, who get a
-    cancellation handle back, cost an ``Event``."""
-    made = []
-    init = engine_module.Event.__init__
+    """The engine has one kind of heap entry, ``(time, seq, name,
+    action, value)``: timers, ``Until``s, signal wake-ups, spawns and
+    the disk process's own wake-ups carry their action in the entry, and
+    no handle object exists to allocate."""
+    assert not hasattr(engine_module, "Event")
+    shapes = []
+    for module in (engine_module, scheduler_module):
+        push = module.heappush
 
-    def counting_init(self, time, seq, name, action):
-        made.append(name)
-        init(self, time, seq, name, action)
+        def counting_push(heap, entry, push=push):
+            shapes.append(len(entry))
+            push(heap, entry)
 
-    monkeypatch.setattr(engine_module.Event, "__init__", counting_init)
+        monkeypatch.setattr(module, "heappush", counting_push)
     report = run_multihost(ST19101, **SHAPES["ledger-8x4-satf-mixed"])
     assert report["requests"] == 4000 and report["events"] > 12000
-    assert made == []
-
-    engine = engine_module.EventEngine()
-    engine.at(0.5, lambda: None, name="mine")
-    engine.after(0.25, lambda: None, name="yours")
-    engine.run()
-    assert made == ["mine", "yours"]
+    # Every fired event was pushed once, in the one shape.
+    assert len(shapes) == report["events"]
+    assert set(shapes) == {5}

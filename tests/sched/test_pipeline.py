@@ -17,6 +17,7 @@ from repro.sim.stats import Breakdown
 from repro.ufs.ufs import UFS
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.vld import VirtualLogDisk
+from tests._media import op_counts
 
 
 def _payload(tag: int, size: int = 4096) -> bytes:
@@ -179,9 +180,9 @@ class TestIdleWorkers:
         fs.write("/f", 0, b"x" * 4096)
         fs.sync()
         disk = fs.device.disk
-        before = (disk.counters.as_dict(), fs.clock.now)
+        before = (op_counts(disk), fs.clock.now)
         assert _worker(fs, "flush").run(1.0) is None
-        assert (disk.counters.as_dict(), fs.clock.now) == before
+        assert (op_counts(disk), fs.clock.now) == before
         # The same worker does flush once something is dirty.
         fs.write("/f", 0, b"y" * 4096)
         assert _worker(fs, "flush").run(1.0) is not None
@@ -190,9 +191,9 @@ class TestIdleWorkers:
     def test_destage_with_nothing_dirty_does_no_media_work(self):
         wal = _OWNERS["nvwal"][0]()
         disk = wal.inner.disk
-        before = (disk.counters.as_dict(), wal.nvm.stores, wal.nvm.flushes)
+        before = (op_counts(disk), wal.nvm.stores, wal.nvm.flushes)
         assert _worker(wal, "nvm-destage").run(1.0) is None
-        assert (disk.counters.as_dict(), wal.nvm.stores, wal.nvm.flushes) == before
+        assert (op_counts(disk), wal.nvm.stores, wal.nvm.flushes) == before
         assert wal.log_resets == 0
         wal.write_block(5, b"z" * 4096)
         assert _worker(wal, "nvm-destage").run(1.0) is not None

@@ -25,6 +25,7 @@ from repro.sim.engine import (
     measure_within,
     merge_intervals,
 )
+from tests.sim.scheduling import after, at, pending, step
 
 
 def _union(rec, kind):
@@ -41,9 +42,9 @@ class TestEventOrdering:
     def test_events_fire_in_time_order(self):
         engine = EventEngine(trace=True)
         fired = []
-        engine.at(0.3, lambda: fired.append("c"), name="c")
-        engine.at(0.1, lambda: fired.append("a"), name="a")
-        engine.at(0.2, lambda: fired.append("b"), name="b")
+        at(engine, 0.3, lambda: fired.append("c"), name="c")
+        at(engine, 0.1, lambda: fired.append("a"), name="a")
+        at(engine, 0.2, lambda: fired.append("b"), name="b")
         engine.run()
         assert fired == ["a", "b", "c"]
         assert engine.now == 0.3
@@ -56,7 +57,7 @@ class TestEventOrdering:
         fired = []
         names = ["z", "a", "m", "z", "a", "0", "~", " "]
         for name in names:
-            engine.at(0.5, lambda n=name: fired.append(n), name=name)
+            at(engine, 0.5, lambda n=name: fired.append(n), name=name)
         engine.run()
         assert fired == names  # schedule order, not sorted order
         assert [n for _, _, n in engine.trace] == names
@@ -66,17 +67,17 @@ class TestEventOrdering:
     def test_event_scheduled_during_fire_at_same_instant_runs_last(self):
         engine = EventEngine()
         fired = []
-        engine.at(0.1, lambda: (fired.append("first"),
-                                engine.at(0.1, lambda: fired.append("nested"))))
-        engine.at(0.1, lambda: fired.append("second"))
+        at(engine, 0.1, lambda: (fired.append("first"),
+                                 at(engine, 0.1, lambda: fired.append("nested"))))
+        at(engine, 0.1, lambda: fired.append("second"))
         engine.run()
         assert fired == ["first", "second", "nested"]
 
     def test_cancelled_event_skipped(self):
         engine = EventEngine()
         fired = []
-        keep = engine.at(0.2, lambda: fired.append("keep"))
-        drop = engine.at(0.1, lambda: fired.append("drop"))
+        keep = at(engine, 0.2, lambda: fired.append("keep"))
+        drop = at(engine, 0.1, lambda: fired.append("drop"))
         drop.cancel()
         engine.run()
         assert fired == ["keep"]
@@ -84,30 +85,30 @@ class TestEventOrdering:
 
     def test_scheduling_in_the_past_rejected(self):
         engine = EventEngine()
-        engine.at(1.0, lambda: None)
+        at(engine, 1.0, lambda: None)
         engine.run()
         with pytest.raises(ValueError, match="before now"):
-            engine.at(0.5, lambda: None)
+            at(engine, 0.5, lambda: None)
         with pytest.raises(ValueError):
-            engine.after(-0.1, lambda: None)
+            after(engine, -0.1, lambda: None)
 
     def test_run_until_stops_at_horizon(self):
         engine = EventEngine()
         fired = []
-        engine.at(0.1, lambda: fired.append(1))
-        engine.at(5.0, lambda: fired.append(2))
+        at(engine, 0.1, lambda: fired.append(1))
+        at(engine, 5.0, lambda: fired.append(2))
         engine.run(until=1.0)
         assert fired == [1]
         assert engine.now == 1.0
-        assert engine.pending == 1
+        assert pending(engine) == 1
 
     def test_max_events_backstop(self):
         engine = EventEngine()
 
         def rearm():
-            engine.after(0.0, rearm)
+            after(engine, 0.0, rearm)
 
-        engine.after(0.0, rearm)
+        after(engine, 0.0, rearm)
         with pytest.raises(RuntimeError, match="runaway"):
             engine.run(max_events=100)
 
@@ -118,22 +119,22 @@ class TestEventOrdering:
         engine = EventEngine()
         fired = []
         for i in range(5):
-            engine.at(0.1 * (i + 1), lambda i=i: fired.append(i))
+            at(engine, 0.1 * (i + 1), lambda i=i: fired.append(i))
         assert engine.run(max_events=5) == 5
-        assert fired == [0, 1, 2, 3, 4] and engine.pending == 0
+        assert fired == [0, 1, 2, 3, 4] and pending(engine) == 0
 
-        engine.at(1.0, lambda: fired.append("six"))
-        engine.at(1.0, lambda: fired.append("seven"))
+        at(engine, 1.0, lambda: fired.append("six"))
+        at(engine, 1.0, lambda: fired.append("seven"))
         with pytest.raises(RuntimeError, match="exceeded 1 events"):
             engine.run(max_events=1)
         # The event that tripped the backstop did not fire and is still
-        # scheduled; neither a cancelled placeholder nor an event beyond
+        # scheduled; neither a cancelled callback nor an event beyond
         # `until` counts as "coming due".
-        assert fired[-1] == "six" and engine.pending == 1
-        engine.at(1.0, lambda: None).cancel()
-        engine.at(9.0, lambda: None)
+        assert fired[-1] == "six" and pending(engine) == 1
+        at(engine, 1.0, lambda: None).cancel()
+        at(engine, 9.0, lambda: None)
         assert engine.run(until=2.0, max_events=1) == 1
-        assert fired[-1] == "seven" and engine.pending == 1
+        assert fired[-1] == "seven" and pending(engine) == 1
 
     def test_nan_time_rejected_at_the_schedule_call(self):
         """NaN compares false with everything: ``nan < now`` let it in,
@@ -141,13 +142,13 @@ class TestEventOrdering:
         (0.1 used to fire before 0.05 below)."""
         nan = float("nan")
         engine = EventEngine(trace=True)
-        engine.at(0.3, lambda: None, name="c")
+        at(engine, 0.3, lambda: None, name="c")
         with pytest.raises(ValueError, match="cannot schedule 'bad' at nan"):
-            engine.at(nan, lambda: None, name="bad")
+            at(engine, nan, lambda: None, name="bad")
         with pytest.raises(ValueError, match="non-negative"):
-            engine.after(nan, lambda: None)
-        for at, name in ((0.1, "a"), (0.2, "b"), (0.05, "z")):
-            engine.at(at, lambda: None, name=name)
+            after(engine, nan, lambda: None)
+        for time, name in ((0.1, "a"), (0.2, "b"), (0.05, "z")):
+            at(engine, time, lambda: None, name=name)
         engine.run()
         assert [n for _, _, n in engine.trace] == [
             "z", "a", "b", "c",
@@ -176,23 +177,22 @@ class TestEventOrdering:
         assert [n for _, _, n in engine.trace] == [
             "q.start", "q.timer",
         ]
-        assert engine.pending == 0 and engine.now == 0.25
+        assert pending(engine) == 0 and engine.now == 0.25
 
     def test_run_until_does_not_overshoot_past_a_cancelled_event(self):
-        """The horizon is tested for every event, not only for the head
-        of the heap: a cancelled placeholder inside the slice used to
-        drag the next live event in with it, however late."""
+        """A cancelled callback inside the slice does not drag the next
+        live event in with it, however late."""
         engine = EventEngine()
         fired = []
-        engine.at(0.1, lambda: fired.append("dropped")).cancel()
-        engine.at(5.0, lambda: fired.append("late"))
+        at(engine, 0.1, lambda: fired.append("dropped")).cancel()
+        at(engine, 5.0, lambda: fired.append("late"))
         assert engine.run(until=1.0) == 0
-        assert fired == [] and engine.now == 1.0 and engine.pending == 1
+        assert fired == [] and engine.now == 1.0 and pending(engine) == 1
         assert engine.run() == 1 and fired == ["late"]
 
     def test_cancelled_event_moves_nothing(self):
         engine = EventEngine(trace=True)
-        engine.at(0.5, lambda: None).cancel()
+        at(engine, 0.5, lambda: None).cancel()
         assert engine.run() == 0
         assert engine.now == 0.0 and engine.events_fired == 0
         assert engine.trace == []
@@ -201,24 +201,24 @@ class TestEventOrdering:
         engine = EventEngine()
         seen = []
         for _ in range(3):
-            engine.after(0.0, lambda: seen.append(engine.events_fired))
+            after(engine, 0.0, lambda: seen.append(engine.events_fired))
         engine.run()
         assert seen == [1, 2, 3]
 
     def test_step_fires_one_event_and_returns_it(self):
         engine = EventEngine(trace=True)
-        handle = engine.at(0.2, lambda: None, name="mine")
-        engine.at(0.1, lambda: None).cancel()
+        handle = at(engine, 0.2, lambda: None, name="mine")
+        at(engine, 0.1, lambda: None).cancel()
 
         def proc():
             yield 0.3
 
         engine.spawn(proc(), name="p")
-        start = engine.step()  # the spawn's first turn: no handle exists
-        assert (start.time, start.seq, start.name) == (0.0, 2, "p.start")
-        assert engine.step() is handle and engine.now == 0.2
-        assert engine.step().name == "p.timer"
-        assert engine.step() is None
+        assert step(engine) == (0.0, 2, "p.start")  # the spawn's first turn
+        assert step(engine) == (handle.time, handle.seq, "mine")
+        assert engine.now == 0.2
+        assert step(engine) == (0.3, 3, "p.timer")
+        assert step(engine) is None
         assert engine.events_fired == 3 == len(engine.trace)
 
 
@@ -229,7 +229,7 @@ class TestClockView:
         bystander = SimClock()
         engine = EventEngine(clock=clock)
         assert engine.clock is clock and engine.now == 0.125
-        engine.at(0.25, lambda: None)
+        at(engine, 0.25, lambda: None)
         engine.run()
         assert clock.now == 0.25 and bystander.now == 0.0
 
@@ -238,7 +238,7 @@ class TestClockView:
         other = EventEngine()
         assert isinstance(engine.clock, SimClock)
         assert engine.clock is not other.clock
-        engine.at(0.5, lambda: None)
+        at(engine, 0.5, lambda: None)
         engine.run()
         assert engine.clock.now == 0.5 and other.clock.now == 0.0
 
@@ -289,7 +289,7 @@ class TestProcesses:
 
         for tag in ("b", "a", "c"):
             engine.spawn(waiter(tag), name=f"wait-{tag}")
-        engine.after(0.2, lambda: signal.fire("payload"))
+        after(engine, 0.2, lambda: signal.fire("payload"))
         engine.run()
         assert woken == [("b", "payload"), ("a", "payload"), ("c", "payload")]
 
@@ -297,7 +297,7 @@ class TestProcesses:
         engine = EventEngine()
         signal = Signal(engine, "lonely")
         assert signal.fire("lost") == 0
-        assert engine.pending == 0
+        assert pending(engine) == 0
         assert engine.run() == 0 and engine.events_fired == 0
 
     def test_bad_yield_type_rejected(self):
@@ -323,7 +323,7 @@ class TestProcesses:
         engine.spawn(proc(), name="p")
         with pytest.raises(TypeError, match="yielded"):
             engine.run()
-        assert engine.pending == 0 and engine.now == 0.5
+        assert pending(engine) == 0 and engine.now == 0.5
 
     def test_negative_timer_rejected(self):
         engine = EventEngine()
@@ -334,7 +334,7 @@ class TestProcesses:
         engine.spawn(proc(), name="p")
         with pytest.raises(ValueError, match="non-negative"):
             engine.run()
-        assert engine.pending == 0
+        assert pending(engine) == 0
 
     def test_until_is_bit_exact(self):
         """The local-lookahead catch-up: ``now + (t - now)`` need not

@@ -12,19 +12,24 @@ slice the two engines must agree ``==`` on the trace so far, the clock,
 waiter was woken with, and ``events_fired`` as read from inside an
 action).
 
-A second test drives the same programs through ``step()`` only, which
-pins the engine's two copies of the dispatch sequence (``run``'s loop
-and ``step``) to each other.
+The engine under test schedules only processes; the programs' bare
+callbacks go on its heap through ``tests/sim/scheduling.py``, which
+pushes the engine's own entry shape and takes a cancelled one off the
+heap (the reference keeps it as a placeholder it skips, so ``pending``
+counts live entries on both).  A second test drives the same programs
+one event at a time, each a ``run()`` slice of one event, and holds
+them to one undivided ``run()``.
 """
 
 import heapq
 import random
+from functools import partial
 
 import pytest
 
 from repro.sim import engine as new_engine
 from repro.sim.engine import Until
-from tests.sim import reference_engine
+from tests.sim import reference_engine, scheduling
 
 SEEDS = range(240)
 HORIZON = 2.0
@@ -99,6 +104,11 @@ class _Run:
 
     def __init__(self, module, program):
         self.engine = engine = module.EventEngine(trace=True)
+        if module is reference_engine:
+            self.at, self.after = engine.at, engine.after
+        else:
+            self.at = partial(scheduling.at, engine)
+            self.after = partial(scheduling.after, engine)
         self.log = []
         self.signals = [module.Signal(engine, f"s{i}") for i in range(3)]
         self.salt = program["result_salt"]
@@ -121,7 +131,7 @@ class _Run:
                 # Same instant, scheduled from inside a firing event:
                 # must run after everything already due now.
                 again = f"{tag}.{i}"
-                engine.at(engine.now, self._callback(again, 0), name=again)
+                self.at(engine.now, self._callback(again, 0), name=again)
 
         return fire
 
@@ -147,13 +157,11 @@ class _Run:
             elif kind == "after":
                 tag = f"{name}.cb{index}"
                 self.handles.append(
-                    engine.after(step[1], self._callback(tag, step[2]), name=tag)
+                    self.after(step[1], self._callback(tag, step[2]), name=tag)
                 )
             elif kind == "cancel":
                 tag = f"{name}.dead{index}"
-                handle = engine.after(
-                    step[1], self._callback(tag, 0), name=tag
-                )
+                handle = self.after(step[1], self._callback(tag, 0), name=tag)
                 self.handles.append(handle)
                 if step[2]:
                     handle.cancel()  # at once
@@ -175,7 +183,7 @@ class _Run:
             "trace": _trace(engine),
             "now": engine.now,
             "events_fired": engine.events_fired,
-            "pending": engine.pending,
+            "pending": _pending(engine),
             "log": list(self.log),
             "results": [(p.name, p.done, p.result) for p in self.processes],
             "handles": [
@@ -188,6 +196,14 @@ def _trace(engine):
     """The ``(time, seq, name)`` rows fired so far: the engine's trace
     is that list, the reference's an ``EventTrace`` holding it."""
     return list(getattr(engine.trace, "records", engine.trace))
+
+
+def _pending(engine):
+    """Entries still to fire: the reference's heap also holds the
+    cancelled ones it will skip."""
+    if isinstance(engine, reference_engine.EventEngine):
+        return sum(1 for _, _, event in engine._heap if not event.cancelled)
+    return scheduling.pending(engine)
 
 
 def _reference_run_until(engine, until):
@@ -260,13 +276,14 @@ def test_single_stepping_is_the_same_loop(seed):
     stepped = _Run(new_engine, program)
     returned = []
     while True:
-        event = stepped.engine.step()
-        if event is None:
+        cancelled = {h.seq for h in stepped.handles if h.cancelled}
+        row = scheduling.step(stepped.engine)
+        if row is None:
             break
-        assert not event.cancelled
-        returned.append((event.time, event.seq, event.name))
+        assert row[1] not in cancelled
+        returned.append(row)
     assert stepped.state() == ran.state()
-    # What step() hands back is the event it fired, handle or not.
+    # What step() hands back is the entry it fired.
     assert returned == list(stepped.engine.trace)
 
 

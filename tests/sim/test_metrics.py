@@ -6,36 +6,45 @@ import random
 
 import pytest
 
-from repro.sim.metrics import LatencyHistogram, OpCounters
+from repro.disk.disk import Disk
+from repro.disk.specs import ST19101
+from repro.sim.metrics import LatencyHistogram
+
+
+def _disk():
+    return Disk(ST19101, num_cylinders=1, store_data=False)
 
 
 class TestOpCounters:
+    """A real disk's counters, as ``Disk.read``/``write`` leave them."""
+
     def test_starts_at_zero(self):
-        c = OpCounters()
-        assert c.as_dict() == {
-            "reads": 0, "writes": 0, "sectors_read": 0,
-            "sectors_written": 0, "busy_time": 0.0,
-        }
+        c = _disk().counters
+        assert (c.reads, c.writes, c.sectors_read, c.sectors_written) == (0,) * 4
+        assert c.busy_time == 0.0
 
     def test_note_read_and_write(self):
-        c = OpCounters()
-        c.note_read(8, 0.004)
-        c.note_write(16, 0.002)
-        c.note_write(8, 0.001)
+        disk = _disk()
+        disk.read(0, 8)
+        disk.write(16, 16)
+        disk.write(64, 8)
+        c = disk.counters
         assert c.reads == 1 and c.sectors_read == 8
         assert c.writes == 2 and c.sectors_written == 24
-        assert c.busy_time == pytest.approx(0.007)
+        # The disk was busy for every simulated second that passed.
+        assert c.busy_time == pytest.approx(disk.clock.now)
+        assert c.busy_time > 0.0
 
     def test_reset(self):
-        c = OpCounters()
-        c.note_read(8, 0.004)
-        c.reset()
-        assert c.reads == 0 and c.busy_time == 0.0
+        disk = _disk()
+        disk.read(0, 8)
+        disk.counters.reset()
+        assert disk.counters.reads == 0 and disk.counters.busy_time == 0.0
 
     def test_repr_readable(self):
-        c = OpCounters()
-        c.note_write(8, 0.5)
-        assert "writes=1" in repr(c)
+        disk = _disk()
+        disk.write(0, 8)
+        assert "writes=1" in repr(disk.counters)
 
 
 class TestLatencyHistogram:

@@ -9,7 +9,9 @@ entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
 drains: ``VirtualLogDisk.idle(inf)`` used to move the clock to infinity.
 A latency histogram refuses infinity (it has no bucket for it), and the
 event engine refuses an infinite or NaN ``run(until=)`` horizon before
-any event fires.
+any event fires.  Both queued drivers refuse a non-finite think time,
+and the multi-host driver a request larger than a disk, before anything
+runs.
 """
 
 import functools
@@ -20,6 +22,7 @@ from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.harness.runner import simulate_queued_workload
+from repro.hosts.multihost import run_multihost
 from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
@@ -30,6 +33,7 @@ from repro.sim.stats import Breakdown
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.reorganizer import ReadReorganizer
 from repro.vlog.vld import VirtualLogDisk
+from tests.sim.scheduling import at, pending
 
 NAN = float("nan")
 INF = float("inf")
@@ -153,10 +157,39 @@ def test_engine_refuses_a_non_finite_horizon_before_firing(until):
     never true) and fired everything."""
     engine = EventEngine()
     fired = []
-    engine.at(0.5, lambda: fired.append(0.5))
-    engine.at(2.0, lambda: fired.append(2.0))
+    at(engine, 0.5, lambda: fired.append(0.5))
+    at(engine, 2.0, lambda: fired.append(2.0))
     with pytest.raises(ValueError, match="finite"):
         engine.run(until=until)
-    assert fired == [] and engine.pending == 2 and engine.now == 0.0
+    assert fired == [] and pending(engine) == 2 and engine.now == 0.0
     assert engine.run(until=1.0) == 1 and engine.now == 1.0
     assert engine.run() == 1 and fired == [0.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "think_seconds", [NAN, INF, -1.0, [0.0, NAN], [INF, 0.0]]
+)
+def test_multihost_refuses_a_non_finite_think_time(think_seconds, monkeypatch):
+    """A NaN think time used to run as no think time at all (the guard
+    was ``value < 0.0``), and an infinite one failed only after the run,
+    in the report's histograms.  Refused before the engine exists."""
+    monkeypatch.setattr("repro.hosts.multihost.EventEngine", None)
+    with pytest.raises(ValueError, match="think_seconds"):
+        run_multihost(ST19101, hosts=2, requests_per_host=2,
+                      think_seconds=think_seconds)
+
+
+@pytest.mark.parametrize("think_seconds", [NAN, INF, -1.0])
+def test_queued_workload_refuses_a_non_finite_think_time(think_seconds):
+    with pytest.raises(ValueError, match="think_seconds"):
+        _queued_workload(think_seconds)
+
+
+def test_multihost_refuses_a_request_larger_than_a_disk(monkeypatch):
+    """``randrange(0)`` used to raise "empty range" from deep inside the
+    target stream."""
+    sectors = Disk(ST19101, store_data=False).geometry.total_sectors
+    monkeypatch.setattr("repro.hosts.multihost.EventEngine", None)
+    with pytest.raises(ValueError, match="request_sectors"):
+        run_multihost(ST19101, hosts=1, requests_per_host=1,
+                      request_sectors=sectors + 1)

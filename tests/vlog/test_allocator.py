@@ -8,6 +8,7 @@ from repro.vlog.allocator import (
     DiskFullError,
     EagerAllocator,
 )
+from tests._media import op_counts
 
 
 def make(policy=AllocationPolicy.NEAREST, fill_threshold=0.75):
@@ -198,7 +199,7 @@ def test_placement_sequence_is_pinned():
             vld.idle(0.25)
     allocator, vlog, compactor = vld.allocator, vld.vlog, vld.compactor
     assert allocator.fallbacks > 0 and compactor.blocks_moved > 0
-    counters = disk.counters.as_dict()
+    counters = op_counts(disk)
     counters["busy_time"] = counters["busy_time"].hex()
     digest.update(
         repr(

@@ -27,7 +27,7 @@ from tests.vlog.test_recovery_scan_reuse import (
     SCAN_LOST_THE_TAIL,
     _flaky_tail_recovery,
 )
-from tests._media import corrupt_power_down_record, poke
+from tests._media import corrupt_power_down_record, op_counts, poke
 
 
 @pytest.fixture
@@ -470,7 +470,7 @@ def _recovery_cycles(seed, cycles=8, writes=40):
                 inner.scanned,
                 inner.blocks_scanned,
                 inner.records_read,
-                tuple(disk.counters.as_dict().values()),
+                tuple(op_counts(disk).values()),
                 disk.clock.now,
             )
         )

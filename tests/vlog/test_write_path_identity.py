@@ -29,6 +29,7 @@ import pytest
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.transactions import TransactionalVLD
+from tests._media import op_counts
 
 OPS = 1600
 IDLE_EVERY = 256
@@ -74,7 +75,7 @@ def _note(digest, vld, breakdown, lbas=()) -> None:
 def _note_state(digest, vld) -> None:
     """Counters, the media image and the checksum store."""
     disk = vld.disk
-    counters = disk.counters.as_dict()
+    counters = op_counts(disk)
     counters["busy_time"] = counters["busy_time"].hex()
     compactor = vld.compactor
     digest.update(
