@@ -114,7 +114,8 @@ class NVMDevice:
             raise ValueError("NVM capacity must be positive")
         self.spec = spec
         self.clock = clock
-        #: The persistence domain; pages are resident once written.
+        #: The persistence domain; a page is resident once it holds a
+        #: non-zero byte.
         self._image = MediaImage(spec.capacity_bytes)
         #: Stores not yet in the persistence domain, in program order.
         self._pending: List[Tuple[int, bytes]] = []
@@ -166,7 +167,7 @@ class NVMDevice:
         """The factory state: ``data`` in the persistence domain at no
         simulated cost, counted as the store and flush it stands for."""
         self._check(offset, len(data))
-        self._image[offset : offset + len(data)] = data
+        self._image.store(offset, data)
         self.stores += 1
         self.bytes_stored += len(data)
         self.flushes += 1
@@ -189,8 +190,9 @@ class NVMDevice:
 
     def flush(self) -> Breakdown:
         """Drain buffered stores into the persistence domain."""
+        image = self._image
         for offset, data in self._pending:
-            self._image[offset : offset + len(data)] = data
+            image.store(offset, data)
         self._pending = []
         self.flushes += 1
         return self._charge(self.spec.flush_latency, 0, 1.0)

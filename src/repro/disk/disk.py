@@ -27,23 +27,9 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.specs import DiskSpec
 from repro.sim.clock import SimClock
-from repro.sim.media import MediaImage
+from repro.sim.media import MediaImage, blank
 from repro.sim.metrics import OpCounters
 from repro.sim.stats import Breakdown
-
-#: Shared all-zero page for data-less writes, grown on demand.  Slicing
-#: a memoryview of it costs O(1); materializing ``bytes(n)`` per write
-#: does not.
-_ZERO_PAGE = bytes(1 << 16)
-
-
-def _zeros(n: int) -> memoryview:
-    """A read-only view of ``n`` zero bytes, without allocating per call."""
-    global _ZERO_PAGE
-    if len(_ZERO_PAGE) < n:
-        _ZERO_PAGE = bytes(max(n, 2 * len(_ZERO_PAGE)))
-    return memoryview(_ZERO_PAGE)[:n]
-
 
 class Disk:
     """A simulated rotating disk.
@@ -128,21 +114,21 @@ class Disk:
     def _store(self, sector: int, count: int, data) -> None:
         """Lay ``count`` sectors of ``data`` (zeros when ``None``) on the
         media with their checksums, and tell the track buffer: the one
-        way bytes reach the image.  Untimed; the callers charge."""
+        way bytes reach the image.  The image's verdict on whether the
+        payload is all zeros picks the checksum path, so no write tests
+        its payload twice.  Untimed; the callers charge."""
         image = self._data
         if image is not None:
-            nbytes = count * self.spec.sector_bytes
-            lo = sector * self.spec.sector_bytes
             if data is None:
-                # The payload is the shared zero page: record the
-                # constant zero-sector CRC without hashing anything.
-                image[lo : lo + nbytes] = _zeros(nbytes)
-                if self.checksums is not None:
-                    self.checksums.record_zeros(sector, count)
-            else:
-                image[lo : lo + nbytes] = data
-                if self.checksums is not None:
-                    self.checksums.record(sector, data)
+                nbytes = count * self.spec.sector_bytes
+                data = memoryview(blank(nbytes))[:nbytes]
+            zero = image.store(sector * self.spec.sector_bytes, data)
+            checksums = self.checksums
+            if checksums is not None:
+                if zero:
+                    checksums.record_zeros(sector, count)
+                else:
+                    checksums.record(sector, data)
         cache = self.cache
         if cache._segment is not None:
             cache.note_write(sector, count)

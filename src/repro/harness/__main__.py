@@ -9,7 +9,7 @@ flag (``--list``, ``--scrub``, ``--volume-demo``, ``--torture``) given
 with experiment names, an experiment flag or another mode flag: a mode
 runs instead of the experiments (every torture plan builds its own
 stack and workload), so ``--torture`` takes only its own flags and the
-sweep flags.
+sweep flags, and the other modes, which run no sweep, take none.
 
 Stack flags are folded into :class:`~repro.harness.configs.StackConfig`
 field overrides, handed over as the ``stack=`` keyword; the overridden
@@ -254,8 +254,9 @@ def main(argv=None) -> int:
 
 
 def _check_mode_runs_alone(parser, args) -> None:
-    """A mode flag runs alone (sweep flags aside): experiment names, an
-    experiment flag or a second mode flag beside it would do nothing."""
+    """A mode flag runs alone: experiment names, an experiment flag or a
+    second mode flag beside it would do nothing, and so would a sweep
+    flag beside any mode but ``--torture``."""
     modes = [flag for flag in ("--list", "--scrub", "--volume-demo", "--torture")
              if getattr(args, _dest(flag))]
     if not modes:
@@ -271,6 +272,11 @@ def _check_mode_runs_alone(parser, args) -> None:
         value = getattr(args, _dest(flag))
         if value is not None and value is not False:
             parser.error(f"{flag} does not apply to {mode}{reason}")
+    if mode == "--torture":
+        return
+    for flag in ("--jobs", "--cache", "--no-cache", "--cache-stats"):
+        if getattr(args, _dest(flag)) != parser.get_default(_dest(flag)):
+            parser.error(f"{flag} does not apply to {mode} (it runs no sweep)")
 
 
 def _dest(flag: str) -> str:
@@ -624,7 +630,7 @@ def _close_observers(args) -> None:
     stack built so far."""
     from repro.harness import configs
 
-    configs.close_trace_sinks()
+    configs.close_trace_files()
     stacks = configs.drain_metrics_stacks()
     if not args.metrics:
         return

@@ -93,7 +93,7 @@ STACKS = {
 METRICS_STACKS: List[Tuple[str, MetricsDevice]] = []
 
 #: Tracing layers that append to a file, appended by :func:`build_stack`
-#: and closed by :func:`close_trace_sinks` when the CLI ends an experiment.
+#: and closed by :func:`close_trace_files` when the CLI ends an experiment.
 TRACE_SINKS: List[TracingDevice] = []
 
 
@@ -206,7 +206,7 @@ def drain_metrics_stacks() -> List[Tuple[str, MetricsDevice]]:
     return drained
 
 
-def close_trace_sinks() -> None:
+def close_trace_files() -> None:
     """Close, and forget, the file sink of every tracing stack built."""
     while TRACE_SINKS:
         TRACE_SINKS.pop().close()

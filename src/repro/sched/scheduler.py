@@ -495,6 +495,10 @@ class _DiskProcess(Process):
         if not scheduler._pending:
             if scheduler._closed:
                 self.done = True
+                # The scheduler holds this process: dropping the link
+                # back leaves no cycle, so a finished run's engine is
+                # freed as soon as its caller lets go of it.
+                self._scheduler = None
                 self.terminated.fire(None)
             else:
                 self.idle = True

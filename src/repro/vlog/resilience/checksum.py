@@ -22,20 +22,7 @@ import zlib
 from array import array
 from typing import Dict, Iterator, List, Tuple
 
-#: Shared all-zero ``bytes`` objects by length, for content comparisons.
-#: The simulator's traffic is overwhelmingly zero-filled -- timing studies
-#: do not care about contents -- so "is this payload all zeros?" is one
-#: C-level memcmp that replaces a CRC per sector.  Payload sizes are a
-#: handful of block-size multiples, so the cache stays tiny.
-_ZEROS_BY_LEN: Dict[int, bytes] = {}
-
-
-def _zeros_of(n: int) -> bytes:
-    zeros = _ZEROS_BY_LEN.get(n)
-    if zeros is None:
-        zeros = _ZEROS_BY_LEN[n] = bytes(n)
-    return zeros
-
+from repro.sim.media import blank
 
 #: The slot value of a sector with no recorded checksum (a CRC32 is
 #: never negative).
@@ -89,30 +76,20 @@ class ChecksumStore:
     def record(self, sector: int, data: bytes) -> None:
         """Recompute checksums for the sectors ``data`` just overwrote.
 
-        Called from inside every ``Disk.write``, so the common shapes are
-        fast-pathed: an all-zero payload stores the precomputed
-        zero-sector CRC without hashing anything, a single sector skips
-        the splitting, and a run is cut into sectors by one shared
-        ``Struct`` and hashed by ``map`` straight into one slice
-        assignment -- the same per-sector CRC32s with no Python frame per
-        sector.
+        Called from inside every ``Disk.write`` whose payload the image
+        found non-zero (a zero payload goes to :meth:`record_zeros`), so
+        the common shapes are fast-pathed: a single sector skips the
+        splitting, and a run is cut into sectors by one shared ``Struct``
+        and hashed by ``map`` straight into one slice assignment -- the
+        same per-sector CRC32s with no Python frame per sector.
         """
         sb = self.sector_bytes
         if type(data) is not bytes:
             # memoryview payloads (zero-copy callers): one bulk copy here
-            # is cheaper than hashing sub-views sector by sector, and the
-            # bytes/bytes compare against the zero cache is a plain memcmp
-            # (memoryview comparisons unpack element by element).
+            # is cheaper than hashing sub-views sector by sector.
             data = bytes(data)
-        n = len(data)
-        zeros = _ZEROS_BY_LEN.get(n)
-        if zeros is None:
-            zeros = _zeros_of(n)
-        if data == zeros:
-            self.record_zeros(sector, n // sb)
-            return
         crcs = self._crcs
-        count = n // sb
+        count = len(data) // sb
         if not 0 <= sector <= len(crcs) - count:
             raise IndexError(_outside(sector, count, len(crcs)))
         if count == 1:
@@ -124,9 +101,8 @@ class ChecksumStore:
 
     def record_zeros(self, sector: int, count: int) -> None:
         """Record ``count`` sectors of zeros without touching any data:
-        the data-less write path (``Disk.write`` with ``data=None``) knows
-        its payload is the shared zero page, so every sector stores the
-        precomputed zero-sector CRC."""
+        ``Disk._store`` calls this when the image found the payload all
+        zeros, so every sector stores the precomputed zero-sector CRC."""
         crcs = self._crcs
         if not 0 <= sector <= len(crcs) - count:
             raise IndexError(_outside(sector, count, len(crcs)))
@@ -174,7 +150,7 @@ class ChecksumStore:
         unrecorded = stored.count(_UNRECORDED)
         if unrecorded == count:
             return []
-        if data[:span] == _zeros_of(span):
+        if blank(span).startswith(data[:span]):
             # Every sector's computed CRC is the zero-sector constant.
             zero_crc = self._zero_crc
             if stored.count(zero_crc) + unrecorded == count:

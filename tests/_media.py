@@ -43,7 +43,7 @@ def silently_corrupt(disk, sector: int, count: int = 1) -> None:
         raise RuntimeError("disk was created with store_data=False")
     lo = sector * disk.sector_bytes
     hi = lo + count * disk.sector_bytes
-    disk._data[lo:hi] = disk._data[lo:hi].translate(_INVERT)
+    disk._data.store(lo, disk._data[lo:hi].translate(_INVERT))
 
 
 def corrupt_power_down_record(store) -> None:

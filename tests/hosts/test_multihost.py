@@ -11,8 +11,12 @@ The headline guarantees:
   process boundaries (``jobs=1`` vs ``jobs=N`` through the sweep pool).
 """
 
+import gc
+import weakref
+
 import pytest
 
+import repro.hosts.multihost as multihost
 from repro.disk.specs import DISKS
 from repro.harness.sweep import SweepPoint, run_sweep
 from repro.hosts.multihost import format_report, run_multihost
@@ -213,3 +217,30 @@ class TestFormatReport:
         assert "2 host(s) x 1 disk(s)" in text
         assert "p999=" in text
         assert "hidden_think=" in text
+
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("shape", [dict(disks=2), dict(shards=2)])
+    def test_a_finished_run_frees_its_engine(self, monkeypatch, shape):
+        """No reference cycle outlives a run: with the cyclic collector
+        off, the engine -- its heap, its intervals, every process -- is
+        freed the moment ``run_multihost`` returns."""
+        built = []
+        engine_class = multihost.EventEngine
+
+        def recording_engine(*args, **kwargs):
+            engine = engine_class(*args, **kwargs)
+            built.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(multihost, "EventEngine", recording_engine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            quick(hosts=3, **shape)
+            alive = [ref() is not None for ref in built]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [False]

@@ -14,7 +14,7 @@ import itertools
 import zlib
 from typing import Dict, Iterator, List, Tuple
 
-from repro.vlog.resilience.checksum import _ZEROS_BY_LEN, _split, _zeros_of
+from repro.vlog.resilience.checksum import _split
 
 
 class ReferenceChecksumStore:
@@ -39,10 +39,7 @@ class ReferenceChecksumStore:
         if type(data) is not bytes:
             data = bytes(data)
         n = len(data)
-        zeros = _ZEROS_BY_LEN.get(n)
-        if zeros is None:
-            zeros = _zeros_of(n)
-        if data == zeros:
+        if data == bytes(n):
             self.record_zeros(sector, n // sb)
             return
         if n == sb:
@@ -85,7 +82,7 @@ class ReferenceChecksumStore:
         unrecorded = stored.count(None)
         if unrecorded == count:
             return []
-        if data[:span] == _zeros_of(span):
+        if data[:span] == bytes(span):
             zero_crc = self._zero_crc
             if stored.count(zero_crc) + unrecorded == count:
                 return []

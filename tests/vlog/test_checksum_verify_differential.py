@@ -15,7 +15,7 @@ import zlib
 
 import pytest
 
-from repro.vlog.resilience.checksum import ChecksumStore, _zeros_of
+from repro.vlog.resilience.checksum import ChecksumStore
 
 SB = 512
 #: Room for the highest run a case writes: base < 1000, 256 sectors.
@@ -39,7 +39,7 @@ def _reference_verify(store, sector, count, data):
     unrecorded = stored.count(None)
     if unrecorded == count:
         return []
-    if data[:span] == _zeros_of(span):
+    if data[:span] == bytes(span):
         zero_crc = zlib.crc32(bytes(sb))
         if stored.count(zero_crc) + unrecorded == count:
             return []
