@@ -8,8 +8,9 @@ record does not read it is a usage error, not a no-op.  So is a mode
 flag (``--list``, ``--scrub``, ``--volume-demo``, ``--torture``) given
 with experiment names, an experiment flag or another mode flag: a mode
 runs instead of the experiments (every torture plan builds its own
-stack and workload), so ``--torture`` takes only its own flags and the
-sweep flags, and the other modes, which run no sweep, take none.
+stack and workload), so ``--torture`` takes only its own flags, the
+sweep flags and ``--full``, and the other modes, which run no sweep and
+have one scale, take none.
 
 Stack flags are folded into :class:`~repro.harness.configs.StackConfig`
 field overrides, handed over as the ``stack=`` keyword; the overridden
@@ -255,8 +256,8 @@ def main(argv=None) -> int:
 
 def _check_mode_runs_alone(parser, args) -> None:
     """A mode flag runs alone: experiment names, an experiment flag or a
-    second mode flag beside it would do nothing, and so would a sweep
-    flag beside any mode but ``--torture``."""
+    second mode flag beside it would do nothing, and so would ``--full``
+    or a sweep flag beside any mode but ``--torture``."""
     modes = [flag for flag in ("--list", "--scrub", "--volume-demo", "--torture")
              if getattr(args, _dest(flag))]
     if not modes:
@@ -274,6 +275,8 @@ def _check_mode_runs_alone(parser, args) -> None:
             parser.error(f"{flag} does not apply to {mode}{reason}")
     if mode == "--torture":
         return
+    if args.full:
+        parser.error(f"--full does not apply to {mode} (it has one scale)")
     for flag in ("--jobs", "--cache", "--no-cache", "--cache-stats"):
         if getattr(args, _dest(flag)) != parser.get_default(_dest(flag)):
             parser.error(f"{flag} does not apply to {mode} (it runs no sweep)")

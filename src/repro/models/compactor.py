@@ -93,9 +93,14 @@ def optimal_threshold(
 
     Returns:
         ``(m, latency_seconds)`` at the optimum.  This is the "judicious
-        selection of an optimal threshold" Section 2.3 describes -- the VLD
-        implementation uses a 75 % fill (m = n/4) which the model shows to
-        be near-optimal for both drives.
+        selection of an optimal threshold" Section 2.3 describes.  It is
+        not the VLD's 75 % fill (``fill_threshold=0.75``, m = n/4): the
+        model's optimum is m = 45 of 72 (0.62) on the HP97560, at
+        0.147 ms, and m = 174 of 256 (0.68) on the ST19101, at 0.011 ms,
+        where m = n/4 gives 0.331 ms and 0.030 ms, 2.25x and 2.8x the
+        optimum.  Formula (13) prices only the locate of an eager write,
+        not the compaction a lower fill costs, so it does not choose the
+        VLD's default.
     """
     n = spec.sectors_per_track
     s = switch_time if switch_time > 0.0 else spec.head_switch_time

@@ -9,10 +9,18 @@ zero-filled file laid down at full size stays unmapped).  It slices and
 exports a buffer to ``memoryview``/``hashlib``, so every reader reads it
 as the old ``bytearray``.
 
+An image also remembers, one byte per 4 KB page, which pages a
+checksum verification found clean (DESIGN.md section 10, "Verify
+once"): the resilience layer marks a run of whole pages after a verify
+that finds no bad sector and skips the next verify of a run whose pages
+are all marked.  Every write clears the marks of the pages it touches,
+through :meth:`MediaImage.store` or a direct slice assignment alike, so
+a mark only ever speaks of bytes that have not changed since.
+
 A stack is a value (DESIGN.md section 6), and a map does not pickle or
 copy on its own: :meth:`MediaImage.__reduce__` rebuilds an image from
 its non-zero pages, so a ``copy.deepcopy`` or ``pickle`` fork costs
-those, too.
+those, too.  A fork starts with no page marked.
 """
 
 from __future__ import annotations
@@ -30,6 +38,12 @@ _FLAGS = (
 )
 _PAGE = mmap.PAGESIZE
 _ZERO_PAGE = bytes(_PAGE)
+#: The unit of a "verified" mark: the VLD's 4 KB block, whatever the
+#: operating system's page size.
+_MARK = 4096
+#: The raw slice write, for :meth:`MediaImage.store`, which clears the
+#: marks of its whole run once instead of once per piece.
+_put = mmap.mmap.__setitem__
 
 #: Zeros to compare against, grown to the longest run ever asked for.
 #: The simulator's traffic is overwhelmingly zero-filled -- timing
@@ -62,15 +76,52 @@ class MediaImage(mmap.mmap):
     """``nbytes`` of zeros, then ``runs`` of ``(offset, bytes)`` written
     over them -- the shape :meth:`__reduce__` hands back."""
 
-    __slots__ = ()
+    #: ``_verified[p]`` is 1 while 4 KB page ``p`` is as a clean verify
+    #: last saw it.
+    __slots__ = ("_verified",)
 
     def __new__(
         cls, nbytes: int, runs: Iterable[Tuple[int, bytes]] = ()
     ) -> "MediaImage":
         image = super().__new__(cls, -1, nbytes, **_FLAGS)
+        image._verified = bytearray(-(-nbytes // _MARK))
         for offset, data in runs:
             image.store(offset, data)
         return image
+
+    def __setitem__(self, index, value) -> None:
+        """A direct write, as a test makes behind the drive's back: the
+        pages it touches lose their marks, as under :meth:`store`."""
+        span = range(len(self))[index]
+        if type(span) is int:
+            self._verified[span // _MARK] = 0
+        elif span:
+            first = min(span[0], span[-1]) // _MARK
+            last = max(span[0], span[-1]) // _MARK
+            self._verified[first : last + 1] = bytes(last + 1 - first)
+        _put(self, index, value)
+
+    def is_verified(self, offset: int, nbytes: int) -> bool:
+        """Whether bytes ``[offset, offset + nbytes)`` are whole pages,
+        every one marked by :meth:`mark_verified` and not written since."""
+        if offset % _MARK or nbytes % _MARK:
+            return False
+        first = offset // _MARK
+        if nbytes == _MARK:
+            return self._verified[first] == 1
+        return self._verified.find(0, first, first + nbytes // _MARK) < 0
+
+    def mark_verified(self, offset: int, nbytes: int) -> None:
+        """Mark the pages of a whole-page run a verify found clean; a
+        run that is not whole pages marks nothing."""
+        if offset % _MARK or nbytes % _MARK:
+            return
+        first = offset // _MARK
+        pages = nbytes // _MARK
+        if pages == 1:
+            self._verified[first] = 1
+        else:
+            self._verified[first : first + pages] = b"\x01" * pages
 
     def store(self, offset: int, data) -> bool:
         """Lay ``data`` (``bytes`` or a ``memoryview``) at ``offset``;
@@ -82,16 +133,24 @@ class MediaImage(mmap.mmap):
         zeros.  A longer one is judged by the image's pages
         (``mmap.PAGESIZE``): each zero page over zero media is skipped
         and the rest goes down in maximal runs.  What the image reads
-        back is ``data`` either way.
+        back is ``data`` either way, and the pages of the whole run lose
+        their verified marks.
         """
         n = len(data)
         end = offset + n
-        zeros = blank(n)
+        first = offset // _MARK
+        last = (end - 1) // _MARK
+        zeros = _BLANK if n <= len(_BLANK) else blank(n)
         zero = zeros.startswith(data)
-        if offset // _PAGE == (end - 1) // _PAGE:
+        if first == last:
+            # Within one 4 KB page, so within one of the image's pages
+            # (a multiple of 4 KB); a longer payload within one of them
+            # meets the same rule below.
+            self._verified[first] = 0
             if not zero or not zeros.startswith(self[offset:end]):
-                self[offset:end] = data
+                _put(self, slice(offset, end), data)
             return zero
+        self._verified[first : last + 1] = bytes(last + 1 - first)
         media = memoryview(self)
         if zero and zeros.startswith(media[offset:end]):
             return True
@@ -108,7 +167,7 @@ class MediaImage(mmap.mmap):
             heads = data[:1] + data[base + _PAGE - offset :: _PAGE]
         j = heads.find(0)
         if j < 0:
-            self[offset:end] = data
+            _put(self, slice(offset, end), data)
             return zero
         view = memoryview(data)
         cursor = offset
@@ -128,11 +187,11 @@ class MediaImage(mmap.mmap):
                             spans.append((lo, hi))
             for lo, hi in spans:
                 if cursor < lo:
-                    self[cursor:lo] = view[cursor - offset : lo - offset]
+                    _put(self, slice(cursor, lo), view[cursor - offset : lo - offset])
                 cursor = hi
             j = heads.find(0, stop)
         if cursor < end:
-            self[cursor:end] = view[cursor - offset :]
+            _put(self, slice(cursor, end), view[cursor - offset :])
         return zero
 
     def _written_runs(self) -> Tuple[Tuple[int, bytes], ...]:

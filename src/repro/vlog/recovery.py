@@ -30,6 +30,13 @@ if TYPE_CHECKING:
 _MAGIC = b"VLOGPWDN"
 _RECORD = struct.Struct("<8sqqI")
 
+#: Rounds of an owner's read spent salvaging a run that stayed
+#: unreadable through one: the scan's re-read of a slot it zero-filled
+#: here, the scrubber's read of a suspect data block.  Salvage can
+#: afford to try much harder than a foreground read, and a transiently
+#: flaky sector usually yields within a few rounds.
+SALVAGE_ROUNDS = 5
+
 
 class PowerDownStore:
     """The fixed-location record written by the firmware at power-down.
@@ -349,11 +356,17 @@ def recover_log(
     The reconstruction takes the scan's records, plus any the traversal
     read that the scan did not find, and scans only when nothing has yet.
 
+    A slot the scan zero-filled is read again once the pass is over, for
+    up to :data:`SALVAGE_ROUNDS` rounds: it may hold the youngest record
+    (a flaky tail), and one that reads joins the scan's records before
+    the tail is chosen.
+
     Returns ``(chunks, outcome, dead_runs)``: ``chunks`` is ``None`` for a
     device that was never written; ``dead_runs`` are the runs that stayed
-    unreadable in the traversal and the slots the scan zero-filled, in
-    the order recovery met them (either may have held the record it
-    needed, so any of them marks the outcome ``degraded``).  The owner
+    unreadable in the traversal and the scan's slots that stayed
+    unreadable when read again, in the order recovery met them (either
+    may have held the record it needed, so any of them -- and any slot
+    the scan zero-filled -- marks the outcome ``degraded``).  The owner
     still owes the log ``repair_reachability()`` (once its free map
     reflects the recovered state) and the record its closing ``clear()``.
     """
@@ -398,10 +411,27 @@ def recover_log(
         records, held, zero_filled, cost, outcome.blocks_scanned = (
             scan_records(vlog.disk, vlog.block_size, log_start, reader=reader)
         )
-        breakdown.add(cost)
         if zero_filled:
-            dead_runs.extend(zero_filled)
             outcome.degraded = True
+        # A slot the scan could not read may hold the youngest record (a
+        # flaky tail): read it again, now that the pass is over, for up
+        # to SALVAGE_ROUNDS rounds of the owner's read.  One that reads
+        # is no dead run -- its failed reads have queued it as a suspect
+        # already -- and a whole record in it joins the scan's; one that
+        # stays dead is a dead run.
+        for sector, count in zero_filled:
+            for _ in range(SALVAGE_ROUNDS):
+                raw = reader(sector, count, cost)
+                if raw is not None:
+                    break
+            if raw is None:
+                dead_runs.append((sector, count))
+            elif sector % spb == 0 and count == spb:
+                record = MapRecord.unpack(raw)
+                if record is not None:
+                    records[sector // spb] = record
+                    held[sector // spb] = raw
+        breakdown.add(cost)
         return records
 
     chunks = None

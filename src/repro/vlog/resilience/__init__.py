@@ -84,8 +84,20 @@ class ResilienceController:
         pauses are charged as ``locate`` time (the head re-settling).
         ``DeviceCrashed`` is *not* retried -- a dying drive is not a
         marginal sector.
+
+        A run of whole 4 KB pages that a verify found clean is marked in
+        the media image, and is not hashed again until a write touches
+        it (DESIGN.md section 10, "Verify once"): neither its bytes nor
+        its checksums can have changed since.  The read itself -- its
+        time, its faults -- happens as ever.
         """
         disk = self.disk
+        image = disk._data
+        sector_bytes = self.checksums.sector_bytes
+        offset, nbytes = sector * sector_bytes, count * sector_bytes
+        # A one-sector read (the recovery walk's map sectors) always
+        # verifies; the image leaves a run that is not whole pages alone.
+        memo = count > 1
         attempt = 1
         last_fault: Optional[DeviceFault] = None
         while True:
@@ -103,8 +115,12 @@ class ResilienceController:
                     fault.sector if fault.sector is not None else sector
                 )
             if data is not None:
+                if memo and image.is_verified(offset, nbytes):
+                    return data
                 bad = self.checksums.verify(sector, count, data)
                 if not bad:
+                    if memo:
+                        image.mark_verified(offset, nbytes)
                     return data
                 self.checksum_failures += 1
                 failed_sector = bad[0]

@@ -21,13 +21,8 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.vlog.recovery import SALVAGE_ROUNDS
 from repro.vlog.resilience.retry import MediaError
-
-#: Drive-retry *rounds* the scrubber spends salvaging one block before
-#: declaring its data lost.  Scrubbing is a background salvage
-#: operation: it can afford to try much harder than a foreground read,
-#: and a transiently flaky sector usually yields within a few rounds.
-SALVAGE_ROUNDS = 5
 
 
 class MediaScrubber:

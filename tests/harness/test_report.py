@@ -191,6 +191,9 @@ class TestHarnessCli:
             (["--list", "--cache-stats"], "--cache-stats does not apply to --list"),
             (["--volume-demo", "--cache", "/tmp/x"],
              "--cache does not apply to --volume-demo"),
+            (["--list", "--full"], "--full does not apply to --list"),
+            (["--scrub", "--full"], "--full does not apply to --scrub"),
+            (["--volume-demo", "--full"], "--full does not apply to --volume-demo"),
         ],
     )
     def test_a_mode_flag_runs_alone(self, capsys, argv, message):
@@ -198,7 +201,7 @@ class TestHarnessCli:
         the experiments: names, an experiment flag or a second mode beside
         one would be ignored, so each is refused before anything runs
         (--disks beside --shards too, which run_multihost would refuse late),
-        and so is a sweep flag beside any mode but --torture."""
+        and so is --full or a sweep flag beside any mode but --torture."""
         from repro.harness.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:

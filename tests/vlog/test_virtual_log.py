@@ -226,3 +226,32 @@ class TestRecovery:
         _recover(h.vlog, h.vlog.tail)
         reads = h.disk.counters.reads - reads_before
         assert reads < 40  # 5 live + pruned frontier, not ~1500 blocks
+
+
+def test_the_smallest_known_overflow_recovers_exactly():
+    """The overflow branch of ``VirtualLog.append``, by a named history.
+
+    On the setup of
+    ``tests/properties/test_properties.py::test_virtual_log_recovers_exactly_after_any_history``
+    (ST19101, two cylinders, NEAREST, 4 KB records), appending chunks
+    0, 1, 2, 1, 3, 1, 4, 1 leaves the last append with more orphans than
+    pointer slots: it is the first such history an exhaustive walk of
+    histories over five chunks finds, with the first chunk fixed to 0.
+    One overflow chunk is appended afresh, and the log still recovers
+    exactly from its tail.
+    """
+    disk = Disk(ST19101, num_cylinders=2)
+    freemap = FreeSpaceMap(disk.geometry)
+    allocator = EagerAllocator(disk, freemap, 8, AllocationPolicy.NEAREST)
+    chunks = {}
+    vlog = VirtualLog(disk, allocator, lambda c: chunks[c], 4096)
+    for step, chunk_id in enumerate((0, 1, 2, 1, 3, 1, 4)):
+        chunks[chunk_id] = [step, step + 1]
+        vlog.append(chunk_id, chunks[chunk_id])
+    assert vlog.relocations == 0
+    chunks[1] = [7, 8]
+    vlog.append(1, chunks[1])
+    assert vlog.relocations == 1
+    vlog.check_invariants()
+    recovered, _cost, _n = _recover(vlog, vlog.tail)
+    assert recovered == chunks
