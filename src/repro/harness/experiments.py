@@ -8,14 +8,18 @@ fall) without depending on formatting.  The defaults are paper scale
 :mod:`repro.harness.registry` names each experiment's quick and full
 keyword arguments and its renderer.
 
-Each experiment's grid is declared as a list of
-:class:`~repro.harness.sweep.SweepPoint` -- a pure, picklable spec naming
-a module-level point function below (``_point_*`` / ``_figure8_point``)
--- and executed by :func:`~repro.harness.sweep.run_sweep`, which fans the
-points out across worker processes (``--jobs``) and memoizes each one in
-the content-addressed result cache (``--cache``).  Point functions derive
-all randomness from their explicit ``seed`` argument, so results are
-identical at any parallelism and on cache replay.
+Each experiment declares its grid as cells -- parameter dicts nested in
+lists, one level per axis, spelled out by a comprehension rather than
+crossed from axes -- for a module-level point function below
+(``_point_*`` / ``_figure8_point``).  :func:`_grid` turns every cell into
+one :class:`~repro.harness.sweep.SweepPoint` (a pure, picklable spec),
+runs them all in one :func:`~repro.harness.sweep.run_sweep` -- which fans
+the points out across worker processes (``--jobs``) and memoizes each
+one in the content-addressed result cache (``--cache``) -- and hands the
+values back nested as the cells were, for the experiment to label.
+Point functions derive all randomness from their explicit ``seed``
+argument, so results are identical at any parallelism and on cache
+replay.
 
 The experiments that build stacks through
 :func:`~repro.harness.configs.build_stack` (figure6/7/8, table2/figure9,
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blockdev.interpose import build_device_stack
 from repro.blockdev.nvm import NVM_SPECS
@@ -57,9 +61,6 @@ from repro.workloads.smallfile import run_small_file
 
 _MB = 1 << 20
 
-#: Module path every point spec resolves against.
-_HERE = "repro.harness.experiments"
-
 #: The workloads' historical default seeds, made explicit so they sit in
 #: every point spec (and therefore in every cache key).
 _UPDATE_SEED = 0xF168
@@ -73,6 +74,28 @@ StackOverrides = Optional[Mapping[str, Any]]
 def _config_params(config: StackConfig, stack: StackOverrides) -> Dict[str, Any]:
     """``config`` with the overrides applied, as a point parameter."""
     return replace(config, **(stack or {})).to_params()
+
+
+def _grid(fn: Callable[..., Any], cells: Any, seed: int = 0, **fixed: Any) -> Any:
+    """The point function ``fn`` at every cell of ``cells``, in one sweep.
+
+    ``cells`` is a parameter dict, or lists of them nested one level per
+    axis; each cell runs with ``{**fixed, **cell}`` and ``seed``, and the
+    values come back nested exactly as ``cells`` was.  Cells are spelled
+    out, not crossed from axes: a grid whose parameters depend on more
+    than one axis at once is just a comprehension."""
+    def flat(node: Any) -> List[Dict[str, Any]]:
+        return [node] if isinstance(node, dict) else [c for n in node for c in flat(n)]
+
+    values = iter(sweep_values([
+        SweepPoint(f"{fn.__module__}:{fn.__name__}", {**fixed, **cell}, seed)
+        for cell in flat(cells)
+    ]))
+
+    def nest(node: Any) -> Any:
+        return next(values) if isinstance(node, dict) else [nest(n) for n in node]
+
+    return nest(cells)
 
 
 # ======================================================================
@@ -115,31 +138,20 @@ def figure1(
     if fractions is None:
         fractions = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     specs = (HP97560, ST19101)
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_locate_free",
-            {
-                "disk_name": spec.name.lower(),
-                "free_fraction": p,
-                "trials": trials,
-            },
-            seed,
-        )
+    simulated = _grid(_point_locate_free, [
+        [{"disk_name": spec.name.lower(), "free_fraction": p} for p in fractions]
         for spec in specs
-        for p in fractions
-    ]
-    simulated = sweep_values(points)
-    result: Dict[str, Dict[str, List[float]]] = {}
-    for i, spec in enumerate(specs):
-        chunk = simulated[i * len(fractions) : (i + 1) * len(fractions)]
-        result[spec.name] = {
+    ], seed, trials=trials)
+    return {
+        spec.name: {
             "free_fraction": list(fractions),
             "model_seconds": [
                 cylinder_expected_latency(spec, p) for p in fractions
             ],
-            "simulated_seconds": chunk,
+            "simulated_seconds": series,
         }
-    return result
+        for spec, series in zip(specs, simulated)
+    }
 
 
 # ======================================================================
@@ -167,22 +179,12 @@ def figure2(
     if thresholds is None:
         thresholds = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     specs = (HP97560, ST19101)
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_track_fill",
-            {
-                "disk_name": spec.name.lower(),
-                "threshold": threshold,
-                "trials": trials,
-            },
-            seed,
-        )
+    simulated = _grid(_point_track_fill, [
+        [{"disk_name": spec.name.lower(), "threshold": t} for t in thresholds]
         for spec in specs
-        for threshold in thresholds
-    ]
-    simulated = sweep_values(points)
+    ], seed, trials=trials)
     result: Dict[str, Dict[str, List[float]]] = {}
-    for i, spec in enumerate(specs):
+    for spec, series in zip(specs, simulated):
         n = spec.sectors_per_track
         model = []
         for threshold in thresholds:
@@ -195,9 +197,7 @@ def figure2(
         result[spec.name] = {
             "threshold": list(thresholds),
             "model_seconds": model,
-            "simulated_seconds": simulated[
-                i * len(thresholds) : (i + 1) * len(thresholds)
-            ],
+            "simulated_seconds": series,
         }
     return result
 
@@ -226,20 +226,10 @@ def figure6(
     stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-stack phase times, plus normalisation to UFS-on-regular."""
-    stacks = list(STACKS)
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_smallfile",
-            {
-                "config": _config_params(
-                    STACKS[name].with_platform(disk_name, host_name), stack
-                ),
-                "num_files": num_files,
-            },
-        )
-        for name in stacks
-    ]
-    raw = dict(zip(stacks, sweep_values(points)))
+    raw = dict(zip(STACKS, _grid(_point_smallfile, [
+        {"config": _config_params(config.with_platform(disk_name, host_name), stack)}
+        for config in STACKS.values()
+    ], num_files=num_files)))
     baseline = raw["ufs-regular"]
     normalized = {
         name: {
@@ -276,21 +266,10 @@ def figure7(
     stack: StackOverrides = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-stack bandwidths for the six large-file phases (MB/s)."""
-    stacks = list(STACKS)
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_largefile",
-            {
-                "config": _config_params(
-                    STACKS[name].with_platform(disk_name, host_name), stack
-                ),
-                "file_mb": file_mb,
-            },
-            _LARGEFILE_SEED,
-        )
-        for name in stacks
-    ]
-    return dict(zip(stacks, sweep_values(points)))
+    return dict(zip(STACKS, _grid(_point_largefile, [
+        {"config": _config_params(config.with_platform(disk_name, host_name), stack)}
+        for config in STACKS.values()
+    ], _LARGEFILE_SEED, file_mb=file_mb)))
 
 
 # ======================================================================
@@ -339,50 +318,35 @@ def figure8(
     """
     if file_mbs is None:
         file_mbs = [1, 2, 4, 6, 8, 10, 12, 14, 16, 17, 18]
+    # Each system, with the update and warmup counts it runs.
     systems = {
-        "ufs-regular": StackConfig(
-            "ufs-regular", "ufs", "regular", disk_name, host_name
-        ),
-        "ufs-vld": StackConfig(
-            "ufs-vld", "ufs", "vld", disk_name, host_name
-        ),
-        "lfs-nvram-regular": StackConfig(
-            "lfs-nvram-regular", "lfs", "regular", disk_name, host_name,
-            nvram=True,
-        ),
+        "ufs-regular": (StackConfig("ufs-regular", "ufs", "regular", disk_name, host_name),
+                        updates, warmup),
+        "ufs-vld": (StackConfig("ufs-vld", "ufs", "vld", disk_name, host_name), updates, warmup),
+        "lfs-nvram-regular": (StackConfig("lfs-nvram-regular", "lfs", "regular", disk_name,
+                                          host_name, nvram=True), lfs_updates, lfs_warmup),
     }
-    points = []
-    for name, config in systems.items():
-        lfs = config.fs_type == "lfs"
-        for file_mb in file_mbs:
-            points.append(SweepPoint(
-                f"{_HERE}:_figure8_point",
-                {
-                    "config": _config_params(config, stack),
-                    "file_mb": file_mb,
-                    "updates": lfs_updates if lfs else updates,
-                    "warmup": lfs_warmup if lfs else warmup,
-                },
-                _UPDATE_SEED,
-            ))
-    values = iter(sweep_values(points))
+    values = _grid(_figure8_point, [
+        [
+            {"config": _config_params(config, stack), "file_mb": file_mb,
+             "updates": n, "warmup": w}
+            for file_mb in file_mbs
+        ]
+        for config, n, w in systems.values()
+    ], _UPDATE_SEED)
     result: Dict[str, Dict[str, List[float]]] = {}
-    for name in systems:
-        utilizations: List[float] = []
-        latencies: List[float] = []
-        for file_mb in file_mbs:
-            point = next(values)
+    for name, row in zip(systems, values):
+        kept = []
+        for file_mb, point in zip(file_mbs, row):
             if point is None:
                 warn_dropped(
                     "figure8", stack=name, file_mb=file_mb, cause="NoSpace"
                 )
-                continue
-            utilization, latency = point
-            utilizations.append(utilization)
-            latencies.append(latency)
+            else:
+                kept.append(point)
         result[name] = {
-            "utilization": utilizations,
-            "latency_ms": [v * 1e3 for v in latencies],
+            "utilization": [utilization for utilization, _ in kept],
+            "latency_ms": [latency * 1e3 for _, latency in kept],
         }
     return result
 
@@ -439,32 +403,17 @@ def _update_gap_cells(
     :func:`_point_table2` result of update-in-place (``regular``) and of
     the virtual log (``vld``)."""
     devices = ("regular", "vld")
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_table2",
-            {
-                "config": _config_params(
-                    StackConfig(
-                        f"ufs-{device_type}", "ufs", device_type,
-                        disk_name, host_name,
-                    ),
-                    stack,
-                ),
-                "utilization": utilization,
-                "updates": updates,
-                "warmup": warmup,
-                "compact_seconds": compact_seconds,
-            },
-            _UPDATE_SEED,
-        )
+    values = _grid(_point_table2, [
+        [
+            {"config": _config_params(StackConfig(
+                f"ufs-{device_type}", "ufs", device_type, disk_name, host_name
+            ), stack)}
+            for device_type in devices
+        ]
         for disk_name, host_name in platforms
-        for device_type in devices
-    ]
-    values = iter(sweep_values(points))
-    return [
-        {device_type: next(values) for device_type in devices}
-        for _ in platforms
-    ]
+    ], _UPDATE_SEED, utilization=utilization, updates=updates, warmup=warmup,
+        compact_seconds=compact_seconds)
+    return [dict(zip(devices, row)) for row in values]
 
 
 def _gap(cells: Mapping[str, Dict[str, Any]]) -> Tuple[float, float, float]:
@@ -616,30 +565,17 @@ def _idle_sweep(
     utilization: float,
     bursts: int,
 ) -> Dict[str, Dict[str, List[float]]]:
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_idle_burst",
-            {
-                "config": config,
-                "utilization": utilization,
-                "burst_kb": burst_kb,
-                "idle": idle,
-                "bursts": bursts,
-            },
-            _BURST_SEED,
-        )
+    values = _grid(_point_idle_burst, [
+        [{"burst_kb": burst_kb, "idle": idle} for idle in idle_seconds]
         for burst_kb in burst_kbs
-        for idle in idle_seconds
-    ]
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, List[float]]] = {}
-    for burst_kb in burst_kbs:
-        latencies = [next(values) for _ in idle_seconds]
-        result[f"{burst_kb}K"] = {
+    ], _BURST_SEED, config=config, utilization=utilization, bursts=bursts)
+    return {
+        f"{burst_kb}K": {
             "idle_seconds": list(idle_seconds),
             "latency_ms": [v * 1e3 for v in latencies],
         }
-    return result
+        for burst_kb, latencies in zip(burst_kbs, values)
+    }
 
 
 # ======================================================================
@@ -686,41 +622,27 @@ def figure_qdepth(
     """
     if depths is None:
         depths = [1, 2, 4, 8]
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_qdepth",
-            {
-                "disk_name": disk_name,
-                "queue_depth": depth,
-                "policy": policy,
-                "workload": workload,
-                "requests": requests,
-                "think_us": think_us,
-            },
-            seed,
-        )
+    values = _grid(_point_qdepth, [
+        [
+            [{"queue_depth": depth, "policy": policy, "workload": workload} for depth in depths]
+            for policy in policies
+        ]
         for workload in workloads
-        for policy in policies
-        for depth in depths
-    ]
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-    for workload in workloads:
-        per_policy: Dict[str, Dict[str, List[float]]] = {}
-        for policy in policies:
-            runs = [next(values) for _ in depths]
-            per_policy[policy] = {
+    ], seed, disk_name=disk_name, requests=requests, think_us=think_us)
+    keys = (
+        "mean_service_ms", "p95_service_ms", "p99_service_ms", "p999_service_ms",
+        "mean_response_ms", "p99_response_ms", "elapsed_seconds",
+    )
+    return {
+        workload: {
+            policy: {
                 "queue_depth": [float(d) for d in depths],
-                "mean_service_ms": [r["mean_service_ms"] for r in runs],
-                "p95_service_ms": [r["p95_service_ms"] for r in runs],
-                "p99_service_ms": [r["p99_service_ms"] for r in runs],
-                "p999_service_ms": [r["p999_service_ms"] for r in runs],
-                "mean_response_ms": [r["mean_response_ms"] for r in runs],
-                "p99_response_ms": [r["p99_response_ms"] for r in runs],
-                "elapsed_seconds": [r["elapsed_seconds"] for r in runs],
+                **{key: [r[key] for r in runs] for key in keys},
             }
-        result[workload] = per_policy
-    return result
+            for policy, runs in zip(policies, per_policy)
+        }
+        for workload, per_policy in zip(workloads, values)
+    }
 
 
 # ======================================================================
@@ -783,43 +705,26 @@ def figure_multihost(
     """
     if host_counts is None:
         host_counts = [1, 2, 4, 8]
-    params: Dict[str, object] = {
-        "disk_name": disk_name,
-        "disks": disks,
-        "requests_per_host": requests_per_host,
-        "policy": policy,
-        "think_us": think_us,
-    }
+    sharding: Dict[str, object] = {}
     if shards is not None:
-        params["shards"] = shards
+        sharding["shards"] = shards
         if shard_slow is not None:
-            params["shard_slow"] = dict(shard_slow)
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_multihost",
-            {**params, "hosts": hosts, "workload": workload},
-            seed,
-        )
+            sharding["shard_slow"] = dict(shard_slow)
+    values = _grid(_point_multihost, [
+        [{"hosts": hosts, "workload": workload} for hosts in host_counts]
         for workload in workloads
-        for hosts in host_counts
-    ]
-    values = iter(sweep_values(points))
+    ], seed, disk_name=disk_name, disks=disks, requests_per_host=requests_per_host,
+        policy=policy, think_us=think_us, **sharding)
+    keys = (
+        "requests_per_second", "mean_response_ms", "p99_response_ms",
+        "p999_response_ms", "mean_service_ms", "hidden_think_seconds",
+        "elapsed_seconds",
+    )
     result: Dict[str, Dict[str, object]] = {}
-    for workload in workloads:
-        runs = [next(values) for _ in host_counts]
+    for workload, runs in zip(workloads, values):
         result[workload] = {
             "hosts": [float(h) for h in host_counts],
-            "requests_per_second": [
-                float(r["requests_per_second"]) for r in runs
-            ],
-            "mean_response_ms": [float(r["mean_response_ms"]) for r in runs],
-            "p99_response_ms": [float(r["p99_response_ms"]) for r in runs],
-            "p999_response_ms": [float(r["p999_response_ms"]) for r in runs],
-            "mean_service_ms": [float(r["mean_service_ms"]) for r in runs],
-            "hidden_think_seconds": [
-                float(r["hidden_think_seconds"]) for r in runs
-            ],
-            "elapsed_seconds": [float(r["elapsed_seconds"]) for r in runs],
+            **{key: [float(r[key]) for r in runs] for key in keys},
         }
         if shards is not None:
             result[workload]["per_shard"] = [r["per_shard"] for r in runs]
@@ -857,6 +762,7 @@ def _point_nvm(
     if mode not in ("eager", "nvm-wal", "nvm+vld"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
+    # Built by hand, not by build_stack: a bare device stack, no file system.
     disk = Disk(DISKS[disk_name], num_cylinders=6)
     spec = NVM_SPECS[nvm_part].with_overrides(
         store_latency=nvm_store_latency, capacity_bytes=nvm_capacity
@@ -942,28 +848,15 @@ def figure_nvm(
     destages surface the backing store's write cost again (visible in
     ``p99_write_ms``/``max_write_ms``).
     """
-    points = [
-        SweepPoint(
-            f"{_HERE}:_point_nvm",
-            {
-                "mode": mode,
-                "workload": workload,
-                "requests": requests,
-                "disk_name": disk_name,
-                "nvm_part": nvm_part,
-                "nvm_store_latency": nvm_store_latency,
-                "nvm_capacity": nvm_capacity,
-            },
-            seed,
-        )
+    values = _grid(_point_nvm, [
+        [{"mode": mode, "workload": workload} for mode in modes]
         for workload in workloads
-        for mode in modes
-    ]
-    values = iter(sweep_values(points))
-    result: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for workload in workloads:
-        result[workload] = {mode: next(values) for mode in modes}
-    return result
+    ], seed, requests=requests, disk_name=disk_name, nvm_part=nvm_part,
+        nvm_store_latency=nvm_store_latency, nvm_capacity=nvm_capacity)
+    return {
+        workload: dict(zip(modes, row))
+        for workload, row in zip(workloads, values)
+    }
 
 
 # ======================================================================
@@ -971,15 +864,12 @@ def figure_nvm(
 # ======================================================================
 
 def _sweep_over(
-    point: str, key: str, values: Sequence[Any], seed: int = 0, **params: Any
+    point: Callable[..., Any], key: str, values: Sequence[Any], seed: int = 0,
+    **params: Any,
 ) -> Dict[Any, Any]:
     """The point function ``point`` at each of ``values`` of its
     parameter ``key`` (the others fixed at ``params``), keyed by value."""
-    points = [
-        SweepPoint(f"{_HERE}:{point}", {key: value, **params}, seed)
-        for value in values
-    ]
-    return dict(zip(values, sweep_values(points)))
+    return dict(zip(values, _grid(point, [{key: v} for v in values], seed, **params)))
 
 
 def _point_vld_update(
@@ -996,6 +886,7 @@ def _point_vld_update(
 
     if knob == "policy":
         value = AllocationPolicy(value)
+    # Built by hand, not by build_stack: read-ahead and the VLD knob are no StackConfig field.
     disk = Disk(ST19101, readahead=ReadAheadPolicy(readahead))
     device = VirtualLogDisk(disk, **{knob: value})
     fs = UFS(device, SPARCSTATION_10)
@@ -1014,7 +905,7 @@ def ablation_allocator(updates: int = 300, warmup: int = 100) -> Dict[str, float
     idealised search), GREEDY_CYLINDER (one-way sweep) and TRACK_FILL
     (the compactor-assisted one), ms per update at ~55 % utilization."""
     return _sweep_over(
-        "_point_vld_update", "value", ("nearest", "greedy_cylinder", "track_fill"),
+        _point_vld_update, "value", ("nearest", "greedy_cylinder", "track_fill"),
         _UPDATE_SEED, knob="policy", readahead="full_track", file_mb=12, idle=0.0,
         updates=updates, warmup=warmup,
     )
@@ -1024,7 +915,7 @@ def ablation_compactor(updates: int = 250, warmup: int = 83) -> Dict[float, floa
     """The VLD's track-fill threshold (Sections 2.3 and 4.2), ms per
     update after 5 s of compaction."""
     return _sweep_over(
-        "_point_vld_update", "value", (0.5, 0.75, 0.9), _UPDATE_SEED,
+        _point_vld_update, "value", (0.5, 0.75, 0.9), _UPDATE_SEED,
         knob="fill_threshold", readahead="dartmouth", file_mb=10, idle=5.0,
         updates=updates, warmup=warmup,
     )
@@ -1034,7 +925,7 @@ def ablation_mapsector(updates: int = 300, warmup: int = 100) -> Dict[int, float
     """The map-record size (Section 3.2): 512-byte sectors against 4 KB
     blocks, ms per update at ~73 % utilization."""
     return _sweep_over(
-        "_point_vld_update", "value", (512, 4096), _UPDATE_SEED,
+        _point_vld_update, "value", (512, 4096), _UPDATE_SEED,
         knob="map_record_bytes", readahead="full_track", file_mb=16, idle=0.0,
         updates=updates, warmup=warmup,
     )
@@ -1049,6 +940,7 @@ def _point_lfs_cleaner(
     from repro.lfs.cleaner import CleanerPolicy
     from repro.lfs.lfs import LFS
 
+    # Built by hand, not by build_stack: the cleaner policy is no StackConfig field.
     fs = LFS(
         RegularDisk(Disk(ST19101)), SPARCSTATION_10, nvram=True,
         cleaner_policy=CleanerPolicy(policy),
@@ -1071,7 +963,7 @@ def ablation_cleaner(
     """The LFS cleaner policy (Section 4.4): greedy against cost-benefit
     under churn of a 17 MB file."""
     return _sweep_over(
-        "_point_lfs_cleaner", "policy", ("greedy", "cost_benefit"), _UPDATE_SEED,
+        _point_lfs_cleaner, "policy", ("greedy", "cost_benefit"), _UPDATE_SEED,
         file_mb=17, updates=updates, warmup=warmup,
     )
 
@@ -1083,6 +975,7 @@ def _point_seq_read(*, seed: int, readahead: str, file_mb: float) -> float:
     from repro.ufs.ufs import UFS
     from repro.vlog.vld import VirtualLogDisk
 
+    # Built by hand, not by build_stack: the read-ahead policy is no StackConfig field.
     disk = Disk(ST19101, readahead=ReadAheadPolicy(readahead))
     fs = UFS(VirtualLogDisk(disk), SPARCSTATION_10)
     size = int(file_mb * _MB)
@@ -1102,7 +995,7 @@ def ablation_trackbuffer(file_mb: float = 6) -> Dict[str, float]:
     """The track-buffer fix of Section 4.2: the stock Dartmouth
     read-ahead, the full-track policy, and none, under a VLD."""
     return _sweep_over(
-        "_point_seq_read", "readahead", ("dartmouth", "full_track", "disabled"),
+        _point_seq_read, "readahead", ("dartmouth", "full_track", "disabled"),
         file_mb=file_mb,
     )
 
@@ -1132,6 +1025,7 @@ def _point_reorganizer(*, seed: int, file_mb: float) -> Dict[str, float]:
     from repro.vlog.vld import VirtualLogDisk
 
     nblocks = int(file_mb * _MB) // 4096
+    # Built by hand, not by build_stack: a bare VLD, no file system.
     vld = VirtualLogDisk(Disk(ST19101, readahead=ReadAheadPolicy.FULL_TRACK))
     clock = vld.disk.clock
     rng = random.Random(seed)
@@ -1161,7 +1055,7 @@ def _point_reorganizer(*, seed: int, file_mb: float) -> Dict[str, float]:
 def reorganizer(file_mb: float = 8) -> Dict[str, float]:
     """Idle-time read-locality reorganization (Section 3.4's deferred
     cure for Figure 7's sequential-read penalty)."""
-    return _sweep_over("_point_reorganizer", "file_mb", (file_mb,), 5)[file_mb]
+    return _grid(_point_reorganizer, {}, 5, file_mb=file_mb)
 
 
 def _point_vlfs_deduction(*, seed: int, stack: str, updates: int) -> List[float]:
@@ -1170,6 +1064,7 @@ def _point_vlfs_deduction(*, seed: int, stack: str, updates: int) -> List[float]
     if stack == "vlfs":
         from repro.vlfs.vlfs import VLFS
 
+        # Built by hand, not by build_stack: VLFS is no StackConfig file system.
         fs = VLFS(Disk(ST19101), SPARCSTATION_10)
     else:
         fs, _disk, _device = build_stack(STACKS[stack])
@@ -1195,6 +1090,6 @@ def vlfs_deduction(updates: int = 400) -> Dict[str, List[float]]:
     """Section 5.1's deduction, measured: VLFS against UFS on either
     device and LFS, synchronously and buffered."""
     return _sweep_over(
-        "_point_vlfs_deduction", "stack", ("ufs-regular", "ufs-vld", "lfs-regular", "vlfs"),
+        _point_vlfs_deduction, "stack", ("ufs-regular", "ufs-vld", "lfs-regular", "vlfs"),
         8, updates=updates,
     )
