@@ -13,9 +13,9 @@ An image also remembers, one byte per 4 KB page, which pages a
 checksum verification found clean (DESIGN.md section 10, "Verify
 once"): the resilience layer marks a run of whole pages after a verify
 that finds no bad sector and skips the next verify of a run whose pages
-are all marked.  Every write clears the marks of the pages it touches,
-through :meth:`MediaImage.store` or a direct slice assignment alike, so
-a mark only ever speaks of bytes that have not changed since.
+are all marked.  :meth:`MediaImage.store`, the one writer, clears the
+marks of the pages it touches, so a mark only ever speaks of bytes that
+have not changed since.
 
 A stack is a value (DESIGN.md section 6), and a map does not pickle or
 copy on its own: :meth:`MediaImage.__reduce__` rebuilds an image from
@@ -41,9 +41,6 @@ _ZERO_PAGE = bytes(_PAGE)
 #: The unit of a "verified" mark: the VLD's 4 KB block, whatever the
 #: operating system's page size.
 _MARK = 4096
-#: The raw slice write, for :meth:`MediaImage.store`, which clears the
-#: marks of its whole run once instead of once per piece.
-_put = mmap.mmap.__setitem__
 
 #: Zeros to compare against, grown to the longest run ever asked for.
 #: The simulator's traffic is overwhelmingly zero-filled -- timing
@@ -88,18 +85,6 @@ class MediaImage(mmap.mmap):
         for offset, data in runs:
             image.store(offset, data)
         return image
-
-    def __setitem__(self, index, value) -> None:
-        """A direct write, as a test makes behind the drive's back: the
-        pages it touches lose their marks, as under :meth:`store`."""
-        span = range(len(self))[index]
-        if type(span) is int:
-            self._verified[span // _MARK] = 0
-        elif span:
-            first = min(span[0], span[-1]) // _MARK
-            last = max(span[0], span[-1]) // _MARK
-            self._verified[first : last + 1] = bytes(last + 1 - first)
-        _put(self, index, value)
 
     def is_verified(self, offset: int, nbytes: int) -> bool:
         """Whether bytes ``[offset, offset + nbytes)`` are whole pages,
@@ -148,7 +133,7 @@ class MediaImage(mmap.mmap):
             # meets the same rule below.
             self._verified[first] = 0
             if not zero or not zeros.startswith(self[offset:end]):
-                _put(self, slice(offset, end), data)
+                self[offset:end] = data
             return zero
         self._verified[first : last + 1] = bytes(last + 1 - first)
         media = memoryview(self)
@@ -167,7 +152,7 @@ class MediaImage(mmap.mmap):
             heads = data[:1] + data[base + _PAGE - offset :: _PAGE]
         j = heads.find(0)
         if j < 0:
-            _put(self, slice(offset, end), data)
+            self[offset:end] = data
             return zero
         view = memoryview(data)
         cursor = offset
@@ -187,11 +172,11 @@ class MediaImage(mmap.mmap):
                             spans.append((lo, hi))
             for lo, hi in spans:
                 if cursor < lo:
-                    _put(self, slice(cursor, lo), view[cursor - offset : lo - offset])
+                    self[cursor:lo] = view[cursor - offset : lo - offset]
                 cursor = hi
             j = heads.find(0, stop)
         if cursor < end:
-            _put(self, slice(cursor, end), view[cursor - offset :])
+            self[cursor:end] = view[cursor - offset :]
         return zero
 
     def _written_runs(self) -> Tuple[Tuple[int, bytes], ...]:

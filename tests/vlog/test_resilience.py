@@ -134,7 +134,7 @@ class TestWholeTrackVerify:
         poke(disk, start + 3, b"\x77" * 512)
         poke(disk, start + 90, b"\x78" * 512)
         for sector in (start + 3, start + 90):
-            disk._data[sector * 512 : (sector + 1) * 512] = bytes(512)
+            disk._data.store(sector * 512, bytes(512))
         assert self._bad(disk, start, per_track) == [start + 3, start + 90]
 
     def test_dense_track(self, disk, track):

@@ -8,9 +8,9 @@ for a subclass that clears the image's map first), so every one of its
 reads hashes, as every read did before the memo.  The scripts write,
 trim, idle (the compactor and the scrubber run), read single blocks and
 runs, corrupt a live sector behind the drive's back
-(:func:`tests._media.silently_corrupt`), scribble one through a direct
-``disk._data[a:b] = ...`` slice write, fork the pair by ``copy.deepcopy``
-and by ``pickle``, and crash and recover, behind an orderly power-down
+(:func:`tests._media.silently_corrupt`), scribble one straight into the
+image with ``disk._data.store`` (no checksum recorded), fork the pair by
+``copy.deepcopy`` and by ``pickle``, and crash and recover, behind an orderly power-down
 or not.  After every step both stacks must agree on the read data or
 the ``MediaError``, the suspects, ``checksum_failures``, the retry and
 error counts and the clock; at the end the first must have hashed
@@ -116,7 +116,7 @@ def _step(stacks, rng):
         if sector is not None:
             scribble = bytes([rng.randrange(256)]) * 512
             for vld in stacks:
-                vld.disk._data[sector * 512 : (sector + 1) * 512] = scribble
+                vld.disk._data.store(sector * 512, scribble)
         return stacks, None
     if roll < 0.88:
         return [copy.deepcopy(vld) for vld in stacks], None
@@ -181,7 +181,7 @@ def test_a_direct_slice_write_clears_the_marks_it_touches():
     vld.read_blocks(0, 2)
     image = vld.disk._data
     assert image.is_verified(first, 2 * BS)
-    image[first + BS + 100 : first + BS + 101] = b"\x00"
+    image.store(first + BS + 100, b"\x00")
     assert image.is_verified(first, BS)
     assert not image.is_verified(first + BS, BS)
     assert not image.is_verified(first, 2 * BS)
