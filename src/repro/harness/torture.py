@@ -742,13 +742,12 @@ def volume_long_set(families: Names = None) -> List[SweepPoint]:
     return volume_matrix(tuple(range(4)), families=families)
 
 
-def run_matrix(points: List[SweepPoint],
-               jobs: Optional[int] = None) -> List[Dict[str, Any]]:
+def run_matrix(points: List[SweepPoint]) -> List[Dict[str, Any]]:
     """Execute the grid through the sweep engine (the enclosing jobs and
     cache context applies); each verdict is annotated with its point's
     (params, seed) for the minimizer."""
     verdicts = []
-    for result in run_sweep(points, jobs=jobs):
+    for result in run_sweep(points):
         verdict = dict(result.value)
         verdict["params"] = dict(result.point.params)
         verdict["seed"] = result.point.seed
