@@ -3,14 +3,17 @@
 Regenerates the requested tables/figures (default: all of them) and
 prints the paper-style rows; ``--full`` uses paper-scale workloads.  The
 two scales, the renderer and the flags of each experiment are its record
-in :mod:`repro.harness.registry`.  A flag aimed at an experiment whose
-record does not read it is a usage error, not a no-op.  So is a mode
-flag (``--list``, ``--scrub``, ``--volume-demo``, ``--torture``) given
-with experiment names, an experiment flag or another mode flag: a mode
-runs instead of the experiments (every torture plan builds its own
-stack and workload), so ``--torture`` takes only its own flags, the
-sweep flags and ``--full``, and the other modes, which run no sweep and
-have one scale, take none.
+in :mod:`repro.harness.registry`.
+
+One rule governs the flags: each run declares the flags it reads, and a
+flag typed beside a run that does not read it, or without the flag it
+requires (:data:`_REQUIRES`), is a usage error, not a no-op.  An
+experiment reads ``--full``, the sweep flags and its record's ``flags``.
+A mode flag (``--list``, ``--scrub``, ``--volume-demo``, ``--torture``)
+runs instead of the experiments, alone, and reads what :data:`MODES`
+declares: ``--torture`` reads ``--full``, the sweep flags, ``--volume``
+and ``--families`` (every torture plan builds its own stack and
+workload); the other three read nothing.
 
 Stack flags are folded into :class:`~repro.harness.configs.StackConfig`
 field overrides, handed over as the ``stack=`` keyword; the overridden
@@ -84,36 +87,115 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from repro.harness import sweep
 from repro.harness.cache import ResultCache
 from repro.harness.registry import EXPERIMENTS
 from repro.harness.report import format_table
 
+#: The sweep flags: every experiment and ``--torture`` read them.
+_SWEEP = ("--jobs", "--cache", "--no-cache", "--cache-stats")
+
+#: Each mode flag: the flags it reads beside itself, and the name of the
+#: function that runs it (looked up on each run, so a patched module
+#: attribute is the one that runs).  A mode that reads no flag is called
+#: with none; ``--torture`` gets the typed flags.
+MODES = {
+    "--list": ((), "_list"),
+    "--scrub": ((), "_run_scrub_demo"),
+    "--volume-demo": ((), "_run_volume_demo"),
+    "--torture": (("--full", *_SWEEP, "--volume", "--families"), "_run_torture"),
+}
+
+#: Each flag that needs another one typed beside it.
+_REQUIRES = {"--volume": "--torture", "--families": "--torture",
+             "--shard-slow": "--shards", "--nvm-lat": "--nvm", "--nvm-cap": "--nvm"}
+
 
 def main(argv=None) -> int:
+    parser = _parser()
+    typed = vars(parser.parse_args(argv))
+    names = typed.pop("names", [])
+    given = {"--" + dest.replace("_", "-"): value for dest, value in typed.items()}
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown and not given.keys() & MODES:  # beside a mode, _refuse names them
+        print(f"unknown experiment {unknown[0]!r}; try --list", file=sys.stderr)
+        return 2
+    runs = _refuse(parser, given, names)
+    runner = globals()[MODES[runs[0]][1]] if runs[0] in MODES else None
+    if runner is not None and not _reads(runs[0]):
+        # A mode that reads no flag takes none, and runs before the
+        # simulator loads (--list loads none of it).
+        return runner()
+    stack = _values(parser, given)
+    from repro.blockdev.interpose import DeviceCrashed
+
+    jobs, no_cache = given.get("--jobs", 1), "--no-cache" in given
+    if "--trace" in given or "--metrics" in given:
+        # A trace file and the metrics registry are observations of a
+        # run, not parameters of its result: a cache hit or a worker
+        # process produces nothing to observe.
+        if jobs > 1:
+            print("[sweep: --trace/--metrics force --jobs 1]", file=sys.stderr)
+            jobs = 1
+        if not no_cache:
+            print("[sweep: --trace/--metrics disable the result cache]", file=sys.stderr)
+            no_cache = True
+    cache = None if no_cache else ResultCache(given.get("--cache", ".sweep-cache"))
+    results: Dict[str, Any] = {}
+    with sweep.configured(jobs=jobs, cache=cache):
+        if runner is not None:
+            status = runner(given)
+            _report_sweep_stats(given, "torture")
+            return status
+        for name in runs:
+            experiment = EXPERIMENTS[name]
+            kwargs = experiment.kwargs("--full" in given)
+            for flag, keyword in experiment.flags.items():
+                if flag in given:
+                    kwargs[keyword] = stack if keyword == "stack" else given[flag]
+            start = time.time()
+            try:
+                results[name] = experiment.run(kwargs, results)
+            except DeviceCrashed as crash:
+                print(f"[{name} aborted: injected device crash: {crash}]\n",
+                      file=sys.stderr)
+                _close_observers(given)
+                return 3
+            experiment.render(results[name])
+            print(f"[{name} regenerated in "
+                  f"{time.time() - start:.1f}s wall]\n")
+            _report_sweep_stats(given, name)
+            _close_observers(given)
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The flags.  No flag has a default, so ``vars()`` of the parse holds
+    exactly the flags typed: given means typed."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the paper's tables and figures.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("names", nargs="*", default=[],
+    parser.add_argument("names", nargs="*",
                         help="experiments to run (default: all)")
     parser.add_argument("--full", action="store_true",
                         help="paper-scale workloads (slower)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--trace", metavar="PATH", default=None,
+    parser.add_argument("--trace", metavar="PATH",
                         help="append a JSONL record per device op to PATH")
     parser.add_argument("--metrics", action="store_true",
                         help="print per-stack device metrics summaries")
-    parser.add_argument("--faults", metavar="SPEC", default=None,
+    parser.add_argument("--faults", metavar="SPEC",
                         help="inject device faults, e.g. "
                              "'crash_after=40,torn=0.05,seed=7'")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=int, metavar="N",
                         help="worker processes per experiment sweep "
                              "(default: 1, inline)")
-    parser.add_argument("--cache", metavar="DIR", default=".sweep-cache",
+    parser.add_argument("--cache", metavar="DIR",
                         help="content-addressed result cache directory "
                              "(default: .sweep-cache)")
     parser.add_argument("--no-cache", action="store_true",
@@ -121,44 +203,40 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-stats", action="store_true",
                         help="print sweep cache/executor statistics after "
                              "each experiment")
-    parser.add_argument("--hosts", type=int, default=None, metavar="N",
+    parser.add_argument("--hosts", type=int, metavar="N",
                         help="run figure_multihost with exactly N "
                              "closed-loop host processes")
-    parser.add_argument("--disks", type=int, default=None, metavar="M",
+    parser.add_argument("--disks", type=int, metavar="M",
                         help="stripe figure_multihost requests across M "
                              "independent device stacks (default: 1)")
-    parser.add_argument("--shards", type=int, default=None, metavar="M",
+    parser.add_argument("--shards", type=int, metavar="M",
                         help="run figure_multihost in sharded-volume mode "
                              "across M fault domains (per-shard tails)")
-    parser.add_argument("--shard-slow", metavar="SPEC", default=None,
+    parser.add_argument("--shard-slow", metavar="SPEC",
                         help="make one shard fail-slow, e.g. "
                              "'shard=1,factor=8,after=20,ops=60' "
                              "(requires --shards)")
-    parser.add_argument("--queue-depth", type=int, default=None, metavar="N",
+    parser.add_argument("--queue-depth", type=int, metavar="N",
                         help="request-queue depth for every device stack "
                              "(default: 1, the unscheduled baseline)")
-    parser.add_argument("--sched", default=None, metavar="POLICY",
-                        choices=("fifo", "scan", "elevator", "satf"),
+    parser.add_argument("--sched", metavar="POLICY",
+                        choices=("fifo", "scan", "satf"),
                         help="request scheduling policy: fifo, scan, satf "
                              "(default: fifo)")
-    parser.add_argument("--nvm", nargs="?", const="nvdimm", default=None,
-                        metavar="PART",
+    parser.add_argument("--nvm", nargs="?", const="nvdimm", metavar="PART",
                         help="thread an NVM write-ahead tier into every "
                              "device stack (PART: nvdimm, battery-sram, "
                              "slow-pcm; default nvdimm)")
-    parser.add_argument("--nvm-lat", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--nvm-lat", type=float, metavar="SECONDS",
                         help="override the NVM store latency (requires "
                              "--nvm), e.g. 3e-6")
-    parser.add_argument("--nvm-cap", type=int, default=None,
-                        metavar="BYTES",
+    parser.add_argument("--nvm-cap", type=int, metavar="BYTES",
                         help="override the NVM log capacity in bytes "
                              "(requires --nvm), e.g. 1048576")
     parser.add_argument("--torture", action="store_true",
                         help="run the composed-fault torture matrix "
                              "(with --full: the weekly multi-seed grid)")
-    parser.add_argument("--families", nargs="+", default=None,
-                        metavar="FAMILY",
+    parser.add_argument("--families", nargs="+", metavar="FAMILY",
                         help="with --torture: restrict the matrix to these "
                              "fault families (e.g. nvm-crash "
                              "nvm-crash+torn@depth4; with --volume, e.g. "
@@ -170,192 +248,76 @@ def main(argv=None) -> int:
                         help="print a flaky-media scrubbing demo")
     parser.add_argument("--volume-demo", action="store_true",
                         help="print a sharded-volume degraded-mode demo")
-    args = parser.parse_args(argv)
+    return parser
 
-    _check_mode_runs_alone(parser, args)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.volume and not args.torture:
-        parser.error("--volume requires --torture")
-    if args.families is not None and not args.torture:
-        parser.error("--families requires --torture")
-    if args.list:
-        print("\n".join(EXPERIMENTS))
-        return 0
-    if args.scrub:
-        return _run_scrub_demo()
-    if args.volume_demo:
-        return _run_volume_demo()
-    if args.shard_slow is not None and args.shards is None:
-        parser.error("--shard-slow requires --shards")
-    if args.disks is not None and args.shards is not None:
+
+def _refuse(parser, given: Dict[str, Any], names: List[str]) -> List[str]:
+    """The runs selected (the mode typed, else the experiments named, else
+    every one), refusing in command-line order a second mode, names beside
+    a mode, a flag without the one it requires, a flag a selected run does
+    not read, and ``--disks`` beside ``--shards``."""
+    modes = [flag for flag in given if flag in MODES]
+    if len(modes) > 1:
+        _does_not_apply(parser, modes[1], modes[0])
+    if modes and names:
+        parser.error(f"{modes[0]} takes no experiment names, got {' '.join(names)}")
+    for flag in given:
+        if _REQUIRES.get(flag, flag) not in given:
+            parser.error(f"{flag} requires {_REQUIRES[flag]}")
+    runs = modes or names or list(EXPERIMENTS)
+    for flag in given:
+        for run in runs:
+            if flag != run and flag not in _reads(run):
+                _does_not_apply(parser, flag, run)
+    if "--disks" in given and "--shards" in given:
         parser.error("--disks does not apply with --shards "
                      "(--shards M runs M shards in place of the disks)")
-    if (args.nvm_lat is not None or args.nvm_cap is not None) \
-            and args.nvm is None:
-        parser.error("--nvm-lat/--nvm-cap require --nvm")
-    given = _given_flags(parser, args)
-    stack = _stack_overrides(given)
-    # The simulator loads once a run needs it: --help and --list load
-    # none of it (DESIGN.md section 3).
-    from repro.blockdev.interpose import DeviceCrashed
-
-    if args.torture:
-        cache = None if args.no_cache else ResultCache(args.cache)
-        with sweep.configured(jobs=args.jobs, cache=cache):
-            status = _run_torture(args)
-        _report_sweep_stats(args, "torture")
-        return status
-    if args.trace or args.metrics:
-        # A trace file and the metrics registry are observations of a
-        # run, not parameters of its result: a cache hit or a worker
-        # process produces nothing to observe.
-        if args.jobs > 1:
-            print("[sweep: --trace/--metrics force --jobs 1]",
-                  file=sys.stderr)
-            args.jobs = 1
-        if not args.no_cache:
-            print("[sweep: --trace/--metrics disable the result cache]",
-                  file=sys.stderr)
-            args.no_cache = True
-    cache = None if args.no_cache else ResultCache(args.cache)
-    names = args.names or list(EXPERIMENTS)
-    for name in names:
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; try --list",
-                  file=sys.stderr)
-            return 2
-        for flag in given:
-            if flag not in EXPERIMENTS[name].flags:
-                readers = [e.name for e in EXPERIMENTS.values() if flag in e.flags]
-                parser.error(f"{flag} does not apply to {name}; it applies "
-                             f"to {', '.join(readers)}")
-    results: Dict[str, Any] = {}
-    with sweep.configured(jobs=args.jobs, cache=cache):
-        for name in names:
-            experiment = EXPERIMENTS[name]
-            kwargs = experiment.kwargs(args.full)
-            for flag, value in given.items():
-                keyword = experiment.flags[flag]
-                kwargs[keyword] = stack if keyword == "stack" else value
-            start = time.time()
-            try:
-                results[name] = experiment.run(kwargs, results)
-            except DeviceCrashed as crash:
-                print(f"[{name} aborted: injected device crash: {crash}]\n",
-                      file=sys.stderr)
-                _close_observers(args)
-                return 3
-            experiment.render(results[name])
-            print(f"[{name} regenerated in "
-                  f"{time.time() - start:.1f}s wall]\n")
-            _report_sweep_stats(args, name)
-            _close_observers(args)
-    return 0
+    return runs
 
 
-def _check_mode_runs_alone(parser, args) -> None:
-    """A mode flag runs alone: experiment names, an experiment flag or a
-    second mode flag beside it would do nothing, and so would ``--full``
-    or a sweep flag beside any mode but ``--torture``."""
-    modes = [flag for flag in ("--list", "--scrub", "--volume-demo", "--torture")
-             if getattr(args, _dest(flag))]
-    if not modes:
-        return
-    mode = modes[0]
-    if len(modes) > 1:
-        parser.error(f"{modes[1]} does not apply to {mode} (a mode flag runs alone)")
-    if args.names:
-        parser.error(f"{mode} takes no experiment names, got {' '.join(args.names)}")
-    reason = (" (every torture plan builds its own stack and workload)"
-              if mode == "--torture" else "")
-    for flag in dict.fromkeys(f for e in EXPERIMENTS.values() for f in e.flags):
-        value = getattr(args, _dest(flag))
-        if value is not None and value is not False:
-            parser.error(f"{flag} does not apply to {mode}{reason}")
-    if mode == "--torture":
-        return
-    if args.full:
-        parser.error(f"--full does not apply to {mode} (it has one scale)")
-    for flag in ("--jobs", "--cache", "--no-cache", "--cache-stats"):
-        if getattr(args, _dest(flag)) != parser.get_default(_dest(flag)):
-            parser.error(f"{flag} does not apply to {mode} (it runs no sweep)")
+def _reads(run: str) -> Tuple[str, ...]:
+    """The flags ``run`` (a mode flag or a record's name) reads."""
+    if run in MODES:
+        return MODES[run][0]
+    return ("--full", *_SWEEP, *EXPERIMENTS[run].flags)
 
 
-def _dest(flag: str) -> str:
-    """The ``args`` attribute argparse stores ``flag`` under."""
-    return flag[2:].replace("-", "_")
+def _does_not_apply(parser, flag: str, run: str) -> None:
+    """Refuse ``flag`` beside ``run``, naming the runs that read it."""
+    experiments = [name for name in EXPERIMENTS if flag in _reads(name)]
+    readers = ["every experiment"] if experiments == list(EXPERIMENTS) else experiments
+    readers += [mode for mode in MODES if flag in _reads(mode)]
+    where = f"; it applies to {', '.join(readers)}" if readers else " (a mode flag runs alone)"
+    parser.error(f"{flag} does not apply to {run}{where}")
 
 
-def _given_flags(parser, args) -> Dict[str, Any]:
-    """The experiment flags on the command line, each with the value it
-    gives its keyword (an experiment that reads it as part of ``stack``
-    gets the folded :func:`_stack_overrides` instead)."""
+def _values(parser, given: Dict[str, Any]) -> Dict[str, Any]:
+    """Refuse a value no run can take, turn the others into the values
+    their keywords take, and return the stack flags folded into
+    StackConfig field overrides."""
     from repro.blockdev.interpose import FaultPlan
-    from repro.blockdev.nvm import NVM_SPECS
 
-    for flag, value in (("--queue-depth", args.queue_depth), ("--hosts", args.hosts),
-                        ("--disks", args.disks), ("--shards", args.shards)):
-        if value is not None and value < 1:
+    for flag in ("--jobs", "--queue-depth", "--hosts", "--disks", "--shards"):
+        if given.get(flag, 1) < 1:
             parser.error(f"{flag} must be >= 1")
-    if args.nvm is not None:
-        if args.nvm not in NVM_SPECS:
-            parser.error(f"--nvm: unknown part {args.nvm!r}; known: "
-                         + ", ".join(sorted(NVM_SPECS)))
-        _check_nvm_overrides(parser, NVM_SPECS[args.nvm], args)
-    if args.trace:
+    if "--trace" in given:
         try:
-            with open(args.trace, "a"):
+            with open(given["--trace"], "a"):
                 pass
         except OSError as exc:
-            parser.error(f"--trace: cannot append to {args.trace}: {exc.strerror}")
+            parser.error(f"--trace: cannot append to {given['--trace']}: {exc.strerror}")
     try:
-        faults = FaultPlan.parse(args.faults) if args.faults else None
+        if "--faults" in given:
+            given["--faults"] = FaultPlan.parse(given["--faults"])
     except ValueError as exc:
         parser.error(f"--faults: {exc}")
     try:
-        shard_slow = (None if args.shard_slow is None
-                      else _parse_shard_slow(args.shard_slow, args.shards))
+        if "--shard-slow" in given:
+            given["--shard-slow"] = _parse_shard_slow(given["--shard-slow"], given["--shards"])
     except ValueError as exc:
         parser.error(f"--shard-slow: {exc}")
-    given = {
-        "--queue-depth": args.queue_depth, "--sched": args.sched,
-        "--nvm": args.nvm, "--nvm-lat": args.nvm_lat, "--nvm-cap": args.nvm_cap,
-        "--faults": faults, "--trace": args.trace or None,
-        "--metrics": args.metrics or None,
-        "--hosts": None if args.hosts is None else [args.hosts],
-        "--disks": args.disks, "--shards": args.shards,
-        "--shard-slow": shard_slow,
-    }
-    return {flag: value for flag, value in given.items() if value is not None}
-
-
-def _check_nvm_overrides(parser, spec, args) -> None:
-    """Refuse a ``--nvm-lat`` the part would refuse, and a ``--nvm-cap``
-    the write-ahead tier would."""
-    try:
-        spec = spec.with_overrides(store_latency=args.nvm_lat)
-    except ValueError as exc:
-        parser.error(f"--nvm-lat: {exc}")
-    if args.nvm_cap is None:
-        return
-    from repro.blockdev.regular import RegularDisk
-    from repro.disk.disk import Disk
-    from repro.disk.specs import ST19101
-    from repro.nvm.wal import NVWal
-
-    try:
-        # The tier's constructor owns the floor of one block record.
-        NVWal(RegularDisk(Disk(ST19101, num_cylinders=1)),
-              spec.with_overrides(capacity_bytes=args.nvm_cap))
-    except ValueError as exc:
-        parser.error(f"--nvm-cap: {exc}")
-
-
-def _stack_overrides(given: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold the stack flags given into StackConfig field overrides."""
-    from repro.blockdev.nvm import NVM_SPECS
-
+    if "--hosts" in given:
+        given["--hosts"] = [given["--hosts"]]
     stack = {
         field: given[flag]
         for flag, field in (("--queue-depth", "queue_depth"), ("--sched", "sched"),
@@ -364,10 +326,37 @@ def _stack_overrides(given: Dict[str, Any]) -> Dict[str, Any]:
         if flag in given
     }
     if "--nvm" in given:
-        stack["nvm"] = NVM_SPECS[given["--nvm"]].with_overrides(
-            store_latency=given.get("--nvm-lat"), capacity_bytes=given.get("--nvm-cap")
-        )
+        stack["nvm"] = _nvm_spec(parser, given)
     return stack
+
+
+def _nvm_spec(parser, given: Dict[str, Any]):
+    """The ``--nvm`` part with ``--nvm-lat`` and ``--nvm-cap`` applied,
+    refusing an unknown part, a latency the part would refuse and a
+    capacity the write-ahead tier would."""
+    from repro.blockdev.nvm import NVM_SPECS
+
+    if given["--nvm"] not in NVM_SPECS:
+        parser.error(f"--nvm: unknown part {given['--nvm']!r}; known: "
+                     + ", ".join(sorted(NVM_SPECS)))
+    try:
+        spec = NVM_SPECS[given["--nvm"]].with_overrides(store_latency=given.get("--nvm-lat"))
+    except ValueError as exc:
+        parser.error(f"--nvm-lat: {exc}")
+    if "--nvm-cap" not in given:
+        return spec
+    from repro.blockdev.regular import RegularDisk
+    from repro.disk.disk import Disk
+    from repro.disk.specs import ST19101
+    from repro.nvm.wal import NVWal
+
+    try:
+        spec = spec.with_overrides(capacity_bytes=given["--nvm-cap"])
+        # The tier's constructor owns the floor of one block record.
+        NVWal(RegularDisk(Disk(ST19101, num_cylinders=1)), spec)
+    except ValueError as exc:
+        parser.error(f"--nvm-cap: {exc}")
+    return spec
 
 
 def _parse_shard_slow(spec: str, shards: int) -> dict:
@@ -397,6 +386,12 @@ def _parse_shard_slow(spec: str, shards: int) -> dict:
     FaultPlane(slow_factor=out["factor"], slow_after_ops=out.get("after", 0),
                slow_duration_ops=out.get("ops"))
     return out
+
+
+def _list() -> int:
+    """Print every record's name, in the order a bare run runs them."""
+    print("\n".join(EXPERIMENTS))
+    return 0
 
 
 def _torture_cells(verdict) -> list:
@@ -449,29 +444,30 @@ _TORTURE_TABLES = {
 }
 
 
-def _run_torture(args) -> int:
+def _run_torture(given: Dict[str, Any]) -> int:
     """The composed-fault matrix (``--volume``: the multi-shard one);
     exit 1 (plus a minimized repro artifact) if any plan fails, 2 for a
     family the selected table does not have."""
     from repro.harness import torture
 
-    title, before, after, cells, proved = _TORTURE_TABLES[args.volume]
-    if args.volume:
+    volume, full, selected = "--volume" in given, "--full" in given, given.get("--families")
+    title, before, after, cells, proved = _TORTURE_TABLES[volume]
+    if volume:
         fn, families = torture.volume_torture_point, torture.VOLUME_FAMILIES
-        grid = torture.volume_long_set if args.full else torture.volume_quick_set
+        grid = torture.volume_long_set if full else torture.volume_quick_set
     else:
         fn, families = torture.torture_point, torture.FAMILIES
-        grid = torture.long_set if args.full else torture.quick_set
-    unknown = [f for f in args.families or () if f not in families]
+        grid = torture.long_set if full else torture.quick_set
+    unknown = [f for f in selected or () if f not in families]
     if unknown:
         print(f"unknown torture families: {', '.join(unknown)}; "
               f"known: {', '.join(sorted(families))}",
               file=sys.stderr)
         return 2
-    points = grid(args.families)
+    points = grid(selected)
     print(f"{title.lower()}: {len(points)} plans "
-          f"({'weekly' if args.full else 'quick'} set, "
-          f"jobs={args.jobs})")
+          f"({'weekly' if full else 'quick'} set, "
+          f"jobs={given.get('--jobs', 1)})")
     verdicts = torture.run_matrix(points)
     rows = []
     failing = None
@@ -622,20 +618,20 @@ def _run_volume_demo() -> int:
     return 0 if (report.ok and intact == total) else 1
 
 
-def _report_sweep_stats(args, name: str) -> None:
+def _report_sweep_stats(given: Dict[str, Any], name: str) -> None:
     stats = sweep.reset_stats()
-    if args.cache_stats and stats.points:
+    if "--cache-stats" in given and stats.points:
         print(f"  [sweep {name}] {stats.summary()}\n")
 
 
-def _close_observers(args) -> None:
+def _close_observers(given: Dict[str, Any]) -> None:
     """Close the trace files, and print and clear the metrics, of every
     stack built so far."""
     from repro.harness import configs
 
     configs.close_trace_files()
     stacks = configs.drain_metrics_stacks()
-    if not args.metrics:
+    if "--metrics" not in given:
         return
     for stack_name, metrics in stacks:
         print(f"  [metrics {stack_name}] {metrics.summary()}")

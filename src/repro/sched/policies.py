@@ -130,7 +130,6 @@ class SATFPolicy(SchedulingPolicy):
 POLICIES = {
     "fifo": FIFOPolicy,
     "scan": ElevatorPolicy,
-    "elevator": ElevatorPolicy,
     "satf": SATFPolicy,
 }
 
@@ -142,5 +141,5 @@ def make_policy(name: str) -> SchedulingPolicy:
     except KeyError:
         raise ValueError(
             f"unknown scheduling policy {name!r}; "
-            f"known: {', '.join(sorted(set(POLICIES)))}"
+            f"known: {', '.join(sorted(POLICIES))}"
         ) from None

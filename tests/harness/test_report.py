@@ -194,6 +194,8 @@ class TestHarnessCli:
             (["--list", "--full"], "--full does not apply to --list"),
             (["--scrub", "--full"], "--full does not apply to --scrub"),
             (["--volume-demo", "--full"], "--full does not apply to --volume-demo"),
+            (["--volume-demo", "--jobs", "1"], "--jobs does not apply to --volume-demo"),
+            (["--list", "--cache", ".sweep-cache"], "--cache does not apply to --list"),
         ],
     )
     def test_a_mode_flag_runs_alone(self, capsys, argv, message):

@@ -37,6 +37,8 @@ class TestConstruction:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             make_policy("lifo")
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            make_policy("elevator")
 
     def test_invalid_depth_and_bound_rejected(self):
         disk = Disk(ST19101, num_cylinders=1, store_data=False)
