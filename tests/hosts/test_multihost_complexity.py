@@ -11,6 +11,9 @@ disk process took 38.2, and the object-per-event engine before it 84.6
 (81.4 untraced).
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.disk.specs import ST19101
@@ -24,6 +27,11 @@ from tests.hosts.test_multihost_identity import (
 )
 
 CALLS_PER_REQUEST_CEILING = 30
+#: Bytes a finished run's trace keeps alive, per fired event: columns of
+#: 8-byte times and seqs plus one name pointer, and the per-request
+#: wake-up names (``"<signal>-><process>"``), which only the trace holds.
+#: A list of ``(time, seq, name)`` tuples kept 143.5.
+TRACED_BYTES_PER_EVENT_CEILING = 64
 
 
 @pytest.mark.parametrize("trace", [True, False])
@@ -74,3 +82,22 @@ def test_engine_wake_ups_allocate_no_event(monkeypatch):
     # Every fired event was pushed once, in the one shape.
     assert len(shapes) == report["events"]
     assert set(shapes) == {5}
+
+
+def test_traced_bytes_per_event():
+    """What ``report["trace"]`` retains, counted by tracemalloc as the
+    bytes freed when the report drops it."""
+    tracemalloc.start()
+    try:
+        report = run_multihost(
+            ST19101, trace=True, **SHAPES["ledger-8x4-satf-mixed"]
+        )
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        events = len(report.pop("trace"))
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert events == report["events"] > 12000
+    assert retained / events <= TRACED_BYTES_PER_EVENT_CEILING
