@@ -115,7 +115,10 @@ _REQUIRES = {"--volume": "--torture", "--families": "--torture",
 
 def main(argv=None) -> int:
     parser = _parser()
-    typed = vars(parser.parse_args(argv))
+    # Intermixed: experiment names may sit on both sides of a flag
+    # (``table1 --no-cache table2``); an optional value still takes the
+    # next word (``--nvm figure10`` names a part).
+    typed = vars(parser.parse_intermixed_args(argv))
     names = typed.pop("names", [])
     given = {"--" + dest.replace("_", "-"): value for dest, value in typed.items()}
     unknown = [name for name in names if name not in EXPERIMENTS]

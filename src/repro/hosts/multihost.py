@@ -100,8 +100,11 @@ def run_multihost(
     overlap metrics: ``hidden_think_seconds`` is the aggregate host
     think time that fell inside disk busy time (exact interval
     intersection; zero for one host at depth 1, positive once hosts
-    overlap each other's service).  With ``trace=True`` the full
-    ``(time, seq, name)`` event trace rides along for determinism diffs.
+    overlap each other's service).  With ``trace=True`` the engine's
+    event trace rides along as ``report["trace"]`` for determinism diffs:
+    an :class:`~repro.sim.engine.EventTrace`, which stores the ``(time,
+    seq, name)`` rows as columns and reads, compares and prints as their
+    list.
 
     Sharded mode (``shards=N``): the disk bank is interpreted as the N
     fault domains of a sharded volume -- same striping, but the report

@@ -79,6 +79,30 @@ class TestHarnessCli:
         assert "HP97560" in out
         assert "256" in out
 
+    def test_names_on_both_sides_of_a_flag_all_run(self, capsys):
+        """A flag between experiment names does not end the name list:
+        ``table1 --no-cache figure2`` runs both."""
+        from repro.harness.__main__ import main
+
+        assert main(["table1", "--no-cache", "figure2"]) == 0
+        out = capsys.readouterr().out
+        assert "[table1 regenerated" in out and "[figure2 regenerated" in out
+        assert out.index("HP97560") < out.index("[figure2 regenerated")
+
+    def test_the_word_after_nvm_is_still_its_part(self, capsys):
+        """``--nvm PART`` keeps taking the next word as the part, also
+        when that word is an experiment's name: ``--nvm figure10
+        figure10`` asks figure10 for a part called "figure10"."""
+        from repro.harness.__main__ import _parser, main
+
+        typed = vars(_parser().parse_intermixed_args(["--nvm", "figure10"]))
+        assert typed == {"nvm": "figure10"}
+        with pytest.raises(SystemExit) as refused:
+            main(["--nvm", "figure10", "figure10"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "--nvm: unknown part 'figure10'" in err
+
     def test_quick_figure9_is_the_quick_table2s_runs(self, capsys, tmp_path):
         """Figure 9 reshapes Table 2's runs: after Table 2 in the same
         invocation it asks for no points at all; run alone it asks for

@@ -8,8 +8,9 @@ below are the parent commit's classes, moved here verbatim: one
 ``(time, seq, name)`` trace, same clock, same counts -- so do not
 optimise or tidy them.  ``Until`` and ``IntervalRecorder`` carry no
 dispatch logic and are shared with the engine under test, which lets
-one program text run on both.  ``Timer`` and ``EventTrace``, which the
-engine under test no longer has, are kept here as they were; the
+one program text run on both.  ``Timer``, which the engine under test
+no longer has, and this list-of-tuples ``EventTrace`` (the engine under
+test stores its trace as columns) are kept here as they were; the
 ``SimClock.bind()`` call, which recorded an association nothing read,
 is gone with the method.
 

@@ -10,6 +10,8 @@ The load-bearing guarantees:
 * interval arithmetic (union, intersection, per-key overlap) is exact.
 """
 
+import copy
+import pickle
 from itertools import chain
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.sim.clock import SimClock
 from repro.sim.engine import (
     EventEngine,
+    EventTrace,
     IntervalRecorder,
     Signal,
     Until,
@@ -509,3 +512,112 @@ class TestTotalWithinBoundaries:
     def test_unknown_kind_is_zero(self):
         rec = self.recorder()
         assert _within(rec, "nope", (0.0, 10.0)) == 0.0
+
+
+class TestEventTrace:
+    """``engine.trace`` stores columns and reads back as the list of
+    ``(time, seq, name)`` rows it replaced."""
+
+    @staticmethod
+    def _traced():
+        """A traced run with ties, signal wake-ups and a 0.0 time, and
+        the rows it fired, built as plain tuples."""
+        engine = EventEngine(trace=True)
+        signal = Signal(engine, "go")
+
+        def waiter():
+            yield signal
+            yield 0.5
+
+        def firer():
+            yield 0.25
+            signal.fire()
+
+        engine.spawn(waiter(), name="w")
+        engine.spawn(firer(), name="f")
+        engine.run()
+        rows = [
+            (0.0, 0, "w.start"),
+            (0.0, 1, "f.start"),
+            (0.25, 2, "f.timer"),
+            (0.25, 3, "go->w"),
+            (0.75, 4, "w.timer"),
+        ]
+        return engine.trace, rows
+
+    def test_the_trace_is_columns(self):
+        trace, rows = self._traced()
+        assert isinstance(trace, EventTrace)
+        assert list(trace.times) == [row[0] for row in rows]
+        assert list(trace.seqs) == [row[1] for row in rows]
+        assert trace.names == [row[2] for row in rows]
+
+    def test_equal_to_its_rows_from_both_sides(self):
+        trace, rows = self._traced()
+        assert trace == rows and rows == trace
+        assert not (trace != rows) and not (rows != trace)
+        other = rows[:-1] + [(0.75, 4, "w.until")]
+        assert trace != other and other != trace
+        assert not (trace == other) and not (other == trace)
+        assert trace != rows[:-1] and rows[:-1] != trace
+        assert trace != tuple(rows) and trace != None  # noqa: E711
+
+    def test_empty_trace_equals_the_empty_list(self):
+        engine = EventEngine(trace=True)
+        assert engine.trace == [] and [] == engine.trace
+        engine.run()
+        assert engine.trace == [] and len(engine.trace) == 0
+        assert engine.trace != [(0.0, 0, "x")]
+
+    def test_two_traces_compare_by_content(self):
+        first, _ = self._traced()
+        second, _ = self._traced()
+        assert first is not second and first == second
+        second.names[-1] = "w.until"
+        assert first != second
+
+    def test_repr_is_the_rows_repr(self):
+        trace, rows = self._traced()
+        assert repr(trace) == repr(rows)
+        assert repr(EventEngine(trace=True).trace) == "[]"
+
+    def test_len_iteration_indexing_and_slicing(self):
+        trace, rows = self._traced()
+        assert len(trace) == len(rows) == 5
+        assert list(trace) == rows
+        assert [row for row in trace] == rows
+        for i in range(-len(rows), len(rows)):
+            assert trace[i] == rows[i]
+        assert trace[-1] == (0.75, 4, "w.timer")
+        assert type(trace[0][0]) is float and type(trace[0][1]) is int
+        assert trace[1:3] == rows[1:3]
+        assert trace[::-2] == rows[::-2]
+        assert trace[:] == rows and trace[9:] == []
+        with pytest.raises(IndexError):
+            trace[5]
+
+    def test_untraced_engine_has_no_trace(self):
+        engine = EventEngine()
+
+        def sleeper():
+            yield 0.5
+
+        engine.spawn(sleeper(), name="p")
+        assert engine.run() == 2
+        assert engine.trace is None
+        assert EventEngine(trace=False).trace is None
+
+    def test_deepcopy_and_pickle_round_trips_compare_equal(self):
+        trace, rows = self._traced()
+        for clone in (
+            copy.deepcopy(trace),
+            pickle.loads(pickle.dumps(trace)),
+        ):
+            assert type(clone) is EventTrace and clone is not trace
+            assert clone == trace and clone == rows
+            assert repr(clone) == repr(trace)
+        clone = copy.deepcopy(trace)
+        clone.names.append("extra")
+        clone.times.append(1.0)
+        clone.seqs.append(5)
+        assert len(trace) == 5 and clone != trace

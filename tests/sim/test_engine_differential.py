@@ -194,7 +194,8 @@ class _Run:
 
 def _trace(engine):
     """The ``(time, seq, name)`` rows fired so far: the engine's trace
-    is that list, the reference's an ``EventTrace`` holding it."""
+    stores them as columns and iterates as rows, the reference's
+    ``EventTrace`` holds their list in ``records``."""
     return list(getattr(engine.trace, "records", engine.trace))
 
 
