@@ -145,8 +145,3 @@ class TrackBuffer:
         _key, lo, hi = self._segment
         if sector < hi and sector + count > lo:
             self._segment = None
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -25,7 +25,7 @@ nothing to invalidate (DESIGN.md section 17).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.fs.api import CorruptDirectory
 
@@ -165,10 +165,3 @@ class DirectoryBlock:
                 return offset
             offset += size
         raise KeyError(name)
-
-
-def iter_directory(blocks: Iterable[bytes], block_size: int) -> Iterable[Tuple[str, int]]:
-    """Yield (name, inum) across a directory's blocks."""
-    for raw in blocks:
-        for name, inum in DirectoryBlock.unpack(raw[:block_size]).entries.items():
-            yield name, inum

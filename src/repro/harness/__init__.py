@@ -9,7 +9,7 @@ if TYPE_CHECKING:
     from repro.harness.configs import StackConfig, build_stack, STACKS
     from repro.harness import experiments
     from repro.harness.cache import ResultCache
-    from repro.harness.report import format_table, series_to_csv
+    from repro.harness.report import format_table
     from repro.harness.sweep import SweepPoint, run_sweep
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "STACKS",
     "experiments",
     "format_table",
-    "series_to_csv",
     "ResultCache",
     "SweepPoint",
     "run_sweep",

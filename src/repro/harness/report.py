@@ -1,8 +1,8 @@
-"""Plain-text table and CSV formatting for experiment results."""
+"""Plain-text table formatting for experiment results."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_table(
@@ -33,16 +33,3 @@ def format_table(
         )
     return "\n".join(lines)
 
-
-def series_to_csv(series: Dict[str, Sequence[float]]) -> str:
-    """Columns keyed by name -> CSV text (column per key)."""
-    keys = list(series)
-    length = max(len(v) for v in series.values()) if series else 0
-    lines = [",".join(keys)]
-    for i in range(length):
-        cells = []
-        for key in keys:
-            values = series[key]
-            cells.append(f"{values[i]:.6g}" if i < len(values) else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines)

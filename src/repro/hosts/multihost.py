@@ -174,8 +174,7 @@ def run_multihost(
         think = thinks[index]
         clock = engine.clock
         # The clock is monotone, so a think interval is well-formed and
-        # its note is an append (a zero-length one is dropped, as note()
-        # drops it).
+        # recording it is an append (a zero-length one is dropped).
         think_spans = engine.intervals.series("think", f"host{index}")
         for target in streams[index]:
             if think > 0.0:

@@ -60,7 +60,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.sim.clock import SimClock
@@ -309,7 +308,7 @@ def measure_within(
 class IntervalRecorder:
     """Real event intervals, by kind and key.
 
-    Processes note what they actually did and when -- ``("service",
+    Processes record what they actually did and when -- ``("service",
     "disk0", start, end)``, ``("think", "host2", ...)`` -- and reports
     take each family's per-key unions (:meth:`merged_by_key`) and
     measure them with the module functions: total busy time is the
@@ -318,35 +317,21 @@ class IntervalRecorder:
     """
 
     def __init__(self) -> None:
-        #: kind -> key -> [(start, end), ...] in note order.  A key's
+        #: kind -> key -> [(start, end), ...] in append order.  A key's
         #: list may be empty (:meth:`series` hands it out before the
         #: first interval); :meth:`keys` lists only keys with intervals.
         self._raw: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
 
-    def note(self, kind: str, key: str, start: float, end: float) -> None:
-        """Record one ``[start, end)`` interval.
-
-        Zero-length intervals (``end == start``) are dropped here, by
-        design: an instantaneous event has measure zero, so keeping it
-        could never change a total but *would* force every consumer of
-        :meth:`merged_by_key` to handle degenerate spans.  ``end <
-        start`` is a caller bug and raises, and so is a NaN endpoint
-        (the guard is ``not end >= start``, which NaN fails).
-        """
-        if not end >= start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
-        if end == start:
-            return
-        self.series(kind, key).append((start, end))
-
     def series(self, kind: str, key: str) -> List[Tuple[float, float]]:
-        """The list :meth:`note` appends ``kind``/``key`` intervals to.
+        """The list of ``kind``/``key`` intervals, to append ``(start,
+        end)`` to.
 
-        A process that notes once per request takes it once and appends
-        ``(start, end)`` itself -- a note for the price of an append.
-        Such a caller reads both ends off a monotone clock, so ``end >=
-        start`` holds by construction, and it keeps :meth:`note`'s rule
-        by appending only when ``end > start``.
+        A process that records once per request takes it once and
+        appends to it itself.  Such a caller reads both ends off a
+        monotone clock and appends only when ``end > start``: an
+        instantaneous event has measure zero, so keeping it could never
+        change a total but *would* hand every consumer of
+        :meth:`merged_by_key` a degenerate span.
         """
         try:
             return self._raw[kind][key]
@@ -374,9 +359,9 @@ class EventTrace:
     ``array("d")``, ``seqs`` an ``array("q")``, ``names`` a list -- and
     builds no row: a fired event costs 8 + 8 bytes and a name pointer,
     where a row tuple with its float and int cost about 120.  The trace
-    reads back as the list of rows it replaces: iteration, ``len``,
-    indexing and slicing give rows, it compares equal to a list of rows,
-    and its ``repr`` is that list's.
+    reads back as the list of rows it replaces: iteration gives rows
+    (``list(trace)`` is that list), it compares equal to a list of
+    rows, and its ``repr`` is that list's.
     """
 
     __slots__ = ("times", "seqs", "names")
@@ -388,14 +373,6 @@ class EventTrace:
 
     def __iter__(self) -> Iterator[Tuple[float, int, str]]:
         return zip(self.times, self.seqs, self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, index: Union[int, slice]) -> Any:
-        if isinstance(index, slice):
-            return list(zip(self.times[index], self.seqs[index], self.names[index]))
-        return (self.times[index], self.seqs[index], self.names[index])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventTrace):

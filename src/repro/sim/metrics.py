@@ -120,14 +120,6 @@ class LatencyHistogram:
             "p999": self.percentile(0.999),
         }
 
-    def as_dict(self) -> Dict[str, int]:
-        """Bucket counts keyed by a human-readable upper edge."""
-        result = {}
-        for index in sorted(self.buckets):
-            upper = self.base * 2.0 ** (index + 1)
-            result[f"<{upper * 1e6:g}us"] = self.buckets[index]
-        return result
-
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         if other.base != self.base:
             raise ValueError("cannot merge histograms with different bases")
@@ -136,11 +128,6 @@ class LatencyHistogram:
         self.count += other.count
         self.sum += other.sum
         return self
-
-    def reset(self) -> None:
-        self.buckets.clear()
-        self.count = 0
-        self.sum = 0.0
 
     def __repr__(self) -> str:
         return (

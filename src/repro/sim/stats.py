@@ -15,7 +15,7 @@ aggregates many operations and can reproduce both the average-latency numbers
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: Component names, in the order the paper stacks them in Figure 9.
 COMPONENTS = ("scsi", "transfer", "locate", "other")
@@ -112,10 +112,6 @@ class LatencyRecorder:
         self._totals.append(breakdown.total)
         self._sum.add(breakdown)
 
-    def record_parts(self, **parts: float) -> None:
-        """Convenience: record a breakdown given as keyword components."""
-        self.record(Breakdown(**parts))
-
     @property
     def count(self) -> int:
         return len(self._totals)
@@ -149,23 +145,6 @@ class LatencyRecorder:
             return {name: 0.0 for name in COMPONENTS}
         return {name: getattr(self._sum, name) / total for name in COMPONENTS}
 
-    def merge(self, others: Iterable["LatencyRecorder"]) -> "LatencyRecorder":
-        """Fold other recorders' samples into this one (in place)."""
-        for other in others:
-            self._totals.extend(other._totals)
-            self._sum.add(other._sum)
-        return self
-
     def reset(self) -> None:
         self._totals.clear()
         self._sum = Breakdown()
-
-    def summary(self, label: Optional[str] = None) -> str:
-        """One-line human-readable summary, latencies in milliseconds."""
-        prefix = f"{label}: " if label else ""
-        fractions = self.component_fractions()
-        parts = " ".join(f"{k}={v * 100:.0f}%" for k, v in fractions.items())
-        return (
-            f"{prefix}n={self.count} mean={self.mean() * 1e3:.3f}ms "
-            f"p95={self.percentile(0.95) * 1e3:.3f}ms [{parts}]"
-        )

@@ -51,14 +51,6 @@ class FsckReport:
     def complain(self, message: str) -> None:
         self.errors.append(message)
 
-    def summary(self) -> str:
-        status = "clean" if self.ok else f"{len(self.errors)} error(s)"
-        return (
-            f"fsck: {status}; {self.inodes_checked} inodes "
-            f"({self.files} files, {self.directories} dirs), "
-            f"{self.blocks_claimed} blocks, {self.frags_claimed} tail frags"
-        )
-
 
 def fsck(fs: UFS) -> FsckReport:
     """Check a (quiesced) UFS instance for structural consistency."""

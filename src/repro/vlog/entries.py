@@ -28,9 +28,8 @@ There is one serialiser, :func:`pack_record`, and one parser,
 write -- calls ``pack_record`` with the fields it holds, so no
 :class:`MapRecord` is built only to be packed and dropped, and the entry
 count is validated before the log allocates the record a home;
-:class:`MapRecord` is what recovery parses blocks *into*, and its ``pack``
-is the same call.  The field-by-field serialiser this replaced is
-``tests/vlog/reference_record.py``.
+:class:`MapRecord` is what recovery parses blocks *into*.  The field-by-field
+serialiser this replaced is ``tests/vlog/reference_record.py``.
 """
 
 from __future__ import annotations
@@ -106,10 +105,10 @@ def pack_record(
     entries, zero padding, trailing CRC32 over all of it.
 
     The log's append path calls this with the fields in hand (no
-    :class:`MapRecord` is built to be packed and dropped);
-    :meth:`MapRecord.pack` is the same call.  More entries than the block
-    holds raise ``ValueError`` before anything is built, which is what
-    lets the log validate a record *before* it allocates a home for it.
+    :class:`MapRecord` is built to be packed and dropped).  More entries
+    than the block holds raise ``ValueError`` before anything is built,
+    which is what lets the log validate a record *before* it allocates a
+    home for it.
     """
     capacity = _CAPACITIES.get(block_size)
     if capacity is None:
@@ -166,19 +165,6 @@ class MapRecord:
             for p in (self.prev_root, self.bypass1, self.bypass2)
             if p is not None
         ]
-
-    def pack(self, block_size: int) -> bytes:
-        """Serialise to exactly ``block_size`` bytes with a trailing CRC."""
-        return pack_record(
-            block_size,
-            self.chunk_id,
-            self.seqno,
-            self.entries,
-            self.prev_root,
-            self.bypass1,
-            self.bypass2,
-            self.txn_id,
-        )
 
     @classmethod
     def unpack(cls, raw) -> Optional["MapRecord"]:

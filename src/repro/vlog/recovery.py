@@ -92,11 +92,6 @@ class PowerDownStore:
         raw = reader(self._sector, self.sectors_per_block, breakdown)
         return raw, breakdown
 
-    def read(self, reader) -> Tuple[Optional[Tuple[int, int]], Breakdown]:
-        """Read and validate the record; ``None`` when absent or corrupt."""
-        raw, breakdown = self.read_raw(reader)
-        return self.parse(raw), breakdown
-
     def parse(self, raw: Optional[bytes]) -> Optional[Tuple[int, int]]:
         """Validate raw record bytes; ``None`` when absent or corrupt."""
         if raw is None:

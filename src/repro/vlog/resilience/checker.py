@@ -58,19 +58,6 @@ class FsckReport:
     def add(self, kind: str, detail: str) -> None:
         self.violations.append(Violation(kind, detail))
 
-    def summary(self) -> str:
-        if self.ok:
-            return (
-                f"vlfsck clean ({self.checked_records} records, "
-                f"{self.checked_blocks} data blocks"
-                f"{', deep' if self.deep else ''})"
-            )
-        head = "; ".join(str(v) for v in self.violations[:5])
-        more = len(self.violations) - 5
-        return f"vlfsck: {len(self.violations)} violation(s): {head}" + (
-            f" (+{more} more)" if more > 0 else ""
-        )
-
 
 def vlfsck(vld, deep: bool = False) -> FsckReport:
     """Check a quiescent :class:`VirtualLogDisk`; returns the report."""

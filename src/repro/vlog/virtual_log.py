@@ -17,9 +17,12 @@ Because every edge points from a newer record to a strictly older one, the
 invariant implies every live record is reachable from the tail -- chase
 in-edges newer-ward and you must arrive at the unique newest record.  On
 overwrite of record ``B``, targets of ``B`` whose last live in-edge died
-("orphans") are re-homed onto the new root's pointer slots; in the rare
-case more orphans exist than slots, the overflow chunks are themselves
-relocated (appended afresh), which restores their reachability trivially.
+("orphans") are re-homed onto the new root's pointer slots; when more
+orphans exist than slots, the overflow chunks are themselves relocated
+(appended afresh), which restores their reachability trivially, and a
+relocated chunk's own append may overflow in turn.  Neither is rare: an
+8-append history overflows and a 14-append history cascades
+(``tests/vlog/test_virtual_log.py``'s two smallest-known witnesses).
 The recovery traversal is youngest-first by sequence number, pruning
 pointers that land on recycled or stale blocks, exactly as Section 3.2
 describes ("obsolete log entries can be recognized as such because their
@@ -180,7 +183,7 @@ class VirtualLog:
         overflow = self._append_one(chunk_id, entries, breakdown, txn_id)
         if not overflow:
             return breakdown
-        # More orphans than pointer slots (rare): append the overflow
+        # More orphans than pointer slots: append the overflow
         # chunks afresh, last named first, each with the contents it had
         # when it was named; any of them may overflow in turn.
         worklist: List[Tuple[int, List[int]]] = []

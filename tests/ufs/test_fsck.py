@@ -60,9 +60,9 @@ class TestCleanFilesystems:
 
     def test_summary_readable(self, ufs):
         populate(ufs, files=3)
-        text = fsck(ufs).summary()
-        assert "clean" in text
-        assert "inodes" in text
+        report = fsck(ufs)
+        assert report.ok and report.errors == []
+        assert report.inodes_checked >= report.files >= 3
 
 
 class TestCorruptionDetection:

@@ -88,7 +88,7 @@ class TestCompaction:
         # The record may be *cleared* (compaction invalidates a stale
         # power-down record), but its home block is never reallocated.
         raw = vld.disk.peek(0, 8)
-        record, _ = vld.power_store.read(disk_reader(vld.disk))
+        record = vld.power_store.parse(vld.power_store.read_raw(disk_reader(vld.disk))[0])
         assert record is not None or raw == bytes(4096)
         assert not vld.freemap.run_is_free(0, 8)
         assert 0 not in vld.reverse

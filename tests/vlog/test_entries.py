@@ -3,7 +3,13 @@ import zlib
 
 import pytest
 
-from repro.vlog.entries import _HEADER, MapRecord, UNMAPPED, entries_per_chunk
+from repro.vlog.entries import (
+    _HEADER,
+    MapRecord,
+    UNMAPPED,
+    entries_per_chunk,
+    pack_record,
+)
 
 
 class TestCapacity:
@@ -27,14 +33,14 @@ class TestPackUnpack:
             bypass1=None,
             bypass2=5,
         )
-        raw = record.pack(4096)
+        raw = pack_record(4096, **vars(record))
         assert len(raw) == 4096
         parsed = MapRecord.unpack(raw)
         assert parsed == record
 
     def test_none_pointers_roundtrip(self):
         record = MapRecord(chunk_id=0, seqno=1, entries=[])
-        parsed = MapRecord.unpack(record.pack(4096))
+        parsed = MapRecord.unpack(pack_record(4096, **vars(record)))
         assert parsed.prev_root is None
         assert parsed.bypass1 is None
         assert parsed.bypass2 is None
@@ -48,14 +54,14 @@ class TestPackUnpack:
     def test_full_capacity_roundtrip(self):
         cap = entries_per_chunk(4096)
         record = MapRecord(chunk_id=1, seqno=2, entries=list(range(cap)))
-        parsed = MapRecord.unpack(record.pack(4096))
+        parsed = MapRecord.unpack(pack_record(4096, **vars(record)))
         assert parsed.entries == list(range(cap))
 
     def test_over_capacity_rejected(self):
         cap = entries_per_chunk(4096)
         record = MapRecord(chunk_id=1, seqno=2, entries=[0] * (cap + 1))
         with pytest.raises(ValueError):
-            record.pack(4096)
+            pack_record(4096, **vars(record))
 
 
 class TestValidation:
@@ -72,14 +78,12 @@ class TestValidation:
         assert MapRecord.unpack(b"tiny") is None
 
     def test_single_flipped_bit_rejected(self):
-        raw = bytearray(
-            MapRecord(chunk_id=1, seqno=7, entries=[4, 5]).pack(4096)
-        )
+        raw = bytearray(pack_record(4096, 1, 7, [4, 5]))
         raw[100] ^= 0x01
         assert MapRecord.unpack(bytes(raw)) is None
 
     def test_wrong_magic_rejected(self):
-        raw = bytearray(MapRecord(chunk_id=1, seqno=7).pack(4096))
+        raw = bytearray(pack_record(4096, 1, 7, []))
         raw[0:8] = b"NOTAMAGI"
         assert MapRecord.unpack(bytes(raw)) is None
 
@@ -92,13 +96,13 @@ class TestValidation:
     def test_wrong_magic_with_valid_crc_rejected(self):
         """Magic is tested before the CRC now; a block whose CRC happens
         to be right but whose magic is not must still be refused."""
-        raw = bytearray(MapRecord(chunk_id=1, seqno=7).pack(512))
+        raw = bytearray(pack_record(512, 1, 7, []))
         raw[0:8] = b"NOTAMAGI"
         raw[-4:] = _crc_trailer(raw[:-4])
         assert MapRecord.unpack(bytes(raw)) is None
 
     def test_entry_count_beyond_capacity_rejected(self):
-        raw = bytearray(MapRecord(chunk_id=1, seqno=7).pack(512))
+        raw = bytearray(pack_record(512, 1, 7, []))
         struct.pack_into("<I", raw, 12, entries_per_chunk(512) + 1)
         raw[-4:] = _crc_trailer(raw[:-4])
         assert MapRecord.unpack(bytes(raw)) is None
@@ -121,7 +125,7 @@ class TestValidation:
 
     def test_entry_bound_is_entries_per_chunk_at_every_size(self):
         """``unpack`` inlines the capacity arithmetic; it must stay the
-        one ``entries_per_chunk`` (and ``pack``) use, at every size."""
+        one ``entries_per_chunk`` (and ``pack_record``) use, at every size."""
         for size in list(range(61, 200)) + [512, 1024, 4096]:
             room = (size - _HEADER.size - 4) // 4
             bound = min(entries_per_chunk(size), room)
@@ -131,7 +135,7 @@ class TestValidation:
 
     def test_any_buffer_type_parses(self):
         record = MapRecord(chunk_id=2, seqno=9, entries=[7, 8], bypass1=3)
-        raw = record.pack(512)
+        raw = pack_record(512, **vars(record))
         framed = b"\xaa" * 512 + raw + b"\xbb" * 512
         assert MapRecord.unpack(memoryview(framed)[512:1024]) == record
         assert MapRecord.unpack(bytearray(raw)) == record
@@ -143,7 +147,7 @@ def _crc_trailer(payload) -> bytes:
 
 def _signed_header(size: int, n_entries: int = 0) -> bytes:
     """A ``size``-byte buffer with a valid magic, header and CRC."""
-    header = MapRecord(chunk_id=0, seqno=1).pack(512)[:_HEADER.size]
+    header = pack_record(512, 0, 1, [])[:_HEADER.size]
     payload = bytearray(header + bytes(size - _HEADER.size - 4))
     struct.pack_into("<I", payload, 12, n_entries)
     return bytes(payload) + _crc_trailer(payload)

@@ -95,7 +95,7 @@ class TestDeadQuarantineRecord:
             data, _ = vld.read_block(lba)
             assert data == _payload(lba)
         report = vlfsck(vld, deep=True)
-        assert report.ok, report.summary()
+        assert report.ok, report.violations
 
     def test_dead_live_sector_becomes_suspect_not_quarantined(
         self, vld, disk

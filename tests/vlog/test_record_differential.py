@@ -2,9 +2,8 @@
 
 ``reference_record.py`` is the body ``MapRecord.pack`` had before the
 record image was built once (DESIGN.md section 19).  The log's append path
-now calls :func:`repro.vlog.entries.pack_record` with the fields in hand
-and ``MapRecord.pack`` delegates to it, so all three must produce the
-same block for every entry count from none to capacity, every
+now calls :func:`repro.vlog.entries.pack_record` with the fields in hand,
+so the two must produce the same block for every entry count from none to capacity, every
 ``None``/non-``None`` pointer pattern, standalone and transaction records,
 at both record sizes in use (512-byte map sectors, 4096-byte blocks) --
 and reject one entry too many with the same message.
@@ -29,7 +28,7 @@ BLOCK_SIZES = (512, 4096)
 _POINTER = st.one_of(st.none(), st.integers(0, 2**40))
 
 
-def _all_three(block_size, record):
+def _both(block_size, record):
     image = pack_record(
         block_size,
         record.chunk_id,
@@ -41,7 +40,6 @@ def _all_three(block_size, record):
         record.txn_id,
     )
     assert image == reference_pack(record, block_size)
-    assert image == record.pack(block_size)
     assert len(image) == block_size
     return image
 
@@ -59,7 +57,7 @@ def test_every_entry_count_and_pointer_pattern(block_size):
                 chunk_id=n, seqno=n * 31 + k, entries=entries,
                 prev_root=prev, bypass1=b1, bypass2=b2, txn_id=k % 2 * (n + 1),
             )
-            image = _all_three(block_size, record)
+            image = _both(block_size, record)
             assert MapRecord.unpack(image) == record
 
 
@@ -84,7 +82,7 @@ def test_random_records_pack_identically(
     record = MapRecord(
         chunk_id, seqno, entries, prev_root, bypass1, bypass2, txn_id
     )
-    assert MapRecord.unpack(_all_three(block_size, record)) == record
+    assert MapRecord.unpack(_both(block_size, record)) == record
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
@@ -94,8 +92,6 @@ def test_one_entry_over_is_rejected_alike(block_size):
     message = f"{capacity + 1} entries exceed capacity {capacity}"
     with pytest.raises(ValueError, match=message):
         reference_pack(record, block_size)
-    with pytest.raises(ValueError, match=message):
-        record.pack(block_size)
     with pytest.raises(ValueError, match=message):
         pack_record(block_size, 0, 1, record.entries)
 

@@ -21,7 +21,7 @@ from repro.vlog.recovery import (
     disk_reader,
     scan_records,
 )
-from repro.vlog.entries import MAGIC, MapRecord, entries_per_chunk
+from repro.vlog.entries import MAGIC, MapRecord, entries_per_chunk, pack_record
 from repro.vlog.vld import VirtualLogDisk
 from tests.vlog.test_recovery_scan_reuse import (
     SCAN_LOST_THE_TAIL,
@@ -43,17 +43,17 @@ def store(disk):
 class TestPowerDownStore:
     def test_write_read_roundtrip(self, store):
         store.write(tail_block=123, seqno=77)
-        record, _cost = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record == (123, 77)
 
     def test_blank_disk_reads_none(self, store):
-        record, _ = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record is None
 
     def test_clear_erases(self, store):
         store.write(9, 2)
         store.clear()
-        record, _ = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record is None
 
     def test_corrupt_record_detected_by_checksum(self, store):
@@ -61,7 +61,7 @@ class TestPowerDownStore:
         must be detected, not trusted."""
         store.write(9, 2)
         corrupt_power_down_record(store)
-        record, _ = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record is None
 
     def test_bitflip_detected(self, store, disk):
@@ -69,7 +69,7 @@ class TestPowerDownStore:
         raw = bytearray(disk.peek(store._sector, store.sectors_per_block))
         raw[9] ^= 0x40  # flip a bit inside the tail field
         poke(disk, store._sector, bytes(raw))
-        record, _ = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record is None
 
 
@@ -84,8 +84,7 @@ def _scan_for_tail(disk, skip_sectors=0):
 
 class TestScanFallback:
     def _plant(self, disk, block, chunk_id, seqno):
-        record = MapRecord(chunk_id=chunk_id, seqno=seqno, entries=[seqno])
-        poke(disk, block * 8, record.pack(4096))
+        poke(disk, block * 8, pack_record(4096, chunk_id, seqno, [seqno]))
 
     def test_finds_youngest_record(self, disk):
         self._plant(disk, 10, 0, 5)
@@ -153,8 +152,7 @@ class TestScanUnalignedGeometry:
     """
 
     def _plant(self, disk, block, seqno):
-        record = MapRecord(chunk_id=0, seqno=seqno, entries=[seqno])
-        poke(disk, block * 8, record.pack(4096))
+        poke(disk, block * 8, pack_record(4096, 0, seqno, [seqno]))
 
     def test_examines_every_whole_block(self):
         disk = Disk(_tiny_unaligned_spec())
@@ -283,14 +281,15 @@ def _random_image(disk, block_size, kinds, rng):
     sector_bytes = disk.sector_bytes
     sectors_per_block = block_size // sector_bytes
     for block, kind in enumerate(kinds):
-        record = MapRecord(
+        record = pack_record(
+            block_size,
             chunk_id=rng.randrange(4),
             seqno=rng.randrange(1, 1000),
             entries=[rng.randrange(2**32) for _ in range(rng.randrange(9))],
             prev_root=rng.choice([None, rng.randrange(64)]),
             bypass1=rng.choice([None, rng.randrange(64)]),
             txn_id=rng.choice([0, 0, 3]),
-        ).pack(block_size)
+        )
         sector = block * sectors_per_block
         if kind == "zeros":
             continue
@@ -549,16 +548,16 @@ class TestTailGeometryValidation:
     def test_tail_beyond_disk_rejected(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=1)
         store.write(disk.total_sectors, 3)
-        record, _ = store.read(disk_reader(store.disk))
+        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
         assert record is None
 
     def test_boundary_tail_blocks(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=8)
         last_valid = disk.total_sectors // 8 - 1
         store.write(last_valid, 3)
-        assert store.read(disk_reader(store.disk))[0] == (last_valid, 3)
+        assert store.parse(store.read_raw(disk_reader(store.disk))[0]) == (last_valid, 3)
         store.write(last_valid + 1, 3)
-        assert store.read(disk_reader(store.disk))[0] is None
+        assert store.parse(store.read_raw(disk_reader(store.disk))[0]) is None
 
     def test_vld_falls_back_to_scan_on_bogus_tail(self):
         """End to end: a planted out-of-range (but checksummed) record must

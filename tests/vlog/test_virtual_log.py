@@ -8,6 +8,7 @@ from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
 from repro.vlog.allocator import AllocationPolicy, EagerAllocator
+from repro.vlog.entries import MapRecord
 from repro.vlog.recovery import disk_reader
 from repro.vlog.virtual_log import VirtualLog
 from repro.vlog.vld import VirtualLogDisk
@@ -252,6 +253,43 @@ def test_the_smallest_known_overflow_recovers_exactly():
     chunks[1] = [7, 8]
     vlog.append(1, chunks[1])
     assert vlog.relocations == 1
+    vlog.check_invariants()
+    recovered, _cost, _n = _recover(vlog, vlog.tail)
+    assert recovered == chunks
+
+
+def test_the_smallest_known_cascade_recovers_exactly():
+    """The cascade half of ``VirtualLog.append``: a relocated overflow
+    chunk whose own fresh append overflows.
+
+    On the overflow witness's setup, appending chunks 0, 1, 2, 3, 4, 1,
+    5, 1, 3, 6, 3, 7, 3, 3 overflows chunk 2 on the 13th append.  The
+    14th overflows chunk 1, and chunk 1's fresh append overflows chunk 0,
+    so the three youngest records are chunks 3, 1, 0 in that order (two
+    overflows named by one append would be relocated last named first:
+    3, 0, 1).  The log still recovers exactly from its tail.
+    """
+    disk = Disk(ST19101, num_cylinders=2)
+    freemap = FreeSpaceMap(disk.geometry)
+    allocator = EagerAllocator(disk, freemap, 8, AllocationPolicy.NEAREST)
+    chunks = {}
+    vlog = VirtualLog(disk, allocator, lambda c: chunks[c], 4096)
+    history = (0, 1, 2, 3, 4, 1, 5, 1, 3, 6, 3, 7, 3, 3)
+    for step, chunk_id in enumerate(history[:-1]):
+        chunks[chunk_id] = [step, step + 1]
+        vlog.append(chunk_id, chunks[chunk_id])
+    assert vlog.relocations == 1
+    chunks[3] = [13, 14]
+    vlog.append(3, chunks[3])
+    assert vlog.relocations == 3
+
+    def seqno(chunk_id):
+        block = vlog.location_of(chunk_id)
+        return MapRecord.unpack(disk.peek(block * 8, 8)).seqno
+
+    newest = sorted(chunks, key=seqno)[-3:]
+    assert newest == [3, 1, 0]
+    assert [seqno(c) for c in newest] == list(range(seqno(3), seqno(3) + 3))
     vlog.check_invariants()
     recovered, _cost, _n = _recover(vlog, vlog.tail)
     assert recovered == chunks

@@ -175,7 +175,7 @@ class TestCrashRecovery:
         vld.power_down()
         vld.crash()
         vld.recover()
-        record, _ = vld.power_store.read(disk_reader(vld.disk))
+        record = vld.power_store.parse(vld.power_store.read_raw(disk_reader(vld.disk))[0])
         assert record is None  # Section 3.2: "clear it after recovery"
 
     def test_fast_recovery_vs_scan_recovery_cost(self, vld):

@@ -17,7 +17,6 @@ class TestSmallFile:
         assert result.create_seconds > 0
         assert result.read_seconds > 0
         assert result.delete_seconds > 0
-        assert result.phase("create") == result.create_seconds
 
     def test_files_are_gone_after_delete(self, ufs):
         run_small_file(ufs, num_files=10)
