@@ -209,6 +209,16 @@ class NVMDevice:
         self._check(offset, nbytes)
         return self._image[offset : offset + nbytes]
 
+    def stats(self) -> dict:
+        return {
+            "loads": self.loads,
+            "stores": self.stores,
+            "flushes": self.flushes,
+            "bytes_loaded": self.bytes_loaded,
+            "bytes_stored": self.bytes_stored,
+            "stores_lost_on_crash": self.stores_lost_on_crash,
+        }
+
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return (
             f"NVMDevice({self.spec.name}, {self.spec.capacity_bytes} B, "

@@ -360,8 +360,8 @@ class EventTrace:
     builds no row: a fired event costs 8 + 8 bytes and a name pointer,
     where a row tuple with its float and int cost about 120.  The trace
     reads back as the list of rows it replaces: iteration gives rows
-    (``list(trace)`` is that list), it compares equal to a list of
-    rows, and its ``repr`` is that list's.
+    (``list(trace)`` is that list), ``len`` counts them, it compares
+    equal to a list of rows, and its ``repr`` is that list's.
     """
 
     __slots__ = ("times", "seqs", "names")
@@ -373,6 +373,9 @@ class EventTrace:
 
     def __iter__(self) -> Iterator[Tuple[float, int, str]]:
         return zip(self.times, self.seqs, self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventTrace):

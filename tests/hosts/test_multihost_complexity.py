@@ -94,7 +94,7 @@ def test_traced_bytes_per_event():
         )
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        events = len(list(report.pop("trace")))
+        events = len(report.pop("trace"))
         gc.collect()
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:

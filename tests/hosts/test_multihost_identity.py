@@ -122,7 +122,7 @@ def test_reports_and_traces_are_pinned(shape):
     digest, events, requests = PINNED[shape]
     # The cheap fields first: a count mismatch says more than a digest.
     assert report["requests"] == requests
-    assert report["events"] == events == len(list(report["trace"]))
+    assert report["events"] == events == len(report["trace"])
     assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 

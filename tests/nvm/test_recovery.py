@@ -176,12 +176,12 @@ class TestInjectedCrashes:
         wal.write_block(1, _blk(0x01))
         with pytest.raises(DeviceCrashed):
             wal.write_block(2, _blk(0x02))
-        stores = wal.nvm.stores
+        stores = wal.nvm.stats()["stores"]
         with pytest.raises(DeviceCrashed):
             wal.write_block(3, _blk(0x03))
         with pytest.raises(DeviceCrashed):
             wal.trim(1)
-        assert wal.nvm.stores == stores
+        assert wal.nvm.stats()["stores"] == stores
 
     @pytest.mark.parametrize("variant", ["before", "torn", "after"])
     def test_each_variant_persists_what_it_says(self, wal, variant):
@@ -238,7 +238,7 @@ class TestOneOrdinal:
         vld = VirtualLogDisk(disk)
         spec = NVM_SPECS["nvdimm"].with_overrides(capacity_bytes=96 << 10)
         wal = NVWal(vld, spec=spec)
-        writes, stores = disk.counters.writes, wal.nvm.stores
+        writes, stores = disk.counters.writes, wal.nvm.stats()["stores"]
         plane = FaultPlane().install(disk, wal.nvm)
         trims = 0
         for i in range(60):
@@ -254,7 +254,7 @@ class TestOneOrdinal:
             "nvm-record": wal.absorbed_writes + trims,
             "nvm-superblock": wal.log_resets,
         }
-        assert wal.nvm.stores - stores == (
+        assert wal.nvm.stats()["stores"] - stores == (
             plane.counts["nvm-record"] + plane.counts["nvm-superblock"]
         )
 

@@ -182,12 +182,11 @@ def _run(self) -> Generator:
     assert self._submitted is not None
     # Bound once per process, not per request: the two clocks (the
     # engine's view, and the disk's local frontier -- the same
-    # object when the disk was built on the engine's clock), the
-    # interval sink and this process's name.
+    # object when the disk was built on the engine's clock) and the
+    # list this process's service intervals go to.
     engine_clock = engine.clock
     disk_clock = self.disk.clock
     spans = engine.intervals.series("service", self.name)
-    name = self.name
     while True:
         if not self._pending:
             if self._closed:
@@ -201,6 +200,8 @@ def _run(self) -> Generator:
         disk_clock.advance_to(start)
         req = self.service_one()
         end = disk_clock.now
+        if not end >= start:
+            raise ValueError(f"interval ends before it starts: {start}..{end}")
         if end > start:
             spans.append((start, end))
         # Absolute, not a delay: `now + (end - now)` need not equal

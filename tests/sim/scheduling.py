@@ -6,11 +6,15 @@ fired as ``action(value)``.  Tests also put bare callbacks on the
 timeline, cancel them, fire one entry at a time and count what is left.
 These helpers do that with the same entry shape and the engine's own
 loop, so a test drives exactly what the multi-host driver drives.
+:func:`multihost_engine` hands back the engine a multi-host run drove,
+for tests that read what its processes recorded.
 """
 
 from heapq import heapify, heappush
 
-from repro.sim.engine import _bad_time
+from repro.disk.specs import ST19101
+from repro.hosts.multihost import run_multihost
+from repro.sim.engine import EventEngine, _bad_time
 
 
 class Callback:
@@ -84,3 +88,20 @@ def step(engine):
 def pending(engine):
     """Entries still to fire."""
     return len(engine._heap)
+
+
+def multihost_engine(monkeypatch, **kwargs):
+    """Run :func:`run_multihost` on the ST19101 with ``kwargs`` and
+    return the engine it drove: its ``intervals`` hold the think spans
+    the host loops and the service spans the disk processes recorded."""
+    engines = []
+
+    class Kept(EventEngine):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            engines.append(self)
+
+    monkeypatch.setattr("repro.hosts.multihost.EventEngine", Kept)
+    run_multihost(ST19101, **kwargs)
+    (engine,) = engines
+    return engine

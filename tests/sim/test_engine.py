@@ -28,7 +28,7 @@ from repro.sim.engine import (
     measure_within,
     merge_intervals,
 )
-from tests.sim.scheduling import after, at, pending, step
+from tests.sim.scheduling import after, at, multihost_engine, pending, step
 
 
 def _union(rec, kind):
@@ -222,7 +222,7 @@ class TestEventOrdering:
         assert engine.now == 0.2
         assert step(engine) == (0.3, 3, "p.timer")
         assert step(engine) is None
-        assert engine.events_fired == 3 == len(list(engine.trace))
+        assert engine.events_fired == 3 == len(engine.trace)
 
 
 class TestClockView:
@@ -450,17 +450,27 @@ class TestIntervalRecorder:
         )
         assert per_key == pytest.approx(2.0)
 
-    def test_zero_length_skipped_and_backwards_rejected(self):
-        """A driver takes a key's series before its first interval and
-        appends only when ``end > start`` (the scheduler's disk process,
-        the multihost think loop): a series handed out but left empty is
-        no key of any report."""
-        rec = IntervalRecorder()
-        spans = rec.series("busy", "d0")
-        for start, end in ((1.0, 1.0), (2.0, 1.0)):
-            if end > start:
-                spans.append((start, end))
-        assert rec.merged_by_key("busy") == {} and rec.keys("busy") == []
+    def test_zero_length_skipped_and_backwards_rejected(self, monkeypatch):
+        """The multihost think loop takes each host's series before its
+        first think and appends only when ``end > start``: a host whose
+        thinks are zero-length leaves its series empty, and an empty
+        series is no key of any report.  No think runs backwards: the
+        engine refuses a negative delay from a process."""
+        engine = multihost_engine(
+            monkeypatch, hosts=2, requests_per_host=3, think_seconds=[0.0, 0.001]
+        )
+        rec = engine.intervals
+        assert rec.series("think", "host0") == []
+        assert rec.keys("think") == ["host1"]
+        assert list(rec.merged_by_key("think")) == ["host1"]
+
+        def backwards():
+            yield -1.0
+
+        engine = EventEngine()
+        engine.spawn(backwards(), name="host0")
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.run()
 
 
 class TestTotalWithinBoundaries:
@@ -571,7 +581,7 @@ class TestEventTrace:
         engine = EventEngine(trace=True)
         assert engine.trace == [] and [] == engine.trace
         engine.run()
-        assert engine.trace == [] and list(engine.trace) == []
+        assert engine.trace == [] and len(engine.trace) == 0
         assert engine.trace != [(0.0, 0, "x")]
 
     def test_two_traces_compare_by_content(self):
@@ -587,11 +597,12 @@ class TestEventTrace:
         assert repr(EventEngine(trace=True).trace) == "[]"
 
     def test_len_iteration_indexing_and_slicing(self):
-        """The trace has no list protocol of its own: a reader takes
-        ``list(trace)``, and its length, rows and slices are the list's."""
+        """The trace has ``len`` and iteration, not indexing: a reader
+        takes ``list(trace)``, and its rows and slices are the list's."""
         trace, rows = self._traced()
+        assert len(trace) == len(rows) == 5
         listed = list(trace)
-        assert listed == rows and len(listed) == 5
+        assert listed == rows
         assert [row for row in trace] == rows
         assert listed[-1] == (0.75, 4, "w.timer")
         assert type(listed[0][0]) is float and type(listed[0][1]) is int
@@ -621,4 +632,4 @@ class TestEventTrace:
         clone.names.append("extra")
         clone.times.append(1.0)
         clone.seqs.append(5)
-        assert len(list(trace)) == 5 and clone != trace
+        assert len(trace) == 5 and clone != trace

@@ -129,6 +129,8 @@ class TestLatencyHistogram:
             LatencyHistogram(base=1e-6).merge(LatencyHistogram(base=1e-3))
 
     def test_as_dict_keys_are_readable(self):
+        """A report reads a histogram through ``percentiles()``, keyed by
+        readable quantile names."""
         h = LatencyHistogram()
         h.record(1.5e-6)
         assert h.percentiles() == pytest.approx(

@@ -4,8 +4,7 @@ NaN compares false with everything, so a guard written ``seconds < 0.0``
 lets it through: ``RegularDisk.idle(nan)`` used to leave the clock at NaN
 for every later write.  Every duration guard is ``not seconds >= 0.0``,
 which refuses NaN too; a driver appends an interval only when ``end >
-start``.  The idle
-entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
+start``.  The idle entry points -- ``IdleManager.grant``, ``RegularDisk.idle`` and
 ``VirtualLogDisk.idle`` -- also refuse infinity, before any queue
 drains: ``VirtualLogDisk.idle(inf)`` used to move the clock to infinity.
 A latency histogram refuses infinity (it has no bucket for it), and the
@@ -28,13 +27,13 @@ from repro.hosts.specs import SPARCSTATION_10
 from repro.nvm import NVWal
 from repro.sched.idle import IdleManager
 from repro.sim.clock import SimClock
-from repro.sim.engine import EventEngine, IntervalRecorder, measure
+from repro.sim.engine import EventEngine, measure
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
 from repro.vlfs.vlfs import VLFS
 from repro.vlog.reorganizer import ReadReorganizer
 from repro.vlog.vld import VirtualLogDisk
-from tests.sim.scheduling import at, pending
+from tests.sim.scheduling import at, multihost_engine, pending
 
 NAN = float("nan")
 INF = float("inf")
@@ -124,15 +123,21 @@ def test_nvwal_refuses_before_destaging(seconds):
     assert wal.clock.now == before
 
 
-def test_a_refused_interval_leaves_the_totals_finite():
-    """The drivers append an interval only when ``end > start``, which a
-    NaN endpoint fails, so no NaN reaches the family's total."""
-    intervals = IntervalRecorder()
-    spans = intervals.series("service", "d")
-    for start, end in ((0.0, 1.0), (0.0, NAN), (NAN, 2.0)):
-        if end > start:
-            spans.append((start, end))
-    assert measure(intervals.merged_by_key("service")["d"]) == 1.0
+def test_a_refused_interval_leaves_the_totals_finite(monkeypatch):
+    """The think loop and the disk process append a span only when ``end
+    > start``, and both ends come off a clock that refuses a NaN step:
+    a host that never thinks records nothing, and every family's total
+    is finite.  (A NaN think time is refused before the engine exists,
+    below.)"""
+    engine = multihost_engine(
+        monkeypatch, hosts=2, requests_per_host=3, think_seconds=[0.001, 0.0]
+    )
+    thinking = engine.intervals.merged_by_key("think")
+    assert list(thinking) == ["host0"]
+    assert measure(thinking["host0"]) == pytest.approx(0.003)
+    busy = engine.intervals.merged_by_key("service")
+    assert list(busy) == ["disk0"]
+    assert 0.0 < measure(busy["disk0"]) < INF
 
 
 @pytest.mark.parametrize("seconds", [INF, NAN, -1.0])

@@ -85,6 +85,7 @@ class TestLatencyRecorder:
         assert r.count == 2
 
     def test_record_parts_convenience(self):
+        """A caller builds the ``Breakdown`` and ``record``s it."""
         r = LatencyRecorder()
         r.record(Breakdown(locate=0.5, other=0.5))
         assert r.total_time == pytest.approx(1.0)
@@ -112,15 +113,6 @@ class TestLatencyRecorder:
         fractions = LatencyRecorder().component_fractions()
         assert all(v == 0.0 for v in fractions.values())
 
-    def test_merge_folds_samples(self):
-        """One recorder takes every stream's samples: Table 2 and Figure
-        9 read the measured writes of all their runs from one."""
-        a = LatencyRecorder()
-        for other in (1.0, 3.0):
-            a.record(Breakdown(other=other))
-        assert a.count == 2
-        assert a.mean() == pytest.approx(2.0)
-
     def test_reset_clears(self):
         r = LatencyRecorder()
         r.record(Breakdown(other=1.0))
@@ -129,6 +121,8 @@ class TestLatencyRecorder:
         assert r.total_time == 0.0
 
     def test_summary_is_readable(self):
+        """What a report reads off a recorder: count, mean, a percentile
+        and the component fractions."""
         r = LatencyRecorder()
         r.record(Breakdown(other=0.001))
         assert r.count == 1

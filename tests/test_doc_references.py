@@ -190,7 +190,7 @@ def test_a_deleted_name_does_not_resolve(text):
     [
         "`MapRecord.unpack`",
         "`vlog/entries.py::MapRecord.chunk_id`",
-        "`tests/sim/test_stats.py::TestLatencyRecorder::test_merge_folds_samples`",
+        "`tests/sim/test_stats.py::TestLatencyRecorder::test_mean_over_records`",
         "`repro.sim.clock.SimClock.now`",
         "`registry.py`",
     ],

@@ -7,8 +7,8 @@ import pytest
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.compactor import FreeSpaceCompactor
-from repro.vlog.recovery import disk_reader
 from repro.vlog.vld import VirtualLogDisk
+from tests.vlog.test_recovery import _read_record
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ class TestCompaction:
         # The record may be *cleared* (compaction invalidates a stale
         # power-down record), but its home block is never reallocated.
         raw = vld.disk.peek(0, 8)
-        record = vld.power_store.parse(vld.power_store.read_raw(disk_reader(vld.disk))[0])
+        record = _read_record(vld.power_store)
         assert record is not None or raw == bytes(4096)
         assert not vld.freemap.run_is_free(0, 8)
         assert 0 not in vld.reverse

@@ -7,11 +7,12 @@ persistence event, so the crash lands inside the internal data-write /
 map-append sequence -- between the eager data write and the commit, on
 the commit itself, or on a torn data write.  After every crash point:
 
-* every acknowledged logical write reads back its exact payload, unless
-  the interrupted write overwrote it;
+* every acknowledged logical write reads back its exact payload -- the
+  slot the interrupted write was overwriting too, unless that write's
+  map record landed and a relocation it set off crashed;
 * the interrupted write is atomic: its block reads entirely-old or
-  entirely-new, never a mixture (new when its map record landed and a
-  relocation after it crashed);
+  entirely-new, never a mixture, and entirely-new once its map record
+  landed before a relocation crashed;
 * recovery is stable -- a second crash + recovery rebuilds the
   identical map and changes no slot's bytes, and the virtual log's
   invariants hold after each.
@@ -76,6 +77,9 @@ class _UnderTest:
     def slot(self, step, rng):
         """The slot the workload's ``step``-th write goes to."""
         return rng.randrange(self.slots)
+
+    def relocations(self):
+        return self.device.vlog.relocations
 
     def write(self, slot, payload):
         self._recovered = None
@@ -171,7 +175,10 @@ class _VLFSUnderTest(_UnderTest):
 def _run_workload(under_test, power_down_at, acked=None):
     """Replay the deterministic workload; ``acked`` collects what was
     acknowledged.  Returns the write a crash interrupted as ``(slot, new
-    payload, old payload)``, or ``None`` when the run completed."""
+    payload, old payload, relocated)`` -- ``relocated`` when the call
+    had counted a relocation, which the virtual log does only after the
+    write's own map record landed -- ``()`` for a crash inside
+    ``power_down()``, or ``None`` when the run completed."""
     rng = random.Random(0xC4A5)
     acked = {} if acked is None else acked
     for step in range(under_test.steps):
@@ -182,10 +189,12 @@ def _run_workload(under_test, power_down_at, acked=None):
                 return ()
         slot = under_test.slot(step, rng)
         payload = _payload(step, slot)
+        relocations = under_test.relocations()
         try:
             under_test.write(slot, payload)
         except DeviceCrashed:
-            return (slot, payload, acked.get(slot, under_test.unwritten(slot)))
+            old = acked.get(slot, under_test.unwritten(slot))
+            return (slot, payload, old, under_test.relocations() > relocations)
         acked[slot] = payload
     return None
 
@@ -238,22 +247,25 @@ def _check_crash_point(factory, crash_at, power_down_at):
 def _check_recovered(under_test, acked, in_flight):
     """Durability, atomicity and stability of a recovered stack."""
     # Durability: everything acknowledged reads back exactly -- except
-    # the slot the interrupted write was overwriting, whose commit may
-    # have landed before a write that follows it in the same call (a
-    # relocation); the atomicity check below holds it to old-or-new.
-    overwritten = in_flight[0] if in_flight else None
+    # the slot the interrupted write was overwriting when that write's
+    # map record landed and a relocation after it in the same call
+    # crashed: the record supersedes the acked payload, and the
+    # atomicity check below holds the slot to the new one.
+    superseded = in_flight[0] if in_flight and in_flight[3] else None
     for slot, payload in acked.items():
-        if slot == overwritten:
+        if slot == superseded:
             continue
         assert under_test.read(slot) == payload, (
             f"acked write to slot {slot} lost"
         )
 
-    # Atomicity: the interrupted write is all-old or all-new.  (A crash
-    # inside power_down() itself interrupts no write.)
+    # Atomicity: the interrupted write is all-old or all-new, and new
+    # once its map record landed.  (A crash inside power_down() itself
+    # interrupts no write.)
     if in_flight:
-        slot, new, old = in_flight
-        assert under_test.read(slot) in (old, new), (
+        slot, new, old, relocated = in_flight
+        expected = (new,) if relocated else (old, new)
+        assert under_test.read(slot) in expected, (
             f"torn state visible at slot {slot} after recovery"
         )
 
@@ -285,6 +297,25 @@ def test_the_cascade_history_cascades():
     under_test = _CascadeUnderTest()
     _run_workload(under_test, None)
     assert under_test.device.vlog.relocations == 3
+
+
+@pytest.mark.parametrize("power_down_at", [None, _POWER_DOWN_AT])
+def test_only_cascade_points_crash_after_a_relocation(power_down_at):
+    # The durability check spares the interrupted write's old payload
+    # only where a relocation followed that write's map record: at the
+    # cascade's crashes on its three relocations, and at no point of the
+    # random VLD and VLFS workloads, which keep the exact-payload rule.
+    def relocated(factory):
+        points = range(1, _clean_run_write_count(factory, power_down_at) + 1)
+        return [
+            crash_at
+            for crash_at in points
+            if _crashed(factory, crash_at, power_down_at)[2][3:] == (True,)
+        ]
+
+    shift = 0 if power_down_at is None else 2
+    assert relocated(_CascadeUnderTest) == [27 + shift, 30 + shift, 31 + shift]
+    assert relocated(_VLDUnderTest) == relocated(_VLFSUnderTest) == []
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,11 @@ from tests.vlog.test_recovery_scan_reuse import (
 from tests._media import corrupt_power_down_record, op_counts, poke
 
 
+def _read_record(store):
+    """The power-down record ``store``'s disk holds now, parsed."""
+    return store.parse(store.read_raw(disk_reader(store.disk))[0])
+
+
 @pytest.fixture
 def disk():
     return Disk(ST19101, num_cylinders=2)
@@ -43,17 +48,17 @@ def store(disk):
 class TestPowerDownStore:
     def test_write_read_roundtrip(self, store):
         store.write(tail_block=123, seqno=77)
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record == (123, 77)
 
     def test_blank_disk_reads_none(self, store):
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record is None
 
     def test_clear_erases(self, store):
         store.write(9, 2)
         store.clear()
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record is None
 
     def test_corrupt_record_detected_by_checksum(self, store):
@@ -61,7 +66,7 @@ class TestPowerDownStore:
         must be detected, not trusted."""
         store.write(9, 2)
         corrupt_power_down_record(store)
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record is None
 
     def test_bitflip_detected(self, store, disk):
@@ -69,7 +74,7 @@ class TestPowerDownStore:
         raw = bytearray(disk.peek(store._sector, store.sectors_per_block))
         raw[9] ^= 0x40  # flip a bit inside the tail field
         poke(disk, store._sector, bytes(raw))
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record is None
 
 
@@ -548,16 +553,16 @@ class TestTailGeometryValidation:
     def test_tail_beyond_disk_rejected(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=1)
         store.write(disk.total_sectors, 3)
-        record = store.parse(store.read_raw(disk_reader(store.disk))[0])
+        record = _read_record(store)
         assert record is None
 
     def test_boundary_tail_blocks(self, disk):
         store = PowerDownStore(disk, 0, 4096, tail_block_sectors=8)
         last_valid = disk.total_sectors // 8 - 1
         store.write(last_valid, 3)
-        assert store.parse(store.read_raw(disk_reader(store.disk))[0]) == (last_valid, 3)
+        assert _read_record(store) == (last_valid, 3)
         store.write(last_valid + 1, 3)
-        assert store.parse(store.read_raw(disk_reader(store.disk))[0]) is None
+        assert _read_record(store) is None
 
     def test_vld_falls_back_to_scan_on_bogus_tail(self):
         """End to end: a planted out-of-range (but checksummed) record must

@@ -131,18 +131,6 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _nvm_counters(nvm) -> dict:
-    """The NVM device's six counters, as the pinned digests hash them."""
-    return {
-        "loads": nvm.loads,
-        "stores": nvm.stores,
-        "flushes": nvm.flushes,
-        "bytes_loaded": nvm.bytes_loaded,
-        "bytes_stored": nvm.bytes_stored,
-        "stores_lost_on_crash": nvm.stores_lost_on_crash,
-    }
-
-
 def _fill_vld(vld, blocks) -> dict:
     expected = {}
     for i, lba in enumerate(blocks):
@@ -252,7 +240,7 @@ def _nvwal_vld(torn: bool) -> str:
     return _digest(
         _outcome(outcome),
         wal.clock.now.hex(),
-        _nvm_counters(wal.nvm),
+        wal.nvm.stats(),
         _vld_state(vld),
     )
 
@@ -276,7 +264,7 @@ def _nvwal_volume() -> str:
     return _digest(
         _outcome(outcome),
         wal.clock.now.hex(),
-        _nvm_counters(wal.nvm),
+        wal.nvm.stats(),
         [_vld_state(shard) for shard in volume.shards],
     )
 

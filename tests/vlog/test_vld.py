@@ -6,8 +6,8 @@ import pytest
 
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
-from repro.vlog.recovery import disk_reader
 from repro.vlog.vld import VirtualLogDisk
+from tests.vlog.test_recovery import _read_record
 from tests._media import corrupt_power_down_record
 
 
@@ -175,7 +175,7 @@ class TestCrashRecovery:
         vld.power_down()
         vld.crash()
         vld.recover()
-        record = vld.power_store.parse(vld.power_store.read_raw(disk_reader(vld.disk))[0])
+        record = _read_record(vld.power_store)
         assert record is None  # Section 3.2: "clear it after recovery"
 
     def test_fast_recovery_vs_scan_recovery_cost(self, vld):
