@@ -18,7 +18,7 @@ for what the one beneath can do.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.stats import Breakdown
@@ -136,8 +136,3 @@ class BlockDevice(abc.ABC):
     @property
     def capacity_bytes(self) -> int:
         return self.num_blocks * self.block_size
-
-
-def split_blocks(data: bytes, block_size: int) -> List[bytes]:
-    """Split a buffer into block-size pieces (the last may be short)."""
-    return [data[i : i + block_size] for i in range(0, len(data), block_size)]

@@ -433,10 +433,6 @@ class TracingDevice(ObservingDevice):
                 self._sink = None
                 self._owns_sink = False
 
-    def reset(self) -> None:
-        self.events.clear()
-        self.total_events = 0
-
 
 # ======================================================================
 # Metrics

@@ -131,3 +131,10 @@ def max_file_blocks(block_size: int) -> int:
     """Largest file (in blocks) the inode geometry can address."""
     ppb = pointers_per_block(block_size)
     return NUM_DIRECT + ppb + ppb * ppb
+
+
+def check_file_end(end: int, block_size: int) -> None:
+    """Refuse a file end past the last byte the inode can address."""
+    limit = max_file_blocks(block_size) * block_size
+    if end > limit:
+        raise ValueError(f"file end {end} passes the inode's limit of {limit} bytes")

@@ -194,7 +194,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="print per-stack device metrics summaries")
     parser.add_argument("--faults", metavar="SPEC",
                         help="inject device faults, e.g. "
-                             "'crash_after=40,torn=0.05,seed=7'")
+                             "'crash_after=40,torn=0.05,seed=7'; fail-slow "
+                             "keys slow_factor=F,slow_after=N,slow_ops=M "
+                             "slow host ops N through N+M-1")
     parser.add_argument("--jobs", type=int, metavar="N",
                         help="worker processes per experiment sweep "
                              "(default: 1, inline)")
@@ -217,7 +219,8 @@ def _parser() -> argparse.ArgumentParser:
                              "across M fault domains (per-shard tails)")
     parser.add_argument("--shard-slow", metavar="SPEC",
                         help="make one shard fail-slow, e.g. "
-                             "'shard=1,factor=8,after=20,ops=60' "
+                             "'shard=1,factor=8,after=20,ops=60': slows "
+                             "its disk services after+1 through after+ops "
                              "(requires --shards)")
     parser.add_argument("--queue-depth", type=int, metavar="N",
                         help="request-queue depth for every device stack "

@@ -179,10 +179,3 @@ class ResultCache:
                 pass
             raise
         return canonicalize(value)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}

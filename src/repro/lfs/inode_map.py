@@ -60,10 +60,6 @@ class InodeMap:
         self._check(inum)
         return self._entries[inum] != 0
 
-    def alloc_inum(self) -> Optional[int]:
-        """Lowest unused inode number (1 is conventionally the root)."""
-        return self.lowest_unused(())
-
     def lowest_unused(self, held: Container[int]) -> Optional[int]:
         """Lowest inum that is free in the map and not in ``held`` (the
         caller's in-memory inodes that have not reached the map yet).

@@ -40,13 +40,6 @@ class LFSSuperblock:
         )
         return raw + bytes(self.block_size - len(raw))
 
-    @classmethod
-    def unpack(cls, raw: bytes) -> "LFSSuperblock":
-        magic, bs, total, segb, nseg, start, maxi = _SB.unpack(raw[: _SB.size])
-        if magic != _MAGIC:
-            raise ValueError("not an LFS superblock")
-        return cls(bs, total, segb, nseg, start, maxi)
-
 
 class LFSLayout:
     """Derived layout facts."""

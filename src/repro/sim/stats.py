@@ -144,7 +144,3 @@ class LatencyRecorder:
         if total <= 0.0:
             return {name: 0.0 for name in COMPONENTS}
         return {name: getattr(self._sum, name) / total for name in COMPONENTS}
-
-    def reset(self) -> None:
-        self._totals.clear()
-        self._sum = Breakdown()

@@ -132,9 +132,6 @@ class UFSLayout:
     def data_start(self, group: int) -> int:
         return self.group_start(group) + self.meta_blocks_per_group
 
-    def group_end(self, group: int) -> int:
-        return self.group_start(group) + self.sb.blocks_per_group
-
     def group_of_block(self, lba: int) -> int:
         if lba < 1:
             raise ValueError("block 0 is the superblock")

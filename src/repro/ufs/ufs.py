@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 from repro.blockdev.interface import BlockDevice
 from repro.fs.api import FileSystemError
 from repro.fs.dirfile import DirectoryBlock
-from repro.fs.inode import FileType, INODE_SIZE, Inode, NUM_DIRECT
+from repro.fs.inode import FileType, INODE_SIZE, Inode, NUM_DIRECT, check_file_end
 from repro.fs.namespace import InodeNamespace
 from repro.fs.path import split_path
 from repro.hosts.specs import HostSpec
@@ -438,6 +438,7 @@ class UFS(InodeNamespace):
     def truncate(self, path: str, size: int) -> Breakdown:
         if size < 0:
             raise ValueError("size must be non-negative")
+        check_file_end(size, self.block_size)
         breakdown = self._start_op()
         inum, inode = self._file_at(path, breakdown)
         if size > inode.size:
@@ -601,6 +602,7 @@ class UFS(InodeNamespace):
     ) -> Breakdown:
         if offset < 0:
             raise ValueError("offset must be non-negative")
+        check_file_end(offset + len(data), self.block_size)
         nblocks = max(1, -(-len(data) // self.block_size))
         breakdown = self._start_op(nblocks)
         inum, inode = self._file_at(path, breakdown)

@@ -1,6 +1,5 @@
 import pytest
 
-from repro.blockdev.interface import split_blocks
 from repro.blockdev.regular import RegularDisk
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
@@ -91,8 +90,3 @@ class TestIdle:
     def test_negative_idle_rejected(self, device):
         with pytest.raises(ValueError):
             device.idle(-1.0)
-
-
-def test_split_blocks_helper():
-    data = b"a" * 10
-    assert split_blocks(data, 4) == [b"aaaa", b"aaaa", b"aa"]

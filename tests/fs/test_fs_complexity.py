@@ -144,12 +144,12 @@ def test_inode_cursor_still_finds_the_lowest_after_frees_and_loads():
     imap = InodeMap(64)
     for inum in range(1, 20):
         imap.set(inum, 100 + inum, 0)
-    assert imap.alloc_inum() == 20
+    assert imap.lowest_unused(()) == 20
     assert imap.lowest_unused({20, 21}) == 22
     imap.clear(5)
-    assert imap.alloc_inum() == 5
+    assert imap.lowest_unused(()) == 5
     imap.load_slice(8, [0, 0])
     imap.set(5, 105, 0)
-    assert imap.alloc_inum() == 8
+    assert imap.lowest_unused(()) == 8
     imap.load(InodeMap(64).pack())
-    assert imap.alloc_inum() == 1
+    assert imap.lowest_unused(()) == 1

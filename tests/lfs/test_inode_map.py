@@ -21,18 +21,18 @@ class TestInodeMap:
         imap.clear(5)
         assert imap.get(5) is None
 
-    def test_alloc_inum_lowest_first(self):
+    def test_lowest_unused_lowest_first(self):
         imap = InodeMap(64)
-        assert imap.alloc_inum() == 1
+        assert imap.lowest_unused(()) == 1
         imap.set(1, 10, 0)
         imap.set(2, 10, 1)
-        assert imap.alloc_inum() == 3
+        assert imap.lowest_unused(()) == 3
 
     def test_alloc_exhaustion(self):
         imap = InodeMap(4)
         for inum in (1, 2, 3):
             imap.set(inum, 10, inum)
-        assert imap.alloc_inum() is None
+        assert imap.lowest_unused(()) is None
 
     def test_live_inums(self):
         imap = InodeMap(16)

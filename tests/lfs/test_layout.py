@@ -1,6 +1,11 @@
 import pytest
 
-from repro.lfs.layout import LFSLayout, LFSSuperblock
+from repro.blockdev.regular import RegularDisk
+from repro.disk.disk import Disk
+from repro.disk.specs import ST19101
+from repro.hosts.specs import SPARCSTATION_10
+from repro.lfs.layout import LFSLayout
+from repro.lfs.lfs import LFS
 
 
 @pytest.fixture
@@ -49,11 +54,9 @@ class TestAddressing:
 
 
 class TestSuperblock:
-    def test_roundtrip(self, layout):
-        raw = layout.sb.pack()
-        assert len(raw) == 4096
-        assert LFSSuperblock.unpack(raw) == layout.sb
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            LFSSuperblock.unpack(bytes(4096))
+    def test_roundtrip(self):
+        """Formatting writes the packed superblock, one block, to block 0."""
+        lfs = LFS(RegularDisk(Disk(ST19101)), SPARCSTATION_10)
+        raw = lfs.layout.sb.pack()
+        assert len(raw) == lfs.block_size
+        assert lfs.device.read_block(0)[0] == raw

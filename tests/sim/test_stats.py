@@ -113,13 +113,6 @@ class TestLatencyRecorder:
         fractions = LatencyRecorder().component_fractions()
         assert all(v == 0.0 for v in fractions.values())
 
-    def test_reset_clears(self):
-        r = LatencyRecorder()
-        r.record(Breakdown(other=1.0))
-        r.reset()
-        assert r.count == 0
-        assert r.total_time == 0.0
-
     def test_summary_is_readable(self):
         """What a report reads off a recorder: count, mean, a percentile
         and the component fractions."""

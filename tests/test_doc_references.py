@@ -198,3 +198,35 @@ def test_a_deleted_name_does_not_resolve(text):
 def test_a_live_name_resolves(text):
     results = [ok for _, _, ok in references(text)]
     assert results and all(results)
+
+
+_PR_NUMBER = re.compile(r"\bPRs? ?\d")
+_HEADING = re.compile(r"^## (\d+)\. ", re.M)
+_CITATION = re.compile(
+    r"DESIGN\.md`?\s+(?:[Ss]ections?\s+|§)(\d+(?:\s*(?:,|-|–|and)\s*§?\d+)*)"
+)
+_COMMENT_BREAK = re.compile(r"\s*\n\s*(?:#\s*)?")
+
+
+def test_design_names_no_pr_number():
+    """DESIGN.md says what the code does; its history is CHANGES.md's."""
+    lines = (ROOT / "DESIGN.md").read_text().splitlines()
+    cited = [f"{n}: {line}" for n, line in enumerate(lines, 1) if _PR_NUMBER.search(line)]
+    assert cited == [], "DESIGN.md cites a PR:\n" + "\n".join(cited)
+
+
+def test_every_section_citation_names_a_heading():
+    """A "DESIGN.md section N" or "DESIGN.md §N" anywhere in the code or
+    the checked documents names one of DESIGN.md's ``## N.`` headings."""
+    sections = set(_HEADING.findall((ROOT / "DESIGN.md").read_text()))
+    cited = [*PY_FILES, *DOCUMENTS]
+    found, broken = 0, []
+    for path in cited:
+        text = _COMMENT_BREAK.sub(" ", (ROOT / path).read_text())
+        for match in _CITATION.finditer(text):
+            for number in re.findall(r"\d+", match.group(1)):
+                found += 1
+                if number not in sections:
+                    broken.append(f"{path}: {match.group(0)}")
+    assert found, "no citation matched: the pattern no longer fits the sources"
+    assert broken == [], "citations of a missing section:\n" + "\n".join(broken)

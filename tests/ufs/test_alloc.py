@@ -81,7 +81,7 @@ class TestBlocks:
     def test_spills_to_other_groups(self, alloc):
         # Exhaust group 0's data area.
         layout = alloc.layout
-        span = layout.group_end(0) - layout.data_start(0)
+        span = layout.sb.blocks_per_group - layout.meta_blocks_per_group
         for _ in range(span):
             alloc.alloc_block(goal_lba=layout.data_start(0))
         lba = alloc.alloc_block(goal_lba=layout.data_start(0))
