@@ -24,12 +24,16 @@ checksum but not for the real signature; the simulation never manufactures
 colliding data).
 
 There is one serialiser, :func:`pack_record`, and one parser,
-:meth:`MapRecord.unpack`.  The log's append path -- one record per logical
-write -- calls ``pack_record`` with the fields it holds, so no
-:class:`MapRecord` is built only to be packed and dropped, and the entry
-count is validated before the log allocates the record a home;
-:class:`MapRecord` is what recovery parses blocks *into*.  The field-by-field
-serialiser this replaced is ``tests/vlog/reference_record.py``.
+:meth:`MapRecord.unpack`, whose validity test is :func:`record_header`.
+The log's append path -- one record per logical write -- calls
+``pack_record`` with the fields it holds, so no :class:`MapRecord` is
+built only to be packed and dropped, and the entry count is validated
+before the log allocates the record a home.  Recovery's full-disk scan
+stops at :func:`record_header` and keeps a sequence number and the
+bytes; only the records its walk reaches are parsed into a
+:class:`MapRecord`.
+The field-by-field serialiser this replaced is
+``tests/vlog/reference_record.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Map-entry value meaning "logical block not mapped".
 UNMAPPED = 0xFFFFFFFF
@@ -168,33 +172,12 @@ class MapRecord:
 
     @classmethod
     def unpack(cls, raw) -> Optional["MapRecord"]:
-        """Parse a block; returns ``None`` when it is not a valid record.
-
-        Validation (magic + CRC + entry-count bound) is what lets recovery
-        prune pointers into recycled blocks and lets the scan fallback
-        find records at all.  The three tests are a conjunction, so they
-        run cheapest first: nearly every block the scan offers is data,
-        and eight bytes of magic settle it without a CRC over the block.
-        ``raw`` is any buffer: the scan passes views of its track buffer,
-        and fields are read out of it where it lies.
-        """
-        size = len(raw)
-        if size <= _MIN_BLOCK_BYTES:
+        """Parse a block; returns ``None`` when it is not a valid record
+        (:func:`record_header`'s test), else the header and entry list."""
+        header = record_header(raw)
+        if header is None:
             return None
-        magic, chunk_id, n_entries, seqno, prev, b1, b2, txn = (
-            _HEADER.unpack_from(raw)
-        )
-        if magic != MAGIC:
-            return None
-        body_end = size - _TRAILER.size
-        (stored_crc,) = _TRAILER.unpack_from(raw, body_end)
-        if zlib.crc32(raw[:body_end]) != stored_crc:
-            return None
-        # ``entries_per_chunk(size)``, inlined (``size`` is known to be
-        # large enough), and never more entries than the body has room for.
-        room = (body_end - _HEADER.size) // 4
-        if n_entries > room or n_entries > max(8, (room // 8) * 8):
-            return None
+        _magic, chunk_id, n_entries, seqno, prev, b1, b2, txn = header
         return cls(
             chunk_id,
             seqno,
@@ -204,3 +187,35 @@ class MapRecord:
             None if b2 < 0 else b2,
             txn,
         )
+
+
+def record_header(raw) -> Optional[Tuple]:
+    """The header of the valid record in ``raw`` -- ``(magic, chunk_id,
+    n_entries, seqno, prev_root, bypass1, bypass2, txn_id)``, pointers
+    raw (``-1`` for none) -- or ``None`` when ``raw`` is not one.
+
+    Validation (magic + CRC + entry-count bound) is what lets recovery
+    prune pointers into recycled blocks and lets the scan fallback find
+    records at all.  The three tests are a conjunction, so they run
+    cheapest first: nearly every block the scan offers is data, and
+    eight bytes of magic settle it without a CRC over the block.  ``raw``
+    is any buffer: the scan passes views of its track buffer, and fields
+    are read out of it where it lies.
+    """
+    size = len(raw)
+    if size <= _MIN_BLOCK_BYTES:
+        return None
+    header = _HEADER.unpack_from(raw)
+    if header[0] != MAGIC:
+        return None
+    body_end = size - _TRAILER.size
+    (stored_crc,) = _TRAILER.unpack_from(raw, body_end)
+    if zlib.crc32(raw[:body_end]) != stored_crc:
+        return None
+    # ``entries_per_chunk(size)``, inlined (``size`` is known to be large
+    # enough), and never more entries than the body has room for.
+    room = (body_end - _HEADER.size) // 4
+    n_entries = header[2]
+    if n_entries > room or n_entries > max(8, (room // 8) * 8):
+        return None
+    return header

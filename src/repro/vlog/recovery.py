@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
-from repro.vlog.entries import MAGIC, MapRecord
+from repro.vlog.entries import MAGIC, MapRecord, record_header
 
 if TYPE_CHECKING:
     from repro.vlog.virtual_log import VirtualLog
@@ -135,11 +135,11 @@ def scan_records(
     skip_sectors: int = 0,
     *,
     reader,
-) -> Tuple[Dict[int, MapRecord], Dict[int, bytes], List[Run], Breakdown, int]:
+) -> Tuple[Dict[int, int], Dict[int, bytes], List[Run], Breakdown, int]:
     """Full-disk scan for *every* valid map record (the slow path).
 
     Reads the disk track by track (the cheapest sequential pattern) and
-    parses every aligned record-sized unit for a valid map record.
+    tests every aligned record-sized unit for a valid map record.
     ``block_size`` is the *record* size (the VLD uses 512-byte map
     sectors); ``skip_sectors`` excludes the first N sectors of the disk
     (the power-down record's home).
@@ -149,10 +149,11 @@ def scan_records(
     record, and only the records that stay unreadable are zero-filled, so
     one bad sector costs one record, not a whole track of them.
 
-    Returns ``(records_by_block, bytes_by_block, zero_filled, breakdown,
-    records_examined)``: each record found, the block it was parsed from
-    (so that recovery's tree walk need not read it again), and the runs
-    the scan zero-filled, in the order it met them.
+    Returns ``(seqnos_by_block, bytes_by_block, zero_filled, breakdown,
+    records_examined)``: the sequence number of each record found (all
+    that choosing the tail needs), its bytes (so that recovery's tree
+    walk need not read it again, and parses only the records it reaches),
+    and the runs the scan zero-filled, in the order it met them.
     """
     breakdown = Breakdown()
     geometry = disk.geometry
@@ -160,7 +161,7 @@ def scan_records(
     total_blocks = geometry.total_sectors // sectors_per_block
     # Blocks that lie wholly inside the skipped sectors are never looked at.
     first_block = skip_sectors // sectors_per_block
-    found: Dict[int, MapRecord] = {}
+    found: Dict[int, int] = {}
     held: Dict[int, bytes] = {}
     zero_filled: List[Run] = []
     examined = 0
@@ -173,9 +174,10 @@ def scan_records(
     # Looking at a block is a sieve, not a parse: one strided slice pulls
     # the first byte of every slot in the buffer, ``find`` walks the ones
     # that could start ``MAGIC``, and only slots that do start with it are
-    # handed to ``MapRecord.unpack`` (which checks magic, CRC and entry
-    # count as ever).  Host cost follows the records on the disk, not its
-    # slots; ``examined`` is the number of slots the sieve covered.
+    # handed to ``record_header`` (magic, CRC and entry count, the test
+    # ``MapRecord.unpack`` makes).  Host cost follows the records on the
+    # disk, not its slots; ``examined`` is the number of slots the sieve
+    # covered.
     per_track = geometry.sectors_per_track
     magic_head = MAGIC[:1]
     pending = b""  # bytes read but not yet part of a whole block
@@ -210,9 +212,9 @@ def scan_records(
                 while slot >= 0:
                     at = lo + slot * block_size
                     if buffer.startswith(MAGIC, at):
-                        record = MapRecord.unpack(view[at : at + block_size])
-                        if record is not None:
-                            found[lo_block + slot] = record
+                        header = record_header(view[at : at + block_size])
+                        if header is not None:
+                            found[lo_block + slot] = header[3]  # seqno
                             held[lo_block + slot] = buffer[at : at + block_size]
                     slot = heads.find(magic_head, slot + 1)
             pending = buffer[end_block * block_size - base :]
@@ -220,11 +222,11 @@ def scan_records(
     return found, held, zero_filled, breakdown, examined
 
 
-def _youngest(found: Dict[int, MapRecord]) -> Optional[int]:
-    """The log tail among scanned records: the block of the one with the
-    highest sequence number (the lowest such block, should two tie);
-    ``None`` when there is none."""
-    return max(found, key=lambda block: found[block].seqno, default=None)
+def _youngest(seqnos: Dict[int, int]) -> Optional[int]:
+    """The log tail among scanned records, ``block -> seqno``: the block
+    of the one with the highest sequence number (the lowest such block,
+    should two tie); ``None`` when there is none."""
+    return max(seqnos, key=seqnos.__getitem__, default=None)
 
 
 @dataclass
@@ -344,12 +346,14 @@ def recover_log(
     read, or :func:`disk_reader`), ``None`` meaning the run stayed
     unreadable.
 
-    The disk is scanned at most once.  The scan keeps the bytes of every
-    record it found, and the traversal takes those from it at no media
-    cost; every other block it reads through ``reader``, so a slot that
-    stays dead still returns ``None`` and still degrades the traversal.
-    The reconstruction takes the scan's records, plus any the traversal
-    read that the scan did not find, and scans only when nothing has yet.
+    The disk is scanned at most once.  The scan keeps the sequence number
+    and the bytes of every record it found, and the traversal takes those
+    bytes from it at no media cost; every other block it reads through
+    ``reader``, so a slot that stays dead still returns ``None`` and still
+    degrades the traversal.  Only the reconstruction parses whole records
+    out of the scan's bytes: every record the scan found, plus any the
+    traversal read that the scan did not, scanning only when nothing has
+    yet.
 
     A slot the scan zero-filled is read again once the pass is over, for
     up to :data:`SALVAGE_ROUNDS` rounds: it may hold the youngest record
@@ -382,9 +386,9 @@ def recover_log(
     # Sectors up to the end of the record's home block hold no log.
     log_start = store._sector + store.sectors_per_block
     dead_runs: List[Run] = []
-    #: The scan's records and the bytes it parsed them from, by block;
+    #: The scan's sequence numbers and the records' bytes, by block;
     #: ``None`` until the disk has been scanned.
-    found: Optional[Dict[int, MapRecord]] = None
+    found: Optional[Dict[int, int]] = None
     held: Dict[int, bytes] = {}
     #: What the traversal read from the media, by block.
     fetched: Dict[int, bytes] = {}
@@ -401,9 +405,9 @@ def recover_log(
                 outcome.degraded = True
         return raw
 
-    def scan() -> Dict[int, MapRecord]:
+    def scan() -> Dict[int, int]:
         nonlocal held
-        records, held, zero_filled, cost, outcome.blocks_scanned = (
+        seqnos, held, zero_filled, cost, outcome.blocks_scanned = (
             scan_records(vlog.disk, vlog.block_size, log_start, reader=reader)
         )
         if zero_filled:
@@ -422,12 +426,12 @@ def recover_log(
             if raw is None:
                 dead_runs.append((sector, count))
             elif sector % spb == 0 and count == spb:
-                record = MapRecord.unpack(raw)
-                if record is not None:
-                    records[sector // spb] = record
+                header = record_header(raw)
+                if header is not None:
+                    seqnos[sector // spb] = header[3]
                     held[sector // spb] = raw
         breakdown.add(cost)
-        return records
+        return seqnos
 
     chunks = None
     if record is not None:
@@ -456,7 +460,11 @@ def recover_log(
         # An interior record was unreadable: the pruned traversal may
         # have lost whole subtrees.
         outcome.degraded = outcome.reconstructed = True
-        records = scan() if found is None else found
+        if found is None:
+            scan()
+        # Whole records, parsed now: every one the scan found, and any
+        # the traversal read that the scan did not.
+        records = {block: MapRecord.unpack(raw) for block, raw in held.items()}
         for block, raw in fetched.items():
             if block not in records:
                 read = MapRecord.unpack(raw)

@@ -79,12 +79,13 @@ class TestPowerDownStore:
 
 
 def _scan_for_tail(disk, skip_sectors=0):
-    """The scan fallback's answer: the youngest record a full scan finds,
-    the scan's cost and the slots it examined."""
-    found, _held, _zero_filled, cost, examined = scan_records(
+    """The scan fallback's answer: the block of the youngest record a full
+    scan finds (from its ``block -> seqno``), the scan's cost and the
+    slots it examined."""
+    seqnos, _held, _zero_filled, cost, examined = scan_records(
         disk, 4096, skip_sectors, reader=disk_reader(disk)
     )
-    return _youngest(found), cost, examined
+    return _youngest(seqnos), cost, examined
 
 
 class TestScanFallback:
@@ -267,6 +268,17 @@ def _reference_scan(disk, block_size, skip_sectors, reader):
     return found, examined, zero_filled
 
 
+def _assert_matches_the_reference(disk, sectors_per_block, found, held, want):
+    """The scan's ``block -> seqno`` and bytes against the reference's
+    parsed records: the same blocks, the same sequence numbers, and bytes
+    that are the media's and parse to the reference's record."""
+    assert found == {block: record.seqno for block, record in want.items()}
+    assert held.keys() == found.keys()
+    for block, raw in held.items():
+        assert raw == disk.peek(block * sectors_per_block, sectors_per_block)
+        assert MapRecord.unpack(raw) == want[block]
+
+
 #: What a slot of the random image holds ("record" twice: drawn twice as
 #: often, so most images carry several valid records).
 _SLOT_KINDS = (
@@ -329,8 +341,9 @@ def _random_image(disk, block_size, kinds, rng):
 
 class TestSieveScanDifferential:
     """``scan_records`` finds slot-aligned ``MAGIC`` with C-level slicing
-    and parses only those slots; the answer must be the per-slot
-    parser's, on every image, geometry, skip and reader."""
+    and tests only those slots, keeping each record's sequence number and
+    bytes; the answer must be the per-slot parser's, on every image,
+    geometry, skip and reader."""
 
     @settings(
         max_examples=150,
@@ -384,11 +397,11 @@ class TestSieveScanDifferential:
         want_found, want_examined, want_zero_filled = _reference_scan(
             disk, block_size, skip_sectors, reader
         )
-        assert found == want_found
+        _assert_matches_the_reference(
+            disk, sectors_per_block, found, held, want_found
+        )
         assert examined == want_examined
         assert zero_filled == want_zero_filled
-        for block, raw in held.items():
-            assert raw == disk.peek(block * sectors_per_block, sectors_per_block)
 
     def test_reference_and_sieve_agree_on_a_real_log(self):
         """The same comparison on an image a VLD actually wrote (512-byte
@@ -401,14 +414,14 @@ class TestSieveScanDifferential:
                 rng.randrange(vld.num_blocks // 2),
                 MAGIC * (vld.block_size // len(MAGIC)),
             )
-        found, _held, zero_filled, _cost, examined = scan_records(
+        found, held, zero_filled, _cost, examined = scan_records(
             disk, vld.map_record_bytes, 8, reader=disk_reader(disk)
         )
         want_found, want_examined, _zero_filled = _reference_scan(
             disk, vld.map_record_bytes, 8, None
         )
         assert len(found) > 20 and zero_filled == []
-        assert found == want_found
+        _assert_matches_the_reference(disk, 1, found, held, want_found)
         assert examined == want_examined == disk.total_sectors - 8
 
 
