@@ -12,6 +12,7 @@ disk process took 38.2, and the object-per-event engine before it 84.6
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -32,6 +33,11 @@ CALLS_PER_REQUEST_CEILING = 30
 #: wake-up names (``"<signal>-><process>"``), which only the trace holds.
 #: A list of ``(time, seq, name)`` tuples kept 143.5.
 TRACED_BYTES_PER_EVENT_CEILING = 64
+#: The same, with each name an integer code into the engine's name
+#: table: an 8-byte time, a 4-byte seq and an 8-byte code per event,
+#: plus the arrays' over-allocation.  With a ``str`` name per request
+#: the trace kept 49.3.
+CODED_BYTES_PER_EVENT_CEILING = 24
 
 
 @pytest.mark.parametrize("trace", [True, False])
@@ -101,3 +107,64 @@ def test_traced_bytes_per_event():
         tracemalloc.stop()
     assert events == report["events"] > 12000
     assert retained / events <= TRACED_BYTES_PER_EVENT_CEILING
+
+
+def test_a_traced_event_keeps_its_numbers():
+    """A finished report's trace keeps its three number columns and the
+    engine's name table: no ``str`` per request (tracemalloc for the
+    bytes, ``sys.getallocatedblocks`` for the objects the report frees
+    when it drops the trace, read before any row is)."""
+    tracemalloc.start()
+    try:
+        report = run_multihost(
+            ST19101, trace=True, **SHAPES["ledger-8x4-satf-mixed"]
+        )
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        blocks = sys.getallocatedblocks()
+        trace = report.pop("trace")
+        events = len(trace)
+        del trace
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+        objects = blocks - sys.getallocatedblocks()
+    finally:
+        tracemalloc.stop()
+    assert events == report["events"] > 12000
+    assert retained / events <= CODED_BYTES_PER_EVENT_CEILING
+    # A few arrays and the table's few dozen entries, not a name per
+    # request (4 028 with a ``str`` per completion).
+    assert objects / report["requests"] < 0.05
+
+
+@pytest.mark.parametrize("trace", [True, False])
+def test_a_run_renders_no_event_name(trace, monkeypatch):
+    """An event's name is an integer code until a trace row is read:
+    every entry the run pushes carries an ``int``, and the table's
+    renderer is not called, traced or not, until the rows are read."""
+    shape = SHAPES["ledger-8x4-satf-mixed"]
+    names = []
+    for module in (engine_module, scheduler_module):
+        push = module.heappush
+
+        def counting_push(heap, entry, push=push):
+            names.append(type(entry[2]))
+            push(heap, entry)
+
+        monkeypatch.setattr(module, "heappush", counting_push)
+    report = run_multihost(ST19101, trace=trace, **shape)
+    assert len(names) == report["events"] and set(names) == {int}
+
+    rendered = []
+    render = engine_module.EventNames.name
+
+    def counting_render(table, code):
+        rendered.append(code)
+        return render(table, code)
+
+    monkeypatch.setattr(engine_module.EventNames, "name", counting_render)
+    report = run_multihost(ST19101, trace=trace, **shape)
+    assert rendered == []
+    if trace:
+        rows = list(report["trace"])
+        assert len(rendered) == len(rows) == report["events"]
