@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.disk.disk import Disk
 from repro.sched.policies import SchedulingPolicy, make_policy
-from repro.sim.engine import EventEngine, Process, Signal
+from repro.sim.engine import NUMBER_SHIFT, EventEngine, Process, Signal
 from repro.sim.metrics import LatencyHistogram
 from repro.sim.stats import Breakdown
 
@@ -411,7 +411,9 @@ class DiskScheduler:
             op, sector, count, data, charge_scsi, seq, engine.clock.now
         )
         req.mark = self._picks
-        req.completed = Signal(engine, f"{self.name}.req{seq}.completed")
+        req.completed = Signal(
+            engine, process._completed_code + (seq << NUMBER_SHIFT)
+        )
         pending = self._pending
         pending.append(req)
         if len(pending) > self.max_outstanding:
@@ -442,7 +444,8 @@ class _DiskProcess(Process):
     (``tests/sched/reference_disk_process.py`` keeps that generator as
     the oracle) -- without allocating an ``Until`` or dispatching a
     yield per service.  Each wake-up is the engine's one entry shape,
-    ``(time, seq, name, self._resume, None)``, pushed here.
+    ``(time, seq, code, self._resume, None)``, pushed here with a name
+    code interned at construction.
     """
 
     __slots__ = (
@@ -451,7 +454,8 @@ class _DiskProcess(Process):
         "_disk_clock",
         "_spans",
         "_serving",
-        "_submitted_name",
+        "_submitted_code",
+        "_completed_code",
         "idle",
     )
 
@@ -468,7 +472,10 @@ class _DiskProcess(Process):
         self._spans = engine.intervals.series("service", name)
         #: The request in service, completed at the next turn.
         self._serving: Optional[DiskRequest] = None
-        self._submitted_name = f"{name}.submitted->{name}"
+        self._submitted_code = engine.names.intern(f"{name}.submitted->{name}")
+        #: ``"<name>.req{K}.completed"``, request ``K``'s signal: one
+        #: family, so :meth:`DiskScheduler.submit` formats no name.
+        self._completed_code = engine.names.family(f"{name}.req", ".completed")
         #: Waiting for a submission: the next one wakes the process.
         self.idle = False
 
@@ -479,7 +486,7 @@ class _DiskProcess(Process):
         engine = self.engine
         heappush(
             engine._heap,
-            (self._engine_clock.now, engine._seq, self._submitted_name, self._resume, None),
+            (self._engine_clock.now, engine._seq, self._submitted_code, self._resume, None),
         )
         engine._seq += 1
 
@@ -519,5 +526,5 @@ class _DiskProcess(Process):
         # identity demands engine time land bit-exactly on it.  (When
         # the disk clock *is* the engine clock, `end` is already now.)
         engine = self.engine
-        heappush(engine._heap, (end, engine._seq, self._until_name, self._resume, None))
+        heappush(engine._heap, (end, engine._seq, self._until_code, self._resume, None))
         engine._seq += 1

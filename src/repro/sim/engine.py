@@ -12,15 +12,20 @@ what that driver runs, and no more:
   reaches ``name``).  The entry carries everything the loop needs to
   fire it: the loop calls ``action(value)`` -- a bound
   ``Process._resume`` and the value it is woken with;
+* **event names as codes** (:class:`EventNames`) -- ``name`` is an
+  ``int`` into the engine's one name table, a fixed name interned where
+  it is built or a numbered family plus its number, so scheduling an
+  event formats no string; the string is built when a trace row is
+  read;
 * **named processes** (:class:`Process`) -- a generator adopted via
   :meth:`EventEngine.spawn` that yields what it waits for: a delay in
   seconds, an absolute time (:class:`Until`) or a :class:`Signal`; or a
   callback state machine started with :meth:`EventEngine.start` (the
   request path's disk process);
 * an optional **event trace** (:class:`EventTrace`) -- the ``(time,
-  seq, name)`` rows of fired events, stored as three columns -- which is
-  what the determinism tests diff across runs and across ``--jobs 1`` vs
-  ``--jobs N``;
+  seq, name)`` rows of fired events, stored as three number columns
+  against the name table -- which is what the determinism tests diff
+  across runs and across ``--jobs 1`` vs ``--jobs N``;
 * an :class:`IntervalRecorder` collecting the *real* think and service
   intervals of every process, which :func:`measure`,
   :func:`measure_within`, :func:`merge_intervals` and
@@ -41,8 +46,11 @@ the loop itself (pop, advance the view, count, trace, call), the
 wake-up a process schedules when it yields is one entry pushed from
 ``Process._resume`` with no object or closure of its own, and the
 engine writes its clock's ``now`` attribute directly -- the engine owns
-the timeline; everyone else only reads it.  ``tests/sim/reference_engine.py``
-keeps a one-object-per-event engine as a differential oracle.
+the timeline; everyone else only reads it.  A traced event keeps its
+numbers and no string: an 8-byte time, a 4-byte seq and an 8-byte name
+code, 21.5 bytes per fired event on the ledger's multi-host shape with
+the arrays' growth.  ``tests/sim/reference_engine.py`` keeps a
+one-object-per-event engine as a differential oracle.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 from repro.sim.clock import SimClock
@@ -88,6 +97,80 @@ def _bad_time(name: str, time: float, now: float) -> ValueError:
     )
 
 
+#: An event name's code: the low bits index its entry in the engine's
+#: :class:`EventNames`; a numbered family's name carries its number
+#: above them, so ``family + (number << NUMBER_SHIFT)`` is that name.
+NUMBER_SHIFT = 24
+_INDEX_MASK = (1 << NUMBER_SHIFT) - 1
+
+
+class EventNames:
+    """One engine's event names, each an ``int`` code into one table.
+
+    An entry is a fixed name (``"host2.timer"``), interned once where it
+    is built, or a numbered family -- a prefix and a suffix, whose name
+    for number ``K`` is ``f"{prefix}{K}{suffix}"`` and whose code is the
+    family's plus ``K << NUMBER_SHIFT`` (``"shard0.req{K}.completed"``,
+    one entry for every request of a disk).  A signal's wake-up of a
+    process, ``"<signal>-><process>"``, is one more entry per pair,
+    carrying the signal's number.  So scheduling an event formats no
+    string, traced or not: :meth:`name` builds the string when a trace
+    row is read.  The table keys nothing by process object, so a trace
+    that keeps it keeps no process alive.
+    """
+
+    __slots__ = ("_prefixes", "_suffixes", "_codes", "_arrows")
+
+    def __init__(self) -> None:
+        #: Entry ``i`` is ``_prefixes[i]`` when ``_suffixes[i]`` is
+        #: ``None``, else the family ``_prefixes[i]{K}_suffixes[i]``.
+        self._prefixes: List[str] = []
+        self._suffixes: List[Optional[str]] = []
+        self._codes: Dict[Tuple[str, Optional[str]], int] = {}
+        #: ``(signal entry, process name)`` -> the entry of its wake-up.
+        self._arrows: Dict[Tuple[int, str], int] = {}
+
+    def _entry(self, prefix: str, suffix: Optional[str]) -> int:
+        code = self._codes.get((prefix, suffix))
+        if code is None:
+            code = len(self._prefixes)
+            if code > _INDEX_MASK:
+                raise OverflowError("event name table is full")
+            self._codes[(prefix, suffix)] = code
+            self._prefixes.append(prefix)
+            self._suffixes.append(suffix)
+        return code
+
+    def intern(self, name: str) -> int:
+        """The code of the fixed name ``name``."""
+        return self._entry(name, None)
+
+    def family(self, prefix: str, suffix: str) -> int:
+        """The code of the numbered family ``prefix{K}suffix`` at
+        ``K = 0``; name ``K`` is this plus ``K << NUMBER_SHIFT``."""
+        return self._entry(prefix, suffix)
+
+    def _arrow(self, index: int, process: str) -> int:
+        """The entry of ``"<entry index>-><process>"``, the wake-up a
+        fire of a signal with that entry pushes for ``process``."""
+        # Built once per pair, then found in _arrows by Signal.fire.
+        prefix, suffix = self._prefixes[index], self._suffixes[index]
+        if suffix is None:
+            arrow = self._entry(prefix + "->" + process, None)
+        else:
+            arrow = self._entry(prefix, suffix + "->" + process)
+        self._arrows[(index, process)] = arrow
+        return arrow
+
+    def name(self, code: int) -> str:
+        """The name ``code`` stands for."""
+        index = code & _INDEX_MASK
+        suffix = self._suffixes[index]
+        if suffix is None:
+            return self._prefixes[index]
+        return f"{self._prefixes[index]}{code >> NUMBER_SHIFT}{suffix}"
+
+
 class Signal:
     """A wait/signal primitive, built as ``Signal(engine, name)``.
 
@@ -96,19 +179,30 @@ class Signal:
     with the fired value.  A signal carries no memory: firing with no
     waiters is a no-op, so guard with state (``if not req.done: yield
     req.completed``) when the occurrence may precede the wait.
+
+    ``name`` is a ``str``, interned into the engine's
+    :class:`EventNames`, or a code from that table already -- a
+    numbered family's, as a disk's per-request completion signal is, so
+    that building one formats no string.
     """
 
-    __slots__ = ("engine", "name", "_waiters")
+    __slots__ = ("engine", "code", "_waiters")
 
-    def __init__(self, engine: "EventEngine", name: str) -> None:
+    def __init__(self, engine: "EventEngine", name: Union[str, int]) -> None:
         self.engine = engine
-        self.name = name
+        self.code = name if type(name) is int else engine.names.intern(name)
         self._waiters: List["Process"] = []
+
+    @property
+    def name(self) -> str:
+        return self.engine.names.name(self.code)
 
     def fire(self, value: Any = None) -> int:
         """Wake every waiter (resumed via zero-delay events, so wake-ups
         interleave deterministically with everything else scheduled for
-        this instant).  Returns the number of processes woken."""
+        this instant).  Returns the number of processes woken.  Each
+        wake-up is named ``"<signal>-><process>"``: the table's entry for
+        that pair, carrying the signal's number."""
         waiters = self._waiters
         if not waiters:
             return 0
@@ -117,9 +211,15 @@ class Signal:
         heap = engine._heap
         now = engine.clock.now
         seq = engine._seq
-        name = self.name
+        code = self.code
+        index = code & _INDEX_MASK
+        number = code - index
+        arrows = engine.names._arrows
         for process in waiters:
-            heappush(heap, (now, seq, f"{name}->{process.name}", process._resume, value))
+            arrow = arrows.get((index, process.name))
+            if arrow is None:
+                arrow = engine.names._arrow(index, process.name)
+            heappush(heap, (now, seq, number + arrow, process._resume, value))
             seq += 1
         engine._seq = seq
         return len(waiters)
@@ -142,7 +242,8 @@ class Process:
     ``gen=None`` and started with :meth:`EventEngine.start`: it
     overrides :meth:`_resume` with its whole turn and schedules its next
     one by pushing the entry a yield would have pushed, ``(time,
-    engine._seq, name, action, value)`` onto ``engine._heap``
+    engine._seq, code, action, value)`` onto ``engine._heap``, with
+    ``code`` a name it interned in ``engine.names`` when it was built
     (then ``engine._seq += 1``), or by waiting to be woken.  That is the
     request path's disk process
     (:class:`repro.sched.scheduler.DiskScheduler`): no generator frame,
@@ -156,8 +257,8 @@ class Process:
         "done",
         "result",
         "terminated",
-        "_timer_name",
-        "_until_name",
+        "_timer_code",
+        "_until_code",
     )
 
     def __init__(
@@ -173,9 +274,9 @@ class Process:
         self.result: Any = None
         self.terminated = Signal(engine, f"{name}.terminated")
         # The two wake-up names a long-lived process schedules once per
-        # request, built once here.
-        self._timer_name = f"{name}.timer"
-        self._until_name = f"{name}.until"
+        # request, interned once here.
+        self._timer_code = engine.names.intern(f"{name}.timer")
+        self._until_code = engine.names.intern(f"{name}.until")
 
     def _resume(self, value: Any = None) -> None:
         """One turn: send ``value`` in, then schedule the wake-up for
@@ -203,18 +304,18 @@ class Process:
                 if not waited >= 0.0:  # negative, or NaN
                     raise ValueError("delay must be non-negative")
                 time = now + waited
-                name = self._timer_name
+                code = self._timer_code
             elif kind is Signal:
                 waited._waiters.append(self)
                 return
             elif kind is Until:
                 time = waited.time
-                name = self._until_name
+                code = self._until_code
                 if not time >= now:
                     if time < now:
                         time = now  # already past: resume immediately
                     else:
-                        raise _bad_time(name, time, now)
+                        raise _bad_time(engine.names.name(code), time, now)
             elif isinstance(waited, (int, float)):
                 # An int, a bool or a float subclass: once more as a float.
                 kind = float
@@ -226,7 +327,7 @@ class Process:
                     "delay, Until or Signal"
                 )
             break
-        heappush(engine._heap, (time, engine._seq, name, self._resume, None))
+        heappush(engine._heap, (time, engine._seq, code, self._resume, None))
         engine._seq += 1
 
     def __repr__(self) -> str:
@@ -355,34 +456,45 @@ class IntervalRecorder:
 class EventTrace:
     """The fired events' ``(time, seq, name)`` rows, stored as columns.
 
-    A run appends each row's fields to three columns -- ``times`` an
-    ``array("d")``, ``seqs`` an ``array("q")``, ``names`` a list -- and
-    builds no row: a fired event costs 8 + 8 bytes and a name pointer,
-    where a row tuple with its float and int cost about 120.  The trace
-    reads back as the list of rows it replaces: iteration gives rows
-    (``list(trace)`` is that list), ``len`` counts them, it compares
-    equal to a list of rows, and its ``repr`` is that list's.
+    A run appends each row's numbers to three columns -- ``times`` an
+    ``array("d")``, ``seqs`` 4-byte unsigned (widened once to
+    ``array("q")`` if a seq passes 2**32 - 1) and ``codes`` an
+    ``array("q")`` of name codes into the engine's :class:`EventNames`,
+    ``table`` -- and builds no row and no name: a fired event costs 20
+    bytes, where a row tuple with its float and int cost about 120.  The
+    trace reads back as the list of rows it replaces: iteration gives
+    rows (``list(trace)`` is that list), each name built from its code
+    there, ``len`` counts them, it compares equal to a list of rows from
+    either side and to another trace by rows, and its ``repr`` is that
+    list's.
     """
 
-    __slots__ = ("times", "seqs", "names")
+    __slots__ = ("times", "seqs", "codes", "table")
 
-    def __init__(self) -> None:
+    def __init__(self, table: EventNames) -> None:
         self.times = array("d")
-        self.seqs = array("q")
-        self.names: List[str] = []
+        self.seqs = array("I")
+        self.codes = array("q")
+        self.table = table
+
+    def _widen_seqs(self) -> Callable[[int], None]:
+        """Give ``seqs`` 8 bytes an entry; return its ``append``."""
+        self.seqs = array("q", self.seqs)
+        return self.seqs.append
 
     def __iter__(self) -> Iterator[Tuple[float, int, str]]:
-        return zip(self.times, self.seqs, self.names)
+        return zip(self.times, self.seqs, map(self.table.name, self.codes))
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.codes)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventTrace):
             return (
                 self.seqs == other.seqs
                 and self.times == other.times
-                and self.names == other.names
+                and list(map(self.table.name, self.codes))
+                == list(map(other.table.name, other.codes))
             )
         if isinstance(other, list):
             return list(self) == other
@@ -401,7 +513,7 @@ class EventEngine:
             advances it to the event's time; it never runs backwards.
         trace: Record every fired event's ``(time, seq, name)`` into
             :attr:`trace`, an :class:`EventTrace` (the determinism-diff
-            artifact).  Off by default -- a traced run keeps about 50
+            artifact).  Off by default -- a traced run keeps about 21.5
             bytes per fired event on the ledger's multi-host shape.
     """
 
@@ -410,16 +522,21 @@ class EventEngine:
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         #: ``(time, seq, name, action, value)``, ordered by the first
-        #: two; the loop calls ``action(value)``.
-        self._heap: List[Tuple[float, int, str, Callable[[Any], Any], Any]] = []
+        #: two; ``name`` is a code into :attr:`names`, and the loop
+        #: calls ``action(value)``.
+        self._heap: List[Tuple[float, int, int, Callable[[Any], Any], Any]] = []
         self._seq = 0
         #: Events fired so far; current *during* a run (an action reads
         #: a count that includes itself).
         self.events_fired = 0
+        #: Every event name this engine schedules, as codes.
+        self.names = EventNames()
         #: ``(time, seq, name)`` of every fired event, in firing order --
         #: seq included so that even same-instant reorderings (the
         #: hostile case) are visible -- or ``None`` when not tracing.
-        self.trace: Optional[EventTrace] = EventTrace() if trace else None
+        self.trace: Optional[EventTrace] = (
+            EventTrace(self.names) if trace else None
+        )
         #: Real think/service intervals, for exact overlap accounting.
         self.intervals = IntervalRecorder()
 
@@ -449,9 +566,9 @@ class EventEngine:
         machine (see :class:`Process`) -- and give it its first turn
         via a zero-delay ``"<name>.start"`` event, after everything
         already scheduled for this instant."""
+        code = self.names.intern(f"{process.name}.start")
         heappush(
-            self._heap,
-            (self.clock.now, self._seq, f"{process.name}.start", process._resume, None),
+            self._heap, (self.clock.now, self._seq, code, process._resume, None)
         )
         self._seq += 1
         return process
@@ -479,13 +596,13 @@ class EventEngine:
         if records is not None:
             trace_time = records.times.append
             trace_seq = records.seqs.append
-            trace_name = records.names.append
+            trace_code = records.codes.append
         horizon = inf if until is None else until
         limit = max_events if max_events > 0 else -1
         fired = 0
         while heap:
             entry = heappop(heap)
-            time, seq, name, action, value = entry
+            time, seq, code, action, value = entry
             if time > horizon:
                 heappush(heap, entry)  # not due in this slice
                 break
@@ -502,8 +619,12 @@ class EventEngine:
             self.events_fired += 1
             if records is not None:
                 trace_time(time)
-                trace_seq(seq)
-                trace_name(name)
+                try:
+                    trace_seq(seq)
+                except OverflowError:  # a seq past 2**32 - 1, once
+                    trace_seq = records._widen_seqs()
+                    trace_seq(seq)
+                trace_code(code)
             action(value)
         if until is not None:
             clock.advance_to(until)

@@ -26,7 +26,7 @@ those, too.  A fork starts with no page marked.
 from __future__ import annotations
 
 import mmap
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 #: A private mapping: pages read before any write share the zero page,
 #: and a forked process copies on write instead of sharing the image.
@@ -89,12 +89,27 @@ class MediaImage(mmap.mmap):
     def is_verified(self, offset: int, nbytes: int) -> bool:
         """Whether bytes ``[offset, offset + nbytes)`` are whole pages,
         every one marked by :meth:`mark_verified` and not written since."""
+        return not self.unverified(offset, nbytes)
+
+    def unverified(self, offset: int, nbytes: int) -> List[Tuple[int, int]]:
+        """The ``(offset, nbytes)`` stretches of ``[offset, offset +
+        nbytes)`` a read must still verify, in order: the maximal runs of
+        unmarked pages, none when every page is marked, and the whole
+        run when it is not whole pages."""
         if offset % _MARK or nbytes % _MARK:
-            return False
+            return [(offset, nbytes)]
+        marks = self._verified
         first = offset // _MARK
-        if nbytes == _MARK:
-            return self._verified[first] == 1
-        return self._verified.find(0, first, first + nbytes // _MARK) < 0
+        end = first + nbytes // _MARK
+        lo = marks.find(0, first, end)
+        runs = []
+        while lo >= 0:
+            hi = marks.find(1, lo, end)
+            if hi < 0:
+                hi = end
+            runs.append((lo * _MARK, (hi - lo) * _MARK))
+            lo = marks.find(0, hi, end)
+        return runs
 
     def mark_verified(self, offset: int, nbytes: int) -> None:
         """Mark the pages of a whole-page run a verify found clean; a

@@ -88,16 +88,16 @@ class ResilienceController:
         A run of whole 4 KB pages that a verify found clean is marked in
         the media image, and is not hashed again until a write touches
         it (DESIGN.md section 10, "Verify once"): neither its bytes nor
-        its checksums can have changed since.  The read itself -- its
-        time, its faults -- happens as ever.
+        its checksums can have changed since.  A read verifies only the
+        stretches of its run still unmarked, in order, and marks each
+        one that verifies clean; a marked page cannot hold the first bad
+        sector, so the verdict is the whole run's.  The read itself --
+        its time, its faults -- happens as ever.
         """
         disk = self.disk
         image = disk._data
         sector_bytes = self.checksums.sector_bytes
         offset, nbytes = sector * sector_bytes, count * sector_bytes
-        # A one-sector read (the recovery walk's map sectors) always
-        # verifies; the image leaves a run that is not whole pages alone.
-        memo = count > 1
         attempt = 1
         last_fault: Optional[DeviceFault] = None
         while True:
@@ -115,12 +115,17 @@ class ResilienceController:
                     fault.sector if fault.sector is not None else sector
                 )
             if data is not None:
-                if memo and image.is_verified(offset, nbytes):
-                    return data
-                bad = self.checksums.verify(sector, count, data)
-                if not bad:
-                    if memo:
-                        image.mark_verified(offset, nbytes)
+                # A run that is not whole pages (a one-sector map read)
+                # is one stretch, verified every time and never marked.
+                for lo, size in image.unverified(offset, nbytes):
+                    part = data
+                    if size != nbytes:  # a stretch: a view, not a copy
+                        part = memoryview(data)[lo - offset : lo - offset + size]
+                    bad = self.checksums.verify(lo // sector_bytes, size // sector_bytes, part)
+                    if bad:
+                        break
+                    image.mark_verified(lo, size)
+                else:
                     return data
                 self.checksum_failures += 1
                 failed_sector = bad[0]

@@ -15,7 +15,6 @@ taking zero and non-zero blocks through an orderly power-down, a crash
 and its recovery.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -26,13 +25,14 @@ from repro.harness.configs import STACKS, build_stack
 from repro.nvm.wal import NVWal
 from repro.vlog.vld import VirtualLogDisk
 from repro.workloads.random_update import prepare_file
+from tests._pins import running_pin
 
 BLOCK = 4096
 
 
 def _digest(*parts) -> str:
     """sha256 over each image's written runs and each checksum store."""
-    h = hashlib.sha256()
+    h = running_pin()
     for part in parts:
         if part is None:
             h.update(b"none")

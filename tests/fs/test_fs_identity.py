@@ -13,7 +13,6 @@ different eviction victim moves a clock reading and fails this test.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -26,6 +25,7 @@ from repro.lfs.lfs import LFS
 from repro.ufs.ufs import UFS
 from repro.vlfs.vlfs import VLFS
 from tests._media import op_counts
+from tests._pins import running_pin
 
 BLOCK = 4096
 FILES = 620
@@ -81,7 +81,7 @@ class _Recorder:
 
     def __init__(self, fs) -> None:
         self.fs = fs
-        self.digest = hashlib.sha256()
+        self.digest = running_pin()
 
     def note(self, op: str, breakdown=None) -> None:
         parts = [op, self.fs.clock.now.hex()]

@@ -11,14 +11,13 @@ outcome)`` list is hashed, so a flag that starts or stops being
 accepted somewhere moves the hash.
 """
 
-import hashlib
-import json
 import re
 
 import pytest
 
 from repro.harness import __main__ as cli
 from repro.harness.registry import EXPERIMENTS, Experiment
+from tests._pins import json_pin
 
 #: Each flag with a valid non-default value, then the flag it needs.
 #: ``--cache`` and ``--trace`` name paths under the test's directory.
@@ -100,5 +99,4 @@ def test_acceptance_matrix_is_pinned(capsys, monkeypatch, tmp_path):
         for flags in FLAGS for run in RUNS
     )
     assert len(matrix) == len(FLAGS) * (len(EXPERIMENTS) + 5)
-    digest = hashlib.sha256(json.dumps(matrix).encode()).hexdigest()
-    assert digest == MATRIX_SHA256
+    assert json_pin(matrix) == MATRIX_SHA256

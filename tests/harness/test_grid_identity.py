@@ -11,13 +11,12 @@ first sweep raises, an experiment that split its grid over two sweeps
 moves its hash too.  ``table1`` reads the specs and sweeps nothing.
 """
 
-import hashlib
-import json
 
 import pytest
 
 from repro.harness import sweep
 from repro.harness.registry import EXPERIMENTS
+from tests._pins import json_pin
 
 #: sha256 of ``[(fn_name, params, seed), ...]`` per (record, full).
 GRID_SHA256 = {
@@ -135,10 +134,7 @@ def _grid_of(name: str, full: bool, monkeypatch) -> list:
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_grid_is_pinned(name, full, monkeypatch):
     grid = _grid_of(name, full, monkeypatch)
-    digest = hashlib.sha256(
-        json.dumps(grid, sort_keys=True).encode()
-    ).hexdigest()
-    assert digest == GRID_SHA256[(name, full)]
+    assert json_pin(grid) == GRID_SHA256[(name, full)]
 
 
 def test_every_record_is_pinned():

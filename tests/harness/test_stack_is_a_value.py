@@ -22,7 +22,6 @@ still reading the original's state through a closure diverges here.
 from __future__ import annotations
 
 import copy
-import hashlib
 import mmap
 import pickle
 import random
@@ -51,6 +50,7 @@ from repro.vlog.transactions import TransactionalVLD
 from repro.vlog.vld import VirtualLogDisk
 from repro.workloads.random_update import prepare_file
 from tests._media import op_counts
+from tests._pins import sha256_hex
 
 FILE_BYTES = 1 << 20
 PREFIX_UPDATES = 50
@@ -109,7 +109,7 @@ def _fs_next(stack):
         block = rng.randrange(FILE_BYTES // BLOCK)
         if i % 5 == 4:
             data, cost = fs.read("/f", block * BLOCK, BLOCK)
-            log.append(("read", hashlib.sha256(data).hexdigest(), cost.total.hex()))
+            log.append(("read", sha256_hex(data), cost.total.hex()))
         else:
             payload = bytes([rng.randrange(256)]) * BLOCK
             cost = fs.write("/f", block * BLOCK, payload, sync=i % 3 != 0)
@@ -183,7 +183,7 @@ def _device_ops(stack, seed: int, ops: int):
         try:
             if kind in (3, 7):
                 data, cost = device.read_blocks(lba, count)
-                entry = ("read", hashlib.sha256(data).hexdigest(), cost.total.hex())
+                entry = ("read", sha256_hex(data), cost.total.hex())
             elif kind == 5 and rng.random() < 0.5:
                 entry = ("trim", device.trim(lba, count).total.hex())
             elif kind == 9:
@@ -255,7 +255,7 @@ def _state(stack, log):
     disks = stack["disks"]
     return {
         "ops": log,
-        "media": [hashlib.sha256(disk._data).hexdigest() for disk in disks],
+        "media": [sha256_hex(disk._data) for disk in disks],
         "clock": [disk.clock.now.hex() for disk in disks],
         "counters": [op_counts(disk) for disk in disks],
         "maps": [list(vld.imap.items()) for vld in stack["vlds"]],
@@ -295,10 +295,6 @@ def _pickle_fork(value):
 _FORKS = {"deepcopy": copy.deepcopy, "pickle": _pickle_fork}
 
 
-def _sha(image) -> str:
-    return hashlib.sha256(image).hexdigest()
-
-
 @pytest.mark.parametrize("how", sorted(_FORKS))
 def test_a_written_disk_image_forks_byte_for_byte(how):
     disk = Disk(ST19101, num_cylinders=4)
@@ -306,13 +302,13 @@ def test_a_written_disk_image_forks_byte_for_byte(how):
     for _ in range(64):
         sector = rng.randrange(disk.total_sectors - 8)
         disk.write(sector, 8, rng.randbytes(8 * disk.sector_bytes))
-    before = _sha(disk._data)
+    before = sha256_hex(disk._data)
     fork = _FORKS[how](disk)
     assert type(fork._data) is type(disk._data)
-    assert _sha(fork._data) == before
+    assert sha256_hex(fork._data) == before
     fork.write(0, 8, b"\x5a" * (8 * disk.sector_bytes))
-    assert _sha(fork._data) != before
-    assert _sha(disk._data) == before
+    assert sha256_hex(fork._data) != before
+    assert sha256_hex(disk._data) == before
 
 
 @pytest.mark.parametrize("how", sorted(_FORKS))
@@ -321,13 +317,13 @@ def test_an_nvwal_image_forks_byte_for_byte(how):
     for lba in range(12):
         wal.write_block(lba, bytes([lba + 1]) * BLOCK)
     nvm = wal.nvm
-    before = _sha(nvm._image)
+    before = sha256_hex(nvm._image)
     fork = _FORKS[how](nvm)
-    assert _sha(fork._image) == before
+    assert sha256_hex(fork._image) == before
     fork.store(0, b"\xa5" * 64)
     fork.flush()
-    assert _sha(fork._image) != before
-    assert _sha(nvm._image) == before
+    assert sha256_hex(fork._image) != before
+    assert sha256_hex(nvm._image) == before
 
 
 def test_a_fork_carries_only_the_written_pages():

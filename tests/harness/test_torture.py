@@ -6,7 +6,6 @@ and prove the torture point catches it, then prove the minimizer can
 shrink that failing plan while keeping it failing.
 """
 
-import hashlib
 import json
 import os
 
@@ -27,6 +26,7 @@ from repro.harness.sweep import run_sweep
 from repro.nvm import NVWal
 from repro.sim.stats import Breakdown
 from repro.vlog.virtual_log import VirtualLog
+from tests._pins import json_pin
 
 
 class TestTorturePoint:
@@ -103,10 +103,7 @@ def test_quick_set_verdicts_are_pinned():
     points = quick_set() + volume_quick_set()
     verdicts = [r.value for r in run_sweep(points, jobs=1, cache=None)]
     assert len(verdicts) == 35 + 12
-    digest = hashlib.sha256(
-        json.dumps(verdicts, sort_keys=True).encode()
-    ).hexdigest()
-    assert digest == QUICK_SET_DIGEST
+    assert json_pin(verdicts) == QUICK_SET_DIGEST
 
 
 class TestCheckerMutation:

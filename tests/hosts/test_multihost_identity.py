@@ -14,12 +14,11 @@ depth-1 identity shape, zero think time (every wake-up a same-instant
 tie), one think time per host, and a shard inside a fail-slow window.
 """
 
-import hashlib
-
 import pytest
 
 from repro.disk.specs import ST19101
 from repro.hosts.multihost import run_multihost
+from tests._pins import repr_pin
 
 SHAPES = {
     "ledger-8x4-satf-mixed": dict(
@@ -123,7 +122,7 @@ def test_reports_and_traces_are_pinned(shape):
     # The cheap fields first: a count mismatch says more than a digest.
     assert report["requests"] == requests
     assert report["events"] == events == len(report["trace"])
-    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+    assert repr_pin(report) == digest
 
 
 def test_the_slow_shape_really_limps():

@@ -1,6 +1,5 @@
 """The NVM write-ahead tier: absorption, reads, destage, backpressure."""
 
-import hashlib
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from repro.disk.specs import ST19101
 from repro.nvm import NVWal
 from repro.sim.clock import SimClock
 from repro.vlog.vld import VirtualLogDisk
+from tests._pins import sha256_hex
 
 
 @pytest.fixture
@@ -255,6 +255,6 @@ class TestDestageCostsWhatItDestages:
                 wal.write_partial(lba, 512, b"\x5a" * 700)
         assert wal._seq == 50
         image = wal.nvm.persisted(0, wal._tail)
-        assert hashlib.sha256(image).hexdigest() == (
+        assert sha256_hex(image) == (
             "aa477170f8293a17dd01180e8dfd5bd8e612370d9bff381afe0b740d05f6ef96"
         )

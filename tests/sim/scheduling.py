@@ -2,7 +2,8 @@
 
 The engine schedules what the stack runs -- processes and their
 wake-ups -- as ``(time, seq, name, action, value)`` heap entries, each
-fired as ``action(value)``.  Tests also put bare callbacks on the
+fired as ``action(value)``, ``name`` a code into the engine's
+``EventNames``.  Tests also put bare callbacks on the
 timeline, cancel them, fire one entry at a time and count what is left.
 These helpers do that with the same entry shape and the engine's own
 loop, so a test drives exactly what the multi-host driver drives.
@@ -53,7 +54,7 @@ def at(engine, time, action, name="event"):
     if not time >= now:  # in the past, or NaN (which has no order)
         raise _bad_time(name, time, now)
     seq = engine._seq
-    heappush(engine._heap, (time, seq, name, _call, action))
+    heappush(engine._heap, (time, seq, engine.names.intern(name), _call, action))
     engine._seq = seq + 1
     return Callback(engine, time, seq, name)
 
@@ -76,13 +77,13 @@ def step(engine):
     heap = engine._heap
     if not heap:
         return None
-    time, seq, name = heap[0][:3]
+    time, seq, code = heap[0][:3]
     try:
         engine.run(until=time, max_events=1)
     except RuntimeError as exc:
         if not str(exc).startswith("engine exceeded 1 events"):
             raise
-    return time, seq, name
+    return time, seq, engine.names.name(code)
 
 
 def pending(engine):

@@ -18,7 +18,9 @@ import pytest
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import (
+    NUMBER_SHIFT,
     EventEngine,
+    EventNames,
     EventTrace,
     IntervalRecorder,
     Signal,
@@ -565,7 +567,10 @@ class TestEventTrace:
         assert isinstance(trace, EventTrace)
         assert list(trace.times) == [row[0] for row in rows]
         assert list(trace.seqs) == [row[1] for row in rows]
-        assert trace.names == [row[2] for row in rows]
+        assert [trace.table.name(code) for code in trace.codes] == [
+            row[2] for row in rows
+        ]
+        assert trace.seqs.itemsize == 4 and trace.codes.typecode == "q"
 
     def test_equal_to_its_rows_from_both_sides(self):
         trace, rows = self._traced()
@@ -588,7 +593,7 @@ class TestEventTrace:
         first, _ = self._traced()
         second, _ = self._traced()
         assert first is not second and first == second
-        second.names[-1] = "w.until"
+        second.codes[-1] = second.table.intern("w.until")
         assert first != second
 
     def test_repr_is_the_rows_repr(self):
@@ -629,7 +634,80 @@ class TestEventTrace:
             assert clone == trace and clone == rows
             assert repr(clone) == repr(trace)
         clone = copy.deepcopy(trace)
-        clone.names.append("extra")
+        clone.codes.append(clone.table.intern("extra"))
         clone.times.append(1.0)
         clone.seqs.append(5)
         assert len(trace) == 5 and clone != trace
+
+    def test_a_seq_past_four_bytes_widens_the_column_once(self):
+        engine = EventEngine(trace=True)
+        engine._seq = 2**32 - 2
+        for name in ("a", "b", "c"):
+            at(engine, 1.0, lambda: None, name=name)
+        engine.run()
+        assert engine.trace.seqs.itemsize == 8
+        assert engine.trace == [
+            (1.0, 2**32 - 2, "a"),
+            (1.0, 2**32 - 1, "b"),
+            (1.0, 2**32, "c"),
+        ]
+
+    def test_traces_coded_by_different_tables_compare_by_rows(self):
+        first, rows = self._traced()
+        engine = EventEngine(trace=True)
+        engine.names.intern("an entry the other table does not have")
+        for time, seq, name in rows:
+            engine.trace.times.append(time)
+            engine.trace.seqs.append(seq)
+            engine.trace.codes.append(engine.names.intern(name))
+        assert list(engine.trace.codes) != list(first.codes)
+        assert engine.trace == first and first == engine.trace
+
+
+class TestEventNames:
+    """A name is a code: a fixed name one entry, a numbered family one
+    entry plus its number, and a signal's wake-up of a process one
+    entry per pair that carries the signal's number."""
+
+    def test_fixed_names_are_interned_once(self):
+        names = EventNames()
+        first = names.intern("host0.timer")
+        assert names.intern("host1.timer") != first
+        assert names.intern("host0.timer") == first
+        assert names.name(first) == "host0.timer"
+
+    def test_a_numbered_family_is_one_entry(self):
+        names = EventNames()
+        family = names.family("shard2.req", ".completed")
+        codes = [family + (k << NUMBER_SHIFT) for k in (0, 7, 4031, 2**38)]
+        assert [names.name(code) for code in codes] == [
+            "shard2.req0.completed",
+            "shard2.req7.completed",
+            "shard2.req4031.completed",
+            f"shard2.req{2**38}.completed",
+        ]
+        assert names.family("shard2.req", ".completed") == family
+        assert names.intern("shard2.req") != family  # not the same entry
+        assert len(names._prefixes) == 2
+
+    def test_a_numbered_signal_wakes_each_waiter_under_its_own_name(self):
+        engine = EventEngine(trace=True)
+        family = engine.names.family("disk.req", ".completed")
+        signal = Signal(engine, family + (12 << NUMBER_SHIFT))
+        assert signal.name == "disk.req12.completed"
+
+        def waiter():
+            yield signal
+
+        for host in ("h0", "h1"):
+            engine.spawn(waiter(), name=host)
+        engine.run()
+        signal.fire("done")
+        engine.run()
+        assert [row[2] for row in engine.trace] == [
+            "h0.start",
+            "h1.start",
+            "disk.req12.completed->h0",
+            "disk.req12.completed->h1",
+        ]
+        assert repr(signal) == "Signal('disk.req12.completed', waiters=0)"

@@ -9,6 +9,7 @@ from repro.vlog.allocator import (
     EagerAllocator,
 )
 from tests._media import op_counts
+from tests._pins import running_pin
 
 
 def make(policy=AllocationPolicy.NEAREST, fill_threshold=0.75):
@@ -176,7 +177,6 @@ def test_placement_sequence_is_pinned():
     all place blocks -- and every physical block chosen, every clock
     reading and every counter is bit-identical to the recorded run.  A
     free-map or mechanics speed-up may change host time only."""
-    import hashlib
     import random
 
     from repro.vlog.vld import VirtualLogDisk
@@ -188,7 +188,7 @@ def test_placement_sequence_is_pinned():
     page = bytes(vld.block_size)
     for lba in sorted(live):
         vld.write_block(lba, page)
-    digest = hashlib.sha256()
+    digest = running_pin()
     for issued in range(1, 2001):
         lba = rng.choice(live)
         vld.write_block(lba, page)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 
 import pytest
 
@@ -33,6 +32,7 @@ from repro.vlfs.vlfs import VLFS
 from repro.vlog.entries import QUARANTINE_CHUNK_BASE
 from repro.vlog.vld import VirtualLogDisk
 from tests._media import silently_corrupt
+from tests._pins import repr_pin
 from tests.vlog.test_recovery_scan_reuse import (
     RAISED_AFTER_POWER_DOWN,
     RAISED_AFTER_SCAN,
@@ -112,7 +112,7 @@ def _outcome(outcome) -> tuple:
 def _freemap(freemap) -> tuple:
     return (
         freemap.free_sectors,
-        hashlib.sha256(repr(freemap._masks).encode()).hexdigest(),
+        repr_pin(freemap._masks),
         freemap.quarantined_sectors(),
     )
 
@@ -125,10 +125,6 @@ def _vld_state(vld) -> tuple:
         vld.vlog.next_seqno,
         sorted(vld.resilience.quarantine.sectors),
     )
-
-
-def _digest(*parts) -> str:
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
 def _fill_vld(vld, blocks) -> dict:
@@ -161,7 +157,7 @@ def _vld(power_down: bool) -> str:
     assert outcome.used_power_down_record is power_down
     assert outcome.scanned is not power_down
     _read_back(vld, expected)
-    return _digest(_outcome(outcome), vld.clock.now.hex(), _vld_state(vld))
+    return repr_pin((_outcome(outcome), vld.clock.now.hex(), _vld_state(vld)))
 
 
 def _vld_reconstruct() -> str:
@@ -178,7 +174,7 @@ def _vld_reconstruct() -> str:
     assert outcome.degraded and outcome.reconstructed
     _read_back(vld, expected)
     assert vld.read_block(120)[0] == bytes(BS)
-    return _digest(_outcome(outcome), vld.clock.now.hex(), _vld_state(vld))
+    return repr_pin((_outcome(outcome), vld.clock.now.hex(), _vld_state(vld)))
 
 
 def _vlfs(power_down: bool) -> str:
@@ -203,13 +199,15 @@ def _vlfs(power_down: bool) -> str:
     for path, data in files.items():
         assert fs.read(path, 0, len(data))[0] == data, path
     imap = sorted((inum, fs.imap.get(inum)) for inum in fs.imap.live_inums())
-    return _digest(
-        _outcome(outcome),
-        fs.clock.now.hex(),
-        imap,
-        _freemap(fs.freemap),
-        fs.vlog.tail,
-        fs.vlog.next_seqno,
+    return repr_pin(
+        (
+            _outcome(outcome),
+            fs.clock.now.hex(),
+            imap,
+            _freemap(fs.freemap),
+            fs.vlog.tail,
+            fs.vlog.next_seqno,
+        )
     )
 
 
@@ -237,11 +235,13 @@ def _nvwal_vld(torn: bool) -> str:
     outcome = wal.recover()
     assert outcome.torn_tail is torn
     _read_back(wal, expected)
-    return _digest(
-        _outcome(outcome),
-        wal.clock.now.hex(),
-        wal.nvm.stats(),
-        _vld_state(vld),
+    return repr_pin(
+        (
+            _outcome(outcome),
+            wal.clock.now.hex(),
+            wal.nvm.stats(),
+            _vld_state(vld),
+        )
     )
 
 
@@ -261,11 +261,13 @@ def _nvwal_volume() -> str:
     outcome = wal.recover()
     assert len(outcome.inner.parts) == 3
     _read_back(wal, expected)
-    return _digest(
-        _outcome(outcome),
-        wal.clock.now.hex(),
-        wal.nvm.stats(),
-        [_vld_state(shard) for shard in volume.shards],
+    return repr_pin(
+        (
+            _outcome(outcome),
+            wal.clock.now.hex(),
+            wal.nvm.stats(),
+            [_vld_state(shard) for shard in volume.shards],
+        )
     )
 
 
@@ -278,10 +280,12 @@ def _recover_shard() -> str:
     volume.crash_shard(1)
     outcome = volume.recover_shard(1)
     _read_back(volume, expected)
-    return _digest(
-        _outcome(outcome),
-        volume.clock.now.hex(),
-        [_vld_state(shard) for shard in volume.shards],
+    return repr_pin(
+        (
+            _outcome(outcome),
+            volume.clock.now.hex(),
+            [_vld_state(shard) for shard in volume.shards],
+        )
     )
 
 
@@ -381,7 +385,7 @@ def _faulted_state(vld, outcome) -> tuple:
 def _flaky_tail(seed: int, power_down: bool) -> str:
     vld, outcome, acked = _flaky_tail_recovery(seed, power_down)
     state = _faulted_state(vld, outcome)
-    return _digest(state, _lost(vld, acked))
+    return repr_pin((state, _lost(vld, acked)))
 
 
 def _dead_quarantine_record() -> str:
@@ -399,7 +403,7 @@ def _dead_quarantine_record() -> str:
     vld.crash()
     outcome = vld.recover()
     assert outcome.scanned and outcome.conservatively_quarantined >= 1
-    return _digest(_faulted_state(vld, outcome))
+    return repr_pin((_faulted_state(vld, outcome),))
 
 
 def _dead_sector_scan() -> str:
@@ -413,7 +417,7 @@ def _dead_sector_scan() -> str:
     vld.crash()
     outcome = vld.recover()
     assert outcome.scanned and outcome.degraded
-    return _digest(_faulted_state(vld, outcome))
+    return repr_pin((_faulted_state(vld, outcome),))
 
 
 _MEDIA_FAULT_CASES = {

@@ -21,7 +21,6 @@ path may change host time only.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
@@ -30,6 +29,7 @@ from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.transactions import TransactionalVLD
 from tests._media import op_counts
+from tests._pins import running_pin, sha256_hex
 
 OPS = 1600
 IDLE_EVERY = 256
@@ -96,7 +96,7 @@ def _note_state(digest, vld) -> None:
                 disk.head_cylinder,
                 disk.head_head,
                 disk.clock.now.hex(),
-                hashlib.sha256(disk.peek(0, disk.total_sectors)).hexdigest(),
+                sha256_hex(disk.peek(0, disk.total_sectors)),
                 list(vld.resilience.checksums.items()),
                 sorted(vld.imap.items()),
             )
@@ -159,7 +159,7 @@ def _run(queue_depth: int, sched: str) -> str:
     )
     for lba in sorted(live):
         vld.write_block(lba, _page(lba, block_size))
-    digest = hashlib.sha256()
+    digest = running_pin()
     for issued in range(1, OPS + 1):
         roll = rng.random()
         if issued == 700:
@@ -213,7 +213,7 @@ def _run(queue_depth: int, sched: str) -> str:
             count = rng.choice((1, 1, 1, 4))
             lba = rng.randrange(vld.num_blocks - count)
             data, cost = vld.read_blocks(lba, count)
-            digest.update(hashlib.sha256(data).digest())
+            digest.update(running_pin(data).digest())
             _note(digest, vld, cost)
         if issued % IDLE_EVERY == 0:
             vld.idle(IDLE_SECONDS)
