@@ -9,7 +9,10 @@ parent commit took 149.7 and 112.3), against ceilings that leave room for
 the call or two other interpreter versions differ by.  Two counts say
 where the saving is: the append path builds no ``MapRecord`` (the image
 is packed from the fields in hand), and the compactor asks the free map
-about a cylinder, not about each of its tracks.
+about a cylinder, not about each of its tracks.  Two more say which
+steps the one-block write skips: a depth-1 write with nothing queued
+makes no ``DiskScheduler._enqueue`` round trip, and a record's entries
+are the map's own bytes, packed by no per-count ``Struct``.
 """
 
 import random
@@ -113,3 +116,25 @@ def test_freemap_queries_per_hole_plugged_block():
     moved = vld.compactor.blocks_moved
     assert moved > 200
     assert queries / moved <= FREEMAP_QUERIES_PER_MOVED_BLOCK_CEILING
+
+
+def test_depth_one_write_makes_no_queue_round_trip():
+    """At queue depth 1 with nothing pending, ``DiskScheduler.write``
+    services the request it builds in its own frame: no ``_enqueue``, and
+    every write is still serviced and counted."""
+    vld, work = _filled_vld()
+    serviced = vld.scheduler.serviced
+    calls, _ = calls_by_function(lambda: _drive(vld, work, idle=False))
+    assert calls[("scheduler.py", "_enqueue")] == 0
+    assert vld.scheduler.serviced - serviced == WRITES
+    assert vld.scheduler.max_outstanding == 1
+
+
+def test_write_block_builds_no_entry_struct(monkeypatch):
+    """A map record's entries are packed from the map's own storage, not
+    by a ``Struct("<nI")`` built (and kept) per entry count."""
+    monkeypatch.setattr(entries_module, "_ENTRY_STRUCTS", {})
+    vld, work = _filled_vld()
+    _drive(vld, work, idle=True)
+    assert vld.vlog.appends > WRITES and vld.vlog.relocations > 0
+    assert entries_module._ENTRY_STRUCTS == {}
