@@ -187,6 +187,27 @@ class DiskScheduler:
         breakdown claimable via :meth:`take_breakdown`); at greater depth
         it completes during later submissions, reads, or a drain.
         """
+        if self.queue_depth == 1 and not self._pending:
+            # Enqueued, it would be the only pending request, picked
+            # without a policy pass and serviced at once: build it and
+            # service it here, with the arrival, sequence number and
+            # mark _enqueue would give it (no pass-over to settle).
+            engine = self._engine
+            seq = self._seq
+            self._seq = seq + 1
+            req = DiskRequest(
+                "write",
+                sector,
+                count,
+                data,
+                charge_scsi,
+                seq,
+                engine.clock.now if engine is not None else self.disk.clock.now,
+            )
+            req.mark = self._picks
+            if not self.max_outstanding:
+                self.max_outstanding = 1
+            return self._service(req)
         req = self._enqueue("write", sector, count, data, charge_scsi)
         while len(self._pending) >= self.queue_depth:
             self.service_one()
@@ -274,6 +295,12 @@ class DiskScheduler:
             else:
                 pending.remove(chosen)
         chosen.passes = picks - chosen.mark
+        return self._service(chosen)
+
+    def _service(self, chosen: DiskRequest) -> DiskRequest:
+        """Service one request that has left the queue (or, written at
+        depth 1 onto an empty queue, never joined it): the one service
+        body."""
         disk = self.disk
         clock = disk.clock
         chosen.service_start = start = clock.now

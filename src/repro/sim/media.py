@@ -86,11 +86,6 @@ class MediaImage(mmap.mmap):
             image.store(offset, data)
         return image
 
-    def is_verified(self, offset: int, nbytes: int) -> bool:
-        """Whether bytes ``[offset, offset + nbytes)`` are whole pages,
-        every one marked by :meth:`mark_verified` and not written since."""
-        return not self.unverified(offset, nbytes)
-
     def unverified(self, offset: int, nbytes: int) -> List[Tuple[int, int]]:
         """The ``(offset, nbytes)`` stretches of ``[offset, offset +
         nbytes)`` a read must still verify, in order: the maximal runs of

@@ -23,7 +23,7 @@ the head can reach soonest.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
@@ -37,6 +37,19 @@ class AllocationPolicy(enum.Enum):
 
 class DiskFullError(Exception):
     """No free run of the requested size exists anywhere on the disk."""
+
+
+def block_runs(blocks: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(first, count)`` of each maximal run of consecutive numbers in
+    ``blocks``, which must be sorted ascending."""
+    start = prev = blocks[0]
+    for block in blocks[1:]:
+        if block == prev + 1:
+            prev = block
+            continue
+        yield start, prev - start + 1
+        start = prev = block
+    yield start, prev - start + 1
 
 
 class EagerAllocator:
@@ -104,21 +117,34 @@ class EagerAllocator:
         The chosen run is marked used.  ``sectors`` may be passed for
         interface clarity but must equal ``block_sectors``.
         """
-        if sectors is not None and sectors != self.block_sectors:
+        spb = self.block_sectors
+        if sectors is not None and sectors != spb:
             raise ValueError(
-                f"allocator unit is {self.block_sectors} sectors, "
+                f"allocator unit is {spb} sectors, "
                 f"got request for {sectors}"
             )
-        sector = self._choose_sector()
-        self.freemap._set(sector, self.block_sectors, False)  # mark_used
+        freemap = self.freemap
+        if freemap.free_sectors < spb:
+            raise DiskFullError("no free space left on device")
+        # Policy dispatch, in this frame: every eager write asks once.
+        policy = self.policy
+        if policy is AllocationPolicy.TRACK_FILL:
+            sector = self._choose_track_fill()
+        elif policy is AllocationPolicy.GREEDY_CYLINDER:
+            sector = self._choose_greedy()
+        else:
+            sector = self._choose_nearest()
+        if sector is None:
+            raise DiskFullError(f"no aligned free run of {spb} sectors")
+        freemap._set(sector, spb, False)  # mark_used
         self.allocations += 1
-        return sector // self.block_sectors
+        return sector // spb
 
     def allocate_run(self, max_blocks: int) -> Tuple[int, int]:
         """Allocate up to ``max_blocks`` physically contiguous blocks near
         the head; returns ``(first_block, blocks)``.
 
-        The first block is chosen exactly as :meth:`allocate` chooses it.
+        The first block is :meth:`allocate`'s answer, marked used at once.
         Under ``TRACK_FILL`` with an active fill track the run is then
         extended block by block while the *next adjacent* block is
         provably what the scalar query would return after servicing the
@@ -142,8 +168,8 @@ class EagerAllocator:
         """
         if max_blocks <= 0:
             raise ValueError("max_blocks must be positive")
-        sector = self._choose_sector()
         spb = self.block_sectors
+        sector = self.allocate() * spb
         run = 1
         fallback_blocks = 0
         if max_blocks > 1:
@@ -181,7 +207,9 @@ class EagerAllocator:
                 skew = mechanics.skew_by_track[track]
                 seek_same = mechanics.seek_by_distance[0]
                 reserve = max(self.reserve_sectors + spb, spb)
-                free = freemap.track_free_count(cylinder, head)
+                # The count before the first block was marked: the loop
+                # takes each block's sectors off as it projects it.
+                free = freemap.track_free_count(cylinder, head) + spb
                 base = track * n
                 # Project servicing each block's write with the kernel
                 # the disk will service it with, starting from the true
@@ -229,8 +257,11 @@ class EagerAllocator:
                     run += 1
                     if greedy_mode and policy is AllocationPolicy.TRACK_FILL:
                         fallback_blocks += 1
-        self.freemap._set(sector, run * spb, False)  # mark_used
-        self.allocations += run
+        if run > 1:
+            # mark_used: the free map is a set, so marking the extension
+            # after the first block is the state one mark of the run makes.
+            self.freemap._set(sector + spb, (run - 1) * spb, False)
+            self.allocations += run - 1
         self.fallbacks += fallback_blocks
         return sector // spb, run
 
@@ -254,15 +285,8 @@ class EagerAllocator:
             return
         spb = self.block_sectors
         set_run = self.freemap._set  # mark_free, less a frame per run
-        ordered = sorted(blocks)
-        start = prev = ordered[0]
-        for block in ordered[1:]:
-            if block == prev + 1:
-                prev = block
-                continue
-            set_run(start * spb, (prev - start + 1) * spb, True)
-            start = prev = block
-        set_run(start * spb, (prev - start + 1) * spb, True)
+        for first, count in block_runs(sorted(blocks)):
+            set_run(first * spb, count * spb, True)
 
     def reserve_block(self, block: int) -> None:
         """Permanently remove a block from the pool (e.g. the power-down
@@ -270,23 +294,8 @@ class EagerAllocator:
         self.freemap.mark_used(block * self.block_sectors, self.block_sectors)
 
     # ------------------------------------------------------------------
-    # Policy dispatch
+    # Policies (dispatched by :meth:`allocate`)
     # ------------------------------------------------------------------
-
-    def _choose_sector(self) -> int:
-        if self.freemap.free_sectors < self.block_sectors:
-            raise DiskFullError("no free space left on device")
-        if self.policy is AllocationPolicy.NEAREST:
-            sector = self._choose_nearest()
-        elif self.policy is AllocationPolicy.GREEDY_CYLINDER:
-            sector = self._choose_greedy()
-        else:
-            sector = self._choose_track_fill()
-        if sector is None:
-            raise DiskFullError(
-                f"no aligned free run of {self.block_sectors} sectors"
-            )
-        return sector
 
     # -- NEAREST --------------------------------------------------------
 
@@ -413,9 +422,13 @@ class EagerAllocator:
         if track is not None and not self._track_usable(*track):
             track = None
         if track is None:
-            # Nearest completely empty track, sweeping one direction.
-            track = self._fill_track = self.freemap.find_empty_track(
-                self.disk.head_cylinder
+            # Nearest completely empty track, sweeping one direction --
+            # asked only while the counters say one exists.
+            freemap = self.freemap
+            track = self._fill_track = (
+                freemap.find_empty_track(self.disk.head_cylinder)
+                if freemap._empty_tracks
+                else None
             )
         if track is None:
             self.fallbacks += 1

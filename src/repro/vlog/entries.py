@@ -39,12 +39,21 @@ The field-by-field serialiser this replaced is
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Map-entry value meaning "logical block not mapped".
 UNMAPPED = 0xFFFFFFFF
+
+#: The ``array`` type code of a map entry: unsigned 32 bits.  Where
+#: that code's machine words are also the record's little-endian 32-bit
+#: words (every CPython platform in use), an entry ``array`` is a record
+#: body as it lies and :func:`pack_record` takes its bytes whole.
+ENTRY_TYPECODE = "I"
+_ARRAY_IS_BODY = array(ENTRY_TYPECODE).itemsize == 4 and sys.byteorder == "little"
 
 #: The paper's map-record size: one 512-byte sector (Section 4.2).
 MAP_RECORD_BYTES = 512
@@ -109,7 +118,10 @@ def pack_record(
     entries, zero padding, trailing CRC32 over all of it.
 
     The log's append path calls this with the fields in hand (no
-    :class:`MapRecord` is built to be packed and dropped).  More entries
+    :class:`MapRecord` is built to be packed and dropped); ``entries``
+    from the indirection map are an ``array`` of :data:`ENTRY_TYPECODE`
+    whose bytes are the body, any other sequence is packed by a
+    per-count ``Struct``.  More entries
     than the block holds raise ``ValueError`` before anything is built,
     which is what lets the log validate a record *before* it allocates a
     home for it.
@@ -120,9 +132,17 @@ def pack_record(
     n = len(entries)
     if n > capacity:
         raise ValueError(f"{n} entries exceed capacity {capacity}")
-    body = _ENTRY_STRUCTS.get(n)
-    if body is None:
-        body = _ENTRY_STRUCTS[n] = struct.Struct(f"<{n}I")
+    if (
+        type(entries) is array
+        and entries.typecode == ENTRY_TYPECODE
+        and _ARRAY_IS_BODY
+    ):
+        body = entries.tobytes()
+    else:
+        packer = _ENTRY_STRUCTS.get(n)
+        if packer is None:
+            packer = _ENTRY_STRUCTS[n] = struct.Struct(f"<{n}I")
+        body = packer.pack(*entries)
     payload = b"".join(
         (
             _HEADER.pack(
@@ -135,7 +155,7 @@ def pack_record(
                 -1 if bypass2 is None else bypass2,
                 txn_id,
             ),
-            body.pack(*entries),
+            body,
             bytes(block_size - _HEADER.size - 4 * n - _TRAILER.size),
         )
     )

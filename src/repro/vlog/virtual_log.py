@@ -34,7 +34,7 @@ history behind it.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.disk import Disk
 from repro.sim.stats import Breakdown
@@ -82,7 +82,7 @@ class VirtualLog:
         self,
         disk: Disk,
         allocator: EagerAllocator,
-        chunk_provider: Callable[[int], List[int]],
+        chunk_provider: Callable[[int], Sequence[int]],
         block_size: int = 4096,
     ) -> None:
         self.disk = disk
@@ -160,7 +160,7 @@ class VirtualLog:
     # Appending (the one-disk-I/O map update of Section 3.2)
     # ------------------------------------------------------------------
 
-    def _chunk_payload(self, chunk_id: int) -> List[int]:
+    def _chunk_payload(self, chunk_id: int) -> Sequence[int]:
         """Current contents of a chunk (commit slots answer locally)."""
         if chunk_id >= COMMIT_CHUNK_BASE:
             txn = self._slot_txn.get(chunk_id)
@@ -168,7 +168,7 @@ class VirtualLog:
         return self.chunk_provider(chunk_id)
 
     def append(
-        self, chunk_id: int, entries: List[int], txn_id: int = 0
+        self, chunk_id: int, entries: Sequence[int], txn_id: int = 0
     ) -> Breakdown:
         """Write a new version of ``chunk_id``; returns the latency paid.
 
@@ -186,7 +186,7 @@ class VirtualLog:
         # More orphans than pointer slots: append the overflow
         # chunks afresh, last named first, each with the contents it had
         # when it was named; any of them may overflow in turn.
-        worklist: List[Tuple[int, List[int]]] = []
+        worklist: List[Tuple[int, Sequence[int]]] = []
         while True:
             for orphan_chunk in overflow:
                 self.relocations += 1
@@ -211,7 +211,7 @@ class VirtualLog:
     def _append_one(
         self,
         chunk_id: int,
-        entries: List[int],
+        entries: Sequence[int],
         breakdown: Breakdown,
         txn_id: int = 0,
         keep_old: bool = False,
@@ -310,7 +310,7 @@ class VirtualLog:
         return self.last_txn_seen
 
     def append_txn_member(
-        self, chunk_id: int, entries: List[int], txn_id: int
+        self, chunk_id: int, entries: Sequence[int], txn_id: int
     ) -> Tuple[Breakdown, Optional[int]]:
         """Append a transaction member; the superseded record is *not*
         recycled yet.  Returns ``(cost, superseded_block_or_None)``."""
@@ -467,7 +467,10 @@ class VirtualLog:
             parent_node = self._nodes.get(parent)
             if parent_node is not None and block in parent_node.targets:
                 parent_node.targets.remove(block)
-        self.allocator.free_block(block, self.sectors_per_block)
+        # free_block, less its frame: the record's sectors are one
+        # allocator unit.
+        spb = self.sectors_per_block
+        self.allocator.freemap._set(block * spb, spb, True)  # mark_free
 
     # ------------------------------------------------------------------
     # Recovery (Section 3.2's youngest-first tree traversal)

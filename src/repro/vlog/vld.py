@@ -23,7 +23,7 @@ from the tail record, or by scanning when that record is missing/corrupt.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.blockdev.interface import BlockDevice
 from repro.disk.disk import Disk
@@ -32,7 +32,7 @@ from repro.sched.idle import IdleManager
 from repro.sched.policies import SchedulingPolicy
 from repro.sched.scheduler import DiskScheduler
 from repro.sim.stats import Breakdown
-from repro.vlog.allocator import AllocationPolicy, EagerAllocator
+from repro.vlog.allocator import AllocationPolicy, EagerAllocator, block_runs
 from repro.vlog.compactor import FreeSpaceCompactor
 from repro.vlog.entries import (
     MAP_RECORD_BYTES,
@@ -160,7 +160,7 @@ class VirtualLogDisk(BlockDevice):
         #: The idle-time free-space compactor.
         self.compactor = FreeSpaceCompactor(self)
 
-    def _chunk_contents(self, chunk_id: int) -> List[int]:
+    def _chunk_contents(self, chunk_id: int) -> Sequence[int]:
         """Current contents of any non-commit log chunk: the indirection
         map's entries, or the quarantine table's payload for chunk ids in
         the quarantine range.  This is the log's ``chunk_provider``, so
@@ -216,6 +216,17 @@ class VirtualLogDisk(BlockDevice):
     def read_blocks(self, lba: int, count: int) -> Tuple[bytes, Breakdown]:
         self.check_lba(lba, count)
         breakdown = self._charge_scsi()
+        if count == 1:
+            # One block: one lookup and at most one media read, so no run
+            # to coalesce and no pieces to join.
+            physical = self.imap.get(lba)
+            if physical is None:
+                data = bytes(self.block_size)
+            else:
+                spb = self.sectors_per_block
+                data = self._read_physical(physical * spb, spb, breakdown)
+            self.logical_reads += 1
+            return data, breakdown
         pieces: List[bytes] = []
         # Coalesce physically contiguous runs into single media accesses --
         # sequentially written data usually is contiguous thanks to
@@ -269,6 +280,11 @@ class VirtualLogDisk(BlockDevice):
         # note) and bounds transient space demand.
         # (``check_lba`` has vouched for the range: chunk ids by arithmetic.)
         capacity = self.imap.chunk_capacity
+        if count == 1:
+            # One block is one run of one chunk.
+            self._write_run(lba, data, 0, 1, lba // capacity, breakdown)
+            self.logical_writes += 1
+            return breakdown
         i = 0
         while i < count:
             chunk_id = (lba + i) // capacity
@@ -287,11 +303,11 @@ class VirtualLogDisk(BlockDevice):
         chunk_id: int,
         breakdown: Breakdown,
     ) -> None:
-        displaced: List[int] = []
         spb = self.sectors_per_block
         block_size = self.block_size
         imap_set = self.imap.set
         reverse = self.reverse
+        displaced: List[int] = []
         if count > 1:
             # Run-granular movement: allocate a whole physically-contiguous
             # run, issue it as one run request (serviced block by block
@@ -342,8 +358,6 @@ class VirtualLogDisk(BlockDevice):
             )
             old = imap_set(lba, new_block)
             reverse[new_block] = lba
-            if old is not None:
-                displaced.append(old)
         # Write barrier, then the commit point: every queued data write
         # must reach the media before the map chunk's log record does, or
         # a crash between them would recover mappings to unwritten blocks.
@@ -353,7 +367,12 @@ class VirtualLogDisk(BlockDevice):
         )
         # Only now may the old copies be recycled (atomicity: a crash
         # before the commit recovers the old mapping and old data).
-        reverse_pop = self.reverse.pop
+        if count == 1:
+            if old is not None:
+                reverse.pop(old, None)
+                self.freemap._set(old * spb, spb, True)  # mark_free
+            return
+        reverse_pop = reverse.pop
         for old in displaced:
             reverse_pop(old, None)
         self.allocator.free_blocks(displaced)
@@ -545,21 +564,24 @@ class VirtualLogDisk(BlockDevice):
         self._rebuild_space_state()
 
     def _rebuild_space_state(self) -> None:
-        """Recompute the free map and reverse map from imap + vlog state."""
-        geometry = self.disk.geometry
-        self.freemap.mark_free(0, geometry.total_sectors)
-        self.freemap.mark_used(
-            self.POWER_DOWN_BLOCK * self.sectors_per_block,
-            self.sectors_per_block,
-        )
-        self.reverse.clear()
+        """Recompute the free map and reverse map from imap + vlog state.
+
+        Live data blocks and live map records are marked used a run of
+        consecutive blocks at a time (data blocks and record blocks apart:
+        their units differ).  The free map is a set, so marking a run is
+        the state marking its blocks one by one leaves, in any order."""
+        freemap = self.freemap
+        freemap.mark_free(0, self.disk.geometry.total_sectors)
+        spb = self.sectors_per_block
+        freemap.mark_used(self.POWER_DOWN_BLOCK * spb, spb)
+        reverse = self.reverse
+        reverse.clear()
         for lba, physical in self.imap.items():
-            self.freemap.mark_used(
-                physical * self.sectors_per_block, self.sectors_per_block
-            )
-            self.reverse[physical] = lba
-        for record in self.vlog.live_blocks():
-            self.freemap.mark_used(
-                record * self.vlog.sectors_per_block,
-                self.vlog.sectors_per_block,
-            )
+            reverse[physical] = lba
+        for unit, blocks in (
+            (spb, reverse),
+            (self.vlog.sectors_per_block, self.vlog.live_blocks()),
+        ):
+            if blocks:
+                for first, count in block_runs(sorted(blocks)):
+                    freemap.mark_used(first * unit, count * unit)

@@ -113,7 +113,7 @@ def test_a_half_marked_track_hashes_only_its_unmarked_pages(monkeypatch):
     base = victim - victim % per_track
     image = disk._data
     vld.resilience.read_sectors(base, per_track)  # marks the whole track
-    assert image.is_verified(base * 512, per_track * 512)
+    assert image.unverified(base * 512, per_track * 512) == []
     # Unmark every other page, the victim's among them, by storing its
     # bytes back unchanged.
     pages = range((victim - base) // spb % 2, per_track // spb, 2)
@@ -127,7 +127,7 @@ def test_a_half_marked_track_hashes_only_its_unmarked_pages(monkeypatch):
     assert sorted(sectors) == [
         base + page * spb + i for page in pages for i in range(spb)
     ]
-    assert image.is_verified(base * 512, per_track * 512)
+    assert image.unverified(base * 512, per_track * 512) == []
     silently_corrupt(disk, victim)
     with pytest.raises(MediaError) as caught:
         vld.resilience.read_sectors(base, per_track)

@@ -163,9 +163,9 @@ def test_a_block_that_read_clean_then_silently_corrupted_is_caught():
     sector = vld.imap.get(7) * vld.sectors_per_block
     image = vld.disk._data
     assert vld.read_block(7)[0] == bytes([9]) * BS
-    assert image.is_verified(sector * 512, BS)
+    assert image.unverified(sector * 512, BS) == []
     silently_corrupt(vld.disk, sector + 3)
-    assert not image.is_verified(sector * 512, BS)
+    assert image.unverified(sector * 512, BS) != []
     with pytest.raises(MediaError) as caught:
         vld.read_block(7)
     assert caught.value.sector == sector + 3
@@ -180,11 +180,11 @@ def test_a_direct_slice_write_clears_the_marks_it_touches():
     assert vld.imap.get(1) * BS == first + BS
     vld.read_blocks(0, 2)
     image = vld.disk._data
-    assert image.is_verified(first, 2 * BS)
+    assert image.unverified(first, 2 * BS) == []
     image.store(first + BS + 100, b"\x00")
-    assert image.is_verified(first, BS)
-    assert not image.is_verified(first + BS, BS)
-    assert not image.is_verified(first, 2 * BS)
+    assert image.unverified(first, BS) == []
+    assert image.unverified(first + BS, BS) != []
+    assert image.unverified(first, 2 * BS) != []
     with pytest.raises(MediaError):
         vld.read_block(1)
 
@@ -195,8 +195,8 @@ def test_a_fork_starts_with_no_page_marked(fork):
     vld.write_block(3, bytes([4]) * BS)
     vld.read_block(3)
     offset = vld.imap.get(3) * BS
-    assert vld.disk._data.is_verified(offset, BS)
+    assert vld.disk._data.unverified(offset, BS) == []
     twin = copy.deepcopy(vld) if fork == "deepcopy" else pickle.loads(pickle.dumps(vld))
-    assert not twin.disk._data.is_verified(offset, BS)
+    assert twin.disk._data.unverified(offset, BS) != []
     assert twin.read_block(3)[0] == bytes([4]) * BS
-    assert twin.disk._data.is_verified(offset, BS)
+    assert twin.disk._data.unverified(offset, BS) == []
