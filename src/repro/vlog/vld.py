@@ -271,8 +271,12 @@ class VirtualLogDisk(BlockDevice):
     def write_blocks(
         self, lba: int, count: int, data: Optional[bytes] = None
     ) -> Breakdown:
-        self.check_lba(lba, count)
-        data = self.check_data(data, count)
+        # check_lba's and check_data's tests, inline; they stay the
+        # raising (and zero-filling) path.
+        if count <= 0 or lba < 0 or lba + count > self.num_blocks:
+            self.check_lba(lba, count)  # raises
+        if data is None or len(data) != count * self.block_size:
+            data = self.check_data(data, count)
         breakdown = self._charge_scsi()
         # Process in runs that share a map chunk: write the data blocks of
         # the run, commit the chunk's map record once, then recycle the old

@@ -4,7 +4,7 @@
 One synchronous ``write_block`` on a 70 %-full VLD is the sentence the
 paper is about -- eager-write the block, append one map record -- and its
 host cost is priced here in Python-level calls under ``sys.setprofile``:
-70.9 with the idle compactor's share and 58.3 without on 3.11 (78.2 and
+68.9 with the idle compactor's share and 56.3 without on 3.11 (78.2 and
 65.4 while a depth-1 write still went through the queue and the
 allocator's dispatch frames), against ceilings that keep the headroom
 the earlier ones left for the call or two other interpreter versions
@@ -30,7 +30,7 @@ from tests._counting import calls_by_function, count_calls
 WRITES = 2048
 IDLE_EVERY = 256
 IDLE_SECONDS = 0.25
-CALLS_PER_WRITE_CEILING = {True: 93, False: 73}
+CALLS_PER_WRITE_CEILING = {True: 91, False: 71}
 FREEMAP_QUERIES_PER_MOVED_BLOCK_CEILING = 4
 
 #: ``FreeSpaceMap``'s rotational and scan queries: the eight the ledger
