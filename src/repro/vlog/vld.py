@@ -282,7 +282,7 @@ class VirtualLogDisk(BlockDevice):
         # the run, commit the chunk's map record once, then recycle the old
         # copies.  This both batches map updates (Section 3.2's transaction
         # note) and bounds transient space demand.
-        # (``check_lba`` has vouched for the range: chunk ids by arithmetic.)
+        # (The range test above vouched for it: chunk ids by arithmetic.)
         capacity = self.imap.chunk_capacity
         if count == 1:
             # One block is one run of one chunk.
@@ -311,7 +311,6 @@ class VirtualLogDisk(BlockDevice):
         block_size = self.block_size
         imap_set = self.imap.set
         reverse = self.reverse
-        displaced: List[int] = []
         if count > 1:
             # Run-granular movement: allocate a whole physically-contiguous
             # run, issue it as one run request (serviced block by block
@@ -322,6 +321,7 @@ class VirtualLogDisk(BlockDevice):
             # return, and a conservative stop merely splits the run.
             # Zero-copy payload slicing: the per-run pieces are views into
             # the caller's (immutable) buffer, not 4 KB copies.
+            displaced: List[int] = []
             view = memoryview(data)
             i = 0
             while i < count:
