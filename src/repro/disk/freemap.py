@@ -157,8 +157,6 @@ class FreeSpaceMap:
         for k in range(n):
             stride_runs.append(stride_runs[k] | (1 << (k * tpc)))
         self._stride_runs: List[int] = stride_runs
-        #: ``_lanes[head]``: all of ``head``'s lane of the cylinder view.
-        self._lanes: List[int] = [stride_runs[n] << head for head in range(tpc)]
         #: ``(count, align, skew of the cylinder's head 0) -> `` cylinder
         #: view bits where an aligned run of ``count`` sectors may start
         #: without crossing its track's end.  The geometry's skew is
@@ -592,7 +590,7 @@ class FreeSpaceMap:
         tpc = self._tpc
         best: Optional[Tuple[float, int, int]] = None
         if 0 <= current_head < tpc:
-            lane = others & self._lanes[current_head]
+            lane = others & (self._stride_runs[n] << current_head)
             if lane:
                 slot = start_slot % n
                 phase = int(slot)

@@ -189,22 +189,9 @@ class DiskScheduler:
         """
         if self.queue_depth == 1 and not self._pending:
             # Enqueued, it would be the only pending request, picked
-            # without a policy pass and serviced at once: build it and
-            # service it here, with the arrival, sequence number and
-            # mark _enqueue would give it (no pass-over to settle).
-            engine = self._engine
-            seq = self._seq
-            self._seq = seq + 1
-            req = DiskRequest(
-                "write",
-                sector,
-                count,
-                data,
-                charge_scsi,
-                seq,
-                engine.clock.now if engine is not None else self.disk.clock.now,
-            )
-            req.mark = self._picks
+            # without a policy pass and serviced at once: service it
+            # here, stamped as _enqueue stamps it (no pass-over to settle).
+            req = self._stamp("write", sector, count, data, charge_scsi)
             if not self.max_outstanding:
                 self.max_outstanding = 1
             return self._service(req)
@@ -243,6 +230,30 @@ class DiskScheduler:
         assert req.result is not None and req.breakdown is not None
         return req.result, req.breakdown
 
+    def _stamp(
+        self,
+        op: str,
+        sector: int,
+        count: int,
+        data: Optional[bytes],
+        charge_scsi: bool,
+    ) -> DiskRequest:
+        """A new request with its sequence number, arrival and pass-over
+        mark: how every synchronous submission is stamped, queued by
+        :meth:`_enqueue` or serviced at once by :meth:`write`."""
+        # Arrival is host-side time: engine time when attached (the disk's
+        # local clock may sit ahead at its free-at frontier), disk clock
+        # otherwise (synchronously the two are the same clock).
+        engine = self._engine
+        arrival = (
+            engine.clock.now if engine is not None else self.disk.clock.now
+        )
+        seq = self._seq
+        self._seq = seq + 1
+        req = DiskRequest(op, sector, count, data, charge_scsi, seq, arrival)
+        req.mark = self._picks
+        return req
+
     def _enqueue(
         self,
         op: str,
@@ -251,18 +262,7 @@ class DiskScheduler:
         data: Optional[bytes],
         charge_scsi: bool,
     ) -> DiskRequest:
-        # Arrival is host-side time: engine time when attached (the disk's
-        # local clock may sit ahead at its free-at frontier), disk clock
-        # otherwise (synchronously the two are the same clock).
-        engine = self._engine
-        arrival = (
-            engine.clock.now if engine is not None else self.disk.clock.now
-        )
-        req = DiskRequest(
-            op, sector, count, data, charge_scsi, self._seq, arrival
-        )
-        req.mark = self._picks
-        self._seq += 1
+        req = self._stamp(op, sector, count, data, charge_scsi)
         self._pending.append(req)
         if len(self._pending) > self.max_outstanding:
             self.max_outstanding = len(self._pending)

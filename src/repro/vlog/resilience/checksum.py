@@ -95,11 +95,8 @@ class ChecksumStore:
         if count == 1:
             crcs[sector] = zlib.crc32(data)
             return
-        split = _SPLITS.get((sb, count))
-        if split is None:
-            split = _split(sb, count)
         crcs[sector : sector + count] = array(
-            "q", map(zlib.crc32, split.unpack_from(data))
+            "q", map(zlib.crc32, _split(sb, count).unpack_from(data))
         )
 
     def record_zeros(self, sector: int, count: int) -> None:

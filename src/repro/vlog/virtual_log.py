@@ -467,10 +467,7 @@ class VirtualLog:
             parent_node = self._nodes.get(parent)
             if parent_node is not None and block in parent_node.targets:
                 parent_node.targets.remove(block)
-        # free_block, less its frame: the record's sectors are one
-        # allocator unit.
-        spb = self.sectors_per_block
-        self.allocator.freemap._set(block * spb, spb, True)  # mark_free
+        self.allocator.free_block(block, self.sectors_per_block)
 
     # ------------------------------------------------------------------
     # Recovery (Section 3.2's youngest-first tree traversal)

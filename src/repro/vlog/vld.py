@@ -216,17 +216,6 @@ class VirtualLogDisk(BlockDevice):
     def read_blocks(self, lba: int, count: int) -> Tuple[bytes, Breakdown]:
         self.check_lba(lba, count)
         breakdown = self._charge_scsi()
-        if count == 1:
-            # One block: one lookup and at most one media read, so no run
-            # to coalesce and no pieces to join.
-            physical = self.imap.get(lba)
-            if physical is None:
-                data = bytes(self.block_size)
-            else:
-                spb = self.sectors_per_block
-                data = self._read_physical(physical * spb, spb, breakdown)
-            self.logical_reads += 1
-            return data, breakdown
         pieces: List[bytes] = []
         # Coalesce physically contiguous runs into single media accesses --
         # sequentially written data usually is contiguous thanks to
@@ -374,7 +363,7 @@ class VirtualLogDisk(BlockDevice):
         if count == 1:
             if old is not None:
                 reverse.pop(old, None)
-                self.freemap._set(old * spb, spb, True)  # mark_free
+                self.allocator.free_block(old)
             return
         reverse_pop = reverse.pop
         for old in displaced:

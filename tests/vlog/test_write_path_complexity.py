@@ -4,11 +4,10 @@
 One synchronous ``write_block`` on a 70 %-full VLD is the sentence the
 paper is about -- eager-write the block, append one map record -- and its
 host cost is priced here in Python-level calls under ``sys.setprofile``:
-68.9 with the idle compactor's share and 56.3 without on 3.11 (78.2 and
+73.3 with the idle compactor's share and 60.4 without on 3.11 (78.2 and
 65.4 while a depth-1 write still went through the queue and the
-allocator's dispatch frames), against ceilings that keep the headroom
-the earlier ones left for the call or two other interpreter versions
-differ by.  Two counts say
+allocator's dispatch frames), against ceilings that leave room for the
+call or two other interpreter versions differ by.  Two counts say
 where the saving is: the append path builds no ``MapRecord`` (the image
 is packed from the fields in hand), and the compactor asks the free map
 about a cylinder, not about each of its tracks.  Two more say which
@@ -122,7 +121,7 @@ def test_freemap_queries_per_hole_plugged_block():
 
 def test_depth_one_write_makes_no_queue_round_trip():
     """At queue depth 1 with nothing pending, ``DiskScheduler.write``
-    services the request it builds in its own frame: no ``_enqueue``, and
+    services the request it stamps in its own frame: no ``_enqueue``, and
     every write is still serviced and counted."""
     vld, work = _filled_vld()
     serviced = vld.scheduler.serviced
