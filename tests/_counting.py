@@ -43,3 +43,27 @@ def calls_by_function(fn):
 
     result = _profiled(profiler, fn)
     return calls, result
+
+
+def count_sectors_hashed(monkeypatch, sector_bytes: int = 512) -> list:
+    """Count, from here on, the sectors the checksum sidecar hashes.
+
+    Every CRC the sidecar computes goes through its module's ``zlib``,
+    which is swapped for one that adds ``len(data) // sector_bytes`` to
+    the returned one-item list before hashing: work counted in sectors,
+    the same on every interpreter.
+    """
+    import zlib
+
+    from repro.vlog.resilience import checksum
+
+    hashed = [0]
+
+    class _Counting:
+        @staticmethod
+        def crc32(data, *value):
+            hashed[0] += len(data) // sector_bytes
+            return zlib.crc32(data, *value)
+
+    monkeypatch.setattr(checksum, "zlib", _Counting)
+    return hashed

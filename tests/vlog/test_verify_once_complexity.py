@@ -20,6 +20,7 @@ from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog.resilience import ChecksumStore, MediaError
 from repro.vlog.vld import VirtualLogDisk
+from tests._counting import count_sectors_hashed
 from tests._media import silently_corrupt
 
 BLOCKS = 300
@@ -60,7 +61,9 @@ def test_a_second_read_back_hashes_no_block(orderly, monkeypatch):
     vld.crash()
     sectors = Counter()
     hashed = _counting(monkeypatch, sectors)
+    crcs = count_sectors_hashed(monkeypatch)
     outcome = vld.recover()
+    assert crcs[0] > 0
     assert outcome.scanned != orderly and not outcome.degraded
     per_track = disk.geometry.sectors_per_track
     spb = vld.sectors_per_block
@@ -75,11 +78,15 @@ def test_a_second_read_back_hashes_no_block(orderly, monkeypatch):
         assert sorted(sectors) == list(range(disk.total_sectors))
 
     hashed.clear()
+    crcs[0] = 0
     _read_back(vld, expected)
     assert hashed == ({spb: len(expected)} if orderly else {})
+    assert crcs[0] == (spb * len(expected) if orderly else 0)
     hashed.clear()
+    crcs[0] = 0
     _read_back(vld, expected)
     assert hashed == {}
+    assert crcs[0] == 0
     assert max(sectors.values()) == 1
 
 
@@ -90,13 +97,17 @@ def test_a_write_makes_its_block_hash_again(monkeypatch):
     for lba in range(8):
         vld.read_block(lba)
     hashed = _counting(monkeypatch)
+    crcs = count_sectors_hashed(monkeypatch)
     for lba in range(8):
         vld.read_block(lba)
     assert sum(hashed.values()) == 0
+    assert crcs[0] == 0
     vld.write_block(3, bytes([99]) * vld.block_size)
+    crcs[0] = 0
     for lba in range(8):
         vld.read_block(lba)
     assert hashed == {vld.sectors_per_block: 1}
+    assert crcs[0] == vld.sectors_per_block
 
 
 def test_a_half_marked_track_hashes_only_its_unmarked_pages(monkeypatch):

@@ -24,7 +24,7 @@ from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
 from repro.vlog import entries as entries_module
 from repro.vlog.vld import VirtualLogDisk
-from tests._counting import calls_by_function, count_calls
+from tests._counting import calls_by_function, count_calls, count_sectors_hashed
 
 WRITES = 2048
 IDLE_EVERY = 256
@@ -139,3 +139,16 @@ def test_write_block_builds_no_entry_struct(monkeypatch):
     _drive(vld, work, idle=True)
     assert vld.vlog.appends > WRITES and vld.vlog.relocations > 0
     assert entries_module._ENTRY_STRUCTS == {}
+
+
+def test_write_block_hashes_no_sidecar_sector(monkeypatch):
+    """The checksum sidecar models the drive's out-of-band ECC, which
+    the host does not compute: a write records its sectors and hashes
+    none of them, neither the block's eight nor the map record's one."""
+    vld, work = _filled_vld()
+    appends = vld.vlog.appends
+    hashed = count_sectors_hashed(monkeypatch)
+    _drive(vld, work, idle=False)
+    records = vld.vlog.appends - appends
+    assert records >= WRITES
+    assert hashed[0] == vld.sectors_per_block * WRITES + records
