@@ -73,11 +73,12 @@ class Disk:
         #: counts (and may crash), every read meets its media faults, and
         #: every service ends through its fail-slow window.
         self.faults = None
-        #: Optional sidecar checksum store with a ``record(sector, data)``
-        #: method, modelling the per-sector out-of-band ECC bytes real
-        #: drives write alongside every sector.  Attached by the VLD's
-        #: resilience layer; recording costs zero simulated time (the
-        #: head writes the ECC in the same pass as the data), and
+        #: Optional sidecar checksum store with ``record(sector, count)``
+        #: and ``damage(sector, count)`` methods, modelling the
+        #: per-sector out-of-band ECC bytes real drives write alongside
+        #: every sector.  Attached by the VLD's resilience layer;
+        #: recording costs zero simulated time (the head writes the ECC
+        #: in the same pass as the data) and hashes nothing, and
         #: verification happens in the *reader's* path, never here, so
         #: non-resilient consumers are untouched.
         self.checksums = None
@@ -113,25 +114,36 @@ class Disk:
 
     def _store(self, sector: int, count: int, data) -> None:
         """Lay ``count`` sectors of ``data`` (zeros when ``None``) on the
-        media with their checksums, and tell the track buffer: the one
-        way bytes reach the image.  The image's verdict on whether the
-        payload is all zeros picks the checksum path, so no write tests
-        its payload twice.  Untimed; the callers charge."""
+        media, record them in the checksum sidecar, and tell the track
+        buffer: the one way the drive puts bytes on the image.  Untimed;
+        the callers charge."""
         image = self._data
         if image is not None:
             if data is None:
                 nbytes = count * self.spec.sector_bytes
                 data = memoryview(blank(nbytes))[:nbytes]
-            zero = image.store(sector * self.spec.sector_bytes, data)
+            image.store(sector * self.spec.sector_bytes, data)
             checksums = self.checksums
             if checksums is not None:
-                if zero:
-                    checksums.record_zeros(sector, count)
-                else:
-                    checksums.record(sector, data)
+                checksums.record(sector, count)
         cache = self.cache
         if cache._segment is not None:
             cache.note_write(sector, count)
+
+    def damage(self, sector: int, data: bytes) -> None:
+        """Change sectors behind the drive's back -- a scribble or a
+        decayed sector, not a write: the checksums the drive recorded for
+        them stand, so the next verified read of the run must notice.
+        Untimed, and the track buffer is not told."""
+        count, ragged = divmod(len(data), self.spec.sector_bytes)
+        if ragged:
+            raise ValueError("data must be a whole number of sectors")
+        self._check_run(sector, count)
+        if self._data is None:
+            raise RuntimeError("disk was created with store_data=False")
+        if self.checksums is not None:
+            self.checksums.damage(sector, count)
+        self._data.store(sector * self.spec.sector_bytes, data)
 
     def _check_run(self, sector: int, count: int) -> None:
         if count <= 0:

@@ -52,9 +52,7 @@ class ResilienceController:
         self.vld = vld
         self.disk = vld.disk
         self.policy = RetryPolicy()
-        self.checksums = ChecksumStore(
-            self.disk.sector_bytes, self.disk.total_sectors
-        )
+        self.checksums = ChecksumStore(self.disk._data, self.disk.sector_bytes)
         self.disk.checksums = self.checksums
         self.quarantine = QuarantineTable(
             entries_per_chunk(vld.map_record_bytes)
@@ -84,20 +82,8 @@ class ResilienceController:
         pauses are charged as ``locate`` time (the head re-settling).
         ``DeviceCrashed`` is *not* retried -- a dying drive is not a
         marginal sector.
-
-        A run of whole 4 KB pages that a verify found clean is marked in
-        the media image, and is not hashed again until a write touches
-        it (DESIGN.md section 10, "Verify once"): neither its bytes nor
-        its checksums can have changed since.  A read verifies only the
-        stretches of its run still unmarked, in order, and marks each
-        one that verifies clean; a marked page cannot hold the first bad
-        sector, so the verdict is the whole run's.  The read itself --
-        its time, its faults -- happens as ever.
         """
         disk = self.disk
-        image = disk._data
-        sector_bytes = self.checksums.sector_bytes
-        offset, nbytes = sector * sector_bytes, count * sector_bytes
         attempt = 1
         last_fault: Optional[DeviceFault] = None
         while True:
@@ -115,17 +101,8 @@ class ResilienceController:
                     fault.sector if fault.sector is not None else sector
                 )
             if data is not None:
-                # A run that is not whole pages (a one-sector map read)
-                # is one stretch, verified every time and never marked.
-                for lo, size in image.unverified(offset, nbytes):
-                    part = data
-                    if size != nbytes:  # a stretch: a view, not a copy
-                        part = memoryview(data)[lo - offset : lo - offset + size]
-                    bad = self.checksums.verify(lo // sector_bytes, size // sector_bytes, part)
-                    if bad:
-                        break
-                    image.mark_verified(lo, size)
-                else:
+                bad = self.checksums.verify(sector, count, data)
+                if not bad:
                     return data
                 self.checksum_failures += 1
                 failed_sector = bad[0]

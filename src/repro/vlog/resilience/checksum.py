@@ -2,12 +2,16 @@
 
 Real drives lay down out-of-band ECC bytes alongside each sector in the
 same head pass; the host never sees them, pays nothing for them, and the
-firmware verifies them on every read.  :class:`ChecksumStore` models that:
-:meth:`record` is invoked from inside the disk's one media path,
-``Disk._store``, under every write (zero simulated time -- the ECC rides
-the data transfer) and
-:meth:`verify` is called only by the resilience layer's read path, so a
-VLD without the layer behaves bit-for-bit as before.
+firmware verifies them on every read.  :class:`ChecksumStore` models that
+at the cost a drive's host pays, which is nothing until the media is
+damaged: :meth:`record` is invoked from inside the disk's one media path,
+``Disk._store``, under every write, and hashes nothing -- the CRC of a
+sector the drive wrote is the CRC of the bytes the image holds for it.
+Only ``Disk.damage``, the one way bytes change behind the drive's back,
+makes the store save a CRC (:meth:`damage`), and only :meth:`verify` on
+a damaged sector, or on bytes other than the media's, computes one.
+:meth:`verify` is called only by the resilience layer's read path and
+``vlfsck``, so a VLD without the layer behaves bit-for-bit as before.
 
 The store survives crashes (real ECC is retained on the media with its
 sector, so recovery reads are verified too).  Sectors with no recorded
@@ -17,162 +21,132 @@ is also what makes attaching the store to an already-used disk sound.
 
 from __future__ import annotations
 
-import struct
 import zlib
-from array import array
 from typing import Dict, Iterator, List, Tuple
 
-from repro.sim.media import blank
-
-#: The slot value of a sector with no recorded checksum (a CRC32 is
-#: never negative).
-_UNRECORDED = -1
-
-#: ``(sector_bytes, count) -> Struct`` cutting a ``count``-sector run into
-#: its sectors: a lookup table of constants (as ``entries._ENTRY_STRUCTS``
-#: is), filled on first use; a handful of block-size multiples ever occur.
-_SPLITS: Dict[Tuple[int, int], struct.Struct] = {}
-
-
-def _split(sector_bytes: int, count: int) -> struct.Struct:
-    split = _SPLITS.get((sector_bytes, count))
-    if split is None:
-        split = _SPLITS[sector_bytes, count] = struct.Struct(
-            f"{sector_bytes}s" * count
-        )
-    return split
+#: A sector's state byte: nothing recorded, recorded (its CRC is that of
+#: the image's bytes), or damaged (its CRC is the one saved before).
+_UNRECORDED, _RECORDED, _DAMAGED = 0, 1, 2
 
 
 class ChecksumStore:
-    """CRC32 per physical sector, maintained out-of-band.
+    """CRC32 per physical sector of ``image``, maintained out-of-band.
 
-    One ``array('q')`` slot per sector of the image the store guards --
-    8 bytes per sector, allocated once -- holding the sector's CRC, or
-    ``-1`` for a sector nothing was ever recorded on.  Every store is a
-    slice assignment of exactly the run's length, so no write resizes the
-    array; a run outside it raises ``IndexError``.
+    One state byte per sector of the image, allocated once, and a dict of
+    the CRCs saved for damaged sectors only.  A run outside the image
+    raises ``IndexError``.
     """
 
-    def __init__(self, sector_bytes: int, sectors: int) -> None:
+    def __init__(self, image, sector_bytes: int) -> None:
         if sector_bytes <= 0:
             raise ValueError("sector_bytes must be positive")
-        if sectors <= 0:
-            raise ValueError("sectors must be positive")
         self.sector_bytes = sector_bytes
-        self._crcs = array("q", (_UNRECORDED,)) * sectors
-        #: CRC of one all-zero sector; every zero sector records this.
-        self._zero_crc = zlib.crc32(bytes(sector_bytes))
+        self._image = image
+        self._state = bytearray(len(image) // sector_bytes)
+        #: ``sector -> CRC`` of a damaged sector's bytes before the damage.
+        self._saved: Dict[int, int] = {}
 
     def __len__(self) -> int:
         """Sectors with a recorded checksum."""
-        return len(self._crcs) - self._crcs.count(_UNRECORDED)
+        return len(self._state) - self._state.count(_UNRECORDED)
+
+    def _crc_of(self, sector: int) -> int:
+        if self._state[sector] == _DAMAGED:
+            return self._saved[sector]
+        sb = self.sector_bytes
+        return zlib.crc32(self._image[sector * sb : (sector + 1) * sb])
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """``(sector, crc)`` for every recorded sector, ascending."""
-        for sector, crc in enumerate(self._crcs):
-            if crc != _UNRECORDED:
-                yield sector, crc
+        for sector, mark in enumerate(self._state):
+            if mark != _UNRECORDED:
+                yield sector, self._crc_of(sector)
 
-    def record(self, sector: int, data: bytes) -> None:
-        """Recompute checksums for the sectors ``data`` just overwrote.
+    def _check(self, sector: int, count: int) -> bytearray:
+        """The state bytes, once ``[sector, sector + count)`` is known to
+        lie within them."""
+        state = self._state
+        if not 0 <= sector <= len(state) - count:
+            raise IndexError(
+                f"sectors [{sector}, {sector + count}) outside a store of "
+                f"{len(state)}"
+            )
+        return state
 
-        Called from inside every ``Disk.write`` whose payload the image
-        found non-zero (a zero payload goes to :meth:`record_zeros`), so
-        the common shapes are fast-pathed: a single sector skips the
-        splitting, and a run is cut into sectors by one shared ``Struct``
-        and hashed by ``map`` straight into one slice assignment -- the
-        same per-sector CRC32s with no Python frame per sector.
-        """
-        sb = self.sector_bytes
-        if type(data) is not bytes:
-            # memoryview payloads (zero-copy callers): one bulk copy here
-            # is cheaper than hashing sub-views sector by sector.
-            data = bytes(data)
-        crcs = self._crcs
-        count = len(data) // sb
-        if not 0 <= sector <= len(crcs) - count:
-            raise IndexError(_outside(sector, count, len(crcs)))
+    def _undamage(self, sector: int, count: int) -> None:
+        """Drop the saved CRCs of the run's damaged sectors."""
+        if self._state.find(_DAMAGED, sector, sector + count) >= 0:
+            for s in range(sector, sector + count):
+                self._saved.pop(s, None)
+
+    def record(self, sector: int, count: int) -> None:
+        """The drive just wrote ``count`` sectors at ``sector``: their
+        checksums are now those of the image's bytes, and no damage
+        mark stands on them."""
+        state = self._check(sector, count)
+        if self._saved:
+            self._undamage(sector, count)
         if count == 1:
-            crcs[sector] = zlib.crc32(data)
-            return
-        crcs[sector : sector + count] = array(
-            "q", map(zlib.crc32, _split(sb, count).unpack_from(data))
-        )
+            state[sector] = _RECORDED
+        else:
+            state[sector : sector + count] = b"\x01" * count
 
-    def record_zeros(self, sector: int, count: int) -> None:
-        """Record ``count`` sectors of zeros without touching any data:
-        ``Disk._store`` calls this when the image found the payload all
-        zeros, so every sector stores the precomputed zero-sector CRC."""
-        crcs = self._crcs
-        if not 0 <= sector <= len(crcs) - count:
-            raise IndexError(_outside(sector, count, len(crcs)))
-        if count == 1:
-            crcs[sector] = self._zero_crc
-            return
-        crcs[sector : sector + count] = array("q", (self._zero_crc,)) * count
+    def damage(self, sector: int, count: int) -> None:
+        """The run's bytes are about to change behind the drive's back:
+        save the CRC of each recorded sector's current bytes, which the
+        damage leaves standing.  A sector already damaged keeps the CRC
+        saved before; an unrecorded one stays without a claim."""
+        state = self._check(sector, count)
+        for s in range(sector, sector + count):
+            if state[s] == _RECORDED:
+                self._saved[s] = self._crc_of(s)
+                state[s] = _DAMAGED
 
     def recorded(self, sector: int) -> bool:
-        crcs = self._crcs
-        return 0 <= sector < len(crcs) and crcs[sector] != _UNRECORDED
+        state = self._state
+        return 0 <= sector < len(state) and state[sector] != _UNRECORDED
 
     def forget(self, sector: int, count: int = 1) -> None:
         """Drop checksums (e.g. when a sector is quarantined for good)."""
-        crcs = self._crcs
-        if not 0 <= sector <= len(crcs) - count:
-            raise IndexError(_outside(sector, count, len(crcs)))
-        crcs[sector : sector + count] = array("q", (_UNRECORDED,)) * count
+        state = self._check(sector, count)
+        self._undamage(sector, count)
+        state[sector : sector + count] = bytes(count)
 
     def verify(self, sector: int, count: int, data: bytes) -> List[int]:
         """Sectors of ``data`` whose contents contradict their checksum.
 
-        Works a run at a time: the run's stored CRCs are fetched by one
-        slice of the array, a run nothing was ever written to returns at
-        once, an all-zero payload is settled by counting stored
-        zero-sector CRCs, a fully recorded run is cut by :meth:`record`'s
-        ``Struct`` and its CRCs compared as one array, and only a mismatch
-        or a partly recorded run walks the sectors that have a stored
-        CRC, one at a time.
+        With no damaged sector in the run and ``data`` equal to the
+        image's bytes -- every read of media no one damaged -- that is one
+        ``find`` and one compare, and nothing is hashed.  Otherwise only
+        the damaged sectors and the recorded ones whose bytes differ
+        from the media's are hashed.
         """
         sb = self.sector_bytes
         span = count * sb
         if len(data) < span:
             raise ValueError("data shorter than the claimed sector run")
-        crcs = self._crcs
-        if not 0 <= sector <= len(crcs) - count:
-            raise IndexError(_outside(sector, count, len(crcs)))
-        if count == 1:
-            # The recovery traversal reads one map sector at a time.
-            crc = crcs[sector]
-            if crc == _UNRECORDED or zlib.crc32(data[:sb]) == crc:
-                return []
-            return [sector]
-        stored = crcs[sector : sector + count]
-        unrecorded = stored.count(_UNRECORDED)
-        if unrecorded == count:
+        state = self._check(sector, count)
+        end = sector + count
+        lo = sector * sb
+        image = self._image
+        if len(data) != span:
+            data = memoryview(data)[:span]
+        if (
+            not self._saved or state.find(_DAMAGED, sector, end) < 0
+        ) and image[lo : lo + span] == data:
             return []
-        if blank(span).startswith(data[:span]):
-            # Every sector's computed CRC is the zero-sector constant.
-            zero_crc = self._zero_crc
-            if stored.count(zero_crc) + unrecorded == count:
-                return []
-            return [
-                sector + i
-                for i, crc in enumerate(stored)
-                if crc != _UNRECORDED and crc != zero_crc
-            ]
-        if not unrecorded:
-            computed = array("q", map(zlib.crc32, _split(sb, count).unpack_from(data)))
-            if computed == stored:
-                return []
         view = memoryview(data)
         crc32 = zlib.crc32
-        return [
-            sector + i
-            for i, crc in enumerate(stored)
-            if crc != _UNRECORDED and crc32(view[i * sb : (i + 1) * sb]) != crc
-        ]
-
-
-def _outside(sector: int, count: int, sectors: int) -> str:
-    return f"sectors [{sector}, {sector + count}) outside a store of {sectors}"
-
+        bad = []
+        for i, mark in enumerate(state[sector:end]):
+            if mark == _UNRECORDED:
+                continue
+            got = view[i * sb : (i + 1) * sb]
+            if mark == _DAMAGED:
+                if crc32(got) != self._saved[sector + i]:
+                    bad.append(sector + i)
+                continue
+            media = image[lo + i * sb : lo + (i + 1) * sb]
+            if got != media and crc32(got) != crc32(media):
+                bad.append(sector + i)
+        return bad

@@ -45,17 +45,20 @@ def calls_by_function(fn):
     return calls, result
 
 
-def count_sectors_hashed(monkeypatch, sector_bytes: int = 512) -> list:
-    """Count, from here on, the sectors the checksum sidecar hashes.
+def count_sectors_hashed(monkeypatch, module=None, sector_bytes: int = 512) -> list:
+    """Count, from here on, the sectors a checksum store hashes.
 
-    Every CRC the sidecar computes goes through its module's ``zlib``,
-    which is swapped for one that adds ``len(data) // sector_bytes`` to
-    the returned one-item list before hashing: work counted in sectors,
-    the same on every interpreter.
+    Every CRC the store computes goes through its module's ``zlib``
+    (``module``, by default the sidecar's,
+    ``repro.vlog.resilience.checksum``), which is swapped for one that
+    adds ``len(data) // sector_bytes`` to the returned one-item list
+    before hashing: work counted in sectors, the same on every
+    interpreter.
     """
     import zlib
 
-    from repro.vlog.resilience import checksum
+    if module is None:
+        from repro.vlog.resilience import checksum as module
 
     hashed = [0]
 
@@ -65,5 +68,5 @@ def count_sectors_hashed(monkeypatch, sector_bytes: int = 512) -> list:
             hashed[0] += len(data) // sector_bytes
             return zlib.crc32(data, *value)
 
-    monkeypatch.setattr(checksum, "zlib", _Counting)
+    monkeypatch.setattr(module, "zlib", _Counting)
     return hashed

@@ -5,8 +5,8 @@ without the simulated clock, the head or the disk's write counters
 moving -- the state a crash or firmware scribble would leave.  The
 bytes land through the disk's one media path, so the checksum sidecar
 records them and the track buffer forgets the run, as after any write;
-:func:`silently_corrupt` alone goes around it, to leave damage the
-checksums must catch.  :func:`op_counts` reads back what the disk's
+:func:`silently_corrupt` alone goes around it, through ``Disk.damage``,
+to leave damage the checksums must catch.  :func:`op_counts` reads back what the disk's
 requests counted, for the before/after and identity checks.
 """
 
@@ -35,15 +35,11 @@ def poke(disk, sector: int, data: bytes) -> None:
 
 
 def silently_corrupt(disk, sector: int, count: int = 1) -> None:
-    """Flip every bit of a sector run *behind the drive's back*: the raw
-    image changes but the recorded checksums do not, so the next verified
-    read must notice.  (:func:`poke` records the new checksums, hiding the
-    damage.)"""
-    if disk._data is None:
-        raise RuntimeError("disk was created with store_data=False")
-    lo = sector * disk.sector_bytes
-    hi = lo + count * disk.sector_bytes
-    disk._data.store(lo, disk._data[lo:hi].translate(_INVERT))
+    """Flip every bit of a sector run *behind the drive's back*
+    (``Disk.damage``): the raw image changes but the recorded checksums
+    do not, so the next verified read must notice.  (:func:`poke` records
+    the new checksums, hiding the damage.)"""
+    disk.damage(sector, disk.peek(sector, count).translate(_INVERT))
 
 
 def corrupt_power_down_record(store) -> None:

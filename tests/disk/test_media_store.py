@@ -91,7 +91,7 @@ def _run(rng: random.Random, aligned: bool):
 def test_disk_writes_match_a_bytearray_oracle(seed):
     rng = random.Random(seed)
     disk = Disk(ST19101, num_cylinders=1)
-    disk.checksums = ChecksumStore(SB, disk.total_sectors)
+    disk.checksums = ChecksumStore(disk._data, SB)
     oracle = bytearray(disk.geometry.capacity_bytes)
     crcs = {}
     for step in range(120):

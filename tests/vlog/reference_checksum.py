@@ -1,20 +1,32 @@
-"""The dict-backed checksum store that ``ChecksumStore``'s flat array
-replaced, kept as the differential oracle.
+"""The eager dict-backed checksum store, kept as the differential oracle
+of the lazy ``ChecksumStore``.
 
 One dict entry and one int object per written sector, keyed by sector
-number; no size, so it accepts any sector.  ``record``, ``record_zeros``,
-``forget``, ``recorded``, ``verify`` and ``len`` are exactly what they
-were; ``items`` is the ``sorted(dict.items())`` the identity pins used to
-hash.
+number, each computed when the sector is written; no size, so it accepts
+any sector.  ``record``, ``record_zeros``, ``forget``, ``recorded``,
+``verify`` and ``len`` are exactly what they were; ``items`` is the
+``sorted(dict.items())`` the identity pins used to hash.
+:class:`EagerSidecar` installs it under a disk in the lazy store's place.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 import zlib
 from typing import Dict, Iterator, List, Tuple
 
-from repro.vlog.resilience.checksum import _split
+#: ``(sector_bytes, count) -> Struct`` cutting a run into its sectors.
+_SPLITS: Dict[Tuple[int, int], struct.Struct] = {}
+
+
+def _split(sector_bytes: int, count: int) -> struct.Struct:
+    split = _SPLITS.get((sector_bytes, count))
+    if split is None:
+        split = _SPLITS[sector_bytes, count] = struct.Struct(
+            f"{sector_bytes}s" * count
+        )
+    return split
 
 
 class ReferenceChecksumStore:
@@ -101,3 +113,37 @@ class ReferenceChecksumStore:
             for i, crc in enumerate(stored)
             if crc is not None and crc32(view[i * sb : (i + 1) * sb]) != crc
         ]
+
+
+class EagerSidecar:
+    """:class:`ReferenceChecksumStore` with the lazy store's interface,
+    for ``disk.checksums``: a drive write hashes the bytes the image now
+    holds for the run, and damage is not heard of (the CRCs recorded
+    before it stand, as a drive's ECC does)."""
+
+    def __init__(self, image, sector_bytes: int) -> None:
+        self.sector_bytes = sector_bytes
+        self._image = image
+        self.store = ReferenceChecksumStore(sector_bytes)
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        return self.store.items()
+
+    def record(self, sector: int, count: int) -> None:
+        sb = self.sector_bytes
+        self.store.record(sector, self._image[sector * sb : (sector + count) * sb])
+
+    def damage(self, sector: int, count: int) -> None:
+        pass
+
+    def recorded(self, sector: int) -> bool:
+        return self.store.recorded(sector)
+
+    def forget(self, sector: int, count: int = 1) -> None:
+        self.store.forget(sector, count)
+
+    def verify(self, sector: int, count: int, data: bytes) -> List[int]:
+        return self.store.verify(sector, count, data)

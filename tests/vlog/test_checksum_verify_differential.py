@@ -1,11 +1,11 @@
 """``ChecksumStore.verify`` against the per-sector walk it short-cuts.
 
-A fully recorded, non-zero run is verified by cutting it with the same
-cached ``Struct`` ``record`` uses and comparing the CRC array in one go;
-the per-sector listcomp only names the bad sectors.  The reference below
-is the verify that hashed every recorded sector through its own
-memoryview slice; both must name the same sectors on every run: 1-, 8-
-and 256-sector runs, corrupted sectors, unrecorded gaps, zero payloads.
+A run with no damaged sector whose bytes are the media's is settled by
+one compare, and only the sectors that differ are hashed.  The reference
+below is the eager verify that hashed every recorded sector through its
+own memoryview slice, against the store's ``(sector, crc)`` pairs; both
+must name the same sectors on every run: 1-, 8- and 256-sector runs,
+reads that differ from the media, unrecorded gaps, zero payloads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro.sim.media import MediaImage
 from repro.vlog.resilience.checksum import ChecksumStore
 
 SB = 512
@@ -66,10 +67,12 @@ def _case(rng, count, written, corrupt, gaps):
     """A store holding ``written`` (zero or not), then the read: the same
     bytes with ``gaps`` sectors never recorded and ``corrupt`` of the
     recorded ones flipped."""
-    store = ChecksumStore(SB, SECTORS)
+    image = MediaImage(SECTORS * SB)
+    store = ChecksumStore(image, SB)
     base = rng.randrange(1000)
     data = bytearray(_payload(rng, count, written == "zero"))
-    store.record(base, bytes(data))
+    image.store(base * SB, bytes(data))
+    store.record(base, count)
     unrecorded = set(rng.sample(range(count), min(gaps, count)))
     for i in unrecorded:
         store.forget(base + i)

@@ -9,6 +9,7 @@ from repro.blockdev.interpose import DeviceCrashed, FaultPlane
 from repro.disk.disk import Disk
 from repro.disk.freemap import FreeSpaceMap
 from repro.disk.specs import ST19101
+from repro.sim.media import MediaImage
 from repro.sim.stats import Breakdown
 from repro.vlog.allocator import DiskFullError
 from repro.vlog.recovery import disk_reader, scan_records
@@ -46,28 +47,35 @@ def _fill(vld, n=12):
 # ChecksumStore
 # ======================================================================
 
+def _written(sector: int = 0, data: bytes = b"") -> ChecksumStore:
+    """A store over a 64-sector image the drive wrote ``data`` to."""
+    image = MediaImage(64 * 512)
+    store = ChecksumStore(image, 512)
+    if data:
+        image.store(sector * 512, data)
+        store.record(sector, len(data) // 512)
+    return store
+
+
 class TestChecksumStore:
     def test_record_verify_roundtrip(self):
-        store = ChecksumStore(512, 64)
         data = bytes(range(256)) * 4  # two sectors
-        store.record(40, data)
+        store = _written(40, data)
         assert len(store) == 2
         assert store.verify(40, 2, data) == []
 
     def test_mismatch_names_the_bad_sector(self):
-        store = ChecksumStore(512, 64)
         data = b"\x11" * 1024
-        store.record(40, data)
+        store = _written(40, data)
         tampered = data[:512] + b"\x22" * 512
         assert store.verify(40, 2, tampered) == [41]
 
     def test_unrecorded_sectors_verify_clean(self):
-        store = ChecksumStore(512, 64)
+        store = _written()
         assert store.verify(0, 4, bytes(2048)) == []
 
     def test_forget(self):
-        store = ChecksumStore(512, 64)
-        store.record(7, b"\x33" * 512)
+        store = _written(7, b"\x33" * 512)
         store.forget(7)
         assert not store.recorded(7)
         assert store.verify(7, 1, bytes(512)) == []
@@ -126,15 +134,15 @@ class TestWholeTrackVerify:
         assert self._bad(disk, start, per_track) == [start + 200]
 
     def test_recorded_data_that_reads_back_as_zeros(self, disk, track):
-        """The all-zero payload shortcut compares stored CRCs against the
-        zero-sector constant: a sector that held data and now reads zeros
-        (a lost write) is exactly what it must not wave through."""
+        """A sector that held data and now reads zeros (a lost write,
+        damage behind the drive's back) is exactly what an all-zero read
+        of the track must not wave through."""
         start, per_track = track
         disk.write(start, per_track)
         poke(disk, start + 3, b"\x77" * 512)
         poke(disk, start + 90, b"\x78" * 512)
         for sector in (start + 3, start + 90):
-            disk._data.store(sector * 512, bytes(512))
+            disk.damage(sector, bytes(512))
         assert self._bad(disk, start, per_track) == [start + 3, start + 90]
 
     def test_dense_track(self, disk, track):

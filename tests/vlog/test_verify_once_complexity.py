@@ -1,15 +1,15 @@
-"""A guard that counts, not times: a page that verified clean is not
-hashed again until it is written (DESIGN.md section 10, "Verify once").
+"""A guard that counts, not times: no sector is hashed more than once,
+because no undamaged sector is hashed at all (DESIGN.md section 10,
+"Checksum envelope").
 
 A VLD is written, crashed, recovered and read back twice -- the
-durability check of the ledger's ``crash_recover`` workload.
-``ChecksumStore.verify`` is counted by the length of the run it checks
-and by the sectors it hashes.  Recovered from the power-down record, the
-first read-back hashes every block once and the second none, because
-nothing was written in between.  Recovered by the full scan, each track
-read hashes only its pages no earlier read marked, so across recovery
-and both read-backs no sector is hashed twice; the second read-back
-hashes none either way.
+durability check of the ledger's ``crash_recover`` workload.  Two
+things are counted: the runs ``ChecksumStore.verify`` is asked about,
+and the sectors the checksum sidecar hashes (through its module's
+``zlib``).  Recovered from the power-down record or by the full scan,
+every run recovery and the read-backs read is verified, and none of
+them hashes a sector: the read bytes are the media's and nothing on the
+media was damaged.  Only a damaged sector is ever hashed.
 """
 
 from collections import Counter
@@ -28,18 +28,18 @@ BLOCKS = 300
 
 def _counting(monkeypatch, sectors=None):
     """Count ``verify`` calls by run length, and into ``sectors`` (a
-    ``Counter``, when given) each sector they hash."""
-    hashed = Counter()
+    ``Counter``, when given) each sector they verify."""
+    verified = Counter()
     verify = ChecksumStore.verify
 
     def counting_verify(store, sector, count, data):
-        hashed[count] += 1
+        verified[count] += 1
         if sectors is not None:
             sectors.update(range(sector, sector + count))
         return verify(store, sector, count, data)
 
     monkeypatch.setattr(ChecksumStore, "verify", counting_verify)
-    return hashed
+    return verified
 
 
 def _read_back(vld, expected):
@@ -60,60 +60,53 @@ def test_a_second_read_back_hashes_no_block(orderly, monkeypatch):
         vld.power_down()
     vld.crash()
     sectors = Counter()
-    hashed = _counting(monkeypatch, sectors)
+    verified = _counting(monkeypatch, sectors)
     crcs = count_sectors_hashed(monkeypatch)
     outcome = vld.recover()
-    assert crcs[0] > 0
     assert outcome.scanned != orderly and not outcome.degraded
     per_track = disk.geometry.sectors_per_track
     spb = vld.sectors_per_block
     if orderly:
-        assert hashed[per_track] == 0
+        assert verified[per_track] == 0
     else:
-        # Reading the (invalid) power-down record hashes and marks track
-        # 0's first page, so the scan's read of that track hashes only
-        # the rest of it; every other track is hashed whole, once.
+        # The (invalid) power-down record's block, then every track
+        # whole, once: the scan verifies every sector of the disk.
         tracks = disk.total_sectors // per_track
-        assert hashed == {spb: 1, per_track - spb: 1, per_track: tracks - 1}
+        assert verified == {spb: 1, per_track: tracks}
         assert sorted(sectors) == list(range(disk.total_sectors))
-
-    hashed.clear()
-    crcs[0] = 0
-    _read_back(vld, expected)
-    assert hashed == ({spb: len(expected)} if orderly else {})
-    assert crcs[0] == (spb * len(expected) if orderly else 0)
-    hashed.clear()
-    crcs[0] = 0
-    _read_back(vld, expected)
-    assert hashed == {}
     assert crcs[0] == 0
-    assert max(sectors.values()) == 1
+
+    verified.clear()
+    _read_back(vld, expected)
+    assert verified == {spb: len(expected)}
+    assert crcs[0] == 0
+    verified.clear()
+    _read_back(vld, expected)
+    assert verified == {spb: len(expected)}
+    assert crcs[0] == 0
 
 
 def test_a_write_makes_its_block_hash_again(monkeypatch):
+    """A write records its sectors without hashing them, and the reads
+    after it verify the new bytes without hashing them either."""
     vld = VirtualLogDisk(Disk(ST19101, num_cylinders=4))
     for lba in range(8):
         vld.write_block(lba, bytes([lba + 1]) * vld.block_size)
-    for lba in range(8):
-        vld.read_block(lba)
-    hashed = _counting(monkeypatch)
+    verified = _counting(monkeypatch)
     crcs = count_sectors_hashed(monkeypatch)
     for lba in range(8):
         vld.read_block(lba)
-    assert sum(hashed.values()) == 0
-    assert crcs[0] == 0
     vld.write_block(3, bytes([99]) * vld.block_size)
-    crcs[0] = 0
     for lba in range(8):
-        vld.read_block(lba)
-    assert hashed == {vld.sectors_per_block: 1}
-    assert crcs[0] == vld.sectors_per_block
+        assert vld.read_block(lba)[0] == bytes([99 if lba == 3 else lba + 1]) * 4096
+    assert verified == {vld.sectors_per_block: 16}
+    assert crcs[0] == 0
 
 
 def test_a_half_marked_track_hashes_only_its_unmarked_pages(monkeypatch):
-    """A track read whose pages are partly marked hashes only the
-    unmarked stretches, marks them, and reports a bad sector in one of
-    them as the whole-track verify would."""
+    """A track read hashes only its damaged sector -- once when the
+    damage saves the CRC it had, once per read attempt -- and reports it
+    as the whole-track verify would."""
     disk = Disk(ST19101, num_cylinders=4)
     vld = VirtualLogDisk(disk)
     for lba in range(64):
@@ -122,24 +115,14 @@ def test_a_half_marked_track_hashes_only_its_unmarked_pages(monkeypatch):
     per_track = disk.geometry.sectors_per_track
     victim = vld.imap.get(0) * spb + 5
     base = victim - victim % per_track
-    image = disk._data
-    vld.resilience.read_sectors(base, per_track)  # marks the whole track
-    assert image.unverified(base * 512, per_track * 512) == []
-    # Unmark every other page, the victim's among them, by storing its
-    # bytes back unchanged.
-    pages = range((victim - base) // spb % 2, per_track // spb, 2)
-    for page in pages:
-        lo = (base + page * spb) * 512
-        image.store(lo, bytes(image[lo : lo + spb * 512]))
-    sectors = Counter()
-    hashed = _counting(monkeypatch, sectors)
+    crcs = count_sectors_hashed(monkeypatch)
     vld.resilience.read_sectors(base, per_track)
-    assert hashed == {spb: len(pages)}
-    assert sorted(sectors) == [
-        base + page * spb + i for page in pages for i in range(spb)
-    ]
-    assert image.unverified(base * 512, per_track * 512) == []
+    assert crcs[0] == 0
     silently_corrupt(disk, victim)
+    assert crcs[0] == 1
     with pytest.raises(MediaError) as caught:
         vld.resilience.read_sectors(base, per_track)
     assert caught.value.sector == victim
+    attempts = vld.resilience.policy.max_attempts
+    assert caught.value.attempt == attempts
+    assert crcs[0] == 1 + attempts

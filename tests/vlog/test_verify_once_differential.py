@@ -1,20 +1,21 @@
-"""Verify once: skipping the hash of a page that verified clean changes
-nothing a caller can see (DESIGN.md section 10, "Verify once").
+"""The lazy checksum sidecar changes nothing a caller can see: it hashes
+only damaged sectors and reads that differ from the media, and every
+verdict is the eager store's (DESIGN.md section 10, "Checksum
+envelope").
 
 Each seeded script runs through two identical VLDs.  The first keeps
-its media image's "verified" marks; the second has them wiped before
-every read it makes (its resilience controller is swapped, from here,
-for a subclass that clears the image's map first), so every one of its
-reads hashes, as every read did before the memo.  The scripts write,
-trim, idle (the compactor and the scrubber run), read single blocks and
-runs, corrupt a live sector behind the drive's back
-(:func:`tests._media.silently_corrupt`), scribble one straight into the
-image with ``disk._data.store`` (no checksum recorded), fork the pair by
-``copy.deepcopy`` and by ``pickle``, and crash and recover, behind an orderly power-down
-or not.  After every step both stacks must agree on the read data or
-the ``MediaError``, the suspects, ``checksum_failures``, the retry and
-error counts and the clock; at the end the first must have hashed
-fewer times than the second, or the memo was never exercised.
+the lazy ``ChecksumStore`` every VLD builds; the second has the eager
+store it replaced (:class:`tests.vlog.reference_checksum.EagerSidecar`,
+which hashes every sector the drive writes) installed in its place.  The
+scripts write, trim, idle (the compactor and the scrubber run), read
+single blocks and runs, corrupt a live sector behind the drive's back
+(:func:`tests._media.silently_corrupt`), scribble over one
+(``Disk.damage``), fork the pair by ``copy.deepcopy`` and by ``pickle``,
+and crash and recover, behind an orderly power-down or not.  After every
+step both stacks must agree on the read data or the ``MediaError``, the
+suspects, ``checksum_failures``, the retry and error counts and the
+clock; at the end the first must have hashed some sectors, and fewer
+than the second, or the damage path was never exercised.
 """
 
 import copy
@@ -25,9 +26,12 @@ import pytest
 
 from repro.disk.disk import Disk
 from repro.disk.specs import ST19101
-from repro.vlog.resilience import ChecksumStore, MediaError, ResilienceController
+from repro.vlog.resilience import MediaError
 from repro.vlog.vld import VirtualLogDisk
+from tests._counting import count_sectors_hashed
 from tests._media import silently_corrupt
+from tests.vlog import reference_checksum
+from tests.vlog.reference_checksum import EagerSidecar
 
 BS = 4096
 LBAS = 48
@@ -35,19 +39,11 @@ STEPS = 160
 SEEDS = range(10)
 
 
-class _Unmarked(ResilienceController):
-    """The controller with no memory: every read wipes the image's
-    verified marks first, so every read verifies."""
-
-    def read_sectors(self, sector, count, breakdown=None):
-        marks = self.disk._data._verified
-        marks[:] = bytes(len(marks))
-        return super().read_sectors(sector, count, breakdown)
-
-
 def _pair():
     stacks = [VirtualLogDisk(Disk(ST19101, num_cylinders=3)) for _ in range(2)]
-    stacks[1].resilience.__class__ = _Unmarked
+    disk = stacks[1].disk
+    disk.checksums = EagerSidecar(disk._data, disk.sector_bytes)
+    stacks[1].resilience.checksums = disk.checksums
     return stacks
 
 
@@ -116,7 +112,7 @@ def _step(stacks, rng):
         if sector is not None:
             scribble = bytes([rng.randrange(256)]) * 512
             for vld in stacks:
-                vld.disk._data.store(sector * 512, scribble)
+                vld.disk.damage(sector, scribble)
         return stacks, None
     if roll < 0.88:
         return [copy.deepcopy(vld) for vld in stacks], None
@@ -135,37 +131,31 @@ def _step(stacks, rng):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_memo_changes_nothing_a_caller_sees(seed, monkeypatch):
-    hashed = {"memo": 0, "every read": 0}
-    verify = ChecksumStore.verify
+    lazy = count_sectors_hashed(monkeypatch)
+    eager = count_sectors_hashed(monkeypatch, reference_checksum)
     stacks = _pair()
-
-    def counting_verify(store, sector, count, data):
-        key = "memo" if store is stacks[0].resilience.checksums else "every read"
-        hashed[key] += 1
-        return verify(store, sector, count, data)
-
-    monkeypatch.setattr(ChecksumStore, "verify", counting_verify)
     rng = random.Random(seed)
     for step in range(STEPS):
         stacks, seen = _step(stacks, rng)
-        assert isinstance(stacks[1].resilience, _Unmarked)
+        assert isinstance(stacks[1].resilience.checksums, EagerSidecar)
+        assert stacks[1].disk.checksums is stacks[1].resilience.checksums
         if seen is not None:
             assert seen[0] == seen[1], f"step {step}"
         assert _observed(stacks[0]) == _observed(stacks[1]), f"step {step}"
     for lba in range(LBAS):
         assert _read(stacks[0], lba, 1) == _read(stacks[1], lba, 1)
-    assert 0 < hashed["memo"] < hashed["every read"]
+    assert list(stacks[0].disk.checksums.items()) == list(
+        stacks[1].disk.checksums.items()
+    )
+    assert 0 < lazy[0] < eager[0]
 
 
 def test_a_block_that_read_clean_then_silently_corrupted_is_caught():
     vld = VirtualLogDisk(Disk(ST19101, num_cylinders=3))
     vld.write_block(7, bytes([9]) * BS)
     sector = vld.imap.get(7) * vld.sectors_per_block
-    image = vld.disk._data
     assert vld.read_block(7)[0] == bytes([9]) * BS
-    assert image.unverified(sector * 512, BS) == []
     silently_corrupt(vld.disk, sector + 3)
-    assert image.unverified(sector * 512, BS) != []
     with pytest.raises(MediaError) as caught:
         vld.read_block(7)
     assert caught.value.sector == sector + 3
@@ -174,29 +164,42 @@ def test_a_block_that_read_clean_then_silently_corrupted_is_caught():
 
 
 def test_a_direct_slice_write_clears_the_marks_it_touches():
+    """Damage to one byte of a block fails that block's reads, and only
+    its: the neighbour in the same run still reads clean alone."""
     vld = VirtualLogDisk(Disk(ST19101, num_cylinders=3))
     vld.write_blocks(0, 2, bytes([5]) * 2 * BS)
-    first = vld.imap.get(0) * BS
-    assert vld.imap.get(1) * BS == first + BS
+    first = vld.imap.get(0) * vld.sectors_per_block
+    assert vld.imap.get(1) * vld.sectors_per_block == first + vld.sectors_per_block
     vld.read_blocks(0, 2)
-    image = vld.disk._data
-    assert image.unverified(first, 2 * BS) == []
-    image.store(first + BS + 100, b"\x00")
-    assert image.unverified(first, BS) == []
-    assert image.unverified(first + BS, BS) != []
-    assert image.unverified(first, 2 * BS) != []
+    sector = first + vld.sectors_per_block
+    scribbled = bytearray(vld.disk.peek(sector))
+    scribbled[100] = 0
+    vld.disk.damage(sector, bytes(scribbled))
+    assert vld.read_block(0)[0] == bytes([5]) * BS
     with pytest.raises(MediaError):
         vld.read_block(1)
+    with pytest.raises(MediaError):
+        vld.read_blocks(0, 2)
 
 
 @pytest.mark.parametrize("fork", ["deepcopy", "pickle"])
 def test_a_fork_starts_with_no_page_marked(fork):
+    """A fork's sidecar guards the fork's own image: damage on either
+    side fails only that side's reads."""
     vld = VirtualLogDisk(Disk(ST19101, num_cylinders=3))
     vld.write_block(3, bytes([4]) * BS)
     vld.read_block(3)
-    offset = vld.imap.get(3) * BS
-    assert vld.disk._data.unverified(offset, BS) == []
+    sector = vld.imap.get(3) * vld.sectors_per_block
     twin = copy.deepcopy(vld) if fork == "deepcopy" else pickle.loads(pickle.dumps(vld))
-    assert twin.disk._data.unverified(offset, BS) != []
-    assert twin.read_block(3)[0] == bytes([4]) * BS
-    assert twin.disk._data.unverified(offset, BS) == []
+    store = twin.resilience.checksums
+    assert store is twin.disk.checksums
+    assert store._image is twin.disk._data
+    assert store._image is not vld.disk._data
+    silently_corrupt(twin.disk, sector)
+    assert vld.read_block(3)[0] == bytes([4]) * BS
+    with pytest.raises(MediaError):
+        twin.read_block(3)
+    silently_corrupt(vld.disk, sector + 1)
+    with pytest.raises(MediaError) as caught:
+        vld.read_block(3)
+    assert caught.value.sector == sector + 1
