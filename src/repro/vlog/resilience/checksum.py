@@ -83,7 +83,9 @@ class ChecksumStore:
         """The drive just wrote ``count`` sectors at ``sector``: their
         checksums are now those of the image's bytes, and no damage
         mark stands on them."""
-        state = self._check(sector, count)
+        state = self._state
+        if not 0 <= sector <= len(state) - count:
+            self._check(sector, count)  # names what is wrong, and raises
         if self._saved:
             self._undamage(sector, count)
         if count == 1:
@@ -125,12 +127,12 @@ class ChecksumStore:
         span = count * sb
         if len(data) < span:
             raise ValueError("data shorter than the claimed sector run")
-        state = self._check(sector, count)
+        state = self._state
+        if not 0 <= sector <= len(state) - count:
+            self._check(sector, count)  # names what is wrong, and raises
         end = sector + count
         lo = sector * sb
         image = self._image
-        if len(data) != span:
-            data = memoryview(data)[:span]
         if (
             not self._saved or state.find(_DAMAGED, sector, end) < 0
         ) and image[lo : lo + span] == data:

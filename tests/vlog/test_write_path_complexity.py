@@ -4,7 +4,7 @@
 One synchronous ``write_block`` on a 70 %-full VLD is the sentence the
 paper is about -- eager-write the block, append one map record -- and its
 host cost is priced here in Python-level calls under ``sys.setprofile``:
-73.3 with the idle compactor's share and 60.4 without on 3.11 (78.2 and
+71.2 with the idle compactor's share and 59.4 without on 3.11 (78.2 and
 65.4 while a depth-1 write still went through the queue and the
 allocator's dispatch frames), against ceilings that leave room for the
 call or two other interpreter versions differ by.  Two counts say
@@ -13,7 +13,9 @@ is packed from the fields in hand), and the compactor asks the free map
 about a cylinder, not about each of its tracks.  Two more say which
 steps the one-block write skips: a depth-1 write with nothing queued
 makes no ``DiskScheduler._enqueue`` round trip, and a record's entries
-are the map's own bytes, packed by no per-count ``Struct``.
+are the map's own bytes, packed by no per-count ``Struct``.  One more
+counts work, not calls: the checksum sidecar hashes no sector of a
+write.
 """
 
 import random
