@@ -11,19 +11,24 @@ Usage, from the repo root::
 Both revisions are extracted with ``git archive REV | tar -x`` into a
 temporary directory (local, no network), and each runs its own
 ``benchmarks/ledger/run.py`` unchanged, as a subprocess, with ``--trace
-0`` -- the command ``BENCHMARK.json`` runs.  For every seed, ``--pairs``
-pairs run one after the other; the parent goes first in even pairs and
-the change in odd ones, so drift on a shared machine hits both sides
-alike.  A pair's ratio is change over parent for a metric where higher
-is better and parent over change where lower is, so a ratio above 1 is
-a gain either way.
+0`` -- the command ``BENCHMARK.json`` runs, for its ``run_seconds``.
+For every seed, ``--pairs`` pairs run one after the other; the parent
+goes first in even pairs and the change in odd ones, so drift on a
+shared machine hits both sides alike.  Whether the metric is better
+higher or lower is read from ``BENCHMARK.json``'s ``end_to_end`` list.
+A pair's ratio is change over parent for a metric where higher is better
+and parent over change where lower is, so a ratio above 1 is a gain
+either way.
 
-The record, ``benchmarks/claims/<slug>.json`` (or ``--out``), keeps every
-run's result line, ``sim_digest`` and calibration rate, the interpreter,
-per-pair ratios, and per seed the median and quartiles of the ratios and
-of each side's values: every pass, not only a mean.  The claim is met
-when the median ratio of every seed reaches the threshold.
-``tests/test_claims.py`` checks every record against itself.
+The record, ``benchmarks/claims/<slug>.json``, keeps every run's result
+line, ``sim_digest`` and calibration rate, the interpreter, per-pair
+ratios, and per seed the median and quartiles of the ratios and of each
+side's values: every pass, not only a mean.  The claim is met when, at
+every seed, the median ratio reaches the threshold, the change is ahead
+in at least nine of every ten pairs, and the gap between the two sides'
+medians exceeds the parent's quartile spread (q3 - q1).
+``tests/test_claims.py`` checks every record against itself and against
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -37,10 +42,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 CLAIMS = ROOT / "benchmarks" / "claims"
+BENCHMARK = ROOT / "BENCHMARK.json"
 SCHEMA = 1
 
 
@@ -59,6 +65,16 @@ def extract(rev: str, into: Path) -> Path:
     ).stdout
     subprocess.run(["tar", "-x"], cwd=tree, input=archive, check=True)
     return tree
+
+
+def benchmark_terms(metric: str) -> Tuple[str, float]:
+    """``metric``'s direction and the run length, as ``BENCHMARK.json``
+    declares them."""
+    spec = json.loads(BENCHMARK.read_text())
+    for entry in spec["end_to_end"]:
+        if entry["name"] == metric:
+            return entry["better"], float(spec["run_seconds"])
+    raise SystemExit(f"{metric} is not an end-to-end metric of {BENCHMARK.name}")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict:
@@ -87,8 +103,11 @@ def ratio(parent: float, change: float, better: str) -> float:
 
 
 def summarise(claim: Dict, runs: List[Dict]) -> Dict:
-    """Per seed: the pairs' ratios and the quartiles of ratios and sides;
-    ``met`` when every seed's median ratio reaches the threshold."""
+    """Per seed: the pairs' ratios, the quartiles of ratios and sides,
+    and the gap between the sides' medians in the better direction.
+    ``met`` when at every seed the median ratio reaches the threshold,
+    at least nine in ten pairs are better, and the gap exceeds the
+    parent's q3 - q1."""
     metric, better = claim["metric"], claim["better"]
     per_seed = {}
     for seed in claim["seeds"]:
@@ -101,16 +120,24 @@ def summarise(claim: Dict, runs: List[Dict]) -> Dict:
             for side in ("parent", "change")
         }
         ratios = [ratio(p, c, better) for p, c in zip(sides["parent"], sides["change"])]
+        parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
+        gap = change["median"] - parent["median"]
         per_seed[str(seed)] = {
             "ratios": ratios,
             "ratio": quartiles(ratios),
-            "parent": quartiles(sides["parent"]),
-            "change": quartiles(sides["change"]),
+            "parent": parent,
+            "change": change,
             "pairs_better": sum(r > 1.0 for r in ratios),
+            "median_gap": gap if better == "higher" else -gap,
         }
     return {
         "per_seed": per_seed,
-        "met": all(s["ratio"]["median"] >= claim["threshold"] for s in per_seed.values()),
+        "met": all(
+            s["ratio"]["median"] >= claim["threshold"]
+            and 10 * s["pairs_better"] >= 9 * len(s["ratios"])
+            and s["median_gap"] > s["parent"]["q3"] - s["parent"]["q1"]
+            for s in per_seed.values()
+        ),
     }
 
 
@@ -120,19 +147,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--metric", default="host_ops_per_s")
-    parser.add_argument("--better", choices=("higher", "lower"), default="higher")
     parser.add_argument("--threshold", type=float, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[11])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--slug")
-    parser.add_argument("--out", type=Path)
+    parser.add_argument("--slug", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, one with each side first")
-    if (args.slug is None) == (args.out is None):
-        parser.error("give exactly one of --slug and --out")
-    out = args.out or CLAIMS / f"{args.slug}.json"
+    better, seconds = benchmark_terms(args.metric)
+    out = CLAIMS / f"{args.slug}.json"
     revs = {
         side: subprocess.run(
             ["git", "rev-parse", rev], cwd=ROOT, check=True, stdout=subprocess.PIPE
@@ -140,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for side, rev in (("parent", args.parent), ("change", args.change))
     }
     claim = {
-        "workload": args.workload, "metric": args.metric, "better": args.better,
+        "workload": args.workload, "metric": args.metric, "better": better,
         "threshold": args.threshold, "seeds": args.seeds,
     }
     runs = []
@@ -150,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_once(trees[side], args.workload, seed, args.seconds)
+                    run = run_once(trees[side], args.workload, seed, seconds)
                     runs.append({"seed": seed, "pair": pair, "side": side, **run})
                     value = run["result"]["metrics"][args.metric]["value"]
                     print(f"seed {seed} pair {pair} {side:<6} {args.metric} {value:.6g}",
@@ -159,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "schema": SCHEMA,
         "claim": claim,
         "revisions": revs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "interpreter": {
             "python": platform.python_version(),
@@ -174,7 +197,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for seed, stats in record["summary"]["per_seed"].items():
         print(f"seed {seed}: median ratio {stats['ratio']['median']:.4f} "
               f"(q1 {stats['ratio']['q1']:.4f}, q3 {stats['ratio']['q3']:.4f}), "
-              f"{stats['pairs_better']}/{len(stats['ratios'])} pairs better")
+              f"{stats['pairs_better']}/{len(stats['ratios'])} pairs better, "
+              f"median gap {stats['median_gap']:.6g} against parent spread "
+              f"{stats['parent']['q3'] - stats['parent']['q1']:.6g}")
     print(f"claim {'met' if record['summary']['met'] else 'NOT met'}: {out}")
     agree = all(
         len({run["sim_digest"] for run in runs if run["seed"] == seed}) == 1
